@@ -17,11 +17,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xclean::{
-    Catalog, CorpusSpec, RunStats, Semantics, ShardedEngine, Telemetry, XCleanConfig, XCleanEngine,
+    Catalog, CorpusSpec, Pipeline, RunStats, Semantics, ShardedEngine, Telemetry, XCleanConfig,
+    XCleanEngine,
 };
 use xclean_datagen::{generate_dblp, generate_inex, DblpConfig, InexConfig};
 use xclean_index::{partition_corpus, storage, CorpusIndex, OpenOptions, SlabMode};
-use xclean_server::{AcceptModel, ServerConfig, SuggestServer, TenantEngine};
+use xclean_server::{AcceptModel, ServerConfig, SuggestServer};
 use xclean_xmltree::{parse_document, to_xml, TreeStats};
 
 use crate::args::{ArgError, Args};
@@ -458,17 +459,7 @@ fn merge_batch_stats(responses: &[xclean::SuggestResponse]) -> (RunStats, Durati
     let mut cpu = Duration::ZERO;
     let mut suggestions = 0usize;
     for r in responses {
-        merged.subtrees += r.stats.subtrees;
-        merged.candidates_enumerated += r.stats.candidates_enumerated;
-        merged.result_type_computations += r.stats.result_type_computations;
-        merged.entities_scored += r.stats.entities_scored;
-        merged.access += r.stats.access;
-        merged.pruning.evictions += r.stats.pruning.evictions;
-        merged.pruning.rejected += r.stats.pruning.rejected;
-        merged.slot_nanos += r.stats.slot_nanos;
-        merged.walk_nanos += r.stats.walk_nanos;
-        merged.rank_nanos += r.stats.rank_nanos;
-        merged.score_partitions = merged.score_partitions.max(r.stats.score_partitions);
+        merged += r.stats;
         cpu += r.elapsed;
         suggestions += r.suggestions.len();
     }
@@ -871,7 +862,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     // separates offline indexing from interactive querying. v2 snapshots
     // open as a view over the file bytes (mmap-ed by default), so
     // startup cost is the validation pass, not a full re-encode.
-    let mut corpora: Vec<(String, TenantEngine)> = Vec::new();
+    let mut corpora: Vec<(String, Arc<Pipeline>)> = Vec::new();
     let mut banner: Vec<String> = Vec::new();
     if let Some(cat_path) = &catalog_path {
         let catalog = Catalog::load(cat_path).map_err(|e| ArgError(format!("{cat_path}: {e}")))?;
@@ -897,28 +888,29 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
                 reports.push(report);
                 shards.push(c);
             }
+            let telemetry = match trace_out {
+                Some(_) => Telemetry::with_tracing(),
+                None => Telemetry::disabled(),
+            };
             let engine = if shards.len() == 1 && shards[0].shard_meta().is_none() {
                 // A plain single-snapshot corpus serves unsharded.
                 let corpus = shards.pop().expect("exactly one snapshot");
-                let mut e = XCleanEngine::from_corpus(corpus, spec.config.clone());
-                if trace_out.is_some() {
-                    e = e.with_telemetry(Telemetry::with_tracing());
-                }
-                e.record_snapshot_timings(&reports[0]);
-                TenantEngine::Unsharded(Arc::new(e))
+                let e = XCleanEngine::from_corpus(corpus, spec.config.clone());
+                Arc::clone(e.with_telemetry(telemetry).pipeline())
             } else {
                 // One or more shard snapshots: scatter-gather serving.
                 // `from_shards` validates completeness (exact ids
                 // 0..shard_count, one seed, one parent fingerprint).
-                let mut e =
-                    ShardedEngine::from_shards(shards, spec.config.clone()).map_err(|err| {
-                        ArgError(format!("{cat_path}: corpus {:?}: {err}", spec.name))
-                    })?;
-                if trace_out.is_some() {
-                    e = e.with_telemetry(Telemetry::with_tracing());
-                }
-                TenantEngine::Sharded(Arc::new(e))
+                let e = ShardedEngine::from_shards(shards, spec.config.clone()).map_err(|err| {
+                    ArgError(format!("{cat_path}: corpus {:?}: {err}", spec.name))
+                })?;
+                Arc::clone(e.with_telemetry(telemetry).pipeline())
             };
+            // One open/validate sample per snapshot opened, whichever
+            // shape serves them.
+            for report in &reports {
+                engine.record_snapshot_timings(report);
+            }
             banner.push(format!(
                 "corpus {}: {} snapshot(s), {} shard(s), fingerprint {:016x} → /suggest/{}",
                 spec.name,
@@ -953,10 +945,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
             load_report.open_nanos as f64 / 1e6,
             load_report.validate_nanos as f64 / 1e6,
         ));
-        corpora.push((
-            "default".to_string(),
-            TenantEngine::Unsharded(Arc::new(engine)),
-        ));
+        corpora.push(("default".to_string(), Arc::clone(engine.pipeline())));
     }
     // The primary (first) tenant's handles feed the post-drain trace and
     // metrics flushes, exactly like the engine did in single-corpus mode.

@@ -75,4 +75,4 @@ pub use debug::{
 };
 pub use server::{AcceptModel, DrainReport, ServerConfig, SuggestServer, MAX_BATCH_QUERIES};
 pub use shutdown::{install_signal_handler, ShutdownFlag};
-pub use tenant::{Tenant, TenantEngine, TenantSet};
+pub use tenant::{Tenant, TenantSet};

@@ -38,7 +38,7 @@ use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use xclean::{ExplainTrace, SuggestResponse, Suggestion, XCleanEngine};
+use xclean::{ExplainTrace, Pipeline, SuggestResponse, Suggestion, XCleanEngine};
 use xclean_telemetry::{
     names, render_exemplar_histogram, Counter, ExemplarStore, Histogram, MonotonicClock,
     RequestRecord, RuntimeEventKind, RuntimeStats, ShardAttribution, SharedClock, WindowEvent,
@@ -49,7 +49,7 @@ use crate::debug::{self, ConnRegistry, CorpusRow, Observability, StatuszInfo, Tr
 use crate::http::{read_request, write_response, HttpError, Request};
 use crate::json::{self, Json};
 use crate::shutdown::ShutdownFlag;
-use crate::tenant::{Tenant, TenantEngine, TenantSet};
+use crate::tenant::{Tenant, TenantSet};
 
 /// Upper bound on queries in one batch request: bounds the work a single
 /// request can demand from the pool.
@@ -320,7 +320,7 @@ impl SuggestServer {
         config: ServerConfig,
     ) -> io::Result<SuggestServer> {
         SuggestServer::bind_tenants(
-            vec![("default".to_string(), TenantEngine::Unsharded(engine))],
+            vec![("default".to_string(), Arc::clone(engine.pipeline()))],
             addr,
             config,
         )
@@ -335,7 +335,7 @@ impl SuggestServer {
     /// plane (request ring, windows, slow log) is built here from the
     /// config and shared by all tenants.
     pub fn bind_tenants(
-        corpora: Vec<(String, TenantEngine)>,
+        corpora: Vec<(String, Arc<Pipeline>)>,
         addr: &str,
         config: ServerConfig,
     ) -> io::Result<SuggestServer> {
@@ -1007,12 +1007,12 @@ fn debug_flight(handler: &Handler, query: &str) -> Reply {
     Reply::json(200, handler.runtime.flight().chrome_trace_json(n))
 }
 
-/// `GET /debug/explain?corpus=<c>&q=<q>`: runs the full suggestion
-/// pipeline in explain mode and returns the structured trace. Explain
-/// is a separate sequential computation — it never consults or fills
-/// the response cache (bypass by construction, not by flag), and the
-/// suggestions in the trace are bit-identical to what `/suggest` would
-/// serve for the same query.
+/// `GET /debug/explain?corpus=<c>&q=<q>`: runs the suggestion pipeline
+/// under observation and returns the structured trace. Explain is the
+/// serving run without the serving wrapper — it never consults or fills
+/// the response cache (bypass by construction, not by flag) nor moves a
+/// query counter, and the suggestions in the trace are bit-identical to
+/// what `/suggest` would serve for the same query.
 fn debug_explain(handler: &Handler, query: &str) -> Reply {
     let tenant = match query_param(query, "corpus") {
         None => handler.tenants.primary(),
@@ -1429,11 +1429,9 @@ mod tests {
         handler_with_clock(ManualClock::starting_at(0))
     }
 
-    fn mem_engine(xml: &str) -> TenantEngine {
-        TenantEngine::Unsharded(Arc::new(XCleanEngine::new(
-            parse_document(xml).unwrap(),
-            XCleanConfig::default(),
-        )))
+    fn mem_engine(xml: &str) -> Arc<Pipeline> {
+        let engine = XCleanEngine::new(parse_document(xml).unwrap(), XCleanConfig::default());
+        Arc::clone(engine.pipeline())
     }
 
     fn handler_with_clock(clock: Arc<ManualClock>) -> Handler {
@@ -1441,7 +1439,7 @@ mod tests {
         handler_for(clock, vec![("default".to_string(), mem_engine(xml))])
     }
 
-    fn handler_for(clock: Arc<ManualClock>, corpora: Vec<(String, TenantEngine)>) -> Handler {
+    fn handler_for(clock: Arc<ManualClock>, corpora: Vec<(String, Arc<Pipeline>)>) -> Handler {
         let tenants = Arc::new(TenantSet::build(corpora, 64, 4).unwrap());
         let registry: MetricsRegistry = tenants.primary().engine().metrics().clone();
         let obs = Arc::new(Observability::new(

@@ -22,109 +22,13 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use xclean::{ExplainTrace, ShardedEngine, SuggestResponse, XCleanEngine};
+use xclean::Pipeline;
 use xclean_telemetry::{
     escape_label_value, names, render_labeled_histogram_seconds, Counter, Histogram,
-    MetricsRegistry, RollingWindows, ShardAttribution, Tracer, WindowEvent, WindowSnapshot,
+    RollingWindows, ShardAttribution, WindowEvent, WindowSnapshot,
 };
 
 use crate::cache::ResponseCache;
-
-/// The engine behind one served corpus. Both variants answer
-/// bit-identical suggestions for the same corpus and config (the sharded
-/// merge is replay-exact — DESIGN.md §16), so routing, caching, and
-/// response rendering treat them uniformly.
-#[derive(Debug, Clone)]
-pub enum TenantEngine {
-    /// One in-memory index over one corpus (possibly snapshot-mapped).
-    Unsharded(Arc<XCleanEngine>),
-    /// A validated shard set answered by scatter-gather merge.
-    Sharded(Arc<ShardedEngine>),
-}
-
-impl TenantEngine {
-    /// Corpus + config fingerprint — the cache-key component.
-    pub fn fingerprint(&self) -> u64 {
-        match self {
-            TenantEngine::Unsharded(e) => e.fingerprint(),
-            TenantEngine::Sharded(e) => e.fingerprint(),
-        }
-    }
-
-    /// The engine's metrics registry (response-cache counters for the
-    /// tenant register here; the primary tenant's registry is the
-    /// `/metrics` base text).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        match self {
-            TenantEngine::Unsharded(e) => e.metrics(),
-            TenantEngine::Sharded(e) => e.metrics(),
-        }
-    }
-
-    /// The span tracer request spans open against.
-    pub fn tracer(&self) -> &Tracer {
-        match self {
-            TenantEngine::Unsharded(e) => e.tracer(),
-            TenantEngine::Sharded(e) => e.telemetry().tracer(),
-        }
-    }
-
-    /// Normalizes a raw query string into keywords.
-    pub fn parse_query(&self, query: &str) -> Vec<String> {
-        match self {
-            TenantEngine::Unsharded(e) => e.parse_query(query),
-            TenantEngine::Sharded(e) => e.parse_query(query),
-        }
-    }
-
-    /// Suggests for one tokenised query.
-    pub fn suggest_keywords(&self, keywords: &[String]) -> SuggestResponse {
-        match self {
-            TenantEngine::Unsharded(e) => e.suggest_keywords(keywords),
-            TenantEngine::Sharded(e) => e.suggest_keywords(keywords),
-        }
-    }
-
-    /// Suggests for a batch of tokenised queries, in input order.
-    pub fn suggest_many_keywords(&self, queries: &[Vec<String>]) -> Vec<SuggestResponse> {
-        match self {
-            TenantEngine::Unsharded(e) => e.suggest_many_keywords(queries),
-            TenantEngine::Sharded(e) => e.suggest_many_keywords(queries),
-        }
-    }
-
-    /// Runs the suggestion pipeline in explain mode for one tokenised
-    /// query (`/debug/explain`). A separate sequential computation: it
-    /// never touches serving caches or counters, and its suggestions are
-    /// bit-identical to what [`TenantEngine::suggest_keywords`] serves.
-    pub fn explain_keywords(&self, keywords: &[String]) -> ExplainTrace {
-        match self {
-            TenantEngine::Unsharded(e) => e.explain_keywords(keywords),
-            TenantEngine::Sharded(e) => e.explain_keywords(keywords),
-        }
-    }
-
-    /// `(format_version, checksum)` of the backing snapshot. `None` for
-    /// in-memory corpora and for sharded sets, which span several
-    /// snapshots (their shard membership shows on `/statusz` instead).
-    pub fn snapshot(&self) -> Option<(u32, u64)> {
-        match self {
-            TenantEngine::Unsharded(e) => e
-                .corpus()
-                .provenance()
-                .map(|p| (u32::from(p.format_version), p.checksum)),
-            TenantEngine::Sharded(_) => None,
-        }
-    }
-
-    /// Shards answering this corpus; `1` means unsharded.
-    pub fn shard_count(&self) -> u32 {
-        match self {
-            TenantEngine::Unsharded(_) => 1,
-            TenantEngine::Sharded(e) => e.shard_count(),
-        }
-    }
-}
 
 /// One served corpus: engine, private response cache, and per-corpus
 /// lifetime counters (rendered as `corpus`-labelled `/metrics` series,
@@ -133,7 +37,9 @@ impl TenantEngine {
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
-    engine: TenantEngine,
+    /// One corpus or a scatter-gather shard set — the same pipeline type
+    /// either way, so routing, caching and rendering never ask which.
+    engine: Arc<Pipeline>,
     cache: Arc<ResponseCache>,
     fingerprint: u64,
     requests: Counter,
@@ -158,7 +64,7 @@ impl Tenant {
     }
 
     /// The engine answering this corpus.
-    pub fn engine(&self) -> &TenantEngine {
+    pub fn engine(&self) -> &Pipeline {
         &self.engine
     }
 
@@ -251,7 +157,7 @@ impl TenantSet {
     /// that tenant's engine registry. Errors on an empty catalog, a
     /// duplicate name, or a name that cannot appear in a request path.
     pub fn build(
-        corpora: Vec<(String, TenantEngine)>,
+        corpora: Vec<(String, Arc<Pipeline>)>,
         cache_entries: usize,
         cache_shards: usize,
     ) -> io::Result<TenantSet> {
@@ -466,14 +372,12 @@ impl TenantSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xclean::XCleanConfig;
+    use xclean::{XCleanConfig, XCleanEngine};
     use xclean_xmltree::parse_document;
 
-    fn engine(xml: &str) -> TenantEngine {
-        TenantEngine::Unsharded(Arc::new(XCleanEngine::new(
-            parse_document(xml).unwrap(),
-            XCleanConfig::default(),
-        )))
+    fn engine(xml: &str) -> Arc<Pipeline> {
+        let engine = XCleanEngine::new(parse_document(xml).unwrap(), XCleanConfig::default());
+        Arc::clone(engine.pipeline())
     }
 
     #[test]

@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use xclean::{ShardedEngine, XCleanConfig, XCleanEngine};
 use xclean_index::{partition_corpus, CorpusIndex};
-use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer, TenantEngine};
+use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
+use xclean_telemetry::names;
 use xclean_xmltree::parse_document;
 
 /// The primary corpus. Deliberately a different *shape* (token count)
@@ -44,18 +45,13 @@ struct Running {
 /// Starts a two-tenant server: `default` unsharded, `dblp` served by a
 /// two-shard scatter-gather engine.
 fn start() -> Running {
-    let default_engine = TenantEngine::Unsharded(Arc::new(XCleanEngine::from_corpus(
-        default_corpus(),
-        XCleanConfig::default(),
-    )));
+    let default_engine = XCleanEngine::from_corpus(default_corpus(), XCleanConfig::default());
     let shards = partition_corpus(&dblp_corpus(), 2, 7).unwrap();
-    let dblp_engine = TenantEngine::Sharded(Arc::new(
-        ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap(),
-    ));
+    let dblp_engine = ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
     let server = SuggestServer::bind_tenants(
         vec![
-            ("default".to_string(), default_engine),
-            ("dblp".to_string(), dblp_engine),
+            ("default".to_string(), Arc::clone(default_engine.pipeline())),
+            ("dblp".to_string(), Arc::clone(dblp_engine.pipeline())),
         ],
         "127.0.0.1:0",
         ServerConfig {
@@ -245,9 +241,11 @@ fn sharded_tenant_matches_unsharded_engine_over_http() {
     let sharded = SuggestServer::bind_tenants(
         vec![(
             "default".to_string(),
-            TenantEngine::Sharded(Arc::new(
-                ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap(),
-            )),
+            Arc::clone(
+                ShardedEngine::from_shards(shards, XCleanConfig::default())
+                    .unwrap()
+                    .pipeline(),
+            ),
         )],
         "127.0.0.1:0",
         ServerConfig::default(),
@@ -270,4 +268,37 @@ fn sharded_tenant_matches_unsharded_engine_over_http() {
     for r in running {
         stop(r);
     }
+}
+
+#[test]
+fn sharded_tenant_records_one_snapshot_open_sample_per_shard() {
+    // Cold-start cost must show up for sharded tenants too: every shard
+    // snapshot opened contributes one open and one validate sample to
+    // the tenant's registry (the one `/metrics` renders).
+    let dir = std::env::temp_dir().join(format!("xclean-multi-tenant-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shards = partition_corpus(&dblp_corpus(), 3, 7).unwrap();
+    let paths: Vec<_> = shards
+        .iter()
+        .enumerate()
+        .map(|(i, shard)| {
+            let path = dir.join(format!("shard-{i}.xci"));
+            xclean_index::storage::save_to_file_v2(shard, &path).unwrap();
+            path
+        })
+        .collect();
+    let engine = ShardedEngine::load_snapshots(&paths, XCleanConfig::default()).unwrap();
+    let server = SuggestServer::bind_tenants(
+        vec![("dblp".to_string(), Arc::clone(engine.pipeline()))],
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let tenant = server.tenants().primary();
+    assert_eq!(tenant.engine().shard_count(), 3);
+    for name in [names::SNAPSHOT_OPEN, names::SNAPSHOT_VALIDATE] {
+        let samples = tenant.engine().metrics().histogram_summary(name);
+        assert_eq!(samples.map(|s| s.count), Some(3), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

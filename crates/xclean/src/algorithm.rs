@@ -43,12 +43,12 @@ use std::time::Instant;
 
 use xclean_index::{AccessStats, CorpusIndex, TokenId};
 use xclean_lm::ErrorModel;
-use xclean_telemetry::{names, Telemetry};
 use xclean_xmltree::{NodeId, PathId};
 
 use crate::arena::QueryArena;
-use crate::config::{EntityPrior, XCleanConfig};
-use crate::pruning::{Accumulator, AccumulatorTable, CandidateKey, PruningStats, ScoreSink};
+use crate::config::{fnv1a, EntityPrior, XCleanConfig};
+use crate::pipeline::Semantics;
+use crate::pruning::{Accumulator, CandidateKey, PruningStats, ScoreSink};
 use crate::result_type::find_result_type_scoped;
 use crate::variants::Variant;
 use crate::view::Scoring;
@@ -136,6 +136,27 @@ impl RunStats {
     }
 }
 
+/// Sums whole runs: every counter and stage time adds (each absorbed run
+/// executed its stages in full, so the totals stay wall-clock-meaningful
+/// and ≥ 1 once anything ran); `score_partitions` keeps the widest. Used
+/// by the scatter gather (per-shard walks → one query) and by space edits
+/// (per-rewriting queries → one response).
+impl std::ops::AddAssign for RunStats {
+    fn add_assign(&mut self, other: RunStats) {
+        self.subtrees += other.subtrees;
+        self.candidates_enumerated += other.candidates_enumerated;
+        self.result_type_computations += other.result_type_computations;
+        self.entities_scored += other.entities_scored;
+        self.access += other.access;
+        self.pruning.evictions += other.pruning.evictions;
+        self.pruning.rejected += other.pruning.rejected;
+        self.slot_nanos += other.slot_nanos;
+        self.walk_nanos += other.walk_nanos;
+        self.rank_nanos += other.rank_nanos;
+        self.score_partitions = self.score_partitions.max(other.score_partitions);
+    }
+}
+
 /// Output of [`run_xclean`]: candidates sorted by descending score, plus
 /// run statistics.
 #[derive(Debug, Default)]
@@ -146,12 +167,13 @@ pub struct RunOutput {
     pub stats: RunStats,
 }
 
-/// Executes Algorithm 1 and final scoring, using
+/// Executes Algorithm 1 and final scoring over prebuilt slots, using
 /// `config.num_threads` candidate-partition workers when > 1 *and* the
 /// partitioning is provably exact (see [`partitioning_is_exact`]); the
-/// output is bit-identical for every thread count either way.
+/// output is bit-identical for every thread count either way. The same
+/// run an [`crate::XCleanEngine`] executes, minus the slot phase.
 pub fn run_xclean(corpus: &CorpusIndex, slots: &[KeywordSlot], config: &XCleanConfig) -> RunOutput {
-    run_xclean_with(corpus, slots, config, &Telemetry::disabled())
+    crate::pipeline::run_corpus(corpus, Semantics::NodeType, slots, config)
 }
 
 /// Wall time since `start`, clamped to ≥ 1 ns so "this phase ran" is
@@ -159,77 +181,6 @@ pub fn run_xclean(corpus: &CorpusIndex, slots: &[KeywordSlot], config: &XCleanCo
 /// coarse clocks (the assertion-backed guarantee on [`RunStats`]).
 pub(crate) fn nanos_since(start: Instant) -> u64 {
     (start.elapsed().as_nanos() as u64).max(1)
-}
-
-/// [`run_xclean`] with telemetry: spans around each scoring partition and
-/// the rank phase, and per-partition walk latencies into the
-/// [`names::STAGE_PARTITION`] histogram. Telemetry never influences
-/// scoring — a disabled [`Telemetry`] makes this identical to
-/// [`run_xclean`], and an enabled one changes no output bit.
-pub fn run_xclean_with(
-    corpus: &CorpusIndex,
-    slots: &[KeywordSlot],
-    config: &XCleanConfig,
-    telemetry: &Telemetry,
-) -> RunOutput {
-    run_xclean_in(corpus, slots, config, telemetry, &mut QueryArena::new())
-}
-
-/// [`run_xclean_with`] over a caller-provided scratch arena. The arena is
-/// reset on entry, so any (possibly dirty) arena behaves like a fresh
-/// one; reusing one across queries skips the per-query scratch
-/// allocations without changing a single output bit (see `crate::arena`).
-/// The engine pools arenas so both `suggest` and `suggest_many` hit this
-/// path with recycled storage.
-pub fn run_xclean_in(
-    corpus: &CorpusIndex,
-    slots: &[KeywordSlot],
-    config: &XCleanConfig,
-    telemetry: &Telemetry,
-    arena: &mut QueryArena,
-) -> RunOutput {
-    arena.reset();
-    let walk_start = Instant::now();
-    // Some keyword with no variant at all empties the candidate space;
-    // flow through the common finalise path so every `*_nanos` field is
-    // recorded even on this early-out.
-    let empty = slots.is_empty() || slots.iter().any(|s| s.variants.is_empty());
-    let parts = if !empty && partitioning_is_exact(slots, config) {
-        config.num_threads
-    } else {
-        1
-    };
-    let (entries, mut stats) = if empty {
-        (Vec::new(), RunStats::default())
-    } else if parts > 1 {
-        accumulate_parallel(corpus, slots, config, parts, telemetry)
-    } else {
-        let _span = telemetry.tracer().span("walk_accumulate");
-        let part_start = Instant::now();
-        let mut stats = RunStats::default();
-        let table = accumulate_partition(corpus, slots, config, 0, 1, &mut stats, arena);
-        stats.pruning = table.stats();
-        telemetry
-            .metrics()
-            .histogram(names::STAGE_PARTITION)
-            .record(nanos_since(part_start));
-        // Hand the table's hash storage back to the arena for the next
-        // query on this worker.
-        let (entries, accs, evicted) = table.drain_entries();
-        arena.accs = accs;
-        arena.evicted = evicted;
-        (entries, stats)
-    };
-    stats.score_partitions = parts as u64;
-    stats.walk_nanos = nanos_since(walk_start);
-
-    let rank_start = Instant::now();
-    let candidates = {
-        let _span = telemetry.tracer().span("rank");
-        finalize_candidates(&Scoring::unsharded(corpus), config, entries)
-    };
-    stats.rank_nanos = nanos_since(rank_start);
-    RunOutput { candidates, stats }
 }
 
 /// Upper bound on the number of *distinct* candidate keys a query can
@@ -266,53 +217,20 @@ pub(crate) fn candidate_partition(cand: &[TokenId], parts: usize) -> usize {
     }
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for t in cand {
-        for b in t.0.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
+        fnv1a(&mut h, &t.0.to_le_bytes());
     }
     (h % parts as u64) as usize
 }
 
-/// Runs the walk + accumulate phase for one candidate partition. All
-/// partitions perform the identical walk and candidate enumeration
-/// (including the shared per-subtree budget), but only the owner of a
-/// candidate computes its result type and accumulates its entity scores —
-/// so per-candidate floating-point op order matches the sequential run
-/// exactly.
-fn accumulate_partition(
-    corpus: &CorpusIndex,
-    slots: &[KeywordSlot],
-    config: &XCleanConfig,
-    part: usize,
-    parts: usize,
-    stats: &mut RunStats,
-    arena: &mut QueryArena,
-) -> AccumulatorTable {
-    let mut table = AccumulatorTable::with_storage(
-        config.gamma,
-        std::mem::take(&mut arena.accs),
-        std::mem::take(&mut arena.evicted),
-    );
-    accumulate_scoped(
-        &Scoring::unsharded(corpus),
-        slots,
-        config,
-        part,
-        parts,
-        stats,
-        arena,
-        &mut table,
-    );
-    table
-}
-
-/// The accumulate core over a [`Scoring`] view and a [`ScoreSink`]: walks
-/// the view's tree, enumerates candidates, and emits one `accumulate`
-/// call per (candidate, entity) contribution — in document order, with
-/// per-entity floating-point ops in exactly the sequential order. The
-/// unsharded engine sinks straight into an [`AccumulatorTable`]; the
-/// sharded scatter phase sinks into a replay log (see `crate::sharded`).
-/// The contribution stream never depends on the sink.
+/// The node-type accumulate rule over a [`Scoring`] view and a
+/// [`ScoreSink`]: walks the view's tree, enumerates candidates, and emits
+/// one `accumulate` call per (candidate, entity) contribution — in
+/// document order, with per-entity floating-point ops in exactly the
+/// sequential order. With `parts > 1` every partition performs the
+/// identical walk and enumeration but only a candidate's owner scores it,
+/// so per-candidate op order matches the sequential run. One corpus sinks
+/// straight into the γ-table; a shard walk sinks into a replay log (see
+/// `crate::pipeline`). The contribution stream never depends on the sink.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn accumulate_scoped<S: ScoreSink>(
     view: &Scoring<'_>,
@@ -425,85 +343,24 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
     stats.entities_scored = entities_scored;
 }
 
-/// Fans the candidate partitions out over `parts` scoped threads sharing
-/// the borrowed corpus, then concatenates the (disjoint) accumulator
-/// entries. Callers must have checked [`partitioning_is_exact`].
-fn accumulate_parallel(
-    corpus: &CorpusIndex,
-    slots: &[KeywordSlot],
-    config: &XCleanConfig,
-    parts: usize,
-    telemetry: &Telemetry,
-) -> (Vec<(CandidateKey, Accumulator)>, RunStats) {
-    let part_hist = telemetry.metrics().histogram(names::STAGE_PARTITION);
-    // The span stack is thread-local, so partition spans opened on worker
-    // threads cannot see the enclosing suggest/request spans. Capture the
-    // parent id here (on the request's thread) and adopt it explicitly —
-    // the whole request then traces as one tree.
-    let parent_span = telemetry.tracer().current_span_id();
-    let results: Vec<(Vec<(CandidateKey, Accumulator)>, RunStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..parts)
-            .map(|part| {
-                let part_hist = std::sync::Arc::clone(&part_hist);
-                scope.spawn(move || {
-                    let _span =
-                        telemetry
-                            .tracer()
-                            .span_under_with("score_partition", parent_span, || {
-                                format!("partition {part}/{parts}")
-                            });
-                    let part_start = Instant::now();
-                    let mut stats = RunStats::default();
-                    // Partition workers are transient scoped threads, so
-                    // each scores through its own short-lived arena (the
-                    // caller's arena cannot be shared across threads).
-                    let mut arena = QueryArena::new();
-                    let table = accumulate_partition(
-                        corpus, slots, config, part, parts, &mut stats, &mut arena,
-                    );
-                    stats.pruning = table.stats();
-                    part_hist.record(nanos_since(part_start));
-                    (table.into_entries(), stats)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    });
-    let stats = RunStats::merge_partitions(&results.iter().map(|(_, s)| *s).collect::<Vec<_>>());
-    let entries = results.into_iter().flat_map(|(e, _)| e).collect();
-    (entries, stats)
-}
-
 /// Final scoring: `log P(Q|C) + log( Σ_r P(C|r)·P(r|T) )` (Eq. 10),
-/// sorted best-first with a deterministic token tie-break. Shared by the
-/// sequential and parallel paths — entry order does not matter because
-/// each candidate's accumulator is already complete.
+/// sorted best-first with a deterministic token tie-break. Entry order
+/// does not matter because each candidate's accumulator is already
+/// complete. `normalizer` is the prior mass the sum is divided by — the
+/// entity semantics decides it (see the call site in `crate::pipeline`).
 pub(crate) fn finalize_candidates(
-    view: &Scoring<'_>,
-    config: &XCleanConfig,
     entries: Vec<(CandidateKey, Accumulator)>,
+    normalizer: impl Fn(&Accumulator) -> f64,
 ) -> Vec<ScoredCandidate> {
     let mut scored: Vec<ScoredCandidate> = entries
         .into_iter()
         .filter(|(_, acc)| acc.score_sum > 0.0)
-        .map(|(tokens, acc)| {
-            // Prior normaliser: the total prior mass over *all* entities
-            // of the result type (Eq. 8 sums over every r_j; non-matching
-            // entities contribute zero).
-            let normalizer = match config.prior {
-                EntityPrior::Uniform => view.count_nodes_of_path(acc.result_path).max(1) as f64,
-                EntityPrior::DocLength => view.path_doc_len_total(acc.result_path).max(1) as f64,
-            };
-            ScoredCandidate {
-                log_score: acc.log_error_weight + (acc.score_sum / normalizer).ln(),
-                tokens,
-                distances: acc.distances,
-                result_path: acc.result_path,
-                entity_count: acc.entity_count,
-            }
+        .map(|(tokens, acc)| ScoredCandidate {
+            log_score: acc.log_error_weight + (acc.score_sum / normalizer(&acc)).ln(),
+            tokens,
+            distances: acc.distances,
+            result_path: acc.result_path,
+            entity_count: acc.entity_count,
         })
         .collect();
     scored.sort_by(|a, b| {
@@ -557,8 +414,33 @@ fn build_entity_map(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{rank_walked, ArenaPool, Walked};
     use crate::variants::VariantGenerator;
+    use xclean_telemetry::{names, Telemetry};
     use xclean_xmltree::parse_document;
+
+    /// [`run_xclean`] over a caller-held telemetry bundle and arena pool.
+    fn run_in(
+        c: &CorpusIndex,
+        slots: &[KeywordSlot],
+        config: &XCleanConfig,
+        telemetry: &Telemetry,
+        arenas: &ArenaPool,
+    ) -> RunOutput {
+        let ranked = rank_walked(
+            Walked::Corpus(c),
+            Semantics::NodeType,
+            slots,
+            config,
+            telemetry,
+            arenas,
+            &mut |_| {},
+        );
+        RunOutput {
+            candidates: ranked.candidates,
+            stats: ranked.stats,
+        }
+    }
 
     /// Corpus mirroring the paper's running example (Figure 2/Example 5):
     /// `tree`/`trie`/`trees` and `icde`/`icdt` spread over `/a/c` and
@@ -676,10 +558,10 @@ mod tests {
             (Vec::new(), XCleanConfig::default()),
             (slots_for(&c, &["tree", "icdt"], 1), tight),
         ];
-        let mut arena = QueryArena::new();
+        let arenas = ArenaPool::default();
         for (slots, config) in &workload {
-            let fresh = run_xclean_with(&c, slots, config, &Telemetry::disabled());
-            let reused = run_xclean_in(&c, slots, config, &Telemetry::disabled(), &mut arena);
+            let fresh = run_xclean(&c, slots, config);
+            let reused = run_in(&c, slots, config, &Telemetry::disabled(), &arenas);
             assert_eq!(fresh.candidates.len(), reused.candidates.len());
             for (a, b) in fresh.candidates.iter().zip(&reused.candidates) {
                 assert_eq!(a.tokens, b.tokens);
@@ -999,7 +881,7 @@ mod tests {
             };
             let plain = run_xclean(&c, &slots, &config);
             let telemetry = Telemetry::with_tracing();
-            let traced = run_xclean_with(&c, &slots, &config, &telemetry);
+            let traced = run_in(&c, &slots, &config, &telemetry, &ArenaPool::default());
             assert_eq!(plain.candidates.len(), traced.candidates.len());
             for (a, b) in plain.candidates.iter().zip(traced.candidates.iter()) {
                 assert_eq!(a.tokens, b.tokens);

@@ -72,7 +72,7 @@ pub struct XCleanConfig {
     /// DESIGN.md, "Concurrency & batching").
     pub num_threads: usize,
     /// Queries handed to a pool worker per dispatch in `suggest_many`
-    /// (amortises channel traffic on large workloads).
+    /// (amortises dispatch traffic on large workloads).
     pub batch_size: usize,
 }
 
@@ -98,8 +98,10 @@ impl Default for XCleanConfig {
     }
 }
 
-/// FNV-1a accumulation step, shared by the fingerprint methods.
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+/// FNV-1a accumulation step, shared by the fingerprint methods and the
+/// candidate → partition assignment.
+#[inline]
+pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= u64::from(b);
         *hash = hash.wrapping_mul(0x100_0000_01b3);

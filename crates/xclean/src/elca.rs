@@ -14,15 +14,13 @@
 //! keyword some occurrence's *lowest full ancestor* is exactly `v`.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
-use xclean_index::{CorpusIndex, TokenId};
-use xclean_lm::{ErrorModel, LanguageModel};
-use xclean_xmltree::{NodeId, PathId, XmlTree};
+use xclean_index::CorpusIndex;
+use xclean_xmltree::{NodeId, XmlTree};
 
-use crate::algorithm::{nanos_since, KeywordSlot, RunOutput, ScoredCandidate};
-use crate::config::{EntityPrior, XCleanConfig};
-use crate::pruning::AccumulatorTable;
+use crate::algorithm::{KeywordSlot, RunOutput};
+use crate::config::XCleanConfig;
+use crate::pipeline::Semantics;
 
 /// Computes the ELCA set of per-keyword occurrence-node lists (sorted,
 /// deduplicated), restricted to ancestors at or below `floor_depth`.
@@ -104,123 +102,10 @@ pub fn elca_of_lists(tree: &XmlTree, lists: &[Vec<NodeId>], floor_depth: u32) ->
 }
 
 /// Runs the ELCA-semantics suggestion pipeline (same contract as
-/// [`crate::run_xclean`] / [`crate::run_slca`]).
+/// [`crate::run_xclean`] / [`crate::run_slca`]; the entity rule is
+/// [`elca_of_lists`] floored at `config.min_depth`).
 pub fn run_elca(corpus: &CorpusIndex, slots: &[KeywordSlot], config: &XCleanConfig) -> RunOutput {
-    let walk_start = Instant::now();
-    let mut out = RunOutput::default();
-    out.stats.score_partitions = 1;
-    if slots.is_empty() || slots.iter().any(|s| s.variants.is_empty()) {
-        // Phase timings are recorded even on the empty early-out (see the
-        // guarantee on RunStats).
-        out.stats.walk_nanos = nanos_since(walk_start);
-        out.stats.rank_nanos = 1;
-        return out;
-    }
-    let error_model = ErrorModel::new(config.beta);
-    let lm = LanguageModel::new(corpus, config.effective_smoothing());
-    let tree = corpus.tree();
-
-    let distance_of: Vec<HashMap<TokenId, u32>> = slots
-        .iter()
-        .map(|s| s.variants.iter().map(|v| (v.token, v.distance)).collect())
-        .collect();
-
-    let mut table = AccumulatorTable::new(config.gamma);
-    let mut candidates_enumerated = 0u64;
-    let mut entities_scored = 0u64;
-
-    crate::walk::walk_gated_subtrees(
-        corpus,
-        slots,
-        config,
-        &mut out.stats,
-        |_g, occurrences, slot_tokens| {
-            let mut token_nodes: HashMap<TokenId, Vec<(NodeId, u32)>> = HashMap::new();
-            for occ in occurrences {
-                for &(t, n, tf) in occ {
-                    token_nodes.entry(t).or_default().push((n, tf));
-                }
-            }
-            for v in token_nodes.values_mut() {
-                v.sort_unstable_by_key(|&(n, _)| n);
-                v.dedup_by_key(|&mut (n, _)| n);
-            }
-
-            let mut budget = config.max_candidates_per_subtree;
-            crate::walk::enumerate_candidates(slot_tokens, &mut budget, &mut |cand| {
-                candidates_enumerated += 1;
-                let mut distinct: Vec<TokenId> = cand.to_vec();
-                distinct.sort_unstable();
-                distinct.dedup();
-                let lists: Vec<Vec<NodeId>> = distinct
-                    .iter()
-                    .map(|t| token_nodes[t].iter().map(|&(n, _)| n).collect())
-                    .collect();
-                let elcas = elca_of_lists(tree, &lists, config.min_depth);
-                if elcas.is_empty() {
-                    return;
-                }
-                let distances: Vec<u32> = cand
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| distance_of[i][t])
-                    .collect();
-                let log_w = error_model.log_query_weight(&distances);
-                for &r in &elcas {
-                    let dlen = corpus.doc_len(r);
-                    let mut log_score = 0.0f64;
-                    for &t in cand.iter() {
-                        let count: u64 = token_nodes[&t]
-                            .iter()
-                            .filter(|&&(n, _)| tree.is_ancestor_or_self(r, n))
-                            .map(|&(_, tf)| u64::from(tf))
-                            .sum();
-                        log_score += lm.log_prob(t, count, dlen);
-                    }
-                    entities_scored += 1;
-                    let weight = match config.prior {
-                        EntityPrior::Uniform => 1.0,
-                        EntityPrior::DocLength => dlen.max(1) as f64,
-                    };
-                    table.add_weighted(
-                        cand,
-                        log_score.exp() * weight,
-                        weight,
-                        log_w,
-                        &distances,
-                        PathId::INVALID,
-                    );
-                }
-            });
-        },
-    );
-    out.stats.candidates_enumerated = candidates_enumerated;
-    out.stats.entities_scored = entities_scored;
-    out.stats.pruning = table.stats();
-    out.stats.walk_nanos = nanos_since(walk_start);
-
-    let rank_start = Instant::now();
-    let mut scored: Vec<ScoredCandidate> = table
-        .into_entries()
-        .into_iter()
-        .filter(|(_, acc)| acc.score_sum > 0.0 && acc.weight_sum > 0.0)
-        .map(|(tokens, acc)| ScoredCandidate {
-            log_score: acc.log_error_weight + (acc.score_sum / acc.weight_sum).ln(),
-            tokens,
-            distances: acc.distances,
-            result_path: PathId::INVALID,
-            entity_count: acc.entity_count,
-        })
-        .collect();
-    scored.sort_by(|a, b| {
-        b.log_score
-            .partial_cmp(&a.log_score)
-            .expect("scores are never NaN")
-            .then_with(|| a.tokens.cmp(&b.tokens))
-    });
-    out.stats.rank_nanos = nanos_since(rank_start);
-    out.candidates = scored;
-    out
+    crate::pipeline::run_corpus(corpus, Semantics::Elca, slots, config)
 }
 
 #[cfg(test)]

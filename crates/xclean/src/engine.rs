@@ -1,205 +1,44 @@
-//! The user-facing suggestion engine.
+//! The user-facing suggestion engine over one corpus.
 //!
-//! [`XCleanEngine`] owns the corpus index and the FastSS variant index
-//! (both built offline) and answers [`XCleanEngine::suggest`] queries with
-//! ranked, *valid* alternative queries — every suggestion is guaranteed to
-//! have at least one entity in the data containing all of its keywords.
-//!
-//! Whole workloads go through [`XCleanEngine::suggest_many`]: a fixed pool
-//! of `config.num_threads` workers drains batches of
-//! `config.batch_size` queries from a shared channel, every worker reading
-//! the same immutable [`CorpusIndex`] snapshot through an [`Arc`]. When
-//! the workload has fewer queries than threads, the leftover threads are
-//! handed to the queries themselves as intra-query candidate partitions.
-//! Either way the responses are bit-identical to calling
-//! [`XCleanEngine::suggest`] in a loop — only the wall-clock time differs
-//! (see DESIGN.md, "Concurrency & batching").
+//! [`XCleanEngine`] builds a [`Pipeline`] over one corpus index and its
+//! FastSS variant index (both built offline) and answers
+//! [`Pipeline::suggest`] queries with ranked, *valid* alternative queries —
+//! every suggestion is guaranteed to have at least one entity in the data
+//! containing all of its keywords. All query entry points (`suggest*`,
+//! `explain*`, `make_slots`, `fingerprint`, …) are the pipeline's, reached
+//! through `Deref`; this front adds what only makes sense over one plain
+//! corpus: direct corpus access, entity semantics other than node-type,
+//! entity previews, and the space-edit extension.
 
+use std::ops::Deref;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use xclean_index::{CorpusIndex, LoadReport, TokenId};
-use xclean_telemetry::{names, Counter, Histogram, MetricsRegistry, Telemetry, Tracer};
-use xclean_xmltree::{PathId, Tokenizer, XmlTree};
+use xclean_index::CorpusIndex;
+use xclean_xmltree::XmlTree;
 
-use crate::algorithm::{nanos_since, run_xclean_in, KeywordSlot, RunStats};
-use crate::arena::QueryArena;
+use crate::algorithm::RunStats;
 use crate::config::XCleanConfig;
-use crate::elca::run_elca;
-use crate::slca::run_slca;
-use crate::variants::VariantGenerator;
+use crate::pipeline::{Pipeline, Semantics, Shard, SuggestResponse, Suggestion};
+use crate::Telemetry;
 
-/// Which XML keyword-query semantics defines the entities (§IV-B2, §VI-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Semantics {
-    /// Result-node-type semantics (XReal-style; the paper's main setting).
-    #[default]
-    NodeType,
-    /// Smallest lowest common ancestor semantics.
-    Slca,
-    /// Exclusive lowest common ancestor (XRank) semantics.
-    Elca,
-}
-
-/// One ranked suggestion.
-#[derive(Debug, Clone)]
-pub struct Suggestion {
-    /// The suggested query terms, one per original keyword.
-    pub terms: Vec<String>,
-    /// Token ids of the terms.
-    pub tokens: Vec<TokenId>,
-    /// Final log score (comparable only within one query).
-    pub log_score: f64,
-    /// Per-keyword edit distances from the observed query.
-    pub distances: Vec<u32>,
-    /// The inferred result type (node-type semantics) if any.
-    pub result_path: Option<PathId>,
-    /// Number of entities supporting the suggestion (> 0 by construction).
-    pub entity_count: u64,
-}
-
-impl Suggestion {
-    /// The suggestion as a single query string.
-    pub fn query_string(&self) -> String {
-        self.terms.join(" ")
-    }
-
-    /// Total edit distance across keywords.
-    pub fn total_distance(&self) -> u32 {
-        self.distances.iter().sum()
-    }
-}
-
-/// Result of a `suggest` call.
-#[derive(Debug, Clone, Default)]
-pub struct SuggestResponse {
-    /// Top-k suggestions, best first.
-    pub suggestions: Vec<Suggestion>,
-    /// Wall-clock time of the call.
-    pub elapsed: Duration,
-    /// Algorithm counters.
-    pub stats: RunStats,
-    /// Per-shard scatter attribution: one entry per shard that ran a
-    /// scatter walk, in shard-id order ([`crate::ShardedEngine`] only —
-    /// always empty on the unsharded engine and on empty-variant
-    /// early-outs). Record-only: carrying it changes no response bit.
-    pub shard_stats: Vec<xclean_telemetry::ShardAttribution>,
-}
-
-impl SuggestResponse {
-    /// Rank (1-based) of the given query terms in the suggestion list.
-    pub fn rank_of(&self, terms: &[&str]) -> Option<usize> {
-        self.suggestions
-            .iter()
-            .position(|s| s.terms.iter().map(String::as_str).eq(terms.iter().copied()))
-            .map(|i| i + 1)
-    }
-}
-
-/// Pre-resolved metric handles so the per-query hot path never takes the
-/// registry's name-lookup lock: every counter bump and histogram record
-/// below is a plain atomic op on a shared [`Arc`], which is what lets the
-/// `suggest_many` worker pool aggregate into one engine-lifetime registry
-/// without serialising on it.
-#[derive(Debug, Clone)]
-pub(crate) struct EngineMetrics {
-    queries: Arc<Counter>,
-    /// Set until the first query is recorded; that query's total latency
-    /// also lands in the `FIRST_QUERY` histogram (cold caches, lazy slab
-    /// decodes still pending).
-    first_query_pending: Arc<std::sync::atomic::AtomicBool>,
-    first_query: Arc<Histogram>,
-    suggestions: Arc<Counter>,
-    subtrees: Arc<Counter>,
-    candidates: Arc<Counter>,
-    result_types: Arc<Counter>,
-    entities: Arc<Counter>,
-    postings_read: Arc<Counter>,
-    postings_skipped: Arc<Counter>,
-    skip_calls: Arc<Counter>,
-    evictions: Arc<Counter>,
-    rejected: Arc<Counter>,
-    stage_slot: Arc<Histogram>,
-    stage_walk: Arc<Histogram>,
-    stage_rank: Arc<Histogram>,
-    stage_total: Arc<Histogram>,
-}
-
-impl EngineMetrics {
-    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
-        EngineMetrics {
-            queries: registry.counter(names::QUERIES),
-            first_query_pending: Arc::new(std::sync::atomic::AtomicBool::new(true)),
-            first_query: registry.histogram(names::FIRST_QUERY),
-            suggestions: registry.counter(names::SUGGESTIONS),
-            subtrees: registry.counter(names::SUBTREES),
-            candidates: registry.counter(names::CANDIDATES),
-            result_types: registry.counter(names::RESULT_TYPES),
-            entities: registry.counter(names::ENTITIES),
-            postings_read: registry.counter(names::POSTINGS_READ),
-            postings_skipped: registry.counter(names::POSTINGS_SKIPPED),
-            skip_calls: registry.counter(names::SKIP_CALLS),
-            evictions: registry.counter(names::EVICTIONS),
-            rejected: registry.counter(names::REJECTED),
-            stage_slot: registry.histogram(names::STAGE_SLOT),
-            stage_walk: registry.histogram(names::STAGE_WALK),
-            stage_rank: registry.histogram(names::STAGE_RANK),
-            stage_total: registry.histogram(names::STAGE_TOTAL),
-        }
-    }
-
-    pub(crate) fn record_query(&self, stats: &RunStats, total_nanos: u64, suggestions: u64) {
-        self.queries.inc();
-        if self
-            .first_query_pending
-            .swap(false, std::sync::atomic::Ordering::Relaxed)
-        {
-            self.first_query.record(total_nanos);
-        }
-        self.suggestions.add(suggestions);
-        self.subtrees.add(stats.subtrees);
-        self.candidates.add(stats.candidates_enumerated);
-        self.result_types.add(stats.result_type_computations);
-        self.entities.add(stats.entities_scored);
-        self.postings_read.add(stats.access.read);
-        self.postings_skipped.add(stats.access.skipped);
-        self.skip_calls.add(stats.access.skip_calls);
-        self.evictions.add(stats.pruning.evictions);
-        self.rejected.add(stats.pruning.rejected);
-        self.stage_slot.record(stats.slot_nanos);
-        self.stage_walk.record(stats.walk_nanos);
-        self.stage_rank.record(stats.rank_nanos);
-        self.stage_total.record(total_nanos);
-    }
-}
-
-/// The XClean suggestion engine.
+/// The XClean suggestion engine over one corpus.
 ///
 /// The corpus and variant indexes are held behind [`Arc`]s: they are
 /// immutable after construction, and the `suggest_many` worker pool (as
 /// well as any caller using [`XCleanEngine::corpus_shared`]) reads the
 /// same snapshot without copying.
-///
-/// Every engine carries a [`Telemetry`] bundle: a metrics registry that
-/// aggregates counters and stage histograms over the engine's lifetime
-/// (across all `suggest_many` workers), and a span tracer that is inert
-/// by default — opt in with [`XCleanEngine::with_telemetry`] and
-/// [`Telemetry::with_tracing`].
 #[derive(Debug)]
 pub struct XCleanEngine {
-    corpus: Arc<CorpusIndex>,
-    variants: Arc<VariantGenerator>,
-    config: XCleanConfig,
-    semantics: Semantics,
-    telemetry: Telemetry,
-    metric_handles: EngineMetrics,
-    /// Recycled per-query scratch ([`QueryArena`]): a query checks one
-    /// out, runs, and returns it, so steady-state workers stop paying the
-    /// per-query scratch allocations. Two brief uncontended locks per
-    /// query — negligible against query latency. Capped at
-    /// [`XCleanEngine::ARENA_POOL_CAP`] so an occasional wide burst does
-    /// not pin scratch memory forever.
-    arena_pool: std::sync::Mutex<Vec<QueryArena>>,
+    pipeline: Arc<Pipeline>,
+}
+
+impl Deref for XCleanEngine {
+    type Target = Pipeline;
+
+    fn deref(&self) -> &Pipeline {
+        &self.pipeline
+    }
 }
 
 impl XCleanEngine {
@@ -220,282 +59,40 @@ impl XCleanEngine {
     /// (e.g. with different configs or semantics) can serve the same index
     /// without duplicating it.
     pub fn from_shared(corpus: Arc<CorpusIndex>, config: XCleanConfig) -> Self {
-        config.validate();
-        let mut variants =
-            VariantGenerator::build(&corpus, config.epsilon, config.partition_threshold);
-        if config.phonetic_distance.is_some() {
-            variants = variants.with_phonetic_index(&corpus);
-        }
-        let telemetry = Telemetry::disabled();
-        let metric_handles = EngineMetrics::new(telemetry.metrics());
         XCleanEngine {
-            corpus,
-            variants: Arc::new(variants),
-            config,
-            semantics: Semantics::NodeType,
-            telemetry,
-            metric_handles,
-            arena_pool: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Upper bound on pooled [`QueryArena`]s (see the field docs).
-    const ARENA_POOL_CAP: usize = 64;
-
-    /// Checks a scratch arena out of the pool (or makes a fresh one).
-    fn arena_checkout(&self) -> QueryArena {
-        let mut pool = self
-            .arena_pool
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        pool.pop().unwrap_or_default()
-    }
-
-    /// Returns an arena to the pool for the next query to reuse.
-    fn arena_checkin(&self, arena: QueryArena) {
-        let mut pool = self
-            .arena_pool
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if pool.len() < Self::ARENA_POOL_CAP {
-            pool.push(arena);
+            pipeline: Pipeline::new(vec![Shard::plain(corpus)], None, config),
         }
     }
 
     /// Switches entity semantics (default: node-type).
-    pub fn with_semantics(mut self, semantics: Semantics) -> Self {
-        self.semantics = semantics;
-        self
+    pub fn with_semantics(self, semantics: Semantics) -> Self {
+        XCleanEngine {
+            pipeline: Pipeline::with_semantics(self.pipeline, semantics),
+        }
     }
 
-    /// Attaches a telemetry bundle (metrics registry + optional span
-    /// tracer). The engine records into `telemetry.metrics()` for its
-    /// whole lifetime; pass [`Telemetry::with_tracing`] to also capture
-    /// per-query spans exportable as a Chrome trace.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.metric_handles = EngineMetrics::new(telemetry.metrics());
-        self.telemetry = telemetry;
-        self
+    /// Attaches a telemetry bundle (see [`Pipeline::telemetry`]); opt in
+    /// to span tracing with [`Telemetry::with_tracing`].
+    pub fn with_telemetry(self, telemetry: Telemetry) -> Self {
+        XCleanEngine {
+            pipeline: Pipeline::with_telemetry(self.pipeline, telemetry),
+        }
     }
 
-    /// The engine's telemetry bundle.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// The engine's span tracer (inert unless tracing was enabled).
-    pub fn tracer(&self) -> &Tracer {
-        self.telemetry.tracer()
-    }
-
-    /// The engine-lifetime metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        self.telemetry.metrics()
+    /// The pipeline this engine fronts (what a serving layer holds).
+    pub fn pipeline(&self) -> &Arc<Pipeline> {
+        &self.pipeline
     }
 
     /// The corpus index.
     pub fn corpus(&self) -> &CorpusIndex {
-        self.corpus.as_ref()
+        self.pipeline.corpus()
     }
 
     /// A shared handle to the corpus snapshot (cheap clone; see
     /// [`XCleanEngine::from_shared`]).
     pub fn corpus_shared(&self) -> Arc<CorpusIndex> {
-        Arc::clone(&self.corpus)
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &XCleanConfig {
-        &self.config
-    }
-
-    /// Current entity semantics.
-    pub fn semantics(&self) -> Semantics {
-        self.semantics
-    }
-
-    /// The variant generator (exposed for baselines and diagnostics).
-    pub fn variant_generator(&self) -> &VariantGenerator {
-        &self.variants
-    }
-
-    /// A fingerprint of everything that determines this engine's
-    /// responses: the scoring configuration
-    /// ([`XCleanConfig::fingerprint`]), the entity semantics, and the
-    /// shape of the corpus snapshot. The serving layer keys its response
-    /// cache on this value, so an engine rebuilt with a different β/γ —
-    /// or over a different snapshot — can never be answered from stale
-    /// entries.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = self.config.fingerprint();
-        let mix = |h: &mut u64, v: u64| {
-            for b in v.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(
-            &mut h,
-            match self.semantics {
-                Semantics::NodeType => 0,
-                Semantics::Slca => 1,
-                Semantics::Elca => 2,
-            },
-        );
-        mix(&mut h, self.corpus.tree().len() as u64);
-        mix(&mut h, self.corpus.vocab().len() as u64);
-        mix(&mut h, self.corpus.vocab().total_tokens());
-        mix(&mut h, self.corpus.element_count() as u64);
-        // A snapshot-loaded corpus additionally pins the exact bytes it
-        // came from: the v2 format version and payload checksum. Two
-        // engines over byte-identical snapshots (owned or mapped) agree;
-        // any re-encode that changes bytes gets a fresh fingerprint.
-        if let Some(p) = self.corpus.provenance() {
-            mix(&mut h, u64::from(p.format_version));
-            mix(&mut h, p.checksum);
-        }
-        h
-    }
-
-    /// Records the open/validate timings of the snapshot this engine was
-    /// loaded from into its metrics registry, so cold-start cost shows up
-    /// next to query latencies in `/metrics` and exported reports.
-    pub fn record_snapshot_timings(&self, report: &LoadReport) {
-        let m = self.telemetry.metrics();
-        m.histogram(names::SNAPSHOT_OPEN)
-            .record(report.open_nanos.max(1));
-        m.histogram(names::SNAPSHOT_VALIDATE)
-            .record(report.validate_nanos.max(1));
-    }
-
-    /// Splits a raw query string into keywords (permissive: the user's
-    /// tokens are preserved even when short or numeric).
-    pub fn parse_query(&self, query: &str) -> Vec<String> {
-        Tokenizer::permissive().tokenize(query)
-    }
-
-    /// Builds the per-keyword variant slots for a parsed query (including
-    /// phonetic variants when configured).
-    pub fn make_slots(&self, keywords: &[String]) -> Vec<KeywordSlot> {
-        keywords
-            .iter()
-            .map(|k| KeywordSlot {
-                keyword: k.clone(),
-                variants: match self.config.phonetic_distance {
-                    Some(d) => self.variants.variants_with_phonetic(k, d),
-                    None => self.variants.variants(k),
-                },
-            })
-            .collect()
-    }
-
-    /// Suggests up to `k` alternative queries for `query` (§IV Def. 1).
-    pub fn suggest(&self, query: &str) -> SuggestResponse {
-        let keywords = self.parse_query(query);
-        self.suggest_keywords(&keywords)
-    }
-
-    /// [`XCleanEngine::suggest`] under a request trace ID: opens a root
-    /// `request` span carrying the ID, so every stage span — including
-    /// `score_partition` spans on pool worker threads — hangs off one
-    /// tree findable by trace ID in exported traces. The observability is
-    /// record-only: the response is bit-identical to plain `suggest`.
-    pub fn suggest_traced(&self, query: &str, trace_id: &str) -> SuggestResponse {
-        let keywords = self.parse_query(query);
-        self.suggest_keywords_traced(&keywords, trace_id)
-    }
-
-    /// [`XCleanEngine::suggest_traced`] for already-tokenised queries.
-    pub fn suggest_keywords_traced(&self, keywords: &[String], trace_id: &str) -> SuggestResponse {
-        let _request_span = self
-            .telemetry
-            .tracer()
-            .span_with("request", || trace_id.to_string());
-        self.suggest_keywords_with(keywords, &self.config)
-    }
-
-    /// Answers a whole workload, one [`SuggestResponse`] per query in
-    /// input order.
-    ///
-    /// With `config.num_threads > 1` the queries are dispatched in
-    /// `config.batch_size` chunks to a fixed pool of worker threads that
-    /// share the engine (and through it the corpus snapshot) by reference.
-    /// Every response is bit-identical to what [`XCleanEngine::suggest`]
-    /// returns for the same query, whatever the thread count.
-    /// `num_threads == 1` processes the batch inline with no pool at all.
-    pub fn suggest_many(&self, queries: &[&str]) -> Vec<SuggestResponse> {
-        let keywords: Vec<Vec<String>> = queries.iter().map(|q| self.parse_query(q)).collect();
-        self.suggest_many_keywords(&keywords)
-    }
-
-    /// [`XCleanEngine::suggest_many`] for already-tokenised queries.
-    pub fn suggest_many_keywords(&self, queries: &[Vec<String>]) -> Vec<SuggestResponse> {
-        // One pool worker per query up to num_threads; threads left over
-        // when the workload is narrower than the pool (few expensive
-        // queries) are handed down as intra-query candidate partitions,
-        // keeping workers * per_query.num_threads ≤ num_threads so the
-        // nested fan-out never oversubscribes. Outputs are bit-identical
-        // for any split (see DESIGN.md, "Concurrency & batching").
-        let _batch_span = self
-            .telemetry
-            .tracer()
-            .span_with("suggest_batch", || format!("{} queries", queries.len()));
-        // Pool workers run on their own threads, where the thread-local
-        // span stack cannot see `suggest_batch`; each worker adopts it
-        // explicitly so the whole batch traces as one tree.
-        let batch_parent = self.telemetry.tracer().current_span_id();
-        let workers = self.config.num_threads.min(queries.len()).max(1);
-        let mut per_query = self.config.clone();
-        per_query.num_threads = (self.config.num_threads / workers).max(1);
-        if self.config.num_threads <= 1 || queries.len() <= 1 {
-            return queries
-                .iter()
-                .map(|kw| self.suggest_keywords_with(kw, &per_query))
-                .collect();
-        }
-        let chunk = self.config.batch_size.max(1);
-        // Jobs carry the index of their first query so results can be
-        // written straight into the right output slots.
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, &[Vec<String>])>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Vec<SuggestResponse>)>();
-        for (i, jobs) in queries.chunks(chunk).enumerate() {
-            job_tx
-                .send((i * chunk, jobs))
-                .expect("receivers alive while sending");
-        }
-        drop(job_tx);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let res_tx = res_tx.clone();
-                let per_query = &per_query;
-                scope.spawn(move || {
-                    let _worker_span = self
-                        .telemetry
-                        .tracer()
-                        .span_under("batch_worker", batch_parent);
-                    while let Ok((start, batch)) = job_rx.recv() {
-                        let responses: Vec<SuggestResponse> = batch
-                            .iter()
-                            .map(|kw| self.suggest_keywords_with(kw, per_query))
-                            .collect();
-                        if res_tx.send((start, responses)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        drop(res_tx);
-        let mut out: Vec<Option<SuggestResponse>> = (0..queries.len()).map(|_| None).collect();
-        for (start, responses) in res_rx.iter() {
-            for (offset, r) in responses.into_iter().enumerate() {
-                out[start + offset] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every query answered exactly once"))
-            .collect()
+        Arc::clone(self.pipeline.corpus())
     }
 
     /// Suggests with the space-edit extension of §VI-A: up to `tau` space
@@ -507,31 +104,17 @@ impl XCleanEngine {
     pub fn suggest_with_space_edits(&self, query: &str, tau: u32) -> SuggestResponse {
         let start = Instant::now();
         let _span = self
-            .telemetry
             .tracer()
             .span_with("suggest_space_edits", || query.to_string());
         let keywords = self.parse_query(query);
-        let rewritings = crate::space_edits::expand_space_edits(&self.corpus, &keywords, tau);
+        let rewritings = crate::space_edits::expand_space_edits(self.corpus(), &keywords, tau);
         let mut pooled: Vec<Suggestion> = Vec::new();
         let mut stats = RunStats::default();
         for rw in &rewritings {
             let r = self.suggest_keywords(&rw.keywords);
-            stats.subtrees += r.stats.subtrees;
-            stats.candidates_enumerated += r.stats.candidates_enumerated;
-            stats.result_type_computations += r.stats.result_type_computations;
-            stats.entities_scored += r.stats.entities_scored;
-            stats.access += r.stats.access;
-            stats.pruning.evictions += r.stats.pruning.evictions;
-            stats.pruning.rejected += r.stats.pruning.rejected;
-            // Stage times sum across rewritings: each one runs the full
-            // pipeline, so the totals remain wall-clock-meaningful (and
-            // stay ≥ 1 whenever at least one rewriting ran).
-            stats.slot_nanos += r.stats.slot_nanos;
-            stats.walk_nanos += r.stats.walk_nanos;
-            stats.rank_nanos += r.stats.rank_nanos;
-            stats.score_partitions = stats.score_partitions.max(r.stats.score_partitions);
+            stats += r.stats;
             for mut s in r.suggestions {
-                s.log_score -= self.config.beta * f64::from(rw.edits);
+                s.log_score -= self.config().beta * f64::from(rw.edits);
                 pooled.push(s);
             }
         }
@@ -542,7 +125,7 @@ impl XCleanEngine {
                 .then_with(|| a.terms.cmp(&b.terms))
         });
         pooled.dedup_by(|a, b| a.terms == b.terms);
-        pooled.truncate(self.config.k);
+        pooled.truncate(self.config().k);
         SuggestResponse {
             suggestions: pooled,
             elapsed: start.elapsed(),
@@ -557,7 +140,7 @@ impl XCleanEngine {
     /// inferred `result_path`; SLCA/ELCA suggestions locate the smallest
     /// containing subtrees via a fresh SLCA computation.
     pub fn preview(&self, suggestion: &Suggestion, limit: usize) -> Vec<String> {
-        let tree = self.corpus.tree();
+        let tree = self.corpus().tree();
         let mut entities: Vec<xclean_xmltree::NodeId> = match suggestion.result_path {
             Some(path) => {
                 let depth = tree.paths().depth(path);
@@ -567,10 +150,10 @@ impl XCleanEngine {
                     .tokens
                     .iter()
                     .copied()
-                    .min_by_key(|&t| self.corpus.postings(t).len())
+                    .min_by_key(|&t| self.corpus().postings(t).len())
                     .expect("non-empty suggestion");
                 let mut out = Vec::new();
-                for p in self.corpus.postings(rarest).iter() {
+                for p in self.corpus().postings(rarest).iter() {
                     let Some(r) = tree.ancestor_at_depth(p.node, depth) else {
                         continue;
                     };
@@ -578,7 +161,7 @@ impl XCleanEngine {
                         continue;
                     }
                     let has_all = suggestion.tokens.iter().all(|&t| {
-                        self.corpus
+                        self.corpus()
                             .postings(t)
                             .nodes()
                             .iter()
@@ -594,106 +177,18 @@ impl XCleanEngine {
                 let lists: Vec<Vec<xclean_xmltree::NodeId>> = suggestion
                     .tokens
                     .iter()
-                    .map(|&t| self.corpus.postings(t).nodes().to_vec())
+                    .map(|&t| self.corpus().postings(t).nodes().to_vec())
                     .collect();
                 crate::slca::slca_of_lists(tree, &lists)
             }
         };
-        entities.sort_by_key(|&r| std::cmp::Reverse(self.corpus.doc_len(r)));
+        entities.sort_by_key(|&r| std::cmp::Reverse(self.corpus().doc_len(r)));
         entities.dedup();
         entities
             .into_iter()
             .take(limit)
             .map(|r| xclean_xmltree::writer::subtree_to_xml(tree, r))
             .collect()
-    }
-
-    /// Suggests for an already-tokenised query.
-    pub fn suggest_keywords(&self, keywords: &[String]) -> SuggestResponse {
-        self.suggest_keywords_with(keywords, &self.config)
-    }
-
-    /// Suggests with a per-call configuration override. Scoring parameters
-    /// (β, μ, γ, d, r, k, skipping) take effect immediately; `epsilon` and
-    /// `partition_threshold` are capped by the offline variant index the
-    /// engine was built with.
-    pub fn suggest_keywords_with(
-        &self,
-        keywords: &[String],
-        config: &XCleanConfig,
-    ) -> SuggestResponse {
-        config.validate();
-        let start = Instant::now();
-        let tracer = self.telemetry.tracer();
-        let _query_span = tracer.span_with("suggest", || keywords.join(" "));
-        let slots: Vec<KeywordSlot> = {
-            let _slot_span = tracer.span("slot_build");
-            keywords
-                .iter()
-                .map(|k| {
-                    let _variant_span = tracer.span_with("variant_gen", || k.clone());
-                    KeywordSlot {
-                        keyword: k.clone(),
-                        variants: match config.phonetic_distance {
-                            Some(d) => self.variants.variants_with_phonetic(k, d),
-                            None => self.variants.variants_within(k, config.epsilon),
-                        },
-                    }
-                })
-                .collect()
-        };
-        let slot_nanos = nanos_since(start);
-        let mut out = match self.semantics {
-            Semantics::NodeType => {
-                let mut arena = self.arena_checkout();
-                let out = run_xclean_in(&self.corpus, &slots, config, &self.telemetry, &mut arena);
-                self.arena_checkin(arena);
-                out
-            }
-            Semantics::Slca => {
-                let _walk_span = tracer.span("walk_accumulate");
-                run_slca(&self.corpus, &slots, config)
-            }
-            Semantics::Elca => {
-                let _walk_span = tracer.span("walk_accumulate");
-                run_elca(&self.corpus, &slots, config)
-            }
-        };
-        out.stats.slot_nanos = slot_nanos;
-        debug_assert!(
-            out.stats.slot_nanos > 0 && out.stats.walk_nanos > 0 && out.stats.rank_nanos > 0,
-            "every stage records a non-zero duration on every code path: {:?}",
-            out.stats
-        );
-        let suggestions: Vec<Suggestion> = out
-            .candidates
-            .into_iter()
-            .take(config.k)
-            .map(|c| Suggestion {
-                terms: c
-                    .tokens
-                    .iter()
-                    .map(|&t| self.corpus.vocab().term(t).to_string())
-                    .collect(),
-                tokens: c.tokens,
-                log_score: c.log_score,
-                distances: c.distances,
-                result_path: (c.result_path != PathId::INVALID).then_some(c.result_path),
-                entity_count: c.entity_count,
-            })
-            .collect();
-        let elapsed = start.elapsed();
-        self.metric_handles.record_query(
-            &out.stats,
-            (elapsed.as_nanos() as u64).max(1),
-            suggestions.len() as u64,
-        );
-        SuggestResponse {
-            suggestions,
-            elapsed,
-            stats: out.stats,
-            shard_stats: Vec::new(),
-        }
     }
 }
 

@@ -4,31 +4,23 @@
 //! per-keyword variant sets, candidate counts entering and leaving every
 //! pipeline stage (slots → variants → walk → score → rank), the
 //! γ-eviction events taken by the accumulator table, per-shard scatter
-//! attribution on a sharded engine, and per-stage wall times.
+//! attribution over a shard set, and per-stage wall times.
 //!
-//! Explain mode is a *separate computation*: it re-runs the sequential
-//! pipeline through an observing sink ([`ExplainSink`]) and never touches
-//! the serving path, its arenas, or its caches. Because every serving
-//! configuration is bit-identical to the sequential run (the engine's
-//! core contract), the suggestions an explain trace reports are
-//! bit-identical to what `suggest` serves — asserted by the
-//! `explain_neutrality` integration tests.
+//! Explain is the *same run* as serving ([`Pipeline::execute`]), observed:
+//! it passes a γ-observer that captures the table's decisions, pins
+//! `num_threads = 1` through the per-call config override (partitioned
+//! scoring has no γ-decisions to observe, and a diagnostic need not fan
+//! out), and hands the run a private disabled [`Telemetry`] — so it never
+//! touches the serving counters, histograms, tracer or caches, which are
+//! only ever written by the serving wrapper. Every serving configuration
+//! is bit-identical to the sequential run (the engine's core contract), so
+//! the suggestions a trace reports are bit-identical to what `suggest`
+//! serves — asserted by the `explain_neutrality` integration tests.
 
-use std::time::Instant;
+use xclean_telemetry::{ShardAttribution, Telemetry};
 
-use xclean_index::TokenId;
-use xclean_telemetry::ShardAttribution;
-
-use crate::algorithm::{
-    accumulate_scoped, finalize_candidates, nanos_since, KeywordSlot, RunStats, ScoredCandidate,
-};
-use crate::arena::QueryArena;
-use crate::elca::run_elca;
-use crate::engine::{Semantics, Suggestion, XCleanEngine};
-use crate::pruning::{AccumulatorTable, CandidateKey, GammaEvent, ScoreSink};
-use crate::slca::run_slca;
-use crate::view::Scoring;
-use xclean_xmltree::PathId;
+use crate::pipeline::{Executed, Pipeline, Suggestion};
+use crate::pruning::GammaEvent;
 
 /// Cap on retained γ-eviction events per explain trace (the total count
 /// keeps counting past the cap; only the detail list is bounded).
@@ -52,26 +44,6 @@ impl GammaEventKind {
             GammaEventKind::Evicted => "evicted",
             GammaEventKind::NewcomerRejected => "newcomer_rejected",
             GammaEventKind::TombstoneRejected => "tombstone_rejected",
-        }
-    }
-}
-
-/// An owned γ-event as captured during the walk (terms resolved later,
-/// once, when the trace is assembled).
-pub(crate) type RawEvent = (GammaEventKind, CandidateKey, Option<f64>);
-
-pub(crate) fn owned_event(e: GammaEvent<'_>) -> RawEvent {
-    match e {
-        GammaEvent::Evicted { victim, estimate } => {
-            (GammaEventKind::Evicted, victim.clone(), Some(estimate))
-        }
-        GammaEvent::NewcomerRejected { key, estimate } => (
-            GammaEventKind::NewcomerRejected,
-            key.clone(),
-            Some(estimate),
-        ),
-        GammaEvent::TombstoneRejected { key } => {
-            (GammaEventKind::TombstoneRejected, key.clone(), None)
         }
     }
 }
@@ -179,288 +151,111 @@ pub struct ExplainTrace {
     pub shards: Vec<ShardAttribution>,
     /// The served suggestions — bit-identical to what `suggest` returns.
     pub suggestions: Vec<Suggestion>,
-    /// `false` for SLCA/ELCA semantics, whose walk does not flow through
-    /// the observable accumulator table (stage counts come from
-    /// [`RunStats`]; eviction/contribution detail is unavailable).
-    pub full_detail: bool,
 }
 
-/// The explain-mode [`ScoreSink`]: a γ-bounded [`AccumulatorTable`] that
-/// also counts contributions and captures eviction events (capped).
-pub(crate) struct ExplainSink {
-    pub(crate) table: AccumulatorTable,
-    pub(crate) contributions: u64,
-    pub(crate) events: Vec<RawEvent>,
-    pub(crate) events_total: u64,
-}
-
-impl ExplainSink {
-    pub(crate) fn new(gamma: Option<usize>) -> Self {
-        ExplainSink {
-            table: AccumulatorTable::new(gamma),
-            contributions: 0,
-            events: Vec::new(),
-            events_total: 0,
-        }
+impl Pipeline {
+    /// Explains a raw query: runs the pipeline under observation and
+    /// returns the structured trace. The reported suggestions are
+    /// bit-identical to [`Pipeline::suggest`]'s (see the module docs).
+    pub fn explain(&self, query: &str) -> ExplainTrace {
+        self.explain_keywords(&self.parse_query(query))
     }
-}
 
-impl ScoreSink for ExplainSink {
-    fn accumulate(
-        &mut self,
-        key: &CandidateKey,
-        weighted: f64,
-        weight: f64,
-        log_error_weight: f64,
-        distances: &[u32],
-        result_path: PathId,
-    ) {
-        self.contributions += 1;
-        let ExplainSink {
-            table,
-            events,
-            events_total,
-            ..
-        } = self;
-        table.add_weighted_observed(
-            key,
-            weighted,
-            weight,
-            log_error_weight,
-            distances,
-            result_path,
-            &mut |e| {
-                *events_total += 1;
-                if events.len() < MAX_EXPLAIN_EVICTIONS {
-                    events.push(owned_event(e));
-                }
-            },
-        );
-    }
-}
-
-/// Resolves captured raw events to term-level [`EvictionExplain`]s.
-pub(crate) fn render_events(
-    events: &[RawEvent],
-    term_of: impl Fn(TokenId) -> String,
-) -> Vec<EvictionExplain> {
-    events
-        .iter()
-        .map(|(kind, key, estimate)| EvictionExplain {
-            kind: *kind,
-            terms: key.iter().map(|&t| term_of(t)).collect(),
-            estimate: *estimate,
-        })
-        .collect()
-}
-
-/// Builds the keyword/variant section of a trace.
-pub(crate) fn explain_keywords_of(
-    slots: &[KeywordSlot],
-    term_of: impl Fn(TokenId) -> String,
-) -> Vec<KeywordExplain> {
-    slots
-        .iter()
-        .map(|s| KeywordExplain {
-            keyword: s.keyword.clone(),
-            variants: s
-                .variants
+    /// [`Pipeline::explain`] for an already-tokenised query.
+    pub fn explain_keywords(&self, keywords: &[String]) -> ExplainTrace {
+        let mut config = self.config().clone();
+        config.num_threads = 1;
+        let vocab = self.vocab();
+        let terms_of = |key: &[xclean_index::TokenId]| -> Vec<String> {
+            key.iter().map(|&t| vocab.term(t).to_string()).collect()
+        };
+        let mut evictions: Vec<EvictionExplain> = Vec::new();
+        let mut eviction_events_total = 0u64;
+        let Executed {
+            slots,
+            response,
+            ranked,
+            accumulators,
+            gather_nanos,
+        } = self.execute(keywords, &config, &Telemetry::disabled(), &mut |e| {
+            eviction_events_total += 1;
+            if evictions.len() < MAX_EXPLAIN_EVICTIONS {
+                let (kind, key, estimate) = match e {
+                    GammaEvent::Evicted { victim, estimate } => {
+                        (GammaEventKind::Evicted, victim, Some(estimate))
+                    }
+                    GammaEvent::NewcomerRejected { key, estimate } => {
+                        (GammaEventKind::NewcomerRejected, key, Some(estimate))
+                    }
+                    GammaEvent::TombstoneRejected { key } => {
+                        (GammaEventKind::TombstoneRejected, key, None)
+                    }
+                };
+                evictions.push(EvictionExplain {
+                    kind,
+                    terms: terms_of(key),
+                    estimate,
+                });
+            }
+        });
+        let stats = response.stats;
+        ExplainTrace {
+            keywords: slots
                 .iter()
-                .map(|v| VariantExplain {
-                    term: term_of(v.token),
-                    distance: v.distance,
+                .map(|s| KeywordExplain {
+                    keyword: s.keyword.clone(),
+                    variants: s
+                        .variants
+                        .iter()
+                        .map(|v| VariantExplain {
+                            term: vocab.term(v.token).to_string(),
+                            distance: v.distance,
+                        })
+                        .collect(),
                 })
                 .collect(),
-        })
-        .collect()
-}
-
-/// Fills the slot/variant/candidate-space and walk/score counters shared
-/// by every explain path.
-pub(crate) fn stage_counts(
-    slots: &[KeywordSlot],
-    stats: &RunStats,
-    contributions: u64,
-    accumulators: u64,
-    ranked: u64,
-    suggestions: u64,
-) -> StageCounts {
-    StageCounts {
-        keywords: slots.len() as u64,
-        variants: slots.iter().map(|s| s.variants.len() as u64).sum(),
-        candidate_space: slots
-            .iter()
-            .fold(1u64, |acc, s| acc.saturating_mul(s.variants.len() as u64)),
-        subtrees: stats.subtrees,
-        candidates_enumerated: stats.candidates_enumerated,
-        result_type_computations: stats.result_type_computations,
-        entities_scored: stats.entities_scored,
-        contributions,
-        accumulators,
-        evictions: stats.pruning.evictions,
-        rejected: stats.pruning.rejected,
-        ranked,
-        suggestions,
-    }
-}
-
-/// Converts ranked candidates into served-form [`Suggestion`]s (same
-/// construction as the serving path).
-pub(crate) fn suggestions_of(
-    candidates: Vec<ScoredCandidate>,
-    k: usize,
-    term_of: impl Fn(TokenId) -> String,
-) -> (u64, Vec<Suggestion>) {
-    let ranked = candidates.len() as u64;
-    let suggestions = candidates
-        .into_iter()
-        .take(k)
-        .map(|c| Suggestion {
-            terms: c.tokens.iter().map(|&t| term_of(t)).collect(),
-            tokens: c.tokens,
-            log_score: c.log_score,
-            distances: c.distances,
-            result_path: (c.result_path != PathId::INVALID).then_some(c.result_path),
-            entity_count: c.entity_count,
-        })
-        .collect();
-    (ranked, suggestions)
-}
-
-pub(crate) fn semantics_str(semantics: Semantics) -> &'static str {
-    match semantics {
-        Semantics::NodeType => "node_type",
-        Semantics::Slca => "slca",
-        Semantics::Elca => "elca",
-    }
-}
-
-impl XCleanEngine {
-    /// Explains a raw query: runs the full pipeline in explain mode and
-    /// returns the structured trace. The reported suggestions are
-    /// bit-identical to [`XCleanEngine::suggest`]'s — explain is a
-    /// separate, purely-observing computation (see the module docs).
-    pub fn explain(&self, query: &str) -> ExplainTrace {
-        let keywords = self.parse_query(query);
-        self.explain_keywords(&keywords)
-    }
-
-    /// [`XCleanEngine::explain`] for an already-tokenised query.
-    pub fn explain_keywords(&self, keywords: &[String]) -> ExplainTrace {
-        let config = self.config();
-        let start = Instant::now();
-        let slots: Vec<KeywordSlot> = keywords
-            .iter()
-            .map(|k| KeywordSlot {
-                keyword: k.clone(),
-                variants: match config.phonetic_distance {
-                    Some(d) => self.variant_generator().variants_with_phonetic(k, d),
-                    None => self.variant_generator().variants_within(k, config.epsilon),
-                },
-            })
-            .collect();
-        let slot_nanos = nanos_since(start);
-        let corpus = self.corpus();
-        let term_of = |t: TokenId| corpus.vocab().term(t).to_string();
-
-        let trace = match self.semantics() {
-            Semantics::NodeType => {
-                // Mirror the sequential serving pipeline through the
-                // observing sink; bit-identity across partition counts
-                // makes this the served computation.
-                let walk_start = Instant::now();
-                let empty = slots.is_empty() || slots.iter().any(|s| s.variants.is_empty());
-                let mut sink = ExplainSink::new(config.gamma);
-                let mut stats = RunStats::default();
-                if !empty {
-                    let mut arena = QueryArena::new();
-                    accumulate_scoped(
-                        &Scoring::unsharded(corpus),
-                        &slots,
-                        config,
-                        0,
-                        1,
-                        &mut stats,
-                        &mut arena,
-                        &mut sink,
-                    );
-                }
-                stats.pruning = sink.table.stats();
-                stats.walk_nanos = nanos_since(walk_start);
-                let accumulators = sink.table.len() as u64;
-                let rank_start = Instant::now();
-                let entries = sink.table.into_entries();
-                let candidates = finalize_candidates(&Scoring::unsharded(corpus), config, entries);
-                let rank_nanos = nanos_since(rank_start);
-                let (ranked, suggestions) = suggestions_of(candidates, config.k, term_of);
-                ExplainTrace {
-                    keywords: explain_keywords_of(&slots, term_of),
-                    semantics: semantics_str(self.semantics()),
-                    sharded: false,
-                    shard_count: 1,
-                    gamma: config.gamma,
-                    stages: stage_counts(
-                        &slots,
-                        &stats,
-                        sink.contributions,
-                        accumulators,
-                        ranked,
-                        suggestions.len() as u64,
-                    ),
-                    nanos: StageNanos {
-                        slot: slot_nanos,
-                        walk: stats.walk_nanos,
-                        gather: 0,
-                        rank: rank_nanos,
-                        total: nanos_since(start),
-                    },
-                    evictions: render_events(&sink.events, term_of),
-                    eviction_events_total: sink.events_total,
-                    shards: Vec::new(),
-                    suggestions,
-                    full_detail: true,
-                }
-            }
-            Semantics::Slca | Semantics::Elca => {
-                // SLCA/ELCA walks score outside the accumulator table:
-                // stage counts come from RunStats, contribution/eviction
-                // detail is structurally unavailable (reduced detail).
-                let out = match self.semantics() {
-                    Semantics::Slca => run_slca(corpus, &slots, config),
-                    _ => run_elca(corpus, &slots, config),
-                };
-                let stats = out.stats;
-                let (ranked, suggestions) = suggestions_of(out.candidates, config.k, term_of);
-                ExplainTrace {
-                    keywords: explain_keywords_of(&slots, term_of),
-                    semantics: semantics_str(self.semantics()),
-                    sharded: false,
-                    shard_count: 1,
-                    gamma: config.gamma,
-                    stages: stage_counts(&slots, &stats, 0, 0, ranked, suggestions.len() as u64),
-                    nanos: StageNanos {
-                        slot: slot_nanos,
-                        walk: stats.walk_nanos,
-                        gather: 0,
-                        rank: stats.rank_nanos,
-                        total: nanos_since(start),
-                    },
-                    evictions: Vec::new(),
-                    eviction_events_total: 0,
-                    shards: Vec::new(),
-                    suggestions,
-                    full_detail: false,
-                }
-            }
-        };
-        trace
+            semantics: self.semantics().as_str(),
+            sharded: self.shard_set().is_some(),
+            shard_count: self.shard_count(),
+            gamma: config.gamma,
+            stages: StageCounts {
+                keywords: slots.len() as u64,
+                variants: slots.iter().map(|s| s.variants.len() as u64).sum(),
+                candidate_space: slots
+                    .iter()
+                    .fold(1u64, |acc, s| acc.saturating_mul(s.variants.len() as u64)),
+                subtrees: stats.subtrees,
+                candidates_enumerated: stats.candidates_enumerated,
+                result_type_computations: stats.result_type_computations,
+                entities_scored: stats.entities_scored,
+                // Every scored entity is exactly one contribution emitted
+                // into the sink (the same statement counts both).
+                contributions: stats.entities_scored,
+                accumulators,
+                evictions: stats.pruning.evictions,
+                rejected: stats.pruning.rejected,
+                ranked,
+                suggestions: response.suggestions.len() as u64,
+            },
+            nanos: StageNanos {
+                slot: stats.slot_nanos,
+                walk: stats.walk_nanos.saturating_sub(gather_nanos).max(1),
+                gather: gather_nanos,
+                rank: stats.rank_nanos,
+                total: (response.elapsed.as_nanos() as u64).max(1),
+            },
+            evictions,
+            eviction_events_total,
+            shards: response.shard_stats,
+            suggestions: response.suggestions,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::XCleanConfig;
+    use crate::{XCleanConfig, XCleanEngine};
     use xclean_xmltree::parse_document;
 
     fn engine() -> XCleanEngine {
@@ -485,7 +280,6 @@ mod tests {
         let served = e.suggest("helth insurance");
         let trace = e.explain("helth insurance");
         assert_eq!(trace.semantics, "node_type");
-        assert!(trace.full_detail);
         assert!(!trace.sharded);
         assert_eq!(trace.keywords.len(), 2);
         assert_eq!(trace.keywords[0].keyword, "helth");
@@ -548,28 +342,6 @@ mod tests {
             }
         }
         // Even under pruning, explain's suggestions are the served ones.
-        for (a, b) in served.suggestions.iter().zip(&trace.suggestions) {
-            assert_eq!(a.terms, b.terms);
-            assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());
-        }
-    }
-
-    #[test]
-    fn explain_reduced_detail_for_slca() {
-        let e = XCleanEngine::from_shared(
-            engine().corpus_shared(),
-            XCleanConfig {
-                epsilon: 2,
-                ..Default::default()
-            },
-        )
-        .with_semantics(Semantics::Slca);
-        let served = e.suggest("helth insurance");
-        let trace = e.explain("helth insurance");
-        assert_eq!(trace.semantics, "slca");
-        assert!(!trace.full_detail);
-        assert!(trace.stages.candidates_enumerated > 0);
-        assert_eq!(trace.eviction_events_total, 0);
         for (a, b) in served.suggestions.iter().zip(&trace.suggestions) {
             assert_eq!(a.terms, b.terms);
             assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());

@@ -37,6 +37,7 @@ pub mod config;
 pub mod elca;
 pub mod engine;
 pub mod explain;
+pub mod pipeline;
 pub mod pruning;
 pub mod result_type;
 pub mod sharded;
@@ -46,18 +47,17 @@ pub mod variants;
 mod view;
 pub mod walk;
 
-pub use algorithm::{
-    run_xclean, run_xclean_in, run_xclean_with, KeywordSlot, RunOutput, RunStats, ScoredCandidate,
-};
+pub use algorithm::{run_xclean, KeywordSlot, RunOutput, RunStats, ScoredCandidate};
 pub use arena::QueryArena;
 pub use catalog::{Catalog, CatalogError, CorpusSpec};
 pub use config::{EntityPrior, XCleanConfig};
 pub use elca::{elca_of_lists, run_elca};
-pub use engine::{Semantics, SuggestResponse, Suggestion, XCleanEngine};
+pub use engine::XCleanEngine;
 pub use explain::{
     EvictionExplain, ExplainTrace, GammaEventKind, KeywordExplain, StageCounts, StageNanos,
     VariantExplain, MAX_EXPLAIN_EVICTIONS,
 };
+pub use pipeline::{Pipeline, Semantics, SuggestResponse, Suggestion};
 pub use pruning::{Accumulator, AccumulatorTable, CandidateKey, GammaEvent, PruningStats};
 pub use result_type::{find_result_type, ResultType};
 pub use sharded::{ShardedEngine, ShardedEngineError};

@@ -1,0 +1,1149 @@
+//! The one orchestration of a suggestion query.
+//!
+//! The paper defines a single algorithm — Algorithm 1's pass over the
+//! variants' lists (§V-C) feeding γ-bounded accumulators (§V-D) — with
+//! the entity semantics as a plug-in rule. [`Pipeline`] is that algorithm
+//! run end to end, once:
+//!
+//! ```text
+//! slots → accumulate (through a ScoreSink) → finalize → top-k → SuggestResponse
+//! ```
+//!
+//! It owns a *shard set* of one or more corpora (plus the reconstructed
+//! global statistics when they are shards of a partitioned corpus), the
+//! variant index, the configuration, the entity semantics, telemetry and a
+//! pool of query arenas. [`crate::XCleanEngine`] and
+//! [`crate::ShardedEngine`] are nominal fronts over an `Arc<Pipeline>`:
+//! constructors plus the accessors that only make sense for one shape.
+//!
+//! # How the accumulate step is selected
+//!
+//! By what the code can observe — never by an option:
+//!
+//! * **One plain corpus** sinks straight into the arena-backed
+//!   [`AccumulatorTable`]. Node-type semantics fans out over candidate
+//!   partitions when that is provably exact
+//!   ([`partitioning_is_exact`]); SLCA/ELCA score sequentially through
+//!   [`accumulate_lca`] into the same sink.
+//! * **A shard set** scatters: every shard walks its own tree under the
+//!   global-statistics scope into a [`ContributionLog`] (one candidate
+//!   partition per shard, parallel across shards), and the gather replays
+//!   the logs in shard-id order into one table — the exact sequential
+//!   insertion sequence, γ-decisions included (DESIGN.md §16).
+//!
+//! Every table takes a γ-observer. Serving passes a no-op, which the
+//! optimiser erases; explain passes an event-capturing closure
+//! (`crate::explain`) and is otherwise the same run.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use xclean_index::{CorpusIndex, LoadReport, PostingList, TokenId, Vocabulary};
+use xclean_telemetry::{
+    names, Counter, Histogram, MetricsRegistry, ShardAttribution, Telemetry, Tracer,
+};
+use xclean_xmltree::{PathId, Tokenizer};
+
+use crate::algorithm::{
+    accumulate_scoped, finalize_candidates, nanos_since, partitioning_is_exact, KeywordSlot,
+    RunOutput, RunStats, ScoredCandidate,
+};
+use crate::arena::QueryArena;
+use crate::config::{fnv1a, EntityPrior, XCleanConfig};
+use crate::elca::elca_of_lists;
+use crate::pruning::{
+    Accumulator, AccumulatorTable, CandidateKey, GammaEvent, PruningStats, ScoreSink,
+};
+use crate::slca::{accumulate_lca, slca_of_lists};
+use crate::variants::VariantGenerator;
+use crate::view::{GlobalStats, Scoring, ShardScope};
+
+/// Which XML keyword-query semantics defines the entities (§IV-B2, §VI-B).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Semantics {
+    /// Result-node-type semantics (XReal-style; the paper's main setting).
+    #[default]
+    NodeType,
+    /// Smallest lowest common ancestor semantics.
+    Slca,
+    /// Exclusive lowest common ancestor (XRank) semantics.
+    Elca,
+}
+
+impl Semantics {
+    /// Stable wire name (used verbatim in the explain JSON).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Semantics::NodeType => "node_type",
+            Semantics::Slca => "slca",
+            Semantics::Elca => "elca",
+        }
+    }
+}
+
+/// One ranked suggestion.
+#[derive(Debug, Clone)]
+pub struct Suggestion {
+    /// The suggested query terms, one per original keyword.
+    pub terms: Vec<String>,
+    /// Token ids of the terms.
+    pub tokens: Vec<TokenId>,
+    /// Final log score (comparable only within one query).
+    pub log_score: f64,
+    /// Per-keyword edit distances from the observed query.
+    pub distances: Vec<u32>,
+    /// The inferred result type (node-type semantics) if any.
+    pub result_path: Option<PathId>,
+    /// Number of entities supporting the suggestion (> 0 by construction).
+    pub entity_count: u64,
+}
+
+impl Suggestion {
+    /// The suggestion as a single query string.
+    pub fn query_string(&self) -> String {
+        self.terms.join(" ")
+    }
+
+    /// Total edit distance across keywords.
+    pub fn total_distance(&self) -> u32 {
+        self.distances.iter().sum()
+    }
+}
+
+/// Result of a `suggest` call.
+#[derive(Debug, Clone, Default)]
+pub struct SuggestResponse {
+    /// Top-k suggestions, best first.
+    pub suggestions: Vec<Suggestion>,
+    /// Wall-clock time of the call.
+    pub elapsed: Duration,
+    /// Algorithm counters.
+    pub stats: RunStats,
+    /// Per-shard scatter attribution: one entry per shard that ran a
+    /// scatter walk, in shard-id order (shard sets only — always empty
+    /// over one plain corpus and on empty-variant early-outs).
+    /// Record-only: carrying it changes no response bit.
+    pub shard_stats: Vec<ShardAttribution>,
+}
+
+impl SuggestResponse {
+    /// Rank (1-based) of the given query terms in the suggestion list.
+    pub fn rank_of(&self, terms: &[&str]) -> Option<usize> {
+        self.suggestions
+            .iter()
+            .position(|s| s.terms.iter().map(String::as_str).eq(terms.iter().copied()))
+            .map(|i| i + 1)
+    }
+}
+
+/// Pre-resolved metric handles so the per-query hot path never takes the
+/// registry's name-lookup lock: every counter bump and histogram record
+/// below is a plain atomic op on a shared [`Arc`], which is what lets the
+/// `suggest_many` worker pool aggregate into one engine-lifetime registry
+/// without serialising on it.
+#[derive(Debug, Clone)]
+struct EngineMetrics {
+    queries: Arc<Counter>,
+    /// Set until the first query is recorded; that query's total latency
+    /// also lands in the `FIRST_QUERY` histogram (cold caches, lazy slab
+    /// decodes still pending).
+    first_query_pending: Arc<AtomicBool>,
+    first_query: Arc<Histogram>,
+    suggestions: Arc<Counter>,
+    subtrees: Arc<Counter>,
+    candidates: Arc<Counter>,
+    result_types: Arc<Counter>,
+    entities: Arc<Counter>,
+    postings_read: Arc<Counter>,
+    postings_skipped: Arc<Counter>,
+    skip_calls: Arc<Counter>,
+    evictions: Arc<Counter>,
+    rejected: Arc<Counter>,
+    stage_slot: Arc<Histogram>,
+    stage_walk: Arc<Histogram>,
+    stage_rank: Arc<Histogram>,
+    stage_total: Arc<Histogram>,
+}
+
+impl EngineMetrics {
+    fn new(registry: &MetricsRegistry) -> Self {
+        EngineMetrics {
+            queries: registry.counter(names::QUERIES),
+            first_query_pending: Arc::new(AtomicBool::new(true)),
+            first_query: registry.histogram(names::FIRST_QUERY),
+            suggestions: registry.counter(names::SUGGESTIONS),
+            subtrees: registry.counter(names::SUBTREES),
+            candidates: registry.counter(names::CANDIDATES),
+            result_types: registry.counter(names::RESULT_TYPES),
+            entities: registry.counter(names::ENTITIES),
+            postings_read: registry.counter(names::POSTINGS_READ),
+            postings_skipped: registry.counter(names::POSTINGS_SKIPPED),
+            skip_calls: registry.counter(names::SKIP_CALLS),
+            evictions: registry.counter(names::EVICTIONS),
+            rejected: registry.counter(names::REJECTED),
+            stage_slot: registry.histogram(names::STAGE_SLOT),
+            stage_walk: registry.histogram(names::STAGE_WALK),
+            stage_rank: registry.histogram(names::STAGE_RANK),
+            stage_total: registry.histogram(names::STAGE_TOTAL),
+        }
+    }
+
+    fn record_query(&self, response: &SuggestResponse) {
+        let stats = &response.stats;
+        let total_nanos = (response.elapsed.as_nanos() as u64).max(1);
+        self.queries.inc();
+        if self.first_query_pending.swap(false, Ordering::Relaxed) {
+            self.first_query.record(total_nanos);
+        }
+        self.suggestions.add(response.suggestions.len() as u64);
+        self.subtrees.add(stats.subtrees);
+        self.candidates.add(stats.candidates_enumerated);
+        self.result_types.add(stats.result_type_computations);
+        self.entities.add(stats.entities_scored);
+        self.postings_read.add(stats.access.read);
+        self.postings_skipped.add(stats.access.skipped);
+        self.skip_calls.add(stats.access.skip_calls);
+        self.evictions.add(stats.pruning.evictions);
+        self.rejected.add(stats.pruning.rejected);
+        self.stage_slot.record(stats.slot_nanos);
+        self.stage_walk.record(stats.walk_nanos);
+        self.stage_rank.record(stats.rank_nanos);
+        self.stage_total.record(total_nanos);
+    }
+}
+
+/// Recycled per-query scratch ([`QueryArena`]): every table fill and every
+/// shard walk checks one out, runs, and returns it, so steady-state
+/// workers stop paying the per-query scratch allocations. One brief
+/// uncontended lock each way — negligible against query latency.
+#[derive(Debug, Default)]
+pub(crate) struct ArenaPool(Mutex<Vec<QueryArena>>);
+
+impl ArenaPool {
+    /// Upper bound on pooled arenas, so an occasional wide burst does not
+    /// pin scratch memory forever.
+    const CAP: usize = 64;
+
+    /// Checks a reset arena out of the pool (or makes a fresh one); a
+    /// reset arena is indistinguishable from a new one (see `crate::arena`).
+    fn checkout(&self) -> QueryArena {
+        let mut arena = self
+            .0
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .pop()
+            .unwrap_or_default();
+        arena.reset();
+        arena
+    }
+
+    /// Returns an arena to the pool for the next query to reuse.
+    fn checkin(&self, arena: QueryArena) {
+        let mut pool = self
+            .0
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if pool.len() < Self::CAP {
+            pool.push(arena);
+        }
+    }
+}
+
+/// One corpus of a [`Pipeline`]'s shard set plus, for a shard of a
+/// partitioned corpus, its id-translation scaffolding (both maps empty for
+/// a plain corpus, whose ids are already global).
+#[derive(Debug)]
+pub(crate) struct Shard {
+    pub(crate) corpus: Arc<CorpusIndex>,
+    /// Global token id → this shard's local token id.
+    pub(crate) to_local_token: HashMap<TokenId, TokenId>,
+    /// This shard's local path id → global path id.
+    pub(crate) local_to_global_path: Vec<PathId>,
+}
+
+impl Shard {
+    /// A plain corpus as a one-element shard set.
+    pub(crate) fn plain(corpus: Arc<CorpusIndex>) -> Shard {
+        Shard {
+            corpus,
+            to_local_token: HashMap::new(),
+            local_to_global_path: Vec::new(),
+        }
+    }
+}
+
+/// What makes a list of [`Shard`]s one partitioned corpus: the global
+/// statistics reconstructed from them and the set's identity.
+#[derive(Debug)]
+pub(crate) struct ShardSet {
+    pub(crate) global: GlobalStats,
+    /// Shared empty list returned for tokens absent from a shard.
+    pub(crate) empty: PostingList,
+    pub(crate) seed: u64,
+    pub(crate) parent_fingerprint: u64,
+}
+
+/// The recorded argument stream of one shard's would-be
+/// [`AccumulatorTable::add_weighted`] calls. Per-candidate metadata
+/// (error weight, distances, result path) is identical across a
+/// candidate's contributions, so it is interned once; the entry stream
+/// keeps only `(candidate, weighted score, weight)` per entity.
+#[derive(Debug, Default)]
+struct ContributionLog {
+    metas: Vec<(CandidateKey, f64, Vec<u32>, PathId)>,
+    index: HashMap<CandidateKey, u32>,
+    entries: Vec<(u32, f64, f64)>,
+}
+
+impl ContributionLog {
+    /// Feeds the log into `sink` in recorded (document) order — arguments
+    /// byte-for-byte as the walk emitted them.
+    fn replay(&self, sink: &mut impl ScoreSink) {
+        for &(meta, weighted, weight) in &self.entries {
+            let (key, log_w, distances, path) = &self.metas[meta as usize];
+            sink.accumulate(key, weighted, weight, *log_w, distances, *path);
+        }
+    }
+}
+
+impl ScoreSink for ContributionLog {
+    fn accumulate(
+        &mut self,
+        key: &CandidateKey,
+        weighted: f64,
+        weight: f64,
+        log_error_weight: f64,
+        distances: &[u32],
+        result_path: PathId,
+    ) {
+        let meta = match self.index.get(key) {
+            Some(&i) => i,
+            None => {
+                let i = self.metas.len() as u32;
+                self.index.insert(key.clone(), i);
+                self.metas.push((
+                    key.clone(),
+                    log_error_weight,
+                    distances.to_vec(),
+                    result_path,
+                ));
+                i
+            }
+        };
+        self.entries.push((meta, weighted, weight));
+    }
+}
+
+/// The γ-bounded table plus the observer of its decisions — the sink of
+/// every walk and replay that scores into a table. Observation is passive
+/// (see [`GammaEvent`]); with a no-op observer this is a plain
+/// [`AccumulatorTable::add_weighted`].
+struct TableSink<'o, F> {
+    table: AccumulatorTable,
+    observe: &'o mut F,
+}
+
+impl<F: FnMut(GammaEvent<'_>)> ScoreSink for TableSink<'_, F> {
+    #[inline]
+    fn accumulate(
+        &mut self,
+        key: &CandidateKey,
+        weighted: f64,
+        weight: f64,
+        log_error_weight: f64,
+        distances: &[u32],
+        result_path: PathId,
+    ) {
+        self.table.add_weighted_observed(
+            key,
+            weighted,
+            weight,
+            log_error_weight,
+            distances,
+            result_path,
+            self.observe,
+        )
+    }
+}
+
+type Entries = Vec<(CandidateKey, Accumulator)>;
+
+/// Runs `fill` against a fresh γ-table over pooled arena storage and
+/// drains it: the table borrows the arena's hash storage for the run and
+/// hands it back (emptied, capacity kept) for the next query on this
+/// worker. `fill` also gets the arena's walk scratch.
+fn with_table<F: FnMut(GammaEvent<'_>)>(
+    arenas: &ArenaPool,
+    gamma: Option<usize>,
+    observe: &mut F,
+    fill: impl FnOnce(&mut QueryArena, &mut TableSink<'_, F>),
+) -> (Entries, PruningStats) {
+    let mut arena = arenas.checkout();
+    let mut sink = TableSink {
+        table: AccumulatorTable::with_storage(
+            gamma,
+            std::mem::take(&mut arena.accs),
+            std::mem::take(&mut arena.evicted),
+        ),
+        observe,
+    };
+    fill(&mut arena, &mut sink);
+    let pruning = sink.table.stats();
+    let (entries, accs, evicted) = sink.table.drain_entries();
+    arena.accs = accs;
+    arena.evicted = evicted;
+    arenas.checkin(arena);
+    (entries, pruning)
+}
+
+/// Scores one candidate partition of one plain corpus into its own table
+/// under the entity rule `semantics` selects, and records the partition's
+/// walk time in the [`names::STAGE_PARTITION`] histogram.
+#[allow(clippy::too_many_arguments)]
+fn score_partition<F: FnMut(GammaEvent<'_>)>(
+    view: &Scoring<'_>,
+    semantics: Semantics,
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+    part: usize,
+    parts: usize,
+    part_hist: &Histogram,
+    arenas: &ArenaPool,
+    observe: &mut F,
+) -> (Entries, RunStats) {
+    let part_start = Instant::now();
+    let mut stats = RunStats::default();
+    let (entries, pruning) = with_table(arenas, config.gamma, observe, |arena, sink| {
+        let stats = &mut stats;
+        match semantics {
+            Semantics::NodeType => {
+                accumulate_scoped(view, slots, config, part, parts, stats, arena, sink)
+            }
+            Semantics::Slca => {
+                accumulate_lca(view, slots, config, slca_of_lists, stats, arena, sink)
+            }
+            Semantics::Elca => accumulate_lca(
+                view,
+                slots,
+                config,
+                |tree, lists| elca_of_lists(tree, lists, config.min_depth),
+                stats,
+                arena,
+                sink,
+            ),
+        }
+    });
+    stats.pruning = pruning;
+    part_hist.record(nanos_since(part_start));
+    (entries, stats)
+}
+
+/// Runs every job on its own scoped thread (borrowing freely from the
+/// caller) and returns the results in job order.
+fn join_all<T: Send>(jobs: impl Iterator<Item = impl FnOnce() -> T + Send>) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("pipeline worker panicked"))
+            .collect()
+    })
+}
+
+/// What one accumulate → finalize run produced, beyond the ranked
+/// candidates: the explain plane reads the extras, serving ignores them.
+pub(crate) struct Ranked {
+    /// All surviving candidates, best first.
+    pub(crate) candidates: Vec<ScoredCandidate>,
+    pub(crate) stats: RunStats,
+    pub(crate) shard_stats: Vec<ShardAttribution>,
+    /// Accumulators alive when the walk finished (entering rank).
+    pub(crate) accumulators: u64,
+    /// Gather (log replay) share of `stats.walk_nanos`; 0 without scatter.
+    pub(crate) gather_nanos: u64,
+}
+
+/// What one run walks — the observable fact that selects the accumulate
+/// step (see the module docs).
+#[derive(Clone, Copy)]
+pub(crate) enum Walked<'a> {
+    /// One plain corpus, read through the identity view. Naming the corpus
+    /// here (rather than passing a view) lets the direct path's walk be
+    /// compiled against a view whose scope is statically absent.
+    Corpus(&'a CorpusIndex),
+    /// The shards of one partitioned corpus, one scoped view each, in
+    /// shard-id order.
+    Shards(&'a [Scoring<'a>]),
+}
+
+/// Accumulate → finalize over `walked`. The only orchestration of those
+/// steps in the crate (see the module docs for how the accumulate step is
+/// selected). Telemetry never influences scoring, and neither does
+/// `observe`.
+pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
+    walked: Walked<'_>,
+    semantics: Semantics,
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+    telemetry: &Telemetry,
+    arenas: &ArenaPool,
+    observe: &mut F,
+) -> Ranked {
+    let walk_start = Instant::now();
+    let tracer = telemetry.tracer();
+    // Some keyword with no variant at all empties the candidate space;
+    // flow through the common finalise path so every `*_nanos` field is
+    // recorded even on this early-out.
+    let empty = slots.is_empty() || slots.iter().any(|s| s.variants.is_empty());
+    let mut shard_stats = Vec::new();
+    let mut gather_nanos = 0;
+    let (entries, mut stats) = match walked {
+        Walked::Shards(views) => {
+            // Scatter: every shard walks its own tree and records its
+            // contribution stream — sequential candidate scoring per shard
+            // (`parts = 1`), so each log *is* that shard's sequential stream;
+            // parallelism is across shards only.
+            let scatter_one = |shard: usize| {
+                let shard_start = Instant::now();
+                let mut log = ContributionLog::default();
+                let mut stats = RunStats::default();
+                let mut arena = arenas.checkout();
+                let view = &views[shard];
+                accumulate_scoped(view, slots, config, 0, 1, &mut stats, &mut arena, &mut log);
+                arenas.checkin(arena);
+                stats.walk_nanos = nanos_since(shard_start);
+                (log, stats)
+            };
+            let threads = config.num_threads.min(views.len()).max(1);
+            let logs: Vec<(ContributionLog, RunStats)> = if empty {
+                Vec::new()
+            } else if threads == 1 {
+                (0..views.len()).map(scatter_one).collect()
+            } else {
+                // The span stack is thread-local: capture the query span here
+                // and adopt it on each worker so the whole request traces as
+                // one tree.
+                let parent_span = tracer.current_span_id();
+                let span = views.len().div_ceil(threads);
+                let scatter_one = &scatter_one;
+                join_all((0..views.len()).step_by(span).map(|base| {
+                    move || {
+                        let end = (base + span).min(views.len());
+                        let _span = tracer.span_under_with("scatter_worker", parent_span, || {
+                            format!("shards {base}..{end}")
+                        });
+                        (base..end).map(scatter_one).collect::<Vec<_>>()
+                    }
+                }))
+                .into_iter()
+                .flatten()
+                .collect()
+            };
+            // Gather: replay every shard's log, in shard-id order, into one
+            // table — the exact sequential insertion sequence. Each shard's
+            // walk counters are also kept individually (scatter attribution)
+            // so the serving layer can name the straggler.
+            let gather_start = Instant::now();
+            let mut stats = RunStats::default();
+            for (shard, (_, walk)) in logs.iter().enumerate() {
+                shard_stats.push(ShardAttribution {
+                    shard: shard as u32,
+                    scatter_nanos: walk.walk_nanos,
+                    subtrees: walk.subtrees,
+                    candidates: walk.candidates_enumerated,
+                    entities: walk.entities_scored,
+                    // One log entry per scored entity, by construction of
+                    // `accumulate_scoped`.
+                    contributions: walk.entities_scored,
+                });
+                stats += *walk;
+            }
+            let (entries, pruning) = with_table(arenas, config.gamma, observe, |_, sink| {
+                logs.iter().for_each(|(log, _)| log.replay(sink));
+            });
+            gather_nanos = nanos_since(gather_start);
+            stats.pruning = pruning;
+            stats.score_partitions = views.len() as u64;
+            (entries, stats)
+        }
+        Walked::Corpus(corpus) => {
+            let view = &Scoring::unsharded(corpus);
+            let parts = if !empty
+                && semantics == Semantics::NodeType
+                && partitioning_is_exact(slots, config)
+            {
+                config.num_threads
+            } else {
+                1
+            };
+            let (entries, mut stats) = if empty {
+                (Vec::new(), RunStats::default())
+            } else {
+                let part_hist = &telemetry.metrics().histogram(names::STAGE_PARTITION);
+                if parts > 1 {
+                    // Partitioned scoring only engages when no table can fill,
+                    // so no γ-decision exists to observe on this arm. Partition
+                    // spans adopt the query span explicitly (thread-local span
+                    // stack).
+                    let parent_span = tracer.current_span_id();
+                    let results = join_all((0..parts).map(|part| {
+                        move || {
+                            let _span =
+                                tracer.span_under_with("score_partition", parent_span, || {
+                                    format!("partition {part}/{parts}")
+                                });
+                            score_partition(
+                                view,
+                                semantics,
+                                slots,
+                                config,
+                                part,
+                                parts,
+                                part_hist,
+                                arenas,
+                                &mut |_| {},
+                            )
+                        }
+                    }));
+                    let stats = RunStats::merge_partitions(
+                        &results.iter().map(|(_, s)| *s).collect::<Vec<_>>(),
+                    );
+                    (results.into_iter().flat_map(|(e, _)| e).collect(), stats)
+                } else {
+                    let _span = tracer.span("walk_accumulate");
+                    score_partition(
+                        view, semantics, slots, config, 0, 1, part_hist, arenas, observe,
+                    )
+                }
+            };
+            stats.score_partitions = parts as u64;
+            (entries, stats)
+        }
+    };
+    stats.walk_nanos = nanos_since(walk_start);
+    let accumulators = entries.len() as u64;
+
+    let rank_start = Instant::now();
+    let candidates = {
+        let _span = tracer.span("rank");
+        // Any shard's view serves here: under a scope the rank-phase
+        // normalisers all come from the global tables.
+        let view = match walked {
+            Walked::Corpus(corpus) => Scoring::unsharded(corpus),
+            Walked::Shards(views) => views[0],
+        };
+        finalize_candidates(entries, |acc| match (semantics, config.prior) {
+            // Node type: the total prior mass over *all* entities of the
+            // result type (Eq. 8 sums over every r_j; non-matching
+            // entities contribute zero).
+            (Semantics::NodeType, EntityPrior::Uniform) => {
+                view.count_nodes_of_path(acc.result_path).max(1) as f64
+            }
+            (Semantics::NodeType, EntityPrior::DocLength) => {
+                view.path_doc_len_total(acc.result_path).max(1) as f64
+            }
+            // LCA entities are candidate-specific, so the normaliser is
+            // the candidate's own accumulated prior mass (≥ 1 whenever
+            // anything was accumulated).
+            (Semantics::Slca | Semantics::Elca, _) => acc.weight_sum,
+        })
+    };
+    stats.rank_nanos = nanos_since(rank_start);
+    Ranked {
+        candidates,
+        stats,
+        shard_stats,
+        accumulators,
+        gather_nanos,
+    }
+}
+
+/// Accumulate → finalize over one borrowed corpus with prebuilt slots —
+/// what the public `run_xclean` / `run_slca` / `run_elca` wrap: the same
+/// orchestration as an engine query, without telemetry or a warm pool.
+pub(crate) fn run_corpus(
+    corpus: &CorpusIndex,
+    semantics: Semantics,
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+) -> RunOutput {
+    let Ranked {
+        candidates, stats, ..
+    } = rank_walked(
+        Walked::Corpus(corpus),
+        semantics,
+        slots,
+        config,
+        &Telemetry::disabled(),
+        &ArenaPool::default(),
+        &mut |_| {},
+    );
+    RunOutput { candidates, stats }
+}
+
+/// One executed query: the response plus what only explain reads.
+pub(crate) struct Executed {
+    pub(crate) slots: Vec<KeywordSlot>,
+    pub(crate) response: SuggestResponse,
+    /// Candidates surviving finalisation, pre-top-k.
+    pub(crate) ranked: u64,
+    pub(crate) accumulators: u64,
+    pub(crate) gather_nanos: u64,
+}
+
+/// The suggestion pipeline over a shard set of ≥ 1 corpora (see the
+/// module docs). Shared behind an [`Arc`] by the engine fronts and the
+/// serving layer; immutable once built.
+///
+/// Every pipeline carries a [`Telemetry`] bundle: a metrics registry that
+/// aggregates counters and stage histograms over its lifetime (across all
+/// `suggest_many` workers), and a span tracer that is inert by default.
+#[derive(Debug)]
+pub struct Pipeline {
+    /// The corpora, in shard-id order (exactly one without a `set`).
+    shards: Vec<Shard>,
+    /// Present iff `shards` partition one parent corpus.
+    set: Option<ShardSet>,
+    variants: VariantGenerator,
+    config: XCleanConfig,
+    semantics: Semantics,
+    telemetry: Telemetry,
+    metric_handles: EngineMetrics,
+    arenas: ArenaPool,
+}
+
+impl Pipeline {
+    /// Builds the pipeline over `shards` — one plain corpus, or with
+    /// `set` the validated shards of one partitioned corpus — indexing the
+    /// deletion neighbourhoods of the vocabulary its token ids refer to.
+    pub(crate) fn new(
+        shards: Vec<Shard>,
+        set: Option<ShardSet>,
+        config: XCleanConfig,
+    ) -> Arc<Pipeline> {
+        config.validate();
+        let vocab = match &set {
+            None => shards[0].corpus.vocab(),
+            Some(set) => &set.global.vocab,
+        };
+        let mut variants =
+            VariantGenerator::build_from_vocab(vocab, config.epsilon, config.partition_threshold);
+        if config.phonetic_distance.is_some() {
+            variants = variants.with_phonetic_vocab(vocab);
+        }
+        let telemetry = Telemetry::disabled();
+        Arc::new(Pipeline {
+            shards,
+            set,
+            variants,
+            config,
+            semantics: Semantics::NodeType,
+            metric_handles: EngineMetrics::new(telemetry.metrics()),
+            telemetry,
+            arenas: ArenaPool::default(),
+        })
+    }
+
+    /// Applies a builder step. Builder methods run on a freshly
+    /// constructed engine, before its pipeline is handed to anyone else.
+    fn edit(mut this: Arc<Pipeline>, step: impl FnOnce(&mut Pipeline)) -> Arc<Pipeline> {
+        let unshared = Arc::get_mut(&mut this)
+            .expect("engine builder methods run before the pipeline is shared");
+        step(unshared);
+        this
+    }
+
+    /// Builder step: switches entity semantics. Only the one-corpus front
+    /// exposes it — the scatter walk is the node-type rule.
+    pub(crate) fn with_semantics(this: Arc<Pipeline>, semantics: Semantics) -> Arc<Pipeline> {
+        Self::edit(this, |p| p.semantics = semantics)
+    }
+
+    /// Builder step: attaches a telemetry bundle (metrics registry +
+    /// optional span tracer). The pipeline records into
+    /// `telemetry.metrics()` for its whole lifetime; pass
+    /// [`Telemetry::with_tracing`] to also capture per-query spans
+    /// exportable as a Chrome trace.
+    pub(crate) fn with_telemetry(this: Arc<Pipeline>, telemetry: Telemetry) -> Arc<Pipeline> {
+        Self::edit(this, |p| {
+            p.metric_handles = EngineMetrics::new(telemetry.metrics());
+            p.telemetry = telemetry;
+        })
+    }
+
+    /// The corpus of a one-corpus pipeline (the first shard's otherwise).
+    pub(crate) fn corpus(&self) -> &Arc<CorpusIndex> {
+        &self.shards[0].corpus
+    }
+
+    /// The shard-set identity and global statistics, if this is a set.
+    pub(crate) fn shard_set(&self) -> Option<&ShardSet> {
+        self.set.as_ref()
+    }
+
+    /// One scoped view per shard of a set; empty over one plain corpus.
+    fn shard_views(&self) -> Vec<Scoring<'_>> {
+        let Some(set) = &self.set else {
+            return Vec::new();
+        };
+        self.shards
+            .iter()
+            .map(|s| {
+                let scope = ShardScope {
+                    to_local_token: &s.to_local_token,
+                    local_to_global_path: &s.local_to_global_path,
+                    global: &set.global,
+                    empty: &set.empty,
+                };
+                Scoring::sharded(&s.corpus, scope)
+            })
+            .collect()
+    }
+
+    /// The telemetry bundle.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// The span tracer (inert unless tracing was enabled).
+    pub fn tracer(&self) -> &Tracer {
+        self.telemetry.tracer()
+    }
+
+    /// The lifetime metrics registry.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        self.telemetry.metrics()
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &XCleanConfig {
+        &self.config
+    }
+
+    /// Current entity semantics (always node-type over a shard set).
+    pub fn semantics(&self) -> Semantics {
+        self.semantics
+    }
+
+    /// The variant generator (exposed for baselines and diagnostics).
+    pub fn variant_generator(&self) -> &VariantGenerator {
+        &self.variants
+    }
+
+    /// The vocabulary suggestion token ids index: the corpus's own, or
+    /// the reconstructed global one over a shard set.
+    pub fn vocab(&self) -> &Vocabulary {
+        match &self.set {
+            None => self.shards[0].corpus.vocab(),
+            Some(set) => &set.global.vocab,
+        }
+    }
+
+    /// Shards answering each query; `1` for one plain corpus.
+    pub fn shard_count(&self) -> u32 {
+        self.shards.len() as u32
+    }
+
+    /// `(format_version, checksum)` of the backing snapshot. `None` for
+    /// in-memory corpora and for shard sets, which span several snapshots.
+    pub fn snapshot(&self) -> Option<(u32, u64)> {
+        match &self.set {
+            None => self.shards[0]
+                .corpus
+                .provenance()
+                .map(|p| (u32::from(p.format_version), p.checksum)),
+            Some(_) => None,
+        }
+    }
+
+    /// A fingerprint of everything that determines this pipeline's
+    /// responses: the scoring configuration
+    /// ([`XCleanConfig::fingerprint`]) and then, for one plain corpus, the
+    /// entity semantics and the corpus shape; for a shard set, the set's
+    /// identity and global vocabulary shape plus every shard's size — so a
+    /// set and its unsharded parent, or two shardings of one corpus, never
+    /// share a fingerprint even though their responses are bit-identical
+    /// (the cache key is deliberately conservative). Either way each
+    /// snapshot-loaded corpus also pins the exact bytes it came from (v2
+    /// format version + payload checksum). The serving layer keys its
+    /// response cache on this value, so a pipeline rebuilt with a
+    /// different β/γ — or over a different snapshot — can never be
+    /// answered from stale entries.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = self.config.fingerprint();
+        let mut mix = |v: u64| fnv1a(&mut h, &v.to_le_bytes());
+        match &self.set {
+            None => {
+                let corpus = &self.shards[0].corpus;
+                mix(match self.semantics {
+                    Semantics::NodeType => 0,
+                    Semantics::Slca => 1,
+                    Semantics::Elca => 2,
+                });
+                mix(corpus.tree().len() as u64);
+                mix(corpus.vocab().len() as u64);
+                mix(corpus.vocab().total_tokens());
+                mix(corpus.element_count() as u64);
+            }
+            Some(set) => {
+                mix(self.shards.len() as u64);
+                mix(set.seed);
+                mix(set.parent_fingerprint);
+                mix(set.global.vocab.len() as u64);
+                mix(set.global.vocab.total_tokens());
+            }
+        }
+        for s in &self.shards {
+            if self.set.is_some() {
+                mix(s.corpus.tree().len() as u64);
+            }
+            if let Some(p) = s.corpus.provenance() {
+                mix(u64::from(p.format_version));
+                mix(p.checksum);
+            }
+        }
+        h
+    }
+
+    /// Records the open/validate timings of one snapshot this pipeline
+    /// was loaded from into its metrics registry (one sample per
+    /// snapshot), so cold-start cost shows up next to query latencies in
+    /// `/metrics` and exported reports.
+    pub fn record_snapshot_timings(&self, report: &LoadReport) {
+        let m = self.telemetry.metrics();
+        m.histogram(names::SNAPSHOT_OPEN)
+            .record(report.open_nanos.max(1));
+        m.histogram(names::SNAPSHOT_VALIDATE)
+            .record(report.validate_nanos.max(1));
+    }
+
+    /// Splits a raw query string into keywords (permissive: the user's
+    /// tokens are preserved even when short or numeric).
+    pub fn parse_query(&self, query: &str) -> Vec<String> {
+        Tokenizer::permissive().tokenize(query)
+    }
+
+    /// Builds the per-keyword variant slots for a parsed query (including
+    /// phonetic variants when configured).
+    pub fn make_slots(&self, keywords: &[String]) -> Vec<KeywordSlot> {
+        self.slots_for(keywords, &self.config, self.telemetry.tracer())
+    }
+
+    fn slots_for(
+        &self,
+        keywords: &[String],
+        config: &XCleanConfig,
+        tracer: &Tracer,
+    ) -> Vec<KeywordSlot> {
+        let _slot_span = tracer.span("slot_build");
+        keywords
+            .iter()
+            .map(|k| {
+                let _variant_span = tracer.span_with("variant_gen", || k.clone());
+                KeywordSlot {
+                    keyword: k.clone(),
+                    variants: match config.phonetic_distance {
+                        Some(d) => self.variants.variants_with_phonetic(k, d),
+                        None => self.variants.variants_within(k, config.epsilon),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Slots → accumulate → finalize → top-k, once. Serving and explain
+    /// both run exactly this; they differ in the `telemetry` spans and
+    /// histograms land in and in what `observe` does with γ-decisions.
+    /// Neither influences a response bit.
+    pub(crate) fn execute<F: FnMut(GammaEvent<'_>)>(
+        &self,
+        keywords: &[String],
+        config: &XCleanConfig,
+        telemetry: &Telemetry,
+        observe: &mut F,
+    ) -> Executed {
+        config.validate();
+        assert!(
+            self.set.is_none() || config.min_depth >= 2,
+            "sharded serving requires min_depth >= 2 (got {})",
+            config.min_depth
+        );
+        let start = Instant::now();
+        let _query_span = telemetry
+            .tracer()
+            .span_with("suggest", || keywords.join(" "));
+        let slots = self.slots_for(keywords, config, telemetry.tracer());
+        let slot_nanos = nanos_since(start);
+        let views = self.shard_views();
+        let Ranked {
+            candidates,
+            mut stats,
+            shard_stats,
+            accumulators,
+            gather_nanos,
+        } = rank_walked(
+            match self.set {
+                None => Walked::Corpus(self.corpus()),
+                Some(_) => Walked::Shards(&views),
+            },
+            self.semantics,
+            &slots,
+            config,
+            telemetry,
+            &self.arenas,
+            observe,
+        );
+        stats.slot_nanos = slot_nanos;
+        debug_assert!(
+            stats.slot_nanos > 0 && stats.walk_nanos > 0 && stats.rank_nanos > 0,
+            "every stage records a non-zero duration on every code path: {stats:?}"
+        );
+        let vocab = self.vocab();
+        let ranked = candidates.len() as u64;
+        let suggestions = candidates
+            .into_iter()
+            .take(config.k)
+            .map(|c| Suggestion {
+                terms: c
+                    .tokens
+                    .iter()
+                    .map(|&t| vocab.term(t).to_string())
+                    .collect(),
+                tokens: c.tokens,
+                log_score: c.log_score,
+                distances: c.distances,
+                result_path: (c.result_path != PathId::INVALID).then_some(c.result_path),
+                entity_count: c.entity_count,
+            })
+            .collect();
+        Executed {
+            slots,
+            response: SuggestResponse {
+                suggestions,
+                elapsed: start.elapsed(),
+                stats,
+                shard_stats,
+            },
+            ranked,
+            accumulators,
+            gather_nanos,
+        }
+    }
+
+    /// Suggests up to `k` alternative queries for `query` (§IV Def. 1).
+    pub fn suggest(&self, query: &str) -> SuggestResponse {
+        self.suggest_keywords(&self.parse_query(query))
+    }
+
+    /// [`Pipeline::suggest`] under a request trace ID: opens a root
+    /// `request` span carrying the ID, so every stage span — including
+    /// `score_partition` spans on pool worker threads — hangs off one
+    /// tree findable by trace ID in exported traces. The observability is
+    /// record-only: the response is bit-identical to plain `suggest`.
+    pub fn suggest_traced(&self, query: &str, trace_id: &str) -> SuggestResponse {
+        self.suggest_keywords_traced(&self.parse_query(query), trace_id)
+    }
+
+    /// [`Pipeline::suggest_traced`] for already-tokenised queries.
+    pub fn suggest_keywords_traced(&self, keywords: &[String], trace_id: &str) -> SuggestResponse {
+        let _request_span = self.tracer().span_with("request", || trace_id.to_string());
+        self.suggest_keywords(keywords)
+    }
+
+    /// Suggests for an already-tokenised query.
+    pub fn suggest_keywords(&self, keywords: &[String]) -> SuggestResponse {
+        self.suggest_keywords_with(keywords, &self.config)
+    }
+
+    /// Suggests with a per-call configuration override. Scoring parameters
+    /// (β, μ, γ, d, r, k, skipping) take effect immediately; `epsilon` and
+    /// `partition_threshold` are capped by the offline variant index the
+    /// pipeline was built with, and `min_depth` must stay ≥ 2 over a shard
+    /// set. This serving wrapper is the only place query metrics are
+    /// recorded.
+    pub fn suggest_keywords_with(
+        &self,
+        keywords: &[String],
+        config: &XCleanConfig,
+    ) -> SuggestResponse {
+        let response = self
+            .execute(keywords, config, &self.telemetry, &mut |_| {})
+            .response;
+        self.metric_handles.record_query(&response);
+        response
+    }
+
+    /// Answers a whole workload, one [`SuggestResponse`] per query in
+    /// input order.
+    ///
+    /// With `config.num_threads > 1` the queries are claimed in
+    /// `config.batch_size` chunks by a fixed pool of worker threads that
+    /// share the pipeline (and through it the corpus snapshots) by
+    /// reference. Every response is bit-identical to what
+    /// [`Pipeline::suggest`] returns for the same query, whatever the
+    /// thread count. `num_threads == 1` processes the batch inline with no
+    /// pool at all.
+    pub fn suggest_many(&self, queries: &[&str]) -> Vec<SuggestResponse> {
+        let keywords: Vec<Vec<String>> = queries.iter().map(|q| self.parse_query(q)).collect();
+        self.suggest_many_keywords(&keywords)
+    }
+
+    /// [`Pipeline::suggest_many`] for already-tokenised queries — the
+    /// batch entry point the serving layer uses after cache-splitting a
+    /// POST body.
+    pub fn suggest_many_keywords(&self, queries: &[Vec<String>]) -> Vec<SuggestResponse> {
+        // One pool worker per query up to num_threads; threads left over
+        // when the workload is narrower than the pool (few expensive
+        // queries) are handed down as intra-query parallelism (candidate
+        // partitions, or scatter threads over a shard set), keeping
+        // workers * per_query.num_threads ≤ num_threads so the nested
+        // fan-out never oversubscribes. Outputs are bit-identical for any
+        // split (see DESIGN.md, "Concurrency & batching").
+        let tracer = self.tracer();
+        let _batch_span =
+            tracer.span_with("suggest_batch", || format!("{} queries", queries.len()));
+        let workers = self.config.num_threads.min(queries.len()).max(1);
+        let mut per_query = self.config.clone();
+        per_query.num_threads = (self.config.num_threads / workers).max(1);
+        let per_query = &per_query;
+        if workers <= 1 {
+            return queries
+                .iter()
+                .map(|kw| self.suggest_keywords_with(kw, per_query))
+                .collect();
+        }
+        // Pool workers run on their own threads, where the thread-local
+        // span stack cannot see `suggest_batch`; each worker adopts it
+        // explicitly so the whole batch traces as one tree.
+        let batch_parent = tracer.current_span_id();
+        // Workers claim chunk indices from a shared cursor and keep what
+        // they answered; sorting the claimed chunks by index afterwards
+        // restores input order.
+        let chunk = self.config.batch_size.max(1);
+        let next_chunk = AtomicUsize::new(0);
+        let mut answered: Vec<(usize, Vec<SuggestResponse>)> = join_all((0..workers).map(|_| {
+            || {
+                let _worker_span = tracer.span_under("batch_worker", batch_parent);
+                let mut mine = Vec::new();
+                loop {
+                    let i = next_chunk.fetch_add(1, Ordering::Relaxed);
+                    let Some(batch) = queries.chunks(chunk).nth(i) else {
+                        break mine;
+                    };
+                    let responses = batch
+                        .iter()
+                        .map(|kw| self.suggest_keywords_with(kw, per_query))
+                        .collect();
+                    mine.push((i, responses));
+                }
+            }
+        }))
+        .into_iter()
+        .flatten()
+        .collect();
+        answered.sort_unstable_by_key(|&(i, _)| i);
+        answered.into_iter().flat_map(|(_, r)| r).collect()
+    }
+}

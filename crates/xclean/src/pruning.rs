@@ -16,13 +16,13 @@ pub type CandidateKey = Vec<TokenId>;
 
 /// Where per-entity score contributions land during the accumulate phase.
 ///
-/// The unsharded engine accumulates straight into an [`AccumulatorTable`]
-/// (γ-pruning and all); the sharded scatter phase records the *same*
-/// contribution arguments into a replay log instead, so the gather phase
-/// can feed them through a single global table in document order and
-/// reproduce the sequential run's eviction decisions exactly (see
-/// `crate::sharded`). The contribution stream a scoring run emits is
-/// independent of the sink — sinks only observe.
+/// One corpus accumulates straight into a γ-bounded [`AccumulatorTable`];
+/// a shard walk records the *same* contribution arguments into a replay
+/// log instead, so the gather can feed them through a single global table
+/// in document order and reproduce the sequential run's eviction
+/// decisions exactly (both sinks live in `crate::pipeline`). The
+/// contribution stream a scoring run emits is independent of the sink —
+/// sinks only observe.
 pub(crate) trait ScoreSink {
     /// Records one entity's weighted contribution for `key` (the same
     /// argument tuple as [`AccumulatorTable::add_weighted`]).
@@ -35,28 +35,6 @@ pub(crate) trait ScoreSink {
         distances: &[u32],
         result_path: xclean_xmltree::PathId,
     );
-}
-
-impl ScoreSink for AccumulatorTable {
-    #[inline]
-    fn accumulate(
-        &mut self,
-        key: &CandidateKey,
-        weighted: f64,
-        weight: f64,
-        log_error_weight: f64,
-        distances: &[u32],
-        result_path: xclean_xmltree::PathId,
-    ) {
-        self.add_weighted(
-            key,
-            weighted,
-            weight,
-            log_error_weight,
-            distances,
-            result_path,
-        )
-    }
 }
 
 /// Accumulated state for one candidate query.

@@ -2,11 +2,13 @@
 //!
 //! [`ShardedEngine`] answers the same queries as [`crate::XCleanEngine`],
 //! bit for bit, while holding the corpus as N shard snapshots produced by
-//! [`xclean_index::partition_corpus`]. Each query *scatters* — every shard
-//! runs the Algorithm 1 walk over its own tree and postings — and
-//! *gathers*: the per-shard score contributions are replayed, in shard
-//! order, into one global accumulator table, then ranked exactly as the
-//! unsharded engine ranks.
+//! [`xclean_index::partition_corpus`]. It is a front over the same
+//! [`Pipeline`]: this module validates a shard set and reconstructs the
+//! whole-collection statistics; the pipeline then runs each query as a
+//! *scatter* — every shard runs the Algorithm 1 walk over its own tree and
+//! postings — and a *gather*: the per-shard score contributions are
+//! replayed, in shard order, into one global accumulator table, then
+//! ranked exactly as over one corpus.
 //!
 //! # Why the merge is exact (DESIGN.md §16)
 //!
@@ -25,7 +27,7 @@
 //!    integers the unsharded corpus holds, in exactly the same order.
 //! 3. **Contribution replay reproduces the sequential table.** A shard
 //!    walk does not score into a table; it records the *arguments* of
-//!    each would-be [`AccumulatorTable::add_weighted`] call (a write-only
+//!    each would-be `AccumulatorTable::add_weighted` call (a write-only
 //!    stream: the emitted contributions never depend on table state).
 //!    Replaying the logs in shard-id order therefore feeds the single
 //!    global table the same insertion sequence as the sequential
@@ -42,23 +44,17 @@
 //! (`candidates_enumerated`, `entities_scored`) sum exactly.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 use xclean_index::{CorpusIndex, PostingList, StorageError, TokenId, Vocabulary};
-use xclean_telemetry::Telemetry;
-use xclean_xmltree::{PathId, Tokenizer};
+use xclean_xmltree::PathId;
 
-use crate::algorithm::{
-    accumulate_scoped, finalize_candidates, nanos_since, KeywordSlot, RunStats,
-};
-use crate::arena::QueryArena;
 use crate::config::XCleanConfig;
-use crate::engine::{EngineMetrics, SuggestResponse, Suggestion};
-use crate::pruning::{AccumulatorTable, CandidateKey, ScoreSink};
-use crate::variants::VariantGenerator;
-use crate::view::{GlobalStats, Scoring, ShardScope};
+use crate::pipeline::{Pipeline, Shard, ShardSet};
+use crate::view::GlobalStats;
+use crate::Telemetry;
 
 /// Why a shard set could not be assembled into an engine.
 #[derive(Debug)]
@@ -125,113 +121,26 @@ impl std::error::Error for ShardedEngineError {
     }
 }
 
-/// One shard plus its id-translation scaffolding.
-#[derive(Debug)]
-struct ShardHandle {
-    corpus: Arc<CorpusIndex>,
-    /// Global token id → this shard's local token id.
-    to_local_token: HashMap<TokenId, TokenId>,
-    /// This shard's local path id → global path id.
-    local_to_global_path: Vec<PathId>,
-}
-
-impl ShardHandle {
-    fn scope<'a>(&'a self, global: &'a GlobalStats, empty: &'a PostingList) -> ShardScope<'a> {
-        ShardScope {
-            to_local_token: &self.to_local_token,
-            local_to_global_path: &self.local_to_global_path,
-            global,
-            empty,
-        }
-    }
-}
-
-/// The recorded argument stream of one shard's would-be
-/// [`AccumulatorTable::add_weighted`] calls. Per-candidate metadata
-/// (error weight, distances, result path) is identical across a
-/// candidate's contributions, so it is interned once; the entry stream
-/// keeps only `(candidate, weighted score, weight)` per entity.
-#[derive(Debug, Default)]
-struct ContributionLog {
-    metas: Vec<(CandidateKey, f64, Vec<u32>, PathId)>,
-    index: HashMap<CandidateKey, u32>,
-    entries: Vec<(u32, f64, f64)>,
-}
-
-impl ContributionLog {
-    /// Feeds the log into `table` in recorded (document) order —
-    /// arguments byte-for-byte as the walk emitted them.
-    fn replay(&self, table: &mut AccumulatorTable) {
-        self.replay_observed(table, &mut |_| {});
-    }
-
-    /// [`Self::replay`] with a γ-decision observer (the explain plane
-    /// watches the gather merge through this; observation never changes
-    /// a decision — see [`crate::pruning::GammaEvent`]).
-    fn replay_observed(
-        &self,
-        table: &mut AccumulatorTable,
-        observe: &mut impl FnMut(crate::pruning::GammaEvent<'_>),
-    ) {
-        for &(meta, weighted, weight) in &self.entries {
-            let (key, log_w, distances, path) = &self.metas[meta as usize];
-            table.add_weighted_observed(key, weighted, weight, *log_w, distances, *path, observe);
-        }
-    }
-
-    /// Number of recorded contributions.
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-impl ScoreSink for ContributionLog {
-    fn accumulate(
-        &mut self,
-        key: &CandidateKey,
-        weighted: f64,
-        weight: f64,
-        log_error_weight: f64,
-        distances: &[u32],
-        result_path: PathId,
-    ) {
-        let meta = match self.index.get(key) {
-            Some(&i) => i,
-            None => {
-                let i = self.metas.len() as u32;
-                self.index.insert(key.clone(), i);
-                self.metas.push((
-                    key.clone(),
-                    log_error_weight,
-                    distances.to_vec(),
-                    result_path,
-                ));
-                i
-            }
-        };
-        self.entries.push((meta, weighted, weight));
-    }
-}
-
-/// Scatter-gather XClean engine over a shard set (node-type semantics).
+/// Scatter-gather XClean engine over a shard set (node-type semantics —
+/// there is no `with_semantics` here, so a set is node-type by type).
 ///
 /// Built from in-memory shard corpora ([`ShardedEngine::from_shards`]) or
 /// straight from snapshot files ([`ShardedEngine::load_snapshots`]).
 /// Responses are bit-identical to an [`crate::XCleanEngine`] over the
 /// unsharded parent corpus, for every shard count and thread count (see
-/// the module docs).
+/// the module docs). All query entry points are the [`Pipeline`]'s,
+/// reached through `Deref`.
 #[derive(Debug)]
 pub struct ShardedEngine {
-    shards: Vec<ShardHandle>,
-    global: GlobalStats,
-    empty: PostingList,
-    variants: Arc<VariantGenerator>,
-    config: XCleanConfig,
-    telemetry: Telemetry,
-    metric_handles: EngineMetrics,
-    shard_count: u32,
-    seed: u64,
-    parent_fingerprint: u64,
+    pipeline: Arc<Pipeline>,
+}
+
+impl Deref for ShardedEngine {
+    type Target = Pipeline;
+
+    fn deref(&self) -> &Pipeline {
+        &self.pipeline
+    }
 }
 
 impl ShardedEngine {
@@ -243,7 +152,6 @@ impl ShardedEngine {
         shards: Vec<CorpusIndex>,
         config: XCleanConfig,
     ) -> Result<Self, ShardedEngineError> {
-        config.validate();
         if config.min_depth < 2 {
             return Err(ShardedEngineError::MinDepthTooShallow(config.min_depth));
         }
@@ -310,7 +218,7 @@ impl ShardedEngine {
 
         let global = reconstruct_global_stats(&shards, &first)?;
 
-        let handles: Vec<ShardHandle> = shards
+        let handles: Vec<Shard> = shards
             .into_iter()
             .map(|s| {
                 let meta = s.shard_meta().expect("checked above");
@@ -321,461 +229,89 @@ impl ShardedEngine {
                     .map(|(local, &g)| (TokenId(g), TokenId(local as u32)))
                     .collect();
                 let local_to_global_path = meta.path_map.iter().map(|&g| PathId(g)).collect();
-                ShardHandle {
+                Shard {
                     corpus: Arc::new(s),
                     to_local_token,
                     local_to_global_path,
                 }
             })
             .collect();
-
-        let mut variants = VariantGenerator::build_from_vocab(
-            &global.vocab,
-            config.epsilon,
-            config.partition_threshold,
-        );
-        if config.phonetic_distance.is_some() {
-            variants = variants.with_phonetic_vocab(&global.vocab);
-        }
-        let telemetry = Telemetry::disabled();
-        let metric_handles = EngineMetrics::new(telemetry.metrics());
-        Ok(ShardedEngine {
-            shards: handles,
+        let set = ShardSet {
             global,
             empty: PostingList::new(),
-            variants: Arc::new(variants),
-            config,
-            telemetry,
-            metric_handles,
-            shard_count: first.shard_count,
             seed: first.seed,
             parent_fingerprint: first.parent_fingerprint,
+        };
+        Ok(ShardedEngine {
+            pipeline: Pipeline::new(handles, Some(set), config),
         })
     }
 
-    /// Opens every snapshot path as a v2 slab and assembles the set.
-    /// A shard that fails to open reports its own path.
+    /// Opens every snapshot path as a v2 slab and assembles the set,
+    /// recording each snapshot's open/validate timings in the engine's
+    /// registry. A shard that fails to open reports its own path.
     pub fn load_snapshots<P: AsRef<Path>>(
         paths: &[P],
         config: XCleanConfig,
     ) -> Result<Self, ShardedEngineError> {
         let options = xclean_index::OpenOptions::default();
         let mut shards = Vec::with_capacity(paths.len());
+        let mut reports = Vec::with_capacity(paths.len());
         for p in paths {
             let p = p.as_ref();
-            let (corpus, _report) = xclean_index::storage::open_file(p, &options).map_err(|e| {
+            let (corpus, report) = xclean_index::storage::open_file(p, &options).map_err(|e| {
                 ShardedEngineError::Snapshot {
                     path: p.display().to_string(),
                     source: e,
                 }
             })?;
             shards.push(corpus);
+            reports.push(report);
         }
-        Self::from_shards(shards, config)
+        let engine = Self::from_shards(shards, config)?;
+        for report in &reports {
+            engine.record_snapshot_timings(report);
+        }
+        Ok(engine)
     }
 
     /// Attaches a telemetry bundle (mirrors
     /// [`crate::XCleanEngine::with_telemetry`]).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.metric_handles = EngineMetrics::new(telemetry.metrics());
-        self.telemetry = telemetry;
-        self
+    pub fn with_telemetry(self, telemetry: Telemetry) -> Self {
+        ShardedEngine {
+            pipeline: Pipeline::with_telemetry(self.pipeline, telemetry),
+        }
     }
 
-    /// The engine's telemetry bundle.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    /// The pipeline this engine fronts (what a serving layer holds).
+    pub fn pipeline(&self) -> &Arc<Pipeline> {
+        &self.pipeline
     }
 
-    /// The engine-lifetime metrics registry.
-    pub fn metrics(&self) -> &xclean_telemetry::MetricsRegistry {
-        self.telemetry.metrics()
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &XCleanConfig {
-        &self.config
-    }
-
-    /// Number of shards in the set.
-    pub fn shard_count(&self) -> u32 {
-        self.shard_count
+    fn set(&self) -> &ShardSet {
+        self.pipeline
+            .shard_set()
+            .expect("a ShardedEngine's pipeline always carries its shard set")
     }
 
     /// The partitioner seed the set was built with.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.set().seed
     }
 
     /// Fingerprint of the parent corpus + partitioning parameters shared
     /// by every shard.
     pub fn parent_fingerprint(&self) -> u64 {
-        self.parent_fingerprint
-    }
-
-    /// The reconstructed global vocabulary.
-    pub fn vocab(&self) -> &Vocabulary {
-        &self.global.vocab
+        self.set().parent_fingerprint
     }
 
     /// Display form (`/a/b/c`) of a global path id, for serving layers.
     pub fn path_display(&self, path: PathId) -> Option<&str> {
-        self.global
+        self.set()
+            .global
             .path_display
             .get(path.0 as usize)
             .map(String::as_str)
-    }
-
-    /// A fingerprint of everything that determines this engine's
-    /// responses (the sharded analogue of
-    /// [`crate::XCleanEngine::fingerprint`]): scoring configuration, the
-    /// shard-set identity, and each shard snapshot's provenance. Because
-    /// responses are bit-identical across shard *counts*, two engines
-    /// over different shardings of one corpus still get distinct
-    /// fingerprints — the cache key is deliberately conservative.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = self.config.fingerprint();
-        let mix = |h: &mut u64, v: u64| {
-            for b in v.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(&mut h, u64::from(self.shard_count));
-        mix(&mut h, self.seed);
-        mix(&mut h, self.parent_fingerprint);
-        mix(&mut h, self.global.vocab.len() as u64);
-        mix(&mut h, self.global.vocab.total_tokens());
-        for s in &self.shards {
-            mix(&mut h, s.corpus.tree().len() as u64);
-            if let Some(p) = s.corpus.provenance() {
-                mix(&mut h, u64::from(p.format_version));
-                mix(&mut h, p.checksum);
-            }
-        }
-        h
-    }
-
-    /// Splits a raw query string into keywords (same permissive policy as
-    /// the unsharded engine).
-    pub fn parse_query(&self, query: &str) -> Vec<String> {
-        Tokenizer::permissive().tokenize(query)
-    }
-
-    /// Suggests up to `config.k` alternative queries for `query`.
-    pub fn suggest(&self, query: &str) -> SuggestResponse {
-        let keywords = self.parse_query(query);
-        self.suggest_keywords(&keywords)
-    }
-
-    /// Suggests for an already-tokenised query.
-    pub fn suggest_keywords(&self, keywords: &[String]) -> SuggestResponse {
-        self.suggest_keywords_with(keywords, &self.config)
-    }
-
-    /// Suggests with a per-call configuration override (same contract as
-    /// [`crate::XCleanEngine::suggest_keywords_with`]; `min_depth` must
-    /// stay ≥ 2 on a sharded engine).
-    pub fn suggest_keywords_with(
-        &self,
-        keywords: &[String],
-        config: &XCleanConfig,
-    ) -> SuggestResponse {
-        config.validate();
-        assert!(
-            config.min_depth >= 2,
-            "sharded serving requires min_depth >= 2 (got {})",
-            config.min_depth
-        );
-        let start = Instant::now();
-        let tracer = self.telemetry.tracer();
-        let _query_span = tracer.span_with("suggest_sharded", || keywords.join(" "));
-        let slots: Vec<KeywordSlot> = {
-            let _slot_span = tracer.span("slot_build");
-            keywords
-                .iter()
-                .map(|k| KeywordSlot {
-                    keyword: k.clone(),
-                    variants: match config.phonetic_distance {
-                        Some(d) => self.variants.variants_with_phonetic(k, d),
-                        None => self.variants.variants_within(k, config.epsilon),
-                    },
-                })
-                .collect()
-        };
-        let slot_nanos = nanos_since(start);
-
-        // Scatter: every shard walks its own tree and records its
-        // contribution stream (sequential candidate scoring per shard —
-        // see the module docs on why `parts = 1` is load-bearing).
-        let walk_start = Instant::now();
-        let empty_query = slots.is_empty() || slots.iter().any(|s| s.variants.is_empty());
-        let nshards = self.shards.len();
-        let mut shard_results: Vec<Option<(ContributionLog, RunStats)>> = Vec::new();
-        shard_results.resize_with(nshards, || None);
-        if !empty_query {
-            let scatter_threads = config.num_threads.min(nshards).max(1);
-            let parent_span = tracer.current_span_id();
-            if scatter_threads <= 1 {
-                for (i, out) in shard_results.iter_mut().enumerate() {
-                    *out = Some(self.scatter_one(i, &slots, config));
-                }
-            } else {
-                std::thread::scope(|scope| {
-                    for (t, chunk) in shard_results
-                        .chunks_mut(nshards.div_ceil(scatter_threads))
-                        .enumerate()
-                    {
-                        let slots = &slots;
-                        let base = t * nshards.div_ceil(scatter_threads);
-                        scope.spawn(move || {
-                            let _span =
-                                tracer.span_under_with("scatter_worker", parent_span, || {
-                                    format!("shards {}..{}", base, base + chunk.len())
-                                });
-                            for (off, out) in chunk.iter_mut().enumerate() {
-                                *out = Some(self.scatter_one(base + off, slots, config));
-                            }
-                        });
-                    }
-                });
-            }
-        }
-
-        // Gather: replay every shard's log, in shard-id order, into one
-        // global table — the exact sequential insertion sequence. Each
-        // shard's walk counters are also kept individually (scatter
-        // attribution) so the serving layer can name the straggler.
-        let mut stats = RunStats::default();
-        let mut table = AccumulatorTable::new(config.gamma);
-        let mut walk_nanos_max = 0u64;
-        let mut shard_attr: Vec<xclean_telemetry::ShardAttribution> = Vec::with_capacity(nshards);
-        for (shard, result) in shard_results.into_iter().enumerate() {
-            let Some((log, shard_stats)) = result else {
-                continue;
-            };
-            shard_attr.push(xclean_telemetry::ShardAttribution {
-                shard: shard as u32,
-                scatter_nanos: shard_stats.walk_nanos,
-                subtrees: shard_stats.subtrees,
-                candidates: shard_stats.candidates_enumerated,
-                entities: shard_stats.entities_scored,
-                contributions: log.len() as u64,
-            });
-            log.replay(&mut table);
-            stats.subtrees += shard_stats.subtrees;
-            stats.candidates_enumerated += shard_stats.candidates_enumerated;
-            stats.result_type_computations += shard_stats.result_type_computations;
-            stats.entities_scored += shard_stats.entities_scored;
-            stats.access += shard_stats.access;
-            walk_nanos_max = walk_nanos_max.max(shard_stats.walk_nanos);
-        }
-        stats.pruning = table.stats();
-        stats.score_partitions = nshards as u64;
-        stats.slot_nanos = slot_nanos;
-        stats.walk_nanos = nanos_since(walk_start);
-
-        let rank_start = Instant::now();
-        let entries = table.into_entries();
-        let candidates = {
-            let _span = tracer.span("rank");
-            // Any shard's corpus works as the view backbone here: the
-            // rank-phase normalisers all come from the global tables.
-            let scope = self.shards[0].scope(&self.global, &self.empty);
-            finalize_candidates(
-                &Scoring::sharded(&self.shards[0].corpus, scope),
-                config,
-                entries,
-            )
-        };
-        stats.rank_nanos = nanos_since(rank_start);
-
-        let suggestions: Vec<Suggestion> = candidates
-            .into_iter()
-            .take(config.k)
-            .map(|c| Suggestion {
-                terms: c
-                    .tokens
-                    .iter()
-                    .map(|&t| self.global.vocab.term(t).to_string())
-                    .collect(),
-                tokens: c.tokens,
-                log_score: c.log_score,
-                distances: c.distances,
-                result_path: (c.result_path != PathId::INVALID).then_some(c.result_path),
-                entity_count: c.entity_count,
-            })
-            .collect();
-        let elapsed = start.elapsed();
-        self.metric_handles.record_query(
-            &stats,
-            (elapsed.as_nanos() as u64).max(1),
-            suggestions.len() as u64,
-        );
-        SuggestResponse {
-            suggestions,
-            elapsed,
-            stats,
-            shard_stats: shard_attr,
-        }
-    }
-
-    /// Runs the scatter phase for one shard: a full Algorithm 1 walk over
-    /// the shard's tree under the global-statistics scope, sinking into a
-    /// fresh [`ContributionLog`].
-    fn scatter_one(
-        &self,
-        shard: usize,
-        slots: &[KeywordSlot],
-        config: &XCleanConfig,
-    ) -> (ContributionLog, RunStats) {
-        let walk_start = Instant::now();
-        let handle = &self.shards[shard];
-        let scope = handle.scope(&self.global, &self.empty);
-        let view = Scoring::sharded(&handle.corpus, scope);
-        let mut log = ContributionLog::default();
-        let mut stats = RunStats::default();
-        let mut arena = QueryArena::new();
-        accumulate_scoped(&view, slots, config, 0, 1, &mut stats, &mut arena, &mut log);
-        stats.walk_nanos = nanos_since(walk_start);
-        (log, stats)
-    }
-
-    /// Explains a raw query: runs the scatter-gather pipeline in explain
-    /// mode and returns the structured trace, including per-shard scatter
-    /// attribution and the γ-events of the gather merge. The reported
-    /// suggestions are bit-identical to [`ShardedEngine::suggest`]'s —
-    /// the scatter is sequential here (diagnostics, not serving), and the
-    /// gather replay is the same insertion sequence whatever the scatter
-    /// parallelism (see the module docs).
-    pub fn explain(&self, query: &str) -> crate::explain::ExplainTrace {
-        let keywords = self.parse_query(query);
-        self.explain_keywords(&keywords)
-    }
-
-    /// [`ShardedEngine::explain`] for an already-tokenised query.
-    pub fn explain_keywords(&self, keywords: &[String]) -> crate::explain::ExplainTrace {
-        use crate::explain::{
-            explain_keywords_of, owned_event, render_events, stage_counts, suggestions_of,
-            ExplainTrace, RawEvent, StageNanos, MAX_EXPLAIN_EVICTIONS,
-        };
-        let config = &self.config;
-        let start = Instant::now();
-        let slots: Vec<KeywordSlot> = keywords
-            .iter()
-            .map(|k| KeywordSlot {
-                keyword: k.clone(),
-                variants: match config.phonetic_distance {
-                    Some(d) => self.variants.variants_with_phonetic(k, d),
-                    None => self.variants.variants_within(k, config.epsilon),
-                },
-            })
-            .collect();
-        let slot_nanos = nanos_since(start);
-        let term_of = |t: TokenId| self.global.vocab.term(t).to_string();
-
-        // Sequential scatter, shard by shard, keeping each log alive for
-        // the observed gather below.
-        let walk_start = Instant::now();
-        let empty_query = slots.is_empty() || slots.iter().any(|s| s.variants.is_empty());
-        let mut stats = RunStats::default();
-        let mut shard_attr: Vec<xclean_telemetry::ShardAttribution> = Vec::new();
-        let mut logs: Vec<ContributionLog> = Vec::new();
-        if !empty_query {
-            for shard in 0..self.shards.len() {
-                let (log, shard_stats) = self.scatter_one(shard, &slots, config);
-                shard_attr.push(xclean_telemetry::ShardAttribution {
-                    shard: shard as u32,
-                    scatter_nanos: shard_stats.walk_nanos,
-                    subtrees: shard_stats.subtrees,
-                    candidates: shard_stats.candidates_enumerated,
-                    entities: shard_stats.entities_scored,
-                    contributions: log.len() as u64,
-                });
-                stats.subtrees += shard_stats.subtrees;
-                stats.candidates_enumerated += shard_stats.candidates_enumerated;
-                stats.result_type_computations += shard_stats.result_type_computations;
-                stats.entities_scored += shard_stats.entities_scored;
-                stats.access += shard_stats.access;
-                logs.push(log);
-            }
-        }
-        let walk_nanos = nanos_since(walk_start);
-
-        // Observed gather: the same shard-order replay as serving, with
-        // every γ-decision of the global table captured.
-        let gather_start = Instant::now();
-        let mut table = AccumulatorTable::new(config.gamma);
-        let mut events: Vec<RawEvent> = Vec::new();
-        let mut events_total = 0u64;
-        let contributions: u64 = logs.iter().map(|l| l.len() as u64).sum();
-        for log in &logs {
-            log.replay_observed(&mut table, &mut |e| {
-                events_total += 1;
-                if events.len() < MAX_EXPLAIN_EVICTIONS {
-                    events.push(owned_event(e));
-                }
-            });
-        }
-        stats.pruning = table.stats();
-        let gather_nanos = nanos_since(gather_start);
-        let accumulators = table.len() as u64;
-
-        let rank_start = Instant::now();
-        let entries = table.into_entries();
-        let candidates = {
-            let scope = self.shards[0].scope(&self.global, &self.empty);
-            finalize_candidates(
-                &Scoring::sharded(&self.shards[0].corpus, scope),
-                config,
-                entries,
-            )
-        };
-        let rank_nanos = nanos_since(rank_start);
-        let (ranked, suggestions) = suggestions_of(candidates, config.k, term_of);
-        ExplainTrace {
-            keywords: explain_keywords_of(&slots, term_of),
-            semantics: "node_type",
-            sharded: true,
-            shard_count: self.shard_count,
-            gamma: config.gamma,
-            stages: stage_counts(
-                &slots,
-                &stats,
-                contributions,
-                accumulators,
-                ranked,
-                suggestions.len() as u64,
-            ),
-            nanos: StageNanos {
-                slot: slot_nanos,
-                walk: walk_nanos,
-                gather: gather_nanos,
-                rank: rank_nanos,
-                total: nanos_since(start),
-            },
-            evictions: render_events(&events, term_of),
-            eviction_events_total: events_total,
-            shards: shard_attr,
-            suggestions,
-            full_detail: true,
-        }
-    }
-
-    /// Answers a whole workload, one [`SuggestResponse`] per query in
-    /// input order. Queries run with full intra-query shard parallelism
-    /// one after another — sharded scatter already saturates the
-    /// configured thread budget, so query-level pooling would
-    /// oversubscribe it.
-    pub fn suggest_many(&self, queries: &[&str]) -> Vec<SuggestResponse> {
-        queries.iter().map(|q| self.suggest(q)).collect()
-    }
-
-    /// [`Self::suggest_many`] over already-tokenised queries — the batch
-    /// entry point the serving layer uses after cache-splitting a POST
-    /// body.
-    pub fn suggest_many_keywords(&self, queries: &[Vec<String>]) -> Vec<SuggestResponse> {
-        queries.iter().map(|q| self.suggest_keywords(q)).collect()
     }
 }
 
@@ -932,7 +468,7 @@ fn reconstruct_global_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::XCleanEngine;
+    use crate::{SuggestResponse, XCleanEngine};
     use xclean_index::partition_corpus;
     use xclean_xmltree::parse_document;
 
@@ -1075,7 +611,7 @@ mod tests {
             assert_eq!(engine.vocab().df(t), parent.vocab().df(t));
             // f_w^p lists match the parent's exactly, root included.
             assert_eq!(
-                engine.global.paths_of[t.index()],
+                engine.set().global.paths_of[t.index()],
                 parent.path_stats().paths_of(t),
                 "token {t:?}"
             );
@@ -1083,15 +619,15 @@ mod tests {
         for p in 0..parent.tree().paths().len() as u32 {
             let p = PathId(p);
             assert_eq!(
-                engine.global.path_node_counts[p.0 as usize] as usize,
+                engine.set().global.path_node_counts[p.0 as usize] as usize,
                 parent.count_nodes_of_path(p)
             );
             assert_eq!(
-                engine.global.path_doc_len_totals[p.0 as usize],
+                engine.set().global.path_doc_len_totals[p.0 as usize],
                 parent.path_doc_len_total(p)
             );
             assert_eq!(
-                engine.global.path_depths[p.0 as usize],
+                engine.set().global.path_depths[p.0 as usize],
                 parent.tree().paths().depth(p)
             );
             assert_eq!(

@@ -11,15 +11,17 @@
 //! (`N = |SLCA(C)|` in Eq. 8), since SLCA entities are query-specific.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use xclean_index::{CorpusIndex, TokenId};
-use xclean_lm::{ErrorModel, LanguageModel};
+use xclean_lm::ErrorModel;
 use xclean_xmltree::{NodeId, PathId, XmlTree};
 
-use crate::algorithm::{nanos_since, KeywordSlot, RunOutput, ScoredCandidate};
+use crate::algorithm::{KeywordSlot, RunOutput, RunStats};
+use crate::arena::QueryArena;
 use crate::config::{EntityPrior, XCleanConfig};
-use crate::pruning::AccumulatorTable;
+use crate::pipeline::Semantics;
+use crate::pruning::ScoreSink;
+use crate::view::Scoring;
 
 /// Computes the SLCA set of `lists` — per-keyword sorted, deduplicated
 /// node lists — using the indexed-lookup approach: for every node of the
@@ -82,38 +84,54 @@ pub fn slca_of_lists(tree: &XmlTree, lists: &[Vec<NodeId>]) -> Vec<NodeId> {
     out
 }
 
-/// Runs the SLCA-semantics suggestion pipeline. Mirrors
-/// [`crate::algorithm::run_xclean`] but scores SLCA entities and
-/// normalises by each candidate's own prior mass.
+/// Runs the SLCA-semantics suggestion pipeline: the same run as
+/// [`crate::algorithm::run_xclean`] with SLCA entities, each candidate
+/// normalised by its own prior mass.
 pub fn run_slca(corpus: &CorpusIndex, slots: &[KeywordSlot], config: &XCleanConfig) -> RunOutput {
-    let walk_start = Instant::now();
-    let mut out = RunOutput::default();
-    out.stats.score_partitions = 1;
-    if slots.is_empty() || slots.iter().any(|s| s.variants.is_empty()) {
-        // Phase timings are recorded even on the empty early-out (see the
-        // guarantee on RunStats).
-        out.stats.walk_nanos = nanos_since(walk_start);
-        out.stats.rank_nanos = 1;
-        return out;
-    }
+    crate::pipeline::run_corpus(corpus, Semantics::Slca, slots, config)
+}
+
+/// The LCA-family accumulate rule (SLCA, ELCA): within each gating
+/// subtree a candidate's entities are the nodes `lca_rule` derives from
+/// its keywords' occurrence lists, each scored like a node-type entity and
+/// emitted into `sink`. The minimal-depth gate `d` excludes shallower
+/// entities, consistent with the node-type run. LCA entities are
+/// candidate-specific, so no result type is inferred (contributions carry
+/// [`PathId::INVALID`]) and candidates are not partitioned.
+pub(crate) fn accumulate_lca<S: ScoreSink>(
+    view: &Scoring<'_>,
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+    lca_rule: impl Fn(&XmlTree, &[Vec<NodeId>]) -> Vec<NodeId>,
+    stats: &mut RunStats,
+    arena: &mut QueryArena,
+    sink: &mut S,
+) {
     let error_model = ErrorModel::new(config.beta);
-    let lm = LanguageModel::new(corpus, config.effective_smoothing());
-    let tree = corpus.tree();
+    let lm = view.language_model(config.effective_smoothing());
+    let tree = view.tree();
 
-    let distance_of: Vec<HashMap<TokenId, u32>> = slots
-        .iter()
-        .map(|s| s.variants.iter().map(|v| (v.token, v.distance)).collect())
-        .collect();
-
-    let mut table = AccumulatorTable::new(config.gamma);
+    for (m, s) in arena.distance_maps(slots.len()).iter_mut().zip(slots) {
+        m.extend(s.variants.iter().map(|v| (v.token, v.distance)));
+    }
+    let QueryArena {
+        occurrences,
+        slot_tokens,
+        candidate,
+        distances,
+        distance_of,
+        ..
+    } = arena;
     let mut candidates_enumerated = 0u64;
     let mut entities_scored = 0u64;
 
-    crate::walk::walk_gated_subtrees(
-        corpus,
+    crate::walk::walk_gated_subtrees_scoped(
+        view,
         slots,
         config,
-        &mut out.stats,
+        stats,
+        occurrences,
+        slot_tokens,
         |_g, occurrences, slot_tokens| {
             // Per-token occurrence nodes/counts in this subtree (dedup
             // across slots: the same posting can surface in several merged
@@ -130,85 +148,60 @@ pub fn run_slca(corpus: &CorpusIndex, slots: &[KeywordSlot], config: &XCleanConf
             }
 
             let mut budget = config.max_candidates_per_subtree;
-            crate::walk::enumerate_candidates(slot_tokens, &mut budget, &mut |cand| {
-                candidates_enumerated += 1;
-                let mut distinct: Vec<TokenId> = cand.to_vec();
-                distinct.sort_unstable();
-                distinct.dedup();
-                let lists: Vec<Vec<NodeId>> = distinct
-                    .iter()
-                    .map(|t| token_nodes[t].iter().map(|&(n, _)| n).collect())
-                    .collect();
-                let slcas = slca_of_lists(tree, &lists);
-                if slcas.is_empty() {
-                    return;
-                }
-                let distances: Vec<u32> = cand
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| distance_of[i][t])
-                    .collect();
-                let log_w = error_model.log_query_weight(&distances);
-                for &r in &slcas {
-                    if tree.depth(r) < config.min_depth {
-                        continue;
+            crate::walk::enumerate_candidates_in(
+                slot_tokens,
+                candidate,
+                &mut budget,
+                &mut |cand| {
+                    candidates_enumerated += 1;
+                    let mut distinct: Vec<TokenId> = cand.to_vec();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    let lists: Vec<Vec<NodeId>> = distinct
+                        .iter()
+                        .map(|t| token_nodes[t].iter().map(|&(n, _)| n).collect())
+                        .collect();
+                    let entities = lca_rule(tree, &lists);
+                    if entities.is_empty() {
+                        return;
                     }
-                    let dlen = corpus.doc_len(r);
-                    let mut log_score = 0.0f64;
-                    for &t in cand.iter() {
-                        let count: u64 = token_nodes[&t]
-                            .iter()
-                            .filter(|&&(n, _)| tree.is_ancestor_or_self(r, n))
-                            .map(|&(_, tf)| u64::from(tf))
-                            .sum();
-                        log_score += lm.log_prob(t, count, dlen);
+                    distances.clear();
+                    distances.extend(cand.iter().enumerate().map(|(i, t)| distance_of[i][t]));
+                    let log_w = error_model.log_query_weight(distances);
+                    for &r in &entities {
+                        if tree.depth(r) < config.min_depth {
+                            continue;
+                        }
+                        let dlen = view.doc_len(r);
+                        let mut log_score = 0.0f64;
+                        for &t in cand.iter() {
+                            let count: u64 = token_nodes[&t]
+                                .iter()
+                                .filter(|&&(n, _)| tree.is_ancestor_or_self(r, n))
+                                .map(|&(_, tf)| u64::from(tf))
+                                .sum();
+                            log_score += lm.log_prob(t, count, dlen);
+                        }
+                        entities_scored += 1;
+                        let weight = match config.prior {
+                            EntityPrior::Uniform => 1.0,
+                            EntityPrior::DocLength => dlen.max(1) as f64,
+                        };
+                        sink.accumulate(
+                            cand,
+                            log_score.exp() * weight,
+                            weight,
+                            log_w,
+                            distances,
+                            PathId::INVALID,
+                        );
                     }
-                    entities_scored += 1;
-                    let weight = match config.prior {
-                        EntityPrior::Uniform => 1.0,
-                        EntityPrior::DocLength => dlen.max(1) as f64,
-                    };
-                    table.add_weighted(
-                        cand,
-                        log_score.exp() * weight,
-                        weight,
-                        log_w,
-                        &distances,
-                        PathId::INVALID,
-                    );
-                }
-            });
+                },
+            );
         },
     );
-    out.stats.candidates_enumerated = candidates_enumerated;
-    out.stats.entities_scored = entities_scored;
-    out.stats.pruning = table.stats();
-    out.stats.walk_nanos = nanos_since(walk_start);
-
-    // SLCA entities are candidate-specific, so the prior normaliser is the
-    // candidate's own accumulated prior mass.
-    let rank_start = Instant::now();
-    let mut scored: Vec<ScoredCandidate> = table
-        .into_entries()
-        .into_iter()
-        .filter(|(_, acc)| acc.score_sum > 0.0 && acc.weight_sum > 0.0)
-        .map(|(tokens, acc)| ScoredCandidate {
-            log_score: acc.log_error_weight + (acc.score_sum / acc.weight_sum).ln(),
-            tokens,
-            distances: acc.distances,
-            result_path: PathId::INVALID,
-            entity_count: acc.entity_count,
-        })
-        .collect();
-    scored.sort_by(|a, b| {
-        b.log_score
-            .partial_cmp(&a.log_score)
-            .expect("scores are never NaN")
-            .then_with(|| a.tokens.cmp(&b.tokens))
-    });
-    out.stats.rank_nanos = nanos_since(rank_start);
-    out.candidates = scored;
-    out
+    stats.candidates_enumerated = candidates_enumerated;
+    stats.entities_scored = entities_scored;
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Scoring view: one corpus-access seam for the unsharded engine and the
-//! per-shard scatter phase of [`crate::sharded`].
+//! Scoring view: one corpus-access seam for a plain corpus and for each
+//! shard of a set (the per-shard scatter walks of [`crate::pipeline`]).
 //!
 //! Algorithm 1 touches the corpus through a handful of read paths: merged
 //! posting lists, the background language model, per-token path statistics
@@ -46,7 +46,7 @@ pub(crate) struct GlobalStats {
 }
 
 /// Shard-local id remapping plus the global statistics, borrowed from a
-/// `ShardedEngine` for the duration of one per-shard scatter run.
+/// `Pipeline` for the duration of one query.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardScope<'a> {
     /// Global token id → this shard's local token id (absent when the

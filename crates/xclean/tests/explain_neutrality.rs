@@ -2,9 +2,11 @@
 //! served suggestions byte-identical — same terms, same `f64` score
 //! *bits*, same distances and entity counts — at every thread count, on
 //! both the unsharded and the sharded engine (ISSUE 10 acceptance
-//! criterion).
+//! criterion) — and the one-pipeline matrix: every entry point of every
+//! engine shape is the same run (ISSUE 14).
 
-use xclean::{ShardedEngine, XCleanConfig, XCleanEngine};
+use xclean::telemetry::names;
+use xclean::{run_xclean, Pipeline, Semantics, ShardedEngine, XCleanConfig, XCleanEngine};
 use xclean_index::{partition_corpus, CorpusIndex};
 use xclean_xmltree::parse_document;
 
@@ -140,5 +142,133 @@ fn explain_matches_under_binding_gamma_on_both_engines() {
         assert_eq!(trace_s.stages.rejected, served_s.stats.pruning.rejected);
         // Cross-shape: sharded and unsharded traces agree on suggestions.
         assert_bit_identical(&trace_u.suggestions, &trace_s.suggestions, q);
+    }
+}
+
+/// One pipeline, one answer: over {one corpus, 1-shard set, 4-shard set}
+/// × threads {1, 8} × γ {unbounded, binding}, `suggest`, `suggest_many`
+/// and `explain` agree bit for bit with each other and with the top-k of
+/// the free `run_xclean` over the unsharded parent; explain accounts for
+/// every contribution and moves no serving counter.
+#[test]
+fn every_entry_point_of_every_shape_is_the_same_run() {
+    let parent = corpus();
+    for gamma in [None, Some(1)] {
+        for threads in [1usize, 8] {
+            let config = XCleanConfig {
+                epsilon: 2,
+                gamma,
+                num_threads: threads,
+                ..Default::default()
+            };
+            let unsharded = XCleanEngine::from_corpus(corpus(), config.clone());
+            let sharded = |n| {
+                let shards = partition_corpus(&parent, n, 7).unwrap();
+                ShardedEngine::from_shards(shards, config.clone()).unwrap()
+            };
+            let (one_shard, four_shards) = (sharded(1), sharded(4));
+            let shapes: [(&str, &Pipeline); 3] = [
+                ("unsharded", &unsharded),
+                ("1-shard", &one_shard),
+                ("4-shard", &four_shards),
+            ];
+            for (shape, engine) in shapes {
+                let batch = engine.suggest_many(QUERIES);
+                for (q, batched) in QUERIES.iter().zip(&batch) {
+                    let ctx = format!("{shape} threads={threads} gamma={gamma:?} q={q}");
+                    let served = engine.suggest(q);
+                    assert_bit_identical(&served.suggestions, &batched.suggestions, &ctx);
+
+                    let queries_before = engine.metrics().counter_value(names::QUERIES);
+                    let trace = engine.explain(q);
+                    assert_eq!(
+                        engine.metrics().counter_value(names::QUERIES),
+                        queries_before,
+                        "{ctx}: explain must not count as a served query"
+                    );
+                    assert_bit_identical(&served.suggestions, &trace.suggestions, &ctx);
+                    assert_eq!(
+                        trace.stages.contributions, served.stats.entities_scored,
+                        "{ctx}: every scored entity is one contribution"
+                    );
+                    assert_eq!(
+                        trace.eviction_events_total,
+                        served.stats.pruning.evictions + served.stats.pruning.rejected,
+                        "{ctx}: explain observes exactly the served γ-decisions"
+                    );
+
+                    let slots = unsharded.make_slots(&unsharded.parse_query(q));
+                    let free = run_xclean(&parent, &slots, &config);
+                    let top_k = free.candidates.iter().take(config.k);
+                    assert_eq!(served.suggestions.len(), top_k.len(), "{ctx}");
+                    for (s, c) in served.suggestions.iter().zip(top_k) {
+                        let terms: Vec<&str> =
+                            c.tokens.iter().map(|&t| parent.vocab().term(t)).collect();
+                        assert_eq!(s.terms, terms, "{ctx}");
+                        assert_eq!(s.log_score.to_bits(), c.log_score.to_bits(), "{ctx}");
+                        assert_eq!(s.distances, c.distances, "{ctx}");
+                        assert_eq!(s.entity_count, c.entity_count, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The paper's Figure 2 shape: the second `<c>` holds tree, trie and icde
+/// at once, so several candidates compete inside one gating subtree and
+/// γ = 1 must take eviction/rejection decisions under every semantics.
+fn crowded_corpus() -> CorpusIndex {
+    let xml = "<a>\
+        <c><x>tree</x></c>\
+        <c><x>trie</x><x>tree</x><y>icde</y></c>\
+        <d><x>trie</x><y>icdt icde</y></d>\
+        <d><x>trie</x><y>icde</y></d>\
+    </a>";
+    CorpusIndex::build(parse_document(xml).unwrap())
+}
+
+/// SLCA and ELCA flow through the same sink, so explain is the served
+/// run for them too — γ-decisions included.
+#[test]
+fn explain_is_the_served_run_under_slca_and_elca() {
+    for semantics in [Semantics::Slca, Semantics::Elca] {
+        for threads in [1usize, 8] {
+            for gamma in [None, Some(1)] {
+                let engine = XCleanEngine::from_corpus(
+                    crowded_corpus(),
+                    XCleanConfig {
+                        epsilon: 2,
+                        gamma,
+                        num_threads: threads,
+                        ..Default::default()
+                    },
+                )
+                .with_semantics(semantics);
+                let mut events = 0;
+                for q in ["tree icdt", "trie icde", "icde", "qqqq zzzz"] {
+                    let ctx = format!("{semantics:?} threads={threads} gamma={gamma:?} q={q}");
+                    let served = engine.suggest(q);
+                    let trace = engine.explain(q);
+                    assert_eq!(trace.semantics, semantics.as_str(), "{ctx}");
+                    assert_bit_identical(&served.suggestions, &trace.suggestions, &ctx);
+                    assert_eq!(
+                        trace.stages.contributions, served.stats.entities_scored,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        trace.eviction_events_total,
+                        trace.stages.evictions + trace.stages.rejected,
+                        "{ctx}"
+                    );
+                    assert_eq!(trace.stages.evictions, served.stats.pruning.evictions);
+                    assert_eq!(trace.stages.rejected, served.stats.pruning.rejected);
+                    events += trace.eviction_events_total;
+                }
+                // Binding γ must actually bind somewhere, or the equalities
+                // above compare zeros.
+                assert_eq!(events > 0, gamma.is_some(), "{semantics:?} gamma={gamma:?}");
+            }
+        }
     }
 }
