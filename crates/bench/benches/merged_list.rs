@@ -38,8 +38,8 @@ fn bench_merge_vs_skip(c: &mut Criterion) {
                         .map(|(i, l)| (TokenId(i as u32), l)),
                 );
                 let mut n = 0u64;
-                while let Some(e) = m.next() {
-                    n += u64::from(e.posting.node.0);
+                while let Some((_, node, _)) = m.next() {
+                    n += u64::from(node.0);
                 }
                 black_box(n)
             })
@@ -59,10 +59,10 @@ fn bench_merge_vs_skip(c: &mut Criterion) {
                     );
                     let mut n = 0u64;
                     let mut target = 0u32;
-                    while let Some(e) = m.skip_to(NodeId(target)) {
-                        n += u64::from(e.posting.node.0);
+                    while let Some(node) = m.skip_to_node(NodeId(target)) {
+                        n += u64::from(node.0);
                         m.next();
-                        target = e.posting.node.0 + 20_000;
+                        target = node.0 + 20_000;
                     }
                     black_box(n)
                 })

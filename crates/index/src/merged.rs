@@ -9,21 +9,18 @@
 //! the skipping ablation (DESIGN.md §7, experiment E11).
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use xclean_xmltree::NodeId;
 
-use crate::posting::{Posting, PostingList};
+use crate::posting::PostingList;
 use crate::vocab::TokenId;
 
-/// A posting together with the variant token it belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergedEntry<'a> {
-    /// The variant whose inverted list produced this posting.
-    pub token: TokenId,
-    /// The posting itself.
-    pub posting: Posting<'a>,
-}
+/// What the walk reads of a merged-list entry: the variant token whose
+/// inverted list produced the posting, the posting's node, and its term
+/// frequency. The posting's path and Dewey columns are never touched.
+pub type MergedEntry = (TokenId, NodeId, u32);
 
 /// Counters of posting-list I/O performed by a [`MergedList`].
 ///
@@ -54,11 +51,26 @@ struct Cursor<'a> {
     pos: usize,
 }
 
+/// Heap key of a member whose current posting is at `node`: node id in
+/// the high half, member index in the low half, so `u64` order is
+/// `(node, member)` order.
+fn heap_key(node: NodeId, member: usize) -> Reverse<u64> {
+    Reverse(u64::from(node.0) << 32 | member as u64)
+}
+
+fn key_node(key: Reverse<u64>) -> NodeId {
+    NodeId((key.0 >> 32) as u32)
+}
+
+fn key_member(key: Reverse<u64>) -> usize {
+    key.0 as u32 as usize
+}
+
 /// Merged view over the inverted lists of a keyword's variants.
 pub struct MergedList<'a> {
     members: Vec<Cursor<'a>>,
-    /// Min-heap of (current node, member index) for members not exhausted.
-    heap: BinaryHeap<Reverse<(NodeId, usize)>>,
+    /// Min-heap of [`heap_key`]s, one per member not yet exhausted.
+    heap: BinaryHeap<Reverse<u64>>,
     stats: AccessStats,
 }
 
@@ -73,10 +85,14 @@ impl<'a> MergedList<'a> {
                 pos: 0,
             })
             .collect();
+        assert!(
+            u32::try_from(members.len()).is_ok(),
+            "member index must fit the heap key"
+        );
         let mut heap = BinaryHeap::with_capacity(members.len());
         for (i, c) in members.iter().enumerate() {
             if !c.list.is_empty() {
-                heap.push(Reverse((c.list.node_at(0), i)));
+                heap.push(heap_key(c.list.node_at(0), i));
             }
         }
         MergedList {
@@ -88,39 +104,36 @@ impl<'a> MergedList<'a> {
 
     /// The head of the merged list without consuming it
     /// (the paper's `cur_pos()`).
-    pub fn cur_pos(&self) -> Option<MergedEntry<'a>> {
-        let &Reverse((_, i)) = self.heap.peek()?;
-        let c = &self.members[i];
-        Some(MergedEntry {
-            token: c.token,
-            posting: c.list.get(c.pos),
-        })
+    pub fn cur_pos(&self) -> Option<MergedEntry> {
+        let c = &self.members[key_member(*self.heap.peek()?)];
+        Some((c.token, c.list.node_at(c.pos), c.list.tf_at(c.pos)))
     }
 
     /// Node id of the head alone — a single heap peek. The anchor walk
-    /// polls heads once per visited subtree and almost always only needs
-    /// the id for a range comparison; materialising the full
-    /// [`MergedEntry`] there (token + tf + dewey slice, several column
-    /// reads) is pure overhead, so the hot paths use this instead.
+    /// polls heads once per visited subtree and only needs the id for a
+    /// range comparison.
     pub fn head_node(&self) -> Option<NodeId> {
-        self.heap.peek().map(|&Reverse((n, _))| n)
+        self.heap.peek().map(|&key| key_node(key))
     }
 
     /// Returns the head and removes it from the list. Named after the
     /// paper's `next()` operation; `MergedList` is deliberately not an
     /// `Iterator` because `skip_to` interleaves with consumption.
+    ///
+    /// The member's next posting replaces the heap top in place (one sift
+    /// down) rather than a pop followed by a push.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<MergedEntry<'a>> {
-        let Reverse((_, i)) = self.heap.pop()?;
+    pub fn next(&mut self) -> Option<MergedEntry> {
+        let mut top = self.heap.peek_mut()?;
+        let i = key_member(*top);
         let c = &mut self.members[i];
-        let entry = MergedEntry {
-            token: c.token,
-            posting: c.list.get(c.pos),
-        };
+        let entry = (c.token, c.list.node_at(c.pos), c.list.tf_at(c.pos));
         c.pos += 1;
         self.stats.read += 1;
         if c.pos < c.list.len() {
-            self.heap.push(Reverse((c.list.node_at(c.pos), i)));
+            *top = heap_key(c.list.node_at(c.pos), i);
+        } else {
+            PeekMut::pop(top);
         }
         Some(entry)
     }
@@ -129,37 +142,39 @@ impl<'a> MergedList<'a> {
     /// posting `>= target`, if any (the paper's `skip_to(dewey)`; node ids
     /// are document-order ranks, so the comparison is equivalent).
     ///
-    /// Lazy by member: only heap heads *behind* the target are popped,
-    /// galloped forward, and re-pushed — members already at or past the
-    /// target are never touched. A gated anchor walk calls `skip_to` once
-    /// per subtree, so on wide variant sets (hundreds of member lists at
+    /// Lazy by member: only heap heads *behind* the target are galloped
+    /// forward and re-sifted — members already at or past the target are
+    /// never touched. A gated anchor walk calls `skip_to` once per
+    /// subtree, so on wide variant sets (hundreds of member lists at
     /// realistic corpus scale) this turns the dominant walk cost from
     /// `O(V log V)` per subtree into `O(b log V)` for the `b` members that
     /// actually moved. Skipped-posting counts and the resulting cursor
     /// positions are identical to an eager whole-heap rebuild; heap
     /// entries are unique `(node, member)` pairs, so the pop order — and
     /// with it every downstream result — is deterministic either way.
-    pub fn skip_to(&mut self, target: NodeId) -> Option<MergedEntry<'a>> {
+    pub fn skip_to(&mut self, target: NodeId) -> Option<MergedEntry> {
         self.skip_to_node(target);
         self.cur_pos()
     }
 
-    /// [`skip_to`] when only the resulting head *node* is needed: same
-    /// member advancement and I/O accounting, but no entry is
-    /// materialised. This is the walk's presence-gate primitive.
+    /// [`Self::skip_to`] when only the resulting head *node* is needed:
+    /// same member advancement and I/O accounting, but no entry is read.
+    /// This is the walk's presence-gate primitive.
     pub fn skip_to_node(&mut self, target: NodeId) -> Option<NodeId> {
         self.stats.skip_calls += 1;
-        while let Some(&Reverse((head, i))) = self.heap.peek() {
-            if head >= target {
+        while let Some(mut top) = self.heap.peek_mut() {
+            if key_node(*top) >= target {
                 break;
             }
-            self.heap.pop();
+            let i = key_member(*top);
             let c = &mut self.members[i];
             let new_pos = c.list.skip_from(c.pos, target);
             self.stats.skipped += (new_pos - c.pos) as u64;
             c.pos = new_pos;
             if c.pos < c.list.len() {
-                self.heap.push(Reverse((c.list.node_at(c.pos), i)));
+                *top = heap_key(c.list.node_at(c.pos), i);
+            } else {
+                PeekMut::pop(top);
             }
         }
         self.head_node()
@@ -188,7 +203,6 @@ impl<'a> MergedList<'a> {
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<MergedList<'static>>();
-    assert_send::<MergedEntry<'static>>();
 };
 
 #[cfg(test)]
@@ -210,8 +224,8 @@ mod tests {
         let b = pl(&[2, 5, 7]);
         let mut m = MergedList::new([(TokenId(0), &a), (TokenId(1), &b)]);
         let mut seen = Vec::new();
-        while let Some(e) = m.next() {
-            seen.push((e.posting.node.0, e.token.0));
+        while let Some((token, node, _)) = m.next() {
+            seen.push((node.0, token.0));
         }
         assert_eq!(seen, vec![(1, 0), (2, 1), (5, 0), (5, 1), (7, 1), (9, 0)]);
         assert!(m.is_exhausted());
@@ -222,9 +236,9 @@ mod tests {
     fn cur_pos_does_not_consume() {
         let a = pl(&[3]);
         let mut m = MergedList::new([(TokenId(0), &a)]);
-        assert_eq!(m.cur_pos().unwrap().posting.node, NodeId(3));
-        assert_eq!(m.cur_pos().unwrap().posting.node, NodeId(3));
-        assert_eq!(m.next().unwrap().posting.node, NodeId(3));
+        assert_eq!(m.cur_pos().unwrap().1, NodeId(3));
+        assert_eq!(m.cur_pos().unwrap().1, NodeId(3));
+        assert_eq!(m.next().unwrap().1, NodeId(3));
         assert!(m.cur_pos().is_none());
     }
 
@@ -234,10 +248,10 @@ mod tests {
         let b = pl(&[2, 6, 10]);
         let mut m = MergedList::new([(TokenId(0), &a), (TokenId(1), &b)]);
         let e = m.skip_to(NodeId(5)).unwrap();
-        assert_eq!(e.posting.node, NodeId(6));
+        assert_eq!(e.1, NodeId(6));
         assert_eq!(m.stats().skipped, 3); // 1, 4 from a; 2 from b
         let e = m.skip_to(NodeId(11)).unwrap();
-        assert_eq!(e.posting.node, NodeId(12));
+        assert_eq!(e.1, NodeId(12));
         assert!(m.skip_to(NodeId(13)).is_none());
         assert!(m.is_exhausted());
     }
@@ -247,7 +261,7 @@ mod tests {
         let a = pl(&[10, 20]);
         let mut m = MergedList::new([(TokenId(0), &a)]);
         let e = m.skip_to(NodeId(5)).unwrap();
-        assert_eq!(e.posting.node, NodeId(10));
+        assert_eq!(e.1, NodeId(10));
         assert_eq!(m.stats().skipped, 0);
     }
 
@@ -267,12 +281,12 @@ mod tests {
         let a = pl(&[1, 3, 5, 7, 9, 11]);
         let b = pl(&[2, 4, 6, 8, 10, 12]);
         let mut m = MergedList::new([(TokenId(0), &a), (TokenId(1), &b)]);
-        assert_eq!(m.next().unwrap().posting.node, NodeId(1));
-        assert_eq!(m.skip_to(NodeId(6)).unwrap().posting.node, NodeId(6));
-        assert_eq!(m.next().unwrap().posting.node, NodeId(6));
-        assert_eq!(m.next().unwrap().posting.node, NodeId(7));
-        assert_eq!(m.skip_to(NodeId(12)).unwrap().posting.node, NodeId(12));
-        assert_eq!(m.next().unwrap().posting.node, NodeId(12));
+        assert_eq!(m.next().unwrap().1, NodeId(1));
+        assert_eq!(m.skip_to(NodeId(6)).unwrap().1, NodeId(6));
+        assert_eq!(m.next().unwrap().1, NodeId(6));
+        assert_eq!(m.next().unwrap().1, NodeId(7));
+        assert_eq!(m.skip_to(NodeId(12)).unwrap().1, NodeId(12));
+        assert_eq!(m.next().unwrap().1, NodeId(12));
         assert!(m.next().is_none());
     }
 }
@@ -337,8 +351,8 @@ mod prop {
         MergedList::new(pls.iter().enumerate().map(|(i, l)| (TokenId(i as u32), l)))
     }
 
-    fn entry_pair(e: MergedEntry<'_>) -> (u32, u32) {
-        (e.posting.node.0, e.token.0)
+    fn entry_pair((token, node, _): MergedEntry) -> (u32, u32) {
+        (node.0, token.0)
     }
 
     proptest! {
@@ -463,21 +477,21 @@ mod prop {
             let mut last = None;
             for (op, arg) in ops {
                 if op == 0 {
-                    let got = m.next().map(|e| e.posting.node.0);
+                    let got = m.next().map(|e| e.1 .0);
                     let expect = all.get(ref_pos).copied();
                     prop_assert_eq!(got, expect);
                     if got.is_some() { ref_pos += 1; }
                 } else {
-                    let got = m.skip_to(NodeId(arg)).map(|e| e.posting.node.0);
+                    let got = m.skip_to(NodeId(arg)).map(|e| e.1 .0);
                     ref_pos += all[ref_pos..].partition_point(|&x| x < arg);
                     let expect = all.get(ref_pos).copied();
                     prop_assert_eq!(got, expect);
                 }
-                if let Some(e) = m.cur_pos() {
+                if let Some((_, NodeId(head), _)) = m.cur_pos() {
                     if let Some(l) = last {
-                        prop_assert!(e.posting.node.0 >= l);
+                        prop_assert!(head >= l);
                     }
-                    last = Some(e.posting.node.0);
+                    last = Some(head);
                 }
             }
         }

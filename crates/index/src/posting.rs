@@ -96,6 +96,11 @@ impl PostingList {
         self.nodes[i]
     }
 
+    /// Term frequency of the `i`-th posting alone (see [`Self::node_at`]).
+    pub fn tf_at(&self, i: usize) -> u32 {
+        self.tfs[i]
+    }
+
     /// Node ids of all postings (document order).
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes

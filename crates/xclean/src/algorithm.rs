@@ -38,7 +38,6 @@
 //! reports what actually ran), keeping the bit-identity contract
 //! unconditional for every `num_threads` value.
 
-use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use xclean_index::{AccessStats, CorpusIndex, TokenId};
@@ -46,12 +45,14 @@ use xclean_lm::ErrorModel;
 use xclean_xmltree::{NodeId, PathId};
 
 use crate::arena::QueryArena;
+use crate::candidates::TypeSlot;
 use crate::config::{fnv1a, EntityPrior, XCleanConfig};
 use crate::pipeline::Semantics;
 use crate::pruning::{Accumulator, CandidateKey, PruningStats, ScoreSink};
 use crate::result_type::find_result_type_scoped;
 use crate::variants::Variant;
 use crate::view::Scoring;
+use crate::walk::SlotOccurrences;
 
 /// A query keyword with its generated variant set.
 #[derive(Debug, Clone)]
@@ -222,6 +223,96 @@ pub(crate) fn candidate_partition(cand: &[TokenId], parts: usize) -> usize {
     (h % parts as u64) as usize
 }
 
+/// The variant occurrences of one gating subtree, grouped for scoring:
+/// deduplicated across slots (the same posting can surface in several
+/// keywords' merged lists) and, per result type a candidate of the subtree
+/// asks for, summed into one sorted run of per-entity term counts. A few
+/// dozen triples per subtree, so grouping is a sort of a small vector
+/// rather than a map build; all storage is recycled through the arena.
+#[derive(Debug, Default)]
+pub(crate) struct EntityGroups {
+    /// The subtree's distinct `(token, node, tf)` occurrences, sorted.
+    occ: Vec<(TokenId, NodeId, u32)>,
+    /// `(result type, range of `rows`)` of each run built so far.
+    runs: Vec<(PathId, usize, usize)>,
+    /// The runs, concatenated: `(entity, token, Σ tf)`, each run sorted by
+    /// `(entity, token)` with one row per pair.
+    rows: Vec<(NodeId, TokenId, u64)>,
+}
+
+impl EntityGroups {
+    /// Starts a subtree: collects its occurrences from every slot.
+    pub(crate) fn begin_subtree(&mut self, occurrences: &SlotOccurrences) {
+        self.clear();
+        self.occ.extend(occurrences.iter().flatten());
+        self.occ.sort_unstable();
+        self.occ.dedup_by_key(|&mut (token, node, _)| (token, node));
+    }
+
+    /// Forgets the current subtree, keeping capacity.
+    pub(crate) fn clear(&mut self) {
+        self.occ.clear();
+        self.runs.clear();
+        self.rows.clear();
+    }
+
+    /// `true` when no subtree is held.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.occ.is_empty() && self.runs.is_empty() && self.rows.is_empty()
+    }
+
+    /// The subtree's occurrences of `token`, in document order.
+    pub(crate) fn occurrences_of(&self, token: TokenId) -> &[(TokenId, NodeId, u32)] {
+        let start = self.occ.partition_point(|&(t, _, _)| t < token);
+        let len = self.occ[start..].partition_point(|&(t, _, _)| t == token);
+        &self.occ[start..start + len]
+    }
+
+    /// The run of result type `path`: for every entity of that type in the
+    /// subtree, in document order, its `(entity, token, count in the
+    /// entity's subtree)` rows. Built on first request per subtree.
+    pub(crate) fn entities_of(
+        &mut self,
+        view: &Scoring<'_>,
+        path: PathId,
+    ) -> &[(NodeId, TokenId, u64)] {
+        if let Some(&(_, start, end)) = self.runs.iter().find(|run| run.0 == path) {
+            return &self.rows[start..end];
+        }
+        let tree = view.tree();
+        // `path` is a *global* id; under a shard scope the candidate entity's
+        // local path is compared through `view.node_path`, and the depth comes
+        // from the global table (local depths are preserved by the
+        // partitioner, so the truncation height is the same either way).
+        let depth = view.path_depth(path);
+        let start = self.rows.len();
+        for &(token, node, tf) in &self.occ {
+            if let Some(r) = tree.ancestor_at_depth(node, depth) {
+                if view.node_path(r) == path {
+                    self.rows.push((r, token, u64::from(tf)));
+                }
+            }
+        }
+        // Entities are scored in document order, which fixes the order of
+        // every accumulator's f64 adds.
+        self.rows[start..].sort_unstable_by_key(|&(r, token, _)| (r, token));
+        let mut end = start;
+        for i in start..self.rows.len() {
+            let row = self.rows[i];
+            if end > start && (self.rows[end - 1].0, self.rows[end - 1].1) == (row.0, row.1) {
+                self.rows[end - 1].2 += row.2;
+            } else {
+                self.rows[end] = row;
+                end += 1;
+            }
+        }
+        self.rows.truncate(end);
+        self.runs.push((path, start, end));
+        &self.rows[start..end]
+    }
+}
+
 /// The node-type accumulate rule over a [`Scoring`] view and a
 /// [`ScoreSink`]: walks the view's tree, enumerates candidates, and emits
 /// one `accumulate` call per (candidate, entity) contribution — in
@@ -242,26 +333,21 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
     arena: &mut QueryArena,
     sink: &mut S,
 ) {
-    let error_model = ErrorModel::new(config.beta);
     let lm = view.language_model(config.effective_smoothing());
-
-    // Per-slot edit distances for error weights (arena-recycled maps).
-    for (m, s) in arena.distance_maps(slots.len()).iter_mut().zip(slots) {
-        m.extend(s.variants.iter().map(|v| (v.token, v.distance)));
-    }
+    arena
+        .candidates
+        .compile(slots, ErrorModel::new(config.beta));
     // Split the arena into independently-borrowed scratch pieces: the
     // walk owns the occurrence/token buffers while the subtree closure
-    // works the scoring scratch. The table storage (`accs`/`evicted`)
-    // belongs to the caller's sink, not this phase.
+    // works the scoring scratch. The sink's own storage (table or log) is
+    // the caller's to lend.
     let QueryArena {
         occurrences,
         slot_tokens,
         candidate,
-        distances,
-        distance_of,
-        type_cache,
-        entity_maps,
-        seen,
+        candidates,
+        groups,
+        type_order,
         ..
     } = arena;
     let mut candidates_enumerated = 0u64;
@@ -277,10 +363,8 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
         slot_tokens,
         |_g, occurrences, slot_tokens| {
             // Lines 12–15: enumerate candidates and accumulate entity
-            // scores. Entity-count maps are built lazily per result type.
-            // The map is keyed in NodeId order so entity accumulation
-            // order (and with it f64 rounding) is reproducible.
-            entity_maps.clear();
+            // scores. Entity runs are built lazily per result type.
+            groups.begin_subtree(occurrences);
             let mut budget = config.max_candidates_per_subtree;
             crate::walk::enumerate_candidates_in(
                 slot_tokens,
@@ -291,25 +375,35 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
                     if candidate_partition(cand, parts) != part {
                         return;
                     }
-                    let rt = type_cache.entry(cand.to_vec()).or_insert_with(|| {
-                        result_type_computations += 1;
-                        find_result_type_scoped(view, cand, config.min_depth, config.depth_decay)
-                    });
-                    let Some(rt) = *rt else { return };
-                    let entities = entity_maps
-                        .entry(rt.path)
-                        .or_insert_with(|| build_entity_map(view, occurrences, rt.path, seen));
-                    distances.clear();
-                    distances.extend(cand.iter().enumerate().map(|(i, t)| distance_of[i][t]));
-                    let log_w = error_model.log_query_weight(distances);
-                    for (&r, counts) in entities.iter() {
+                    let id = candidates.intern(cand);
+                    let path = match candidates.result_type(id) {
+                        TypeSlot::Path(path) => path,
+                        TypeSlot::NoType => return,
+                        TypeSlot::Unresolved => {
+                            result_type_computations += 1;
+                            let slot = find_result_type_scoped(
+                                view,
+                                cand,
+                                config.min_depth,
+                                config.depth_decay,
+                                type_order,
+                            )
+                            .map_or(TypeSlot::NoType, |rt| TypeSlot::Path(rt.path));
+                            candidates.set_result_type(id, slot);
+                            let TypeSlot::Path(path) = slot else { return };
+                            path
+                        }
+                    };
+                    let entities = groups.entities_of(view, path);
+                    for counts in entities.chunk_by(|a, b| a.0 == b.0) {
                         // The entity must contain every keyword of the candidate.
+                        let r = counts[0].0;
                         let mut score = 0.0f64;
                         let mut ok = true;
                         let dlen = view.doc_len(r);
                         for &t in cand.iter() {
-                            match counts.get(&t) {
-                                Some(&c) if c > 0 => {
+                            match counts.iter().find(|row| row.1 == t) {
+                                Some(&(_, _, c)) if c > 0 => {
                                     score += lm.log_prob(t, c, dlen);
                                 }
                                 _ => {
@@ -324,14 +418,7 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
                                 EntityPrior::Uniform => 1.0,
                                 EntityPrior::DocLength => dlen.max(1) as f64,
                             };
-                            sink.accumulate(
-                                cand,
-                                score.exp() * weight,
-                                weight,
-                                log_w,
-                                distances,
-                                rt.path,
-                            );
+                            sink.accumulate(candidates, id, score.exp() * weight, weight);
                         }
                     }
                 },
@@ -343,72 +430,65 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
     stats.entities_scored = entities_scored;
 }
 
-/// Final scoring: `log P(Q|C) + log( Σ_r P(C|r)·P(r|T) )` (Eq. 10),
-/// sorted best-first with a deterministic token tie-break. Entry order
-/// does not matter because each candidate's accumulator is already
-/// complete. `normalizer` is the prior mass the sum is divided by — the
-/// entity semantics decides it (see the call site in `crate::pipeline`).
-pub(crate) fn finalize_candidates(
-    entries: Vec<(CandidateKey, Accumulator)>,
-    normalizer: impl Fn(&Accumulator) -> f64,
-) -> Vec<ScoredCandidate> {
-    let mut scored: Vec<ScoredCandidate> = entries
-        .into_iter()
-        .filter(|(_, acc)| acc.score_sum > 0.0)
-        .map(|(tokens, acc)| ScoredCandidate {
-            log_score: acc.log_error_weight + (acc.score_sum / normalizer(&acc)).ln(),
-            tokens,
-            distances: acc.distances,
-            result_path: acc.result_path,
-            entity_count: acc.entity_count,
-        })
-        .collect();
-    scored.sort_by(|a, b| {
-        b.log_score
-            .partial_cmp(&a.log_score)
-            .expect("scores are never NaN")
-            .then_with(|| a.tokens.cmp(&b.tokens))
-    });
-    scored
+/// The key of the survivor a [`QueryArena::rank_order`] entry names.
+fn survivor_key<'a>(filled: &'a [QueryArena], entry: &(f64, u32, u32)) -> &'a [TokenId] {
+    let arena = &filled[entry.1 as usize];
+    arena
+        .candidates
+        .key(arena.table.live()[entry.2 as usize].candidate)
 }
 
-/// Builds, for one result type `path`, the map
-/// `entity node → (token → occurrence count in entity subtree)` from the
-/// occurrences collected in the current gating subtree. Occurrences are
-/// deduplicated across slots (the same posting can surface in several
-/// keywords' merged lists) through the arena-recycled `seen` map, which
-/// this function resets before use.
-fn build_entity_map(
-    view: &Scoring<'_>,
-    occurrences: &[Vec<(TokenId, NodeId, u32)>],
-    path: PathId,
-    seen: &mut HashMap<(TokenId, NodeId), ()>,
-) -> BTreeMap<NodeId, HashMap<TokenId, u64>> {
-    let tree = view.tree();
-    // `path` is a *global* id; under a shard scope the candidate entity's
-    // local path is compared through `view.node_path`, and the depth comes
-    // from the global table (local depths are preserved by the
-    // partitioner, so the truncation height is the same either way).
-    let depth = view.path_depth(path);
-    seen.clear();
-    // BTreeMap: entity iteration order must be reproducible (see the
-    // module docs on deterministic scoring).
-    let mut map: BTreeMap<NodeId, HashMap<TokenId, u64>> = BTreeMap::new();
-    for occ in occurrences {
-        for &(token, node, tf) in occ {
-            if seen.insert((token, node), ()).is_some() {
-                continue;
+/// Final scoring: `log P(Q|C) + log( Σ_r P(C|r)·P(r|T) )` (Eq. 10) for
+/// every surviving accumulator of the `filled` arenas' tables (one per
+/// candidate partition; a candidate lives in exactly one), sorted
+/// best-first with a deterministic token tie-break, the best `limit`
+/// materialised. Also returns how many candidates survived (`score_sum >
+/// 0`), whatever the limit. Accumulator order does not matter because
+/// each candidate's accumulator is already complete and the comparator is
+/// a total order. `normalizer` is the prior mass the sum is divided by —
+/// the entity semantics decides it (see the call site in
+/// `crate::pipeline`).
+pub(crate) fn finalize_candidates(
+    filled: &mut [QueryArena],
+    normalizer: impl Fn(&Accumulator) -> f64,
+    limit: usize,
+) -> (Vec<ScoredCandidate>, u64) {
+    let Some(first) = filled.first_mut() else {
+        return (Vec::new(), 0);
+    };
+    let mut order = std::mem::take(&mut first.rank_order);
+    order.clear();
+    for (a, arena) in filled.iter().enumerate() {
+        for (i, acc) in arena.table.live().iter().enumerate() {
+            if acc.score_sum > 0.0 {
+                let log_score = acc.log_error_weight + (acc.score_sum / normalizer(acc)).ln();
+                order.push((log_score, a as u32, i as u32));
             }
-            let Some(r) = tree.ancestor_at_depth(node, depth) else {
-                continue;
-            };
-            if view.node_path(r) != path {
-                continue;
-            }
-            *map.entry(r).or_default().entry(token).or_insert(0) += u64::from(tf);
         }
     }
-    map
+    order.sort_unstable_by(|a, b| {
+        b.0.partial_cmp(&a.0)
+            .expect("scores are never NaN")
+            .then_with(|| survivor_key(filled, a).cmp(survivor_key(filled, b)))
+    });
+    let scored = order
+        .iter()
+        .take(limit)
+        .map(|entry| {
+            let arena = &filled[entry.1 as usize];
+            let acc = &arena.table.live()[entry.2 as usize];
+            ScoredCandidate {
+                tokens: arena.candidates.key(acc.candidate).to_vec(),
+                log_score: entry.0,
+                distances: arena.candidates.distances(acc.candidate).to_vec(),
+                result_path: acc.result_path,
+                entity_count: acc.entity_count,
+            }
+        })
+        .collect();
+    let survivors = order.len() as u64;
+    filled[0].rank_order = order;
+    (scored, survivors)
 }
 
 #[cfg(test)]
@@ -432,6 +512,7 @@ mod tests {
             Semantics::NodeType,
             slots,
             config,
+            usize::MAX,
             telemetry,
             arenas,
             &mut |_| {},

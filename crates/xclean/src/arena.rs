@@ -1,43 +1,45 @@
 //! Per-query scratch arena: recycled buffers for the scoring hot path.
 //!
-//! One `suggest` call allocates a family of short-lived structures — the
+//! One `suggest` call works on a family of short-lived structures — the
 //! walk's per-slot occurrence buffers, the candidate enumeration scratch,
-//! the per-candidate distance vector, the result-type cache, the
-//! entity-count maps, and the accumulator table's hash storage. At
-//! realistic corpus scale (100k+ publications) those allocations are a
-//! measurable slice of query latency, and a batch (`suggest_many`) pays
-//! them once per query.
+//! the compiled candidate table, the per-subtree entity grouping, the
+//! γ-table, a shard walk's contribution log, and the ranker's sort
+//! buffer. At realistic corpus scale (100k+ publications) allocating them
+//! is a measurable slice of query latency, and a batch (`suggest_many`)
+//! would pay it once per query.
 //!
 //! [`QueryArena`] owns all of that scratch and is *reset* — contents
 //! cleared, capacity retained — between queries, so a steady-state worker
-//! reaches a fixed point where the hot path performs no heap allocation
-//! for scratch at all. The engine keeps a small pool of arenas
-//! ([`crate::XCleanEngine`]), so both single `suggest` calls and
+//! reaches a fixed point where everything between slot building and the
+//! materialisation of the top-k suggestions performs no heap allocation
+//! beyond the per-keyword merged-list cursors (pinned by the
+//! `alloc_budget` integration test). The engine keeps a small pool of
+//! arenas ([`crate::XCleanEngine`]), so both single `suggest` calls and
 //! `suggest_many` workers reuse them transparently.
 //!
 //! # Why bit-identity is preserved
 //!
 //! Recycling changes *where* the scratch lives, never *what it holds*:
-//! every structure is content-cleared before reuse, and no scoring
-//! decision reads hash-map iteration order. The three places a `HashMap`
-//! is iterated are (a) the accumulator drain, whose entries are re-sorted
-//! with a total-order comparator in `finalize_candidates`; (b) the
-//! γ-eviction victim scan, which breaks estimate ties on the candidate
-//! key and therefore selects the same victim under any iteration order;
-//! and (c) the per-entity count maps, which are only read through keyed
-//! lookups (entity iteration itself uses a `BTreeMap`). Capacity and
-//! bucket layout influence none of these, so a reused arena produces
-//! bit-identical output to a fresh one — pinned by tests in
-//! `crate::algorithm`.
-
-use std::collections::{BTreeMap, HashMap, HashSet};
+//! every buffer is content-cleared before reuse, and nothing in it is a
+//! hash map, so there is no iteration order that could vary with capacity
+//! or history. The candidate table's probe index only answers "which id
+//! has this key" (ids are never compared or iterated for a result — see
+//! `crate::candidates`); entity groups are sorted runs read front to
+//! back; the γ-table's victim scan and the ranker order candidates by
+//! (estimate or score, key), a total order over the table's contents. A
+//! reused arena therefore produces bit-identical output to a fresh one —
+//! pinned by tests in `crate::algorithm`.
 
 use xclean_index::TokenId;
-use xclean_xmltree::{NodeId, PathId};
 
-use crate::pruning::{Accumulator, CandidateKey};
-use crate::result_type::ResultType;
+use crate::algorithm::EntityGroups;
+use crate::candidates::{CandId, CandidateTable};
+use crate::pruning::AccumulatorTable;
 use crate::walk::SlotOccurrences;
+
+/// One recorded [`AccumulatorTable::add`] call of a shard walk:
+/// `(candidate, weighted score, weight)`.
+pub(crate) type Contribution = (CandId, f64, f64);
 
 /// Recycled scratch for one in-flight query (see the module docs).
 ///
@@ -52,22 +54,21 @@ pub struct QueryArena {
     pub(crate) slot_tokens: Vec<Vec<TokenId>>,
     /// Candidate-enumeration scratch (one token per slot).
     pub(crate) candidate: Vec<TokenId>,
-    /// Per-candidate edit-distance scratch.
-    pub(crate) distances: Vec<u32>,
-    /// Per-slot `token → edit distance` lookups.
-    pub(crate) distance_of: Vec<HashMap<TokenId, u32>>,
-    /// The result-type cache (hash table `P` of Algorithm 1).
-    pub(crate) type_cache: HashMap<CandidateKey, Option<ResultType>>,
-    /// Per-subtree entity-count maps, keyed by result type.
-    pub(crate) entity_maps: HashMap<PathId, BTreeMap<NodeId, HashMap<TokenId, u64>>>,
-    /// Cross-slot posting dedup used while building entity maps.
-    pub(crate) seen: HashMap<(TokenId, NodeId), ()>,
-    /// Accumulator-table storage, donated to
-    /// [`crate::pruning::AccumulatorTable::with_storage`] for the run and
-    /// returned (drained) afterwards.
-    pub(crate) accs: HashMap<CandidateKey, Accumulator>,
-    /// Eviction tombstones, donated alongside `accs`.
-    pub(crate) evicted: HashSet<CandidateKey>,
+    /// The compiled query: slot tables and interned candidates (the hash
+    /// table `P` of Algorithm 1 lives here, as one slot per candidate).
+    pub(crate) candidates: CandidateTable,
+    /// Per-subtree occurrence and entity grouping.
+    pub(crate) groups: EntityGroups,
+    /// Result-type inference scratch (list intersection order).
+    pub(crate) type_order: Vec<usize>,
+    /// The γ-table a walk or a gather accumulates into.
+    pub(crate) table: AccumulatorTable,
+    /// A shard walk's contribution stream, over `candidates`' ids.
+    pub(crate) log: Vec<Contribution>,
+    /// Gather scratch: a shard table's id → this arena's id.
+    pub(crate) remap: Vec<CandId>,
+    /// Rank scratch: `(log score, arena, accumulator)` of each survivor.
+    pub(crate) rank_order: Vec<(f64, u32, u32)>,
 }
 
 impl QueryArena {
@@ -87,32 +88,22 @@ impl QueryArena {
             v.clear();
         }
         self.candidate.clear();
-        self.distances.clear();
-        for m in &mut self.distance_of {
-            m.clear();
-        }
-        self.type_cache.clear();
-        self.entity_maps.clear();
-        self.seen.clear();
-        self.accs.clear();
-        self.evicted.clear();
-    }
-
-    /// Ensures `distance_of` has exactly `n` (cleared) per-slot maps,
-    /// reusing the capacity of maps kept from earlier queries.
-    pub(crate) fn distance_maps(&mut self, n: usize) -> &mut Vec<HashMap<TokenId, u32>> {
-        self.distance_of.truncate(n);
-        for m in &mut self.distance_of {
-            m.clear();
-        }
-        self.distance_of.resize_with(n, HashMap::new);
-        &mut self.distance_of
+        self.candidates.compile(&[], Default::default());
+        self.groups.clear();
+        self.type_order.clear();
+        self.table.reset(None);
+        self.log.clear();
+        self.remap.clear();
+        self.rank_order.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::KeywordSlot;
+    use crate::variants::Variant;
+    use xclean_xmltree::NodeId;
 
     #[test]
     fn reset_clears_contents_and_keeps_capacity() {
@@ -120,33 +111,36 @@ mod tests {
         a.occurrences.push(vec![(TokenId(1), NodeId(2), 3)]);
         a.slot_tokens.push(vec![TokenId(1)]);
         a.candidate.push(TokenId(7));
-        a.distances.extend([1, 2, 3]);
-        a.distance_maps(2)[0].insert(TokenId(1), 1);
-        a.type_cache.insert(vec![TokenId(1)], None);
-        a.seen.insert((TokenId(1), NodeId(2)), ());
-        a.evicted.insert(vec![TokenId(9)]);
-        let dist_cap = a.distances.capacity();
+        let slot = KeywordSlot {
+            keyword: "k".into(),
+            variants: vec![Variant {
+                token: TokenId(1),
+                distance: 1,
+            }],
+        };
+        a.candidates.compile(&[slot], Default::default());
+        let id = a.candidates.intern(&[TokenId(1)]);
+        a.groups.begin_subtree(&a.occurrences);
+        a.type_order.extend([0, 1]);
+        a.table.reset(Some(1));
+        a.table.add(&a.candidates, id, 0.5, 1.0, &mut |_| {});
+        a.log.extend([(id, 0.5, 1.0); 40]);
+        a.remap.push(id);
+        a.rank_order.push((0.0, 0, 0));
+        let log_cap = a.log.capacity();
         a.reset();
-        assert!(a.candidate.is_empty());
-        assert!(a.distances.is_empty());
-        assert!(a.type_cache.is_empty());
-        assert!(a.seen.is_empty());
-        assert!(a.evicted.is_empty());
         assert!(a.occurrences.iter().all(Vec::is_empty));
         assert!(a.slot_tokens.iter().all(Vec::is_empty));
-        assert!(a.distance_of.iter().all(HashMap::is_empty));
-        assert_eq!(a.distances.capacity(), dist_cap);
-    }
-
-    #[test]
-    fn distance_maps_resizes_in_both_directions() {
-        let mut a = QueryArena::new();
-        assert_eq!(a.distance_maps(3).len(), 3);
-        a.distance_of[2].insert(TokenId(5), 2);
-        // Shrinking then growing yields cleared maps, not stale entries.
-        assert_eq!(a.distance_maps(1).len(), 1);
-        let maps = a.distance_maps(3);
-        assert_eq!(maps.len(), 3);
-        assert!(maps.iter().all(HashMap::is_empty));
+        assert!(a.candidate.is_empty());
+        assert!(a.candidates.is_empty());
+        assert_eq!(a.candidates.width(), 0);
+        assert!(a.groups.is_empty());
+        assert!(a.type_order.is_empty());
+        assert!(a.table.is_empty());
+        assert!(a.table.get(id).is_none());
+        assert!(a.log.is_empty());
+        assert!(a.remap.is_empty());
+        assert!(a.rank_order.is_empty());
+        assert_eq!(a.log.capacity(), log_cap);
     }
 }

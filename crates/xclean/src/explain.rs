@@ -96,7 +96,7 @@ pub struct StageCounts {
     pub result_type_computations: u64,
     /// Entity score contributions accumulated.
     pub entities_scored: u64,
-    /// `add_weighted` calls the walk emitted into the table.
+    /// `AccumulatorTable::add` calls the walk emitted into the table.
     pub contributions: u64,
     /// Accumulators alive when the walk finished (entering rank).
     pub accumulators: u64,

@@ -32,6 +32,7 @@
 
 pub mod algorithm;
 pub mod arena;
+pub mod candidates;
 pub mod catalog;
 pub mod config;
 pub mod elca;
@@ -39,6 +40,8 @@ pub mod engine;
 pub mod explain;
 pub mod pipeline;
 pub mod pruning;
+#[cfg(test)]
+mod reference;
 pub mod result_type;
 pub mod sharded;
 pub mod slca;
@@ -49,6 +52,7 @@ pub mod walk;
 
 pub use algorithm::{run_xclean, KeywordSlot, RunOutput, RunStats, ScoredCandidate};
 pub use arena::QueryArena;
+pub use candidates::{CandId, CandidateTable, TypeSlot};
 pub use catalog::{Catalog, CatalogError, CorpusSpec};
 pub use config::{EntityPrior, XCleanConfig};
 pub use elca::{elca_of_lists, run_elca};

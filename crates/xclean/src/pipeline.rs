@@ -35,12 +35,12 @@
 //! optimiser erases; explain passes an event-capturing closure
 //! (`crate::explain`) and is otherwise the same run.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xclean_index::{CorpusIndex, LoadReport, PostingList, TokenId, Vocabulary};
+use xclean_lm::ErrorModel;
 use xclean_telemetry::{
     names, Counter, Histogram, MetricsRegistry, ShardAttribution, Telemetry, Tracer,
 };
@@ -50,12 +50,11 @@ use crate::algorithm::{
     accumulate_scoped, finalize_candidates, nanos_since, partitioning_is_exact, KeywordSlot,
     RunOutput, RunStats, ScoredCandidate,
 };
-use crate::arena::QueryArena;
+use crate::arena::{Contribution, QueryArena};
+use crate::candidates::{CandId, CandidateTable};
 use crate::config::{fnv1a, EntityPrior, XCleanConfig};
 use crate::elca::elca_of_lists;
-use crate::pruning::{
-    Accumulator, AccumulatorTable, CandidateKey, GammaEvent, PruningStats, ScoreSink,
-};
+use crate::pruning::{Accumulator, AccumulatorTable, GammaEvent, ScoreSink};
 use crate::slca::{accumulate_lca, slca_of_lists};
 use crate::variants::VariantGenerator;
 use crate::view::{GlobalStats, Scoring, ShardScope};
@@ -257,8 +256,9 @@ impl ArenaPool {
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) corpus: Arc<CorpusIndex>,
-    /// Global token id → this shard's local token id.
-    pub(crate) to_local_token: HashMap<TokenId, TokenId>,
+    /// Global token id → this shard's local token id, or
+    /// [`crate::view::ABSENT_TOKEN`] for a token the shard does not hold.
+    pub(crate) to_local_token: Vec<u32>,
     /// This shard's local path id → global path id.
     pub(crate) local_to_global_path: Vec<PathId>,
 }
@@ -268,7 +268,7 @@ impl Shard {
     pub(crate) fn plain(corpus: Arc<CorpusIndex>) -> Shard {
         Shard {
             corpus,
-            to_local_token: HashMap::new(),
+            to_local_token: Vec::new(),
             local_to_global_path: Vec::new(),
         }
     }
@@ -286,60 +286,47 @@ pub(crate) struct ShardSet {
 }
 
 /// The recorded argument stream of one shard's would-be
-/// [`AccumulatorTable::add_weighted`] calls. Per-candidate metadata
-/// (error weight, distances, result path) is identical across a
-/// candidate's contributions, so it is interned once; the entry stream
-/// keeps only `(candidate, weighted score, weight)` per entity.
-#[derive(Debug, Default)]
-struct ContributionLog {
-    metas: Vec<(CandidateKey, f64, Vec<u32>, PathId)>,
-    index: HashMap<CandidateKey, u32>,
-    entries: Vec<(u32, f64, f64)>,
-}
+/// [`AccumulatorTable::add`] calls, as `(candidate id, weighted score,
+/// weight)` per entity over the ids of the shard walk's own candidate
+/// table — which already holds what is fixed per candidate (key, error
+/// weight, distances, result path), so the log repeats none of it.
+struct ContributionLog(Vec<Contribution>);
 
-impl ContributionLog {
-    /// Feeds the log into `sink` in recorded (document) order — arguments
-    /// byte-for-byte as the walk emitted them.
-    fn replay(&self, sink: &mut impl ScoreSink) {
-        for &(meta, weighted, weight) in &self.entries {
-            let (key, log_w, distances, path) = &self.metas[meta as usize];
-            sink.accumulate(key, weighted, weight, *log_w, distances, *path);
-        }
+impl ScoreSink for ContributionLog {
+    #[inline]
+    fn accumulate(&mut self, _: &CandidateTable, id: CandId, weighted: f64, weight: f64) {
+        self.0.push((id, weighted, weight));
     }
 }
 
-impl ScoreSink for ContributionLog {
-    fn accumulate(
-        &mut self,
-        key: &CandidateKey,
-        weighted: f64,
-        weight: f64,
-        log_error_weight: f64,
-        distances: &[u32],
-        result_path: PathId,
-    ) {
-        let meta = match self.index.get(key) {
-            Some(&i) => i,
-            None => {
-                let i = self.metas.len() as u32;
-                self.index.insert(key.clone(), i);
-                self.metas.push((
-                    key.clone(),
-                    log_error_weight,
-                    distances.to_vec(),
-                    result_path,
-                ));
-                i
-            }
-        };
-        self.entries.push((meta, weighted, weight));
+/// Feeds a shard walk's log into `sink` in recorded (document) order,
+/// translating the shard's candidate ids to `gather`'s by key on first
+/// sight (`remap` is scratch). The gather's table derives a candidate's
+/// distances and error weight from the same slots with the same
+/// arithmetic and adopts the shard's inferred result type, so the sink
+/// sees arguments byte-for-byte as the walk emitted them.
+fn replay(
+    shard: &QueryArena,
+    gather: &mut CandidateTable,
+    remap: &mut Vec<CandId>,
+    sink: &mut impl ScoreSink,
+) {
+    const UNSEEN: CandId = CandId::MAX;
+    remap.clear();
+    remap.resize(shard.candidates.len(), UNSEEN);
+    for &(local, weighted, weight) in &shard.log {
+        let id = &mut remap[local as usize];
+        if *id == UNSEEN {
+            *id = gather.intern(shard.candidates.key(local));
+            gather.set_result_type(*id, shard.candidates.result_type(local));
+        }
+        sink.accumulate(gather, *id, weighted, weight);
     }
 }
 
 /// The γ-bounded table plus the observer of its decisions — the sink of
 /// every walk and replay that scores into a table. Observation is passive
-/// (see [`GammaEvent`]); with a no-op observer this is a plain
-/// [`AccumulatorTable::add_weighted`].
+/// (see [`GammaEvent`]).
 struct TableSink<'o, F> {
     table: AccumulatorTable,
     observe: &'o mut F,
@@ -347,55 +334,29 @@ struct TableSink<'o, F> {
 
 impl<F: FnMut(GammaEvent<'_>)> ScoreSink for TableSink<'_, F> {
     #[inline]
-    fn accumulate(
-        &mut self,
-        key: &CandidateKey,
-        weighted: f64,
-        weight: f64,
-        log_error_weight: f64,
-        distances: &[u32],
-        result_path: PathId,
-    ) {
-        self.table.add_weighted_observed(
-            key,
-            weighted,
-            weight,
-            log_error_weight,
-            distances,
-            result_path,
-            self.observe,
-        )
+    fn accumulate(&mut self, candidates: &CandidateTable, id: CandId, weighted: f64, weight: f64) {
+        self.table
+            .add(candidates, id, weighted, weight, self.observe)
     }
 }
 
-type Entries = Vec<(CandidateKey, Accumulator)>;
-
-/// Runs `fill` against a fresh γ-table over pooled arena storage and
-/// drains it: the table borrows the arena's hash storage for the run and
-/// hands it back (emptied, capacity kept) for the next query on this
-/// worker. `fill` also gets the arena's walk scratch.
-fn with_table<F: FnMut(GammaEvent<'_>)>(
+/// Runs `fill` against the emptied γ-table of a pooled arena and returns
+/// the arena holding the filled table next to the candidate table its ids
+/// refer to. `fill` also gets the arena's walk scratch; the caller ranks
+/// from the arena and then checks it back in.
+fn fill_table<F: FnMut(GammaEvent<'_>)>(
     arenas: &ArenaPool,
     gamma: Option<usize>,
     observe: &mut F,
     fill: impl FnOnce(&mut QueryArena, &mut TableSink<'_, F>),
-) -> (Entries, PruningStats) {
+) -> QueryArena {
     let mut arena = arenas.checkout();
-    let mut sink = TableSink {
-        table: AccumulatorTable::with_storage(
-            gamma,
-            std::mem::take(&mut arena.accs),
-            std::mem::take(&mut arena.evicted),
-        ),
-        observe,
-    };
+    let mut table = std::mem::take(&mut arena.table);
+    table.reset(gamma);
+    let mut sink = TableSink { table, observe };
     fill(&mut arena, &mut sink);
-    let pruning = sink.table.stats();
-    let (entries, accs, evicted) = sink.table.drain_entries();
-    arena.accs = accs;
-    arena.evicted = evicted;
-    arenas.checkin(arena);
-    (entries, pruning)
+    arena.table = sink.table;
+    arena
 }
 
 /// Scores one candidate partition of one plain corpus into its own table
@@ -412,10 +373,10 @@ fn score_partition<F: FnMut(GammaEvent<'_>)>(
     part_hist: &Histogram,
     arenas: &ArenaPool,
     observe: &mut F,
-) -> (Entries, RunStats) {
+) -> (QueryArena, RunStats) {
     let part_start = Instant::now();
     let mut stats = RunStats::default();
-    let (entries, pruning) = with_table(arenas, config.gamma, observe, |arena, sink| {
+    let filled = fill_table(arenas, config.gamma, observe, |arena, sink| {
         let stats = &mut stats;
         match semantics {
             Semantics::NodeType => {
@@ -435,9 +396,9 @@ fn score_partition<F: FnMut(GammaEvent<'_>)>(
             ),
         }
     });
-    stats.pruning = pruning;
+    stats.pruning = filled.table.stats();
     part_hist.record(nanos_since(part_start));
-    (entries, stats)
+    (filled, stats)
 }
 
 /// Runs every job on its own scoped thread (borrowing freely from the
@@ -455,8 +416,10 @@ fn join_all<T: Send>(jobs: impl Iterator<Item = impl FnOnce() -> T + Send>) -> V
 /// What one accumulate → finalize run produced, beyond the ranked
 /// candidates: the explain plane reads the extras, serving ignores them.
 pub(crate) struct Ranked {
-    /// All surviving candidates, best first.
+    /// The best `limit` surviving candidates, best first.
     pub(crate) candidates: Vec<ScoredCandidate>,
+    /// Candidates surviving finalisation, whatever the limit.
+    pub(crate) survivors: u64,
     pub(crate) stats: RunStats,
     pub(crate) shard_stats: Vec<ShardAttribution>,
     /// Accumulators alive when the walk finished (entering rank).
@@ -478,15 +441,17 @@ pub(crate) enum Walked<'a> {
     Shards(&'a [Scoring<'a>]),
 }
 
-/// Accumulate → finalize over `walked`. The only orchestration of those
-/// steps in the crate (see the module docs for how the accumulate step is
-/// selected). Telemetry never influences scoring, and neither does
-/// `observe`.
+/// Accumulate → finalize over `walked`, materialising the best `limit`
+/// candidates. The only orchestration of those steps in the crate (see
+/// the module docs for how the accumulate step is selected). Telemetry
+/// never influences scoring, and neither does `observe`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
     walked: Walked<'_>,
     semantics: Semantics,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
+    limit: usize,
     telemetry: &Telemetry,
     arenas: &ArenaPool,
     observe: &mut F,
@@ -499,7 +464,9 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
     let empty = slots.is_empty() || slots.iter().any(|s| s.variants.is_empty());
     let mut shard_stats = Vec::new();
     let mut gather_nanos = 0;
-    let (entries, mut stats) = match walked {
+    // The arenas holding the filled tables (one per candidate partition,
+    // or the gather's), kept out of the pool until ranked.
+    let (mut filled, mut stats) = match walked {
         Walked::Shards(views) => {
             // Scatter: every shard walks its own tree and records its
             // contribution stream — sequential candidate scoring per shard
@@ -507,17 +474,19 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
             // parallelism is across shards only.
             let scatter_one = |shard: usize| {
                 let shard_start = Instant::now();
-                let mut log = ContributionLog::default();
                 let mut stats = RunStats::default();
                 let mut arena = arenas.checkout();
+                let mut log = ContributionLog(std::mem::take(&mut arena.log));
                 let view = &views[shard];
                 accumulate_scoped(view, slots, config, 0, 1, &mut stats, &mut arena, &mut log);
-                arenas.checkin(arena);
+                arena.log = log.0;
                 stats.walk_nanos = nanos_since(shard_start);
-                (log, stats)
+                (arena, stats)
             };
             let threads = config.num_threads.min(views.len()).max(1);
-            let logs: Vec<(ContributionLog, RunStats)> = if empty {
+            // Each shard's arena comes back holding its log and the
+            // candidate table the log's ids refer to.
+            let logs: Vec<(QueryArena, RunStats)> = if empty {
                 Vec::new()
             } else if threads == 1 {
                 (0..views.len()).map(scatter_one).collect()
@@ -560,13 +529,20 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
                 });
                 stats += *walk;
             }
-            let (entries, pruning) = with_table(arenas, config.gamma, observe, |_, sink| {
-                logs.iter().for_each(|(log, _)| log.replay(sink));
+            let gathered = fill_table(arenas, config.gamma, observe, |arena, sink| {
+                arena
+                    .candidates
+                    .compile(slots, ErrorModel::new(config.beta));
+                for (shard, _) in &logs {
+                    replay(shard, &mut arena.candidates, &mut arena.remap, sink);
+                }
             });
+            logs.into_iter()
+                .for_each(|(shard, _)| arenas.checkin(shard));
             gather_nanos = nanos_since(gather_start);
-            stats.pruning = pruning;
+            stats.pruning = gathered.table.stats();
             stats.score_partitions = views.len() as u64;
-            (entries, stats)
+            (vec![gathered], stats)
         }
         Walked::Corpus(corpus) => {
             let view = &Scoring::unsharded(corpus);
@@ -578,7 +554,7 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
             } else {
                 1
             };
-            let (entries, mut stats) = if empty {
+            let (filled, mut stats) = if empty {
                 (Vec::new(), RunStats::default())
             } else {
                 let part_hist = &telemetry.metrics().histogram(names::STAGE_PARTITION);
@@ -610,23 +586,24 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
                     let stats = RunStats::merge_partitions(
                         &results.iter().map(|(_, s)| *s).collect::<Vec<_>>(),
                     );
-                    (results.into_iter().flat_map(|(e, _)| e).collect(), stats)
+                    (results.into_iter().map(|(arena, _)| arena).collect(), stats)
                 } else {
                     let _span = tracer.span("walk_accumulate");
-                    score_partition(
+                    let (arena, stats) = score_partition(
                         view, semantics, slots, config, 0, 1, part_hist, arenas, observe,
-                    )
+                    );
+                    (vec![arena], stats)
                 }
             };
             stats.score_partitions = parts as u64;
-            (entries, stats)
+            (filled, stats)
         }
     };
     stats.walk_nanos = nanos_since(walk_start);
-    let accumulators = entries.len() as u64;
+    let accumulators = filled.iter().map(|a| a.table.len() as u64).sum();
 
     let rank_start = Instant::now();
-    let candidates = {
+    let (candidates, survivors) = {
         let _span = tracer.span("rank");
         // Any shard's view serves here: under a scope the rank-phase
         // normalisers all come from the global tables.
@@ -634,7 +611,7 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
             Walked::Corpus(corpus) => Scoring::unsharded(corpus),
             Walked::Shards(views) => views[0],
         };
-        finalize_candidates(entries, |acc| match (semantics, config.prior) {
+        let normalizer = |acc: &Accumulator| match (semantics, config.prior) {
             // Node type: the total prior mass over *all* entities of the
             // result type (Eq. 8 sums over every r_j; non-matching
             // entities contribute zero).
@@ -648,11 +625,14 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
             // the candidate's own accumulated prior mass (≥ 1 whenever
             // anything was accumulated).
             (Semantics::Slca | Semantics::Elca, _) => acc.weight_sum,
-        })
+        };
+        finalize_candidates(&mut filled, normalizer, limit)
     };
+    filled.into_iter().for_each(|arena| arenas.checkin(arena));
     stats.rank_nanos = nanos_since(rank_start);
     Ranked {
         candidates,
+        survivors,
         stats,
         shard_stats,
         accumulators,
@@ -676,6 +656,7 @@ pub(crate) fn run_corpus(
         semantics,
         slots,
         config,
+        usize::MAX,
         &Telemetry::disabled(),
         &ArenaPool::default(),
         &mut |_| {},
@@ -784,7 +765,7 @@ impl Pipeline {
     }
 
     /// One scoped view per shard of a set; empty over one plain corpus.
-    fn shard_views(&self) -> Vec<Scoring<'_>> {
+    pub(crate) fn shard_views(&self) -> Vec<Scoring<'_>> {
         let Some(set) = &self.set else {
             return Vec::new();
         };
@@ -979,6 +960,7 @@ impl Pipeline {
         let views = self.shard_views();
         let Ranked {
             candidates,
+            survivors,
             mut stats,
             shard_stats,
             accumulators,
@@ -991,6 +973,7 @@ impl Pipeline {
             self.semantics,
             &slots,
             config,
+            config.k,
             telemetry,
             &self.arenas,
             observe,
@@ -1001,10 +984,8 @@ impl Pipeline {
             "every stage records a non-zero duration on every code path: {stats:?}"
         );
         let vocab = self.vocab();
-        let ranked = candidates.len() as u64;
         let suggestions = candidates
             .into_iter()
-            .take(config.k)
             .map(|c| Suggestion {
                 terms: c
                     .tokens
@@ -1026,7 +1007,7 @@ impl Pipeline {
                 stats,
                 shard_stats,
             },
-            ranked,
+            ranked: survivors,
             accumulators,
             gather_nanos,
         }

@@ -7,9 +7,10 @@
 //! mean of its per-entity scores scaled by its error-model weight, as
 //! justified by the Hoeffding bound in the paper — is lowest.
 
-use std::collections::{HashMap, HashSet};
-
 use xclean_index::TokenId;
+use xclean_xmltree::PathId;
+
+use crate::candidates::{CandId, CandidateTable};
 
 /// A candidate query: one variant token per query keyword.
 pub type CandidateKey = Vec<TokenId>;
@@ -24,22 +25,16 @@ pub type CandidateKey = Vec<TokenId>;
 /// contribution stream a scoring run emits is independent of the sink —
 /// sinks only observe.
 pub(crate) trait ScoreSink {
-    /// Records one entity's weighted contribution for `key` (the same
-    /// argument tuple as [`AccumulatorTable::add_weighted`]).
-    fn accumulate(
-        &mut self,
-        key: &CandidateKey,
-        weighted: f64,
-        weight: f64,
-        log_error_weight: f64,
-        distances: &[u32],
-        result_path: xclean_xmltree::PathId,
-    );
+    /// Records one entity's weighted contribution for candidate `id` of
+    /// `candidates` (the argument tuple of [`AccumulatorTable::add`]).
+    fn accumulate(&mut self, candidates: &CandidateTable, id: CandId, weighted: f64, weight: f64);
 }
 
 /// Accumulated state for one candidate query.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
+    /// The candidate, as an id of the table it was added through.
+    pub candidate: CandId,
     /// `Σ_r Π_{w∈C} P(w|D(r))` over entities seen so far (linear space).
     pub score_sum: f64,
     /// Number of entities that contributed to `score_sum`.
@@ -49,10 +44,8 @@ pub struct Accumulator {
     pub weight_sum: f64,
     /// Log error-model weight `Σ_j −β·ed(q_j, C[j])` (fixed per candidate).
     pub log_error_weight: f64,
-    /// Edit distance of each keyword (for reporting).
-    pub distances: Vec<u32>,
     /// The candidate's inferred result type (fixed per candidate).
-    pub result_path: xclean_xmltree::PathId,
+    pub result_path: PathId,
 }
 
 impl Accumulator {
@@ -68,18 +61,18 @@ impl Accumulator {
 }
 
 /// One γ-pruning decision, reported to the observer of
-/// [`AccumulatorTable::add_weighted_observed`]. The observer sees the
-/// decision *after* it has been taken — observation never influences
-/// which candidate wins, so an observed run is bit-identical to a plain
-/// [`AccumulatorTable::add_weighted`] run (the explain plane depends on
-/// this).
+/// [`AccumulatorTable::add`]. The observer sees the decision *after* it
+/// has been taken — observation never influences which candidate wins, so
+/// an observed run is bit-identical to one with a no-op observer (the
+/// explain plane depends on this). Candidates are reported by key,
+/// resolved from their id at the table.
 #[derive(Debug, Clone, Copy)]
 pub enum GammaEvent<'a> {
     /// `victim` held the lowest estimated score in a full table and was
     /// evicted to admit a newcomer.
     Evicted {
         /// The evicted candidate.
-        victim: &'a CandidateKey,
+        victim: &'a [TokenId],
         /// Its estimated log score at eviction time.
         estimate: f64,
     },
@@ -87,7 +80,7 @@ pub enum GammaEvent<'a> {
     /// table's minimum and was never admitted.
     NewcomerRejected {
         /// The rejected candidate.
-        key: &'a CandidateKey,
+        key: &'a [TokenId],
         /// Its (losing) first-entity estimate.
         estimate: f64,
     },
@@ -95,7 +88,7 @@ pub enum GammaEvent<'a> {
     /// (re-admission is blocked to keep surviving sums exact).
     TombstoneRejected {
         /// The previously evicted candidate.
-        key: &'a CandidateKey,
+        key: &'a [TokenId],
     },
 }
 
@@ -109,15 +102,23 @@ pub struct PruningStats {
     pub rejected: u64,
 }
 
-/// Bounded table of candidate accumulators.
-#[derive(Debug)]
+/// `where_is` entry of a candidate that never had an accumulator.
+const ABSENT: u32 = u32::MAX;
+/// `where_is` entry of a candidate that lost its accumulator (or never got
+/// one). Blocking re-admission keeps every *surviving* accumulator's sum
+/// exact: a candidate that re-entered after eviction would report a
+/// partial — and therefore wrong — score.
+const TOMBSTONE: u32 = u32::MAX - 1;
+
+/// Bounded table of candidate accumulators, addressed by the dense ids of
+/// one [`CandidateTable`]: a contribution finds its accumulator through
+/// one array read.
+#[derive(Debug, Default)]
 pub struct AccumulatorTable {
-    accs: HashMap<CandidateKey, Accumulator>,
-    /// Keys that lost their accumulator (or never got one). Blocking
-    /// re-admission keeps every *surviving* accumulator's sum exact: a
-    /// candidate that re-entered after eviction would report a partial —
-    /// and therefore wrong — score.
-    evicted: HashSet<CandidateKey>,
+    /// Per candidate id: its position in `live`, [`ABSENT`] or
+    /// [`TOMBSTONE`]. Grown on demand; ids beyond it are absent.
+    where_is: Vec<u32>,
+    live: Vec<Accumulator>,
     gamma: Option<usize>,
     stats: PruningStats,
 }
@@ -126,248 +127,219 @@ impl AccumulatorTable {
     /// Creates a table bounded to `gamma` accumulators (`None` =
     /// unbounded).
     pub fn new(gamma: Option<usize>) -> Self {
-        Self::with_storage(gamma, HashMap::new(), HashSet::new())
-    }
-
-    /// Like [`Self::new`] but over donated (empty) hash storage — the
-    /// query arena lends its recycled maps so a steady-state worker
-    /// allocates no table storage per query. The storage flows back to
-    /// the arena through [`Self::drain_entries`]. Hash-map capacity never
-    /// influences scoring (see `crate::arena` on why bit-identity holds).
-    pub fn with_storage(
-        gamma: Option<usize>,
-        accs: HashMap<CandidateKey, Accumulator>,
-        evicted: HashSet<CandidateKey>,
-    ) -> Self {
-        debug_assert!(
-            accs.is_empty() && evicted.is_empty(),
-            "donated storage must be reset"
-        );
         AccumulatorTable {
-            accs,
-            evicted,
             gamma,
-            stats: PruningStats::default(),
+            ..Default::default()
         }
     }
 
-    /// Adds `score` (one entity's `Π P(w|D(r))`) to the candidate's
-    /// accumulator, creating it if necessary — possibly evicting the
+    /// Empties the table for a new run bounded to `gamma`, keeping its
+    /// storage. Capacity never influences scoring (see `crate::arena`).
+    pub fn reset(&mut self, gamma: Option<usize>) {
+        self.where_is.clear();
+        self.live.clear();
+        self.gamma = gamma;
+        self.stats = PruningStats::default();
+    }
+
+    /// Adds one entity's `score` (its `Π P(w|D(r))`, already multiplied by
+    /// the entity's prior `weight`, which is tracked for candidate-local
+    /// normalisation) to the accumulator of candidate `id` of
+    /// `candidates`, creating it if necessary — possibly evicting the
     /// lowest-estimate victim when the table is full.
     ///
-    /// `log_error_weight`/`distances` describe the candidate and are only
-    /// used on first insertion.
-    #[allow(clippy::too_many_arguments)]
+    /// Every eviction and rejection is reported to `observe` as a
+    /// [`GammaEvent`] right after it is taken. The observer is passive; a
+    /// no-op closure is erased by the optimiser, so the hot path pays
+    /// nothing for it.
     pub fn add(
         &mut self,
-        key: &CandidateKey,
-        score: f64,
-        log_error_weight: f64,
-        distances: &[u32],
-        result_path: xclean_xmltree::PathId,
-    ) {
-        self.add_weighted(key, score, 1.0, log_error_weight, distances, result_path)
-    }
-
-    /// Like [`Self::add`] but with an explicit entity prior weight (the
-    /// `score` must already be multiplied by the weight by the caller; the
-    /// weight is tracked for candidate-local normalisation).
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_weighted(
-        &mut self,
-        key: &CandidateKey,
+        candidates: &CandidateTable,
+        id: CandId,
         score: f64,
         weight: f64,
-        log_error_weight: f64,
-        distances: &[u32],
-        result_path: xclean_xmltree::PathId,
-    ) {
-        self.add_weighted_observed(
-            key,
-            score,
-            weight,
-            log_error_weight,
-            distances,
-            result_path,
-            &mut |_| {},
-        )
-    }
-
-    /// [`Self::add_weighted`] with a γ-decision observer: every eviction
-    /// and rejection is reported as a [`GammaEvent`] right after it is
-    /// taken. The observer is passive — `add_weighted` is exactly this
-    /// with a no-op closure, which the optimiser erases, so the hot path
-    /// pays nothing and an observed run stays bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_weighted_observed(
-        &mut self,
-        key: &CandidateKey,
-        score: f64,
-        weight: f64,
-        log_error_weight: f64,
-        distances: &[u32],
-        result_path: xclean_xmltree::PathId,
         observe: &mut impl FnMut(GammaEvent<'_>),
     ) {
-        if let Some(acc) = self.accs.get_mut(key) {
-            acc.score_sum += score;
-            acc.entity_count += 1;
-            acc.weight_sum += weight;
-            return;
+        let slot = id as usize;
+        if slot >= self.where_is.len() {
+            self.where_is.resize(slot + 1, ABSENT);
         }
-        if self.evicted.contains(key) {
-            // Once out, stay out: re-admitting would restart the sum and
-            // report a corrupted partial score for this candidate.
-            self.stats.rejected += 1;
-            observe(GammaEvent::TombstoneRejected { key });
-            return;
+        match self.where_is[slot] {
+            ABSENT => {}
+            TOMBSTONE => {
+                // Once out, stay out: re-admitting would restart the sum
+                // and report a corrupted partial score for this candidate.
+                self.stats.rejected += 1;
+                observe(GammaEvent::TombstoneRejected {
+                    key: candidates.key(id),
+                });
+                return;
+            }
+            at => {
+                let acc = &mut self.live[at as usize];
+                acc.score_sum += score;
+                acc.entity_count += 1;
+                acc.weight_sum += weight;
+                return;
+            }
         }
-        let candidate = Accumulator {
+        let newcomer = Accumulator {
+            candidate: id,
             score_sum: score,
             entity_count: 1,
             weight_sum: weight,
-            log_error_weight,
-            distances: distances.to_vec(),
-            result_path,
+            log_error_weight: candidates.log_weight(id),
+            result_path: candidates.result_path(id),
         };
-        if let Some(gamma) = self.gamma {
-            if self.accs.len() >= gamma {
-                // Choose the victim among existing accumulators; the new
-                // candidate competes with its own first-entity estimate.
-                // Ties break on the key so the choice does not depend on
-                // HashMap iteration order (which varies between runs).
-                let (victim_key, victim_est) = self
-                    .accs
-                    .iter()
-                    .map(|(k, a)| (k, a.estimated_log_score()))
-                    .min_by(|a, b| {
-                        a.1.partial_cmp(&b.1)
-                            .expect("no NaN scores")
-                            .then_with(|| a.0.cmp(b.0))
+        if self.gamma.is_some_and(|gamma| self.live.len() >= gamma) {
+            // Choose the victim among existing accumulators; the new
+            // candidate competes with its own first-entity estimate. Ties
+            // break on the key, so the choice is a property of the
+            // table's contents alone, not of where they sit in `live`.
+            let (victim_at, victim_est) = self
+                .live
+                .iter()
+                .map(Accumulator::estimated_log_score)
+                .enumerate()
+                .min_by(|a, b| {
+                    a.1.partial_cmp(&b.1).expect("no NaN scores").then_with(|| {
+                        let key = |at: usize| candidates.key(self.live[at].candidate);
+                        key(a.0).cmp(key(b.0))
                     })
-                    .map(|(k, e)| (k.clone(), e))
-                    .expect("table is full, so non-empty");
-                let newcomer_est = candidate.estimated_log_score();
-                if newcomer_est <= victim_est {
-                    // The newcomer itself is the victim.
-                    self.evicted.insert(key.clone());
-                    self.stats.rejected += 1;
-                    observe(GammaEvent::NewcomerRejected {
-                        key,
-                        estimate: newcomer_est,
-                    });
-                    return;
-                }
-                self.accs.remove(&victim_key);
-                self.stats.evictions += 1;
-                observe(GammaEvent::Evicted {
-                    victim: &victim_key,
-                    estimate: victim_est,
+                })
+                .expect("table is full, so non-empty");
+            let newcomer_est = newcomer.estimated_log_score();
+            if newcomer_est <= victim_est {
+                // The newcomer itself is the victim.
+                self.where_is[slot] = TOMBSTONE;
+                self.stats.rejected += 1;
+                observe(GammaEvent::NewcomerRejected {
+                    key: candidates.key(id),
+                    estimate: newcomer_est,
                 });
-                self.evicted.insert(victim_key);
+                return;
             }
+            let victim = self.live.swap_remove(victim_at);
+            if let Some(moved) = self.live.get(victim_at) {
+                self.where_is[moved.candidate as usize] = victim_at as u32;
+            }
+            self.where_is[victim.candidate as usize] = TOMBSTONE;
+            self.stats.evictions += 1;
+            observe(GammaEvent::Evicted {
+                victim: candidates.key(victim.candidate),
+                estimate: victim_est,
+            });
         }
-        self.accs.insert(key.clone(), candidate);
+        self.where_is[slot] = self.live.len() as u32;
+        self.live.push(newcomer);
     }
 
     /// Look up a candidate's accumulator.
-    pub fn get(&self, key: &CandidateKey) -> Option<&Accumulator> {
-        self.accs.get(key)
+    pub fn get(&self, id: CandId) -> Option<&Accumulator> {
+        match *self.where_is.get(id as usize)? {
+            ABSENT | TOMBSTONE => None,
+            at => Some(&self.live[at as usize]),
+        }
+    }
+
+    /// The live accumulators, in no meaningful order.
+    pub fn live(&self) -> &[Accumulator] {
+        &self.live
     }
 
     /// Number of live accumulators.
     pub fn len(&self) -> usize {
-        self.accs.len()
+        self.live.len()
     }
 
     /// `true` when no candidate has been accumulated.
     pub fn is_empty(&self) -> bool {
-        self.accs.is_empty()
+        self.live.is_empty()
     }
 
     /// Pruning statistics.
     pub fn stats(&self) -> PruningStats {
         self.stats
     }
-
-    /// Drains the table into `(candidate, accumulator)` pairs.
-    pub fn into_entries(self) -> Vec<(CandidateKey, Accumulator)> {
-        self.accs.into_iter().collect()
-    }
-
-    /// Drains the table into `(candidate, accumulator)` pairs *and*
-    /// returns the emptied hash storage so the caller (the query arena)
-    /// can reuse its capacity. Entry order is hash-map iteration order in
-    /// both drain paths; callers sort with a total-order comparator, so
-    /// the two are interchangeable.
-    #[allow(clippy::type_complexity)]
-    pub fn drain_entries(
-        mut self,
-    ) -> (
-        Vec<(CandidateKey, Accumulator)>,
-        HashMap<CandidateKey, Accumulator>,
-        HashSet<CandidateKey>,
-    ) {
-        let entries = self.accs.drain().collect();
-        self.evicted.clear();
-        (entries, self.accs, self.evicted)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::KeywordSlot;
+    use crate::variants::Variant;
+    use xclean_lm::ErrorModel;
+
+    /// A compiled table over one slot per `(token, distance)` list, β = 5
+    /// (so a keyword at distance `d` weighs `−5·d`).
+    fn candidates(slots: &[&[(u32, u32)]]) -> CandidateTable {
+        let slots: Vec<KeywordSlot> = slots
+            .iter()
+            .map(|variants| KeywordSlot {
+                keyword: String::new(),
+                variants: variants
+                    .iter()
+                    .map(|&(token, distance)| Variant {
+                        token: TokenId(token),
+                        distance,
+                    })
+                    .collect(),
+            })
+            .collect();
+        let mut table = CandidateTable::default();
+        table.compile(&slots, ErrorModel::new(5.0));
+        table
+    }
 
     fn key(ids: &[u32]) -> CandidateKey {
         ids.iter().map(|&i| TokenId(i)).collect()
     }
 
+    /// Interns `ids` and adds one unit-weight contribution, unobserved.
+    fn add(t: &mut AccumulatorTable, c: &mut CandidateTable, ids: &[u32], score: f64) -> CandId {
+        let id = c.intern(&key(ids));
+        t.add(c, id, score, 1.0, &mut |_| {});
+        id
+    }
+
     #[test]
     fn accumulates_per_candidate() {
+        let mut c = candidates(&[&[(1, 1)], &[(2, 0), (3, 2)]]);
         let mut t = AccumulatorTable::new(None);
-        t.add(&key(&[1, 2]), 0.5, -5.0, &[1, 0], xclean_xmltree::PathId(0));
-        t.add(
-            &key(&[1, 2]),
-            0.25,
-            -5.0,
-            &[1, 0],
-            xclean_xmltree::PathId(0),
-        );
-        t.add(
-            &key(&[1, 3]),
-            0.1,
-            -10.0,
-            &[1, 2],
-            xclean_xmltree::PathId(0),
-        );
+        let a = add(&mut t, &mut c, &[1, 2], 0.5);
+        add(&mut t, &mut c, &[1, 2], 0.25);
+        add(&mut t, &mut c, &[1, 3], 0.1);
         assert_eq!(t.len(), 2);
-        let a = t.get(&key(&[1, 2])).unwrap();
-        assert_eq!(a.score_sum, 0.75);
-        assert_eq!(a.entity_count, 2);
-        assert_eq!(a.distances, vec![1, 0]);
+        let acc = t.get(a).unwrap();
+        assert_eq!(acc.score_sum, 0.75);
+        assert_eq!(acc.entity_count, 2);
+        assert_eq!(acc.log_error_weight, -5.0);
+        assert_eq!(c.distances(acc.candidate), &[1, 0]);
     }
 
     #[test]
     fn eviction_removes_lowest_estimate() {
+        let mut c = candidates(&[&[(1, 0), (2, 2), (3, 0)]]);
         let mut t = AccumulatorTable::new(Some(2));
-        t.add(&key(&[1]), 0.9, 0.0, &[0], xclean_xmltree::PathId(0)); // strong
-        t.add(&key(&[2]), 1e-9, -10.0, &[2], xclean_xmltree::PathId(0)); // weak
-        t.add(&key(&[3]), 0.5, 0.0, &[0], xclean_xmltree::PathId(0)); // newcomer beats the weak one
+        let strong = add(&mut t, &mut c, &[1], 0.9);
+        let weak = add(&mut t, &mut c, &[2], 1e-9);
+        let newcomer = add(&mut t, &mut c, &[3], 0.5); // beats the weak one
         assert_eq!(t.len(), 2);
-        assert!(t.get(&key(&[1])).is_some());
-        assert!(t.get(&key(&[2])).is_none());
-        assert!(t.get(&key(&[3])).is_some());
+        assert!(t.get(strong).is_some());
+        assert!(t.get(weak).is_none());
+        assert!(t.get(newcomer).is_some());
         assert_eq!(t.stats().evictions, 1);
     }
 
     #[test]
     fn weak_newcomer_is_rejected() {
+        let mut c = candidates(&[&[(1, 0), (2, 0), (3, 4)]]);
         let mut t = AccumulatorTable::new(Some(2));
-        t.add(&key(&[1]), 0.9, 0.0, &[0], xclean_xmltree::PathId(0));
-        t.add(&key(&[2]), 0.8, 0.0, &[0], xclean_xmltree::PathId(0));
-        t.add(&key(&[3]), 1e-12, -20.0, &[2], xclean_xmltree::PathId(0));
+        add(&mut t, &mut c, &[1], 0.9);
+        add(&mut t, &mut c, &[2], 0.8);
+        let weak = add(&mut t, &mut c, &[3], 1e-12);
         assert_eq!(t.len(), 2);
-        assert!(t.get(&key(&[3])).is_none());
+        assert!(t.get(weak).is_none());
         assert_eq!(t.stats().evictions, 0);
         assert_eq!(t.stats().rejected, 1);
     }
@@ -375,76 +347,73 @@ mod tests {
     #[test]
     fn existing_candidates_always_accumulate() {
         // A full table never blocks updates to candidates already present.
+        let mut c = candidates(&[&[(1, 0)]]);
         let mut t = AccumulatorTable::new(Some(1));
-        t.add(&key(&[1]), 0.5, 0.0, &[0], xclean_xmltree::PathId(0));
-        t.add(&key(&[1]), 0.5, 0.0, &[0], xclean_xmltree::PathId(0));
-        assert_eq!(t.get(&key(&[1])).unwrap().entity_count, 2);
+        let id = add(&mut t, &mut c, &[1], 0.5);
+        add(&mut t, &mut c, &[1], 0.5);
+        assert_eq!(t.get(id).unwrap().entity_count, 2);
     }
 
     #[test]
     fn estimate_uses_sample_mean() {
         let a = Accumulator {
+            candidate: 0,
             score_sum: 0.5,
             entity_count: 2,
             weight_sum: 2.0,
             log_error_weight: -1.0,
-            distances: vec![],
-            result_path: xclean_xmltree::PathId(0),
+            result_path: PathId(0),
         };
         assert!((a.estimated_log_score() - (-1.0 + 0.25f64.ln())).abs() < 1e-12);
         let zero = Accumulator {
+            candidate: 0,
             score_sum: 0.0,
             entity_count: 0,
             weight_sum: 0.0,
             log_error_weight: 0.0,
-            distances: vec![],
-            result_path: xclean_xmltree::PathId(0),
+            result_path: PathId(0),
         };
         assert_eq!(zero.estimated_log_score(), f64::NEG_INFINITY);
     }
 
     #[test]
     fn observer_sees_gamma_decisions_without_changing_them() {
-        // Replay the same contribution stream through a plain table and an
-        // observed one: identical outcomes, and the observer sees exactly
-        // one event per eviction/rejection counted in the stats.
-        let stream: Vec<(CandidateKey, f64, f64)> = vec![
-            (key(&[1]), 0.9, 0.0),     // fills slot 1
-            (key(&[2]), 1e-9, -10.0),  // fills slot 2 (weak)
-            (key(&[3]), 0.5, 0.0),     // evicts [2]
-            (key(&[2]), 0.5, 0.0),     // tombstone rejection
-            (key(&[4]), 1e-12, -20.0), // newcomer rejected
-        ];
+        // Feed the same contribution stream through an unobserved table
+        // and an observed one: identical outcomes, and the observer sees
+        // exactly one event per eviction/rejection counted in the stats.
+        let mut c = candidates(&[&[(1, 0), (2, 2), (3, 0), (4, 4)]]);
+        let stream: Vec<(CandId, f64)> = [
+            (1, 0.9),   // fills slot 1
+            (2, 1e-9),  // fills slot 2 (weak)
+            (3, 0.5),   // evicts [2]
+            (2, 0.5),   // tombstone rejection
+            (4, 1e-12), // newcomer rejected
+        ]
+        .iter()
+        .map(|&(token, score)| (c.intern(&key(&[token])), score))
+        .collect();
         let mut plain = AccumulatorTable::new(Some(2));
-        for (k, s, w) in &stream {
-            plain.add(k, *s, *w, &[0], xclean_xmltree::PathId(0));
+        for &(id, s) in &stream {
+            plain.add(&c, id, s, 1.0, &mut |_| {});
         }
         let mut observed = AccumulatorTable::new(Some(2));
         let mut events: Vec<String> = Vec::new();
-        for (k, s, w) in &stream {
-            observed.add_weighted_observed(
-                k,
-                *s,
-                1.0,
-                *w,
-                &[0],
-                xclean_xmltree::PathId(0),
-                &mut |e| {
-                    events.push(match e {
-                        GammaEvent::Evicted { victim, .. } => format!("evict:{}", victim[0].0),
-                        GammaEvent::NewcomerRejected { key, .. } => {
-                            format!("newcomer:{}", key[0].0)
-                        }
-                        GammaEvent::TombstoneRejected { key } => format!("tombstone:{}", key[0].0),
-                    });
-                },
-            );
+        for &(id, s) in &stream {
+            observed.add(&c, id, s, 1.0, &mut |e| {
+                events.push(match e {
+                    GammaEvent::Evicted { victim, .. } => format!("evict:{}", victim[0].0),
+                    GammaEvent::NewcomerRejected { key, .. } => {
+                        format!("newcomer:{}", key[0].0)
+                    }
+                    GammaEvent::TombstoneRejected { key } => format!("tombstone:{}", key[0].0),
+                });
+            });
         }
         assert_eq!(plain.stats(), observed.stats());
         assert_eq!(plain.len(), observed.len());
-        for k in [key(&[1]), key(&[3])] {
-            let a = plain.get(&k).unwrap();
-            let b = observed.get(&k).unwrap();
+        for id in [stream[0].0, stream[2].0] {
+            let a = plain.get(id).unwrap();
+            let b = observed.get(id).unwrap();
             assert_eq!(a.score_sum.to_bits(), b.score_sum.to_bits());
             assert_eq!(a.entity_count, b.entity_count);
         }
@@ -456,10 +425,36 @@ mod tests {
     }
 
     #[test]
+    fn eviction_keeps_every_survivor_addressable() {
+        // The victim's place in `live` is refilled from the end; the moved
+        // accumulator must stay reachable by id and keep accumulating.
+        let mut c = candidates(&[&[(1, 2), (2, 0), (3, 0), (4, 0)]]);
+        let mut t = AccumulatorTable::new(Some(3));
+        let weak = add(&mut t, &mut c, &[1], 1e-9);
+        let b = add(&mut t, &mut c, &[2], 0.5);
+        let moved = add(&mut t, &mut c, &[3], 0.6);
+        let newcomer = add(&mut t, &mut c, &[4], 0.7); // evicts `weak` at position 0
+        assert!(t.get(weak).is_none());
+        add(&mut t, &mut c, &[3], 0.1);
+        assert_eq!(t.get(moved).unwrap().score_sum, 0.6 + 0.1);
+        assert_eq!(t.get(b).unwrap().entity_count, 1);
+        assert_eq!(t.get(newcomer).unwrap().entity_count, 1);
+        assert_eq!(t.len(), 3);
+        // Reset forgets tombstones as well as accumulators.
+        t.reset(Some(3));
+        assert!(t.is_empty());
+        assert_eq!(t.stats(), PruningStats::default());
+        add(&mut t, &mut c, &[1], 0.5);
+        assert!(t.get(weak).is_some());
+    }
+
+    #[test]
     fn unbounded_table_never_evicts() {
+        let variants: Vec<(u32, u32)> = (0..10_000).map(|i| (i, 1)).collect();
+        let mut c = candidates(&[&variants]);
         let mut t = AccumulatorTable::new(None);
         for i in 0..10_000 {
-            t.add(&key(&[i]), 1e-6, -1.0, &[1], xclean_xmltree::PathId(0));
+            add(&mut t, &mut c, &[i], 1e-6);
         }
         assert_eq!(t.len(), 10_000);
         assert_eq!(t.stats().evictions, 0);

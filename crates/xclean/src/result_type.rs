@@ -37,25 +37,33 @@ pub fn find_result_type(
     min_depth: u32,
     depth_decay: f64,
 ) -> Option<ResultType> {
-    find_result_type_scoped(&Scoring::unsharded(corpus), tokens, min_depth, depth_decay)
+    find_result_type_scoped(
+        &Scoring::unsharded(corpus),
+        tokens,
+        min_depth,
+        depth_decay,
+        &mut Vec::new(),
+    )
 }
 
 /// [`find_result_type`] over a [`Scoring`] view. Under a shard scope the
 /// `(path, f)` lists and depths are the reconstructed *global* statistics,
 /// so every shard computes the same result type for a candidate as the
 /// unsharded engine — utilities, intersection order and the path-id
-/// tie-break included.
+/// tie-break included. `order` is caller-recycled scratch.
 pub(crate) fn find_result_type_scoped(
     view: &Scoring<'_>,
     tokens: &[TokenId],
     min_depth: u32,
     depth_decay: f64,
+    order: &mut Vec<usize>,
 ) -> Option<ResultType> {
     if tokens.is_empty() {
         return None;
     }
     // Intersect starting from the shortest list to minimise work.
-    let mut order: Vec<usize> = (0..tokens.len()).collect();
+    order.clear();
+    order.extend(0..tokens.len());
     order.sort_unstable_by_key(|&i| view.paths_of(tokens[i]).len());
     let base = view.paths_of(tokens[order[0]]);
 

@@ -27,7 +27,7 @@
 //!    integers the unsharded corpus holds, in exactly the same order.
 //! 3. **Contribution replay reproduces the sequential table.** A shard
 //!    walk does not score into a table; it records the *arguments* of
-//!    each would-be `AccumulatorTable::add_weighted` call (a write-only
+//!    each would-be `AccumulatorTable::add` call (a write-only
 //!    stream: the emitted contributions never depend on table state).
 //!    Replaying the logs in shard-id order therefore feeds the single
 //!    global table the same insertion sequence as the sequential
@@ -53,7 +53,7 @@ use xclean_xmltree::PathId;
 
 use crate::config::XCleanConfig;
 use crate::pipeline::{Pipeline, Shard, ShardSet};
-use crate::view::GlobalStats;
+use crate::view::{GlobalStats, ABSENT_TOKEN};
 use crate::Telemetry;
 
 /// Why a shard set could not be assembled into an engine.
@@ -222,12 +222,10 @@ impl ShardedEngine {
             .into_iter()
             .map(|s| {
                 let meta = s.shard_meta().expect("checked above");
-                let to_local_token = meta
-                    .token_map
-                    .iter()
-                    .enumerate()
-                    .map(|(local, &g)| (TokenId(g), TokenId(local as u32)))
-                    .collect();
+                let mut to_local_token = vec![ABSENT_TOKEN; first.global_vocab_len as usize];
+                for (local, &g) in meta.token_map.iter().enumerate() {
+                    to_local_token[g as usize] = local as u32;
+                }
                 let local_to_global_path = meta.path_map.iter().map(|&g| PathId(g)).collect();
                 Shard {
                     corpus: Arc::new(s),

@@ -10,11 +10,9 @@
 //! A candidate's prior normalisation uses its own entity count
 //! (`N = |SLCA(C)|` in Eq. 8), since SLCA entities are query-specific.
 
-use std::collections::HashMap;
-
 use xclean_index::{CorpusIndex, TokenId};
 use xclean_lm::ErrorModel;
-use xclean_xmltree::{NodeId, PathId, XmlTree};
+use xclean_xmltree::{NodeId, XmlTree};
 
 use crate::algorithm::{KeywordSlot, RunOutput, RunStats};
 use crate::arena::QueryArena;
@@ -107,19 +105,17 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
     arena: &mut QueryArena,
     sink: &mut S,
 ) {
-    let error_model = ErrorModel::new(config.beta);
     let lm = view.language_model(config.effective_smoothing());
     let tree = view.tree();
-
-    for (m, s) in arena.distance_maps(slots.len()).iter_mut().zip(slots) {
-        m.extend(s.variants.iter().map(|v| (v.token, v.distance)));
-    }
+    arena
+        .candidates
+        .compile(slots, ErrorModel::new(config.beta));
     let QueryArena {
         occurrences,
         slot_tokens,
         candidate,
-        distances,
-        distance_of,
+        candidates,
+        groups,
         ..
     } = arena;
     let mut candidates_enumerated = 0u64;
@@ -136,17 +132,7 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
             // Per-token occurrence nodes/counts in this subtree (dedup
             // across slots: the same posting can surface in several merged
             // lists).
-            let mut token_nodes: HashMap<TokenId, Vec<(NodeId, u32)>> = HashMap::new();
-            for occ in occurrences {
-                for &(t, n, tf) in occ {
-                    token_nodes.entry(t).or_default().push((n, tf));
-                }
-            }
-            for v in token_nodes.values_mut() {
-                v.sort_unstable_by_key(|&(n, _)| n);
-                v.dedup_by_key(|&mut (n, _)| n);
-            }
-
+            groups.begin_subtree(occurrences);
             let mut budget = config.max_candidates_per_subtree;
             crate::walk::enumerate_candidates_in(
                 slot_tokens,
@@ -159,15 +145,16 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
                     distinct.dedup();
                     let lists: Vec<Vec<NodeId>> = distinct
                         .iter()
-                        .map(|t| token_nodes[t].iter().map(|&(n, _)| n).collect())
+                        .map(|&t| {
+                            let nodes = groups.occurrences_of(t).iter();
+                            nodes.map(|&(_, n, _)| n).collect()
+                        })
                         .collect();
                     let entities = lca_rule(tree, &lists);
                     if entities.is_empty() {
                         return;
                     }
-                    distances.clear();
-                    distances.extend(cand.iter().enumerate().map(|(i, t)| distance_of[i][t]));
-                    let log_w = error_model.log_query_weight(distances);
+                    let id = candidates.intern(cand);
                     for &r in &entities {
                         if tree.depth(r) < config.min_depth {
                             continue;
@@ -175,10 +162,11 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
                         let dlen = view.doc_len(r);
                         let mut log_score = 0.0f64;
                         for &t in cand.iter() {
-                            let count: u64 = token_nodes[&t]
+                            let count: u64 = groups
+                                .occurrences_of(t)
                                 .iter()
-                                .filter(|&&(n, _)| tree.is_ancestor_or_self(r, n))
-                                .map(|&(_, tf)| u64::from(tf))
+                                .filter(|&&(_, n, _)| tree.is_ancestor_or_self(r, n))
+                                .map(|&(_, _, tf)| u64::from(tf))
                                 .sum();
                             log_score += lm.log_prob(t, count, dlen);
                         }
@@ -187,14 +175,7 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
                             EntityPrior::Uniform => 1.0,
                             EntityPrior::DocLength => dlen.max(1) as f64,
                         };
-                        sink.accumulate(
-                            cand,
-                            log_score.exp() * weight,
-                            weight,
-                            log_w,
-                            distances,
-                            PathId::INVALID,
-                        );
+                        sink.accumulate(candidates, id, log_score.exp() * weight, weight);
                     }
                 },
             );

@@ -19,8 +19,6 @@
 //! probabilities, smoothed language-model terms, utilities, normalisers)
 //! is computed from the same integers the unsharded corpus holds.
 
-use std::collections::HashMap;
-
 use xclean_index::{CorpusIndex, PostingList, TokenId, Vocabulary};
 use xclean_lm::{LanguageModel, Smoothing};
 use xclean_xmltree::{NodeId, PathId, XmlTree};
@@ -45,13 +43,17 @@ pub(crate) struct GlobalStats {
     pub(crate) path_doc_len_totals: Vec<u64>,
 }
 
+/// A [`ShardScope::to_local_token`] entry for a global token the shard
+/// does not hold.
+pub(crate) const ABSENT_TOKEN: u32 = u32::MAX;
+
 /// Shard-local id remapping plus the global statistics, borrowed from a
 /// `Pipeline` for the duration of one query.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardScope<'a> {
-    /// Global token id → this shard's local token id (absent when the
-    /// token does not occur in the shard).
-    pub(crate) to_local_token: &'a HashMap<TokenId, TokenId>,
+    /// Global token id → this shard's local token id, [`ABSENT_TOKEN`]
+    /// when the token does not occur in the shard.
+    pub(crate) to_local_token: &'a [u32],
     /// This shard's local path id → global path id (total: every local
     /// path exists globally by construction).
     pub(crate) local_to_global_path: &'a [PathId],
@@ -99,9 +101,9 @@ impl<'a> Scoring<'a> {
     pub(crate) fn postings(&self, token: TokenId) -> &'a PostingList {
         match &self.scope {
             None => self.corpus.postings(token),
-            Some(s) => match s.to_local_token.get(&token) {
-                Some(&local) => self.corpus.postings(local),
-                None => s.empty,
+            Some(s) => match s.to_local_token[token.index()] {
+                ABSENT_TOKEN => s.empty,
+                local => self.corpus.postings(TokenId(local)),
             },
         }
     }

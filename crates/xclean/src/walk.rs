@@ -11,7 +11,6 @@ use xclean_xmltree::NodeId;
 
 use crate::algorithm::{KeywordSlot, RunStats};
 use crate::config::XCleanConfig;
-use crate::pruning::CandidateKey;
 use crate::view::Scoring;
 
 /// Occurrences collected for one gating subtree: per keyword slot, the
@@ -28,50 +27,26 @@ pub fn walk_gated_subtrees(
     stats: &mut RunStats,
     on_subtree: impl FnMut(NodeId, &SlotOccurrences, &[Vec<TokenId>]),
 ) {
-    let mut occurrences = SlotOccurrences::new();
-    let mut slot_tokens = Vec::new();
-    walk_gated_subtrees_in(
-        corpus,
-        slots,
-        config,
-        stats,
-        &mut occurrences,
-        &mut slot_tokens,
-        on_subtree,
-    )
-}
-
-/// [`walk_gated_subtrees`] over caller-provided (arena) occurrence and
-/// token buffers: both are resized to one entry per slot and content-
-/// cleared before use, so recycled buffers behave exactly like fresh
-/// ones. The buffers are left holding the *last* subtree's data on
-/// return — callers treat them as opaque scratch.
-pub fn walk_gated_subtrees_in(
-    corpus: &CorpusIndex,
-    slots: &[KeywordSlot],
-    config: &XCleanConfig,
-    stats: &mut RunStats,
-    occurrences: &mut SlotOccurrences,
-    slot_tokens: &mut Vec<Vec<TokenId>>,
-    on_subtree: impl FnMut(NodeId, &SlotOccurrences, &[Vec<TokenId>]),
-) {
     walk_gated_subtrees_scoped(
         &Scoring::unsharded(corpus),
         slots,
         config,
         stats,
-        occurrences,
-        slot_tokens,
+        &mut SlotOccurrences::new(),
+        &mut Vec::new(),
         on_subtree,
     )
 }
 
-/// The walk core over a [`Scoring`] view: identical to
-/// [`walk_gated_subtrees_in`] on an identity view; under a shard scope the
-/// variant tokens (global ids) resolve to the shard's local posting lists
-/// — or the empty list, which exhausts that merged-list member
-/// immediately — so the walk visits exactly the qualifying subtrees whose
-/// entities live in the shard.
+/// The walk core over a [`Scoring`] view and caller-provided (arena)
+/// occurrence and token buffers: both are resized to one entry per slot
+/// and content-cleared before use, so recycled buffers behave exactly like
+/// fresh ones, and are left holding the *last* subtree's data on return —
+/// callers treat them as opaque scratch. Under a shard scope the variant
+/// tokens (global ids) resolve to the shard's local posting lists — or the
+/// empty list, which exhausts that merged-list member immediately — so the
+/// walk visits exactly the qualifying subtrees whose entities live in the
+/// shard.
 pub(crate) fn walk_gated_subtrees_scoped(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
@@ -161,8 +136,7 @@ pub(crate) fn walk_gated_subtrees_scoped(
             occurrences[i].clear();
             while let Some(n) = vl.head_node() {
                 if n >= g && n.0 < g_end {
-                    let e = vl.next().expect("head_node implies an entry");
-                    occurrences[i].push((e.token, e.posting.node, e.posting.tf));
+                    occurrences[i].push(vl.next().expect("head_node implies an entry"));
                 } else if n < g {
                     // Reachable only with skipping disabled.
                     vl.next();
@@ -198,7 +172,7 @@ pub(crate) fn walk_gated_subtrees_scoped(
 pub fn enumerate_candidates(
     slot_tokens: &[Vec<TokenId>],
     budget: &mut usize,
-    f: &mut impl FnMut(&CandidateKey),
+    f: &mut impl FnMut(&[TokenId]),
 ) {
     let mut candidate = Vec::new();
     enumerate_candidates_in(slot_tokens, &mut candidate, budget, f);
@@ -210,7 +184,7 @@ pub fn enumerate_candidates_in(
     slot_tokens: &[Vec<TokenId>],
     candidate: &mut Vec<TokenId>,
     budget: &mut usize,
-    f: &mut impl FnMut(&CandidateKey),
+    f: &mut impl FnMut(&[TokenId]),
 ) {
     candidate.clear();
     candidate.resize(slot_tokens.len(), TokenId(0));
@@ -222,7 +196,7 @@ fn rec(
     candidate: &mut Vec<TokenId>,
     slot: usize,
     budget: &mut usize,
-    f: &mut impl FnMut(&CandidateKey),
+    f: &mut impl FnMut(&[TokenId]),
 ) {
     if *budget == 0 {
         return;

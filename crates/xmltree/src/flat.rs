@@ -10,8 +10,8 @@
 //! re-established here or rejected with a [`TreeAssemblyError`] — a
 //! corrupt column stream can never produce a malformed tree.
 
-use crate::label::{LabelId, LabelTable, PathTable};
-use crate::tree::{Node, NodeId, XmlTree};
+use crate::label::{LabelId, LabelTable};
+use crate::tree::{NodeId, OpenElement, XmlTree, NIL};
 
 /// Structural violation found while assembling a tree from flat columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,8 +78,8 @@ pub struct PreorderAssembler {
     tree: XmlTree,
     /// Interned id for each label-column index.
     label_ids: Vec<LabelId>,
-    /// Ancestor stack: (node, next child ordinal, last child pushed).
-    stack: Vec<(NodeId, u32, Option<NodeId>)>,
+    /// The ancestors of the node appended last, itself included.
+    stack: Vec<OpenElement>,
 }
 
 impl PreorderAssembler {
@@ -89,12 +89,7 @@ impl PreorderAssembler {
         let mut labels = LabelTable::new();
         let label_ids = label_names.iter().map(|n| labels.intern(n)).collect();
         PreorderAssembler {
-            tree: XmlTree {
-                nodes: Vec::new(),
-                text_blob: String::new(),
-                labels,
-                paths: PathTable::new(),
-            },
+            tree: XmlTree::empty(labels),
             label_ids,
             stack: Vec::new(),
         }
@@ -102,7 +97,8 @@ impl PreorderAssembler {
 
     /// Reserves arena capacity for `nodes` nodes.
     pub fn reserve(&mut self, nodes: usize) {
-        self.tree.nodes.reserve(nodes);
+        self.tree.hot.reserve(nodes);
+        self.tree.cold.reserve(nodes);
     }
 
     /// Appends the next preorder node. Text is copied into the tree's
@@ -114,98 +110,51 @@ impl PreorderAssembler {
         label_index: u32,
         text: Option<&str>,
     ) -> Result<NodeId, TreeAssemblyError> {
-        let index = self.tree.nodes.len();
+        let index = self.tree.hot.len();
         let label = *self.label_ids.get(label_index as usize).ok_or(
             TreeAssemblyError::LabelOutOfRange {
                 index,
                 label: label_index,
             },
         )?;
-        let text = match text {
-            Some(t) => {
-                let arena_overflow =
-                    || TreeAssemblyError::InvariantViolated("text arena exceeds 4 GiB");
-                let off = u32::try_from(self.tree.text_blob.len()).map_err(|_| arena_overflow())?;
-                self.tree.text_blob.push_str(t);
-                let end = u32::try_from(self.tree.text_blob.len()).map_err(|_| arena_overflow())?;
-                Some((off, end - off))
-            }
-            None => None,
-        };
+        if index >= NIL as usize {
+            return Err(TreeAssemblyError::InvariantViolated(
+                "tree exceeds u32 node ids",
+            ));
+        }
+        let text =
+            match text {
+                Some(t) => Some(self.tree.push_text(t).ok_or(
+                    TreeAssemblyError::InvariantViolated("text arena exceeds 4 GiB"),
+                )?),
+                None => None,
+            };
         if index == 0 {
             if depth != 1 {
                 return Err(TreeAssemblyError::BadRootDepth(depth));
             }
-            let path = self.tree.paths.intern_root(label);
-            self.tree.nodes.push(Node {
-                label,
-                path,
-                parent: None,
-                ordinal: 1,
-                depth: 1,
-                text,
-                first_child: None,
-                next_sibling: None,
-                subtree_end: 0,
-            });
-            self.stack.push((NodeId(0), 1, None));
-            return Ok(NodeId(0));
+        } else {
+            let prev = self.stack.len() as u32;
+            if depth < 2 {
+                return Err(TreeAssemblyError::SecondRoot { index });
+            }
+            if depth > prev + 1 {
+                return Err(TreeAssemblyError::DepthJump { index, depth, prev });
+            }
+            // Pop back to the parent level: the stack then holds exactly
+            // the ancestors of the node being appended.
+            self.stack.truncate(depth as usize - 1);
         }
-        let prev = self.stack.len() as u32;
-        if depth < 2 {
-            return Err(TreeAssemblyError::SecondRoot { index });
-        }
-        if depth > prev + 1 {
-            return Err(TreeAssemblyError::DepthJump { index, depth, prev });
-        }
-        // Pop back to the parent level: the stack holds exactly the
-        // ancestors of the node being appended.
-        self.stack.truncate(depth as usize - 1);
-        let (parent, ordinal, prev_sibling) = {
-            let top = self.stack.last_mut().expect("depth ≥ 2 keeps the root");
-            let ord = top.1;
-            top.1 += 1;
-            let prev_sibling = top.2;
-            (top.0, ord, prev_sibling)
-        };
-        let parent_node = &self.tree.nodes[parent.index()];
-        let path = self.tree.paths.intern_child(parent_node.path, label);
-        let id = NodeId(index as u32);
-        self.tree.nodes.push(Node {
-            label,
-            path,
-            parent: Some(parent),
-            ordinal,
-            depth,
-            text,
-            first_child: None,
-            next_sibling: None,
-            subtree_end: 0,
-        });
-        match prev_sibling {
-            Some(p) => self.tree.nodes[p.index()].next_sibling = Some(id),
-            None => self.tree.nodes[parent.index()].first_child = Some(id),
-        }
-        self.stack.last_mut().expect("parent on stack").2 = Some(id);
-        self.stack.push((id, 1, None));
-        Ok(id)
+        Ok(self.tree.append(&mut self.stack, label, text))
     }
 
     /// Finishes assembly: computes subtree extents (one reverse pass) and
     /// re-checks every structural invariant.
     pub fn finish(mut self) -> Result<XmlTree, TreeAssemblyError> {
-        let n = self.tree.nodes.len();
-        if n == 0 {
+        if self.tree.hot.is_empty() {
             return Err(TreeAssemblyError::EmptyTree);
         }
-        let mut size = vec![1u32; n];
-        for i in (1..n).rev() {
-            let p = self.tree.nodes[i].parent.expect("non-root has parent");
-            size[p.index()] += size[i];
-        }
-        for (i, sz) in size.iter().enumerate() {
-            self.tree.nodes[i].subtree_end = i as u32 + sz;
-        }
+        self.tree.seal_extents();
         self.tree.validate_structure()?;
         Ok(self.tree)
     }
@@ -218,33 +167,36 @@ impl XmlTree {
     /// tests as an oracle.
     pub fn validate_structure(&self) -> Result<(), TreeAssemblyError> {
         use TreeAssemblyError::InvariantViolated;
-        if self.nodes.is_empty() {
+        if self.hot.is_empty() {
             return Err(TreeAssemblyError::EmptyTree);
         }
-        let root = &self.nodes[0];
-        if root.parent.is_some() || root.depth != 1 || root.ordinal != 1 {
+        if self.cold.len() != self.hot.len() {
+            return Err(InvariantViolated("node columns differ in length"));
+        }
+        let root = &self.hot[0];
+        if root.parent != NIL || root.depth != 1 || self.cold[0].ordinal != 1 {
             return Err(InvariantViolated("malformed root"));
         }
-        if root.subtree_end as usize != self.nodes.len() {
+        if root.subtree_end as usize != self.hot.len() {
             return Err(InvariantViolated("root subtree must span the arena"));
         }
-        for (i, node) in self.nodes.iter().enumerate().skip(1) {
-            let p = node
-                .parent
-                .ok_or(InvariantViolated("non-root without parent"))?;
-            if p.index() >= i {
+        for (i, node) in self.hot.iter().enumerate().skip(1) {
+            if node.parent == NIL {
+                return Err(InvariantViolated("non-root without parent"));
+            }
+            if node.parent as usize >= i {
                 return Err(InvariantViolated("parent id must precede child id"));
             }
-            let parent = &self.nodes[p.index()];
+            let parent = &self.hot[node.parent as usize];
             if parent.depth + 1 != node.depth {
                 return Err(InvariantViolated("child depth ≠ parent depth + 1"));
             }
             if self.paths.parent(node.path) != Some(parent.path)
-                || self.paths.label(node.path) != node.label
+                || self.paths.label(node.path) != self.cold[i].label
             {
                 return Err(InvariantViolated("label path disagrees with parentage"));
             }
-            if node.ordinal == 0 {
+            if self.cold[i].ordinal == 0 {
                 return Err(InvariantViolated("ordinals are 1-based"));
             }
             // Subtrees nest: a child's extent stays inside its parent's.
@@ -253,23 +205,21 @@ impl XmlTree {
             }
             // Preorder contiguity: the node right after this subtree is
             // never a descendant, so its parent must sit at or above.
-            if i as u32 + 1 < node.subtree_end {
-                let first_desc = &self.nodes[i + 1];
-                if first_desc.parent != Some(NodeId(i as u32)) {
-                    return Err(InvariantViolated("first descendant must be first child"));
-                }
+            if i as u32 + 1 < node.subtree_end && self.hot[i + 1].parent != i as u32 {
+                return Err(InvariantViolated("first descendant must be first child"));
             }
         }
         // Sibling chains and first_child links agree with parent/ordinal.
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in self.cold.iter().enumerate() {
             let mut expected_ord = 1u32;
             let mut cur = node.first_child;
-            while let Some(c) = cur {
-                let child = self
-                    .nodes
-                    .get(c.index())
+            while cur != NIL {
+                let (child, hot) = self
+                    .cold
+                    .get(cur as usize)
+                    .zip(self.hot.get(cur as usize))
                     .ok_or(InvariantViolated("child id out of range"))?;
-                if child.parent != Some(NodeId(i as u32)) {
+                if hot.parent != i as u32 {
                     return Err(InvariantViolated("sibling chain crosses parents"));
                 }
                 if child.ordinal != expected_ord {
@@ -277,7 +227,7 @@ impl XmlTree {
                 }
                 expected_ord += 1;
                 cur = child.next_sibling;
-                if expected_ord as usize > self.nodes.len() {
+                if expected_ord as usize > self.hot.len() {
                     return Err(InvariantViolated("sibling cycle"));
                 }
             }
@@ -423,6 +373,131 @@ mod tests {
         assert_eq!(wide.len(), r.len());
         for n in wide.iter() {
             assert_eq!(wide.dewey(n), r.dewey(n));
+        }
+    }
+}
+
+#[cfg(test)]
+mod prop {
+    use super::*;
+    use crate::tree::TreeBuilder;
+    use proptest::prelude::*;
+
+    /// One builder step per byte: open a child, close the current element
+    /// (when one is open), or append a text leaf.
+    fn build(shape: &[u8]) -> XmlTree {
+        let mut b = TreeBuilder::new("r");
+        let mut depth = 0usize;
+        for &s in shape {
+            match s % 4 {
+                0 => {
+                    b.open(if s % 8 == 0 { "n" } else { "m" });
+                    depth += 1;
+                }
+                1 if depth > 0 => {
+                    b.close();
+                    depth -= 1;
+                }
+                _ => {
+                    b.leaf("t", "x y");
+                }
+            }
+        }
+        b.finish()
+    }
+
+    fn reassemble(tree: &XmlTree) -> XmlTree {
+        let labels: Vec<String> = (0..tree.labels().len() as u32)
+            .map(|i| tree.labels().name(LabelId(i)).to_string())
+            .collect();
+        let mut asm = PreorderAssembler::new(&labels);
+        for n in tree.iter() {
+            asm.push(tree.depth(n), tree.label(n).0, tree.text(n))
+                .unwrap();
+        }
+        asm.finish().unwrap()
+    }
+
+    /// Ancestors of `n`, nearest first, from the child → parent relation
+    /// recomputed out of the children iterator alone.
+    fn naive_ancestors(parents: &[Option<NodeId>], n: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let mut cur = parents[n.index()];
+        while let Some(p) = cur {
+            out.push(p);
+            cur = parents[p.index()];
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The incremental builder and the column assembler fill the same
+        /// hot and cold columns for the same document.
+        #[test]
+        fn builder_and_assembler_fill_identical_columns(
+            shape in proptest::collection::vec(0u8..16, 0..60),
+        ) {
+            let built = build(&shape);
+            let assembled = reassemble(&built);
+            prop_assert_eq!(&built.hot, &assembled.hot);
+            prop_assert_eq!(&built.cold, &assembled.cold);
+            prop_assert_eq!(&built.text_blob, &assembled.text_blob);
+        }
+
+        /// Every hot-column accessor agrees with a recomputation that
+        /// uses only the child lists.
+        #[test]
+        fn hot_columns_match_naive_recomputation(
+            shape in proptest::collection::vec(0u8..16, 0..60),
+            picks in proptest::collection::vec((0usize..1000, 0usize..1000, 0u32..8), 1..12),
+        ) {
+            let tree = build(&shape);
+            tree.validate_structure().unwrap();
+            let mut parents: Vec<Option<NodeId>> = vec![None; tree.len()];
+            for p in tree.iter() {
+                for c in tree.children(p) {
+                    parents[c.index()] = Some(p);
+                }
+            }
+            for n in tree.iter() {
+                let up = naive_ancestors(&parents, n);
+                prop_assert_eq!(tree.parent(n), parents[n.index()]);
+                prop_assert_eq!(tree.depth(n) as usize, up.len() + 1);
+                let expect_path = match parents[n.index()] {
+                    None => tree.paths().iter().next().unwrap(),
+                    Some(p) => tree
+                        .paths()
+                        .iter()
+                        .find(|&q| {
+                            tree.paths().parent(q) == Some(tree.path(p))
+                                && tree.paths().label(q) == tree.label(n)
+                        })
+                        .unwrap(),
+                };
+                prop_assert_eq!(tree.path(n), expect_path);
+                let descendants = tree
+                    .iter()
+                    .filter(|&m| m == n || naive_ancestors(&parents, m).contains(&n))
+                    .count();
+                prop_assert_eq!(tree.subtree_end(n), n.0 + descendants as u32);
+            }
+            for (a, b, depth) in picks {
+                let a = NodeId((a % tree.len()) as u32);
+                let b = NodeId((b % tree.len()) as u32);
+                // Self first, root last: the entry `depth` levels below
+                // the root end is the ancestor at that depth.
+                let mut chain_a = vec![a];
+                chain_a.extend(naive_ancestors(&parents, a));
+                let expect = (depth >= 1 && depth as usize <= chain_a.len())
+                    .then(|| chain_a[chain_a.len() - depth as usize]);
+                prop_assert_eq!(tree.ancestor_at_depth(a, depth), expect);
+                let mut chain_b = vec![b];
+                chain_b.extend(naive_ancestors(&parents, b));
+                let lca = *chain_a.iter().find(|x| chain_b.contains(x)).unwrap();
+                prop_assert_eq!(tree.lca(a, b), lca);
+            }
         }
     }
 }

@@ -7,6 +7,13 @@
 //! Nodes live in a preorder (document-order) arena, so a `NodeId` is both a
 //! stable handle and a document-order rank, and parent ids are always
 //! smaller than child ids.
+//!
+//! The arena is two parallel columns. Ancestor climbs, subtree gates and
+//! type checks — everything the query walk does per posting — read only
+//! the 16-byte [`HotNode`]s, so a publication's nodes share one or two
+//! cache lines; labels, ordinals, text ranges and child/sibling links sit
+//! in the [`ColdNode`] column that only construction, serialisation and
+//! display touch. Links are `u32` with [`NIL`] for "none".
 
 use crate::dewey::Dewey;
 use crate::label::{LabelId, LabelTable, PathId, PathTable};
@@ -22,22 +29,49 @@ impl NodeId {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Node {
-    pub(crate) label: LabelId,
-    pub(crate) path: PathId,
-    pub(crate) parent: Option<NodeId>,
-    /// Ordinal among siblings, 1-based (Dewey component).
-    pub(crate) ordinal: u32,
+/// "No node" / "no text" in the `u32` link and offset columns. Never a
+/// valid node id or text offset: [`XmlTree::append`] and the text arena
+/// both stay below it.
+pub(crate) const NIL: u32 = u32::MAX;
+
+fn link(raw: u32) -> Option<NodeId> {
+    (raw != NIL).then_some(NodeId(raw))
+}
+
+/// What the query walk reads of a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HotNode {
+    /// Parent id, [`NIL`] for the root.
+    pub(crate) parent: u32,
     pub(crate) depth: u32,
-    /// Directly attached text (leaf content) as a `(offset, len)` byte
-    /// range into the tree's shared text arena, if any.
-    pub(crate) text: Option<(u32, u32)>,
-    pub(crate) first_child: Option<NodeId>,
-    pub(crate) next_sibling: Option<NodeId>,
+    pub(crate) path: PathId,
     /// Exclusive end of this node's subtree in preorder: all ids in
     /// `self.0 .. subtree_end` are descendants-or-self.
     pub(crate) subtree_end: u32,
+}
+
+/// The rest of a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ColdNode {
+    pub(crate) label: LabelId,
+    /// Ordinal among siblings, 1-based (Dewey component).
+    pub(crate) ordinal: u32,
+    /// Directly attached text (leaf content) as an `(offset, len)` byte
+    /// range into the tree's shared text arena; offset [`NIL`] for none.
+    pub(crate) text_off: u32,
+    pub(crate) text_len: u32,
+    /// First child / next sibling id, [`NIL`] for none.
+    pub(crate) first_child: u32,
+    pub(crate) next_sibling: u32,
+}
+
+/// An element still open during preorder construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OpenElement {
+    node: NodeId,
+    next_ordinal: u32,
+    /// Last child appended so far, [`NIL`] for none.
+    last_child: u32,
 }
 
 /// A rooted, labelled, ordered XML tree with interned labels and paths.
@@ -47,10 +81,96 @@ pub(crate) struct Node {
 /// growing allocation instead of one `String` per text node.
 #[derive(Debug, Clone)]
 pub struct XmlTree {
-    pub(crate) nodes: Vec<Node>,
+    pub(crate) hot: Vec<HotNode>,
+    pub(crate) cold: Vec<ColdNode>,
     pub(crate) text_blob: String,
     pub(crate) labels: LabelTable,
     pub(crate) paths: PathTable,
+}
+
+impl XmlTree {
+    /// A tree with no nodes yet, over an already-filled label table.
+    pub(crate) fn empty(labels: LabelTable) -> XmlTree {
+        XmlTree {
+            hot: Vec::new(),
+            cold: Vec::new(),
+            text_blob: String::new(),
+            labels,
+            paths: PathTable::new(),
+        }
+    }
+
+    /// Appends the next preorder node as the last child of the innermost
+    /// open element (as the root when `open` is empty) and opens it.
+    /// Derives parent, depth, ordinal, label path and the sibling links;
+    /// subtree extents wait for [`XmlTree::seal_extents`].
+    pub(crate) fn append(
+        &mut self,
+        open: &mut Vec<OpenElement>,
+        label: LabelId,
+        text: Option<(u32, u32)>,
+    ) -> NodeId {
+        let id = u32::try_from(self.hot.len()).expect("tree exceeds u32 node ids");
+        assert!(id != NIL, "tree exceeds u32 node ids");
+        let (parent, depth, path, ordinal) = match open.last_mut() {
+            None => (NIL, 1, self.paths.intern_root(label), 1),
+            Some(top) => {
+                let ordinal = top.next_ordinal;
+                top.next_ordinal += 1;
+                match std::mem::replace(&mut top.last_child, id) {
+                    NIL => self.cold[top.node.index()].first_child = id,
+                    prev => self.cold[prev as usize].next_sibling = id,
+                }
+                let p = self.hot[top.node.index()];
+                let path = self.paths.intern_child(p.path, label);
+                (top.node.0, p.depth + 1, path, ordinal)
+            }
+        };
+        self.hot.push(HotNode {
+            parent,
+            depth,
+            path,
+            subtree_end: id + 1,
+        });
+        let (text_off, text_len) = text.unwrap_or((NIL, 0));
+        self.cold.push(ColdNode {
+            label,
+            ordinal,
+            text_off,
+            text_len,
+            first_child: NIL,
+            next_sibling: NIL,
+        });
+        open.push(OpenElement {
+            node: NodeId(id),
+            next_ordinal: 1,
+            last_child: NIL,
+        });
+        NodeId(id)
+    }
+
+    /// Computes subtree extents once every node is appended. Children have
+    /// larger preorder ids than their parents, so one backwards sweep sees
+    /// each node's final extent before folding it into its parent's.
+    pub(crate) fn seal_extents(&mut self) {
+        for i in (1..self.hot.len()).rev() {
+            let HotNode {
+                parent,
+                subtree_end,
+                ..
+            } = self.hot[i];
+            let p = &mut self.hot[parent as usize];
+            p.subtree_end = p.subtree_end.max(subtree_end);
+        }
+    }
+
+    /// Appends `text` to the shared arena and returns its range.
+    pub(crate) fn push_text(&mut self, text: &str) -> Option<(u32, u32)> {
+        let off = u32::try_from(self.text_blob.len()).ok()?;
+        self.text_blob.push_str(text);
+        let end = u32::try_from(self.text_blob.len()).ok()?;
+        (end != NIL).then_some((off, end - off))
+    }
 }
 
 /// Builder used by parsers and generators to construct trees in document
@@ -58,102 +178,54 @@ pub struct XmlTree {
 #[derive(Debug)]
 pub struct TreeBuilder {
     tree: XmlTree,
-    /// Stack of (node, next child ordinal, last child pushed).
-    stack: Vec<(NodeId, u32, Option<NodeId>)>,
+    stack: Vec<OpenElement>,
 }
 
 impl TreeBuilder {
     /// Starts a tree whose root element has the given label.
     pub fn new(root_label: &str) -> Self {
-        let mut tree = XmlTree {
-            nodes: Vec::new(),
-            text_blob: String::new(),
-            labels: LabelTable::new(),
-            paths: PathTable::new(),
-        };
+        let mut tree = XmlTree::empty(LabelTable::new());
+        let mut stack = Vec::new();
         let label = tree.labels.intern(root_label);
-        let path = tree.paths.intern_root(label);
-        tree.nodes.push(Node {
-            label,
-            path,
-            parent: None,
-            ordinal: 1,
-            depth: 1,
-            text: None,
-            first_child: None,
-            next_sibling: None,
-            subtree_end: 0,
-        });
-        TreeBuilder {
-            tree,
-            stack: vec![(NodeId(0), 1, None)],
-        }
+        tree.append(&mut stack, label, None);
+        TreeBuilder { tree, stack }
     }
 
     /// Opens a child element of the current node and makes it current.
     pub fn open(&mut self, label: &str) -> NodeId {
-        let (parent, ordinal, prev) = {
-            let top = self.stack.last_mut().expect("builder stack underflow");
-            let ord = top.1;
-            top.1 += 1;
-            let prev = top.2;
-            (top.0, ord, prev)
-        };
+        assert!(!self.stack.is_empty(), "builder stack underflow");
         let label = self.tree.labels.intern(label);
-        let parent_node = &self.tree.nodes[parent.index()];
-        let path = self.tree.paths.intern_child(parent_node.path, label);
-        let depth = parent_node.depth + 1;
-        let id = NodeId(self.tree.nodes.len() as u32);
-        self.tree.nodes.push(Node {
-            label,
-            path,
-            parent: Some(parent),
-            ordinal,
-            depth,
-            text: None,
-            first_child: None,
-            next_sibling: None,
-            subtree_end: 0,
-        });
-        match prev {
-            Some(p) => self.tree.nodes[p.index()].next_sibling = Some(id),
-            None => self.tree.nodes[parent.index()].first_child = Some(id),
-        }
-        self.stack.last_mut().unwrap().2 = Some(id);
-        self.stack.push((id, 1, None));
-        id
+        self.tree.append(&mut self.stack, label, None)
     }
 
     /// Appends text to the current node's content.
     pub fn text(&mut self, text: &str) {
-        let (id, _, _) = *self.stack.last().expect("builder stack underflow");
+        let id = self.stack.last().expect("builder stack underflow").node;
         let blob = &mut self.tree.text_blob;
-        let node = &mut self.tree.nodes[id.index()];
-        match &mut node.text {
-            Some((off, len)) => {
-                // Mixed content can interleave children between text runs;
-                // if this node's text is no longer at the arena's end, move
-                // it there so the range stays contiguous.
-                if (*off + *len) as usize != blob.len() {
-                    let moved = blob[*off as usize..(*off + *len) as usize].to_string();
-                    *off = u32::try_from(blob.len()).expect("text arena exceeds 4 GiB");
-                    blob.push_str(&moved);
-                }
-                let existing = &blob[*off as usize..];
-                if !existing.is_empty() && !existing.ends_with(char::is_whitespace) {
-                    blob.push(' ');
-                }
-                blob.push_str(text);
-                let end = u32::try_from(blob.len()).expect("text arena exceeds 4 GiB");
-                *len = end - *off;
+        let node = &mut self.tree.cold[id.index()];
+        let arena_end = |blob: &String| match u32::try_from(blob.len()) {
+            Ok(end) if end != NIL => end,
+            _ => panic!("text arena exceeds 4 GiB"),
+        };
+        if node.text_off == NIL {
+            node.text_off = arena_end(blob);
+        } else {
+            // Mixed content can interleave children between text runs;
+            // if this node's text is no longer at the arena's end, move
+            // it there so the range stays contiguous.
+            let (off, len) = (node.text_off as usize, node.text_len as usize);
+            if off + len != blob.len() {
+                let moved = blob[off..off + len].to_string();
+                node.text_off = arena_end(blob);
+                blob.push_str(&moved);
             }
-            None => {
-                let off = u32::try_from(blob.len()).expect("text arena exceeds 4 GiB");
-                blob.push_str(text);
-                let end = u32::try_from(blob.len()).expect("text arena exceeds 4 GiB");
-                node.text = Some((off, end - off));
+            let existing = &blob[node.text_off as usize..];
+            if !existing.is_empty() && !existing.ends_with(char::is_whitespace) {
+                blob.push(' ');
             }
         }
+        blob.push_str(text);
+        node.text_len = arena_end(blob) - node.text_off;
     }
 
     /// Convenience: `open`, `text`, `close`.
@@ -171,20 +243,13 @@ impl TreeBuilder {
     }
 
     /// Finishes the tree. Any still-open elements are closed implicitly.
+    /// The finished tree is immutable, so the growth slack of its columns
+    /// (up to half their capacity) is handed back.
     pub fn finish(mut self) -> XmlTree {
-        self.stack.clear();
-        // Compute subtree extents in one reverse pass: children have larger
-        // preorder ids than their parents, so accumulating subtree sizes
-        // bottom-up is a single backwards sweep.
-        let n = self.tree.nodes.len();
-        let mut size = vec![1u32; n];
-        for i in (1..n).rev() {
-            let p = self.tree.nodes[i].parent.expect("non-root has parent");
-            size[p.index()] += size[i];
-        }
-        for (i, sz) in size.iter().enumerate() {
-            self.tree.nodes[i].subtree_end = i as u32 + sz;
-        }
+        self.tree.seal_extents();
+        self.tree.hot.shrink_to_fit();
+        self.tree.cold.shrink_to_fit();
+        self.tree.text_blob.shrink_to_fit();
         self.tree
     }
 }
@@ -197,13 +262,13 @@ impl XmlTree {
 
     /// Total number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.hot.len()
     }
 
     /// `true` for a tree with no nodes (never constructible via the
     /// builder, which always creates a root).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.hot.is_empty()
     }
 
     /// The label interner.
@@ -218,59 +283,60 @@ impl XmlTree {
 
     /// The node's element label.
     pub fn label(&self, id: NodeId) -> LabelId {
-        self.nodes[id.index()].label
+        self.cold[id.index()].label
     }
 
     /// The node's label as a string.
     pub fn label_name(&self, id: NodeId) -> &str {
-        self.labels.name(self.nodes[id.index()].label)
+        self.labels.name(self.cold[id.index()].label)
     }
 
     /// The node's label path (node type).
     pub fn path(&self, id: NodeId) -> PathId {
-        self.nodes[id.index()].path
+        self.hot[id.index()].path
     }
 
     /// The node's label path rendered as `/a/b/c`.
     pub fn path_string(&self, id: NodeId) -> String {
-        self.paths
-            .display(self.nodes[id.index()].path, &self.labels)
+        self.paths.display(self.hot[id.index()].path, &self.labels)
     }
 
     /// The node's parent, or `None` for the root.
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].parent
+        link(self.hot[id.index()].parent)
     }
 
     /// Depth of the node; the root has depth 1 (§III).
     pub fn depth(&self, id: NodeId) -> u32 {
-        self.nodes[id.index()].depth
+        self.hot[id.index()].depth
     }
 
     /// Directly attached text, if any.
     pub fn text(&self, id: NodeId) -> Option<&str> {
-        self.nodes[id.index()]
-            .text
-            .map(|(off, len)| &self.text_blob[off as usize..(off + len) as usize])
+        let ColdNode {
+            text_off, text_len, ..
+        } = self.cold[id.index()];
+        (text_off != NIL)
+            .then(|| &self.text_blob[text_off as usize..(text_off + text_len) as usize])
     }
 
     /// Children of `id` in document order.
     pub fn children(&self, id: NodeId) -> Children<'_> {
         Children {
             tree: self,
-            next: self.nodes[id.index()].first_child,
+            next: link(self.cold[id.index()].first_child),
         }
     }
 
     /// All node ids in document (preorder) order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.hot.len() as u32).map(NodeId)
     }
 
     /// The exclusive preorder end of `id`'s subtree; ids in
     /// `id.0..subtree_end(id)` are exactly the descendants-or-self of `id`.
     pub fn subtree_end(&self, id: NodeId) -> u32 {
-        self.nodes[id.index()].subtree_end
+        self.hot[id.index()].subtree_end
     }
 
     /// Descendants-or-self of `id`, in document order.
@@ -289,8 +355,8 @@ impl XmlTree {
         let mut comps = Vec::with_capacity(self.depth(id) as usize);
         let mut cur = Some(id);
         while let Some(c) = cur {
-            comps.push(self.nodes[c.index()].ordinal);
-            cur = self.nodes[c.index()].parent;
+            comps.push(self.cold[c.index()].ordinal);
+            cur = self.parent(c);
         }
         comps.reverse();
         Dewey::from_components(comps)
@@ -311,32 +377,34 @@ impl XmlTree {
 
     /// The lowest common ancestor of two nodes.
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let (mut a, mut b) = (a, b);
-        while self.depth(a) > self.depth(b) {
-            a = self.parent(a).unwrap();
+        let (mut a, mut b) = (a.index(), b.index());
+        while self.hot[a].depth > self.hot[b].depth {
+            a = self.hot[a].parent as usize;
         }
-        while self.depth(b) > self.depth(a) {
-            b = self.parent(b).unwrap();
+        while self.hot[b].depth > self.hot[a].depth {
+            b = self.hot[b].parent as usize;
         }
+        // Equal depths: both climbs reach the root together at the latest.
         while a != b {
-            a = self.parent(a).unwrap();
-            b = self.parent(b).unwrap();
+            a = self.hot[a].parent as usize;
+            b = self.hot[b].parent as usize;
         }
-        a
+        NodeId(a as u32)
     }
 
     /// The ancestor of `id` at the given depth (1 = root). Returns `id`
-    /// itself if its depth equals `depth`; `None` if `id` is shallower.
+    /// itself if its depth equals `depth`; `None` if `id` is shallower
+    /// (or `depth` is 0, which no node has).
     pub fn ancestor_at_depth(&self, id: NodeId, depth: u32) -> Option<NodeId> {
-        let mut cur = id;
-        let d = self.depth(id);
-        if d < depth {
+        let d = self.hot[id.index()].depth;
+        if depth == 0 || d < depth {
             return None;
         }
+        let mut cur = id.0;
         for _ in depth..d {
-            cur = self.parent(cur)?;
+            cur = self.hot[cur as usize].parent;
         }
-        Some(cur)
+        Some(NodeId(cur))
     }
 
     /// Concatenated text of the whole subtree (the paper's *virtual
@@ -366,7 +434,7 @@ impl Iterator for Children<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         let cur = self.next?;
-        self.next = self.tree.nodes[cur.index()].next_sibling;
+        self.next = link(self.tree.cold[cur.index()].next_sibling);
         Some(cur)
     }
 }

@@ -1,0 +1,183 @@
+//! Allocation budget of the serving hot path.
+//!
+//! The contract (DESIGN.md §15, "Layout of `walk_accumulate`"): on a warm
+//! engine — pooled arena grown to its steady state, posting lists decoded
+//! — a query allocates for its variant slots, for one merged-list cursor
+//! set per keyword, and for the `SuggestResponse` it returns; nothing
+//! between slot building and the materialisation of the top-k grows with
+//! the work walked. So a query that visits ten thousand gated subtrees
+//! and enumerates thousands of candidates allocates exactly as often,
+//! slots aside, as a query of the same keyword and suggestion count that
+//! visits a handful — with an unbounded γ-table and under a γ that evicts.
+//!
+//! One `#[test]` only: the counting allocator is process-global, and the
+//! harness would run a second test on a parallel thread.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use xclean_suite::datagen::{generate_dblp, DblpConfig};
+use xclean_suite::index::{CorpusIndex, TokenId};
+use xclean_suite::xclean::{SuggestResponse, XCleanConfig, XCleanEngine};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic
+// that publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocator calls (`alloc` + `realloc`) `f` makes on this thread's watch.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+/// Allocations of one warm `suggest_keywords` beyond those of building
+/// its slots (which depend on the keywords' spelling, not on the corpus
+/// walk), and the response.
+fn net_allocations(engine: &XCleanEngine, query: &[String]) -> (u64, SuggestResponse) {
+    let (slots, _) = allocations(|| engine.make_slots(query));
+    let (total, response) = allocations(|| engine.suggest_keywords(query));
+    assert!(
+        total >= slots,
+        "a query builds its slots: {total} < {slots}"
+    );
+    (total - slots, response)
+}
+
+/// The two most frequent and two of the rarest vocabulary terms of at
+/// least five letters, as clean two-keyword queries.
+fn heavy_and_light(corpus: &CorpusIndex) -> (Vec<String>, Vec<String>) {
+    let vocab = corpus.vocab();
+    let mut terms: Vec<TokenId> = (0..vocab.len() as u32)
+        .map(TokenId)
+        .filter(|&t| {
+            vocab.term(t).len() >= 5 && vocab.term(t).bytes().all(|b| b.is_ascii_lowercase())
+        })
+        .collect();
+    terms.sort_by_key(|&t| (std::cmp::Reverse(vocab.cf(t)), t));
+    let heavy = vec![
+        vocab.term(terms[0]).to_string(),
+        vocab.term(terms[1]).to_string(),
+    ];
+    // A rare pair that still shares a publication, so the light query
+    // returns a suggestion too: two terms of one title far down the tail.
+    let tree = corpus.tree();
+    let light = tree
+        .children(tree.root())
+        .filter_map(|publication| {
+            let mut rare: Vec<TokenId> = terms
+                .iter()
+                .rev()
+                .take(terms.len() / 2)
+                .copied()
+                .filter(|&t| {
+                    corpus
+                        .postings(t)
+                        .nodes()
+                        .iter()
+                        .any(|&n| tree.is_ancestor_or_self(publication, n))
+                })
+                .take(2)
+                .collect();
+            rare.sort_unstable();
+            (rare.len() == 2).then_some(rare)
+        })
+        .next()
+        .expect("some publication holds two tail terms");
+    (
+        heavy,
+        light.iter().map(|&t| vocab.term(t).to_string()).collect(),
+    )
+}
+
+#[test]
+fn hot_path_allocations_do_not_grow_with_the_work_walked() {
+    let tree = generate_dblp(&DblpConfig {
+        publications: 30_000,
+        ..DblpConfig::default()
+    });
+    let corpus = std::sync::Arc::new(CorpusIndex::build(tree));
+    let (heavy, light) = heavy_and_light(&corpus);
+    // k = 1: both queries return exactly one suggestion, so their
+    // responses hold the same number of vectors and strings.
+    for gamma in [Some(1000), Some(2)] {
+        let engine = XCleanEngine::from_shared(
+            corpus.clone(),
+            XCleanConfig {
+                gamma,
+                k: 1,
+                ..XCleanConfig::default()
+            },
+        );
+        assert_eq!(engine.config().num_threads, 1);
+        // Warm: decode posting lists, grow the pooled arena to the heavy
+        // query's needs, resolve metric handles.
+        for _ in 0..2 {
+            engine.suggest_keywords(&heavy);
+            engine.suggest_keywords(&light);
+        }
+        let (heavy_net, heavy_response) = net_allocations(&engine, &heavy);
+        let (light_net, light_response) = net_allocations(&engine, &light);
+        let (heavy_again, _) = net_allocations(&engine, &heavy);
+
+        let stats = heavy_response.stats;
+        assert!(
+            stats.subtrees >= 10_000 && stats.candidates_enumerated >= 1_000,
+            "the heavy query must walk: {stats:?}"
+        );
+        assert!(
+            light_response.stats.subtrees <= 500,
+            "the light query must not: {:?}",
+            light_response.stats
+        );
+        assert_eq!(heavy_response.suggestions.len(), 1);
+        assert_eq!(light_response.suggestions.len(), 1);
+        if gamma == Some(2) {
+            assert!(
+                stats.pruning.evictions + stats.pruning.rejected > 0,
+                "γ = 2 must bind on the heavy query: {stats:?}"
+            );
+        }
+        assert_eq!(
+            heavy_net, heavy_again,
+            "γ={gamma:?}: a repeated query allocates the same"
+        );
+        assert!(
+            heavy_net <= light_net,
+            "γ={gamma:?}: {} subtrees / {} candidates / {} contributions cost {heavy_net} \
+             allocations beyond slots, {} subtrees cost {light_net}",
+            stats.subtrees,
+            stats.candidates_enumerated,
+            stats.entities_scored,
+            light_response.stats.subtrees,
+        );
+        // Slots and response only: a fixed handful per keyword, far below
+        // one per subtree, candidate or contribution.
+        assert!(heavy_net < 64, "γ={gamma:?}: {heavy_net} allocations");
+    }
+}

@@ -193,3 +193,28 @@ fn v2_fingerprint_is_slab_mode_invariant_and_upgrade_is_canonical() {
         );
     }
 }
+
+/// The v2 payload of one small generated corpus, pinned by checksum and
+/// length: the tree is stored as preorder columns re-derived from the
+/// in-memory layout, so a change to that layout (or to any encoder) that
+/// alters a snapshot byte — and with it the benchmark's
+/// `snapshot_bytes_per_input_byte` — fails here first. The constants are
+/// what the commit before the hot/cold node split wrote; regenerate them
+/// only for a deliberate format change.
+#[test]
+fn v2_payload_checksum_is_pinned() {
+    const PINNED_CHECKSUM: u64 = 0xc1d6_54c2_7024_9cdb;
+    const PINNED_BYTES: usize = 84_649;
+    let index = CorpusIndex::build(generate_dblp(&DblpConfig {
+        publications: 300,
+        ..Default::default()
+    }));
+    let path = tmp("pinned.v2.xci");
+    storage::save_to_file_v2(&index, &path).unwrap();
+    let (_, report) = storage::open_file(&path, &OpenOptions::default()).unwrap();
+    assert_eq!(
+        (report.checksum, report.total_bytes),
+        (Some(PINNED_CHECKSUM), PINNED_BYTES),
+        "v2 snapshot bytes changed"
+    );
+}
