@@ -53,11 +53,10 @@ pub const USAGE: &str = "\
 xclean — valid spelling suggestions for XML keyword queries (ICDE 2011)
 
 USAGE:
-    xclean index build <data.xml> --out <index.xci> [--format v1|v2]
-            (`xclean index <data.xml> --out <index.xci>` still works;
-             default format is v2 — columnar, checksummed, mmap-servable)
+    xclean index build <data.xml> --out <index.xci>
+            (writes the v2 format — columnar, checksummed, mmap-servable)
     xclean index upgrade <old.xci> --out <new.xci>
-            (rewrites any readable snapshot in the v2 format)
+            (rewrites any readable snapshot, legacy v1 included, as v2)
     xclean index inspect <index.xci>
             (summarises a snapshot without materialising the index:
              format version, section sizes, checksum, and — for a shard
@@ -172,44 +171,35 @@ fn load_corpus(path: &str) -> Result<CorpusIndex, ArgError> {
     }
 }
 
-/// `xclean index <build|upgrade|inspect> …`. The original bare form
-/// (`xclean index <data.xml> --out <index.xci>`) remains an alias for
-/// `build` so existing scripts keep working.
+/// `xclean index <build|upgrade|inspect|shard> …`.
 fn cmd_index(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     match raw.first().map(String::as_str) {
         Some("build") => cmd_index_build(raw[1..].to_vec()),
         Some("upgrade") => cmd_index_upgrade(raw[1..].to_vec()),
         Some("inspect") => cmd_index_inspect(raw[1..].to_vec()),
         Some("shard") => cmd_index_shard(raw[1..].to_vec()),
-        _ => cmd_index_build(raw),
+        _ => Err(ArgError(format!(
+            "index expects a subcommand: build, upgrade, inspect or shard\n{USAGE}"
+        ))),
     }
 }
 
 fn cmd_index_build(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     let args = Args::parse(raw, &[])?;
-    args.reject_unknown(&["out", "format"])?;
+    args.reject_unknown(&["out"])?;
     let [input] = args.positional() else {
         return Err(ArgError(
-            "usage: xclean index build <data.xml> --out <index.xci> [--format v1|v2]".into(),
+            "usage: xclean index build <data.xml> --out <index.xci>".into(),
         ));
     };
     let out = args
         .get("out")
         .ok_or_else(|| ArgError("--out <index.xci> is required".into()))?;
-    let format = args.get("format").unwrap_or("v2");
     let corpus = load_corpus(input)?;
-    match format {
-        "v2" => storage::save_to_file_v2(&corpus, out).map_err(|e| ArgError(e.to_string()))?,
-        "v1" => storage::save_to_file(&corpus, out).map_err(|e| ArgError(e.to_string()))?,
-        other => {
-            return Err(ArgError(format!(
-                "--format: expected v1 or v2, got {other:?}"
-            )))
-        }
-    }
+    storage::save_to_file_v2(&corpus, out).map_err(|e| ArgError(e.to_string()))?;
     let size = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     Ok(CmdOutput::ok(vec![format!(
-        "indexed {} nodes, {} terms → {out} ({format}, {:.1} MB)",
+        "indexed {} nodes, {} terms → {out} (v2, {:.1} MB)",
         corpus.tree().len(),
         corpus.vocab().len(),
         size as f64 / 1e6
@@ -928,6 +918,12 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
                 "{snapshot}: {e} (build a snapshot first: xclean index build <data.xml> --out <index.xci>)"
             ))
         })?;
+        if load_report.format_version != 2 {
+            return Err(ArgError(format!(
+                "{snapshot}: legacy v{} snapshot — run `xclean index upgrade {snapshot} --out <new.xci>` and serve the result",
+                load_report.format_version
+            )));
+        }
         let mut engine = XCleanEngine::from_corpus(corpus, config).with_semantics(semantics);
         if trace_out.is_some() {
             engine = engine.with_telemetry(Telemetry::with_tracing());
@@ -1134,6 +1130,17 @@ mod tests {
     fn unknown_command_fails() {
         let out = run(argv(&["frobnicate"]));
         assert_eq!(out.code, 2);
+        // `index` needs a subcommand: a missing or unknown one (a data
+        // file included) prints the usage instead of building anything.
+        for args in [
+            vec!["index"],
+            vec!["index", "frobnicate"],
+            vec!["index", "data.xml", "--out", "data.xci"],
+        ] {
+            let out = run(argv(&args));
+            assert_eq!(out.code, 2, "{args:?}");
+            assert!(out.lines[0].contains("USAGE"), "{:?}", out.lines);
+        }
     }
 
     #[test]
@@ -1158,7 +1165,7 @@ mod tests {
     fn index_then_suggest_from_index() {
         let xml = write_sample_xml("roundtrip.xml");
         let idx = tmp("roundtrip.xci").to_string_lossy().into_owned();
-        let out = run(argv(&["index", &xml, "--out", &idx]));
+        let out = run(argv(&["index", "build", &xml, "--out", &idx]));
         assert_eq!(out.code, 0, "{:?}", out.lines);
         let out = run(argv(&["suggest", &idx, "helth", "insurance"]));
         assert_eq!(out.code, 0);
@@ -1331,18 +1338,6 @@ mod tests {
     }
 
     #[test]
-    fn index_build_subcommand_and_legacy_alias_agree() {
-        let xml = write_sample_xml("build_forms.xml");
-        let a = tmp("build_sub.xci").to_string_lossy().into_owned();
-        let b = tmp("build_legacy.xci").to_string_lossy().into_owned();
-        let out = run(argv(&["index", "build", &xml, "--out", &a]));
-        assert_eq!(out.code, 0, "{:?}", out.lines);
-        let out = run(argv(&["index", &xml, "--out", &b]));
-        assert_eq!(out.code, 0, "{:?}", out.lines);
-        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
-    }
-
-    #[test]
     fn index_inspect_summarises_snapshot() {
         let xml = write_sample_xml("inspect.xml");
         let idx = tmp("inspect.xci").to_string_lossy().into_owned();
@@ -1372,79 +1367,39 @@ mod tests {
         assert!(text.contains(&format!("terms       {}", corpus.vocab().len())));
     }
 
+    /// The committed legacy-format snapshot (see `tests/fixtures/README.md`).
+    fn tiny_v1_fixture() -> String {
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/tiny_v1.xci"
+        )
+        .to_string()
+    }
+
     #[test]
     fn index_inspect_reports_v1_snapshots() {
-        let xml = write_sample_xml("inspect_v1.xml");
-        let idx = tmp("inspect_v1.xci").to_string_lossy().into_owned();
-        assert_eq!(
-            run(argv(&[
-                "index", "build", &xml, "--out", &idx, "--format", "v1"
-            ]))
-            .code,
-            0
-        );
-        let out = run(argv(&["index", "inspect", &idx]));
+        let out = run(argv(&["index", "inspect", &tiny_v1_fixture()]));
         assert_eq!(out.code, 0, "{:?}", out.lines);
         let text = out.lines.join("\n");
         assert!(text.contains("format      v1"), "{text}");
         assert!(text.contains("checksum    none"), "{text}");
-        assert!(text.contains("nodes       5"), "{text}");
+        assert!(text.contains("nodes       7"), "{text}");
         for sec in ["TREE", "VOCAB", "POSTINGS", "TOKENIZER"] {
             assert!(text.contains(sec), "missing section {sec}: {text}");
         }
     }
 
     #[test]
-    fn index_build_format_flag_selects_encoding() {
-        let xml = write_sample_xml("format_flag.xml");
-        let v1 = tmp("format_v1.xci").to_string_lossy().into_owned();
-        let v2 = tmp("format_v2.xci").to_string_lossy().into_owned();
-        assert_eq!(
-            run(argv(&[
-                "index", "build", &xml, "--out", &v1, "--format", "v1"
-            ]))
-            .code,
-            0
-        );
-        assert_eq!(
-            run(argv(&[
-                "index", "build", &xml, "--out", &v2, "--format", "v2"
-            ]))
-            .code,
-            0
-        );
-        assert!(std::fs::read(&v1).unwrap().starts_with(b"XCLIDX1\0"));
-        assert!(std::fs::read(&v2).unwrap().starts_with(b"XCLIDX2\0"));
-        // Both formats answer queries identically.
-        let a = run(argv(&["suggest", &v1, "helth", "insurance", "--json"]));
-        let b = run(argv(&["suggest", &v2, "helth", "insurance", "--json"]));
-        assert_eq!(a.code, 0, "{:?}", a.lines);
-        assert_eq!(a.lines, b.lines);
-        let bad = run(argv(&[
-            "index", "build", &xml, "--out", &v2, "--format", "v3",
-        ]));
-        assert_eq!(bad.code, 2);
-        assert!(bad.lines[0].contains("--format"), "{:?}", bad.lines);
-    }
-
-    #[test]
     fn index_upgrade_rewrites_v1_as_v2() {
-        let xml = write_sample_xml("upgrade.xml");
-        let old = tmp("upgrade_v1.xci").to_string_lossy().into_owned();
+        let old = tiny_v1_fixture();
         let new = tmp("upgrade_v2.xci").to_string_lossy().into_owned();
-        assert_eq!(
-            run(argv(&[
-                "index", "build", &xml, "--out", &old, "--format", "v1"
-            ]))
-            .code,
-            0
-        );
         let out = run(argv(&["index", "upgrade", &old, "--out", &new]));
         assert_eq!(out.code, 0, "{:?}", out.lines);
         assert!(out.lines[0].contains("upgraded"), "{:?}", out.lines);
         assert!(std::fs::read(&new).unwrap().starts_with(b"XCLIDX2\0"));
         let a = run(argv(&["suggest", &old, "helth", "insurance", "--json"]));
         let b = run(argv(&["suggest", &new, "helth", "insurance", "--json"]));
+        assert_eq!(a.code, 0, "{:?}", a.lines);
         assert_eq!(a.lines, b.lines);
         // Usage errors.
         let out = run(argv(&["index", "upgrade", &old]));
@@ -1472,6 +1427,10 @@ mod tests {
         let out = run(argv(&["serve", "/nonexistent/corpus.xci"]));
         assert_eq!(out.code, 2);
         assert!(out.lines[0].contains("index build"), "{:?}", out.lines);
+        // A legacy v1 snapshot is refused with the way out.
+        let out = run(argv(&["serve", &tiny_v1_fixture()]));
+        assert_eq!(out.code, 2);
+        assert!(out.lines[0].contains("index upgrade"), "{:?}", out.lines);
         // Flag typos and zero-width pools are rejected up front.
         let xml = write_sample_xml("serve_flags.xml");
         let idx = tmp("serve_flags.xci").to_string_lossy().into_owned();

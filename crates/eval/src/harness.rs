@@ -52,7 +52,7 @@ pub fn run_set(system: &dyn Suggester, set: &QuerySet, max_n: usize) -> SetResul
 }
 
 /// Parallel variant of [`run_set`] for *quality* experiments: queries are
-/// spread over worker threads with crossbeam scoped threads. Per-query
+/// spread over scoped worker threads. Per-query
 /// wall times are still measured inside each worker, but under contention
 /// they overstate single-query latency — use [`run_set`] for the timing
 /// experiments.
@@ -67,26 +67,31 @@ pub fn run_set_parallel<S: Suggester + Sync + ?Sized>(
     /// One query's ranked suggestions plus its wall time.
     type QueryOutcome = (Vec<Vec<String>>, f64);
     // Per-query results, in case order.
-    let results: Vec<parking_lot::Mutex<Option<QueryOutcome>>> = (0..set.cases.len())
-        .map(|_| parking_lot::Mutex::new(None))
+    let results: Vec<std::sync::Mutex<Option<QueryOutcome>>> = (0..set.cases.len())
+        .map(|_| std::sync::Mutex::new(None))
         .collect();
-    crossbeam::scope(|scope| {
+    // A panicking worker propagates out of `scope` when it joins.
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(case) = set.cases.get(i) else { break };
                 let start = Instant::now();
                 let suggestions = system.suggest(&case.dirty);
                 let secs = start.elapsed().as_secs_f64();
-                *results[i].lock() = Some((suggestions, secs));
+                *results[i]
+                    .lock()
+                    .expect("slot is locked once, by its own worker") = Some((suggestions, secs));
             });
         }
-    })
-    .expect("worker panicked");
+    });
     let mut acc = MetricAccumulator::new(max_n);
     let mut total = 0.0f64;
     for (case, slot) in set.cases.iter().zip(results) {
-        let (suggestions, secs) = slot.into_inner().expect("query processed");
+        let (suggestions, secs) = slot
+            .into_inner()
+            .expect("a worker panic already propagated")
+            .expect("query processed");
         total += secs;
         acc.record(&suggestions, &case.clean);
     }

@@ -8,13 +8,13 @@
 //! block)` pairs; a cursor decodes a block only when entered, so
 //! `skip_to` genuinely avoids decoding (≈ reading) skipped regions.
 //!
-//! Equivalence with the plain representation is property-tested; the
-//! `merged_list` benchmark compares drain vs. sparse access on both.
+//! Equivalence with the plain representation is property-tested. Nothing
+//! on the serving path uses this store yet (ROADMAP A(iii) decides it by
+//! measurement).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use xclean_xmltree::{NodeId, PathId};
 
-use crate::codec::CodecError;
+use crate::codec::{put_varint, SliceReader};
 use crate::posting::{Posting, PostingList};
 
 /// Entries per block. 128 balances skip granularity against per-block
@@ -51,43 +51,12 @@ impl OwnedPosting {
 #[derive(Debug, Clone)]
 pub struct BlockedPostingList {
     /// Encoded blocks (each self-contained: deltas restart per block).
-    blocks: Vec<Bytes>,
+    blocks: Vec<Vec<u8>>,
     /// First node id of each block (the skip table).
     first_nodes: Vec<NodeId>,
     /// Entries per block (all `BLOCK_SIZE` except possibly the last).
     block_lens: Vec<u32>,
     len: usize,
-}
-
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut v: u64 = 0;
-    let mut shift = 0;
-    loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let byte = buf.get_u8();
-        if shift >= 64 {
-            return Err(CodecError::VarintOverflow);
-        }
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
 }
 
 impl BlockedPostingList {
@@ -99,7 +68,7 @@ impl BlockedPostingList {
         let mut i = 0usize;
         while i < list.len() {
             let end = (i + BLOCK_SIZE).min(list.len());
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             let mut prev_node = 0u64;
             let mut prev_dewey: Vec<u32> = Vec::new();
             let mut first = true;
@@ -130,7 +99,7 @@ impl BlockedPostingList {
                 prev_dewey.extend_from_slice(p.dewey);
             }
             block_lens.push((end - i) as u32);
-            blocks.push(buf.freeze());
+            blocks.push(buf);
             i = end;
         }
         BlockedPostingList {
@@ -158,28 +127,28 @@ impl BlockedPostingList {
 
     /// Total encoded bytes (the I/O a full read would cost).
     pub fn encoded_bytes(&self) -> usize {
-        self.blocks.iter().map(Bytes::len).sum()
+        self.blocks.iter().map(Vec::len).sum()
     }
 
     fn decode_block(&self, b: usize) -> Vec<OwnedPosting> {
-        let mut buf = self.blocks[b].clone();
+        let mut buf = SliceReader::new(&self.blocks[b]);
         let n = self.block_lens[b] as usize;
         let mut out = Vec::with_capacity(n);
         let mut prev_node = 0u64;
         let mut prev_dewey: Vec<u32> = Vec::new();
         let mut first = true;
         for _ in 0..n {
-            let v = get_varint(&mut buf).expect("self-produced block");
+            let v = buf.get_varint().expect("self-produced block");
             let node = if first { v } else { prev_node + v };
             first = false;
             prev_node = node;
-            let path = get_varint(&mut buf).expect("path") as u32;
-            let tf = get_varint(&mut buf).expect("tf") as u32;
-            let shared = get_varint(&mut buf).expect("shared") as usize;
-            let suffix = get_varint(&mut buf).expect("suffix") as usize;
+            let path = buf.get_varint().expect("path") as u32;
+            let tf = buf.get_varint().expect("tf") as u32;
+            let shared = buf.get_varint().expect("shared") as usize;
+            let suffix = buf.get_varint().expect("suffix") as usize;
             prev_dewey.truncate(shared);
             for _ in 0..suffix {
-                prev_dewey.push(get_varint(&mut buf).expect("component") as u32);
+                prev_dewey.push(buf.get_varint().expect("component") as u32);
             }
             out.push(OwnedPosting {
                 node: NodeId(node as u32),

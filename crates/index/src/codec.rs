@@ -6,7 +6,6 @@
 //! paths/tfs are raw varints. This is the on-disk/wire format of the index
 //! and also what the index-size figures in EXPERIMENTS.md are measured on.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use xclean_xmltree::{NodeId, PathId};
 
 use crate::posting::PostingList;
@@ -34,40 +33,21 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
+pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-pub(crate) fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut v: u64 = 0;
-    let mut shift = 0;
-    loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let byte = buf.get_u8();
-        if shift >= 64 {
-            return Err(CodecError::VarintOverflow);
-        }
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
+        buf.push(byte | 0x80);
     }
 }
 
 /// Serialises a posting list.
-pub fn encode(list: &PostingList) -> Bytes {
-    let mut buf = BytesMut::new();
+pub fn encode(list: &PostingList) -> Vec<u8> {
+    let mut buf = Vec::new();
     put_varint(&mut buf, list.len() as u64);
     let mut prev_node = 0u64;
     let mut prev_dewey: Vec<u32> = Vec::new();
@@ -91,17 +71,11 @@ pub fn encode(list: &PostingList) -> Bytes {
         prev_dewey.clear();
         prev_dewey.extend_from_slice(p.dewey);
     }
-    buf.freeze()
+    buf
 }
 
-/// Deserialises a posting list produced by [`encode`].
-pub fn decode(buf: Bytes) -> Result<PostingList, CodecError> {
-    decode_slice(&buf)
-}
-
-/// A borrowing cursor over an encoded byte range — the slab-backed decode
-/// path, which reads straight out of the snapshot without copying the
-/// input into a `Bytes`.
+/// A borrowing cursor over an encoded byte range: decoders read straight
+/// out of the snapshot slab (or any other slice) without copying it.
 pub(crate) struct SliceReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -209,10 +183,10 @@ fn extract_7bit_groups(word: u64, len: usize) -> u64 {
     (w & 0x0FFF_FFFF) | ((w & 0x0FFF_FFFF_0000_0000) >> 4)
 }
 
-/// Deserialises a posting list from a borrowed byte range. The entire
-/// input must be consumed — trailing garbage is a corruption error, which
-/// keeps per-token slab ranges honest.
-pub fn decode_slice(buf: &[u8]) -> Result<PostingList, CodecError> {
+/// Deserialises a posting list produced by [`encode`]. The entire input
+/// must be consumed — trailing garbage is a corruption error, which keeps
+/// per-token slab ranges honest.
+pub fn decode(buf: &[u8]) -> Result<PostingList, CodecError> {
     let mut r = SliceReader::new(buf);
     let n = get_count(&mut r, 5)?; // ≥5 bytes per entry (5 varints)
     let mut list = PostingList::new();
@@ -283,21 +257,21 @@ mod tests {
     fn roundtrip() {
         let l = sample();
         let bytes = encode(&l);
-        let back = decode(bytes).unwrap();
+        let back = decode(&bytes).unwrap();
         assert_eq!(l, back);
     }
 
     #[test]
     fn empty_roundtrip() {
         let l = PostingList::new();
-        assert_eq!(decode(encode(&l)).unwrap(), l);
+        assert_eq!(decode(&encode(&l)).unwrap(), l);
     }
 
     #[test]
     fn truncated_input_errors() {
         let bytes = encode(&sample());
         for cut in 1..bytes.len() {
-            let r = decode(bytes.slice(0..cut));
+            let r = decode(&bytes[..cut]);
             assert!(r.is_err(), "cut at {cut} should fail");
         }
     }
@@ -365,7 +339,7 @@ mod varint_tests {
     fn fast_path_matches_reference_on_canonical_encodings() {
         // Every varint length 1..=10 bytes, with interesting values at
         // each length boundary.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for k in 0..64 {
             put_varint(&mut buf, 1u64 << k);
             put_varint(&mut buf, (1u64 << k) - 1);
@@ -381,7 +355,7 @@ mod varint_tests {
         // <8 from the end — the window guard must route these through the
         // byte loop and still agree.
         for val in [0u64, 127, 128, 16_383, 16_384, u64::from(u32::MAX)] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, val);
             for pad in 0..8usize {
                 let mut padded = vec![0u8; 0];
@@ -470,7 +444,7 @@ mod prop {
             for (node, (path, tf, dewey)) in &entries {
                 l.push(NodeId(*node), PathId(*path), *tf, dewey);
             }
-            prop_assert_eq!(decode(encode(&l)).unwrap(), l);
+            prop_assert_eq!(decode(&encode(&l)).unwrap(), l);
         }
     }
 }

@@ -61,7 +61,7 @@ impl PostingStore {
                 // The slab checksum was verified at open; a decode failure
                 // here is a writer bug, so degrade to an empty list rather
                 // than panic on the query path.
-                codec::decode_slice(&slab.bytes()[ranges[i].clone()]).unwrap_or_default()
+                codec::decode(&slab.bytes()[ranges[i].clone()]).unwrap_or_default()
             }),
         }
     }

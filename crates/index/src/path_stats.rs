@@ -164,7 +164,7 @@ impl PathStatsIndex {
 
 /// Serialises one token's `(path, f)` list: a count, then per pair the
 /// path-id gap from the previous path (absolute for the first) and `f`.
-pub(crate) fn encode_stats(list: &[(PathId, u32)], out: &mut bytes::BytesMut) {
+pub(crate) fn encode_stats(list: &[(PathId, u32)], out: &mut Vec<u8>) {
     codec::put_varint(out, list.len() as u64);
     let mut prev = 0u64;
     let mut first = true;
@@ -355,7 +355,7 @@ mod tests {
             vec![(PathId(2), 1), (PathId(3), 9), (PathId(40), 2)],
         ];
         for l in &lists {
-            let mut buf = bytes::BytesMut::new();
+            let mut buf = Vec::new();
             encode_stats(l, &mut buf);
             assert_eq!(&decode_stats(&buf).unwrap(), l);
         }
@@ -368,7 +368,7 @@ mod tests {
         let (_, lists) = index_tokens(&tree);
         let owned = PathStatsIndex::build(&tree, &lists);
         // Re-encode into a slab and wrap it.
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         let mut ranges = Vec::new();
         for t in 0..owned.len() {
             let start = buf.len();

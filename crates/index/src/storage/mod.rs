@@ -1,24 +1,23 @@
 //! Persistent index formats.
 //!
-//! Two snapshot formats coexist (DESIGN.md §11):
+//! One written format, two readable ones (DESIGN.md §11):
 //!
-//! * **v1** (`XCLIDX1\0`, [`v1`]) — the legacy stream format: loading
-//!   *replays* tree construction and re-materialises every posting list,
-//!   so open cost is O(corpus).
 //! * **v2** (`XCLIDX2\0`, [`v2`]) — a columnar, offset-addressed layout
 //!   with a section table and payload checksum. Postings, the term
 //!   dictionary, and path statistics stay *in* the file bytes (owned or
 //!   memory-mapped via [`IndexSlab`]) and are viewed/decoded lazily, so
-//!   open cost is O(validation).
+//!   open cost is O(validation). Everything that writes, writes v2.
+//! * **v1** (`XCLIDX1\0`, [`v1`]) — the legacy stream format, read-only:
+//!   loading *replays* tree construction and re-materialises every
+//!   posting list, so open cost is O(corpus). [`upgrade_file`] rewrites
+//!   it as v2.
 //!
-//! [`save_to_file`]/[`to_bytes`]/[`from_bytes`] keep their historical v1
-//! behaviour; [`open_file`] is the primary read path and handles both
-//! formats, returning a [`LoadReport`] with open/validate timings.
+//! [`open_file`] is the primary read path and handles both formats,
+//! returning a [`LoadReport`] with open/validate timings.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::Bytes;
 use xclean_xmltree::{TokenizerConfig, TreeAssemblyError};
 
 use crate::codec::CodecError;
@@ -162,19 +161,14 @@ pub struct LoadReport {
     pub validate_nanos: u64,
 }
 
-/// Serialises a corpus index in the legacy v1 stream format.
-pub fn to_bytes(corpus: &CorpusIndex) -> Bytes {
-    v1::to_bytes(corpus)
-}
-
 /// Serialises a corpus index in the v2 columnar format.
-pub fn to_bytes_v2(corpus: &CorpusIndex) -> Bytes {
+pub fn to_bytes_v2(corpus: &CorpusIndex) -> Vec<u8> {
     v2::to_bytes(corpus)
 }
 
 /// Restores a corpus index from bytes in either format.
-pub fn from_bytes(buf: Bytes) -> Result<CorpusIndex, StorageError> {
-    if buf.len() >= 8 && &buf[..8] == v2::MAGIC {
+pub fn from_bytes(buf: &[u8]) -> Result<CorpusIndex, StorageError> {
+    if buf.starts_with(v2::MAGIC) {
         let slab = Arc::new(IndexSlab::Owned(buf.to_vec()));
         return v2::load(slab, true).map(|(c, _)| c);
     }
@@ -199,15 +193,6 @@ pub fn summarize_file(path: impl AsRef<std::path::Path>) -> Result<SnapshotSumma
     summarize(&data)
 }
 
-/// Writes the index to a file in the legacy v1 format.
-pub fn save_to_file(
-    corpus: &CorpusIndex,
-    path: impl AsRef<std::path::Path>,
-) -> Result<(), StorageError> {
-    std::fs::write(path, to_bytes(corpus))?;
-    Ok(())
-}
-
 /// Writes the index to a file in the v2 columnar format.
 pub fn save_to_file_v2(
     corpus: &CorpusIndex,
@@ -220,7 +205,7 @@ pub fn save_to_file_v2(
 /// Loads an index from a file in either format, into owned memory.
 pub fn load_from_file(path: impl AsRef<std::path::Path>) -> Result<CorpusIndex, StorageError> {
     let data = std::fs::read(path)?;
-    from_bytes(Bytes::from(data))
+    from_bytes(&data)
 }
 
 /// Opens a snapshot for serving: v2 snapshots validate in place over the
@@ -252,7 +237,7 @@ pub fn open_file(
         ));
     }
     // Legacy v1: the decode owns everything, so the slab is only a source.
-    let corpus = v1::from_bytes(Bytes::from(slab.to_vec()))?;
+    let corpus = v1::from_bytes(&slab)?;
     Ok((
         corpus,
         LoadReport {
@@ -289,6 +274,24 @@ mod tests {
         CorpusIndex::build(parse_document(xml).unwrap())
     }
 
+    /// A committed fixture under the workspace's `tests/fixtures/`.
+    fn fixture(name: &str) -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures")
+            .join(name)
+    }
+
+    /// The index a fresh build of the committed `dblp50.xml` gives today.
+    fn dblp50() -> CorpusIndex {
+        let xml = std::fs::read_to_string(fixture("dblp50.xml")).unwrap();
+        CorpusIndex::build(parse_document(&xml).unwrap())
+    }
+
+    /// The v1 snapshot an earlier commit's writer produced from `dblp50.xml`.
+    fn dblp50_v1() -> Vec<u8> {
+        std::fs::read(fixture("dblp50_v1.xci")).unwrap()
+    }
+
     fn assert_equivalent(a: &CorpusIndex, b: &CorpusIndex) {
         assert_eq!(a.tree().len(), b.tree().len());
         for n in a.tree().iter() {
@@ -315,9 +318,8 @@ mod tests {
 
     #[test]
     fn v1_roundtrip_preserves_everything() {
-        let a = corpus();
-        let bytes = to_bytes(&a);
-        let b = from_bytes(bytes).unwrap();
+        let a = dblp50();
+        let b = from_bytes(&dblp50_v1()).unwrap();
         assert_equivalent(&a, &b);
         assert!(b.provenance().is_none(), "v1 loads carry no provenance");
     }
@@ -326,7 +328,7 @@ mod tests {
     fn v2_roundtrip_preserves_everything() {
         let a = corpus();
         let bytes = to_bytes_v2(&a);
-        let b = from_bytes(bytes).unwrap();
+        let b = from_bytes(&bytes).unwrap();
         assert_equivalent(&a, &b);
         let prov = b.provenance().expect("v2 loads carry provenance");
         assert_eq!(prov.format_version, 2);
@@ -336,33 +338,32 @@ mod tests {
     fn v2_double_roundtrip_is_byte_stable() {
         let a = corpus();
         let bytes = to_bytes_v2(&a);
-        let b = from_bytes(bytes.clone()).unwrap();
+        let b = from_bytes(&bytes).unwrap();
         assert_eq!(to_bytes_v2(&b), bytes);
     }
 
     #[test]
     fn bad_magic_rejected() {
         assert!(matches!(
-            from_bytes(Bytes::from_static(b"NOTANIDX")),
+            from_bytes(b"NOTANIDX"),
             Err(StorageError::BadMagic)
         ));
-        assert!(from_bytes(Bytes::new()).is_err());
+        assert!(from_bytes(&[]).is_err());
     }
 
     #[test]
     fn truncation_detected_both_formats() {
-        for bytes in [to_bytes(&corpus()), to_bytes_v2(&corpus())] {
+        for bytes in [dblp50_v1(), to_bytes_v2(&corpus())] {
             // Any truncation must error, never panic.
             for cut in (8..bytes.len()).step_by(7) {
-                assert!(from_bytes(bytes.slice(0..cut)).is_err(), "cut {cut}");
+                assert!(from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
             }
         }
     }
 
     #[test]
     fn summary_matches_full_load_v1() {
-        let a = corpus();
-        let bytes = to_bytes(&a);
+        let (bytes, a) = (dblp50_v1(), dblp50());
         let s = summarize(&bytes).unwrap();
         assert_eq!(s.format_version, 1);
         assert_eq!(s.checksum, None);
@@ -411,23 +412,25 @@ mod tests {
         let dir = std::env::temp_dir().join("xclean_storage_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.xci");
-        save_to_file(&a, &path).unwrap();
-        let b = load_from_file(&path).unwrap();
-        assert_equivalent(&a, &b);
-        let v2_path = dir.join("index_v2.xci");
-        upgrade_file(&path, &v2_path).unwrap();
-        assert_eq!(summarize_file(&v2_path).unwrap().format_version, 2);
-        let (c, report) = open_file(&v2_path, &OpenOptions::default()).unwrap();
+        save_to_file_v2(&a, &path).unwrap();
+        assert_equivalent(&a, &load_from_file(&path).unwrap());
+        let (c, report) = open_file(&path, &OpenOptions::default()).unwrap();
         assert_equivalent(&a, &c);
         assert_eq!(report.format_version, 2);
         assert!(report.checksum.is_some());
-        // v1 snapshots open through the same API, owned.
-        let (d, report1) = open_file(&path, &OpenOptions::default()).unwrap();
-        assert_equivalent(&a, &d);
+        // v1 snapshots open through the same API, owned, and upgrade to
+        // exactly the bytes a direct v2 save of the same corpus writes.
+        let v1_path = fixture("dblp50_v1.xci");
+        let fresh = dblp50();
+        let (d, report1) = open_file(&v1_path, &OpenOptions::default()).unwrap();
+        assert_equivalent(&fresh, &d);
         assert_eq!(report1.format_version, 1);
         assert!(!report1.mapped);
+        let upgraded = dir.join("upgraded.xci");
+        upgrade_file(&v1_path, &upgraded).unwrap();
+        assert_eq!(std::fs::read(&upgraded).unwrap(), to_bytes_v2(&fresh));
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&v2_path).ok();
+        std::fs::remove_file(&upgraded).ok();
     }
 
     #[test]
@@ -436,7 +439,7 @@ mod tests {
         let shards = crate::shard::partition_corpus(&a, 2, 99).unwrap();
         for shard in &shards {
             let bytes = to_bytes_v2(shard);
-            let loaded = from_bytes(bytes.clone()).unwrap();
+            let loaded = from_bytes(&bytes).unwrap();
             assert_equivalent(shard, &loaded);
             assert_eq!(loaded.shard_meta(), shard.shard_meta());
             // Re-encoding the loaded shard is byte-stable.
@@ -452,7 +455,7 @@ mod tests {
             assert!(s.sections.iter().any(|x| x.name == "SHARD"));
             // Truncations error, never panic, with the SHARD section too.
             for cut in (8..bytes.len()).step_by(13) {
-                assert!(from_bytes(bytes.slice(0..cut)).is_err(), "cut {cut}");
+                assert!(from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
             }
         }
         // Ordinary snapshots stay shard-free.
@@ -462,10 +465,10 @@ mod tests {
     #[test]
     fn v2_checksum_flip_detected() {
         let a = corpus();
-        let mut bytes = to_bytes_v2(&a).to_vec();
+        let mut bytes = to_bytes_v2(&a);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        assert!(from_bytes(Bytes::from(bytes)).is_err());
+        assert!(from_bytes(&bytes).is_err());
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Legacy v1 snapshot format (`XCLIDX1\0`).
+//! Legacy v1 snapshot format (`XCLIDX1\0`), read-only: nothing writes it
+//! any more, but deployed snapshots keep loading and `xclean index
+//! upgrade` rewrites them as v2.
 //!
 //! Layout (all integers LEB128 varints):
 //!
@@ -17,10 +19,9 @@
 //! price is that load cost is O(corpus); the v2 format ([`super::v2`])
 //! exists to avoid exactly that.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use xclean_xmltree::{Tokenizer, TokenizerConfig, TreeBuilder, XmlTree};
 
-use crate::codec::{self, get_varint, put_varint, CodecError};
+use crate::codec::{self, get_count, SliceReader};
 use crate::corpus::CorpusIndex;
 use crate::posting::PostingList;
 use crate::vocab::Vocabulary;
@@ -29,109 +30,58 @@ use super::{SectionInfo, SnapshotSummary, StorageError};
 
 pub(crate) const MAGIC: &[u8; 8] = b"XCLIDX1\0";
 
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
+/// Positions a reader just past the magic.
+fn open(bytes: &[u8]) -> Result<SliceReader<'_>, StorageError> {
+    if !bytes.starts_with(MAGIC) {
+        return Err(StorageError::BadMagic);
+    }
+    Ok(SliceReader::new(&bytes[MAGIC.len()..]))
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, StorageError> {
-    let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(StorageError::Codec(CodecError::UnexpectedEof));
-    }
-    let bytes = buf.copy_to_bytes(len);
+/// Borrows a length-prefixed byte string; the declared length is clamped
+/// against the remaining input.
+fn get_blob<'a>(r: &mut SliceReader<'a>) -> Result<&'a [u8], StorageError> {
+    let len = get_count(r, 1)?;
+    Ok(r.take(len)?)
+}
+
+fn get_str(r: &mut SliceReader<'_>) -> Result<String, StorageError> {
+    let bytes = get_blob(r)?;
     String::from_utf8(bytes.to_vec()).map_err(|_| StorageError::Corrupt("non-utf8 string"))
 }
 
-/// Serialises a corpus index to v1 bytes.
-pub fn to_bytes(corpus: &CorpusIndex) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    let tree = corpus.tree();
-
-    // TREE: label table, then preorder node records.
-    let labels = tree.labels();
-    put_varint(&mut buf, labels.len() as u64);
-    for i in 0..labels.len() as u32 {
-        put_str(&mut buf, labels.name(xclean_xmltree::LabelId(i)));
-    }
-    put_varint(&mut buf, tree.len() as u64);
-    for n in tree.iter() {
-        put_varint(&mut buf, u64::from(tree.depth(n)));
-        put_varint(&mut buf, u64::from(tree.label(n).0));
-        match tree.text(n) {
-            Some(t) => {
-                buf.put_u8(1);
-                put_str(&mut buf, t);
-            }
-            None => buf.put_u8(0),
-        }
-    }
-
-    // VOCAB.
-    let vocab = corpus.vocab();
-    put_varint(&mut buf, vocab.len() as u64);
-    for i in 0..vocab.len() as u32 {
-        let t = crate::vocab::TokenId(i);
-        put_str(&mut buf, vocab.term(t));
-        put_varint(&mut buf, vocab.cf(t));
-        put_varint(&mut buf, vocab.df(t));
-    }
-
-    // POSTINGS.
-    for i in 0..vocab.len() as u32 {
-        let blob = codec::encode(corpus.postings(crate::vocab::TokenId(i)));
-        put_varint(&mut buf, blob.len() as u64);
-        buf.put_slice(&blob);
-    }
-
-    // TOKENIZER.
-    let tc = corpus.tokenizer().config();
-    put_varint(&mut buf, tc.min_token_len as u64);
-    buf.put_u8(u8::from(tc.drop_numbers));
-    buf.put_u8(u8::from(tc.drop_stop_words));
-
-    buf.freeze()
+fn get_tokenizer(r: &mut SliceReader<'_>) -> Result<TokenizerConfig, StorageError> {
+    Ok(TokenizerConfig {
+        min_token_len: r.get_varint()? as usize,
+        drop_numbers: r.get_u8()? == 1,
+        drop_stop_words: r.get_u8()? == 1,
+    })
 }
 
-/// Reads a count that prefixes a sequence of records, each of which
-/// occupies at least `min_record_bytes` in the remaining buffer — so a
-/// hostile count can never trigger an oversized allocation.
-fn get_count(buf: &mut Bytes, min_record_bytes: usize) -> Result<usize, StorageError> {
-    let count = get_varint(buf)? as usize;
-    if count.saturating_mul(min_record_bytes.max(1)) > buf.remaining() {
-        return Err(StorageError::Corrupt("count exceeds remaining input"));
-    }
-    Ok(count)
-}
-
-/// Restores a corpus index from bytes produced by [`to_bytes`].
-pub fn from_bytes(mut buf: Bytes) -> Result<CorpusIndex, StorageError> {
-    if buf.remaining() < MAGIC.len() || &buf.copy_to_bytes(MAGIC.len())[..] != MAGIC {
-        return Err(StorageError::BadMagic);
-    }
+/// Restores a corpus index from v1 bytes.
+pub fn from_bytes(bytes: &[u8]) -> Result<CorpusIndex, StorageError> {
+    let mut r = open(bytes)?;
 
     // TREE.
-    let label_count = get_count(&mut buf, 1)?;
+    let label_count = get_count(&mut r, 1)?;
     let mut label_names = Vec::with_capacity(label_count);
     for _ in 0..label_count {
-        label_names.push(get_str(&mut buf)?);
+        label_names.push(get_str(&mut r)?);
     }
-    let node_count = get_count(&mut buf, 3)?;
+    let node_count = get_count(&mut r, 3)?;
     if node_count == 0 {
         return Err(StorageError::Corrupt("empty tree"));
     }
     let mut builder: Option<TreeBuilder> = None;
     let mut prev_depth = 0u64;
     for i in 0..node_count {
-        let depth = get_varint(&mut buf)?;
-        let label = get_varint(&mut buf)? as usize;
+        let depth = r.get_varint()?;
+        let label = r.get_varint()? as usize;
         let name = label_names
             .get(label)
             .ok_or(StorageError::Corrupt("label id out of range"))?;
-        let has_text = buf.has_remaining() && buf.get_u8() == 1;
-        let text = if has_text {
-            Some(get_str(&mut buf)?)
+        let text = if r.get_u8()? == 1 {
+            Some(get_str(&mut r)?)
         } else {
             None
         };
@@ -163,104 +113,70 @@ pub fn from_bytes(mut buf: Bytes) -> Result<CorpusIndex, StorageError> {
     let tree: XmlTree = builder.expect("at least the root").finish();
 
     // VOCAB.
-    let vocab_count = get_count(&mut buf, 3)?;
+    let vocab_count = get_count(&mut r, 3)?;
     let mut terms = Vec::with_capacity(vocab_count);
     let mut cf = Vec::with_capacity(vocab_count);
     let mut df = Vec::with_capacity(vocab_count);
     for _ in 0..vocab_count {
-        terms.push(get_str(&mut buf)?);
-        cf.push(get_varint(&mut buf)?);
-        df.push(get_varint(&mut buf)?);
+        terms.push(get_str(&mut r)?);
+        cf.push(r.get_varint()?);
+        df.push(r.get_varint()?);
     }
     let vocab = Vocabulary::from_parts(terms, cf, df);
 
     // POSTINGS.
     let mut lists: Vec<PostingList> = Vec::with_capacity(vocab_count);
     for _ in 0..vocab_count {
-        let len = get_varint(&mut buf)? as usize;
-        if buf.remaining() < len {
-            return Err(StorageError::Codec(CodecError::UnexpectedEof));
+        let list = codec::decode(get_blob(&mut r)?)?;
+        // v1 carries no checksum: a damaged posting must not index past
+        // the tree when the derived tables are rebuilt.
+        if list
+            .iter()
+            .any(|p| p.node.index() >= tree.len() || p.path != tree.path(p.node))
+        {
+            return Err(StorageError::Corrupt("posting disagrees with the tree"));
         }
-        let blob = buf.copy_to_bytes(len);
-        lists.push(codec::decode(blob)?);
+        lists.push(list);
     }
 
-    // TOKENIZER.
-    let min_token_len = get_varint(&mut buf)? as usize;
-    if buf.remaining() < 2 {
-        return Err(StorageError::Codec(CodecError::UnexpectedEof));
-    }
-    let drop_numbers = buf.get_u8() == 1;
-    let drop_stop_words = buf.get_u8() == 1;
-    let tokenizer = Tokenizer::new(TokenizerConfig {
-        min_token_len,
-        drop_numbers,
-        drop_stop_words,
-    });
-
+    let tokenizer = Tokenizer::new(get_tokenizer(&mut r)?);
     Ok(CorpusIndex::from_parts(tree, vocab, lists, tokenizer))
 }
 
 /// Walks a v1 snapshot's framing without materialising the index.
 pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
-    let total_bytes = bytes.len();
-    let mut buf = Bytes::from(bytes.to_vec());
-    if buf.remaining() < MAGIC.len() || &buf.copy_to_bytes(MAGIC.len())[..] != MAGIC {
-        return Err(StorageError::BadMagic);
-    }
-    let skip_str = |buf: &mut Bytes| -> Result<(), StorageError> {
-        let len = get_varint(buf)? as usize;
-        if buf.remaining() < len {
-            return Err(StorageError::Codec(CodecError::UnexpectedEof));
-        }
-        buf.advance(len);
-        Ok(())
-    };
-    let tree_start = total_bytes - buf.remaining();
-    let labels = get_count(&mut buf, 1)?;
+    let mut r = open(bytes)?;
+    // Section boundaries as absolute file offsets.
+    let at = |r: &SliceReader<'_>| MAGIC.len() + r.pos();
+    let tree_start = at(&r);
+    let labels = get_count(&mut r, 1)?;
     for _ in 0..labels {
-        skip_str(&mut buf)?;
+        get_blob(&mut r)?;
     }
-    let nodes = get_count(&mut buf, 3)?;
+    let nodes = get_count(&mut r, 3)?;
     for _ in 0..nodes {
-        get_varint(&mut buf)?; // depth
-        get_varint(&mut buf)?; // label id
-        if !buf.has_remaining() {
-            return Err(StorageError::Codec(CodecError::UnexpectedEof));
-        }
-        if buf.get_u8() == 1 {
-            skip_str(&mut buf)?;
+        r.get_varint()?; // depth
+        r.get_varint()?; // label id
+        if r.get_u8()? == 1 {
+            get_blob(&mut r)?;
         }
     }
-    let vocab_start = total_bytes - buf.remaining();
-    let terms = get_count(&mut buf, 3)?;
+    let vocab_start = at(&r);
+    let terms = get_count(&mut r, 3)?;
     let mut total_tokens = 0u64;
     for _ in 0..terms {
-        skip_str(&mut buf)?;
-        total_tokens = total_tokens.saturating_add(get_varint(&mut buf)?); // cf
-        get_varint(&mut buf)?; // df
+        get_blob(&mut r)?;
+        total_tokens = total_tokens.saturating_add(r.get_varint()?); // cf
+        r.get_varint()?; // df
     }
-    let postings_start = total_bytes - buf.remaining();
+    let postings_start = at(&r);
     let mut postings_bytes = 0usize;
     for _ in 0..terms {
-        let len = get_varint(&mut buf)? as usize;
-        if buf.remaining() < len {
-            return Err(StorageError::Codec(CodecError::UnexpectedEof));
-        }
-        buf.advance(len);
-        postings_bytes += len;
+        postings_bytes += get_blob(&mut r)?.len();
     }
-    let tokenizer_start = total_bytes - buf.remaining();
-    let min_token_len = get_varint(&mut buf)? as usize;
-    if buf.remaining() < 2 {
-        return Err(StorageError::Codec(CodecError::UnexpectedEof));
-    }
-    let tokenizer = TokenizerConfig {
-        min_token_len,
-        drop_numbers: buf.get_u8() == 1,
-        drop_stop_words: buf.get_u8() == 1,
-    };
-    let end = total_bytes - buf.remaining();
+    let tokenizer_start = at(&r);
+    let tokenizer = get_tokenizer(&mut r)?;
+    let end = at(&r);
     let sections = vec![
         SectionInfo {
             name: "TREE",
@@ -281,7 +197,7 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
     ];
     Ok(SnapshotSummary {
         format_version: 1,
-        total_bytes,
+        total_bytes: bytes.len(),
         labels,
         nodes,
         terms,

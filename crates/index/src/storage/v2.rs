@@ -35,7 +35,6 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes, BytesMut};
 use xclean_xmltree::{LabelId, NodeId, PreorderAssembler, Tokenizer, TokenizerConfig};
 
 use crate::codec::{self, get_count, put_varint, SliceReader};
@@ -44,7 +43,6 @@ use crate::path_stats::{self, PathStatsIndex};
 use crate::slab::{checksum64, IndexSlab};
 use crate::vocab::{TokenId, Vocabulary};
 
-use super::v1::put_str;
 use super::{SectionInfo, SnapshotSummary, StorageError};
 
 pub(crate) const MAGIC: &[u8; 8] = b"XCLIDX2\0";
@@ -72,6 +70,11 @@ fn section_name(id: u8) -> &'static str {
     }
 }
 
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_varint(buf, s.len() as u64);
+    buf.extend_from_slice(s.as_bytes());
+}
+
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
     let mut b = [0u8; 4];
     b.copy_from_slice(&bytes[at..at + 4]);
@@ -87,10 +90,10 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
 /// Serialises a corpus index to v2 bytes. The section order is fixed
 /// (TREE, DIRECT, VOCAB, POSTINGS, PATHSTATS, TOKENIZER), so re-encoding
 /// a loaded snapshot is byte-stable.
-pub fn to_bytes(corpus: &CorpusIndex) -> Bytes {
-    let mut payload = BytesMut::new();
+pub fn to_bytes(corpus: &CorpusIndex) -> Vec<u8> {
+    let mut payload = Vec::new();
     let mut table: Vec<(u8, usize, usize)> = Vec::new();
-    let mut section = |id: u8, payload: &mut BytesMut, start: usize| {
+    let mut section = |id: u8, payload: &mut Vec<u8>, start: usize| {
         table.push((id, start, payload.len() - start));
     };
 
@@ -116,7 +119,7 @@ pub fn to_bytes(corpus: &CorpusIndex) -> Bytes {
             bitmap[i / 8] |= 1 << (i % 8);
         }
     }
-    payload.put_slice(&bitmap);
+    payload.extend_from_slice(&bitmap);
     for node in tree.iter() {
         if let Some(t) = tree.text(node) {
             put_str(&mut payload, t);
@@ -137,15 +140,15 @@ pub fn to_bytes(corpus: &CorpusIndex) -> Bytes {
     let count = vocab.len();
     put_varint(&mut payload, count as u64);
     let mut off = 0u32;
-    payload.put_slice(&off.to_le_bytes());
+    payload.extend_from_slice(&off.to_le_bytes());
     for term in vocab.iter_terms() {
         off = off
             .checked_add(u32::try_from(term.len()).expect("term too long"))
             .expect("term blob exceeds 4 GiB");
-        payload.put_slice(&off.to_le_bytes());
+        payload.extend_from_slice(&off.to_le_bytes());
     }
     for term in vocab.iter_terms() {
-        payload.put_slice(term.as_bytes());
+        payload.extend_from_slice(term.as_bytes());
     }
     for i in 0..count as u32 {
         put_varint(&mut payload, vocab.cf(TokenId(i)));
@@ -161,48 +164,48 @@ pub fn to_bytes(corpus: &CorpusIndex) -> Bytes {
             .cmp(vocab.term(TokenId(b)).as_bytes())
     });
     for id in &sorted {
-        payload.put_slice(&id.to_le_bytes());
+        payload.extend_from_slice(&id.to_le_bytes());
     }
     section(SEC_VOCAB, &mut payload, start);
 
     // POSTINGS.
     let start = payload.len();
     put_varint(&mut payload, count as u64);
-    let blobs: Vec<Bytes> = (0..count as u32)
+    let blobs: Vec<Vec<u8>> = (0..count as u32)
         .map(|i| codec::encode(corpus.postings(TokenId(i))))
         .collect();
     let mut off = 0u64;
-    payload.put_slice(&off.to_le_bytes());
+    payload.extend_from_slice(&off.to_le_bytes());
     for b in &blobs {
         off += b.len() as u64;
-        payload.put_slice(&off.to_le_bytes());
+        payload.extend_from_slice(&off.to_le_bytes());
     }
     for b in &blobs {
-        payload.put_slice(b);
+        payload.extend_from_slice(b);
     }
     section(SEC_POSTINGS, &mut payload, start);
 
     // PATHSTATS.
     let start = payload.len();
     put_varint(&mut payload, count as u64);
-    let mut stats_blob = BytesMut::new();
+    let mut stats_blob = Vec::new();
     let mut stat_offsets: Vec<u64> = vec![0];
     for i in 0..count as u32 {
         path_stats::encode_stats(corpus.path_stats().paths_of(TokenId(i)), &mut stats_blob);
         stat_offsets.push(stats_blob.len() as u64);
     }
     for o in &stat_offsets {
-        payload.put_slice(&o.to_le_bytes());
+        payload.extend_from_slice(&o.to_le_bytes());
     }
-    payload.put_slice(&stats_blob);
+    payload.extend_from_slice(&stats_blob);
     section(SEC_PATHSTATS, &mut payload, start);
 
     // TOKENIZER.
     let start = payload.len();
     let tc = corpus.tokenizer().config();
     put_varint(&mut payload, tc.min_token_len as u64);
-    payload.put_u8(u8::from(tc.drop_numbers));
-    payload.put_u8(u8::from(tc.drop_stop_words));
+    payload.push(u8::from(tc.drop_numbers));
+    payload.push(u8::from(tc.drop_stop_words));
     section(SEC_TOKENIZER, &mut payload, start);
 
     // SHARD (optional): membership + local→global id maps.
@@ -210,8 +213,8 @@ pub fn to_bytes(corpus: &CorpusIndex) -> Bytes {
         let start = payload.len();
         put_varint(&mut payload, u64::from(meta.shard_id));
         put_varint(&mut payload, u64::from(meta.shard_count));
-        payload.put_slice(&meta.seed.to_le_bytes());
-        payload.put_slice(&meta.parent_fingerprint.to_le_bytes());
+        payload.extend_from_slice(&meta.seed.to_le_bytes());
+        payload.extend_from_slice(&meta.parent_fingerprint.to_le_bytes());
         put_varint(&mut payload, u64::from(meta.global_vocab_len));
         put_varint(&mut payload, u64::from(meta.global_path_len));
         put_varint(&mut payload, meta.token_map.len() as u64);
@@ -228,17 +231,17 @@ pub fn to_bytes(corpus: &CorpusIndex) -> Bytes {
     // Header: magic, payload checksum, section table (absolute offsets).
     let header_len = 8 + 8 + 1 + 17 * table.len();
     let checksum = checksum64(&payload);
-    let mut out = BytesMut::with_capacity(header_len + payload.len());
-    out.put_slice(MAGIC);
-    out.put_slice(&checksum.to_le_bytes());
-    out.put_u8(table.len() as u8);
+    let mut out = Vec::with_capacity(header_len + payload.len());
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out.push(table.len() as u8);
     for (id, rel, len) in &table {
-        out.put_u8(*id);
-        out.put_slice(&((header_len + rel) as u64).to_le_bytes());
-        out.put_slice(&(*len as u64).to_le_bytes());
+        out.push(*id);
+        out.extend_from_slice(&((header_len + rel) as u64).to_le_bytes());
+        out.extend_from_slice(&(*len as u64).to_le_bytes());
     }
-    out.put_slice(&payload);
-    out.freeze()
+    out.extend_from_slice(&payload);
+    out
 }
 
 /// Parsed v2 header: recorded checksum, section ranges, header end.

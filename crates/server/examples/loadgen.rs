@@ -5,14 +5,12 @@
 //! epoll loop (the same [`xclean_server::epoll`] shim the server's
 //! event loop uses), each running a closed loop: send one
 //! `GET /suggest?q=…`, read the full response, record its latency, send
-//! the next. Writes a JSON report — sustained queries/sec plus
-//! p50/p95/p99 latency — suitable for uploading as a CI artifact and
-//! diffing across PRs.
+//! the next. Prints a JSON report — sustained queries/sec plus
+//! p50/p95/p99 latency — to stdout (logs go to stderr).
 //!
 //! ```text
-//! cargo run -p xclean-bench --release --bin loadgen -- \
-//!     --addr 127.0.0.1:8080 --connections 1000 --duration 30 \
-//!     --out BENCH_pr6.json
+//! cargo run -p xclean-server --release --example loadgen -- \
+//!     --addr 127.0.0.1:8080 --connections 1000 --duration 30
 //! ```
 //!
 //! Options:
@@ -32,7 +30,7 @@
 //!   per-path q/s and p50/p95/p99 latency.
 //! - `--healthz-every N` — fold one cheap `GET /healthz` into every Nth
 //!   request per connection (0 = pure suggestion traffic, the default).
-//! - `--out PATH` — JSON report path (default `BENCH_pr6.json`).
+//! - `--out PATH` — write the JSON report to a file instead of stdout.
 //!
 //! Every non-200 status, framing error, or mid-response disconnect
 //! counts as an error in the report; the PR-6 acceptance bar is zero.
@@ -88,7 +86,7 @@ mod linux {
         /// Weighted request paths: `(path, weight)`, weights ≥ 1.
         targets: Vec<(String, u64)>,
         healthz_every: usize,
-        out: String,
+        out: Option<String>,
     }
 
     fn parse_args() -> Options {
@@ -100,7 +98,7 @@ mod linux {
             queries: DEFAULT_QUERIES.iter().map(|q| q.to_string()).collect(),
             targets: Vec::new(),
             healthz_every: 0,
-            out: "BENCH_pr6.json".to_string(),
+            out: None,
         };
         let mut path_flag: Option<String> = None;
         let mut args = std::env::args().skip(1);
@@ -183,7 +181,7 @@ mod linux {
                     }
                     opts.targets.push((path, weight));
                 }
-                "--out" => opts.out = next("--out", &mut args),
+                "--out" => opts.out = Some(next("--out", &mut args)),
                 other => {
                     xclean_telemetry::log_error!(
                         "xclean_loadgen",
@@ -664,16 +662,21 @@ mod linux {
             }),
         });
         let text = serde_json::to_string_pretty(&report).expect("serialisable");
-        std::fs::write(&opts.out, &text).unwrap_or_else(|e| {
-            xclean_telemetry::log_error!(
-                "xclean_loadgen",
-                "cannot write report",
-                path = opts.out,
-                error = e,
-            );
-            std::process::exit(1);
-        });
-        xclean_telemetry::log_info!("xclean_loadgen", "report written", path = opts.out);
+        match &opts.out {
+            None => println!("{text}"),
+            Some(path) => {
+                std::fs::write(path, &text).unwrap_or_else(|e| {
+                    xclean_telemetry::log_error!(
+                        "xclean_loadgen",
+                        "cannot write report",
+                        path = path,
+                        error = e,
+                    );
+                    std::process::exit(1);
+                });
+                xclean_telemetry::log_info!("xclean_loadgen", "report written", path = path);
+            }
+        }
         if gen.tally.errors > 0 || gen.tally.requests == 0 {
             std::process::exit(1);
         }

@@ -70,7 +70,7 @@ fn posting_lists_roundtrip_through_codec() {
     for t in 0..corpus.vocab().len() as u32 {
         let list = corpus.postings(TokenId(t));
         let encoded = codec::encode(list);
-        let decoded = codec::decode(encoded).expect("decode");
+        let decoded = codec::decode(&encoded).expect("decode");
         assert_eq!(&decoded, list, "token {t}");
     }
 }
@@ -84,9 +84,9 @@ fn persisted_index_yields_identical_suggestions() {
         ..Default::default()
     });
     let original = XCleanEngine::new(tree, XCleanConfig::default());
-    let bytes = storage::to_bytes(original.corpus());
+    let bytes = storage::to_bytes_v2(original.corpus());
     let restored = XCleanEngine::from_corpus(
-        storage::from_bytes(bytes).expect("load index"),
+        storage::from_bytes(&bytes).expect("load index"),
         XCleanConfig::default(),
     );
     for q in [
@@ -153,13 +153,34 @@ fn storage_rejects_arbitrary_bytes_without_panicking() {
     for len in [0usize, 1, 7, 8, 9, 64, 500] {
         for _ in 0..20 {
             let mut data: Vec<u8> = (0..len).map(|_| (next() & 0xFF) as u8).collect();
-            assert!(storage::from_bytes(bytes::Bytes::from(data.clone())).is_err());
+            assert!(storage::from_bytes(&data).is_err());
             if data.len() >= 8 {
                 data[..8].copy_from_slice(b"XCLIDX1\0");
                 // Must error (or in principle succeed) but never panic.
-                let _ = storage::from_bytes(bytes::Bytes::from(data));
+                let _ = storage::from_bytes(&data);
             }
         }
+    }
+    // The same contract from a realistic seed: the committed v1 snapshot
+    // of `dblp50.xml`, truncated and bit-flipped. v1 carries no checksum,
+    // so a flip may load — but neither reader may panic, and a truncated
+    // file is always an error.
+    let v1 = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/dblp50_v1.xci"
+    ))
+    .unwrap();
+    assert!(storage::from_bytes(&v1).is_ok() && storage::summarize(&v1).is_ok());
+    for cut in (8..v1.len()).step_by(61) {
+        assert!(storage::from_bytes(&v1[..cut]).is_err(), "cut {cut}");
+        assert!(storage::summarize(&v1[..cut]).is_err(), "cut {cut}");
+    }
+    for _ in 0..400 {
+        let mut data = v1.clone();
+        let at = 8 + (next() as usize) % (v1.len() - 8);
+        data[at] ^= 1 << (next() % 8);
+        let _ = storage::from_bytes(&data);
+        let _ = storage::summarize(&data);
     }
 }
 

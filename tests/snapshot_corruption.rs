@@ -8,7 +8,6 @@
 //! the hostile-varint cases exercise directly with checksum verification
 //! switched off (with it on, the checksum masks every payload edit).
 
-use bytes::Bytes;
 use xclean_suite::datagen::{generate_dblp, DblpConfig};
 use xclean_suite::index::{storage, CorpusIndex, OpenOptions};
 
@@ -23,7 +22,7 @@ fn snapshot() -> Vec<u8> {
         publications: 40,
         ..Default::default()
     }));
-    storage::to_bytes_v2(&index).to_vec()
+    storage::to_bytes_v2(&index)
 }
 
 /// Reads the v2 header (magic 8 + checksum 8 + count 1 + 17-byte table
@@ -49,7 +48,7 @@ fn boundaries(bytes: &[u8]) -> Vec<usize> {
 /// validation has to hold on its own.
 fn assert_rejected(name: &str, bytes: &[u8]) {
     assert!(
-        storage::from_bytes(Bytes::from(bytes.to_vec())).is_err(),
+        storage::from_bytes(bytes).is_err(),
         "{name}: from_bytes accepted corrupt input"
     );
     assert!(
@@ -118,7 +117,7 @@ fn bit_flips_at_boundaries_and_random_offsets_are_rejected() {
             // The checksum-verified paths must reject any payload flip;
             // header flips fail the structural checks instead.
             assert!(
-                storage::from_bytes(Bytes::from(corrupt.clone())).is_err(),
+                storage::from_bytes(&corrupt).is_err(),
                 "bit {bit} at {off}: from_bytes accepted the flip"
             );
             assert!(
@@ -170,9 +169,9 @@ fn hostile_varint_counts_are_clamped_not_allocated() {
 /// beyond the file, and a section table pointing outside the file.
 #[test]
 fn degenerate_headers_are_rejected() {
-    assert!(storage::from_bytes(Bytes::new()).is_err());
+    assert!(storage::from_bytes(&[]).is_err());
     assert!(storage::summarize(&b""[..]).is_err());
-    assert!(storage::from_bytes(Bytes::from(b"XCLIDX2\0".to_vec())).is_err());
+    assert!(storage::from_bytes(b"XCLIDX2\0").is_err());
 
     let bytes = snapshot();
     // Section count inflated: the table would run past the file.

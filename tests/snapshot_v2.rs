@@ -4,15 +4,29 @@
 //! snapshot through a mapped slab** — postings and path statistics
 //! decoded lazily out of the file bytes — returns *bit-identical*
 //! responses (same suggestions, same order, same `f64` score bits) to an
-//! engine over the **v1 in-memory load** of the same corpus, on dblp at
-//! three scales plus inex, at 1 and 8 worker threads. Laziness, mmap,
-//! and the columnar tree encoding must all be semantically invisible.
+//! engine over the **freshly built in-memory index** of the same corpus,
+//! on dblp at three scales plus inex, at 1 and 8 worker threads.
+//! Laziness, mmap, and the columnar tree encoding must all be
+//! semantically invisible.
 
 use xclean_suite::datagen::{
     generate_dblp, generate_inex, make_workload, DblpConfig, InexConfig, Perturbation, WorkloadSpec,
 };
-use xclean_suite::index::{storage, CorpusIndex, OpenOptions, SlabMode};
+use xclean_suite::index::{slab::checksum64, storage, CorpusIndex, OpenOptions, SlabMode};
 use xclean_suite::xclean::{SuggestResponse, XCleanConfig, XCleanEngine};
+use xclean_suite::xmltree::parse_document;
+
+fn fixture(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// The index a fresh build of the committed `dblp50.xml` gives.
+fn dblp50() -> CorpusIndex {
+    let xml = std::fs::read_to_string(fixture("dblp50.xml")).unwrap();
+    CorpusIndex::build(parse_document(&xml).unwrap())
+}
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("xclean_snapshot_v2");
@@ -67,33 +81,19 @@ fn assert_identical(name: &str, q: &[String], a: &SuggestResponse, b: &SuggestRe
     );
 }
 
-/// Saves `index` as both formats, opens v1 into memory and v2 through a
-/// mapped slab, and asserts every workload query answers bit-identically
-/// at 1 and 8 worker threads.
-fn assert_v2_mapped_matches_v1_in_memory(name: &str, index: CorpusIndex, queries: &[Vec<String>]) {
-    let v1_path = tmp(&format!("{name}.v1.xci"));
+/// Saves `index` as v2, opens it through a mapped slab, and asserts every
+/// workload query answers bit-identically to the in-memory `index` it was
+/// written from, at 1 and 8 worker threads.
+fn assert_v2_mapped_matches_fresh_build(name: &str, index: CorpusIndex, queries: &[Vec<String>]) {
     let v2_path = tmp(&format!("{name}.v2.xci"));
-    storage::save_to_file(&index, &v1_path).unwrap();
     storage::save_to_file_v2(&index, &v2_path).unwrap();
-    drop(index);
-
-    let (v1_corpus, v1_report) = storage::open_file(
-        &v1_path,
-        &OpenOptions {
-            mode: SlabMode::Owned,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(v1_report.format_version, 1, "{name}");
-    assert!(!v1_report.mapped, "{name}");
     let (v2_corpus, v2_report) = storage::open_file(&v2_path, &OpenOptions::default()).unwrap();
     assert_eq!(v2_report.format_version, 2, "{name}");
     #[cfg(unix)]
     assert!(v2_report.mapped, "{name}: v2 open should mmap on unix");
     assert!(v2_report.checksum.is_some(), "{name}");
 
-    let v1_corpus = std::sync::Arc::new(v1_corpus);
+    let fresh_corpus = std::sync::Arc::new(index);
     let v2_corpus = std::sync::Arc::new(v2_corpus);
     let mut non_empty = 0usize;
     for threads in [1usize, 8] {
@@ -102,9 +102,9 @@ fn assert_v2_mapped_matches_v1_in_memory(name: &str, index: CorpusIndex, queries
             batch_size: 5, // not a divisor of the workload sizes
             ..Default::default()
         };
-        let v1_engine = XCleanEngine::from_shared(v1_corpus.clone(), config.clone());
+        let fresh_engine = XCleanEngine::from_shared(fresh_corpus.clone(), config.clone());
         let v2_engine = XCleanEngine::from_shared(v2_corpus.clone(), config);
-        let a = v1_engine.suggest_many_keywords(queries);
+        let a = fresh_engine.suggest_many_keywords(queries);
         let b = v2_engine.suggest_many_keywords(queries);
         assert_eq!(a.len(), queries.len());
         for (q, (x, y)) in queries.iter().zip(a.iter().zip(b.iter())) {
@@ -126,7 +126,7 @@ fn dblp_v2_mapped_matches_v1_across_sizes() {
             ..Default::default()
         }));
         let queries = workload(&index, n_queries, 4000 + publications as u64);
-        assert_v2_mapped_matches_v1_in_memory(&format!("dblp_{publications}"), index, &queries);
+        assert_v2_mapped_matches_fresh_build(&format!("dblp_{publications}"), index, &queries);
     }
 }
 
@@ -137,7 +137,7 @@ fn inex_v2_mapped_matches_v1() {
         ..Default::default()
     }));
     let queries = workload(&index, 16, 4200);
-    assert_v2_mapped_matches_v1_in_memory("inex_150", index, &queries);
+    assert_v2_mapped_matches_fresh_build("inex_150", index, &queries);
 }
 
 /// Fingerprints key the server's response cache, so they must not depend
@@ -146,16 +146,10 @@ fn inex_v2_mapped_matches_v1() {
 /// direct v2 save of the same corpus (the encoder is canonical).
 #[test]
 fn v2_fingerprint_is_slab_mode_invariant_and_upgrade_is_canonical() {
-    let index = CorpusIndex::build(generate_dblp(&DblpConfig {
-        publications: 200,
-        ..Default::default()
-    }));
-    let v1_path = tmp("fp.v1.xci");
     let v2_path = tmp("fp.v2.xci");
     let upgraded_path = tmp("fp.upgraded.xci");
-    storage::save_to_file(&index, &v1_path).unwrap();
-    storage::save_to_file_v2(&index, &v2_path).unwrap();
-    storage::upgrade_file(&v1_path, &upgraded_path).unwrap();
+    storage::save_to_file_v2(&dblp50(), &v2_path).unwrap();
+    storage::upgrade_file(fixture("dblp50_v1.xci"), &upgraded_path).unwrap();
     assert_eq!(
         std::fs::read(&v2_path).unwrap(),
         std::fs::read(&upgraded_path).unwrap(),
@@ -215,6 +209,19 @@ fn v2_payload_checksum_is_pinned() {
     assert_eq!(
         (report.checksum, report.total_bytes),
         (Some(PINNED_CHECKSUM), PINNED_BYTES),
+        "v2 snapshot bytes changed"
+    );
+}
+
+/// The same pin on an input no generator can move: the bytes `to_bytes_v2`
+/// writes for the committed `dblp50.xml`, as computed at the last commit
+/// that encoded through the vendored `bytes` buffers.
+#[test]
+fn v2_bytes_of_committed_corpus_are_pinned() {
+    let bytes = storage::to_bytes_v2(&dblp50());
+    assert_eq!(
+        (checksum64(&bytes), bytes.len()),
+        (0x762b_9c02_966b_8fdf, 18_286),
         "v2 snapshot bytes changed"
     );
 }
