@@ -80,7 +80,12 @@ USAGE:
             [--threads N] [--k N] [… same tuning flags] [--json]
             [--trace-out trace.json] [--metrics-json]
             (workload file: one query per line; blank lines and
-             #-comments are skipped; --threads sizes the worker pool)
+             #-comments are skipped)
+            (--threads sizes the --batch worker pool; threads are only
+             ever spent across the queries of a batch and, for a
+             catalog entry's `num_threads`, across the shards of a set
+             — one query over one corpus runs on the calling thread
+             whatever N is, and no N changes a byte of any answer)
             (--trace-out writes a Chrome trace-event JSON of the query's
              pipeline spans — load it in Perfetto / chrome://tracing;
              --metrics-json appends the engine's aggregated counters and
@@ -431,14 +436,7 @@ fn stage_table(stats: &RunStats, total: Duration, suggestions: usize) -> Vec<Str
                 stats.pruning.rejected
             ),
         ),
-        row(
-            "total",
-            total_nanos,
-            format!(
-                "{} score partition(s), {} suggestion(s)",
-                stats.score_partitions, suggestions
-            ),
-        ),
+        row("total", total_nanos, format!("{suggestions} suggestion(s)")),
     ]
 }
 
@@ -1686,15 +1684,15 @@ mod tests {
         let events = v["traceEvents"].as_array().expect("traceEvents array");
         assert!(!events.is_empty());
         let names: Vec<&str> = events.iter().map(|e| e["name"].as_str().unwrap()).collect();
-        for expected in ["suggest", "slot_build", "variant_gen", "rank"] {
+        for expected in [
+            "suggest",
+            "slot_build",
+            "variant_gen",
+            "walk_accumulate",
+            "rank",
+        ] {
             assert!(names.contains(&expected), "missing {expected}: {names:?}");
         }
-        assert!(
-            names
-                .iter()
-                .any(|n| *n == "walk_accumulate" || *n == "score_partition"),
-            "{names:?}"
-        );
         for e in events {
             assert_eq!(e["ph"].as_str(), Some("X"), "{e:?}");
             assert!(e["ts"].as_u64().is_some() || e["ts"].as_f64().is_some());
@@ -1726,7 +1724,6 @@ mod tests {
             "xclean_stage_slot_nanos",
             "xclean_stage_walk_nanos",
             "xclean_stage_rank_nanos",
-            "xclean_stage_partition_walk_nanos",
             "xclean_stage_total_nanos",
         ];
         for s in stages {

@@ -1290,7 +1290,7 @@ fn suggest_get(query: &str, tenant: &Tenant, trace_id: &str) -> Reply {
         return Reply::error(400, "query contains no keywords");
     }
     // Root span for the whole request: engine spans opened below (and
-    // partition spans on worker threads) chain under it, so the trace ID
+    // scatter spans on other threads) chain under it, so the trace ID
     // names one tree in exported traces.
     let _request_span = tenant
         .engine()

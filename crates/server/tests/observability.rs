@@ -286,7 +286,7 @@ fn observability_never_changes_a_suggestion_byte() {
                 "observability changed bytes at {threads} threads: {q}"
             );
         }
-        // Batch path too (exercises the engine pool + partition spans).
+        // Batch path too (exercises the engine pool + batch-worker spans).
         let batch = format!(
             "{{\"queries\": [{}]}}",
             queries

@@ -74,8 +74,6 @@ pub mod names {
     pub const STAGE_WALK: &str = "xclean_stage_walk_nanos";
     /// Latency histogram: finalise + rank phase.
     pub const STAGE_RANK: &str = "xclean_stage_rank_nanos";
-    /// Latency histogram: one scoring partition's walk (per worker).
-    pub const STAGE_PARTITION: &str = "xclean_stage_partition_walk_nanos";
     /// Latency histogram: whole `suggest` call.
     pub const STAGE_TOTAL: &str = "xclean_stage_total_nanos";
     /// HTTP requests served by the suggestion server.
@@ -185,9 +183,6 @@ pub mod names {
             n if n == STAGE_SLOT => "Variant-slot construction latency in nanoseconds.",
             n if n == STAGE_WALK => "Walk + accumulate phase latency in nanoseconds.",
             n if n == STAGE_RANK => "Finalise + rank phase latency in nanoseconds.",
-            n if n == STAGE_PARTITION => {
-                "Per-worker scoring partition walk latency in nanoseconds."
-            }
             n if n == STAGE_TOTAL => "Whole suggest call latency in nanoseconds.",
             n if n == SERVER_REQUESTS => "HTTP requests served by the suggestion server.",
             n if n == SERVER_ERRORS => "HTTP responses with a 4xx/5xx status.",

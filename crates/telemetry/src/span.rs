@@ -33,7 +33,7 @@ pub struct SpanRecord {
     pub parent: Option<u64>,
     /// Static span name (e.g. `"walk_accumulate"`).
     pub name: &'static str,
-    /// Optional dynamic detail (query text, partition index, …).
+    /// Optional dynamic detail (query text, shard range, …).
     pub detail: Option<String>,
     /// Start offset from the tracer epoch, in nanoseconds.
     pub start_nanos: u64,

@@ -67,8 +67,8 @@ pub struct QueryArena {
     pub(crate) log: Vec<Contribution>,
     /// Gather scratch: a shard table's id → this arena's id.
     pub(crate) remap: Vec<CandId>,
-    /// Rank scratch: `(log score, arena, accumulator)` of each survivor.
-    pub(crate) rank_order: Vec<(f64, u32, u32)>,
+    /// Rank scratch: `(log score, accumulator)` of each survivor.
+    pub(crate) rank_order: Vec<(f64, u32)>,
 }
 
 impl QueryArena {
@@ -126,7 +126,7 @@ mod tests {
         a.table.add(&a.candidates, id, 0.5, 1.0, &mut |_| {});
         a.log.extend([(id, 0.5, 1.0); 40]);
         a.remap.push(id);
-        a.rank_order.push((0.0, 0, 0));
+        a.rank_order.push((0.0, 0));
         let log_cap = a.log.capacity();
         a.reset();
         assert!(a.occurrences.iter().all(Vec::is_empty));

@@ -61,15 +61,13 @@ pub struct XCleanConfig {
     /// setting; `Some` selects an explicit scheme (e.g. Jelinek–Mercer)
     /// for the smoothing ablation.
     pub smoothing: Option<xclean_lm::Smoothing>,
-    /// Worker threads used by `suggest_many` batches and by the
-    /// candidate-partitioned scoring of single queries (node-type
-    /// semantics). `1` (default) runs fully sequentially; any value
-    /// produces bit-identical suggestions. Intra-query partitioning only
-    /// engages when provably exact — [`XCleanConfig::gamma`] disabled or
-    /// at least the query's candidate-space bound `Π_i |var_ε(q_i)|`;
-    /// queries whose γ could bind are scored sequentially instead, since
-    /// partition-local eviction could diverge from the global table (see
-    /// DESIGN.md, "Concurrency & batching").
+    /// Threads used across the queries of a `suggest_many` batch and
+    /// across the shards of a set during one query's scatter (a batch
+    /// splits them so that workers × scatter threads stays within this
+    /// number). One query over one plain corpus always runs on the calling
+    /// thread. `1` (default) runs fully sequentially; any value produces
+    /// bit-identical suggestions (see DESIGN.md, "Concurrency &
+    /// batching").
     pub num_threads: usize,
     /// Queries handed to a pool worker per dispatch in `suggest_many`
     /// (amortises dispatch traffic on large workloads).
@@ -98,8 +96,7 @@ impl Default for XCleanConfig {
     }
 }
 
-/// FNV-1a accumulation step, shared by the fingerprint methods and the
-/// candidate → partition assignment.
+/// FNV-1a accumulation step, shared by the fingerprint methods.
 #[inline]
 pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {

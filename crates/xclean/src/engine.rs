@@ -462,14 +462,16 @@ mod tests {
         let root = spans.iter().find(|s| s.name == "request").unwrap();
         assert_eq!(root.parent, None);
         assert_eq!(root.detail.as_deref(), Some("trace-abc123"));
-        // The partitioned scorers ran on worker threads…
-        let parts: Vec<_> = spans
+        // One corpus is walked once, on the thread that asked, whatever
+        // `num_threads` says…
+        let walks: Vec<_> = spans
             .iter()
-            .filter(|s| s.name == "score_partition")
+            .filter(|s| s.name == "walk_accumulate")
             .collect();
-        assert_eq!(parts.len(), 4, "{spans:?}");
-        assert!(parts.iter().any(|s| s.thread != root.thread));
-        // …yet every span reaches the request root through its parents.
+        assert_eq!(walks.len(), 1, "{spans:?}");
+        assert_eq!(walks[0].thread, root.thread);
+        assert!(spans.iter().all(|s| s.thread == root.thread), "{spans:?}");
+        // …and every span reaches the request root through its parents.
         let parent_of: std::collections::HashMap<u64, Option<u64>> =
             spans.iter().map(|s| (s.id, s.parent)).collect();
         for s in &spans {

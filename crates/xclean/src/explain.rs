@@ -8,11 +8,11 @@
 //!
 //! Explain is the *same run* as serving ([`Pipeline::execute`]), observed:
 //! it passes a γ-observer that captures the table's decisions, pins
-//! `num_threads = 1` through the per-call config override (partitioned
-//! scoring has no γ-decisions to observe, and a diagnostic need not fan
-//! out), and hands the run a private disabled [`Telemetry`] — so it never
-//! touches the serving counters, histograms, tracer or caches, which are
-//! only ever written by the serving wrapper. Every serving configuration
+//! `num_threads = 1` through the per-call config override (a diagnostic
+//! need not fan its scatter out, and per-shard times then read without
+//! contention), and hands the run a private disabled [`Telemetry`] — so it
+//! never touches the serving counters, histograms, tracer or caches, which
+//! are only ever written by the serving wrapper. Every serving configuration
 //! is bit-identical to the sequential run (the engine's core contract), so
 //! the suggestions a trace reports are bit-identical to what `suggest`
 //! serves — asserted by the `explain_neutrality` integration tests.

@@ -20,16 +20,15 @@
 //!
 //! By what the code can observe — never by an option:
 //!
-//! * **One plain corpus** sinks straight into the arena-backed
-//!   [`AccumulatorTable`]. Node-type semantics fans out over candidate
-//!   partitions when that is provably exact
-//!   ([`partitioning_is_exact`]); SLCA/ELCA score sequentially through
-//!   [`accumulate_lca`] into the same sink.
+//! * **One plain corpus** is walked once, on the calling thread, straight
+//!   into the arena-backed [`AccumulatorTable`]: node-type semantics
+//!   through [`accumulate_scoped`], SLCA/ELCA through [`accumulate_lca`]
+//!   into the same sink.
 //! * **A shard set** scatters: every shard walks its own tree under the
-//!   global-statistics scope into a [`ContributionLog`] (one candidate
-//!   partition per shard, parallel across shards), and the gather replays
-//!   the logs in shard-id order into one table — the exact sequential
-//!   insertion sequence, γ-decisions included (DESIGN.md §16).
+//!   global-statistics scope into a [`ContributionLog`] (parallel across
+//!   shards), and the gather replays the logs in shard-id order into one
+//!   table — the exact sequential insertion sequence, γ-decisions
+//!   included (DESIGN.md §16).
 //!
 //! Every table takes a γ-observer. Serving passes a no-op, which the
 //! optimiser erases; explain passes an event-capturing closure
@@ -47,8 +46,8 @@ use xclean_telemetry::{
 use xclean_xmltree::{PathId, Tokenizer};
 
 use crate::algorithm::{
-    accumulate_scoped, finalize_candidates, nanos_since, partitioning_is_exact, KeywordSlot,
-    RunOutput, RunStats, ScoredCandidate,
+    accumulate_scoped, finalize_candidates, nanos_since, KeywordSlot, RunOutput, RunStats,
+    ScoredCandidate,
 };
 use crate::arena::{Contribution, QueryArena};
 use crate::candidates::{CandId, CandidateTable};
@@ -359,29 +358,21 @@ fn fill_table<F: FnMut(GammaEvent<'_>)>(
     arena
 }
 
-/// Scores one candidate partition of one plain corpus into its own table
-/// under the entity rule `semantics` selects, and records the partition's
-/// walk time in the [`names::STAGE_PARTITION`] histogram.
-#[allow(clippy::too_many_arguments)]
-fn score_partition<F: FnMut(GammaEvent<'_>)>(
+/// Walks one plain corpus into the γ-table of a pooled arena under the
+/// entity rule `semantics` selects.
+fn walk_corpus<F: FnMut(GammaEvent<'_>)>(
     view: &Scoring<'_>,
     semantics: Semantics,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
-    part: usize,
-    parts: usize,
-    part_hist: &Histogram,
     arenas: &ArenaPool,
     observe: &mut F,
 ) -> (QueryArena, RunStats) {
-    let part_start = Instant::now();
     let mut stats = RunStats::default();
     let filled = fill_table(arenas, config.gamma, observe, |arena, sink| {
         let stats = &mut stats;
         match semantics {
-            Semantics::NodeType => {
-                accumulate_scoped(view, slots, config, part, parts, stats, arena, sink)
-            }
+            Semantics::NodeType => accumulate_scoped(view, slots, config, stats, arena, sink),
             Semantics::Slca => {
                 accumulate_lca(view, slots, config, slca_of_lists, stats, arena, sink)
             }
@@ -397,7 +388,6 @@ fn score_partition<F: FnMut(GammaEvent<'_>)>(
         }
     });
     stats.pruning = filled.table.stats();
-    part_hist.record(nanos_since(part_start));
     (filled, stats)
 }
 
@@ -464,21 +454,20 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
     let empty = slots.is_empty() || slots.iter().any(|s| s.variants.is_empty());
     let mut shard_stats = Vec::new();
     let mut gather_nanos = 0;
-    // The arenas holding the filled tables (one per candidate partition,
-    // or the gather's), kept out of the pool until ranked.
+    // The arena holding the filled table (the corpus walk's, or the
+    // gather's), kept out of the pool until ranked; `None` when nothing ran.
     let (mut filled, mut stats) = match walked {
         Walked::Shards(views) => {
             // Scatter: every shard walks its own tree and records its
-            // contribution stream — sequential candidate scoring per shard
-            // (`parts = 1`), so each log *is* that shard's sequential stream;
-            // parallelism is across shards only.
+            // contribution stream, so each log *is* that shard's sequential
+            // stream; parallelism is across shards only.
             let scatter_one = |shard: usize| {
                 let shard_start = Instant::now();
                 let mut stats = RunStats::default();
                 let mut arena = arenas.checkout();
                 let mut log = ContributionLog(std::mem::take(&mut arena.log));
                 let view = &views[shard];
-                accumulate_scoped(view, slots, config, 0, 1, &mut stats, &mut arena, &mut log);
+                accumulate_scoped(view, slots, config, &mut stats, &mut arena, &mut log);
                 arena.log = log.0;
                 stats.walk_nanos = nanos_since(shard_start);
                 (arena, stats)
@@ -541,66 +530,18 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
                 .for_each(|(shard, _)| arenas.checkin(shard));
             gather_nanos = nanos_since(gather_start);
             stats.pruning = gathered.table.stats();
-            stats.score_partitions = views.len() as u64;
-            (vec![gathered], stats)
+            (Some(gathered), stats)
         }
+        Walked::Corpus(_) if empty => (None, RunStats::default()),
         Walked::Corpus(corpus) => {
+            let _span = tracer.span("walk_accumulate");
             let view = &Scoring::unsharded(corpus);
-            let parts = if !empty
-                && semantics == Semantics::NodeType
-                && partitioning_is_exact(slots, config)
-            {
-                config.num_threads
-            } else {
-                1
-            };
-            let (filled, mut stats) = if empty {
-                (Vec::new(), RunStats::default())
-            } else {
-                let part_hist = &telemetry.metrics().histogram(names::STAGE_PARTITION);
-                if parts > 1 {
-                    // Partitioned scoring only engages when no table can fill,
-                    // so no γ-decision exists to observe on this arm. Partition
-                    // spans adopt the query span explicitly (thread-local span
-                    // stack).
-                    let parent_span = tracer.current_span_id();
-                    let results = join_all((0..parts).map(|part| {
-                        move || {
-                            let _span =
-                                tracer.span_under_with("score_partition", parent_span, || {
-                                    format!("partition {part}/{parts}")
-                                });
-                            score_partition(
-                                view,
-                                semantics,
-                                slots,
-                                config,
-                                part,
-                                parts,
-                                part_hist,
-                                arenas,
-                                &mut |_| {},
-                            )
-                        }
-                    }));
-                    let stats = RunStats::merge_partitions(
-                        &results.iter().map(|(_, s)| *s).collect::<Vec<_>>(),
-                    );
-                    (results.into_iter().map(|(arena, _)| arena).collect(), stats)
-                } else {
-                    let _span = tracer.span("walk_accumulate");
-                    let (arena, stats) = score_partition(
-                        view, semantics, slots, config, 0, 1, part_hist, arenas, observe,
-                    );
-                    (vec![arena], stats)
-                }
-            };
-            stats.score_partitions = parts as u64;
-            (filled, stats)
+            let (arena, stats) = walk_corpus(view, semantics, slots, config, arenas, observe);
+            (Some(arena), stats)
         }
     };
     stats.walk_nanos = nanos_since(walk_start);
-    let accumulators = filled.iter().map(|a| a.table.len() as u64).sum();
+    let accumulators = filled.as_ref().map_or(0, |a| a.table.len() as u64);
 
     let rank_start = Instant::now();
     let (candidates, survivors) = {
@@ -626,9 +567,14 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
             // anything was accumulated).
             (Semantics::Slca | Semantics::Elca, _) => acc.weight_sum,
         };
-        finalize_candidates(&mut filled, normalizer, limit)
+        match &mut filled {
+            Some(arena) => finalize_candidates(arena, normalizer, limit),
+            None => (Vec::new(), 0),
+        }
     };
-    filled.into_iter().for_each(|arena| arenas.checkin(arena));
+    if let Some(arena) = filled {
+        arenas.checkin(arena);
+    }
     stats.rank_nanos = nanos_since(rank_start);
     Ranked {
         candidates,
@@ -1020,9 +966,10 @@ impl Pipeline {
 
     /// [`Pipeline::suggest`] under a request trace ID: opens a root
     /// `request` span carrying the ID, so every stage span — including
-    /// `score_partition` spans on pool worker threads — hangs off one
-    /// tree findable by trace ID in exported traces. The observability is
-    /// record-only: the response is bit-identical to plain `suggest`.
+    /// `scatter_worker` spans on other threads over a shard set — hangs
+    /// off one tree findable by trace ID in exported traces. The
+    /// observability is record-only: the response is bit-identical to
+    /// plain `suggest`.
     pub fn suggest_traced(&self, query: &str, trace_id: &str) -> SuggestResponse {
         self.suggest_keywords_traced(&self.parse_query(query), trace_id)
     }
@@ -1077,8 +1024,8 @@ impl Pipeline {
     pub fn suggest_many_keywords(&self, queries: &[Vec<String>]) -> Vec<SuggestResponse> {
         // One pool worker per query up to num_threads; threads left over
         // when the workload is narrower than the pool (few expensive
-        // queries) are handed down as intra-query parallelism (candidate
-        // partitions, or scatter threads over a shard set), keeping
+        // queries) are handed down as scatter threads over a shard set
+        // (one plain corpus is always walked on the worker itself), keeping
         // workers * per_query.num_threads ≤ num_threads so the nested
         // fan-out never oversubscribes. Outputs are bit-identical for any
         // split (see DESIGN.md, "Concurrency & batching").
@@ -1110,9 +1057,11 @@ impl Pipeline {
                 let mut mine = Vec::new();
                 loop {
                     let i = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    let Some(batch) = queries.chunks(chunk).nth(i) else {
+                    let start = i.saturating_mul(chunk);
+                    if start >= queries.len() {
                         break mine;
-                    };
+                    }
+                    let batch = &queries[start..queries.len().min(start + chunk)];
                     let responses = batch
                         .iter()
                         .map(|kw| self.suggest_keywords_with(kw, per_query))

@@ -34,8 +34,8 @@
 //!    unsharded run — including every γ-eviction and rejection decision —
 //!    whatever the number of scatter threads.
 //!
-//! Per-shard scatter always runs with one candidate partition
-//! (`part = 0, parts = 1`); parallelism is across shards only. That keeps
+//! Each shard is walked once, by one thread; `num_threads` spreads the
+//! shards of a query over scatter threads and nothing else. That keeps
 //! fact 3 unconditional: the log *is* the sequential contribution stream.
 //!
 //! Walk-effort counters (`subtrees`, posting I/O) are summed over shard

@@ -95,7 +95,7 @@ pub fn run_slca(corpus: &CorpusIndex, slots: &[KeywordSlot], config: &XCleanConf
 /// emitted into `sink`. The minimal-depth gate `d` excludes shallower
 /// entities, consistent with the node-type run. LCA entities are
 /// candidate-specific, so no result type is inferred (contributions carry
-/// [`PathId::INVALID`]) and candidates are not partitioned.
+/// [`PathId::INVALID`]).
 pub(crate) fn accumulate_lca<S: ScoreSink>(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],

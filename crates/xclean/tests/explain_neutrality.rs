@@ -6,7 +6,9 @@
 //! engine shape is the same run (ISSUE 14).
 
 use xclean::telemetry::names;
-use xclean::{run_xclean, Pipeline, Semantics, ShardedEngine, XCleanConfig, XCleanEngine};
+use xclean::{
+    run_xclean, Pipeline, Semantics, ShardedEngine, Telemetry, XCleanConfig, XCleanEngine,
+};
 use xclean_index::{partition_corpus, CorpusIndex};
 use xclean_xmltree::parse_document;
 
@@ -166,7 +168,10 @@ fn every_entry_point_of_every_shape_is_the_same_run() {
                 let shards = partition_corpus(&parent, n, 7).unwrap();
                 ShardedEngine::from_shards(shards, config.clone()).unwrap()
             };
-            let (one_shard, four_shards) = (sharded(1), sharded(4));
+            let (one_shard, four_shards) = (
+                sharded(1),
+                sharded(4).with_telemetry(Telemetry::with_tracing()),
+            );
             let shapes: [(&str, &Pipeline); 3] = [
                 ("unsharded", &unsharded),
                 ("1-shard", &one_shard),
@@ -210,6 +215,20 @@ fn every_entry_point_of_every_shape_is_the_same_run() {
                         assert_eq!(s.entity_count, c.entity_count, "{ctx}");
                     }
                 }
+            }
+            // The thread axis that remains: a query over the shard set fans
+            // its scatter out under its own `suggest` span, and only when
+            // threads are offered.
+            let spans = four_shards.tracer().finished_spans();
+            let workers: Vec<_> = spans
+                .iter()
+                .filter(|s| s.name == "scatter_worker")
+                .collect();
+            assert_eq!(workers.is_empty(), threads == 1, "threads={threads}");
+            for w in workers {
+                let parent = spans.iter().find(|s| Some(s.id) == w.parent).unwrap();
+                assert_eq!(parent.name, "suggest");
+                assert_ne!(w.thread, parent.thread, "scatter runs off the caller");
             }
         }
     }

@@ -88,7 +88,7 @@ fn assert_thread_invariance(publications: usize, n_queries: usize) {
             .map(|r| r.suggestions.iter().map(fingerprint).collect())
             .collect();
         // Deterministic counters must agree too — same subtrees walked,
-        // same candidates enumerated, whatever the partitioning.
+        // same candidates enumerated, whatever the batch scheduling.
         let counters: Vec<_> = responses
             .iter()
             .map(|r| {

@@ -126,15 +126,6 @@ fn engine_metrics_aggregate_across_worker_pool() {
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99, "{stage}: {s:?}");
         assert!(s.p50 >= 1, "{stage}: clamped stage times are never zero");
     }
-    // Partition-walk samples: one per scoring partition per query.
-    let parts = m
-        .histogram_summary(names::STAGE_PARTITION)
-        .expect("partition histogram");
-    assert_eq!(
-        parts.count,
-        expect(|r| r.stats.score_partitions),
-        "one partition-walk sample per scoring partition"
-    );
 }
 
 #[test]
