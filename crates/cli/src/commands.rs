@@ -22,7 +22,7 @@ use xclean::{
 };
 use xclean_datagen::{generate_dblp, generate_inex, DblpConfig, InexConfig};
 use xclean_index::{partition_corpus, storage, CorpusIndex, OpenOptions, SlabMode};
-use xclean_server::{AcceptModel, ServerConfig, SuggestServer};
+use xclean_server::{ServerConfig, SuggestServer};
 use xclean_xmltree::{parse_document, to_xml, TreeStats};
 
 use crate::args::{ArgError, Args};
@@ -91,8 +91,7 @@ USAGE:
              --metrics-json appends the engine's aggregated counters and
              p50/p95/p99 stage histograms as one JSON line)
     xclean serve <index.xci | --catalog catalog.xcc>
-            [--host H] [--port P] [--threads N]
-            [--event-loop | --thread-pool] [--max-connections N]
+            [--host H] [--port P] [--threads N] [--max-connections N]
             [--mmap | --no-mmap]
             [--cache-entries N] [--cache-shards N] [--max-body-bytes N]
             [--k N] [--beta B] [--gamma G] [--epsilon E] [--min-depth D]
@@ -121,11 +120,11 @@ USAGE:
              stderr logger from logfmt to JSON lines; --flight-events
              sizes the runtime flight recorder and --conn-registry the
              live-connection registry — 0 disables either)
-            (--event-loop serves HTTP/1.1 keep-alive connections from a
-             nonblocking epoll loop — the default on Linux, up to
-             --max-connections sockets; --thread-pool falls back to
-             one-request-per-connection blocking accept, the only model
-             on other platforms)
+            (connections are HTTP/1.1 keep-alive with pipelining, served
+             from one nonblocking epoll loop that hands parsed requests
+             to --threads scoring workers; above --max-connections open
+             sockets new ones are answered 503 and closed. serve needs
+             Linux; every other subcommand is portable)
             (v2 snapshots are served straight from the snapshot bytes:
              by default they are mmap-ed when possible; --mmap requires
              the mapping, --no-mmap forces an in-memory copy)
@@ -689,21 +688,16 @@ fn cmd_suggest_batch(engine: &XCleanEngine, path: &str, json: bool) -> Result<Cm
 }
 
 /// `xclean serve <index.xci>`: the long-running suggestion server.
-/// Loads the snapshot once, then blocks in the accept loop until
+/// Loads the snapshot once, then blocks in the event loop until
 /// SIGINT/SIGTERM triggers a graceful drain; the returned lines are the
 /// post-drain summary.
 fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
-    let args = Args::parse(
-        raw,
-        &["mmap", "no-mmap", "event-loop", "thread-pool", "log-json"],
-    )?;
+    let args = Args::parse(raw, &["mmap", "no-mmap", "log-json"])?;
     args.reject_unknown(&[
         "catalog",
         "host",
         "port",
         "threads",
-        "event-loop",
-        "thread-pool",
         "max-connections",
         "mmap",
         "no-mmap",
@@ -769,23 +763,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     let defaults = ServerConfig::default();
     let slow_ms: u64 = args.get_parsed("slow-ms", 100u64)?;
     let slo_ms: u64 = args.get_parsed("slo-ms", 50u64)?;
-    if args.has_flag("event-loop") && args.has_flag("thread-pool") {
-        return Err(ArgError(
-            "--event-loop and --thread-pool are mutually exclusive".into(),
-        ));
-    }
-    if args.has_flag("event-loop") && !cfg!(target_os = "linux") {
-        return Err(ArgError(
-            "--event-loop requires Linux (epoll); use --thread-pool".into(),
-        ));
-    }
-    // The epoll loop is the default wherever it exists; elsewhere the
-    // blocking thread-pool accept path is the only model.
-    let accept_model = if args.has_flag("thread-pool") || !cfg!(target_os = "linux") {
-        AcceptModel::ThreadPool
-    } else {
-        AcceptModel::EventLoop
-    };
     // The leveled stderr logger goes up before anything can log. A
     // second `serve` in one process keeps the first logger (set_global
     // is first-wins) — fine for a CLI that serves once.
@@ -799,7 +776,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     xclean_telemetry::set_global(xclean_telemetry::Logger::stderr(log_spec, log_format));
     let server_config = ServerConfig {
         threads: args.get_parsed("threads", defaults.threads)?,
-        accept_model,
         max_connections: args.get_parsed("max-connections", defaults.max_connections)?,
         cache_entries: args.get_parsed("cache-entries", defaults.cache_entries)?,
         cache_shards: args.get_parsed("cache-shards", defaults.cache_shards)?,
@@ -831,6 +807,13 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     if args.has_flag("mmap") && args.has_flag("no-mmap") {
         return Err(ArgError(
             "--mmap and --no-mmap are mutually exclusive".into(),
+        ));
+    }
+    if !cfg!(target_os = "linux") {
+        return Err(ArgError(
+            "serve needs Linux: the server's one wire path is an epoll event loop \
+             (every other subcommand is portable)"
+                .into(),
         ));
     }
     let open_options = OpenOptions {
@@ -952,17 +935,13 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         .map_err(|e| ArgError(format!("{addr}: {e}")))?;
 
     xclean_server::install_signal_handler();
-    // Banner goes out before the blocking accept loop — CmdOutput lines
+    // Banner goes out before the blocking event loop — CmdOutput lines
     // would only print after drain, far too late for "is it up yet?".
     for line in &banner {
         println!("{line}");
     }
     println!(
-        "xclean-server listening on http://{bound} — {}, {} worker(s), cache {} entries / {} shard(s), fingerprint {:016x}",
-        match accept_model {
-            AcceptModel::EventLoop => "epoll event loop (keep-alive)",
-            AcceptModel::ThreadPool => "thread-pool accept",
-        },
+        "xclean-server listening on http://{bound} — epoll event loop (keep-alive), {} worker(s), cache {} entries / {} shard(s), fingerprint {:016x}",
         args.get_parsed("threads", defaults.threads)?,
         args.get_parsed("cache-entries", defaults.cache_entries)?,
         args.get_parsed("cache-shards", defaults.cache_shards)?,
@@ -985,10 +964,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         "xclean_cli::serve",
         "listening",
         addr = bound,
-        accept_model = match accept_model {
-            AcceptModel::EventLoop => "event_loop",
-            AcceptModel::ThreadPool => "thread_pool",
-        },
         threads = threads_n,
         flight_events = flight_n,
         conn_registry = registry_n
@@ -1441,15 +1416,18 @@ mod tests {
         assert!(out.lines[0].contains("--threads"), "{:?}", out.lines);
         let out = run(argv(&["serve", &idx, "--port", "notaport"]));
         assert_eq!(out.code, 2);
-        // Contradictory accept models and a zero connection cap are
-        // rejected before binding.
-        let out = run(argv(&["serve", &idx, "--event-loop", "--thread-pool"]));
-        assert_eq!(out.code, 2);
-        assert!(
-            out.lines[0].contains("mutually exclusive"),
-            "{:?}",
-            out.lines
-        );
+        // There is one wire path, so the flags that chose between two
+        // are gone, not ignored.
+        for flag in ["--thread-pool", "--event-loop"] {
+            let out = run(argv(&["serve", &idx, flag, "--threads", "2"]));
+            assert_eq!(out.code, 2, "{flag}: {:?}", out.lines);
+            assert!(
+                out.lines[0].contains("unknown option"),
+                "{flag}: {:?}",
+                out.lines
+            );
+        }
+        // A zero connection cap is rejected before binding.
         let out = run(argv(&["serve", &idx, "--max-connections", "0"]));
         assert_eq!(out.code, 2);
         assert!(

@@ -197,9 +197,10 @@ impl Observability {
 }
 
 /// Deterministic per-worker trace-ID source: `seed-worker-counter` in
-/// hex, e.g. `0005ca1e-02-00002a`. One lives on each worker's stack
-/// (plus one in the accept loop for load-shed replies), so generation is
-/// a `Cell` bump — no locks, no clock, no randomness.
+/// hex, e.g. `0005ca1e-02-00002a`. One lives on the stack of each thread
+/// that generates IDs (the event loop holds the one behind every
+/// request, error and load-shed reply), so generation is a `Cell` bump —
+/// no locks, no clock, no randomness.
 #[derive(Debug)]
 pub struct TraceIdGen {
     seed: u64,
@@ -234,7 +235,7 @@ pub struct ConnEntry {
 
 impl ConnEntry {
     /// Mirrors the connection's current counters into the entry. Called
-    /// from the owning loop/worker after each burst of activity.
+    /// from the event loop after each burst of activity.
     pub fn update(&self, requests: u64, bytes_in: u64, bytes_out: u64, pipeline: u64, now: u64) {
         self.requests.store(requests, Ordering::Relaxed);
         self.bytes_in.store(bytes_in, Ordering::Relaxed);
@@ -252,8 +253,7 @@ impl ConnEntry {
 /// Point-in-time copy of one registry entry, for rendering and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnSnapshot {
-    /// Connection ID (the event-loop token, or a registry-issued ID
-    /// under the thread-pool model).
+    /// Connection ID (the event-loop token).
     pub id: u64,
     /// `"open"` or `"draining"`.
     pub state: &'static str,
@@ -282,7 +282,6 @@ pub struct ConnSnapshot {
 #[derive(Debug, Default)]
 pub struct ConnRegistry {
     capacity: usize,
-    next_id: AtomicU64,
     conns: Mutex<BTreeMap<u64, Arc<ConnEntry>>>,
 }
 
@@ -291,7 +290,6 @@ impl ConnRegistry {
     pub fn new(capacity: usize) -> ConnRegistry {
         ConnRegistry {
             capacity,
-            next_id: AtomicU64::new(0),
             conns: Mutex::new(BTreeMap::new()),
         }
     }
@@ -299,12 +297,6 @@ impl ConnRegistry {
     /// Whether tracking is on (capacity > 0).
     pub fn is_enabled(&self) -> bool {
         self.capacity > 0
-    }
-
-    /// A fresh connection ID for callers without a natural one (the
-    /// thread-pool model; the event loop uses its epoll token).
-    pub fn issue_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Starts tracking a connection accepted at `now`. `None` when the
@@ -514,13 +506,11 @@ pub struct StatuszInfo {
     pub connections_closed: u64,
     /// Requests served on an already-used keep-alive connection.
     pub keepalive_reuse: u64,
-    /// Accept model in play (`"thread_pool"` / `"event_loop"`).
-    pub accept_model: &'static str,
     /// Connection cap above which accepts are shed with 503s.
     pub max_connections: usize,
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Event-loop wake-ups observed (0 under the thread-pool model).
+    /// Event-loop wake-ups observed.
     pub loop_wakes: u64,
     /// Loop-lag p50 in nanos (busy time between `epoll_wait` calls).
     pub loop_lag_p50_nanos: u64,
@@ -606,14 +596,8 @@ pub fn render_statusz(obs: &Observability, info: &StatuszInfo) -> String {
         xclean_telemetry::SLO_ERROR_BUDGET * 100.0
     ));
     out.push_str(&format!(
-        "runtime: accept_model={} workers={} max_connections={}\n",
-        if info.accept_model.is_empty() {
-            "unknown"
-        } else {
-            info.accept_model
-        },
-        info.workers,
-        info.max_connections
+        "runtime: workers={} max_connections={}\n",
+        info.workers, info.max_connections
     ));
     out.push_str(&format!(
         "loop: wakes={} lag_p50_ns={} lag_p99_ns={}\n",
@@ -897,7 +881,6 @@ mod tests {
                 connections_opened: 5,
                 connections_closed: 3,
                 keepalive_reuse: 7,
-                accept_model: "event_loop",
                 max_connections: 4096,
                 workers: 4,
                 loop_wakes: 11,
@@ -911,7 +894,7 @@ mod tests {
         );
         assert!(text.contains("uptime_secs: 3"), "{text}");
         assert!(
-            text.contains("runtime: accept_model=event_loop workers=4 max_connections=4096"),
+            text.contains("runtime: workers=4 max_connections=4096"),
             "{text}"
         );
         assert!(text.contains("loop: wakes=11"), "{text}");

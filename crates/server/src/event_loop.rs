@@ -1,28 +1,31 @@
-//! The nonblocking epoll accept path (DESIGN.md §13).
+//! The epoll event loop — the server's one wire path (DESIGN.md §13).
 //!
 //! One loop thread owns the listener, every connected socket, and the
-//! [`crate::conn::Connection`] state machine of each; the existing
-//! worker pool keeps doing the CPU-bound part (`route` → engine →
-//! cache). The split is deliberate: suggestion scoring can take
-//! milliseconds, and running it on the loop thread would head-of-line
-//! block every other connection, while I/O on the loop costs
-//! microseconds. Requests flow loop → workers over an unbounded
+//! [`crate::conn::Connection`] state machine of each; a worker pool
+//! does the CPU-bound part (`route` → engine → cache). The split is
+//! deliberate: suggestion scoring can take milliseconds, and running it
+//! on the loop thread would head-of-line block every other connection,
+//! while I/O on the loop costs microseconds. Requests flow loop → workers over an unbounded
 //! channel (backpressure lives in the per-connection pipeline cap and
 //! the `max_connections` accept cap, not in a queue bound); scored
 //! replies flow back over a completion channel, and the worker bumps an
 //! `eventfd` so the loop wakes from `epoll_wait` to flush them.
 //!
-//! Contracts preserved from the thread-pool path, verified by the
-//! conformance suite:
+//! The loop's contracts, verified by the conformance suite:
 //!
-//! - every response carries `X-Request-Id` (inbound echoed, else
-//!   generated — all IDs come from the loop thread's lane, so they stay
-//!   deterministic under a fixed seed);
-//! - [`crate::server::observe_reply`] remains the single bookkeeping
-//!   choke point, called in *wire order* as responses flush (the tokens
+//! - every response — framing errors, 408s and load-shed 503s included —
+//!   carries `X-Request-Id` (inbound echoed, else generated — all IDs
+//!   come from the loop thread's lane, so they stay deterministic under
+//!   a fixed seed);
+//! - [`crate::server::observe_reply`] is the single bookkeeping choke
+//!   point, called in *wire order* as responses flush (the tokens
 //!   [`crate::conn::Connection::complete`] returns);
-//! - suggestion bodies are byte-identical to the thread-pool path —
-//!   both call the same `route`/cache/engine stack.
+//! - a suggestion body does not depend on how its request arrived: one
+//!   per `Connection: close` socket, one by one on a keep-alive socket
+//!   and pipelined in a single write all yield the same bytes;
+//! - every connection leaves through [`EventLoop::close_conn`], so the
+//!   open-connection gauge, the flight recorder and the live registry
+//!   cannot disagree about which sockets exist.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -36,7 +39,7 @@ use xclean_telemetry::RuntimeEventKind;
 use crate::conn::{ConnEvent, Connection, DeadlineAction, Response};
 use crate::debug::{ConnEntry, TraceIdGen};
 use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::http::{render_response, HttpError, Request};
+use crate::http::{render_response, Request};
 use crate::server::{observe_reply, reply_for, route, Handler, Reply, ServerConfig};
 use crate::shutdown::ShutdownFlag;
 
@@ -79,10 +82,9 @@ struct Job {
     seq: u64,
     request: Request,
     trace_id: String,
+    /// Nanos at which the request was surfaced and queued: the start of
+    /// its latency, and of the worker's queue-wait sample.
     arrived: u64,
-    /// Nanos at which the job entered the queue — the worker records
-    /// pickup − enqueued as the queue-wait histogram sample.
-    enqueued: u64,
 }
 
 /// A routed reply on its way back to the loop.
@@ -165,7 +167,7 @@ fn worker_loop(
         let picked = handler.obs.clock().now_nanos();
         handler
             .runtime
-            .record_queue_wait(picked.saturating_sub(job.enqueued));
+            .record_queue_wait(picked.saturating_sub(job.arrived));
         let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             route(&job.request, handler, &job.trace_id)
         }))
@@ -260,14 +262,9 @@ impl EventLoop<'_> {
                     // Grace expired: peers that never read their final
                     // response forfeit it.
                     let now = self.now();
-                    for (token, conn) in self.conns.drain() {
-                        let _ = self.epoll.del(conn.stream.as_raw_fd());
-                        self.handler.conn_stats.closed.inc();
-                        self.handler
-                            .runtime
-                            .flight()
-                            .push(now, RuntimeEventKind::ConnClose { conn: token });
-                        self.handler.conn_registry.unregister(token);
+                    let tokens: Vec<u64> = self.conns.keys().copied().collect();
+                    for token in tokens {
+                        self.close_conn(token, now);
                     }
                     return Ok(());
                 }
@@ -386,7 +383,6 @@ impl EventLoop<'_> {
                         request,
                         trace_id,
                         arrived,
-                        enqueued: arrived,
                     };
                     if let Some(tx) = &self.job_tx {
                         let _ = tx.send(job);
@@ -395,11 +391,7 @@ impl EventLoop<'_> {
                 ConnEvent::BadRequest { seq, error } => {
                     let arrived = self.now();
                     let trace_id = self.ids.next_id();
-                    let reply =
-                        reply_for(Err(error), self.handler, &trace_id).unwrap_or_else(|| {
-                            Reply::error(400, "malformed request").tagged("malformed")
-                        });
-                    self.complete_one(token, seq, reply, trace_id, arrived, true);
+                    self.complete_one(token, seq, reply_for(error), trace_id, arrived, true);
                 }
             }
         }
@@ -500,14 +492,7 @@ impl EventLoop<'_> {
             );
         }
         if conn.machine.finished() {
-            let _ = self.epoll.del(conn.stream.as_raw_fd());
-            self.conns.remove(&token);
-            self.handler.conn_stats.closed.inc();
-            self.handler
-                .runtime
-                .flight()
-                .push(now, RuntimeEventKind::ConnClose { conn: token });
-            self.handler.conn_registry.unregister(token);
+            self.close_conn(token, now);
             return;
         }
         let want = conn.machine.interest();
@@ -529,6 +514,21 @@ impl EventLoop<'_> {
         }
     }
 
+    /// The one teardown: deregisters the socket, drops it, and tells the
+    /// gauge, the flight recorder and the registry.
+    fn close_conn(&mut self, token: u64, now: u64) {
+        let Some(conn) = self.conns.remove(&token) else {
+            return;
+        };
+        let _ = self.epoll.del(conn.stream.as_raw_fd());
+        self.handler.conn_stats.closed.inc();
+        self.handler
+            .runtime
+            .flight()
+            .push(now, RuntimeEventKind::ConnClose { conn: token });
+        self.handler.conn_registry.unregister(token);
+    }
+
     /// Applies the timeout policy: 408s for stalled partial requests
     /// (slow-loris), silent closes for idle keep-alive sockets.
     fn scan_deadlines(&mut self, now: u64) {
@@ -544,28 +544,9 @@ impl EventLoop<'_> {
                 DeadlineAction::None => {}
                 DeadlineAction::Respond408 { seq } => {
                     let trace_id = self.ids.next_id();
-                    let reply = reply_for(
-                        Err(HttpError::Io(io::Error::new(
-                            io::ErrorKind::WouldBlock,
-                            "read timed out",
-                        ))),
-                        self.handler,
-                        &trace_id,
-                    )
-                    .expect("timeout maps to a 408 reply");
-                    self.complete_one(token, seq, reply, trace_id, now, true);
+                    self.complete_one(token, seq, Reply::timeout(), trace_id, now, true);
                 }
-                DeadlineAction::CloseIdle => {
-                    if let Some(conn) = self.conns.remove(&token) {
-                        let _ = self.epoll.del(conn.stream.as_raw_fd());
-                        self.handler.conn_stats.closed.inc();
-                        self.handler
-                            .runtime
-                            .flight()
-                            .push(now, RuntimeEventKind::ConnClose { conn: token });
-                        self.handler.conn_registry.unregister(token);
-                    }
-                }
+                DeadlineAction::CloseIdle => self.close_conn(token, now),
             }
         }
     }

@@ -1,5 +1,4 @@
-//! HTTP/1.1 framing: blocking (thread-pool path) and incremental
-//! (event-loop path).
+//! HTTP/1.1 framing for the epoll event loop (DESIGN.md §13).
 //!
 //! Just enough of RFC 9112 for a JSON API that `curl` and load
 //! generators speak: request-line + headers + `Content-Length` body on
@@ -7,25 +6,16 @@
 //! Every input dimension is bounded (request-line/header bytes, header
 //! count, body bytes).
 //!
-//! Two entry points share one grammar:
-//!
-//! - [`read_request`] — the original blocking reader used by the
-//!   thread-pool accept path: reads run under the socket read timeout
-//!   configured by the server, so a slow or hostile client costs one
-//!   worker at most `read_timeout`.
-//! - [`parse_request`] — the incremental parser used by the epoll event
-//!   loop (DESIGN.md §13): given the bytes buffered so far it answers
-//!   *complete request* (plus how many bytes it consumed, so pipelined
-//!   successors stay in the buffer), *need more bytes*, or a fatal
-//!   framing error. It never blocks and never reads a socket.
+//! [`parse_request`] is incremental: given the bytes buffered so far it
+//! answers *complete request* (plus how many bytes it consumed, so
+//! pipelined successors stay in the buffer), *need more bytes*, or a
+//! fatal framing error. It never blocks and never reads a socket — the
+//! per-connection state machine ([`crate::conn`]) owns the buffer and
+//! the deadlines.
 //!
 //! Responses are rendered by [`render_response`], which the caller
 //! parameterises with the connection disposition (`keep-alive` or
-//! `close`); the blocking path always closes (one request per
-//! connection), the event loop keeps sockets open across requests.
-
-use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+//! `close`).
 
 /// Upper bound on the request line plus all header lines, in bytes.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -59,8 +49,8 @@ impl Request {
     }
 }
 
-/// Why a request could not be read. Each variant maps to one HTTP status
-/// so the caller can always answer with a structured JSON error.
+/// Why a request could not be framed. Each variant maps to one HTTP
+/// status so the caller can always answer with a structured JSON error.
 #[derive(Debug)]
 pub enum HttpError {
     /// Malformed request line or headers → 400.
@@ -72,8 +62,6 @@ pub enum HttpError {
         /// The server's limit.
         limit: usize,
     },
-    /// The client went away or stalled past the read timeout → drop.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for HttpError {
@@ -83,18 +71,11 @@ impl std::fmt::Display for HttpError {
             HttpError::BodyTooLarge { advertised, limit } => {
                 write!(f, "body of {advertised} bytes exceeds limit of {limit}")
             }
-            HttpError::Io(e) => write!(f, "io error: {e}"),
         }
     }
 }
 
 impl std::error::Error for HttpError {}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
 
 /// Computes the keep-alive disposition from the protocol version and the
 /// (lower-cased) `Connection` header, per RFC 9112 §9.3: the header is a
@@ -170,7 +151,7 @@ pub enum Parsed {
 }
 
 /// Index one past the blank line terminating the head, if present. Lines
-/// end in `\r\n` or bare `\n` (mirroring the blocking reader).
+/// end in `\r\n` or bare `\n`.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut line_start = 0usize;
     for (i, &b) in buf.iter().enumerate() {
@@ -239,65 +220,6 @@ pub fn parse_request(buf: &[u8], max_body_bytes: usize) -> Result<Parsed, HttpEr
     })
 }
 
-/// Reads one size-bounded CRLF- (or LF-) terminated line.
-fn read_line(reader: &mut BufReader<&TcpStream>, budget: &mut usize) -> Result<String, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte)? {
-            0 => return Err(HttpError::Malformed("connection closed mid-line")),
-            _ => {
-                if *budget == 0 {
-                    return Err(HttpError::Malformed("request head too large"));
-                }
-                *budget -= 1;
-                if byte[0] == b'\n' {
-                    break;
-                }
-                line.push(byte[0]);
-            }
-        }
-    }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8 header"))
-}
-
-/// Reads one request from the stream (blocking path). `max_body_bytes`
-/// bounds the body; the stream's read timeout (set by the caller) bounds
-/// the wait.
-pub fn read_request(stream: &TcpStream, max_body_bytes: usize) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let mut budget = MAX_HEAD_BYTES;
-    let request_line = read_line(&mut reader, &mut budget)?;
-    let (method, path, version) = parse_request_line(&request_line)?;
-
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(&mut reader, &mut budget)?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::Malformed("too many headers"));
-        }
-        headers.push(parse_header_line(&line)?);
-    }
-
-    let body_len = content_length(&headers, max_body_bytes)?;
-    let mut body = vec![0u8; body_len];
-    reader.read_exact(&mut body)?;
-    let keep_alive = keep_alive_for(&version, &headers);
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-        keep_alive,
-    })
-}
-
 /// The reason phrase for the status codes this server emits.
 fn reason(status: u16) -> &'static str {
     match status {
@@ -313,12 +235,10 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Renders one complete response to bytes. `keep_alive` selects the
-/// `Connection` header: the thread-pool path always closes (one request
-/// per connection keeps its drain contract trivial); the event loop
-/// keeps the socket open until the client asks to close, a framing
-/// error poisons the stream, or the server drains. `extra_headers` lets
-/// handlers attach metadata such as `X-Cache` without it entering the
-/// cached body.
+/// `Connection` header: the event loop keeps the socket open until the
+/// client asks to close, a framing error poisons the stream, or the
+/// server drains. `extra_headers` lets handlers attach metadata such as
+/// `X-Cache` without it entering the cached body.
 pub fn render_response(
     status: u16,
     content_type: &str,
@@ -344,38 +264,19 @@ pub fn render_response(
     out
 }
 
-/// Writes a complete `Connection: close` response (blocking path).
-pub fn write_response(
-    stream: &TcpStream,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> std::io::Result<()> {
-    let mut stream = stream;
-    let bytes = render_response(status, content_type, extra_headers, body, false);
-    stream.write_all(&bytes)?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
-    /// Runs `read_request` against raw bytes written from a client socket.
+    /// Runs `parse_request` over raw bytes holding exactly one request.
     fn parse_raw(raw: &[u8], max_body: usize) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.write_all(&raw).unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let r = read_request(&stream, max_body);
-        writer.join().unwrap();
-        r
+        match parse_request(raw, max_body)? {
+            Parsed::Complete { request, consumed } => {
+                assert_eq!(consumed, raw.len());
+                Ok(request)
+            }
+            Parsed::Partial => panic!("complete request expected"),
+        }
     }
 
     #[test]
@@ -432,19 +333,6 @@ mod tests {
             parse_raw(b"GET / SPDY/99\r\n\r\n", 16),
             Err(HttpError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn incremental_parser_matches_blocking_reader() {
-        let raw = b"POST /suggest HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
-        let Parsed::Complete { request, consumed } = parse_request(raw, 1024).unwrap() else {
-            panic!("complete request expected");
-        };
-        assert_eq!(consumed, raw.len());
-        assert_eq!(request.method, "POST");
-        assert_eq!(request.path, "/suggest");
-        assert_eq!(request.body, b"hello");
-        assert!(request.keep_alive);
     }
 
     #[test]
@@ -522,25 +410,8 @@ mod tests {
 
     #[test]
     fn response_wire_format() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reader = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            let mut buf = Vec::new();
-            c.read_to_end(&mut buf).unwrap();
-            String::from_utf8(buf).unwrap()
-        });
-        let (stream, _) = listener.accept().unwrap();
-        write_response(
-            &stream,
-            200,
-            "application/json",
-            &[("X-Cache", "hit")],
-            b"{}",
-        )
-        .unwrap();
-        drop(stream);
-        let text = reader.join().unwrap();
+        let bytes = render_response(200, "application/json", &[("X-Cache", "hit")], b"{}", false);
+        let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));

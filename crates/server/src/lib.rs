@@ -8,6 +8,13 @@
 //! `POST /suggest` from a sharded LRU response cache keyed by
 //! `(normalized query, engine fingerprint)`.
 //!
+//! There is one wire path (DESIGN.md §13): an epoll event loop owns the
+//! listener and every client socket (HTTP/1.1 keep-alive, pipelining,
+//! per-connection deadlines) and hands parsed requests to the worker
+//! pool. Serving therefore needs Linux — elsewhere
+//! [`SuggestServer::run`] returns `ErrorKind::Unsupported`; the rest of
+//! the crate (framing, state machine, cache, JSON, routing) is portable.
+//!
 //! Multi-tenancy (DESIGN.md §16): the server fronts a catalog of
 //! corpora — each a [`tenant::Tenant`] with its own engine (unsharded or
 //! scatter-gather sharded) and private response cache. `/suggest/<name>`
@@ -37,15 +44,16 @@
 //!
 //! Every response — errors and load-shed replies included — carries an
 //! `X-Request-Id` header (inbound value echoed, else generated from a
-//! seeded per-worker counter), and every completed request lands in the
-//! request ring; requests over the slow threshold additionally go to the
-//! slow-query log (see [`debug`]).
+//! seeded counter on the loop thread), and every completed request
+//! lands in the request ring; requests over the slow threshold
+//! additionally go to the slow-query log (see [`debug`]).
 //!
-//! Robustness: per-socket read/write timeouts, bounded request head and
-//! body sizes, bounded accept queue with `503` load-shedding, structured
-//! JSON error responses on every failure path, and SIGINT/SIGTERM
-//! graceful drain (stop accepting, answer in-flight, then return so the
-//! caller can flush exporters).
+//! Robustness: a slow-loris deadline on every partial request and an idle
+//! timeout on every keep-alive socket, bounded request head and body
+//! sizes, a connection cap with `503` load-shedding, a per-connection
+//! pipeline cap, structured JSON error responses on every failure path,
+//! and SIGINT/SIGTERM graceful drain (stop accepting, answer in-flight,
+//! then return so the caller can flush exporters).
 //!
 //! Like `xclean-telemetry`, the crate is std-only: HTTP framing, the
 //! JSON codec, and the LRU cache are implemented here rather than

@@ -1,14 +1,15 @@
 //! The long-running suggestion server.
 //!
-//! Architecture (DESIGN.md §10): one accept loop + a bounded pool of
-//! worker threads, all sharing an immutable [`TenantSet`] — one engine
-//! (and through it the corpus snapshot or shard set) per served corpus,
-//! behind an [`Arc`]. Accepted sockets flow through a bounded queue;
-//! when it is full the accept loop answers `503` directly instead of
-//! letting latency grow without bound. In front of each tenant's engine
-//! sits its own sharded LRU [`ResponseCache`]: the cache value is the
-//! rendered per-query JSON result object, so a hot query costs a hash,
-//! one shard lock, and a `memcpy` of the response bytes.
+//! Architecture (DESIGN.md §10, §13): one epoll loop thread owns the
+//! listener and every client socket; a bounded pool of worker threads
+//! does the CPU-bound part, all sharing an immutable [`TenantSet`] — one
+//! engine (and through it the corpus snapshot or shard set) per served
+//! corpus, behind an [`Arc`]. Above [`ServerConfig::max_connections`]
+//! open sockets the loop answers `503` directly instead of letting
+//! latency grow without bound. In front of each tenant's engine
+//! sits its own sharded LRU [`crate::ResponseCache`]: the cache value is
+//! the rendered per-query JSON result object, so a hot query costs a
+//! hash, one shard lock, and a `memcpy` of the response bytes.
 //!
 //! Multi-tenancy (DESIGN.md §16): `/suggest/<corpus>` routes by catalog
 //! name, bare `/suggest` routes to the primary (first) tenant, and an
@@ -17,36 +18,35 @@
 //!
 //! Observability (DESIGN.md §12): every request — errors, timeouts,
 //! load-shed, and panic replies included — carries an `X-Request-Id`
-//! (inbound value echoed, else generated deterministically per worker)
-//! and is recorded into the [`Observability`] plane after its response
-//! is written: the request ring (`/debug/requests`), the rolling 1m/5m/
-//! 15m windows (`/metrics` `_window` series, `/statusz`), and — when
-//! slower than the configured threshold — the slow-query log. Recording
-//! happens strictly *after* the suggestion work, so responses stay
-//! byte-identical with the plane enabled or ignored.
+//! (inbound value echoed, else generated deterministically on the loop
+//! thread) and is recorded into the [`Observability`] plane after its
+//! response is rendered: the request ring (`/debug/requests`), the
+//! rolling 1m/5m/15m windows (`/metrics` `_window` series, `/statusz`),
+//! and — when slower than the configured threshold — the slow-query
+//! log. Recording happens strictly *after* the suggestion work, so
+//! responses stay byte-identical with the plane enabled or ignored.
 //!
 //! Graceful drain: when the [`ShutdownFlag`] trips (SIGINT/SIGTERM or
-//! [`ShutdownFlag::trigger`]), the accept loop stops taking connections,
-//! already-queued and in-flight requests are answered, the workers are
-//! joined, and [`SuggestServer::run`] returns a [`DrainReport`] — the
-//! caller then flushes exporters (`--trace-out`, `--metrics-json`).
+//! [`ShutdownFlag::trigger`]), the loop stops taking connections,
+//! in-flight pipelined requests are answered, the workers are joined,
+//! and [`SuggestServer::run`] returns a [`DrainReport`] — the caller
+//! then flushes exporters (`--trace-out`, `--metrics-json`).
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use xclean::{ExplainTrace, Pipeline, SuggestResponse, Suggestion, XCleanEngine};
 use xclean_telemetry::{
     names, render_exemplar_histogram, Counter, ExemplarStore, Histogram, MonotonicClock,
-    RequestRecord, RuntimeEventKind, RuntimeStats, ShardAttribution, SharedClock, WindowEvent,
+    RequestRecord, RuntimeStats, ShardAttribution, SharedClock, WindowEvent,
 };
 
 use crate::cache::CacheKey;
-use crate::debug::{self, ConnRegistry, CorpusRow, Observability, StatuszInfo, TraceIdGen};
-use crate::http::{read_request, write_response, HttpError, Request};
+use crate::debug::{self, ConnRegistry, CorpusRow, Observability, StatuszInfo};
+use crate::http::{HttpError, Request};
 use crate::json::{self, Json};
 use crate::shutdown::ShutdownFlag;
 use crate::tenant::{Tenant, TenantSet};
@@ -55,35 +55,23 @@ use crate::tenant::{Tenant, TenantSet};
 /// request can demand from the pool.
 pub const MAX_BATCH_QUERIES: usize = 1024;
 
-/// How accepted sockets are turned into requests (DESIGN.md §13).
+/// Not a choice any more: the epoll event loop (DESIGN.md §13) is the
+/// only way the server serves, and nothing in this crate reads the
+/// value. The type and [`ServerConfig::accept_model`] exist solely so
+/// that `xbench/src/serve.rs:49` — the benchmark harness, which a
+/// product PR may not edit — keeps compiling; the next `[benchmark]` PR
+/// deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AcceptModel {
-    /// PR-3 model: blocking sockets on a bounded worker pool, one
-    /// request per connection (`Connection: close`). Portable; the
-    /// default so embedders and tests keep their close-per-request
-    /// semantics unless they opt in.
+    /// The epoll event loop.
     #[default]
-    ThreadPool,
-    /// Nonblocking epoll event loop with HTTP/1.1 keep-alive and
-    /// pipelining; scoring stays on the worker pool. Linux only —
-    /// `run` errors with `Unsupported` elsewhere.
     EventLoop,
-}
-
-impl AcceptModel {
-    /// Stable lowercase name used in `/healthz` and `/statusz`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AcceptModel::ThreadPool => "thread_pool",
-            AcceptModel::EventLoop => "event_loop",
-        }
-    }
 }
 
 /// Tunables of the serving layer (the engine has its own config).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// How connections are accepted and multiplexed.
+    /// Ignored; see [`AcceptModel`].
     pub accept_model: AcceptModel,
     /// Worker threads answering requests.
     pub threads: usize,
@@ -93,20 +81,19 @@ pub struct ServerConfig {
     pub cache_shards: usize,
     /// Maximum accepted request-body size in bytes.
     pub max_body_bytes: usize,
-    /// Per-socket read/write timeout.
+    /// Slow-loris deadline: a request whose head and body have not fully
+    /// arrived this long after its *first byte* is answered `408` and
+    /// the connection closed. Not a socket timeout — the sockets are
+    /// nonblocking.
     pub read_timeout: Duration,
-    /// Accepted connections that may wait for a worker before the accept
-    /// loop starts shedding load with `503`s (thread-pool model only;
-    /// the event loop has no socket queue).
-    pub queue_depth: usize,
     /// Concurrent connections the event loop holds open; above this,
     /// new connections are answered `503` and closed.
     pub max_connections: usize,
     /// Idle keep-alive connections are closed after this long without a
-    /// request (event-loop model only).
+    /// request.
     pub keep_alive_timeout: Duration,
     /// Pipelined requests one connection may have in flight before the
-    /// loop stops reading from it (backpressure, event-loop model only).
+    /// loop stops reading from it (backpressure).
     pub max_pipeline: usize,
     /// During graceful drain, connections that still owe responses get
     /// this long to take delivery before being dropped.
@@ -143,13 +130,12 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            accept_model: AcceptModel::ThreadPool,
+            accept_model: AcceptModel::EventLoop,
             threads: 4,
             cache_entries: 4096,
             cache_shards: 8,
             max_body_bytes: 1 << 20,
             read_timeout: Duration::from_secs(5),
-            queue_depth: 64,
             max_connections: 4096,
             keep_alive_timeout: Duration::from_secs(60),
             max_pipeline: 32,
@@ -183,12 +169,9 @@ pub struct DrainReport {
     pub cache_evictions: u64,
     /// TCP connections accepted over the lifetime (including shed ones).
     pub connections: u64,
-    /// Requests served on an already-used keep-alive connection (always
-    /// zero under the thread-pool model, which closes after each
-    /// response).
+    /// Requests served on an already-used keep-alive connection.
     pub keepalive_reuse: u64,
-    /// Event-loop wake-ups observed (always zero under the thread-pool
-    /// model, which has no loop).
+    /// Event-loop wake-ups observed.
     pub loop_wakes: u64,
     /// Dispatched jobs whose enqueue→worker-pickup wait was measured.
     pub queue_waits: u64,
@@ -207,8 +190,8 @@ pub struct SuggestServer {
     shutdown: ShutdownFlag,
 }
 
-/// Connection-lifecycle counters shared by both accept models; the
-/// open-connection gauge on `/metrics` is rendered as `opened - closed`.
+/// Connection-lifecycle counters; the open-connection gauge on
+/// `/metrics` is rendered as `opened - closed`.
 #[derive(Clone)]
 pub(crate) struct ConnStats {
     pub(crate) opened: Arc<Counter>,
@@ -226,7 +209,7 @@ impl ConnStats {
     }
 }
 
-/// Everything a worker needs to answer one connection.
+/// Everything the loop and its workers need to answer a request.
 pub(crate) struct Handler {
     tenants: Arc<TenantSet>,
     pub(crate) obs: Arc<Observability>,
@@ -235,9 +218,7 @@ pub(crate) struct Handler {
     pub(crate) runtime: Arc<RuntimeStats>,
     /// Live-connection registry behind `/debug/conns`.
     pub(crate) conn_registry: Arc<ConnRegistry>,
-    accept_model: AcceptModel,
     max_connections: usize,
-    max_body_bytes: usize,
     requests: Arc<Counter>,
     errors: Arc<Counter>,
     latency: Arc<Histogram>,
@@ -298,6 +279,11 @@ impl Reply {
                 json::escape(message)
             ),
         )
+    }
+
+    /// The `408` for a request that outlived [`ServerConfig::read_timeout`].
+    pub(crate) fn timeout() -> Reply {
+        Reply::error(408, "request read timed out").tagged("timeout")
     }
 
     /// Sets the ring route tag unless the handler already set one.
@@ -393,12 +379,10 @@ impl SuggestServer {
         Arc::clone(&self.obs)
     }
 
-    /// Serves until the shutdown flag trips, then drains: stops
-    /// accepting, answers queued and in-flight requests, joins the
-    /// workers, and reports lifetime totals. The wire model is chosen by
-    /// [`ServerConfig::accept_model`]; both models share the routing,
-    /// caching, and observability stack, so suggestion bodies are
-    /// byte-identical between them.
+    /// Serves from the epoll event loop until the shutdown flag trips,
+    /// then drains: stops accepting, answers in-flight requests, joins
+    /// the workers, and reports lifetime totals. Linux only — elsewhere
+    /// this returns [`io::ErrorKind::Unsupported`] without serving.
     pub fn run(self) -> io::Result<DrainReport> {
         let registry = self.tenants.primary().engine().metrics().clone();
         let conn_stats = ConnStats::new(&registry);
@@ -411,19 +395,14 @@ impl SuggestServer {
             obs: Arc::clone(&self.obs),
             runtime: Arc::clone(&runtime),
             conn_registry: Arc::new(ConnRegistry::new(self.config.conn_registry_capacity)),
-            accept_model: self.config.accept_model,
             max_connections: self.config.max_connections,
-            max_body_bytes: self.config.max_body_bytes,
             requests: registry.counter(names::SERVER_REQUESTS),
             errors: registry.counter(names::SERVER_ERRORS),
             latency: registry.histogram(names::SERVER_REQUEST),
             exemplars: Arc::new(ExemplarStore::new()),
             conn_stats: conn_stats.clone(),
         });
-        match self.config.accept_model {
-            AcceptModel::ThreadPool => self.run_thread_pool(&handler)?,
-            AcceptModel::EventLoop => self.run_event_loop(&handler)?,
-        }
+        self.run_event_loop(&handler)?;
         let (cache_hits, cache_misses, cache_evictions) = self.tenants.cache_totals();
         Ok(DrainReport {
             requests: handler.requests.get(),
@@ -445,184 +424,28 @@ impl SuggestServer {
         crate::event_loop::run_event_loop(&self.listener, handler, &self.config, &self.shutdown)
     }
 
-    /// Event loop unavailable off-Linux: a clear error beats a silent
+    /// There is no other wire path: a clear error beats a silent
     /// behavioural downgrade.
     #[cfg(not(target_os = "linux"))]
     fn run_event_loop(&self, _handler: &Arc<Handler>) -> io::Result<()> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "the event-loop accept model requires Linux epoll; use AcceptModel::ThreadPool",
+            "xclean-server serves from a Linux epoll event loop; this platform is not supported",
         ))
     }
-
-    /// The PR-3 blocking accept path: one connection, one request, one
-    /// worker at a time.
-    fn run_thread_pool(&self, handler: &Arc<Handler>) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        // The queue carries the enqueue timestamp with each socket so the
-        // dequeuing worker can record the queue-wait histogram.
-        let (tx, rx) = sync_channel::<(TcpStream, u64)>(self.config.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        std::thread::scope(|scope| {
-            for worker in 0..self.config.threads.max(1) {
-                let rx = Arc::clone(&rx);
-                let handler = Arc::clone(handler);
-                scope.spawn(move || worker_loop(&rx, &handler, worker));
-            }
-            // The accept loop sheds load with its own trace-ID lane: a
-            // 503 reply never read the request, so there is no inbound
-            // ID to echo — it gets a generated one like any other reply.
-            let shed_ids = handler.obs.trace_gen();
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        handler.conn_stats.opened.inc();
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-                        let _ = stream.set_write_timeout(Some(self.config.read_timeout));
-                        let enqueued = handler.obs.clock().now_nanos();
-                        if let Err(TrySendError::Full((stream, _))) =
-                            tx.try_send((stream, enqueued))
-                        {
-                            let arrived = handler.obs.clock().now_nanos();
-                            let trace_id = shed_ids.next_id();
-                            let reply =
-                                Reply::error(503, "server overloaded; retry").tagged("overload");
-                            write_reply(&stream, &reply, &trace_id);
-                            observe_reply(handler, reply, trace_id, arrived);
-                            handler.conn_stats.closed.inc();
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if self.shutdown.is_triggered() {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => {
-                        if self.shutdown.is_triggered() {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
-                if self.shutdown.is_triggered() {
-                    break;
-                }
-            }
-            // Drain: close the channel; workers finish queued + in-flight
-            // requests, then exit, and the scope joins them.
-            drop(tx);
-        });
-        Ok(())
-    }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<(TcpStream, u64)>>, handler: &Handler, worker: usize) {
-    let ids = handler.obs.trace_gen();
-    loop {
-        // Hold the receiver lock only for the dequeue itself.
-        let stream = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        let Ok((stream, enqueued)) = stream else {
-            return; // channel closed: drain complete
-        };
-        let arrived = handler.obs.clock().now_nanos();
-        handler
-            .runtime
-            .record_queue_wait(arrived.saturating_sub(enqueued));
-        let conn_id = handler.conn_registry.issue_id();
-        let entry = handler.conn_registry.register(conn_id, arrived);
-        handler
-            .runtime
-            .flight()
-            .push(arrived, RuntimeEventKind::ConnOpen { conn: conn_id });
-        // A panicking handler (engine bug, poisoned lock) must cost one
-        // connection, not the whole pool.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(&stream, handler, &ids, arrived);
-        }));
-        if result.is_err() {
-            let trace_id = ids.next_id();
-            let reply = Reply::error(500, "internal error").tagged("panic");
-            write_reply(&stream, &reply, &trace_id);
-            observe_reply(handler, reply, trace_id, arrived);
-        }
-        let finished = handler.obs.clock().now_nanos();
-        handler
-            .runtime
-            .record_worker_busy(worker, finished.saturating_sub(arrived));
-        if let Some(entry) = &entry {
-            // One request per connection under this model.
-            entry.update(1, 0, 0, 0, finished);
-        }
-        handler
-            .runtime
-            .flight()
-            .push(finished, RuntimeEventKind::ConnClose { conn: conn_id });
-        handler.conn_registry.unregister(conn_id);
-        handler.conn_stats.closed.inc();
-    }
-}
-
-/// Renders the reply for one parsed-or-failed request, or `None` when
-/// the client vanished and there is nobody to answer. Separated from the
+/// The reply for a request the framer rejected. Separated from the
 /// socket so tests can drive every error path directly.
-pub(crate) fn reply_for(
-    parsed: Result<Request, HttpError>,
-    handler: &Handler,
-    trace_id: &str,
-) -> Option<Reply> {
-    Some(match parsed {
-        Ok(request) => route(&request, handler, trace_id),
-        Err(HttpError::Malformed(m)) => Reply::error(400, m).tagged("malformed"),
-        Err(HttpError::BodyTooLarge { advertised, limit }) => Reply::error(
+pub(crate) fn reply_for(error: HttpError) -> Reply {
+    match error {
+        HttpError::Malformed(m) => Reply::error(400, m).tagged("malformed"),
+        HttpError::BodyTooLarge { advertised, limit } => Reply::error(
             413,
             &format!("body of {advertised} bytes exceeds limit of {limit}"),
         )
         .tagged("body_too_large"),
-        Err(HttpError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {
-            // Read timeout: best-effort 408, then close.
-            Reply::error(408, "request read timed out").tagged("timeout")
-        }
-        Err(HttpError::Io(_)) => return None, // client went away: nothing to answer
-    })
-}
-
-fn handle_connection(stream: &TcpStream, handler: &Handler, ids: &TraceIdGen, arrived: u64) {
-    let parsed = read_request(stream, handler.max_body_bytes);
-    // Echo the caller's X-Request-Id when it sent one; generate a
-    // deterministic per-worker ID otherwise (also for unreadable
-    // requests, which never yielded headers to echo).
-    let trace_id = match &parsed {
-        Ok(request) => request
-            .header("x-request-id")
-            .map(str::to_string)
-            .unwrap_or_else(|| ids.next_id()),
-        Err(_) => ids.next_id(),
-    };
-    let Some(reply) = reply_for(parsed, handler, &trace_id) else {
-        return;
-    };
-    write_reply(stream, &reply, &trace_id);
-    observe_reply(handler, reply, trace_id, arrived);
-}
-
-/// Writes the response with its trace and cache headers attached.
-fn write_reply(stream: &TcpStream, reply: &Reply, trace_id: &str) {
-    let mut extra: Vec<(&str, &str)> = vec![("X-Request-Id", trace_id)];
-    if let Some(h) = reply.cache_header.as_deref() {
-        extra.push(("X-Cache", h));
     }
-    let _ = write_response(
-        stream,
-        reply.status,
-        reply.content_type,
-        &extra,
-        reply.body.as_bytes(),
-    );
 }
 
 /// The single bookkeeping choke point: lifetime counters, the latency
@@ -819,12 +642,11 @@ fn healthz(handler: &Handler) -> Reply {
         format!(
             "{{\"status\":\"ok\",\"fingerprint\":\"{:016x}\",\"uptime_secs\":{},\
              \"snapshot\":{snapshot},\"queries_total\":{queries},\
-             \"accept_model\":\"{}\",\"max_connections\":{},\"open_connections\":{open},\
+             \"max_connections\":{},\"open_connections\":{open},\
              \"cache\":{{\"entries\":{},\"capacity\":{},\"shards\":{}}},\
              \"corpora\":{corpora}}}",
             primary.fingerprint(),
             handler.obs.uptime_secs(),
-            handler.accept_model.as_str(),
             handler.max_connections,
             primary.cache().len(),
             primary.cache().capacity(),
@@ -851,8 +673,8 @@ fn metrics(handler: &Handler) -> Reply {
         h = names::help_for(names::CONNECTIONS_OPEN),
     ));
     // Runtime series: loop lag, queue wait, events-per-wake, worker
-    // utilization (emitted even before any traffic, so both accept
-    // models always expose the full set).
+    // utilization (emitted even before any traffic, so a scrape always
+    // sees the full set).
     body.push_str(&handler.runtime.render_metrics(handler.obs.uptime_nanos()));
     // Per-corpus series, `corpus`-labelled, one sample per tenant — the
     // primary appears both unlabelled (above, its own registry) and
@@ -897,7 +719,6 @@ fn statusz(handler: &Handler) -> Reply {
         connections_opened: handler.conn_stats.opened.get(),
         connections_closed: handler.conn_stats.closed.get(),
         keepalive_reuse: handler.conn_stats.reuse.get(),
-        accept_model: handler.accept_model.as_str(),
         max_connections: handler.max_connections,
         workers: handler.runtime.workers(),
         loop_wakes: lag.count,
@@ -1422,7 +1243,7 @@ fn batch_suggest(raw: &[&str], tenant: &Tenant) -> (String, u64, u64, RouteObs) 
 mod tests {
     use super::*;
     use xclean::XCleanConfig;
-    use xclean_telemetry::{ManualClock, MetricsRegistry};
+    use xclean_telemetry::{ManualClock, MetricsRegistry, RuntimeEventKind};
     use xclean_xmltree::parse_document;
 
     fn handler() -> Handler {
@@ -1459,11 +1280,9 @@ mod tests {
             conn_stats: ConnStats::new(&registry),
             runtime: Arc::new(RuntimeStats::new(2, 64)),
             conn_registry: Arc::new(ConnRegistry::new(16)),
-            accept_model: AcceptModel::ThreadPool,
             max_connections: 4096,
             tenants,
             obs,
-            max_body_bytes: 1 << 20,
         }
     }
 
@@ -1619,11 +1438,6 @@ mod tests {
             reply.body
         );
         // Satellite: runtime shape for load balancers.
-        assert!(
-            reply.body.contains("\"accept_model\":\"thread_pool\""),
-            "{}",
-            reply.body
-        );
         assert!(
             reply.body.contains("\"max_connections\":4096"),
             "{}",
@@ -1800,30 +1614,17 @@ mod tests {
         del.method = "DELETE".to_string();
         let replies: Vec<Reply> = vec![
             // Unreadable requests: malformed head, oversized body, timeout.
-            reply_for(Err(HttpError::Malformed("bad request line")), &h, T).unwrap(),
-            reply_for(
-                Err(HttpError::BodyTooLarge {
-                    advertised: 999,
-                    limit: 16,
-                }),
-                &h,
-                T,
-            )
-            .unwrap(),
-            reply_for(
-                Err(HttpError::Io(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    "timeout",
-                ))),
-                &h,
-                T,
-            )
-            .unwrap(),
+            reply_for(HttpError::Malformed("bad request line")),
+            reply_for(HttpError::BodyTooLarge {
+                advertised: 999,
+                limit: 16,
+            }),
+            Reply::timeout(),
             // Routed errors: 404, 405, invalid body.
             route(&get("/nope"), &h, T),
             route(&del, &h, T),
             route(&post("{not json"), &h, T),
-            // Accept-loop and panic replies use the same constructors.
+            // Load-shed and panic replies use the same constructors.
             Reply::error(503, "server overloaded; retry").tagged("overload"),
             Reply::error(500, "internal error").tagged("panic"),
         ];
@@ -1833,16 +1634,6 @@ mod tests {
         for (i, reply) in replies.into_iter().enumerate() {
             observe_reply(&h, reply, format!("err-{i}"), 0);
         }
-        // A client-gone connection yields no reply and is not counted.
-        assert!(reply_for(
-            Err(HttpError::Io(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "gone"
-            ))),
-            &h,
-            T
-        )
-        .is_none());
         // Ring and metrics agree: every reply counted, every one an error.
         assert_eq!(h.requests.get(), expected.len() as u64);
         assert_eq!(h.errors.get(), expected.len() as u64);

@@ -1,8 +1,8 @@
-//! HTTP/1.1 conformance suite for the epoll event-loop accept path
-//! (DESIGN.md §13): keep-alive reuse, `Connection: close`, pipelining
-//! order, framing-error closes, slow-loris timeouts, graceful drain of
-//! in-flight pipelines, and byte-identity between the event-loop and
-//! thread-pool models.
+//! HTTP/1.1 conformance suite for the epoll event loop (DESIGN.md §13):
+//! keep-alive reuse, `Connection: close`, pipelining order,
+//! framing-error closes, slow-loris timeouts, load-shedding at the
+//! connection cap, graceful drain of in-flight pipelines, and
+//! byte-identity of a suggestion however its request reached the loop.
 //!
 //! Everything here drives real sockets against an in-process server.
 //! The suite is Linux-only (the event loop is).
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xclean::{XCleanConfig, XCleanEngine};
-use xclean_server::{AcceptModel, DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
+use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
 use xclean_xmltree::parse_document;
 
 fn engine() -> Arc<XCleanEngine> {
@@ -36,9 +36,8 @@ struct Running {
     join: std::thread::JoinHandle<DrainReport>,
 }
 
-fn event_loop_config() -> ServerConfig {
+fn two_worker_config() -> ServerConfig {
     ServerConfig {
-        accept_model: AcceptModel::EventLoop,
         threads: 2,
         ..Default::default()
     }
@@ -208,7 +207,7 @@ fn get_request(path: &str, extra_headers: &str) -> String {
 
 #[test]
 fn keep_alive_reuses_one_socket_for_many_requests() {
-    let run = start(event_loop_config());
+    let run = start(two_worker_config());
     let mut stream = connect(run.addr);
     let mut bodies = Vec::new();
     // ≥3 requests over the same socket, strictly request→response.
@@ -239,7 +238,7 @@ fn keep_alive_reuses_one_socket_for_many_requests() {
 
 #[test]
 fn connection_close_is_honored() {
-    let run = start(event_loop_config());
+    let run = start(two_worker_config());
     let mut stream = connect(run.addr);
     stream
         .write_all(get_request("/healthz", "Connection: close\r\n").as_bytes())
@@ -256,7 +255,7 @@ fn connection_close_is_honored() {
 
 #[test]
 fn pipelined_requests_answer_in_order_with_matching_request_ids() {
-    let run = start(event_loop_config());
+    let run = start(two_worker_config());
     let mut stream = connect(run.addr);
     // Three requests written back-to-back before reading anything, each
     // tagged with its own X-Request-Id. Mixing cheap (/healthz) and
@@ -287,7 +286,7 @@ fn pipelined_requests_answer_in_order_with_matching_request_ids() {
 
 #[test]
 fn malformed_request_gets_400_and_close() {
-    let run = start(event_loop_config());
+    let run = start(two_worker_config());
     let mut stream = connect(run.addr);
     stream
         .write_all(b"utter nonsense\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n")
@@ -303,7 +302,7 @@ fn malformed_request_gets_400_and_close() {
 fn oversized_body_gets_413_and_close() {
     let run = start(ServerConfig {
         max_body_bytes: 64,
-        ..event_loop_config()
+        ..two_worker_config()
     });
     let mut stream = connect(run.addr);
     stream
@@ -320,7 +319,7 @@ fn oversized_body_gets_413_and_close() {
 fn slow_loris_times_out_with_408_without_wedging_the_loop() {
     let run = start(ServerConfig {
         read_timeout: Duration::from_millis(500),
-        ..event_loop_config()
+        ..two_worker_config()
     });
     // The loris: dribbles one byte at a time, never finishing its head.
     // It stops dribbling before the deadline so the 408 is read off a
@@ -351,23 +350,26 @@ fn slow_loris_times_out_with_408_without_wedging_the_loop() {
 
 #[test]
 fn graceful_drain_completes_in_flight_pipeline_and_announces_close() {
-    // One worker thread and a genuinely slow first request, so the drain
-    // provably begins while responses are still owed on an open
-    // keep-alive pipeline.
+    // One worker thread and a pipeline that opens with genuinely slow
+    // requests, so the drain provably begins while responses are still
+    // owed on an open keep-alive socket.
     let run = start_with(
         big_engine(),
         ServerConfig {
             threads: 1,
             cache_entries: 0,
-            ..event_loop_config()
+            ..two_worker_config()
         },
     );
 
-    // Calibrate: time one slow batch end-to-end, then trigger the real
-    // drain a quarter of the way into an identical batch. Parsing and
-    // dispatch happen on the loop thread within microseconds of the
-    // bytes landing, so at that point the batch is mid-computation and
-    // the two requests pipelined behind it are queued.
+    // Calibrate: time one slow batch end-to-end, then open the real
+    // pipeline with as many copies of it as keep the one worker busy
+    // for 200 ms on this build (the cache is off, so each copy is
+    // recomputed) and trigger the drain a quarter of the way in.
+    // Parsing and dispatch happen on the loop thread within
+    // microseconds of the bytes landing, so by then every request is
+    // surfaced, and the loop next wakes — and notices the flag — no
+    // later than the first copy's completion, with the rest still owed.
     let calibration = {
         let mut stream = connect(run.addr);
         let body = slow_batch_body(0);
@@ -381,47 +383,47 @@ fn graceful_drain_completes_in_flight_pipeline_and_announces_close() {
         assert_eq!(read_response(&mut stream).unwrap().status, 200);
         started.elapsed()
     };
-    assert!(
-        calibration >= Duration::from_millis(40),
-        "batch too fast ({calibration:?}) to make the drain race meaningful; grow big_engine"
-    );
+    let copies = 200_000u128.div_ceil(calibration.as_micros().max(1)).min(24) as usize;
 
     let mut stream = connect(run.addr);
     let body = slow_batch_body(1);
-    let mut wire = format!(
-        "POST /suggest HTTP/1.1\r\nHost: t\r\nX-Request-Id: drain-0\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    wire.push_str(&get_request("/healthz", "X-Request-Id: drain-1\r\n"));
+    let mut wire = String::new();
+    for i in 0..copies {
+        wire.push_str(&format!(
+            "POST /suggest HTTP/1.1\r\nHost: t\r\nX-Request-Id: drain-{i}\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ));
+    }
+    wire.push_str(&get_request(
+        "/healthz",
+        &format!("X-Request-Id: drain-{copies}\r\n"),
+    ));
     wire.push_str(&get_request(
         "/suggest?q=ddatawise",
-        "X-Request-Id: drain-2\r\n",
+        &format!("X-Request-Id: drain-{}\r\n", copies + 1),
     ));
     stream.write_all(wire.as_bytes()).unwrap();
-    std::thread::sleep(calibration / 4);
+    std::thread::sleep(calibration * copies as u32 / 4);
     run.flag.trigger();
 
     // Every pipelined response still arrives, in order; the last one
     // carries Connection: close instead of the socket being dropped.
-    for (i, (id, connection)) in [
-        ("drain-0", "keep-alive"),
-        ("drain-1", "keep-alive"),
-        ("drain-2", "close"),
-    ]
-    .iter()
-    .enumerate()
-    {
+    for i in 0..copies + 2 {
         let response = read_response(&mut stream)
             .unwrap_or_else(|| panic!("drain dropped pipelined response {i}"));
         assert_eq!(response.status, 200, "response {i}");
         assert_eq!(
             response.header("x-request-id"),
-            Some(*id),
+            Some(format!("drain-{i}").as_str()),
             "order preserved under drain"
         );
         assert_eq!(
             response.header("connection"),
-            Some(*connection),
+            Some(if i == copies + 1 {
+                "close"
+            } else {
+                "keep-alive"
+            }),
             "response {i}"
         );
     }
@@ -430,62 +432,155 @@ fn graceful_drain_completes_in_flight_pipeline_and_announces_close() {
         "socket closed after final response"
     );
     let report = run.join.join().unwrap();
-    assert_eq!(report.requests, 4, "{report:?}");
+    assert_eq!(report.requests, copies as u64 + 3, "{report:?}");
     assert_eq!(report.errors, 0, "{report:?}");
 }
 
+/// How a request reaches the loop must not change what it is answered:
+/// the same six cases fetched one per `Connection: close` socket, one by
+/// one on a single keep-alive socket, and pipelined in a single write.
 #[test]
-fn suggestion_bodies_are_byte_identical_across_accept_models() {
-    let pool = start(ServerConfig {
-        accept_model: AcceptModel::ThreadPool,
-        threads: 2,
-        cache_entries: 0,
-        ..Default::default()
-    });
-    let event = start(ServerConfig {
-        accept_model: AcceptModel::EventLoop,
-        threads: 2,
-        cache_entries: 0,
-        ..Default::default()
+fn suggestion_bodies_are_byte_identical_across_connection_dispositions() {
+    let run = start(ServerConfig {
+        cache_entries: 0, // every answer computed, none replayed
+        ..two_worker_config()
     });
     let cases = [
-        ("GET", "/suggest?q=helth+insurance", String::new()),
-        ("GET", "/suggest?q=dta+integration", String::new()),
-        ("GET", "/suggest?q=progrm+instance", String::new()),
+        ("GET", "/suggest?q=helth+insurance", ""),
+        ("GET", "/suggest?q=dta+integration", ""),
+        ("GET", "/suggest?q=progrm+instance", ""),
         (
             "POST",
             "/suggest",
-            r#"{"queries": ["helth insurance", "program instence", "zzz qqq"]}"#.to_string(),
+            r#"{"queries": ["helth insurance", "program instence", "zzz qqq"]}"#,
         ),
-        ("POST", "/suggest", r#"{"query": "smith"}"#.to_string()),
-        ("GET", "/suggest?q=...", String::new()), // error body too
+        ("POST", "/suggest", r#"{"query": "smith"}"#),
+        ("GET", "/suggest?q=...", ""), // error body too
     ];
-    for (method, path, body) in &cases {
-        let fetch = |addr| {
-            let mut stream = connect(addr);
-            write!(
-                stream,
-                "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .unwrap();
-            read_response(&mut stream).unwrap()
-        };
-        let via_pool = fetch(pool.addr);
-        let via_event = fetch(event.addr);
-        assert_eq!(via_pool.status, via_event.status, "{method} {path}");
-        assert_eq!(
-            via_pool.body, via_event.body,
-            "bodies must be byte-identical across accept models: {method} {path}"
-        );
+    let wire = |i: usize, close: bool| {
+        let (method, path, body) = cases[i];
+        format!(
+            "{method} {path} HTTP/1.1\r\nHost: t\r\nX-Request-Id: case-{i}\r\n{}Content-Length: {}\r\n\r\n{body}",
+            if close { "Connection: close\r\n" } else { "" },
+            body.len()
+        )
+    };
+    let answer = |response: Response| {
+        let id = response.header("x-request-id").unwrap().to_string();
+        (response.status, id, response.body)
+    };
+
+    let per_socket: Vec<_> = (0..cases.len())
+        .map(|i| {
+            let mut stream = connect(run.addr);
+            stream.write_all(wire(i, true).as_bytes()).unwrap();
+            let response = read_response(&mut stream).unwrap();
+            assert_eq!(response.header("connection"), Some("close"));
+            answer(response)
+        })
+        .collect();
+
+    let mut stream = connect(run.addr);
+    let kept_alive: Vec<_> = (0..cases.len())
+        .map(|i| {
+            stream.write_all(wire(i, false).as_bytes()).unwrap();
+            let response = read_response(&mut stream).expect("keep-alive socket stayed open");
+            assert_eq!(response.header("connection"), Some("keep-alive"));
+            answer(response)
+        })
+        .collect();
+
+    let mut stream = connect(run.addr);
+    let burst: String = (0..cases.len()).map(|i| wire(i, false)).collect();
+    stream.write_all(burst.as_bytes()).unwrap();
+    let pipelined: Vec<_> = (0..cases.len())
+        .map(|_| answer(read_response(&mut stream).expect("pipelined response")))
+        .collect();
+
+    let statuses: Vec<u16> = per_socket.iter().map(|(status, _, _)| *status).collect();
+    assert_eq!(statuses, [200, 200, 200, 200, 200, 400]);
+    for (i, (_, id, _)) in per_socket.iter().enumerate() {
+        assert_eq!(id, &format!("case-{i}"), "request order");
     }
-    pool.stop();
-    event.stop();
+    assert_eq!(kept_alive, per_socket, "keep-alive vs one socket each");
+    assert_eq!(pipelined, per_socket, "pipelined vs one socket each");
+    run.stop();
+}
+
+/// Above `max_connections` open sockets the loop answers a new one with
+/// a `503` and closes it, without disturbing the sockets it holds, and
+/// serves new connections again as soon as one of those leaves.
+#[test]
+fn connections_over_the_cap_are_shed_with_503_and_the_rest_keep_serving() {
+    let run = start(ServerConfig {
+        max_connections: 2,
+        ..two_worker_config()
+    });
+    let healthz = |stream: &mut TcpStream| {
+        stream
+            .write_all(get_request("/healthz", "").as_bytes())
+            .unwrap();
+        read_response(stream).expect("held socket still answers")
+    };
+    // A response proves the loop has accepted the socket, not merely the
+    // kernel's backlog.
+    let mut first = connect(run.addr);
+    let mut second = connect(run.addr);
+    assert_eq!(healthz(&mut first).status, 200);
+    assert_eq!(healthz(&mut second).status, 200);
+
+    let mut third = connect(run.addr);
+    let shed = read_response(&mut third).expect("a 503, not a dropped socket");
+    assert_eq!(shed.status, 503);
+    assert_eq!(shed.header("connection"), Some("close"));
+    assert!(shed.header("x-request-id").is_some(), "{shed:?}");
+    assert!(shed.body.contains("\"code\":503"), "{shed:?}");
+    assert!(read_response(&mut third).is_none(), "socket closed");
+
+    assert_eq!(healthz(&mut first).status, 200);
+    assert_eq!(healthz(&mut second).status, 200);
+
+    // Free a slot, and wait until the loop has seen the hang-up (its own
+    // gauge says so) before asking for it.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !healthz(&mut second)
+        .body
+        .contains("\"open_connections\":1,")
+    {
+        assert!(Instant::now() < deadline, "loop never reaped the socket");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut fourth = connect(run.addr);
+    assert_eq!(healthz(&mut fourth).status, 200);
+
+    second
+        .write_all(get_request("/debug/requests?n=1000", "").as_bytes())
+        .unwrap();
+    let ring = read_response(&mut second).unwrap();
+    assert_eq!(ring.status, 200);
+    let ring: serde_json::Value = serde_json::from_str(&ring.body).unwrap();
+    let overload: Vec<_> = ring["requests"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .filter(|r| r["route"] == "overload")
+        .collect();
+    assert_eq!(overload.len(), 1, "{overload:?}");
+    assert_eq!(overload[0]["status"].as_u64(), Some(503));
+    assert_eq!(
+        overload[0]["trace_id"].as_str(),
+        shed.header("x-request-id")
+    );
+
+    let report = run.stop();
+    assert_eq!(report.connections, 4, "shed socket included: {report:?}");
+    assert_eq!(report.errors, 1, "{report:?}");
 }
 
 #[test]
 fn half_close_still_gets_its_response() {
-    let run = start(event_loop_config());
+    let run = start(two_worker_config());
     let mut stream = connect(run.addr);
     stream
         .write_all(get_request("/healthz", "").as_bytes())
@@ -503,7 +598,7 @@ fn half_close_still_gets_its_response() {
 fn idle_keep_alive_connection_is_closed_after_timeout() {
     let run = start(ServerConfig {
         keep_alive_timeout: Duration::from_millis(300),
-        ..event_loop_config()
+        ..two_worker_config()
     });
     let mut stream = connect(run.addr);
     stream
@@ -526,10 +621,8 @@ fn idle_keep_alive_connection_is_closed_after_timeout() {
 #[test]
 fn event_loop_sustains_a_thousand_concurrent_keep_alive_connections() {
     let run = start(ServerConfig {
-        accept_model: AcceptModel::EventLoop,
-        threads: 2,
         max_connections: 2048,
-        ..Default::default()
+        ..two_worker_config()
     });
     // Open 1050 keep-alive connections in waves (the listen backlog is
     // finite), then make two requests on every socket.

@@ -2,6 +2,12 @@
 //! port, exercised over real sockets — single and batch suggestions,
 //! the cached hot path (bit-identical bodies, hit-counter growth),
 //! malformed inputs, oversized bodies, and graceful drain.
+//!
+//! Linux-only, like everything that calls `SuggestServer::run`.
+
+#![cfg(target_os = "linux")]
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,6 +17,8 @@ use std::time::Duration;
 use xclean::{XCleanConfig, XCleanEngine};
 use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
 use xclean_xmltree::parse_document;
+
+use common::{header, request};
 
 fn engine() -> Arc<XCleanEngine> {
     let xml = "<dblp>\
@@ -36,49 +44,6 @@ fn start(config: ServerConfig) -> Running {
     let flag = server.shutdown_flag();
     let join = std::thread::spawn(move || server.run().unwrap());
     Running { addr, flag, join }
-}
-
-/// Issues one raw HTTP request; returns (status, headers, body).
-fn request(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("header terminator");
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .unwrap()
-        .split_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, payload.to_string())
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.as_str())
 }
 
 #[test]

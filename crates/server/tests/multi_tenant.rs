@@ -4,17 +4,22 @@
 //! routing, the structured unknown-corpus 404, per-corpus response-cache
 //! isolation, and the per-corpus observability surfaces (`/healthz`,
 //! `/statusz`, `/metrics`).
+//!
+//! Linux-only, like everything that calls `SuggestServer::run`.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+#![cfg(target_os = "linux")]
+
+mod common;
+
 use std::sync::Arc;
-use std::time::Duration;
 
 use xclean::{ShardedEngine, XCleanConfig, XCleanEngine};
 use xclean_index::{partition_corpus, CorpusIndex};
 use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
 use xclean_telemetry::names;
 use xclean_xmltree::parse_document;
+
+use common::{header, request};
 
 /// The primary corpus. Deliberately a different *shape* (token count)
 /// from the dblp corpus: engine fingerprints hash corpus shape, and the
@@ -66,52 +71,8 @@ fn start() -> Running {
     Running { addr, flag, join }
 }
 
-fn request(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("header terminator");
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .unwrap()
-        .split_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, payload.to_string())
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.as_str())
-}
-
 fn stop(r: Running) -> DrainReport {
     r.flag.trigger();
-    // Nudge the accept loop so it notices the flag.
-    let _ = TcpStream::connect(r.addr);
     r.join.join().unwrap()
 }
 

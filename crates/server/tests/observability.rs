@@ -4,6 +4,12 @@
 //! the slow-query log, `/statusz`, the rolling-window `/metrics`
 //! series — and the contract that observability never changes a
 //! suggestion byte, at 1 and at 8 engine threads.
+//!
+//! Linux-only, like everything that calls `SuggestServer::run`.
+
+#![cfg(target_os = "linux")]
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,9 +17,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xclean::{XCleanConfig, XCleanEngine};
-use xclean_server::{AcceptModel, DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
+use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
 use xclean_telemetry::Telemetry;
 use xclean_xmltree::parse_document;
+
+use common::{header, request_with as request};
 
 fn engine_with(threads: usize, telemetry: Telemetry) -> Arc<XCleanEngine> {
     let xml = "<dblp>\
@@ -47,51 +55,6 @@ fn start(engine: Arc<XCleanEngine>, config: ServerConfig) -> Running {
     let flag = server.shutdown_flag();
     let join = std::thread::spawn(move || server.run().unwrap());
     Running { addr, flag, join }
-}
-
-/// One raw HTTP request with optional extra headers; returns
-/// (status, headers, body) with header names lower-cased.
-fn request(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    extra_headers: &[(&str, &str)],
-    body: &str,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: test\r\n");
-    for (k, v) in extra_headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    write!(stream, "{head}{body}").unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("header terminator");
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .unwrap()
-        .split_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, payload.to_string())
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.as_str())
 }
 
 #[test]
@@ -304,8 +267,8 @@ fn observability_never_changes_a_suggestion_byte() {
 }
 
 /// The runtime plane (flight recorder + connection registry) is the
-/// same deal: fully on vs fully off must be byte-identical, under both
-/// accept models, at 1 and at 8 threads.
+/// same deal: fully on vs fully off must be byte-identical, at 1 and at
+/// 8 threads.
 #[test]
 fn runtime_observability_never_changes_a_suggestion_byte() {
     let queries = [
@@ -314,54 +277,45 @@ fn runtime_observability_never_changes_a_suggestion_byte() {
         "databse system",
         "insurence markets",
     ];
-    let mut models = vec![AcceptModel::ThreadPool];
-    if cfg!(target_os = "linux") {
-        models.push(AcceptModel::EventLoop);
-    }
-    for model in models {
-        for threads in [1usize, 8] {
-            let off = start(
-                engine_with(threads, Telemetry::disabled()),
-                ServerConfig {
-                    accept_model: model,
-                    threads,
-                    flight_capacity: 0,
-                    conn_registry_capacity: 0,
-                    ..ServerConfig::default()
-                },
+    for threads in [1usize, 8] {
+        let off = start(
+            engine_with(threads, Telemetry::disabled()),
+            ServerConfig {
+                threads,
+                flight_capacity: 0,
+                conn_registry_capacity: 0,
+                ..ServerConfig::default()
+            },
+        );
+        let on = start(
+            engine_with(threads, Telemetry::disabled()),
+            ServerConfig {
+                threads,
+                flight_capacity: 4096,
+                conn_registry_capacity: 4096,
+                ..ServerConfig::default()
+            },
+        );
+        for q in queries {
+            let body = format!("{{\"query\": \"{q}\"}}");
+            let (s1, _, b1) = request(off.addr, "POST", "/suggest", &[], &body);
+            let (s2, _, b2) = request(on.addr, "POST", "/suggest", &[], &body);
+            assert_eq!((s1, s2), (200, 200));
+            assert_eq!(
+                b1, b2,
+                "runtime observability changed bytes ({threads} threads): {q}"
             );
-            let on = start(
-                engine_with(threads, Telemetry::disabled()),
-                ServerConfig {
-                    accept_model: model,
-                    threads,
-                    flight_capacity: 4096,
-                    conn_registry_capacity: 4096,
-                    ..ServerConfig::default()
-                },
-            );
-            for q in queries {
-                let body = format!("{{\"query\": \"{q}\"}}");
-                let close = [("Connection", "close")];
-                let (s1, _, b1) = request(off.addr, "POST", "/suggest", &close, &body);
-                let (s2, _, b2) = request(on.addr, "POST", "/suggest", &close, &body);
-                assert_eq!((s1, s2), (200, 200));
-                assert_eq!(
-                    b1, b2,
-                    "runtime observability changed bytes ({model:?}, {threads} threads): {q}"
-                );
-            }
-            off.stop();
-            on.stop();
         }
+        off.stop();
+        on.stop();
     }
 }
 
-/// The runtime series are exported under the portable thread-pool model
-/// too: every accepted connection stamps a queue wait, and the worker
-/// utilization gauges always render.
+/// The runtime series are exported from the first scrape: every
+/// dispatched request stamps a queue wait, and the worker utilization
+/// gauges always render.
 #[test]
-fn runtime_metrics_present_under_thread_pool() {
+fn runtime_metrics_present_under_the_event_loop() {
     let run = start(
         engine_with(1, Telemetry::disabled()),
         ServerConfig::default(),
@@ -379,7 +333,7 @@ fn runtime_metrics_present_under_thread_pool() {
         assert!(metrics.contains(series), "{series} missing: {metrics}");
     }
     // The suggest request and this /metrics request both waited in the
-    // accept queue before a worker picked them up.
+    // job queue before a worker picked them up.
     let waits = metrics
         .lines()
         .find(|l| l.starts_with("xclean_queue_wait_seconds_count"))
@@ -392,7 +346,6 @@ fn runtime_metrics_present_under_thread_pool() {
 
 /// Reads one keep-alive response (head + exactly `Content-Length`
 /// bytes) off an open stream, leaving the socket usable.
-#[cfg(target_os = "linux")]
 fn read_keep_alive_response(stream: &mut TcpStream) -> (u16, String) {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
@@ -422,19 +375,14 @@ fn read_keep_alive_response(stream: &mut TcpStream) -> (u16, String) {
     (status, String::from_utf8(body).unwrap())
 }
 
-/// Under the event loop, `/debug/conns` shows the live keep-alive
-/// connection with its per-connection request count, the loop-lag and
-/// queue-wait series fill, and the flight recorder captures the
-/// connection's lifecycle.
-#[cfg(target_os = "linux")]
+/// `/debug/conns` shows the live keep-alive connection with its
+/// per-connection request count, the loop-lag and queue-wait series
+/// fill, and the flight recorder captures the connection's lifecycle.
 #[test]
 fn debug_conns_reflects_a_live_keep_alive_connection() {
     let run = start(
         engine_with(1, Telemetry::disabled()),
-        ServerConfig {
-            accept_model: AcceptModel::EventLoop,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     );
 
     // Hold one keep-alive socket open and send two requests on it.
@@ -453,8 +401,7 @@ fn debug_conns_reflects_a_live_keep_alive_connection() {
     }
 
     // A second connection observes the held one in the registry.
-    let close = [("Connection", "close")];
-    let (status, _, body) = request(run.addr, "GET", "/debug/conns?n=10", &close, "");
+    let (status, _, body) = request(run.addr, "GET", "/debug/conns?n=10", &[], "");
     assert_eq!(status, 200);
     let v: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert!(v["open"].as_u64().unwrap() >= 1, "{body}");
@@ -466,8 +413,8 @@ fn debug_conns_reflects_a_live_keep_alive_connection() {
     assert_eq!(held_entry["state"], "open", "{body}");
     assert_eq!(held_entry["reused"].as_bool(), Some(true), "{body}");
 
-    // Loop wakes and queue waits actually happened under the loop.
-    let (_, _, metrics) = request(run.addr, "GET", "/metrics", &close, "");
+    // Loop wakes and queue waits actually happened.
+    let (_, _, metrics) = request(run.addr, "GET", "/metrics", &[], "");
     let wakes = metrics
         .lines()
         .find(|l| l.starts_with("xclean_loop_lag_seconds_count"))
@@ -484,14 +431,14 @@ fn debug_conns_reflects_a_live_keep_alive_connection() {
     assert!(waits >= 2, "{metrics}");
 
     // The flight recorder saw the connection open and its dispatches.
-    let (status, _, flight) = request(run.addr, "GET", "/debug/flight?events=100", &close, "");
+    let (status, _, flight) = request(run.addr, "GET", "/debug/flight?events=100", &[], "");
     assert_eq!(status, 200);
     assert!(flight.contains("\"conn_open\""), "{flight}");
     assert!(flight.contains("\"dispatch\""), "{flight}");
 
-    // /statusz names the accept model and tracks the open connections.
-    let (_, _, statusz) = request(run.addr, "GET", "/statusz", &close, "");
-    assert!(statusz.contains("accept_model=event_loop"), "{statusz}");
+    // /statusz tracks the open connections (the held one and its own).
+    let (_, _, statusz) = request(run.addr, "GET", "/statusz", &[], "");
+    assert!(statusz.contains("connections: open=2 "), "{statusz}");
 
     drop(held);
     run.stop();

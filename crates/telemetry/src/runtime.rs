@@ -516,8 +516,8 @@ mod tests {
     #[test]
     fn runtime_metrics_render_seconds_and_are_present_when_empty() {
         let stats = RuntimeStats::new(1, 0);
-        // Empty: every series still renders (thread-pool accept model
-        // never records loop lag, but the scrape shape is identical).
+        // Empty: every series still renders, so a scrape taken before
+        // the first request has the same shape as any later one.
         let empty = stats.render_metrics(0);
         for name in [
             names::EVENTS_PER_WAKE,
