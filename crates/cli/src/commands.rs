@@ -856,6 +856,9 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
                         p.display()
                     ))
                 })?;
+                require_v2(&p.display().to_string(), report.format_version).map_err(|e| {
+                    ArgError(format!("{cat_path}: corpus {:?}: {}", spec.name, e.0))
+                })?;
                 reports.push(report);
                 shards.push(c);
             }
@@ -899,12 +902,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
                 "{snapshot}: {e} (build a snapshot first: xclean index build <data.xml> --out <index.xci>)"
             ))
         })?;
-        if load_report.format_version != 2 {
-            return Err(ArgError(format!(
-                "{snapshot}: legacy v{} snapshot — run `xclean index upgrade {snapshot} --out <new.xci>` and serve the result",
-                load_report.format_version
-            )));
-        }
+        require_v2(snapshot, load_report.format_version)?;
         let mut engine = XCleanEngine::from_corpus(corpus, config).with_semantics(semantics);
         if trace_out.is_some() {
             engine = engine.with_telemetry(Telemetry::with_tracing());
@@ -1000,6 +998,17 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         lines.push(format!("metrics → {path}"));
     }
     Ok(CmdOutput::ok(lines))
+}
+
+/// `serve` opens v2 snapshots only — positional or catalog-listed; an
+/// older file is refused with the way out.
+fn require_v2(file: &str, format_version: u8) -> Result<(), ArgError> {
+    if format_version == 2 {
+        return Ok(());
+    }
+    Err(ArgError(format!(
+        "{file}: legacy v{format_version} snapshot — run `xclean index upgrade {file} --out <new.xci>` and serve the result"
+    )))
 }
 
 fn cmd_stats(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
@@ -1443,6 +1452,32 @@ mod tests {
             "{:?}",
             out.lines
         );
+    }
+
+    /// `serve --catalog` refuses a legacy v1 snapshot before binding, as
+    /// the positional form does, naming the corpus, the file and the
+    /// way out.
+    #[test]
+    fn serve_catalog_refuses_v1_snapshots() {
+        let v1 = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/dblp50_v1.xci"
+        );
+        let cat = tmp("serve_v1.xcc").to_string_lossy().into_owned();
+        Catalog {
+            corpora: vec![CorpusSpec {
+                name: "legacy".to_string(),
+                config: XCleanConfig::default(),
+                snapshots: vec![v1.to_string()],
+            }],
+        }
+        .save(&cat)
+        .expect("catalog saves");
+        let out = run(argv(&["serve", "--catalog", &cat, "--port", "0"]));
+        assert_eq!(out.code, 2, "{:?}", out.lines);
+        for needle in ["corpus \"legacy\"", v1, "legacy v1", "xclean index upgrade"] {
+            assert!(out.lines[0].contains(needle), "{needle}: {:?}", out.lines);
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //!
 //! - a bounded lock-striped [`RequestRing`] of recent requests (all
 //!   statuses, error paths included) behind `GET /debug/requests?n=K`;
-//! - a separate, smaller ring of *slow* requests (total time over the
-//!   configured threshold), each additionally emitted as one JSON line
-//!   to the slow-query log (stderr or `--slow-log <path>`);
+//! - the slow-query log: every request whose total time reaches the
+//!   configured threshold is additionally written as one JSON line to
+//!   stderr or `--slow-log <path>` — the durable record of slow
+//!   requests, since fast traffic does evict them from the ring;
 //! - [`RollingWindows`] (1m/5m/15m) behind the `_window` series on
 //!   `GET /metrics` and the table on `GET /statusz`;
 //! - the deterministic trace-ID generator handed to each worker.
@@ -25,8 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use xclean_telemetry::{
-    escape_label_value, names, RequestRecord, RequestRing, RollingWindows, SharedClock,
-    WindowEvent, WindowSnapshot,
+    names, Exposition, RequestRecord, RequestRing, RollingWindows, SharedClock, Value, WindowEvent,
+    WindowSnapshot,
 };
 
 /// Ring stripes: enough that an 8-worker pool rarely collides on a lock.
@@ -47,7 +48,6 @@ pub const MAX_FLIGHT_EVENTS: usize = 65_536;
 pub struct Observability {
     clock: SharedClock,
     ring: RequestRing,
-    slow_ring: RequestRing,
     windows: RollingWindows,
     slow_threshold_nanos: u64,
     slo_threshold_nanos: u64,
@@ -61,7 +61,6 @@ impl std::fmt::Debug for Observability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Observability")
             .field("ring_capacity", &self.ring.capacity())
-            .field("slow_ring_capacity", &self.slow_ring.capacity())
             .field("slow_threshold_nanos", &self.slow_threshold_nanos)
             .field("slo_threshold_nanos", &self.slo_threshold_nanos)
             .field("trace_seed", &self.trace_seed)
@@ -77,7 +76,6 @@ impl Observability {
     pub fn new(
         clock: SharedClock,
         ring_capacity: usize,
-        slow_ring_capacity: usize,
         slow_threshold_nanos: u64,
         slo_threshold_nanos: u64,
         trace_seed: u64,
@@ -86,7 +84,6 @@ impl Observability {
         let start_nanos = clock.now_nanos();
         Observability {
             ring: RequestRing::new(ring_capacity, RING_STRIPES),
-            slow_ring: RequestRing::new(slow_ring_capacity, RING_STRIPES),
             windows: RollingWindows::new(),
             slow_threshold_nanos,
             slo_threshold_nanos,
@@ -144,10 +141,10 @@ impl Observability {
         }
     }
 
-    /// Records one completed request: into the main ring and the rolling
-    /// windows always, and — when its total time crosses the threshold —
-    /// into the slow ring and the slow-query log. Returns the record's
-    /// ring sequence number.
+    /// Records one completed request: into the ring and the rolling
+    /// windows always, and — when its total time reaches the threshold —
+    /// as one line of the slow-query log. Returns the record's ring
+    /// sequence number.
     pub fn observe(&self, record: RequestRecord) -> u64 {
         self.windows.record(
             record.arrived_nanos,
@@ -161,13 +158,12 @@ impl Observability {
         let slow_copy = (record.total_nanos >= self.slow_threshold_nanos).then(|| record.clone());
         let seq = self.ring.push(record);
         if let Some(mut slow) = slow_copy {
-            // The log line carries the main-ring seq, so a slow-log entry
-            // names the same record `/debug/requests` shows.
+            // The log line carries the ring seq, so a slow-log entry names
+            // the same record `/debug/requests` shows.
             slow.seq = seq;
             let mut sink = self.slow_sink.lock().expect("slow sink poisoned");
             let _ = writeln!(sink, "{}", slow.to_json());
             let _ = sink.flush();
-            self.slow_ring.push(slow);
         }
         seq
     }
@@ -193,6 +189,37 @@ impl Observability {
     /// Point-in-time 1m/5m/15m aggregates.
     pub fn window_snapshots(&self) -> Vec<WindowSnapshot> {
         self.windows.snapshot(self.clock.now_nanos())
+    }
+
+    /// Hands `page` the `_window` gauges: request/error counts, q/s,
+    /// ratios and latency quantiles per rolling window.
+    pub fn collect(&self, page: &mut Exposition) {
+        for s in self.window_snapshots() {
+            let window = [("window", s.label)];
+            for (name, value) in [
+                (names::WINDOW_REQUESTS, Value::Int(s.count)),
+                (names::WINDOW_ERRORS, Value::Int(s.errors)),
+                (names::WINDOW_QPS, Value::Ratio(s.qps())),
+                (names::WINDOW_ERROR_RATIO, Value::Ratio(s.error_ratio())),
+                (
+                    names::WINDOW_CACHE_HIT_RATIO,
+                    Value::Ratio(s.cache_hit_ratio()),
+                ),
+            ] {
+                page.gauge(name, &window, value);
+            }
+            for (q, nanos) in [
+                ("0.5", s.p50_nanos),
+                ("0.95", s.p95_nanos),
+                ("0.99", s.p99_nanos),
+            ] {
+                page.gauge(
+                    names::WINDOW_LATENCY,
+                    &[window[0], ("quantile", q)],
+                    Value::Int(nanos),
+                );
+            }
+        }
     }
 }
 
@@ -394,79 +421,6 @@ impl ConnRegistry {
         out.push_str("]}");
         out
     }
-}
-
-/// Renders the `_window` gauge series appended to `GET /metrics`:
-/// request/error counts, q/s, ratios, and latency quantiles per window,
-/// every label value escaped per the exposition format.
-pub fn render_window_metrics(snapshots: &[WindowSnapshot]) -> String {
-    let mut out = String::new();
-    let gauge_header = |out: &mut String, name: &str| {
-        out.push_str(&format!(
-            "# HELP {name} {}\n# TYPE {name} gauge\n",
-            names::help_for(name)
-        ));
-    };
-    gauge_header(&mut out, names::WINDOW_REQUESTS);
-    for s in snapshots {
-        out.push_str(&format!(
-            "{}{{window=\"{}\"}} {}\n",
-            names::WINDOW_REQUESTS,
-            escape_label_value(s.label),
-            s.count
-        ));
-    }
-    gauge_header(&mut out, names::WINDOW_ERRORS);
-    for s in snapshots {
-        out.push_str(&format!(
-            "{}{{window=\"{}\"}} {}\n",
-            names::WINDOW_ERRORS,
-            escape_label_value(s.label),
-            s.errors
-        ));
-    }
-    gauge_header(&mut out, names::WINDOW_QPS);
-    for s in snapshots {
-        out.push_str(&format!(
-            "{}{{window=\"{}\"}} {:.6}\n",
-            names::WINDOW_QPS,
-            escape_label_value(s.label),
-            s.qps()
-        ));
-    }
-    gauge_header(&mut out, names::WINDOW_ERROR_RATIO);
-    for s in snapshots {
-        out.push_str(&format!(
-            "{}{{window=\"{}\"}} {:.6}\n",
-            names::WINDOW_ERROR_RATIO,
-            escape_label_value(s.label),
-            s.error_ratio()
-        ));
-    }
-    gauge_header(&mut out, names::WINDOW_CACHE_HIT_RATIO);
-    for s in snapshots {
-        out.push_str(&format!(
-            "{}{{window=\"{}\"}} {:.6}\n",
-            names::WINDOW_CACHE_HIT_RATIO,
-            escape_label_value(s.label),
-            s.cache_hit_ratio()
-        ));
-    }
-    gauge_header(&mut out, names::WINDOW_LATENCY);
-    for s in snapshots {
-        for (q, v) in [
-            ("0.5", s.p50_nanos),
-            ("0.95", s.p95_nanos),
-            ("0.99", s.p99_nanos),
-        ] {
-            out.push_str(&format!(
-                "{}{{window=\"{}\",quantile=\"{q}\"}} {v}\n",
-                names::WINDOW_LATENCY,
-                escape_label_value(s.label),
-            ));
-        }
-    }
-    out
 }
 
 /// Renders the `GET /debug/requests` body: newest-first records under a
@@ -713,7 +667,6 @@ mod tests {
         let obs = Observability::new(
             clock,
             64,
-            16,
             threshold,
             TEST_SLO_NANOS,
             0x5ca1e,
@@ -788,21 +741,23 @@ mod tests {
         let (obs, _sink) = obs_with(clock, u64::MAX);
         obs.observe(record(100, 200));
         obs.observe(record(100, 404));
-        let text = render_window_metrics(&obs.window_snapshots());
+        let mut page = Exposition::new();
+        obs.collect(&mut page);
+        let text = page.render();
+        // HELP/TYPE pairing and family contiguity hold for these series
+        // as for every other source (the shared checker).
+        crate::conformance::check_page(&text);
         assert!(text.contains(&format!("# TYPE {} gauge", names::WINDOW_REQUESTS)));
         assert!(text.contains(&format!("{}{{window=\"1m\"}} 2", names::WINDOW_REQUESTS)));
         assert!(text.contains(&format!("{}{{window=\"15m\"}} 1", names::WINDOW_ERRORS)));
         assert!(text.contains(&format!(
-            "{}{{window=\"1m\",quantile=\"0.99\"}}",
+            "{}{{window=\"1m\"}} 0.500000",
+            names::WINDOW_ERROR_RATIO
+        )));
+        assert!(text.contains(&format!(
+            "{}{{window=\"1m\",quantile=\"0.99\"}} 127",
             names::WINDOW_LATENCY
         )));
-        // HELP/TYPE pairing holds for the appended series too.
-        for (i, line) in text.lines().collect::<Vec<_>>().windows(2).enumerate() {
-            if let Some(rest) = line[0].strip_prefix("# HELP ") {
-                let name = rest.split_whitespace().next().unwrap();
-                assert!(line[1].starts_with(&format!("# TYPE {name} ")), "line {i}");
-            }
-        }
     }
 
     /// The plane grades every observed request against its SLO with one

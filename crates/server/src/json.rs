@@ -327,22 +327,10 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
     Ok(v)
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for embedding in a JSON string literal — the one
+/// escaper the workspace has, re-exported from the telemetry crate (whose
+/// exporters need it too) under the path this crate's callers use.
+pub use xclean_telemetry::json_escape as escape;
 
 #[cfg(test)]
 mod tests {

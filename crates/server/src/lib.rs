@@ -84,3 +84,8 @@ pub use debug::{
 pub use server::{AcceptModel, DrainReport, ServerConfig, SuggestServer, MAX_BATCH_QUERIES};
 pub use shutdown::{install_signal_handler, ShutdownFlag};
 pub use tenant::{Tenant, TenantSet};
+
+/// The workspace's one Prometheus conformance checker (test support).
+#[cfg(test)]
+#[path = "../../telemetry/tests/support/conformance.rs"]
+pub(crate) mod conformance;

@@ -40,8 +40,8 @@ use std::time::Duration;
 
 use xclean::{ExplainTrace, Pipeline, SuggestResponse, Suggestion, XCleanEngine};
 use xclean_telemetry::{
-    names, render_exemplar_histogram, Counter, ExemplarStore, Histogram, MonotonicClock,
-    RequestRecord, RuntimeStats, ShardAttribution, SharedClock, WindowEvent,
+    names, Counter, ExemplarStore, Exposition, Histogram, MonotonicClock, RequestRecord,
+    RuntimeStats, ShardAttribution, SharedClock, Value, WindowEvent,
 };
 
 use crate::cache::CacheKey;
@@ -98,8 +98,8 @@ pub struct ServerConfig {
     /// During graceful drain, connections that still owe responses get
     /// this long to take delivery before being dropped.
     pub drain_grace: Duration,
-    /// Requests at least this slow are retained in the slow ring and
-    /// emitted to the slow-query log (`serve --slow-ms`).
+    /// Requests at least this slow are emitted to the slow-query log
+    /// (`serve --slow-ms`).
     pub slow_threshold: Duration,
     /// Latency SLO threshold: requests strictly slower than this count
     /// as SLO breaches in the global and per-corpus windows, and feed
@@ -111,8 +111,6 @@ pub struct ServerConfig {
     pub slow_log: Option<PathBuf>,
     /// Recent-request ring capacity (`/debug/requests` history).
     pub ring_capacity: usize,
-    /// Slow-request ring capacity.
-    pub slow_ring_capacity: usize,
     /// Runtime flight-recorder capacity in events (`/debug/flight`);
     /// 0 disables runtime event recording entirely.
     pub flight_capacity: usize,
@@ -144,7 +142,6 @@ impl Default for ServerConfig {
             slo_threshold: Duration::from_millis(50),
             slow_log: None,
             ring_capacity: 512,
-            slow_ring_capacity: 128,
             flight_capacity: 4096,
             conn_registry_capacity: 4096,
             trace_seed: 0x5ca1_ab1e,
@@ -206,6 +203,11 @@ impl ConnStats {
             closed: registry.counter(names::CONNECTIONS_CLOSED),
             reuse: registry.counter(names::KEEPALIVE_REUSE),
         }
+    }
+
+    /// Connections open right now: opened − closed.
+    fn open(&self) -> u64 {
+        self.opened.get().saturating_sub(self.closed.get())
     }
 }
 
@@ -338,7 +340,6 @@ impl SuggestServer {
         let obs = Arc::new(Observability::new(
             Arc::clone(&config.clock),
             config.ring_capacity,
-            config.slow_ring_capacity,
             config.slow_threshold.as_nanos() as u64,
             config.slo_threshold.as_nanos() as u64,
             config.trace_seed,
@@ -616,11 +617,7 @@ fn healthz(handler: &Handler) -> Reply {
         }
         None => "null".to_string(),
     };
-    let open = handler
-        .conn_stats
-        .opened
-        .get()
-        .saturating_sub(handler.conn_stats.closed.get());
+    let open = handler.conn_stats.open();
     let mut corpora = String::from("[");
     for (i, tenant) in handler.tenants.iter().enumerate() {
         if i > 0 {
@@ -655,52 +652,36 @@ fn healthz(handler: &Handler) -> Reply {
     )
 }
 
+/// `GET /metrics`: one collect-then-render pass. Every source hands the
+/// page typed samples; [`Exposition::render`] writes the text once.
 fn metrics(handler: &Handler) -> Reply {
-    let mut body = handler.tenants.primary().engine().metrics().metrics_text();
-    body.push_str(&debug::render_window_metrics(
-        &handler.obs.window_snapshots(),
-    ));
+    let mut page = Exposition::new();
+    // The primary tenant's registry: the unlabelled engine and server
+    // series. Each populated request-latency bucket carries the most
+    // recent X-Request-Id that landed in it.
+    handler
+        .tenants
+        .primary()
+        .engine()
+        .metrics()
+        .collect(&mut page);
+    page.exemplars(names::SERVER_REQUEST, &handler.exemplars);
+    handler.obs.collect(&mut page);
     // The open-connection gauge is derived (opened − closed) rather than
     // registered: the registry only holds monotonic series.
-    let open = handler
-        .conn_stats
-        .opened
-        .get()
-        .saturating_sub(handler.conn_stats.closed.get());
-    body.push_str(&format!(
-        "# HELP {g} {h}\n# TYPE {g} gauge\n{g} {open}\n",
-        g = names::CONNECTIONS_OPEN,
-        h = names::help_for(names::CONNECTIONS_OPEN),
-    ));
-    // Runtime series: loop lag, queue wait, events-per-wake, worker
-    // utilization (emitted even before any traffic, so a scrape always
-    // sees the full set).
-    body.push_str(&handler.runtime.render_metrics(handler.obs.uptime_nanos()));
-    // Per-corpus series, `corpus`-labelled, one sample per tenant — the
-    // primary appears both unlabelled (above, its own registry) and
-    // labelled here, so multi-corpus dashboards need only one shape.
-    body.push_str(&handler.tenants.render_corpus_metrics());
-    // Latency histogram with OpenMetrics exemplars: each bucket carries
-    // the most recent X-Request-Id that landed in it.
-    render_exemplar_histogram(
-        &mut body,
-        names::LATENCY_EXEMPLARS,
-        &handler.latency,
-        &handler.exemplars,
-    );
-    // Per-shard scatter histograms + straggler skew, then per-corpus
-    // SLO burn rates per window.
-    body.push_str(&handler.tenants.render_shard_metrics());
-    body.push_str(
-        &handler
-            .tenants
-            .render_slo_metrics(handler.obs.clock().now_nanos()),
-    );
+    let open = Value::Int(handler.conn_stats.open());
+    page.gauge(names::CONNECTIONS_OPEN, &[], open);
+    handler
+        .runtime
+        .collect(&mut page, handler.obs.uptime_nanos());
+    handler
+        .tenants
+        .collect(&mut page, handler.obs.clock().now_nanos());
     Reply {
         status: 200,
         content_type: "text/plain; version=0.0.4",
         cache_header: None,
-        body,
+        body: page.render(),
         obs: RouteObs::default(),
     }
 }
@@ -812,11 +793,7 @@ fn debug_conns(handler: &Handler, query: &str) -> Reply {
         Err(m) => return Reply::error(400, &m),
     };
     let now = handler.obs.clock().now_nanos();
-    let open = handler
-        .conn_stats
-        .opened
-        .get()
-        .saturating_sub(handler.conn_stats.closed.get());
+    let open = handler.conn_stats.open();
     Reply::json(200, handler.conn_registry.render_debug_conns(n, now, open))
 }
 
@@ -1266,7 +1243,6 @@ mod tests {
         let obs = Arc::new(Observability::new(
             clock,
             64,
-            16,
             1_000_000_000, // 1 s: nothing is "slow" under a manual clock
             1_000_000,     // 1 ms SLO: advance the clock past it to breach
             0xfeed,
@@ -1284,6 +1260,14 @@ mod tests {
             tenants,
             obs,
         }
+    }
+
+    /// `GET /metrics`, checked as one conformant document.
+    fn metrics_page(h: &Handler) -> String {
+        let reply = route(&get("/metrics"), h, T);
+        assert_eq!(reply.status, 200);
+        crate::conformance::check_page(&reply.body);
+        reply.body
     }
 
     fn post(body: &str) -> Request {
@@ -1455,24 +1439,21 @@ mod tests {
         let h = handler();
         let reply = route(&post(r#"{"query": "helth insurance"}"#), &h, T);
         observe_reply(&h, reply, T.to_string(), 0);
-        let reply = route(&get("/metrics"), &h, T);
-        assert_eq!(reply.status, 200);
-        assert!(reply.body.contains(names::CACHE_MISSES), "{}", reply.body);
-        assert!(reply.body.contains(names::QUERIES), "{}", reply.body);
-        assert!(
-            reply
-                .body
-                .contains(&format!("{}{{window=\"1m\"}} 1", names::WINDOW_REQUESTS)),
-            "{}",
-            reply.body
-        );
-        assert!(
-            reply
-                .body
-                .contains(&format!("# TYPE {} gauge", names::WINDOW_QPS)),
-            "{}",
-            reply.body
-        );
+        let body = metrics_page(&h);
+        for line in [
+            format!("{} 1\n", names::SERVER_REQUESTS),
+            format!("{} 0\n", names::SERVER_ERRORS),
+            format!("{} 1\n", names::CACHE_MISSES),
+            format!("{} 0\n", names::CACHE_HITS),
+            format!("{} 1\n", names::QUERIES),
+            format!("{} 0\n", names::CONNECTIONS_OPEN),
+            format!("{}{{window=\"1m\"}} 1\n", names::WINDOW_REQUESTS),
+            format!("{}{{window=\"15m\"}} 0\n", names::WINDOW_ERRORS),
+            format!("{}{{window=\"1m\"}} 0.000000\n", names::WINDOW_ERROR_RATIO),
+            format!("# TYPE {} gauge\n", names::WINDOW_QPS),
+        ] {
+            assert!(body.contains(&line), "missing {line:?} in:\n{body}");
+        }
     }
 
     #[test]
@@ -1577,23 +1558,16 @@ mod tests {
         h.runtime.record_loop_wake(3, 1_500);
         h.runtime.record_queue_wait(2_000);
         h.runtime.record_worker_busy(0, 10);
-        let reply = route(&get("/metrics"), &h, T);
-        assert_eq!(reply.status, 200);
-        for series in [
-            names::LOOP_LAG_SECONDS,
-            names::QUEUE_WAIT_SECONDS,
-            names::EVENTS_PER_WAKE,
-            names::WORKER_UTILIZATION,
+        let body = metrics_page(&h);
+        for line in [
+            format!("{}_count 1\n", names::LOOP_LAG_SECONDS),
+            format!("{}_count 1\n", names::QUEUE_WAIT_SECONDS),
+            format!("{}_sum 0.000002\n", names::QUEUE_WAIT_SECONDS),
+            format!("{}_sum 3\n", names::EVENTS_PER_WAKE),
+            format!("{}{{worker=\"0\"}} ", names::WORKER_UTILIZATION),
         ] {
-            assert!(reply.body.contains(series), "missing {series}");
+            assert!(body.contains(&line), "missing {line:?} in:\n{body}");
         }
-        assert!(
-            reply
-                .body
-                .contains(&format!("{}_count 1", names::QUEUE_WAIT_SECONDS)),
-            "{}",
-            reply.body
-        );
     }
 
     #[test]
@@ -1655,8 +1629,18 @@ mod tests {
         ] {
             assert!(routes.contains(tag), "missing route tag {tag}: {routes:?}");
         }
-        // The windows saw them too.
+        // The windows saw them too, and the page says the same.
         assert_eq!(h.obs.window_snapshots()[0].errors, expected.len() as u64);
+        let body = metrics_page(&h);
+        for line in [
+            format!("{} 8\n", names::SERVER_REQUESTS),
+            format!("{} 8\n", names::SERVER_ERRORS),
+            format!("{}_count 8\n", names::SERVER_REQUEST),
+            format!("{}{{window=\"1m\"}} 8\n", names::WINDOW_ERRORS),
+            format!("{}{{window=\"1m\"}} 1.000000\n", names::WINDOW_ERROR_RATIO),
+        ] {
+            assert!(body.contains(&line), "missing {line:?} in:\n{body}");
+        }
     }
 
     fn two_corpus_handler() -> Handler {
@@ -1750,22 +1734,18 @@ mod tests {
             status.body
         );
         assert!(status.body.contains("corpus[default]:"), "{}", status.body);
-        let metrics = route(&get("/metrics"), &h, T);
-        assert!(
-            metrics
-                .body
-                .contains(&format!("{}{{corpus=\"dblp\"}} 1", names::CORPUS_REQUESTS)),
-            "{}",
-            metrics.body
-        );
-        assert!(
-            metrics.body.contains(&format!(
-                "{}{{corpus=\"default\"}} 0",
-                names::CORPUS_QUERIES
-            )),
-            "{}",
-            metrics.body
-        );
+        let body = metrics_page(&h);
+        for line in [
+            format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_REQUESTS),
+            format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_QUERIES),
+            format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_CACHE_MISSES),
+            format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_CACHE_ENTRIES),
+            format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_SHARDS),
+            format!("{}{{corpus=\"default\"}} 0\n", names::CORPUS_REQUESTS),
+            format!("{}{{corpus=\"default\"}} 0\n", names::CORPUS_QUERIES),
+        ] {
+            assert!(body.contains(&line), "missing {line:?} in:\n{body}");
+        }
     }
 
     /// Tentpole: `/debug/explain` returns the full pipeline trace, on
@@ -1837,19 +1817,17 @@ mod tests {
         clock.advance(5_000);
         let reply = route(&get("/suggest?q=helth+insurance"), &h, T);
         observe_reply(&h, reply, "trace-exemplar".to_string(), 0);
-        let metrics = route(&get("/metrics"), &h, T);
+        // The request histogram is exported once, in nanoseconds, and
+        // the 5000 ns sample's bucket [4096, 8192) names its request.
+        let body = metrics_page(&h);
         assert!(
-            metrics
-                .body
-                .contains(&format!("# TYPE {} histogram", names::LATENCY_EXEMPLARS)),
-            "{}",
-            metrics.body
+            body.contains(&format!(
+                "{}_bucket{{le=\"8191\"}} 1 # {{trace_id=\"trace-exemplar\"}} 5000\n",
+                names::SERVER_REQUEST
+            )),
+            "{body}"
         );
-        assert!(
-            metrics.body.contains("# {trace_id=\"trace-exemplar\"}"),
-            "{}",
-            metrics.body
-        );
+        assert!(!body.contains("exemplar_seconds"), "{body}");
         let dbg = route(&get("/debug/exemplars"), &h, T);
         assert_eq!(dbg.status, 200);
         assert!(
@@ -1935,30 +1913,28 @@ mod tests {
             status.body
         );
         assert!(status.body.contains("burn_rate="), "{}", status.body);
-        let metrics = route(&get("/metrics"), &h, T);
-        assert!(
-            metrics.body.contains(&format!(
-                "{}{{corpus=\"dblp\",window=\"1m\"}} 100",
+        let body = metrics_page(&h);
+        for line in [
+            format!(
+                "{}{{corpus=\"dblp\",window=\"1m\"}} 100\n",
                 names::CORPUS_BURN_RATE
-            )),
-            "{}",
-            metrics.body
-        );
-        assert!(
-            metrics.body.contains(&format!(
-                "{}_count{{corpus=\"default\",shard=\"0\"}}",
+            ),
+            format!(
+                "{}{{corpus=\"dblp\",window=\"15m\"}} 1\n",
+                names::CORPUS_SLO_BREACHES
+            ),
+            format!(
+                "{}{{corpus=\"default\",window=\"1m\"}} 0\n",
+                names::CORPUS_BURN_RATE
+            ),
+            format!(
+                "{}_count{{corpus=\"default\",shard=\"0\"}} ",
                 names::SHARD_SCATTER_SECONDS
-            )),
-            "{}",
-            metrics.body
-        );
-        assert!(
-            metrics
-                .body
-                .contains(&format!("{}{{corpus=\"dblp\"}}", names::SHARD_SKEW)),
-            "{}",
-            metrics.body
-        );
+            ),
+            format!("{}{{corpus=\"dblp\"}} ", names::SHARD_SKEW),
+        ] {
+            assert!(body.contains(&line), "missing {line:?} in:\n{body}");
+        }
     }
 
     #[test]

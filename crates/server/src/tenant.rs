@@ -24,15 +24,15 @@ use std::sync::Arc;
 
 use xclean::Pipeline;
 use xclean_telemetry::{
-    escape_label_value, names, render_labeled_histogram_seconds, Counter, Histogram,
-    RollingWindows, ShardAttribution, WindowEvent, WindowSnapshot,
+    names, Counter, Exposition, Histogram, RollingWindows, ShardAttribution, Unit, Value,
+    WindowEvent, WindowSnapshot,
 };
 
 use crate::cache::ResponseCache;
 
 /// One served corpus: engine, private response cache, and per-corpus
-/// lifetime counters (rendered as `corpus`-labelled `/metrics` series,
-/// so they live outside any registry — registries only render unlabelled
+/// lifetime counters (collected as `corpus`-labelled `/metrics` series,
+/// so they live outside any registry — registries only hold unlabelled
 /// samples).
 #[derive(Debug)]
 pub struct Tenant {
@@ -139,9 +139,6 @@ impl Tenant {
     }
 }
 
-/// One per-tenant sample for a labelled `/metrics` series.
-type TenantSample = (&'static str, fn(&Tenant) -> u64);
-
 /// The immutable routing table: every tenant the server fronts, in
 /// catalog order, with the first entry as primary.
 #[derive(Debug)]
@@ -244,127 +241,51 @@ impl TenantSet {
         totals
     }
 
-    /// `corpus`-labelled Prometheus series for every tenant, appended to
-    /// the `/metrics` body after the primary registry's unlabelled text.
-    pub fn render_corpus_metrics(&self) -> String {
-        let mut out = String::new();
-        let counters: [TenantSample; 5] = [
-            (names::CORPUS_REQUESTS, |t| t.requests.get()),
-            (names::CORPUS_ERRORS, |t| t.errors.get()),
-            (names::CORPUS_QUERIES, |t| t.queries.get()),
-            (names::CORPUS_CACHE_HITS, |t| t.cache.counters().0),
-            (names::CORPUS_CACHE_MISSES, |t| t.cache.counters().1),
-        ];
-        for (name, value) in counters {
-            self.render_series(&mut out, name, "counter", value);
-        }
-        let gauges: [TenantSample; 2] = [
-            (names::CORPUS_CACHE_ENTRIES, |t| t.cache.len() as u64),
-            (names::CORPUS_SHARDS, |t| u64::from(t.engine.shard_count())),
-        ];
-        for (name, value) in gauges {
-            self.render_series(&mut out, name, "gauge", value);
-        }
-        out
-    }
-
-    /// `corpus`+`shard`-labelled scatter histograms and the per-corpus
-    /// straggler-skew gauge, appended to `/metrics` after the corpus
-    /// counters. One `HELP`/`TYPE` pair per family, then one labelled
-    /// series per tenant × shard.
-    pub fn render_shard_metrics(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "# HELP {name} {}\n# TYPE {name} histogram\n",
-            names::help_for(names::SHARD_SCATTER_SECONDS),
-            name = names::SHARD_SCATTER_SECONDS
-        ));
+    /// Hands `page` every tenant's labelled series: `corpus` counters
+    /// and gauges, `corpus`+`shard` scatter histograms, the straggler
+    /// skew of the latest scattered request, and `corpus`+`window` SLO
+    /// burn rates and breach counts snapshotted at `now_nanos`. The
+    /// primary appears here too, beside its registry's unlabelled
+    /// series, so multi-corpus dashboards need only one shape.
+    pub fn collect(&self, page: &mut Exposition, now_nanos: u64) {
         for t in &self.tenants {
+            let corpus = [("corpus", t.name.as_str())];
+            let (hits, misses, _) = t.cache.counters();
+            for (name, value) in [
+                (names::CORPUS_REQUESTS, t.requests.get()),
+                (names::CORPUS_ERRORS, t.errors.get()),
+                (names::CORPUS_QUERIES, t.queries.get()),
+                (names::CORPUS_CACHE_HITS, hits),
+                (names::CORPUS_CACHE_MISSES, misses),
+            ] {
+                page.counter(name, &corpus, value);
+            }
+            let shards = u64::from(t.engine.shard_count());
+            for (name, value) in [
+                (
+                    names::CORPUS_CACHE_ENTRIES,
+                    Value::Int(t.cache.len() as u64),
+                ),
+                (names::CORPUS_SHARDS, Value::Int(shards)),
+                (names::SHARD_SKEW, Value::Float(t.shard_skew())),
+            ] {
+                page.gauge(name, &corpus, value);
+            }
             for (shard, h) in t.scatter.iter().enumerate() {
-                let labels = format!(
-                    "corpus=\"{}\",shard=\"{shard}\"",
-                    escape_label_value(&t.name)
-                );
-                render_labeled_histogram_seconds(
-                    &mut out,
+                page.histogram(
                     names::SHARD_SCATTER_SECONDS,
-                    &labels,
+                    &[corpus[0], ("shard", &shard.to_string())],
+                    Unit::Seconds,
                     h,
                 );
             }
-        }
-        out.push_str(&format!(
-            "# HELP {name} {}\n# TYPE {name} gauge\n",
-            names::help_for(names::SHARD_SKEW),
-            name = names::SHARD_SKEW
-        ));
-        for t in &self.tenants {
-            out.push_str(&format!(
-                "{}{{corpus=\"{}\"}} {}\n",
-                names::SHARD_SKEW,
-                escape_label_value(&t.name),
-                t.shard_skew()
-            ));
-        }
-        out
-    }
-
-    /// `corpus`+`window`-labelled SLO burn rates and breach counts,
-    /// snapshotted at `now_nanos`, appended to `/metrics` after the
-    /// shard series.
-    pub fn render_slo_metrics(&self, now_nanos: u64) -> String {
-        let mut out = String::new();
-        let snaps: Vec<(&Tenant, Vec<WindowSnapshot>)> = self
-            .tenants
-            .iter()
-            .map(|t| (t, t.window_snapshots(now_nanos)))
-            .collect();
-        out.push_str(&format!(
-            "# HELP {name} {}\n# TYPE {name} gauge\n",
-            names::help_for(names::CORPUS_BURN_RATE),
-            name = names::CORPUS_BURN_RATE
-        ));
-        for (t, windows) in &snaps {
-            for s in windows {
-                out.push_str(&format!(
-                    "{}{{corpus=\"{}\",window=\"{}\"}} {}\n",
-                    names::CORPUS_BURN_RATE,
-                    escape_label_value(t.name()),
-                    s.label,
-                    s.slo_burn_rate()
-                ));
+            for s in t.window_snapshots(now_nanos) {
+                let labels = [corpus[0], ("window", s.label)];
+                let burn = Value::Float(s.slo_burn_rate());
+                page.gauge(names::CORPUS_BURN_RATE, &labels, burn);
+                let breaches = Value::Int(s.slo_breaches);
+                page.gauge(names::CORPUS_SLO_BREACHES, &labels, breaches);
             }
-        }
-        out.push_str(&format!(
-            "# HELP {name} {}\n# TYPE {name} gauge\n",
-            names::help_for(names::CORPUS_SLO_BREACHES),
-            name = names::CORPUS_SLO_BREACHES
-        ));
-        for (t, windows) in &snaps {
-            for s in windows {
-                out.push_str(&format!(
-                    "{}{{corpus=\"{}\",window=\"{}\"}} {}\n",
-                    names::CORPUS_SLO_BREACHES,
-                    escape_label_value(t.name()),
-                    s.label,
-                    s.slo_breaches
-                ));
-            }
-        }
-        out
-    }
-
-    fn render_series(&self, out: &mut String, name: &str, kind: &str, value: fn(&Tenant) -> u64) {
-        out.push_str(&format!(
-            "# HELP {name} {}\n# TYPE {name} {kind}\n",
-            names::help_for(name)
-        ));
-        for t in &self.tenants {
-            out.push_str(&format!(
-                "{name}{{corpus=\"{}\"}} {}\n",
-                escape_label_value(&t.name),
-                value(t)
-            ));
         }
     }
 }
@@ -374,6 +295,15 @@ mod tests {
     use super::*;
     use xclean::{XCleanConfig, XCleanEngine};
     use xclean_xmltree::parse_document;
+
+    /// The set's collected page, checked as one document.
+    fn page_of(set: &TenantSet, now_nanos: u64) -> String {
+        let mut page = Exposition::new();
+        set.collect(&mut page, now_nanos);
+        let text = page.render();
+        crate::conformance::check_page(&text);
+        text
+    }
 
     fn engine(xml: &str) -> Arc<Pipeline> {
         let engine = XCleanEngine::new(parse_document(xml).unwrap(), XCleanConfig::default());
@@ -450,7 +380,7 @@ mod tests {
         t.record_shards(&[attr(0, 1_000), attr(1, 6_000), attr(2, 2_000)]);
         assert_eq!(t.shard_skew(), 3.0);
         assert_eq!(t.scatter_histograms().len(), 1);
-        let text = set.render_shard_metrics();
+        let text = page_of(&set, 0);
         assert!(
             text.contains(&format!(
                 "# TYPE {} histogram",
@@ -505,7 +435,7 @@ mod tests {
         );
         // One request, one breach → ratio 1.0 → burn rate 100× the 1%
         // budget, in every window.
-        let text = set.render_slo_metrics(2_000);
+        let text = page_of(&set, 2_000);
         for window in ["1m", "5m", "15m"] {
             assert!(
                 text.contains(&format!(
@@ -559,7 +489,7 @@ mod tests {
         )
         .unwrap();
         set.get("dblp").unwrap().requests().inc();
-        let text = set.render_corpus_metrics();
+        let text = page_of(&set, 0);
         assert!(
             text.contains(&format!("{}{{corpus=\"dblp\"}} 1", names::CORPUS_REQUESTS)),
             "{text}"

@@ -8,6 +8,11 @@
 // Each test binary compiles this module and uses its own subset.
 #![allow(dead_code)]
 
+/// The workspace's one Prometheus conformance checker, shared with the
+/// telemetry crate's unit tests.
+#[path = "../../../telemetry/tests/support/conformance.rs"]
+pub mod conformance;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;

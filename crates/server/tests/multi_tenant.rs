@@ -19,6 +19,7 @@ use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
 use xclean_telemetry::names;
 use xclean_xmltree::parse_document;
 
+use common::conformance::{check_page, series_identities};
 use common::{header, request};
 
 /// The primary corpus. Deliberately a different *shape* (token count)
@@ -262,4 +263,74 @@ fn sharded_tenant_records_one_snapshot_open_sample_per_shard() {
         assert_eq!(samples.map(|s| s.count), Some(3), "{name}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The live `/metrics` page is one conformant document, and nothing
+/// fell off it: after a miss, a hit, a 404 and a batch, its series
+/// identities are exactly the list the page had at `d96d082` (when five
+/// modules each wrote their own text) minus the request-latency
+/// histogram's second export — whose exemplars now ride on
+/// `xclean_server_request_nanos`.
+#[test]
+fn metrics_page_is_one_document_and_keeps_every_series() {
+    let r = start();
+    let (_, h, _) = request(r.addr, "GET", "/suggest/dblp?q=progrm", "");
+    assert_eq!(header(&h, "x-cache"), Some("miss"));
+    let (_, h, _) = request(r.addr, "GET", "/suggest/dblp?q=progrm", "");
+    assert_eq!(header(&h, "x-cache"), Some("hit"));
+    let (status, _, _) = request(r.addr, "GET", "/suggest/nope?q=x", "");
+    assert_eq!(status, 404);
+    let (status, _, _) = request(
+        r.addr,
+        "POST",
+        "/suggest/default",
+        r#"{"queries": ["helth insurnce", "polcy"]}"#,
+    );
+    assert_eq!(status, 200);
+    let (status, _, metrics) = request(r.addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    stop(r);
+
+    let samples = check_page(&metrics);
+    let expected: Vec<&str> = include_str!("fixtures/metrics_series_d96d082.txt")
+        .lines()
+        .filter(|l| !l.starts_with("xclean_server_latency_exemplar_seconds"))
+        .collect();
+    assert_eq!(expected.len(), 110, "the fixture lost lines");
+    assert_eq!(series_identities(&samples), expected, "page:\n{metrics}");
+
+    // Exemplars: `# {trace_id="…"} <nanos>` on request-latency buckets.
+    let exemplars: Vec<&str> = samples
+        .iter()
+        .filter(|s| s.name == "xclean_server_request_nanos_bucket")
+        .filter_map(|s| s.exemplar.as_deref())
+        .collect();
+    assert!(!exemplars.is_empty(), "no exemplar on:\n{metrics}");
+    for e in exemplars {
+        let id_and_value = e
+            .strip_prefix("{trace_id=\"")
+            .and_then(|rest| rest.split_once("\"} "));
+        let (id, value) = id_and_value.unwrap_or_else(|| panic!("malformed exemplar: {e}"));
+        assert!(!id.is_empty(), "{e}");
+        value.parse::<u64>().expect("exemplar value in nanos");
+    }
+
+    // Exact where no `Instant` is involved.
+    for line in [
+        "xclean_server_requests_total 4\n",
+        "xclean_server_errors_total 1\n",
+        "xclean_server_request_nanos_count 4\n",
+        "xclean_server_corpus_requests_total{corpus=\"dblp\"} 2\n",
+        "xclean_server_corpus_cache_hits_total{corpus=\"dblp\"} 1\n",
+        "xclean_server_corpus_cache_misses_total{corpus=\"dblp\"} 1\n",
+        "xclean_server_corpus_queries_total{corpus=\"default\"} 2\n",
+        "xclean_server_corpus_errors_total{corpus=\"default\"} 0\n",
+        "xclean_server_corpus_shards{corpus=\"dblp\"} 2\n",
+        "xclean_server_corpus_shards{corpus=\"default\"} 1\n",
+        "xclean_server_connections_open 1\n",
+        "xclean_shard_scatter_seconds_count{corpus=\"dblp\",shard=\"1\"} 1\n",
+        "xclean_shard_scatter_seconds_count{corpus=\"default\",shard=\"0\"} 0\n",
+    ] {
+        assert!(metrics.contains(line), "missing {line:?} in:\n{metrics}");
+    }
 }

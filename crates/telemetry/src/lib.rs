@@ -12,9 +12,11 @@
 //!   (atomic adds); the registry lock is only taken on first registration
 //!   of a name, so a pool of worker threads never serialises on it.
 //! - Exporters — [`Tracer::chrome_trace_json`] emits Chrome trace-event
-//!   JSON (loadable in `chrome://tracing` / Perfetto);
-//!   [`MetricsRegistry::metrics_text`] emits the Prometheus text format
-//!   and [`MetricsRegistry::metrics_json`] a JSON snapshot.
+//!   JSON (loadable in `chrome://tracing` / Perfetto); [`Exposition`]
+//!   is the one Prometheus text-format writer — every source hands it
+//!   typed samples and the page is rendered once
+//!   ([`MetricsRegistry::metrics_text`] is collect + render for one
+//!   registry); [`MetricsRegistry::metrics_json`] is a JSON snapshot.
 //!
 //! The crate is intentionally free of workspace and external
 //! dependencies so every layer (index, engine, CLI, benches) can depend
@@ -34,8 +36,8 @@ pub mod window;
 pub use clock::{Clock, ManualClock, MonotonicClock, SharedClock};
 pub use log::{set_global, Level, LevelSpec, LogFormat, Logger};
 pub use metrics::{
-    escape_label_value, render_exemplar_histogram, render_labeled_histogram_seconds, Counter,
-    Exemplar, ExemplarStore, Histogram, HistogramSummary, MetricsRegistry,
+    Counter, Exemplar, ExemplarStore, Exposition, Histogram, HistogramSummary, MetricsRegistry,
+    Unit, Value,
 };
 pub use ring::{RequestRecord, RequestRing, ShardAttribution};
 pub use runtime::{FlightRecorder, RuntimeEvent, RuntimeEventKind, RuntimeStats};
@@ -160,11 +162,6 @@ pub mod names {
     /// Per-corpus gauge (labelled `corpus` and `window`): requests that
     /// breached the latency SLO inside the rolling window.
     pub const CORPUS_SLO_BREACHES: &str = "xclean_server_corpus_slo_breaches";
-    /// Latency-exemplar histogram: the server request histogram in
-    /// seconds, bucket lines annotated with the most recent X-Request-Id
-    /// that landed in each bucket.
-    pub const LATENCY_EXEMPLARS: &str = "xclean_server_latency_exemplar_seconds";
-
     /// One-line `# HELP` text for a metric name; a generic fallback for
     /// names registered outside this canonical list (tests, ad hoc).
     pub fn help_for(name: &str) -> &'static str {
@@ -230,9 +227,6 @@ pub mod names {
             n if n == CORPUS_SLO_BREACHES => {
                 "Latency-SLO breaches per corpus inside the rolling window."
             }
-            n if n == LATENCY_EXEMPLARS => {
-                "Request latency in seconds with per-bucket trace-ID exemplars."
-            }
             _ => "XClean metric.",
         }
     }
@@ -276,7 +270,7 @@ impl Telemetry {
 /// Escapes a string for embedding in a JSON string literal (shared by the
 /// exporters; names and details are engine-controlled but query text may
 /// carry anything).
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -291,6 +285,11 @@ pub(crate) fn json_escape(s: &str) -> String {
     }
     out
 }
+
+/// The shared Prometheus conformance checker (test support).
+#[cfg(test)]
+#[path = "../tests/support/conformance.rs"]
+pub(crate) mod conformance;
 
 #[cfg(test)]
 mod tests {

@@ -12,6 +12,9 @@
 //! count crosses the rank, i.e. an over-estimate by at most 2× — the
 //! right trade-off for latency monitoring where order of magnitude and
 //! tail direction matter more than the third significant digit.
+//!
+//! [`Exposition`], below, is the workspace's one Prometheus text-format
+//! writer: every `/metrics` source hands it typed samples.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,18 +116,9 @@ pub struct HistogramSummary {
 }
 
 impl Histogram {
-    fn bucket_of(value: u64) -> usize {
-        log2_bucket_of(value)
-    }
-
-    /// The inclusive upper bound of a bucket (what quantiles report).
-    fn bucket_upper(i: usize) -> u64 {
-        log2_bucket_upper(i)
-    }
-
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[log2_bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
@@ -142,30 +136,11 @@ impl Histogram {
     /// The `q`-quantile (`0 < q ≤ 1`) as the upper bound of the bucket
     /// holding the rank-`⌈q·count⌉` sample; 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut cum = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return Self::bucket_upper(i);
-            }
-        }
-        Self::bucket_upper(HIST_BUCKETS - 1)
+        log2_quantile(&self.bucket_counts(), q)
     }
 
-    /// A plain snapshot of the per-bucket counts (for renderers outside
-    /// this module that need the raw log₂ buckets, e.g. the seconds-unit
-    /// runtime histograms in [`crate::runtime`]).
-    pub(crate) fn bucket_counts(&self) -> [u64; HIST_BUCKETS] {
+    /// A plain snapshot of the per-bucket counts.
+    fn bucket_counts(&self) -> [u64; HIST_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
@@ -179,22 +154,6 @@ impl Histogram {
             p99: self.quantile(0.99),
         }
     }
-}
-
-/// Escapes a string for use as a Prometheus label *value*: backslash,
-/// double-quote, and newline must be backslash-escaped per the text
-/// exposition format. Everything else passes through verbatim.
-pub fn escape_label_value(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One histogram-bucket exemplar: the most recent trace ID whose sample
@@ -260,87 +219,233 @@ impl ExemplarStore {
     }
 }
 
-/// A finite log₂ bucket upper bound rendered as fractional seconds
-/// (plain `f64` display — never scientific notation — so `le` values
-/// stay parseable Prometheus floats).
-fn seconds_of(nanos: u64) -> String {
-    format!("{}", nanos as f64 / 1e9)
+/// How a histogram's samples are written on the page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// As recorded: integer `le` bounds, `_sum` and exemplar values.
+    Raw,
+    /// Nanoseconds written as fractional seconds (`*_seconds` families).
+    Seconds,
 }
 
-/// Renders one labelled histogram's series lines in seconds units:
-/// cumulative `name_bucket{labels,le="…"}` up to the highest occupied
-/// bucket, a final `+Inf` carrying the total, then `_sum`/`_count` with
-/// the same label set. The caller emits the family's `# HELP`/`# TYPE`
-/// pair once (several label sets share one family).
-pub fn render_labeled_histogram_seconds(out: &mut String, name: &str, labels: &str, h: &Histogram) {
-    let counts = h.bucket_counts();
-    let max_used = counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-    let mut cum = 0u64;
-    for (i, &c) in counts.iter().enumerate().take(max_used + 1) {
-        cum += c;
-        if i == HIST_BUCKETS - 1 {
-            break; // the final bucket is only ever shown as +Inf
+impl Unit {
+    fn write(self, v: u64) -> String {
+        match self {
+            Unit::Raw => v.to_string(),
+            // Plain `f64` display never uses scientific notation, so `le`
+            // values stay parseable Prometheus floats.
+            Unit::Seconds => format!("{}", v as f64 / 1e9),
         }
-        out.push_str(&format!(
-            "{name}_bucket{{{labels},le=\"{}\"}} {cum}\n",
-            seconds_of(log2_bucket_upper(i))
-        ));
     }
-    let total: u64 = counts.iter().sum();
-    out.push_str(&format!(
-        "{name}_bucket{{{labels},le=\"+Inf\"}} {total}\n\
-         {name}_sum{{{labels}}} {}\n{name}_count{{{labels}}} {total}\n",
-        seconds_of(h.sum())
-    ));
 }
 
-/// Renders `h` as a seconds-unit histogram family whose bucket lines
-/// carry OpenMetrics-style exemplars (` # {trace_id="…"} value`) from
-/// `store` where a bucket has one. Emits its own `# HELP`/`# TYPE` pair;
-/// conformant without exemplar-aware parsers (the suffix is a comment to
-/// classic Prometheus text-format readers).
-pub fn render_exemplar_histogram(
-    out: &mut String,
-    name: &str,
-    h: &Histogram,
-    store: &ExemplarStore,
-) {
-    out.push_str(&format!(
-        "# HELP {name} {}\n# TYPE {name} histogram\n",
-        crate::names::help_for(name)
-    ));
-    let counts = h.bucket_counts();
-    let exemplars: BTreeMap<usize, Exemplar> = store
-        .snapshot()
-        .into_iter()
-        .map(|(upper, e)| (log2_bucket_of(e.value_nanos), (upper, e)))
-        .map(|(i, (_upper, e))| (i, e))
-        .collect();
-    let max_used = counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-    let mut cum = 0u64;
-    for (i, &c) in counts.iter().enumerate().take(max_used + 1) {
-        cum += c;
-        if i == HIST_BUCKETS - 1 {
-            break;
+/// A counter or gauge value, typed by how it is written.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// An integer.
+    Int(u64),
+    /// A float in its shortest round-trip form (`3`, `66.66666666666667`).
+    Float(f64),
+    /// A share or rate at fixed `{:.6}` precision.
+    Ratio(f64),
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Float(v) => write!(f, "{v}"),
+            Value::Ratio(v) => write!(f, "{v:.6}"),
         }
-        out.push_str(&format!(
-            "{name}_bucket{{le=\"{}\"}} {cum}",
-            seconds_of(log2_bucket_upper(i))
-        ));
-        if let Some(e) = exemplars.get(&i) {
+    }
+}
+
+/// A point-in-time copy of one [`Histogram`], as collected.
+#[derive(Debug)]
+struct HistogramSample {
+    unit: Unit,
+    counts: [u64; HIST_BUCKETS],
+    sum: u64,
+    /// Bucket index → the exemplar printed on that bucket's line.
+    exemplars: BTreeMap<usize, Exemplar>,
+}
+
+#[derive(Debug)]
+enum SampleData {
+    Scalar(Value),
+    Histogram(Box<HistogramSample>),
+}
+
+#[derive(Debug)]
+struct Family {
+    kind: &'static str,
+    /// `(label pairs already written as k="v",…; data)` in arrival order.
+    samples: Vec<(String, SampleData)>,
+}
+
+/// One `/metrics` page in the making (DESIGN.md §9): every source hands
+/// it typed samples, it groups them by family, and [`Exposition::render`]
+/// is the only code in the workspace that writes the Prometheus text
+/// format — `# HELP`/`# TYPE` pairing, `_bucket{le=…}` / `+Inf` / `_sum`
+/// / `_count`, label-value escaping and seconds formatting. Families
+/// come out in name order, a family's samples in the order collected, so
+/// a page is one conformant document whatever order the sources ran in.
+#[derive(Debug, Default)]
+pub struct Exposition {
+    families: BTreeMap<&'static str, Family>,
+}
+
+impl Exposition {
+    /// An empty page.
+    pub fn new() -> Self {
+        Exposition::default()
+    }
+
+    fn push(
+        &mut self,
+        name: &'static str,
+        kind: &'static str,
+        labels: &[(&str, &str)],
+        data: SampleData,
+    ) {
+        let family = self.families.entry(name).or_insert(Family {
+            kind,
+            samples: Vec::new(),
+        });
+        debug_assert_eq!(family.kind, kind, "{name} collected as two types");
+        let labels: Vec<String> = labels
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
+            .collect();
+        family.samples.push((labels.join(","), data));
+    }
+
+    /// Adds one counter sample.
+    pub fn counter(&mut self, name: &'static str, labels: &[(&str, &str)], value: u64) {
+        let data = SampleData::Scalar(Value::Int(value));
+        self.push(name, "counter", labels, data);
+    }
+
+    /// Adds one gauge sample.
+    pub fn gauge(&mut self, name: &'static str, labels: &[(&str, &str)], value: Value) {
+        self.push(name, "gauge", labels, SampleData::Scalar(value));
+    }
+
+    /// Adds a point-in-time copy of `h` as one histogram sample. Empty
+    /// histograms still emit their zero bucket, `+Inf`, `_sum` and
+    /// `_count`, so a series is present from the first scrape.
+    pub fn histogram(
+        &mut self,
+        name: &'static str,
+        labels: &[(&str, &str)],
+        unit: Unit,
+        h: &Histogram,
+    ) {
+        let sample = HistogramSample {
+            unit,
+            counts: h.bucket_counts(),
+            sum: h.sum(),
+            exemplars: BTreeMap::new(),
+        };
+        let data = SampleData::Histogram(Box::new(sample));
+        self.push(name, "histogram", labels, data);
+    }
+
+    /// Attaches `store`'s per-bucket exemplars to the histogram samples
+    /// of family `name`: their bucket lines gain an OpenMetrics suffix
+    /// (` # {trace_id="…"} value` — a comment to classic text-format
+    /// readers). A family not on the page is left alone.
+    pub fn exemplars(&mut self, name: &str, store: &ExemplarStore) {
+        let Some(family) = self.families.get_mut(name) else {
+            return;
+        };
+        let by_bucket: BTreeMap<usize, Exemplar> = store
+            .snapshot()
+            .into_iter()
+            .map(|(_upper, e)| (log2_bucket_of(e.value_nanos), e))
+            .collect();
+        for (_, data) in &mut family.samples {
+            if let SampleData::Histogram(h) = data {
+                h.exemplars = by_bucket.clone();
+            }
+        }
+    }
+
+    /// The page as Prometheus text.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (name, family) in &self.families {
             out.push_str(&format!(
-                " # {{trace_id=\"{}\"}} {}",
-                escape_label_value(&e.trace_id),
-                seconds_of(e.value_nanos)
+                "# HELP {name} {}\n# TYPE {name} {}\n",
+                crate::names::help_for(name),
+                family.kind
             ));
+            for (labels, data) in &family.samples {
+                let braced = match labels.as_str() {
+                    "" => String::new(),
+                    labels => format!("{{{labels}}}"),
+                };
+                match data {
+                    SampleData::Scalar(value) => out.push_str(&format!("{name}{braced} {value}\n")),
+                    SampleData::Histogram(h) => h.write(&mut out, name, labels, &braced),
+                }
+            }
         }
-        out.push('\n');
+        out
     }
-    let total: u64 = counts.iter().sum();
-    out.push_str(&format!(
-        "{name}_bucket{{le=\"+Inf\"}} {total}\n{name}_sum {}\n{name}_count {total}\n",
-        seconds_of(h.sum())
-    ));
+}
+
+impl HistogramSample {
+    /// Cumulative `_bucket` lines up to the highest occupied bucket (the
+    /// final bucket is only ever shown as `+Inf`, which always carries
+    /// the total), then `_sum` and `_count` under the same labels.
+    /// `labels` is the sample's `k="v",…` text, `braced` the same in
+    /// braces (both empty for an unlabelled sample).
+    fn write(&self, out: &mut String, name: &str, labels: &str, braced: &str) {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let max_used = self.counts.iter().rposition(|&c| c > 0).unwrap_or(0);
+        let mut cum = 0u64;
+        for (i, &c) in self.counts.iter().enumerate().take(max_used + 1) {
+            cum += c;
+            if i == HIST_BUCKETS - 1 {
+                break;
+            }
+            out.push_str(&format!(
+                "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cum}",
+                self.unit.write(log2_bucket_upper(i))
+            ));
+            if let Some(e) = self.exemplars.get(&i) {
+                out.push_str(&format!(
+                    " # {{trace_id=\"{}\"}} {}",
+                    escape_label_value(&e.trace_id),
+                    self.unit.write(e.value_nanos)
+                ));
+            }
+            out.push('\n');
+        }
+        let total: u64 = self.counts.iter().sum();
+        out.push_str(&format!(
+            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {total}\n\
+             {name}_sum{braced} {}\n{name}_count{braced} {total}\n",
+            self.unit.write(self.sum)
+        ));
+    }
+}
+
+/// Escapes a label *value*: backslash, double-quote and newline are
+/// backslash-escaped per the text exposition format; everything else
+/// passes through verbatim.
+fn escape_label_value(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[derive(Debug, Default)]
@@ -407,52 +512,23 @@ impl MetricsRegistry {
             .map(|h| h.summary())
     }
 
-    /// Prometheus text-format snapshot: counters as `counter` metrics,
-    /// histograms in native `histogram` exposition — cumulative
-    /// `_bucket{le="…"}` series ending at `le="+Inf"`, plus `_sum` and
-    /// `_count`. Series are emitted in sorted name order (the registries
-    /// are `BTreeMap`s) so scrapes are deterministic, and every metric is
-    /// preceded by paired `# HELP` / `# TYPE` lines.
-    pub fn metrics_text(&self) -> String {
-        let mut out = String::new();
+    /// Hands every counter and histogram (nanosecond units, unlabelled)
+    /// to `page`.
+    pub fn collect(&self, page: &mut Exposition) {
         for (name, c) in self.inner.counters.read().expect("lock").iter() {
-            out.push_str(&format!(
-                "# HELP {name} {}\n# TYPE {name} counter\n{name} {}\n",
-                crate::names::help_for(name),
-                c.get()
-            ));
+            page.counter(name, &[], c.get());
         }
         for (name, h) in self.inner.histograms.read().expect("lock").iter() {
-            out.push_str(&format!(
-                "# HELP {name} {}\n# TYPE {name} histogram\n",
-                crate::names::help_for(name)
-            ));
-            let counts: Vec<u64> = h
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect();
-            // Emit cumulative buckets up to the highest occupied one;
-            // `+Inf` (required last bucket) always carries the total.
-            let max_used = counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-            let mut cum = 0u64;
-            for (i, &c) in counts.iter().enumerate().take(max_used + 1) {
-                cum += c;
-                if i == HIST_BUCKETS - 1 {
-                    break; // the final bucket is only ever shown as +Inf
-                }
-                out.push_str(&format!(
-                    "{name}_bucket{{le=\"{}\"}} {cum}\n",
-                    log2_bucket_upper(i)
-                ));
-            }
-            let total: u64 = counts.iter().sum();
-            out.push_str(&format!(
-                "{name}_bucket{{le=\"+Inf\"}} {total}\n{name}_sum {}\n{name}_count {total}\n",
-                h.sum()
-            ));
+            page.histogram(name, &[], Unit::Raw, h);
         }
-        out
+    }
+
+    /// Prometheus text-format snapshot of this registry alone: collect,
+    /// then render (see [`Exposition`]).
+    pub fn metrics_text(&self) -> String {
+        let mut page = Exposition::new();
+        self.collect(&mut page);
+        page.render()
     }
 
     /// JSON snapshot:
@@ -497,6 +573,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conformance::{check_page, series_identities};
 
     #[test]
     fn counters_accumulate_and_share() {
@@ -528,17 +605,17 @@ mod tests {
 
     #[test]
     fn bucket_boundaries() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        assert_eq!(Histogram::bucket_of(2), 2);
-        assert_eq!(Histogram::bucket_of(3), 2);
-        assert_eq!(Histogram::bucket_of(4), 3);
-        assert_eq!(Histogram::bucket_of(1023), 10);
-        assert_eq!(Histogram::bucket_of(1024), 11);
-        assert_eq!(Histogram::bucket_of(u64::MAX), HIST_BUCKETS - 1);
-        assert_eq!(Histogram::bucket_upper(0), 0);
-        assert_eq!(Histogram::bucket_upper(1), 1);
-        assert_eq!(Histogram::bucket_upper(10), 1023);
+        assert_eq!(log2_bucket_of(0), 0);
+        assert_eq!(log2_bucket_of(1), 1);
+        assert_eq!(log2_bucket_of(2), 2);
+        assert_eq!(log2_bucket_of(3), 2);
+        assert_eq!(log2_bucket_of(4), 3);
+        assert_eq!(log2_bucket_of(1023), 10);
+        assert_eq!(log2_bucket_of(1024), 11);
+        assert_eq!(log2_bucket_of(u64::MAX), HIST_BUCKETS - 1);
+        assert_eq!(log2_bucket_upper(0), 0);
+        assert_eq!(log2_bucket_upper(1), 1);
+        assert_eq!(log2_bucket_upper(10), 1023);
     }
 
     #[test]
@@ -582,42 +659,30 @@ mod tests {
         assert!(text.contains("xclean_stage_walk_nanos_count 1"));
     }
 
-    /// Every `# HELP` line is immediately followed by the matching
-    /// `# TYPE` line, and every series line belongs to the most recent
-    /// `# TYPE` metric family.
+    /// A registry-only page is one conformant document: HELP/TYPE
+    /// pairing, family membership and bucket shape all hold (the shared
+    /// checker, `tests/support/conformance.rs`).
     #[test]
     fn prometheus_help_type_pairing() {
         let r = MetricsRegistry::default();
         r.counter("xclean_queries_total").inc();
+        r.counter("xclean_subtrees_total").add(3);
         r.histogram("xclean_stage_walk_nanos").record(7);
-        let text = r.metrics_text();
-        let lines: Vec<&str> = text.lines().collect();
-        let mut current_family: Option<&str> = None;
-        for (i, line) in lines.iter().enumerate() {
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                let name = rest.split_whitespace().next().unwrap();
-                assert!(
-                    rest.len() > name.len() + 1,
-                    "HELP line must carry text: {line}"
-                );
-                let next = lines.get(i + 1).unwrap_or(&"");
-                assert!(
-                    next.starts_with(&format!("# TYPE {name} ")),
-                    "HELP for {name} not followed by its TYPE: {next}"
-                );
-                current_family = Some(name);
-            } else if !line.starts_with('#') && !line.is_empty() {
-                let family = current_family.expect("series before any TYPE");
-                let series = line.split(['{', ' ']).next().unwrap();
-                assert!(
-                    series == family
-                        || series
-                            .strip_prefix(family)
-                            .is_some_and(|s| matches!(s, "_bucket" | "_sum" | "_count")),
-                    "series {series} outside family {family}"
-                );
-            }
-        }
+        r.histogram("xclean_stage_rank_nanos");
+        let samples = check_page(&r.metrics_text());
+        assert_eq!(
+            series_identities(&samples),
+            [
+                "xclean_queries_total",
+                "xclean_stage_rank_nanos_bucket",
+                "xclean_stage_rank_nanos_count",
+                "xclean_stage_rank_nanos_sum",
+                "xclean_stage_walk_nanos_bucket",
+                "xclean_stage_walk_nanos_count",
+                "xclean_stage_walk_nanos_sum",
+                "xclean_subtrees_total",
+            ]
+        );
     }
 
     /// Series come out in deterministic sorted order: two snapshots of
@@ -638,8 +703,9 @@ mod tests {
         assert!(aa < zz, "counters must be sorted by name");
     }
 
-    /// Histogram `_bucket` series are cumulative (non-decreasing in `le`
-    /// order), end at `le="+Inf"`, and `+Inf` equals `_count`.
+    /// Histogram `_bucket` series are cumulative, end at `le="+Inf"`
+    /// with integer nanosecond bounds before it, and `+Inf` equals
+    /// `_count` (the shared checker), here with known totals.
     #[test]
     fn prometheus_histogram_bucket_consistency() {
         let r = MetricsRegistry::default();
@@ -648,28 +714,15 @@ mod tests {
             h.record(v);
         }
         let text = r.metrics_text();
-        let mut prev_cum = 0u64;
-        let mut inf_seen = false;
-        let mut bucket_lines = 0;
-        for line in text.lines() {
-            let Some(rest) = line.strip_prefix("xclean_stage_walk_nanos_bucket{le=\"") else {
-                continue;
-            };
-            assert!(!inf_seen, "+Inf must be the last bucket");
-            bucket_lines += 1;
-            let (le, count) = rest.split_once("\"} ").unwrap();
-            let cum: u64 = count.parse().unwrap();
-            assert!(cum >= prev_cum, "buckets must be cumulative: {line}");
-            prev_cum = cum;
-            if le == "+Inf" {
-                inf_seen = true;
-                assert_eq!(cum, 6, "+Inf bucket must hold every sample");
-            } else {
-                le.parse::<u64>().expect("finite le must be an integer");
-            }
-        }
-        assert!(inf_seen, "histogram exposition must end at +Inf");
-        assert!(bucket_lines >= 2);
+        let samples = check_page(&text);
+        let buckets: Vec<_> = samples
+            .iter()
+            .filter(|s| s.name == "xclean_stage_walk_nanos_bucket")
+            .collect();
+        assert!(buckets.len() >= 2);
+        let last = buckets.last().unwrap();
+        assert_eq!(last.labels, [("le".to_string(), "+Inf".to_string())]);
+        assert_eq!(last.value, "6", "+Inf bucket must hold every sample");
         assert!(text.contains("xclean_stage_walk_nanos_count 6"));
         // 0 + 1 + 3 + 700 + 700 + 5000
         assert!(text.contains("xclean_stage_walk_nanos_sum 6404"));
@@ -682,6 +735,15 @@ mod tests {
         assert_eq!(escape_label_value("a\"b"), "a\\\"b");
         assert_eq!(escape_label_value("a\nb"), "a\\nb");
         assert_eq!(escape_label_value("q=\"x\\y\nz\""), "q=\\\"x\\\\y\\nz\\\"");
+        // On a page, the escaped value reads back as what was collected.
+        let mut page = Exposition::new();
+        page.gauge(
+            "xclean_test_gauge",
+            &[("corpus", "q=\"x\\y\nz\"")],
+            Value::Int(1),
+        );
+        let samples = check_page(&page.render());
+        assert_eq!(samples[0].labels[0].1, "q=\"x\\y\nz\"");
     }
 
     #[test]
@@ -707,8 +769,14 @@ mod tests {
         h.record(700);
         h.record(3);
         store.record(700, "trace-700");
-        let mut out = String::new();
-        render_exemplar_histogram(&mut out, "xclean_test_exemplars", &h, &store);
+        let mut page = Exposition::new();
+        page.histogram("xclean_test_exemplars", &[], Unit::Seconds, &h);
+        page.histogram("xclean_test_nanos", &[], Unit::Raw, &h);
+        page.exemplars("xclean_test_exemplars", &store);
+        page.exemplars("xclean_test_nanos", &store);
+        page.exemplars("xclean_not_on_the_page", &store);
+        let out = page.render();
+        check_page(&out);
         assert!(out.starts_with("# HELP xclean_test_exemplars "), "{out}");
         assert!(
             out.contains("# TYPE xclean_test_exemplars histogram"),
@@ -732,6 +800,13 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("xclean_test_exemplars_count 2\n"), "{out}");
+        // A nanosecond family writes the exemplar value in nanoseconds.
+        assert!(
+            out.contains(
+                "xclean_test_nanos_bucket{le=\"1023\"} 2 # {trace_id=\"trace-700\"} 700\n"
+            ),
+            "{out}"
+        );
     }
 
     #[test]
@@ -739,53 +814,34 @@ mod tests {
         let h = Histogram::default();
         h.record(700);
         h.record(800);
-        let mut out = String::new();
-        render_labeled_histogram_seconds(
-            &mut out,
-            "xclean_shard_scatter_seconds",
-            "corpus=\"dblp\",shard=\"1\"",
+        let mut page = Exposition::new();
+        let name = "xclean_shard_scatter_seconds";
+        page.histogram(
+            name,
+            &[("corpus", "dblp"), ("shard", "1")],
+            Unit::Seconds,
             &h,
         );
-        assert!(
-            out.contains(
-                "xclean_shard_scatter_seconds_bucket{corpus=\"dblp\",shard=\"1\",le=\"0.000001023\"} 2\n"
-            ),
-            "{out}"
-        );
-        assert!(
-            out.contains(
-                "xclean_shard_scatter_seconds_bucket{corpus=\"dblp\",shard=\"1\",le=\"+Inf\"} 2\n"
-            ),
-            "{out}"
-        );
-        assert!(
-            out.contains(
-                "xclean_shard_scatter_seconds_sum{corpus=\"dblp\",shard=\"1\"} 0.0000015\n"
-            ),
-            "{out}"
-        );
-        assert!(
-            out.contains("xclean_shard_scatter_seconds_count{corpus=\"dblp\",shard=\"1\"} 2\n"),
-            "{out}"
-        );
         // An empty histogram still emits its zero bucket, +Inf, sum, count.
-        let mut empty = String::new();
-        render_labeled_histogram_seconds(
-            &mut empty,
-            "xclean_shard_scatter_seconds",
-            "corpus=\"a\",shard=\"0\"",
+        page.histogram(
+            name,
+            &[("corpus", "a"), ("shard", "0")],
+            Unit::Seconds,
             &Histogram::default(),
         );
-        assert!(
-            empty.contains(
-                "xclean_shard_scatter_seconds_bucket{corpus=\"a\",shard=\"0\",le=\"0\"} 0\n"
-            ),
-            "{empty}"
-        );
-        assert!(
-            empty.contains("xclean_shard_scatter_seconds_count{corpus=\"a\",shard=\"0\"} 0\n"),
-            "{empty}"
-        );
+        let out = page.render();
+        check_page(&out);
+        assert_eq!(out.matches("# TYPE").count(), 1, "one family: {out}");
+        for line in [
+            "xclean_shard_scatter_seconds_bucket{corpus=\"dblp\",shard=\"1\",le=\"0.000001023\"} 2\n",
+            "xclean_shard_scatter_seconds_bucket{corpus=\"dblp\",shard=\"1\",le=\"+Inf\"} 2\n",
+            "xclean_shard_scatter_seconds_sum{corpus=\"dblp\",shard=\"1\"} 0.0000015\n",
+            "xclean_shard_scatter_seconds_count{corpus=\"dblp\",shard=\"1\"} 2\n",
+            "xclean_shard_scatter_seconds_bucket{corpus=\"a\",shard=\"0\",le=\"0\"} 0\n",
+            "xclean_shard_scatter_seconds_count{corpus=\"a\",shard=\"0\"} 0\n",
+        ] {
+            assert!(out.contains(line), "missing {line:?} in {out}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! - **Queue wait** — enqueue → worker-pickup latency for dispatched
 //!   jobs. This is the saturation signal for the scoring worker pool.
 //! - **Worker busy time** — per-worker busy nanoseconds, turned into a
-//!   utilization gauge against wall time at render.
+//!   utilization gauge against wall time at collection.
 //! - **Flight recorder** — a bounded ring of runtime events (loop
 //!   iterations, connection opens/closes, job dispatch/completion)
 //!   dumpable as Chrome trace-event JSON for `chrome://tracing`.
@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::metrics::{log2_bucket_upper, Histogram, HIST_BUCKETS};
+use crate::metrics::{Exposition, Histogram, Unit, Value};
 use crate::names;
 
 /// One kind of runtime event the flight recorder can remember.
@@ -208,55 +208,10 @@ impl FlightRecorder {
     }
 }
 
-/// A finite log₂ bucket upper bound rendered as fractional seconds
-/// (Rust's `f64` display never uses scientific notation, so `le` values
-/// stay parseable Prometheus floats).
-fn seconds_le(upper_nanos: u64) -> String {
-    format!("{}", upper_nanos as f64 / 1e9)
-}
-
-/// Renders one histogram in conformant Prometheus exposition, converting
-/// values with `fmt_le` (bucket bounds) and `fmt_sum` (the `_sum` line).
-/// Mirrors [`crate::MetricsRegistry::metrics_text`]: cumulative buckets
-/// up to the highest occupied one, a final `+Inf` carrying the total,
-/// paired `# HELP`/`# TYPE` lines. Empty histograms still emit their
-/// zero bucket, `+Inf`, `_sum`, and `_count` so the series is present
-/// from the first scrape.
-fn render_histogram(
-    out: &mut String,
-    name: &str,
-    h: &Histogram,
-    fmt_le: impl Fn(u64) -> String,
-    fmt_sum: impl Fn(u64) -> String,
-) {
-    out.push_str(&format!(
-        "# HELP {name} {}\n# TYPE {name} histogram\n",
-        names::help_for(name)
-    ));
-    let counts = h.bucket_counts();
-    let max_used = counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-    let mut cum = 0u64;
-    for (i, &c) in counts.iter().enumerate().take(max_used + 1) {
-        cum += c;
-        if i == HIST_BUCKETS - 1 {
-            break; // the final bucket is only ever shown as +Inf
-        }
-        out.push_str(&format!(
-            "{name}_bucket{{le=\"{}\"}} {cum}\n",
-            fmt_le(log2_bucket_upper(i))
-        ));
-    }
-    let total: u64 = counts.iter().sum();
-    out.push_str(&format!(
-        "{name}_bucket{{le=\"+Inf\"}} {total}\n{name}_sum {}\n{name}_count {total}\n",
-        fmt_sum(h.sum())
-    ));
-}
-
 /// The server-runtime stats bundle: one per running server.
 ///
 /// Recording methods take explicit values (the caller stamps times with
-/// its own clock); rendering takes the elapsed wall nanos so worker
+/// its own clock); collecting takes the elapsed wall nanos so worker
 /// utilization is a pure function of what was recorded.
 #[derive(Debug)]
 pub struct RuntimeStats {
@@ -348,46 +303,26 @@ impl RuntimeStats {
         &self.flight
     }
 
-    /// The runtime series in Prometheus text format: events-per-wake
-    /// (integer `le`), loop-lag and queue-wait (fractional-second `le`,
-    /// `_sum` in seconds), and the per-worker utilization gauge computed
-    /// against `elapsed_nanos` of wall time. Series are emitted even
-    /// when empty so every accept model exposes the full runtime shape.
-    pub fn render_metrics(&self, elapsed_nanos: u64) -> String {
-        let mut out = String::new();
-        render_histogram(
-            &mut out,
-            names::EVENTS_PER_WAKE,
-            &self.events_per_wake,
-            |upper| upper.to_string(),
-            |sum| sum.to_string(),
-        );
-        render_histogram(
-            &mut out,
-            names::LOOP_LAG_SECONDS,
-            &self.loop_lag,
-            seconds_le,
-            seconds_le,
-        );
-        render_histogram(
-            &mut out,
-            names::QUEUE_WAIT_SECONDS,
-            &self.queue_wait,
-            seconds_le,
-            seconds_le,
-        );
-        out.push_str(&format!(
-            "# HELP {name} {}\n# TYPE {name} gauge\n",
-            names::help_for(names::WORKER_UTILIZATION),
-            name = names::WORKER_UTILIZATION
-        ));
-        for (i, u) in self.utilization(elapsed_nanos).iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{worker=\"{i}\"}} {u:.6}\n",
-                names::WORKER_UTILIZATION
-            ));
+    /// Hands `page` the runtime series: events-per-wake (integer
+    /// bounds), loop-lag and queue-wait (fractional seconds), and the
+    /// per-worker utilization gauge computed against `elapsed_nanos` of
+    /// wall time. The histograms are collected even when empty, so a
+    /// scrape before the first request has the full runtime shape.
+    pub fn collect(&self, page: &mut Exposition, elapsed_nanos: u64) {
+        for (name, unit, h) in [
+            (names::EVENTS_PER_WAKE, Unit::Raw, &self.events_per_wake),
+            (names::LOOP_LAG_SECONDS, Unit::Seconds, &self.loop_lag),
+            (names::QUEUE_WAIT_SECONDS, Unit::Seconds, &self.queue_wait),
+        ] {
+            page.histogram(name, &[], unit, h);
         }
-        out
+        for (i, u) in self.utilization(elapsed_nanos).into_iter().enumerate() {
+            page.gauge(
+                names::WORKER_UTILIZATION,
+                &[("worker", &i.to_string())],
+                Value::Ratio(u),
+            );
+        }
     }
 }
 
@@ -395,6 +330,13 @@ impl RuntimeStats {
 mod tests {
     use super::*;
     use crate::clock::{Clock, ManualClock};
+    use crate::conformance::check_page;
+
+    fn page_of(stats: &RuntimeStats, elapsed_nanos: u64) -> String {
+        let mut page = Exposition::new();
+        stats.collect(&mut page, elapsed_nanos);
+        page.render()
+    }
 
     /// ManualClock drives the histograms: lag and queue-wait samples are
     /// clock differences, no sleeps anywhere.
@@ -518,7 +460,7 @@ mod tests {
         let stats = RuntimeStats::new(1, 0);
         // Empty: every series still renders, so a scrape taken before
         // the first request has the same shape as any later one.
-        let empty = stats.render_metrics(0);
+        let empty = page_of(&stats, 0);
         for name in [
             names::EVENTS_PER_WAKE,
             names::LOOP_LAG_SECONDS,
@@ -538,7 +480,7 @@ mod tests {
         stats.record_loop_wake(3, 700);
         stats.record_queue_wait(700);
         stats.record_worker_busy(0, 500);
-        let text = stats.render_metrics(1_000);
+        let text = page_of(&stats, 1_000);
         // 700 ns is bucket [512, 1024): le is 1023 ns = 0.000001023 s.
         assert!(
             text.contains("xclean_loop_lag_seconds_bucket{le=\"0.000001023\"} 1"),
@@ -564,8 +506,9 @@ mod tests {
         );
     }
 
-    /// Same conformance invariants the registry's exposition holds:
-    /// HELP/TYPE pairing and cumulative buckets ending at +Inf.
+    /// The runtime series hold the same conformance invariants as every
+    /// other source (the shared checker): HELP/TYPE pairing, cumulative
+    /// buckets with float `le` ending at `+Inf` == `_count`.
     #[test]
     fn runtime_metrics_are_conformant() {
         let stats = RuntimeStats::new(2, 0);
@@ -573,51 +516,15 @@ mod tests {
             stats.record_queue_wait(v);
             stats.record_loop_wake(v, v);
         }
-        let text = stats.render_metrics(1_000);
-        let lines: Vec<&str> = text.lines().collect();
-        let mut current_family: Option<&str> = None;
-        for (i, line) in lines.iter().enumerate() {
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                let name = rest.split_whitespace().next().unwrap();
-                assert!(rest.len() > name.len() + 1, "HELP must carry text: {line}");
-                let next = lines.get(i + 1).unwrap_or(&"");
-                assert!(
-                    next.starts_with(&format!("# TYPE {name} ")),
-                    "HELP for {name} not followed by TYPE: {next}"
-                );
-                current_family = Some(name);
-            } else if !line.starts_with('#') && !line.is_empty() {
-                let family = current_family.expect("series before any TYPE");
-                let series = line.split(['{', ' ']).next().unwrap();
-                assert!(
-                    series == family
-                        || series
-                            .strip_prefix(family)
-                            .is_some_and(|s| matches!(s, "_bucket" | "_sum" | "_count")),
-                    "series {series} outside family {family}"
-                );
-            }
-        }
-        // Buckets are cumulative and end at +Inf == count.
-        let mut prev = 0u64;
-        let mut inf = false;
-        for line in text.lines() {
-            let Some(rest) = line.strip_prefix("xclean_queue_wait_seconds_bucket{le=\"") else {
-                continue;
-            };
-            assert!(!inf, "+Inf must be last");
-            let (le, count) = rest.split_once("\"} ").unwrap();
-            let cum: u64 = count.parse().unwrap();
-            assert!(cum >= prev, "cumulative: {line}");
-            prev = cum;
-            if le == "+Inf" {
-                inf = true;
-                assert_eq!(cum, 6);
-            } else {
-                le.parse::<f64>().expect("finite le must parse as float");
-            }
-        }
-        assert!(inf);
+        let samples = check_page(&page_of(&stats, 1_000));
+        let inf = samples
+            .iter()
+            .find(|s| {
+                s.name == "xclean_queue_wait_seconds_bucket"
+                    && s.labels == [("le".to_string(), "+Inf".to_string())]
+            })
+            .expect("+Inf bucket");
+        assert_eq!(inf.value, "6");
     }
 
     #[test]
