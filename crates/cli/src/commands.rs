@@ -23,6 +23,7 @@ use xclean::{
 use xclean_datagen::{generate_dblp, generate_inex, DblpConfig, InexConfig};
 use xclean_index::{partition_corpus, storage, CorpusIndex, OpenOptions, SlabMode};
 use xclean_server::{ServerConfig, SuggestServer};
+use xclean_telemetry::json::Json;
 use xclean_xmltree::{parse_document, to_xml, TreeStats};
 
 use crate::args::{ArgError, Args};
@@ -573,20 +574,20 @@ fn cmd_suggest_one(
 
     let mut lines = Vec::new();
     if args.has_flag("json") {
-        let items: Vec<serde_json::Value> = response
+        let items: Json = response
             .suggestions
             .iter()
             .map(|s| {
-                serde_json::json!({
-                    "query": s.query_string(),
-                    "terms": s.terms,
-                    "log_score": s.log_score,
-                    "distances": s.distances,
-                    "entities": s.entity_count,
-                })
+                Json::object([
+                    ("query", s.query_string().into()),
+                    ("terms", s.terms.iter().map(String::as_str).collect()),
+                    ("log_score", s.log_score.into()),
+                    ("distances", s.distances.iter().copied().collect()),
+                    ("entities", s.entity_count.into()),
+                ])
             })
             .collect();
-        lines.push(serde_json::to_string_pretty(&items).expect("serialisable"));
+        lines.push(items.render_pretty());
     } else if response.suggestions.is_empty() {
         lines.push("no valid suggestion (no candidate query has results)".to_string());
     } else {
@@ -635,29 +636,26 @@ fn cmd_suggest_batch(engine: &XCleanEngine, path: &str, json: bool) -> Result<Cm
 
     let mut lines = Vec::new();
     if json {
-        let items: Vec<serde_json::Value> = queries
+        let items: Json = queries
             .iter()
             .zip(responses.iter())
             .map(|(q, r)| {
-                let suggestions: Vec<serde_json::Value> = r
+                let suggestions: Json = r
                     .suggestions
                     .iter()
                     .map(|s| {
-                        serde_json::json!({
-                            "query": s.query_string(),
-                            "log_score": s.log_score,
-                            "distances": s.distances,
-                            "entities": s.entity_count,
-                        })
+                        Json::object([
+                            ("query", s.query_string().into()),
+                            ("log_score", s.log_score.into()),
+                            ("distances", s.distances.iter().copied().collect()),
+                            ("entities", s.entity_count.into()),
+                        ])
                     })
                     .collect();
-                serde_json::json!({
-                    "input": (*q).to_string(),
-                    "suggestions": serde_json::Value::Array(suggestions),
-                })
+                Json::object([("input", (*q).into()), ("suggestions", suggestions)])
             })
             .collect();
-        lines.push(serde_json::to_string_pretty(&items).expect("serialisable"));
+        lines.push(items.render_pretty());
     } else {
         for (q, r) in queries.iter().zip(responses.iter()) {
             match r.suggestions.first() {
@@ -1080,6 +1078,7 @@ fn cmd_generate(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xclean_telemetry::json;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("xclean_cli_tests");
@@ -1138,7 +1137,7 @@ mod tests {
         let xml = write_sample_xml("suggest_json.xml");
         let out = run(argv(&["suggest", &xml, "helth", "insurance", "--json"]));
         assert_eq!(out.code, 0);
-        let v: serde_json::Value = serde_json::from_str(&out.lines[0]).unwrap();
+        let v = json::parse(&out.lines[0]).unwrap();
         assert_eq!(v[0]["query"], "health insurance");
         assert!(v[0]["entities"].as_u64().unwrap() > 0);
     }
@@ -1280,10 +1279,51 @@ mod tests {
             "--json",
         ]));
         assert_eq!(out.code, 0, "{:?}", out.lines);
-        let v: serde_json::Value = serde_json::from_str(&out.lines[0]).unwrap();
+        let v = json::parse(&out.lines[0]).unwrap();
         assert_eq!(v[0]["input"], "helth insurance");
         assert_eq!(v[0]["suggestions"][0]["query"], "health insurance");
         assert_eq!(v[2]["input"], "qqqq zzzz");
+    }
+
+    /// `--json` bytes are pinned — pretty layout, key order, number
+    /// formatting — by goldens that predate `xclean_telemetry::json`'s
+    /// printer (`tests/fixtures/README.md`).
+    #[test]
+    fn json_output_matches_the_committed_goldens() {
+        const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+        let dblp50 = format!("{FIXTURES}/dblp50_v1.xci");
+        let workload = format!("{FIXTURES}/golden/batch_dblp50.txt");
+        for (args, golden) in [
+            (
+                vec!["suggest", &tiny_v1_fixture(), "helth insurance", "--json"],
+                "suggest_tiny.json",
+            ),
+            (
+                vec!["suggest", &dblp50, "quey", "--json"],
+                "suggest_dblp50.json",
+            ),
+            (
+                vec!["suggest", &dblp50, "zzzzqq", "--json"],
+                "suggest_none.json",
+            ),
+            (
+                vec![
+                    "suggest",
+                    &dblp50,
+                    "--batch",
+                    &workload,
+                    "--threads",
+                    "2",
+                    "--json",
+                ],
+                "batch_dblp50.json",
+            ),
+        ] {
+            let out = run(argv(&args));
+            assert_eq!(out.code, 0, "{golden}: {:?}", out.lines);
+            let expected = std::fs::read_to_string(format!("{FIXTURES}/golden/{golden}")).unwrap();
+            assert_eq!(out.lines.join("\n") + "\n", expected, "{golden}");
+        }
     }
 
     #[test]
@@ -1693,7 +1733,7 @@ mod tests {
             out.lines
         );
         let text = std::fs::read_to_string(&trace).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let v = json::parse(&text).unwrap();
         let events = v["traceEvents"].as_array().expect("traceEvents array");
         assert!(!events.is_empty());
         let names: Vec<&str> = events.iter().map(|e| e["name"].as_str().unwrap()).collect();
@@ -1724,8 +1764,7 @@ mod tests {
             "--metrics-json",
         ]));
         assert_eq!(out.code, 0, "{:?}", out.lines);
-        let v: serde_json::Value =
-            serde_json::from_str(out.lines.last().unwrap()).expect("metrics JSON line");
+        let v = json::parse(out.lines.last().unwrap()).expect("metrics JSON line");
         assert_eq!(v["counters"]["xclean_queries_total"].as_u64(), Some(1));
         assert!(
             v["counters"]["xclean_postings_read_total"]
@@ -1762,7 +1801,7 @@ mod tests {
             "--metrics-json",
         ]));
         assert_eq!(out.code, 0, "{:?}", out.lines);
-        let v: serde_json::Value = serde_json::from_str(out.lines.last().unwrap()).unwrap();
+        let v = json::parse(out.lines.last().unwrap()).unwrap();
         assert_eq!(v["counters"]["xclean_queries_total"].as_u64(), Some(3));
         assert_eq!(
             v["histograms"]["xclean_stage_total_nanos"]["count"].as_u64(),

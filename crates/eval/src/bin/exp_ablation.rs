@@ -4,13 +4,13 @@
 //! 2. **minimal depth d** sweep: candidate-space size and quality;
 //! 3. **probabilistic pruning** on/off: accumulator count vs quality.
 
-use serde::Serialize;
 use xclean::XCleanConfig;
 use xclean_eval::datasets::{build_dblp, default_config, query_sets, scale};
 use xclean_eval::metrics::MetricAccumulator;
 use xclean_eval::report::{f2, render_table, write_json};
+use xclean_telemetry::json::Json;
 
-#[derive(Serialize, Default)]
+#[derive(Default)]
 struct AblationResult {
     label: String,
     mrr: f64,
@@ -20,6 +20,21 @@ struct AblationResult {
     subtrees: u64,
     candidates: u64,
     evictions: u64,
+}
+
+impl AblationResult {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("label", self.label.as_str().into()),
+            ("mrr", self.mrr.into()),
+            ("avg_secs", self.avg_secs.into()),
+            ("postings_read", self.postings_read.into()),
+            ("postings_skipped", self.postings_skipped.into()),
+            ("subtrees", self.subtrees.into()),
+            ("candidates", self.candidates.into()),
+            ("evictions", self.evictions.into()),
+        ])
+    }
 }
 
 fn run(
@@ -115,6 +130,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("{table}");
-    let path = write_json("exp11_ablation", &results).expect("write json");
+    let dump: Json = results.iter().map(AblationResult::to_json).collect();
+    let path = write_json("exp11_ablation", &dump).expect("write json");
     println!("json: {}", path.display());
 }

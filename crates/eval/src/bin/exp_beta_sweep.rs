@@ -5,19 +5,28 @@
 //! decreases beyond (the paper's explanation: small β is too lenient to
 //! distant-but-frequent variants).
 
-use serde::Serialize;
 use xclean::XCleanConfig;
 use xclean_eval::datasets::{build_dblp, build_inex, default_config, query_sets, scale};
 use xclean_eval::metrics::MetricAccumulator;
 use xclean_eval::report::{f2, render_table, write_json};
+use xclean_telemetry::json::Json;
 
 const BETAS: &[f64] = &[0.0, 1.0, 2.0, 5.0, 8.0, 10.0];
 
-#[derive(Serialize)]
 struct Row {
     query_set: String,
     betas: Vec<f64>,
     mrr: Vec<f64>,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("query_set", self.query_set.as_str().into()),
+            ("betas", self.betas.iter().copied().collect()),
+            ("mrr", self.mrr.iter().copied().collect()),
+        ])
+    }
 }
 
 fn main() {
@@ -68,6 +77,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("{table}");
-    let path = write_json("table4_beta_sweep", &rows).expect("write json");
+    let dump: Json = rows.iter().map(Row::to_json).collect();
+    let path = write_json("table4_beta_sweep", &dump).expect("write json");
     println!("json: {}", path.display());
 }

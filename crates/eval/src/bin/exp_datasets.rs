@@ -4,13 +4,12 @@
 //! Table I (size, node count, max/avg depth) plus vocabulary size and the
 //! encoded inverted-index size.
 
-use serde::Serialize;
 use xclean_eval::datasets::{build_dblp, build_inex, default_config, scale};
 use xclean_eval::report::{render_table, write_json};
 use xclean_index::codec;
+use xclean_telemetry::json::Json;
 use xclean_xmltree::TreeStats;
 
-#[derive(Serialize)]
 struct Row {
     dataset: String,
     size_mb: f64,
@@ -20,6 +19,21 @@ struct Row {
     distinct_paths: usize,
     vocabulary: usize,
     index_mb: f64,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("dataset", self.dataset.as_str().into()),
+            ("size_mb", self.size_mb.into()),
+            ("nodes", self.nodes.into()),
+            ("max_depth", self.max_depth.into()),
+            ("avg_depth", self.avg_depth.into()),
+            ("distinct_paths", self.distinct_paths.into()),
+            ("vocabulary", self.vocabulary.into()),
+            ("index_mb", self.index_mb.into()),
+        ])
+    }
 }
 
 fn main() {
@@ -72,6 +86,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("{table}");
-    let path = write_json("table1_datasets", &rows).expect("write json");
+    let dump: Json = rows.iter().map(Row::to_json).collect();
+    let path = write_json("table1_datasets", &dump).expect("write json");
     println!("json: {}", path.display());
 }

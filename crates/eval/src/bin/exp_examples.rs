@@ -5,17 +5,33 @@
 //! showing PY08's rare-token / connectivity biases against XClean's
 //! result-quality-driven ranking.
 
-use serde::Serialize;
 use xclean_eval::datasets::{build_dblp, default_config, query_sets, scale};
 use xclean_eval::report::write_json;
 use xclean_eval::systems::{Py08Suggester, Suggester, XCleanSuggester};
+use xclean_telemetry::json::Json;
 
-#[derive(Serialize)]
 struct Example {
     dirty: String,
     clean: String,
     xclean_top3: Vec<String>,
     py08_top3: Vec<String>,
+}
+
+impl Example {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("dirty", self.dirty.as_str().into()),
+            ("clean", self.clean.as_str().into()),
+            (
+                "xclean_top3",
+                self.xclean_top3.iter().map(String::as_str).collect(),
+            ),
+            (
+                "py08_top3",
+                self.py08_top3.iter().map(String::as_str).collect(),
+            ),
+        ])
+    }
 }
 
 fn main() {
@@ -55,6 +71,7 @@ fn main() {
         println!("  PY08   : {}", e.py08_top3.join("  |  "));
         println!();
     }
-    let path = write_json("table3_examples", &examples).expect("write json");
+    let dump: Json = examples.iter().map(Example::to_json).collect();
+    let path = write_json("table3_examples", &dump).expect("write json");
     println!("json: {}", path.display());
 }

@@ -5,22 +5,32 @@
 //! saturates by γ ≈ 1000 for XClean, by γ ≈ 100 for PY08, with the larger
 //! candidate spaces (RULE sets) benefiting most from bigger γ.
 
-use serde::Serialize;
 use xclean::XCleanConfig;
 use xclean_eval::datasets::{build_dblp, build_inex, default_config, query_sets, scale};
 use xclean_eval::harness::run_set;
 use xclean_eval::metrics::MetricAccumulator;
 use xclean_eval::report::{f2, render_table, write_json};
 use xclean_eval::systems::Py08Suggester;
+use xclean_telemetry::json::Json;
 
 const GAMMAS: &[usize] = &[10, 100, 1000, 10_000];
 
-#[derive(Serialize)]
 struct Row {
     system: String,
     query_set: String,
     gammas: Vec<usize>,
     mrr: Vec<f64>,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("system", self.system.as_str().into()),
+            ("query_set", self.query_set.as_str().into()),
+            ("gammas", self.gammas.iter().copied().collect()),
+            ("mrr", self.mrr.iter().copied().collect()),
+        ])
+    }
 }
 
 fn main() {
@@ -88,6 +98,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("{table}");
-    let path = write_json("table5_gamma_sweep", &rows).expect("write json");
+    let dump: Json = rows.iter().map(Row::to_json).collect();
+    let path = write_json("table5_gamma_sweep", &dump).expect("write json");
     println!("json: {}", path.display());
 }

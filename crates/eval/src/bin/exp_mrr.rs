@@ -11,6 +11,7 @@ use xclean_eval::datasets::{
 use xclean_eval::harness::{default_threads, run_set_parallel, SetResult};
 use xclean_eval::report::{f2, render_table, write_json};
 use xclean_eval::systems::{Py08Suggester, SeSuggester, Suggester, XCleanSuggester};
+use xclean_telemetry::json::Json;
 
 fn main() {
     let scale = scale();
@@ -67,6 +68,7 @@ fn main() {
     let table = render_table(&["query set", "XClean", "PY08", "SE1", "SE2"], &rows);
     println!("{table}");
     println!("(SE MRR values are lower bounds: the engines return at most one suggestion)");
-    let path = write_json("fig3_mrr", &results).expect("write json");
+    let dump: Json = results.iter().map(SetResult::to_json).collect();
+    let path = write_json("fig3_mrr", &dump).expect("write json");
     println!("json: {}", path.display());
 }

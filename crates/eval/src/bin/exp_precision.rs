@@ -11,6 +11,7 @@ use xclean_eval::datasets::{
 use xclean_eval::harness::{default_threads, run_set_parallel, SetResult};
 use xclean_eval::report::{f2, render_table, write_json};
 use xclean_eval::systems::{Py08Suggester, SeSuggester, Suggester, XCleanSuggester};
+use xclean_telemetry::json::Json;
 
 fn main() {
     let scale = scale();
@@ -45,6 +46,7 @@ fn main() {
             );
         }
     }
-    let path = write_json("fig4_precision", &results).expect("write json");
+    let dump: Json = results.iter().map(SetResult::to_json).collect();
+    let path = write_json("fig4_precision", &dump).expect("write json");
     println!("json: {}", path.display());
 }

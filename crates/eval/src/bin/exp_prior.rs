@@ -5,17 +5,26 @@
 //! the document-length prior's effect on suggestion quality across all
 //! six query sets.
 
-use serde::Serialize;
 use xclean::{EntityPrior, XCleanConfig};
 use xclean_eval::datasets::{build_dblp, build_inex, default_config, query_sets, scale};
 use xclean_eval::metrics::MetricAccumulator;
 use xclean_eval::report::{f2, render_table, write_json};
+use xclean_telemetry::json::Json;
 
-#[derive(Serialize)]
 struct Row {
     query_set: String,
     uniform_mrr: f64,
     doclen_mrr: f64,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("query_set", self.query_set.as_str().into()),
+            ("uniform_mrr", self.uniform_mrr.into()),
+            ("doclen_mrr", self.doclen_mrr.into()),
+        ])
+    }
 }
 
 fn main() {
@@ -57,6 +66,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("{table}");
-    let path = write_json("exp12_prior", &rows).expect("write json");
+    let dump: Json = rows.iter().map(Row::to_json).collect();
+    let path = write_json("exp12_prior", &dump).expect("write json");
     println!("json: {}", path.display());
 }

@@ -4,12 +4,11 @@
 //! for each, its size, average length, average injected edit distance,
 //! and a sample dirty/clean pair — the content of the paper's Table II.
 
-use serde::Serialize;
 use xclean_eval::datasets::{build_dblp, build_inex, default_config, query_sets, scale};
 use xclean_eval::report::{render_table, write_json};
 use xclean_fastss::edit_distance;
+use xclean_telemetry::json::Json;
 
-#[derive(Serialize)]
 struct Row {
     set: String,
     queries: usize,
@@ -17,6 +16,19 @@ struct Row {
     avg_edit_distance: f64,
     sample_dirty: String,
     sample_clean: String,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("set", self.set.as_str().into()),
+            ("queries", self.queries.into()),
+            ("avg_len", self.avg_len.into()),
+            ("avg_edit_distance", self.avg_edit_distance.into()),
+            ("sample_dirty", self.sample_dirty.as_str().into()),
+            ("sample_clean", self.sample_clean.as_str().into()),
+        ])
+    }
 }
 
 fn main() {
@@ -74,6 +86,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("{table}");
-    let path = write_json("table2_querysets", &rows).expect("write json");
+    let dump: Json = rows.iter().map(Row::to_json).collect();
+    let path = write_json("table2_querysets", &dump).expect("write json");
     println!("json: {}", path.display());
 }

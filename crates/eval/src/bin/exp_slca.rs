@@ -6,19 +6,29 @@
 //! implemented semantics on all six query sets (ELCA is this
 //! reproduction's extension, exercising the framework's generality).
 
-use serde::Serialize;
 use xclean::Semantics;
 use xclean_eval::datasets::{build_dblp, build_inex, default_config, query_sets, scale};
 use xclean_eval::harness::run_set;
 use xclean_eval::report::{f2, render_table, write_json};
 use xclean_eval::systems::XCleanSuggester;
+use xclean_telemetry::json::Json;
 
-#[derive(Serialize)]
 struct Row {
     query_set: String,
     node_type_mrr: f64,
     slca_mrr: f64,
     elca_mrr: f64,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("query_set", self.query_set.as_str().into()),
+            ("node_type_mrr", self.node_type_mrr.into()),
+            ("slca_mrr", self.slca_mrr.into()),
+            ("elca_mrr", self.elca_mrr.into()),
+        ])
+    }
 }
 
 fn main() {
@@ -73,6 +83,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("{table}");
-    let path = write_json("exp10_slca", &rows).expect("write json");
+    let dump: Json = rows.iter().map(Row::to_json).collect();
+    let path = write_json("exp10_slca", &dump).expect("write json");
     println!("json: {}", path.display());
 }

@@ -5,18 +5,27 @@
 //! modeling approach"); this ablation checks how sensitive suggestion
 //! quality is to the scheme and its parameter.
 
-use serde::Serialize;
 use xclean::XCleanConfig;
 use xclean_eval::datasets::{build_dblp, build_inex, default_config, query_sets, scale};
 use xclean_eval::metrics::MetricAccumulator;
 use xclean_eval::report::{f2, render_table, write_json};
 use xclean_lm::Smoothing;
+use xclean_telemetry::json::Json;
 
-#[derive(Serialize)]
 struct Row {
     query_set: String,
     label: String,
     mrr: f64,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("query_set", self.query_set.as_str().into()),
+            ("label", self.label.as_str().into()),
+            ("mrr", self.mrr.into()),
+        ])
+    }
 }
 
 fn main() {
@@ -79,6 +88,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("{table}");
-    let path = write_json("exp13_smoothing", &rows).expect("write json");
+    let dump: Json = rows.iter().map(Row::to_json).collect();
+    let path = write_json("exp13_smoothing", &dump).expect("write json");
     println!("json: {}", path.display());
 }

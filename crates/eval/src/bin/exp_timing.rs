@@ -10,20 +10,30 @@
 
 use std::time::Instant;
 
-use serde::Serialize;
 use xclean::XCleanConfig;
 use xclean_baselines::run_naive;
 use xclean_eval::datasets::{build_dblp, build_inex, default_config, query_sets, scale};
 use xclean_eval::harness::run_set;
 use xclean_eval::report::{render_table, write_json};
 use xclean_eval::systems::{Py08Suggester, XCleanSuggester};
+use xclean_telemetry::json::Json;
 
-#[derive(Serialize)]
 struct Row {
     query_set: String,
     xclean_secs: f64,
     py08_secs: f64,
     naive_secs: f64,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        Json::object([
+            ("query_set", self.query_set.as_str().into()),
+            ("xclean_secs", self.xclean_secs.into()),
+            ("py08_secs", self.py08_secs.into()),
+            ("naive_secs", self.naive_secs.into()),
+        ])
+    }
 }
 
 fn main() {
@@ -86,6 +96,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     println!("{table}");
-    let path = write_json("table6_timing", &rows).expect("write json");
+    let dump: Json = rows.iter().map(Row::to_json).collect();
+    let path = write_json("table6_timing", &dump).expect("write json");
     println!("json: {}", path.display());
 }

@@ -3,14 +3,14 @@
 
 use std::time::Instant;
 
-use serde::Serialize;
 use xclean_datagen::QuerySet;
+use xclean_telemetry::json::Json;
 
 use crate::metrics::{MetricAccumulator, MetricSummary};
 use crate::systems::Suggester;
 
 /// Result of one (system, query set) run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SetResult {
     /// System name.
     pub system: String,
@@ -24,6 +24,20 @@ pub struct SetResult {
     pub avg_time_secs: f64,
     /// Number of queries.
     pub queries: usize,
+}
+
+impl SetResult {
+    /// The row as it appears in the experiment JSON dumps.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("system", self.system.as_str().into()),
+            ("query_set", self.query_set.as_str().into()),
+            ("mrr", self.mrr.into()),
+            ("precision_at", self.precision_at.iter().copied().collect()),
+            ("avg_time_secs", self.avg_time_secs.into()),
+            ("queries", self.queries.into()),
+        ])
+    }
 }
 
 /// Runs `system` over `set`, tracking precision up to `max_n`.

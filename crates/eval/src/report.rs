@@ -4,7 +4,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use serde::Serialize;
+use xclean_telemetry::json::Json;
 
 /// Renders a fixed-width table with a header row.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -56,10 +56,10 @@ pub fn experiments_dir() -> PathBuf {
     dir
 }
 
-/// Serialises `value` to `target/experiments/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
+/// Pretty-prints `value` to `target/experiments/<name>.json`.
+pub fn write_json(name: &str, value: &Json) -> std::io::Result<PathBuf> {
     let path = experiments_dir().join(format!("{name}.json"));
-    fs::write(&path, serde_json::to_string_pretty(value)?)?;
+    fs::write(&path, value.render_pretty())?;
     Ok(path)
 }
 
@@ -93,9 +93,10 @@ mod tests {
 
     #[test]
     fn write_json_roundtrip() {
-        let path = write_json("unit_test_report", &vec![1, 2, 3]).unwrap();
-        let back: Vec<i32> =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(back, vec![1, 2, 3]);
+        let value: Json = [1u32, 2, 3].into_iter().collect();
+        let path = write_json("unit_test_report", &value).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, "[\n  1,\n  2,\n  3\n]");
+        assert_eq!(xclean_telemetry::json::parse(&text).unwrap(), value);
     }
 }

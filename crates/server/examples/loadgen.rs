@@ -57,6 +57,7 @@ mod linux {
     use std::time::{Duration, Instant};
 
     use xclean_server::epoll::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+    use xclean_telemetry::json::Json;
 
     const DEFAULT_QUERIES: &[&str] = &[
         "databse systems",
@@ -617,51 +618,60 @@ mod linux {
             p99_ms = format!("{:.2}", p99 as f64 / 1e6),
         );
 
-        let per_target: Vec<serde_json::Value> = opts
+        let per_target: Json = opts
             .targets
             .iter()
             .zip(&mut gen.tally.per_target)
             .map(|((path, weight), t)| {
                 t.latencies.sort_unstable();
-                serde_json::json!({
-                    "path": path,
-                    "weight": weight,
-                    "requests": t.requests,
-                    "errors": t.errors,
-                    "queries_per_sec": t.requests as f64 / measured_secs.max(1e-9),
-                    "latency_nanos": serde_json::json!({
-                        "p50": percentile(&t.latencies, 0.50),
-                        "p95": percentile(&t.latencies, 0.95),
-                        "p99": percentile(&t.latencies, 0.99),
-                    }),
-                })
+                Json::object([
+                    ("path", path.as_str().into()),
+                    ("weight", (*weight).into()),
+                    ("requests", t.requests.into()),
+                    ("errors", t.errors.into()),
+                    (
+                        "queries_per_sec",
+                        (t.requests as f64 / measured_secs.max(1e-9)).into(),
+                    ),
+                    (
+                        "latency_nanos",
+                        Json::object([
+                            ("p50", percentile(&t.latencies, 0.50).into()),
+                            ("p95", percentile(&t.latencies, 0.95).into()),
+                            ("p99", percentile(&t.latencies, 0.99).into()),
+                        ]),
+                    ),
+                ])
             })
             .collect();
 
-        let report = serde_json::json!({
-            "bench": "loadgen",
-            "target": opts.addr,
-            "connections": opts.connections,
-            "connections_alive_at_end": alive,
-            "warmup_secs": opts.warmup.as_secs_f64(),
-            "duration_secs": measured_secs,
-            "query_mix": opts.queries.len(),
-            "healthz_every": opts.healthz_every,
-            "warmup_requests": gen.tally.warmup_requests,
-            "requests": gen.tally.requests,
-            "errors": gen.tally.errors,
-            "queries_per_sec": qps,
-            "per_target": per_target,
-            "bytes_in": gen.tally.bytes_in,
-            "latency_nanos": serde_json::json!({
-                "p50": p50,
-                "p95": p95,
-                "p99": p99,
-                "max": max,
-                "samples": latencies.len(),
-            }),
-        });
-        let text = serde_json::to_string_pretty(&report).expect("serialisable");
+        let report = Json::object([
+            ("bench", "loadgen".into()),
+            ("target", opts.addr.as_str().into()),
+            ("connections", opts.connections.into()),
+            ("connections_alive_at_end", alive.into()),
+            ("warmup_secs", opts.warmup.as_secs_f64().into()),
+            ("duration_secs", measured_secs.into()),
+            ("query_mix", opts.queries.len().into()),
+            ("healthz_every", opts.healthz_every.into()),
+            ("warmup_requests", gen.tally.warmup_requests.into()),
+            ("requests", gen.tally.requests.into()),
+            ("errors", gen.tally.errors.into()),
+            ("queries_per_sec", qps.into()),
+            ("per_target", per_target),
+            ("bytes_in", gen.tally.bytes_in.into()),
+            (
+                "latency_nanos",
+                Json::object([
+                    ("p50", p50.into()),
+                    ("p95", p95.into()),
+                    ("p99", p99.into()),
+                    ("max", max.into()),
+                    ("samples", latencies.len().into()),
+                ]),
+            ),
+        ]);
+        let text = report.render_pretty();
         match &opts.out {
             None => println!("{text}"),
             Some(path) => {

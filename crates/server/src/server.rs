@@ -39,6 +39,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xclean::{ExplainTrace, Pipeline, SuggestResponse, Suggestion, XCleanEngine};
+use xclean_telemetry::json::{self, Json};
 use xclean_telemetry::{
     names, Counter, ExemplarStore, Exposition, Histogram, MonotonicClock, RequestRecord,
     RuntimeStats, ShardAttribution, SharedClock, Value, WindowEvent,
@@ -47,7 +48,6 @@ use xclean_telemetry::{
 use crate::cache::CacheKey;
 use crate::debug::{self, ConnRegistry, CorpusRow, Observability, StatuszInfo};
 use crate::http::{HttpError, Request};
-use crate::json::{self, Json};
 use crate::shutdown::ShutdownFlag;
 use crate::tenant::{Tenant, TenantSet};
 
@@ -838,16 +838,6 @@ fn debug_explain(handler: &Handler, query: &str) -> Reply {
     reply
 }
 
-/// A finite `f64` as JSON, `null` otherwise (γ-eviction estimates can
-/// legitimately be `-inf`, which is not valid JSON).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders one [`ExplainTrace`] as the `/debug/explain` response body.
 /// Schema documented in DESIGN.md §17.
 fn render_explain(corpus: &str, normalized: &str, trace: &ExplainTrace) -> String {
@@ -923,7 +913,7 @@ fn render_explain(corpus: &str, normalized: &str, trace: &ExplainTrace) -> Strin
         }
         out.push_str(&format!(
             "],\"estimate\":{}}}",
-            e.estimate.map_or("null".to_string(), json_f64)
+            e.estimate.map_or("null".to_string(), json::number)
         ));
     }
     out.push_str(&format!(
@@ -1131,13 +1121,9 @@ fn suggest(request: &Request, tenant: &Tenant, trace_id: &str) -> Reply {
                     &format!("at most {MAX_BATCH_QUERIES} queries per batch"),
                 );
             }
-            let mut raw = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    Json::Str(s) => raw.push(s.as_str()),
-                    _ => return Reply::error(400, "\"queries\" must be an array of strings"),
-                }
-            }
+            let Some(raw) = items.iter().map(Json::as_str).collect::<Option<Vec<_>>>() else {
+                return Reply::error(400, "\"queries\" must be an array of strings");
+            };
             let (body, hits, misses, obs) = batch_suggest(&raw, tenant);
             Reply {
                 status: 200,
@@ -1375,6 +1361,20 @@ mod tests {
             assert!(reply.body.contains("\"error\""), "{}", reply.body);
             assert!(reply.body.contains(needle), "{body} → {}", reply.body);
         }
+    }
+
+    /// The default `max_body_bytes` admits a 1 MiB string; parsing one
+    /// used to take quadratic time (18 s in a release build).
+    #[test]
+    fn a_body_sized_query_string_is_answered_promptly() {
+        let h = handler();
+        let body = format!("{{\"query\": \"{}\"}}", "?!".repeat(512 * 1024));
+        let start = std::time::Instant::now();
+        let reply = route(&post(&body), &h, T);
+        let elapsed = start.elapsed();
+        assert_eq!(reply.status, 400, "{}", reply.body);
+        assert!(reply.body.contains("no keywords"), "{}", reply.body);
+        assert!(elapsed.as_secs() < 5, "took {elapsed:?}");
     }
 
     #[test]

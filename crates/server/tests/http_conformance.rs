@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use xclean::{XCleanConfig, XCleanEngine};
 use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
+use xclean_telemetry::json;
 use xclean_xmltree::parse_document;
 
 fn engine() -> Arc<XCleanEngine> {
@@ -559,7 +560,7 @@ fn connections_over_the_cap_are_shed_with_503_and_the_rest_keep_serving() {
         .unwrap();
     let ring = read_response(&mut second).unwrap();
     assert_eq!(ring.status, 200);
-    let ring: serde_json::Value = serde_json::from_str(&ring.body).unwrap();
+    let ring = json::parse(&ring.body).unwrap();
     let overload: Vec<_> = ring["requests"]
         .as_array()
         .unwrap()

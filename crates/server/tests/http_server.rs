@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use xclean::{XCleanConfig, XCleanEngine};
 use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
+use xclean_telemetry::json;
 use xclean_xmltree::parse_document;
 
 use common::{header, request};
@@ -57,7 +58,7 @@ fn serves_suggestions_hits_cache_and_drains() {
     // Health first.
     let (status, _, body) = request(run.addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
-    let health: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let health = json::parse(&body).unwrap();
     assert_eq!(health["status"], "ok");
     assert_eq!(health["cache"]["entries"].as_u64(), Some(0));
 
@@ -70,7 +71,7 @@ fn serves_suggestions_hits_cache_and_drains() {
     );
     assert_eq!(status, 200);
     assert_eq!(header(&headers, "x-cache"), Some("miss"));
-    let v: serde_json::Value = serde_json::from_str(&first).unwrap();
+    let v = json::parse(&first).unwrap();
     assert_eq!(v["query"], "helth insurance");
     assert_eq!(v["suggestions"][0]["query"], "health insurance");
     assert_eq!(v["suggestions"][0]["terms"][0], "health");
@@ -98,7 +99,7 @@ fn serves_suggestions_hits_cache_and_drains() {
     );
     assert_eq!(status, 200);
     assert_eq!(header(&headers, "x-cache"), Some("hits=1 misses=1"));
-    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let v = json::parse(&body).unwrap();
     let results = v["results"].as_array().unwrap();
     assert_eq!(results.len(), 2);
     assert_eq!(results[0]["query"], "helth insurance");
@@ -117,7 +118,7 @@ fn serves_suggestions_hits_cache_and_drains() {
     // Malformed body: structured JSON error, server keeps going.
     let (status, _, body) = request(run.addr, "POST", "/suggest", "{definitely not json");
     assert_eq!(status, 400);
-    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let v = json::parse(&body).unwrap();
     assert_eq!(v["error"]["code"].as_u64(), Some(400));
     assert!(v["error"]["message"]
         .as_str()
@@ -155,7 +156,7 @@ fn oversized_body_is_rejected_with_413() {
     let big = format!(r#"{{"query": "{}"}}"#, "x".repeat(1024));
     let (status, _, body) = request(run.addr, "POST", "/suggest", &big);
     assert_eq!(status, 413);
-    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let v = json::parse(&body).unwrap();
     assert_eq!(v["error"]["code"].as_u64(), Some(413));
     run.flag.trigger();
     run.join.join().unwrap();

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use xclean::{ShardedEngine, XCleanConfig, XCleanEngine};
 use xclean_index::{partition_corpus, CorpusIndex};
 use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
-use xclean_telemetry::names;
+use xclean_telemetry::{json, names};
 use xclean_xmltree::parse_document;
 
 use common::conformance::{check_page, series_identities};
@@ -129,7 +129,7 @@ fn unknown_corpus_is_a_structured_json_404_with_request_id() {
     for (method, body) in [("GET", ""), ("POST", r#"{"query": "x"}"#)] {
         let (status, headers, payload) = request(r.addr, method, "/suggest/nope?q=x", body);
         assert_eq!(status, 404, "{method}: {payload}");
-        let v: serde_json::Value = serde_json::from_str(&payload)
+        let v = json::parse(&payload)
             .unwrap_or_else(|e| panic!("{method}: 404 body must be JSON ({e}): {payload}"));
         assert_eq!(
             v["error"]["code"].as_u64(),

@@ -18,6 +18,7 @@ use std::time::Duration;
 
 use xclean::{XCleanConfig, XCleanEngine};
 use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
+use xclean_telemetry::json::{self, Json};
 use xclean_telemetry::Telemetry;
 use xclean_xmltree::parse_document;
 
@@ -102,7 +103,7 @@ fn request_id_is_echoed_generated_and_ringed() {
     // consistent with its total (stages are a subset of the request).
     let (status, _, body) = request(run.addr, "GET", "/debug/requests?n=10", &[], "");
     assert_eq!(status, 200);
-    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let v = json::parse(&body).unwrap();
     let requests = v["requests"].as_array().unwrap();
     assert!(requests.len() >= 4, "{body}");
     let ids: Vec<&str> = requests
@@ -202,7 +203,7 @@ fn slow_log_captures_requests_over_threshold() {
         .lines()
         .find(|l| l.contains("\"trace_id\":\"slow-1\""))
         .unwrap_or_else(|| panic!("slow-1 not logged: {log}"));
-    let v: serde_json::Value = serde_json::from_str(line).expect("slow log line is JSON");
+    let v = json::parse(line).expect("slow log line is JSON");
     assert_eq!(v["route"], "suggest");
     assert_eq!(v["query"], "helth insurance");
     assert_eq!(v["status"].as_u64(), Some(200));
@@ -403,7 +404,7 @@ fn debug_conns_reflects_a_live_keep_alive_connection() {
     // A second connection observes the held one in the registry.
     let (status, _, body) = request(run.addr, "GET", "/debug/conns?n=10", &[], "");
     assert_eq!(status, 200);
-    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let v = json::parse(&body).unwrap();
     assert!(v["open"].as_u64().unwrap() >= 1, "{body}");
     let conns = v["conns"].as_array().unwrap();
     let held_entry = conns
@@ -411,7 +412,7 @@ fn debug_conns_reflects_a_live_keep_alive_connection() {
         .find(|c| c["requests"].as_u64() == Some(2))
         .unwrap_or_else(|| panic!("held connection not visible: {body}"));
     assert_eq!(held_entry["state"], "open", "{body}");
-    assert_eq!(held_entry["reused"].as_bool(), Some(true), "{body}");
+    assert_eq!(held_entry["reused"], Json::Bool(true), "{body}");
 
     // Loop wakes and queue waits actually happened.
     let (_, _, metrics) = request(run.addr, "GET", "/metrics", &[], "");

@@ -17,6 +17,9 @@
 //!   typed samples and the page is rendered once
 //!   ([`MetricsRegistry::metrics_text`] is collect + render for one
 //!   registry); [`MetricsRegistry::metrics_json`] is a JSON snapshot.
+//! - [`json`] — the workspace's one JSON codec: value, strict parser,
+//!   string escaper and printer. The exporters above write through its
+//!   escaper; everything that reads JSON back parses with it.
 //!
 //! The crate is intentionally free of workspace and external
 //! dependencies so every layer (index, engine, CLI, benches) can depend
@@ -26,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod ring;
@@ -267,25 +271,6 @@ impl Telemetry {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal (shared by the
-/// exporters; names and details are engine-controlled but query text may
-/// carry anything).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The shared Prometheus conformance checker (test support).
 #[cfg(test)]
 #[path = "../tests/support/conformance.rs"]
@@ -317,8 +302,8 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json::escape("\u{1}"), "\\u0001");
+        assert_eq!(json::escape("plain"), "plain");
     }
 }

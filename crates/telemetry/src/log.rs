@@ -29,7 +29,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::clock::{MonotonicClock, SharedClock};
-use crate::json_escape;
+use crate::json;
 
 /// Log severity, most severe first. Filtering keeps a record when its
 /// level is *at most* the configured level (`Error` always passes a
@@ -250,11 +250,11 @@ impl Logger {
             LogFormat::Json => {
                 line.push_str(&format!(
                     "{{\"ts\":{ts:.6},\"level\":\"{level}\",\"target\":\"{}\",\"msg\":\"{}\"",
-                    json_escape(target),
-                    json_escape(msg)
+                    json::escape(target),
+                    json::escape(msg)
                 ));
                 for (k, v) in fields {
-                    line.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+                    line.push_str(&format!(",\"{}\":\"{}\"", json::escape(k), json::escape(v)));
                 }
                 line.push('}');
             }
@@ -465,6 +465,12 @@ mod tests {
             "{\"ts\":2.000000,\"level\":\"error\",\"target\":\"eval\",\
              \"msg\":\"sweep \\\"beta\\\" failed\",\"beta\":\"0.5\"}\n"
         );
+        let line = json::parse(sink.text().trim_end()).expect("the line is JSON");
+        assert_eq!(line["ts"].as_f64(), Some(2.0));
+        assert_eq!(line["level"], "error");
+        assert_eq!(line["target"], "eval");
+        assert_eq!(line["msg"], "sweep \"beta\" failed");
+        assert_eq!(line["beta"], "0.5");
     }
 
     #[test]

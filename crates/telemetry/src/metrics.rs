@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::json_escape;
+use crate::json;
 
 /// A monotonic counter.
 #[derive(Debug, Default)]
@@ -540,7 +540,7 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{}", json_escape(name), c.get()));
+            out.push_str(&format!("\"{}\":{}", json::escape(name), c.get()));
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self
@@ -557,7 +557,7 @@ impl MetricsRegistry {
             let s = h.summary();
             out.push_str(&format!(
                 "\"{}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                json_escape(name),
+                json::escape(name),
                 s.count,
                 s.sum,
                 s.p50,
@@ -854,5 +854,11 @@ mod tests {
         assert!(json.contains("\"xclean_queries_total\":1"));
         assert!(json.contains("\"xclean_stage_rank_nanos\":{\"count\":1,\"sum\":5"));
         assert!(json.contains("\"p99\":"));
+        let v = json::parse(&json).expect("the snapshot is JSON");
+        assert_eq!(v["counters"]["xclean_queries_total"].as_u64(), Some(1));
+        let rank = &v["histograms"]["xclean_stage_rank_nanos"];
+        for key in ["count", "sum", "p50", "p95", "p99"] {
+            assert!(rank[key].as_u64().is_some(), "{key} in {json}");
+        }
     }
 }

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::json_escape;
+use crate::json;
 
 /// Per-shard scatter attribution for one sharded suggestion request.
 ///
@@ -111,9 +111,9 @@ impl RequestRecord {
         out.push_str(&format!(
             "{{\"seq\":{},\"trace_id\":\"{}\",\"route\":\"{}\",\"query\":\"{}\",\"status\":{}",
             self.seq,
-            json_escape(&self.trace_id),
-            json_escape(self.route),
-            json_escape(&self.query),
+            json::escape(&self.trace_id),
+            json::escape(self.route),
+            json::escape(&self.query),
             self.status
         ));
         match self.cache_hit {
@@ -136,7 +136,7 @@ impl RequestRecord {
             self.suggestions,
             self.arrived_nanos
         ));
-        out.push_str(&format!(",\"corpus\":\"{}\"", json_escape(&self.corpus)));
+        out.push_str(&format!(",\"corpus\":\"{}\"", json::escape(&self.corpus)));
         out.push_str(",\"shards\":[");
         for (i, s) in self.shards.iter().enumerate() {
             if i > 0 {
@@ -353,6 +353,13 @@ mod tests {
             "{json}"
         );
         assert!(json.ends_with("]}"), "{json}");
+        let v = json::parse(&json).expect("the record is JSON");
+        assert_eq!(v["trace_id"], "t");
+        assert_eq!(v["corpus"], "dblp");
+        assert_eq!(v["total_nanos"].as_u64(), Some(1));
+        assert_eq!(v["stages"]["walk_nanos"].as_u64(), Some(20));
+        assert_eq!(v["shards"][0]["contributions"].as_u64(), Some(5));
+        assert_eq!(v["shards"][1]["scatter_nanos"].as_u64(), Some(900));
     }
 
     #[test]

@@ -331,6 +331,7 @@ mod tests {
     use super::*;
     use crate::clock::{Clock, ManualClock};
     use crate::conformance::check_page;
+    use crate::json;
 
     fn page_of(stats: &RuntimeStats, elapsed_nanos: u64) -> String {
         let mut page = Exposition::new();
@@ -453,6 +454,13 @@ mod tests {
         let wake = json.find("loop_wake").unwrap();
         let close = json.find("conn_close").unwrap();
         assert!(wake < close);
+        let v = json::parse(&json).expect("the dump is JSON");
+        let events = v["traceEvents"].as_array().expect("traceEvents");
+        assert_eq!(events.len(), 4);
+        assert_eq!(events[0]["name"], "loop_wake");
+        assert_eq!(events[0]["ph"], "i");
+        assert_eq!(events[0]["args"]["lag_nanos"].as_u64(), Some(300));
+        assert_eq!(events[2]["args"]["status"].as_u64(), Some(200));
     }
 
     #[test]

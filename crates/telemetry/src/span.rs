@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json_escape;
+use crate::json;
 
 /// Number of finished-span buffers; pushes shard by recording thread so
 /// pool workers rarely contend on the same mutex.
@@ -250,7 +250,7 @@ impl Tracer {
                 "{{\"name\":\"{}\",\"cat\":\"xclean\",\"ph\":\"X\",\
                  \"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},\
                  \"args\":{{\"span_id\":{}",
-                json_escape(s.name),
+                json::escape(s.name),
                 s.start_nanos as f64 / 1e3,
                 s.dur_nanos as f64 / 1e3,
                 s.thread,
@@ -260,7 +260,7 @@ impl Tracer {
                 out.push_str(&format!(",\"parent_id\":{p}"));
             }
             if let Some(d) = &s.detail {
-                out.push_str(&format!(",\"detail\":\"{}\"", json_escape(d)));
+                out.push_str(&format!(",\"detail\":\"{}\"", json::escape(d)));
             }
             out.push_str("}}");
         }
@@ -441,5 +441,11 @@ mod tests {
         assert!(json.contains("\"name\":\"suggest\""));
         assert!(json.contains("helth \\\"insurance\\\""));
         assert!(json.contains("\"pid\":1"));
+        let v = json::parse(&json).expect("the trace is JSON");
+        let event = &v["traceEvents"][0];
+        assert_eq!(event["name"], "suggest");
+        assert_eq!(event["ph"], "X");
+        assert!(event["ts"].as_f64().is_some() && event["dur"].as_f64().is_some());
+        assert_eq!(event["args"]["detail"], "helth \"insurance\"");
     }
 }

@@ -15,7 +15,7 @@
 //!    Prometheus text rendering carries counter and summary markers.
 
 use xclean_suite::datagen::{generate_dblp, make_workload, DblpConfig, Perturbation, WorkloadSpec};
-use xclean_suite::telemetry::{names, Telemetry};
+use xclean_suite::telemetry::{json, names, Telemetry};
 use xclean_suite::xclean::{SuggestResponse, XCleanConfig, XCleanEngine};
 
 fn engine_with(threads: usize, telemetry: Telemetry) -> XCleanEngine {
@@ -154,8 +154,8 @@ fn chrome_trace_covers_the_pipeline() {
         assert_eq!(p.name, "suggest");
     }
 
-    let json = engine.tracer().chrome_trace_json();
-    let v: serde_json::Value = serde_json::from_str(&json).expect("valid trace JSON");
+    let trace = engine.tracer().chrome_trace_json();
+    let v = json::parse(&trace).expect("valid trace JSON");
     let events = v["traceEvents"].as_array().expect("traceEvents");
     assert_eq!(events.len(), spans.len());
     for e in events {
