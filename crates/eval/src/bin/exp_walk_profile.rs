@@ -1,0 +1,308 @@
+//! Diagnostic — who pays for Algorithm 1's walk.
+//!
+//! Runs a RAND + RULE pool over the large generated corpus (the shape of
+//! the `xbench` pool) and prints, per decile of queries ordered by walk
+//! time, what the walk was given (slots, variants, postings) and what it
+//! did with it (subtrees visited and passed, nanoseconds per subtree),
+//! then the distance histogram of merged-list member moves.
+//!
+//! Timed **pass-style**: every pass runs each query once, in pool order,
+//! and a query's time is its minimum over the passes. Repeating one query
+//! back to back instead runs it with its postings and gate entries already
+//! in cache and hides exactly the memory latency this table is about
+//! (DESIGN.md §15, "Measuring honestly").
+//!
+//! A diagnostic, not a gate: performance claims are made with `xbench`.
+//! Run with `--release`; `XCLEAN_SCALE` scales corpus and pool.
+
+use xclean::walk::walk_gated_subtrees;
+use xclean::{KeywordSlot, RunStats, XCleanConfig, XCleanEngine};
+use xclean_datagen::{
+    generate_large_dblp, make_workload, LargeDblpConfig, Perturbation, WorkloadSpec,
+};
+use xclean_eval::datasets::{default_config, scale};
+use xclean_eval::report::render_table;
+use xclean_index::{AccessStats, CorpusIndex, PostingList};
+use xclean_xmltree::NodeId;
+
+/// Timed passes over the pool.
+const PASSES: usize = 5;
+/// Upper bounds of the member-move distance buckets (the last is open).
+const MOVE_BUCKETS: [usize; 5] = [1, 4, 16, 64, usize::MAX];
+
+/// What one query cost and what it walked.
+struct Profile {
+    /// Walk + rank time: minimum over the passes.
+    nanos: u64,
+    slots: usize,
+    variants: usize,
+    postings: usize,
+    visited: u64,
+    passed: u64,
+}
+
+/// Member-move distances of one pass, bucketed by [`MOVE_BUCKETS`], next
+/// to the posting I/O the current query's moves add up to.
+#[derive(Default)]
+struct Moves {
+    histogram: [u64; MOVE_BUCKETS.len()],
+    io: AccessStats,
+}
+
+impl Moves {
+    fn record(&mut self, distance: usize) {
+        let bucket = MOVE_BUCKETS.iter().position(|&b| distance <= b);
+        self.histogram[bucket.expect("last bucket is open")] += 1;
+    }
+}
+
+/// One variant's posting list with its cursor.
+struct Member<'a> {
+    list: &'a PostingList,
+    pos: usize,
+}
+
+impl Member<'_> {
+    fn head(&self) -> Option<NodeId> {
+        (self.pos < self.list.len()).then(|| self.list.node_at(self.pos))
+    }
+
+    /// `next()` on this member: one posting read.
+    fn step(&mut self, moves: &mut Moves) {
+        self.pos += 1;
+        moves.io.read += 1;
+        moves.record(1);
+    }
+}
+
+/// The merged list's head: the smallest member head.
+fn head(members: &[Member<'_>]) -> Option<NodeId> {
+    members.iter().filter_map(Member::head).min()
+}
+
+/// `skip_to(target)` on a merged list: every member behind it gallops.
+fn skip_to(members: &mut [Member<'_>], target: NodeId, moves: &mut Moves) {
+    moves.io.skip_calls += 1;
+    for m in members.iter_mut() {
+        if m.head().is_some_and(|n| n < target) {
+            let to = m.list.skip_from(m.pos, target);
+            moves.io.skipped += (to - m.pos) as u64;
+            moves.record(to - m.pos);
+            m.pos = to;
+        }
+    }
+}
+
+/// Replays the gated walk of one query member by member, recording the
+/// distance of every member move (a `next()` moves one posting, a
+/// `skip_to` as many as it jumps). Returns the posting I/O it performed,
+/// which must equal the engine's own counters.
+fn member_moves(
+    corpus: &CorpusIndex,
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+    moves: &mut Moves,
+) -> AccessStats {
+    assert!(
+        config.enable_skipping,
+        "the replay follows the skipping walk"
+    );
+    moves.io = AccessStats::default();
+    let mut lists: Vec<Vec<Member<'_>>> = slots
+        .iter()
+        .map(|s| {
+            let members = s.variants.iter().map(|v| Member {
+                list: corpus.postings(v.token),
+                pos: 0,
+            });
+            members.collect()
+        })
+        .collect();
+    let level = corpus.level(config.min_depth);
+    let mut cursor = 0;
+    loop {
+        let mut anchor = None;
+        for members in &lists {
+            match head(members) {
+                Some(n) => anchor = anchor.max(Some(n)),
+                None => return moves.io,
+            }
+        }
+        let Some(anchor) = anchor else {
+            return moves.io;
+        };
+        cursor = level.seek(cursor, anchor);
+        let gate = level.extent(cursor).filter(|&(g, _)| g <= anchor);
+        let Some((g, g_end)) = gate else {
+            // A posting shallower than the gate: every member on it steps.
+            for m in lists.iter_mut().flatten() {
+                if m.head() == Some(anchor) {
+                    m.step(moves);
+                }
+            }
+            continue;
+        };
+        let all_present = lists.iter_mut().all(|members| {
+            skip_to(members, g, moves);
+            head(members).is_some_and(|n| n.0 < g_end)
+        });
+        for members in &mut lists {
+            if all_present {
+                for m in members.iter_mut() {
+                    while m.head().is_some_and(|n| n.0 < g_end) {
+                        m.step(moves);
+                    }
+                }
+            } else if head(members).is_some_and(|n| n.0 < g_end) {
+                skip_to(members, NodeId(g_end), moves);
+            }
+        }
+    }
+}
+
+fn main() {
+    let scale = scale();
+    let publications = ((100_000.0 * scale) as usize).max(500);
+    let per_set = ((1024.0 * scale) as usize).clamp(40, 1024);
+    println!(
+        "== walk profile: large DBLP, {publications} publications, RAND+RULE pool \
+         (pass-style, min of {PASSES} passes) ==\n"
+    );
+    let engine = XCleanEngine::new(
+        generate_large_dblp(&LargeDblpConfig {
+            publications,
+            ..Default::default()
+        }),
+        default_config(),
+    );
+    let corpus = engine.corpus();
+    let config = engine.config();
+    let mut pool: Vec<Vec<String>> = Vec::new();
+    for perturbation in [Perturbation::Rand, Perturbation::Rule] {
+        let spec = WorkloadSpec {
+            n_queries: per_set,
+            ..WorkloadSpec::dblp(perturbation)
+        };
+        pool.extend(
+            make_workload(corpus, &spec)
+                .cases
+                .into_iter()
+                .map(|c| c.dirty),
+        );
+    }
+
+    // What each query walks, and the member moves of one pass.
+    let mut moves = Moves::default();
+    let mut profiles: Vec<Profile> = pool
+        .iter()
+        .map(|query| {
+            let slots = engine.make_slots(query);
+            let mut stats = RunStats::default();
+            let mut passed = 0;
+            walk_gated_subtrees(corpus, &slots, config, &mut stats, |_, _, _| passed += 1);
+            let replayed = member_moves(corpus, &slots, config, &mut moves);
+            assert_eq!(replayed, stats.access, "replay diverged on {query:?}");
+            let lists = slots.iter().flat_map(|s| &s.variants);
+            Profile {
+                nanos: u64::MAX,
+                slots: slots.len(),
+                variants: slots.iter().map(|s| s.variants.len()).sum(),
+                postings: lists.map(|v| corpus.postings(v.token).len()).sum(),
+                visited: stats.subtrees,
+                passed,
+            }
+        })
+        .collect();
+
+    let mut pass_nanos = Vec::with_capacity(PASSES);
+    for _ in 0..PASSES {
+        let mut total = 0;
+        for (query, profile) in pool.iter().zip(&mut profiles) {
+            let stats = engine.suggest_keywords(query).stats;
+            let nanos = stats.walk_nanos + stats.rank_nanos;
+            profile.nanos = profile.nanos.min(nanos);
+            total += nanos;
+        }
+        pass_nanos.push(total);
+    }
+    let fastest = *pass_nanos.iter().min().expect("PASSES > 0");
+    println!(
+        "{} queries; walk + rank per pass: fastest {:.1} ms, slowest {:.1} ms\n",
+        pool.len(),
+        fastest as f64 / 1e6,
+        *pass_nanos.iter().max().expect("PASSES > 0") as f64 / 1e6,
+    );
+
+    // Costliest queries first, cut into ten equal groups.
+    profiles.sort_by_key(|p| std::cmp::Reverse(p.nanos));
+    let total_nanos: u64 = profiles.iter().map(|p| p.nanos).sum();
+    let rows: Vec<Vec<String>> = (0..10)
+        .map(|decile| {
+            let group = &profiles[decile * profiles.len() / 10..(decile + 1) * profiles.len() / 10];
+            let n = group.len().max(1) as f64;
+            let sum = |f: fn(&Profile) -> u64| group.iter().map(f).sum::<u64>() as f64;
+            let nanos = sum(|p| p.nanos);
+            let visited = sum(|p| p.visited);
+            let passed = sum(|p| p.passed);
+            vec![
+                format!("{}", decile + 1),
+                format!("{:.1}", 100.0 * nanos / total_nanos.max(1) as f64),
+                format!("{:.1}", nanos / n / 1e3),
+                format!("{:.1}", sum(|p| p.slots as u64) / n),
+                format!("{:.0}", sum(|p| p.variants as u64) / n),
+                format!("{:.0}", sum(|p| p.postings as u64) / n),
+                format!("{:.0}", visited / n),
+                format!("{:.0}", passed / n),
+                format!("{:.0}", 100.0 * passed / visited.max(1.0)),
+                format!("{:.0}", nanos / visited.max(1.0)),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &[
+                "decile",
+                "time %",
+                "us/query",
+                "slots",
+                "variants",
+                "postings",
+                "visited",
+                "passed",
+                "pass %",
+                "ns/subtree",
+            ],
+            &rows,
+        )
+    );
+
+    let histogram = moves.histogram;
+    let moves: u64 = histogram.iter().sum();
+    println!("member moves of one pass: {moves}");
+    let mut low = 1;
+    let mut cumulative = 0;
+    let rows: Vec<Vec<String>> = MOVE_BUCKETS
+        .iter()
+        .zip(histogram)
+        .map(|(&high, count)| {
+            let label = match high {
+                usize::MAX => format!("{low}+"),
+                _ if high == low => format!("{low}"),
+                _ => format!("{low}-{high}"),
+            };
+            low = high.saturating_add(1);
+            cumulative += count;
+            vec![
+                label,
+                format!("{count}"),
+                format!("{:.1}", 100.0 * count as f64 / moves.max(1) as f64),
+                format!("{:.1}", 100.0 * cumulative as f64 / moves.max(1) as f64),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(&["postings moved", "moves", "%", "cumulative %"], &rows)
+    );
+}

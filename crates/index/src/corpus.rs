@@ -13,6 +13,7 @@ use std::sync::{Arc, OnceLock};
 use xclean_xmltree::{NodeId, PathId, Tokenizer, XmlTree};
 
 use crate::codec;
+use crate::level::LevelTable;
 use crate::path_stats::PathStatsIndex;
 use crate::posting::PostingList;
 use crate::shard::ShardMeta;
@@ -87,6 +88,10 @@ pub struct CorpusIndex {
     /// Total virtual-document length per label path: `Σ_{n: path(n)=p}
     /// doc_len(n)` — the normaliser of the document-length entity prior.
     path_doc_len_totals: Vec<u64>,
+    /// One lazily built [`LevelTable`] per depth `0 ..= deepest + 1`; the
+    /// last cell is the empty table every deeper request shares (see
+    /// [`CorpusIndex::level`]).
+    levels: Box<[OnceLock<LevelTable>]>,
     tokenizer: Tokenizer,
     provenance: Option<SnapshotProvenance>,
     /// Present iff this index is one shard of a partitioned corpus
@@ -110,6 +115,15 @@ fn derived_tables(tree: &XmlTree, direct: &[u64]) -> (Vec<u64>, Vec<u32>, Vec<u6
         path_doc_len_totals[p] += token_prefix[end] - token_prefix[n.index()];
     }
     (token_prefix, path_node_counts, path_doc_len_totals)
+}
+
+/// One unbuilt [`LevelTable`] cell per depth `0 ..= deepest + 1`. Every
+/// node's label path is in the path table, so the deepest path bounds the
+/// deepest node.
+fn level_cells(tree: &XmlTree) -> Box<[OnceLock<LevelTable>]> {
+    let paths = tree.paths();
+    let deepest = paths.iter().map(|p| paths.depth(p)).max().unwrap_or(0);
+    (0..deepest + 2).map(|_| OnceLock::new()).collect()
 }
 
 impl CorpusIndex {
@@ -152,6 +166,7 @@ impl CorpusIndex {
         lists.resize_with(vocab.len(), PostingList::new);
         let path_stats = PathStatsIndex::build(&tree, &lists);
         let (token_prefix, path_node_counts, path_doc_len_totals) = derived_tables(&tree, &direct);
+        let levels = level_cells(&tree);
         CorpusIndex {
             tree,
             vocab,
@@ -160,6 +175,7 @@ impl CorpusIndex {
             token_prefix,
             path_node_counts,
             path_doc_len_totals,
+            levels,
             tokenizer,
             provenance: None,
             shard: None,
@@ -189,6 +205,7 @@ impl CorpusIndex {
         }
         let path_stats = PathStatsIndex::build(&tree, &lists);
         let (token_prefix, path_node_counts, path_doc_len_totals) = derived_tables(&tree, &direct);
+        let levels = level_cells(&tree);
         CorpusIndex {
             tree,
             vocab,
@@ -197,6 +214,7 @@ impl CorpusIndex {
             token_prefix,
             path_node_counts,
             path_doc_len_totals,
+            levels,
             tokenizer,
             provenance: None,
             shard: None,
@@ -237,6 +255,7 @@ impl CorpusIndex {
             return Err("direct token counts disagree with vocabulary total");
         }
         let (token_prefix, path_node_counts, path_doc_len_totals) = derived_tables(&tree, &direct);
+        let levels = level_cells(&tree);
         let cells = (0..posting_ranges.len()).map(|_| OnceLock::new()).collect();
         Ok(CorpusIndex {
             tree,
@@ -250,6 +269,7 @@ impl CorpusIndex {
             token_prefix,
             path_node_counts,
             path_doc_len_totals,
+            levels,
             tokenizer,
             provenance: Some(provenance),
             shard: None,
@@ -310,6 +330,14 @@ impl CorpusIndex {
     pub fn doc_len(&self, r: NodeId) -> u64 {
         let end = self.tree.subtree_end(r) as usize;
         self.token_prefix[end] - self.token_prefix[r.index()]
+    }
+
+    /// The depth-`depth` subtrees of the corpus in document order (empty
+    /// for depth 0 and past the deepest node). Built on the first request
+    /// for a depth and kept: later calls are one load.
+    pub fn level(&self, depth: u32) -> &LevelTable {
+        let cell = (depth as usize).min(self.levels.len() - 1);
+        self.levels[cell].get_or_init(|| LevelTable::build(self, cell as u32))
     }
 
     /// Length (in indexed tokens) of the node's *direct* text only (`|t|`

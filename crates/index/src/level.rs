@@ -1,0 +1,262 @@
+//! Level table: the depth-`d` subtrees of one corpus, in document order.
+//!
+//! Algorithm 1 gates every anchor at the minimal depth `d`
+//! (`g ← truncate(anchor, d)`, §V-C). With Dewey codes that is a prefix
+//! cut; with preorder ids it is a climb through the node table plus an
+//! extent and a length lookup — dependent loads into the largest arrays
+//! of the index, once per visited subtree. A level table answers the same
+//! three questions from four short parallel columns over the depth-`d`
+//! nodes only (`start`, `end`, `path`, `doc_len`: 20 bytes an entity), so
+//! the gate's working set is the entity count, not the node count.
+//!
+//! The table is read through one cursor primitive, [`LevelTable::seek`]:
+//! the walk's anchors only ever grow, so each lookup gallops forward from
+//! the previous one. [`CorpusIndex::level`] builds a depth's table on first
+//! request and keeps it for the corpus's lifetime.
+
+use xclean_xmltree::{NodeId, PathId};
+
+use crate::corpus::CorpusIndex;
+use crate::posting::gallop;
+
+/// One depth-`d` subtree of a [`LevelTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LevelEntry {
+    /// The subtree's root (its first node in preorder).
+    pub node: NodeId,
+    /// Exclusive preorder end of the subtree.
+    pub end: u32,
+    /// The root's label path (local to the corpus).
+    pub path: PathId,
+    /// Virtual-document length of the subtree ([`CorpusIndex::doc_len`]).
+    pub doc_len: u64,
+}
+
+/// The depth-`d` subtrees of a corpus as parallel columns in document
+/// order: `start` strictly increasing, extents disjoint.
+#[derive(Debug, Default)]
+pub struct LevelTable {
+    start: Vec<u32>,
+    end: Vec<u32>,
+    path: Vec<PathId>,
+    doc_len: Vec<u64>,
+}
+
+impl LevelTable {
+    /// Collects the depth-`depth` nodes of `corpus`. Hops from each one to
+    /// the end of its subtree, so only nodes at most that deep are visited.
+    pub(crate) fn build(corpus: &CorpusIndex, depth: u32) -> LevelTable {
+        let tree = corpus.tree();
+        let mut table = LevelTable::default();
+        if depth == 0 {
+            return table;
+        }
+        let mut n = 0u32;
+        while (n as usize) < tree.len() {
+            let node = NodeId(n);
+            if tree.depth(node) < depth {
+                n += 1;
+                continue;
+            }
+            let end = tree.subtree_end(node);
+            table.start.push(n);
+            table.end.push(end);
+            table.path.push(tree.path(node));
+            table.doc_len.push(corpus.doc_len(node));
+            n = end;
+        }
+        table.start.shrink_to_fit();
+        table.end.shrink_to_fit();
+        table.path.shrink_to_fit();
+        table.doc_len.shrink_to_fit();
+        table
+    }
+
+    /// Number of subtrees at this depth.
+    pub fn len(&self) -> usize {
+        self.start.len()
+    }
+
+    /// `true` when no node sits at this depth.
+    pub fn is_empty(&self) -> bool {
+        self.start.is_empty()
+    }
+
+    /// Position of the first subtree at or after `from` that ends past
+    /// `node` — the one holding `node` if any does — or [`Self::len`].
+    ///
+    /// `from` is 0 or what an earlier `seek` returned for a node no larger
+    /// than `node`; the search gallops forward from there, so a run of
+    /// lookups over increasing nodes costs the distance it covers.
+    pub fn seek(&self, from: usize, node: NodeId) -> usize {
+        debug_assert!(
+            from == 0 || from > self.end.len() || self.end[from - 1] <= node.0,
+            "seek cursor is ahead of node {node:?}"
+        );
+        gallop(&self.end, from, |&end| end <= node.0)
+    }
+
+    /// `(root, exclusive end)` of the subtree at `pos`, `None` past the
+    /// last one. After `pos = seek(_, node)` the subtree holds `node`
+    /// exactly when its root is `<= node`.
+    #[inline]
+    pub fn extent(&self, pos: usize) -> Option<(NodeId, u32)> {
+        Some((NodeId(*self.start.get(pos)?), self.end[pos]))
+    }
+
+    /// The subtree at `pos` with its path and length.
+    #[inline]
+    pub fn entry(&self, pos: usize) -> LevelEntry {
+        LevelEntry {
+            node: NodeId(self.start[pos]),
+            end: self.end[pos],
+            path: self.path[pos],
+            doc_len: self.doc_len[pos],
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xclean_xmltree::parse_document;
+
+    /// The subtree of `table` holding `node`, looked up from the front.
+    pub(super) fn locate(table: &LevelTable, node: NodeId) -> Option<LevelEntry> {
+        let pos = table.seek(0, node);
+        let (root, _) = table.extent(pos)?;
+        (root <= node).then(|| table.entry(pos))
+    }
+
+    #[test]
+    fn depth_two_lists_the_root_children_with_their_lengths() {
+        let xml = "<lib>\
+            <book><title>keyword search</title><author>smith</author></book>\
+            <shelf>mixed <book><title>query cleaning</title></book> content</shelf>\
+        </lib>";
+        let c = CorpusIndex::build(parse_document(xml).unwrap());
+        let tree = c.tree();
+        let table = c.level(2);
+        let children: Vec<NodeId> = tree.children(tree.root()).collect();
+        assert_eq!(table.len(), 2);
+        for (pos, &child) in children.iter().enumerate() {
+            let entry = table.entry(pos);
+            assert_eq!(entry.node, child);
+            assert_eq!(entry.end, tree.subtree_end(child));
+            assert_eq!(entry.path, tree.path(child));
+            assert_eq!(entry.doc_len, c.doc_len(child));
+            assert_eq!(table.extent(pos), Some((child, entry.end)));
+        }
+        assert_eq!(table.extent(2), None);
+        // The root is shallower than the table; the deepest title is held
+        // by the shelf.
+        assert_eq!(locate(table, tree.root()), None);
+        let last = NodeId(tree.len() as u32 - 1);
+        assert_eq!(locate(table, last).map(|e| e.node), Some(children[1]));
+        assert_eq!(table.entry(1).doc_len, 4);
+    }
+
+    #[test]
+    fn depths_outside_the_tree_share_empty_tables() {
+        let c = CorpusIndex::build(parse_document("<a><b>text here</b></a>").unwrap());
+        assert!(c.level(0).is_empty());
+        assert_eq!(c.level(1).len(), 1);
+        assert_eq!(c.level(2).len(), 1);
+        assert!(c.level(3).is_empty());
+        assert!(std::ptr::eq(c.level(3), c.level(u32::MAX)));
+        assert_eq!(c.level(3).seek(0, NodeId(1)), 0);
+        // Built once: the same table comes back.
+        assert!(std::ptr::eq(c.level(2), c.level(2)));
+    }
+
+    #[test]
+    fn single_node_tree() {
+        let c = CorpusIndex::build(parse_document("<a>lonely words</a>").unwrap());
+        assert!(c.level(0).is_empty());
+        assert_eq!(
+            locate(c.level(1), NodeId(0)),
+            Some(LevelEntry {
+                node: NodeId(0),
+                end: 1,
+                path: c.tree().path(NodeId(0)),
+                doc_len: 2,
+            })
+        );
+        assert!(c.level(2).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod prop {
+    use super::tests::locate;
+    use super::*;
+    use proptest::prelude::*;
+    use xclean_xmltree::TreeBuilder;
+
+    /// One builder step per byte: open a child, close the current element,
+    /// append a text leaf, or add text to the current element itself — so
+    /// shallow nodes carry indexed text between their children.
+    fn build(shape: &[u8]) -> CorpusIndex {
+        let mut b = TreeBuilder::new("r");
+        let mut depth = 0usize;
+        for &s in shape {
+            match s % 5 {
+                0 => {
+                    b.open(if s % 2 == 0 { "n" } else { "m" });
+                    depth += 1;
+                }
+                1 if depth > 0 => {
+                    b.close();
+                    depth -= 1;
+                }
+                2 => b.text("shallow words"),
+                _ => {
+                    b.leaf("t", "alpha beta gamma");
+                }
+            }
+        }
+        CorpusIndex::build(b.finish())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// At every depth, the table located at a node is the tree's own
+        /// answer; cursors resumed from any earlier lookup agree with a
+        /// lookup from the front; extents are increasing and disjoint.
+        #[test]
+        fn level_tables_match_the_tree(
+            shape in proptest::collection::vec(0u8..20, 0..70),
+        ) {
+            let corpus = build(&shape);
+            let tree = corpus.tree();
+            let max_depth = tree.iter().map(|n| tree.depth(n)).max().unwrap();
+            for d in 0..=max_depth + 1 {
+                let table = corpus.level(d);
+                prop_assert_eq!(table.is_empty(), d == 0 || d > max_depth);
+                let expected = tree.iter().filter(|&n| tree.depth(n) == d).count();
+                prop_assert_eq!(table.len(), expected);
+                for pos in 0..table.len() {
+                    let (root, end) = table.extent(pos).unwrap();
+                    prop_assert!(root.0 < end);
+                    if let Some((next, _)) = table.extent(pos + 1) {
+                        prop_assert!(end <= next.0);
+                    }
+                }
+                for n in tree.iter() {
+                    let expect = tree.ancestor_at_depth(n, d).map(|g| LevelEntry {
+                        node: g,
+                        end: tree.subtree_end(g),
+                        path: tree.path(g),
+                        doc_len: corpus.doc_len(g),
+                    });
+                    prop_assert_eq!(locate(table, n), expect, "depth {} node {:?}", d, n);
+                    let direct = table.seek(0, n);
+                    for m in (0..=n.0).map(NodeId) {
+                        prop_assert_eq!(table.seek(table.seek(0, m), n), direct);
+                    }
+                }
+            }
+        }
+    }
+}

@@ -12,9 +12,9 @@
 #![deny(unsafe_code)] // one vetted exception: slab::mmap (mmap(2)/munmap(2) FFI)
 #![warn(missing_docs)]
 
-pub mod blocked;
 pub mod codec;
 pub mod corpus;
+pub mod level;
 pub mod merged;
 pub mod path_stats;
 pub mod posting;
@@ -23,8 +23,8 @@ pub mod slab;
 pub mod storage;
 pub mod vocab;
 
-pub use blocked::{BlockedCursor, BlockedPostingList, OwnedPosting, BLOCK_SIZE};
 pub use corpus::{CorpusIndex, SharedPostings, SnapshotProvenance};
+pub use level::{LevelEntry, LevelTable};
 pub use merged::{AccessStats, MergedEntry, MergedList};
 pub use path_stats::PathStatsIndex;
 pub use posting::{Posting, PostingList};

@@ -117,28 +117,36 @@ impl PostingList {
     /// paper's `skip_to` implementation note ("binary search or
     /// exponential search", §V-C).
     pub fn skip_from(&self, from: usize, node: NodeId) -> usize {
-        let n = self.nodes.len();
-        if from >= n || self.nodes[from] >= node {
-            return from;
-        }
-        // Gallop to bracket the target.
-        let mut step = 1;
-        let mut lo = from;
-        let mut hi = from + 1;
-        while hi < n && self.nodes[hi] < node {
-            lo = hi;
-            step *= 2;
-            hi = (hi + step).min(n);
-        }
-        // Binary search in (lo, hi].
-        let hi = hi.min(n);
-        lo + self.nodes[lo..hi].partition_point(|&x| x < node)
+        gallop(&self.nodes, from, |&x| x < node)
     }
 
     /// Total of all term frequencies (diagnostic).
     pub fn total_tf(&self) -> u64 {
         self.tfs.iter().map(|&t| t as u64).sum()
     }
+}
+
+/// Index of the first element at or after `from` that is not `behind`, or
+/// `xs.len()`: doubles the step until it brackets the answer, then bisects.
+/// `xs` is partitioned by `behind` (all `true` before all `false`) and
+/// nothing before `from` needs looking at, so a run of lookups over
+/// advancing targets costs the distance it covers.
+pub(crate) fn gallop<T>(xs: &[T], from: usize, behind: impl Fn(&T) -> bool) -> usize {
+    let n = xs.len();
+    if from >= n || !behind(&xs[from]) {
+        return from;
+    }
+    // Gallop to bracket the target.
+    let mut step = 1;
+    let mut lo = from;
+    let mut hi = from + 1;
+    while hi < n && behind(&xs[hi]) {
+        lo = hi;
+        step *= 2;
+        hi = (hi + step).min(n);
+    }
+    // Binary search in (lo, hi].
+    lo + xs[lo..hi].partition_point(behind)
 }
 
 #[cfg(test)]

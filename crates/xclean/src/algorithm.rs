@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use xclean_index::{AccessStats, CorpusIndex, TokenId};
+use xclean_index::{AccessStats, CorpusIndex, LevelEntry, TokenId};
 use xclean_lm::ErrorModel;
 use xclean_xmltree::{NodeId, PathId};
 
@@ -184,26 +184,41 @@ impl EntityGroups {
 
     /// The run of result type `path`: for every entity of that type in the
     /// subtree, in document order, its `(entity, token, count in the
-    /// entity's subtree)` rows. Built on first request per subtree.
+    /// entity's subtree)` rows. Built on first request per subtree. `gate`
+    /// is the subtree itself, at depth `min_depth`.
     pub(crate) fn entities_of(
         &mut self,
         view: &Scoring<'_>,
         path: PathId,
+        gate: &LevelEntry,
+        min_depth: u32,
     ) -> &[(NodeId, TokenId, u64)] {
         if let Some(&(_, start, end)) = self.runs.iter().find(|run| run.0 == path) {
             return &self.rows[start..end];
         }
-        let tree = view.tree();
         // `path` is a *global* id; under a shard scope the candidate entity's
-        // local path is compared through `view.node_path`, and the depth comes
-        // from the global table (local depths are preserved by the
+        // local path is compared through `view.global_path`, and the depth
+        // comes from the global table (local depths are preserved by the
         // partitioner, so the truncation height is the same either way).
         let depth = view.path_depth(path);
         let start = self.rows.len();
-        for &(token, node, tf) in &self.occ {
-            if let Some(r) = tree.ancestor_at_depth(node, depth) {
-                if view.node_path(r) == path {
-                    self.rows.push((r, token, u64::from(tf)));
+        if depth == min_depth {
+            // A result type at the gate depth has one candidate entity: the
+            // gating subtree's root, above every occurrence collected.
+            if view.global_path(gate.path) == path {
+                let rows = self
+                    .occ
+                    .iter()
+                    .map(|&(t, _, tf)| (gate.node, t, u64::from(tf)));
+                self.rows.extend(rows);
+            }
+        } else {
+            let tree = view.tree();
+            for &(token, node, tf) in &self.occ {
+                if let Some(r) = tree.ancestor_at_depth(node, depth) {
+                    if view.node_path(r) == path {
+                        self.rows.push((r, token, u64::from(tf)));
+                    }
                 }
             }
         }
@@ -269,7 +284,7 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
         stats,
         occurrences,
         slot_tokens,
-        |_g, occurrences, slot_tokens| {
+        |gate, occurrences, slot_tokens| {
             // Lines 12–15: enumerate candidates and accumulate entity
             // scores. Entity runs are built lazily per result type.
             groups.begin_subtree(occurrences);
@@ -299,13 +314,19 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
                             path
                         }
                     };
-                    let entities = groups.entities_of(view, path);
+                    let entities = groups.entities_of(view, path, gate, config.min_depth);
                     for counts in entities.chunk_by(|a, b| a.0 == b.0) {
                         // The entity must contain every keyword of the candidate.
                         let r = counts[0].0;
                         let mut score = 0.0f64;
                         let mut ok = true;
-                        let dlen = view.doc_len(r);
+                        // An entity at the gate depth is the gate itself, whose
+                        // length rides on the entry; deeper ones ask the corpus.
+                        let dlen = if r == gate.node {
+                            gate.doc_len
+                        } else {
+                            view.doc_len(r)
+                        };
                         for &t in cand.iter() {
                             match counts.iter().find(|row| row.1 == t) {
                                 Some(&(_, _, c)) if c > 0 => {

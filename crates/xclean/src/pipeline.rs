@@ -660,6 +660,10 @@ impl Pipeline {
         if config.phonetic_distance.is_some() {
             variants = variants.with_phonetic_vocab(vocab);
         }
+        // Build the gate's level tables now, not inside the first query.
+        for shard in &shards {
+            shard.corpus.level(config.min_depth);
+        }
         let telemetry = Telemetry::disabled();
         Arc::new(Pipeline {
             shards,

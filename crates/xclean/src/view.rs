@@ -19,7 +19,7 @@
 //! probabilities, smoothed language-model terms, utilities, normalisers)
 //! is computed from the same integers the unsharded corpus holds.
 
-use xclean_index::{CorpusIndex, PostingList, TokenId, Vocabulary};
+use xclean_index::{CorpusIndex, LevelTable, PostingList, TokenId, Vocabulary};
 use xclean_lm::{LanguageModel, Smoothing};
 use xclean_xmltree::{NodeId, PathId, XmlTree};
 
@@ -94,6 +94,13 @@ impl<'a> Scoring<'a> {
         self.corpus.tree()
     }
 
+    /// The depth-`depth` subtrees of the tree being walked (entry paths
+    /// are local: map them with [`Scoring::global_path`]).
+    #[inline]
+    pub(crate) fn level(&self, depth: u32) -> &'a LevelTable {
+        self.corpus.level(depth)
+    }
+
     /// Posting list of a (global) token within this view's tree. Tokens
     /// absent from a scoped shard yield the shared empty list, which the
     /// walk treats as an immediately-exhausted merged-list member.
@@ -129,7 +136,12 @@ impl<'a> Scoring<'a> {
     /// The *global* path id of a node of this view's tree.
     #[inline]
     pub(crate) fn node_path(&self, n: NodeId) -> PathId {
-        let local = self.tree().path(n);
+        self.global_path(self.tree().path(n))
+    }
+
+    /// The *global* id of a path of this view's tree.
+    #[inline]
+    pub(crate) fn global_path(&self, local: PathId) -> PathId {
         match &self.scope {
             None => local,
             Some(s) => s.local_to_global_path[local.0 as usize],

@@ -5,8 +5,13 @@
 //! gate at the minimal depth `d`, `skip_to`-align every list, and collect
 //! the variant occurrences of the gating subtree. This module factors that
 //! walk out; each semantics plugs in its per-subtree candidate scoring.
+//!
+//! The gate reads the corpus's depth-`d` [`xclean_index::LevelTable`], never
+//! the node table: anchors never decrease, so one forward cursor over the
+//! entities' extents yields `g`, its end, and — for the scorer — its path
+//! and length (DESIGN.md §15, "Layout of `walk_accumulate`").
 
-use xclean_index::{CorpusIndex, MergedList, TokenId};
+use xclean_index::{CorpusIndex, LevelEntry, MergedList, TokenId};
 use xclean_xmltree::NodeId;
 
 use crate::algorithm::{KeywordSlot, RunStats};
@@ -25,7 +30,7 @@ pub fn walk_gated_subtrees(
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     stats: &mut RunStats,
-    on_subtree: impl FnMut(NodeId, &SlotOccurrences, &[Vec<TokenId>]),
+    mut on_subtree: impl FnMut(NodeId, &SlotOccurrences, &[Vec<TokenId>]),
 ) {
     walk_gated_subtrees_scoped(
         &Scoring::unsharded(corpus),
@@ -34,7 +39,7 @@ pub fn walk_gated_subtrees(
         stats,
         &mut SlotOccurrences::new(),
         &mut Vec::new(),
-        on_subtree,
+        |gate, occurrences, slot_tokens| on_subtree(gate.node, occurrences, slot_tokens),
     )
 }
 
@@ -46,7 +51,8 @@ pub fn walk_gated_subtrees(
 /// tokens (global ids) resolve to the shard's local posting lists — or the
 /// empty list, which exhausts that merged-list member immediately — so the
 /// walk visits exactly the qualifying subtrees whose entities live in the
-/// shard.
+/// shard. `on_subtree` receives the gating subtree as its level-table
+/// entry (path local to the view's corpus).
 pub(crate) fn walk_gated_subtrees_scoped(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
@@ -54,12 +60,13 @@ pub(crate) fn walk_gated_subtrees_scoped(
     stats: &mut RunStats,
     occurrences: &mut SlotOccurrences,
     slot_tokens: &mut Vec<Vec<TokenId>>,
-    mut on_subtree: impl FnMut(NodeId, &SlotOccurrences, &[Vec<TokenId>]),
+    mut on_subtree: impl FnMut(&LevelEntry, &SlotOccurrences, &[Vec<TokenId>]),
 ) {
     if slots.is_empty() || slots.iter().any(|s| s.variants.is_empty()) {
         return;
     }
-    let tree = view.tree();
+    let level = view.level(config.min_depth);
+    let mut cursor = 0;
     let mut vls: Vec<MergedList<'_>> = slots
         .iter()
         .map(|s| MergedList::new(s.variants.iter().map(|v| (v.token, view.postings(v.token)))))
@@ -95,17 +102,22 @@ pub(crate) fn walk_gated_subtrees_scoped(
         };
         let Some(anchor) = anchor else { break };
 
-        // g ← truncate(anchor, d); postings shallower than d belong to no
-        // gating subtree — consume and continue.
-        let Some(g) = tree.ancestor_at_depth(anchor, config.min_depth) else {
-            for vl in &mut vls {
-                if vl.head_node() == Some(anchor) {
-                    vl.next();
+        // g ← truncate(anchor, d): the depth-d subtree holding the anchor.
+        // Anchors never decrease, so the cursor only moves forward.
+        // Postings shallower than d belong to no gating subtree — consume
+        // and continue.
+        cursor = level.seek(cursor, anchor);
+        let (g, g_end) = match level.extent(cursor) {
+            Some((g, g_end)) if g <= anchor => (g, g_end),
+            _ => {
+                for vl in &mut vls {
+                    if vl.head_node() == Some(anchor) {
+                        vl.next();
+                    }
                 }
+                continue;
             }
-            continue;
         };
-        let g_end = tree.subtree_end(g);
         stats.subtrees += 1;
 
         if config.enable_skipping {
@@ -159,7 +171,7 @@ pub(crate) fn walk_gated_subtrees_scoped(
             slot_tokens[i].dedup();
         }
 
-        on_subtree(g, occurrences, slot_tokens);
+        on_subtree(&level.entry(cursor), occurrences, slot_tokens);
     }
 
     for vl in &vls {

@@ -6,7 +6,7 @@ export XCLEAN_SCALE="${1:-1}"
 cargo build --release -p xclean-eval --bins
 mkdir -p results
 for exp in datasets querysets examples mrr precision beta_sweep \
-           gamma_sweep timing slca ablation prior smoothing; do
+           gamma_sweep timing slca ablation prior smoothing walk_profile; do
     echo "== exp_${exp} (scale $XCLEAN_SCALE) =="
     "./target/release/exp_${exp}" | tee "results/exp_${exp}.txt"
 done

@@ -10,6 +10,10 @@
 //! slots aside, as a query of the same keyword and suggestion count that
 //! visits a handful — with an unbounded γ-table and under a γ that evicts.
 //!
+//! The gate's level table (DESIGN.md §15) is part of that warm state from
+//! the start: the engine constructor builds it, so not even the first
+//! query allocates for it.
+//!
 //! One `#[test]` only: the counting allocator is process-global, and the
 //! harness would run a second test on a parallel thread.
 
@@ -19,6 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xclean_suite::datagen::{generate_dblp, DblpConfig};
 use xclean_suite::index::{CorpusIndex, TokenId};
 use xclean_suite::xclean::{SuggestResponse, XCleanConfig, XCleanEngine};
+
+mod support;
 
 struct Counting;
 
@@ -115,8 +121,49 @@ fn heavy_and_light(corpus: &CorpusIndex) -> (Vec<String>, Vec<String>) {
     )
 }
 
+/// Over the mixed-content library (result types at and below the gate,
+/// text between entities): constructing an engine leaves the level table
+/// of its `min_depth` built, and a warm query allocates the same when
+/// repeated.
+fn level_tables_are_built_by_the_constructor() {
+    let corpus = std::sync::Arc::new(CorpusIndex::build(support::mixed_depth_library(12)));
+    let queries: Vec<Vec<String>> = support::LIBRARY_QUERIES
+        .iter()
+        .map(|q| q.split_whitespace().map(str::to_string).collect())
+        .collect();
+    for min_depth in [2u32, 3] {
+        let engine = XCleanEngine::from_shared(
+            corpus.clone(),
+            XCleanConfig {
+                epsilon: 1,
+                min_depth,
+                ..XCleanConfig::default()
+            },
+        );
+        let (built, entities) = allocations(|| corpus.level(min_depth).len());
+        assert_eq!(built, 0, "min_depth={min_depth}: the constructor builds");
+        assert!(entities > 0);
+        for q in &queries {
+            // Warm on the query itself: the pooled arena sheds per-slot
+            // buffers when a query with fewer keywords passes through.
+            engine.suggest_keywords(q);
+            let (first, _) = net_allocations(&engine, q);
+            let (again, _) = net_allocations(&engine, q);
+            assert_eq!(first, again, "min_depth={min_depth} {q:?}");
+            assert!(
+                first < 64,
+                "min_depth={min_depth} {q:?}: {first} allocations"
+            );
+        }
+    }
+    // The probe does see a build: nothing asked for depth 4 yet.
+    let (built, _) = allocations(|| corpus.level(4).len());
+    assert!(built > 0, "an unvisited depth builds on first request");
+}
+
 #[test]
 fn hot_path_allocations_do_not_grow_with_the_work_walked() {
+    level_tables_are_built_by_the_constructor();
     let tree = generate_dblp(&DblpConfig {
         publications: 30_000,
         ..DblpConfig::default()

@@ -8,6 +8,8 @@ use xclean_suite::datagen::{generate_dblp, generate_inex, DblpConfig, InexConfig
 use xclean_suite::index::CorpusIndex;
 use xclean_suite::xclean::{run_xclean, KeywordSlot, VariantGenerator, XCleanConfig};
 
+mod support;
+
 fn check_agreement(corpus: &CorpusIndex, queries: &[&str], epsilon: usize) {
     let gen = VariantGenerator::build(corpus, epsilon, 14);
     let cfg = XCleanConfig {
@@ -155,34 +157,60 @@ fn agreement_under_jelinek_mercer_smoothing() {
     }
 }
 
+/// `min_depth` moves the gate, and with it which table the walk seeks in
+/// and which candidates score from the gate's own entry (result type at
+/// the gate depth) or from the tree (deeper result types).
 #[test]
 fn agreement_across_min_depths() {
-    let corpus = CorpusIndex::build(generate_inex(&InexConfig {
+    let inex = CorpusIndex::build(generate_inex(&InexConfig {
         articles: 80,
         seed: 5,
         ..Default::default()
     }));
-    let gen = VariantGenerator::build(&corpus, 1, 14);
-    for d in [1u32, 2, 3, 4] {
-        let cfg = XCleanConfig {
-            epsilon: 1,
-            gamma: None,
-            min_depth: d,
-            ..Default::default()
-        };
-        let slots: Vec<KeywordSlot> = ["history", "empire"]
-            .iter()
-            .map(|k| KeywordSlot {
-                keyword: k.to_string(),
-                variants: gen.variants(k),
-            })
-            .collect();
-        let fast = run_xclean(&corpus, &slots, &cfg);
-        let slow = run_naive(&corpus, &slots, &cfg);
-        assert_eq!(fast.candidates.len(), slow.len(), "d={d}");
-        for (f, s) in fast.candidates.iter().zip(slow.iter()) {
-            assert_eq!(f.tokens, s.tokens, "d={d}");
-            assert!((f.log_score - s.log_score).abs() < 1e-9, "d={d}");
+    // Indexed text on shelves and books, i.e. shallower than the gate and
+    // between entities from `min_depth` 3 up.
+    let library = CorpusIndex::build(support::mixed_depth_library(10));
+    for (corpus, queries, both_branches) in [
+        (&inex, &["history empire"][..], false),
+        (&library, &support::LIBRARY_QUERIES[..], true),
+    ] {
+        let gen = VariantGenerator::build(corpus, 1, 14);
+        for d in [1u32, 2, 3, 4] {
+            let cfg = XCleanConfig {
+                epsilon: 1,
+                gamma: None,
+                min_depth: d,
+                ..Default::default()
+            };
+            let (mut at_gate, mut below_gate) = (0, 0);
+            for q in queries {
+                let slots: Vec<KeywordSlot> = q
+                    .split_whitespace()
+                    .map(|k| KeywordSlot {
+                        keyword: k.to_string(),
+                        variants: gen.variants(k),
+                    })
+                    .collect();
+                let fast = run_xclean(corpus, &slots, &cfg);
+                let slow = run_naive(corpus, &slots, &cfg);
+                assert_eq!(fast.candidates.len(), slow.len(), "d={d} {q:?}");
+                for (f, s) in fast.candidates.iter().zip(slow.iter()) {
+                    assert_eq!(f.tokens, s.tokens, "d={d} {q:?}");
+                    assert!((f.log_score - s.log_score).abs() < 1e-9, "d={d} {q:?}");
+                    assert_eq!(f.entity_count, s.entity_count, "d={d} {q:?}");
+                    if corpus.tree().paths().depth(f.result_path) == d {
+                        at_gate += 1;
+                    } else {
+                        below_gate += 1;
+                    }
+                }
+            }
+            if both_branches {
+                assert!(
+                    at_gate > 0 && below_gate > 0,
+                    "d={d}: {at_gate} result types at the gate depth, {below_gate} below it"
+                );
+            }
         }
     }
 }

@@ -24,6 +24,8 @@ use xclean_suite::datagen::{
 use xclean_suite::index::{partition_corpus, CorpusIndex};
 use xclean_suite::xclean::{ShardedEngine, SuggestResponse, XCleanConfig, XCleanEngine};
 
+mod support;
+
 /// Full bit-level equality, score bits included: `==` on `f64` would
 /// accept `-0.0 == 0.0` and reorderings that round the same way.
 fn assert_bit_identical(q: &[String], a: &SuggestResponse, b: &SuggestResponse, what: &str) {
@@ -147,6 +149,29 @@ fn dblp_1000_bit_identity_under_binding_gamma() {
         ..Default::default()
     };
     check_matrix(parent, dblp_1000(), &queries, &config, "dblp-1000/gamma=3");
+}
+
+#[test]
+fn mixed_depth_library_bit_identity_at_and_below_the_gate() {
+    // Shard-local paths of the gate's level-table entries must map to the
+    // global ids the candidates' result types carry: at `min_depth` 2 the
+    // gate is the shelf, at 3 the book with shelf text between entities,
+    // and the queries' result types sit at and below either gate
+    // (`cross_validation.rs::agreement_across_min_depths` asserts that).
+    let build = || CorpusIndex::build(support::mixed_depth_library(12));
+    let queries: Vec<Vec<String>> = support::LIBRARY_QUERIES
+        .iter()
+        .map(|q| q.split_whitespace().map(str::to_string).collect())
+        .collect();
+    for min_depth in [2, 3] {
+        let config = XCleanConfig {
+            epsilon: 1,
+            min_depth,
+            ..Default::default()
+        };
+        let what = format!("library/min_depth={min_depth}");
+        check_matrix(build(), build(), &queries, &config, &what);
+    }
 }
 
 /// The same matrix at 5k publications. Costs tens of seconds in release;
