@@ -17,10 +17,8 @@
 
 use xclean::walk::walk_gated_subtrees;
 use xclean::{KeywordSlot, RunStats, XCleanConfig, XCleanEngine};
-use xclean_datagen::{
-    generate_large_dblp, make_workload, LargeDblpConfig, Perturbation, WorkloadSpec,
-};
-use xclean_eval::datasets::{default_config, scale};
+use xclean_datagen::{generate_large_dblp, LargeDblpConfig};
+use xclean_eval::datasets::{default_config, profile_pool, profile_publications, scale};
 use xclean_eval::report::render_table;
 use xclean_index::{AccessStats, CorpusIndex, PostingList};
 use xclean_xmltree::NodeId;
@@ -162,8 +160,7 @@ fn member_moves(
 
 fn main() {
     let scale = scale();
-    let publications = ((100_000.0 * scale) as usize).max(500);
-    let per_set = ((1024.0 * scale) as usize).clamp(40, 1024);
+    let publications = profile_publications(scale);
     println!(
         "== walk profile: large DBLP, {publications} publications, RAND+RULE pool \
          (pass-style, min of {PASSES} passes) ==\n"
@@ -177,19 +174,7 @@ fn main() {
     );
     let corpus = engine.corpus();
     let config = engine.config();
-    let mut pool: Vec<Vec<String>> = Vec::new();
-    for perturbation in [Perturbation::Rand, Perturbation::Rule] {
-        let spec = WorkloadSpec {
-            n_queries: per_set,
-            ..WorkloadSpec::dblp(perturbation)
-        };
-        pool.extend(
-            make_workload(corpus, &spec)
-                .cases
-                .into_iter()
-                .map(|c| c.dirty),
-        );
-    }
+    let pool = profile_pool(corpus, scale);
 
     // What each query walks, and the member moves of one pass.
     let mut moves = Moves::default();

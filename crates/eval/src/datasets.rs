@@ -9,6 +9,7 @@ use xclean_datagen::{
     generate_dblp, generate_inex, make_workload, DblpConfig, InexConfig, Perturbation, QuerySet,
     WorkloadSpec, COMMON_MISSPELLINGS,
 };
+use xclean_index::CorpusIndex;
 
 /// Scale factor for corpus sizes, read from `XCLEAN_SCALE` (default 1.0).
 /// CI and quick runs can set e.g. `XCLEAN_SCALE=0.1`.
@@ -59,6 +60,29 @@ pub fn query_sets(engine: &XCleanEngine, dataset: &str) -> Vec<QuerySet> {
         .into_iter()
         .map(|p| make_workload(engine.corpus(), &spec(p)))
         .collect()
+}
+
+/// Publications of the large generated corpus the profile diagnostics
+/// run over (scale 1.0 → the 100 000 of the `xbench` corpus).
+pub fn profile_publications(scale: f64) -> usize {
+    ((100_000.0 * scale) as usize).max(500)
+}
+
+/// The profile diagnostics' query pool: RAND then RULE dirty queries over
+/// `corpus`, the shape of the `xbench` pool (scale 1.0 → 1024 of each)
+/// but not its seeds.
+pub fn profile_pool(corpus: &CorpusIndex, scale: f64) -> Vec<Vec<String>> {
+    let per_set = ((1024.0 * scale) as usize).clamp(40, 1024);
+    let mut pool = Vec::new();
+    for perturbation in [Perturbation::Rand, Perturbation::Rule] {
+        let spec = WorkloadSpec {
+            n_queries: per_set,
+            ..WorkloadSpec::dblp(perturbation)
+        };
+        let cases = make_workload(corpus, &spec).cases;
+        pool.extend(cases.into_iter().map(|c| c.dirty));
+    }
+    pool
 }
 
 /// Builds the two simulated search engines from a synthetic query log:

@@ -9,15 +9,18 @@
 //! Myers bit-parallel scan in [`crate::myers`], which is exact and
 //! allocation-free; longer inputs fall back to the classic rolling-row /
 //! banded DP below. Strings of ≤64 scalars are also collected into stack
-//! buffers, so the candidate-verification hot path
-//! ([`edit_distance_within`] under `VariantIndex::query_within`) performs
-//! zero heap allocations.
+//! buffers, so a comparison performs zero heap allocations.
+//!
+//! Candidate verification (`VariantIndex::query_within`) compares one
+//! query keyword with many vocabulary words; [`Verifier`] holds the
+//! keyword's side — decoded once, its Myers masks filled once — and
+//! answers exactly what [`edit_distance_within`] would.
 
 use crate::myers;
 
 /// Collects `s` into a stack buffer when it has ≤64 scalars (the common
 /// case for vocabulary terms), falling back to the heap above that.
-fn with_chars<R>(s: &str, f: impl FnOnce(&[char]) -> R) -> R {
+pub(crate) fn with_chars<R>(s: &str, f: impl FnOnce(&[char]) -> R) -> R {
     let mut stack = ['\0'; myers::MAX_PATTERN];
     let mut n = 0;
     for c in s.chars() {
@@ -130,6 +133,41 @@ fn edit_distance_within_chars(a: &[char], b: &[char], max: usize) -> Option<usiz
     (d <= max).then_some(d)
 }
 
+/// One string prepared for comparison with many:
+/// `Verifier::new(q).within(w, max) == edit_distance_within(q_str, w, max)`
+/// for every `w` and `max`.
+///
+/// A query of 1 ..= 64 scalars is the fixed Myers *pattern* whichever
+/// string is shorter — the distance is symmetric and the scan exact for
+/// any text length — so its equivalence masks are built once per keyword
+/// instead of once per candidate, and a candidate is scanned straight
+/// off its UTF-8 bytes. Longer (and empty) queries take the pairwise
+/// routine.
+pub(crate) struct Verifier<'q> {
+    query: &'q [char],
+    pattern: Option<myers::Pattern>,
+}
+
+impl<'q> Verifier<'q> {
+    pub(crate) fn new(query: &'q [char]) -> Self {
+        let fits = (1..=myers::MAX_PATTERN).contains(&query.len());
+        Verifier {
+            query,
+            pattern: fits.then(|| myers::Pattern::new(query)),
+        }
+    }
+
+    pub(crate) fn within(&self, word: &str, max: usize) -> Option<usize> {
+        match &self.pattern {
+            Some(pattern) => {
+                let d = pattern.distance(word.chars());
+                (d <= max).then_some(d)
+            }
+            None => with_chars(word, |w| edit_distance_within_chars(self.query, w, max)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +225,51 @@ mod tests {
     #[test]
     fn length_filter_short_circuits() {
         assert_eq!(edit_distance_within("ab", "abcdefgh", 2), None);
+    }
+
+    /// `Verifier` against both pairwise routines, either string prepared.
+    pub(super) fn assert_verifier_agrees(a: &str, b: &str) {
+        let full = edit_distance(a, b);
+        assert_eq!(full, edit_distance(b, a));
+        for (query, word) in [(a, b), (b, a)] {
+            let chars: Vec<char> = query.chars().collect();
+            let verifier = Verifier::new(&chars);
+            for max in 0..=3 {
+                let expect = (full <= max).then_some(full);
+                assert_eq!(
+                    verifier.within(word, max),
+                    expect,
+                    "{query:?} {word:?} {max}"
+                );
+                assert_eq!(edit_distance_within(query, word, max), expect);
+            }
+        }
+    }
+
+    #[test]
+    fn a_prepared_query_verifies_like_the_pairwise_routine() {
+        let block = "abcdefgh".repeat(8);
+        assert_eq!(block.chars().count(), 64);
+        // Bit 63: the last scalar of a full block differs, is missing, is extra.
+        let last_differs = format!("{}x", &block[..63]);
+        assert_verifier_agrees(&block, &last_differs);
+        assert_verifier_agrees(&block, &block[..63]);
+        assert_verifier_agrees(&block, &format!("{block}h"));
+        // 65 scalars: no pattern, the pairwise fallback.
+        let over = format!("{block}a");
+        assert_verifier_agrees(&over, &format!("{block}b"));
+        assert_verifier_agrees(&over, &format!("b{block}"));
+        assert_verifier_agrees(&over, &block[..63]);
+        // The empty string on either side.
+        for other in ["", "a", "ab", "abc", "abcd", "ä"] {
+            assert_verifier_agrees("", other);
+        }
+        // Text scalars outside the pattern's alphabet, both table kinds.
+        assert_verifier_agrees("abc", "äbc");
+        assert_verifier_agrees("abc", "一二三");
+        assert_verifier_agrees("schütze", "schutze");
+        assert_verifier_agrees("schütze", "schuetze");
+        assert_verifier_agrees("tree", "trie");
     }
 }
 
@@ -324,6 +407,37 @@ mod prop {
             let p: String = pattern.into_iter().collect();
             let t: String = text.into_iter().collect();
             prop_assert_eq!(edit_distance(&p, &t), reference_dp(&p, &t));
+        }
+
+        /// A query prepared once as the fixed Myers pattern gives the
+        /// distance the pairwise routines give — for strings a few edits
+        /// apart and for unrelated ones, whichever is longer, across the
+        /// 64-scalar block boundary, over one-, two-, three- and
+        /// four-byte scalars.
+        #[test]
+        fn prepared_query_matches_pairwise(
+            a in proptest::collection::vec(0usize..10, 0..70),
+            b in proptest::collection::vec(0usize..10, 0..70),
+            edits in proptest::collection::vec((0usize..3, 0usize..70, 0usize..10), 0..4),
+        ) {
+            const ALPHABET: [char; 10] = ['a', 'b', 'c', 'd', 'ä', 'ß', 'α', '一', '二', '😀'];
+            let text = |picks: &[usize]| -> String { picks.iter().map(|&i| ALPHABET[i]).collect() };
+            let mut near: Vec<char> = text(&a).chars().collect();
+            for (kind, at, pick) in edits {
+                let len = near.len();
+                match kind {
+                    0 if len > 0 => near[at % len] = ALPHABET[pick],
+                    1 if len > 0 => {
+                        near.remove(at % len);
+                    }
+                    _ => near.insert(at % (len + 1), ALPHABET[pick]),
+                }
+            }
+            let near: String = near.into_iter().collect();
+            prop_assert_eq!(edit_distance(&text(&a), &near), reference_dp(&text(&a), &near));
+            super::tests::assert_verifier_agrees(&text(&a), &near);
+            super::tests::assert_verifier_agrees(&text(&a), &text(&b));
+            super::tests::assert_verifier_agrees(&text(&a), "");
         }
 
         #[test]

@@ -24,6 +24,6 @@ pub mod neighborhood;
 pub mod soundex;
 
 pub use edit_distance::{edit_distance, edit_distance_within};
-pub use index::{NaiveVariantFinder, VariantIndex, VariantIndexConfig, VariantMatch};
+pub use index::{NaiveVariantFinder, TableStats, VariantIndex, VariantIndexConfig, VariantMatch};
 pub use neighborhood::{deletion_neighborhood, neighborhood_bound};
 pub use soundex::{soundex, sounds_like, SoundexCode};

@@ -18,65 +18,146 @@
 //! verifies every deletion-neighborhood hit), so the pattern equivalence
 //! masks avoid heap allocation entirely: an ASCII pattern uses a stacked
 //! 128-entry table, and a general Unicode pattern uses a stacked
-//! association list (≤64 distinct scalars by construction).
+//! association list (≤64 distinct scalars by construction). The masks
+//! are a [`Pattern`] of their own so that a caller comparing one string
+//! with many — the query keyword with each of its candidates — fills
+//! them once.
 
 /// Longest pattern (in Unicode scalars) the single-block fast path takes.
 pub(crate) const MAX_PATTERN: usize = 64;
 
-/// Exact Levenshtein distance with `pattern` as the bit-parallel column.
+/// The equivalence masks of one pattern: bit `i` of the mask of `c` is
+/// set iff `pattern[i] == c`.
+pub(crate) struct Pattern {
+    len: usize,
+    masks: Masks,
+}
+
+enum Masks {
+    Ascii(AsciiMasks),
+    Scalars(ScalarMasks),
+}
+
+/// ASCII fast table: branch-free equivalence lookups.
+struct AsciiMasks([u64; 128]);
+
+/// General Unicode: an association list of the pattern's distinct
+/// scalars (≤64 entries, cache-resident).
+struct ScalarMasks([(char, u64); MAX_PATTERN], usize);
+
+// Both tables are a kilobyte and are filled where they stand (`EMPTY`,
+// then `fill`): returned by value from a constructor they were copied,
+// which cost the pairwise `distance` a quarter of its time.
+impl AsciiMasks {
+    const EMPTY: Self = AsciiMasks([0; 128]);
+
+    fn fits(pattern: &[char]) -> bool {
+        pattern.iter().all(|&c| (c as u32) < 128)
+    }
+
+    /// `pattern` must [`fit`](Self::fits).
+    #[inline]
+    fn fill(&mut self, pattern: &[char]) {
+        for (i, &c) in pattern.iter().enumerate() {
+            self.0[c as usize] |= 1 << i;
+        }
+    }
+
+    #[inline]
+    fn eq(&self, c: char) -> u64 {
+        // Text scalars outside the pattern's alphabet match nothing.
+        self.0.get(c as usize).copied().unwrap_or(0)
+    }
+}
+
+impl ScalarMasks {
+    const EMPTY: Self = ScalarMasks([('\0', 0); MAX_PATTERN], 0);
+
+    #[inline]
+    fn fill(&mut self, pattern: &[char]) {
+        let ScalarMasks(keys, n) = self;
+        for (i, &c) in pattern.iter().enumerate() {
+            match keys[..*n].iter_mut().find(|(k, _)| *k == c) {
+                Some((_, mask)) => *mask |= 1 << i,
+                None => {
+                    keys[*n] = (c, 1 << i);
+                    *n += 1;
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn eq(&self, c: char) -> u64 {
+        self.0[..self.1]
+            .iter()
+            .find(|(k, _)| *k == c)
+            .map_or(0, |&(_, mask)| mask)
+    }
+}
+
+impl Pattern {
+    /// Prepares `pattern` as the bit-parallel column.
+    ///
+    /// Requirements (checked in debug builds): `1 <= pattern.len() <= 64`.
+    pub(crate) fn new(pattern: &[char]) -> Self {
+        debug_assert!(!pattern.is_empty() && pattern.len() <= MAX_PATTERN);
+        let mut masks = if AsciiMasks::fits(pattern) {
+            Masks::Ascii(AsciiMasks::EMPTY)
+        } else {
+            Masks::Scalars(ScalarMasks::EMPTY)
+        };
+        match &mut masks {
+            Masks::Ascii(masks) => masks.fill(pattern),
+            Masks::Scalars(masks) => masks.fill(pattern),
+        }
+        Pattern {
+            len: pattern.len(),
+            masks,
+        }
+    }
+
+    /// Exact Levenshtein distance between the pattern and `text`. The
+    /// distance is symmetric, so which of two strings is the pattern
+    /// changes the work done and not the answer.
+    pub(crate) fn distance(&self, text: impl Iterator<Item = char>) -> usize {
+        match &self.masks {
+            Masks::Ascii(masks) => scan(self.len, text, |c| masks.eq(c)),
+            Masks::Scalars(masks) => scan(self.len, text, |c| masks.eq(c)),
+        }
+    }
+}
+
+/// Exact Levenshtein distance with `pattern` as the bit-parallel column,
+/// for a pair compared once.
 ///
 /// Requirements (checked in debug builds): `1 <= pattern.len() <= 64`.
 /// The caller puts the *shorter* string in `pattern` — that both
 /// maximizes the fast path's reach and minimizes per-step work.
 pub(crate) fn distance(pattern: &[char], text: &[char]) -> usize {
     debug_assert!(!pattern.is_empty() && pattern.len() <= MAX_PATTERN);
-    if pattern.iter().all(|&c| (c as u32) < 128) {
-        // ASCII fast table: branch-free equivalence lookups.
-        let mut peq = [0u64; 128];
-        for (i, &c) in pattern.iter().enumerate() {
-            peq[c as usize] |= 1 << i;
-        }
-        scan(pattern.len(), text, |c| {
-            let u = c as u32;
-            if u < 128 {
-                peq[u as usize]
-            } else {
-                0
-            }
-        })
+    let text = text.iter().copied();
+    if AsciiMasks::fits(pattern) {
+        let mut masks = AsciiMasks::EMPTY;
+        masks.fill(pattern);
+        scan(pattern.len(), text, |c| masks.eq(c))
     } else {
-        // General Unicode: a stacked association list of the pattern's
-        // distinct scalars (≤64 entries, cache-resident).
-        let mut keys = [('\0', 0u64); MAX_PATTERN];
-        let mut n = 0usize;
-        for (i, &c) in pattern.iter().enumerate() {
-            match keys[..n].iter_mut().find(|(k, _)| *k == c) {
-                Some((_, mask)) => *mask |= 1 << i,
-                None => {
-                    keys[n] = (c, 1 << i);
-                    n += 1;
-                }
-            }
-        }
-        scan(pattern.len(), text, |c| {
-            keys[..n]
-                .iter()
-                .find(|(k, _)| *k == c)
-                .map_or(0, |&(_, mask)| mask)
-        })
+        let mut masks = ScalarMasks::EMPTY;
+        masks.fill(pattern);
+        scan(pattern.len(), text, |c| masks.eq(c))
     }
 }
 
 /// The core scan: one Hyyrö step per text scalar. `eq(c)` returns the
 /// pattern-equivalence mask for `c` (bit `i` set iff `pattern[i] == c`).
-fn scan(m: usize, text: &[char], eq: impl Fn(char) -> u64) -> usize {
+fn scan(m: usize, text: impl Iterator<Item = char>, eq: impl Fn(char) -> u64) -> usize {
     let mut pv = !0u64;
     let mut mv = 0u64;
     let mut score = m;
     // Bits at positions ≥ m never influence bits < m (carries in the add
     // only propagate upward), so the unused high bits of pv are harmless.
     let hibit = 1u64 << (m - 1);
-    for &c in text {
+    for c in text {
         let eqc = eq(c);
         let xv = eqc | mv;
         let xh = (((eqc & pv).wrapping_add(pv)) ^ pv) | eqc;

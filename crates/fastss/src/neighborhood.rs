@@ -40,92 +40,62 @@ pub fn deletion_neighborhood(word: &str, epsilon: usize) -> Vec<String> {
     v
 }
 
-/// Invokes `f` for every member of the ε-deletion neighbourhood without
-/// materialising the full vector (used during index construction).
-pub fn for_each_deletion(word: &str, epsilon: usize, mut f: impl FnMut(&str)) {
-    for s in deletion_neighborhood(word, epsilon) {
-        f(&s);
-    }
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// One FNV-1a step.
+#[inline]
+pub(crate) fn fnv_byte(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+}
+
+/// FNV-1a over the four little-endian bytes of one scalar.
+#[inline]
+fn fnv_char(h: u64, c: char) -> u64 {
+    (c as u32).to_le_bytes().into_iter().fold(h, fnv_byte)
 }
 
 /// FNV-1a over a character sequence — the 64-bit *signature hash* the
-/// variant index keys its probe tables on (see
+/// variant index keys its probe table on (see
 /// [`for_each_deletion_signature`]). Equal strings always hash equal, so
 /// hashing can only *merge* signature buckets, never split them; merged
 /// buckets yield extra candidates that the exact edit-distance
-/// verification discards, keeping query results identical to the
+/// verification discards, keeping query results identical to a
 /// string-keyed scheme.
 pub fn signature_hash(chars: &[char]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &c in chars {
-        for b in (c as u32).to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    chars.iter().fold(FNV_OFFSET, |h, &c| fnv_char(h, c))
 }
 
 /// Calls `f` with the [`signature_hash`] of **every** ≤ε-deletion member
-/// of `word` — one call per *deletion-position set*, so members reachable
-/// through several deletion orders (or with repeated characters) are
-/// emitted more than once. Duplicate emissions probe or fill the same
-/// bucket and are deduplicated downstream; what matters for soundness is
-/// that no member's hash is ever skipped, which is what makes the hashed
-/// index candidate set a superset of the string-keyed one.
+/// of the word `chars` — one call per *deletion-position set*, so members
+/// reachable through several deletion orders (or with repeated
+/// characters) are emitted more than once. Duplicate emissions probe or
+/// fill the same bucket and are deduplicated downstream; what matters
+/// for soundness is that no member's hash is ever skipped, which is what
+/// makes the hashed index candidate set a superset of the string-keyed
+/// one.
 ///
-/// Allocation-free apart from one chars scratch: deletion sets are walked
-/// combinationally (strictly increasing positions), hashing the surviving
-/// characters directly — no member string is ever materialised.
-pub fn for_each_deletion_signature(word: &str, epsilon: usize, mut f: impl FnMut(u64)) {
-    // Stack buffer for the common short-word case (the partitioned scheme
-    // keeps indexed words at or under the partition threshold, well below
-    // 32 chars; longer query keywords spill to the heap).
-    let mut stack = ['\0'; 32];
-    let heap;
-    let n = word.chars().count();
-    let chars: &[char] = if n <= 32 {
-        for (slot, c) in stack.iter_mut().zip(word.chars()) {
-            *slot = c;
-        }
-        &stack[..n]
-    } else {
-        heap = word.chars().collect::<Vec<char>>();
-        &heap
-    };
-    let mut deleted = vec![usize::MAX; epsilon.min(n)];
-    rec_sig(chars, 0, epsilon.min(n), &mut deleted, 0, &mut f);
+/// Allocation-free: deletion sets are walked combinationally (strictly
+/// increasing positions) and the FNV state of the survivors before the
+/// last deleted position is carried down the recursion, so a member
+/// costs the hashing of its tail only and neither the member nor its
+/// deletion set is ever materialised.
+pub fn for_each_deletion_signature(chars: &[char], epsilon: usize, mut f: impl FnMut(u64)) {
+    rec_sig(chars, 0, epsilon.min(chars.len()), FNV_OFFSET, &mut f);
 }
 
-/// Emits the hash for the current deletion set, then extends it with each
-/// later position. `deleted[..depth]` holds strictly increasing indices.
-fn rec_sig(
-    chars: &[char],
-    start: usize,
-    remaining: usize,
-    deleted: &mut [usize],
-    depth: usize,
-    f: &mut impl FnMut(u64),
-) {
-    // Hash the characters surviving the current deletion set (two-pointer
-    // skip over the sorted deletion indices).
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut d = 0;
-    for (i, &c) in chars.iter().enumerate() {
-        if d < depth && deleted[d] == i {
-            d += 1;
-            continue;
-        }
-        for b in (c as u32).to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    f(h);
+/// `prefix` is the FNV state over the survivors among `chars[..start]`.
+/// Emits the member that keeps everything from `start` on, then deletes
+/// each later position in turn.
+fn rec_sig(chars: &[char], start: usize, remaining: usize, prefix: u64, f: &mut impl FnMut(u64)) {
+    f(chars[start..].iter().fold(prefix, |h, &c| fnv_char(h, c)));
     if remaining == 0 {
         return;
     }
-    for i in start..chars.len() {
-        deleted[depth] = i;
-        rec_sig(chars, i + 1, remaining - 1, deleted, depth + 1, f);
+    let mut kept = prefix;
+    for (i, &c) in chars.iter().enumerate().skip(start) {
+        rec_sig(chars, i + 1, remaining - 1, kept, f);
+        kept = fnv_char(kept, c);
     }
 }
 
@@ -201,7 +171,8 @@ mod tests {
         for word in ["cat", "aaa", "abcdef", "schütze", ""] {
             for eps in 0..4 {
                 let mut sigs = HashSet::new();
-                for_each_deletion_signature(word, eps, |h| {
+                let chars: Vec<char> = word.chars().collect();
+                for_each_deletion_signature(&chars, eps, |h| {
                     sigs.insert(h);
                 });
                 for m in deletion_neighborhood(word, eps) {
@@ -215,13 +186,39 @@ mod tests {
         }
     }
 
+    /// Carrying the prefix's FNV state down the recursion changes no
+    /// value: the emissions are the hashes of the survivors of every
+    /// deletion-position set of at most ε positions, each exactly once.
+    #[test]
+    fn emissions_are_the_hashes_of_every_deletion_set() {
+        for word in ["", "a", "cat", "aaaa", "schütze", "abcdefgh"] {
+            let chars: Vec<char> = word.chars().collect();
+            for eps in 0..4 {
+                let mut emitted = Vec::new();
+                for_each_deletion_signature(&chars, eps, |h| emitted.push(h));
+                let mut expected: Vec<u64> = (0u32..1 << chars.len())
+                    .filter(|deleted| deleted.count_ones() as usize <= eps)
+                    .map(|deleted| {
+                        let kept = chars.iter().enumerate();
+                        let kept = kept.filter(|(i, _)| deleted & (1 << i) == 0);
+                        signature_hash(&kept.map(|(_, &c)| c).collect::<Vec<_>>())
+                    })
+                    .collect();
+                emitted.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(emitted, expected, "{word:?} eps {eps}");
+            }
+        }
+    }
+
     /// One emission per deletion-position set: exactly `Σ C(n, i)` calls.
     #[test]
     fn signature_emission_count_matches_bound() {
         for word in ["a", "cat", "abcdef", "aaaa"] {
             for eps in 0..4 {
                 let mut count = 0usize;
-                for_each_deletion_signature(word, eps, |_| count += 1);
+                let chars: Vec<char> = word.chars().collect();
+                for_each_deletion_signature(&chars, eps, |_| count += 1);
                 assert_eq!(count, neighborhood_bound(word.chars().count(), eps));
             }
         }

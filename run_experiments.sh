@@ -6,7 +6,8 @@ export XCLEAN_SCALE="${1:-1}"
 cargo build --release -p xclean-eval --bins
 mkdir -p results
 for exp in datasets querysets examples mrr precision beta_sweep \
-           gamma_sweep timing slca ablation prior smoothing walk_profile; do
+           gamma_sweep timing slca ablation prior smoothing walk_profile \
+           variant_profile; do
     echo "== exp_${exp} (scale $XCLEAN_SCALE) =="
     "./target/release/exp_${exp}" | tee "results/exp_${exp}.txt"
 done

@@ -14,6 +14,11 @@
 //! the start: the engine constructor builds it, so not even the first
 //! query allocates for it.
 //!
+//! Slot building has a budget of its own (DESIGN.md §15, "Hashed FastSS
+//! probes"): a keyword's lookup allocates its key scratch and the variant
+//! vector it returns, whether it probes seven keys or two hundred and
+//! verifies one candidate or hundreds.
+//!
 //! One `#[test]` only: the counting allocator is process-global, and the
 //! harness would run a second test on a parallel thread.
 
@@ -161,6 +166,45 @@ fn level_tables_are_built_by_the_constructor() {
     assert!(built > 0, "an unvisited depth builds on first request");
 }
 
+/// `make_slots` over one keyword at a time allocates four times — the
+/// slot vector, the keyword's copy, the lookup's key scratch, the
+/// variants — for a 3-letter word with seven keys and dozens of
+/// candidates as for a 14-letter word with 121 keys or a word long
+/// enough for the segment probes; three times when no probed slot is
+/// occupied and there is nothing to verify.
+fn slot_allocations_do_not_grow_with_probes_or_candidates(engine: &XCleanEngine) {
+    let vocab = engine.corpus().vocab();
+    let lowercase = |t: &&str| t.bytes().all(|b| b.is_ascii_lowercase());
+    let mut keywords: Vec<String> = [3, 5, 8, 11, 14]
+        .iter()
+        .map(|&len| {
+            let mut of_len = vocab.iter_terms().filter(|t| t.len() == len);
+            of_len.find(lowercase).expect("a term of every length")
+        })
+        .map(str::to_string)
+        .collect();
+    // One edit away from a term, so nothing is found at distance 0.
+    keywords.push(format!("{}x", keywords[2]));
+    // Past the partition threshold: segment keys as well.
+    keywords.push("internationalisation".to_string());
+    keywords.push("zzzzzzzzzzzzzzzzzzzzzzzz".to_string());
+    let mut variants = Vec::new();
+    for keyword in keywords {
+        let query = [keyword];
+        let (calls, slots) = allocations(|| engine.make_slots(&query));
+        let found = slots[0].variants.len();
+        assert!(
+            calls == 4 || (calls == 3 && found == 0),
+            "{query:?}: {calls} allocations, {found} variants"
+        );
+        variants.push(found);
+    }
+    assert!(
+        variants.iter().max() >= Some(&20) && variants.contains(&0),
+        "{variants:?}"
+    );
+}
+
 #[test]
 fn hot_path_allocations_do_not_grow_with_the_work_walked() {
     level_tables_are_built_by_the_constructor();
@@ -182,6 +226,7 @@ fn hot_path_allocations_do_not_grow_with_the_work_walked() {
             },
         );
         assert_eq!(engine.config().num_threads, 1);
+        slot_allocations_do_not_grow_with_probes_or_candidates(&engine);
         // Warm: decode posting lists, grow the pooled arena to the heavy
         // query's needs, resolve metric handles.
         for _ in 0..2 {
