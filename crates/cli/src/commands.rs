@@ -99,26 +99,28 @@ USAGE:
             [--semantics node-type|slca|elca] [--phonetic DIST]
             [--trace-out trace.json] [--metrics-json metrics.json]
             [--slow-ms MS] [--slow-log FILE] [--slo-ms MS]
-            [--log-level SPEC] [--log-json]
+            [--log-level error|warn|info|debug|trace]
             [--flight-events N] [--conn-registry N]
             (long-running HTTP server: POST/GET /suggest, GET /healthz,
              GET /metrics, GET /statusz, GET /debug/requests?n=K,
              GET /debug/conns?n=K, GET /debug/flight?events=N;
              with --catalog, every declared corpus is served under
              POST/GET /suggest/<name> — sharded entries scatter-gather
-             across their snapshots — while bare /suggest, /healthz
-             and the unlabelled /metrics series keep tracking the
-             first (primary) catalog entry;
+             across their snapshots — while bare /suggest and the
+             top-level /healthz fields keep tracking the first
+             (primary) catalog entry; /metrics carries the server's own
+             series unlabelled and every corpus's engine, cache and
+             request series under a `corpus` label;
              answers repeated queries from a sharded LRU response cache;
              every response carries an X-Request-Id; requests slower
              than --slow-ms (default 100) are logged as JSON lines to
              --slow-log (default stderr); requests slower than --slo-ms
              (default 50) count as SLO breaches in the per-corpus burn
              rates on /statusz and /metrics; Ctrl-C drains in-flight
-             requests, then flushes --trace-out / --metrics-json)
-            (--log-level takes a spec like `info` or
-             `info,xclean_server=debug`; --log-json switches the leveled
-             stderr logger from logfmt to JSON lines; --flight-events
+             requests, then flushes --trace-out / --metrics-json, the
+             latter as {server: {…}, corpora: {<name>: {…}, …}})
+            (--log-level sets the threshold of the leveled logfmt
+             stderr logger, default info; --flight-events
              sizes the runtime flight recorder and --conn-registry the
              live-connection registry — 0 disables either)
             (connections are HTTP/1.1 keep-alive with pipelining, served
@@ -690,7 +692,7 @@ fn cmd_suggest_batch(engine: &XCleanEngine, path: &str, json: bool) -> Result<Cm
 /// SIGINT/SIGTERM triggers a graceful drain; the returned lines are the
 /// post-drain summary.
 fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
-    let args = Args::parse(raw, &["mmap", "no-mmap", "log-json"])?;
+    let args = Args::parse(raw, &["mmap", "no-mmap"])?;
     args.reject_unknown(&[
         "catalog",
         "host",
@@ -715,7 +717,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         "slo-ms",
         "slow-log",
         "log-level",
-        "log-json",
         "flight-events",
         "conn-registry",
     ])?;
@@ -764,14 +765,16 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     // The leveled stderr logger goes up before anything can log. A
     // second `serve` in one process keeps the first logger (set_global
     // is first-wins) — fine for a CLI that serves once.
-    let log_spec = xclean_telemetry::LevelSpec::parse(args.get("log-level").unwrap_or("info"))
-        .map_err(|e| ArgError(format!("--log-level: {e}")))?;
-    let log_format = if args.has_flag("log-json") {
-        xclean_telemetry::LogFormat::Json
-    } else {
-        xclean_telemetry::LogFormat::Logfmt
-    };
-    xclean_telemetry::set_global(xclean_telemetry::Logger::stderr(log_spec, log_format));
+    let log_level = args.get("log-level").unwrap_or("info");
+    if log_level.contains('=') {
+        return Err(ArgError(format!(
+            "--log-level {log_level}: per-target filters (target=level) are gone; \
+             give one level: error, warn, info, debug or trace"
+        )));
+    }
+    let log_level = xclean_telemetry::Level::parse(log_level)
+        .ok_or_else(|| ArgError(format!("--log-level: unknown log level '{log_level}'")))?;
+    xclean_telemetry::set_global(xclean_telemetry::Logger::stderr(log_level));
     let server_config = ServerConfig {
         threads: args.get_parsed("threads", defaults.threads)?,
         max_connections: args.get_parsed("max-connections", defaults.max_connections)?,
@@ -920,8 +923,8 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         ));
         corpora.push(("default".to_string(), Arc::clone(engine.pipeline())));
     }
-    // The primary (first) tenant's handles feed the post-drain trace and
-    // metrics flushes, exactly like the engine did in single-corpus mode.
+    // The primary (first) tenant's tracer feeds the post-drain trace
+    // flush, exactly like the engine did in single-corpus mode.
     let primary_engine = corpora[0].1.clone();
     let addr = format!("{host}:{port}");
     let server = SuggestServer::bind_tenants(corpora, &addr, server_config)
@@ -929,6 +932,9 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     let bound = server
         .local_addr()
         .map_err(|e| ArgError(format!("{addr}: {e}")))?;
+
+    // `run` consumes the server; the metrics flush reads these after it.
+    let (server_metrics, tenants) = (server.metrics().clone(), Arc::clone(server.tenants()));
 
     xclean_server::install_signal_handler();
     // Banner goes out before the blocking event loop — CmdOutput lines
@@ -991,7 +997,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         lines.push(format!("trace: {spans} spans → {path} (chrome://tracing)"));
     }
     if let Some(path) = metrics_out {
-        std::fs::write(&path, primary_engine.metrics().metrics_json())
+        std::fs::write(&path, tenants.metrics_json(&server_metrics))
             .map_err(|e| ArgError(format!("{path}: {e}")))?;
         lines.push(format!("metrics → {path}"));
     }
@@ -1476,6 +1482,23 @@ mod tests {
                 out.lines
             );
         }
+        // --log-level is one level: the per-target grammar is refused
+        // by name.
+        let out = run(argv(&[
+            "serve",
+            &idx,
+            "--log-level",
+            "warn,xclean_server=debug",
+        ]));
+        assert_eq!(out.code, 2);
+        assert!(out.lines[0].contains("per-target"), "{:?}", out.lines);
+        let out = run(argv(&["serve", &idx, "--log-level", "loud"]));
+        assert_eq!(out.code, 2);
+        assert!(
+            out.lines[0].contains("unknown log level"),
+            "{:?}",
+            out.lines
+        );
         // A zero connection cap is rejected before binding.
         let out = run(argv(&["serve", &idx, "--max-connections", "0"]));
         assert_eq!(out.code, 2);

@@ -62,13 +62,14 @@ impl LruShard {
         Some(value)
     }
 
-    /// Inserts (or refreshes) an entry; returns the number of evictions.
-    fn insert(&mut self, key: CacheKey, value: Arc<str>) -> u64 {
+    /// Inserts (or refreshes) an entry; returns whether the key was new
+    /// and the number of evictions it caused.
+    fn insert(&mut self, key: CacheKey, value: Arc<str>) -> (bool, u64) {
         self.clock += 1;
         if let Some((_, old)) = self.entries.insert(key.clone(), (value, self.clock)) {
             self.recency.remove(&old);
             self.recency.insert(self.clock, key);
-            return 0;
+            return (false, 0);
         }
         self.recency.insert(self.clock, key);
         let mut evicted = 0;
@@ -77,7 +78,7 @@ impl LruShard {
             self.entries.remove(&victim);
             evicted += 1;
         }
-        evicted
+        (true, evicted)
     }
 }
 
@@ -137,21 +138,15 @@ impl ResponseCache {
         if guard.capacity == 0 {
             return;
         }
-        let evicted = guard.insert(key, value);
+        let (new, evicted) = guard.insert(key, value);
+        // Kept by delta under the shard's own lock, so `stored` is the
+        // sum of shard lengths whenever no insert is in progress.
+        self.stored.fetch_add(u64::from(new), Ordering::Relaxed);
+        self.stored.fetch_sub(evicted, Ordering::Relaxed);
         drop(guard);
         if evicted > 0 {
             self.evictions.add(evicted);
         }
-        self.recount();
-    }
-
-    fn recount(&self) {
-        let total: usize = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock").entries.len())
-            .sum();
-        self.stored.store(total as u64, Ordering::Relaxed);
     }
 
     /// Number of currently cached entries.
@@ -255,6 +250,37 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.counters().2, 0, "refresh never evicts");
         assert_eq!(c.get(&key("a", 0)).as_deref(), Some("v2"));
+    }
+
+    /// `len()` is kept by delta, never recounted: after any mix of fresh
+    /// inserts, re-inserts and evictions it equals the sum of the shard
+    /// lengths, at every capacity/shard shape.
+    #[test]
+    fn len_tracks_the_shards_through_inserts_reinserts_and_evictions() {
+        for (capacity, shards) in [(1, 1), (1, 8), (3, 1), (3, 8), (64, 1), (64, 8)] {
+            let c = cache(capacity, shards);
+            let shard_sum = |c: &ResponseCache| -> usize {
+                c.shards
+                    .iter()
+                    .map(|s| s.lock().unwrap().entries.len())
+                    .sum()
+            };
+            for round in 0..3 {
+                for i in 0..(2 * capacity + 5) {
+                    // Fresh keys, then the same keys again (refresh or
+                    // re-admission after eviction), with lookups between.
+                    c.insert(key(&format!("q{i}"), 7), Arc::from("v"));
+                    if i % 3 == 0 {
+                        c.insert(key(&format!("q{i}"), 7), Arc::from("v2"));
+                        let _ = c.get(&key(&format!("q{}", i / 2), 7));
+                    }
+                    assert_eq!(c.len(), shard_sum(&c), "{capacity}/{shards} r{round} i{i}");
+                    assert!(c.len() <= capacity);
+                }
+            }
+            assert!(c.counters().2 > 0, "{capacity}/{shards}: nothing evicted");
+            c.check_consistency().unwrap();
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   configured threshold is additionally written as one JSON line to
 //!   stderr or `--slow-log <path>` — the durable record of slow
 //!   requests, since fast traffic does evict them from the ring;
-//! - [`RollingWindows`] (1m/5m/15m) behind the `_window` series on
-//!   `GET /metrics` and the table on `GET /statusz`;
+//! - [`RollingWindows`] (1m/5m/15m) behind the table on `GET /statusz`;
 //! - the deterministic trace-ID generator handed to each worker.
 //!
 //! Everything is record-only with respect to the suggestion path: a
@@ -26,8 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use xclean_telemetry::{
-    names, Exposition, RequestRecord, RequestRing, RollingWindows, SharedClock, Value, WindowEvent,
-    WindowSnapshot,
+    RequestRecord, RequestRing, RollingWindows, SharedClock, WindowEvent, WindowSnapshot,
 };
 
 /// Ring stripes: enough that an 8-worker pool rarely collides on a lock.
@@ -189,37 +187,6 @@ impl Observability {
     /// Point-in-time 1m/5m/15m aggregates.
     pub fn window_snapshots(&self) -> Vec<WindowSnapshot> {
         self.windows.snapshot(self.clock.now_nanos())
-    }
-
-    /// Hands `page` the `_window` gauges: request/error counts, q/s,
-    /// ratios and latency quantiles per rolling window.
-    pub fn collect(&self, page: &mut Exposition) {
-        for s in self.window_snapshots() {
-            let window = [("window", s.label)];
-            for (name, value) in [
-                (names::WINDOW_REQUESTS, Value::Int(s.count)),
-                (names::WINDOW_ERRORS, Value::Int(s.errors)),
-                (names::WINDOW_QPS, Value::Ratio(s.qps())),
-                (names::WINDOW_ERROR_RATIO, Value::Ratio(s.error_ratio())),
-                (
-                    names::WINDOW_CACHE_HIT_RATIO,
-                    Value::Ratio(s.cache_hit_ratio()),
-                ),
-            ] {
-                page.gauge(name, &window, value);
-            }
-            for (q, nanos) in [
-                ("0.5", s.p50_nanos),
-                ("0.95", s.p95_nanos),
-                ("0.99", s.p99_nanos),
-            ] {
-                page.gauge(
-                    names::WINDOW_LATENCY,
-                    &[window[0], ("quantile", q)],
-                    Value::Int(nanos),
-                );
-            }
-        }
     }
 }
 
@@ -506,7 +473,8 @@ pub struct CorpusRow {
     pub requests: u64,
     /// Error responses while serving the corpus.
     pub errors: u64,
-    /// Individual queries answered (batch POSTs count each query).
+    /// Individual queries answered (batch POSTs count each query):
+    /// every query does one cache lookup, so hits + misses.
     pub queries: u64,
     /// The tenant's own 1m/5m/15m window snapshots (qps, quantiles,
     /// SLO breaches) — empty for callers that predate per-tenant windows.
@@ -733,31 +701,6 @@ mod tests {
         assert_eq!(w0.next_id(), "0005ca1e-00-000000");
         assert_eq!(w0.next_id(), "0005ca1e-00-000001");
         assert_eq!(w1.next_id(), "0005ca1e-01-000000");
-    }
-
-    #[test]
-    fn window_metrics_series_shape() {
-        let clock = ManualClock::starting_at(0);
-        let (obs, _sink) = obs_with(clock, u64::MAX);
-        obs.observe(record(100, 200));
-        obs.observe(record(100, 404));
-        let mut page = Exposition::new();
-        obs.collect(&mut page);
-        let text = page.render();
-        // HELP/TYPE pairing and family contiguity hold for these series
-        // as for every other source (the shared checker).
-        crate::conformance::check_page(&text);
-        assert!(text.contains(&format!("# TYPE {} gauge", names::WINDOW_REQUESTS)));
-        assert!(text.contains(&format!("{}{{window=\"1m\"}} 2", names::WINDOW_REQUESTS)));
-        assert!(text.contains(&format!("{}{{window=\"15m\"}} 1", names::WINDOW_ERRORS)));
-        assert!(text.contains(&format!(
-            "{}{{window=\"1m\"}} 0.500000",
-            names::WINDOW_ERROR_RATIO
-        )));
-        assert!(text.contains(&format!(
-            "{}{{window=\"1m\",quantile=\"0.99\"}} 127",
-            names::WINDOW_LATENCY
-        )));
     }
 
     /// The plane grades every observed request against its SLO with one

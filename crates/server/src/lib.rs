@@ -30,9 +30,10 @@
 //!   catalog corpus; an unknown name is a structured JSON `404`.
 //! - `GET /healthz` — liveness JSON: engine fingerprint, snapshot
 //!   provenance, uptime, and cache occupancy.
-//! - `GET /metrics` — Prometheus text snapshot of the shared registry
-//!   (engine counters/histograms, the server's own series, and the
-//!   rolling-window `_window` gauges).
+//! - `GET /metrics` — Prometheus text page on which every series has
+//!   one owner: the server's own registry unlabelled, then every
+//!   corpus's engine registry (engine counters/histograms, cache and
+//!   request counters) under `corpus="<name>"`.
 //! - `GET /statusz` — human-readable dashboard: uptime, provenance,
 //!   1m/5m/15m window table, slowest recent queries.
 //! - `GET /debug/requests?n=K` — the K most recent requests from the

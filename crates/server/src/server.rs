@@ -21,10 +21,10 @@
 //! (inbound value echoed, else generated deterministically on the loop
 //! thread) and is recorded into the [`Observability`] plane after its
 //! response is rendered: the request ring (`/debug/requests`), the
-//! rolling 1m/5m/15m windows (`/metrics` `_window` series, `/statusz`),
-//! and — when slower than the configured threshold — the slow-query
-//! log. Recording happens strictly *after* the suggestion work, so
-//! responses stay byte-identical with the plane enabled or ignored.
+//! rolling 1m/5m/15m windows (`/statusz`), and — when slower than the
+//! configured threshold — the slow-query log. Recording happens
+//! strictly *after* the suggestion work, so responses stay
+//! byte-identical with the plane enabled or ignored.
 //!
 //! Graceful drain: when the [`ShutdownFlag`] trips (SIGINT/SIGTERM or
 //! [`ShutdownFlag::trigger`]), the loop stops taking connections,
@@ -41,8 +41,8 @@ use std::time::Duration;
 use xclean::{ExplainTrace, Pipeline, SuggestResponse, Suggestion, XCleanEngine};
 use xclean_telemetry::json::{self, Json};
 use xclean_telemetry::{
-    names, Counter, ExemplarStore, Exposition, Histogram, MonotonicClock, RequestRecord,
-    RuntimeStats, ShardAttribution, SharedClock, Value, WindowEvent,
+    names, Counter, ExemplarStore, Exposition, Histogram, MetricsRegistry, MonotonicClock,
+    RequestRecord, RuntimeStats, ShardAttribution, SharedClock, Value, WindowEvent,
 };
 
 use crate::cache::CacheKey;
@@ -181,6 +181,10 @@ pub struct DrainReport {
 #[derive(Debug)]
 pub struct SuggestServer {
     tenants: Arc<TenantSet>,
+    /// The server's own series (requests, errors, request latency,
+    /// connections) — unlabelled on `/metrics`; engine and cache series
+    /// live in each tenant's engine registry.
+    metrics: MetricsRegistry,
     obs: Arc<Observability>,
     config: ServerConfig,
     listener: TcpListener,
@@ -197,7 +201,7 @@ pub(crate) struct ConnStats {
 }
 
 impl ConnStats {
-    fn new(registry: &xclean_telemetry::MetricsRegistry) -> ConnStats {
+    fn new(registry: &MetricsRegistry) -> ConnStats {
         ConnStats {
             opened: registry.counter(names::CONNECTIONS_OPENED),
             closed: registry.counter(names::CONNECTIONS_CLOSED),
@@ -221,6 +225,8 @@ pub(crate) struct Handler {
     /// Live-connection registry behind `/debug/conns`.
     pub(crate) conn_registry: Arc<ConnRegistry>,
     max_connections: usize,
+    /// The server registry; `requests` … `conn_stats` are handles into it.
+    metrics: MetricsRegistry,
     requests: Arc<Counter>,
     errors: Arc<Counter>,
     latency: Arc<Histogram>,
@@ -317,11 +323,11 @@ impl SuggestServer {
     /// Binds over a whole catalog of corpora, in order, with the first
     /// entry as the primary tenant. Each tenant gets a private response
     /// cache (of the configured size) whose counters are registered in
-    /// that tenant's engine registry, so `GET /metrics` exposes the
-    /// primary's engine and server series side by side as before, plus
-    /// `corpus`-labelled series for every tenant; the observability
-    /// plane (request ring, windows, slow log) is built here from the
-    /// config and shared by all tenants.
+    /// that tenant's engine registry; the server's own series get a
+    /// registry created here, so `GET /metrics` shows each series once:
+    /// the server's unlabelled, every tenant's under its `corpus`. The
+    /// observability plane (request ring, windows, slow log) is built
+    /// here from the config and shared by all tenants.
     pub fn bind_tenants(
         corpora: Vec<(String, Arc<Pipeline>)>,
         addr: &str,
@@ -347,6 +353,7 @@ impl SuggestServer {
         ));
         Ok(SuggestServer {
             tenants,
+            metrics: MetricsRegistry::default(),
             obs,
             config,
             listener,
@@ -374,6 +381,12 @@ impl SuggestServer {
         &self.tenants
     }
 
+    /// The server's own metrics registry: the unlabelled `/metrics`
+    /// series. Cheap to clone; readable during and after `run`.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+
     /// The server's observability plane (request ring, windows, slow
     /// log) — shared with the workers; readable during and after `run`.
     pub fn observability(&self) -> Arc<Observability> {
@@ -385,8 +398,8 @@ impl SuggestServer {
     /// the workers, and reports lifetime totals. Linux only — elsewhere
     /// this returns [`io::ErrorKind::Unsupported`] without serving.
     pub fn run(self) -> io::Result<DrainReport> {
-        let registry = self.tenants.primary().engine().metrics().clone();
-        let conn_stats = ConnStats::new(&registry);
+        let registry = &self.metrics;
+        let conn_stats = ConnStats::new(registry);
         let runtime = Arc::new(RuntimeStats::new(
             self.config.threads.max(1),
             self.config.flight_capacity,
@@ -397,6 +410,7 @@ impl SuggestServer {
             runtime: Arc::clone(&runtime),
             conn_registry: Arc::new(ConnRegistry::new(self.config.conn_registry_capacity)),
             max_connections: self.config.max_connections,
+            metrics: registry.clone(),
             requests: registry.counter(names::SERVER_REQUESTS),
             errors: registry.counter(names::SERVER_ERRORS),
             latency: registry.histogram(names::SERVER_REQUEST),
@@ -652,21 +666,16 @@ fn healthz(handler: &Handler) -> Reply {
     )
 }
 
-/// `GET /metrics`: one collect-then-render pass. Every source hands the
-/// page typed samples; [`Exposition::render`] writes the text once.
+/// `GET /metrics`: one collect-then-render pass in which every series
+/// has one owner. Every source hands the page typed samples;
+/// [`Exposition::render`] writes the text once.
 fn metrics(handler: &Handler) -> Reply {
     let mut page = Exposition::new();
-    // The primary tenant's registry: the unlabelled engine and server
-    // series. Each populated request-latency bucket carries the most
-    // recent X-Request-Id that landed in it.
-    handler
-        .tenants
-        .primary()
-        .engine()
-        .metrics()
-        .collect(&mut page);
+    // The server's own registry, unlabelled. Each populated
+    // request-latency bucket carries the most recent X-Request-Id that
+    // landed in it.
+    handler.metrics.collect(&mut page, &[]);
     page.exemplars(names::SERVER_REQUEST, &handler.exemplars);
-    handler.obs.collect(&mut page);
     // The open-connection gauge is derived (opened − closed) rather than
     // registered: the registry only holds monotonic series.
     let open = Value::Int(handler.conn_stats.open());
@@ -674,6 +683,12 @@ fn metrics(handler: &Handler) -> Reply {
     handler
         .runtime
         .collect(&mut page, handler.obs.uptime_nanos());
+    // Every tenant's engine registry under its corpus: engine counters,
+    // stage histograms, cache and per-corpus request counters.
+    for tenant in handler.tenants.iter() {
+        let corpus = [("corpus", tenant.name())];
+        tenant.engine().metrics().collect(&mut page, &corpus);
+    }
     handler
         .tenants
         .collect(&mut page, handler.obs.clock().now_nanos());
@@ -718,15 +733,18 @@ fn statusz(handler: &Handler) -> Reply {
             handler
                 .tenants
                 .iter()
-                .map(|t| CorpusRow {
-                    name: t.name().to_string(),
-                    shards: t.engine().shard_count(),
-                    cache_entries: t.cache().len(),
-                    cache_capacity: t.cache().capacity(),
-                    requests: t.requests().get(),
-                    errors: t.errors().get(),
-                    queries: t.queries().get(),
-                    windows: t.window_snapshots(now),
+                .map(|t| {
+                    let (hits, misses, _) = t.cache().counters();
+                    CorpusRow {
+                        name: t.name().to_string(),
+                        shards: t.engine().shard_count(),
+                        cache_entries: t.cache().len(),
+                        cache_capacity: t.cache().capacity(),
+                        requests: t.requests().get(),
+                        errors: t.errors().get(),
+                        queries: hits + misses,
+                        windows: t.window_snapshots(now),
+                    }
                 })
                 .collect()
         },
@@ -1007,7 +1025,6 @@ fn render_suggestions(suggestions: &[Suggestion]) -> String {
 /// (cache outcome, per-stage nanos, and counters — all zero on a hit,
 /// which did no engine work).
 fn cached_result(keywords: &[String], tenant: &Tenant) -> (Arc<str>, RouteObs) {
-    tenant.queries().inc();
     let normalized = keywords.join(" ");
     let key = CacheKey {
         query: normalized.clone(),
@@ -1141,7 +1158,6 @@ fn suggest(request: &Request, tenant: &Tenant, trace_id: &str) -> Reply {
 /// through `suggest_many_keywords` (the engine's worker pool) in one go,
 /// and reassemble in request order.
 fn batch_suggest(raw: &[&str], tenant: &Tenant) -> (String, u64, u64, RouteObs) {
-    tenant.queries().add(raw.len() as u64);
     let keyword_lists: Vec<Vec<String>> =
         raw.iter().map(|q| tenant.engine().parse_query(q)).collect();
     let mut slots: Vec<Option<Arc<str>>> = vec![None; raw.len()];
@@ -1206,7 +1222,7 @@ fn batch_suggest(raw: &[&str], tenant: &Tenant) -> (String, u64, u64, RouteObs) 
 mod tests {
     use super::*;
     use xclean::XCleanConfig;
-    use xclean_telemetry::{ManualClock, MetricsRegistry, RuntimeEventKind};
+    use xclean_telemetry::{ManualClock, RuntimeEventKind};
     use xclean_xmltree::parse_document;
 
     fn handler() -> Handler {
@@ -1225,7 +1241,7 @@ mod tests {
 
     fn handler_for(clock: Arc<ManualClock>, corpora: Vec<(String, Arc<Pipeline>)>) -> Handler {
         let tenants = Arc::new(TenantSet::build(corpora, 64, 4).unwrap());
-        let registry: MetricsRegistry = tenants.primary().engine().metrics().clone();
+        let registry = MetricsRegistry::default();
         let obs = Arc::new(Observability::new(
             clock,
             64,
@@ -1240,6 +1256,7 @@ mod tests {
             latency: registry.histogram(names::SERVER_REQUEST),
             exemplars: Arc::new(ExemplarStore::new()),
             conn_stats: ConnStats::new(&registry),
+            metrics: registry,
             runtime: Arc::new(RuntimeStats::new(2, 64)),
             conn_registry: Arc::new(ConnRegistry::new(16)),
             max_connections: 4096,
@@ -1435,28 +1452,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_include_window_series() {
-        let h = handler();
-        let reply = route(&post(r#"{"query": "helth insurance"}"#), &h, T);
-        observe_reply(&h, reply, T.to_string(), 0);
-        let body = metrics_page(&h);
-        for line in [
-            format!("{} 1\n", names::SERVER_REQUESTS),
-            format!("{} 0\n", names::SERVER_ERRORS),
-            format!("{} 1\n", names::CACHE_MISSES),
-            format!("{} 0\n", names::CACHE_HITS),
-            format!("{} 1\n", names::QUERIES),
-            format!("{} 0\n", names::CONNECTIONS_OPEN),
-            format!("{}{{window=\"1m\"}} 1\n", names::WINDOW_REQUESTS),
-            format!("{}{{window=\"15m\"}} 0\n", names::WINDOW_ERRORS),
-            format!("{}{{window=\"1m\"}} 0.000000\n", names::WINDOW_ERROR_RATIO),
-            format!("# TYPE {} gauge\n", names::WINDOW_QPS),
-        ] {
-            assert!(body.contains(&line), "missing {line:?} in:\n{body}");
-        }
-    }
-
-    #[test]
     fn statusz_and_debug_requests_render() {
         let h = handler();
         let reply = route(&post(r#"{"query": "helth insurance"}"#), &h, T);
@@ -1636,8 +1631,11 @@ mod tests {
             format!("{} 8\n", names::SERVER_REQUESTS),
             format!("{} 8\n", names::SERVER_ERRORS),
             format!("{}_count 8\n", names::SERVER_REQUEST),
-            format!("{}{{window=\"1m\"}} 8\n", names::WINDOW_ERRORS),
-            format!("{}{{window=\"1m\"}} 1.000000\n", names::WINDOW_ERROR_RATIO),
+            format!("{} 0\n", names::CONNECTIONS_OPEN),
+            // The one routed error (the invalid body) is the default
+            // corpus's; the engine answered nothing.
+            format!("{}{{corpus=\"default\"}} 1\n", names::CORPUS_ERRORS),
+            format!("{}{{corpus=\"default\"}} 0\n", names::QUERIES),
         ] {
             assert!(body.contains(&line), "missing {line:?} in:\n{body}");
         }
@@ -1685,7 +1683,6 @@ mod tests {
         // Per-corpus counters saw exactly the routed traffic.
         assert_eq!(h.tenants.primary().requests().get(), 2);
         assert_eq!(h.tenants.get("dblp").unwrap().requests().get(), 2);
-        assert_eq!(h.tenants.get("dblp").unwrap().queries().get(), 2);
         assert_eq!(h.tenants.primary().errors().get(), 0);
     }
 
@@ -1734,15 +1731,22 @@ mod tests {
             status.body
         );
         assert!(status.body.contains("corpus[default]:"), "{}", status.body);
+        assert!(
+            status
+                .body
+                .contains("cache=1/64 requests=1 errors=0 queries=1\n"),
+            "{}",
+            status.body
+        );
         let body = metrics_page(&h);
         for line in [
             format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_REQUESTS),
-            format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_QUERIES),
-            format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_CACHE_MISSES),
+            format!("{}{{corpus=\"dblp\"}} 1\n", names::QUERIES),
+            format!("{}{{corpus=\"dblp\"}} 1\n", names::CACHE_MISSES),
+            format!("{}{{corpus=\"dblp\"}} 0\n", names::CACHE_HITS),
             format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_CACHE_ENTRIES),
-            format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_SHARDS),
             format!("{}{{corpus=\"default\"}} 0\n", names::CORPUS_REQUESTS),
-            format!("{}{{corpus=\"default\"}} 0\n", names::CORPUS_QUERIES),
+            format!("{}{{corpus=\"default\"}} 0\n", names::QUERIES),
         ] {
             assert!(body.contains(&line), "missing {line:?} in:\n{body}");
         }
@@ -1873,9 +1877,10 @@ mod tests {
         );
     }
 
-    /// Tentpole: per-tenant rolling windows grade requests against the
-    /// SLO and surface as `/statusz` rows and burn-rate series on
-    /// `/metrics`; shard scatter histograms render for every tenant.
+    /// Per-tenant rolling windows grade requests against the SLO and
+    /// surface as `/statusz` rows (breach counts included) and burn-rate
+    /// series on `/metrics`; shard scatter histograms render for every
+    /// tenant.
     #[test]
     fn per_tenant_windows_and_shard_series_render() {
         let clock = ManualClock::starting_at(0);
@@ -1912,7 +1917,11 @@ mod tests {
             "{}",
             status.body
         );
-        assert!(status.body.contains("burn_rate="), "{}", status.body);
+        assert!(
+            status.body.contains("slo_breaches=1 burn_rate=100.00"),
+            "{}",
+            status.body
+        );
         let body = metrics_page(&h);
         for line in [
             format!(
@@ -1920,8 +1929,8 @@ mod tests {
                 names::CORPUS_BURN_RATE
             ),
             format!(
-                "{}{{corpus=\"dblp\",window=\"15m\"}} 1\n",
-                names::CORPUS_SLO_BREACHES
+                "{}{{corpus=\"dblp\",window=\"15m\"}} 100\n",
+                names::CORPUS_BURN_RATE
             ),
             format!(
                 "{}{{corpus=\"default\",window=\"1m\"}} 0\n",

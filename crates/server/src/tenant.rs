@@ -9,13 +9,13 @@
 //! caches mean one hot corpus can never evict another's working set, and
 //! per-corpus occupancy is observable on `/statusz` and `/metrics`.
 //!
-//! The first catalog entry is the *primary* tenant. It keeps the exact
-//! single-corpus contract of earlier PRs: bare `/suggest` routes to it,
-//! `/metrics` renders its registry as the unlabelled base series, and
-//! `/healthz` reports its fingerprint and snapshot. Every tenant
-//! (primary included) additionally gets `corpus`-labelled series and a
-//! `/statusz` row, so dashboards distinguish corpora without breaking
-//! single-corpus scrapes.
+//! The first catalog entry is the *primary* tenant: bare `/suggest`
+//! routes to it and the top-level `/healthz` fields describe it. On
+//! `/metrics` no tenant is special (DESIGN.md §9): every tenant's engine
+//! registry — engine counters, stage histograms, this cache's
+//! hit/miss/eviction counters and the per-corpus request/error counters —
+//! is collected under `corpus="<name>"`, and [`TenantSet::collect`] adds
+//! only what a name-keyed registry cannot hold.
 
 use std::collections::HashMap;
 use std::io;
@@ -24,16 +24,15 @@ use std::sync::Arc;
 
 use xclean::Pipeline;
 use xclean_telemetry::{
-    names, Counter, Exposition, Histogram, RollingWindows, ShardAttribution, Unit, Value,
-    WindowEvent, WindowSnapshot,
+    names, Counter, Exposition, Histogram, MetricsRegistry, RollingWindows, ShardAttribution, Unit,
+    Value, WindowEvent, WindowSnapshot,
 };
 
 use crate::cache::ResponseCache;
 
 /// One served corpus: engine, private response cache, and per-corpus
-/// lifetime counters (collected as `corpus`-labelled `/metrics` series,
-/// so they live outside any registry — registries only hold unlabelled
-/// samples).
+/// lifetime counters (handles into the engine's registry, like the
+/// cache's, so `/metrics` collects them under this tenant's `corpus`).
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
@@ -42,9 +41,8 @@ pub struct Tenant {
     engine: Arc<Pipeline>,
     cache: Arc<ResponseCache>,
     fingerprint: u64,
-    requests: Counter,
-    errors: Counter,
-    queries: Counter,
+    requests: Arc<Counter>,
+    errors: Arc<Counter>,
     /// Per-corpus 1m/5m/15m qps/latency/error/SLO windows, advanced by
     /// this tenant's own request arrivals.
     windows: RollingWindows,
@@ -86,11 +84,6 @@ impl Tenant {
     /// Error responses while serving this corpus.
     pub fn errors(&self) -> &Counter {
         &self.errors
-    }
-
-    /// Individual queries answered (a batch POST counts each query).
-    pub fn queries(&self) -> &Counter {
-        &self.queries
     }
 
     /// Folds one completed request into this tenant's rolling windows.
@@ -150,8 +143,9 @@ pub struct TenantSet {
 impl TenantSet {
     /// Builds the set from `(name, engine)` pairs in catalog order. Each
     /// tenant gets its own [`ResponseCache`] of `cache_entries` entries
-    /// over `cache_shards` shards, with the cache counters registered in
-    /// that tenant's engine registry. Errors on an empty catalog, a
+    /// over `cache_shards` shards, with the cache counters and the
+    /// per-corpus request/error counters registered in that tenant's
+    /// engine registry. Errors on an empty catalog, a
     /// duplicate name, or a name that cannot appear in a request path.
     pub fn build(
         corpora: Vec<(String, Arc<Pipeline>)>,
@@ -187,13 +181,12 @@ impl TenantSet {
             let fingerprint = engine.fingerprint();
             let shard_count = engine.shard_count() as usize;
             tenants.push(Tenant {
+                requests: engine.metrics().counter(names::CORPUS_REQUESTS),
+                errors: engine.metrics().counter(names::CORPUS_ERRORS),
                 name,
                 engine,
                 cache,
                 fingerprint,
-                requests: Counter::default(),
-                errors: Counter::default(),
-                queries: Counter::default(),
                 windows: RollingWindows::new(),
                 scatter: (0..shard_count).map(|_| Histogram::default()).collect(),
                 skew: AtomicU64::new(0),
@@ -203,7 +196,7 @@ impl TenantSet {
     }
 
     /// The primary tenant (first catalog entry): bare `/suggest` routes
-    /// here and `/metrics` renders its registry unlabelled.
+    /// here and the top-level `/healthz` fields describe it.
     pub fn primary(&self) -> &Tenant {
         &self.tenants[0]
     }
@@ -241,52 +234,48 @@ impl TenantSet {
         totals
     }
 
-    /// Hands `page` every tenant's labelled series: `corpus` counters
-    /// and gauges, `corpus`+`shard` scatter histograms, the straggler
-    /// skew of the latest scattered request, and `corpus`+`window` SLO
-    /// burn rates and breach counts snapshotted at `now_nanos`. The
-    /// primary appears here too, beside its registry's unlabelled
-    /// series, so multi-corpus dashboards need only one shape.
+    /// Hands `page` the little a name-keyed registry cannot hold, per
+    /// tenant: the live cache-entries gauge, the straggler skew of the
+    /// latest scattered request, `corpus`+`shard` scatter histograms, and
+    /// `corpus`+`window` SLO burn rates snapshotted at `now_nanos`.
+    /// Everything else a tenant counts is in its engine registry.
     pub fn collect(&self, page: &mut Exposition, now_nanos: u64) {
         for t in &self.tenants {
-            let corpus = [("corpus", t.name.as_str())];
-            let (hits, misses, _) = t.cache.counters();
-            for (name, value) in [
-                (names::CORPUS_REQUESTS, t.requests.get()),
-                (names::CORPUS_ERRORS, t.errors.get()),
-                (names::CORPUS_QUERIES, t.queries.get()),
-                (names::CORPUS_CACHE_HITS, hits),
-                (names::CORPUS_CACHE_MISSES, misses),
-            ] {
-                page.counter(name, &corpus, value);
-            }
-            let shards = u64::from(t.engine.shard_count());
-            for (name, value) in [
-                (
-                    names::CORPUS_CACHE_ENTRIES,
-                    Value::Int(t.cache.len() as u64),
-                ),
-                (names::CORPUS_SHARDS, Value::Int(shards)),
-                (names::SHARD_SKEW, Value::Float(t.shard_skew())),
-            ] {
-                page.gauge(name, &corpus, value);
-            }
+            let corpus = ("corpus", t.name.as_str());
+            let entries = Value::Int(t.cache.len() as u64);
+            page.gauge(names::CORPUS_CACHE_ENTRIES, &[corpus], entries);
+            let skew = Value::Float(t.shard_skew());
+            page.gauge(names::SHARD_SKEW, &[corpus], skew);
             for (shard, h) in t.scatter.iter().enumerate() {
-                page.histogram(
-                    names::SHARD_SCATTER_SECONDS,
-                    &[corpus[0], ("shard", &shard.to_string())],
-                    Unit::Seconds,
-                    h,
-                );
+                let labels = [corpus, ("shard", &shard.to_string())];
+                page.histogram(names::SHARD_SCATTER_SECONDS, &labels, Unit::Seconds, h);
             }
             for s in t.window_snapshots(now_nanos) {
-                let labels = [corpus[0], ("window", s.label)];
                 let burn = Value::Float(s.slo_burn_rate());
+                let labels = [corpus, ("window", s.label)];
                 page.gauge(names::CORPUS_BURN_RATE, &labels, burn);
-                let breaches = Value::Int(s.slo_breaches);
-                page.gauge(names::CORPUS_SLO_BREACHES, &labels, breaches);
             }
         }
+    }
+
+    /// The `serve --metrics-json` document: the server's own registry
+    /// and every tenant's engine registry, each in
+    /// [`MetricsRegistry::metrics_json`] shape —
+    /// `{"server": {…}, "corpora": {"<name>": {…}, …}}`.
+    pub fn metrics_json(&self, server: &MetricsRegistry) -> String {
+        let corpora: Vec<String> = self
+            .tenants
+            .iter()
+            .map(|t| {
+                let name = xclean_telemetry::json::escape(&t.name);
+                format!("\"{name}\":{}", t.engine.metrics().metrics_json())
+            })
+            .collect();
+        format!(
+            "{{\"server\":{},\"corpora\":{{{}}}}}",
+            server.metrics_json(),
+            corpora.join(",")
+        )
     }
 }
 
@@ -434,20 +423,14 @@ mod tests {
             },
         );
         // One request, one breach → ratio 1.0 → burn rate 100× the 1%
-        // budget, in every window.
+        // budget, in every window. The breach count itself is the
+        // snapshot's (and `/statusz`'s), not a series.
         let text = page_of(&set, 2_000);
         for window in ["1m", "5m", "15m"] {
             assert!(
                 text.contains(&format!(
                     "{}{{corpus=\"dblp\",window=\"{window}\"}} 100",
                     names::CORPUS_BURN_RATE
-                )),
-                "{text}"
-            );
-            assert!(
-                text.contains(&format!(
-                    "{}{{corpus=\"dblp\",window=\"{window}\"}} 1",
-                    names::CORPUS_SLO_BREACHES
                 )),
                 "{text}"
             );
@@ -477,6 +460,9 @@ mod tests {
         }
     }
 
+    /// A tenant's lifetime counters are handles into its engine
+    /// registry, so collecting that registry under `corpus` is what puts
+    /// them — and the cache's — on the page; `collect` adds the gauges.
     #[test]
     fn corpus_metrics_render_labelled_series() {
         let set = TenantSet::build(
@@ -488,26 +474,58 @@ mod tests {
             2,
         )
         .unwrap();
+        let dblp = set.get("dblp").unwrap();
+        dblp.requests().inc();
+        let registry = dblp.engine().metrics();
+        assert_eq!(registry.counter_value(names::CORPUS_REQUESTS), Some(1));
+        assert_eq!(registry.counter_value(names::CORPUS_ERRORS), Some(0));
+        assert_eq!(registry.counter_value(names::CACHE_HITS), Some(0));
+        let mut page = Exposition::new();
+        for t in set.iter() {
+            t.engine()
+                .metrics()
+                .collect(&mut page, &[("corpus", t.name())]);
+        }
+        set.collect(&mut page, 0);
+        let text = page.render();
+        crate::conformance::check_page(&text);
+        for line in [
+            format!("{}{{corpus=\"dblp\"}} 1\n", names::CORPUS_REQUESTS),
+            format!("{}{{corpus=\"default\"}} 0\n", names::CORPUS_REQUESTS),
+            format!("{}{{corpus=\"dblp\"}} 0\n", names::CACHE_EVICTIONS),
+            format!("{}{{corpus=\"default\"}} 0\n", names::CORPUS_CACHE_ENTRIES),
+        ] {
+            assert!(text.contains(&line), "missing {line:?} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn metrics_json_names_the_server_and_every_corpus() {
+        let set = TenantSet::build(
+            vec![
+                ("default".into(), engine("<r><p>alpha beta</p></r>")),
+                ("dblp".into(), engine("<r><p>gamma delta</p></r>")),
+            ],
+            16,
+            2,
+        )
+        .unwrap();
+        let server = MetricsRegistry::default();
+        server.counter(names::SERVER_REQUESTS).add(3);
         set.get("dblp").unwrap().requests().inc();
-        let text = page_of(&set, 0);
-        assert!(
-            text.contains(&format!("{}{{corpus=\"dblp\"}} 1", names::CORPUS_REQUESTS)),
-            "{text}"
+        let doc = xclean_telemetry::json::parse(&set.metrics_json(&server)).expect("JSON");
+        assert_eq!(
+            doc["server"]["counters"][names::SERVER_REQUESTS].as_u64(),
+            Some(3)
         );
-        assert!(
-            text.contains(&format!(
-                "{}{{corpus=\"default\"}} 0",
-                names::CORPUS_REQUESTS
-            )),
-            "{text}"
+        let corpora = &doc["corpora"];
+        assert_eq!(
+            corpora["dblp"]["counters"][names::CORPUS_REQUESTS].as_u64(),
+            Some(1)
         );
-        assert!(
-            text.contains(&format!("# TYPE {} gauge", names::CORPUS_SHARDS)),
-            "{text}"
-        );
-        assert!(
-            text.contains(&format!("{}{{corpus=\"default\"}} 1", names::CORPUS_SHARDS)),
-            "{text}"
+        assert_eq!(
+            corpora["default"]["counters"][names::CORPUS_REQUESTS].as_u64(),
+            Some(0)
         );
     }
 }

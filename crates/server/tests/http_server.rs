@@ -109,10 +109,13 @@ fn serves_suggestions_hits_cache_and_drains() {
     let (status, _, metrics) = request(run.addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     assert!(
-        metrics.contains("xclean_server_cache_hits_total 2"),
+        metrics.contains("xclean_server_cache_hits_total{corpus=\"default\"} 2\n"),
         "{metrics}"
     );
-    assert!(metrics.contains("xclean_queries_total"), "{metrics}");
+    assert!(
+        metrics.contains("xclean_queries_total{corpus=\"default\"} 2\n"),
+        "{metrics}"
+    );
     assert!(metrics.contains("xclean_server_request_nanos"), "{metrics}");
 
     // Malformed body: structured JSON error, server keeps going.

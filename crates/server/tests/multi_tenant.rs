@@ -11,12 +11,13 @@
 
 mod common;
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use xclean::{ShardedEngine, XCleanConfig, XCleanEngine};
 use xclean_index::{partition_corpus, CorpusIndex};
-use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
-use xclean_telemetry::{json, names};
+use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer, TenantSet};
+use xclean_telemetry::{json, names, MetricsRegistry};
 use xclean_xmltree::parse_document;
 
 use common::conformance::{check_page, series_identities};
@@ -46,6 +47,21 @@ struct Running {
     addr: std::net::SocketAddr,
     flag: ShutdownFlag,
     join: std::thread::JoinHandle<DrainReport>,
+    /// What `serve --metrics-json` holds on to across `run`.
+    metrics: MetricsRegistry,
+    tenants: Arc<TenantSet>,
+}
+
+impl Running {
+    fn spawn(server: SuggestServer) -> Running {
+        Running {
+            addr: server.local_addr().unwrap(),
+            flag: server.shutdown_flag(),
+            metrics: server.metrics().clone(),
+            tenants: Arc::clone(server.tenants()),
+            join: std::thread::spawn(move || server.run().unwrap()),
+        }
+    }
 }
 
 /// Starts a two-tenant server: `default` unsharded, `dblp` served by a
@@ -66,10 +82,7 @@ fn start() -> Running {
         },
     )
     .unwrap();
-    let addr = server.local_addr().unwrap();
-    let flag = server.shutdown_flag();
-    let join = std::thread::spawn(move || server.run().unwrap());
-    Running { addr, flag, join }
+    Running::spawn(server)
 }
 
 fn stop(r: Running) -> DrainReport {
@@ -175,10 +188,10 @@ fn observability_surfaces_cover_every_corpus() {
     let (status, _, metrics) = request(r.addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     for series in [
-        "xclean_server_corpus_requests_total{corpus=\"default\"}",
-        "xclean_server_corpus_requests_total{corpus=\"dblp\"}",
-        "xclean_server_corpus_shards{corpus=\"dblp\"} 2",
-        "xclean_server_corpus_cache_entries{corpus=\"dblp\"}",
+        "xclean_server_corpus_requests_total{corpus=\"default\"} 1\n",
+        "xclean_server_corpus_requests_total{corpus=\"dblp\"} 1\n",
+        "xclean_queries_total{corpus=\"dblp\"} 1\n",
+        "xclean_server_corpus_cache_entries{corpus=\"dblp\"} 1\n",
     ] {
         assert!(metrics.contains(series), "missing {series} in:\n{metrics}");
     }
@@ -213,13 +226,7 @@ fn sharded_tenant_matches_unsharded_engine_over_http() {
         ServerConfig::default(),
     )
     .unwrap();
-    let mut running = Vec::new();
-    for server in [unsharded, sharded] {
-        let addr = server.local_addr().unwrap();
-        let flag = server.shutdown_flag();
-        let join = std::thread::spawn(move || server.run().unwrap());
-        running.push(Running { addr, flag, join });
-    }
+    let running = [unsharded, sharded].map(Running::spawn);
     for q in ["progrm", "instanc+retrieval", "semantcs"] {
         let (s1, _, b1) = request(running[0].addr, "GET", &format!("/suggest?q={q}"), "");
         let (s2, _, b2) = request(running[1].addr, "GET", &format!("/suggest?q={q}"), "");
@@ -265,15 +272,10 @@ fn sharded_tenant_records_one_snapshot_open_sample_per_shard() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The live `/metrics` page is one conformant document, and nothing
-/// fell off it: after a miss, a hit, a 404 and a batch, its series
-/// identities are exactly the list the page had at `d96d082` (when five
-/// modules each wrote their own text) minus the request-latency
-/// histogram's second export — whose exemplars now ride on
-/// `xclean_server_request_nanos`.
-#[test]
-fn metrics_page_is_one_document_and_keeps_every_series() {
-    let r = start();
+/// The scripted traffic both page tests share: a miss and a hit on
+/// `dblp`, an unknown-corpus 404, and a two-query batch on `default` —
+/// four requests, one error, three engine runs.
+fn scripted_traffic(r: &Running) {
     let (_, h, _) = request(r.addr, "GET", "/suggest/dblp?q=progrm", "");
     assert_eq!(header(&h, "x-cache"), Some("miss"));
     let (_, h, _) = request(r.addr, "GET", "/suggest/dblp?q=progrm", "");
@@ -287,17 +289,29 @@ fn metrics_page_is_one_document_and_keeps_every_series() {
         r#"{"queries": ["helth insurnce", "polcy"]}"#,
     );
     assert_eq!(status, 200);
+}
+
+/// The live `/metrics` page is one conformant document on which every
+/// series has one owner: the server's own families appear once and
+/// unlabelled, every engine and cache family once per corpus and never
+/// unlabelled, and the per-corpus numbers are the engine's own — the
+/// page used to show the first catalog entry's registry only, so a query
+/// answered by `dblp` was on no engine counter at all.
+#[test]
+fn metrics_page_is_one_document_and_keeps_every_series() {
+    let r = start();
+    scripted_traffic(&r);
     let (status, _, metrics) = request(r.addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     stop(r);
 
     let samples = check_page(&metrics);
-    let expected: Vec<&str> = include_str!("fixtures/metrics_series_d96d082.txt")
+    let expected: Vec<&str> = include_str!("fixtures/metrics_series_pr24.txt")
         .lines()
-        .filter(|l| !l.starts_with("xclean_server_latency_exemplar_seconds"))
         .collect();
-    assert_eq!(expected.len(), 110, "the fixture lost lines");
+    assert_eq!(expected.len(), 101, "the fixture lost lines");
     assert_eq!(series_identities(&samples), expected, "page:\n{metrics}");
+    assert_eq!(metrics.matches("# TYPE ").count(), 36, "page:\n{metrics}");
 
     // Exemplars: `# {trace_id="…"} <nanos>` on request-latency buckets.
     let exemplars: Vec<&str> = samples
@@ -315,22 +329,118 @@ fn metrics_page_is_one_document_and_keeps_every_series() {
         value.parse::<u64>().expect("exemplar value in nanos");
     }
 
-    // Exact where no `Instant` is involved.
+    // Exact where no `Instant` is involved: the server's families
+    // unlabelled, each corpus's engine and cache under its own label.
     for line in [
         "xclean_server_requests_total 4\n",
         "xclean_server_errors_total 1\n",
         "xclean_server_request_nanos_count 4\n",
-        "xclean_server_corpus_requests_total{corpus=\"dblp\"} 2\n",
-        "xclean_server_corpus_cache_hits_total{corpus=\"dblp\"} 1\n",
-        "xclean_server_corpus_cache_misses_total{corpus=\"dblp\"} 1\n",
-        "xclean_server_corpus_queries_total{corpus=\"default\"} 2\n",
-        "xclean_server_corpus_errors_total{corpus=\"default\"} 0\n",
-        "xclean_server_corpus_shards{corpus=\"dblp\"} 2\n",
-        "xclean_server_corpus_shards{corpus=\"default\"} 1\n",
         "xclean_server_connections_open 1\n",
+        "xclean_queries_total{corpus=\"dblp\"} 1\n",
+        "xclean_queries_total{corpus=\"default\"} 2\n",
+        "xclean_server_cache_hits_total{corpus=\"dblp\"} 1\n",
+        "xclean_server_cache_misses_total{corpus=\"dblp\"} 1\n",
+        "xclean_server_cache_hits_total{corpus=\"default\"} 0\n",
+        "xclean_server_cache_evictions_total{corpus=\"dblp\"} 0\n",
+        "xclean_stage_walk_nanos_count{corpus=\"dblp\"} 1\n",
+        "xclean_stage_walk_nanos_count{corpus=\"default\"} 2\n",
+        "xclean_server_corpus_requests_total{corpus=\"dblp\"} 2\n",
+        "xclean_server_corpus_errors_total{corpus=\"default\"} 0\n",
         "xclean_shard_scatter_seconds_count{corpus=\"dblp\",shard=\"1\"} 1\n",
         "xclean_shard_scatter_seconds_count{corpus=\"default\",shard=\"0\"} 0\n",
     ] {
         assert!(metrics.contains(line), "missing {line:?} in:\n{metrics}");
     }
+
+    // Every engine run is one cache miss, summed over corpora.
+    let sum_of = |family: &str| -> u64 {
+        let of_family = samples.iter().filter(|s| s.name == family);
+        of_family.map(|s| s.value.parse::<u64>().unwrap()).sum()
+    };
+    assert_eq!(sum_of(names::QUERIES), 3);
+    assert_eq!(sum_of(names::QUERIES), sum_of(names::CACHE_MISSES));
+
+    // One owner per series: no family occurs both with and without a
+    // `corpus` label; the server's families never carry one, the engine
+    // and cache families always do, once per corpus.
+    let mut corpora_of: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    for s in &samples {
+        let corpus = s.labels.iter().find(|(k, _)| k == "corpus");
+        let corpus = corpus.map(|(_, v)| v.as_str());
+        corpora_of.entry(&s.name).or_default().insert(corpus);
+    }
+    let unlabelled = [
+        names::SERVER_REQUESTS,
+        names::SERVER_ERRORS,
+        names::SERVER_REQUEST,
+        names::CONNECTIONS_OPENED,
+        names::CONNECTIONS_CLOSED,
+        names::CONNECTIONS_OPEN,
+        names::KEEPALIVE_REUSE,
+        names::LOOP_LAG_SECONDS,
+        names::QUEUE_WAIT_SECONDS,
+        names::EVENTS_PER_WAKE,
+        names::WORKER_UTILIZATION,
+    ];
+    let both: BTreeSet<Option<&str>> = [Some("dblp"), Some("default")].into();
+    for (name, corpora) in &corpora_of {
+        // A histogram's series are `family_bucket|_sum|_count`.
+        if unlabelled.iter().any(|family| name.starts_with(family)) {
+            assert_eq!(*corpora, [None].into(), "{name} must be unlabelled");
+        } else {
+            assert_eq!(*corpora, both, "{name} must appear once per corpus");
+        }
+    }
+
+    // Every family on the page is written once in `names` (its HELP line
+    // is its table row, never the fallback).
+    for line in metrics.lines().filter(|l| l.starts_with("# HELP ")) {
+        let family = line.split(' ').nth(2).unwrap();
+        let help = names::help_for(family);
+        assert_ne!(help, "XClean metric.", "{family} has no table row");
+        assert_eq!(line, format!("# HELP {family} {help}"));
+    }
+}
+
+/// `serve --metrics-json` writes the same registries the page collects:
+/// the server's own under `server`, every catalog entry under
+/// `corpora` — and the server's request count is the drain report's.
+#[test]
+fn metrics_json_covers_the_server_and_every_catalog_entry() {
+    let r = start();
+    scripted_traffic(&r);
+    let (metrics, tenants) = (r.metrics.clone(), Arc::clone(&r.tenants));
+    let report = stop(r);
+    let doc = json::parse(&tenants.metrics_json(&metrics)).expect("the document is JSON");
+    let server = &doc["server"]["counters"];
+    assert_eq!(report.requests, 4);
+    assert_eq!(
+        server[names::SERVER_REQUESTS].as_u64(),
+        Some(report.requests)
+    );
+    assert_eq!(server[names::SERVER_ERRORS].as_u64(), Some(report.errors));
+    assert!(doc["server"]["histograms"][names::SERVER_REQUEST]["p99"]
+        .as_u64()
+        .is_some());
+    let json::Json::Obj(corpora) = &doc["corpora"] else {
+        panic!("corpora is not an object: {doc:?}");
+    };
+    let names_seen: Vec<&str> = corpora.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names_seen, ["default", "dblp"], "catalog order");
+    let queries = |corpus: &str| doc["corpora"][corpus]["counters"][names::QUERIES].as_u64();
+    assert_eq!(queries("dblp"), Some(1));
+    assert_eq!(queries("default"), Some(2));
+    let hits: u64 = ["default", "dblp"]
+        .iter()
+        .map(|c| {
+            doc["corpora"][*c]["counters"][names::CACHE_HITS]
+                .as_u64()
+                .unwrap()
+        })
+        .sum();
+    assert_eq!(hits, report.cache_hits);
+    assert!(
+        doc["corpora"]["dblp"]["histograms"][names::STAGE_WALK]["count"].as_u64() == Some(1),
+        "{doc:?}"
+    );
 }

@@ -150,19 +150,19 @@ fn statusz_and_window_metrics_reflect_traffic() {
     }
     let (_, _, _) = request(run.addr, "GET", "/nope", &[], "");
 
+    // The windows are read by `/statusz` only; `/metrics` keeps the
+    // lifetime counters they are cut from and no `_window` family.
     let (status, _, metrics) = request(run.addr, "GET", "/metrics", &[], "");
     assert_eq!(status, 200);
-    let count_1m = metrics
-        .lines()
-        .find(|l| l.starts_with("xclean_server_window_requests{window=\"1m\"}"))
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|n| n.parse::<u64>().ok())
-        .expect("1m window series present");
-    assert!(count_1m >= 4, "{count_1m}");
     assert!(
-        metrics.contains("xclean_server_window_latency_nanos{window=\"1m\",quantile=\"0.95\"}"),
+        metrics.contains("xclean_server_requests_total 4\n"),
         "{metrics}"
     );
+    assert!(
+        metrics.contains("xclean_server_errors_total 1\n"),
+        "{metrics}"
+    );
+    assert!(!metrics.contains("xclean_server_window_"), "{metrics}");
 
     let (status, _, statusz) = request(run.addr, "GET", "/statusz", &[], "");
     assert_eq!(status, 200);
@@ -171,7 +171,15 @@ fn statusz_and_window_metrics_reflect_traffic() {
         statusz.contains("helth insurance"),
         "slowest table: {statusz}"
     );
-    assert!(statusz.contains("1m"), "{statusz}");
+    let row_1m: Vec<&str> = statusz
+        .lines()
+        .find(|l| l.starts_with("1m "))
+        .expect("1m window row present")
+        .split_whitespace()
+        .collect();
+    let count_1m: u64 = row_1m[1].parse().expect("request count");
+    assert!(count_1m >= 5, "{statusz}");
+    assert_eq!(row_1m[2], "1", "one error in the window: {statusz}");
     run.stop();
 }
 

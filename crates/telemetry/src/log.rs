@@ -3,19 +3,17 @@
 //! Every binary in the workspace used to write ad-hoc `eprintln!` lines;
 //! this module gives them one shared format instead. A [`Logger`] is
 //!
-//! - **leveled** — [`Level::Error`] through [`Level::Trace`], with a
-//!   per-target filter spec like `"info,server=debug"` (default level
-//!   plus per-target overrides, parsed by [`LevelSpec::parse`]);
-//! - **structured** — every line carries a timestamp, level, target,
-//!   message, and arbitrary key=value fields, rendered either as logfmt
-//!   (`ts=1.234 level=info target=server msg="..." key=value`) or as
-//!   JSON lines (one object per line);
+//! - **leveled** — one threshold, [`Level::Error`] through
+//!   [`Level::Trace`], for the whole process (`serve --log-level`);
+//! - **structured** — every line is logfmt carrying a timestamp, level,
+//!   target, message, and arbitrary key=value fields
+//!   (`ts=1.234 level=info target=server msg="..." key=value`);
 //! - **testable** — the clock and the sink are injected, so tests pin
-//!   timestamps with a [`ManualClock`] and capture output in a buffer.
-//!   Nothing here sleeps or reads the wall clock.
+//!   timestamps with a [`ManualClock`](crate::ManualClock) and capture
+//!   output in a buffer. Nothing here sleeps or reads the wall clock.
 //!
 //! Binaries use the process-global logger (installed once with
-//! [`set_global`], defaulting to logfmt at `info` on stderr) through the
+//! [`set_global`], defaulting to `info` on stderr) through the
 //! [`log_error!`](crate::log_error) … [`log_trace!`](crate::log_trace)
 //! macros:
 //!
@@ -29,11 +27,10 @@ use std::io::Write;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::clock::{MonotonicClock, SharedClock};
-use crate::json;
 
 /// Log severity, most severe first. Filtering keeps a record when its
-/// level is *at most* the configured level (`Error` always passes a
-/// non-off filter; `Trace` only at the most verbose setting).
+/// level is *at most* the configured level (`Error` always passes;
+/// `Trace` only at the most verbose setting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
     /// The operation failed; someone should look.
@@ -49,7 +46,7 @@ pub enum Level {
 }
 
 impl Level {
-    /// The lowercase name used in log lines and filter specs.
+    /// The lowercase name used in log lines and `--log-level`.
     pub fn as_str(&self) -> &'static str {
         match self {
             Level::Error => "error",
@@ -79,93 +76,6 @@ impl std::fmt::Display for Level {
     }
 }
 
-/// A level filter: a default level plus per-target overrides, parsed
-/// from a spec like `"info,server=debug,loadgen=trace"`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LevelSpec {
-    default: Level,
-    targets: Vec<(String, Level)>,
-}
-
-impl Default for LevelSpec {
-    fn default() -> Self {
-        LevelSpec {
-            default: Level::Info,
-            targets: Vec::new(),
-        }
-    }
-}
-
-impl LevelSpec {
-    /// A spec with one uniform level and no per-target overrides.
-    pub fn uniform(level: Level) -> Self {
-        LevelSpec {
-            default: level,
-            targets: Vec::new(),
-        }
-    }
-
-    /// Parses `"<level>"` or `"<level>,target=level,…"` (either part
-    /// optional, so `"server=debug"` keeps the `info` default). Errors
-    /// name the offending fragment.
-    pub fn parse(spec: &str) -> Result<LevelSpec, String> {
-        let mut out = LevelSpec::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            match part.split_once('=') {
-                None => {
-                    out.default =
-                        Level::parse(part).ok_or_else(|| format!("unknown log level '{part}'"))?;
-                }
-                Some((target, level)) => {
-                    if target.trim().is_empty() {
-                        return Err(format!("empty target in '{part}'"));
-                    }
-                    let level = Level::parse(level.trim())
-                        .ok_or_else(|| format!("unknown log level in '{part}'"))?;
-                    out.targets.push((target.trim().to_string(), level));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The effective level for `target`: the longest matching override
-    /// (exact name or a prefix of a `::`-qualified target), else the
-    /// default.
-    pub fn level_for(&self, target: &str) -> Level {
-        let mut best: Option<(usize, Level)> = None;
-        for (t, level) in &self.targets {
-            let matches = target == t
-                || target
-                    .strip_prefix(t.as_str())
-                    .is_some_and(|rest| rest.starts_with("::"));
-            if matches && best.is_none_or(|(len, _)| t.len() > len) {
-                best = Some((t.len(), *level));
-            }
-        }
-        best.map_or(self.default, |(_, l)| l)
-    }
-
-    /// Whether a record at `level` for `target` passes the filter.
-    pub fn allows(&self, target: &str, level: Level) -> bool {
-        level <= self.level_for(target)
-    }
-}
-
-/// Output line format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogFormat {
-    /// `ts=1.234567 level=info target=server msg="..." key=value`
-    Logfmt,
-    /// One JSON object per line with `ts`, `level`, `target`, `msg`, and
-    /// the fields flattened in.
-    Json,
-}
-
 /// Quotes a logfmt value when needed (spaces, quotes, `=`, or empties);
 /// bare otherwise.
 fn logfmt_value(v: &str) -> String {
@@ -179,10 +89,10 @@ fn logfmt_value(v: &str) -> String {
     }
 }
 
-/// A leveled structured logger writing one line per record to a sink.
+/// A leveled structured logger writing one logfmt line per record to a
+/// sink.
 pub struct Logger {
-    spec: LevelSpec,
-    format: LogFormat,
+    level: Level,
     clock: SharedClock,
     sink: Mutex<Box<dyn Write + Send>>,
 }
@@ -190,74 +100,50 @@ pub struct Logger {
 impl std::fmt::Debug for Logger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Logger")
-            .field("spec", &self.spec)
-            .field("format", &self.format)
+            .field("level", &self.level)
             .finish_non_exhaustive()
     }
 }
 
 impl Logger {
     /// A logger with an injected clock and sink (the test constructor).
-    pub fn new(
-        spec: LevelSpec,
-        format: LogFormat,
-        clock: SharedClock,
-        sink: Box<dyn Write + Send>,
-    ) -> Logger {
+    pub fn new(level: Level, clock: SharedClock, sink: Box<dyn Write + Send>) -> Logger {
         Logger {
-            spec,
-            format,
+            level,
             clock,
             sink: Mutex::new(sink),
         }
     }
 
     /// A production logger: monotonic clock, writing to stderr.
-    pub fn stderr(spec: LevelSpec, format: LogFormat) -> Logger {
+    pub fn stderr(level: Level) -> Logger {
         Logger::new(
-            spec,
-            format,
+            level,
             Arc::new(MonotonicClock::new()),
             Box::new(std::io::stderr()),
         )
     }
 
-    /// Whether a record at `level` for `target` would be written.
-    pub fn enabled(&self, target: &str, level: Level) -> bool {
-        self.spec.allows(target, level)
+    /// Whether a record at `level` would be written.
+    pub fn enabled(&self, level: Level) -> bool {
+        level <= self.level
     }
 
-    /// Writes one record (if the filter allows it). `fields` are
+    /// Writes one record (if the level allows it). `fields` are
     /// appended key=value pairs; keys are caller-controlled identifiers,
     /// values arbitrary text.
     pub fn log(&self, level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
-        if !self.enabled(target, level) {
+        if !self.enabled(level) {
             return;
         }
         let ts = self.clock.now_nanos() as f64 / 1e9;
-        let mut line = String::with_capacity(64 + msg.len());
-        match self.format {
-            LogFormat::Logfmt => {
-                line.push_str(&format!(
-                    "ts={ts:.6} level={level} target={} msg={}",
-                    logfmt_value(target),
-                    logfmt_value(msg)
-                ));
-                for (k, v) in fields {
-                    line.push_str(&format!(" {k}={}", logfmt_value(v)));
-                }
-            }
-            LogFormat::Json => {
-                line.push_str(&format!(
-                    "{{\"ts\":{ts:.6},\"level\":\"{level}\",\"target\":\"{}\",\"msg\":\"{}\"",
-                    json::escape(target),
-                    json::escape(msg)
-                ));
-                for (k, v) in fields {
-                    line.push_str(&format!(",\"{}\":\"{}\"", json::escape(k), json::escape(v)));
-                }
-                line.push('}');
-            }
+        let mut line = format!(
+            "ts={ts:.6} level={level} target={} msg={}",
+            logfmt_value(target),
+            logfmt_value(msg)
+        );
+        for (k, v) in fields {
+            line.push_str(&format!(" {k}={}", logfmt_value(v)));
         }
         line.push('\n');
         let mut sink = self.sink.lock().expect("log sink poisoned");
@@ -276,10 +162,10 @@ pub fn set_global(logger: Logger) -> bool {
     GLOBAL.set(logger).is_ok()
 }
 
-/// The process-global logger; installs the default (logfmt, `info`,
-/// stderr) on first use if none was set.
+/// The process-global logger; installs the default (`info`, stderr) on
+/// first use if none was set.
 pub fn global() -> &'static Logger {
-    GLOBAL.get_or_init(|| Logger::stderr(LevelSpec::default(), LogFormat::Logfmt))
+    GLOBAL.get_or_init(|| Logger::stderr(Level::Info))
 }
 
 /// Logs through the global logger at an explicit level:
@@ -292,7 +178,7 @@ macro_rules! log_event {
         let level = $level;
         let target = $target;
         let logger = $crate::log::global();
-        if logger.enabled(target, level) {
+        if logger.enabled(level) {
             logger.log(
                 level,
                 target,
@@ -368,11 +254,10 @@ mod tests {
         }
     }
 
-    fn logger(spec: &str, format: LogFormat, nanos: u64) -> (Logger, SharedSink) {
+    fn logger(level: Level, nanos: u64) -> (Logger, SharedSink) {
         let sink = SharedSink::default();
         let logger = Logger::new(
-            LevelSpec::parse(spec).unwrap(),
-            format,
+            level,
             ManualClock::starting_at(nanos),
             Box::new(sink.clone()),
         );
@@ -390,36 +275,8 @@ mod tests {
     }
 
     #[test]
-    fn spec_parses_default_and_overrides() {
-        let spec = LevelSpec::parse("warn,server=debug,loadgen=trace").unwrap();
-        assert_eq!(spec.level_for("anything"), Level::Warn);
-        assert_eq!(spec.level_for("server"), Level::Debug);
-        assert_eq!(spec.level_for("server::conn"), Level::Debug);
-        assert_eq!(spec.level_for("serverx"), Level::Warn, "no substring match");
-        assert_eq!(spec.level_for("loadgen"), Level::Trace);
-        assert!(spec.allows("server", Level::Debug));
-        assert!(!spec.allows("server", Level::Trace));
-        assert!(!spec.allows("other", Level::Info));
-
-        // Overrides alone keep the info default.
-        let spec = LevelSpec::parse("server=error").unwrap();
-        assert_eq!(spec.level_for("other"), Level::Info);
-        assert_eq!(spec.level_for("server"), Level::Error);
-
-        // Longest matching target wins.
-        let spec = LevelSpec::parse("server=warn,server::conn=trace").unwrap();
-        assert_eq!(spec.level_for("server::conn"), Level::Trace);
-        assert_eq!(spec.level_for("server::loop"), Level::Warn);
-
-        assert!(LevelSpec::parse("bogus").is_err());
-        assert!(LevelSpec::parse("info,server=bogus").is_err());
-        assert!(LevelSpec::parse("=debug").is_err());
-        assert_eq!(LevelSpec::parse("").unwrap(), LevelSpec::default());
-    }
-
-    #[test]
     fn logfmt_lines_carry_ts_level_target_and_fields() {
-        let (logger, sink) = logger("info", LogFormat::Logfmt, 1_500_000);
+        let (logger, sink) = logger(Level::Info, 1_500_000);
         logger.log(
             Level::Info,
             "server",
@@ -437,7 +294,7 @@ mod tests {
 
     #[test]
     fn logfmt_quotes_values_with_spaces_and_quotes() {
-        let (logger, sink) = logger("info", LogFormat::Logfmt, 0);
+        let (logger, sink) = logger(Level::Info, 0);
         logger.log(
             Level::Warn,
             "bench",
@@ -452,33 +309,12 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_are_parseable_objects() {
-        let (logger, sink) = logger("info", LogFormat::Json, 2_000_000_000);
-        logger.log(
-            Level::Error,
-            "eval",
-            "sweep \"beta\" failed",
-            &[("beta", "0.5".to_string())],
-        );
-        assert_eq!(
-            sink.text(),
-            "{\"ts\":2.000000,\"level\":\"error\",\"target\":\"eval\",\
-             \"msg\":\"sweep \\\"beta\\\" failed\",\"beta\":\"0.5\"}\n"
-        );
-        let line = json::parse(sink.text().trim_end()).expect("the line is JSON");
-        assert_eq!(line["ts"].as_f64(), Some(2.0));
-        assert_eq!(line["level"], "error");
-        assert_eq!(line["target"], "eval");
-        assert_eq!(line["msg"], "sweep \"beta\" failed");
-        assert_eq!(line["beta"], "0.5");
-    }
-
-    #[test]
     fn filtered_records_write_nothing() {
-        let (logger, sink) = logger("warn,server=info", LogFormat::Logfmt, 0);
+        let (logger, sink) = logger(Level::Warn, 0);
+        assert!(logger.enabled(Level::Error) && !logger.enabled(Level::Info));
         logger.log(Level::Info, "bench", "dropped", &[]);
         logger.log(Level::Debug, "server", "dropped too", &[]);
-        logger.log(Level::Info, "server", "kept", &[]);
+        logger.log(Level::Warn, "server", "kept", &[]);
         let text = sink.text();
         assert!(!text.contains("dropped"), "{text}");
         assert_eq!(text.lines().count(), 1, "{text}");
@@ -492,6 +328,6 @@ mod tests {
         crate::log_info!("telemetry::test", "macro smoke", n = 1, label = "x");
         crate::log_trace!("telemetry::test", "filtered at default level");
         crate::log_event!(Level::Warn, "telemetry::test", format!("msg {}", 2));
-        assert!(!global().enabled("telemetry::test", Level::Trace));
+        assert!(!global().enabled(Level::Trace));
     }
 }

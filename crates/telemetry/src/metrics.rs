@@ -512,14 +512,15 @@ impl MetricsRegistry {
             .map(|h| h.summary())
     }
 
-    /// Hands every counter and histogram (nanosecond units, unlabelled)
-    /// to `page`.
-    pub fn collect(&self, page: &mut Exposition) {
+    /// Hands every counter and histogram (nanosecond units) to `page`
+    /// under `labels` — how one page carries several registries of the
+    /// same families, e.g. each tenant's engine under its `corpus`.
+    pub fn collect(&self, page: &mut Exposition, labels: &[(&str, &str)]) {
         for (name, c) in self.inner.counters.read().expect("lock").iter() {
-            page.counter(name, &[], c.get());
+            page.counter(name, labels, c.get());
         }
         for (name, h) in self.inner.histograms.read().expect("lock").iter() {
-            page.histogram(name, &[], Unit::Raw, h);
+            page.histogram(name, labels, Unit::Raw, h);
         }
     }
 
@@ -527,7 +528,7 @@ impl MetricsRegistry {
     /// then render (see [`Exposition`]).
     pub fn metrics_text(&self) -> String {
         let mut page = Exposition::new();
-        self.collect(&mut page);
+        self.collect(&mut page, &[]);
         page.render()
     }
 
@@ -682,6 +683,44 @@ mod tests {
                 "xclean_stage_walk_nanos_sum",
                 "xclean_subtrees_total",
             ]
+        );
+    }
+
+    /// Two registries of the same families share one page under
+    /// different label sets: one HELP/TYPE pair per family, one sample
+    /// (or bucket set) per registry, in collection order.
+    #[test]
+    fn labelled_collect_puts_two_registries_in_one_family() {
+        let (a, b) = (MetricsRegistry::default(), MetricsRegistry::default());
+        a.counter("xclean_queries_total").add(2);
+        b.counter("xclean_queries_total").inc();
+        b.histogram("xclean_stage_walk_nanos").record(700);
+        let mut page = Exposition::new();
+        a.collect(&mut page, &[("corpus", "default")]);
+        b.collect(&mut page, &[("corpus", "dblp")]);
+        let text = page.render();
+        let samples = check_page(&text);
+        assert_eq!(text.matches("# TYPE").count(), 2, "{text}");
+        assert_eq!(
+            series_identities(&samples),
+            [
+                "xclean_queries_total{corpus=\"dblp\"}",
+                "xclean_queries_total{corpus=\"default\"}",
+                "xclean_stage_walk_nanos_bucket{corpus=\"dblp\"}",
+                "xclean_stage_walk_nanos_count{corpus=\"dblp\"}",
+                "xclean_stage_walk_nanos_sum{corpus=\"dblp\"}",
+            ]
+        );
+        assert!(
+            text.contains(
+                "xclean_queries_total{corpus=\"default\"} 2\n\
+                 xclean_queries_total{corpus=\"dblp\"} 1\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("xclean_stage_walk_nanos_bucket{corpus=\"dblp\",le=\"1023\"} 1\n"),
+            "{text}"
         );
     }
 

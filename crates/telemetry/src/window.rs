@@ -22,7 +22,8 @@ use crate::metrics::{log2_bucket_of, log2_quantile, HIST_BUCKETS};
 /// Buckets per wheel (all three windows divide into 60 slices).
 const WHEEL_SLOTS: usize = 60;
 
-/// The windows exposed on `/statusz` and `/metrics` `_window` series.
+/// The windows behind the `/statusz` tables and the per-corpus SLO burn
+/// rates on `/metrics`.
 const WINDOWS: [(&str, u64); 3] = [("1m", 60), ("5m", 300), ("15m", 900)];
 
 /// What one completed request contributes to the windows.
