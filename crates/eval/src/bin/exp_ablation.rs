@@ -1,6 +1,8 @@
 //! Experiment E11 — ablations of XClean's design choices (DESIGN.md §7):
 //!
-//! 1. **skip_to alignment** on/off: postings read vs skipped and time;
+//! 1. **skip_to alignment** on/off: postings read vs skipped and time
+//!    (with it on, queries whose slots all hold a fair share of the
+//!    postings scan them into entity bitmaps instead: `scanned`);
 //! 2. **minimal depth d** sweep: candidate-space size and quality;
 //! 3. **probabilistic pruning** on/off: accumulator count vs quality.
 
@@ -17,6 +19,7 @@ struct AblationResult {
     avg_secs: f64,
     postings_read: u64,
     postings_skipped: u64,
+    postings_scanned: u64,
     subtrees: u64,
     candidates: u64,
     evictions: u64,
@@ -30,6 +33,7 @@ impl AblationResult {
             ("avg_secs", self.avg_secs.into()),
             ("postings_read", self.postings_read.into()),
             ("postings_skipped", self.postings_skipped.into()),
+            ("postings_scanned", self.postings_scanned.into()),
             ("subtrees", self.subtrees.into()),
             ("candidates", self.candidates.into()),
             ("evictions", self.evictions.into()),
@@ -53,6 +57,7 @@ fn run(
         let resp = engine.suggest_keywords_with(&case.dirty, cfg);
         out.postings_read += resp.stats.access.read;
         out.postings_skipped += resp.stats.access.skipped;
+        out.postings_scanned += resp.stats.access.scanned;
         out.subtrees += resp.stats.subtrees;
         out.candidates += resp.stats.candidates_enumerated;
         out.evictions += resp.stats.pruning.evictions;
@@ -109,6 +114,7 @@ fn main() {
             "avg s",
             "read",
             "skipped",
+            "scanned",
             "subtrees",
             "candidates",
             "evictions",
@@ -122,6 +128,7 @@ fn main() {
                     format!("{:.4}", r.avg_secs),
                     r.postings_read.to_string(),
                     r.postings_skipped.to_string(),
+                    r.postings_scanned.to_string(),
                     r.subtrees.to_string(),
                     r.candidates.to_string(),
                     r.evictions.to_string(),

@@ -3,8 +3,11 @@
 //! Runs a RAND + RULE pool over the large generated corpus (the shape of
 //! the `xbench` pool) and prints, per decile of queries ordered by walk
 //! time, what the walk was given (slots, variants, postings) and what it
-//! did with it (subtrees visited and passed, nanoseconds per subtree),
-//! then the distance histogram of merged-list member moves.
+//! did with it (the share of queries that took the scan path and the
+//! postings they scanned, subtrees visited and passed, nanoseconds per
+//! subtree), then the distance histogram of merged-list member moves.
+//! Both walk paths must be in use — the bin fails otherwise, so CI's smoke
+//! run keeps both on trial.
 //!
 //! Timed **pass-style**: every pass runs each query once, in pool order,
 //! and a query's time is its minimum over the passes. Repeating one query
@@ -35,6 +38,8 @@ struct Profile {
     slots: usize,
     variants: usize,
     postings: usize,
+    /// Postings the scan path read (0 when the query leapfrogged).
+    scanned: u64,
     visited: u64,
     passed: u64,
 }
@@ -93,12 +98,17 @@ fn skip_to(members: &mut [Member<'_>], target: NodeId, moves: &mut Moves) {
 
 /// Replays the gated walk of one query member by member, recording the
 /// distance of every member move (a `next()` moves one posting, a
-/// `skip_to` as many as it jumps). Returns the posting I/O it performed,
-/// which must equal the engine's own counters.
+/// `skip_to` as many as it jumps). `passed` are the subtrees the walk
+/// handed to the scorer; with `scan` the replay follows the scan path —
+/// every member list read once, then each passed subtree collected —
+/// otherwise the leapfrog. Returns the posting I/O it performed, which
+/// must equal the engine's own counters.
 fn member_moves(
     corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
+    passed: &[NodeId],
+    scan: bool,
     moves: &mut Moves,
 ) -> AccessStats {
     assert!(
@@ -118,6 +128,22 @@ fn member_moves(
         .collect();
     let level = corpus.level(config.min_depth);
     let mut cursor = 0;
+    if scan {
+        moves.io.scanned = lists.iter().flatten().map(|m| m.list.len() as u64).sum();
+        for &g in passed {
+            cursor = level.seek(cursor, g);
+            let (_, g_end) = level.extent(cursor).expect("a passed subtree");
+            for members in &mut lists {
+                skip_to(members, g, moves);
+                for m in members.iter_mut() {
+                    while m.head().is_some_and(|n| n.0 < g_end) {
+                        m.step(moves);
+                    }
+                }
+            }
+        }
+        return moves.io;
+    }
     loop {
         let mut anchor = None;
         for members in &lists {
@@ -183,9 +209,10 @@ fn main() {
         .map(|query| {
             let slots = engine.make_slots(query);
             let mut stats = RunStats::default();
-            let mut passed = 0;
-            walk_gated_subtrees(corpus, &slots, config, &mut stats, |_, _, _| passed += 1);
-            let replayed = member_moves(corpus, &slots, config, &mut moves);
+            let mut passed = Vec::new();
+            walk_gated_subtrees(corpus, &slots, config, &mut stats, |g, _, _| passed.push(g));
+            let scan = stats.access.scanned > 0;
+            let replayed = member_moves(corpus, &slots, config, &passed, scan, &mut moves);
             assert_eq!(replayed, stats.access, "replay diverged on {query:?}");
             let lists = slots.iter().flat_map(|s| &s.variants);
             Profile {
@@ -193,11 +220,18 @@ fn main() {
                 slots: slots.len(),
                 variants: slots.iter().map(|s| s.variants.len()).sum(),
                 postings: lists.map(|v| corpus.postings(v.token).len()).sum(),
+                scanned: stats.access.scanned,
                 visited: stats.subtrees,
-                passed,
+                passed: passed.len() as u64,
             }
         })
         .collect();
+    let scans = profiles.iter().filter(|p| p.scanned > 0).count();
+    assert!(
+        scans > 0 && scans < profiles.len(),
+        "both walk paths must be in use: {scans} of {} queries scan",
+        profiles.len()
+    );
 
     let mut pass_nanos = Vec::with_capacity(PASSES);
     for _ in 0..PASSES {
@@ -212,7 +246,7 @@ fn main() {
     }
     let fastest = *pass_nanos.iter().min().expect("PASSES > 0");
     println!(
-        "{} queries; walk + rank per pass: fastest {:.1} ms, slowest {:.1} ms\n",
+        "{} queries, {scans} scanned; walk + rank per pass: fastest {:.1} ms, slowest {:.1} ms\n",
         pool.len(),
         fastest as f64 / 1e6,
         *pass_nanos.iter().max().expect("PASSES > 0") as f64 / 1e6,
@@ -229,6 +263,7 @@ fn main() {
             let nanos = sum(|p| p.nanos);
             let visited = sum(|p| p.visited);
             let passed = sum(|p| p.passed);
+            let scans = group.iter().filter(|p| p.scanned > 0).count() as f64;
             vec![
                 format!("{}", decile + 1),
                 format!("{:.1}", 100.0 * nanos / total_nanos.max(1) as f64),
@@ -236,6 +271,8 @@ fn main() {
                 format!("{:.1}", sum(|p| p.slots as u64) / n),
                 format!("{:.0}", sum(|p| p.variants as u64) / n),
                 format!("{:.0}", sum(|p| p.postings as u64) / n),
+                format!("{:.0}", 100.0 * scans / n),
+                format!("{:.0}", sum(|p| p.scanned) / n),
                 format!("{:.0}", visited / n),
                 format!("{:.0}", passed / n),
                 format!("{:.0}", 100.0 * passed / visited.max(1.0)),
@@ -253,6 +290,8 @@ fn main() {
                 "slots",
                 "variants",
                 "postings",
+                "scan %",
+                "scanned",
                 "visited",
                 "passed",
                 "pass %",

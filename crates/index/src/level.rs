@@ -9,10 +9,13 @@
 //! nodes only (`start`, `end`, `path`, `doc_len`: 20 bytes an entity), so
 //! the gate's working set is the entity count, not the node count.
 //!
-//! The table is read through one cursor primitive, [`LevelTable::seek`]:
-//! the walk's anchors only ever grow, so each lookup gallops forward from
-//! the previous one. [`CorpusIndex::level`] builds a depth's table on first
-//! request and keeps it for the corpus's lifetime.
+//! The leapfrog walk reads the table through one cursor primitive,
+//! [`LevelTable::seek`]: its anchors only ever grow, so each lookup gallops
+//! forward from the previous one. The scan walk reads one more column,
+//! [`LevelTable::positions`]: per corpus node, the position of the subtree
+//! holding it — one load per posting, in document order within a list.
+//! [`CorpusIndex::level`] builds a depth's table on first request and keeps
+//! it for the corpus's lifetime.
 
 use xclean_xmltree::{NodeId, PathId};
 
@@ -40,11 +43,15 @@ pub struct LevelTable {
     end: Vec<u32>,
     path: Vec<PathId>,
     doc_len: Vec<u64>,
+    /// Per corpus node: the position of the subtree holding it, or
+    /// `len()` for a node shallower than the table. Empty when the table is.
+    position: Vec<u32>,
 }
 
 impl LevelTable {
     /// Collects the depth-`depth` nodes of `corpus`. Hops from each one to
-    /// the end of its subtree, so only nodes at most that deep are visited.
+    /// the end of its subtree, so only nodes at most that deep are visited;
+    /// then fills the per-node column from the extents.
     pub(crate) fn build(corpus: &CorpusIndex, depth: u32) -> LevelTable {
         let tree = corpus.tree();
         let mut table = LevelTable::default();
@@ -69,6 +76,13 @@ impl LevelTable {
         table.end.shrink_to_fit();
         table.path.shrink_to_fit();
         table.doc_len.shrink_to_fit();
+        if !table.is_empty() {
+            let outside = table.len() as u32;
+            table.position = vec![outside; tree.len()];
+            for (pos, (&start, &end)) in table.start.iter().zip(&table.end).enumerate() {
+                table.position[start as usize..end as usize].fill(pos as u32);
+            }
+        }
         table
     }
 
@@ -94,6 +108,14 @@ impl LevelTable {
             "seek cursor is ahead of node {node:?}"
         );
         gallop(&self.end, from, |&end| end <= node.0)
+    }
+
+    /// Per corpus node (indexed by [`NodeId::index`]): the position of the
+    /// subtree holding it, or [`Self::len`] for a node shallower than the
+    /// table. Empty when the table is.
+    #[inline]
+    pub fn positions(&self) -> &[u32] {
+        &self.position
     }
 
     /// `(root, exclusive end)` of the subtree at `pos`, `None` past the
@@ -151,6 +173,9 @@ mod tests {
         // The root is shallower than the table; the deepest title is held
         // by the shelf.
         assert_eq!(locate(table, tree.root()), None);
+        assert_eq!(table.positions()[tree.root().index()], 2);
+        let shelf = children[1].index();
+        assert!(table.positions()[shelf..].iter().all(|&pos| pos == 1));
         let last = NodeId(tree.len() as u32 - 1);
         assert_eq!(locate(table, last).map(|e| e.node), Some(children[1]));
         assert_eq!(table.entry(1).doc_len, 4);
@@ -163,6 +188,8 @@ mod tests {
         assert_eq!(c.level(1).len(), 1);
         assert_eq!(c.level(2).len(), 1);
         assert!(c.level(3).is_empty());
+        assert!(c.level(3).positions().is_empty());
+        assert_eq!(c.level(2).positions(), &[1, 0]);
         assert!(std::ptr::eq(c.level(3), c.level(u32::MAX)));
         assert_eq!(c.level(3).seek(0, NodeId(1)), 0);
         // Built once: the same table comes back.
@@ -243,7 +270,15 @@ mod prop {
                         prop_assert!(end <= next.0);
                     }
                 }
+                let positions = table.positions();
+                prop_assert_eq!(positions.len(), if table.is_empty() { 0 } else { tree.len() });
                 for n in tree.iter() {
+                    // The per-node column names the subtree the climb finds.
+                    if let Some(&pos) = positions.get(n.index()) {
+                        let root = table.extent(pos as usize).map(|(root, _)| root);
+                        prop_assert_eq!(root, tree.ancestor_at_depth(n, d), "depth {} node {:?}", d, n);
+                        prop_assert!(pos as usize <= table.len());
+                    }
                     let expect = tree.ancestor_at_depth(n, d).map(|g| LevelEntry {
                         node: g,
                         end: tree.subtree_end(g),

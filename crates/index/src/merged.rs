@@ -35,6 +35,10 @@ pub struct AccessStats {
     pub skipped: u64,
     /// Number of `skip_to` calls.
     pub skip_calls: u64,
+    /// Node ids read straight off the member lists' node columns, outside
+    /// any cursor — the walk's scan path counts these; a `MergedList`
+    /// never does.
+    pub scanned: u64,
 }
 
 impl std::ops::AddAssign for AccessStats {
@@ -42,6 +46,7 @@ impl std::ops::AddAssign for AccessStats {
         self.read += rhs.read;
         self.skipped += rhs.skipped;
         self.skip_calls += rhs.skip_calls;
+        self.scanned += rhs.scanned;
     }
 }
 

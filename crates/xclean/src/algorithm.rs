@@ -65,7 +65,8 @@ pub struct ScoredCandidate {
 /// Counters describing one run (feeds the efficiency experiments).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RunStats {
-    /// Depth-`d` subtrees processed.
+    /// Depth-`d` subtrees processed: every subtree the leapfrog visits, or
+    /// on the scan path every subtree handed to the scorer.
     pub subtrees: u64,
     /// Candidate queries enumerated (with multiplicity across subtrees).
     pub candidates_enumerated: u64,
@@ -261,12 +262,13 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
         .candidates
         .compile(slots, ErrorModel::new(config.beta));
     // Split the arena into independently-borrowed scratch pieces: the
-    // walk owns the occurrence/token buffers while the subtree closure
-    // works the scoring scratch. The sink's own storage (table or log) is
-    // the caller's to lend.
+    // walk owns the occurrence/token buffers and the scan's bitmaps while
+    // the subtree closure works the scoring scratch. The sink's own storage
+    // (table or log) is the caller's to lend.
     let QueryArena {
         occurrences,
         slot_tokens,
+        bitmaps,
         candidate,
         candidates,
         groups,
@@ -284,6 +286,7 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
         stats,
         occurrences,
         slot_tokens,
+        bitmaps,
         |gate, occurrences, slot_tokens| {
             // Lines 12–15: enumerate candidates and accumulate entity
             // scores. Entity runs are built lazily per result type.

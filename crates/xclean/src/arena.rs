@@ -1,10 +1,10 @@
 //! Per-query scratch arena: recycled buffers for the scoring hot path.
 //!
 //! One `suggest` call works on a family of short-lived structures — the
-//! walk's per-slot occurrence buffers, the candidate enumeration scratch,
-//! the compiled candidate table, the per-subtree entity grouping, the
-//! γ-table, a shard walk's contribution log, and the ranker's sort
-//! buffer. At realistic corpus scale (100k+ publications) allocating them
+//! walk's per-slot occurrence buffers and the scan path's entity bitmaps,
+//! the candidate enumeration scratch, the compiled candidate table, the
+//! per-subtree entity grouping, the γ-table, a shard walk's contribution
+//! log, and the ranker's sort buffer. At realistic corpus scale (100k+ publications) allocating them
 //! is a measurable slice of query latency, and a batch (`suggest_many`)
 //! would pay it once per query.
 //!
@@ -35,7 +35,7 @@ use xclean_index::TokenId;
 use crate::algorithm::EntityGroups;
 use crate::candidates::{CandId, CandidateTable};
 use crate::pruning::AccumulatorTable;
-use crate::walk::SlotOccurrences;
+use crate::walk::{EntityBitmaps, SlotOccurrences};
 
 /// One recorded [`AccumulatorTable::add`] call of a shard walk:
 /// `(candidate, weighted score, weight)`.
@@ -52,6 +52,9 @@ pub struct QueryArena {
     pub(crate) occurrences: SlotOccurrences,
     /// Walk scratch: per-slot deduplicated token sets.
     pub(crate) slot_tokens: Vec<Vec<TokenId>>,
+    /// Walk scratch: the scan path's per-slot subtree bitmaps, rebuilt by
+    /// every scan (so `reset` leaves them be).
+    pub(crate) bitmaps: EntityBitmaps,
     /// Candidate-enumeration scratch (one token per slot).
     pub(crate) candidate: Vec<TokenId>,
     /// The compiled query: slot tables and interned candidates (the hash

@@ -49,6 +49,8 @@ pub mod space_edits;
 pub mod variants;
 mod view;
 pub mod walk;
+#[cfg(test)]
+mod walk_differential;
 
 pub use algorithm::{run_xclean, KeywordSlot, RunOutput, RunStats, ScoredCandidate};
 pub use arena::QueryArena;

@@ -614,7 +614,12 @@ fn assert_same(product: &Outcome, reference: &Outcome, what: &str) {
         "{what}: γ-decision sequence"
     );
     let (p, r) = (&product.stats, &reference.stats);
-    assert_eq!(p.subtrees, r.subtrees, "{what}: subtrees");
+    // The reference leapfrogs; a product run that scanned counts passing
+    // subtrees and different posting I/O for the same stream.
+    let leapfrogged = p.access.scanned == 0;
+    if leapfrogged {
+        assert_eq!(p.subtrees, r.subtrees, "{what}: subtrees");
+    }
     assert_eq!(
         p.candidates_enumerated, r.candidates_enumerated,
         "{what}: candidates enumerated"
@@ -624,8 +629,23 @@ fn assert_same(product: &Outcome, reference: &Outcome, what: &str) {
         "{what}: result-type computations"
     );
     assert_eq!(p.entities_scored, r.entities_scored, "{what}: entities");
-    assert_eq!(p.access, r.access, "{what}: posting I/O");
+    if leapfrogged {
+        assert_eq!(p.access, r.access, "{what}: posting I/O");
+    }
     assert_eq!(p.pruning, r.pruning, "{what}: pruning");
+}
+
+/// The `dense` slot sets of [`slot_sets`] meet in most subtrees, so the
+/// product takes the scan path on them — which keeps that path under the
+/// oracle's eye.
+fn assert_dense_sets_scan(slots: &[KeywordSlot], product: &Outcome, what: &str) {
+    if slots.iter().all(|s| s.keyword == "dense") {
+        assert!(
+            product.stats.access.scanned > 0,
+            "{what}: a dense set leapfrogged: {:?}",
+            product.stats
+        );
+    }
 }
 
 /// The slot sets one case runs: `per_set` RAND- and `per_set`
@@ -770,6 +790,7 @@ proptest! {
                         &arenas,
                     );
                     assert_same(&product, &reference, &what);
+                    assert_dense_sets_scan(slots, &product, &what);
                     coverage.note(&product);
                 }
             }
@@ -810,6 +831,7 @@ proptest! {
                         &arenas,
                     );
                     assert_same(&product, &reference, &what);
+                    assert_dense_sets_scan(slots, &product, &what);
                     let unsharded = reference_run(
                         &[Scoring::unsharded(&parent)],
                         Semantics::NodeType,

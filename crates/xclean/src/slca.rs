@@ -113,6 +113,7 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
     let QueryArena {
         occurrences,
         slot_tokens,
+        bitmaps,
         candidate,
         candidates,
         groups,
@@ -128,6 +129,7 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
         stats,
         occurrences,
         slot_tokens,
+        bitmaps,
         |_g, occurrences, slot_tokens| {
             // Per-token occurrence nodes/counts in this subtree (dedup
             // across slots: the same posting can surface in several merged

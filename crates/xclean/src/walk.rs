@@ -10,8 +10,17 @@
 //! the node table: anchors never decrease, so one forward cursor over the
 //! entities' extents yields `g`, its end, and — for the scorer — its path
 //! and length (DESIGN.md §15, "Layout of `walk_accumulate`").
+//!
+//! Which subtrees pass is found one of two ways, picked per query and per
+//! view from the compiled slots' list lengths alone ([`WalkPath`]): the
+//! leapfrog above, which visits subtrees and skips over the failing ones,
+//! or — when every slot holds a fair share of the postings, so there is
+//! little to skip — a scan that marks each slot's subtrees in a bitmap
+//! through the level table's per-node column and ANDs the bitmaps. Both
+//! collect a passing subtree's occurrences with the same helper, so
+//! `on_subtree` sees the same sequence either way (DESIGN.md §15, item 5).
 
-use xclean_index::{CorpusIndex, LevelEntry, MergedList, TokenId};
+use xclean_index::{CorpusIndex, LevelEntry, LevelTable, MergedList, TokenId};
 use xclean_xmltree::NodeId;
 
 use crate::algorithm::{KeywordSlot, RunStats};
@@ -21,6 +30,112 @@ use crate::view::Scoring;
 /// Occurrences collected for one gating subtree: per keyword slot, the
 /// `(token, node, tf)` triples in document order.
 pub type SlotOccurrences = Vec<Vec<(TokenId, NodeId, u32)>>;
+
+/// The scan runs when the slots' lists hold at most this many times the
+/// postings of the slot with the fewest (Σ ≤ `SCAN_RATIO` · m). Fitted on
+/// the benchmark pool: 32, 48, 64 and 96 land within 1 % of each other and
+/// 3 % of the per-query best of the two paths (DESIGN.md §15, item 5(e)).
+const SCAN_RATIO: usize = 48;
+
+/// How one walk finds the subtrees in which every slot occurs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WalkPath {
+    /// Anchor, gate, `skip_to`: visits subtrees and skips the failing ones.
+    Leapfrog,
+    /// One bitmap per slot over the level table's positions, ANDed: reads
+    /// every posting once.
+    Scan,
+}
+
+/// The path for lists `vls` gated by `level`: the scan when skipping is
+/// on, the table has subtrees, no slot is empty, and the lists total at
+/// most [`SCAN_RATIO`] times the lightest slot's.
+fn path_for(vls: &[MergedList<'_>], level: &LevelTable, config: &XCleanConfig) -> WalkPath {
+    let total: usize = vls.iter().map(MergedList::total_len).sum();
+    let fewest = vls.iter().map(MergedList::total_len).min().unwrap_or(0);
+    if config.enable_skipping && !level.is_empty() && fewest > 0 && total <= SCAN_RATIO * fewest {
+        WalkPath::Scan
+    } else {
+        WalkPath::Leapfrog
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The path every walk on this thread takes instead of [`path_for`]'s.
+    static FORCED: std::cell::Cell<Option<WalkPath>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with every walk on this thread taking `path` — the
+/// differential suite's handle on both paths over one input. Test-only:
+/// the product has no way to choose.
+#[cfg(test)]
+pub(crate) fn with_path<T>(path: WalkPath, f: impl FnOnce() -> T) -> T {
+    let previous = FORCED.replace(Some(path));
+    let out = f();
+    FORCED.set(previous);
+    out
+}
+
+/// The scan path's scratch, recycled through the query arena: the AND of
+/// the slots' bitmaps so far and the current slot's, one bit per
+/// level-table position plus one for postings shallower than the gate.
+#[derive(Debug, Default)]
+pub(crate) struct EntityBitmaps {
+    passing: Vec<u64>,
+    slot: Vec<u64>,
+}
+
+impl EntityBitmaps {
+    /// Sets the bits of the subtrees of `level` in which every slot has a
+    /// posting under `view`: per slot, one pass over each variant's node
+    /// column. Returns the postings read.
+    fn mark(&mut self, view: &Scoring<'_>, slots: &[KeywordSlot], level: &LevelTable) -> u64 {
+        self.passing.clear();
+        if level.is_empty() {
+            return 0;
+        }
+        let positions = level.positions();
+        let words = level.len() / 64 + 1;
+        let mut scanned = 0;
+        for (i, slot) in slots.iter().enumerate() {
+            let bits = if i == 0 {
+                &mut self.passing
+            } else {
+                &mut self.slot
+            };
+            bits.clear();
+            bits.resize(words, 0);
+            for v in &slot.variants {
+                let nodes = view.postings(v.token).nodes();
+                scanned += nodes.len() as u64;
+                for n in nodes {
+                    let pos = positions[n.index()] as usize;
+                    bits[pos / 64] |= 1 << (pos % 64);
+                }
+            }
+            if i > 0 {
+                for (passing, &slot) in self.passing.iter_mut().zip(&self.slot) {
+                    *passing &= slot;
+                }
+            }
+        }
+        // Postings shallower than the gate all set the one bit past the
+        // last position.
+        let outside = level.len();
+        self.passing[outside / 64] &= !(1 << (outside % 64));
+        scanned
+    }
+
+    /// Positions of the marked subtrees, increasing — document order.
+    fn passing(&self) -> impl Iterator<Item = usize> + '_ {
+        self.passing.iter().enumerate().flat_map(|(w, &word)| {
+            let rest = |&bits: &u64| Some(bits & (bits - 1)).filter(|&b| b != 0);
+            std::iter::successors(Some(word).filter(|&b| b != 0), rest)
+                .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
+        })
+    }
+}
 
 /// Runs the anchor walk, invoking `on_subtree(g, occurrences, slot_tokens)`
 /// for every gating subtree in which **all** slots have at least one
@@ -39,20 +154,24 @@ pub fn walk_gated_subtrees(
         stats,
         &mut SlotOccurrences::new(),
         &mut Vec::new(),
+        &mut EntityBitmaps::default(),
         |gate, occurrences, slot_tokens| on_subtree(gate.node, occurrences, slot_tokens),
     )
 }
 
 /// The walk core over a [`Scoring`] view and caller-provided (arena)
-/// occurrence and token buffers: both are resized to one entry per slot
-/// and content-cleared before use, so recycled buffers behave exactly like
-/// fresh ones, and are left holding the *last* subtree's data on return —
-/// callers treat them as opaque scratch. Under a shard scope the variant
-/// tokens (global ids) resolve to the shard's local posting lists — or the
-/// empty list, which exhausts that merged-list member immediately — so the
-/// walk visits exactly the qualifying subtrees whose entities live in the
-/// shard. `on_subtree` receives the gating subtree as its level-table
-/// entry (path local to the view's corpus).
+/// occurrence, token and bitmap buffers: the first two are resized to one
+/// entry per slot and content-cleared before use, the bitmaps are rebuilt
+/// by the scan, so recycled buffers behave exactly like fresh ones; all are
+/// left holding the *last* query's data on return — callers treat them as
+/// opaque scratch. Under a shard scope the variant tokens (global ids)
+/// resolve to the shard's local posting lists — or the empty list, which
+/// exhausts that merged-list member immediately — so the walk visits
+/// exactly the qualifying subtrees whose entities live in the shard, and
+/// picks its [`WalkPath`] from the shard's own lists. `on_subtree` receives
+/// the gating subtree as its level-table entry (path local to the view's
+/// corpus).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn walk_gated_subtrees_scoped(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
@@ -60,13 +179,13 @@ pub(crate) fn walk_gated_subtrees_scoped(
     stats: &mut RunStats,
     occurrences: &mut SlotOccurrences,
     slot_tokens: &mut Vec<Vec<TokenId>>,
+    bitmaps: &mut EntityBitmaps,
     mut on_subtree: impl FnMut(&LevelEntry, &SlotOccurrences, &[Vec<TokenId>]),
 ) {
     if slots.is_empty() || slots.iter().any(|s| s.variants.is_empty()) {
         return;
     }
     let level = view.level(config.min_depth);
-    let mut cursor = 0;
     let mut vls: Vec<MergedList<'_>> = slots
         .iter()
         .map(|s| MergedList::new(s.variants.iter().map(|v| (v.token, view.postings(v.token)))))
@@ -79,13 +198,61 @@ pub(crate) fn walk_gated_subtrees_scoped(
     slot_tokens.iter_mut().for_each(Vec::clear);
     slot_tokens.resize_with(slots.len(), Vec::new);
 
+    let path = path_for(&vls, level, config);
+    #[cfg(test)]
+    let path = FORCED.get().unwrap_or(path);
+    match path {
+        WalkPath::Leapfrog => leapfrog(
+            level,
+            &mut vls,
+            config,
+            stats,
+            occurrences,
+            slot_tokens,
+            &mut on_subtree,
+        ),
+        WalkPath::Scan => {
+            // Every passing subtree is marked before any is collected; the
+            // lists are then only moved forward to each one in turn.
+            stats.access.scanned += bitmaps.mark(view, slots, level);
+            for pos in bitmaps.passing() {
+                let entry = level.entry(pos);
+                for vl in &mut vls {
+                    vl.skip_to_node(entry.node);
+                }
+                let present = gather(&mut vls, entry.node, entry.end, occurrences, slot_tokens);
+                debug_assert!(present, "every slot marked subtree {pos}");
+                stats.subtrees += 1;
+                on_subtree(&entry, occurrences, slot_tokens);
+            }
+        }
+    }
+
+    for vl in &vls {
+        stats.access += vl.stats();
+    }
+}
+
+/// The leapfrog path: anchor on the largest head, gate it through a
+/// forward cursor over `level`, and skip over the subtrees some slot
+/// misses. Counts every visited subtree in `stats.subtrees`.
+fn leapfrog(
+    level: &LevelTable,
+    vls: &mut [MergedList<'_>],
+    config: &XCleanConfig,
+    stats: &mut RunStats,
+    occurrences: &mut SlotOccurrences,
+    slot_tokens: &mut [Vec<TokenId>],
+    on_subtree: &mut impl FnMut(&LevelEntry, &SlotOccurrences, &[Vec<TokenId>]),
+) {
+    let mut cursor = 0;
     loop {
         // The anchor is the *largest* head; nil once any list is exhausted
         // (no further subtree can contain all keywords).
         let anchor = {
             let mut max: Option<NodeId> = None;
             let mut dead = false;
-            for vl in &vls {
+            for vl in vls.iter() {
                 match vl.head_node() {
                     Some(n) => max = Some(max.map_or(n, |m| m.max(n))),
                     None => {
@@ -110,7 +277,7 @@ pub(crate) fn walk_gated_subtrees_scoped(
         let (g, g_end) = match level.extent(cursor) {
             Some((g, g_end)) if g <= anchor => (g, g_end),
             _ => {
-                for vl in &mut vls {
+                for vl in vls.iter_mut() {
                     if vl.head_node() == Some(anchor) {
                         vl.next();
                     }
@@ -134,7 +301,7 @@ pub(crate) fn walk_gated_subtrees_scoped(
                 .iter_mut()
                 .all(|vl| vl.skip_to_node(g).is_some_and(|n| n.0 < g_end));
             if !all_present {
-                for vl in &mut vls {
+                for vl in vls.iter_mut() {
                     if vl.head_node().is_some_and(|n| n.0 < g_end) {
                         vl.skip_to_node(NodeId(g_end));
                     }
@@ -143,40 +310,47 @@ pub(crate) fn walk_gated_subtrees_scoped(
             }
         }
 
-        let mut all_present = true;
-        for (i, vl) in vls.iter_mut().enumerate() {
-            occurrences[i].clear();
-            while let Some(n) = vl.head_node() {
-                if n >= g && n.0 < g_end {
-                    occurrences[i].push(vl.next().expect("head_node implies an entry"));
-                } else if n < g {
-                    // Reachable only with skipping disabled.
-                    vl.next();
-                } else {
-                    break;
-                }
-            }
-            if occurrences[i].is_empty() {
-                all_present = false;
-            }
+        if gather(vls, g, g_end, occurrences, slot_tokens) {
+            on_subtree(&level.entry(cursor), occurrences, slot_tokens);
         }
-        if !all_present {
-            continue;
-        }
-
-        for (i, occ) in occurrences.iter().enumerate() {
-            slot_tokens[i].clear();
-            slot_tokens[i].extend(occ.iter().map(|&(t, _, _)| t));
-            slot_tokens[i].sort_unstable();
-            slot_tokens[i].dedup();
-        }
-
-        on_subtree(&level.entry(cursor), occurrences, slot_tokens);
     }
+}
 
-    for vl in &vls {
-        stats.access += vl.stats();
+/// Collects a subtree `[g, g_end)` for `on_subtree`, on either path: every
+/// list's postings in it move into its slot's `occurrences` (any still
+/// before `g`, reachable only with skipping disabled, are consumed and
+/// dropped) and, when every slot got one, each slot's distinct tokens into
+/// `slot_tokens`. Returns whether every slot got one.
+fn gather(
+    vls: &mut [MergedList<'_>],
+    g: NodeId,
+    g_end: u32,
+    occurrences: &mut SlotOccurrences,
+    slot_tokens: &mut [Vec<TokenId>],
+) -> bool {
+    let mut all_present = true;
+    for (vl, occ) in vls.iter_mut().zip(occurrences.iter_mut()) {
+        occ.clear();
+        while let Some(n) = vl.head_node() {
+            if n >= g && n.0 < g_end {
+                occ.push(vl.next().expect("head_node implies an entry"));
+            } else if n < g {
+                vl.next();
+            } else {
+                break;
+            }
+        }
+        all_present &= !occ.is_empty();
     }
+    if all_present {
+        for (tokens, occ) in slot_tokens.iter_mut().zip(occurrences.iter()) {
+            tokens.clear();
+            tokens.extend(occ.iter().map(|&(t, _, _)| t));
+            tokens.sort_unstable();
+            tokens.dedup();
+        }
+    }
+    all_present
 }
 
 /// Depth-first Cartesian enumeration of one token per slot, bounded by
@@ -264,6 +438,63 @@ mod tests {
         );
         assert_eq!(visited, vec!["1.2"]);
         assert!(stats.access.read > 0);
+    }
+
+    /// The path `path_for` picks for slots of the named terms of `corpus`.
+    fn path_of(corpus: &CorpusIndex, slots: &[&[&str]], config: &XCleanConfig) -> WalkPath {
+        let vls: Vec<MergedList<'_>> = slots
+            .iter()
+            .map(|terms| {
+                MergedList::new(terms.iter().map(|term| {
+                    let token = corpus.vocab().get(term).expect("a corpus term");
+                    (token, corpus.postings(token))
+                }))
+            })
+            .collect();
+        path_for(&vls, corpus.level(config.min_depth), config)
+    }
+
+    #[test]
+    fn the_path_rule_is_sigma_at_most_48_m() {
+        // One `rare` and one `extra` publication, 47 `bulk` ones.
+        let xml = format!("<a><p>rare</p>{}<p>extra</p></a>", "<p>bulk</p>".repeat(47));
+        let corpus = CorpusIndex::build(parse_document(&xml).unwrap());
+        let on = XCleanConfig::default();
+        // Σ = 48 · m with m = 1 scans; one posting more does not.
+        assert_eq!(
+            path_of(&corpus, &[&["rare"], &["bulk"]], &on),
+            WalkPath::Scan
+        );
+        let over: &[&[&str]] = &[&["rare"], &["bulk", "extra"]];
+        assert_eq!(path_of(&corpus, over, &on), WalkPath::Leapfrog);
+        // Even a balanced query leapfrogs with skipping off, or over an
+        // empty level table (depth 0, or past the deepest node).
+        let balanced: &[&[&str]] = &[&["rare"], &["extra"]];
+        assert_eq!(path_of(&corpus, balanced, &on), WalkPath::Scan);
+        for config in [
+            XCleanConfig {
+                enable_skipping: false,
+                ..XCleanConfig::default()
+            },
+            XCleanConfig {
+                min_depth: 0,
+                ..XCleanConfig::default()
+            },
+            XCleanConfig {
+                min_depth: 3,
+                ..XCleanConfig::default()
+            },
+        ] {
+            assert_eq!(path_of(&corpus, balanced, &config), WalkPath::Leapfrog);
+        }
+        // A slot with no postings (a token absent from a shard) leapfrogs.
+        let empty = xclean_index::PostingList::new();
+        let rare = corpus.vocab().get("rare").unwrap();
+        let vls = [
+            MergedList::new([(rare, corpus.postings(rare))]),
+            MergedList::new([(rare, &empty)]),
+        ];
+        assert_eq!(path_for(&vls, corpus.level(2), &on), WalkPath::Leapfrog);
     }
 
     #[test]

@@ -1,0 +1,275 @@
+//! One stream, two paths: the walk's scan against its leapfrog (test-only).
+//!
+//! `crate::walk` finds the subtrees every slot occurs in either by
+//! leapfrogging over the merged lists or by ANDing per-slot entity bitmaps,
+//! picked from the compiled slots' list lengths. The contract is that
+//! `on_subtree` cannot tell which ran: the same `(entry, occurrences,
+//! slot_tokens)` sequence, so the same contributions in the same `f64`
+//! order, the same γ-decisions and the same answers. This suite forces each
+//! path in turn (`walk::with_path`) over builder-generated trees and random
+//! slot sets, at every gate depth, over one corpus and under 2- and 3-way
+//! shard scopes, where each shard picks its path from its own lists.
+
+use proptest::prelude::*;
+use xclean_index::{partition_corpus, CorpusIndex, LevelEntry, TokenId};
+use xclean_telemetry::Telemetry;
+use xclean_xmltree::{PathId, TreeBuilder};
+
+use crate::algorithm::{KeywordSlot, RunStats};
+use crate::config::XCleanConfig;
+use crate::pipeline::{rank_walked, ArenaPool, Semantics, Walked};
+use crate::variants::Variant;
+use crate::view::Scoring;
+use crate::walk::{
+    walk_gated_subtrees_scoped, with_path, EntityBitmaps, SlotOccurrences, WalkPath,
+};
+use crate::ShardedEngine;
+
+const WORDS: [&str; 6] = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"];
+
+const GAMMAS: [Option<usize>; 3] = [None, Some(1), Some(3)];
+
+/// One builder step per byte, as the level table's property suite
+/// (`xclean_index::level`) builds its trees: open a child, close the
+/// current element, add text to the current element itself — the root's
+/// too when `root_text` — or append a text leaf, so depths mix and shallow
+/// nodes carry indexed text between their children. The words vary with the
+/// byte, so the lists differ in length.
+fn build(shape: &[u8], root_text: bool) -> CorpusIndex {
+    let mut b = TreeBuilder::new("r");
+    let mut depth = 0usize;
+    for &s in shape {
+        let word = |k: u8| WORDS[usize::from(s / k) % WORDS.len()];
+        match s % 5 {
+            0 => {
+                b.open(if s % 2 == 0 { "n" } else { "m" });
+                depth += 1;
+            }
+            1 if depth > 0 => {
+                b.close();
+                depth -= 1;
+            }
+            2 if depth > 0 || root_text => b.text(word(1)),
+            _ => {
+                b.leaf("t", &format!("{} {}", word(1), word(5)));
+            }
+        }
+    }
+    CorpusIndex::build(b.finish())
+}
+
+/// Slots of variants picked by index from the first `vocab` token ids at
+/// distance 0–2, deduplicated and ordered by (distance, token) as the
+/// variant generator orders them.
+fn slots_of(picks: &[Vec<(usize, u32)>], vocab: usize) -> Vec<KeywordSlot> {
+    picks
+        .iter()
+        .map(|picks| {
+            let mut variants: Vec<Variant> = picks
+                .iter()
+                .map(|&(i, distance)| Variant {
+                    token: TokenId((i % vocab) as u32),
+                    distance,
+                })
+                .collect();
+            variants.sort_by_key(|v| v.token);
+            variants.dedup_by_key(|v| v.token);
+            variants.sort_by_key(|v| (v.distance, v.token));
+            KeywordSlot {
+                keyword: "k".to_string(),
+                variants,
+            }
+        })
+        .collect()
+}
+
+fn deepest(corpus: &CorpusIndex) -> u32 {
+    let tree = corpus.tree();
+    tree.iter().map(|n| tree.depth(n)).max().unwrap_or(0)
+}
+
+type Stream = Vec<(LevelEntry, SlotOccurrences, Vec<Vec<TokenId>>)>;
+
+/// Everything `on_subtree` receives on `path`, and the walk's counters.
+/// `bitmaps` is shared across calls, so recycled scratch is on trial too.
+fn stream(
+    view: &Scoring<'_>,
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+    path: WalkPath,
+    bitmaps: &mut EntityBitmaps,
+) -> (Stream, RunStats) {
+    let mut out = Stream::new();
+    let mut stats = RunStats::default();
+    with_path(path, || {
+        walk_gated_subtrees_scoped(
+            view,
+            slots,
+            config,
+            &mut stats,
+            &mut SlotOccurrences::new(),
+            &mut Vec::new(),
+            bitmaps,
+            |entry, occurrences, slot_tokens| {
+                out.push((*entry, occurrences.clone(), slot_tokens.to_vec()))
+            },
+        )
+    });
+    (out, stats)
+}
+
+/// Both paths over one view: the same stream; the scan hands over exactly
+/// the subtrees it counts and reads every posting of the slots once.
+fn assert_one_stream(
+    view: &Scoring<'_>,
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+    bitmaps: &mut EntityBitmaps,
+) -> Result<(), String> {
+    let (leapfrog, walked) = stream(view, slots, config, WalkPath::Leapfrog, bitmaps);
+    let (scan, scanned) = stream(view, slots, config, WalkPath::Scan, bitmaps);
+    prop_assert_eq!(&scan, &leapfrog, "min_depth {}", config.min_depth);
+    prop_assert_eq!(walked.access.scanned, 0);
+    prop_assert_eq!(scanned.subtrees, scan.len() as u64);
+    prop_assert!(walked.subtrees >= scanned.subtrees);
+    if !view.level(config.min_depth).is_empty() {
+        let postings = slots.iter().flat_map(|s| &s.variants);
+        let postings = postings.map(|v| view.postings(v.token).len() as u64);
+        prop_assert_eq!(scanned.access.scanned, postings.sum::<u64>());
+    }
+    Ok(())
+}
+
+/// One ranked candidate: tokens, score bits, distances, result type and
+/// entity count.
+type Answer = (Vec<TokenId>, u64, Vec<u32>, PathId, u64);
+
+/// What a ranked run shows, score and γ-estimate bits included.
+#[derive(Debug, PartialEq)]
+struct Run {
+    candidates: Vec<Answer>,
+    /// `Debug` of every γ-decision: `f64` prints round-trip exact.
+    decisions: Vec<String>,
+    candidates_enumerated: u64,
+    entities_scored: u64,
+}
+
+fn run(
+    walked: Walked<'_>,
+    semantics: Semantics,
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+    path: WalkPath,
+    arenas: &ArenaPool,
+) -> Run {
+    let mut decisions = Vec::new();
+    let ranked = with_path(path, || {
+        rank_walked(
+            walked,
+            semantics,
+            slots,
+            config,
+            usize::MAX,
+            &Telemetry::disabled(),
+            arenas,
+            &mut |event| decisions.push(format!("{event:?}")),
+        )
+    });
+    Run {
+        candidates: ranked
+            .candidates
+            .into_iter()
+            .map(|c| {
+                let bits = c.log_score.to_bits();
+                (c.tokens, bits, c.distances, c.result_path, c.entity_count)
+            })
+            .collect(),
+        decisions,
+        candidates_enumerated: ranked.stats.candidates_enumerated,
+        entities_scored: ranked.stats.entities_scored,
+    }
+}
+
+fn slot_picks() -> impl Strategy<Value = Vec<Vec<(usize, u32)>>> {
+    proptest::collection::vec(proptest::collection::vec((0usize..64, 0u32..3), 1..7), 1..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One corpus with text above every gate: at each `min_depth` the two
+    /// paths emit one stream, and every semantics ranks the same answers
+    /// with the same γ-decisions from it.
+    #[test]
+    fn both_paths_emit_one_stream_over_one_corpus(
+        shape in proptest::collection::vec(0u8..60, 0..70),
+        picks in slot_picks(),
+    ) {
+        let corpus = build(&shape, true);
+        let vocab = corpus.vocab().len();
+        if vocab == 0 {
+            return Ok(());
+        }
+        let slots = slots_of(&picks, vocab);
+        let view = Scoring::unsharded(&corpus);
+        let mut bitmaps = EntityBitmaps::default();
+        let arenas = ArenaPool::default();
+        for min_depth in 0..=deepest(&corpus) + 1 {
+            let config = XCleanConfig { min_depth, ..XCleanConfig::default() };
+            assert_one_stream(&view, &slots, &config, &mut bitmaps)?;
+            if min_depth == 0 {
+                continue;
+            }
+            for gamma in GAMMAS {
+                let config = XCleanConfig { gamma, ..config.clone() };
+                for semantics in [Semantics::NodeType, Semantics::Slca, Semantics::Elca] {
+                    let on = |path| run(Walked::Corpus(&corpus), semantics, &slots, &config, path, &arenas);
+                    prop_assert_eq!(on(WalkPath::Scan), on(WalkPath::Leapfrog));
+                }
+            }
+        }
+    }
+
+    /// Under 2- and 3-way shard scopes every shard view emits one stream
+    /// on either path — tokens absent from a shard included — and the
+    /// scatter-gather ranks the same answers.
+    #[test]
+    fn both_paths_emit_one_stream_per_shard(
+        shape in proptest::collection::vec(0u8..60, 0..70),
+        picks in slot_picks(),
+        seed in 0u64..1_000,
+    ) {
+        let parent = build(&shape, false);
+        let vocab = parent.vocab().len();
+        if vocab == 0 {
+            return Ok(());
+        }
+        // Slot tokens are global ids, which are the parent's.
+        let slots = slots_of(&picks, vocab);
+        let mut bitmaps = EntityBitmaps::default();
+        let arenas = ArenaPool::default();
+        for shard_count in [2, 3] {
+            let Ok(shards) = partition_corpus(&parent, shard_count, seed) else {
+                continue;
+            };
+            let engine = ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
+            let views = engine.pipeline().shard_views();
+            for min_depth in 0..=deepest(&parent) + 1 {
+                let config = XCleanConfig { min_depth, ..XCleanConfig::default() };
+                for view in &views {
+                    assert_one_stream(view, &slots, &config, &mut bitmaps)?;
+                }
+                if min_depth < 2 {
+                    continue;
+                }
+                for gamma in GAMMAS {
+                    let config = XCleanConfig { gamma, ..config.clone() };
+                    let on = |path| {
+                        run(Walked::Shards(&views), Semantics::NodeType, &slots, &config, path, &arenas)
+                    };
+                    prop_assert_eq!(on(WalkPath::Scan), on(WalkPath::Leapfrog));
+                }
+            }
+        }
+    }
+}

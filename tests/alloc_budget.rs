@@ -5,10 +5,12 @@
 //! — a query allocates for its variant slots, for one merged-list cursor
 //! set per keyword, and for the `SuggestResponse` it returns; nothing
 //! between slot building and the materialisation of the top-k grows with
-//! the work walked. So a query that visits ten thousand gated subtrees
-//! and enumerates thousands of candidates allocates exactly as often,
-//! slots aside, as a query of the same keyword and suggestion count that
-//! visits a handful — with an unbounded γ-table and under a γ that evicts.
+//! the work walked. So a query that scans tens of thousands of postings
+//! into entity bitmaps and enumerates thousands of candidates allocates
+//! exactly as often, slots aside, as a query of the same keyword and
+//! suggestion count whose leapfrog visits a handful of subtrees — with an
+//! unbounded γ-table and under a γ that evicts. The bitmaps live in the
+//! pooled arena, like every other walk buffer.
 //!
 //! The gate's level table (DESIGN.md §15) is part of that warm state from
 //! the start: the engine constructor builds it, so not even the first
@@ -80,8 +82,10 @@ fn net_allocations(engine: &XCleanEngine, query: &[String]) -> (u64, SuggestResp
     (total - slots, response)
 }
 
-/// The two most frequent and two of the rarest vocabulary terms of at
-/// least five letters, as clean two-keyword queries.
+/// The two most frequent vocabulary terms of at least five letters, and
+/// the most frequent with one of the rarest, as clean two-keyword queries:
+/// the first pair's lists are both long (the walk scans them), the second
+/// pairs a long list with a short one (the walk leapfrogs over the long one).
 fn heavy_and_light(corpus: &CorpusIndex) -> (Vec<String>, Vec<String>) {
     let vocab = corpus.vocab();
     let mut terms: Vec<TokenId> = (0..vocab.len() as u32)
@@ -95,31 +99,26 @@ fn heavy_and_light(corpus: &CorpusIndex) -> (Vec<String>, Vec<String>) {
         vocab.term(terms[0]).to_string(),
         vocab.term(terms[1]).to_string(),
     ];
-    // A rare pair that still shares a publication, so the light query
-    // returns a suggestion too: two terms of one title far down the tail.
+    // A pair that still shares a publication, so the light query returns a
+    // suggestion too: the most frequent term and one far down the tail.
     let tree = corpus.tree();
+    let holds = |publication, t| {
+        let nodes = corpus.postings(t).nodes();
+        nodes
+            .iter()
+            .any(|&n| tree.is_ancestor_or_self(publication, n))
+    };
     let light = tree
         .children(tree.root())
-        .filter_map(|publication| {
-            let mut rare: Vec<TokenId> = terms
-                .iter()
-                .rev()
-                .take(terms.len() / 2)
-                .copied()
-                .filter(|&t| {
-                    corpus
-                        .postings(t)
-                        .nodes()
-                        .iter()
-                        .any(|&n| tree.is_ancestor_or_self(publication, n))
-                })
-                .take(2)
-                .collect();
-            rare.sort_unstable();
-            (rare.len() == 2).then_some(rare)
+        .filter(|&publication| holds(publication, terms[0]))
+        .find_map(|publication| {
+            let mut tail = terms.iter().rev().take(terms.len() / 2);
+            let rare = *tail.find(|&&t| holds(publication, t))?;
+            let mut pair = vec![terms[0], rare];
+            pair.sort_unstable();
+            Some(pair)
         })
-        .next()
-        .expect("some publication holds two tail terms");
+        .expect("some publication holds the most frequent term and a tail term");
     (
         heavy,
         light.iter().map(|&t| vocab.term(t).to_string()).collect(),
@@ -239,12 +238,12 @@ fn hot_path_allocations_do_not_grow_with_the_work_walked() {
 
         let stats = heavy_response.stats;
         assert!(
-            stats.subtrees >= 10_000 && stats.candidates_enumerated >= 1_000,
-            "the heavy query must walk: {stats:?}"
+            stats.access.scanned > 0 && stats.candidates_enumerated >= 1_000,
+            "the heavy query must scan: {stats:?}"
         );
         assert!(
-            light_response.stats.subtrees <= 500,
-            "the light query must not: {:?}",
+            light_response.stats.access.scanned == 0 && light_response.stats.subtrees <= 500,
+            "the light query must leapfrog, and not far: {:?}",
             light_response.stats
         );
         assert_eq!(heavy_response.suggestions.len(), 1);

@@ -83,6 +83,17 @@ fn assert_identical(q: &[String], a: &SuggestResponse, b: &SuggestResponse) {
         a.stats.access.skip_calls, b.stats.access.skip_calls,
         "skip_to accounting diverged for {label:?}"
     );
+    // The walk path is a function of the compiled query alone.
+    assert_eq!(
+        a.stats.access.scanned > 0,
+        b.stats.access.scanned > 0,
+        "walk path diverged for {label:?}"
+    );
+    assert_eq!(
+        (a.stats.subtrees, a.stats.access),
+        (b.stats.subtrees, b.stats.access),
+        "walk counters diverged for {label:?}"
+    );
 }
 
 /// The tentpole guarantee: `suggest_many` at 1, 2, and 8 threads is
@@ -92,6 +103,16 @@ fn suggest_many_is_bit_identical_across_thread_counts() {
     let (engine, queries) = corpus_and_queries();
     let baseline: Vec<SuggestResponse> =
         queries.iter().map(|q| engine.suggest_keywords(q)).collect();
+    // Both walk paths are on trial, not just one.
+    let scans = baseline
+        .iter()
+        .filter(|r| r.stats.access.scanned > 0)
+        .count();
+    assert!(
+        scans > 0 && scans < baseline.len(),
+        "{scans} of {} queries scan",
+        baseline.len()
+    );
     for threads in [1usize, 2, 8] {
         let pooled = XCleanEngine::from_shared(
             engine.corpus_shared(),
