@@ -550,13 +550,13 @@ fn cmd_suggest(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     };
     if let Some(path) = trace_out {
         let spans = engine.tracer().finished_spans().len();
-        std::fs::write(&path, engine.tracer().chrome_trace_json())
+        std::fs::write(&path, engine.tracer().chrome_trace_json().render())
             .map_err(|e| ArgError(format!("{path}: {e}")))?;
         out.lines
             .push(format!("trace: {spans} spans → {path} (chrome://tracing)"));
     }
     if args.has_flag("metrics-json") {
-        out.lines.push(engine.metrics().metrics_json());
+        out.lines.push(engine.metrics().metrics_json().render());
     }
     Ok(out)
 }
@@ -992,12 +992,12 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     ];
     if let Some(path) = trace_out {
         let spans = primary_engine.tracer().finished_spans().len();
-        std::fs::write(&path, primary_engine.tracer().chrome_trace_json())
+        std::fs::write(&path, primary_engine.tracer().chrome_trace_json().render())
             .map_err(|e| ArgError(format!("{path}: {e}")))?;
         lines.push(format!("trace: {spans} spans → {path} (chrome://tracing)"));
     }
     if let Some(path) = metrics_out {
-        std::fs::write(&path, tenants.metrics_json(&server_metrics))
+        std::fs::write(&path, tenants.metrics_json(&server_metrics).render())
             .map_err(|e| ArgError(format!("{path}: {e}")))?;
         lines.push(format!("metrics → {path}"));
     }

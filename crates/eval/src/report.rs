@@ -97,6 +97,7 @@ mod tests {
         let path = write_json("unit_test_report", &value).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "[\n  1,\n  2,\n  3\n]");
-        assert_eq!(xclean_telemetry::json::parse(&text).unwrap(), value);
+        let parsed = xclean_telemetry::json::parse(&text).unwrap();
+        assert_eq!(parsed.render_pretty(), text);
     }
 }

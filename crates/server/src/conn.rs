@@ -529,9 +529,9 @@ mod tests {
     fn ok_response(tag: &str) -> Response {
         Response {
             status: 200,
-            content_type: "application/json",
+            content_type: "text/plain",
             extra: vec![("X-Request-Id".to_string(), tag.to_string())],
-            body: format!("{{\"tag\":\"{tag}\"}}").into_bytes(),
+            body: format!("tag {tag}").into_bytes(),
             close: false,
         }
     }

@@ -24,6 +24,7 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use xclean_telemetry::json::Json;
 use xclean_telemetry::{
     RequestRecord, RequestRing, RollingWindows, SharedClock, WindowEvent, WindowSnapshot,
 };
@@ -160,7 +161,7 @@ impl Observability {
             // the same record `/debug/requests` shows.
             slow.seq = seq;
             let mut sink = self.slow_sink.lock().expect("slow sink poisoned");
-            let _ = writeln!(sink, "{}", slow.to_json());
+            let _ = writeln!(sink, "{}", slow.to_json().render());
             let _ = sink.flush();
         }
         seq
@@ -358,51 +359,43 @@ impl ConnRegistry {
             .collect()
     }
 
-    /// Renders the `GET /debug/conns` body: `open` is the lifetime
-    /// opened−closed gauge (counts every live socket), `tracked` how many
-    /// of those the bounded registry holds.
-    pub fn render_debug_conns(&self, n: usize, now: u64, open: u64) -> String {
-        let snaps = self.snapshot(n, now);
-        let mut out = format!(
-            "{{\"open\":{open},\"tracked\":{},\"conns\":[",
-            self.tracked()
-        );
-        for (i, s) in snaps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"id\":{},\"state\":\"{}\",\"age_secs\":{:.3},\"idle_secs\":{:.3},\
-                 \"requests\":{},\"bytes_in\":{},\"bytes_out\":{},\"pipeline\":{},\"reused\":{}}}",
-                s.id,
-                s.state,
-                s.age_nanos as f64 / 1e9,
-                s.idle_nanos as f64 / 1e9,
-                s.requests,
-                s.bytes_in,
-                s.bytes_out,
-                s.pipeline,
-                s.reused
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The `GET /debug/conns` body: `open` is the lifetime opened−closed
+    /// gauge (counts every live socket), `tracked` how many of those the
+    /// bounded registry holds. Ages are seconds to the millisecond.
+    pub fn conns_json(&self, n: usize, now: u64, open: u64) -> Json {
+        let secs = |nanos: u64| (nanos as f64 / 1e6).round() / 1e3;
+        let conns = self.snapshot(n, now).into_iter().map(|s| {
+            Json::object([
+                ("id", s.id.into()),
+                ("state", s.state.into()),
+                ("age_secs", secs(s.age_nanos).into()),
+                ("idle_secs", secs(s.idle_nanos).into()),
+                ("requests", s.requests.into()),
+                ("bytes_in", s.bytes_in.into()),
+                ("bytes_out", s.bytes_out.into()),
+                ("pipeline", s.pipeline.into()),
+                ("reused", s.reused.into()),
+            ])
+        });
+        Json::object([
+            ("open", open.into()),
+            ("tracked", self.tracked().into()),
+            ("conns", conns.collect()),
+        ])
     }
 }
 
-/// Renders the `GET /debug/requests` body: newest-first records under a
+/// The `GET /debug/requests` body: newest-first records under a
 /// `requests` key plus the lifetime total (so a reader can tell how much
 /// history the bounded ring dropped).
-pub fn render_debug_requests(records: &[RequestRecord], total_observed: u64) -> String {
-    let mut out = format!("{{\"total_observed\":{total_observed},\"requests\":[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&r.to_json());
-    }
-    out.push_str("]}");
-    out
+pub fn requests_json(records: &[RequestRecord], total_observed: u64) -> Json {
+    Json::object([
+        ("total_observed", total_observed.into()),
+        (
+            "requests",
+            records.iter().map(RequestRecord::to_json).collect(),
+        ),
+    ])
 }
 
 /// Everything `GET /statusz` shows that the plane does not itself own.
@@ -848,14 +841,14 @@ mod tests {
         assert_eq!(snaps[0].idle_nanos, 1_000_000_000);
         assert!(!snaps[1].reused, "no requests yet");
         a.set_draining();
-        let body = reg.render_debug_conns(1, 4_000_000_000, 5);
+        let body = reg.conns_json(1, 4_000_000_000, 5).render();
         assert!(
             body.starts_with("{\"open\":5,\"tracked\":2,\"conns\":[{"),
             "{body}"
         );
         assert!(body.contains("\"id\":7"), "{body}");
         assert!(body.contains("\"state\":\"draining\""), "{body}");
-        assert!(body.contains("\"age_secs\":3.000"), "{body}");
+        assert!(body.contains("\"age_secs\":3,"), "{body}");
         assert!(body.contains("\"reused\":true"), "{body}");
         assert!(!body.contains("\"id\":8"), "n=1 cap: {body}");
         reg.unregister(7);
@@ -871,7 +864,7 @@ mod tests {
         assert!(reg.register(1, 0).is_none());
         assert_eq!(reg.tracked(), 0);
         assert_eq!(
-            reg.render_debug_conns(10, 0, 3),
+            reg.conns_json(10, 0, 3).render(),
             "{\"open\":3,\"tracked\":0,\"conns\":[]}"
         );
     }
@@ -882,7 +875,7 @@ mod tests {
         let (obs, _sink) = obs_with(clock, u64::MAX);
         obs.observe(record(10, 200));
         obs.observe(record(20, 200));
-        let body = render_debug_requests(&obs.recent(1), obs.total_observed());
+        let body = requests_json(&obs.recent(1), obs.total_observed()).render();
         assert!(
             body.starts_with("{\"total_observed\":2,\"requests\":[{"),
             "{body}"

@@ -269,24 +269,19 @@ pub(crate) struct Reply {
 }
 
 impl Reply {
-    fn json(status: u16, body: String) -> Reply {
+    fn json(status: u16, body: Json) -> Reply {
         Reply {
             status,
             content_type: "application/json",
             cache_header: None,
-            body,
+            body: body.render(),
             obs: RouteObs::default(),
         }
     }
 
     pub(crate) fn error(status: u16, message: &str) -> Reply {
-        Reply::json(
-            status,
-            format!(
-                "{{\"error\":{{\"code\":{status},\"message\":\"{}\"}}}}",
-                json::escape(message)
-            ),
-        )
+        let error = Json::object([("code", status.into()), ("message", message.into())]);
+        Reply::json(status, Json::object([("error", error)]))
     }
 
     /// The `408` for a request that outlived [`ServerConfig::read_timeout`].
@@ -625,45 +620,36 @@ fn healthz(handler: &Handler) -> Reply {
         .metrics()
         .counter_value(names::QUERIES)
         .unwrap_or(0);
-    let snapshot = match primary.engine().snapshot() {
-        Some((format, checksum)) => {
-            format!("{{\"format\":{format},\"checksum\":\"{checksum:016x}\"}}")
-        }
-        None => "null".to_string(),
-    };
-    let open = handler.conn_stats.open();
-    let mut corpora = String::from("[");
-    for (i, tenant) in handler.tenants.iter().enumerate() {
-        if i > 0 {
-            corpora.push(',');
-        }
-        corpora.push_str(&format!(
-            "{{\"name\":\"{}\",\"fingerprint\":\"{:016x}\",\"shards\":{},\
-             \"requests\":{},\"cache_entries\":{}}}",
-            json::escape(tenant.name()),
-            tenant.fingerprint(),
-            tenant.engine().shard_count(),
-            tenant.requests().get(),
-            tenant.cache().len(),
-        ));
-    }
-    corpora.push(']');
-    Reply::json(
-        200,
-        format!(
-            "{{\"status\":\"ok\",\"fingerprint\":\"{:016x}\",\"uptime_secs\":{},\
-             \"snapshot\":{snapshot},\"queries_total\":{queries},\
-             \"max_connections\":{},\"open_connections\":{open},\
-             \"cache\":{{\"entries\":{},\"capacity\":{},\"shards\":{}}},\
-             \"corpora\":{corpora}}}",
-            primary.fingerprint(),
-            handler.obs.uptime_secs(),
-            handler.max_connections,
-            primary.cache().len(),
-            primary.cache().capacity(),
-            primary.cache().shard_count(),
-        ),
-    )
+    let hex = |n: u64| Json::from(format!("{n:016x}"));
+    let snapshot = primary.engine().snapshot().map(|(format, checksum)| {
+        Json::object([("format", format.into()), ("checksum", hex(checksum))])
+    });
+    let corpora = handler.tenants.iter().map(|tenant| {
+        Json::object([
+            ("name", tenant.name().into()),
+            ("fingerprint", hex(tenant.fingerprint())),
+            ("shards", tenant.engine().shard_count().into()),
+            ("requests", tenant.requests().get().into()),
+            ("cache_entries", tenant.cache().len().into()),
+        ])
+    });
+    let cache = Json::object([
+        ("entries", primary.cache().len().into()),
+        ("capacity", primary.cache().capacity().into()),
+        ("shards", primary.cache().shard_count().into()),
+    ]);
+    let body = Json::object([
+        ("status", "ok".into()),
+        ("fingerprint", hex(primary.fingerprint())),
+        ("uptime_secs", handler.obs.uptime_secs().into()),
+        ("snapshot", snapshot.into()),
+        ("queries_total", queries.into()),
+        ("max_connections", handler.max_connections.into()),
+        ("open_connections", handler.conn_stats.open().into()),
+        ("cache", cache),
+        ("corpora", corpora.collect()),
+    ]);
+    Reply::json(200, body)
 }
 
 /// `GET /metrics`: one collect-then-render pass in which every series
@@ -801,7 +787,7 @@ fn debug_requests(handler: &Handler, query: &str) -> Reply {
     };
     Reply::json(
         200,
-        debug::render_debug_requests(&records, handler.obs.total_observed()),
+        debug::requests_json(&records, handler.obs.total_observed()),
     )
 }
 
@@ -812,7 +798,7 @@ fn debug_conns(handler: &Handler, query: &str) -> Reply {
     };
     let now = handler.obs.clock().now_nanos();
     let open = handler.conn_stats.open();
-    Reply::json(200, handler.conn_registry.render_debug_conns(n, now, open))
+    Reply::json(200, handler.conn_registry.conns_json(n, now, open))
 }
 
 fn debug_flight(handler: &Handler, query: &str) -> Reply {
@@ -849,175 +835,130 @@ fn debug_explain(handler: &Handler, query: &str) -> Reply {
     }
     let trace = tenant.engine().explain_keywords(&keywords);
     let normalized = keywords.join(" ");
-    let mut reply = Reply::json(200, render_explain(tenant.name(), &normalized, &trace));
+    let mut reply = Reply::json(200, explain_json(tenant.name(), &normalized, &trace));
     reply.obs.route = "debug_explain";
     reply.obs.query = normalized;
     reply.obs.corpus = tenant.name().to_string();
     reply
 }
 
-/// Renders one [`ExplainTrace`] as the `/debug/explain` response body.
-/// Schema documented in DESIGN.md §17.
-fn render_explain(corpus: &str, normalized: &str, trace: &ExplainTrace) -> String {
-    let mut out = format!(
-        "{{\"corpus\":\"{}\",\"query\":\"{}\",\"semantics\":\"{}\",\
-         \"sharded\":{},\"shard_count\":{},\"gamma\":{},\"cache\":\"bypassed\"",
-        json::escape(corpus),
-        json::escape(normalized),
-        trace.semantics,
-        trace.sharded,
-        trace.shard_count,
-        trace.gamma.map_or("null".to_string(), |g| g.to_string()),
-    );
-    out.push_str(",\"keywords\":[");
-    for (i, k) in trace.keywords.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"keyword\":\"{}\",\"variants\":[",
-            json::escape(&k.keyword)
-        ));
-        for (j, v) in k.variants.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"term\":\"{}\",\"distance\":{}}}",
-                json::escape(&v.term),
-                v.distance
-            ));
-        }
-        out.push_str("]}");
-    }
+/// One [`ExplainTrace`] as the `/debug/explain` response body. Schema
+/// documented in DESIGN.md §17.
+fn explain_json(corpus: &str, normalized: &str, trace: &ExplainTrace) -> Json {
+    let keywords = trace.keywords.iter().map(|k| {
+        let variants = k.variants.iter().map(|v| {
+            Json::object([
+                ("term", v.term.as_str().into()),
+                ("distance", v.distance.into()),
+            ])
+        });
+        Json::object([
+            ("keyword", k.keyword.as_str().into()),
+            ("variants", variants.collect()),
+        ])
+    });
     let s = &trace.stages;
-    out.push_str(&format!(
-        "],\"stages\":{{\"keywords\":{},\"variants\":{},\"candidate_space\":{},\
-         \"subtrees\":{},\"candidates_enumerated\":{},\"result_type_computations\":{},\
-         \"entities_scored\":{},\"contributions\":{},\"accumulators\":{},\
-         \"evictions\":{},\"rejected\":{},\"ranked\":{},\"suggestions\":{}}}",
-        s.keywords,
-        s.variants,
-        s.candidate_space,
-        s.subtrees,
-        s.candidates_enumerated,
-        s.result_type_computations,
-        s.entities_scored,
-        s.contributions,
-        s.accumulators,
-        s.evictions,
-        s.rejected,
-        s.ranked,
-        s.suggestions,
-    ));
+    let stages = Json::object([
+        ("keywords", s.keywords.into()),
+        ("variants", s.variants.into()),
+        ("candidate_space", s.candidate_space.into()),
+        ("subtrees", s.subtrees.into()),
+        ("candidates_enumerated", s.candidates_enumerated.into()),
+        (
+            "result_type_computations",
+            s.result_type_computations.into(),
+        ),
+        ("entities_scored", s.entities_scored.into()),
+        ("contributions", s.contributions.into()),
+        ("accumulators", s.accumulators.into()),
+        ("evictions", s.evictions.into()),
+        ("rejected", s.rejected.into()),
+        ("ranked", s.ranked.into()),
+        ("suggestions", s.suggestions.into()),
+    ]);
     let n = &trace.nanos;
-    out.push_str(&format!(
-        ",\"nanos\":{{\"slot\":{},\"walk\":{},\"gather\":{},\"rank\":{},\"total\":{}}}",
-        n.slot, n.walk, n.gather, n.rank, n.total
-    ));
-    out.push_str(",\"evictions\":[");
-    for (i, e) in trace.evictions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"kind\":\"{}\",\"terms\":[", e.kind.as_str()));
-        for (j, t) in e.terms.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&json::escape(t));
-            out.push('"');
-        }
-        out.push_str(&format!(
-            "],\"estimate\":{}}}",
-            e.estimate.map_or("null".to_string(), json::number)
-        ));
-    }
-    out.push_str(&format!(
-        "],\"eviction_events_total\":{},\"evictions_truncated\":{}",
-        trace.eviction_events_total,
-        trace.eviction_events_total > trace.evictions.len() as u64
-    ));
-    out.push_str(",\"shards\":[");
-    for (i, sh) in trace.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&sh.to_json());
-    }
-    out.push_str("],\"suggestions\":");
-    out.push_str(&render_suggestions(&trace.suggestions));
-    out.push('}');
-    out
+    let nanos = Json::object([
+        ("slot", n.slot.into()),
+        ("walk", n.walk.into()),
+        ("gather", n.gather.into()),
+        ("rank", n.rank.into()),
+        ("total", n.total.into()),
+    ]);
+    let evictions = trace.evictions.iter().map(|e| {
+        Json::object([
+            ("kind", e.kind.as_str().into()),
+            ("terms", e.terms.iter().map(String::as_str).collect()),
+            ("estimate", e.estimate.into()),
+        ])
+    });
+    let truncated = trace.eviction_events_total > trace.evictions.len() as u64;
+    Json::object([
+        ("corpus", corpus.into()),
+        ("query", normalized.into()),
+        ("semantics", trace.semantics.into()),
+        ("sharded", trace.sharded.into()),
+        ("shard_count", trace.shard_count.into()),
+        ("gamma", trace.gamma.into()),
+        ("cache", "bypassed".into()),
+        ("keywords", keywords.collect()),
+        ("stages", stages),
+        ("nanos", nanos),
+        ("evictions", evictions.collect()),
+        ("eviction_events_total", trace.eviction_events_total.into()),
+        ("evictions_truncated", truncated.into()),
+        (
+            "shards",
+            trace.shards.iter().map(ShardAttribution::to_json).collect(),
+        ),
+        ("suggestions", suggestions_json(&trace.suggestions)),
+    ])
 }
 
 /// `GET /debug/exemplars`: the latency exemplars as JSON — one entry
 /// per occupied histogram bucket, newest request ID wins.
 fn debug_exemplars(handler: &Handler) -> Reply {
-    let mut body = String::from("{\"exemplars\":[");
-    for (i, (upper_nanos, ex)) in handler.exemplars.snapshot().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "{{\"le_nanos\":{upper_nanos},\"trace_id\":\"{}\",\"value_nanos\":{}}}",
-            json::escape(&ex.trace_id),
-            ex.value_nanos
-        ));
-    }
-    body.push_str("]}");
-    Reply::json(200, body)
+    let exemplars = handler
+        .exemplars
+        .snapshot()
+        .into_iter()
+        .map(|(upper_nanos, ex)| {
+            Json::object([
+                ("le_nanos", upper_nanos.into()),
+                ("trace_id", ex.trace_id.into()),
+                ("value_nanos", ex.value_nanos.into()),
+            ])
+        });
+    Reply::json(200, Json::object([("exemplars", exemplars.collect())]))
 }
 
-/// Renders one per-query result object — the unit the cache stores. It
+/// One per-query result object — the unit the cache stores, printed. It
 /// contains only the *normalized* query and the (deterministic)
 /// suggestions, never timings, so a cached body is byte-identical to a
 /// freshly computed one.
-fn render_result(normalized: &str, response: &SuggestResponse) -> String {
-    let mut out = String::from("{\"query\":\"");
-    out.push_str(&json::escape(normalized));
-    out.push_str("\",\"suggestions\":");
-    out.push_str(&render_suggestions(&response.suggestions));
-    out.push('}');
-    out
+fn result_body(normalized: &str, response: &SuggestResponse) -> Arc<str> {
+    let result = Json::object([
+        ("query", normalized.into()),
+        ("suggestions", suggestions_json(&response.suggestions)),
+    ]);
+    Arc::from(result.render())
 }
 
 /// The suggestions array shared by `/suggest` result objects and
-/// `/debug/explain` traces — one renderer, so an explain trace's
+/// `/debug/explain` traces — one builder, so an explain trace's
 /// suggestions are byte-identical to the served ones by construction.
-fn render_suggestions(suggestions: &[Suggestion]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in suggestions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"query\":\"");
-        out.push_str(&json::escape(&s.query_string()));
-        out.push_str("\",\"terms\":[");
-        for (j, t) in s.terms.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&json::escape(t));
-            out.push('"');
-        }
-        out.push_str("],\"log_score\":");
-        out.push_str(&format!("{}", s.log_score));
-        out.push_str(",\"distances\":[");
-        for (j, d) in s.distances.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&d.to_string());
-        }
-        out.push_str("],\"entities\":");
-        out.push_str(&s.entity_count.to_string());
-        out.push('}');
-    }
-    out.push(']');
-    out
+fn suggestions_json(suggestions: &[Suggestion]) -> Json {
+    suggestions
+        .iter()
+        .map(|s| {
+            Json::object([
+                ("query", s.query_string().into()),
+                ("terms", s.terms.iter().map(String::as_str).collect()),
+                ("log_score", s.log_score.into()),
+                ("distances", s.distances.iter().copied().collect()),
+                ("entities", s.entity_count.into()),
+            ])
+        })
+        .collect()
 }
 
 /// Answers one normalized query through the cache, computing on miss.
@@ -1045,7 +986,7 @@ fn cached_result(keywords: &[String], tenant: &Tenant) -> (Arc<str>, RouteObs) {
     // the tenant's scatter histograms and skew gauge (record-only on
     // the serving path, like the lifetime counters).
     tenant.record_shards(&response.shard_stats);
-    let rendered: Arc<str> = Arc::from(render_result(&normalized, &response).as_str());
+    let rendered = result_body(&normalized, &response);
     tenant.cache().insert(key, Arc::clone(&rendered));
     let obs = RouteObs {
         route: "suggest",
@@ -1196,7 +1137,7 @@ fn batch_suggest(raw: &[&str], tenant: &Tenant) -> (String, u64, u64, RouteObs) 
             obs.entities += response.stats.entities_scored;
             obs.suggestions += response.suggestions.len() as u64;
             let normalized = keyword_lists[i].join(" ");
-            let rendered: Arc<str> = Arc::from(render_result(&normalized, response).as_str());
+            let rendered = result_body(&normalized, response);
             tenant.cache().insert(
                 CacheKey {
                     query: normalized,
@@ -1207,6 +1148,9 @@ fn batch_suggest(raw: &[&str], tenant: &Tenant) -> (String, u64, u64, RouteObs) 
             slots[i] = Some(rendered);
         }
     }
+    // The one JSON text not printed by the codec: the cache stores result
+    // objects already printed, so the batch envelope splices them in
+    // rather than parse and print them again.
     let mut body = String::from("{\"results\":[");
     for (i, slot) in slots.iter().enumerate() {
         if i > 0 {
@@ -1385,7 +1329,7 @@ mod tests {
     #[test]
     fn a_body_sized_query_string_is_answered_promptly() {
         let h = handler();
-        let body = format!("{{\"query\": \"{}\"}}", "?!".repeat(512 * 1024));
+        let body = Json::object([("query", "?!".repeat(512 * 1024).into())]).render();
         let start = std::time::Instant::now();
         let reply = route(&post(&body), &h, T);
         let elapsed = start.elapsed();
@@ -1571,7 +1515,9 @@ mod tests {
         let single = route(&post(r#"{"query": "helth insurance"}"#), &h, T);
         let batch = route(&post(r#"{"queries": ["helth insurance"]}"#), &h, T);
         assert_eq!(batch.cache_header.as_deref(), Some("hits=1 misses=0"));
-        assert_eq!(batch.body, format!("{{\"results\":[{}]}}", single.body));
+        // The envelope splices the cached result text unchanged.
+        let envelope = ["{\"results\":[", &single.body, "]}"].concat();
+        assert_eq!(batch.body, envelope);
     }
 
     /// Satellite: every error reply path is traced and counted — the

@@ -22,7 +22,9 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use xclean::Pipeline;
+use xclean::catalog::valid_corpus_name;
+use xclean::{CatalogError, Pipeline};
+use xclean_telemetry::json::Json;
 use xclean_telemetry::{
     names, Counter, Exposition, Histogram, MetricsRegistry, RollingWindows, ShardAttribution, Unit,
     Value, WindowEvent, WindowSnapshot,
@@ -146,7 +148,8 @@ impl TenantSet {
     /// over `cache_shards` shards, with the cache counters and the
     /// per-corpus request/error counters registered in that tenant's
     /// engine registry. Errors on an empty catalog, a
-    /// duplicate name, or a name that cannot appear in a request path.
+    /// duplicate name, or a name the catalog's
+    /// [`valid_corpus_name`] rejects.
     pub fn build(
         corpora: Vec<(String, Arc<Pipeline>)>,
         cache_entries: usize,
@@ -161,10 +164,12 @@ impl TenantSet {
         let mut tenants = Vec::with_capacity(corpora.len());
         let mut by_name = HashMap::with_capacity(corpora.len());
         for (name, engine) in corpora {
-            if name.is_empty() || name.contains(['/', '?', '#', ' ']) {
+            // The catalog's naming rule: `[a-z0-9_-]` routes verbatim
+            // through paths and query parameters, which are not decoded.
+            if !valid_corpus_name(&name) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    format!("corpus name {name:?} cannot appear in a request path"),
+                    CatalogError::BadName(name).to_string(),
                 ));
             }
             if by_name.insert(name.clone(), tenants.len()).is_some() {
@@ -262,20 +267,15 @@ impl TenantSet {
     /// and every tenant's engine registry, each in
     /// [`MetricsRegistry::metrics_json`] shape —
     /// `{"server": {…}, "corpora": {"<name>": {…}, …}}`.
-    pub fn metrics_json(&self, server: &MetricsRegistry) -> String {
-        let corpora: Vec<String> = self
+    pub fn metrics_json(&self, server: &MetricsRegistry) -> Json {
+        let corpora = self
             .tenants
             .iter()
-            .map(|t| {
-                let name = xclean_telemetry::json::escape(&t.name);
-                format!("\"{name}\":{}", t.engine.metrics().metrics_json())
-            })
-            .collect();
-        format!(
-            "{{\"server\":{},\"corpora\":{{{}}}}}",
-            server.metrics_json(),
-            corpora.join(",")
-        )
+            .map(|t| (t.name.clone(), t.engine.metrics().metrics_json()));
+        Json::object([
+            ("server", server.metrics_json()),
+            ("corpora", Json::object(corpora)),
+        ])
     }
 }
 
@@ -336,10 +336,16 @@ mod tests {
             2,
         );
         assert!(dup.unwrap_err().to_string().contains("duplicate"));
-        for bad in ["", "a/b", "a b", "a?b", "a#b"] {
+        // `a&b` could never be picked by `?corpus=` (the parameter splits
+        // at `&`), `a%20b` never routed by `/suggest/<name>` (paths are
+        // not decoded); the rest break the catalog's charset.
+        for bad in ["", "a/b", "a b", "a?b", "a#b", "a&b", "a%20b", "Dblp", "ü"] {
             let r = TenantSet::build(vec![(bad.into(), engine("<r><p>x</p></r>"))], 16, 2);
-            assert!(r.is_err(), "{bad:?} accepted");
+            let err = r.expect_err(bad).to_string();
+            assert!(err.contains("invalid corpus name"), "{bad:?}: {err}");
         }
+        let long = "a".repeat(xclean::catalog::MAX_NAME_LEN + 1);
+        assert!(TenantSet::build(vec![(long, engine("<r><p>x</p></r>"))], 16, 2).is_err());
     }
 
     #[test]
@@ -513,7 +519,7 @@ mod tests {
         let server = MetricsRegistry::default();
         server.counter(names::SERVER_REQUESTS).add(3);
         set.get("dblp").unwrap().requests().inc();
-        let doc = xclean_telemetry::json::parse(&set.metrics_json(&server)).expect("JSON");
+        let doc = xclean_telemetry::json::parse(&set.metrics_json(&server).render()).expect("JSON");
         assert_eq!(
             doc["server"]["counters"][names::SERVER_REQUESTS].as_u64(),
             Some(3)

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use xclean::{XCleanConfig, XCleanEngine};
 use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer};
-use xclean_telemetry::json;
+use xclean_telemetry::json::{self, Json};
 use xclean_xmltree::parse_document;
 
 fn engine() -> Arc<XCleanEngine> {
@@ -90,13 +90,13 @@ fn slow_batch_body(salt: usize) -> String {
         "wise", "ford", "hart", "lane", "mont", "ship", "ton", "berg", "dale", "wick", "combe",
         "stone", "mark", "path", "well", "gate", "holm", "firth", "moor", "stead",
     ];
-    let queries: Vec<String> = (0..1024usize)
+    let queries: Json = (0..1024usize)
         .map(|i| {
             let n = salt * 1024 + i;
             // Misspell by doubling the first letter: stays within edit
             // distance 1 of a real vocabulary term.
             format!(
-                "\"{}{}{} {}{}{}\"",
+                "{}{}{} {}{}{}",
                 &A[n % 20][..1],
                 A[n % 20],
                 B[(n / 20) % 20],
@@ -106,7 +106,7 @@ fn slow_batch_body(salt: usize) -> String {
             )
         })
         .collect();
-    format!("{{\"queries\": [{}]}}", queries.join(","))
+    Json::object([("queries", queries)]).render()
 }
 
 fn start(config: ServerConfig) -> Running {

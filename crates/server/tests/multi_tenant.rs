@@ -411,7 +411,7 @@ fn metrics_json_covers_the_server_and_every_catalog_entry() {
     scripted_traffic(&r);
     let (metrics, tenants) = (r.metrics.clone(), Arc::clone(&r.tenants));
     let report = stop(r);
-    let doc = json::parse(&tenants.metrics_json(&metrics)).expect("the document is JSON");
+    let doc = json::parse(&tenants.metrics_json(&metrics).render()).expect("the document is JSON");
     let server = &doc["server"]["counters"];
     assert_eq!(report.requests, 4);
     assert_eq!(
@@ -425,7 +425,7 @@ fn metrics_json_covers_the_server_and_every_catalog_entry() {
     let json::Json::Obj(corpora) = &doc["corpora"] else {
         panic!("corpora is not an object: {doc:?}");
     };
-    let names_seen: Vec<&str> = corpora.iter().map(|(k, _)| k.as_str()).collect();
+    let names_seen: Vec<&str> = corpora.iter().map(|(k, _)| k.as_ref()).collect();
     assert_eq!(names_seen, ["default", "dblp"], "catalog order");
     let queries = |corpus: &str| doc["corpora"][corpus]["counters"][names::QUERIES].as_u64();
     assert_eq!(queries("dblp"), Some(1));

@@ -249,7 +249,7 @@ fn observability_never_changes_a_suggestion_byte() {
             },
         );
         for q in queries {
-            let body = format!("{{\"query\": \"{q}\"}}");
+            let body = Json::object([("query", q.into())]).render();
             let (s1, _, b1) = request(plain.addr, "POST", "/suggest", &[], &body);
             let (s2, _, b2) = request(traced.addr, "POST", "/suggest", &[], &body);
             assert_eq!((s1, s2), (200, 200));
@@ -259,14 +259,7 @@ fn observability_never_changes_a_suggestion_byte() {
             );
         }
         // Batch path too (exercises the engine pool + batch-worker spans).
-        let batch = format!(
-            "{{\"queries\": [{}]}}",
-            queries
-                .iter()
-                .map(|q| format!("\"{q}\""))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
+        let batch = Json::object([("queries", queries.into_iter().collect())]).render();
         let (_, _, b1) = request(plain.addr, "POST", "/suggest", &[], &batch);
         let (_, _, b2) = request(traced.addr, "POST", "/suggest", &[], &batch);
         assert_eq!(b1, b2, "batch bytes differ at {threads} threads");
@@ -306,7 +299,7 @@ fn runtime_observability_never_changes_a_suggestion_byte() {
             },
         );
         for q in queries {
-            let body = format!("{{\"query\": \"{q}\"}}");
+            let body = Json::object([("query", q.into())]).render();
             let (s1, _, b1) = request(off.addr, "POST", "/suggest", &[], &body);
             let (s2, _, b2) = request(on.addr, "POST", "/suggest", &[], &body);
             assert_eq!((s1, s2), (200, 200));

@@ -8,10 +8,20 @@
 //! commas, leading zeros or bare fraction/exponent markers),
 //! depth-limited so a hostile body cannot overflow the stack, linear in
 //! the input length, and handles the full string escape set including
-//! surrogate pairs. Response bodies on the request path are assembled by
-//! hand with [`escape`]; the value tree and its printer serve the off-path
-//! producers (CLI `--json`, experiment dumps, the load generator's
-//! report) and every test that reads JSON back.
+//! surrogate pairs.
+//!
+//! Every JSON text the workspace writes is a [`Json`] value printed
+//! here: response bodies and error replies, `/debug/*` and `/healthz`,
+//! slow-log lines, `--metrics-json`, both Chrome traces, CLI `--json`,
+//! experiment dumps and the load generator's report. The one exception is
+//! the server's batch envelope, which concatenates result objects the
+//! response cache stores already printed. The printer writes escapes and
+//! numbers straight into its output buffer, and literal object keys are
+//! borrowed, so building and printing the per-request result body costs
+//! a few microseconds (DESIGN.md §10).
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by the parser: a value enclosed by more
 /// than this many arrays/objects is rejected. Request bodies are flat
@@ -25,28 +35,32 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (stored as `f64`, like JavaScript).
+    /// A float, and every number [`parse`] reads (stored as `f64`, like
+    /// JavaScript).
     Num(f64),
+    /// A built unsigned integer, printed exactly — an `f64` keeps only 53
+    /// bits. [`parse`] never yields one; [`Json::as_u64`] and
+    /// [`Json::as_f64`] answer for both number variants.
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
     /// An object, members in insertion (document) order; a duplicate key
     /// stays in the list and [`Json::get`] answers with the last one.
-    Obj(Vec<(String, Json)>),
+    /// Literal keys are borrowed; parsed and computed keys are owned.
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
 
 static NULL: Json = Json::Null;
 
 impl Json {
     /// An object from `(key, value)` pairs, kept in the order given.
-    pub fn object<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
-        Json::Obj(
-            members
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+    /// Keys are `&'static str` literals or owned `String`s.
+    pub fn object<K: Into<Cow<'static, str>>>(
+        members: impl IntoIterator<Item = (K, Json)>,
+    ) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Member lookup on objects (the last of duplicate keys); `None`
@@ -78,14 +92,17 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            Json::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
 
-    /// The value as a non-negative integer, if it is a whole number below
-    /// 2^64 (which `u64::MAX as f64` rounds up to, hence `<`).
+    /// The value as a non-negative integer: any [`Json::Int`], or a
+    /// [`Json::Num`] that is a whole number below 2^64 (which
+    /// `u64::MAX as f64` rounds up to, hence `<`).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(n) => Some(*n),
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
@@ -118,7 +135,13 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&number(*n)),
+            // Shortest decimal that round-trips: whole numbers print
+            // without a fraction and `-0.0` as `-0`. NaN and the
+            // infinities, which JSON cannot express, print as `null`
+            // (γ-eviction estimates can legitimately be `-inf`).
+            Json::Num(n) if n.is_finite() => write!(out, "{n}").expect("String write"),
+            Json::Num(_) => out.push_str("null"),
+            Json::Int(n) => write!(out, "{n}").expect("String write"),
             Json::Str(s) => write_string(s, out),
             Json::Arr(items) if items.is_empty() => out.push_str("[]"),
             Json::Obj(members) if members.is_empty() => out.push_str("{}"),
@@ -154,38 +177,38 @@ impl Json {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    out.push_str(&escape(s));
+    write_escaped(s, out);
     out.push('"');
 }
 
-/// A number as JSON text: the shortest decimal that round-trips (whole
-/// numbers print without a fraction, `-0.0` as `-0`), and `null` for
-/// NaN and the infinities, which JSON cannot express (γ-eviction
-/// estimates can legitimately be `-inf`).
-pub fn number(n: f64) -> String {
-    if n.is_finite() {
-        format!("{n}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal — the one
-/// escaper the workspace has (names and details are engine-controlled but
-/// query text may carry anything).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `s` escaped for a JSON string literal, copying the runs
+/// between escapes in one piece. Every escaped character is ASCII, so a
+/// run never ends inside a multi-byte scalar.
+fn write_escaped(s: &str, out: &mut String) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{:04x}", b).expect("String write"),
         }
     }
+    out.push_str(&s[run..]);
+}
+
+/// Escapes a string for embedding in a JSON string literal — what the
+/// printer writes between the quotes of every string and key.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    write_escaped(s, &mut out);
     out
 }
 
@@ -201,17 +224,36 @@ impl From<String> for Json {
     }
 }
 
-macro_rules! json_from_number {
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+macro_rules! json_from_unsigned {
     ($($t:ty),*) => {$(
         impl From<$t> for Json {
             fn from(n: $t) -> Json {
-                Json::Num(n as f64)
+                Json::Int(n as u64)
             }
         }
     )*};
 }
 
-json_from_number!(u32, u64, usize, f64);
+json_from_unsigned!(u16, u32, u64, usize);
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(value: Option<T>) -> Json {
+        value.map_or(Json::Null, Into::into)
+    }
+}
 
 /// Collects items into a [`Json::Arr`].
 impl<T: Into<Json>> FromIterator<T> for Json {
@@ -309,7 +351,7 @@ impl Parser<'_> {
                     let key = p.string()?;
                     p.skip_ws();
                     p.eat_literal(":", "expected ':'")?;
-                    members.push((key, p.value(depth + 1)?));
+                    members.push((key.into(), p.value(depth + 1)?));
                     Ok(())
                 })?;
                 Ok(Json::Obj(members))
@@ -604,7 +646,7 @@ mod tests {
         let Json::Obj(members) = &v else {
             panic!("{v:?}")
         };
-        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_ref()).collect();
         assert_eq!(keys, ["b", "a", "b"]);
         assert_eq!(v.get("b"), Some(&Json::Num(3.0)));
         assert_eq!(v.render(), r#"{"b":1,"a":2,"b":3}"#);
@@ -670,16 +712,50 @@ mod tests {
     #[test]
     fn both_renderings_round_trip_through_parse() {
         let v = sample();
-        assert_eq!(parse(&v.render()).unwrap(), v);
-        assert_eq!(parse(&v.render_pretty()).unwrap(), v);
+        for text in [v.render(), v.render_pretty()] {
+            let parsed = parse(&text).unwrap();
+            // The built `Int` reads back as a `Num`; the text is the same.
+            assert_eq!(parsed["k"], Json::Num(10.0));
+            assert_eq!(parsed.render(), v.render());
+        }
     }
 
     #[test]
     fn non_finite_numbers_print_as_null() {
         for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert_eq!(number(n), "null");
             assert_eq!(Json::Num(n).render(), "null");
+            assert_eq!(Json::from(Some(n)).render(), "null");
         }
+        assert_eq!(Json::from(None::<f64>), Json::Null);
+    }
+
+    /// Built integers used to go through `f64`: `u64::MAX` printed as
+    /// `18446744073709552000` and 2^53 + 1 as `9007199254740992`.
+    #[test]
+    fn built_integers_print_exactly() {
+        for n in [0, 1, (1u64 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let text = Json::from(n).render();
+            assert_eq!(text, n.to_string());
+            assert_eq!(Json::from(n).as_u64(), Some(n));
+            // The parser reads every number as `Num`; the text converts
+            // to the nearest `f64` as the integer itself does.
+            assert_eq!(parse(&text), Ok(Json::Num(n as f64)));
+        }
+        assert_eq!(Json::from(7u16), Json::Int(7));
+        assert_eq!(Json::from(7usize).as_f64(), Some(7.0));
+        assert_eq!(
+            Json::object([("n", u64::MAX.into())]).render(),
+            r#"{"n":18446744073709551615}"#
+        );
+    }
+
+    #[test]
+    fn escape_writes_every_class_in_place() {
+        assert_eq!(escape("a\"b\\c\nd\re\tf"), r#"a\"b\\c\nd\re\tf"#);
+        assert_eq!(escape("\u{1}\u{1f}"), r"\u0001\u001f");
+        assert_eq!(escape("plain é😀"), "plain é😀");
+        assert_eq!(escape(""), "");
+        assert_eq!(Json::from("\"é\u{1}").render(), r#""\"é\u0001""#);
     }
 
     #[test]
@@ -697,7 +773,7 @@ mod tests {
             // the integer fast path of the old off-path printer lost it).
             (-0.0, "-0"),
         ] {
-            assert_eq!(number(n), text);
+            assert_eq!(Json::Num(n).render(), text);
             assert_eq!(parse(text).unwrap(), Json::Num(n), "{text}");
         }
     }

@@ -11,15 +11,16 @@
 //!   latency [`Histogram`]s (p50/p95/p99). All recording is lock-free
 //!   (atomic adds); the registry lock is only taken on first registration
 //!   of a name, so a pool of worker threads never serialises on it.
-//! - Exporters — [`Tracer::chrome_trace_json`] emits Chrome trace-event
-//!   JSON (loadable in `chrome://tracing` / Perfetto); [`Exposition`]
-//!   is the one Prometheus text-format writer — every source hands it
-//!   typed samples and the page is rendered once
+//! - Exporters — [`Tracer::chrome_trace_json`] builds a Chrome
+//!   trace-event document (loadable in `chrome://tracing` / Perfetto);
+//!   [`Exposition`] is the one Prometheus text-format writer — every
+//!   source hands it typed samples and the page is rendered once
 //!   ([`MetricsRegistry::metrics_text`] is collect + render for one
 //!   registry); [`MetricsRegistry::metrics_json`] is a JSON snapshot.
 //! - [`json`] — the workspace's one JSON codec: value, strict parser,
-//!   string escaper and printer. The exporters above write through its
-//!   escaper; everything that reads JSON back parses with it.
+//!   string escaper and printer. Every JSON producer builds a
+//!   [`json::Json`] value and its caller prints it once; everything that
+//!   reads JSON back parses with it.
 //!
 //! The crate is intentionally free of workspace and external
 //! dependencies so every layer (index, engine, CLI, benches) can depend
@@ -222,12 +223,5 @@ mod tests {
             names::ALL[0],
             (names::QUERIES, names::help_for(names::QUERIES))
         );
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json::escape("\u{1}"), "\\u0001");
-        assert_eq!(json::escape("plain"), "plain");
     }
 }

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::json;
+use crate::json::Json;
 
 /// A monotonic counter.
 #[derive(Debug, Default)]
@@ -535,39 +535,25 @@ impl MetricsRegistry {
     /// JSON snapshot:
     /// `{"counters": {name: value, …},
     ///   "histograms": {name: {count, sum, p50, p95, p99}, …}}`.
-    pub fn metrics_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, c)) in self.inner.counters.read().expect("lock").iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json::escape(name), c.get()));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self
-            .inner
-            .histograms
-            .read()
-            .expect("lock")
-            .iter()
-            .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
+    pub fn metrics_json(&self) -> Json {
+        let counters = self.inner.counters.read().expect("lock");
+        let counters = counters.iter().map(|(&name, c)| (name, c.get().into()));
+        let histograms = self.inner.histograms.read().expect("lock");
+        let histograms = histograms.iter().map(|(&name, h)| {
             let s = h.summary();
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                json::escape(name),
-                s.count,
-                s.sum,
-                s.p50,
-                s.p95,
-                s.p99
-            ));
-        }
-        out.push_str("}}");
-        out
+            let summary = Json::object([
+                ("count", s.count.into()),
+                ("sum", s.sum.into()),
+                ("p50", s.p50.into()),
+                ("p95", s.p95.into()),
+                ("p99", s.p99.into()),
+            ]);
+            (name, summary)
+        });
+        Json::object([
+            ("counters", Json::object(counters)),
+            ("histograms", Json::object(histograms)),
+        ])
     }
 }
 
@@ -888,12 +874,14 @@ mod tests {
         let r = MetricsRegistry::default();
         r.counter("xclean_queries_total").inc();
         r.histogram("xclean_stage_rank_nanos").record(5);
-        let json = r.metrics_json();
+        r.histogram("xclean_stage_walk_nanos").record(u64::MAX);
+        let json = r.metrics_json().render();
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.contains("\"xclean_queries_total\":1"));
         assert!(json.contains("\"xclean_stage_rank_nanos\":{\"count\":1,\"sum\":5"));
-        assert!(json.contains("\"p99\":"));
-        let v = json::parse(&json).expect("the snapshot is JSON");
+        // Sums print exactly, not through an `f64`.
+        assert!(json.contains("\"sum\":18446744073709551615"), "{json}");
+        let v = crate::json::parse(&json).expect("the snapshot is JSON");
         assert_eq!(v["counters"]["xclean_queries_total"].as_u64(), Some(1));
         let rank = &v["histograms"]["xclean_stage_rank_nanos"];
         for key in ["count", "sum", "p50", "p95", "p99"] {

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::json;
+use crate::json::Json;
 
 /// Per-shard scatter attribution for one sharded suggestion request.
 ///
@@ -44,18 +44,16 @@ pub struct ShardAttribution {
 }
 
 impl ShardAttribution {
-    /// The attribution as one compact JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"shard\":{},\"scatter_nanos\":{},\"subtrees\":{},\"candidates\":{},\
-             \"entities\":{},\"contributions\":{}}}",
-            self.shard,
-            self.scatter_nanos,
-            self.subtrees,
-            self.candidates,
-            self.entities,
-            self.contributions
-        )
+    /// The attribution as one JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("shard", self.shard.into()),
+            ("scatter_nanos", self.scatter_nanos.into()),
+            ("subtrees", self.subtrees.into()),
+            ("candidates", self.candidates.into()),
+            ("entities", self.entities.into()),
+            ("contributions", self.contributions.into()),
+        ])
     }
 }
 
@@ -104,48 +102,34 @@ impl RequestRecord {
         self.status >= 400
     }
 
-    /// The record as one compact JSON object — the `/debug/requests`
-    /// item shape and the slow-query-log line shape (one per line).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160 + self.query.len());
-        out.push_str(&format!(
-            "{{\"seq\":{},\"trace_id\":\"{}\",\"route\":\"{}\",\"query\":\"{}\",\"status\":{}",
-            self.seq,
-            json::escape(&self.trace_id),
-            json::escape(self.route),
-            json::escape(&self.query),
-            self.status
-        ));
-        match self.cache_hit {
-            Some(hit) => out.push_str(&format!(
-                ",\"cache\":\"{}\"",
-                if hit { "hit" } else { "miss" }
-            )),
-            None => out.push_str(",\"cache\":null"),
-        }
-        out.push_str(&format!(
-            ",\"stages\":{{\"slot_nanos\":{},\"walk_nanos\":{},\"rank_nanos\":{}}},\
-             \"total_nanos\":{},\"candidates\":{},\"entities\":{},\"suggestions\":{},\
-             \"arrived_nanos\":{}",
-            self.slot_nanos,
-            self.walk_nanos,
-            self.rank_nanos,
-            self.total_nanos,
-            self.candidates,
-            self.entities,
-            self.suggestions,
-            self.arrived_nanos
-        ));
-        out.push_str(&format!(",\"corpus\":\"{}\"", json::escape(&self.corpus)));
-        out.push_str(",\"shards\":[");
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&s.to_json());
-        }
-        out.push_str("]}");
-        out
+    /// The record as one JSON object — the `/debug/requests` item shape
+    /// and, printed compact, the slow-query-log line.
+    pub fn to_json(&self) -> Json {
+        let cache = self.cache_hit.map(|hit| if hit { "hit" } else { "miss" });
+        let stages = Json::object([
+            ("slot_nanos", self.slot_nanos.into()),
+            ("walk_nanos", self.walk_nanos.into()),
+            ("rank_nanos", self.rank_nanos.into()),
+        ]);
+        Json::object([
+            ("seq", self.seq.into()),
+            ("trace_id", self.trace_id.as_str().into()),
+            ("route", self.route.into()),
+            ("query", self.query.as_str().into()),
+            ("status", self.status.into()),
+            ("cache", cache.into()),
+            ("stages", stages),
+            ("total_nanos", self.total_nanos.into()),
+            ("candidates", self.candidates.into()),
+            ("entities", self.entities.into()),
+            ("suggestions", self.suggestions.into()),
+            ("arrived_nanos", self.arrived_nanos.into()),
+            ("corpus", self.corpus.as_str().into()),
+            (
+                "shards",
+                self.shards.iter().map(ShardAttribution::to_json).collect(),
+            ),
+        ])
     }
 }
 
@@ -298,7 +282,7 @@ mod tests {
         let mut r = record("abc\"123", 1234);
         r.query = "a\nb".to_string();
         r.seq = 9;
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(
             json.starts_with("{\"seq\":9,\"trace_id\":\"abc\\\"123\""),
             "{json}"
@@ -312,17 +296,14 @@ mod tests {
         assert!(json.contains("\"total_nanos\":1234"), "{json}");
         let mut none = record("t", 1);
         none.cache_hit = None;
-        assert!(none.to_json().contains("\"cache\":null"));
+        assert!(none.to_json().render().contains("\"cache\":null"));
     }
 
     #[test]
     fn json_carries_corpus_and_shard_attribution() {
         let mut r = record("t", 1);
-        assert!(
-            r.to_json().ends_with("\"corpus\":\"\",\"shards\":[]}"),
-            "{}",
-            r.to_json()
-        );
+        let bare = r.to_json().render();
+        assert!(bare.ends_with("\"corpus\":\"\",\"shards\":[]}"), "{bare}");
         r.corpus = "dblp".to_string();
         r.shards = vec![
             ShardAttribution {
@@ -339,7 +320,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"corpus\":\"dblp\""), "{json}");
         assert!(
             json.contains(
@@ -353,7 +334,7 @@ mod tests {
             "{json}"
         );
         assert!(json.ends_with("]}"), "{json}");
-        let v = json::parse(&json).expect("the record is JSON");
+        let v = crate::json::parse(&json).expect("the record is JSON");
         assert_eq!(v["trace_id"], "t");
         assert_eq!(v["corpus"], "dblp");
         assert_eq!(v["total_nanos"].as_u64(), Some(1));

@@ -27,6 +27,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::json::Json;
 use crate::metrics::{Exposition, Histogram, Unit, Value};
 use crate::names;
 
@@ -82,21 +83,23 @@ impl RuntimeEventKind {
         }
     }
 
-    /// The event's payload as a JSON object body (the Chrome `args`).
-    fn args_json(&self) -> String {
-        match self {
+    /// The event's payload (the Chrome `args`).
+    fn args_json(&self) -> Json {
+        match *self {
             RuntimeEventKind::LoopWake { events, lag_nanos } => {
-                format!("{{\"events\":{events},\"lag_nanos\":{lag_nanos}}}")
+                Json::object([("events", events.into()), ("lag_nanos", lag_nanos.into())])
             }
             RuntimeEventKind::ConnOpen { conn } | RuntimeEventKind::ConnClose { conn } => {
-                format!("{{\"conn\":{conn}}}")
+                Json::object([("conn", conn.into())])
             }
             RuntimeEventKind::Dispatch { conn, seq } => {
-                format!("{{\"conn\":{conn},\"seq\":{seq}}}")
+                Json::object([("conn", conn.into()), ("seq", seq.into())])
             }
-            RuntimeEventKind::Complete { conn, seq, status } => {
-                format!("{{\"conn\":{conn},\"seq\":{seq},\"status\":{status}}}")
-            }
+            RuntimeEventKind::Complete { conn, seq, status } => Json::object([
+                ("conn", conn.into()),
+                ("seq", seq.into()),
+                ("status", status.into()),
+            ]),
         }
     }
 }
@@ -185,26 +188,23 @@ impl FlightRecorder {
         q.iter().skip(skip).copied().collect()
     }
 
-    /// The `n` most recent events as Chrome trace-event JSON — instant
-    /// events loadable in `chrome://tracing` / Perfetto, same envelope
-    /// as [`crate::Tracer::chrome_trace_json`].
-    pub fn chrome_trace_json(&self, n: usize) -> String {
-        let events = self.recent(n);
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"runtime\",\"ph\":\"i\",\"ts\":{:.3},\
-                 \"pid\":1,\"tid\":0,\"s\":\"g\",\"args\":{}}}",
-                e.kind.name(),
-                e.ts_nanos as f64 / 1e3,
-                e.kind.args_json(),
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The `n` most recent events as a Chrome trace-event document —
+    /// instant events loadable in `chrome://tracing` / Perfetto, same
+    /// envelope as [`crate::Tracer::chrome_trace_json`].
+    pub fn chrome_trace_json(&self, n: usize) -> Json {
+        let events = self.recent(n).into_iter().map(|e| {
+            Json::object([
+                ("name", e.kind.name().into()),
+                ("cat", "runtime".into()),
+                ("ph", "i".into()),
+                ("ts", (e.ts_nanos as f64 / 1e3).into()),
+                ("pid", 1u32.into()),
+                ("tid", 0u32.into()),
+                ("s", "g".into()),
+                ("args", e.kind.args_json()),
+            ])
+        });
+        Json::object([("traceEvents", events.collect())])
     }
 }
 
@@ -412,7 +412,7 @@ mod tests {
         rec.push(1, RuntimeEventKind::ConnOpen { conn: 1 });
         assert_eq!(rec.len(), 0);
         assert_eq!(rec.total_recorded(), 0);
-        assert_eq!(rec.chrome_trace_json(10), "{\"traceEvents\":[]}");
+        assert_eq!(rec.chrome_trace_json(10).render(), "{\"traceEvents\":[]}");
     }
 
     #[test]
@@ -435,11 +435,11 @@ mod tests {
             },
         );
         rec.push(4_000, RuntimeEventKind::ConnClose { conn: 7 });
-        let json = rec.chrome_trace_json(10);
+        let json = rec.chrome_trace_json(10).render();
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
         assert!(json.ends_with("]}"), "{json}");
         assert!(
-            json.contains("\"name\":\"loop_wake\",\"cat\":\"runtime\",\"ph\":\"i\",\"ts\":1.500"),
+            json.contains("\"name\":\"loop_wake\",\"cat\":\"runtime\",\"ph\":\"i\",\"ts\":1.5,"),
             "{json}"
         );
         assert!(

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json;
+use crate::json::Json;
 
 /// Number of finished-span buffers; pushes shard by recording thread so
 /// pool workers rarely contend on the same mutex.
@@ -235,37 +235,27 @@ impl Tracer {
         out
     }
 
-    /// Exports all finished spans as Chrome trace-event JSON (the
+    /// Exports all finished spans as a Chrome trace-event document (the
     /// `{"traceEvents": [...]}` envelope with complete — `"ph": "X"` —
     /// events), loadable in `chrome://tracing` and Perfetto. Timestamps
     /// and durations are microseconds with nanosecond precision.
-    pub fn chrome_trace_json(&self) -> String {
-        let spans = self.finished_spans();
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, s) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"xclean\",\"ph\":\"X\",\
-                 \"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"span_id\":{}",
-                json::escape(s.name),
-                s.start_nanos as f64 / 1e3,
-                s.dur_nanos as f64 / 1e3,
-                s.thread,
-                s.id,
-            ));
-            if let Some(p) = s.parent {
-                out.push_str(&format!(",\"parent_id\":{p}"));
-            }
-            if let Some(d) = &s.detail {
-                out.push_str(&format!(",\"detail\":\"{}\"", json::escape(d)));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+    pub fn chrome_trace_json(&self) -> Json {
+        let events = self.finished_spans().into_iter().map(|s| {
+            let mut args = vec![("span_id", s.id.into())];
+            args.extend(s.parent.map(|p| ("parent_id", p.into())));
+            args.extend(s.detail.map(|d| ("detail", d.into())));
+            Json::object([
+                ("name", s.name.into()),
+                ("cat", "xclean".into()),
+                ("ph", "X".into()),
+                ("ts", (s.start_nanos as f64 / 1e3).into()),
+                ("dur", (s.dur_nanos as f64 / 1e3).into()),
+                ("pid", 1u32.into()),
+                ("tid", s.thread.into()),
+                ("args", Json::object(args)),
+            ])
+        });
+        Json::object([("traceEvents", events.collect())])
     }
 }
 
@@ -331,7 +321,7 @@ mod tests {
             let _b = t.span_with("b", || panic!("detail closure must not run"));
         }
         assert!(t.finished_spans().is_empty());
-        assert_eq!(t.chrome_trace_json(), "{\"traceEvents\":[]}");
+        assert_eq!(t.chrome_trace_json().render(), "{\"traceEvents\":[]}");
     }
 
     #[test]
@@ -435,13 +425,13 @@ mod tests {
         {
             let _s = t.span_with("suggest", || "helth \"insurance\"".into());
         }
-        let json = t.chrome_trace_json();
+        let json = t.chrome_trace_json().render();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"name\":\"suggest\""));
         assert!(json.contains("helth \\\"insurance\\\""));
         assert!(json.contains("\"pid\":1"));
-        let v = json::parse(&json).expect("the trace is JSON");
+        let v = crate::json::parse(&json).expect("the trace is JSON");
         let event = &v["traceEvents"][0];
         assert_eq!(event["name"], "suggest");
         assert_eq!(event["ph"], "X");

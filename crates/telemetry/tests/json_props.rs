@@ -1,7 +1,10 @@
 //! Property tests for the one JSON codec (`xclean_telemetry::json`,
 //! ROADMAP E.2's JSON half): whatever text arrives the parser neither
 //! panics nor loops, and everything the printer and the escaper write
-//! parses back to the value it came from.
+//! parses back to the value it came from — built values included, whose
+//! integers print exactly and read back as the nearest `f64`.
+
+use std::borrow::Cow;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -51,11 +54,74 @@ fn tree(rng: &mut TestRng, depth: usize) -> Json {
         2 => Json::Num(finite_number(rng)),
         3 => Json::Str(text(rng)),
         4 => (0..rng.below(4)).map(|_| tree(rng, depth - 1)).collect(),
-        _ => Json::Obj(
+        _ => Json::object(
             (0..rng.below(4))
                 .map(|_| (text(rng), tree(rng, depth - 1)))
+                .collect::<Vec<_>>(),
+        ),
+    }
+}
+
+/// Literal keys, the way producers name their members.
+const KEYS: [&str; 4] = ["query", "log_score", "total_nanos", "k\"\\\u{1}é"];
+
+/// An integer anywhere in `u64`, often past 2^53 where `f64` loses it.
+fn integer(rng: &mut TestRng) -> u64 {
+    match rng.below(4) {
+        0 => rng.below(1 << 20),
+        1 => (1 << 53) + rng.below(1 << 20),
+        2 => u64::MAX - rng.below(1 << 20),
+        _ => rng.next_u64(),
+    }
+}
+
+/// A value built the way the producers build theirs: `Int` and `Num`
+/// from typed fields, literal (borrowed) and computed (owned) keys.
+fn built(rng: &mut TestRng, depth: usize) -> Json {
+    let kinds = if depth == 0 { 5 } else { 7 };
+    match rng.below(kinds) {
+        0 => Json::Null,
+        1 => Json::from(rng.below(2) == 0),
+        2 => Json::from(integer(rng)),
+        3 => Json::from(finite_number(rng)),
+        4 => Json::from(text(rng)),
+        5 => (0..rng.below(4)).map(|_| built(rng, depth - 1)).collect(),
+        _ => Json::object(
+            (0..rng.below(4))
+                .map(|i| {
+                    let key = match i % 2 {
+                        0 => Cow::Borrowed(KEYS[rng.below(KEYS.len() as u64) as usize]),
+                        _ => Cow::Owned(text(rng)),
+                    };
+                    (key, built(rng, depth - 1))
+                })
+                .collect::<Vec<_>>(),
+        ),
+    }
+}
+
+/// What the parser reads back from a built value: every number a `Num`.
+fn as_parsed(value: &Json) -> Json {
+    match value {
+        Json::Int(n) => Json::Num(*n as f64),
+        Json::Arr(items) => items.iter().map(as_parsed).collect(),
+        Json::Obj(members) => Json::Obj(
+            members
+                .iter()
+                .map(|(k, v)| (k.clone(), as_parsed(v)))
                 .collect(),
         ),
+        other => other.clone(),
+    }
+}
+
+/// Every `Int` in `value`, in document order.
+fn integers(value: &Json, out: &mut Vec<u64>) {
+    match value {
+        Json::Int(n) => out.push(*n),
+        Json::Arr(items) => items.iter().for_each(|v| integers(v, out)),
+        Json::Obj(members) => members.iter().for_each(|(_, v)| integers(v, out)),
+        _ => {}
     }
 }
 
@@ -121,6 +187,34 @@ proptest! {
         let tree = tree_from(seed, 5);
         prop_assert_eq!(parse(&tree.render()), Ok(tree.clone()));
         prop_assert_eq!(parse(&tree.render_pretty()), Ok(tree));
+    }
+
+    #[test]
+    fn built_values_print_and_parse_back(seed in 0u64..u64::MAX) {
+        let value = built(&mut TestRng::deterministic(&seed.to_string()), 4);
+        let text = value.render();
+        prop_assert_eq!(parse(&text), Ok(as_parsed(&value)));
+        prop_assert_eq!(parse(&value.render_pretty()), Ok(as_parsed(&value)));
+        // Integers print digit for digit, not through an `f64`.
+        let mut ints = Vec::new();
+        integers(&value, &mut ints);
+        let mut rest = text.as_str();
+        for n in ints {
+            let digits = n.to_string();
+            let at = rest.find(&digits);
+            prop_assert!(at.is_some(), "{} missing from {}", digits, text);
+            rest = &rest[at.unwrap_or(0) + digits.len()..];
+        }
+    }
+
+    #[test]
+    fn every_u64_prints_exactly(n in 0u64..u64::MAX) {
+        let text = Json::from(n).render();
+        prop_assert_eq!(&text, &n.to_string());
+        prop_assert_eq!(parse(&text), Ok(Json::Num(n as f64)));
+        if n <= 1 << 53 {
+            prop_assert_eq!(parse(&text).ok().and_then(|v| v.as_u64()), Some(n));
+        }
     }
 
     #[test]

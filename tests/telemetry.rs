@@ -154,7 +154,7 @@ fn chrome_trace_covers_the_pipeline() {
         assert_eq!(p.name, "suggest");
     }
 
-    let trace = engine.tracer().chrome_trace_json();
+    let trace = engine.tracer().chrome_trace_json().render();
     let v = json::parse(&trace).expect("valid trace JSON");
     let events = v["traceEvents"].as_array().expect("traceEvents");
     assert_eq!(events.len(), spans.len());
