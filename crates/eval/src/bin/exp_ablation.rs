@@ -2,7 +2,8 @@
 //!
 //! 1. **skip_to alignment** on/off: postings read vs skipped and time
 //!    (with it on, queries whose slots all hold a fair share of the
-//!    postings scan them into entity bitmaps instead: `scanned`);
+//!    postings mark them in entity bitmaps instead: `scanned`, read one
+//!    at a time or covered by a bitmap the level table keeps);
 //! 2. **minimal depth d** sweep: candidate-space size and quality;
 //! 3. **probabilistic pruning** on/off: accumulator count vs quality.
 
@@ -57,7 +58,7 @@ fn run(
         let resp = engine.suggest_keywords_with(&case.dirty, cfg);
         out.postings_read += resp.stats.access.read;
         out.postings_skipped += resp.stats.access.skipped;
-        out.postings_scanned += resp.stats.access.scanned;
+        out.postings_scanned += resp.stats.access.scan_postings();
         out.subtrees += resp.stats.subtrees;
         out.candidates += resp.stats.candidates_enumerated;
         out.evictions += resp.stats.pruning.evictions;

@@ -3,11 +3,12 @@
 //! Runs a RAND + RULE pool over the large generated corpus (the shape of
 //! the `xbench` pool) and prints, per decile of queries ordered by walk
 //! time, what the walk was given (slots, variants, postings) and what it
-//! did with it (the share of queries that took the scan path and the
-//! postings they scanned, subtrees visited and passed, nanoseconds per
-//! subtree), then the distance histogram of merged-list member moves.
-//! Both walk paths must be in use — the bin fails otherwise, so CI's smoke
-//! run keeps both on trial.
+//! did with it (the share of queries that took the scan path, the postings
+//! they read one at a time and the share of their postings the level
+//! table's kept bitmaps covered, subtrees visited and passed, nanoseconds
+//! per subtree), then the distance histogram of merged-list member moves.
+//! Both walk paths, and both ways the scan marks a member, must be in use —
+//! the bin fails otherwise, so CI's smoke run keeps all of them on trial.
 //!
 //! Timed **pass-style**: every pass runs each query once, in pool order,
 //! and a query's time is its minimum over the passes. Repeating one query
@@ -38,8 +39,11 @@ struct Profile {
     slots: usize,
     variants: usize,
     postings: usize,
-    /// Postings the scan path read (0 when the query leapfrogged).
+    /// Postings the scan path read one at a time (0 when the query
+    /// leapfrogged).
     scanned: u64,
+    /// Postings the scan path covered with kept bitmaps.
+    cached: u64,
     visited: u64,
     passed: u64,
 }
@@ -100,9 +104,9 @@ fn skip_to(members: &mut [Member<'_>], target: NodeId, moves: &mut Moves) {
 /// distance of every member move (a `next()` moves one posting, a
 /// `skip_to` as many as it jumps). `passed` are the subtrees the walk
 /// handed to the scorer; with `scan` the replay follows the scan path —
-/// every member list read once, then each passed subtree collected —
-/// otherwise the leapfrog. Returns the posting I/O it performed, which
-/// must equal the engine's own counters.
+/// every member list marked once, by its kept bitmap or posting by posting,
+/// then each passed subtree collected — otherwise the leapfrog. Returns the
+/// posting I/O it performed, which must equal the engine's own counters.
 fn member_moves(
     corpus: &CorpusIndex,
     slots: &[KeywordSlot],
@@ -129,7 +133,13 @@ fn member_moves(
     let level = corpus.level(config.min_depth);
     let mut cursor = 0;
     if scan {
-        moves.io.scanned = lists.iter().flatten().map(|m| m.list.len() as u64).sum();
+        for v in slots.iter().flat_map(|s| &s.variants) {
+            let postings = corpus.postings(v.token).len() as u64;
+            match corpus.entity_bitmap(config.min_depth, v.token) {
+                Some(_) => moves.io.cached += postings,
+                None => moves.io.scanned += postings,
+            }
+        }
         for &g in passed {
             cursor = level.seek(cursor, g);
             let (_, g_end) = level.extent(cursor).expect("a passed subtree");
@@ -211,7 +221,7 @@ fn main() {
             let mut stats = RunStats::default();
             let mut passed = Vec::new();
             walk_gated_subtrees(corpus, &slots, config, &mut stats, |g, _, _| passed.push(g));
-            let scan = stats.access.scanned > 0;
+            let scan = stats.access.scan_postings() > 0;
             let replayed = member_moves(corpus, &slots, config, &passed, scan, &mut moves);
             assert_eq!(replayed, stats.access, "replay diverged on {query:?}");
             let lists = slots.iter().flat_map(|s| &s.variants);
@@ -221,16 +231,23 @@ fn main() {
                 variants: slots.iter().map(|s| s.variants.len()).sum(),
                 postings: lists.map(|v| corpus.postings(v.token).len()).sum(),
                 scanned: stats.access.scanned,
+                cached: stats.access.cached,
                 visited: stats.subtrees,
                 passed: passed.len() as u64,
             }
         })
         .collect();
-    let scans = profiles.iter().filter(|p| p.scanned > 0).count();
+    let scans = profiles.iter().filter(|p| p.scanned + p.cached > 0).count();
     assert!(
         scans > 0 && scans < profiles.len(),
         "both walk paths must be in use: {scans} of {} queries scan",
         profiles.len()
+    );
+    let read: u64 = profiles.iter().map(|p| p.scanned).sum();
+    let cached: u64 = profiles.iter().map(|p| p.cached).sum();
+    assert!(
+        read > 0 && cached > 0,
+        "the scan must mark members both ways: {read} postings read, {cached} cached"
     );
 
     let mut pass_nanos = Vec::with_capacity(PASSES);
@@ -263,7 +280,9 @@ fn main() {
             let nanos = sum(|p| p.nanos);
             let visited = sum(|p| p.visited);
             let passed = sum(|p| p.passed);
-            let scans = group.iter().filter(|p| p.scanned > 0).count() as f64;
+            let scans = group.iter().filter(|p| p.scanned + p.cached > 0).count() as f64;
+            let scanned = sum(|p| p.scanned);
+            let cached = sum(|p| p.cached);
             vec![
                 format!("{}", decile + 1),
                 format!("{:.1}", 100.0 * nanos / total_nanos.max(1) as f64),
@@ -272,7 +291,8 @@ fn main() {
                 format!("{:.0}", sum(|p| p.variants as u64) / n),
                 format!("{:.0}", sum(|p| p.postings as u64) / n),
                 format!("{:.0}", 100.0 * scans / n),
-                format!("{:.0}", sum(|p| p.scanned) / n),
+                format!("{:.0}", scanned / n),
+                format!("{:.0}", 100.0 * cached / (scanned + cached).max(1.0)),
                 format!("{:.0}", visited / n),
                 format!("{:.0}", passed / n),
                 format!("{:.0}", 100.0 * passed / visited.max(1.0)),
@@ -292,6 +312,7 @@ fn main() {
                 "postings",
                 "scan %",
                 "scanned",
+                "cached %",
                 "visited",
                 "passed",
                 "pass %",

@@ -340,6 +340,16 @@ impl CorpusIndex {
         self.levels[cell].get_or_init(|| LevelTable::build(self, cell as u32))
     }
 
+    /// The entity bitmap of `token` over [`Self::level`]`(depth)` — bit `p`
+    /// set when subtree `p` holds a posting of it, bit `len()` when a
+    /// posting is shallower — if the token is frequent enough at that depth
+    /// for the table to keep one (see [`crate::level`]).
+    /// Built from the posting list on the first request and kept.
+    pub fn entity_bitmap(&self, depth: u32, token: TokenId) -> Option<&[u64]> {
+        self.level(depth)
+            .entity_bitmap(token, || self.postings(token).nodes())
+    }
+
     /// Length (in indexed tokens) of the node's *direct* text only (`|t|`
     /// when each element is treated as its own document, as the PY08
     /// baseline does). O(1).

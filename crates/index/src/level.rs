@@ -11,16 +11,36 @@
 //!
 //! The leapfrog walk reads the table through one cursor primitive,
 //! [`LevelTable::seek`]: its anchors only ever grow, so each lookup gallops
-//! forward from the previous one. The scan walk reads one more column,
-//! [`LevelTable::positions`]: per corpus node, the position of the subtree
-//! holding it — one load per posting, in document order within a list.
+//! forward from the previous one. The scan walk reads one more column, the
+//! per-node `position`: per corpus node, the position of the subtree
+//! holding it. [`LevelTable::mark`] sets a bitmap's bits through it — one
+//! load per posting, in document order within a list.
 //! [`CorpusIndex::level`] builds a depth's table on first request and keeps
 //! it for the corpus's lifetime.
+//!
+//! A term's *entity bitmap* at a depth — one bit per subtree holding one of
+//! its postings, plus the bit past the last position for postings shallower
+//! than the table — is a pure function of the corpus, so the table keeps it
+//! for every term whose list is at least as long as the bitmap has words
+//! (`POSTINGS_PER_WORD`). Those terms are chosen from the vocabulary's
+//! `df` when the table is built, so no list is decoded early; each bitmap
+//! is filled by [`LevelTable::mark`] on its first request
+//! ([`CorpusIndex::entity_bitmap`]) and read without a lock after that.
+
+use std::sync::OnceLock;
 
 use xclean_xmltree::{NodeId, PathId};
 
 use crate::corpus::CorpusIndex;
 use crate::posting::gallop;
+use crate::vocab::TokenId;
+
+/// A term keeps its entity bitmap at a depth when its posting list holds at
+/// least this many postings per word of the bitmap. At one, OR-ing the kept
+/// words costs no more loads than setting one bit per posting, and the
+/// bitmaps together take at most 8 bytes per posting of the terms that keep
+/// one (1.24 MB for 99 terms at the benchmark's 100k entities).
+pub(crate) const POSTINGS_PER_WORD: u64 = 1;
 
 /// One depth-`d` subtree of a [`LevelTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,12 +66,18 @@ pub struct LevelTable {
     /// Per corpus node: the position of the subtree holding it, or
     /// `len()` for a node shallower than the table. Empty when the table is.
     position: Vec<u32>,
+    /// The tokens (ids of the corpus) that keep an entity bitmap here,
+    /// increasing; empty when the table is.
+    frequent: Box<[TokenId]>,
+    /// The entity bitmap of `frequent[i]`, built on its first request.
+    bitmaps: Box<[OnceLock<Box<[u64]>>]>,
 }
 
 impl LevelTable {
     /// Collects the depth-`depth` nodes of `corpus`. Hops from each one to
     /// the end of its subtree, so only nodes at most that deep are visited;
-    /// then fills the per-node column from the extents.
+    /// then fills the per-node column from the extents and picks the terms
+    /// that keep a bitmap by their `df`.
     pub(crate) fn build(corpus: &CorpusIndex, depth: u32) -> LevelTable {
         let tree = corpus.tree();
         let mut table = LevelTable::default();
@@ -82,8 +108,48 @@ impl LevelTable {
             for (pos, (&start, &end)) in table.start.iter().zip(&table.end).enumerate() {
                 table.position[start as usize..end as usize].fill(pos as u32);
             }
+            let vocab = corpus.vocab();
+            let min_df = table.words() as u64 * POSTINGS_PER_WORD;
+            let tokens = (0..vocab.len() as u32).map(TokenId);
+            table.frequent = tokens.filter(|&t| vocab.df(t) >= min_df).collect();
+            table.bitmaps = table.frequent.iter().map(|_| OnceLock::new()).collect();
         }
         table
+    }
+
+    /// Words of an entity bitmap over this table: one bit per subtree and
+    /// one for nodes shallower than the table.
+    #[inline]
+    pub fn words(&self) -> usize {
+        self.len() / 64 + 1
+    }
+
+    /// The entity bitmap of `token` if this table keeps one (see the module
+    /// docs), filling it from `nodes()` — the token's posting nodes in this
+    /// table's corpus — on the first request.
+    pub(crate) fn entity_bitmap<'n>(
+        &self,
+        token: TokenId,
+        nodes: impl FnOnce() -> &'n [NodeId],
+    ) -> Option<&[u64]> {
+        let i = self.frequent.binary_search(&token).ok()?;
+        let bitmap = self.bitmaps[i].get_or_init(|| {
+            let mut bits = vec![0u64; self.words()];
+            self.mark(&mut bits, nodes());
+            bits.into_boxed_slice()
+        });
+        Some(bitmap)
+    }
+
+    /// Sets in `bits` (at least [`Self::words`] long) the bit of the subtree
+    /// holding each of `nodes`, through the per-node column — or the bit
+    /// past the last position for a node shallower than the table.
+    #[inline]
+    pub fn mark(&self, bits: &mut [u64], nodes: &[NodeId]) {
+        for n in nodes {
+            let pos = self.position[n.index()] as usize;
+            bits[pos / 64] |= 1 << (pos % 64);
+        }
     }
 
     /// Number of subtrees at this depth.
@@ -113,8 +179,8 @@ impl LevelTable {
     /// Per corpus node (indexed by [`NodeId::index`]): the position of the
     /// subtree holding it, or [`Self::len`] for a node shallower than the
     /// table. Empty when the table is.
-    #[inline]
-    pub fn positions(&self) -> &[u32] {
+    #[cfg(test)]
+    fn positions(&self) -> &[u32] {
         &self.position
     }
 
@@ -194,6 +260,33 @@ mod tests {
         assert_eq!(c.level(3).seek(0, NodeId(1)), 0);
         // Built once: the same table comes back.
         assert!(std::ptr::eq(c.level(2), c.level(2)));
+    }
+
+    #[test]
+    fn terms_with_a_posting_per_word_keep_their_bitmaps() {
+        // 130 entities: three words. `often` is in three of them, `twice`
+        // in two; `often` also sits in the root's own text.
+        let mut xml = String::from("<r>often");
+        for i in 0..130 {
+            let word = match i {
+                0 | 64 => "often twice",
+                129 => "often",
+                _ => "filler",
+            };
+            xml.push_str(&format!("<p>{word}</p>"));
+        }
+        xml.push_str("</r>");
+        let c = CorpusIndex::build(parse_document(&xml).unwrap());
+        let token = |term| c.vocab().get(term).unwrap();
+        assert_eq!(c.level(2).words(), 3);
+        assert_eq!(c.entity_bitmap(2, token("twice")), None);
+        // Bits 0, 64 and 129, and 130 for the root's text.
+        let expect = [1, 1, 1 << 1 | 1 << 2];
+        assert_eq!(c.entity_bitmap(2, token("often")), Some(&expect[..]));
+        // At depth 1 the one-word bitmap is kept for every term.
+        assert_eq!(c.entity_bitmap(1, token("twice")), Some(&[1][..]));
+        // Nothing is kept over an empty table.
+        assert_eq!(c.entity_bitmap(3, token("often")), None);
     }
 
     #[test]
@@ -290,6 +383,24 @@ mod prop {
                     for m in (0..=n.0).map(NodeId) {
                         prop_assert_eq!(table.seek(table.seek(0, m), n), direct);
                     }
+                }
+                // A term keeps its bitmap exactly when its list is at least
+                // as long as the bitmap has words, and the kept bitmap is
+                // the one its postings set through the per-node column,
+                // the bit past the last position included.
+                for t in (0..corpus.vocab().len() as u32).map(TokenId) {
+                    let nodes = corpus.postings(t).nodes();
+                    let keeps = !table.is_empty() && nodes.len() >= table.words();
+                    let kept = corpus.entity_bitmap(d, t);
+                    prop_assert_eq!(kept.is_some(), keeps, "depth {} token {:?}", d, t);
+                    let Some(kept) = kept else { continue };
+                    let mut bits = vec![0u64; table.words()];
+                    for n in nodes {
+                        let pos = positions[n.index()] as usize;
+                        bits[pos / 64] |= 1 << (pos % 64);
+                    }
+                    prop_assert_eq!(kept, &bits[..], "depth {} token {:?}", d, t);
+                    prop_assert!(std::ptr::eq(kept, corpus.entity_bitmap(d, t).unwrap()));
                 }
             }
         }

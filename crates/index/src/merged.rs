@@ -35,10 +35,22 @@ pub struct AccessStats {
     pub skipped: u64,
     /// Number of `skip_to` calls.
     pub skip_calls: u64,
-    /// Node ids read straight off the member lists' node columns, outside
-    /// any cursor — the walk's scan path counts these; a `MergedList`
-    /// never does.
+    /// Node ids read one at a time off the member lists' node columns,
+    /// outside any cursor — the walk's scan path counts these; a
+    /// `MergedList` never does.
     pub scanned: u64,
+    /// Postings of the scan path's members whose entity bitmap the level
+    /// table keeps: OR-ed in a word at a time, never read one by one.
+    pub cached: u64,
+}
+
+impl AccessStats {
+    /// Postings the scan path marked, read or cached: non-zero when a walk
+    /// took the scan path (which it does only with no slot empty), zero
+    /// when it leapfrogged.
+    pub fn scan_postings(&self) -> u64 {
+        self.scanned + self.cached
+    }
 }
 
 impl std::ops::AddAssign for AccessStats {
@@ -47,6 +59,7 @@ impl std::ops::AddAssign for AccessStats {
         self.skipped += rhs.skipped;
         self.skip_calls += rhs.skip_calls;
         self.scanned += rhs.scanned;
+        self.cached += rhs.cached;
     }
 }
 

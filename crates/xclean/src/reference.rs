@@ -616,7 +616,7 @@ fn assert_same(product: &Outcome, reference: &Outcome, what: &str) {
     let (p, r) = (&product.stats, &reference.stats);
     // The reference leapfrogs; a product run that scanned counts passing
     // subtrees and different posting I/O for the same stream.
-    let leapfrogged = p.access.scanned == 0;
+    let leapfrogged = p.access.scan_postings() == 0;
     if leapfrogged {
         assert_eq!(p.subtrees, r.subtrees, "{what}: subtrees");
     }
@@ -641,7 +641,7 @@ fn assert_same(product: &Outcome, reference: &Outcome, what: &str) {
 fn assert_dense_sets_scan(slots: &[KeywordSlot], product: &Outcome, what: &str) {
     if slots.iter().all(|s| s.keyword == "dense") {
         assert!(
-            product.stats.access.scanned > 0,
+            product.stats.access.scan_postings() > 0,
             "{what}: a dense set leapfrogged: {:?}",
             product.stats
         );

@@ -115,6 +115,21 @@ impl<'a> Scoring<'a> {
         }
     }
 
+    /// The depth-`depth` entity bitmap of a (global) token within this
+    /// view's tree, if the view's level table keeps one
+    /// ([`CorpusIndex::entity_bitmap`], under the shard's local id).
+    #[inline]
+    pub(crate) fn entity_bitmap(&self, depth: u32, token: TokenId) -> Option<&'a [u64]> {
+        let local = match &self.scope {
+            None => token,
+            Some(s) => match s.to_local_token[token.index()] {
+                ABSENT_TOKEN => return None,
+                local => TokenId(local),
+            },
+        };
+        self.corpus.entity_bitmap(depth, local)
+    }
+
     /// The background language model: whole-collection statistics in both
     /// views, so smoothing is bit-identical (see
     /// [`LanguageModel::from_vocab`]).

@@ -15,12 +15,15 @@
 //! view from the compiled slots' list lengths alone ([`WalkPath`]): the
 //! leapfrog above, which visits subtrees and skips over the failing ones,
 //! or — when every slot holds a fair share of the postings, so there is
-//! little to skip — a scan that marks each slot's subtrees in a bitmap
-//! through the level table's per-node column and ANDs the bitmaps. Both
-//! collect a passing subtree's occurrences with the same helper, so
-//! `on_subtree` sees the same sequence either way (DESIGN.md §15, item 5).
+//! little to skip — a scan that marks each slot's subtrees in a bitmap and
+//! ANDs the bitmaps. A slot's bitmap is the OR of its variants': the level
+//! table keeps a frequent term's bitmap and the scan ORs its words; a
+//! lighter term's postings set their bits one at a time through the table's
+//! per-node column. Either way the same bits are set, and both paths collect
+//! a passing subtree's occurrences with the same helper, so `on_subtree`
+//! sees the same sequence either way (DESIGN.md §15, item 5).
 
-use xclean_index::{CorpusIndex, LevelEntry, LevelTable, MergedList, TokenId};
+use xclean_index::{AccessStats, CorpusIndex, LevelEntry, LevelTable, MergedList, TokenId};
 use xclean_xmltree::NodeId;
 
 use crate::algorithm::{KeywordSlot, RunStats};
@@ -33,9 +36,10 @@ pub type SlotOccurrences = Vec<Vec<(TokenId, NodeId, u32)>>;
 
 /// The scan runs when the slots' lists hold at most this many times the
 /// postings of the slot with the fewest (Σ ≤ `SCAN_RATIO` · m). Fitted on
-/// the benchmark pool: 32, 48, 64 and 96 land within 1 % of each other and
-/// 3 % of the per-query best of the two paths (DESIGN.md §15, item 5(e)).
-const SCAN_RATIO: usize = 48;
+/// the benchmark pool with the level table's kept bitmaps: 512 is the low
+/// end of a plateau that runs to always scanning, within 1.5 % of the
+/// per-query best of the two paths (DESIGN.md §15, item 5(e)).
+const SCAN_RATIO: usize = 512;
 
 /// How one walk finds the subtrees in which every slot occurs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,17 +91,23 @@ pub(crate) struct EntityBitmaps {
 }
 
 impl EntityBitmaps {
-    /// Sets the bits of the subtrees of `level` in which every slot has a
-    /// posting under `view`: per slot, one pass over each variant's node
-    /// column. Returns the postings read.
-    fn mark(&mut self, view: &Scoring<'_>, slots: &[KeywordSlot], level: &LevelTable) -> u64 {
+    /// Sets the bits of the subtrees of `view`'s depth-`depth` table in
+    /// which every slot has a posting: per slot, the OR of its variants'
+    /// entity bitmaps — the one the table keeps for a frequent term, else
+    /// one bit set per posting through the per-node column. Counts the
+    /// postings of each kind in `access` (`cached`, `scanned`).
+    fn mark(
+        &mut self,
+        view: &Scoring<'_>,
+        slots: &[KeywordSlot],
+        depth: u32,
+        access: &mut AccessStats,
+    ) {
         self.passing.clear();
+        let level = view.level(depth);
         if level.is_empty() {
-            return 0;
+            return;
         }
-        let positions = level.positions();
-        let words = level.len() / 64 + 1;
-        let mut scanned = 0;
         for (i, slot) in slots.iter().enumerate() {
             let bits = if i == 0 {
                 &mut self.passing
@@ -105,13 +115,20 @@ impl EntityBitmaps {
                 &mut self.slot
             };
             bits.clear();
-            bits.resize(words, 0);
+            bits.resize(level.words(), 0);
             for v in &slot.variants {
                 let nodes = view.postings(v.token).nodes();
-                scanned += nodes.len() as u64;
-                for n in nodes {
-                    let pos = positions[n.index()] as usize;
-                    bits[pos / 64] |= 1 << (pos % 64);
+                match view.entity_bitmap(depth, v.token) {
+                    Some(kept) => {
+                        access.cached += nodes.len() as u64;
+                        for (word, &kept) in bits.iter_mut().zip(kept) {
+                            *word |= kept;
+                        }
+                    }
+                    None => {
+                        access.scanned += nodes.len() as u64;
+                        level.mark(bits, nodes);
+                    }
                 }
             }
             if i > 0 {
@@ -124,7 +141,6 @@ impl EntityBitmaps {
         // last position.
         let outside = level.len();
         self.passing[outside / 64] &= !(1 << (outside % 64));
-        scanned
     }
 
     /// Positions of the marked subtrees, increasing — document order.
@@ -214,7 +230,7 @@ pub(crate) fn walk_gated_subtrees_scoped(
         WalkPath::Scan => {
             // Every passing subtree is marked before any is collected; the
             // lists are then only moved forward to each one in turn.
-            stats.access.scanned += bitmaps.mark(view, slots, level);
+            bitmaps.mark(view, slots, config.min_depth, &mut stats.access);
             for pos in bitmaps.passing() {
                 let entry = level.entry(pos);
                 for vl in &mut vls {
@@ -455,12 +471,13 @@ mod tests {
     }
 
     #[test]
-    fn the_path_rule_is_sigma_at_most_48_m() {
-        // One `rare` and one `extra` publication, 47 `bulk` ones.
-        let xml = format!("<a><p>rare</p>{}<p>extra</p></a>", "<p>bulk</p>".repeat(47));
+    fn the_path_rule_is_sigma_at_most_scan_ratio_m() {
+        // One `rare` and one `extra` publication, SCAN_RATIO - 1 `bulk` ones.
+        let bulk = "<p>bulk</p>".repeat(SCAN_RATIO - 1);
+        let xml = format!("<a><p>rare</p>{bulk}<p>extra</p></a>");
         let corpus = CorpusIndex::build(parse_document(&xml).unwrap());
         let on = XCleanConfig::default();
-        // Σ = 48 · m with m = 1 scans; one posting more does not.
+        // Σ = SCAN_RATIO · m with m = 1 scans; one posting more does not.
         assert_eq!(
             path_of(&corpus, &[&["rare"], &["bulk"]], &on),
             WalkPath::Scan

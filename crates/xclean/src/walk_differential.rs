@@ -8,10 +8,13 @@
 //! order, the same γ-decisions and the same answers. This suite forces each
 //! path in turn (`walk::with_path`) over builder-generated trees and random
 //! slot sets, at every gate depth, over one corpus and under 2- and 3-way
-//! shard scopes, where each shard picks its path from its own lists.
+//! shard scopes, where each shard picks its path from its own lists. The
+//! scan's bitmaps come two ways — kept by the level table for a frequent
+//! term, set posting by posting for the rest — and one fixed corpus makes a
+//! slot mix both.
 
 use proptest::prelude::*;
-use xclean_index::{partition_corpus, CorpusIndex, LevelEntry, TokenId};
+use xclean_index::{partition_corpus, AccessStats, CorpusIndex, LevelEntry, TokenId};
 use xclean_telemetry::Telemetry;
 use xclean_xmltree::{PathId, TreeBuilder};
 
@@ -119,25 +122,36 @@ fn stream(
 }
 
 /// Both paths over one view: the same stream; the scan hands over exactly
-/// the subtrees it counts and reads every posting of the slots once.
+/// the subtrees it counts, reads every posting of a variant whose bitmap
+/// the table does not keep once, and counts a kept one's as cached.
+/// Returns the scan's counters.
 fn assert_one_stream(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     bitmaps: &mut EntityBitmaps,
-) -> Result<(), String> {
+) -> Result<RunStats, String> {
     let (leapfrog, walked) = stream(view, slots, config, WalkPath::Leapfrog, bitmaps);
     let (scan, scanned) = stream(view, slots, config, WalkPath::Scan, bitmaps);
     prop_assert_eq!(&scan, &leapfrog, "min_depth {}", config.min_depth);
-    prop_assert_eq!(walked.access.scanned, 0);
+    prop_assert_eq!(walked.access.scan_postings(), 0);
     prop_assert_eq!(scanned.subtrees, scan.len() as u64);
     prop_assert!(walked.subtrees >= scanned.subtrees);
+    let (mut read, mut cached) = (0, 0);
     if !view.level(config.min_depth).is_empty() {
-        let postings = slots.iter().flat_map(|s| &s.variants);
-        let postings = postings.map(|v| view.postings(v.token).len() as u64);
-        prop_assert_eq!(scanned.access.scanned, postings.sum::<u64>());
+        for v in slots.iter().flat_map(|s| &s.variants) {
+            let postings = view.postings(v.token).len() as u64;
+            match view.entity_bitmap(config.min_depth, v.token) {
+                Some(_) => cached += postings,
+                None => read += postings,
+            }
+        }
     }
-    Ok(())
+    prop_assert_eq!(
+        (scanned.access.scanned, scanned.access.cached),
+        (read, cached)
+    );
+    Ok(scanned)
 }
 
 /// One ranked candidate: tokens, score bits, distances, result type and
@@ -188,6 +202,113 @@ fn run(
         candidates_enumerated: ranked.stats.candidates_enumerated,
         entities_scored: ranked.stats.entities_scored,
     }
+}
+
+/// The generated trees are small enough that nearly every token keeps its
+/// bitmap. Here 300 publications make the bitmaps at depths 2 and 3 five
+/// words long, so `alpha` (every publication's leaf, and every tenth
+/// publication's own text, above the depth-3 gate) and `charlie` (every
+/// third) keep theirs while `bravo` and `delta` (two each) are read posting
+/// by posting — within one slot each, over one corpus and per shard.
+#[test]
+fn one_slot_mixes_kept_and_read_bitmaps() -> Result<(), String> {
+    let mut b = TreeBuilder::new("r");
+    for i in 0..300 {
+        let mut words = vec!["alpha"];
+        if i % 3 == 0 {
+            words.push("charlie");
+        }
+        if i == 75 || i == 150 {
+            words.push("bravo");
+        }
+        if i == 4 || i == 200 {
+            words.push("delta");
+        }
+        b.open("p");
+        if i % 10 == 0 {
+            b.text("alpha");
+        }
+        b.leaf("t", &words.join(" "));
+        b.close();
+    }
+    let corpus = CorpusIndex::build(b.finish());
+    let token = |term: &str| corpus.vocab().get(term).expect("a corpus term");
+    let slot = |terms: [&str; 2]| KeywordSlot {
+        keyword: "k".to_string(),
+        variants: terms
+            .map(|term| Variant {
+                token: token(term),
+                distance: 0,
+            })
+            .to_vec(),
+    };
+    let slots = [slot(["alpha", "bravo"]), slot(["charlie", "delta"])];
+    let mut bitmaps = EntityBitmaps::default();
+    let arenas = ArenaPool::default();
+    for min_depth in 0..=deepest(&corpus) + 1 {
+        let config = XCleanConfig {
+            min_depth,
+            ..XCleanConfig::default()
+        };
+        let scanned =
+            assert_one_stream(&Scoring::unsharded(&corpus), &slots, &config, &mut bitmaps)?;
+        if (2..=3).contains(&min_depth) {
+            prop_assert!(
+                scanned.access.scanned > 0 && scanned.access.cached > 0,
+                "{:?}",
+                scanned.access
+            );
+        }
+        if min_depth == 0 {
+            continue;
+        }
+        for gamma in GAMMAS {
+            let config = XCleanConfig {
+                gamma,
+                ..config.clone()
+            };
+            for semantics in [Semantics::NodeType, Semantics::Slca, Semantics::Elca] {
+                let on = |path| {
+                    run(
+                        Walked::Corpus(&corpus),
+                        semantics,
+                        &slots,
+                        &config,
+                        path,
+                        &arenas,
+                    )
+                };
+                prop_assert_eq!(on(WalkPath::Scan), on(WalkPath::Leapfrog));
+            }
+        }
+    }
+    let shards = partition_corpus(&corpus, 2, 7).unwrap();
+    let engine = ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
+    let views = engine.pipeline().shard_views();
+    let config = XCleanConfig::default();
+    let mut access = AccessStats::default();
+    for view in &views {
+        access += assert_one_stream(view, &slots, &config, &mut bitmaps)?.access;
+    }
+    prop_assert!(access.scanned > 0 && access.cached > 0, "{:?}", access);
+    for gamma in GAMMAS {
+        let config = XCleanConfig {
+            gamma,
+            ..config.clone()
+        };
+        let on = |path| {
+            run(
+                Walked::Shards(&views),
+                Semantics::NodeType,
+                &slots,
+                &config,
+                path,
+                &arenas,
+            )
+        };
+        prop_assert_eq!(on(WalkPath::Scan), on(WalkPath::Leapfrog));
+    }
+    Ok(())
 }
 
 fn slot_picks() -> impl Strategy<Value = Vec<Vec<(usize, u32)>>> {

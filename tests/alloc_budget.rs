@@ -9,8 +9,10 @@
 //! into entity bitmaps and enumerates thousands of candidates allocates
 //! exactly as often, slots aside, as a query of the same keyword and
 //! suggestion count whose leapfrog visits a handful of subtrees — with an
-//! unbounded γ-table and under a γ that evicts. The bitmaps live in the
-//! pooled arena, like every other walk buffer.
+//! unbounded γ-table and under a γ that evicts. The scan's per-query
+//! bitmaps live in the pooled arena, like every other walk buffer; the
+//! bitmaps the level table keeps for frequent terms belong to the table and
+//! are built by the warm-up's first use of each.
 //!
 //! The gate's level table (DESIGN.md §15) is part of that warm state from
 //! the start: the engine constructor builds it, so not even the first
@@ -25,11 +27,13 @@
 //! harness would run a second test on a parallel thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xclean_suite::datagen::{generate_dblp, DblpConfig};
 use xclean_suite::index::{CorpusIndex, TokenId};
 use xclean_suite::xclean::{SuggestResponse, XCleanConfig, XCleanEngine};
+use xclean_suite::xmltree::NodeId;
 
 mod support;
 
@@ -86,7 +90,8 @@ fn net_allocations(engine: &XCleanEngine, query: &[String]) -> (u64, SuggestResp
 /// the most frequent with one of the rarest, as clean two-keyword queries:
 /// the first pair's lists are both long (the walk scans them), the second
 /// pairs a long list with a short one (the walk leapfrogs over the long one).
-fn heavy_and_light(corpus: &CorpusIndex) -> (Vec<String>, Vec<String>) {
+fn heavy_and_light(engine: &XCleanEngine) -> (Vec<String>, Vec<String>) {
+    let corpus = engine.corpus();
     let vocab = corpus.vocab();
     let mut terms: Vec<TokenId> = (0..vocab.len() as u32)
         .map(TokenId)
@@ -100,25 +105,27 @@ fn heavy_and_light(corpus: &CorpusIndex) -> (Vec<String>, Vec<String>) {
         vocab.term(terms[1]).to_string(),
     ];
     // A pair that still shares a publication, so the light query returns a
-    // suggestion too: the most frequent term and one far down the tail.
+    // suggestion too: the most frequent term and, of the tail terms sharing
+    // one with it, the one whose slot — its variants' lists together — is
+    // shortest.
     let tree = corpus.tree();
-    let holds = |publication, t| {
-        let nodes = corpus.postings(t).nodes();
-        nodes
-            .iter()
-            .any(|&n| tree.is_ancestor_or_self(publication, n))
+    let publication = |n| tree.ancestor_at_depth(n, 2);
+    let nodes = |t| corpus.postings(t).nodes().iter().copied();
+    let frequent: HashSet<NodeId> = nodes(terms[0]).filter_map(publication).collect();
+    let slot_postings = |t: TokenId| -> usize {
+        let slots = engine.make_slots(&[vocab.term(t).to_string()]);
+        let variants = slots[0].variants.iter();
+        variants.map(|v| corpus.postings(v.token).len()).sum()
     };
-    let light = tree
-        .children(tree.root())
-        .filter(|&publication| holds(publication, terms[0]))
-        .find_map(|publication| {
-            let mut tail = terms.iter().rev().take(terms.len() / 2);
-            let rare = *tail.find(|&&t| holds(publication, t))?;
-            let mut pair = vec![terms[0], rare];
-            pair.sort_unstable();
-            Some(pair)
-        })
-        .expect("some publication holds the most frequent term and a tail term");
+    let rare = terms
+        .iter()
+        .rev()
+        .take(terms.len() / 2)
+        .filter(|&&t| nodes(t).any(|n| publication(n).is_some_and(|p| frequent.contains(&p))))
+        .min_by_key(|&&t| (slot_postings(t), t))
+        .expect("a tail term shares a publication with the most frequent term");
+    let mut light = [terms[0], *rare];
+    light.sort_unstable();
     (
         heavy,
         light.iter().map(|&t| vocab.term(t).to_string()).collect(),
@@ -212,22 +219,28 @@ fn hot_path_allocations_do_not_grow_with_the_work_walked() {
         ..DblpConfig::default()
     });
     let corpus = std::sync::Arc::new(CorpusIndex::build(tree));
-    let (heavy, light) = heavy_and_light(&corpus);
+    let default = XCleanEngine::from_shared(corpus.clone(), XCleanConfig::default());
+    slot_allocations_do_not_grow_with_probes_or_candidates(&default);
+    drop(default);
     // k = 1: both queries return exactly one suggestion, so their
-    // responses hold the same number of vectors and strings.
+    // responses hold the same number of vectors and strings. ε = 1: at
+    // ε = 2 every tail term's slot takes in a frequent neighbour, and the
+    // light query holds enough postings for the walk to scan it.
     for gamma in [Some(1000), Some(2)] {
         let engine = XCleanEngine::from_shared(
             corpus.clone(),
             XCleanConfig {
                 gamma,
                 k: 1,
+                epsilon: 1,
                 ..XCleanConfig::default()
             },
         );
         assert_eq!(engine.config().num_threads, 1);
-        slot_allocations_do_not_grow_with_probes_or_candidates(&engine);
-        // Warm: decode posting lists, grow the pooled arena to the heavy
-        // query's needs, resolve metric handles.
+        let (heavy, light) = heavy_and_light(&engine);
+        // Warm: decode posting lists, build the kept entity bitmaps, grow
+        // the pooled arena to the heavy query's needs, resolve metric
+        // handles.
         for _ in 0..2 {
             engine.suggest_keywords(&heavy);
             engine.suggest_keywords(&light);
@@ -238,11 +251,12 @@ fn hot_path_allocations_do_not_grow_with_the_work_walked() {
 
         let stats = heavy_response.stats;
         assert!(
-            stats.access.scanned > 0 && stats.candidates_enumerated >= 1_000,
+            stats.access.scan_postings() > 0 && stats.candidates_enumerated >= 1_000,
             "the heavy query must scan: {stats:?}"
         );
         assert!(
-            light_response.stats.access.scanned == 0 && light_response.stats.subtrees <= 500,
+            light_response.stats.access.scan_postings() == 0
+                && light_response.stats.subtrees <= 500,
             "the light query must leapfrog, and not far: {:?}",
             light_response.stats
         );

@@ -85,8 +85,8 @@ fn assert_identical(q: &[String], a: &SuggestResponse, b: &SuggestResponse) {
     );
     // The walk path is a function of the compiled query alone.
     assert_eq!(
-        a.stats.access.scanned > 0,
-        b.stats.access.scanned > 0,
+        a.stats.access.scan_postings() > 0,
+        b.stats.access.scan_postings() > 0,
         "walk path diverged for {label:?}"
     );
     assert_eq!(
@@ -106,7 +106,7 @@ fn suggest_many_is_bit_identical_across_thread_counts() {
     // Both walk paths are on trial, not just one.
     let scans = baseline
         .iter()
-        .filter(|r| r.stats.access.scanned > 0)
+        .filter(|r| r.stats.access.scan_postings() > 0)
         .count();
     assert!(
         scans > 0 && scans < baseline.len(),
