@@ -123,12 +123,27 @@ impl ResponseCache {
     /// Looks up a key, refreshing its recency and bumping the hit or
     /// miss counter.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<str>> {
-        let hit = self.shard_of(key).lock().expect("shard lock").touch(key);
-        match &hit {
-            Some(_) => self.hits.inc(),
-            None => self.misses.inc(),
+        let hit = self.probe(key);
+        if hit.is_none() {
+            self.record_miss();
         }
         hit
+    }
+
+    /// Looks up a key like [`ResponseCache::get`] but counts only a hit:
+    /// the caller hands a miss to whoever computes the answer, and that
+    /// party counts it once with [`ResponseCache::record_miss`].
+    pub fn probe(&self, key: &CacheKey) -> Option<Arc<str>> {
+        let hit = self.shard_of(key).lock().expect("shard lock").touch(key);
+        if hit.is_some() {
+            self.hits.inc();
+        }
+        hit
+    }
+
+    /// Counts one miss found by an earlier [`ResponseCache::probe`].
+    pub fn record_miss(&self) {
+        self.misses.inc();
     }
 
     /// Stores a value (no-op when the cache is disabled).

@@ -32,6 +32,9 @@ use crate::http::{parse_request, render_response, HttpError, Parsed, Request};
 /// epoll re-reports the socket while kernel-buffered bytes remain).
 const READ_CHUNK: usize = 8 * 1024;
 const MAX_READ_PER_EVENT: usize = 64 * 1024;
+/// The `Connection` header lines [`render_response`] writes.
+const KEEP_ALIVE: &[u8] = b"Connection: keep-alive\r\n";
+const CLOSE: &[u8] = b"Connection: close\r\n";
 
 /// Byte source/sink seam between the state machine and the socket.
 /// `WouldBlock` means "no readiness left", `Ok(0)` from `read` means
@@ -126,6 +129,11 @@ pub struct Connection<T> {
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
+    /// Offset in `write_buf` of the newest rendered response's
+    /// `Connection: keep-alive` header, while none of that header is on
+    /// the wire yet: a drain that finds nothing else owed rewrites it to
+    /// `close`.
+    keep_alive_at: Option<usize>,
     /// Next sequence number to assign to a surfaced request.
     next_seq: u64,
     /// Next sequence number to flush onto the wire.
@@ -164,6 +172,7 @@ impl<T> Connection<T> {
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             write_pos: 0,
+            keep_alive_at: None,
             next_seq: 0,
             flush_seq: 0,
             pending: BTreeMap::new(),
@@ -336,13 +345,22 @@ impl<T> Connection<T> {
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.as_str()))
                 .collect();
-            self.write_buf.extend_from_slice(&render_response(
+            let rendered = render_response(
                 response.status,
                 response.content_type,
                 &extra,
                 &response.body,
                 !close_here,
-            ));
+            );
+            self.keep_alive_at = if close_here {
+                None
+            } else {
+                rendered
+                    .windows(KEEP_ALIVE.len())
+                    .position(|w| w == KEEP_ALIVE)
+                    .map(|at| self.write_buf.len() + at)
+            };
+            self.write_buf.extend_from_slice(&rendered);
             flushed.push(token);
             if close_here {
                 self.close_after_flush = true;
@@ -374,6 +392,10 @@ impl<T> Connection<T> {
                 Err(_) => self.broken = true,
             }
         }
+        // A header partly on the wire can no longer be rewritten.
+        if self.keep_alive_at.is_some_and(|at| self.write_pos > at) {
+            self.keep_alive_at = None;
+        }
         if self.write_pos >= self.write_buf.len() {
             self.write_buf.clear();
             self.write_pos = 0;
@@ -381,6 +403,7 @@ impl<T> Connection<T> {
             // Reclaim the flushed prefix of a large, slowly-draining
             // buffer so it cannot grow monotonically.
             self.write_buf.drain(..self.write_pos);
+            self.keep_alive_at = self.keep_alive_at.map(|at| at - self.write_pos);
             self.write_pos = 0;
         }
     }
@@ -389,13 +412,20 @@ impl<T> Connection<T> {
     /// requests are still answered, and the final response carries
     /// `Connection: close` (the graceful-drain contract — the client
     /// learns the connection is ending instead of seeing a dropped
-    /// socket). Idle connections close immediately.
+    /// socket). The `Connection` header is settled when a response's
+    /// bytes reach the wire, not when it was completed: a final response
+    /// still buffered behind a slow reader is rewritten to `close`. Idle
+    /// connections close immediately.
     pub fn begin_drain(&mut self) {
         self.draining = true;
         self.reading_stopped = true;
         self.read_buf.clear();
         self.request_started = None;
         if self.outstanding() == 0 && self.pending.is_empty() {
+            if let Some(at) = self.keep_alive_at.take() {
+                self.write_buf
+                    .splice(at..at + KEEP_ALIVE.len(), CLOSE.iter().copied());
+            }
             self.close_after_flush = true;
         } else {
             let last = self.next_seq - 1;
@@ -825,6 +855,55 @@ mod tests {
             last.contains("Connection: close\r\n"),
             "final response announces the close: {text}"
         );
+        assert!(c.finished());
+    }
+
+    /// A final response completed before the drain but still held in
+    /// the write buffer (the peer reads slowly) must go out `close`.
+    #[test]
+    fn drain_rewrites_a_held_final_response_to_close() {
+        let mut c = conn();
+        let mut io = ScriptIo::new()
+            .feed(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n")
+            .then_block();
+        assert_eq!(c.on_readable(&mut io, 0).len(), 2);
+        c.complete(0, ok_response("a"), "a", 1);
+        c.complete(1, ok_response("b"), "b", 1);
+        // The socket takes part of the first response, then blocks.
+        io.write_caps = VecDeque::from([20, 0]);
+        c.on_writable(&mut io);
+        c.begin_drain();
+        c.on_writable(&mut io);
+        let text = io.text();
+        let second = text.rfind("HTTP/1.1 200 OK").unwrap();
+        assert!(
+            text[..second].contains("Connection: keep-alive\r\n"),
+            "{text}"
+        );
+        assert!(text[second..].contains("Connection: close\r\n"), "{text}");
+        assert!(text.ends_with("tag b"), "body intact: {text}");
+        assert!(c.finished());
+    }
+
+    /// A header already partly on the wire cannot change: the response
+    /// keeps its bytes and the socket still closes after it.
+    #[test]
+    fn drain_leaves_a_partly_written_header_alone() {
+        let mut c = conn();
+        let mut io = ScriptIo::new()
+            .feed(b"GET /a HTTP/1.1\r\n\r\n")
+            .then_block();
+        let (seq, _) = only_request(c.on_readable(&mut io, 0));
+        c.complete(seq, ok_response("a"), "a", 1);
+        let head_end = io.written.len() + 80;
+        io.write_caps = VecDeque::from([head_end, 0]);
+        c.on_writable(&mut io);
+        assert!(io.text().contains("Connection: k"), "{}", io.text());
+        c.begin_drain();
+        c.on_writable(&mut io);
+        let text = io.text();
+        assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+        assert!(text.ends_with("tag a"), "{text}");
         assert!(c.finished());
     }
 

@@ -518,8 +518,10 @@ pub fn render_statusz(obs: &Observability, info: &StatuszInfo) -> String {
         "loop: wakes={} lag_p50_ns={} lag_p99_ns={}\n",
         info.loop_wakes, info.loop_lag_p50_nanos, info.loop_lag_p99_nanos
     ));
+    // Cache hits and routing errors are answered on the loop thread;
+    // only misses, batches and page renders become pool jobs.
     out.push_str(&format!(
-        "queue_wait: jobs={} p50_ns={} p99_ns={}\n",
+        "queue_wait: jobs={} p50_ns={} p99_ns={} (pool jobs only: misses, batches, pages)\n",
         info.queue_waits, info.queue_wait_p50_nanos, info.queue_wait_p99_nanos
     ));
     out.push_str("worker_utilization:");
@@ -529,7 +531,7 @@ pub fn render_statusz(obs: &Observability, info: &StatuszInfo) -> String {
     for (i, u) in info.worker_utilization.iter().enumerate() {
         out.push_str(&format!(" w{i}={u:.3}"));
     }
-    out.push('\n');
+    out.push_str(" (pool jobs only)\n");
     out.push_str(&format!(
         "flight_recorder: buffered={} capacity={} recorded={}\n",
         info.flight_len, info.flight_capacity, info.flight_recorded
@@ -790,6 +792,10 @@ mod tests {
         );
         assert!(text.contains("loop: wakes=11"), "{text}");
         assert!(text.contains("queue_wait: jobs=9"), "{text}");
+        assert!(
+            text.contains("(pool jobs only: misses, batches, pages)\n"),
+            "{text}"
+        );
         assert!(
             text.contains("worker_utilization: w0=0.250 w1=0.500"),
             "{text}"

@@ -1,14 +1,18 @@
 //! The epoll event loop — the server's one wire path (DESIGN.md §13).
 //!
 //! One loop thread owns the listener, every connected socket, and the
-//! [`crate::conn::Connection`] state machine of each; a worker pool
-//! does the CPU-bound part (`route` → engine → cache). The split is
-//! deliberate: suggestion scoring can take milliseconds, and running it
-//! on the loop thread would head-of-line block every other connection,
-//! while I/O on the loop costs microseconds. Requests flow loop → workers over an unbounded
-//! channel (backpressure lives in the per-connection pipeline cap and
-//! the `max_connections` accept cap, not in a queue bound); scored
-//! replies flow back over a completion channel, and the worker bumps an
+//! [`crate::conn::Connection`] state machine of each. Routing has two
+//! halves: the loop runs [`resolve`] (method, path, tenant, query
+//! decode and normalisation, one cache probe) and answers cache hits and
+//! routing errors itself; a worker pool runs [`compute`] (the engine for
+//! a miss or a batch, and every page render). The split is deliberate:
+//! suggestion scoring can take milliseconds, and running it on the loop
+//! thread would head-of-line block every other connection, while a
+//! resolve costs microseconds — and a hit then pays no thread hand-off
+//! at all. Work flows loop → workers over an unbounded channel
+//! (backpressure lives in the per-connection pipeline cap and the
+//! `max_connections` accept cap, not in a queue bound); computed replies
+//! flow back over a completion channel, and the worker bumps an
 //! `eventfd` so the loop wakes from `epoll_wait` to flush them.
 //!
 //! The loop's contracts, verified by the conformance suite:
@@ -39,8 +43,10 @@ use xclean_telemetry::RuntimeEventKind;
 use crate::conn::{ConnEvent, Connection, DeadlineAction, Response};
 use crate::debug::{ConnEntry, TraceIdGen};
 use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::http::{render_response, Request};
-use crate::server::{observe_reply, reply_for, route, Handler, Reply, ServerConfig};
+use crate::http::render_response;
+use crate::server::{
+    compute, observe_reply, reply_for, resolve, Handler, Reply, Resolved, ServerConfig, Work,
+};
 use crate::shutdown::ShutdownFlag;
 
 const TOKEN_LISTENER: u64 = 0;
@@ -76,11 +82,11 @@ struct Conn {
     entry: Option<Arc<ConnEntry>>,
 }
 
-/// A parsed request on its way to the worker pool.
+/// A resolved request on its way to the worker pool.
 struct Job {
     conn_token: u64,
     seq: u64,
-    request: Request,
+    work: Work,
     trace_id: String,
     /// Nanos at which the request was surfaced and queued: the start of
     /// its latency, and of the worker's queue-wait sample.
@@ -146,8 +152,8 @@ pub(crate) fn run_event_loop(
     })
 }
 
-/// CPU-bound half: dequeue a parsed request, route it (cache → engine),
-/// hand the reply back, and wake the loop. A panicking route costs one
+/// CPU-bound half: dequeue resolved work, compute it (engine or page),
+/// hand the reply back, and wake the loop. A panicking compute costs one
 /// reply, not the pool — the client gets a 500 like any other response.
 fn worker_loop(
     rx: &Mutex<Receiver<Job>>,
@@ -168,10 +174,8 @@ fn worker_loop(
         handler
             .runtime
             .record_queue_wait(picked.saturating_sub(job.arrived));
-        let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            route(&job.request, handler, &job.trace_id)
-        }))
-        .unwrap_or_else(|_| Reply::error(500, "internal error").tagged("panic"));
+        let reply = guarded(|| compute(job.work, handler, &job.trace_id))
+            .unwrap_or_else(|| Reply::error(500, "internal error").tagged("panic"));
         handler.runtime.record_worker_busy(
             worker,
             handler.obs.clock().now_nanos().saturating_sub(picked),
@@ -188,6 +192,12 @@ fn worker_loop(
         }
         wake.notify();
     }
+}
+
+/// Runs one routing half so that a panic inside it costs one `500`
+/// reply (the caller's), not the thread.
+fn guarded<T>(f: impl FnOnce() -> T) -> Option<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok()
 }
 
 struct EventLoop<'a> {
@@ -359,40 +369,59 @@ impl EventLoop<'_> {
         self.sync_conn(token);
     }
 
-    /// Routes surfaced requests to the pool and answers framing errors
-    /// inline (they never need the engine).
-    fn dispatch(&mut self, token: u64, events: Vec<ConnEvent>) {
-        for event in events {
-            match event {
-                ConnEvent::Request { seq, request } => {
-                    let arrived = self.now();
-                    let trace_id = request
-                        .header("x-request-id")
-                        .map(str::to_string)
-                        .unwrap_or_else(|| self.ids.next_id());
-                    if seq > 0 {
-                        self.handler.conn_stats.reuse.inc();
-                    }
-                    self.handler
-                        .runtime
-                        .flight()
-                        .push(arrived, RuntimeEventKind::Dispatch { conn: token, seq });
-                    let job = Job {
+    /// Resolves surfaced requests: cache hits and every error are
+    /// answered here, the rest goes to the pool. Answering inline can
+    /// free pipeline slots and surface more buffered requests; those are
+    /// worked off in the same loop, not by recursion.
+    fn dispatch(&mut self, token: u64, mut events: Vec<ConnEvent>) {
+        while !events.is_empty() {
+            let mut follow_on = Vec::new();
+            for event in events {
+                follow_on.extend(self.dispatch_one(token, event));
+            }
+            events = follow_on;
+        }
+    }
+
+    /// One surfaced request; returns the requests an inline answer
+    /// unblocked.
+    fn dispatch_one(&mut self, token: u64, event: ConnEvent) -> Vec<ConnEvent> {
+        let arrived = self.now();
+        let (seq, request) = match event {
+            ConnEvent::Request { seq, request } => (seq, request),
+            ConnEvent::BadRequest { seq, error } => {
+                let trace_id = self.ids.next_id();
+                return self.complete_one(token, seq, reply_for(error), trace_id, arrived, true);
+            }
+        };
+        let trace_id = request
+            .header("x-request-id")
+            .map(str::to_string)
+            .unwrap_or_else(|| self.ids.next_id());
+        if seq > 0 {
+            self.handler.conn_stats.reuse.inc();
+        }
+        self.handler
+            .runtime
+            .flight()
+            .push(arrived, RuntimeEventKind::Dispatch { conn: token, seq });
+        let resolved = guarded(|| resolve(&request, self.handler, &trace_id))
+            .unwrap_or_else(|| Reply::error(500, "internal error").tagged("panic").into());
+        match resolved {
+            Resolved::Reply(reply) => {
+                self.complete_one(token, seq, reply, trace_id, arrived, false)
+            }
+            Resolved::Work(work) => {
+                if let Some(tx) = &self.job_tx {
+                    let _ = tx.send(Job {
                         conn_token: token,
                         seq,
-                        request,
+                        work,
                         trace_id,
                         arrived,
-                    };
-                    if let Some(tx) = &self.job_tx {
-                        let _ = tx.send(job);
-                    }
+                    });
                 }
-                ConnEvent::BadRequest { seq, error } => {
-                    let arrived = self.now();
-                    let trace_id = self.ids.next_id();
-                    self.complete_one(token, seq, reply_for(error), trace_id, arrived, true);
-                }
+                Vec::new()
             }
         }
     }
@@ -400,7 +429,9 @@ impl EventLoop<'_> {
     /// Delivers one reply into its connection's pipeline slot; responses
     /// that just became wire bytes are observed in wire order, then the
     /// socket is flushed opportunistically (the common case finishes
-    /// without ever registering `EPOLLOUT`).
+    /// without ever registering `EPOLLOUT`). Returns the buffered
+    /// requests a freed pipeline slot surfaced, for the caller to
+    /// [`EventLoop::dispatch`].
     fn complete_one(
         &mut self,
         token: u64,
@@ -409,14 +440,14 @@ impl EventLoop<'_> {
         trace_id: String,
         arrived: u64,
         force_close: bool,
-    ) {
+    ) -> Vec<ConnEvent> {
         let now = self.now();
         let follow_on = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 // The socket broke before its answer came back; the work
                 // still happened — count it.
                 observe_reply(self.handler, reply, trace_id, arrived);
-                return;
+                return Vec::new();
             };
             let mut extra = vec![("X-Request-Id".to_string(), trace_id.clone())];
             if let Some(h) = &reply.cache_header {
@@ -452,10 +483,8 @@ impl EventLoop<'_> {
             // requests (backpressure release).
             conn.machine.parse_buffered(now)
         };
-        if !follow_on.is_empty() {
-            self.dispatch(token, follow_on);
-        }
         self.sync_conn(token);
+        follow_on
     }
 
     /// Pulls every completed reply the workers have queued. The wake fd
@@ -463,7 +492,7 @@ impl EventLoop<'_> {
     fn pump_done(&mut self) {
         self.wake.drain();
         while let Ok(done) = self.done_rx.try_recv() {
-            self.complete_one(
+            let follow_on = self.complete_one(
                 done.conn_token,
                 done.seq,
                 done.reply,
@@ -471,6 +500,7 @@ impl EventLoop<'_> {
                 done.arrived,
                 false,
             );
+            self.dispatch(done.conn_token, follow_on);
         }
     }
 
@@ -544,6 +574,7 @@ impl EventLoop<'_> {
                 DeadlineAction::None => {}
                 DeadlineAction::Respond408 { seq } => {
                     let trace_id = self.ids.next_id();
+                    // A 408 closes the stream: nothing follows it.
                     self.complete_one(token, seq, Reply::timeout(), trace_id, now, true);
                 }
                 DeadlineAction::CloseIdle => self.close_conn(token, now),

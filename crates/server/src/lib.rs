@@ -10,8 +10,8 @@
 //!
 //! There is one wire path (DESIGN.md §13): an epoll event loop owns the
 //! listener and every client socket (HTTP/1.1 keep-alive, pipelining,
-//! per-connection deadlines) and hands parsed requests to the worker
-//! pool. Serving therefore needs Linux — elsewhere
+//! per-connection deadlines), answers cache hits itself, and hands
+//! engine work and page renders to the worker pool. Serving therefore needs Linux — elsewhere
 //! [`SuggestServer::run`] returns `ErrorKind::Unsupported`; the rest of
 //! the crate (framing, state machine, cache, JSON, routing) is portable.
 //!

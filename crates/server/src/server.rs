@@ -11,6 +11,14 @@
 //! the rendered per-query JSON result object, so a hot query costs a
 //! hash, one shard lock, and a `memcpy` of the response bytes.
 //!
+//! Routing has two halves. `resolve` runs on the loop thread: method,
+//! path, tenant, the `q` or `"query"` decode, normalisation and one
+//! cache probe. It answers cache hits and routing errors itself, so a
+//! hit never crosses a thread. Everything else becomes a `Work` item
+//! for `compute` on the pool: a miss (carrying its tenant, keywords
+//! and cache key, so nothing is parsed or probed twice), a batch POST,
+//! `/debug/explain`, and every page render.
+//!
 //! Multi-tenancy (DESIGN.md §16): `/suggest/<corpus>` routes by catalog
 //! name, bare `/suggest` routes to the primary (first) tenant, and an
 //! unknown corpus is a structured JSON `404` that flows through the same
@@ -42,7 +50,7 @@ use xclean::{ExplainTrace, Pipeline, SuggestResponse, Suggestion, XCleanEngine};
 use xclean_telemetry::json::{self, Json};
 use xclean_telemetry::{
     names, Counter, ExemplarStore, Exposition, Histogram, MetricsRegistry, MonotonicClock,
-    RequestRecord, RuntimeStats, ShardAttribution, SharedClock, Value, WindowEvent,
+    RequestRecord, RuntimeStats, ShardAttribution, SharedClock, SpanGuard, Value, WindowEvent,
 };
 
 use crate::cache::CacheKey;
@@ -553,45 +561,152 @@ fn percent_decode(s: &str) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
+/// What the loop-side half of routing decided about one request.
+pub(crate) enum Resolved {
+    /// Answered without the pool: a cache hit, or an error that needs
+    /// neither the engine nor a page render.
+    Reply(Reply),
+    /// Work for a pool worker.
+    Work(Work),
+}
+
+impl From<Reply> for Resolved {
+    fn from(reply: Reply) -> Resolved {
+        Resolved::Reply(reply)
+    }
+}
+
+/// A pool-side page: renders from live state (or runs the engine under
+/// observation, for explain), given the request's raw query string.
+type Page = fn(&Handler, &str) -> Reply;
+
+/// The pool-side half's input. It owns everything [`resolve`] found out,
+/// so a worker neither parses the request nor probes the cache again.
+pub(crate) enum Work {
+    /// A single query the cache did not hold. `tenant` indexes the
+    /// [`TenantSet`]; `key.query` is the normalized query.
+    Miss {
+        tenant: usize,
+        keywords: Vec<String>,
+        key: CacheKey,
+    },
+    /// A batch POST's queries, in request order.
+    Batch { tenant: usize, queries: Vec<String> },
+    /// A page route with its ring tag and raw query string.
+    Page {
+        render: Page,
+        tag: &'static str,
+        query: String,
+    },
+}
+
+/// Resolve, then compute: the whole route in one call, as the unit
+/// tests drive it. The server runs the halves on different threads.
+#[cfg(test)]
 pub(crate) fn route(request: &Request, handler: &Handler, trace_id: &str) -> Reply {
+    match resolve(request, handler, trace_id) {
+        Resolved::Reply(reply) => reply,
+        Resolved::Work(work) => compute(work, handler, trace_id),
+    }
+}
+
+/// The loop-side half of routing: method, path and tenant, the `q` or
+/// `"query"` decode, normalisation and one cache probe. Its cost is
+/// linear in the request bytes the framer already bounded, and it never
+/// runs the engine or renders a page — those become [`Work`].
+pub(crate) fn resolve(request: &Request, handler: &Handler, trace_id: &str) -> Resolved {
     let (path, query) = split_target(&request.path);
     if let Some(name) = path.strip_prefix("/suggest/") {
         // Per-corpus routing: an unknown corpus is a structured 404 that
         // flows through `observe_reply` like every other answer (its
         // ring tag distinguishes it from a plain bad path).
-        let Some(tenant) = handler.tenants.get(name) else {
-            return Reply::error(404, &format!("no such corpus: {name}")).tagged("unknown_corpus");
+        let Some(tenant) = handler.tenants.index_of(name) else {
+            return Reply::error(404, &format!("no such corpus: {name}"))
+                .tagged("unknown_corpus")
+                .into();
         };
-        return dispatch_suggest(tenant, request, query, trace_id);
+        return resolve_suggest(handler, tenant, request, query, trace_id);
     }
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => healthz(handler).tagged("healthz"),
-        ("GET", "/metrics") => metrics(handler).tagged("metrics"),
-        ("GET", "/statusz") => statusz(handler).tagged("statusz"),
-        ("GET", "/debug/requests") => debug_requests(handler, query).tagged("debug_requests"),
-        ("GET", "/debug/conns") => debug_conns(handler, query).tagged("debug_conns"),
-        ("GET", "/debug/flight") => debug_flight(handler, query).tagged("debug_flight"),
-        ("GET", "/debug/explain") => debug_explain(handler, query).tagged("debug_explain"),
-        ("GET", "/debug/exemplars") => debug_exemplars(handler).tagged("debug_exemplars"),
-        (_, "/suggest") => dispatch_suggest(handler.tenants.primary(), request, query, trace_id),
+    let (render, tag): (Page, &'static str) = match (request.method.as_str(), path) {
+        ("GET", "/healthz") => (healthz, "healthz"),
+        ("GET", "/metrics") => (metrics, "metrics"),
+        ("GET", "/statusz") => (statusz, "statusz"),
+        ("GET", "/debug/requests") => (debug_requests, "debug_requests"),
+        ("GET", "/debug/conns") => (debug_conns, "debug_conns"),
+        ("GET", "/debug/flight") => (debug_flight, "debug_flight"),
+        ("GET", "/debug/explain") => (debug_explain, "debug_explain"),
+        ("GET", "/debug/exemplars") => (debug_exemplars, "debug_exemplars"),
+        (_, "/suggest") => return resolve_suggest(handler, 0, request, query, trace_id),
         (
             _,
             "/healthz" | "/metrics" | "/statusz" | "/debug/requests" | "/debug/conns"
             | "/debug/flight" | "/debug/explain" | "/debug/exemplars",
-        ) => Reply::error(405, "method not allowed").tagged("method_not_allowed"),
-        _ => Reply::error(404, "no such endpoint").tagged("not_found"),
+        ) => {
+            return Reply::error(405, "method not allowed")
+                .tagged("method_not_allowed")
+                .into()
+        }
+        _ => {
+            return Reply::error(404, "no such endpoint")
+                .tagged("not_found")
+                .into()
+        }
+    };
+    Resolved::Work(Work::Page {
+        render,
+        tag,
+        query: query.to_string(),
+    })
+}
+
+/// The pool-side half of routing: runs the engine for a miss or a
+/// batch, or renders a page.
+pub(crate) fn compute(work: Work, handler: &Handler, trace_id: &str) -> Reply {
+    match work {
+        Work::Miss {
+            tenant,
+            keywords,
+            key,
+        } => computed_result(&keywords, key, handler.tenants.at(tenant), trace_id),
+        Work::Batch { tenant, queries } => {
+            let tenant = handler.tenants.at(tenant);
+            let _request_span = request_span(tenant, trace_id);
+            let (body, hits, misses, obs) = batch_suggest(&queries, tenant);
+            Reply {
+                status: 200,
+                content_type: "application/json",
+                cache_header: Some(format!("hits={hits} misses={misses}")),
+                body,
+                obs,
+            }
+        }
+        Work::Page { render, tag, query } => render(handler, &query).tagged(tag),
     }
 }
 
 /// Method dispatch + per-corpus lifetime counters for one resolved
 /// tenant — shared by bare `/suggest` (primary) and `/suggest/<corpus>`.
-fn dispatch_suggest(tenant: &Tenant, request: &Request, query: &str, trace_id: &str) -> Reply {
+/// Every suggest request is counted here, on the loop, exactly once.
+fn resolve_suggest(
+    handler: &Handler,
+    index: usize,
+    request: &Request,
+    query: &str,
+    trace_id: &str,
+) -> Resolved {
+    let tenant = handler.tenants.at(index);
     tenant.requests().inc();
-    let mut reply = match request.method.as_str() {
-        "GET" => suggest_get(query, tenant, trace_id).tagged("suggest"),
-        "POST" => suggest(request, tenant, trace_id).tagged("suggest"),
-        _ => Reply::error(405, "method not allowed").tagged("method_not_allowed"),
+    let resolved = match request.method.as_str() {
+        "GET" => suggest_get(query, index, tenant, trace_id),
+        "POST" => suggest_post(request, index, tenant, trace_id),
+        _ => Reply::error(405, "method not allowed")
+            .tagged("method_not_allowed")
+            .into(),
     };
+    let Resolved::Reply(reply) = resolved else {
+        return resolved;
+    };
+    let mut reply = reply.tagged("suggest");
     if reply.status >= 400 {
         tenant.errors().inc();
     }
@@ -600,10 +715,10 @@ fn dispatch_suggest(tenant: &Tenant, request: &Request, query: &str, trace_id: &
     if reply.obs.corpus.is_empty() {
         reply.obs.corpus = tenant.name().to_string();
     }
-    reply
+    reply.into()
 }
 
-fn healthz(handler: &Handler) -> Reply {
+fn healthz(handler: &Handler, _query: &str) -> Reply {
     for tenant in handler.tenants.iter() {
         if let Err(m) = tenant.cache().check_consistency() {
             return Reply::error(
@@ -655,7 +770,7 @@ fn healthz(handler: &Handler) -> Reply {
 /// `GET /metrics`: one collect-then-render pass in which every series
 /// has one owner. Every source hands the page typed samples;
 /// [`Exposition::render`] writes the text once.
-fn metrics(handler: &Handler) -> Reply {
+fn metrics(handler: &Handler, _query: &str) -> Reply {
     let mut page = Exposition::new();
     // The server's own registry, unlabelled. Each populated
     // request-latency bucket carries the most recent X-Request-Id that
@@ -687,7 +802,7 @@ fn metrics(handler: &Handler) -> Reply {
     }
 }
 
-fn statusz(handler: &Handler) -> Reply {
+fn statusz(handler: &Handler, _query: &str) -> Reply {
     let lag = handler.runtime.loop_lag().summary();
     let wait = handler.runtime.queue_wait().summary();
     let primary = handler.tenants.primary();
@@ -916,7 +1031,7 @@ fn explain_json(corpus: &str, normalized: &str, trace: &ExplainTrace) -> Json {
 
 /// `GET /debug/exemplars`: the latency exemplars as JSON — one entry
 /// per occupied histogram bucket, newest request ID wins.
-fn debug_exemplars(handler: &Handler) -> Reply {
+fn debug_exemplars(handler: &Handler, _query: &str) -> Reply {
     let exemplars = handler
         .exemplars
         .snapshot()
@@ -961,36 +1076,75 @@ fn suggestions_json(suggestions: &[Suggestion]) -> Json {
         .collect()
 }
 
-/// Answers one normalized query through the cache, computing on miss.
-/// Returns the rendered result object plus what the ring should remember
-/// (cache outcome, per-stage nanos, and counters — all zero on a hit,
-/// which did no engine work).
-fn cached_result(keywords: &[String], tenant: &Tenant) -> (Arc<str>, RouteObs) {
-    let normalized = keywords.join(" ");
+/// The root span of one request's engine work: engine spans opened
+/// inside it (and scatter spans on other threads) chain under it, so
+/// the trace ID names one tree in exported traces.
+fn request_span<'t>(tenant: &'t Tenant, trace_id: &str) -> SpanGuard<'t> {
+    tenant
+        .engine()
+        .tracer()
+        .span_with("request", || trace_id.to_string())
+}
+
+/// The reply for one single-query answer, hit or computed: the body is
+/// the cached (or just cached) result object, byte for byte.
+fn single_query_reply(body: &str, obs: RouteObs) -> Reply {
+    let outcome = if obs.cache_hit == Some(true) {
+        "hit"
+    } else {
+        "miss"
+    };
+    Reply {
+        status: 200,
+        content_type: "application/json",
+        cache_header: Some(outcome.to_string()),
+        body: body.to_string(),
+        obs,
+    }
+}
+
+/// Probes the cache for one normalized query. A hit is answered here;
+/// a miss becomes [`Work::Miss`], carrying the keywords and key so the
+/// worker neither re-parses nor re-probes — and the miss is counted by
+/// the worker that computes it, not by this probe.
+fn lookup(index: usize, tenant: &Tenant, keywords: Vec<String>, trace_id: &str) -> Resolved {
     let key = CacheKey {
-        query: normalized.clone(),
+        query: keywords.join(" "),
         fingerprint: tenant.fingerprint(),
     };
-    if let Some(hit) = tenant.cache().get(&key) {
-        let obs = RouteObs {
-            route: "suggest",
-            query: normalized,
-            corpus: tenant.name().to_string(),
-            cache_hit: Some(true),
-            ..RouteObs::default()
-        };
-        return (hit, obs);
-    }
+    let Some(hit) = tenant.cache().probe(&key) else {
+        return Resolved::Work(Work::Miss {
+            tenant: index,
+            keywords,
+            key,
+        });
+    };
+    let _request_span = request_span(tenant, trace_id);
+    let obs = RouteObs {
+        route: "suggest",
+        query: key.query,
+        corpus: tenant.name().to_string(),
+        cache_hit: Some(true),
+        ..RouteObs::default()
+    };
+    single_query_reply(&hit, obs).into()
+}
+
+/// Computes one query the cache missed, stores the rendered result
+/// object, and returns it with what the ring should remember (per-stage
+/// nanos and counters).
+fn computed_result(keywords: &[String], key: CacheKey, tenant: &Tenant, trace_id: &str) -> Reply {
+    let _request_span = request_span(tenant, trace_id);
+    tenant.cache().record_miss();
     let response = tenant.engine().suggest_keywords(keywords);
     // Misses did real scatter work: fold the per-shard attribution into
     // the tenant's scatter histograms and skew gauge (record-only on
     // the serving path, like the lifetime counters).
     tenant.record_shards(&response.shard_stats);
-    let rendered = result_body(&normalized, &response);
-    tenant.cache().insert(key, Arc::clone(&rendered));
+    let rendered = result_body(&key.query, &response);
     let obs = RouteObs {
         route: "suggest",
-        query: normalized,
+        query: key.query.clone(),
         corpus: tenant.name().to_string(),
         cache_hit: Some(false),
         slot_nanos: response.stats.slot_nanos,
@@ -1001,104 +1155,75 @@ fn cached_result(keywords: &[String], tenant: &Tenant) -> (Arc<str>, RouteObs) {
         suggestions: response.suggestions.len() as u64,
         shards: response.shard_stats,
     };
-    (rendered, obs)
+    tenant.cache().insert(key, Arc::clone(&rendered));
+    single_query_reply(&rendered, obs)
 }
 
-/// The single-query reply both `GET /suggest?q=` and the `"query"` body
-/// form share.
-fn single_query_reply(keywords: &[String], tenant: &Tenant) -> Reply {
-    let (body, obs) = cached_result(keywords, tenant);
-    Reply {
-        status: 200,
-        content_type: "application/json",
-        cache_header: Some(
-            if obs.cache_hit == Some(true) {
-                "hit"
-            } else {
-                "miss"
-            }
-            .to_string(),
-        ),
-        body: body.to_string(),
-        obs,
-    }
-}
-
-fn suggest_get(query: &str, tenant: &Tenant, trace_id: &str) -> Reply {
+fn suggest_get(query: &str, index: usize, tenant: &Tenant, trace_id: &str) -> Resolved {
     let Some(raw) = query_param(query, "q") else {
-        return Reply::error(400, "missing q parameter");
+        return Reply::error(400, "missing q parameter").into();
     };
     let Some(decoded) = percent_decode(raw) else {
-        return Reply::error(400, "bad percent-encoding in q");
+        return Reply::error(400, "bad percent-encoding in q").into();
     };
     let keywords = tenant.engine().parse_query(&decoded);
     if keywords.is_empty() {
-        return Reply::error(400, "query contains no keywords");
+        return Reply::error(400, "query contains no keywords").into();
     }
-    // Root span for the whole request: engine spans opened below (and
-    // scatter spans on other threads) chain under it, so the trace ID
-    // names one tree in exported traces.
-    let _request_span = tenant
-        .engine()
-        .tracer()
-        .span_with("request", || trace_id.to_string());
-    single_query_reply(&keywords, tenant)
+    lookup(index, tenant, keywords, trace_id)
 }
 
-fn suggest(request: &Request, tenant: &Tenant, trace_id: &str) -> Reply {
+fn suggest_post(request: &Request, index: usize, tenant: &Tenant, trace_id: &str) -> Resolved {
     let Ok(text) = std::str::from_utf8(&request.body) else {
-        return Reply::error(400, "body is not utf-8");
+        return Reply::error(400, "body is not utf-8").into();
     };
     let parsed = match json::parse(text) {
         Ok(v) => v,
-        Err(e) => return Reply::error(400, &format!("invalid JSON body: {e}")),
+        Err(e) => return Reply::error(400, &format!("invalid JSON body: {e}")).into(),
     };
-    let _request_span = tenant
-        .engine()
-        .tracer()
-        .span_with("request", || trace_id.to_string());
     match (parsed.get("query"), parsed.get("queries")) {
-        (Some(_), Some(_)) => Reply::error(400, "give \"query\" or \"queries\", not both"),
+        (Some(_), Some(_)) => Reply::error(400, "give \"query\" or \"queries\", not both").into(),
         (Some(q), None) => {
             let Some(q) = q.as_str() else {
-                return Reply::error(400, "\"query\" must be a string");
+                return Reply::error(400, "\"query\" must be a string").into();
             };
             let keywords = tenant.engine().parse_query(q);
             if keywords.is_empty() {
-                return Reply::error(400, "query contains no keywords");
+                return Reply::error(400, "query contains no keywords").into();
             }
-            single_query_reply(&keywords, tenant)
+            lookup(index, tenant, keywords, trace_id)
         }
         (None, Some(qs)) => {
             let Some(items) = qs.as_array() else {
-                return Reply::error(400, "\"queries\" must be an array of strings");
+                return Reply::error(400, "\"queries\" must be an array of strings").into();
             };
             if items.len() > MAX_BATCH_QUERIES {
                 return Reply::error(
                     400,
                     &format!("at most {MAX_BATCH_QUERIES} queries per batch"),
-                );
+                )
+                .into();
             }
-            let Some(raw) = items.iter().map(Json::as_str).collect::<Option<Vec<_>>>() else {
-                return Reply::error(400, "\"queries\" must be an array of strings");
+            let Some(queries) = items
+                .iter()
+                .map(|q| q.as_str().map(str::to_string))
+                .collect::<Option<Vec<_>>>()
+            else {
+                return Reply::error(400, "\"queries\" must be an array of strings").into();
             };
-            let (body, hits, misses, obs) = batch_suggest(&raw, tenant);
-            Reply {
-                status: 200,
-                content_type: "application/json",
-                cache_header: Some(format!("hits={hits} misses={misses}")),
-                body,
-                obs,
-            }
+            Resolved::Work(Work::Batch {
+                tenant: index,
+                queries,
+            })
         }
-        (None, None) => Reply::error(400, "body must contain \"query\" or \"queries\""),
+        (None, None) => Reply::error(400, "body must contain \"query\" or \"queries\"").into(),
     }
 }
 
 /// The batch path: answer every hit from the cache, send the misses
 /// through `suggest_many_keywords` (the engine's worker pool) in one go,
 /// and reassemble in request order.
-fn batch_suggest(raw: &[&str], tenant: &Tenant) -> (String, u64, u64, RouteObs) {
+fn batch_suggest(raw: &[String], tenant: &Tenant) -> (String, u64, u64, RouteObs) {
     let keyword_lists: Vec<Vec<String>> =
         raw.iter().map(|q| tenant.engine().parse_query(q)).collect();
     let mut slots: Vec<Option<Arc<str>>> = vec![None; raw.len()];
@@ -1890,6 +2015,94 @@ mod tests {
         ] {
             assert!(body.contains(&line), "missing {line:?} in:\n{body}");
         }
+    }
+
+    const METHODS: [&str; 3] = ["GET", "POST", "DELETE"];
+    const PATHS: [&str; 8] = [
+        "/suggest",
+        "/suggest/default",
+        "/suggest/nope",
+        "/suggest/",
+        "/debug/explain",
+        "/healthz",
+        "/metrics",
+        "/",
+    ];
+
+    proptest::proptest! {
+        /// Resolve runs on the loop thread, so no target, `q` value,
+        /// percent-encoding or body may panic it: each request gets a
+        /// reply (a hit or an error) or becomes pool work.
+        #[test]
+        fn resolve_answers_or_hands_off_any_request(
+            method in 0..METHODS.len(),
+            path in 0..PATHS.len(),
+            raw in "[-a-zA-Z0-9%+&=?/ .\u{e9}]{0,24}",
+            escaped in proptest::collection::vec(0u8..=255, 0..8),
+            body in proptest::collection::vec(0u8..=255, 0..24),
+            json_body in 0..2u8,
+        ) {
+            let (method, path) = (METHODS[method], PATHS[path]);
+            let h = handler();
+            let encoded: String = escaped.iter().map(|b| format!("%{b:02x}")).collect();
+            let mut request = get(&format!("{path}?q={raw}{encoded}&n={raw}"));
+            request.method = method.to_string();
+            request.body = if json_body == 1 {
+                Json::object([("query", String::from_utf8_lossy(&body).as_ref().into())])
+                    .render()
+                    .into_bytes()
+            } else {
+                body
+            };
+            match resolve(&request, &h, T) {
+                Resolved::Reply(reply) => {
+                    proptest::prop_assert!(
+                        [400, 404, 405].contains(&reply.status),
+                        "{} {}: {}", reply.status, request.path, reply.body
+                    );
+                }
+                Resolved::Work(Work::Miss { keywords, key, .. }) => {
+                    proptest::prop_assert!(!keywords.is_empty());
+                    proptest::prop_assert_eq!(key.query, keywords.join(" "));
+                }
+                Resolved::Work(Work::Batch { .. } | Work::Page { .. }) => {}
+            }
+        }
+    }
+
+    #[test]
+    fn resolve_answers_hits_and_hands_misses_and_pages_to_the_pool() {
+        let h = handler();
+        let query = get("/suggest?q=helth+insurance");
+        let Resolved::Work(miss @ Work::Miss { .. }) = resolve(&query, &h, T) else {
+            panic!("a cold query is pool work");
+        };
+        // The probe counted nothing; the worker counts the miss once.
+        assert_eq!(h.tenants.primary().cache().counters(), (0, 0, 0));
+        let computed = compute(miss, &h, T);
+        assert_eq!(computed.cache_header.as_deref(), Some("miss"));
+        assert_eq!(h.tenants.primary().cache().counters(), (0, 1, 0));
+        let Resolved::Reply(hit) = resolve(&query, &h, T) else {
+            panic!("a cached query is answered in resolve");
+        };
+        assert_eq!(hit.cache_header.as_deref(), Some("hit"));
+        assert_eq!(hit.body, computed.body);
+        assert_eq!(h.tenants.primary().cache().counters(), (1, 1, 0));
+        assert_eq!(h.tenants.primary().requests().get(), 2);
+        for page in ["/healthz", "/metrics", "/statusz", "/debug/explain?q=helth"] {
+            assert!(
+                matches!(
+                    resolve(&get(page), &h, T),
+                    Resolved::Work(Work::Page { .. })
+                ),
+                "{page} renders on the pool"
+            );
+        }
+        let batch = post(r#"{"queries": ["helth insurance"]}"#);
+        assert!(matches!(
+            resolve(&batch, &h, T),
+            Resolved::Work(Work::Batch { .. })
+        ));
     }
 
     #[test]

@@ -208,7 +208,19 @@ impl TenantSet {
 
     /// The tenant serving `name`, if the catalog has one.
     pub fn get(&self, name: &str) -> Option<&Tenant> {
-        self.by_name.get(name).map(|&i| &self.tenants[i])
+        self.index_of(name).map(|i| &self.tenants[i])
+    }
+
+    /// The catalog position of the tenant serving `name` — how a
+    /// resolved request names its tenant across the hand-off to a pool
+    /// worker.
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+
+    /// The tenant at catalog position `index` (0 is the primary).
+    pub(crate) fn at(&self, index: usize) -> &Tenant {
+        &self.tenants[index]
     }
 
     /// All tenants in catalog order.

@@ -508,6 +508,59 @@ fn suggestion_bodies_are_byte_identical_across_connection_dispositions() {
     run.stop();
 }
 
+/// Cache hits are answered on the loop thread while misses are computed
+/// on the pool, yet a pipelined mix of both still comes back in request
+/// order, each response with its own request ID and cache outcome, and
+/// with the bytes the same query earns on a socket of its own.
+#[test]
+fn pipelined_hits_and_misses_keep_wire_order() {
+    let run = start(two_worker_config());
+    let wire = |path: &str, id: &str, close: bool| {
+        let close = if close { "Connection: close\r\n" } else { "" };
+        get_request(path, &format!("X-Request-Id: {id}\r\n{close}"))
+    };
+    let (a, b, c) = (
+        "/suggest?q=helth+insurance",
+        "/suggest?q=progrm+instance",
+        "/suggest?q=dta+integration",
+    );
+    // Warm B, so it is a hit inside the burst.
+    let mut warm = connect(run.addr);
+    warm.write_all(wire(b, "warm", true).as_bytes()).unwrap();
+    assert_eq!(
+        read_response(&mut warm).unwrap().header("x-cache"),
+        Some("miss")
+    );
+
+    let order = [(a, "miss"), (b, "hit"), (c, "miss"), (b, "hit")];
+    let mut stream = connect(run.addr);
+    let burst: String = order
+        .iter()
+        .enumerate()
+        .map(|(i, (path, _))| wire(path, &format!("mix-{i}"), false))
+        .collect();
+    stream.write_all(burst.as_bytes()).unwrap();
+    let mut bodies = Vec::new();
+    for (i, (path, outcome)) in order.iter().enumerate() {
+        let response = read_response(&mut stream).expect("pipelined response");
+        assert_eq!(response.status, 200, "response {i}");
+        assert_eq!(
+            response.header("x-request-id"),
+            Some(format!("mix-{i}").as_str()),
+            "wire order is request order"
+        );
+        assert_eq!(response.header("x-cache"), Some(*outcome), "response {i}");
+        bodies.push((path, response.body));
+    }
+    for (i, (path, body)) in bodies.iter().enumerate() {
+        let mut own = connect(run.addr);
+        own.write_all(wire(path, "own", true).as_bytes()).unwrap();
+        let response = read_response(&mut own).unwrap();
+        assert_eq!(&response.body, body, "response {i} ({path})");
+    }
+    run.stop();
+}
+
 /// Above `max_connections` open sockets the loop answers a new one with
 /// a `503` and closes it, without disturbing the sockets it holds, and
 /// serves new connections again as soon as one of those leaves.

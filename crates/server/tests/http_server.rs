@@ -218,3 +218,48 @@ fn responses_identical_across_cache_and_threads() {
         run.join.join().unwrap();
     }
 }
+
+/// Each request is counted once wherever it is answered: a hit on the
+/// loop thread bumps the hit counter, the tenant's request counter and
+/// the ring once and never reaches the pool; a miss is counted once, by
+/// the worker that computes it, and is the only kind of request that
+/// waits in the pool's queue.
+#[test]
+fn hits_and_misses_are_each_counted_once() {
+    let server = SuggestServer::bind(
+        engine(),
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 2,
+            cache_entries: 64,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let flag = server.shutdown_flag();
+    let tenants = Arc::clone(server.tenants());
+    let obs = server.observability();
+    let join = std::thread::spawn(move || server.run().unwrap());
+
+    let queries = [
+        "helth", "smith", "helth", "program", "jones", "smith", "helth", "instence",
+    ];
+    let n = queries.len() as u64;
+    let k = 3; // repeats: helth ×2, smith ×1
+    for q in queries {
+        let (status, _, _) = request(addr, "GET", &format!("/suggest?q={q}"), "");
+        assert_eq!(status, 200, "{q}");
+    }
+    flag.trigger();
+    let report = join.join().unwrap();
+    assert_eq!(
+        (report.cache_hits, report.cache_misses),
+        (k, n - k),
+        "{report:?}"
+    );
+    assert_eq!(tenants.primary().requests().get(), n);
+    assert_eq!(report.requests, n, "{report:?}");
+    assert_eq!(obs.total_observed(), n);
+    assert_eq!(report.queue_waits, n - k, "only misses queue for the pool");
+}
