@@ -22,7 +22,7 @@ use xclean::{
 };
 use xclean_datagen::{generate_dblp, generate_inex, DblpConfig, InexConfig};
 use xclean_index::{partition_corpus, storage, CorpusIndex, OpenOptions, SlabMode};
-use xclean_server::{ServerConfig, SuggestServer};
+use xclean_server::{ServerConfig, SuggestServer, PAGE_ROUTES};
 use xclean_telemetry::json::Json;
 use xclean_xmltree::{parse_document, to_xml, TreeStats};
 
@@ -100,10 +100,10 @@ USAGE:
             [--trace-out trace.json] [--metrics-json metrics.json]
             [--slow-ms MS] [--slow-log FILE] [--slo-ms MS]
             [--log-level error|warn|info|debug|trace]
-            [--flight-events N] [--conn-registry N]
             (long-running HTTP server: POST/GET /suggest, GET /healthz,
              GET /metrics, GET /statusz, GET /debug/requests?n=K,
-             GET /debug/conns?n=K, GET /debug/flight?events=N;
+             GET /debug/conns?n=K, GET /debug/flight?events=N,
+             GET /debug/explain?q=Q[&corpus=C], GET /debug/exemplars;
              with --catalog, every declared corpus is served under
              POST/GET /suggest/<name> — sharded entries scatter-gather
              across their snapshots — while bare /suggest and the
@@ -120,9 +120,7 @@ USAGE:
              requests, then flushes --trace-out / --metrics-json, the
              latter as {server: {…}, corpora: {<name>: {…}, …}})
             (--log-level sets the threshold of the leveled logfmt
-             stderr logger, default info; --flight-events
-             sizes the runtime flight recorder and --conn-registry the
-             live-connection registry — 0 disables either)
+             stderr logger, default info)
             (connections are HTTP/1.1 keep-alive with pipelining, served
              from one nonblocking epoll loop that hands parsed requests
              to --threads scoring workers; above --max-connections open
@@ -717,8 +715,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         "slo-ms",
         "slow-log",
         "log-level",
-        "flight-events",
-        "conn-registry",
     ])?;
     let catalog_path = args.get("catalog").map(str::to_string);
     let snapshot = match (args.positional(), &catalog_path) {
@@ -784,9 +780,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         slow_threshold: Duration::from_millis(slow_ms),
         slo_threshold: Duration::from_millis(slo_ms),
         slow_log: args.get("slow-log").map(std::path::PathBuf::from),
-        flight_capacity: args.get_parsed("flight-events", defaults.flight_capacity)?,
-        conn_registry_capacity: args
-            .get_parsed("conn-registry", defaults.conn_registry_capacity)?,
         ..defaults
     };
     if server_config.max_connections == 0 {
@@ -795,10 +788,11 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     if server_config.threads == 0 {
         return Err(ArgError("--threads must be at least 1".into()));
     }
-    let (threads_n, flight_n, registry_n) = (
+    // `bind_tenants` takes the config; the banner prints what it got.
+    let (threads, cache_entries, cache_shards) = (
         server_config.threads,
-        server_config.flight_capacity,
-        server_config.conn_registry_capacity,
+        server_config.cache_entries,
+        server_config.cache_shards,
     );
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port: u16 = args.get_parsed("port", 8080u16)?;
@@ -943,19 +937,17 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         println!("{line}");
     }
     println!(
-        "xclean-server listening on http://{bound} — epoll event loop (keep-alive), {} worker(s), cache {} entries / {} shard(s), fingerprint {:016x}",
-        args.get_parsed("threads", defaults.threads)?,
-        args.get_parsed("cache-entries", defaults.cache_entries)?,
-        args.get_parsed("cache-shards", defaults.cache_shards)?,
+        "xclean-server listening on http://{bound} — epoll event loop (keep-alive), {threads} worker(s), cache {cache_entries} entries / {cache_shards} shard(s), fingerprint {:016x}",
         server.fingerprint()
     );
     println!(
-        "endpoints: POST/GET /suggest{}   GET /healthz /metrics /statusz /debug/requests /debug/conns /debug/flight   (Ctrl-C drains)",
+        "endpoints: POST/GET /suggest{}   GET {}   (Ctrl-C drains)",
         if catalog_path.is_some() {
             " /suggest/<corpus>"
         } else {
             ""
-        }
+        },
+        PAGE_ROUTES.join(" ")
     );
     println!(
         "slow-query log: threshold {slow_ms}ms → {}",
@@ -966,9 +958,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         "xclean_cli::serve",
         "listening",
         addr = bound,
-        threads = threads_n,
-        flight_events = flight_n,
-        conn_registry = registry_n
+        threads = threads
     );
 
     let report = server.run().map_err(|e| ArgError(format!("server: {e}")))?;
@@ -1515,6 +1505,34 @@ mod tests {
             "{:?}",
             out.lines
         );
+    }
+
+    /// The usage text names every route the server answers.
+    #[test]
+    fn serve_usage_names_every_route() {
+        let serve =
+            &USAGE[USAGE.find("xclean serve").unwrap()..USAGE.find("xclean stats").unwrap()];
+        for route in ["/suggest", "/suggest/<name>"]
+            .into_iter()
+            .chain(PAGE_ROUTES)
+        {
+            assert!(serve.contains(route), "{route} missing:\n{serve}");
+        }
+    }
+
+    /// The flight recorder and the connection table have fixed sizes:
+    /// the flags that used to size them are unknown options.
+    #[test]
+    fn serve_rejects_the_retired_ring_flags() {
+        for flag in ["--flight-events", "--conn-registry"] {
+            let out = run(argv(&["serve", "c.xci", flag, "64"]));
+            assert_eq!(out.code, 2, "{flag}: {:?}", out.lines);
+            assert!(
+                out.lines[0].contains("unknown option"),
+                "{flag}: {:?}",
+                out.lines
+            );
+        }
     }
 
     /// `serve --catalog` refuses a legacy v1 snapshot before binding, as

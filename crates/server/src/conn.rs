@@ -218,6 +218,12 @@ impl<T> Connection<T> {
         self.outstanding()
     }
 
+    /// Nanos of the last bytes read or response completed — where the
+    /// idle timeout counts from.
+    pub fn idle_since(&self) -> u64 {
+        self.idle_since
+    }
+
     /// Current epoll interest. `read` goes false under backpressure (the
     /// pipeline cap), after `Connection: close`, framing errors, EOF,
     /// and drain; `write` is true only while unflushed bytes remain.

@@ -1,16 +1,20 @@
-//! The server's per-request observability plane (DESIGN.md §12).
+//! The server's per-request observability plane (DESIGN.md §12), and
+//! the debug and status pages that read it.
 //!
 //! One [`Observability`] instance per server bundles everything the
 //! debug/status endpoints read and every completed request writes:
 //!
-//! - a bounded lock-striped [`RequestRing`] of recent requests (all
-//!   statuses, error paths included) behind `GET /debug/requests?n=K`;
+//! - a bounded [`RequestRing`] of recent requests (all statuses, error
+//!   paths included) behind `GET /debug/requests?n=K`;
 //! - the slow-query log: every request whose total time reaches the
 //!   configured threshold is additionally written as one JSON line to
 //!   stderr or `--slow-log <path>` — the durable record of slow
 //!   requests, since fast traffic does evict them from the ring;
-//! - [`RollingWindows`] (1m/5m/15m) behind the table on `GET /statusz`;
-//! - the deterministic trace-ID generator handed to each worker.
+//! - [`RollingWindows`] (1m/5m/15m) behind the table on `GET /statusz`.
+//!
+//! The event loop is the plane's only writer: it observes every reply
+//! as its bytes flush, and it owns the one [`TraceIdGen`] and the
+//! connection table `GET /debug/conns` reads.
 //!
 //! Everything is record-only with respect to the suggestion path: a
 //! request pushes one record after its response is rendered, and nothing
@@ -19,18 +23,22 @@
 //! off) true by construction rather than by care.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use xclean_telemetry::json::Json;
 use xclean_telemetry::{
     RequestRecord, RequestRing, RollingWindows, SharedClock, WindowEvent, WindowSnapshot,
 };
 
-/// Ring stripes: enough that an 8-worker pool rarely collides on a lock.
-const RING_STRIPES: usize = 8;
+use crate::conn::Connection;
+use crate::server::Handler;
+
+/// Recent requests the ring keeps for `/debug/requests`.
+const RING_CAPACITY: usize = 512;
+
+/// Seed of the generated trace IDs (the first field of every ID).
+const TRACE_SEED: u64 = 0x5ca1_ab1e;
 
 /// Hard cap on `?n=` for `/debug/requests` (the ring is smaller anyway).
 pub const MAX_DEBUG_REQUESTS: usize = 1000;
@@ -42,8 +50,8 @@ pub const MAX_DEBUG_CONNS: usize = 1000;
 /// to 4096 events anyway; this just rejects absurd asks early).
 pub const MAX_FLIGHT_EVENTS: usize = 65_536;
 
-/// Per-server observability state; shared by the accept loop and every
-/// worker through an `Arc`.
+/// Per-server observability state, shared by the loop and every worker
+/// through an `Arc`.
 pub struct Observability {
     clock: SharedClock,
     ring: RequestRing,
@@ -52,17 +60,13 @@ pub struct Observability {
     slo_threshold_nanos: u64,
     slow_sink: Mutex<Box<dyn Write + Send>>,
     start_nanos: u64,
-    trace_seed: u64,
-    next_worker: AtomicU64,
 }
 
 impl std::fmt::Debug for Observability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Observability")
-            .field("ring_capacity", &self.ring.capacity())
             .field("slow_threshold_nanos", &self.slow_threshold_nanos)
             .field("slo_threshold_nanos", &self.slo_threshold_nanos)
-            .field("trace_seed", &self.trace_seed)
             .finish_non_exhaustive()
     }
 }
@@ -74,22 +78,18 @@ impl Observability {
     /// against for the SLO windows (breach = strictly slower).
     pub fn new(
         clock: SharedClock,
-        ring_capacity: usize,
         slow_threshold_nanos: u64,
         slo_threshold_nanos: u64,
-        trace_seed: u64,
         slow_sink: Box<dyn Write + Send>,
     ) -> Observability {
         let start_nanos = clock.now_nanos();
         Observability {
-            ring: RequestRing::new(ring_capacity, RING_STRIPES),
+            ring: RequestRing::new(RING_CAPACITY, 1),
             windows: RollingWindows::new(),
             slow_threshold_nanos,
             slo_threshold_nanos,
             slow_sink: Mutex::new(slow_sink),
             start_nanos,
-            trace_seed,
-            next_worker: AtomicU64::new(0),
             clock,
         }
     }
@@ -126,18 +126,6 @@ impl Observability {
     /// their burn rates can never disagree about grading.
     pub fn slo_breach(&self, total_nanos: u64) -> bool {
         total_nanos > self.slo_threshold_nanos
-    }
-
-    /// A trace-ID generator for one worker thread. Worker indices are
-    /// handed out in call order, so a fixed seed plus a fixed pool size
-    /// yields a fully deterministic ID space — nothing here reads the
-    /// wall clock or a random source.
-    pub fn trace_gen(&self) -> TraceIdGen {
-        TraceIdGen {
-            seed: self.trace_seed,
-            worker: self.next_worker.fetch_add(1, Ordering::Relaxed),
-            counter: Cell::new(0),
-        }
     }
 
     /// Records one completed request: into the ring and the rolling
@@ -191,15 +179,13 @@ impl Observability {
     }
 }
 
-/// Deterministic per-worker trace-ID source: `seed-worker-counter` in
-/// hex, e.g. `0005ca1e-02-00002a`. One lives on the stack of each thread
-/// that generates IDs (the event loop holds the one behind every
-/// request, error and load-shed reply), so generation is a `Cell` bump —
-/// no locks, no clock, no randomness.
-#[derive(Debug)]
+/// Deterministic trace-ID source: `seed-00-counter` in hex, e.g.
+/// `5ca1ab1e-00-00002a`. The event loop holds the one behind every
+/// request, error and load-shed reply, so generation is a `Cell` bump —
+/// no locks, no clock, no randomness. The `00` field keeps the ID shape
+/// clients already parse.
+#[derive(Debug, Default)]
 pub struct TraceIdGen {
-    seed: u64,
-    worker: u64,
     counter: Cell<u64>,
 }
 
@@ -208,180 +194,7 @@ impl TraceIdGen {
     pub fn next_id(&self) -> String {
         let n = self.counter.get();
         self.counter.set(n + 1);
-        format!("{:08x}-{:02x}-{:06x}", self.seed, self.worker, n)
-    }
-}
-
-/// One live connection's introspection state (DESIGN.md §14). The entry
-/// is shared between the serving path (which bumps plain atomics — no
-/// map lock on the hot path) and `/debug/conns` readers.
-#[derive(Debug)]
-pub struct ConnEntry {
-    id: u64,
-    opened_nanos: u64,
-    /// 0 = open, 1 = draining (set once at graceful-drain start).
-    draining: AtomicU64,
-    requests: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    pipeline: AtomicU64,
-    last_active_nanos: AtomicU64,
-}
-
-impl ConnEntry {
-    /// Mirrors the connection's current counters into the entry. Called
-    /// from the event loop after each burst of activity.
-    pub fn update(&self, requests: u64, bytes_in: u64, bytes_out: u64, pipeline: u64, now: u64) {
-        self.requests.store(requests, Ordering::Relaxed);
-        self.bytes_in.store(bytes_in, Ordering::Relaxed);
-        self.bytes_out.store(bytes_out, Ordering::Relaxed);
-        self.pipeline.store(pipeline, Ordering::Relaxed);
-        self.last_active_nanos.store(now, Ordering::Relaxed);
-    }
-
-    /// Marks the connection as draining (shown as `state: "draining"`).
-    pub fn set_draining(&self) {
-        self.draining.store(1, Ordering::Relaxed);
-    }
-}
-
-/// Point-in-time copy of one registry entry, for rendering and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConnSnapshot {
-    /// Connection ID (the event-loop token).
-    pub id: u64,
-    /// `"open"` or `"draining"`.
-    pub state: &'static str,
-    /// Nanos since the connection was accepted.
-    pub age_nanos: u64,
-    /// Nanos since the last observed activity.
-    pub idle_nanos: u64,
-    /// Requests surfaced on this connection so far.
-    pub requests: u64,
-    /// Bytes read off the socket.
-    pub bytes_in: u64,
-    /// Bytes written to the socket.
-    pub bytes_out: u64,
-    /// Requests in flight (surfaced but not yet flushed).
-    pub pipeline: u64,
-    /// Whether the connection has been reused for more than one request
-    /// (the keep-alive signal).
-    pub reused: bool,
-}
-
-/// Live-connection registry behind `GET /debug/conns?n=K` and the
-/// `/statusz` runtime section. Bounded: at most `capacity` connections
-/// are tracked at once (later ones are served normally, just not
-/// introspectable); capacity 0 disables tracking entirely — the same
-/// on/off convention as `cache_entries: 0` and the flight recorder.
-#[derive(Debug, Default)]
-pub struct ConnRegistry {
-    capacity: usize,
-    conns: Mutex<BTreeMap<u64, Arc<ConnEntry>>>,
-}
-
-impl ConnRegistry {
-    /// A registry tracking at most `capacity` live connections.
-    pub fn new(capacity: usize) -> ConnRegistry {
-        ConnRegistry {
-            capacity,
-            conns: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Whether tracking is on (capacity > 0).
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Starts tracking a connection accepted at `now`. `None` when the
-    /// registry is disabled or full — the caller serves the connection
-    /// either way.
-    pub fn register(&self, id: u64, now: u64) -> Option<Arc<ConnEntry>> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let mut conns = self.conns.lock().expect("conn registry poisoned");
-        if conns.len() >= self.capacity {
-            return None;
-        }
-        let entry = Arc::new(ConnEntry {
-            id,
-            opened_nanos: now,
-            draining: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            pipeline: AtomicU64::new(0),
-            last_active_nanos: AtomicU64::new(now),
-        });
-        conns.insert(id, Arc::clone(&entry));
-        Some(entry)
-    }
-
-    /// Stops tracking `id` (connection closed). Unknown IDs are a no-op
-    /// (the connection may never have been registered under a full
-    /// registry).
-    pub fn unregister(&self, id: u64) {
-        self.conns
-            .lock()
-            .expect("conn registry poisoned")
-            .remove(&id);
-    }
-
-    /// Currently tracked connections.
-    pub fn tracked(&self) -> usize {
-        self.conns.lock().expect("conn registry poisoned").len()
-    }
-
-    /// The up-to-`n` longest-lived tracked connections (oldest first —
-    /// long-lived keep-alive sockets are what an operator hunts for).
-    pub fn snapshot(&self, n: usize, now: u64) -> Vec<ConnSnapshot> {
-        let conns = self.conns.lock().expect("conn registry poisoned");
-        conns
-            .values()
-            .take(n)
-            .map(|e| ConnSnapshot {
-                id: e.id,
-                state: if e.draining.load(Ordering::Relaxed) != 0 {
-                    "draining"
-                } else {
-                    "open"
-                },
-                age_nanos: now.saturating_sub(e.opened_nanos),
-                idle_nanos: now.saturating_sub(e.last_active_nanos.load(Ordering::Relaxed)),
-                requests: e.requests.load(Ordering::Relaxed),
-                bytes_in: e.bytes_in.load(Ordering::Relaxed),
-                bytes_out: e.bytes_out.load(Ordering::Relaxed),
-                pipeline: e.pipeline.load(Ordering::Relaxed),
-                reused: e.requests.load(Ordering::Relaxed) > 1,
-            })
-            .collect()
-    }
-
-    /// The `GET /debug/conns` body: `open` is the lifetime opened−closed
-    /// gauge (counts every live socket), `tracked` how many of those the
-    /// bounded registry holds. Ages are seconds to the millisecond.
-    pub fn conns_json(&self, n: usize, now: u64, open: u64) -> Json {
-        let secs = |nanos: u64| (nanos as f64 / 1e6).round() / 1e3;
-        let conns = self.snapshot(n, now).into_iter().map(|s| {
-            Json::object([
-                ("id", s.id.into()),
-                ("state", s.state.into()),
-                ("age_secs", secs(s.age_nanos).into()),
-                ("idle_secs", secs(s.idle_nanos).into()),
-                ("requests", s.requests.into()),
-                ("bytes_in", s.bytes_in.into()),
-                ("bytes_out", s.bytes_out.into()),
-                ("pipeline", s.pipeline.into()),
-                ("reused", s.reused.into()),
-            ])
-        });
-        Json::object([
-            ("open", open.into()),
-            ("tracked", self.tracked().into()),
-            ("conns", conns.collect()),
-        ])
+        format!("{TRACE_SEED:08x}-00-{n:06x}")
     }
 }
 
@@ -398,88 +211,53 @@ pub fn requests_json(records: &[RequestRecord], total_observed: u64) -> Json {
     ])
 }
 
-/// Everything `GET /statusz` shows that the plane does not itself own.
-#[derive(Debug, Clone, Default)]
-pub struct StatuszInfo {
-    /// Engine fingerprint (cache keying / config identity).
-    pub fingerprint: u64,
-    /// Snapshot provenance as `(format_version, checksum)`, when the
-    /// corpus was loaded from a snapshot rather than built in memory.
-    pub snapshot: Option<(u32, u64)>,
-    /// Response-cache occupancy.
-    pub cache_entries: usize,
-    /// Response-cache capacity.
-    pub cache_capacity: usize,
-    /// Lifetime requests answered.
-    pub requests_total: u64,
-    /// Lifetime error responses.
-    pub errors_total: u64,
-    /// Lifetime TCP connections accepted.
-    pub connections_opened: u64,
-    /// Lifetime TCP connections finished.
-    pub connections_closed: u64,
-    /// Requests served on an already-used keep-alive connection.
-    pub keepalive_reuse: u64,
-    /// Connection cap above which accepts are shed with 503s.
-    pub max_connections: usize,
-    /// Worker threads in the pool.
-    pub workers: usize,
-    /// Event-loop wake-ups observed.
-    pub loop_wakes: u64,
-    /// Loop-lag p50 in nanos (busy time between `epoll_wait` calls).
-    pub loop_lag_p50_nanos: u64,
-    /// Loop-lag p99 in nanos.
-    pub loop_lag_p99_nanos: u64,
-    /// Jobs whose enqueue→pickup wait was measured.
-    pub queue_waits: u64,
-    /// Queue-wait p50 in nanos.
-    pub queue_wait_p50_nanos: u64,
-    /// Queue-wait p99 in nanos.
-    pub queue_wait_p99_nanos: u64,
-    /// Per-worker busy share of wall time, one entry per worker.
-    pub worker_utilization: Vec<f64>,
-    /// Flight-recorder events currently buffered.
-    pub flight_len: usize,
-    /// Flight-recorder capacity (0 = disabled).
-    pub flight_capacity: usize,
-    /// Flight-recorder events captured over the lifetime.
-    pub flight_recorded: u64,
-    /// Connections the live registry is tracking right now.
-    pub conns_tracked: usize,
-    /// One row per served corpus, catalog order (primary first); empty
-    /// only for callers that predate multi-tenancy.
-    pub corpora: Vec<CorpusRow>,
+/// One `GET /debug/conns` row: connection `id` (its event-loop token),
+/// accepted at `opened_nanos`, as its state machine stands at `now`.
+/// Ages are seconds to the millisecond; `idle_secs` runs from the last
+/// bytes read or response completed.
+pub(crate) fn conn_row<T>(
+    id: u64,
+    opened_nanos: u64,
+    conn: &Connection<T>,
+    now: u64,
+    draining: bool,
+) -> Json {
+    let secs = |nanos: u64| (nanos as f64 / 1e6).round() / 1e3;
+    let requests = conn.requests_started();
+    Json::object([
+        ("id", id.into()),
+        ("state", if draining { "draining" } else { "open" }.into()),
+        ("age_secs", secs(now.saturating_sub(opened_nanos)).into()),
+        (
+            "idle_secs",
+            secs(now.saturating_sub(conn.idle_since())).into(),
+        ),
+        ("requests", requests.into()),
+        ("bytes_in", conn.bytes_in().into()),
+        ("bytes_out", conn.bytes_out().into()),
+        ("pipeline", conn.pipeline_depth().into()),
+        ("reused", (requests > 1).into()),
+    ])
 }
 
-/// One corpus row of the `/statusz` dashboard.
-#[derive(Debug, Default, Clone)]
-pub struct CorpusRow {
-    /// Catalog name (`/suggest/<name>`).
-    pub name: String,
-    /// Shards answering the corpus (1 = unsharded).
-    pub shards: u32,
-    /// Response-cache occupancy.
-    pub cache_entries: usize,
-    /// Response-cache capacity.
-    pub cache_capacity: usize,
-    /// Requests routed to the corpus.
-    pub requests: u64,
-    /// Error responses while serving the corpus.
-    pub errors: u64,
-    /// Individual queries answered (batch POSTs count each query):
-    /// every query does one cache lookup, so hits + misses.
-    pub queries: u64,
-    /// The tenant's own 1m/5m/15m window snapshots (qps, quantiles,
-    /// SLO breaches) — empty for callers that predate per-tenant windows.
-    pub windows: Vec<WindowSnapshot>,
+/// The `GET /debug/conns` body: `open` is the lifetime opened − closed
+/// gauge, `conns` the rows in accept order.
+pub(crate) fn conns_json(open: u64, rows: impl IntoIterator<Item = Json>) -> Json {
+    Json::object([("open", open.into()), ("conns", rows.into_iter().collect())])
 }
 
-/// Renders the `GET /statusz` text dashboard.
-pub fn render_statusz(obs: &Observability, info: &StatuszInfo) -> String {
+/// Renders the `GET /statusz` text dashboard straight from the live
+/// state the handler holds.
+pub(crate) fn render_statusz(h: &Handler) -> String {
+    let obs = &h.obs;
+    let primary = h.tenants.primary();
     let mut out = String::from("xclean suggestion server\n\n");
     out.push_str(&format!("uptime_secs: {}\n", obs.uptime_secs()));
-    out.push_str(&format!("engine_fingerprint: {:016x}\n", info.fingerprint));
-    match info.snapshot {
+    out.push_str(&format!(
+        "engine_fingerprint: {:016x}\n",
+        primary.fingerprint()
+    ));
+    match primary.engine().snapshot() {
         Some((format, checksum)) => out.push_str(&format!(
             "snapshot: format=v{format} checksum={checksum:016x}\n"
         )),
@@ -487,19 +265,21 @@ pub fn render_statusz(obs: &Observability, info: &StatuszInfo) -> String {
     }
     out.push_str(&format!(
         "cache: entries={} capacity={}\n",
-        info.cache_entries, info.cache_capacity
+        primary.cache().len(),
+        primary.cache().capacity()
     ));
     out.push_str(&format!(
         "requests_total: {}  errors_total: {}\n",
-        info.requests_total, info.errors_total
+        h.requests.get(),
+        h.errors.get()
     ));
+    let conns = &h.conn_stats;
     out.push_str(&format!(
         "connections: open={} opened={} closed={} keepalive_reuse={}\n",
-        info.connections_opened
-            .saturating_sub(info.connections_closed),
-        info.connections_opened,
-        info.connections_closed,
-        info.keepalive_reuse
+        conns.open(),
+        conns.opened.get(),
+        conns.closed.get(),
+        conns.reuse.get()
     ));
     out.push_str(&format!(
         "slow_threshold_ms: {}\n",
@@ -510,50 +290,59 @@ pub fn render_statusz(obs: &Observability, info: &StatuszInfo) -> String {
         obs.slo_threshold_nanos() / 1_000_000,
         xclean_telemetry::SLO_ERROR_BUDGET * 100.0
     ));
+    let runtime = &h.runtime;
     out.push_str(&format!(
         "runtime: workers={} max_connections={}\n",
-        info.workers, info.max_connections
+        runtime.workers(),
+        h.max_connections
     ));
+    let lag = runtime.loop_lag().summary();
     out.push_str(&format!(
         "loop: wakes={} lag_p50_ns={} lag_p99_ns={}\n",
-        info.loop_wakes, info.loop_lag_p50_nanos, info.loop_lag_p99_nanos
+        lag.count, lag.p50, lag.p99
     ));
-    // Cache hits and routing errors are answered on the loop thread;
-    // only misses, batches and page renders become pool jobs.
+    // Cache hits, routing errors and `/debug/conns` are answered on the
+    // loop thread; only misses, batches and page renders are pool jobs.
+    let wait = runtime.queue_wait().summary();
     out.push_str(&format!(
         "queue_wait: jobs={} p50_ns={} p99_ns={} (pool jobs only: misses, batches, pages)\n",
-        info.queue_waits, info.queue_wait_p50_nanos, info.queue_wait_p99_nanos
+        wait.count, wait.p50, wait.p99
     ));
     out.push_str("worker_utilization:");
-    if info.worker_utilization.is_empty() {
+    let utilization = runtime.utilization(obs.uptime_nanos());
+    if utilization.is_empty() {
         out.push_str(" (none)");
     }
-    for (i, u) in info.worker_utilization.iter().enumerate() {
+    for (i, u) in utilization.iter().enumerate() {
         out.push_str(&format!(" w{i}={u:.3}"));
     }
     out.push_str(" (pool jobs only)\n");
+    let flight = runtime.flight();
     out.push_str(&format!(
         "flight_recorder: buffered={} capacity={} recorded={}\n",
-        info.flight_len, info.flight_capacity, info.flight_recorded
+        flight.len(),
+        flight.capacity(),
+        flight.total_recorded()
     ));
-    out.push_str(&format!("conns_tracked: {}\n", info.conns_tracked));
-    out.push_str(&format!("corpora: {}\n", info.corpora.len()));
-    for row in &info.corpora {
+    out.push_str(&format!("corpora: {}\n", h.tenants.len()));
+    let now = obs.clock().now_nanos();
+    for t in h.tenants.iter() {
+        let (hits, misses, _) = t.cache().counters();
         out.push_str(&format!(
             "  corpus[{}]: shards={} cache={}/{} requests={} errors={} queries={}\n",
-            row.name,
-            row.shards,
-            row.cache_entries,
-            row.cache_capacity,
-            row.requests,
-            row.errors,
-            row.queries
+            t.name(),
+            t.engine().shard_count(),
+            t.cache().len(),
+            t.cache().capacity(),
+            t.requests().get(),
+            t.errors().get(),
+            hits + misses
         ));
-        for s in &row.windows {
+        for s in t.window_snapshots(now) {
             out.push_str(&format!(
                 "  corpus[{}] window[{}]: requests={} errors={} qps={:.4} \
                  slo_breaches={} burn_rate={:.2} p50_ns={} p99_ns={}\n",
-                row.name,
+                t.name(),
                 s.label,
                 s.count,
                 s.errors,
@@ -627,14 +416,7 @@ mod tests {
 
     fn obs_with(clock: Arc<ManualClock>, threshold: u64) -> (Observability, SharedSink) {
         let sink = SharedSink::default();
-        let obs = Observability::new(
-            clock,
-            64,
-            threshold,
-            TEST_SLO_NANOS,
-            0x5ca1e,
-            Box::new(sink.clone()),
-        );
+        let obs = Observability::new(clock, threshold, TEST_SLO_NANOS, Box::new(sink.clone()));
         (obs, sink)
     }
 
@@ -688,14 +470,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_ids_are_deterministic_per_worker() {
-        let clock = ManualClock::starting_at(0);
-        let (obs, _sink) = obs_with(clock, u64::MAX);
-        let w0 = obs.trace_gen();
-        let w1 = obs.trace_gen();
-        assert_eq!(w0.next_id(), "0005ca1e-00-000000");
-        assert_eq!(w0.next_id(), "0005ca1e-00-000001");
-        assert_eq!(w1.next_id(), "0005ca1e-01-000000");
+    fn trace_ids_are_deterministic() {
+        let ids = TraceIdGen::default();
+        assert_eq!(ids.next_id(), "5ca1ab1e-00-000000");
+        assert_eq!(ids.next_id(), "5ca1ab1e-00-000001");
+        assert_eq!(TraceIdGen::default().next_id(), "5ca1ab1e-00-000000");
     }
 
     /// The plane grades every observed request against its SLO with one
@@ -716,31 +495,26 @@ mod tests {
         assert_eq!(s.slo_burn_rate(), (2.0 / 3.0) / 0.01);
     }
 
+    const XML: &str = "<db><rec><t>health insurance</t></rec></db>";
+
     #[test]
     fn statusz_renders_per_corpus_window_rows() {
-        let clock = ManualClock::starting_at(0);
-        let (obs, _sink) = obs_with(clock, u64::MAX);
-        let text = render_statusz(
-            &obs,
-            &StatuszInfo {
-                corpora: vec![CorpusRow {
-                    name: "dblp".into(),
-                    shards: 2,
-                    windows: vec![WindowSnapshot {
-                        label: "1m",
-                        window_secs: 60,
-                        count: 200,
-                        errors: 1,
-                        slo_breaches: 4,
-                        p50_nanos: 511,
-                        p99_nanos: 2047,
-                        ..WindowSnapshot::default()
-                    }],
-                    ..CorpusRow::default()
-                }],
-                ..StatuszInfo::default()
-            },
-        );
+        let h = crate::server::test_handler(ManualClock::starting_at(0), &[("dblp", XML)]);
+        // 200 requests in the dblp windows: 190 fast ones in the
+        // [256, 512) ns bucket, 10 in [1024, 2048) of which one failed
+        // and four breached the SLO.
+        let tenant = h.tenants.primary();
+        for i in 0..200u64 {
+            let slow = i >= 190;
+            let event = WindowEvent {
+                total_nanos: if slow { 1_500 } else { 300 },
+                error: i == 199,
+                cache_hit: None,
+                slo_breach: slow && i < 194,
+            };
+            tenant.record_window(0, &event);
+        }
+        let text = render_statusz(&h);
         assert!(
             text.contains("slo_threshold_ms: 1 (error budget 1%)"),
             "{text}"
@@ -757,37 +531,41 @@ mod tests {
     #[test]
     fn statusz_renders_all_sections() {
         let clock = ManualClock::starting_at(0);
-        let (obs, _sink) = obs_with(Arc::clone(&clock), u64::MAX);
+        let h = crate::server::test_handler(Arc::clone(&clock), &[("default", XML)]);
         let mut r = record(5_000, 200);
         r.trace_id = "abc123".into();
-        obs.observe(r);
-        clock.advance_secs(3);
-        let text = render_statusz(
-            &obs,
-            &StatuszInfo {
-                fingerprint: 0xdead_beef,
-                snapshot: Some((2, 0xfeed)),
-                cache_entries: 3,
-                cache_capacity: 64,
-                requests_total: 1,
-                errors_total: 0,
-                connections_opened: 5,
-                connections_closed: 3,
-                keepalive_reuse: 7,
-                max_connections: 4096,
-                workers: 4,
-                loop_wakes: 11,
-                queue_waits: 9,
-                worker_utilization: vec![0.25, 0.5],
-                flight_capacity: 4096,
-                flight_recorded: 42,
-                conns_tracked: 2,
-                ..StatuszInfo::default()
-            },
-        );
-        assert!(text.contains("uptime_secs: 3"), "{text}");
+        h.obs.observe(r);
+        h.requests.inc();
+        for _ in 0..5 {
+            h.conn_stats.opened.inc();
+        }
+        for _ in 0..3 {
+            h.conn_stats.closed.inc();
+        }
+        for _ in 0..7 {
+            h.conn_stats.reuse.inc();
+        }
+        for _ in 0..11 {
+            h.runtime.record_loop_wake(1, 100);
+        }
+        for _ in 0..9 {
+            h.runtime.record_queue_wait(100);
+        }
+        h.runtime
+            .flight()
+            .push(0, xclean_telemetry::RuntimeEventKind::ConnOpen { conn: 2 });
+        clock.advance_secs(4);
+        h.runtime.record_worker_busy(0, 1_000_000_000);
+        h.runtime.record_worker_busy(1, 2_000_000_000);
+        let text = render_statusz(&h);
+        assert!(text.starts_with("xclean suggestion server\n\n"), "{text}");
+        assert!(text.contains("uptime_secs: 4"), "{text}");
         assert!(
-            text.contains("runtime: workers=4 max_connections=4096"),
+            text.contains("requests_total: 1  errors_total: 0"),
+            "{text}"
+        );
+        assert!(
+            text.contains("runtime: workers=2 max_connections=4096"),
             "{text}"
         );
         assert!(text.contains("loop: wakes=11"), "{text}");
@@ -801,78 +579,90 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("flight_recorder: buffered=0 capacity=4096 recorded=42"),
+            text.contains("flight_recorder: buffered=1 capacity=64 recorded=1\n"),
             "{text}"
         );
-        assert!(text.contains("conns_tracked: 2"), "{text}");
+        assert!(!text.contains("conns_tracked"), "{text}");
         assert!(
             text.contains("connections: open=2 opened=5 closed=3 keepalive_reuse=7"),
             "{text}"
         );
         assert!(
-            text.contains("engine_fingerprint: 00000000deadbeef"),
+            text.contains(&format!(
+                "engine_fingerprint: {:016x}\n",
+                h.tenants.primary().fingerprint()
+            )),
             "{text}"
         );
+        assert!(text.contains("corpus built in memory"), "{text}");
+        assert!(text.contains("cache: entries=0 capacity=64\n"), "{text}");
         assert!(
-            text.contains("snapshot: format=v2 checksum=000000000000feed"),
+            text.contains("corpora: 1\n  corpus[default]: shards=1 cache=0/64"),
             "{text}"
         );
         assert!(text.contains("1m"), "{text}");
         assert!(text.contains("abc123"), "{text}");
-        let no_snapshot = render_statusz(&obs, &StatuszInfo::default());
-        assert!(
-            no_snapshot.contains("corpus built in memory"),
-            "{no_snapshot}"
-        );
     }
 
+    /// A socket stand-in: reads hand out its bytes, then would block;
+    /// writes take everything.
+    struct Wire(Vec<u8>);
+
+    impl crate::conn::ConnIo for Wire {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0.drain(..n);
+            Ok(n)
+        }
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+    }
+
+    /// The loop's connection table is the registry: a row reads the
+    /// state machine itself.
     #[test]
     fn conn_registry_tracks_updates_and_renders() {
-        let reg = ConnRegistry::new(2);
-        assert!(reg.is_enabled());
-        let a = reg.register(7, 1_000_000_000).expect("tracked");
-        let _b = reg.register(8, 2_000_000_000).expect("tracked");
-        assert!(reg.register(9, 3_000_000_000).is_none(), "bounded");
-        assert_eq!(reg.tracked(), 2);
-        a.update(3, 100, 900, 1, 3_000_000_000);
-        let snaps = reg.snapshot(10, 4_000_000_000);
-        assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[0].id, 7, "oldest first");
-        assert_eq!(snaps[0].requests, 3);
-        assert_eq!(snaps[0].bytes_in, 100);
-        assert_eq!(snaps[0].bytes_out, 900);
-        assert_eq!(snaps[0].pipeline, 1);
-        assert!(snaps[0].reused);
-        assert_eq!(snaps[0].age_nanos, 3_000_000_000);
-        assert_eq!(snaps[0].idle_nanos, 1_000_000_000);
-        assert!(!snaps[1].reused, "no requests yet");
-        a.set_draining();
-        let body = reg.conns_json(1, 4_000_000_000, 5).render();
+        let sec = 1_000_000_000;
+        let mut c: Connection<()> = Connection::new(sec, 1 << 20, 32);
+        let fresh = conn_row(8, sec, &c, 2 * sec, false).render();
+        assert_eq!(
+            fresh,
+            "{\"id\":8,\"state\":\"open\",\"age_secs\":1,\"idle_secs\":1,\"requests\":0,\
+             \"bytes_in\":0,\"bytes_out\":0,\"pipeline\":0,\"reused\":false}"
+        );
+        // Two pipelined requests arrive at 2 s; the first is answered at 3 s.
+        let wire = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
+        assert_eq!(c.on_readable(&mut Wire(wire.to_vec()), 2 * sec).len(), 2);
+        let response = crate::conn::Response {
+            status: 200,
+            content_type: "text/plain",
+            extra: Vec::new(),
+            body: b"ok".to_vec(),
+            close: false,
+        };
+        c.complete(0, response, (), 3 * sec);
+        c.on_writable(&mut Wire(Vec::new()));
+        let row = conn_row(7, sec, &c, 4 * sec, true);
+        assert_eq!(row["id"].as_u64(), Some(7));
+        assert_eq!(row["state"], "draining");
+        assert_eq!(row["age_secs"].as_f64(), Some(3.0));
+        assert_eq!(row["idle_secs"].as_f64(), Some(1.0));
+        assert_eq!(row["requests"].as_u64(), Some(2));
+        assert_eq!(row["bytes_in"].as_u64(), Some(wire.len() as u64));
+        assert!(row["bytes_out"].as_u64().unwrap() > 2);
+        assert_eq!(row["pipeline"].as_u64(), Some(1));
+        assert_eq!(row["reused"], Json::Bool(true));
+        let body = conns_json(5, [row]).render();
         assert!(
-            body.starts_with("{\"open\":5,\"tracked\":2,\"conns\":[{"),
+            body.starts_with("{\"open\":5,\"conns\":[{\"id\":7,"),
             "{body}"
         );
-        assert!(body.contains("\"id\":7"), "{body}");
-        assert!(body.contains("\"state\":\"draining\""), "{body}");
-        assert!(body.contains("\"age_secs\":3,"), "{body}");
-        assert!(body.contains("\"reused\":true"), "{body}");
-        assert!(!body.contains("\"id\":8"), "n=1 cap: {body}");
-        reg.unregister(7);
-        reg.unregister(42); // unknown: no-op
-        assert_eq!(reg.tracked(), 1);
-        assert!(reg.register(9, 5_000_000_000).is_some(), "slot freed");
-    }
-
-    #[test]
-    fn disabled_conn_registry_is_inert() {
-        let reg = ConnRegistry::new(0);
-        assert!(!reg.is_enabled());
-        assert!(reg.register(1, 0).is_none());
-        assert_eq!(reg.tracked(), 0);
-        assert_eq!(
-            reg.conns_json(10, 0, 3).render(),
-            "{\"open\":3,\"tracked\":0,\"conns\":[]}"
-        );
+        assert_eq!(conns_json(3, []).render(), "{\"open\":3,\"conns\":[]}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! One loop thread owns the listener, every connected socket, and the
 //! [`crate::conn::Connection`] state machine of each. Routing has two
 //! halves: the loop runs [`resolve`] (method, path, tenant, query
-//! decode and normalisation, one cache probe) and answers cache hits and
-//! routing errors itself; a worker pool runs [`compute`] (the engine for
-//! a miss or a batch, and every page render). The split is deliberate:
+//! decode and normalisation, one cache probe) and answers cache hits,
+//! routing errors and `/debug/conns` (rows read off its own connection
+//! table) itself; a worker pool runs [`compute`] (the engine for a miss
+//! or a batch, and every other page render). The split is deliberate:
 //! suggestion scoring can take milliseconds, and running it on the loop
 //! thread would head-of-line block every other connection, while a
 //! resolve costs microseconds — and a hit then pays no thread hand-off
@@ -28,8 +29,9 @@
 //!   per `Connection: close` socket, one by one on a keep-alive socket
 //!   and pipelined in a single write all yield the same bytes;
 //! - every connection leaves through [`EventLoop::close_conn`], so the
-//!   open-connection gauge, the flight recorder and the live registry
-//!   cannot disagree about which sockets exist.
+//!   open-connection gauge, the flight recorder and `/debug/conns` (which
+//!   reads the loop's own connection table) cannot disagree about which
+//!   sockets exist.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -37,15 +39,17 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use xclean_telemetry::RuntimeEventKind;
 
 use crate::conn::{ConnEvent, Connection, DeadlineAction, Response};
-use crate::debug::{ConnEntry, TraceIdGen};
+use crate::debug::{self, TraceIdGen};
 use crate::epoll::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::http::render_response;
 use crate::server::{
-    compute, observe_reply, reply_for, resolve, Handler, Reply, Resolved, ServerConfig, Work,
+    compute, conns_reply, observe_reply, panic_reply, reply_for, resolve, Handler, Reply, Resolved,
+    ServerConfig, Work,
 };
 use crate::shutdown::ShutdownFlag;
 
@@ -59,6 +63,12 @@ const WAIT_CAPACITY: usize = 256;
 const TICK_MS: i32 = 50;
 /// Deadline scans are amortised to at most one per this many nanos.
 const SCAN_INTERVAL_NANOS: u64 = 100_000_000;
+/// Pipelined requests one connection may have in flight before the loop
+/// stops reading from it (backpressure).
+const MAX_PIPELINE: usize = 32;
+/// During graceful drain, connections that still owe responses get this
+/// long to take delivery before being dropped.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Per-response observability payload threaded through the connection
 /// state machine and recorded — in wire order — when the response bytes
@@ -77,9 +87,8 @@ struct Conn {
     machine: Connection<ObsToken>,
     /// `(read, write)` interest currently registered with epoll.
     registered: (bool, bool),
-    /// Live-registry entry mirroring this connection's counters; `None`
-    /// when the registry is disabled or was full at accept time.
-    entry: Option<Arc<ConnEntry>>,
+    /// Clock nanos at accept.
+    opened: u64,
 }
 
 /// A resolved request on its way to the worker pool.
@@ -136,7 +145,7 @@ pub(crate) fn run_event_loop(
             next_token: FIRST_CONN_TOKEN,
             handler,
             config,
-            ids: handler.obs.trace_gen(),
+            ids: TraceIdGen::default(),
             job_tx: Some(job_tx),
             done_rx,
             draining: false,
@@ -174,8 +183,9 @@ fn worker_loop(
         handler
             .runtime
             .record_queue_wait(picked.saturating_sub(job.arrived));
+        let tenant = job.work.tenant();
         let reply = guarded(|| compute(job.work, handler, &job.trace_id))
-            .unwrap_or_else(|| Reply::error(500, "internal error").tagged("panic"));
+            .unwrap_or_else(|| panic_reply(handler, tenant));
         handler.runtime.record_worker_busy(
             worker,
             handler.obs.clock().now_nanos().saturating_sub(picked),
@@ -207,7 +217,7 @@ struct EventLoop<'a> {
     next_token: u64,
     handler: &'a Arc<Handler>,
     config: &'a ServerConfig,
-    /// The loop thread's trace-ID lane (echo-or-generate at parse time,
+    /// The server's one trace-ID source (echo-or-generate at parse time,
     /// plus inline error replies and load-shed 503s).
     ids: TraceIdGen,
     job_tx: Option<Sender<Job>>,
@@ -310,9 +320,7 @@ impl EventLoop<'_> {
                         continue;
                     }
                     let now = self.now();
-                    let machine =
-                        Connection::new(now, self.config.max_body_bytes, self.config.max_pipeline);
-                    let entry = self.handler.conn_registry.register(token, now);
+                    let machine = Connection::new(now, self.config.max_body_bytes, MAX_PIPELINE);
                     self.handler
                         .runtime
                         .flight()
@@ -323,7 +331,7 @@ impl EventLoop<'_> {
                             stream,
                             machine,
                             registered: (true, false),
-                            entry,
+                            opened: now,
                         },
                     );
                 }
@@ -407,10 +415,9 @@ impl EventLoop<'_> {
             .push(arrived, RuntimeEventKind::Dispatch { conn: token, seq });
         let resolved = guarded(|| resolve(&request, self.handler, &trace_id))
             .unwrap_or_else(|| Reply::error(500, "internal error").tagged("panic").into());
-        match resolved {
-            Resolved::Reply(reply) => {
-                self.complete_one(token, seq, reply, trace_id, arrived, false)
-            }
+        let reply = match resolved {
+            Resolved::Reply(reply) => reply,
+            Resolved::Conns(n) => self.conns_reply(n),
             Resolved::Work(work) => {
                 if let Some(tx) = &self.job_tx {
                     let _ = tx.send(Job {
@@ -421,9 +428,23 @@ impl EventLoop<'_> {
                         arrived,
                     });
                 }
-                Vec::new()
+                return Vec::new();
             }
-        }
+        };
+        self.complete_one(token, seq, reply, trace_id, arrived, false)
+    }
+
+    /// `GET /debug/conns`: up to `n` rows from the connection table, in
+    /// token order — which is accept order.
+    fn conns_reply(&self, n: usize) -> Reply {
+        let now = self.now();
+        let mut tokens: Vec<u64> = self.conns.keys().copied().collect();
+        tokens.sort_unstable();
+        let rows = tokens.into_iter().take(n).map(|token| {
+            let conn = &self.conns[&token];
+            debug::conn_row(token, conn.opened, &conn.machine, now, self.draining)
+        });
+        conns_reply(self.handler, rows)
     }
 
     /// Delivers one reply into its connection's pipeline slot; responses
@@ -505,23 +526,14 @@ impl EventLoop<'_> {
     }
 
     /// Mirrors the state machine's interest into epoll and reaps
-    /// finished connections; the registry entry is refreshed here, the
-    /// one choke point every connection event funnels through.
+    /// finished connections — the one choke point every connection event
+    /// funnels through.
     fn sync_conn(&mut self, token: u64) {
-        let now = self.now();
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if let Some(entry) = &conn.entry {
-            entry.update(
-                conn.machine.requests_started(),
-                conn.machine.bytes_in(),
-                conn.machine.bytes_out(),
-                conn.machine.pipeline_depth(),
-                now,
-            );
-        }
         if conn.machine.finished() {
+            let now = self.now();
             self.close_conn(token, now);
             return;
         }
@@ -545,7 +557,7 @@ impl EventLoop<'_> {
     }
 
     /// The one teardown: deregisters the socket, drops it, and tells the
-    /// gauge, the flight recorder and the registry.
+    /// gauge and the flight recorder.
     fn close_conn(&mut self, token: u64, now: u64) {
         let Some(conn) = self.conns.remove(&token) else {
             return;
@@ -556,7 +568,6 @@ impl EventLoop<'_> {
             .runtime
             .flight()
             .push(now, RuntimeEventKind::ConnClose { conn: token });
-        self.handler.conn_registry.unregister(token);
     }
 
     /// Applies the timeout policy: 408s for stalled partial requests
@@ -588,17 +599,12 @@ impl EventLoop<'_> {
     fn begin_drain(&mut self, listener: &TcpListener) {
         self.draining = true;
         let _ = self.epoll.del(listener.as_raw_fd());
-        self.drain_deadline = self
-            .now()
-            .saturating_add(self.config.drain_grace.as_nanos() as u64);
+        self.drain_deadline = self.now().saturating_add(DRAIN_GRACE.as_nanos() as u64);
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             if let Some(conn) = self.conns.get_mut(&token) {
                 conn.machine.begin_drain();
                 conn.machine.on_writable(&mut conn.stream);
-                if let Some(entry) = &conn.entry {
-                    entry.set_draining();
-                }
             }
             self.sync_conn(token);
         }

@@ -38,10 +38,16 @@
 //!   1m/5m/15m window table, slowest recent queries.
 //! - `GET /debug/requests?n=K` — the K most recent requests from the
 //!   bounded request ring, as JSON.
-//! - `GET /debug/conns?n=K` — the live connection registry: state, age,
+//! - `GET /debug/conns?n=K` — the K oldest open connections, read by the
+//!   event loop from its own connection table: state, age, idle time,
 //!   requests served, bytes in/out, pipeline depth, keep-alive reuse.
 //! - `GET /debug/flight?events=N` — the runtime flight recorder (loop
 //!   wakes, conn open/close, dispatch/complete) as Chrome-trace JSON.
+//! - `GET /debug/explain?q=…[&corpus=…]` — one query run through the
+//!   pipeline under observation: per-keyword variants, stage counters and
+//!   nanos, per-shard attribution and the suggestions, cache bypassed.
+//! - `GET /debug/exemplars` — the latest trace ID per request-latency
+//!   bucket, as JSON.
 //!
 //! Every response — errors and load-shed replies included — carries an
 //! `X-Request-Id` header (inbound value echoed, else generated from a
@@ -79,10 +85,10 @@ pub mod shutdown;
 pub mod tenant;
 
 pub use cache::{CacheKey, ResponseCache};
-pub use debug::{
-    ConnEntry, ConnRegistry, ConnSnapshot, CorpusRow, Observability, StatuszInfo, TraceIdGen,
+pub use debug::{Observability, TraceIdGen};
+pub use server::{
+    AcceptModel, DrainReport, ServerConfig, SuggestServer, MAX_BATCH_QUERIES, PAGE_ROUTES,
 };
-pub use server::{AcceptModel, DrainReport, ServerConfig, SuggestServer, MAX_BATCH_QUERIES};
 pub use shutdown::{install_signal_handler, ShutdownFlag};
 pub use tenant::{Tenant, TenantSet};
 

@@ -14,10 +14,11 @@
 //! Routing has two halves. `resolve` runs on the loop thread: method,
 //! path, tenant, the `q` or `"query"` decode, normalisation and one
 //! cache probe. It answers cache hits and routing errors itself, so a
-//! hit never crosses a thread. Everything else becomes a `Work` item
-//! for `compute` on the pool: a miss (carrying its tenant, keywords
-//! and cache key, so nothing is parsed or probed twice), a batch POST,
-//! `/debug/explain`, and every page render.
+//! hit never crosses a thread, and hands `/debug/conns` back to the
+//! event loop, which alone holds the connection table. Everything else
+//! becomes a `Work` item for `compute` on the pool: a miss (carrying its
+//! tenant, keywords and cache key, so nothing is parsed or probed
+//! twice), a batch POST, `/debug/explain`, and every other page render.
 //!
 //! Multi-tenancy (DESIGN.md §16): `/suggest/<corpus>` routes by catalog
 //! name, bare `/suggest` routes to the primary (first) tenant, and an
@@ -54,7 +55,7 @@ use xclean_telemetry::{
 };
 
 use crate::cache::CacheKey;
-use crate::debug::{self, ConnRegistry, CorpusRow, Observability, StatuszInfo};
+use crate::debug::{self, Observability};
 use crate::http::{HttpError, Request};
 use crate::shutdown::ShutdownFlag;
 use crate::tenant::{Tenant, TenantSet};
@@ -62,6 +63,22 @@ use crate::tenant::{Tenant, TenantSet};
 /// Upper bound on queries in one batch request: bounds the work a single
 /// request can demand from the pool.
 pub const MAX_BATCH_QUERIES: usize = 1024;
+
+/// Every route besides `/suggest` and `/suggest/<corpus>`: read-only
+/// pages, answered to `GET` and `405` to any other method.
+pub const PAGE_ROUTES: [&str; 8] = [
+    "/healthz",
+    "/metrics",
+    "/statusz",
+    "/debug/requests",
+    "/debug/conns",
+    "/debug/flight",
+    "/debug/explain",
+    "/debug/exemplars",
+];
+
+/// Runtime events the flight recorder keeps for `/debug/flight`.
+const FLIGHT_EVENTS: usize = 4096;
 
 /// Not a choice any more: the epoll event loop (DESIGN.md §13) is the
 /// only way the server serves, and nothing in this crate reads the
@@ -100,12 +117,6 @@ pub struct ServerConfig {
     /// Idle keep-alive connections are closed after this long without a
     /// request.
     pub keep_alive_timeout: Duration,
-    /// Pipelined requests one connection may have in flight before the
-    /// loop stops reading from it (backpressure).
-    pub max_pipeline: usize,
-    /// During graceful drain, connections that still owe responses get
-    /// this long to take delivery before being dropped.
-    pub drain_grace: Duration,
     /// Requests at least this slow are emitted to the slow-query log
     /// (`serve --slow-ms`).
     pub slow_threshold: Duration,
@@ -117,16 +128,6 @@ pub struct ServerConfig {
     pub slo_threshold: Duration,
     /// Slow-query log destination; `None` writes JSON lines to stderr.
     pub slow_log: Option<PathBuf>,
-    /// Recent-request ring capacity (`/debug/requests` history).
-    pub ring_capacity: usize,
-    /// Runtime flight-recorder capacity in events (`/debug/flight`);
-    /// 0 disables runtime event recording entirely.
-    pub flight_capacity: usize,
-    /// Live-connection registry capacity (`/debug/conns`); 0 disables
-    /// connection tracking entirely.
-    pub conn_registry_capacity: usize,
-    /// Seed of the deterministic per-worker trace-ID generator.
-    pub trace_seed: u64,
     /// Clock requests are stamped against. The default monotonic clock
     /// is right for serving; tests inject a
     /// [`xclean_telemetry::ManualClock`] to drive window rotation.
@@ -144,15 +145,9 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             max_connections: 4096,
             keep_alive_timeout: Duration::from_secs(60),
-            max_pipeline: 32,
-            drain_grace: Duration::from_secs(5),
             slow_threshold: Duration::from_millis(100),
             slo_threshold: Duration::from_millis(50),
             slow_log: None,
-            ring_capacity: 512,
-            flight_capacity: 4096,
-            conn_registry_capacity: 4096,
-            trace_seed: 0x5ca1_ab1e,
             clock: Arc::new(MonotonicClock::new()),
         }
     }
@@ -180,8 +175,7 @@ pub struct DrainReport {
     pub loop_wakes: u64,
     /// Dispatched jobs whose enqueue→worker-pickup wait was measured.
     pub queue_waits: u64,
-    /// Runtime flight-recorder events captured over the lifetime (zero
-    /// when the recorder is disabled).
+    /// Runtime flight-recorder events captured over the lifetime.
     pub flight_events: u64,
 }
 
@@ -218,25 +212,23 @@ impl ConnStats {
     }
 
     /// Connections open right now: opened − closed.
-    fn open(&self) -> u64 {
+    pub(crate) fn open(&self) -> u64 {
         self.opened.get().saturating_sub(self.closed.get())
     }
 }
 
 /// Everything the loop and its workers need to answer a request.
 pub(crate) struct Handler {
-    tenants: Arc<TenantSet>,
+    pub(crate) tenants: Arc<TenantSet>,
     pub(crate) obs: Arc<Observability>,
     /// Runtime observability: loop-lag/queue-wait/utilization histograms
     /// and the flight recorder. Record-only on the serving path.
     pub(crate) runtime: Arc<RuntimeStats>,
-    /// Live-connection registry behind `/debug/conns`.
-    pub(crate) conn_registry: Arc<ConnRegistry>,
-    max_connections: usize,
+    pub(crate) max_connections: usize,
     /// The server registry; `requests` … `conn_stats` are handles into it.
     metrics: MetricsRegistry,
-    requests: Arc<Counter>,
-    errors: Arc<Counter>,
+    pub(crate) requests: Arc<Counter>,
+    pub(crate) errors: Arc<Counter>,
     latency: Arc<Histogram>,
     /// Most recent trace ID per latency bucket — rendered as OpenMetrics
     /// exemplars on `/metrics` and as JSON on `/debug/exemplars`.
@@ -252,8 +244,8 @@ pub(crate) struct RouteObs {
     query: String,
     /// Resolved corpus name for requests that routed to a tenant; empty
     /// for metadata routes and unroutable errors. Tags the ring record
-    /// and slow-log line, and selects the tenant whose rolling windows
-    /// this request lands in.
+    /// and slow-log line, and selects the tenant whose request and error
+    /// counters and rolling windows this request lands in.
     corpus: String,
     cache_hit: Option<bool>,
     slot_nanos: u64,
@@ -348,10 +340,8 @@ impl SuggestServer {
         };
         let obs = Arc::new(Observability::new(
             Arc::clone(&config.clock),
-            config.ring_capacity,
             config.slow_threshold.as_nanos() as u64,
             config.slo_threshold.as_nanos() as u64,
-            config.trace_seed,
             slow_sink,
         ));
         Ok(SuggestServer {
@@ -403,15 +393,11 @@ impl SuggestServer {
     pub fn run(self) -> io::Result<DrainReport> {
         let registry = &self.metrics;
         let conn_stats = ConnStats::new(registry);
-        let runtime = Arc::new(RuntimeStats::new(
-            self.config.threads.max(1),
-            self.config.flight_capacity,
-        ));
+        let runtime = Arc::new(RuntimeStats::new(self.config.threads.max(1), FLIGHT_EVENTS));
         let handler = Arc::new(Handler {
             tenants: Arc::clone(&self.tenants),
             obs: Arc::clone(&self.obs),
             runtime: Arc::clone(&runtime),
-            conn_registry: Arc::new(ConnRegistry::new(self.config.conn_registry_capacity)),
             max_connections: self.config.max_connections,
             metrics: registry.clone(),
             requests: registry.counter(names::SERVER_REQUESTS),
@@ -483,21 +469,24 @@ pub(crate) fn observe_reply(handler: &Handler, reply: Reply, trace_id: String, a
     handler.latency.record(total_nanos);
     handler.exemplars.record(total_nanos, &trace_id);
     let o = reply.obs;
-    // Requests that resolved a tenant additionally land in that
-    // tenant's rolling windows, graded against the same SLO threshold
-    // as the global windows.
-    if !o.corpus.is_empty() {
-        if let Some(tenant) = handler.tenants.get(&o.corpus) {
-            tenant.record_window(
-                arrived_nanos,
-                &WindowEvent {
-                    total_nanos,
-                    error: reply.status >= 400,
-                    cache_hit: o.cache_hit,
-                    slo_breach: handler.obs.slo_breach(total_nanos),
-                },
-            );
+    // A reply tagged with a corpus is that tenant's: its request and
+    // error counters and its rolling windows (graded against the same
+    // SLO threshold as the global windows) count exactly the ring
+    // records that carry its name.
+    if let Some(tenant) = handler.tenants.get(&o.corpus) {
+        tenant.requests().inc();
+        if reply.status >= 400 {
+            tenant.errors().inc();
         }
+        tenant.record_window(
+            arrived_nanos,
+            &WindowEvent {
+                total_nanos,
+                error: reply.status >= 400,
+                cache_hit: o.cache_hit,
+                slo_breach: handler.obs.slo_breach(total_nanos),
+            },
+        );
     }
     handler.obs.observe(RequestRecord {
         seq: 0, // assigned by the ring
@@ -566,6 +555,9 @@ pub(crate) enum Resolved {
     /// Answered without the pool: a cache hit, or an error that needs
     /// neither the engine nor a page render.
     Reply(Reply),
+    /// `GET /debug/conns` for up to this many rows: the loop answers it
+    /// from its own connection table, which no other thread can read.
+    Conns(usize),
     /// Work for a pool worker.
     Work(Work),
 }
@@ -600,12 +592,24 @@ pub(crate) enum Work {
     },
 }
 
+impl Work {
+    /// The catalog position of the tenant this work computes for.
+    pub(crate) fn tenant(&self) -> Option<usize> {
+        match self {
+            Work::Miss { tenant, .. } | Work::Batch { tenant, .. } => Some(*tenant),
+            Work::Page { .. } => None,
+        }
+    }
+}
+
 /// Resolve, then compute: the whole route in one call, as the unit
-/// tests drive it. The server runs the halves on different threads.
+/// tests drive it. The server runs the halves on different threads, and
+/// `/debug/conns` here sees an empty connection table.
 #[cfg(test)]
 pub(crate) fn route(request: &Request, handler: &Handler, trace_id: &str) -> Reply {
     match resolve(request, handler, trace_id) {
         Resolved::Reply(reply) => reply,
+        Resolved::Conns(_) => conns_reply(handler, []),
         Resolved::Work(work) => compute(work, handler, trace_id),
     }
 }
@@ -632,16 +636,17 @@ pub(crate) fn resolve(request: &Request, handler: &Handler, trace_id: &str) -> R
         ("GET", "/metrics") => (metrics, "metrics"),
         ("GET", "/statusz") => (statusz, "statusz"),
         ("GET", "/debug/requests") => (debug_requests, "debug_requests"),
-        ("GET", "/debug/conns") => (debug_conns, "debug_conns"),
+        ("GET", "/debug/conns") => {
+            return match parse_count(query, "n", 20, debug::MAX_DEBUG_CONNS) {
+                Ok(n) => Resolved::Conns(n),
+                Err(m) => Reply::error(400, &m).tagged("debug_conns").into(),
+            }
+        }
         ("GET", "/debug/flight") => (debug_flight, "debug_flight"),
         ("GET", "/debug/explain") => (debug_explain, "debug_explain"),
         ("GET", "/debug/exemplars") => (debug_exemplars, "debug_exemplars"),
         (_, "/suggest") => return resolve_suggest(handler, 0, request, query, trace_id),
-        (
-            _,
-            "/healthz" | "/metrics" | "/statusz" | "/debug/requests" | "/debug/conns"
-            | "/debug/flight" | "/debug/explain" | "/debug/exemplars",
-        ) => {
+        (_, page) if PAGE_ROUTES.contains(&page) => {
             return Reply::error(405, "method not allowed")
                 .tagged("method_not_allowed")
                 .into()
@@ -657,6 +662,17 @@ pub(crate) fn resolve(request: &Request, handler: &Handler, trace_id: &str) -> R
         tag,
         query: query.to_string(),
     })
+}
+
+/// The `500` a worker answers when computing work for `tenant` (see
+/// [`Work::tenant`]) panicked. It keeps the corpus, so the failure lands
+/// in that tenant's errors and windows like any other reply it routed.
+pub(crate) fn panic_reply(handler: &Handler, tenant: Option<usize>) -> Reply {
+    let mut reply = Reply::error(500, "internal error").tagged("panic");
+    if let Some(tenant) = tenant {
+        reply.obs.corpus = handler.tenants.at(tenant).name().to_string();
+    }
+    reply
 }
 
 /// The pool-side half of routing: runs the engine for a miss or a
@@ -684,9 +700,8 @@ pub(crate) fn compute(work: Work, handler: &Handler, trace_id: &str) -> Reply {
     }
 }
 
-/// Method dispatch + per-corpus lifetime counters for one resolved
-/// tenant — shared by bare `/suggest` (primary) and `/suggest/<corpus>`.
-/// Every suggest request is counted here, on the loop, exactly once.
+/// Method dispatch for one resolved tenant — shared by bare `/suggest`
+/// (primary) and `/suggest/<corpus>`.
 fn resolve_suggest(
     handler: &Handler,
     index: usize,
@@ -695,7 +710,6 @@ fn resolve_suggest(
     trace_id: &str,
 ) -> Resolved {
     let tenant = handler.tenants.at(index);
-    tenant.requests().inc();
     let resolved = match request.method.as_str() {
         "GET" => suggest_get(query, index, tenant, trace_id),
         "POST" => suggest_post(request, index, tenant, trace_id),
@@ -707,11 +721,9 @@ fn resolve_suggest(
         return resolved;
     };
     let mut reply = reply.tagged("suggest");
-    if reply.status >= 400 {
-        tenant.errors().inc();
-    }
     // Every routed request — errors included — carries the resolved
-    // corpus name into the ring, the slow log, and the tenant windows.
+    // corpus name into the ring, the slow log, and the tenant's counters
+    // and windows.
     if reply.obs.corpus.is_empty() {
         reply.obs.corpus = tenant.name().to_string();
     }
@@ -803,58 +815,11 @@ fn metrics(handler: &Handler, _query: &str) -> Reply {
 }
 
 fn statusz(handler: &Handler, _query: &str) -> Reply {
-    let lag = handler.runtime.loop_lag().summary();
-    let wait = handler.runtime.queue_wait().summary();
-    let primary = handler.tenants.primary();
-    let info = StatuszInfo {
-        fingerprint: primary.fingerprint(),
-        snapshot: primary.engine().snapshot(),
-        cache_entries: primary.cache().len(),
-        cache_capacity: primary.cache().capacity(),
-        requests_total: handler.requests.get(),
-        errors_total: handler.errors.get(),
-        connections_opened: handler.conn_stats.opened.get(),
-        connections_closed: handler.conn_stats.closed.get(),
-        keepalive_reuse: handler.conn_stats.reuse.get(),
-        max_connections: handler.max_connections,
-        workers: handler.runtime.workers(),
-        loop_wakes: lag.count,
-        loop_lag_p50_nanos: lag.p50,
-        loop_lag_p99_nanos: lag.p99,
-        queue_waits: wait.count,
-        queue_wait_p50_nanos: wait.p50,
-        queue_wait_p99_nanos: wait.p99,
-        worker_utilization: handler.runtime.utilization(handler.obs.uptime_nanos()),
-        flight_len: handler.runtime.flight().len(),
-        flight_capacity: handler.runtime.flight().capacity(),
-        flight_recorded: handler.runtime.flight().total_recorded(),
-        conns_tracked: handler.conn_registry.tracked(),
-        corpora: {
-            let now = handler.obs.clock().now_nanos();
-            handler
-                .tenants
-                .iter()
-                .map(|t| {
-                    let (hits, misses, _) = t.cache().counters();
-                    CorpusRow {
-                        name: t.name().to_string(),
-                        shards: t.engine().shard_count(),
-                        cache_entries: t.cache().len(),
-                        cache_capacity: t.cache().capacity(),
-                        requests: t.requests().get(),
-                        errors: t.errors().get(),
-                        queries: hits + misses,
-                        windows: t.window_snapshots(now),
-                    }
-                })
-                .collect()
-        },
-    };
     Reply {
         status: 200,
         content_type: "text/plain; charset=utf-8",
         cache_header: None,
-        body: debug::render_statusz(&handler.obs, &info),
+        body: debug::render_statusz(handler),
         obs: RouteObs::default(),
     }
 }
@@ -906,14 +871,11 @@ fn debug_requests(handler: &Handler, query: &str) -> Reply {
     )
 }
 
-fn debug_conns(handler: &Handler, query: &str) -> Reply {
-    let n = match parse_count(query, "n", 20, debug::MAX_DEBUG_CONNS) {
-        Ok(n) => n,
-        Err(m) => return Reply::error(400, &m),
-    };
-    let now = handler.obs.clock().now_nanos();
-    let open = handler.conn_stats.open();
-    Reply::json(200, handler.conn_registry.conns_json(n, now, open))
+/// The `GET /debug/conns` reply over `rows`, which the event loop builds
+/// from its own connection table.
+pub(crate) fn conns_reply(handler: &Handler, rows: impl IntoIterator<Item = Json>) -> Reply {
+    let body = debug::conns_json(handler.conn_stats.open(), rows);
+    Reply::json(200, body).tagged("debug_conns")
 }
 
 fn debug_flight(handler: &Handler, query: &str) -> Reply {
@@ -1287,51 +1249,62 @@ fn batch_suggest(raw: &[String], tenant: &Tenant) -> (String, u64, u64, RouteObs
     (body, hits, misses, obs)
 }
 
+/// A handler over in-memory corpora given as `(name, xml)` pairs, with
+/// 64-entry caches, two workers and a 64-event flight recorder — what
+/// the unit tests route through without a socket.
+#[cfg(test)]
+pub(crate) fn test_handler(
+    clock: Arc<xclean_telemetry::ManualClock>,
+    corpora: &[(&str, &str)],
+) -> Handler {
+    let corpora = corpora.iter().map(|&(name, xml)| {
+        let tree = xclean_xmltree::parse_document(xml).unwrap();
+        let engine = XCleanEngine::new(tree, xclean::XCleanConfig::default());
+        (name.to_string(), Arc::clone(engine.pipeline()))
+    });
+    let tenants = Arc::new(TenantSet::build(corpora.collect(), 64, 4).unwrap());
+    let registry = MetricsRegistry::default();
+    let obs = Arc::new(Observability::new(
+        clock,
+        1_000_000_000, // 1 s: nothing is "slow" under a manual clock
+        1_000_000,     // 1 ms SLO: advance the clock past it to breach
+        Box::new(io::sink()),
+    ));
+    Handler {
+        requests: registry.counter(names::SERVER_REQUESTS),
+        errors: registry.counter(names::SERVER_ERRORS),
+        latency: registry.histogram(names::SERVER_REQUEST),
+        exemplars: Arc::new(ExemplarStore::new()),
+        conn_stats: ConnStats::new(&registry),
+        metrics: registry,
+        runtime: Arc::new(RuntimeStats::new(2, 64)),
+        max_connections: 4096,
+        tenants,
+        obs,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xclean::XCleanConfig;
     use xclean_telemetry::{ManualClock, RuntimeEventKind};
-    use xclean_xmltree::parse_document;
 
     fn handler() -> Handler {
         handler_with_clock(ManualClock::starting_at(0))
     }
 
-    fn mem_engine(xml: &str) -> Arc<Pipeline> {
-        let engine = XCleanEngine::new(parse_document(xml).unwrap(), XCleanConfig::default());
-        Arc::clone(engine.pipeline())
-    }
-
     fn handler_with_clock(clock: Arc<ManualClock>) -> Handler {
         let xml = "<db><rec><t>health insurance</t></rec><rec><t>program instance</t></rec></db>";
-        handler_for(clock, vec![("default".to_string(), mem_engine(xml))])
+        test_handler(clock, &[("default", xml)])
     }
 
-    fn handler_for(clock: Arc<ManualClock>, corpora: Vec<(String, Arc<Pipeline>)>) -> Handler {
-        let tenants = Arc::new(TenantSet::build(corpora, 64, 4).unwrap());
-        let registry = MetricsRegistry::default();
-        let obs = Arc::new(Observability::new(
-            clock,
-            64,
-            1_000_000_000, // 1 s: nothing is "slow" under a manual clock
-            1_000_000,     // 1 ms SLO: advance the clock past it to breach
-            0xfeed,
-            Box::new(io::sink()),
-        ));
-        Handler {
-            requests: registry.counter(names::SERVER_REQUESTS),
-            errors: registry.counter(names::SERVER_ERRORS),
-            latency: registry.histogram(names::SERVER_REQUEST),
-            exemplars: Arc::new(ExemplarStore::new()),
-            conn_stats: ConnStats::new(&registry),
-            metrics: registry,
-            runtime: Arc::new(RuntimeStats::new(2, 64)),
-            conn_registry: Arc::new(ConnRegistry::new(16)),
-            max_connections: 4096,
-            tenants,
-            obs,
-        }
+    /// Routes and observes one request, as the loop would; returns the
+    /// status, `X-Cache` header and body the client saw.
+    fn serve(h: &Handler, request: &Request) -> (u16, Option<String>, String) {
+        let reply = route(request, h, T);
+        let seen = (reply.status, reply.cache_header.clone(), reply.body.clone());
+        observe_reply(h, reply, T.to_string(), 0);
+        seen
     }
 
     /// `GET /metrics`, checked as one conformant document.
@@ -1479,6 +1452,17 @@ mod tests {
         let mut r = post("{}");
         r.path = "/statusz".to_string();
         assert_eq!(route(&r, &h, T).status, 405);
+        // Every listed page answers GET (some want a parameter: 400) and
+        // refuses other methods.
+        for page in PAGE_ROUTES {
+            assert!(
+                [200, 400].contains(&route(&get(page), &h, T).status),
+                "{page}"
+            );
+            let mut r = get(page);
+            r.method = "PUT".to_string();
+            assert_eq!(route(&r, &h, T).status, 405, "{page}");
+        }
     }
 
     #[test]
@@ -1579,17 +1563,31 @@ mod tests {
         }
     }
 
+    /// `/debug/conns` is validated in `resolve` and handed to the loop,
+    /// which alone holds the connection table; the reply wraps the rows
+    /// it builds.
     #[test]
     fn debug_conns_reflects_registry_entries() {
         let h = handler();
-        let entry = h.conn_registry.register(3, 0).expect("tracked");
-        entry.update(2, 150, 600, 1, 0);
-        let reply = route(&get("/debug/conns"), &h, T);
+        assert!(matches!(
+            resolve(&get("/debug/conns?n=5"), &h, T),
+            Resolved::Conns(5)
+        ));
+        assert!(matches!(
+            resolve(&get("/debug/conns"), &h, T),
+            Resolved::Conns(20)
+        ));
+        h.conn_stats.opened.inc();
+        let row = Json::object([("id", 3u64.into()), ("requests", 2u64.into())]);
+        let reply = conns_reply(&h, [row]);
         assert_eq!(reply.status, 200);
-        assert!(reply.body.contains("\"tracked\":1"), "{}", reply.body);
-        assert!(reply.body.contains("\"id\":3"), "{}", reply.body);
-        assert!(reply.body.contains("\"requests\":2"), "{}", reply.body);
-        assert!(reply.body.contains("\"reused\":true"), "{}", reply.body);
+        assert_eq!(reply.obs.route, "debug_conns");
+        assert_eq!(
+            reply.body,
+            "{\"open\":1,\"conns\":[{\"id\":3,\"requests\":2}]}"
+        );
+        let bad = route(&get("/debug/conns?n=x"), &h, T);
+        assert_eq!((bad.status, bad.obs.route), (400, "debug_conns"));
         // Method guard covers the new endpoints too.
         let mut del = get("/debug/conns");
         del.method = "DELETE".to_string();
@@ -1712,20 +1710,13 @@ mod tests {
         }
     }
 
+    const TWO_CORPORA: [(&str, &str); 2] = [
+        ("default", "<db><rec><t>health insurance</t></rec></db>"),
+        ("dblp", "<db><rec><t>program instance</t></rec></db>"),
+    ];
+
     fn two_corpus_handler() -> Handler {
-        handler_for(
-            ManualClock::starting_at(0),
-            vec![
-                (
-                    "default".to_string(),
-                    mem_engine("<db><rec><t>health insurance</t></rec></db>"),
-                ),
-                (
-                    "dblp".to_string(),
-                    mem_engine("<db><rec><t>program instance</t></rec></db>"),
-                ),
-            ],
-        )
+        test_handler(ManualClock::starting_at(0), &TWO_CORPORA)
     }
 
     #[test]
@@ -1733,21 +1724,21 @@ mod tests {
         let h = two_corpus_handler();
         // Bare /suggest and /suggest/default answer from the same tenant
         // (and the same cache).
-        let bare = route(&get("/suggest?q=helth+insurance"), &h, T);
-        let named = route(&get("/suggest/default?q=helth+insurance"), &h, T);
-        assert_eq!(bare.status, 200, "{}", bare.body);
-        assert_eq!(named.body, bare.body);
-        assert_eq!(named.cache_header.as_deref(), Some("hit"));
+        let bare = serve(&h, &get("/suggest?q=helth+insurance"));
+        let named = serve(&h, &get("/suggest/default?q=helth+insurance"));
+        assert_eq!(bare.0, 200, "{}", bare.2);
+        assert_eq!(named.2, bare.2);
+        assert_eq!(named.1.as_deref(), Some("hit"));
         // The second corpus scores against its own index: same raw
         // query, different corpus, different answer and a cache miss.
-        let other = route(&get("/suggest/dblp?q=program+instanse"), &h, T);
-        assert_eq!(other.status, 200, "{}", other.body);
-        assert_eq!(other.cache_header.as_deref(), Some("miss"));
-        assert!(other.body.contains("program instance"), "{}", other.body);
+        let other = serve(&h, &get("/suggest/dblp?q=program+instanse"));
+        assert_eq!(other.0, 200, "{}", other.2);
+        assert_eq!(other.1.as_deref(), Some("miss"));
+        assert!(other.2.contains("program instance"), "{}", other.2);
         // POST routes per corpus too.
         let mut p = post(r#"{"query": "program instanse"}"#);
         p.path = "/suggest/dblp".to_string();
-        assert_eq!(route(&p, &h, T).cache_header.as_deref(), Some("hit"));
+        assert_eq!(serve(&h, &p).1.as_deref(), Some("hit"));
         // Caches never bled into each other.
         assert_eq!(h.tenants.primary().cache().counters(), (1, 1, 0));
         assert_eq!(h.tenants.get("dblp").unwrap().cache().counters(), (1, 1, 0));
@@ -1789,7 +1780,7 @@ mod tests {
     #[test]
     fn observability_pages_cover_every_corpus() {
         let h = two_corpus_handler();
-        let _ = route(&get("/suggest/dblp?q=program"), &h, T);
+        serve(&h, &get("/suggest/dblp?q=program"));
         let health = route(&get("/healthz"), &h, T);
         assert!(health.body.contains("\"corpora\":["), "{}", health.body);
         assert!(health.body.contains("\"name\":\"dblp\""), "{}", health.body);
@@ -1955,19 +1946,7 @@ mod tests {
     #[test]
     fn per_tenant_windows_and_shard_series_render() {
         let clock = ManualClock::starting_at(0);
-        let h = handler_for(
-            Arc::clone(&clock),
-            vec![
-                (
-                    "default".to_string(),
-                    mem_engine("<db><rec><t>health insurance</t></rec></db>"),
-                ),
-                (
-                    "dblp".to_string(),
-                    mem_engine("<db><rec><t>program instance</t></rec></db>"),
-                ),
-            ],
-        );
+        let h = test_handler(Arc::clone(&clock), &TWO_CORPORA);
         // One fast request on default, one SLO-breaching request (2 ms
         // against the 1 ms test threshold) on dblp.
         let r = route(&get("/suggest?q=health"), &h, T);
@@ -2018,12 +1997,13 @@ mod tests {
     }
 
     const METHODS: [&str; 3] = ["GET", "POST", "DELETE"];
-    const PATHS: [&str; 8] = [
+    const PATHS: [&str; 9] = [
         "/suggest",
         "/suggest/default",
         "/suggest/nope",
         "/suggest/",
         "/debug/explain",
+        "/debug/conns",
         "/healthz",
         "/metrics",
         "/",
@@ -2065,6 +2045,7 @@ mod tests {
                     proptest::prop_assert!(!keywords.is_empty());
                     proptest::prop_assert_eq!(key.query, keywords.join(" "));
                 }
+                Resolved::Conns(n) => proptest::prop_assert!(n <= debug::MAX_DEBUG_CONNS),
                 Resolved::Work(Work::Batch { .. } | Work::Page { .. }) => {}
             }
         }
@@ -2088,6 +2069,10 @@ mod tests {
         assert_eq!(hit.cache_header.as_deref(), Some("hit"));
         assert_eq!(hit.body, computed.body);
         assert_eq!(h.tenants.primary().cache().counters(), (1, 1, 0));
+        // The tenant counts its replies as they are observed.
+        assert_eq!(h.tenants.primary().requests().get(), 0);
+        observe_reply(&h, computed, T.to_string(), 0);
+        observe_reply(&h, hit, T.to_string(), 0);
         assert_eq!(h.tenants.primary().requests().get(), 2);
         for page in ["/healthz", "/metrics", "/statusz", "/debug/explain?q=helth"] {
             assert!(
@@ -2103,6 +2088,35 @@ mod tests {
             resolve(&batch, &h, T),
             Resolved::Work(Work::Batch { .. })
         ));
+    }
+
+    /// A miss or batch whose compute panics answers a `500` that keeps
+    /// its corpus, so the tenant's errors and windows see the failure;
+    /// a page has no corpus to keep.
+    #[test]
+    fn a_panicking_miss_or_batch_keeps_its_corpus() {
+        let h = two_corpus_handler();
+        let miss = get("/suggest/dblp?q=program");
+        let mut batch = post(r#"{"queries": ["program"]}"#);
+        batch.path = "/suggest/dblp".to_string();
+        for request in [miss, batch] {
+            let Resolved::Work(work) = resolve(&request, &h, T) else {
+                panic!("{} is pool work", request.path);
+            };
+            let reply = panic_reply(&h, work.tenant());
+            assert_eq!((reply.status, reply.obs.route), (500, "panic"));
+            assert_eq!(reply.obs.corpus, "dblp");
+            observe_reply(&h, reply, T.to_string(), 0);
+        }
+        let dblp = h.tenants.get("dblp").unwrap();
+        assert_eq!((dblp.requests().get(), dblp.errors().get()), (2, 2));
+        let now = h.obs.clock().now_nanos();
+        assert_eq!(dblp.window_snapshots(now)[0].errors, 2);
+        assert!(h.obs.recent(10).iter().all(|r| r.corpus == "dblp"));
+        let Resolved::Work(page) = resolve(&get("/healthz"), &h, T) else {
+            panic!("a page is pool work");
+        };
+        assert_eq!(panic_reply(&h, page.tenant()).obs.corpus, "");
     }
 
     #[test]

@@ -78,7 +78,8 @@ impl Tenant {
         self.fingerprint
     }
 
-    /// Requests routed to this corpus, cache hits and errors included.
+    /// Replies tagged with this corpus — suggest hits, misses, batches,
+    /// their errors, and explain traces — bumped in `observe_reply`.
     pub fn requests(&self) -> &Counter {
         &self.requests
     }

@@ -198,6 +198,59 @@ fn observability_surfaces_cover_every_corpus() {
     stop(r);
 }
 
+/// A corpus's request and error counters count exactly the ring records
+/// tagged with its name: hits, misses, batches, routed errors and
+/// explain traces alike.
+#[test]
+fn corpus_counters_agree_with_the_ring() {
+    let r = start();
+    for (corpus, q) in [("default", "helth"), ("dblp", "progrm")] {
+        let path = format!("/suggest/{corpus}");
+        let traffic = [
+            ("GET", format!("{path}?q={q}"), String::new(), 200),
+            ("GET", format!("{path}?q={q}"), String::new(), 200),
+            (
+                "POST",
+                path.clone(),
+                format!(r#"{{"queries": ["{q}"]}}"#),
+                200,
+            ),
+            ("GET", path.clone(), String::new(), 400),
+            ("DELETE", format!("{path}?q={q}"), String::new(), 405),
+            (
+                "GET",
+                format!("/debug/explain?corpus={corpus}&q={q}"),
+                String::new(),
+                200,
+            ),
+        ];
+        for (method, target, body, want) in traffic {
+            let (status, _, reply) = request(r.addr, method, &target, &body);
+            assert_eq!(status, want, "{method} {target}: {reply}");
+        }
+    }
+    let (_, _, metrics) = request(r.addr, "GET", "/metrics", "");
+    for corpus in ["default", "dblp"] {
+        let target = format!("/debug/requests?corpus={corpus}&n=1000");
+        let (_, _, body) = request(r.addr, "GET", &target, "");
+        let ring = json::parse(&body).unwrap();
+        let records = ring["requests"].as_array().unwrap();
+        let errors = records
+            .iter()
+            .filter(|rec| rec["status"].as_u64().unwrap() >= 400)
+            .count();
+        assert_eq!((records.len(), errors), (6, 2), "{body}");
+        for (family, n) in [
+            (names::CORPUS_REQUESTS, records.len()),
+            (names::CORPUS_ERRORS, errors),
+        ] {
+            let line = format!("{family}{{corpus=\"{corpus}\"}} {n}\n");
+            assert!(metrics.contains(&line), "missing {line:?} in:\n{metrics}");
+        }
+    }
+    stop(r);
+}
+
 #[test]
 fn sharded_tenant_matches_unsharded_engine_over_http() {
     // The serving layer must not perturb the scatter-gather result: a
