@@ -1,9 +1,8 @@
 //! Shared experiment setup: the two corpora, their engines, query sets,
-//! and the simulated search engines. Every `exp_*` binary builds its
-//! inputs through this module so experiments are consistent and
-//! reproducible.
+//! and the simulated search engines. Every experiment builds its inputs
+//! through this module so experiments are consistent and reproducible.
 
-use xclean::{Semantics, XCleanConfig, XCleanEngine};
+use xclean::{XCleanConfig, XCleanEngine};
 use xclean_baselines::{SeConfig, SearchEngineCorrector};
 use xclean_datagen::{
     generate_dblp, generate_inex, make_workload, DblpConfig, InexConfig, Perturbation, QuerySet,
@@ -11,20 +10,10 @@ use xclean_datagen::{
 };
 use xclean_index::CorpusIndex;
 
-/// Scale factor for corpus sizes, read from `XCLEAN_SCALE` (default 1.0).
-/// CI and quick runs can set e.g. `XCLEAN_SCALE=0.1`.
-pub fn scale() -> f64 {
-    std::env::var("XCLEAN_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s: &f64| s > 0.0)
-        .unwrap_or(1.0)
-}
-
-/// Default engine configuration used across experiments (β=5, γ=1000,
-/// ε=2, d=2, r=0.8, k=10 — the paper's reported settings).
-pub fn default_config() -> XCleanConfig {
-    XCleanConfig::default()
+/// Parses a corpus scale factor (the `exp` binary's `XCLEAN_SCALE`):
+/// anything but a positive number means 1.0.
+pub fn parse_scale(text: &str) -> f64 {
+    text.parse().ok().filter(|&s: &f64| s > 0.0).unwrap_or(1.0)
 }
 
 /// Builds the DBLP-substitute engine at the given scale
@@ -60,6 +49,43 @@ pub fn query_sets(engine: &XCleanEngine, dataset: &str) -> Vec<QuerySet> {
         .into_iter()
         .map(|p| make_workload(engine.corpus(), &spec(p)))
         .collect()
+}
+
+/// One corpus of the paper's pair: its engine (the paper's settings,
+/// `XCleanConfig::default()`) and its CLEAN, RAND and RULE query sets.
+pub struct Dataset {
+    /// `DBLP` or `INEX`.
+    pub name: &'static str,
+    /// The engine over the generated corpus.
+    pub engine: XCleanEngine,
+    /// CLEAN, RAND, RULE (see [`query_sets`]).
+    pub query_sets: Vec<QuerySet>,
+}
+
+impl Dataset {
+    /// The DBLP substitute at `scale`.
+    pub fn dblp(scale: f64) -> Dataset {
+        Dataset::new("DBLP", build_dblp(scale, XCleanConfig::default()))
+    }
+
+    /// The INEX substitute at `scale`.
+    pub fn inex(scale: f64) -> Dataset {
+        Dataset::new("INEX", build_inex(scale, XCleanConfig::default()))
+    }
+
+    fn new(name: &'static str, engine: XCleanEngine) -> Dataset {
+        let query_sets = query_sets(&engine, name);
+        Dataset {
+            name,
+            engine,
+            query_sets,
+        }
+    }
+}
+
+/// Both corpora, DBLP first.
+pub fn datasets(scale: f64) -> [Dataset; 2] {
+    [Dataset::dblp(scale), Dataset::inex(scale)]
 }
 
 /// Publications of the large generated corpus the profile diagnostics
@@ -125,26 +151,15 @@ pub fn build_search_engines(
     (se1, se2)
 }
 
-/// Convenience: an engine with SLCA semantics sharing the same corpus
-/// parameters (rebuilds the corpus; used by exp_slca).
-pub fn build_dblp_slca(scale: f64, config: XCleanConfig) -> XCleanEngine {
-    build_dblp(scale, config).with_semantics(Semantics::Slca)
-}
-
-/// INEX engine with SLCA semantics.
-pub fn build_inex_slca(scale: f64, config: XCleanConfig) -> XCleanEngine {
-    build_inex(scale, config).with_semantics(Semantics::Slca)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn small_scale_builds_quickly() {
-        let e = build_dblp(0.02, default_config());
-        assert!(e.corpus().vocab().len() > 100);
-        let sets = query_sets(&e, "DBLP");
+        let dblp = Dataset::dblp(0.02);
+        assert!(dblp.engine.corpus().vocab().len() > 100);
+        let sets = &dblp.query_sets;
         assert_eq!(sets.len(), 3);
         assert_eq!(sets[0].name, "DBLP-CLEAN");
         assert_eq!(sets[1].name, "DBLP-RAND");
@@ -154,8 +169,7 @@ mod tests {
 
     #[test]
     fn search_engines_build_from_clean_sets() {
-        let e = build_dblp(0.02, default_config());
-        let sets = query_sets(&e, "DBLP");
+        let sets = Dataset::dblp(0.02).query_sets;
         let (se1, _se2) = build_search_engines(&[&sets[0]]);
         // A clean query term is known to the log.
         let case = &sets[0].cases[0];
@@ -163,8 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_env_parsing() {
-        // No env set in tests → default.
-        assert!(scale() > 0.0);
+    fn scale_parsing_falls_back_to_one() {
+        for text in ["0", "-1", "abc", ""] {
+            assert_eq!(parse_scale(text), 1.0, "{text:?}");
+        }
+        assert_eq!(parse_scale("0.05"), 0.05);
+        assert_eq!(parse_scale("2"), 2.0);
     }
 }

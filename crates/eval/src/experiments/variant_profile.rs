@@ -8,7 +8,7 @@
 //! the keys ("signatures"), probing the table ("probes"), and verifying
 //! the distinct candidates ("verify").
 //!
-//! Timed **pass-style**, as `exp_walk_profile` is: every pass looks each
+//! Timed **pass-style**, as the walk profile is: every pass looks each
 //! keyword up once, in pool order, and a keyword's time is its minimum
 //! over the passes. Two modes: *warm* runs the lookups back to back (the
 //! pool's own 5k lookups are what stands between two visits of a table
@@ -17,15 +17,17 @@
 //! that follows a posting walk.
 //!
 //! A diagnostic, not a gate: performance claims are made with `xbench`.
-//! Run with `--release`; `XCLEAN_SCALE` scales corpus and pool.
+//! Run in a release build; the scale scales corpus and pool.
 
 use std::time::Instant;
 
+use xclean::XCleanConfig;
 use xclean_datagen::{generate_large_dblp, LargeDblpConfig};
-use xclean_eval::datasets::{default_config, profile_pool, profile_publications, scale};
-use xclean_eval::report::render_table;
 use xclean_fastss::{VariantIndex, VariantIndexConfig};
 use xclean_index::CorpusIndex;
+
+use crate::datasets::{profile_pool, profile_publications};
+use crate::report::{Cell, Report, Table};
 
 /// Timed passes over the pool, per mode.
 const PASSES: usize = 3;
@@ -75,18 +77,21 @@ fn lookup(index: &VariantIndex, keyword: &str, max_ed: usize) -> (Batches, [usiz
     )
 }
 
-fn main() {
-    let scale = scale();
+/// Runs the profile at `scale` (1.0 → 100 000 publications, 2048 queries).
+pub(super) fn run(scale: f64) -> Report {
     let publications = profile_publications(scale);
-    println!(
-        "== variant profile: large DBLP, {publications} publications, RAND+RULE pool \
-         (pass-style, min of {PASSES} passes) ==\n"
+    let mut report = Report::new(
+        format!(
+            "variant profile: large DBLP, {publications} publications, RAND+RULE pool \
+             (pass-style, min of {PASSES} passes)"
+        ),
+        None,
     );
     let corpus = CorpusIndex::build(generate_large_dblp(&LargeDblpConfig {
         publications,
         ..Default::default()
     }));
-    let config = default_config();
+    let config = XCleanConfig::default();
     let words: Vec<&str> = corpus.vocab().iter_terms().collect();
     let built = Instant::now();
     let index = VariantIndex::build(
@@ -98,9 +103,9 @@ fn main() {
     );
     let build_ms = built.elapsed().as_secs_f64() * 1e3;
     let table = index.table_stats();
-    println!(
+    report.line(format!(
         "{} words, ε = {}, partition threshold {}: {} slots, {} filled (load {:.3}), \
-         longest run {}, {:.1} MB, built in {build_ms:.0} ms\n",
+         longest run {}, {:.1} MB, built in {build_ms:.0} ms",
         words.len(),
         config.epsilon,
         config.partition_threshold,
@@ -109,7 +114,8 @@ fn main() {
         table.filled as f64 / table.slots as f64,
         table.longest_run,
         table.bytes as f64 / 1e6,
-    );
+    ));
+    report.line("");
 
     let keywords: Vec<String> = profile_pool(&corpus, scale).into_iter().flatten().collect();
 
@@ -158,10 +164,10 @@ fn main() {
         }
     }
 
-    let row = |label: String, group: &[&Profile]| -> Vec<String> {
+    let row = |label: String, group: &[&Profile]| -> Vec<Cell> {
         let n = group.len().max(1) as f64;
         let mean = |f: &dyn Fn(&Profile) -> u64| group.iter().map(|p| f(p)).sum::<u64>() as f64 / n;
-        let mut cells = vec![label, format!("{}", group.len())];
+        let mut cells = vec![label.into(), group.len().into()];
         cells.extend(
             [
                 mean(&|p| p.keys as u64),
@@ -169,54 +175,51 @@ fn main() {
                 mean(&|p| p.distinct as u64),
                 mean(&|p| p.kept as u64),
             ]
-            .map(|v| format!("{v:.1}")),
+            .map(|v| Cell::Num(v, 1)),
         );
         for mode in [|p: &Profile| p.warm, |p: &Profile| p.cold] {
             for batch in 0..3 {
-                cells.push(format!("{:.0}", mean(&|p| mode(p).0[batch])));
+                cells.push(Cell::Wall(mean(&|p| mode(p).0[batch]), 0));
             }
-            cells.push(format!("{:.0}", mean(&|p| mode(p).0.iter().sum())));
+            cells.push(Cell::Wall(mean(&|p| mode(p).0.iter().sum()), 0));
         }
         cells
     };
-    let mut rows: Vec<Vec<String>> = (1..=LONGEST_ROW)
-        .filter_map(|len| {
-            let group: Vec<&Profile> = profiles
-                .iter()
-                .filter(|p| p.chars == len || (len == LONGEST_ROW && p.chars > len))
-                .collect();
-            let label = match len {
-                LONGEST_ROW => format!("{len}+"),
-                _ => format!("{len}"),
-            };
-            (!group.is_empty()).then(|| row(label, &group))
-        })
-        .collect();
-    rows.push(row("all".into(), &profiles.iter().collect::<Vec<_>>()));
-    println!(
-        "{} keywords; every distinct candidate is verified; ns are means of per-keyword minima\n",
+    let mut lengths = Table::new([
+        "chars",
+        "keywords",
+        "keys",
+        "raw cand.",
+        "distinct",
+        "kept",
+        "warm: sig ns",
+        "probe ns",
+        "verify ns",
+        "lookup ns",
+        "cold: sig ns",
+        "probe ns",
+        "verify ns",
+        "lookup ns",
+    ]);
+    for len in 1..=LONGEST_ROW {
+        let group: Vec<&Profile> = profiles
+            .iter()
+            .filter(|p| p.chars == len || (len == LONGEST_ROW && p.chars > len))
+            .collect();
+        let label = match len {
+            LONGEST_ROW => format!("{len}+"),
+            _ => format!("{len}"),
+        };
+        if !group.is_empty() {
+            lengths.push(row(label, &group));
+        }
+    }
+    lengths.push(row("all".into(), &profiles.iter().collect::<Vec<_>>()));
+    report.line(format!(
+        "{} keywords; every distinct candidate is verified; ns are means of per-keyword minima",
         keywords.len()
-    );
-    println!(
-        "{}",
-        render_table(
-            &[
-                "chars",
-                "keywords",
-                "keys",
-                "raw cand.",
-                "distinct",
-                "kept",
-                "warm: sig ns",
-                "probe ns",
-                "verify ns",
-                "lookup ns",
-                "cold: sig ns",
-                "probe ns",
-                "verify ns",
-                "lookup ns",
-            ],
-            &rows,
-        )
-    );
+    ));
+    report.line("");
+    report.table(lengths);
+    report
 }

@@ -8,7 +8,7 @@
 //! table's kept bitmaps covered, subtrees visited and passed, nanoseconds
 //! per subtree), then the distance histogram of merged-list member moves.
 //! Both walk paths, and both ways the scan marks a member, must be in use —
-//! the bin fails otherwise, so CI's smoke run keeps all of them on trial.
+//! the run panics otherwise, so CI's smoke run keeps all of them on trial.
 //!
 //! Timed **pass-style**: every pass runs each query once, in pool order,
 //! and a query's time is its minimum over the passes. Repeating one query
@@ -17,15 +17,16 @@
 //! (DESIGN.md §15, "Measuring honestly").
 //!
 //! A diagnostic, not a gate: performance claims are made with `xbench`.
-//! Run with `--release`; `XCLEAN_SCALE` scales corpus and pool.
+//! Run in a release build; the scale scales corpus and pool.
 
 use xclean::walk::walk_gated_subtrees;
 use xclean::{KeywordSlot, RunStats, XCleanConfig, XCleanEngine};
 use xclean_datagen::{generate_large_dblp, LargeDblpConfig};
-use xclean_eval::datasets::{default_config, profile_pool, profile_publications, scale};
-use xclean_eval::report::render_table;
 use xclean_index::{AccessStats, CorpusIndex, PostingList};
 use xclean_xmltree::NodeId;
+
+use crate::datasets::{profile_pool, profile_publications};
+use crate::report::{Cell, Report, Table};
 
 /// Timed passes over the pool.
 const PASSES: usize = 5;
@@ -194,19 +195,22 @@ fn member_moves(
     }
 }
 
-fn main() {
-    let scale = scale();
+/// Runs the profile at `scale` (1.0 → 100 000 publications, 2048 queries).
+pub(super) fn run(scale: f64) -> Report {
     let publications = profile_publications(scale);
-    println!(
-        "== walk profile: large DBLP, {publications} publications, RAND+RULE pool \
-         (pass-style, min of {PASSES} passes) ==\n"
+    let mut report = Report::new(
+        format!(
+            "walk profile: large DBLP, {publications} publications, RAND+RULE pool \
+             (pass-style, min of {PASSES} passes)"
+        ),
+        None,
     );
     let engine = XCleanEngine::new(
         generate_large_dblp(&LargeDblpConfig {
             publications,
             ..Default::default()
         }),
-        default_config(),
+        XCleanConfig::default(),
     );
     let corpus = engine.corpus();
     let config = engine.config();
@@ -262,92 +266,81 @@ fn main() {
         pass_nanos.push(total);
     }
     let fastest = *pass_nanos.iter().min().expect("PASSES > 0");
-    println!(
-        "{} queries, {scans} scanned; walk + rank per pass: fastest {:.1} ms, slowest {:.1} ms\n",
+    report.line(format!(
+        "{} queries, {scans} scanned; walk + rank per pass: fastest {:.1} ms, slowest {:.1} ms",
         pool.len(),
         fastest as f64 / 1e6,
         *pass_nanos.iter().max().expect("PASSES > 0") as f64 / 1e6,
-    );
+    ));
+    report.line("");
 
     // Costliest queries first, cut into ten equal groups.
     profiles.sort_by_key(|p| std::cmp::Reverse(p.nanos));
     let total_nanos: u64 = profiles.iter().map(|p| p.nanos).sum();
-    let rows: Vec<Vec<String>> = (0..10)
-        .map(|decile| {
-            let group = &profiles[decile * profiles.len() / 10..(decile + 1) * profiles.len() / 10];
-            let n = group.len().max(1) as f64;
-            let sum = |f: fn(&Profile) -> u64| group.iter().map(f).sum::<u64>() as f64;
-            let nanos = sum(|p| p.nanos);
-            let visited = sum(|p| p.visited);
-            let passed = sum(|p| p.passed);
-            let scans = group.iter().filter(|p| p.scanned + p.cached > 0).count() as f64;
-            let scanned = sum(|p| p.scanned);
-            let cached = sum(|p| p.cached);
-            vec![
-                format!("{}", decile + 1),
-                format!("{:.1}", 100.0 * nanos / total_nanos.max(1) as f64),
-                format!("{:.1}", nanos / n / 1e3),
-                format!("{:.1}", sum(|p| p.slots as u64) / n),
-                format!("{:.0}", sum(|p| p.variants as u64) / n),
-                format!("{:.0}", sum(|p| p.postings as u64) / n),
-                format!("{:.0}", 100.0 * scans / n),
-                format!("{:.0}", scanned / n),
-                format!("{:.0}", 100.0 * cached / (scanned + cached).max(1.0)),
-                format!("{:.0}", visited / n),
-                format!("{:.0}", passed / n),
-                format!("{:.0}", 100.0 * passed / visited.max(1.0)),
-                format!("{:.0}", nanos / visited.max(1.0)),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "decile",
-                "time %",
-                "us/query",
-                "slots",
-                "variants",
-                "postings",
-                "scan %",
-                "scanned",
-                "cached %",
-                "visited",
-                "passed",
-                "pass %",
-                "ns/subtree",
-            ],
-            &rows,
-        )
-    );
+    let mut deciles = Table::new([
+        "decile",
+        "time %",
+        "us/query",
+        "slots",
+        "variants",
+        "postings",
+        "scan %",
+        "scanned",
+        "cached %",
+        "visited",
+        "passed",
+        "pass %",
+        "ns/subtree",
+    ]);
+    for decile in 0..10 {
+        let group = &profiles[decile * profiles.len() / 10..(decile + 1) * profiles.len() / 10];
+        let n = group.len().max(1) as f64;
+        let sum = |f: fn(&Profile) -> u64| group.iter().map(f).sum::<u64>() as f64;
+        let nanos = sum(|p| p.nanos);
+        let visited = sum(|p| p.visited);
+        let passed = sum(|p| p.passed);
+        let scans = group.iter().filter(|p| p.scanned + p.cached > 0).count() as f64;
+        let scanned = sum(|p| p.scanned);
+        let cached = sum(|p| p.cached);
+        deciles.push(vec![
+            (decile + 1).into(),
+            Cell::Wall(100.0 * nanos / total_nanos.max(1) as f64, 1),
+            Cell::Wall(nanos / n / 1e3, 1),
+            Cell::Num(sum(|p| p.slots as u64) / n, 1),
+            Cell::Num(sum(|p| p.variants as u64) / n, 0),
+            Cell::Num(sum(|p| p.postings as u64) / n, 0),
+            Cell::Num(100.0 * scans / n, 0),
+            Cell::Num(scanned / n, 0),
+            Cell::Num(100.0 * cached / (scanned + cached).max(1.0), 0),
+            Cell::Num(visited / n, 0),
+            Cell::Num(passed / n, 0),
+            Cell::Num(100.0 * passed / visited.max(1.0), 0),
+            Cell::Wall(nanos / visited.max(1.0), 0),
+        ]);
+    }
+    report.table(deciles);
 
     let histogram = moves.histogram;
     let moves: u64 = histogram.iter().sum();
-    println!("member moves of one pass: {moves}");
+    report.line(format!("member moves of one pass: {moves}"));
+    let mut distances = Table::new(["postings moved", "moves", "%", "cumulative %"]);
     let mut low = 1;
     let mut cumulative = 0;
-    let rows: Vec<Vec<String>> = MOVE_BUCKETS
-        .iter()
-        .zip(histogram)
-        .map(|(&high, count)| {
-            let label = match high {
-                usize::MAX => format!("{low}+"),
-                _ if high == low => format!("{low}"),
-                _ => format!("{low}-{high}"),
-            };
-            low = high.saturating_add(1);
-            cumulative += count;
-            vec![
-                label,
-                format!("{count}"),
-                format!("{:.1}", 100.0 * count as f64 / moves.max(1) as f64),
-                format!("{:.1}", 100.0 * cumulative as f64 / moves.max(1) as f64),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["postings moved", "moves", "%", "cumulative %"], &rows)
-    );
+    for (&high, count) in MOVE_BUCKETS.iter().zip(histogram) {
+        let label = match high {
+            usize::MAX => format!("{low}+"),
+            _ if high == low => format!("{low}"),
+            _ => format!("{low}-{high}"),
+        };
+        low = high.saturating_add(1);
+        cumulative += count;
+        distances.push(vec![
+            label.into(),
+            count.into(),
+            Cell::Num(100.0 * count as f64 / moves.max(1) as f64, 1),
+            Cell::Num(100.0 * cumulative as f64 / moves.max(1) as f64, 1),
+        ]);
+    }
+    report.table(distances);
+    report
 }

@@ -1,12 +1,12 @@
 //! Experiment harness: runs a suggester over a query set and aggregates
 //! quality and timing.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use xclean_datagen::QuerySet;
-use xclean_telemetry::json::Json;
+use xclean_datagen::{QueryCase, QuerySet};
 
-use crate::metrics::{MetricAccumulator, MetricSummary};
+use crate::metrics::MetricAccumulator;
 use crate::systems::Suggester;
 
 /// Result of one (system, query set) run.
@@ -26,88 +26,64 @@ pub struct SetResult {
     pub queries: usize,
 }
 
-impl SetResult {
-    /// The row as it appears in the experiment JSON dumps.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("system", self.system.as_str().into()),
-            ("query_set", self.query_set.as_str().into()),
-            ("mrr", self.mrr.into()),
-            ("precision_at", self.precision_at.iter().copied().collect()),
-            ("avg_time_secs", self.avg_time_secs.into()),
-            ("queries", self.queries.into()),
-        ])
-    }
-}
+/// One query's ranked suggestions and its wall time in seconds.
+type Outcome = (Vec<Vec<String>>, f64);
 
-/// Runs `system` over `set`, tracking precision up to `max_n`.
-pub fn run_set(system: &dyn Suggester, set: &QuerySet, max_n: usize) -> SetResult {
-    let mut acc = MetricAccumulator::new(max_n);
-    let mut total = 0.0f64;
-    for case in &set.cases {
-        let start = Instant::now();
-        let suggestions = system.suggest(&case.dirty);
-        total += start.elapsed().as_secs_f64();
-        acc.record(&suggestions, &case.clean);
-    }
-    let m: MetricSummary = acc.finish();
-    SetResult {
-        system: system.name().to_string(),
-        query_set: set.name.clone(),
-        mrr: m.mrr,
-        precision_at: m.precision_at,
-        avg_time_secs: if set.cases.is_empty() {
-            0.0
-        } else {
-            total / set.cases.len() as f64
-        },
-        queries: m.queries,
-    }
-}
-
-/// Parallel variant of [`run_set`] for *quality* experiments: queries are
-/// spread over scoped worker threads. Per-query
-/// wall times are still measured inside each worker, but under contention
-/// they overstate single-query latency — use [`run_set`] for the timing
-/// experiments.
-pub fn run_set_parallel<S: Suggester + Sync + ?Sized>(
+/// Runs `system` over `set` on `threads` workers, tracking precision up to
+/// `max_n`. The metrics do not depend on `threads`. With 1 the queries run
+/// one after another on the calling thread, which the timing experiments
+/// need: with more, each query is still timed inside its worker, but
+/// contention inflates the time.
+pub fn run_set<S: Suggester + Sync + ?Sized>(
     system: &S,
     set: &QuerySet,
     max_n: usize,
     threads: usize,
 ) -> SetResult {
-    let threads = threads.max(1).min(set.cases.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    /// One query's ranked suggestions plus its wall time.
-    type QueryOutcome = (Vec<Vec<String>>, f64);
-    // Per-query results, in case order.
-    let results: Vec<std::sync::Mutex<Option<QueryOutcome>>> = (0..set.cases.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    // A panicking worker propagates out of `scope` when it joins.
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(case) = set.cases.get(i) else { break };
-                let start = Instant::now();
-                let suggestions = system.suggest(&case.dirty);
-                let secs = start.elapsed().as_secs_f64();
-                *results[i]
-                    .lock()
-                    .expect("slot is locked once, by its own worker") = Some((suggestions, secs));
-            });
-        }
-    });
+    let run = |case: &QueryCase| -> Outcome {
+        let start = Instant::now();
+        let suggestions = system.suggest(&case.dirty);
+        (suggestions, start.elapsed().as_secs_f64())
+    };
+    let outcomes: Vec<Outcome> = if threads <= 1 {
+        set.cases.iter().map(run).collect()
+    } else {
+        let next = AtomicUsize::new(0);
+        let mut outcomes: Vec<Option<Outcome>> = vec![None; set.cases.len()];
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads.min(set.cases.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(case) = set.cases.get(i) else {
+                                return done;
+                            };
+                            done.push((i, run(case)));
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                let done = worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (i, outcome) in done {
+                    outcomes[i] = Some(outcome);
+                }
+            }
+        });
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("every query ran"))
+            .collect()
+    };
     let mut acc = MetricAccumulator::new(max_n);
     let mut total = 0.0f64;
-    for (case, slot) in set.cases.iter().zip(results) {
-        let (suggestions, secs) = slot
-            .into_inner()
-            .expect("a worker panic already propagated")
-            .expect("query processed");
+    for (case, (suggestions, secs)) in set.cases.iter().zip(&outcomes) {
         total += secs;
-        acc.record(&suggestions, &case.clean);
+        acc.record(suggestions, &case.clean);
     }
     let m = acc.finish();
     SetResult {
@@ -134,7 +110,7 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xclean_datagen::{Perturbation, QueryCase};
+    use xclean_datagen::Perturbation;
 
     struct Echo;
     impl Suggester for Echo {
@@ -162,7 +138,7 @@ mod tests {
                 },
             ],
         };
-        let r = run_set(&Echo, &set, 10);
+        let r = run_set(&Echo, &set, 10, 1);
         assert_eq!(r.mrr, 1.0);
         assert_eq!(r.precision_at[0], 1.0);
         assert_eq!(r.queries, 2);
@@ -181,8 +157,8 @@ mod tests {
                 })
                 .collect(),
         };
-        let serial = run_set(&Echo, &set, 10);
-        let parallel = run_set_parallel(&Echo, &set, 10, 8);
+        let serial = run_set(&Echo, &set, 10, 1);
+        let parallel = run_set(&Echo, &set, 10, 8);
         assert_eq!(serial.mrr, parallel.mrr);
         assert_eq!(serial.precision_at, parallel.precision_at);
         assert_eq!(serial.queries, parallel.queries);
@@ -198,7 +174,7 @@ mod tests {
                 clean: vec!["health".into()],
             }],
         };
-        let r = run_set(&Echo, &set, 10);
+        let r = run_set(&Echo, &set, 10, 1);
         assert_eq!(r.mrr, 0.0);
     }
 }

@@ -11,11 +11,6 @@ pub fn reciprocal_rank(suggestions: &[Vec<String>], truth: &[String]) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Whether the truth occurs within the first `n` suggestions.
-pub fn hit_at_n(suggestions: &[Vec<String>], truth: &[String], n: usize) -> bool {
-    suggestions.iter().take(n).any(|s| s.as_slice() == truth)
-}
-
 /// Aggregated quality metrics over a query set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSummary {
@@ -25,13 +20,6 @@ pub struct MetricSummary {
     pub precision_at: Vec<f64>,
     /// Number of queries aggregated.
     pub queries: usize,
-}
-
-impl MetricSummary {
-    /// `precision@n` accessor (1-based n).
-    pub fn precision(&self, n: usize) -> f64 {
-        self.precision_at[n - 1]
-    }
 }
 
 /// Accumulates per-query results into a [`MetricSummary`].
@@ -95,14 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_at_n_cutoff() {
-        let suggestions = vec![s(&["a"]), s(&["b"]), s(&["c"])];
-        assert!(hit_at_n(&suggestions, &s(&["b"]), 2));
-        assert!(!hit_at_n(&suggestions, &s(&["c"]), 2));
-        assert!(hit_at_n(&suggestions, &s(&["c"]), 3));
-    }
-
-    #[test]
     fn accumulator_aggregates() {
         let mut acc = MetricAccumulator::new(3);
         // truth at rank 1
@@ -114,9 +94,9 @@ mod tests {
         let m = acc.finish();
         assert_eq!(m.queries, 3);
         assert!((m.mrr - (1.0 + 0.5 + 0.0) / 3.0).abs() < 1e-12);
-        assert!((m.precision(1) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((m.precision(2) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((m.precision(3) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((m.precision_at[0] - 1.0 / 3.0).abs() < 1e-12);
+        assert!((m.precision_at[1] - 2.0 / 3.0).abs() < 1e-12);
+        assert!((m.precision_at[2] - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

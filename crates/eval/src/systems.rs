@@ -18,9 +18,11 @@ pub trait Suggester {
     fn suggest(&self, keywords: &[String]) -> Vec<Vec<String>>;
 }
 
-/// XClean with either semantics.
+/// XClean with any semantics, under the engine's configuration or a
+/// per-call override.
 pub struct XCleanSuggester<'a> {
     engine: &'a XCleanEngine,
+    config: Option<XCleanConfig>,
     label: String,
 }
 
@@ -32,7 +34,20 @@ impl<'a> XCleanSuggester<'a> {
             Semantics::Slca => "XClean-SLCA".to_string(),
             Semantics::Elca => "XClean-ELCA".to_string(),
         };
-        XCleanSuggester { engine, label }
+        XCleanSuggester {
+            engine,
+            config: None,
+            label,
+        }
+    }
+
+    /// Suggests with `config` instead of the engine's own (the parameter
+    /// sweeps).
+    pub fn with_config(self, config: XCleanConfig) -> Self {
+        XCleanSuggester {
+            config: Some(config),
+            ..self
+        }
     }
 }
 
@@ -42,8 +57,9 @@ impl Suggester for XCleanSuggester<'_> {
     }
 
     fn suggest(&self, keywords: &[String]) -> Vec<Vec<String>> {
+        let config = self.config.as_ref().unwrap_or(self.engine.config());
         self.engine
-            .suggest_keywords(keywords)
+            .suggest_keywords_with(keywords, config)
             .suggestions
             .into_iter()
             .map(|s| s.terms)

@@ -35,7 +35,7 @@ fn xclean_mrr_is_high_on_rand() {
     let engine = dblp_engine();
     let set = workload(&engine, Perturbation::Rand, 30);
     let sys = XCleanSuggester::new(&engine);
-    let r = run_set(&sys, &set, 10);
+    let r = run_set(&sys, &set, 10, 1);
     assert!(r.mrr > 0.55, "XClean MRR {} too low", r.mrr);
 }
 
@@ -47,8 +47,8 @@ fn xclean_beats_py08_on_dirty_sets() {
     let py08 = Py08Suggester::new(&engine, engine.corpus(), 100);
     for p in [Perturbation::Rand, Perturbation::Rule] {
         let set = workload(&engine, p, 30);
-        let rx = run_set(&xclean, &set, 10);
-        let rp = run_set(&py08, &set, 10);
+        let rx = run_set(&xclean, &set, 10, 1);
+        let rp = run_set(&py08, &set, 10, 1);
         assert!(
             rx.mrr > rp.mrr,
             "{}: XClean {} vs PY08 {}",
@@ -69,10 +69,10 @@ fn search_engine_shape() {
     let (se1, _) = build_search_engines(&[&clean]);
     let se1 = SeSuggester::new(se1, "SE1");
     let xclean = XCleanSuggester::new(&engine);
-    let se_clean = run_set(&se1, &clean, 10);
+    let se_clean = run_set(&se1, &clean, 10, 1);
     assert!(se_clean.mrr > 0.95, "SE clean MRR {}", se_clean.mrr);
-    let se_rand = run_set(&se1, &rand, 10);
-    let xc_rand = run_set(&xclean, &rand, 10);
+    let se_rand = run_set(&se1, &rand, 10, 1);
+    let xc_rand = run_set(&xclean, &rand, 10, 1);
     assert!(
         xc_rand.mrr > se_rand.mrr,
         "XClean {} vs SE {} on RAND",
@@ -120,7 +120,7 @@ fn slca_semantics_works_on_dblp() {
     )
     .with_semantics(Semantics::Slca);
     let sys = XCleanSuggester::new(&slca_engine);
-    let r = run_set(&sys, &set, 10);
+    let r = run_set(&sys, &set, 10, 1);
     assert!(r.mrr > 0.5, "SLCA MRR {}", r.mrr);
 }
 
@@ -131,7 +131,7 @@ fn clean_queries_survive() {
     let engine = dblp_engine();
     let set = workload(&engine, Perturbation::Clean, 30);
     let sys = XCleanSuggester::new(&engine);
-    let r = run_set(&sys, &set, 10);
+    let r = run_set(&sys, &set, 10, 1);
     assert!(r.mrr > 0.55, "CLEAN MRR {}", r.mrr);
     // The paper's own DBLP-CLEAN MRR is 0.78 — XClean legitimately ranks
     // other valid queries above the original sometimes, so the bar here
