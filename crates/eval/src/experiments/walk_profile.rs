@@ -4,9 +4,10 @@
 //! the `xbench` pool) and prints, per decile of queries ordered by walk
 //! time, what the walk was given (slots, variants, postings) and what it
 //! did with it (the share of queries that took the scan path, the postings
-//! they read one at a time and the share of their postings the level
-//! table's kept bitmaps covered, subtrees visited and passed, nanoseconds
-//! per subtree), then the distance histogram of merged-list member moves.
+//! of members marked from the level table's kept entity lists and the
+//! share of their postings its kept bitmaps covered, subtrees visited and
+//! passed, nanoseconds per subtree), then the distance histogram of
+//! merged-list member moves.
 //! Both walk paths, and both ways the scan marks a member, must be in use —
 //! the run panics otherwise, so CI's smoke run keeps all of them on trial.
 //!
@@ -40,7 +41,7 @@ struct Profile {
     slots: usize,
     variants: usize,
     postings: usize,
-    /// Postings the scan path read one at a time (0 when the query
+    /// Postings the scan path marked from kept lists (0 when the query
     /// leapfrogged).
     scanned: u64,
     /// Postings the scan path covered with kept bitmaps.
@@ -105,7 +106,7 @@ fn skip_to(members: &mut [Member<'_>], target: NodeId, moves: &mut Moves) {
 /// distance of every member move (a `next()` moves one posting, a
 /// `skip_to` as many as it jumps). `passed` are the subtrees the walk
 /// handed to the scorer; with `scan` the replay follows the scan path —
-/// every member list marked once, by its kept bitmap or posting by posting,
+/// every member list marked once, by its kept bitmap or its kept list,
 /// then each passed subtree collected — otherwise the leapfrog. Returns the
 /// posting I/O it performed, which must equal the engine's own counters.
 fn member_moves(

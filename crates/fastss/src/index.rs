@@ -329,8 +329,10 @@ impl VariantIndex {
     /// cache miss on a table of tens of megabytes and none depends on
     /// another, so the processor overlaps them; probing key by key would
     /// wait for each run before computing where the next one starts. The
-    /// runs are then walked twice over lines that pass brought in — to
-    /// count, then to fill a vector allocated once at that size.
+    /// runs are then walked once, over lines that pass brought in, into a
+    /// buffer on the stack ([`ONE_WALK`] ids), which becomes a vector
+    /// allocated once at its size. Only runs holding more ids than that
+    /// are walked twice — to count, then to fill.
     pub fn candidates(&self, keys: &[u64]) -> Vec<VariantMatch> {
         let table = &self.table;
         let homes = keys
@@ -339,6 +341,27 @@ impl VariantIndex {
         if homes == 0 {
             return Vec::new();
         }
+        let mut found = [0u32; ONE_WALK];
+        let mut len = 0;
+        for &key in keys {
+            for word in table.ids(key) {
+                let Some(at) = found.get_mut(len) else {
+                    return self.counted_candidates(keys);
+                };
+                *at = word;
+                len += 1;
+            }
+        }
+        found[..len]
+            .iter()
+            .map(|&word| VariantMatch { word, distance: 0 })
+            .collect()
+    }
+
+    /// [`Self::candidates`] for runs past [`ONE_WALK`] ids: walked twice,
+    /// to count, then to fill a vector allocated once at that size.
+    fn counted_candidates(&self, keys: &[u64]) -> Vec<VariantMatch> {
+        let table = &self.table;
         let found = keys.iter().map(|&key| table.ids(key).count()).sum();
         let mut matches = Vec::with_capacity(found);
         for &key in keys {
@@ -353,10 +376,11 @@ impl VariantIndex {
 
     /// Third batch: reduces `matches` to the distinct words within
     /// `max_ed` of `query`, exact distances filled in, sorted by
-    /// (distance, word id).
+    /// (distance, word id). Repeated ids are dropped through a set on the
+    /// stack ([`DISTINCT_SLOTS`]); more candidates than half its slots are
+    /// sorted by id and de-duplicated instead.
     pub fn verify(&self, query: &[char], max_ed: usize, matches: &mut Vec<VariantMatch>) {
-        matches.sort_unstable_by_key(|m| m.word);
-        matches.dedup_by_key(|m| m.word);
+        distinct(matches);
         // As with the home slots: each candidate's offset and text are
         // two dependent misses, independent of the next candidate's.
         let text = self.text.as_bytes();
@@ -377,6 +401,43 @@ impl VariantIndex {
         });
         matches.sort_unstable_by_key(|m| (m.distance, m.word));
     }
+}
+
+/// Candidate ids [`VariantIndex::candidates`] collects on the stack in one
+/// walk of the probe runs; more are counted first, then collected.
+pub const ONE_WALK: usize = 1024;
+
+/// Slots of the set [`distinct`] keeps on the stack: a power of two, at
+/// most half of them filled.
+const DISTINCT_SLOTS: usize = 1024;
+
+/// Drops repeated words from `matches`. Up to [`DISTINCT_SLOTS`] / 2
+/// candidates, the first of each word stays where it was; past that, they
+/// are sorted by word and de-duplicated.
+fn distinct(matches: &mut Vec<VariantMatch>) {
+    if matches.len() > DISTINCT_SLOTS / 2 {
+        matches.sort_unstable_by_key(|m| m.word);
+        matches.dedup_by_key(|m| m.word);
+        return;
+    }
+    // A slot holds word + 1 (ids stay below `u32::MAX`, see `build`), 0
+    // when empty; the home is the top bits of a Fibonacci hash.
+    let mut set = [0u32; DISTINCT_SLOTS];
+    let shift = 32 - DISTINCT_SLOTS.trailing_zeros();
+    matches.retain(|m| {
+        let held = m.word + 1;
+        let mut at = (m.word.wrapping_mul(0x9E37_79B9) >> shift) as usize;
+        loop {
+            match set[at] {
+                0 => {
+                    set[at] = held;
+                    return true;
+                }
+                slot if slot == held => return false,
+                _ => at = (at + 1) % DISTINCT_SLOTS,
+            }
+        }
+    });
 }
 
 /// `(start, len)` spans of the deterministic segmentation of a word of
@@ -562,6 +623,44 @@ mod tests {
         let hits = idx.query("");
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].distance, 2);
+    }
+
+    /// Every three-letter word over twelve letters: a keyword's one-letter
+    /// deletion signatures each find hundreds of words, so the runs of
+    /// `abc` overflow the one-walk buffer and its distinct candidates the
+    /// set on the stack. Either fallback answers what the naive scan does.
+    #[test]
+    fn runs_past_the_one_walk_buffer_fall_back_to_counting() {
+        let letters = "abcdefghijkl";
+        let mut vocab = Vec::new();
+        for x in letters.chars() {
+            for y in letters.chars() {
+                for z in letters.chars() {
+                    vocab.push(format!("{x}{y}{z}"));
+                }
+            }
+        }
+        let idx = VariantIndex::build(&vocab, VariantIndexConfig::default());
+        let naive = NaiveVariantFinder::new(&vocab);
+        let raw = idx.candidates(&idx.probe_keys(&['a', 'b', 'c'], 2));
+        let mut distinct = raw.clone();
+        distinct.sort_unstable_by_key(|m| m.word);
+        distinct.dedup();
+        assert!(raw.len() > ONE_WALK, "{} candidates", raw.len());
+        assert!(
+            distinct.len() > DISTINCT_SLOTS / 2,
+            "{} distinct",
+            distinct.len()
+        );
+        for q in ["abc", "aaa", "ab", "abcd", "xyz", "", "a"] {
+            for max_ed in 0..=3 {
+                assert_eq!(
+                    idx.query_within(q, max_ed),
+                    naive.query(q, max_ed.min(2)),
+                    "{q:?} {max_ed}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -754,6 +853,25 @@ mod prop {
                     prop_assert_eq!(idx.query_within(q, max_ed), naive.query(q, max_ed.min(2)));
                 }
             }
+        }
+
+        /// De-duplication keeps one candidate per word, the first one in
+        /// place up to half the set's slots — whichever ids share a home.
+        #[test]
+        fn distinct_keeps_one_candidate_per_word(
+            ids in proptest::collection::vec(0u32..1500, 0..700),
+        ) {
+            let mut matches: Vec<VariantMatch> =
+                ids.iter().map(|&word| VariantMatch { word, distance: 0 }).collect();
+            distinct(&mut matches);
+            let mut expect = ids.clone();
+            let mut seen = std::collections::BTreeSet::new();
+            expect.retain(|&id| seen.insert(id));
+            if ids.len() > DISTINCT_SLOTS / 2 {
+                expect.sort_unstable();
+            }
+            let words: Vec<u32> = matches.iter().map(|m| m.word).collect();
+            prop_assert_eq!(words, expect);
         }
 
         /// Whatever is inserted, under keys made to share homes and

@@ -350,6 +350,16 @@ impl CorpusIndex {
             .entity_bitmap(token, || self.postings(token).nodes())
     }
 
+    /// The entity list of `token` over [`Self::level`]`(depth)`: the
+    /// positions of the subtrees holding its postings, increasing, then
+    /// `len()` when a posting is shallower (see [`crate::level`]). Built
+    /// from the posting list on the first request and kept; empty over an
+    /// empty table.
+    pub fn entity_positions(&self, depth: u32, token: TokenId) -> &[u32] {
+        self.level(depth)
+            .entity_positions(token, || self.postings(token).nodes())
+    }
+
     /// Length (in indexed tokens) of the node's *direct* text only (`|t|`
     /// when each element is treated as its own document, as the PY08
     /// baseline does). O(1).

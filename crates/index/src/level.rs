@@ -11,21 +11,23 @@
 //!
 //! The leapfrog walk reads the table through one cursor primitive,
 //! [`LevelTable::seek`]: its anchors only ever grow, so each lookup gallops
-//! forward from the previous one. The scan walk reads one more column, the
-//! per-node `position`: per corpus node, the position of the subtree
-//! holding it. [`LevelTable::mark`] sets a bitmap's bits through it — one
-//! load per posting, in document order within a list.
-//! [`CorpusIndex::level`] builds a depth's table on first request and keeps
-//! it for the corpus's lifetime.
+//! forward from the previous one. [`CorpusIndex::level`] builds a depth's
+//! table on first request and keeps it for the corpus's lifetime.
 //!
-//! A term's *entity bitmap* at a depth — one bit per subtree holding one of
-//! its postings, plus the bit past the last position for postings shallower
-//! than the table — is a pure function of the corpus, so the table keeps it
-//! for every term whose list is at least as long as the bitmap has words
-//! (`POSTINGS_PER_WORD`). Those terms are chosen from the vocabulary's
-//! `df` when the table is built, so no list is decoded early; each bitmap
-//! is filled by [`LevelTable::mark`] on its first request
-//! ([`CorpusIndex::entity_bitmap`]) and read without a lock after that.
+//! The scan walk reads what the table keeps per term instead. A term's
+//! *entity set* at a depth — the subtrees holding one of its postings, plus
+//! the one past the last position for postings shallower than the table —
+//! is a pure function of the corpus, so the table keeps it in one of two
+//! forms. A term whose list is at least as long as a bitmap has words
+//! (`POSTINGS_PER_WORD`) keeps its *entity bitmap*; those terms are chosen
+//! from the vocabulary's `df` when the table is built, so no list is
+//! decoded early. Every other term keeps its *entity list*: the set's
+//! positions, increasing, the sentinel [`LevelTable::len`] last. Both are
+//! filled on their first request ([`CorpusIndex::entity_bitmap`],
+//! [`CorpusIndex::entity_positions`]) by one pass over the term's postings
+//! through the per-node `position` column — the position of the subtree
+//! holding each corpus node — and read without a lock after that, so no
+//! query loads through that column.
 
 use std::sync::OnceLock;
 
@@ -71,13 +73,16 @@ pub struct LevelTable {
     frequent: Box<[TokenId]>,
     /// The entity bitmap of `frequent[i]`, built on its first request.
     bitmaps: Box<[OnceLock<Box<[u64]>>]>,
+    /// Per token of the corpus: its entity list, built on its first
+    /// request. Empty when the table is.
+    lists: Box<[OnceLock<Box<[u32]>>]>,
 }
 
 impl LevelTable {
     /// Collects the depth-`depth` nodes of `corpus`. Hops from each one to
     /// the end of its subtree, so only nodes at most that deep are visited;
-    /// then fills the per-node column from the extents and picks the terms
-    /// that keep a bitmap by their `df`.
+    /// then fills the per-node column from the extents, picks the terms
+    /// that keep a bitmap by their `df` and sets up one list cell a token.
     pub(crate) fn build(corpus: &CorpusIndex, depth: u32) -> LevelTable {
         let tree = corpus.tree();
         let mut table = LevelTable::default();
@@ -113,6 +118,7 @@ impl LevelTable {
             let tokens = (0..vocab.len() as u32).map(TokenId);
             table.frequent = tokens.filter(|&t| vocab.df(t) >= min_df).collect();
             table.bitmaps = table.frequent.iter().map(|_| OnceLock::new()).collect();
+            table.lists = (0..vocab.len()).map(|_| OnceLock::new()).collect();
         }
         table
     }
@@ -135,21 +141,51 @@ impl LevelTable {
         let i = self.frequent.binary_search(&token).ok()?;
         let bitmap = self.bitmaps[i].get_or_init(|| {
             let mut bits = vec![0u64; self.words()];
-            self.mark(&mut bits, nodes());
+            for pos in self.holding(nodes()) {
+                bits[pos as usize / 64] |= 1 << (pos % 64);
+            }
             bits.into_boxed_slice()
         });
         Some(bitmap)
     }
 
-    /// Sets in `bits` (at least [`Self::words`] long) the bit of the subtree
-    /// holding each of `nodes`, through the per-node column — or the bit
-    /// past the last position for a node shallower than the table.
-    #[inline]
-    pub fn mark(&self, bits: &mut [u64], nodes: &[NodeId]) {
-        for n in nodes {
-            let pos = self.position[n.index()] as usize;
-            bits[pos / 64] |= 1 << (pos % 64);
-        }
+    /// The entity list of `token` (see the module docs), filling it from
+    /// `nodes()` — the token's posting nodes in this table's corpus — on
+    /// the first request. Empty over an empty table.
+    pub(crate) fn entity_positions<'n>(
+        &self,
+        token: TokenId,
+        nodes: impl FnOnce() -> &'n [NodeId],
+    ) -> &[u32] {
+        let Some(cell) = self.lists.get(token.index()) else {
+            return &[];
+        };
+        cell.get_or_init(|| {
+            let outside = self.len() as u32;
+            let mut list: Vec<u32> = Vec::new();
+            let mut shallow = false;
+            // Nodes in document order hold non-decreasing positions, but
+            // for the sentinel, which a shallow node between two entities
+            // can interleave.
+            for pos in self.holding(nodes()) {
+                if pos == outside {
+                    shallow = true;
+                } else if list.last() != Some(&pos) {
+                    list.push(pos);
+                }
+            }
+            if shallow {
+                list.push(outside);
+            }
+            list.into_boxed_slice()
+        })
+    }
+
+    /// Per node of `nodes`: the position of the subtree holding it, through
+    /// the per-node column, or [`Self::len`] for a node shallower than the
+    /// table.
+    fn holding<'a>(&'a self, nodes: &'a [NodeId]) -> impl Iterator<Item = u32> + 'a {
+        nodes.iter().map(|n| self.position[n.index()])
     }
 
     /// Number of subtrees at this depth.
@@ -209,11 +245,20 @@ mod tests {
     use super::*;
     use xclean_xmltree::parse_document;
 
+    /// Position of the subtree of `table` holding `node`, looked up from
+    /// the front, or `len()` for a node shallower than the table.
+    pub(super) fn locate_position(table: &LevelTable, node: NodeId) -> usize {
+        let pos = table.seek(0, node);
+        match table.extent(pos) {
+            Some((root, _)) if root <= node => pos,
+            _ => table.len(),
+        }
+    }
+
     /// The subtree of `table` holding `node`, looked up from the front.
     pub(super) fn locate(table: &LevelTable, node: NodeId) -> Option<LevelEntry> {
-        let pos = table.seek(0, node);
-        let (root, _) = table.extent(pos)?;
-        (root <= node).then(|| table.entry(pos))
+        let pos = locate_position(table, node);
+        (pos < table.len()).then(|| table.entry(pos))
     }
 
     #[test]
@@ -283,10 +328,14 @@ mod tests {
         // Bits 0, 64 and 129, and 130 for the root's text.
         let expect = [1, 1, 1 << 1 | 1 << 2];
         assert_eq!(c.entity_bitmap(2, token("often")), Some(&expect[..]));
+        // Every term keeps its list: the root's text is the sentinel 130.
+        assert_eq!(c.entity_positions(2, token("twice")), [0, 64]);
+        assert_eq!(c.entity_positions(2, token("often")), [0, 64, 129, 130]);
         // At depth 1 the one-word bitmap is kept for every term.
         assert_eq!(c.entity_bitmap(1, token("twice")), Some(&[1][..]));
         // Nothing is kept over an empty table.
         assert_eq!(c.entity_bitmap(3, token("often")), None);
+        assert_eq!(c.entity_positions(3, token("often")), []);
     }
 
     #[test]
@@ -308,7 +357,7 @@ mod tests {
 
 #[cfg(test)]
 mod prop {
-    use super::tests::locate;
+    use super::tests::{locate, locate_position};
     use super::*;
     use proptest::prelude::*;
     use xclean_xmltree::TreeBuilder;
@@ -384,22 +433,32 @@ mod prop {
                         prop_assert_eq!(table.seek(table.seek(0, m), n), direct);
                     }
                 }
-                // A term keeps its bitmap exactly when its list is at least
-                // as long as the bitmap has words, and the kept bitmap is
-                // the one its postings set through the per-node column,
-                // the bit past the last position included.
+                // Per term, the bitmap one bit per posting sets, each bit
+                // found by a lookup from the front — the one past the last
+                // position for a posting shallower than the table.
+                // A term keeps that bitmap exactly when its list is at least
+                // as long as the bitmap has words; every term keeps that
+                // bitmap's set bits, increasing, as its entity list.
                 for t in (0..corpus.vocab().len() as u32).map(TokenId) {
                     let nodes = corpus.postings(t).nodes();
+                    let mut marked = vec![0u64; table.words()];
+                    for &n in nodes {
+                        let pos = locate_position(table, n);
+                        marked[pos / 64] |= 1 << (pos % 64);
+                    }
+                    let is_set = |pos: &u32| marked[*pos as usize / 64] >> (pos % 64) & 1 == 1;
+                    let set: Vec<u32> = match table.is_empty() {
+                        true => Vec::new(),
+                        false => (0..=table.len() as u32).filter(is_set).collect(),
+                    };
+                    let list = corpus.entity_positions(d, t);
+                    prop_assert_eq!(list, &set[..], "depth {} token {:?}", d, t);
+                    prop_assert!(std::ptr::eq(list, corpus.entity_positions(d, t)));
                     let keeps = !table.is_empty() && nodes.len() >= table.words();
                     let kept = corpus.entity_bitmap(d, t);
                     prop_assert_eq!(kept.is_some(), keeps, "depth {} token {:?}", d, t);
                     let Some(kept) = kept else { continue };
-                    let mut bits = vec![0u64; table.words()];
-                    for n in nodes {
-                        let pos = positions[n.index()] as usize;
-                        bits[pos / 64] |= 1 << (pos % 64);
-                    }
-                    prop_assert_eq!(kept, &bits[..], "depth {} token {:?}", d, t);
+                    prop_assert_eq!(kept, &marked[..], "depth {} token {:?}", d, t);
                     prop_assert!(std::ptr::eq(kept, corpus.entity_bitmap(d, t).unwrap()));
                 }
             }

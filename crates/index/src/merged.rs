@@ -35,9 +35,9 @@ pub struct AccessStats {
     pub skipped: u64,
     /// Number of `skip_to` calls.
     pub skip_calls: u64,
-    /// Node ids read one at a time off the member lists' node columns,
-    /// outside any cursor — the walk's scan path counts these; a
-    /// `MergedList` never does.
+    /// Postings of the scan path's members whose entity list the level
+    /// table keeps: marked a listed subtree at a time, outside any cursor
+    /// — the walk's scan path counts these; a `MergedList` never does.
     pub scanned: u64,
     /// Postings of the scan path's members whose entity bitmap the level
     /// table keeps: OR-ed in a word at a time, never read one by one.

@@ -130,6 +130,21 @@ impl<'a> Scoring<'a> {
         self.corpus.entity_bitmap(depth, local)
     }
 
+    /// The depth-`depth` entity list of a (global) token within this
+    /// view's tree, in local positions ([`CorpusIndex::entity_positions`],
+    /// under the shard's local id); empty for a token absent from a shard.
+    #[inline]
+    pub(crate) fn entity_positions(&self, depth: u32, token: TokenId) -> &'a [u32] {
+        let local = match &self.scope {
+            None => token,
+            Some(s) => match s.to_local_token[token.index()] {
+                ABSENT_TOKEN => return &[],
+                local => TokenId(local),
+            },
+        };
+        self.corpus.entity_positions(depth, local)
+    }
+
     /// The background language model: whole-collection statistics in both
     /// views, so smoothing is bit-identical (see
     /// [`LanguageModel::from_vocab`]).

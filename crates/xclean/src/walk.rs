@@ -16,12 +16,13 @@
 //! leapfrog above, which visits subtrees and skips over the failing ones,
 //! or — when every slot holds a fair share of the postings, so there is
 //! little to skip — a scan that marks each slot's subtrees in a bitmap and
-//! ANDs the bitmaps. A slot's bitmap is the OR of its variants': the level
-//! table keeps a frequent term's bitmap and the scan ORs its words; a
-//! lighter term's postings set their bits one at a time through the table's
-//! per-node column. Either way the same bits are set, and both paths collect
-//! a passing subtree's occurrences with the same helper, so `on_subtree`
-//! sees the same sequence either way (DESIGN.md §15, item 5).
+//! ANDs the bitmaps. A slot's bitmap is the OR of its variants' entity sets,
+//! which the level table keeps per term: a frequent term's bitmap, whose
+//! words the scan ORs, and every other term's list of positions, whose bits
+//! it sets one entity at a time. Either way the same bits are set as one
+//! per posting would set, and both paths collect a passing subtree's
+//! occurrences with the same helper, so `on_subtree` sees the same sequence
+//! either way (DESIGN.md §15, item 5).
 
 use xclean_index::{AccessStats, CorpusIndex, LevelEntry, LevelTable, MergedList, TokenId};
 use xclean_xmltree::NodeId;
@@ -47,7 +48,7 @@ pub(crate) enum WalkPath {
     /// Anchor, gate, `skip_to`: visits subtrees and skips the failing ones.
     Leapfrog,
     /// One bitmap per slot over the level table's positions, ANDed: reads
-    /// every posting once.
+    /// every variant's kept entity set once.
     Scan,
 }
 
@@ -93,8 +94,8 @@ pub(crate) struct EntityBitmaps {
 impl EntityBitmaps {
     /// Sets the bits of the subtrees of `view`'s depth-`depth` table in
     /// which every slot has a posting: per slot, the OR of its variants'
-    /// entity bitmaps — the one the table keeps for a frequent term, else
-    /// one bit set per posting through the per-node column. Counts the
+    /// entity sets — the bitmap the table keeps for a frequent term, else
+    /// one bit set per position of the term's kept list. Counts the
     /// postings of each kind in `access` (`cached`, `scanned`).
     fn mark(
         &mut self,
@@ -117,17 +118,19 @@ impl EntityBitmaps {
             bits.clear();
             bits.resize(level.words(), 0);
             for v in &slot.variants {
-                let nodes = view.postings(v.token).nodes();
+                let postings = view.postings(v.token).len() as u64;
                 match view.entity_bitmap(depth, v.token) {
                     Some(kept) => {
-                        access.cached += nodes.len() as u64;
+                        access.cached += postings;
                         for (word, &kept) in bits.iter_mut().zip(kept) {
                             *word |= kept;
                         }
                     }
                     None => {
-                        access.scanned += nodes.len() as u64;
-                        level.mark(bits, nodes);
+                        access.scanned += postings;
+                        for &pos in view.entity_positions(depth, v.token) {
+                            bits[pos as usize / 64] |= 1 << (pos % 64);
+                        }
                     }
                 }
             }

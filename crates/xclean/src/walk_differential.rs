@@ -10,8 +10,8 @@
 //! slot sets, at every gate depth, over one corpus and under 2- and 3-way
 //! shard scopes, where each shard picks its path from its own lists. The
 //! scan's bitmaps come two ways — kept by the level table for a frequent
-//! term, set posting by posting for the rest — and one fixed corpus makes a
-//! slot mix both.
+//! term, set from the table's kept entity list for the rest — and one fixed
+//! corpus makes a slot mix both.
 
 use proptest::prelude::*;
 use xclean_index::{partition_corpus, AccessStats, CorpusIndex, LevelEntry, TokenId};
@@ -154,6 +154,41 @@ fn assert_one_stream(
     Ok(scanned)
 }
 
+/// A view's kept entity lists at `depth` are in its own positions: per
+/// global token below `vocab`, the subtrees of the view's level table
+/// holding the token's postings in the view, each found by a lookup from
+/// the front, then the sentinel `len()` for a shallower posting — so empty
+/// for a token the view's shard does not hold.
+fn assert_kept_lists(view: &Scoring<'_>, vocab: usize, depth: u32) -> Result<(), String> {
+    let level = view.level(depth);
+    for t in (0..vocab as u32).map(TokenId) {
+        let mut expect: Vec<u32> = Vec::new();
+        let mut shallow = false;
+        for &n in view.postings(t).nodes() {
+            let pos = level.seek(0, n);
+            match level.extent(pos) {
+                Some((root, _)) if root <= n => expect.push(pos as u32),
+                _ => shallow = true,
+            }
+        }
+        expect.dedup();
+        if shallow {
+            expect.push(level.len() as u32);
+        }
+        if level.is_empty() {
+            expect.clear();
+        }
+        prop_assert_eq!(
+            view.entity_positions(depth, t),
+            &expect[..],
+            "depth {} token {:?}",
+            depth,
+            t
+        );
+    }
+    Ok(())
+}
+
 /// One ranked candidate: tokens, score bits, distances, result type and
 /// entity count.
 type Answer = (Vec<TokenId>, u64, Vec<u32>, PathId, u64);
@@ -208,8 +243,9 @@ fn run(
 /// bitmap. Here 300 publications make the bitmaps at depths 2 and 3 five
 /// words long, so `alpha` (every publication's leaf, and every tenth
 /// publication's own text, above the depth-3 gate) and `charlie` (every
-/// third) keep theirs while `bravo` and `delta` (two each) are read posting
-/// by posting — within one slot each, over one corpus and per shard.
+/// third) keep theirs while `bravo` and `delta` (two each) set their bits
+/// from their kept lists — within one slot each, over one corpus and per
+/// shard.
 #[test]
 fn one_slot_mixes_kept_and_read_bitmaps() -> Result<(), String> {
     let mut b = TreeBuilder::new("r");
@@ -289,6 +325,7 @@ fn one_slot_mixes_kept_and_read_bitmaps() -> Result<(), String> {
     let mut access = AccessStats::default();
     for view in &views {
         access += assert_one_stream(view, &slots, &config, &mut bitmaps)?.access;
+        assert_kept_lists(view, corpus.vocab().len(), 3)?;
     }
     prop_assert!(access.scanned > 0 && access.cached > 0, "{:?}", access);
     for gamma in GAMMAS {
@@ -352,8 +389,9 @@ proptest! {
     }
 
     /// Under 2- and 3-way shard scopes every shard view emits one stream
-    /// on either path — tokens absent from a shard included — and the
-    /// scatter-gather ranks the same answers.
+    /// on either path — tokens absent from a shard included — keeps its
+    /// entity lists in its own positions, and the scatter-gather ranks the
+    /// same answers.
     #[test]
     fn both_paths_emit_one_stream_per_shard(
         shape in proptest::collection::vec(0u8..60, 0..70),
@@ -379,6 +417,7 @@ proptest! {
                 let config = XCleanConfig { min_depth, ..XCleanConfig::default() };
                 for view in &views {
                     assert_one_stream(view, &slots, &config, &mut bitmaps)?;
+                    assert_kept_lists(view, vocab, min_depth)?;
                 }
                 if min_depth < 2 {
                     continue;

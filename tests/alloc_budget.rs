@@ -11,8 +11,9 @@
 //! suggestion count whose leapfrog visits a handful of subtrees — with an
 //! unbounded γ-table and under a γ that evicts. The scan's per-query
 //! bitmaps live in the pooled arena, like every other walk buffer; the
-//! bitmaps the level table keeps for frequent terms belong to the table and
-//! are built by the warm-up's first use of each.
+//! bitmaps the level table keeps for frequent terms and the entity lists it
+//! keeps for the rest belong to the table and are built by the warm-up's
+//! first use of each.
 //!
 //! The gate's level table (DESIGN.md §15) is part of that warm state from
 //! the start: the engine constructor builds it, so not even the first
@@ -31,6 +32,8 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xclean_suite::datagen::{generate_dblp, DblpConfig};
+use xclean_suite::fastss::index::ONE_WALK;
+use xclean_suite::fastss::{VariantIndex, VariantIndexConfig};
 use xclean_suite::index::{CorpusIndex, TokenId};
 use xclean_suite::xclean::{SuggestResponse, XCleanConfig, XCleanEngine};
 use xclean_suite::xmltree::NodeId;
@@ -175,9 +178,10 @@ fn level_tables_are_built_by_the_constructor() {
 /// `make_slots` over one keyword at a time allocates four times — the
 /// slot vector, the keyword's copy, the lookup's key scratch, the
 /// variants — for a 3-letter word with seven keys and dozens of
-/// candidates as for a 14-letter word with 121 keys or a word long
-/// enough for the segment probes; three times when no probed slot is
-/// occupied and there is nothing to verify.
+/// candidates as for a 14-letter word with 121 keys, a word long enough
+/// for the segment probes, or a word whose probe runs hold more ids than
+/// the lookup's one walk collects on the stack; three times when no
+/// probed slot is occupied and there is nothing to verify.
 fn slot_allocations_do_not_grow_with_probes_or_candidates(engine: &XCleanEngine) {
     let vocab = engine.corpus().vocab();
     let lowercase = |t: &&str| t.bytes().all(|b| b.is_ascii_lowercase());
@@ -194,6 +198,29 @@ fn slot_allocations_do_not_grow_with_probes_or_candidates(engine: &XCleanEngine)
     // Past the partition threshold: segment keys as well.
     keywords.push("internationalisation".to_string());
     keywords.push("zzzzzzzzzzzzzzzzzzzzzzzz".to_string());
+    // The first term whose runs overflow the one-walk buffer: its lookup
+    // counts, then fills.
+    let config = engine.config();
+    let terms: Vec<&str> = vocab.iter_terms().collect();
+    let index = VariantIndex::build(
+        &terms,
+        VariantIndexConfig {
+            epsilon: config.epsilon,
+            partition_threshold: config.partition_threshold,
+        },
+    );
+    let overflows = terms.iter().find(|t| {
+        let query: Vec<char> = t.chars().collect();
+        index
+            .candidates(&index.probe_keys(&query, config.epsilon))
+            .len()
+            > ONE_WALK
+    });
+    keywords.push(
+        overflows
+            .expect("a term past the one-walk buffer")
+            .to_string(),
+    );
     let mut variants = Vec::new();
     for keyword in keywords {
         let query = [keyword];
@@ -238,7 +265,7 @@ fn hot_path_allocations_do_not_grow_with_the_work_walked() {
         );
         assert_eq!(engine.config().num_threads, 1);
         let (heavy, light) = heavy_and_light(&engine);
-        // Warm: decode posting lists, build the kept entity bitmaps, grow
+        // Warm: decode posting lists, build the kept entity sets, grow
         // the pooled arena to the heavy query's needs, resolve metric
         // handles.
         for _ in 0..2 {
