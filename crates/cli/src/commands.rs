@@ -388,7 +388,7 @@ fn cmd_index_inspect(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     lines.push("sections".to_string());
     for sec in &s.sections {
         lines.push(format!(
-            "  {:<10} {:>12} B ({:.1}%)",
+            "  {:<14} {:>12} B ({:.1}%)",
             sec.name,
             sec.bytes,
             100.0 * sec.bytes as f64 / (s.total_bytes as f64).max(1.0)
@@ -486,6 +486,7 @@ fn tuning_from_args(args: &Args) -> Result<(XCleanConfig, Semantics), ArgError> 
         "elca" => Semantics::Elca,
         other => return Err(ArgError(format!("unknown semantics {other:?}"))),
     };
+    config.check().map_err(|m| ArgError(m.to_string()))?;
     Ok((config, semantics))
 }
 
@@ -1331,6 +1332,27 @@ mod tests {
         assert!(out.lines[0].contains("--batch"), "{:?}", out.lines);
         let out = run(argv(&["suggest", &xml, "helth", "--threads", "0"]));
         assert_eq!(out.code, 2);
+    }
+
+    /// An out-of-range tuning value is a usage error (exit 2, the reason
+    /// on the first line) from both commands that take tuning flags —
+    /// never the engine constructor's panic.
+    #[test]
+    fn out_of_range_tuning_is_a_usage_error() {
+        let xml = write_sample_xml("bad_tuning.xml");
+        for (flag, value, reason) in [
+            ("--k", "0", "k must be at least 1"),
+            ("--beta", "-1", "β must be non-negative"),
+            ("--min-depth", "0", "min depth must be at least 1"),
+            ("--gamma", "0", "γ must be at least 1"),
+        ] {
+            for mut cmd in [vec!["suggest", &xml, "helth"], vec!["serve", &xml]] {
+                cmd.extend([flag, value]);
+                let out = run(argv(&cmd));
+                assert_eq!(out.code, 2, "{cmd:?}: {:?}", out.lines);
+                assert!(out.lines[0].contains(reason), "{cmd:?}: {:?}", out.lines);
+            }
+        }
     }
 
     #[test]

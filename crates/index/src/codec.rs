@@ -1,12 +1,14 @@
 //! Compact byte encoding of posting lists.
 //!
-//! Lists are serialised with delta + LEB128 varint encoding: node ids are
-//! gap-encoded (document order makes gaps small), Dewey codes share their
-//! common prefix with the previous entry (prefix length + suffix), and
-//! paths/tfs are raw varints. This is the on-disk/wire format of the index
-//! and also what the index-size figures in EXPERIMENTS.md are measured on.
+//! A list is `count; (node gap, tf)*`, every value a LEB128 varint: node
+//! ids are gap-encoded against the previous entry (the first against 0;
+//! document order makes gaps small and positive) and term frequencies are
+//! raw. This is the on-disk format of the index's postings and also what
+//! the index-size figures in EXPERIMENTS.md are measured on. Snapshots
+//! written before this layout carried a label path and a Dewey code per
+//! entry; `storage::v1` reads those.
 
-use xclean_xmltree::{NodeId, PathId};
+use xclean_xmltree::NodeId;
 
 use crate::posting::PostingList;
 
@@ -17,7 +19,7 @@ pub enum CodecError {
     UnexpectedEof,
     /// A varint exceeded the 64-bit range.
     VarintOverflow,
-    /// Structural inconsistency (e.g. prefix longer than previous Dewey).
+    /// Structural inconsistency (e.g. node ids out of document order).
     Corrupt(&'static str),
 }
 
@@ -49,27 +51,11 @@ pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 pub fn encode(list: &PostingList) -> Vec<u8> {
     let mut buf = Vec::new();
     put_varint(&mut buf, list.len() as u64);
-    let mut prev_node = 0u64;
-    let mut prev_dewey: Vec<u32> = Vec::new();
+    let mut prev_node = 0;
     for p in list.iter() {
-        let node = u64::from(p.node.0);
-        put_varint(&mut buf, node - prev_node);
-        prev_node = node;
-        put_varint(&mut buf, u64::from(p.path.0));
+        put_varint(&mut buf, u64::from(p.node.0 - prev_node));
         put_varint(&mut buf, u64::from(p.tf));
-        // Dewey: shared prefix length, suffix length, suffix components.
-        let shared = prev_dewey
-            .iter()
-            .zip(p.dewey.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        put_varint(&mut buf, shared as u64);
-        put_varint(&mut buf, (p.dewey.len() - shared) as u64);
-        for &c in &p.dewey[shared..] {
-            put_varint(&mut buf, u64::from(c));
-        }
-        prev_dewey.clear();
-        prev_dewey.extend_from_slice(p.dewey);
+        prev_node = p.node.0;
     }
     buf
 }
@@ -101,6 +87,11 @@ impl<'a> SliceReader<'a> {
         let &b = self.buf.get(self.pos).ok_or(CodecError::UnexpectedEof)?;
         self.pos += 1;
         Ok(b)
+    }
+
+    /// Reads a varint that must fit a `u32`.
+    pub(crate) fn get_u32(&mut self) -> Result<u32, CodecError> {
+        u32::try_from(self.get_varint()?).map_err(|_| CodecError::VarintOverflow)
     }
 
     /// Skips `n` bytes, erroring (not panicking) past the end.
@@ -185,39 +176,22 @@ fn extract_7bit_groups(word: u64, len: usize) -> u64 {
 
 /// Deserialises a posting list produced by [`encode`]. The entire input
 /// must be consumed — trailing garbage is a corruption error, which keeps
-/// per-token slab ranges honest.
+/// per-token slab ranges honest — and node ids must strictly increase.
 pub fn decode(buf: &[u8]) -> Result<PostingList, CodecError> {
     let mut r = SliceReader::new(buf);
-    let n = get_count(&mut r, 5)?; // ≥5 bytes per entry (5 varints)
+    let n = get_count(&mut r, 2)?; // ≥2 bytes per entry (2 varints)
     let mut list = PostingList::new();
     list.reserve(n); // `get_count` has already bounded `n` by the input size
-
-    let mut prev_node = 0u64;
-    let mut prev_dewey: Vec<u32> = Vec::new();
-    let mut first = true;
-    for _ in 0..n {
-        let gap = r.get_varint()?;
-        let node = if first { gap } else { prev_node + gap };
-        first = false;
-        prev_node = node;
-        let path = r.get_varint()?;
-        let tf = r.get_varint()?;
-        let shared = r.get_varint()? as usize;
-        if shared > prev_dewey.len() {
-            return Err(CodecError::Corrupt("dewey prefix too long"));
+    let mut prev_node = 0u32;
+    for i in 0..n {
+        let gap = r.get_u32()?;
+        if i > 0 && gap == 0 {
+            return Err(CodecError::Corrupt("node ids not strictly increasing"));
         }
-        let suffix_len = get_count(&mut r, 1)?;
-        prev_dewey.truncate(shared);
-        for _ in 0..suffix_len {
-            let c = r.get_varint()?;
-            prev_dewey.push(u32::try_from(c).map_err(|_| CodecError::VarintOverflow)?);
-        }
-        list.push(
-            NodeId(u32::try_from(node).map_err(|_| CodecError::VarintOverflow)?),
-            PathId(u32::try_from(path).map_err(|_| CodecError::VarintOverflow)?),
-            u32::try_from(tf).map_err(|_| CodecError::VarintOverflow)?,
-            &prev_dewey,
-        );
+        prev_node = prev_node
+            .checked_add(gap)
+            .ok_or(CodecError::VarintOverflow)?;
+        list.push(NodeId(prev_node), r.get_u32()?);
     }
     if r.remaining() != 0 {
         return Err(CodecError::Corrupt("trailing bytes after posting list"));
@@ -246,11 +220,32 @@ mod tests {
 
     fn sample() -> PostingList {
         let mut l = PostingList::new();
-        l.push(NodeId(2), PathId(1), 3, &[1, 1, 1]);
-        l.push(NodeId(5), PathId(1), 1, &[1, 1, 2]);
-        l.push(NodeId(130), PathId(4), 7, &[1, 2]);
-        l.push(NodeId(1_000_000), PathId(0), 1, &[1, 300, 5, 6]);
+        l.push(NodeId(2), 3);
+        l.push(NodeId(5), 1);
+        l.push(NodeId(130), 7);
+        l.push(NodeId(1_000_000), 1);
         l
+    }
+
+    #[test]
+    fn layout_is_count_then_gap_tf_pairs() {
+        // The last gap, 1_000_000 - 130 = 999_870, takes three bytes.
+        let expect = [4, 2, 3, 3, 1, 125, 7, 0xBE, 0x83, 0x3D, 1];
+        assert_eq!(encode(&sample()), expect);
+    }
+
+    #[test]
+    fn out_of_order_and_overflowing_nodes_error() {
+        // A second entry with gap 0 repeats a node.
+        assert!(matches!(
+            decode(&[2, 4, 1, 0, 1]),
+            Err(CodecError::Corrupt(_))
+        ));
+        // A gap that carries the node id past u32.
+        let mut bytes = vec![2, 1, 1];
+        put_varint(&mut bytes, u64::from(u32::MAX));
+        bytes.push(1);
+        assert_eq!(decode(&bytes), Err(CodecError::VarintOverflow));
     }
 
     #[test]
@@ -278,11 +273,11 @@ mod tests {
 
     #[test]
     fn encoding_is_compact() {
-        // Dense gaps + shared prefixes should compress far below the naive
-        // 16+ bytes/entry representation.
+        // Dense gaps should compress far below the naive 8 bytes/entry
+        // representation.
         let mut l = PostingList::new();
         for i in 0..1000u32 {
-            l.push(NodeId(i * 2), PathId(3), 1, &[1, 5, i]);
+            l.push(NodeId(i * 2), 1);
         }
         let bytes = encode(&l);
         assert!(
@@ -434,15 +429,11 @@ mod prop {
 
         #[test]
         fn roundtrip_any_list(
-            entries in proptest::collection::btree_map(
-                0u32..100_000,
-                (0u32..50, 1u32..20, proptest::collection::vec(1u32..1000, 1..6)),
-                0..50,
-            )
+            entries in proptest::collection::btree_map(0u32..100_000, 1u32..20, 0..50)
         ) {
             let mut l = PostingList::new();
-            for (node, (path, tf, dewey)) in &entries {
-                l.push(NodeId(*node), PathId(*path), *tf, dewey);
+            for (&node, &tf) in &entries {
+                l.push(NodeId(node), tf);
             }
             prop_assert_eq!(decode(&encode(&l)).unwrap(), l);
         }

@@ -33,7 +33,7 @@ pub struct SnapshotProvenance {
 /// Where posting lists live: materialised vectors, or encoded blobs in a
 /// snapshot slab decoded lazily per token on first access.
 #[derive(Debug)]
-enum PostingStore {
+pub(crate) enum PostingStore {
     Owned(Vec<PostingList>),
     Slab {
         slab: Arc<IndexSlab>,
@@ -44,6 +44,22 @@ enum PostingStore {
 }
 
 impl PostingStore {
+    /// Views `codec::encode` blobs at `ranges` of `slab`, one per token.
+    pub(crate) fn slab(
+        slab: Arc<IndexSlab>,
+        ranges: Vec<Range<usize>>,
+    ) -> Result<Self, &'static str> {
+        if ranges.iter().any(|r| r.start > r.end || r.end > slab.len()) {
+            return Err("posting blob range out of bounds");
+        }
+        let cells = (0..ranges.len()).map(|_| OnceLock::new()).collect();
+        Ok(PostingStore::Slab {
+            slab,
+            ranges,
+            cells,
+        })
+    }
+
     fn len(&self) -> usize {
         match self {
             PostingStore::Owned(lists) => lists.len(),
@@ -153,14 +169,12 @@ impl CorpusIndex {
             }
             let mut items: Vec<(TokenId, u32)> = counts.iter().map(|(&k, &v)| (k, v)).collect();
             items.sort_unstable();
-            let dewey = tree.dewey(n);
-            let path = tree.path(n);
             for (id, tf) in items {
                 vocab.observe_id(id, u64::from(tf));
                 if lists.len() <= id.index() {
                     lists.resize_with(id.index() + 1, PostingList::new);
                 }
-                lists[id.index()].push(n, path, tf, dewey.components());
+                lists[id.index()].push(n, tf);
             }
         }
         lists.resize_with(vocab.len(), PostingList::new);
@@ -221,23 +235,21 @@ impl CorpusIndex {
         }
     }
 
-    /// Assembles an index over a v2 snapshot slab without materialising
-    /// posting lists: `posting_ranges[t]` addresses token `t`'s encoded
-    /// blob inside `slab`, decoded on first access, and `direct[n]` is the
-    /// stored per-node direct token count (the DIRECT section), so no
-    /// posting list needs decoding to derive document lengths.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles an index over a v2 snapshot: `store` holds one posting
+    /// list per token (usually slab blobs decoded on first access), and
+    /// `direct[n]` is the stored per-node direct token count (the DIRECT
+    /// section), so no posting list needs decoding to derive document
+    /// lengths.
     pub(crate) fn from_slab_parts(
         tree: XmlTree,
         vocab: Vocabulary,
-        slab: Arc<IndexSlab>,
-        posting_ranges: Vec<Range<usize>>,
+        store: PostingStore,
         path_stats: PathStatsIndex,
         direct: Vec<u64>,
         tokenizer: Tokenizer,
         provenance: SnapshotProvenance,
     ) -> Result<Self, &'static str> {
-        if posting_ranges.len() != vocab.len() {
+        if store.len() != vocab.len() {
             return Err("one posting blob per vocabulary token required");
         }
         if path_stats.len() != vocab.len() {
@@ -246,25 +258,15 @@ impl CorpusIndex {
         if direct.len() != tree.len() {
             return Err("one direct token count per node required");
         }
-        for r in &posting_ranges {
-            if r.start > r.end || r.end > slab.len() {
-                return Err("posting blob range out of bounds");
-            }
-        }
         if direct.iter().copied().try_fold(0u64, u64::checked_add) != Some(vocab.total_tokens()) {
             return Err("direct token counts disagree with vocabulary total");
         }
         let (token_prefix, path_node_counts, path_doc_len_totals) = derived_tables(&tree, &direct);
         let levels = level_cells(&tree);
-        let cells = (0..posting_ranges.len()).map(|_| OnceLock::new()).collect();
         Ok(CorpusIndex {
             tree,
             vocab,
-            store: PostingStore::Slab {
-                slab,
-                ranges: posting_ranges,
-                cells,
-            },
+            store,
             path_stats,
             token_prefix,
             path_node_counts,
@@ -520,14 +522,24 @@ mod tests {
         }
     }
 
+    /// A posting's Dewey code is its node's, read off the tree: each list
+    /// is in Dewey document order and every entry counts the token in
+    /// that node's own text.
     #[test]
     fn postings_dewey_matches_tree() {
         let c = corpus();
+        let tree = c.tree();
         for t in 0..c.vocab().len() as u32 {
-            for p in c.postings(TokenId(t)).iter() {
-                let d = c.tree().dewey(p.node);
-                assert_eq!(p.dewey, d.components());
-                assert_eq!(p.path, c.tree().path(p.node));
+            let list = c.postings(TokenId(t));
+            let deweys: Vec<_> = list.nodes().iter().map(|&n| tree.dewey(n)).collect();
+            assert!(deweys.windows(2).all(|w| w[0] < w[1]));
+            for p in list.iter() {
+                let text = tree.text(p.node).expect("a posting names a text node");
+                let mut tf = 0;
+                c.tokenizer().for_each_token(text, |w| {
+                    tf += u32::from(c.vocab().get(w) == Some(TokenId(t)));
+                });
+                assert_eq!(p.tf, tf);
             }
         }
     }

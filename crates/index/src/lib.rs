@@ -1,7 +1,7 @@
 //! # xclean-index
 //!
 //! Inverted-index substrate for the XClean reproduction: the vocabulary,
-//! document-order posting lists of `(dewey, label-path, tf)` entries, the
+//! document-order posting lists of `(node, tf)` entries, the
 //! heap-merged [`MergedList`] view with exponential-search `skip_to`
 //! (§V-C of the paper), per-token path statistics `f_w^p` (§V-B), and a
 //! compact varint wire format for posting lists.

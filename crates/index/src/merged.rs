@@ -124,7 +124,8 @@ impl<'a> MergedList<'a> {
     /// (the paper's `cur_pos()`).
     pub fn cur_pos(&self) -> Option<MergedEntry> {
         let c = &self.members[key_member(*self.heap.peek()?)];
-        Some((c.token, c.list.node_at(c.pos), c.list.tf_at(c.pos)))
+        let p = c.list.get(c.pos);
+        Some((c.token, p.node, p.tf))
     }
 
     /// Node id of the head alone — a single heap peek. The anchor walk
@@ -145,7 +146,8 @@ impl<'a> MergedList<'a> {
         let mut top = self.heap.peek_mut()?;
         let i = key_member(*top);
         let c = &mut self.members[i];
-        let entry = (c.token, c.list.node_at(c.pos), c.list.tf_at(c.pos));
+        let p = c.list.get(c.pos);
+        let entry = (c.token, p.node, p.tf);
         c.pos += 1;
         self.stats.read += 1;
         if c.pos < c.list.len() {
@@ -226,12 +228,11 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xclean_xmltree::PathId;
 
     fn pl(nodes: &[u32]) -> PostingList {
         let mut l = PostingList::new();
         for &n in nodes {
-            l.push(NodeId(n), PathId(0), 1, &[n]);
+            l.push(NodeId(n), 1);
         }
         l
     }
@@ -313,7 +314,6 @@ mod tests {
 mod prop {
     use super::*;
     use proptest::prelude::*;
-    use xclean_xmltree::PathId;
 
     /// Naive reference model: the flat sorted `(node, member)` multiset
     /// with a cursor. `MergedList` must behave exactly like this no
@@ -358,7 +358,7 @@ mod prop {
             .map(|s| {
                 let mut l = PostingList::new();
                 for &n in s {
-                    l.push(NodeId(n), PathId(0), 1, &[n]);
+                    l.push(NodeId(n), 1);
                 }
                 l
             })
@@ -480,7 +480,7 @@ mod prop {
                 .map(|s| {
                     let mut l = PostingList::new();
                     for &n in s {
-                        l.push(NodeId(n), PathId(0), 1, &[n]);
+                        l.push(NodeId(n), 1);
                     }
                     l
                 })

@@ -230,8 +230,7 @@ mod tests {
                     lists.push(PostingList::new());
                     terms.len() - 1
                 });
-                let dewey = tree.dewey(n);
-                lists[id].push(n, tree.path(n), tf, dewey.components());
+                lists[id].push(n, tf);
             }
         }
         (terms, lists)

@@ -1,38 +1,28 @@
 //! Posting lists: per-token lists of tree nodes in document order.
 //!
-//! Each entry is the paper's `(dewey, label-path, tf)` tuple (§V-C). The
-//! implementation stores entries in struct-of-arrays form keyed by
-//! [`NodeId`]; because the tree arena is laid out in preorder, node-id
-//! order *is* Dewey document order, so all order comparisons reduce to
-//! integer comparisons (a property pinned by tests in the corpus module).
-//! The Dewey components themselves are kept in a shared arena so they can
-//! be displayed and serialised without re-walking the tree.
+//! The paper's posting is a `(Dewey code, label path, tf)` tuple (§V-C).
+//! Here a posting is `(node, tf)`: the tree arena is laid out in preorder,
+//! so a [`NodeId`] orders exactly as the Dewey code would (a property
+//! pinned by tests in the corpus module) and every order comparison is an
+//! integer one. A node's Dewey code and label path are one call away on
+//! the tree, so the list stores neither.
 
-use xclean_xmltree::{NodeId, PathId};
+use xclean_xmltree::NodeId;
 
 /// One posting: a node whose direct text contains the token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Posting<'a> {
+pub struct Posting {
     /// The node (document-order rank in the tree arena).
     pub node: NodeId,
-    /// The node's label path (type).
-    pub path: PathId,
     /// Term frequency of the token in the node's direct text.
     pub tf: u32,
-    /// Dewey components of the node.
-    pub dewey: &'a [u32],
 }
 
-/// A posting list sorted by document order.
+/// A posting list sorted by document order, as two columns.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PostingList {
     nodes: Vec<NodeId>,
-    paths: Vec<PathId>,
     tfs: Vec<u32>,
-    dewey_buf: Vec<u32>,
-    /// `dewey_ends[i]` is the exclusive end of entry `i`'s components in
-    /// `dewey_buf`; entry `i` starts at `dewey_ends[i-1]` (or 0).
-    dewey_ends: Vec<u32>,
 }
 
 impl PostingList {
@@ -42,27 +32,21 @@ impl PostingList {
     }
 
     /// Pre-allocates room for `n` postings (the decoder knows the entry
-    /// count up front from the length prefix). Dewey components are not
-    /// reserved — their total size is only known after decoding.
+    /// count up front from the length prefix).
     pub fn reserve(&mut self, n: usize) {
         self.nodes.reserve(n);
-        self.paths.reserve(n);
         self.tfs.reserve(n);
-        self.dewey_ends.reserve(n);
     }
 
     /// Appends a posting. Entries must be pushed in strictly increasing
     /// node (document) order.
-    pub fn push(&mut self, node: NodeId, path: PathId, tf: u32, dewey: &[u32]) {
+    pub fn push(&mut self, node: NodeId, tf: u32) {
         debug_assert!(
             self.nodes.last().is_none_or(|&last| last < node),
             "postings must be appended in document order"
         );
         self.nodes.push(node);
-        self.paths.push(path);
         self.tfs.push(tf);
-        self.dewey_buf.extend_from_slice(dewey);
-        self.dewey_ends.push(self.dewey_buf.len() as u32);
     }
 
     /// Number of postings.
@@ -76,29 +60,17 @@ impl PostingList {
     }
 
     /// The `i`-th posting.
-    pub fn get(&self, i: usize) -> Posting<'_> {
-        let start = if i == 0 {
-            0
-        } else {
-            self.dewey_ends[i - 1] as usize
-        };
+    pub fn get(&self, i: usize) -> Posting {
         Posting {
             node: self.nodes[i],
-            path: self.paths[i],
             tf: self.tfs[i],
-            dewey: &self.dewey_buf[start..self.dewey_ends[i] as usize],
         }
     }
 
     /// Node id of the `i`-th posting alone — one column read, for cursor
-    /// code (heap keys, range gates) that does not need the full tuple.
+    /// code (heap keys, range gates) that does not need the term frequency.
     pub fn node_at(&self, i: usize) -> NodeId {
         self.nodes[i]
-    }
-
-    /// Term frequency of the `i`-th posting alone (see [`Self::node_at`]).
-    pub fn tf_at(&self, i: usize) -> u32 {
-        self.tfs[i]
     }
 
     /// Node ids of all postings (document order).
@@ -107,7 +79,7 @@ impl PostingList {
     }
 
     /// Iterates over all postings in document order.
-    pub fn iter(&self) -> impl Iterator<Item = Posting<'_>> {
+    pub fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
 
@@ -118,11 +90,6 @@ impl PostingList {
     /// exponential search", §V-C).
     pub fn skip_from(&self, from: usize, node: NodeId) -> usize {
         gallop(&self.nodes, from, |&x| x < node)
-    }
-
-    /// Total of all term frequencies (diagnostic).
-    pub fn total_tf(&self) -> u64 {
-        self.tfs.iter().map(|&t| t as u64).sum()
     }
 }
 
@@ -156,7 +123,7 @@ mod tests {
     fn pl(nodes: &[u32]) -> PostingList {
         let mut l = PostingList::new();
         for &n in nodes {
-            l.push(NodeId(n), PathId(0), 1, &[1, n]);
+            l.push(NodeId(n), 1);
         }
         l
     }
@@ -164,16 +131,24 @@ mod tests {
     #[test]
     fn push_and_get() {
         let mut l = PostingList::new();
-        l.push(NodeId(3), PathId(7), 2, &[1, 2, 3]);
-        l.push(NodeId(9), PathId(8), 1, &[1, 4]);
+        l.push(NodeId(3), 2);
+        l.push(NodeId(9), 1);
         assert_eq!(l.len(), 2);
-        let p = l.get(0);
-        assert_eq!(p.node, NodeId(3));
-        assert_eq!(p.path, PathId(7));
-        assert_eq!(p.tf, 2);
-        assert_eq!(p.dewey, &[1, 2, 3]);
-        let q = l.get(1);
-        assert_eq!(q.dewey, &[1, 4]);
+        assert_eq!(
+            l.get(0),
+            Posting {
+                node: NodeId(3),
+                tf: 2
+            }
+        );
+        assert_eq!(
+            l.get(1),
+            Posting {
+                node: NodeId(9),
+                tf: 1
+            }
+        );
+        assert_eq!(l.nodes(), &[NodeId(3), NodeId(9)]);
     }
 
     #[test]
@@ -206,8 +181,8 @@ mod tests {
     #[should_panic(expected = "document order")]
     fn out_of_order_push_panics_in_debug() {
         let mut l = PostingList::new();
-        l.push(NodeId(5), PathId(0), 1, &[1]);
-        l.push(NodeId(4), PathId(0), 1, &[1]);
+        l.push(NodeId(5), 1);
+        l.push(NodeId(4), 1);
     }
 }
 
@@ -226,7 +201,7 @@ mod prop {
             let nodes: Vec<u32> = raw.into_iter().collect();
             let mut l = PostingList::new();
             for &n in &nodes {
-                l.push(NodeId(n), PathId(0), 1, &[n]);
+                l.push(NodeId(n), 1);
             }
             let from = if nodes.is_empty() { 0 } else { from_frac % (nodes.len() + 1) };
             let got = l.skip_from(from, NodeId(target));

@@ -7,6 +7,8 @@
 //!   dictionary, and path statistics stay *in* the file bytes (owned or
 //!   memory-mapped via [`IndexSlab`]) and are viewed/decoded lazily, so
 //!   open cost is O(validation). Everything that writes, writes v2.
+//!   A v2 file from before postings became `(node, tf)` keeps them in a
+//!   legacy section that decodes eagerly at open (see [`v2`]).
 //! * **v1** (`XCLIDX1\0`, [`v1`]) — the legacy stream format, read-only:
 //!   loading *replays* tree construction and re-materialises every
 //!   posting list, so open cost is O(corpus). [`upgrade_file`] rewrites
@@ -251,7 +253,8 @@ pub fn open_file(
     ))
 }
 
-/// Rewrites any snapshot as v2 — the engine behind `xclean index upgrade`.
+/// Rewrites any snapshot as v2 in the current posting layout — the engine
+/// behind `xclean index upgrade`.
 pub fn upgrade_file(
     src: impl AsRef<std::path::Path>,
     dst: impl AsRef<std::path::Path>,
@@ -292,6 +295,13 @@ mod tests {
         std::fs::read(fixture("dblp50_v1.xci")).unwrap()
     }
 
+    /// The v2 snapshot of `dblp50.xml` from the last writer that stored a
+    /// label path and a Dewey code in every posting (section
+    /// POSTINGS_DEWEY).
+    fn dblp50_v2_old_layout() -> Vec<u8> {
+        std::fs::read(fixture("dblp50_v2_pr32.xci")).unwrap()
+    }
+
     fn assert_equivalent(a: &CorpusIndex, b: &CorpusIndex) {
         assert_eq!(a.tree().len(), b.tree().len());
         for n in a.tree().iter() {
@@ -322,6 +332,43 @@ mod tests {
         let b = from_bytes(&dblp50_v1()).unwrap();
         assert_equivalent(&a, &b);
         assert!(b.provenance().is_none(), "v1 loads carry no provenance");
+    }
+
+    #[test]
+    fn old_layout_v2_loads_summarizes_and_upgrades_like_a_fresh_build() {
+        let bytes = dblp50_v2_old_layout();
+        // The old layout's pin on the same XML: these are the old bytes.
+        assert_eq!(
+            (crate::slab::checksum64(&bytes), bytes.len()),
+            (0x762b_9c02_966b_8fdf, 18_286)
+        );
+        let (fresh, loaded) = (dblp50(), from_bytes(&bytes).unwrap());
+        assert_equivalent(&fresh, &loaded);
+        assert_eq!(loaded.provenance().unwrap().format_version, 2);
+
+        let s = summarize(&bytes).unwrap();
+        assert_eq!((s.format_version, s.total_bytes), (2, bytes.len()));
+        assert_eq!(s.nodes, fresh.tree().len());
+        assert_eq!(s.labels, fresh.tree().labels().len());
+        assert_eq!(s.terms, fresh.vocab().len());
+        assert_eq!(s.total_tokens, fresh.vocab().total_tokens());
+        let names: Vec<_> = s.sections.iter().map(|x| x.name).collect();
+        assert!(names.contains(&"POSTINGS_DEWEY") && !names.contains(&"POSTINGS"));
+        for cut in (8..bytes.len()).step_by(11) {
+            assert!(from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(summarize(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+
+        let dir = std::env::temp_dir().join("xclean_storage_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let upgraded = dir.join("upgraded_old_layout.xci");
+        upgrade_file(fixture("dblp50_v2_pr32.xci"), &upgraded).unwrap();
+        let new_bytes = std::fs::read(&upgraded).unwrap();
+        assert_eq!(new_bytes, to_bytes_v2(&fresh));
+        let s = summarize(&new_bytes).unwrap();
+        let names: Vec<_> = s.sections.iter().map(|x| x.name).collect();
+        assert!(names.contains(&"POSTINGS") && !names.contains(&"POSTINGS_DEWEY"));
+        std::fs::remove_file(&upgraded).ok();
     }
 
     #[test]

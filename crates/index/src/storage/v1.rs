@@ -1,6 +1,8 @@
 //! Legacy v1 snapshot format (`XCLIDX1\0`), read-only: nothing writes it
 //! any more, but deployed snapshots keep loading and `xclean index
-//! upgrade` rewrites them as v2.
+//! upgrade` rewrites them as v2. Its posting blobs are also the layout of
+//! a v2 file's legacy POSTINGS_DEWEY section, so [`decode_postings`]
+//! reads both.
 //!
 //! Layout (all integers LEB128 varints):
 //!
@@ -9,7 +11,9 @@
 //! TREE    : label table (count, strings); node records in preorder
 //!           (depth, label id, optional text)
 //! VOCAB   : count; per token: term, cf, df
-//! POSTINGS: per token: length-prefixed posting-list codec blob
+//! POSTINGS: per token: length-prefixed legacy posting blob
+//!           count; per entry: node gap, path id, tf, shared Dewey prefix
+//!           length, suffix length, suffix components
 //! TOKENIZER: min_token_len, drop_numbers, drop_stop_words
 //! ```
 //!
@@ -19,9 +23,9 @@
 //! price is that load cost is O(corpus); the v2 format ([`super::v2`])
 //! exists to avoid exactly that.
 
-use xclean_xmltree::{Tokenizer, TokenizerConfig, TreeBuilder, XmlTree};
+use xclean_xmltree::{NodeId, Tokenizer, TokenizerConfig, TreeBuilder, XmlTree};
 
-use crate::codec::{self, get_count, SliceReader};
+use crate::codec::{get_count, CodecError, SliceReader};
 use crate::corpus::CorpusIndex;
 use crate::posting::PostingList;
 use crate::vocab::Vocabulary;
@@ -127,20 +131,52 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CorpusIndex, StorageError> {
     // POSTINGS.
     let mut lists: Vec<PostingList> = Vec::with_capacity(vocab_count);
     for _ in 0..vocab_count {
-        let list = codec::decode(get_blob(&mut r)?)?;
-        // v1 carries no checksum: a damaged posting must not index past
-        // the tree when the derived tables are rebuilt.
-        if list
-            .iter()
-            .any(|p| p.node.index() >= tree.len() || p.path != tree.path(p.node))
-        {
-            return Err(StorageError::Corrupt("posting disagrees with the tree"));
-        }
-        lists.push(list);
+        lists.push(decode_postings(get_blob(&mut r)?, &tree)?);
     }
 
     let tokenizer = Tokenizer::new(get_tokenizer(&mut r)?);
     Ok(CorpusIndex::from_parts(tree, vocab, lists, tokenizer))
+}
+
+/// Reads one legacy `(node gap, path, tf, Dewey prefix + suffix)` posting
+/// blob against the tree it indexes, keeping `(node, tf)`. The path and
+/// the Dewey code are parsed and checked, then dropped: v1 carries no
+/// checksum, so a damaged posting must not index past the tree, name a
+/// path the tree disagrees with, or share more Dewey components than the
+/// previous entry had.
+pub(crate) fn decode_postings(blob: &[u8], tree: &XmlTree) -> Result<PostingList, StorageError> {
+    let mut r = SliceReader::new(blob);
+    let n = get_count(&mut r, 5)?; // ≥5 bytes per entry (5 varints)
+    let mut list = PostingList::new();
+    list.reserve(n);
+    let (mut node, mut dewey_len) = (0u64, 0usize);
+    for i in 0..n {
+        let gap = r.get_varint()?;
+        if i > 0 && gap == 0 {
+            return Err(CodecError::Corrupt("node ids not strictly increasing").into());
+        }
+        node = node.saturating_add(gap);
+        let path = r.get_varint()?;
+        let tf = r.get_u32()?;
+        let shared = r.get_varint()?;
+        if shared > dewey_len as u64 {
+            return Err(CodecError::Corrupt("dewey prefix too long").into());
+        }
+        let suffix = get_count(&mut r, 1)?;
+        for _ in 0..suffix {
+            r.get_u32()?;
+        }
+        dewey_len = shared as usize + suffix;
+        let id = NodeId(node as u32);
+        if node >= tree.len() as u64 || path != u64::from(tree.path(id).0) {
+            return Err(StorageError::Corrupt("posting disagrees with the tree"));
+        }
+        list.push(id, tf);
+    }
+    if r.remaining() != 0 {
+        return Err(CodecError::Corrupt("trailing bytes after posting list").into());
+    }
+    Ok(list)
 }
 
 /// Walks a v1 snapshot's framing without materialising the index.
@@ -208,4 +244,115 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
         sections,
         shard: None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::put_varint;
+    use crate::vocab::TokenId;
+    use xclean_xmltree::parse_document;
+
+    /// The legacy blob writer, kept only here: one `(node, path, tf,
+    /// Dewey code)` tuple per entry, written as the old encoder did.
+    fn encode_legacy(entries: &[(u32, u32, u32, Vec<u32>)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, entries.len() as u64);
+        let (mut prev_node, mut prev_dewey) = (0, &[][..]);
+        for (node, path, tf, dewey) in entries {
+            let shared = prev_dewey
+                .iter()
+                .zip(dewey)
+                .take_while(|(a, b)| a == b)
+                .count();
+            for v in [node - prev_node, *path, *tf, shared as u32] {
+                put_varint(&mut buf, u64::from(v));
+            }
+            put_varint(&mut buf, (dewey.len() - shared) as u64);
+            for &c in &dewey[shared..] {
+                put_varint(&mut buf, u64::from(c));
+            }
+            (prev_node, prev_dewey) = (*node, dewey);
+        }
+        buf
+    }
+
+    fn corpus() -> CorpusIndex {
+        let xml = "<dblp>\
+            <article><title>keyword search keyword</title><author>smith</author></article>\
+            <article><title>keyword cleaning</title><author>jones smith</author></article>\
+        </dblp>";
+        CorpusIndex::build(parse_document(xml).unwrap())
+    }
+
+    /// Token `t`'s postings as the legacy writer saw them.
+    fn legacy_entries(c: &CorpusIndex, t: u32) -> Vec<(u32, u32, u32, Vec<u32>)> {
+        let tree = c.tree();
+        c.postings(TokenId(t))
+            .iter()
+            .map(|p| {
+                let dewey = tree.dewey(p.node).components().to_vec();
+                (p.node.0, tree.path(p.node).0, p.tf, dewey)
+            })
+            .collect()
+    }
+
+    fn rejection(entries: &[(u32, u32, u32, Vec<u32>)]) -> String {
+        let c = corpus();
+        match decode_postings(&encode_legacy(entries), c.tree()) {
+            Ok(list) => panic!("accepted {list:?}"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn legacy_blobs_decode_to_node_tf() {
+        let c = corpus();
+        for t in 0..c.vocab().len() as u32 {
+            let blob = encode_legacy(&legacy_entries(&c, t));
+            let list = decode_postings(&blob, c.tree()).unwrap();
+            assert_eq!(&list, c.postings(TokenId(t)));
+            for cut in 0..blob.len() {
+                assert!(decode_postings(&blob[..cut], c.tree()).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn legacy_posting_past_the_tree_is_rejected() {
+        let c = corpus();
+        let mut entries = legacy_entries(&c, 0);
+        entries.push((c.tree().len() as u32, 0, 1, vec![1, 9]));
+        assert!(rejection(&entries).contains("disagrees with the tree"));
+    }
+
+    #[test]
+    fn legacy_posting_with_another_path_is_rejected() {
+        let c = corpus();
+        let mut entries = legacy_entries(&c, 0);
+        entries[0].1 += 1;
+        assert!(rejection(&entries).contains("disagrees with the tree"));
+    }
+
+    #[test]
+    fn legacy_dewey_prefix_past_the_previous_code_is_rejected() {
+        let c = corpus();
+        let entries = legacy_entries(&c, 0);
+        assert!(entries.len() >= 2, "keyword occurs twice");
+        let mut blob = encode_legacy(&entries);
+        // The first entry's shared-prefix length may only be 0: make it 1.
+        let at = 1 + 3; // count, gap, path, tf
+        assert_eq!(blob[at], 0);
+        blob[at] = 1;
+        let err = decode_postings(&blob, c.tree()).unwrap_err();
+        assert!(err.to_string().contains("dewey prefix too long"), "{err}");
+    }
+
+    #[test]
+    fn legacy_repeated_node_is_rejected() {
+        let c = corpus();
+        let mut entries = legacy_entries(&c, 0);
+        entries.insert(1, entries[0].clone());
+        assert!(rejection(&entries).contains("strictly increasing"));
+    }
 }

@@ -16,12 +16,19 @@
 //! DIRECT(2)   : per-node direct token counts (node_count varints)
 //! VOCAB(3)    : term_count; (count+1) u32 LE term offsets; term blob;
 //!               cf varints; df varints; count u32 LE ids sorted by term
-//! POSTINGS(4) : count; (count+1) u64 LE offsets; concatenated
-//!               `codec::encode` blobs (byte-identical to v1 blobs)
+//! POSTINGS(8) : count; (count+1) u64 LE offsets; concatenated
+//!               `codec::encode` blobs, `count; (node gap, tf)*` each
 //! PATHSTATS(5): count; (count+1) u64 LE offsets; concatenated
 //!               `encode_stats` blobs
 //! TOKENIZER(6): min_token_len varint; drop_numbers u8; drop_stop_words u8
 //! ```
+//!
+//! Files written before postings became `(node, tf)` hold POSTINGS_DEWEY(4)
+//! instead: the same offset table over v1's posting blobs, which also
+//! store each entry's label path and Dewey code. Such a file still loads:
+//! its blobs are decoded eagerly against the tree by
+//! [`super::v1::decode_postings`], which checks the two old fields and
+//! drops them. A file must carry exactly one of the two sections.
 //!
 //! Loading never replays construction: the tree is assembled from the
 //! flat preorder columns and re-validated by an explicit O(n) pass
@@ -31,14 +38,13 @@
 //! without touching a single posting list. Every varint-declared size is
 //! clamped against the remaining input before it drives an allocation.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 use xclean_xmltree::{LabelId, NodeId, PreorderAssembler, Tokenizer, TokenizerConfig};
 
 use crate::codec::{self, get_count, put_varint, SliceReader};
-use crate::corpus::{CorpusIndex, SnapshotProvenance};
+use crate::corpus::{CorpusIndex, PostingStore, SnapshotProvenance};
 use crate::path_stats::{self, PathStatsIndex};
 use crate::slab::{checksum64, IndexSlab};
 use crate::vocab::{TokenId, Vocabulary};
@@ -50,12 +56,16 @@ pub(crate) const MAGIC: &[u8; 8] = b"XCLIDX2\0";
 const SEC_TREE: u8 = 1;
 const SEC_DIRECT: u8 = 2;
 const SEC_VOCAB: u8 = 3;
-const SEC_POSTINGS: u8 = 4;
+/// Legacy: v1 posting blobs (path and Dewey code per entry); read only.
+const SEC_POSTINGS_DEWEY: u8 = 4;
 const SEC_PATHSTATS: u8 = 5;
 const SEC_TOKENIZER: u8 = 6;
 /// Optional: shard membership + id-translation maps (partitioned corpora
 /// only; absent on ordinary snapshots, tolerated-unknown by old readers).
 const SEC_SHARD: u8 = 7;
+/// `(node gap, tf)` posting blobs; a new id, so no reader takes the legacy
+/// layout for this one.
+const SEC_POSTINGS: u8 = 8;
 
 fn section_name(id: u8) -> &'static str {
     match id {
@@ -63,6 +73,7 @@ fn section_name(id: u8) -> &'static str {
         SEC_DIRECT => "DIRECT",
         SEC_VOCAB => "VOCAB",
         SEC_POSTINGS => "POSTINGS",
+        SEC_POSTINGS_DEWEY => "POSTINGS_DEWEY",
         SEC_PATHSTATS => "PATHSTATS",
         SEC_TOKENIZER => "TOKENIZER",
         SEC_SHARD => "SHARD",
@@ -263,6 +274,18 @@ impl Header {
             .iter()
             .find(|(sid, _)| *sid == id)
             .map(|(_, r)| r.clone())
+    }
+
+    /// The one posting section a file may carry: its id and range.
+    fn postings(&self) -> Result<(u8, Range<usize>), StorageError> {
+        match (
+            self.section_opt(SEC_POSTINGS),
+            self.section_opt(SEC_POSTINGS_DEWEY),
+        ) {
+            (Some(range), None) => Ok((SEC_POSTINGS, range)),
+            (None, Some(range)) => Ok((SEC_POSTINGS_DEWEY, range)),
+            _ => Err(StorageError::Corrupt("need exactly one posting section")),
+        }
     }
 }
 
@@ -466,41 +489,32 @@ pub(crate) fn load(
     )
     .map_err(StorageError::Corrupt)?;
 
-    // POSTINGS / PATHSTATS: offset tables into lazily-decoded blobs.
-    let posting_ranges = parse_offset_blob(bytes, &header.section(SEC_POSTINGS)?)?;
+    // POSTINGS / PATHSTATS: offset tables into lazily-decoded blobs; a
+    // legacy POSTINGS_DEWEY section decodes now, checked against the tree.
+    let (id, range) = header.postings()?;
+    let blobs = parse_offset_blob(bytes, &range)?;
+    let store = if id == SEC_POSTINGS {
+        PostingStore::slab(Arc::clone(&slab), blobs).map_err(StorageError::Corrupt)?
+    } else {
+        PostingStore::Owned(
+            blobs
+                .into_iter()
+                .map(|blob| super::v1::decode_postings(&bytes[blob], &tree))
+                .collect::<Result<_, _>>()?,
+        )
+    };
     let stats_ranges = parse_offset_blob(bytes, &header.section(SEC_PATHSTATS)?)?;
     let path_stats = PathStatsIndex::from_slab(Arc::clone(&slab), stats_ranges)
         .map_err(StorageError::Corrupt)?;
 
-    // TOKENIZER.
-    let tok_range = header.section(SEC_TOKENIZER)?;
-    let mut r = SliceReader::new(&bytes[tok_range]);
-    let min_token_len = usize::try_from(r.get_varint()?)
-        .map_err(|_| StorageError::Corrupt("min_token_len overflows"))?;
-    let drop_numbers = r.get_u8()? == 1;
-    let drop_stop_words = r.get_u8()? == 1;
-    if r.remaining() != 0 {
-        return Err(StorageError::Corrupt("trailing bytes in TOKENIZER section"));
-    }
-    let tokenizer = Tokenizer::new(TokenizerConfig {
-        min_token_len,
-        drop_numbers,
-        drop_stop_words,
-    });
+    let tokenizer = Tokenizer::new(parse_tokenizer(&bytes[header.section(SEC_TOKENIZER)?])?);
 
     let provenance = SnapshotProvenance {
         format_version: 2,
         checksum: header.checksum,
     };
     let mut corpus = CorpusIndex::from_slab_parts(
-        tree,
-        vocab,
-        Arc::clone(&slab),
-        posting_ranges,
-        path_stats,
-        direct,
-        tokenizer,
-        provenance,
+        tree, vocab, store, path_stats, direct, tokenizer, provenance,
     )
     .map_err(StorageError::Corrupt)?;
 
@@ -517,6 +531,21 @@ pub(crate) fn load(
         corpus.shard = Some(meta);
     }
     Ok((corpus, header.checksum))
+}
+
+fn parse_tokenizer(body: &[u8]) -> Result<TokenizerConfig, StorageError> {
+    let mut r = SliceReader::new(body);
+    let min_token_len = usize::try_from(r.get_varint()?)
+        .map_err(|_| StorageError::Corrupt("min_token_len overflows"))?;
+    let config = TokenizerConfig {
+        min_token_len,
+        drop_numbers: r.get_u8()? == 1,
+        drop_stop_words: r.get_u8()? == 1,
+    };
+    if r.remaining() != 0 {
+        return Err(StorageError::Corrupt("trailing bytes in TOKENIZER section"));
+    }
+    Ok(config)
 }
 
 /// Decodes and validates a SHARD section body (everything except the map
@@ -587,11 +616,7 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
     if checksum64(&bytes[header.header_end..]) != header.checksum {
         return Err(StorageError::Corrupt("payload checksum mismatch"));
     }
-    let by_id: HashMap<u8, Range<usize>> = header.sections.iter().cloned().collect();
-    let tree_range = by_id
-        .get(&SEC_TREE)
-        .ok_or(StorageError::Corrupt("missing TREE section"))?;
-    let mut r = SliceReader::new(&bytes[tree_range.clone()]);
+    let mut r = SliceReader::new(&bytes[header.section(SEC_TREE)?]);
     let labels = get_count(&mut r, 1)?;
     for _ in 0..labels {
         let len = get_count(&mut r, 1)?;
@@ -599,9 +624,7 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
     }
     let nodes = get_count(&mut r, 2)?;
 
-    let vocab_range = by_id
-        .get(&SEC_VOCAB)
-        .ok_or(StorageError::Corrupt("missing VOCAB section"))?;
+    let vocab_range = header.section(SEC_VOCAB)?;
     let mut r = SliceReader::new(&bytes[vocab_range.clone()]);
     let terms = get_count(&mut r, 10)?;
     let table_bytes = (terms + 1)
@@ -616,32 +639,15 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
         total_tokens = total_tokens.saturating_add(r.get_varint()?);
     }
 
-    let postings_range = by_id
-        .get(&SEC_POSTINGS)
-        .ok_or(StorageError::Corrupt("missing POSTINGS section"))?;
-    let mut r = SliceReader::new(&bytes[postings_range.clone()]);
-    let pcount = get_count(&mut r, 8)?;
-    let ptable = (pcount + 1)
-        .checked_mul(8)
-        .ok_or(StorageError::Corrupt("offset table overflows"))?;
-    r.skip(ptable)?;
-    let postings_bytes = r.remaining();
+    let postings_bytes = parse_offset_blob(bytes, &header.postings()?.1)?
+        .iter()
+        .map(|blob| blob.len())
+        .sum();
+    let tokenizer = parse_tokenizer(&bytes[header.section(SEC_TOKENIZER)?])?;
 
-    let tok_range = by_id
-        .get(&SEC_TOKENIZER)
-        .ok_or(StorageError::Corrupt("missing TOKENIZER section"))?;
-    let mut r = SliceReader::new(&bytes[tok_range.clone()]);
-    let min_token_len = usize::try_from(r.get_varint()?)
-        .map_err(|_| StorageError::Corrupt("min_token_len overflows"))?;
-    let tokenizer = TokenizerConfig {
-        min_token_len,
-        drop_numbers: r.get_u8()? == 1,
-        drop_stop_words: r.get_u8()? == 1,
-    };
-
-    let shard = match by_id.get(&SEC_SHARD) {
+    let shard = match header.section_opt(SEC_SHARD) {
         Some(range) => {
-            let meta = parse_shard(&bytes[range.clone()])?;
+            let meta = parse_shard(&bytes[range])?;
             Some(super::ShardSummary {
                 shard_id: meta.shard_id,
                 shard_count: meta.shard_count,

@@ -34,13 +34,20 @@ impl Default for Smoothing {
 }
 
 impl Smoothing {
-    /// Panics on out-of-range parameters.
-    pub fn validate(&self) {
+    /// Names the out-of-range parameter, if any (NaN is out of range).
+    pub fn check(&self) -> Result<(), &'static str> {
         match *self {
-            Smoothing::Dirichlet { mu } => assert!(mu > 0.0, "μ must be positive"),
-            Smoothing::JelinekMercer { lambda } => {
-                assert!(lambda > 0.0 && lambda < 1.0, "λ must be in (0, 1)")
-            }
+            Smoothing::Dirichlet { mu } if mu > 0.0 => Ok(()),
+            Smoothing::Dirichlet { .. } => Err("μ must be positive"),
+            Smoothing::JelinekMercer { lambda } if lambda > 0.0 && lambda < 1.0 => Ok(()),
+            Smoothing::JelinekMercer { .. } => Err("λ must be in (0, 1)"),
+        }
+    }
+
+    /// Panics on out-of-range parameters (see [`Self::check`]).
+    pub fn validate(&self) {
+        if let Err(m) = self.check() {
+            panic!("{m}");
         }
     }
 }

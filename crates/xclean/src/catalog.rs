@@ -48,6 +48,13 @@ pub enum CatalogError {
     BadName(String),
     /// Two corpora share a name.
     DuplicateName(String),
+    /// A corpus's engine configuration has an out-of-range value.
+    BadConfig {
+        /// The corpus.
+        name: String,
+        /// What is out of range ([`XCleanConfig::check`]).
+        reason: &'static str,
+    },
     /// Reading the file failed.
     Io(std::io::Error),
 }
@@ -66,6 +73,7 @@ impl std::fmt::Display for CatalogError {
                 "invalid corpus name {n:?}: need 1..={MAX_NAME_LEN} chars from [a-z0-9_-]"
             ),
             CatalogError::DuplicateName(n) => write!(f, "duplicate corpus name {n:?}"),
+            CatalogError::BadConfig { name, reason } => write!(f, "corpus {name:?}: {reason}"),
             CatalogError::Io(e) => write!(f, "catalog io error: {e}"),
         }
     }
@@ -134,7 +142,8 @@ pub fn valid_corpus_name(name: &str) -> bool {
 }
 
 impl Catalog {
-    /// Validates all names (charset + uniqueness) and every spec's shape.
+    /// Validates all names (charset + uniqueness) and every spec's shape
+    /// and configuration.
     pub fn validate(&self) -> Result<(), CatalogError> {
         let mut seen = HashSet::new();
         for c in &self.corpora {
@@ -147,6 +156,10 @@ impl Catalog {
             if c.snapshots.is_empty() {
                 return Err(CatalogError::Corrupt("corpus declares no snapshots"));
             }
+            c.config.check().map_err(|reason| CatalogError::BadConfig {
+                name: c.name.clone(),
+                reason,
+            })?;
         }
         Ok(())
     }

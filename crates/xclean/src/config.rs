@@ -170,23 +170,40 @@ impl XCleanConfig {
         h
     }
 
-    /// Validates parameter ranges, panicking on nonsense values. Called by
-    /// the engine constructor.
-    pub fn validate(&self) {
-        assert!(self.beta >= 0.0, "β must be non-negative");
-        assert!(self.mu > 0.0, "μ must be positive");
-        self.effective_smoothing().validate();
-        assert!(
-            self.depth_decay > 0.0 && self.depth_decay <= 1.0,
-            "depth decay r must be in (0, 1]"
-        );
-        assert!(self.min_depth >= 1, "min depth must be at least 1");
-        assert!(self.k >= 1, "k must be at least 1");
-        if let Some(g) = self.gamma {
-            assert!(g >= 1, "γ must be at least 1 when set");
+    /// Names the first out-of-range parameter, if any. Input that arrives
+    /// from outside (CLI flags, a catalog file) is held to this, so a bad
+    /// value is a usage or decode error instead of a panic.
+    pub fn check(&self) -> Result<(), &'static str> {
+        self.effective_smoothing().check()?;
+        let rules = [
+            (self.beta >= 0.0, "β must be non-negative"),
+            (self.mu > 0.0, "μ must be positive"),
+            (
+                self.depth_decay > 0.0 && self.depth_decay <= 1.0,
+                "depth decay r must be in (0, 1]",
+            ),
+            (self.min_depth >= 1, "min depth must be at least 1"),
+            (self.k >= 1, "k must be at least 1"),
+            (
+                self.gamma.is_none_or(|g| g >= 1),
+                "γ must be at least 1 when set",
+            ),
+            (self.num_threads >= 1, "num_threads must be at least 1"),
+            (self.batch_size >= 1, "batch_size must be at least 1"),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            Some(&(_, reason)) => Err(reason),
+            None => Ok(()),
         }
-        assert!(self.num_threads >= 1, "num_threads must be at least 1");
-        assert!(self.batch_size >= 1, "batch_size must be at least 1");
+    }
+
+    /// Panics on an out-of-range parameter (see [`Self::check`]). Called
+    /// by the engine constructors, where a bad value is a programming
+    /// error.
+    pub fn validate(&self) {
+        if let Err(m) = self.check() {
+            panic!("{m}");
+        }
     }
 }
 
@@ -257,6 +274,40 @@ mod tests {
         ] {
             assert_ne!(base.fingerprint(), changed.fingerprint(), "{changed:?}");
         }
+    }
+
+    #[test]
+    fn check_names_the_bad_value_without_panicking() {
+        assert_eq!(XCleanConfig::default().check(), Ok(()));
+        let bad = |c: XCleanConfig| c.check().unwrap_err();
+        assert_eq!(
+            bad(XCleanConfig {
+                k: 0,
+                ..Default::default()
+            }),
+            "k must be at least 1"
+        );
+        assert_eq!(
+            bad(XCleanConfig {
+                beta: f64::NAN,
+                ..Default::default()
+            }),
+            "β must be non-negative"
+        );
+        assert_eq!(
+            bad(XCleanConfig {
+                depth_decay: 1.5,
+                ..Default::default()
+            }),
+            "depth decay r must be in (0, 1]"
+        );
+        assert_eq!(
+            bad(XCleanConfig {
+                smoothing: Some(xclean_lm::Smoothing::JelinekMercer { lambda: 1.0 }),
+                ..Default::default()
+            }),
+            "λ must be in (0, 1)"
+        );
     }
 
     #[test]

@@ -168,6 +168,32 @@ fn hostile_varints_are_rejected_before_allocation() {
     ));
 }
 
+/// A checksummed catalog whose corpus has `k = 0` is a decode error, not
+/// an engine-constructor panic; `encode` refuses to write one.
+#[test]
+fn out_of_range_config_is_a_catalog_error() {
+    let with_k = |k| {
+        let mut c = sample_catalog();
+        c.corpora[0].config.k = k;
+        c
+    };
+    let (a, b) = (with_k(77).encode().unwrap(), with_k(78).encode().unwrap());
+    let at = (16..a.len()).find(|&i| a[i] != b[i]).unwrap();
+    assert_eq!((a[at], b[at]), (77, 78), "k is one varint byte");
+    let mut payload = a[16..].to_vec();
+    payload[at - 16] = 0;
+    let err = Catalog::decode(&with_payload(&payload)).unwrap_err();
+    assert!(
+        matches!(&err, CatalogError::BadConfig { name, .. } if name == "dblp"),
+        "{err:?}"
+    );
+    assert_eq!(err.to_string(), "corpus \"dblp\": k must be at least 1");
+    assert!(matches!(
+        with_k(0).encode(),
+        Err(CatalogError::BadConfig { .. })
+    ));
+}
+
 #[test]
 fn missing_shard_file_error_names_the_offending_path() {
     let dir = tmp_dir("missing_shard");

@@ -200,11 +200,10 @@ fn encoded_index_is_smaller_than_flat_representation() {
         encoded += codec::encode(list).len();
         entries += list.len();
     }
-    // Naive flat layout: node(4) + path(4) + tf(4) + ~3 dewey components
-    // (12) = 24 bytes/entry.
+    // Naive flat layout: node 4 + tf 4 = 8 bytes/entry.
     assert!(
-        encoded < entries * 24 / 2,
+        encoded < entries * 8 / 2,
         "encoded {encoded} vs flat {}",
-        entries * 24
+        entries * 8
     );
 }

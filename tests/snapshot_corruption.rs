@@ -6,7 +6,9 @@
 //! never as a panic or an attempted oversized allocation. Declared counts
 //! are clamped against the remaining input before any allocation, which
 //! the hostile-varint cases exercise directly with checksum verification
-//! switched off (with it on, the checksum masks every payload edit).
+//! switched off (with it on, the checksum masks every payload edit). The
+//! sweeps run over a fresh snapshot and over the committed one in the
+//! legacy posting layout, whose postings decode eagerly at open.
 
 use xclean_suite::datagen::{generate_dblp, DblpConfig};
 use xclean_suite::index::{storage, CorpusIndex, OpenOptions};
@@ -23,6 +25,16 @@ fn snapshot() -> Vec<u8> {
         ..Default::default()
     }));
     storage::to_bytes_v2(&index)
+}
+
+/// A fresh snapshot and the committed one in the legacy posting layout
+/// (section POSTINGS_DEWEY), whose blobs decode eagerly on load.
+fn snapshots() -> [Vec<u8>; 2] {
+    let old = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/dblp50_v2_pr32.xci"
+    );
+    [snapshot(), std::fs::read(old).unwrap()]
 }
 
 /// Reads the v2 header (magic 8 + checksum 8 + count 1 + 17-byte table
@@ -74,9 +86,14 @@ fn assert_rejected(name: &str, bytes: &[u8]) {
 
 #[test]
 fn truncation_at_every_boundary_and_step_is_rejected() {
-    let bytes = snapshot();
+    for bytes in snapshots() {
+        truncation_sweep(&bytes);
+    }
+}
+
+fn truncation_sweep(bytes: &[u8]) {
     let mut cuts: Vec<usize> = Vec::new();
-    for b in boundaries(&bytes) {
+    for b in boundaries(bytes) {
         cuts.extend([b.saturating_sub(1), b, (b + 1).min(bytes.len())]);
     }
     cuts.extend((0..bytes.len()).step_by(97));
@@ -95,8 +112,13 @@ fn truncation_at_every_boundary_and_step_is_rejected() {
 
 #[test]
 fn bit_flips_at_boundaries_and_random_offsets_are_rejected() {
-    let bytes = snapshot();
-    let mut offsets: Vec<usize> = boundaries(&bytes)
+    for bytes in snapshots() {
+        bit_flip_sweep(&bytes);
+    }
+}
+
+fn bit_flip_sweep(bytes: &[u8]) {
+    let mut offsets: Vec<usize> = boundaries(bytes)
         .into_iter()
         .filter(|&b| b < bytes.len())
         .collect();
@@ -112,7 +134,7 @@ fn bit_flips_at_boundaries_and_random_offsets_are_rejected() {
     offsets.dedup();
     for off in offsets {
         for bit in [0u8, 3, 7] {
-            let mut corrupt = bytes.clone();
+            let mut corrupt = bytes.to_vec();
             corrupt[off] ^= 1 << bit;
             // The checksum-verified paths must reject any payload flip;
             // header flips fail the structural checks instead.
@@ -140,14 +162,19 @@ fn bit_flips_at_boundaries_and_random_offsets_are_rejected() {
 /// error, not allocate terabytes or panic.
 #[test]
 fn hostile_varint_counts_are_clamped_not_allocated() {
-    let bytes = snapshot();
+    for bytes in snapshots() {
+        hostile_count_sweep(&bytes);
+    }
+}
+
+fn hostile_count_sweep(bytes: &[u8]) {
     let count = bytes[16] as usize;
     let huge_varint: [u8; 10] = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
     for i in 0..count {
         let e = 17 + i * 17;
         let id = bytes[e];
         let off = u64::from_le_bytes(bytes[e + 1..e + 9].try_into().unwrap()) as usize;
-        let mut corrupt = bytes.clone();
+        let mut corrupt = bytes.to_vec();
         let end = (off + huge_varint.len()).min(corrupt.len());
         corrupt[off..end].copy_from_slice(&huge_varint[..end - off]);
         let path = tmp(&format!("hostile_{id}.xci"));

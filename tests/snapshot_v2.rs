@@ -193,12 +193,12 @@ fn v2_fingerprint_is_slab_mode_invariant_and_upgrade_is_canonical() {
 /// in-memory layout, so a change to that layout (or to any encoder) that
 /// alters a snapshot byte — and with it the benchmark's
 /// `snapshot_bytes_per_input_byte` — fails here first. The constants are
-/// what the commit before the hot/cold node split wrote; regenerate them
-/// only for a deliberate format change.
+/// what the first writer of `(node gap, tf)` posting blobs wrote;
+/// regenerate them only for a deliberate format change.
 #[test]
 fn v2_payload_checksum_is_pinned() {
-    const PINNED_CHECKSUM: u64 = 0xc1d6_54c2_7024_9cdb;
-    const PINNED_BYTES: usize = 84_649;
+    const PINNED_CHECKSUM: u64 = 0x7828_43e1_7d7d_45f2;
+    const PINNED_BYTES: usize = 67_746;
     let index = CorpusIndex::build(generate_dblp(&DblpConfig {
         publications: 300,
         ..Default::default()
@@ -214,14 +214,15 @@ fn v2_payload_checksum_is_pinned() {
 }
 
 /// The same pin on an input no generator can move: the bytes `to_bytes_v2`
-/// writes for the committed `dblp50.xml`, as computed at the last commit
-/// that encoded through the vendored `bytes` buffers.
+/// writes for the committed `dblp50.xml`, as computed by the first writer
+/// of `(node gap, tf)` posting blobs. (The previous layout's bytes are
+/// committed as `tests/fixtures/dblp50_v2_pr32.xci`.)
 #[test]
 fn v2_bytes_of_committed_corpus_are_pinned() {
     let bytes = storage::to_bytes_v2(&dblp50());
     assert_eq!(
         (checksum64(&bytes), bytes.len()),
-        (0x762b_9c02_966b_8fdf, 18_286),
+        (0x1431_9901_b8a1_7853, 15_853),
         "v2 snapshot bytes changed"
     );
 }

@@ -189,6 +189,20 @@ fn committed_v1_fixture_stays_loadable() {
     assert_loaded_matches_fresh("dblp50_v1.xci", &path, fresh, &queries);
 }
 
+/// The same oracle for the v2 snapshot of `dblp50.xml` that the last
+/// writer of per-posting label paths and Dewey codes wrote: its legacy
+/// POSTINGS_DEWEY section must load as the index a fresh build gives.
+#[test]
+fn committed_old_layout_v2_fixture_answers_like_a_fresh_build() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let xml = std::fs::read_to_string(fixtures.join("dblp50.xml")).unwrap();
+    let fresh = CorpusIndex::build(parse_document(&xml).unwrap());
+    let queries = workload(&fresh, 20, 1050);
+    let path = fixtures.join("dblp50_v2_pr32.xci");
+    assert_eq!(storage::summarize_file(&path).unwrap().format_version, 2);
+    assert_loaded_matches_fresh("dblp50_v2_pr32.xci", &path, fresh, &queries);
+}
+
 #[test]
 fn double_roundtrip_is_byte_stable() {
     // save → load → save must reproduce the identical byte stream: the
