@@ -6,10 +6,15 @@
 //! did with it (the share of queries that took the scan path, the postings
 //! of members marked from the level table's kept entity lists and the
 //! share of their postings its kept bitmaps covered, subtrees visited and
-//! passed, nanoseconds per subtree), then the distance histogram of
-//! merged-list member moves.
-//! Both walk paths, and both ways the scan marks a member, must be in use —
-//! the run panics otherwise, so CI's smoke run keeps all of them on trial.
+//! passed, nanoseconds per subtree), where the time went — the scan's
+//! marking, the collection of the passing subtrees (the leapfrog's whole
+//! bare walk), and the scoring of them — and the share of passing
+//! subtrees the scorer took from the level table's entity columns without
+//! gathering a posting; then the distance histogram of merged-list member
+//! moves.
+//! Both walk paths, both ways the scan marks a member, and scoring from
+//! the columns must be in use — the run panics otherwise, so CI's smoke
+//! run keeps all of them on trial.
 //!
 //! Timed **pass-style**: every pass runs each query once, in pool order,
 //! and a query's time is its minimum over the passes. Repeating one query
@@ -17,8 +22,16 @@
 //! in cache and hides exactly the memory latency this table is about
 //! (DESIGN.md §15, "Measuring honestly").
 //!
+//! The stage split times the bare walk (the engine's walk with a scorer
+//! that does nothing) in passes of its own: *mark* is the scan's time to
+//! its first passing subtree, *collect* the rest of the bare walk, and
+//! *score* the engine's walk time less the bare walk's; each is a minimum
+//! over the passes, so the three need not add up to the walk exactly.
+//!
 //! A diagnostic, not a gate: performance claims are made with `xbench`.
 //! Run in a release build; the scale scales corpus and pool.
+
+use std::time::Instant;
 
 use xclean::walk::walk_gated_subtrees;
 use xclean::{KeywordSlot, RunStats, XCleanConfig, XCleanEngine};
@@ -48,6 +61,15 @@ struct Profile {
     cached: u64,
     visited: u64,
     passed: u64,
+    /// Passing subtrees the engine's scorer took from the columns alone.
+    from_columns: u64,
+    /// Bare-walk time to the first passing subtree on the scan path (0 on
+    /// the leapfrog): minimum over the passes.
+    mark_nanos: u64,
+    /// The bare walk's time: minimum over the passes.
+    bare_nanos: u64,
+    /// The engine's walk time: minimum over the passes.
+    walk_nanos: u64,
 }
 
 /// Member-move distances of one pass, bucketed by [`MOVE_BUCKETS`], next
@@ -105,10 +127,11 @@ fn skip_to(members: &mut [Member<'_>], target: NodeId, moves: &mut Moves) {
 /// Replays the gated walk of one query member by member, recording the
 /// distance of every member move (a `next()` moves one posting, a
 /// `skip_to` as many as it jumps). `passed` are the subtrees the walk
-/// handed to the scorer; with `scan` the replay follows the scan path —
-/// every member list marked once, by its kept bitmap or its kept list,
-/// then each passed subtree collected — otherwise the leapfrog. Returns the
-/// posting I/O it performed, which must equal the engine's own counters.
+/// handed to a scorer that never asked for their occurrences; with `scan`
+/// the replay follows the scan path — every member list marked once, by
+/// its kept bitmap or its kept list, then each passed subtree served from
+/// the columns, so no member moves — otherwise the leapfrog. Returns the
+/// posting I/O it performed, which must equal the walk's own counters.
 fn member_moves(
     corpus: &CorpusIndex,
     slots: &[KeywordSlot],
@@ -142,18 +165,7 @@ fn member_moves(
                 None => moves.io.scanned += postings,
             }
         }
-        for &g in passed {
-            cursor = level.seek(cursor, g);
-            let (_, g_end) = level.extent(cursor).expect("a passed subtree");
-            for members in &mut lists {
-                skip_to(members, g, moves);
-                for m in members.iter_mut() {
-                    while m.head().is_some_and(|n| n.0 < g_end) {
-                        m.step(moves);
-                    }
-                }
-            }
-        }
+        moves.io.from_columns = passed.len() as u64;
         return moves.io;
     }
     loop {
@@ -219,7 +231,7 @@ pub(super) fn run(scale: f64) -> Report {
 
     // What each query walks, and the member moves of one pass.
     let mut moves = Moves::default();
-    let mut profiles: Vec<Profile> = pool
+    let (slots, mut profiles): (Vec<Vec<KeywordSlot>>, Vec<Profile>) = pool
         .iter()
         .map(|query| {
             let slots = engine.make_slots(query);
@@ -230,7 +242,7 @@ pub(super) fn run(scale: f64) -> Report {
             let replayed = member_moves(corpus, &slots, config, &passed, scan, &mut moves);
             assert_eq!(replayed, stats.access, "replay diverged on {query:?}");
             let lists = slots.iter().flat_map(|s| &s.variants);
-            Profile {
+            let profile = Profile {
                 nanos: u64::MAX,
                 slots: slots.len(),
                 variants: slots.iter().map(|s| s.variants.len()).sum(),
@@ -239,9 +251,14 @@ pub(super) fn run(scale: f64) -> Report {
                 cached: stats.access.cached,
                 visited: stats.subtrees,
                 passed: passed.len() as u64,
-            }
+                from_columns: engine.suggest_keywords(query).stats.access.from_columns,
+                mark_nanos: u64::MAX,
+                bare_nanos: u64::MAX,
+                walk_nanos: u64::MAX,
+            };
+            (slots, profile)
         })
-        .collect();
+        .unzip();
     let scans = profiles.iter().filter(|p| p.scanned + p.cached > 0).count();
     assert!(
         scans > 0 && scans < profiles.len(),
@@ -254,14 +271,35 @@ pub(super) fn run(scale: f64) -> Report {
         read > 0 && cached > 0,
         "the scan must mark members both ways: {read} postings read, {cached} cached"
     );
+    let from_columns: u64 = profiles.iter().map(|p| p.from_columns).sum();
+    assert!(
+        from_columns > 0,
+        "the scorer must take passing subtrees from the columns"
+    );
 
     let mut pass_nanos = Vec::with_capacity(PASSES);
     for _ in 0..PASSES {
+        for (slots, profile) in slots.iter().zip(&mut profiles) {
+            let mut stats = RunStats::default();
+            let mut first = None;
+            let start = Instant::now();
+            walk_gated_subtrees(corpus, slots, config, &mut stats, |_, _, _| {
+                first.get_or_insert_with(Instant::now);
+            });
+            let end = Instant::now();
+            let mark = match stats.access.scan_postings() {
+                0 => 0,
+                _ => (first.unwrap_or(end) - start).as_nanos() as u64,
+            };
+            profile.mark_nanos = profile.mark_nanos.min(mark);
+            profile.bare_nanos = profile.bare_nanos.min((end - start).as_nanos() as u64);
+        }
         let mut total = 0;
         for (query, profile) in pool.iter().zip(&mut profiles) {
             let stats = engine.suggest_keywords(query).stats;
             let nanos = stats.walk_nanos + stats.rank_nanos;
             profile.nanos = profile.nanos.min(nanos);
+            profile.walk_nanos = profile.walk_nanos.min(stats.walk_nanos);
             total += nanos;
         }
         pass_nanos.push(total);
@@ -292,6 +330,10 @@ pub(super) fn run(scale: f64) -> Report {
         "passed",
         "pass %",
         "ns/subtree",
+        "mark us",
+        "collect us",
+        "score us",
+        "columns %",
     ]);
     for decile in 0..10 {
         let group = &profiles[decile * profiles.len() / 10..(decile + 1) * profiles.len() / 10];
@@ -303,6 +345,8 @@ pub(super) fn run(scale: f64) -> Report {
         let scans = group.iter().filter(|p| p.scanned + p.cached > 0).count() as f64;
         let scanned = sum(|p| p.scanned);
         let cached = sum(|p| p.cached);
+        let mark = sum(|p| p.mark_nanos);
+        let bare = sum(|p| p.bare_nanos);
         deciles.push(vec![
             (decile + 1).into(),
             Cell::Wall(100.0 * nanos / total_nanos.max(1) as f64, 1),
@@ -317,6 +361,13 @@ pub(super) fn run(scale: f64) -> Report {
             Cell::Num(passed / n, 0),
             Cell::Num(100.0 * passed / visited.max(1.0), 0),
             Cell::Wall(nanos / visited.max(1.0), 0),
+            Cell::Wall(mark / n / 1e3, 1),
+            Cell::Wall((bare - mark) / n / 1e3, 1),
+            Cell::Wall(
+                sum(|p| p.walk_nanos.saturating_sub(p.bare_nanos)) / n / 1e3,
+                1,
+            ),
+            Cell::Num(100.0 * sum(|p| p.from_columns) / passed.max(1.0), 0),
         ]);
     }
     report.table(deciles);

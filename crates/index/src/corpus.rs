@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 use xclean_xmltree::{NodeId, PathId, Tokenizer, XmlTree};
 
 use crate::codec;
-use crate::level::LevelTable;
+use crate::level::{Entities, LevelTable};
 use crate::path_stats::PathStatsIndex;
 use crate::posting::PostingList;
 use crate::shard::ShardMeta;
@@ -344,22 +344,23 @@ impl CorpusIndex {
 
     /// The entity bitmap of `token` over [`Self::level`]`(depth)` — bit `p`
     /// set when subtree `p` holds a posting of it, bit `len()` when a
-    /// posting is shallower — if the token is frequent enough at that depth
-    /// for the table to keep one (see [`crate::level`]).
-    /// Built from the posting list on the first request and kept.
-    pub fn entity_bitmap(&self, depth: u32, token: TokenId) -> Option<&[u64]> {
+    /// posting is shallower — with the token's `Σ tf` per subtree, if the
+    /// token is frequent enough at that depth for the table to keep one
+    /// (see [`crate::level`]). Built from the posting list on the first
+    /// request and kept.
+    pub fn entity_bitmap(&self, depth: u32, token: TokenId) -> Option<Entities<'_, [u64]>> {
         self.level(depth)
-            .entity_bitmap(token, || self.postings(token).nodes())
+            .entity_bitmap(token, || self.postings(token))
     }
 
-    /// The entity list of `token` over [`Self::level`]`(depth)`: the
+    /// The entity list of `token` over [`Self::level`]`(depth)` — the
     /// positions of the subtrees holding its postings, increasing, then
-    /// `len()` when a posting is shallower (see [`crate::level`]). Built
-    /// from the posting list on the first request and kept; empty over an
-    /// empty table.
-    pub fn entity_positions(&self, depth: u32, token: TokenId) -> &[u32] {
+    /// `len()` when a posting is shallower — with the token's `Σ tf` per
+    /// subtree (see [`crate::level`]). Built from the posting list on the
+    /// first request and kept; empty over an empty table.
+    pub fn entity_positions(&self, depth: u32, token: TokenId) -> Entities<'_, [u32]> {
         self.level(depth)
-            .entity_positions(token, || self.postings(token).nodes())
+            .entity_positions(token, || self.postings(token))
     }
 
     /// Length (in indexed tokens) of the node's *direct* text only (`|t|`

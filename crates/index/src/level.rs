@@ -22,19 +22,22 @@
 //! (`POSTINGS_PER_WORD`) keeps its *entity bitmap*; those terms are chosen
 //! from the vocabulary's `df` when the table is built, so no list is
 //! decoded early. Every other term keeps its *entity list*: the set's
-//! positions, increasing, the sentinel [`LevelTable::len`] last. Both are
-//! filled on their first request ([`CorpusIndex::entity_bitmap`],
-//! [`CorpusIndex::entity_positions`]) by one pass over the term's postings
-//! through the per-node `position` column — the position of the subtree
-//! holding each corpus node — and read without a lock after that, so no
-//! query loads through that column.
+//! positions, increasing, the sentinel [`LevelTable::len`] last. Beside
+//! either form the table keeps the term's exact `Σ tf` in each member
+//! subtree — what the scorer's `count(w, D(r))` needs for an entity at the
+//! gate depth — as the sorted `(position, Σ tf)` pairs of the members whose
+//! sum is not 1 ([`Entities`]). Both are filled on their first request
+//! ([`CorpusIndex::entity_bitmap`], [`CorpusIndex::entity_positions`]) by
+//! one pass over the term's postings through the per-node `position`
+//! column — the position of the subtree holding each corpus node — and
+//! read without a lock after that, so no query loads through that column.
 
 use std::sync::OnceLock;
 
 use xclean_xmltree::{NodeId, PathId};
 
 use crate::corpus::CorpusIndex;
-use crate::posting::gallop;
+use crate::posting::{gallop, PostingList};
 use crate::vocab::TokenId;
 
 /// A term keeps its entity bitmap at a depth when its posting list holds at
@@ -57,6 +60,77 @@ pub struct LevelEntry {
     pub doc_len: u64,
 }
 
+/// A term's kept entity set at one depth — its bitmap (`S = [u64]`) or its
+/// list (`S = [u32]`), see the module docs — with the term's exact `Σ tf`
+/// in every member subtree.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Entities<'a, S: ?Sized> {
+    /// The set.
+    pub set: &'a S,
+    /// `(position, Σ tf)` of the member subtrees whose postings of the term
+    /// sum to a tf other than 1, increasing in position; every other
+    /// member's `Σ tf` is 1. The sentinel position never appears.
+    pub sums: &'a [(u32, u32)],
+}
+
+// By hand: a derive would ask `S: Copy` of the unsized set.
+impl<S: ?Sized> Clone for Entities<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S: ?Sized> Copy for Entities<'_, S> {}
+
+impl<S: ?Sized> Entities<'_, S> {
+    /// The `Σ tf` of the term in the member subtree at `pos`, galloping
+    /// forward through `sums` from `*from`, which is left at the first
+    /// pair not before `pos`: a run of lookups over increasing positions
+    /// costs the distance it covers.
+    #[inline]
+    pub fn sum_at(&self, from: &mut usize, pos: u32) -> u32 {
+        *from = gallop(self.sums, *from, |&(p, _)| p < pos);
+        match self.sums.get(*from) {
+            Some(&(p, sum)) if p == pos => sum,
+            _ => 1,
+        }
+    }
+}
+
+impl Entities<'_, [u32]> {
+    /// Word `w` of the bitmap this list is the set bits of, galloping
+    /// forward through the list from `*from`, which is left at the first
+    /// position past the word: a run of lookups over increasing words costs
+    /// the distance it covers.
+    #[inline]
+    pub fn word_from(&self, from: &mut usize, w: usize) -> u64 {
+        let (low, high) = ((w * 64) as u32, (w * 64 + 64) as u32);
+        *from = gallop(self.set, *from, |&pos| pos < low);
+        let mut word = 0;
+        while let Some(&pos) = self.set.get(*from).filter(|&&pos| pos < high) {
+            word |= 1 << (pos % 64);
+            *from += 1;
+        }
+        word
+    }
+}
+
+/// An entity set and its sums as the table owns them.
+#[derive(Debug)]
+struct Kept<S: ?Sized> {
+    set: Box<S>,
+    sums: Box<[(u32, u32)]>,
+}
+
+impl<S: ?Sized> Kept<S> {
+    fn get(&self) -> Entities<'_, S> {
+        Entities {
+            set: &self.set,
+            sums: &self.sums,
+        }
+    }
+}
+
 /// The depth-`d` subtrees of a corpus as parallel columns in document
 /// order: `start` strictly increasing, extents disjoint.
 #[derive(Debug, Default)]
@@ -71,11 +145,12 @@ pub struct LevelTable {
     /// The tokens (ids of the corpus) that keep an entity bitmap here,
     /// increasing; empty when the table is.
     frequent: Box<[TokenId]>,
-    /// The entity bitmap of `frequent[i]`, built on its first request.
-    bitmaps: Box<[OnceLock<Box<[u64]>>]>,
-    /// Per token of the corpus: its entity list, built on its first
-    /// request. Empty when the table is.
-    lists: Box<[OnceLock<Box<[u32]>>]>,
+    /// The entity bitmap of `frequent[i]` and its sums, built on its
+    /// first request.
+    bitmaps: Box<[OnceLock<Kept<[u64]>>]>,
+    /// Per token of the corpus: its entity list and sums, built on its
+    /// first request. Empty when the table is.
+    lists: Box<[OnceLock<Kept<[u32]>>]>,
 }
 
 impl LevelTable {
@@ -130,62 +205,93 @@ impl LevelTable {
         self.len() / 64 + 1
     }
 
-    /// The entity bitmap of `token` if this table keeps one (see the module
-    /// docs), filling it from `nodes()` — the token's posting nodes in this
-    /// table's corpus — on the first request.
+    /// The entity bitmap of `token` and its sums if this table keeps one
+    /// (see the module docs), filling them from `postings()` — the token's
+    /// posting list in this table's corpus — on the first request.
     pub(crate) fn entity_bitmap<'n>(
         &self,
         token: TokenId,
-        nodes: impl FnOnce() -> &'n [NodeId],
-    ) -> Option<&[u64]> {
+        postings: impl FnOnce() -> &'n PostingList,
+    ) -> Option<Entities<'_, [u64]>> {
         let i = self.frequent.binary_search(&token).ok()?;
-        let bitmap = self.bitmaps[i].get_or_init(|| {
+        let kept = self.bitmaps[i].get_or_init(|| {
             let mut bits = vec![0u64; self.words()];
-            for pos in self.holding(nodes()) {
+            let sums = self.fill(postings(), |pos| {
                 bits[pos as usize / 64] |= 1 << (pos % 64);
+            });
+            Kept {
+                set: bits.into_boxed_slice(),
+                sums,
             }
-            bits.into_boxed_slice()
         });
-        Some(bitmap)
+        Some(kept.get())
     }
 
-    /// The entity list of `token` (see the module docs), filling it from
-    /// `nodes()` — the token's posting nodes in this table's corpus — on
-    /// the first request. Empty over an empty table.
+    /// The entity list of `token` and its sums (see the module docs),
+    /// filling them from `postings()` — the token's posting list in this
+    /// table's corpus — on the first request. Empty over an empty table.
     pub(crate) fn entity_positions<'n>(
         &self,
         token: TokenId,
-        nodes: impl FnOnce() -> &'n [NodeId],
-    ) -> &[u32] {
+        postings: impl FnOnce() -> &'n PostingList,
+    ) -> Entities<'_, [u32]> {
         let Some(cell) = self.lists.get(token.index()) else {
-            return &[];
+            return Entities {
+                set: &[],
+                sums: &[],
+            };
         };
-        cell.get_or_init(|| {
+        let kept = cell.get_or_init(|| {
             let outside = self.len() as u32;
             let mut list: Vec<u32> = Vec::new();
             let mut shallow = false;
-            // Nodes in document order hold non-decreasing positions, but
-            // for the sentinel, which a shallow node between two entities
-            // can interleave.
-            for pos in self.holding(nodes()) {
+            let sums = self.fill(postings(), |pos| {
                 if pos == outside {
                     shallow = true;
-                } else if list.last() != Some(&pos) {
+                } else {
                     list.push(pos);
                 }
-            }
+            });
             if shallow {
                 list.push(outside);
             }
-            list.into_boxed_slice()
-        })
+            Kept {
+                set: list.into_boxed_slice(),
+                sums,
+            }
+        });
+        kept.get()
     }
 
-    /// Per node of `nodes`: the position of the subtree holding it, through
-    /// the per-node column, or [`Self::len`] for a node shallower than the
-    /// table.
-    fn holding<'a>(&'a self, nodes: &'a [NodeId]) -> impl Iterator<Item = u32> + 'a {
-        nodes.iter().map(|n| self.position[n.index()])
+    /// One pass over `postings` through the per-node column: calls
+    /// `member(pos)` once per subtree holding a posting — and once per
+    /// posting shallower than the table, with [`Self::len`] — and returns
+    /// the subtrees' `Σ tf` other than 1, as [`Entities::sums`] keeps them.
+    /// Nodes in document order hold non-decreasing positions, but for the
+    /// sentinel, which a shallow node between two subtrees can interleave,
+    /// so each subtree's postings are one run.
+    fn fill(&self, postings: &PostingList, mut member: impl FnMut(u32)) -> Box<[(u32, u32)]> {
+        let outside = self.len() as u32;
+        let mut sums = Vec::new();
+        let mut run: Option<(u32, u32)> = None;
+        for (node, &tf) in postings.nodes().iter().zip(postings.tfs()) {
+            let pos = self.position[node.index()];
+            match &mut run {
+                _ if pos == outside => member(pos),
+                Some((at, sum)) if *at == pos => {
+                    *sum = sum
+                        .checked_add(tf)
+                        .expect("a subtree holds fewer than 2^32 occurrences of one term");
+                }
+                _ => {
+                    sums.extend(run.filter(|&(_, sum)| sum != 1));
+                    member(pos);
+                    run = Some((pos, tf));
+                }
+            }
+        }
+        sums.extend(run.filter(|&(_, sum)| sum != 1));
+        sums.into_boxed_slice()
     }
 
     /// Number of subtrees at this depth.
@@ -323,19 +429,47 @@ mod tests {
         xml.push_str("</r>");
         let c = CorpusIndex::build(parse_document(&xml).unwrap());
         let token = |term| c.vocab().get(term).unwrap();
+        let bitmap = |depth, term| c.entity_bitmap(depth, token(term)).map(|e| e.set);
+        let list = |depth, term| c.entity_positions(depth, token(term)).set;
         assert_eq!(c.level(2).words(), 3);
-        assert_eq!(c.entity_bitmap(2, token("twice")), None);
+        assert_eq!(bitmap(2, "twice"), None);
         // Bits 0, 64 and 129, and 130 for the root's text.
         let expect = [1, 1, 1 << 1 | 1 << 2];
-        assert_eq!(c.entity_bitmap(2, token("often")), Some(&expect[..]));
+        assert_eq!(bitmap(2, "often"), Some(&expect[..]));
         // Every term keeps its list: the root's text is the sentinel 130.
-        assert_eq!(c.entity_positions(2, token("twice")), [0, 64]);
-        assert_eq!(c.entity_positions(2, token("often")), [0, 64, 129, 130]);
+        assert_eq!(list(2, "twice"), [0, 64]);
+        assert_eq!(list(2, "often"), [0, 64, 129, 130]);
         // At depth 1 the one-word bitmap is kept for every term.
-        assert_eq!(c.entity_bitmap(1, token("twice")), Some(&[1][..]));
+        assert_eq!(bitmap(1, "twice"), Some(&[1][..]));
         // Nothing is kept over an empty table.
-        assert_eq!(c.entity_bitmap(3, token("often")), None);
-        assert_eq!(c.entity_positions(3, token("often")), []);
+        assert_eq!(bitmap(3, "often"), None);
+        assert_eq!(list(3, "often"), []);
+    }
+
+    #[test]
+    fn sums_other_than_one_are_kept_beside_either_form() {
+        // `word` twice in the first entity (once in its text, once in a
+        // leaf), three times in the third, once in the second and once in
+        // the root's own text, which belongs to no entity.
+        let xml = "<r>word<p>word<t>word</t></p><p>word</p><p><t>word word word</t></p></r>";
+        let c = CorpusIndex::build(parse_document(xml).unwrap());
+        let word = c.vocab().get("word").unwrap();
+        let bitmap = c.entity_bitmap(2, word).expect("a posting per word");
+        let list = c.entity_positions(2, word);
+        assert_eq!(bitmap.set, [0b1111]);
+        assert_eq!(list.set, [0, 1, 2, 3]);
+        for kept in [bitmap.sums, list.sums] {
+            assert_eq!(kept, [(0, 2), (2, 3)]);
+        }
+        // Forward cursors over increasing positions and words.
+        let mut sum_at = 0;
+        let sums: Vec<u32> = (0..3).map(|pos| list.sum_at(&mut sum_at, pos)).collect();
+        assert_eq!(sums, [2, 1, 3]);
+        assert_eq!(list.word_from(&mut 0, 0), bitmap.set[0]);
+        assert_eq!(list.word_from(&mut 0, 1), 0);
+        // At depth 3 only the leaves are entities: one holds 3, one holds 1.
+        let deep = c.entity_positions(3, word);
+        assert_eq!((deep.set, deep.sums), (&[0, 1, 2][..], &[(1, 3)][..]));
     }
 
     #[test]
@@ -439,27 +573,57 @@ mod prop {
                 // A term keeps that bitmap exactly when its list is at least
                 // as long as the bitmap has words; every term keeps that
                 // bitmap's set bits, increasing, as its entity list.
+                // Beside either form, the sums are the per-posting recount
+                // of the tf in each subtree, where it is not 1: a subtree
+                // with no posting and the sentinel never answer.
                 for t in (0..corpus.vocab().len() as u32).map(TokenId) {
-                    let nodes = corpus.postings(t).nodes();
+                    let postings = corpus.postings(t);
+                    let nodes = postings.nodes();
                     let mut marked = vec![0u64; table.words()];
-                    for &n in nodes {
+                    let mut recount = vec![0u32; table.len() + 1];
+                    for (&n, &tf) in nodes.iter().zip(postings.tfs()) {
                         let pos = locate_position(table, n);
                         marked[pos / 64] |= 1 << (pos % 64);
+                        recount[pos] += tf;
                     }
                     let is_set = |pos: &u32| marked[*pos as usize / 64] >> (pos % 64) & 1 == 1;
                     let set: Vec<u32> = match table.is_empty() {
                         true => Vec::new(),
                         false => (0..=table.len() as u32).filter(is_set).collect(),
                     };
+                    let sums: Vec<(u32, u32)> = (0..table.len() as u32)
+                        .map(|pos| (pos, recount[pos as usize]))
+                        .filter(|&(_, sum)| sum != 0 && sum != 1)
+                        .collect();
                     let list = corpus.entity_positions(d, t);
-                    prop_assert_eq!(list, &set[..], "depth {} token {:?}", d, t);
-                    prop_assert!(std::ptr::eq(list, corpus.entity_positions(d, t)));
+                    prop_assert_eq!(list.set, &set[..], "depth {} token {:?}", d, t);
+                    prop_assert_eq!(list.sums, &sums[..], "depth {} token {:?}", d, t);
+                    prop_assert!(std::ptr::eq(list.set, corpus.entity_positions(d, t).set));
+                    // Read back through forward cursors: every word, or
+                    // every other one, then every member's sum in turn.
+                    let steps = if table.is_empty() { 0..0 } else { 1..3 };
+                    for step in steps {
+                        let mut at = 0;
+                        for w in (0..marked.len()).step_by(step) {
+                            let word = list.word_from(&mut at, w);
+                            prop_assert_eq!(word, marked[w], "depth {} token {:?}", d, t);
+                        }
+                    }
+                    let mut sum_at = 0;
+                    for pos in (0..table.len() as u32).filter(is_set) {
+                        prop_assert_eq!(list.sum_at(&mut sum_at, pos), recount[pos as usize]);
+                    }
                     let keeps = !table.is_empty() && nodes.len() >= table.words();
                     let kept = corpus.entity_bitmap(d, t);
                     prop_assert_eq!(kept.is_some(), keeps, "depth {} token {:?}", d, t);
                     let Some(kept) = kept else { continue };
-                    prop_assert_eq!(kept, &marked[..], "depth {} token {:?}", d, t);
-                    prop_assert!(std::ptr::eq(kept, corpus.entity_bitmap(d, t).unwrap()));
+                    prop_assert_eq!(kept.set, &marked[..], "depth {} token {:?}", d, t);
+                    prop_assert_eq!(kept.sums, &sums[..], "depth {} token {:?}", d, t);
+                    prop_assert!(std::ptr::eq(kept.set, corpus.entity_bitmap(d, t).unwrap().set));
+                    let mut sum_at = 0;
+                    for pos in (0..table.len() as u32).filter(is_set) {
+                        prop_assert_eq!(kept.sum_at(&mut sum_at, pos), recount[pos as usize]);
+                    }
                 }
             }
         }

@@ -24,7 +24,7 @@ pub mod storage;
 pub mod vocab;
 
 pub use corpus::{CorpusIndex, SharedPostings, SnapshotProvenance};
-pub use level::{LevelEntry, LevelTable};
+pub use level::{Entities, LevelEntry, LevelTable};
 pub use merged::{AccessStats, MergedEntry, MergedList};
 pub use path_stats::PathStatsIndex;
 pub use posting::{Posting, PostingList};

@@ -29,7 +29,9 @@ pub type MergedEntry = (TokenId, NodeId, u32);
 /// [`AccessStats::add_assign`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AccessStats {
-    /// Postings returned by `next()` (actually consumed).
+    /// Postings returned by `next()` (actually consumed). On the walk's
+    /// scan path: the postings gathered for the scorers that asked for a
+    /// passing subtree's node-level occurrences.
     pub read: u64,
     /// Postings jumped over by `skip_to()` without being consumed.
     pub skipped: u64,
@@ -42,6 +44,9 @@ pub struct AccessStats {
     /// Postings of the scan path's members whose entity bitmap the level
     /// table keeps: OR-ed in a word at a time, never read one by one.
     pub cached: u64,
+    /// Passing subtrees the scan path handed to the scorer from the level
+    /// table's entity sets and sums alone, gathering no posting.
+    pub from_columns: u64,
 }
 
 impl AccessStats {
@@ -60,6 +65,7 @@ impl std::ops::AddAssign for AccessStats {
         self.skip_calls += rhs.skip_calls;
         self.scanned += rhs.scanned;
         self.cached += rhs.cached;
+        self.from_columns += rhs.from_columns;
     }
 }
 

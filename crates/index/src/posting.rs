@@ -78,6 +78,11 @@ impl PostingList {
         &self.nodes
     }
 
+    /// Term frequencies of all postings, parallel to [`Self::nodes`].
+    pub fn tfs(&self) -> &[u32] {
+        &self.tfs
+    }
+
     /// Iterates over all postings in document order.
     pub fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
         (0..self.len()).map(move |i| self.get(i))

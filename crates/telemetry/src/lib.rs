@@ -77,7 +77,7 @@ pub mod names {
          "Distinct result-type computations."),
         (ENTITIES, "xclean_entities_scored_total", "Entity score contributions accumulated."),
         (POSTINGS_READ, "xclean_postings_read_total",
-         "Postings consumed via next() across all merged lists."),
+         "Postings consumed via next() across all merged lists; a scanned query reads only those a scorer asked for."),
         (POSTINGS_SKIPPED, "xclean_postings_skipped_total",
          "Postings jumped by skip_to across all merged lists."),
         (SKIP_CALLS, "xclean_skip_calls_total", "skip_to invocations."),

@@ -35,7 +35,7 @@ use crate::pruning::{Accumulator, CandidateKey, PruningStats, ScoreSink};
 use crate::result_type::find_result_type_scoped;
 use crate::variants::Variant;
 use crate::view::Scoring;
-use crate::walk::SlotOccurrences;
+use crate::walk::{Occurrences, Tokens};
 
 /// A query keyword with its generated variant set.
 #[derive(Debug, Clone)]
@@ -74,9 +74,12 @@ pub struct RunStats {
     pub result_type_computations: u64,
     /// Entity score contributions accumulated.
     pub entities_scored: u64,
-    /// Posting-list I/O summed over all merged lists (postings read via
+    /// Posting I/O of the walk: over all merged lists, postings read via
     /// `next()`, postings jumped by `skip_to`, and `skip_to` call count
-    /// — [`xclean_index::MergedList`]'s own counters, surfaced per run).
+    /// ([`xclean_index::MergedList`]'s own counters, surfaced per run) —
+    /// on the scan path only those of the passing subtrees a scorer asked
+    /// to gather — and the scan path's own: postings marked from kept
+    /// lists and bitmaps, and passing subtrees served from the columns.
     pub access: AccessStats,
     /// Accumulator-table pruning outcome.
     pub pruning: PruningStats,
@@ -137,16 +140,14 @@ pub(crate) fn nanos_since(start: Instant) -> u64 {
     (start.elapsed().as_nanos() as u64).max(1)
 }
 
-/// The variant occurrences of one gating subtree, grouped for scoring:
-/// deduplicated across slots (the same posting can surface in several
-/// keywords' merged lists) and, per result type a candidate of the subtree
-/// asks for, summed into one sorted run of per-entity term counts. A few
-/// dozen triples per subtree, so grouping is a sort of a small vector
-/// rather than a map build; all storage is recycled through the arena.
+/// The entities of one gating subtree, grouped for scoring: per result
+/// type a candidate of the subtree asks for, one sorted run of per-entity
+/// term counts. At the gate depth the run is the walk's [`Tokens::counts`];
+/// below it, the subtree's occurrences summed per entity — a few dozen
+/// triples, so grouping is a sort of a small vector rather than a map
+/// build. All storage is recycled through the arena.
 #[derive(Debug, Default)]
 pub(crate) struct EntityGroups {
-    /// The subtree's distinct `(token, node, tf)` occurrences, sorted.
-    occ: Vec<(TokenId, NodeId, u32)>,
     /// `(result type, range of `rows`)` of each run built so far.
     runs: Vec<(PathId, usize, usize)>,
     /// The runs, concatenated: `(entity, token, Σ tf)`, each run sorted by
@@ -155,43 +156,30 @@ pub(crate) struct EntityGroups {
 }
 
 impl EntityGroups {
-    /// Starts a subtree: collects its occurrences from every slot.
-    pub(crate) fn begin_subtree(&mut self, occurrences: &SlotOccurrences) {
-        self.clear();
-        self.occ.extend(occurrences.iter().flatten());
-        self.occ.sort_unstable();
-        self.occ.dedup_by_key(|&mut (token, node, _)| (token, node));
-    }
-
-    /// Forgets the current subtree, keeping capacity.
+    /// Forgets the current subtree's runs, keeping capacity.
     pub(crate) fn clear(&mut self) {
-        self.occ.clear();
         self.runs.clear();
         self.rows.clear();
     }
 
-    /// `true` when no subtree is held.
+    /// `true` when no run is held.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.occ.is_empty() && self.runs.is_empty() && self.rows.is_empty()
-    }
-
-    /// The subtree's occurrences of `token`, in document order.
-    pub(crate) fn occurrences_of(&self, token: TokenId) -> &[(TokenId, NodeId, u32)] {
-        let start = self.occ.partition_point(|&(t, _, _)| t < token);
-        let len = self.occ[start..].partition_point(|&(t, _, _)| t == token);
-        &self.occ[start..start + len]
+        self.runs.is_empty() && self.rows.is_empty()
     }
 
     /// The run of result type `path`: for every entity of that type in the
     /// subtree, in document order, its `(entity, token, count in the
-    /// entity's subtree)` rows. Built on first request per subtree. `gate`
-    /// is the subtree itself, at depth `min_depth`.
+    /// entity's subtree)` rows. Built on first request per subtree, from
+    /// the `tokens`' counts when `path` sits at the depth `min_depth` of
+    /// the subtree `gate` and from its `occurrences` below it.
     pub(crate) fn entities_of(
         &mut self,
         view: &Scoring<'_>,
         path: PathId,
         gate: &LevelEntry,
+        tokens: &Tokens<'_>,
+        occurrences: &mut Occurrences<'_, '_>,
         min_depth: u32,
     ) -> &[(NodeId, TokenId, u64)] {
         if let Some(&(_, start, end)) = self.runs.iter().find(|run| run.0 == path) {
@@ -205,38 +193,37 @@ impl EntityGroups {
         let start = self.rows.len();
         if depth == min_depth {
             // A result type at the gate depth has one candidate entity: the
-            // gating subtree's root, above every occurrence collected.
+            // gating subtree's root, whose counts are the subtree's, sorted
+            // by token.
             if view.global_path(gate.path) == path {
-                let rows = self
-                    .occ
-                    .iter()
-                    .map(|&(t, _, tf)| (gate.node, t, u64::from(tf)));
+                let rows = tokens.counts.iter().map(|&(t, c)| (gate.node, t, c));
                 self.rows.extend(rows);
             }
         } else {
             let tree = view.tree();
-            for &(token, node, tf) in &self.occ {
+            for &(token, node, tf) in occurrences.all() {
                 if let Some(r) = tree.ancestor_at_depth(node, depth) {
                     if view.node_path(r) == path {
                         self.rows.push((r, token, u64::from(tf)));
                     }
                 }
             }
-        }
-        // Entities are scored in document order, which fixes the order of
-        // every accumulator's f64 adds.
-        self.rows[start..].sort_unstable_by_key(|&(r, token, _)| (r, token));
-        let mut end = start;
-        for i in start..self.rows.len() {
-            let row = self.rows[i];
-            if end > start && (self.rows[end - 1].0, self.rows[end - 1].1) == (row.0, row.1) {
-                self.rows[end - 1].2 += row.2;
-            } else {
-                self.rows[end] = row;
-                end += 1;
+            // Entities are scored in document order, which fixes the order
+            // of every accumulator's f64 adds.
+            self.rows[start..].sort_unstable_by_key(|&(r, token, _)| (r, token));
+            let mut end = start;
+            for i in start..self.rows.len() {
+                let row = self.rows[i];
+                if end > start && (self.rows[end - 1].0, self.rows[end - 1].1) == (row.0, row.1) {
+                    self.rows[end - 1].2 += row.2;
+                } else {
+                    self.rows[end] = row;
+                    end += 1;
+                }
             }
+            self.rows.truncate(end);
         }
-        self.rows.truncate(end);
+        let end = self.rows.len();
         self.runs.push((path, start, end));
         &self.rows[start..end]
     }
@@ -262,13 +249,11 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
         .candidates
         .compile(slots, ErrorModel::new(config.beta));
     // Split the arena into independently-borrowed scratch pieces: the
-    // walk owns the occurrence/token buffers and the scan's bitmaps while
-    // the subtree closure works the scoring scratch. The sink's own storage
-    // (table or log) is the caller's to lend.
+    // walk owns its scratch while the subtree closure works the scoring
+    // scratch. The sink's own storage (table or log) is the caller's to
+    // lend.
     let QueryArena {
-        occurrences,
-        slot_tokens,
-        bitmaps,
+        walk,
         candidate,
         candidates,
         groups,
@@ -284,16 +269,14 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
         slots,
         config,
         stats,
-        occurrences,
-        slot_tokens,
-        bitmaps,
-        |gate, occurrences, slot_tokens| {
+        walk,
+        |gate, tokens, occurrences| {
             // Lines 12–15: enumerate candidates and accumulate entity
             // scores. Entity runs are built lazily per result type.
-            groups.begin_subtree(occurrences);
+            groups.clear();
             let mut budget = config.max_candidates_per_subtree;
             crate::walk::enumerate_candidates_in(
-                slot_tokens,
+                tokens.slot_tokens,
                 candidate,
                 &mut budget,
                 &mut |cand| {
@@ -317,7 +300,8 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
                             path
                         }
                     };
-                    let entities = groups.entities_of(view, path, gate, config.min_depth);
+                    let entities =
+                        groups.entities_of(view, path, gate, tokens, occurrences, config.min_depth);
                     for counts in entities.chunk_by(|a, b| a.0 == b.0) {
                         // The entity must contain every keyword of the candidate.
                         let r = counts[0].0;
@@ -613,7 +597,12 @@ mod tests {
         let out = run_xclean(&c, &slots, &XCleanConfig::default());
         assert!(out.stats.subtrees > 0);
         assert!(out.stats.candidates_enumerated > 0);
-        assert!(out.stats.access.read > 0);
+        // The query scans: its two slots' postings are marked from the
+        // level table's kept sets, and every passing subtree is scored
+        // from the columns, so none is gathered.
+        assert!(out.stats.access.scan_postings() > 0);
+        assert_eq!(out.stats.access.from_columns, out.stats.subtrees);
+        assert_eq!(out.stats.access.read, 0);
         assert!(out.stats.entities_scored > 0);
     }
 

@@ -35,7 +35,7 @@ use xclean_index::TokenId;
 use crate::algorithm::EntityGroups;
 use crate::candidates::{CandId, CandidateTable};
 use crate::pruning::AccumulatorTable;
-use crate::walk::{EntityBitmaps, SlotOccurrences};
+use crate::walk::WalkScratch;
 
 /// One recorded [`AccumulatorTable::add`] call of a shard walk:
 /// `(candidate, weighted score, weight)`.
@@ -47,14 +47,9 @@ pub(crate) type Contribution = (CandId, f64, f64);
 /// [`QueryArena::reset`] only improves allocation behaviour.
 #[derive(Debug, Default)]
 pub struct QueryArena {
-    /// Walk scratch: per-slot `(token, node, tf)` occurrences of the
-    /// current gating subtree.
-    pub(crate) occurrences: SlotOccurrences,
-    /// Walk scratch: per-slot deduplicated token sets.
-    pub(crate) slot_tokens: Vec<Vec<TokenId>>,
-    /// Walk scratch: the scan path's per-slot subtree bitmaps, rebuilt by
-    /// every scan (so `reset` leaves them be).
-    pub(crate) bitmaps: EntityBitmaps,
+    /// Walk scratch: the current gating subtree's tokens, sums and
+    /// occurrences, and the scan path's bitmaps and columns.
+    pub(crate) walk: WalkScratch,
     /// Candidate-enumeration scratch (one token per slot).
     pub(crate) candidate: Vec<TokenId>,
     /// The compiled query: slot tables and interned candidates (the hash
@@ -84,12 +79,7 @@ impl QueryArena {
     /// Called by the engine between queries; running on a freshly-reset
     /// arena is indistinguishable from running on a new one.
     pub fn reset(&mut self) {
-        for v in &mut self.occurrences {
-            v.clear();
-        }
-        for v in &mut self.slot_tokens {
-            v.clear();
-        }
+        self.walk.clear();
         self.candidate.clear();
         self.candidates.compile(&[], Default::default());
         self.groups.clear();
@@ -104,26 +94,50 @@ impl QueryArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::KeywordSlot;
+    use crate::algorithm::{KeywordSlot, RunStats};
+    use crate::config::XCleanConfig;
     use crate::variants::Variant;
-    use xclean_xmltree::NodeId;
+    use crate::view::Scoring;
+    use crate::walk::walk_gated_subtrees_scoped;
+    use xclean_index::CorpusIndex;
+    use xclean_xmltree::parse_document;
 
     #[test]
     fn reset_clears_contents_and_keeps_capacity() {
         let mut a = QueryArena::new();
-        a.occurrences.push(vec![(TokenId(1), NodeId(2), 3)]);
-        a.slot_tokens.push(vec![TokenId(1)]);
-        a.candidate.push(TokenId(7));
+        let corpus = CorpusIndex::build(
+            parse_document("<a><b><c>key</c></b><b><c>key key</c></b></a>").unwrap(),
+        );
+        let key = corpus.vocab().get("key").unwrap();
         let slot = KeywordSlot {
             keyword: "k".into(),
             variants: vec![Variant {
-                token: TokenId(1),
+                token: key,
                 distance: 1,
             }],
         };
+        // One walk fills the walk scratch and a run of each kind.
+        let view = Scoring::unsharded(&corpus);
+        let config = XCleanConfig::default();
+        let QueryArena { walk, groups, .. } = &mut a;
+        let mut stats = RunStats::default();
+        let slots = [slot.clone()];
+        walk_gated_subtrees_scoped(&view, &slots, &config, &mut stats, walk, |g, t, occ| {
+            for depth in [2, 3] {
+                let path = view.tree().path(
+                    view.tree()
+                        .ancestor_at_depth(occ.all()[0].1, depth)
+                        .unwrap(),
+                );
+                assert!(!groups
+                    .entities_of(&view, path, g, t, occ, config.min_depth)
+                    .is_empty());
+            }
+        });
+        assert!(!a.walk.is_empty() && !a.groups.is_empty());
+        a.candidate.push(TokenId(7));
         a.candidates.compile(&[slot], Default::default());
-        let id = a.candidates.intern(&[TokenId(1)]);
-        a.groups.begin_subtree(&a.occurrences);
+        let id = a.candidates.intern(&[key]);
         a.type_order.extend([0, 1]);
         a.table.reset(Some(1));
         a.table.add(&a.candidates, id, 0.5, 1.0, &mut |_| {});
@@ -132,8 +146,7 @@ mod tests {
         a.rank_order.push((0.0, 0));
         let log_cap = a.log.capacity();
         a.reset();
-        assert!(a.occurrences.iter().all(Vec::is_empty));
-        assert!(a.slot_tokens.iter().all(Vec::is_empty));
+        assert!(a.walk.is_empty());
         assert!(a.candidate.is_empty());
         assert!(a.candidates.is_empty());
         assert_eq!(a.candidates.width(), 0);

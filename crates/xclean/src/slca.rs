@@ -111,12 +111,9 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
         .candidates
         .compile(slots, ErrorModel::new(config.beta));
     let QueryArena {
-        occurrences,
-        slot_tokens,
-        bitmaps,
+        walk,
         candidate,
         candidates,
-        groups,
         ..
     } = arena;
     let mut candidates_enumerated = 0u64;
@@ -127,17 +124,13 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
         slots,
         config,
         stats,
-        occurrences,
-        slot_tokens,
-        bitmaps,
-        |_g, occurrences, slot_tokens| {
-            // Per-token occurrence nodes/counts in this subtree (dedup
-            // across slots: the same posting can surface in several merged
-            // lists).
-            groups.begin_subtree(occurrences);
+        walk,
+        |_gate, tokens, occurrences| {
+            // Per-token occurrence nodes/counts in this subtree, gathered
+            // on the first candidate's request.
             let mut budget = config.max_candidates_per_subtree;
             crate::walk::enumerate_candidates_in(
-                slot_tokens,
+                tokens.slot_tokens,
                 candidate,
                 &mut budget,
                 &mut |cand| {
@@ -148,7 +141,7 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
                     let lists: Vec<Vec<NodeId>> = distinct
                         .iter()
                         .map(|&t| {
-                            let nodes = groups.occurrences_of(t).iter();
+                            let nodes = occurrences.of(t).iter();
                             nodes.map(|&(_, n, _)| n).collect()
                         })
                         .collect();
@@ -164,8 +157,8 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
                         let dlen = view.doc_len(r);
                         let mut log_score = 0.0f64;
                         for &t in cand.iter() {
-                            let count: u64 = groups
-                                .occurrences_of(t)
+                            let count: u64 = occurrences
+                                .of(t)
                                 .iter()
                                 .filter(|&&(_, n, _)| tree.is_ancestor_or_self(r, n))
                                 .map(|&(_, _, tf)| u64::from(tf))

@@ -19,7 +19,7 @@
 //! probabilities, smoothed language-model terms, utilities, normalisers)
 //! is computed from the same integers the unsharded corpus holds.
 
-use xclean_index::{CorpusIndex, LevelTable, PostingList, TokenId, Vocabulary};
+use xclean_index::{CorpusIndex, Entities, LevelTable, PostingList, TokenId, Vocabulary};
 use xclean_lm::{LanguageModel, Smoothing};
 use xclean_xmltree::{NodeId, PathId, XmlTree};
 
@@ -115,11 +115,11 @@ impl<'a> Scoring<'a> {
         }
     }
 
-    /// The depth-`depth` entity bitmap of a (global) token within this
-    /// view's tree, if the view's level table keeps one
+    /// The depth-`depth` entity bitmap and sums of a (global) token within
+    /// this view's tree, if the view's level table keeps one
     /// ([`CorpusIndex::entity_bitmap`], under the shard's local id).
     #[inline]
-    pub(crate) fn entity_bitmap(&self, depth: u32, token: TokenId) -> Option<&'a [u64]> {
+    pub(crate) fn entity_bitmap(&self, depth: u32, token: TokenId) -> Option<Entities<'a, [u64]>> {
         let local = match &self.scope {
             None => token,
             Some(s) => match s.to_local_token[token.index()] {
@@ -130,15 +130,21 @@ impl<'a> Scoring<'a> {
         self.corpus.entity_bitmap(depth, local)
     }
 
-    /// The depth-`depth` entity list of a (global) token within this
-    /// view's tree, in local positions ([`CorpusIndex::entity_positions`],
-    /// under the shard's local id); empty for a token absent from a shard.
+    /// The depth-`depth` entity list and sums of a (global) token within
+    /// this view's tree, in local positions
+    /// ([`CorpusIndex::entity_positions`], under the shard's local id);
+    /// empty for a token absent from a shard.
     #[inline]
-    pub(crate) fn entity_positions(&self, depth: u32, token: TokenId) -> &'a [u32] {
+    pub(crate) fn entity_positions(&self, depth: u32, token: TokenId) -> Entities<'a, [u32]> {
         let local = match &self.scope {
             None => token,
             Some(s) => match s.to_local_token[token.index()] {
-                ABSENT_TOKEN => return &[],
+                ABSENT_TOKEN => {
+                    return Entities {
+                        set: &[],
+                        sums: &[],
+                    }
+                }
                 local => TokenId(local),
             },
         };

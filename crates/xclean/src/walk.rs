@@ -20,26 +20,35 @@
 //! which the level table keeps per term: a frequent term's bitmap, whose
 //! words the scan ORs, and every other term's list of positions, whose bits
 //! it sets one entity at a time. Either way the same bits are set as one
-//! per posting would set, and both paths collect a passing subtree's
-//! occurrences with the same helper, so `on_subtree` sees the same sequence
-//! either way (DESIGN.md §15, item 5).
+//! per posting would set.
+//!
+//! Both paths hand every passing subtree to `on_subtree` the same way
+//! (DESIGN.md §15, items 5 and 5(f)): the gate's entry, its [`Tokens`] —
+//! each slot's distinct tokens in it and every such token's `Σ tf` over
+//! it, all a gate-depth entity's score needs — and its [`Occurrences`],
+//! the node-level postings, for the scorers that need more. The leapfrog
+//! collects the postings and derives the rest from them. The scan reads
+//! the tokens and sums from the same entity sets and the sums the table
+//! keeps beside them, one forward cursor per variant, and gathers the
+//! postings from the merged lists only when `on_subtree` asks; the lists
+//! only ever move forward. So `on_subtree` sees the same values in the
+//! same order either way.
 
-use xclean_index::{AccessStats, CorpusIndex, LevelEntry, LevelTable, MergedList, TokenId};
+use xclean_index::{
+    AccessStats, CorpusIndex, Entities, LevelEntry, LevelTable, MergedEntry, MergedList, TokenId,
+};
 use xclean_xmltree::NodeId;
 
 use crate::algorithm::{KeywordSlot, RunStats};
 use crate::config::XCleanConfig;
 use crate::view::Scoring;
 
-/// Occurrences collected for one gating subtree: per keyword slot, the
-/// `(token, node, tf)` triples in document order.
-pub type SlotOccurrences = Vec<Vec<(TokenId, NodeId, u32)>>;
-
 /// The scan runs when the slots' lists hold at most this many times the
 /// postings of the slot with the fewest (Σ ≤ `SCAN_RATIO` · m). Fitted on
 /// the benchmark pool with the level table's kept bitmaps: 512 is the low
 /// end of a plateau that runs to always scanning, within 1.5 % of the
-/// per-query best of the two paths (DESIGN.md §15, item 5(e)).
+/// per-query best of the two paths (DESIGN.md §15, item 5(e); item 5(f)
+/// has the re-fit since passing subtrees are read from the columns).
 const SCAN_RATIO: usize = 512;
 
 /// How one walk finds the subtrees in which every slot occurs.
@@ -82,34 +91,190 @@ pub(crate) fn with_path<T>(path: WalkPath, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The scan path's scratch, recycled through the query arena: the AND of
-/// the slots' bitmaps so far and the current slot's, one bit per
-/// level-table position plus one for postings shallower than the gate.
-#[derive(Debug, Default)]
-pub(crate) struct EntityBitmaps {
-    passing: Vec<u64>,
-    slot: Vec<u64>,
+/// A passing subtree's variant tokens as `on_subtree` sees them, on
+/// either path.
+#[derive(Debug, Clone, Copy)]
+pub struct Tokens<'a> {
+    /// Per keyword slot: its variant tokens with a posting in the subtree,
+    /// distinct and increasing; never empty.
+    pub slot_tokens: &'a [Vec<TokenId>],
+    /// Every token of `slot_tokens` once, increasing, with the sum of its
+    /// postings' tf in the subtree: `count(w, D(g))` of the gate.
+    pub counts: &'a [(TokenId, u64)],
 }
 
-impl EntityBitmaps {
-    /// Sets the bits of the subtrees of `view`'s depth-`depth` table in
-    /// which every slot has a posting: per slot, the OR of its variants'
-    /// entity sets — the bitmap the table keeps for a frequent term, else
-    /// one bit set per position of the term's kept list. Counts the
-    /// postings of each kind in `access` (`cached`, `scanned`).
-    fn mark(
+/// A passing subtree's node-level occurrences: the distinct `(token, node,
+/// tf)` postings of every slot's variants in it, sorted — a posting two
+/// slots share appears once. The leapfrog has them in hand; the scan
+/// gathers them from the merged lists on the first request, moving the
+/// lists forward to the subtree.
+pub struct Occurrences<'a, 'v> {
+    occ: &'a mut Vec<MergedEntry>,
+    /// The lists and the subtree's extent, until the scan gathers.
+    pending: Option<(&'a mut [MergedList<'v>], NodeId, u32)>,
+}
+
+impl Occurrences<'_, '_> {
+    /// All of them, gathered on the first call.
+    pub fn all(&mut self) -> &[MergedEntry] {
+        if let Some((vls, g, g_end)) = self.pending.take() {
+            self.occ.clear();
+            for vl in vls {
+                vl.skip_to_node(g);
+                take_subtree(vl, g, g_end, self.occ);
+            }
+            distinct(self.occ);
+        }
+        self.occ
+    }
+
+    /// Those of `token`, in document order.
+    pub fn of(&mut self, token: TokenId) -> &[MergedEntry] {
+        let occ = self.all();
+        let start = occ.partition_point(|&(t, _, _)| t < token);
+        let len = occ[start..].partition_point(|&(t, _, _)| t == token);
+        &occ[start..start + len]
+    }
+}
+
+/// The walk's scratch, recycled through the query arena: the buffers
+/// [`Tokens`] and [`Occurrences`] lend out, and the scan's bitmaps
+/// and columns. Every walk clears what it reads before use, so recycled
+/// buffers behave exactly like fresh ones; all are left holding the
+/// *last* query's data on return — callers treat them as opaque scratch.
+#[derive(Debug, Default)]
+pub(crate) struct WalkScratch {
+    occ: Vec<MergedEntry>,
+    slot_tokens: Vec<Vec<TokenId>>,
+    counts: Vec<(TokenId, u64)>,
+    /// The AND of the slots' bitmaps so far and the current slot's, one
+    /// bit per level-table position plus one for postings shallower than
+    /// the gate.
+    passing: Vec<u64>,
+    slot: Vec<u64>,
+    /// The scan's distinct variant tokens with their kept sets (emptied
+    /// between queries: they borrow one query's corpus).
+    columns: Vec<Column<'static>>,
+    /// `(column, slot)` of every variant, sorted and distinct.
+    members: Vec<(usize, usize)>,
+    /// The columns with a passing subtree in the current word.
+    live: Vec<usize>,
+}
+
+impl WalkScratch {
+    /// Forgets the last walk's contents, keeping capacity.
+    pub(crate) fn clear(&mut self) {
+        self.occ.clear();
+        self.slot_tokens.iter_mut().for_each(Vec::clear);
+        self.counts.clear();
+    }
+
+    /// `true` when no subtree's contents are held.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.occ.is_empty() && self.counts.is_empty() && self.slot_tokens.iter().all(Vec::is_empty)
+    }
+}
+
+/// A term's kept entity set at the gate depth, in either form.
+#[derive(Debug, Clone, Copy)]
+enum Kept<'v> {
+    Bitmap(Entities<'v, [u64]>),
+    List(Entities<'v, [u32]>),
+}
+
+/// One distinct variant token of a scanned query: its kept entity set and
+/// sums, forward cursors into both, its slots, and its bits in the current
+/// word of the passing bitmap.
+#[derive(Debug)]
+struct Column<'v> {
+    token: TokenId,
+    kept: Kept<'v>,
+    /// Cursor into a [`Kept::List`]'s positions.
+    at: usize,
+    /// Cursor into the sums.
+    sum_at: usize,
+    /// The passing subtrees of the current word that hold the token.
+    bits: u64,
+    /// The `members` holding this column: its slots, increasing.
+    members: (usize, usize),
+}
+
+impl Column<'_> {
+    /// Moves to word `w` of the passing bitmap, whose bits are `passing`,
+    /// past every earlier word.
+    #[inline]
+    fn seek_word(&mut self, w: usize, passing: u64) {
+        let word = match self.kept {
+            Kept::Bitmap(e) => e.set[w],
+            Kept::List(e) => e.word_from(&mut self.at, w),
+        };
+        self.bits = word & passing;
+    }
+
+    /// The token's `Σ tf` in the member subtree at `pos`, past every
+    /// earlier one.
+    #[inline]
+    fn sum_at(&mut self, pos: u32) -> u32 {
+        match self.kept {
+            Kept::Bitmap(e) => e.sum_at(&mut self.sum_at, pos),
+            Kept::List(e) => e.sum_at(&mut self.sum_at, pos),
+        }
+    }
+}
+
+/// `columns`' allocation, emptied, for columns of another lifetime: how the
+/// arena keeps the buffer between queries whose columns borrow different
+/// corpora. Collecting a `Vec`'s own iterator into a type of the same size
+/// and alignment reuses its allocation, so this allocates nothing.
+fn recycle<'x, 'y>(mut columns: Vec<Column<'x>>) -> Vec<Column<'y>> {
+    columns.clear();
+    columns
+        .into_iter()
+        .map(|_| unreachable!("the buffer was cleared"))
+        .collect()
+}
+
+impl WalkScratch {
+    /// Fills `columns` with the distinct variant tokens of `slots`,
+    /// increasing, each with its kept set at `depth` of `view` — the bitmap
+    /// the table keeps for a frequent term, else the term's list — and
+    /// `members` with every variant's `(column, slot)`; then sets the bits
+    /// of the subtrees in which every slot has a posting: per slot, the OR
+    /// of its variants' sets. Counts the postings of each kind in `access`
+    /// (`cached`, `scanned`).
+    fn mark<'v>(
         &mut self,
-        view: &Scoring<'_>,
+        view: &Scoring<'v>,
         slots: &[KeywordSlot],
         depth: u32,
+        columns: &mut Vec<Column<'v>>,
         access: &mut AccessStats,
     ) {
+        columns.clear();
+        self.members.clear();
         self.passing.clear();
         let level = view.level(depth);
         if level.is_empty() {
             return;
         }
-        for (i, slot) in slots.iter().enumerate() {
+        let column = |token| Column {
+            token,
+            kept: match view.entity_bitmap(depth, token) {
+                Some(kept) => Kept::Bitmap(kept),
+                None => Kept::List(view.entity_positions(depth, token)),
+            },
+            at: 0,
+            sum_at: 0,
+            bits: 0,
+            members: (0, 0),
+        };
+        let variants = slots.iter().flat_map(|s| &s.variants);
+        columns.extend(variants.map(|v| column(v.token)));
+        columns.sort_unstable_by_key(|c| c.token);
+        columns.dedup_by_key(|c| c.token);
+
+        for (i, s) in slots.iter().enumerate() {
             let bits = if i == 0 {
                 &mut self.passing
             } else {
@@ -117,18 +282,20 @@ impl EntityBitmaps {
             };
             bits.clear();
             bits.resize(level.words(), 0);
-            for v in &slot.variants {
+            for v in &s.variants {
+                let column = columns.partition_point(|c| c.token < v.token);
+                self.members.push((column, i));
                 let postings = view.postings(v.token).len() as u64;
-                match view.entity_bitmap(depth, v.token) {
-                    Some(kept) => {
+                match columns[column].kept {
+                    Kept::Bitmap(kept) => {
                         access.cached += postings;
-                        for (word, &kept) in bits.iter_mut().zip(kept) {
+                        for (word, &kept) in bits.iter_mut().zip(kept.set) {
                             *word |= kept;
                         }
                     }
-                    None => {
+                    Kept::List(kept) => {
                         access.scanned += postings;
-                        for &pos in view.entity_positions(depth, v.token) {
+                        for &pos in kept.set {
                             bits[pos as usize / 64] |= 1 << (pos % 64);
                         }
                     }
@@ -144,62 +311,58 @@ impl EntityBitmaps {
         // last position.
         let outside = level.len();
         self.passing[outside / 64] &= !(1 << (outside % 64));
-    }
 
-    /// Positions of the marked subtrees, increasing — document order.
-    fn passing(&self) -> impl Iterator<Item = usize> + '_ {
-        self.passing.iter().enumerate().flat_map(|(w, &word)| {
-            let rest = |&bits: &u64| Some(bits & (bits - 1)).filter(|&b| b != 0);
-            std::iter::successors(Some(word).filter(|&b| b != 0), rest)
-                .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
-        })
+        self.members.sort_unstable();
+        self.members.dedup();
+        let mut start = 0;
+        for run in self.members.chunk_by(|a, b| a.0 == b.0) {
+            columns[run[0].0].members = (start, start + run.len());
+            start += run.len();
+        }
     }
 }
 
-/// Runs the anchor walk, invoking `on_subtree(g, occurrences, slot_tokens)`
-/// for every gating subtree in which **all** slots have at least one
+/// Positions of the set bits of `word`, increasing.
+fn set_bits(word: u64) -> impl Iterator<Item = usize> {
+    let rest = |&bits: &u64| Some(bits & (bits - 1)).filter(|&b| b != 0);
+    std::iter::successors(Some(word).filter(|&b| b != 0), rest).map(|b| b.trailing_zeros() as usize)
+}
+
+/// Runs the anchor walk, invoking `on_subtree(g, tokens, occurrences)`
+/// for every gating subtree `g` in which **all** slots have at least one
 /// variant occurrence. Updates posting I/O counters in `stats`.
 pub fn walk_gated_subtrees(
     corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     stats: &mut RunStats,
-    mut on_subtree: impl FnMut(NodeId, &SlotOccurrences, &[Vec<TokenId>]),
+    mut on_subtree: impl FnMut(NodeId, &Tokens<'_>, &mut Occurrences<'_, '_>),
 ) {
     walk_gated_subtrees_scoped(
         &Scoring::unsharded(corpus),
         slots,
         config,
         stats,
-        &mut SlotOccurrences::new(),
-        &mut Vec::new(),
-        &mut EntityBitmaps::default(),
-        |gate, occurrences, slot_tokens| on_subtree(gate.node, occurrences, slot_tokens),
+        &mut WalkScratch::default(),
+        |gate, tokens, occurrences| on_subtree(gate.node, tokens, occurrences),
     )
 }
 
 /// The walk core over a [`Scoring`] view and caller-provided (arena)
-/// occurrence, token and bitmap buffers: the first two are resized to one
-/// entry per slot and content-cleared before use, the bitmaps are rebuilt
-/// by the scan, so recycled buffers behave exactly like fresh ones; all are
-/// left holding the *last* query's data on return — callers treat them as
-/// opaque scratch. Under a shard scope the variant tokens (global ids)
-/// resolve to the shard's local posting lists — or the empty list, which
-/// exhausts that merged-list member immediately — so the walk visits
+/// scratch. Under a shard scope the variant tokens (global ids) resolve to
+/// the shard's local posting lists and entity sets — or the empty ones,
+/// which exhaust that merged-list member immediately — so the walk visits
 /// exactly the qualifying subtrees whose entities live in the shard, and
-/// picks its [`WalkPath`] from the shard's own lists. `on_subtree` receives
-/// the gating subtree as its level-table entry (path local to the view's
-/// corpus).
-#[allow(clippy::too_many_arguments)]
+/// picks its [`WalkPath`] from the shard's own lists. `on_subtree`
+/// receives the gating subtree as its level-table entry (path local to the
+/// view's corpus).
 pub(crate) fn walk_gated_subtrees_scoped(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     stats: &mut RunStats,
-    occurrences: &mut SlotOccurrences,
-    slot_tokens: &mut Vec<Vec<TokenId>>,
-    bitmaps: &mut EntityBitmaps,
-    mut on_subtree: impl FnMut(&LevelEntry, &SlotOccurrences, &[Vec<TokenId>]),
+    scratch: &mut WalkScratch,
+    mut on_subtree: impl FnMut(&LevelEntry, &Tokens<'_>, &mut Occurrences<'_, '_>),
 ) {
     if slots.is_empty() || slots.iter().any(|s| s.variants.is_empty()) {
         return;
@@ -209,47 +372,99 @@ pub(crate) fn walk_gated_subtrees_scoped(
         .iter()
         .map(|s| MergedList::new(s.variants.iter().map(|v| (v.token, view.postings(v.token)))))
         .collect();
-
-    occurrences.truncate(slots.len());
-    occurrences.iter_mut().for_each(Vec::clear);
-    occurrences.resize_with(slots.len(), Vec::new);
-    slot_tokens.truncate(slots.len());
-    slot_tokens.iter_mut().for_each(Vec::clear);
-    slot_tokens.resize_with(slots.len(), Vec::new);
+    scratch.slot_tokens.truncate(slots.len());
+    scratch.slot_tokens.resize_with(slots.len(), Vec::new);
 
     let path = path_for(&vls, level, config);
     #[cfg(test)]
     let path = FORCED.get().unwrap_or(path);
     match path {
-        WalkPath::Leapfrog => leapfrog(
-            level,
+        WalkPath::Leapfrog => leapfrog(level, &mut vls, config, stats, scratch, &mut on_subtree),
+        WalkPath::Scan => scan(
+            view,
+            slots,
+            config.min_depth,
             &mut vls,
-            config,
             stats,
-            occurrences,
-            slot_tokens,
+            scratch,
             &mut on_subtree,
         ),
-        WalkPath::Scan => {
-            // Every passing subtree is marked before any is collected; the
-            // lists are then only moved forward to each one in turn.
-            bitmaps.mark(view, slots, config.min_depth, &mut stats.access);
-            for pos in bitmaps.passing() {
-                let entry = level.entry(pos);
-                for vl in &mut vls {
-                    vl.skip_to_node(entry.node);
-                }
-                let present = gather(&mut vls, entry.node, entry.end, occurrences, slot_tokens);
-                debug_assert!(present, "every slot marked subtree {pos}");
-                stats.subtrees += 1;
-                on_subtree(&entry, occurrences, slot_tokens);
-            }
-        }
     }
 
     for vl in &vls {
         stats.access += vl.stats();
     }
+}
+
+/// The scan path: mark the subtrees of the depth-`depth` table in which
+/// every slot has a posting, then hand each over in document order with
+/// its tokens and sums read from the variants' kept sets, one forward
+/// cursor per distinct token, a word of the passing bitmap at a time; `vls`
+/// move only when `on_subtree` asks for the occurrences. Counts every
+/// subtree handed over in `stats.subtrees`, and those served without a
+/// gather in `from_columns`.
+fn scan<'v>(
+    view: &Scoring<'v>,
+    slots: &[KeywordSlot],
+    depth: u32,
+    vls: &mut [MergedList<'v>],
+    stats: &mut RunStats,
+    scratch: &mut WalkScratch,
+    on_subtree: &mut impl FnMut(&LevelEntry, &Tokens<'_>, &mut Occurrences<'_, '_>),
+) {
+    let level = view.level(depth);
+    let mut columns = recycle(std::mem::take(&mut scratch.columns));
+    scratch.mark(view, slots, depth, &mut columns, &mut stats.access);
+    let WalkScratch {
+        occ,
+        slot_tokens,
+        counts,
+        passing,
+        members,
+        live,
+        ..
+    } = scratch;
+    for (w, &word) in passing.iter().enumerate().filter(|&(_, &word)| word != 0) {
+        // Only the columns holding one of the word's subtrees are read
+        // per subtree.
+        live.clear();
+        for (i, column) in columns.iter_mut().enumerate() {
+            column.seek_word(w, word);
+            if column.bits != 0 {
+                live.push(i);
+            }
+        }
+        for bit in set_bits(word) {
+            let pos = w * 64 + bit;
+            counts.clear();
+            slot_tokens.iter_mut().for_each(Vec::clear);
+            for &i in live.iter() {
+                let column = &mut columns[i];
+                if column.bits >> bit & 1 == 1 {
+                    let sum = column.sum_at(pos as u32);
+                    counts.push((column.token, u64::from(sum)));
+                    for &(_, slot) in &members[column.members.0..column.members.1] {
+                        slot_tokens[slot].push(column.token);
+                    }
+                }
+            }
+            let entry = level.entry(pos);
+            let tokens = Tokens {
+                slot_tokens,
+                counts,
+            };
+            let mut occurrences = Occurrences {
+                occ,
+                pending: Some((&mut *vls, entry.node, entry.end)),
+            };
+            stats.subtrees += 1;
+            on_subtree(&entry, &tokens, &mut occurrences);
+            if occurrences.pending.is_some() {
+                stats.access.from_columns += 1;
+            }
+        }
+    }
+    scratch.columns = recycle(columns);
 }
 
 /// The leapfrog path: anchor on the largest head, gate it through a
@@ -260,9 +475,8 @@ fn leapfrog(
     vls: &mut [MergedList<'_>],
     config: &XCleanConfig,
     stats: &mut RunStats,
-    occurrences: &mut SlotOccurrences,
-    slot_tokens: &mut [Vec<TokenId>],
-    on_subtree: &mut impl FnMut(&LevelEntry, &SlotOccurrences, &[Vec<TokenId>]),
+    scratch: &mut WalkScratch,
+    on_subtree: &mut impl FnMut(&LevelEntry, &Tokens<'_>, &mut Occurrences<'_, '_>),
 ) {
     let mut cursor = 0;
     loop {
@@ -329,47 +543,78 @@ fn leapfrog(
             }
         }
 
-        if gather(vls, g, g_end, occurrences, slot_tokens) {
-            on_subtree(&level.entry(cursor), occurrences, slot_tokens);
+        let WalkScratch {
+            occ,
+            slot_tokens,
+            counts,
+            ..
+        } = scratch;
+        if gather(vls, g, g_end, occ, slot_tokens) {
+            counts.clear();
+            for &(token, _, tf) in occ.iter() {
+                match counts.last_mut() {
+                    Some((last, sum)) if *last == token => *sum += u64::from(tf),
+                    _ => counts.push((token, u64::from(tf))),
+                }
+            }
+            let tokens = Tokens {
+                slot_tokens,
+                counts,
+            };
+            on_subtree(
+                &level.entry(cursor),
+                &tokens,
+                &mut Occurrences { occ, pending: None },
+            );
         }
     }
 }
 
-/// Collects a subtree `[g, g_end)` for `on_subtree`, on either path: every
-/// list's postings in it move into its slot's `occurrences` (any still
-/// before `g`, reachable only with skipping disabled, are consumed and
-/// dropped) and, when every slot got one, each slot's distinct tokens into
-/// `slot_tokens`. Returns whether every slot got one.
+/// Collects a subtree `[g, g_end)` on the leapfrog path: every list's
+/// postings in it move into `occ` (any still before `g`, reachable only
+/// with skipping disabled, are consumed and dropped) and each slot's
+/// distinct tokens into `slot_tokens`; `occ` is then made distinct and
+/// sorted. Returns whether every slot got one.
 fn gather(
     vls: &mut [MergedList<'_>],
     g: NodeId,
     g_end: u32,
-    occurrences: &mut SlotOccurrences,
+    occ: &mut Vec<MergedEntry>,
     slot_tokens: &mut [Vec<TokenId>],
 ) -> bool {
+    occ.clear();
     let mut all_present = true;
-    for (vl, occ) in vls.iter_mut().zip(occurrences.iter_mut()) {
-        occ.clear();
-        while let Some(n) = vl.head_node() {
-            if n >= g && n.0 < g_end {
-                occ.push(vl.next().expect("head_node implies an entry"));
-            } else if n < g {
-                vl.next();
-            } else {
-                break;
-            }
-        }
-        all_present &= !occ.is_empty();
+    for (vl, tokens) in vls.iter_mut().zip(slot_tokens.iter_mut()) {
+        let start = occ.len();
+        take_subtree(vl, g, g_end, occ);
+        all_present &= occ.len() > start;
+        tokens.clear();
+        tokens.extend(occ[start..].iter().map(|&(t, _, _)| t));
+        tokens.sort_unstable();
+        tokens.dedup();
     }
     if all_present {
-        for (tokens, occ) in slot_tokens.iter_mut().zip(occurrences.iter()) {
-            tokens.clear();
-            tokens.extend(occ.iter().map(|&(t, _, _)| t));
-            tokens.sort_unstable();
-            tokens.dedup();
-        }
+        distinct(occ);
     }
     all_present
+}
+
+/// Moves `vl`'s postings before `g_end` into `out`, dropping those before
+/// `g`.
+fn take_subtree(vl: &mut MergedList<'_>, g: NodeId, g_end: u32, out: &mut Vec<MergedEntry>) {
+    while vl.head_node().is_some_and(|n| n.0 < g_end) {
+        let entry = vl.next().expect("head_node implies an entry");
+        if entry.1 >= g {
+            out.push(entry);
+        }
+    }
+}
+
+/// Sorts `occ` and drops the repeats of a posting that several slots'
+/// merged lists share.
+fn distinct(occ: &mut Vec<MergedEntry>) {
+    occ.sort_unstable();
+    occ.dedup_by_key(|&mut (token, node, _)| (token, node));
 }
 
 /// Depth-first Cartesian enumeration of one token per slot, bounded by
@@ -442,21 +687,52 @@ mod tests {
                 variants: gen.variants(k),
             })
             .collect();
-        let mut stats = RunStats::default();
-        let mut visited = Vec::new();
-        walk_gated_subtrees(
-            &corpus,
-            &slots,
-            &XCleanConfig::default(),
-            &mut stats,
-            |g, occ, toks| {
-                visited.push(corpus.tree().dewey(g).to_string());
-                assert!(occ.iter().all(|o| !o.is_empty()));
-                assert_eq!(toks.len(), 2);
-            },
-        );
-        assert_eq!(visited, vec!["1.2"]);
-        assert!(stats.access.read > 0);
+        // The scan serves the one passing subtree from the columns; its
+        // postings are read only when asked for.
+        for ask in [false, true] {
+            let mut stats = RunStats::default();
+            let mut visited = Vec::new();
+            walk_gated_subtrees(
+                &corpus,
+                &slots,
+                &XCleanConfig::default(),
+                &mut stats,
+                |g, tokens, occurrences| {
+                    visited.push(corpus.tree().dewey(g).to_string());
+                    assert_eq!(tokens.slot_tokens.len(), 2);
+                    assert!(tokens.slot_tokens.iter().all(|t| t.len() == 1));
+                    assert_eq!(tokens.counts.len(), 2);
+                    if ask {
+                        assert_eq!(occurrences.all().len(), 2);
+                    }
+                },
+            );
+            assert_eq!(visited, vec!["1.2"]);
+            assert!(stats.access.scan_postings() > 0);
+            assert_eq!(stats.access.from_columns, u64::from(!ask));
+            assert_eq!(stats.access.read, if ask { 2 } else { 0 });
+        }
+    }
+
+    #[test]
+    fn recycled_columns_keep_their_allocation() {
+        let mut columns: Vec<Column<'static>> = Vec::with_capacity(8);
+        columns.push(Column {
+            token: TokenId(1),
+            kept: Kept::List(Entities {
+                set: &[],
+                sums: &[],
+            }),
+            at: 0,
+            sum_at: 0,
+            bits: 0,
+            members: (0, 0),
+        });
+        let buffer = columns.as_ptr();
+        let local: Vec<Column<'_>> = recycle(columns);
+        assert!(local.is_empty() && local.capacity() == 8);
+        let back: Vec<Column<'static>> = recycle(local);
+        assert_eq!(back.as_ptr(), buffer);
     }
 
     /// The path `path_for` picks for slots of the named terms of `corpus`.

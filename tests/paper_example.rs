@@ -117,5 +117,8 @@ fn anchor_walk_skips_first_subtree() {
         "visited {} subtrees",
         r.stats.subtrees
     );
-    assert!(r.stats.access.read > 0);
+    // The passing subtrees were collected: through the merged lists on
+    // the leapfrog, from the level table's entity columns on the scan.
+    let access = r.stats.access;
+    assert!(access.read + access.from_columns > 0, "{access:?}");
 }
