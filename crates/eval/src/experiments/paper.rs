@@ -347,10 +347,10 @@ pub(super) fn e10_semantics(scale: f64) -> Report {
 /// E11 — ablations of XClean's design choices on DBLP-RAND and DBLP-RULE
 /// (DESIGN.md §7):
 ///
-/// 1. **skip_to alignment** on/off: postings read vs skipped and time
-///    (with it on, queries whose slots all hold a fair share of the
-///    postings mark them in entity bitmaps instead: `scanned`, read one
-///    at a time or covered by a bitmap the level table keeps);
+/// 1. **skip_to alignment** on/off: with it on every query marks its
+///    postings in entity bitmaps (`scanned`, set one entity at a time or
+///    covered by a bitmap the level table keeps), with it off the walk
+///    reads every posting of the merged lists, and time;
 /// 2. **minimal depth d** sweep: candidate-space size and quality;
 /// 3. **probabilistic pruning** on/off: accumulator count vs quality.
 pub(super) fn e11_ablation(scale: f64) -> Report {

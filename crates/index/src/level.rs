@@ -9,12 +9,13 @@
 //! nodes only (`start`, `end`, `path`, `doc_len`: 20 bytes an entity), so
 //! the gate's working set is the entity count, not the node count.
 //!
-//! The leapfrog walk reads the table through one cursor primitive,
-//! [`LevelTable::seek`]: its anchors only ever grow, so each lookup gallops
-//! forward from the previous one. [`CorpusIndex::level`] builds a depth's
-//! table on first request and keeps it for the corpus's lifetime.
+//! The table is read through one cursor primitive, [`LevelTable::seek`]:
+//! the walk's anchors, like the nodes of a posting list, only ever grow,
+//! so each lookup gallops forward from the previous one.
+//! [`CorpusIndex::level`] builds a depth's table on first request and
+//! keeps it for the corpus's lifetime.
 //!
-//! The scan walk reads what the table keeps per term instead. A term's
+//! The walk's scan reads what the table keeps per term. A term's
 //! *entity set* at a depth — the subtrees holding one of its postings, plus
 //! the one past the last position for postings shallower than the table —
 //! is a pure function of the corpus, so the table keeps it in one of two
@@ -28,9 +29,8 @@
 //! gate depth — as the sorted `(position, Σ tf)` pairs of the members whose
 //! sum is not 1 ([`Entities`]). Both are filled on their first request
 //! ([`CorpusIndex::entity_bitmap`], [`CorpusIndex::entity_positions`]) by
-//! one pass over the term's postings through the per-node `position`
-//! column — the position of the subtree holding each corpus node — and
-//! read without a lock after that, so no query loads through that column.
+//! one pass over the term's postings with a forward `seek` cursor, and read
+//! without a lock after that.
 
 use std::sync::OnceLock;
 
@@ -139,9 +139,6 @@ pub struct LevelTable {
     end: Vec<u32>,
     path: Vec<PathId>,
     doc_len: Vec<u64>,
-    /// Per corpus node: the position of the subtree holding it, or
-    /// `len()` for a node shallower than the table. Empty when the table is.
-    position: Vec<u32>,
     /// The tokens (ids of the corpus) that keep an entity bitmap here,
     /// increasing; empty when the table is.
     frequent: Box<[TokenId]>,
@@ -156,8 +153,8 @@ pub struct LevelTable {
 impl LevelTable {
     /// Collects the depth-`depth` nodes of `corpus`. Hops from each one to
     /// the end of its subtree, so only nodes at most that deep are visited;
-    /// then fills the per-node column from the extents, picks the terms
-    /// that keep a bitmap by their `df` and sets up one list cell a token.
+    /// then picks the terms that keep a bitmap by their `df` and sets up
+    /// one list cell a token.
     pub(crate) fn build(corpus: &CorpusIndex, depth: u32) -> LevelTable {
         let tree = corpus.tree();
         let mut table = LevelTable::default();
@@ -183,11 +180,6 @@ impl LevelTable {
         table.path.shrink_to_fit();
         table.doc_len.shrink_to_fit();
         if !table.is_empty() {
-            let outside = table.len() as u32;
-            table.position = vec![outside; tree.len()];
-            for (pos, (&start, &end)) in table.start.iter().zip(&table.end).enumerate() {
-                table.position[start as usize..end as usize].fill(pos as u32);
-            }
             let vocab = corpus.vocab();
             let min_df = table.words() as u64 * POSTINGS_PER_WORD;
             let tokens = (0..vocab.len() as u32).map(TokenId);
@@ -263,19 +255,25 @@ impl LevelTable {
         kept.get()
     }
 
-    /// One pass over `postings` through the per-node column: calls
-    /// `member(pos)` once per subtree holding a posting — and once per
-    /// posting shallower than the table, with [`Self::len`] — and returns
-    /// the subtrees' `Σ tf` other than 1, as [`Entities::sums`] keeps them.
-    /// Nodes in document order hold non-decreasing positions, but for the
-    /// sentinel, which a shallow node between two subtrees can interleave,
-    /// so each subtree's postings are one run.
+    /// One pass over `postings` with a forward [`Self::seek`] cursor —
+    /// postings are in document order — calls `member(pos)` once per
+    /// subtree holding a posting — and once per posting shallower than the
+    /// table, with [`Self::len`] — and returns the subtrees' `Σ tf` other
+    /// than 1, as [`Entities::sums`] keeps them. A posting belongs to the
+    /// subtree at the cursor when that subtree's root is not after it, and
+    /// to the sentinel otherwise, which a shallow node between two subtrees
+    /// can interleave; so each subtree's postings are one run.
     fn fill(&self, postings: &PostingList, mut member: impl FnMut(u32)) -> Box<[(u32, u32)]> {
         let outside = self.len() as u32;
         let mut sums = Vec::new();
         let mut run: Option<(u32, u32)> = None;
-        for (node, &tf) in postings.nodes().iter().zip(postings.tfs()) {
-            let pos = self.position[node.index()];
+        let mut cursor = 0;
+        for (&node, &tf) in postings.nodes().iter().zip(postings.tfs()) {
+            cursor = self.seek(cursor, node);
+            let pos = match self.extent(cursor) {
+                Some((root, _)) if root <= node => cursor as u32,
+                _ => outside,
+            };
             match &mut run {
                 _ if pos == outside => member(pos),
                 Some((at, sum)) if *at == pos => {
@@ -316,14 +314,6 @@ impl LevelTable {
             "seek cursor is ahead of node {node:?}"
         );
         gallop(&self.end, from, |&end| end <= node.0)
-    }
-
-    /// Per corpus node (indexed by [`NodeId::index`]): the position of the
-    /// subtree holding it, or [`Self::len`] for a node shallower than the
-    /// table. Empty when the table is.
-    #[cfg(test)]
-    fn positions(&self) -> &[u32] {
-        &self.position
     }
 
     /// `(root, exclusive end)` of the subtree at `pos`, `None` past the
@@ -390,9 +380,9 @@ mod tests {
         // The root is shallower than the table; the deepest title is held
         // by the shelf.
         assert_eq!(locate(table, tree.root()), None);
-        assert_eq!(table.positions()[tree.root().index()], 2);
-        let shelf = children[1].index();
-        assert!(table.positions()[shelf..].iter().all(|&pos| pos == 1));
+        assert_eq!(locate_position(table, tree.root()), 2);
+        let shelf = children[1].0;
+        assert!((shelf..tree.len() as u32).all(|n| locate_position(table, NodeId(n)) == 1));
         let last = NodeId(tree.len() as u32 - 1);
         assert_eq!(locate(table, last).map(|e| e.node), Some(children[1]));
         assert_eq!(table.entry(1).doc_len, 4);
@@ -405,8 +395,9 @@ mod tests {
         assert_eq!(c.level(1).len(), 1);
         assert_eq!(c.level(2).len(), 1);
         assert!(c.level(3).is_empty());
-        assert!(c.level(3).positions().is_empty());
-        assert_eq!(c.level(2).positions(), &[1, 0]);
+        assert_eq!(locate_position(c.level(3), NodeId(0)), 0);
+        let positions = [0, 1].map(|n| locate_position(c.level(2), NodeId(n)));
+        assert_eq!(positions, [1, 0]);
         assert!(std::ptr::eq(c.level(3), c.level(u32::MAX)));
         assert_eq!(c.level(3).seek(0, NodeId(1)), 0);
         // Built once: the same table comes back.
@@ -546,15 +537,12 @@ mod prop {
                         prop_assert!(end <= next.0);
                     }
                 }
-                let positions = table.positions();
-                prop_assert_eq!(positions.len(), if table.is_empty() { 0 } else { tree.len() });
                 for n in tree.iter() {
-                    // The per-node column names the subtree the climb finds.
-                    if let Some(&pos) = positions.get(n.index()) {
-                        let root = table.extent(pos as usize).map(|(root, _)| root);
-                        prop_assert_eq!(root, tree.ancestor_at_depth(n, d), "depth {} node {:?}", d, n);
-                        prop_assert!(pos as usize <= table.len());
-                    }
+                    // The located position names the subtree the climb finds.
+                    let pos = locate_position(table, n);
+                    let root = table.extent(pos).map(|(root, _)| root);
+                    prop_assert_eq!(root, tree.ancestor_at_depth(n, d), "depth {} node {:?}", d, n);
+                    prop_assert!(pos <= table.len());
                     let expect = tree.ancestor_at_depth(n, d).map(|g| LevelEntry {
                         node: g,
                         end: tree.subtree_end(g),

@@ -51,8 +51,8 @@ pub struct AccessStats {
 
 impl AccessStats {
     /// Postings the scan path marked, read or cached: non-zero when a walk
-    /// took the scan path (which it does only with no slot empty), zero
-    /// when it leapfrogged.
+    /// scanned (with skipping on, over a non-empty level table, and with
+    /// no slot empty), zero on the linear walk.
     pub fn scan_postings(&self) -> u64 {
         self.scanned + self.cached
     }
@@ -215,12 +215,6 @@ impl<'a> MergedList<'a> {
     pub fn stats(&self) -> AccessStats {
         self.stats
     }
-
-    /// Total length of all member lists (`|vl_i|` in the complexity
-    /// analysis of §V-C).
-    pub fn total_len(&self) -> usize {
-        self.members.iter().map(|c| c.list.len()).sum()
-    }
 }
 
 // `MergedList` borrows posting slices from a (`Sync`) corpus, so cursors
@@ -298,7 +292,6 @@ mod tests {
         assert!(m.next().is_none());
         assert!(m.skip_to(NodeId(0)).is_none());
         assert!(m.is_exhausted());
-        assert_eq!(m.total_len(), 0);
     }
 
     #[test]
@@ -403,7 +396,8 @@ mod prop {
             }
             // I/O accounting can never exceed the physical postings.
             let s = m.stats();
-            prop_assert!(s.read + s.skipped <= m.total_len() as u64);
+            let total: usize = pls.iter().map(PostingList::len).sum();
+            prop_assert!(s.read + s.skipped <= total as u64);
         }
 
         /// Skipping past the largest node exhausts the list, and further

@@ -4,8 +4,8 @@
 //!
 //! 1. pick the **anchor** — the largest head among the keywords'
 //!    [`xclean_index::MergedList`]s;
-//! 2. truncate its Dewey code to the minimal depth `d`, obtaining the
-//!    gating subtree `g`;
+//! 2. find the gating subtree `g`, the anchor's ancestor at the minimal
+//!    depth `d` (the paper truncates the anchor's Dewey code);
 //! 3. `skip_to(g)` every merged list (discarding everything before `g`),
 //!    then collect all variant occurrences inside `g`'s subtree;
 //! 4. enumerate the candidate queries formed by the variants observed in
@@ -14,6 +14,10 @@
 //!    `Π_{w∈C} P(w|D(r))` per entity into the candidate's accumulator;
 //! 5. repeat until any merged list is exhausted.
 //!
+//! Steps 1–3 are [`crate::walk`]: with skipping on it finds every `g` in
+//! which all keywords occur at once, by ANDing per-keyword entity bitmaps
+//! over the depth-`d` subtrees, which is `skip_to` taken to its limit;
+//! with it off it walks the lists linearly as above, without the skips.
 //! Node-id comparisons stand in for Dewey comparisons throughout (the
 //! tree arena is in preorder, so the orders coincide).
 //!
@@ -65,8 +69,8 @@ pub struct ScoredCandidate {
 /// Counters describing one run (feeds the efficiency experiments).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RunStats {
-    /// Depth-`d` subtrees processed: every subtree the leapfrog visits, or
-    /// on the scan path every subtree handed to the scorer.
+    /// Depth-`d` subtrees processed: every subtree the linear walk visits,
+    /// or on the scan every subtree handed to the scorer.
     pub subtrees: u64,
     /// Candidate queries enumerated (with multiplicity across subtrees).
     pub candidates_enumerated: u64,

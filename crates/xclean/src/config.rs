@@ -47,8 +47,9 @@ pub struct XCleanConfig {
     pub max_candidates_per_subtree: usize,
     /// Words longer than this use the partitioned FastSS scheme (`l_p`).
     pub partition_threshold: usize,
-    /// When `true` (default), `skip_to` alignment is used; `false` falls
-    /// back to plain heap merging (ablation E11).
+    /// When `true` (default), the walk scans the level table's kept entity
+    /// sets, so no subtree some keyword misses is visited; `false` walks
+    /// the merged lists linearly, consuming every posting (ablation E11).
     pub enable_skipping: bool,
     /// The entity prior `P(r_j|T)` (Eq. 8).
     pub prior: EntityPrior,

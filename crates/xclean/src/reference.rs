@@ -8,10 +8,11 @@
 //! that pop and push the heap and materialise whole postings — and checks
 //! on generated corpora that both produce the same contribution stream,
 //! the same γ-decisions, the same ranked candidates (score bits included)
-//! and the same run counters. Nothing here is shared with the product
-//! path except the corpus reads ([`Scoring`]), the language and error
-//! models, result-type inference and the LCA set functions, none of which
-//! the rewrite touched.
+//! and the same run counters — the walk's subtrees and posting I/O too
+//! with skipping off, where both walk the merged lists linearly. Nothing
+//! here is shared with the product path except the corpus reads
+//! ([`Scoring`]), the language and error models, result-type inference and
+//! the LCA set functions, none of which the rewrite touched.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
@@ -197,32 +198,13 @@ impl<'a> RefMergedList<'a> {
         }
         Some((*token, posting.node, posting.tf))
     }
-
-    fn skip_to_node(&mut self, target: NodeId) -> Option<NodeId> {
-        self.stats.skip_calls += 1;
-        while let Some(&Reverse((head, i))) = self.heap.peek() {
-            if head >= target {
-                break;
-            }
-            self.heap.pop();
-            let (_, list, pos) = &mut self.members[i];
-            // Linear scan: the definition `skip_from` gallops towards.
-            let new_pos = (*pos..list.len())
-                .find(|&p| list.get(p).node >= target)
-                .unwrap_or(list.len());
-            self.stats.skipped += (new_pos - *pos) as u64;
-            *pos = new_pos;
-            if *pos < list.len() {
-                self.heap.push(Reverse((list.get(*pos).node, i)));
-            }
-        }
-        self.head_node()
-    }
 }
 
 type Occurrences = Vec<Vec<(TokenId, NodeId, u32)>>;
 
-/// Algorithm 1 lines 1–11 over [`RefMergedList`]s.
+/// Algorithm 1 lines 1–11 over [`RefMergedList`]s, without `skip_to`:
+/// every posting is consumed, as the product's walk does with skipping
+/// off.
 fn ref_walk(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
@@ -251,19 +233,6 @@ fn ref_walk(
         };
         let g_end = tree.subtree_end(g);
         stats.subtrees += 1;
-        if config.enable_skipping {
-            let all_present = vls
-                .iter_mut()
-                .all(|vl| vl.skip_to_node(g).is_some_and(|n| n.0 < g_end));
-            if !all_present {
-                for vl in &mut vls {
-                    if vl.head_node().is_some_and(|n| n.0 < g_end) {
-                        vl.skip_to_node(NodeId(g_end));
-                    }
-                }
-                continue;
-            }
-        }
         for (i, vl) in vls.iter_mut().enumerate() {
             occurrences[i].clear();
             while let Some(n) = vl.head_node() {
@@ -582,7 +551,7 @@ fn product_run(
     }
 }
 
-fn assert_same(product: &Outcome, reference: &Outcome, what: &str) {
+fn assert_same(product: &Outcome, reference: &Outcome, config: &XCleanConfig, what: &str) {
     assert_eq!(
         product.candidates.len(),
         reference.candidates.len(),
@@ -614,10 +583,11 @@ fn assert_same(product: &Outcome, reference: &Outcome, what: &str) {
         "{what}: γ-decision sequence"
     );
     let (p, r) = (&product.stats, &reference.stats);
-    // The reference leapfrogs; a product run that scanned counts passing
+    // The reference walks the lists linearly, as the product does with
+    // skipping off; with it on, the product scans, which counts passing
     // subtrees and different posting I/O for the same stream.
-    let leapfrogged = p.access.scan_postings() == 0;
-    if leapfrogged {
+    let linear = !config.enable_skipping;
+    if linear {
         assert_eq!(p.subtrees, r.subtrees, "{what}: subtrees");
     }
     assert_eq!(
@@ -629,23 +599,40 @@ fn assert_same(product: &Outcome, reference: &Outcome, what: &str) {
         "{what}: result-type computations"
     );
     assert_eq!(p.entities_scored, r.entities_scored, "{what}: entities");
-    if leapfrogged {
+    if linear {
         assert_eq!(p.access, r.access, "{what}: posting I/O");
     }
     assert_eq!(p.pruning, r.pruning, "{what}: pruning");
 }
 
-/// The `dense` slot sets of [`slot_sets`] meet in most subtrees, so the
-/// product takes the scan path on them — which keeps that path under the
-/// oracle's eye.
-fn assert_dense_sets_scan(slots: &[KeywordSlot], product: &Outcome, what: &str) {
+/// With skipping on the product scans — in every view with a level table
+/// in which each slot holds a posting, and the `dense` slot sets of
+/// [`slot_sets`] hold one in some view — and with it off it never does, so
+/// both paths stay under the oracle's eye.
+fn assert_path(
+    views: &[Scoring<'_>],
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+    product: &Outcome,
+    what: &str,
+) {
+    let holds = |view: &Scoring<'_>, s: &KeywordSlot| {
+        s.variants
+            .iter()
+            .any(|v| !view.postings(v.token).is_empty())
+    };
+    let scannable = views.iter().any(|view| {
+        !view.level(config.min_depth).is_empty() && slots.iter().all(|s| holds(view, s))
+    });
     if slots.iter().all(|s| s.keyword == "dense") {
-        assert!(
-            product.stats.access.scan_postings() > 0,
-            "{what}: a dense set leapfrogged: {:?}",
-            product.stats
-        );
+        assert!(scannable, "{what}: a dense set is not scannable");
     }
+    assert_eq!(
+        product.stats.access.scan_postings() > 0,
+        config.enable_skipping && scannable && !slots.is_empty(),
+        "{what}: {:?}",
+        product.stats
+    );
 }
 
 /// The slot sets one case runs: `per_set` RAND- and `per_set`
@@ -719,6 +706,14 @@ fn small_dblp(publications: usize, seed: u64) -> CorpusIndex {
 
 const GAMMAS: [Option<usize>; 4] = [None, Some(1), Some(3), Some(1000)];
 
+/// Every γ with skipping on (the product's scan), and with it off (the
+/// product's linear walk, compared counter for counter).
+fn cases() -> impl Iterator<Item = (Option<usize>, bool)> {
+    [true, false]
+        .into_iter()
+        .flat_map(|skipping| GAMMAS.map(|gamma| (gamma, skipping)))
+}
+
 /// What a whole proptest case exercised, so a generator change cannot
 /// quietly turn the comparison vacuous.
 #[derive(Default)]
@@ -770,9 +765,10 @@ proptest! {
             let views = [Scoring::unsharded(engine.corpus())];
             let sets = slot_sets(engine.corpus(), |q| engine.make_slots(q), query_seed, 3, 6);
             for (i, slots) in sets.iter().enumerate() {
-                for gamma in GAMMAS {
+                for (gamma, enable_skipping) in cases() {
                     let config = XCleanConfig {
                         gamma,
+                        enable_skipping,
                         prior: if doc_length_prior == 1 {
                             EntityPrior::DocLength
                         } else {
@@ -780,7 +776,9 @@ proptest! {
                         },
                         ..XCleanConfig::default()
                     };
-                    let what = format!("{semantics:?} γ={gamma:?} slot set {i}");
+                    let what = format!(
+                        "{semantics:?} γ={gamma:?} skipping {enable_skipping} slot set {i}"
+                    );
                     let reference = reference_run(&views, semantics, slots, &config);
                     let product = product_run(
                         Walked::Corpus(engine.corpus()),
@@ -789,8 +787,8 @@ proptest! {
                         &config,
                         &arenas,
                     );
-                    assert_same(&product, &reference, &what);
-                    assert_dense_sets_scan(slots, &product, &what);
+                    assert_same(&product, &reference, &config, &what);
+                    assert_path(&views, slots, &config, &product, &what);
                     coverage.note(&product);
                 }
             }
@@ -819,9 +817,11 @@ proptest! {
             // results, i.e. the parent's: the same slots run unsharded.
             let sets = slot_sets(&parent, |q| engine.make_slots(q), query_seed, 3, 6);
             for (i, slots) in sets.iter().enumerate() {
-                for gamma in GAMMAS {
-                    let config = XCleanConfig { gamma, ..XCleanConfig::default() };
-                    let what = format!("{shard_count} shard(s) γ={gamma:?} slot set {i}");
+                for (gamma, enable_skipping) in cases() {
+                    let config = XCleanConfig { gamma, enable_skipping, ..XCleanConfig::default() };
+                    let what = format!(
+                        "{shard_count} shard(s) γ={gamma:?} skipping {enable_skipping} slot set {i}"
+                    );
                     let reference = reference_run(&views, Semantics::NodeType, slots, &config);
                     let product = product_run(
                         Walked::Shards(&views),
@@ -830,8 +830,8 @@ proptest! {
                         &config,
                         &arenas,
                     );
-                    assert_same(&product, &reference, &what);
-                    assert_dense_sets_scan(slots, &product, &what);
+                    assert_same(&product, &reference, &config, &what);
+                    assert_path(&views, slots, &config, &product, &what);
                     let unsharded = reference_run(
                         &[Scoring::unsharded(&parent)],
                         Semantics::NodeType,

@@ -1,35 +1,35 @@
 //! The shared gated anchor walk of Algorithm 1 (lines 1–11).
 //!
 //! All three semantics (node-type, SLCA, ELCA) consume variant inverted
-//! lists the same way: pick the largest merged-list head as the anchor,
-//! gate at the minimal depth `d`, `skip_to`-align every list, and collect
-//! the variant occurrences of the gating subtree. This module factors that
-//! walk out; each semantics plugs in its per-subtree candidate scoring.
+//! lists the same way: find the subtrees at the minimal depth `d` in which
+//! every slot has a variant occurrence, and collect those occurrences. This
+//! module factors that walk out; each semantics plugs in its per-subtree
+//! candidate scoring.
 //!
 //! The gate reads the corpus's depth-`d` [`xclean_index::LevelTable`], never
-//! the node table: anchors never decrease, so one forward cursor over the
-//! entities' extents yields `g`, its end, and — for the scorer — its path
-//! and length (DESIGN.md §15, "Layout of `walk_accumulate`").
+//! the node table (DESIGN.md §15, "Layout of `walk_accumulate`").
 //!
-//! Which subtrees pass is found one of two ways, picked per query and per
-//! view from the compiled slots' list lengths alone ([`WalkPath`]): the
-//! leapfrog above, which visits subtrees and skips over the failing ones,
-//! or — when every slot holds a fair share of the postings, so there is
-//! little to skip — a scan that marks each slot's subtrees in a bitmap and
-//! ANDs the bitmaps. A slot's bitmap is the OR of its variants' entity sets,
-//! which the level table keeps per term: a frequent term's bitmap, whose
-//! words the scan ORs, and every other term's list of positions, whose bits
-//! it sets one entity at a time. Either way the same bits are set as one
-//! per posting would set.
+//! [`XCleanConfig::enable_skipping`] alone picks how the passing subtrees
+//! are found. With it on, the walk *scans*: it marks each slot's subtrees
+//! in a bitmap over the level table and ANDs the bitmaps, so a subtree some
+//! slot misses is never visited — `skip_to` taken to its limit. A slot's
+//! bitmap is the OR of its variants' entity sets, which the level table
+//! keeps per term: a frequent term's bitmap, whose words the scan ORs, and
+//! every other term's list of positions, whose bits it sets one entity at a
+//! time. With it off, the walk is Algorithm 1's linear one: anchor on the
+//! largest merged-list head, gate it through one forward cursor over the
+//! level table (anchors never decrease), and consume every posting on the
+//! way — the ablation's row, and the reference the scan is checked
+//! against.
 //!
 //! Both paths hand every passing subtree to `on_subtree` the same way
 //! (DESIGN.md §15, items 5 and 5(f)): the gate's entry, its [`Tokens`] —
 //! each slot's distinct tokens in it and every such token's `Σ tf` over
 //! it, all a gate-depth entity's score needs — and its [`Occurrences`],
-//! the node-level postings, for the scorers that need more. The leapfrog
-//! collects the postings and derives the rest from them. The scan reads
-//! the tokens and sums from the same entity sets and the sums the table
-//! keeps beside them, one forward cursor per variant, and gathers the
+//! the node-level postings, for the scorers that need more. The linear
+//! walk collects the postings and derives the rest from them. The scan
+//! reads the tokens and sums from the same entity sets and the sums the
+//! table keeps beside them, one forward cursor per variant, and gathers the
 //! postings from the merged lists only when `on_subtree` asks; the lists
 //! only ever move forward. So `on_subtree` sees the same values in the
 //! same order either way.
@@ -42,54 +42,6 @@ use xclean_xmltree::NodeId;
 use crate::algorithm::{KeywordSlot, RunStats};
 use crate::config::XCleanConfig;
 use crate::view::Scoring;
-
-/// The scan runs when the slots' lists hold at most this many times the
-/// postings of the slot with the fewest (Σ ≤ `SCAN_RATIO` · m). Fitted on
-/// the benchmark pool with the level table's kept bitmaps: 512 is the low
-/// end of a plateau that runs to always scanning, within 1.5 % of the
-/// per-query best of the two paths (DESIGN.md §15, item 5(e); item 5(f)
-/// has the re-fit since passing subtrees are read from the columns).
-const SCAN_RATIO: usize = 512;
-
-/// How one walk finds the subtrees in which every slot occurs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WalkPath {
-    /// Anchor, gate, `skip_to`: visits subtrees and skips the failing ones.
-    Leapfrog,
-    /// One bitmap per slot over the level table's positions, ANDed: reads
-    /// every variant's kept entity set once.
-    Scan,
-}
-
-/// The path for lists `vls` gated by `level`: the scan when skipping is
-/// on, the table has subtrees, no slot is empty, and the lists total at
-/// most [`SCAN_RATIO`] times the lightest slot's.
-fn path_for(vls: &[MergedList<'_>], level: &LevelTable, config: &XCleanConfig) -> WalkPath {
-    let total: usize = vls.iter().map(MergedList::total_len).sum();
-    let fewest = vls.iter().map(MergedList::total_len).min().unwrap_or(0);
-    if config.enable_skipping && !level.is_empty() && fewest > 0 && total <= SCAN_RATIO * fewest {
-        WalkPath::Scan
-    } else {
-        WalkPath::Leapfrog
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// The path every walk on this thread takes instead of [`path_for`]'s.
-    static FORCED: std::cell::Cell<Option<WalkPath>> = const { std::cell::Cell::new(None) };
-}
-
-/// Runs `f` with every walk on this thread taking `path` — the
-/// differential suite's handle on both paths over one input. Test-only:
-/// the product has no way to choose.
-#[cfg(test)]
-pub(crate) fn with_path<T>(path: WalkPath, f: impl FnOnce() -> T) -> T {
-    let previous = FORCED.replace(Some(path));
-    let out = f();
-    FORCED.set(previous);
-    out
-}
 
 /// A passing subtree's variant tokens as `on_subtree` sees them, on
 /// either path.
@@ -105,7 +57,7 @@ pub struct Tokens<'a> {
 
 /// A passing subtree's node-level occurrences: the distinct `(token, node,
 /// tf)` postings of every slot's variants in it, sorted — a posting two
-/// slots share appears once. The leapfrog has them in hand; the scan
+/// slots share appears once. The linear walk has them in hand; the scan
 /// gathers them from the merged lists on the first request, moving the
 /// lists forward to the subtree.
 pub struct Occurrences<'a, 'v> {
@@ -237,7 +189,8 @@ fn recycle<'x, 'y>(mut columns: Vec<Column<'x>>) -> Vec<Column<'y>> {
 
 impl WalkScratch {
     /// Fills `columns` with the distinct variant tokens of `slots`,
-    /// increasing, each with its kept set at `depth` of `view` — the bitmap
+    /// increasing, each with its kept set at `depth` of `view`, whose level
+    /// table there is not empty — the bitmap
     /// the table keeps for a frequent term, else the term's list — and
     /// `members` with every variant's `(column, slot)`; then sets the bits
     /// of the subtrees in which every slot has a posting: per slot, the OR
@@ -255,9 +208,6 @@ impl WalkScratch {
         self.members.clear();
         self.passing.clear();
         let level = view.level(depth);
-        if level.is_empty() {
-            return;
-        }
         let column = |token| Column {
             token,
             kept: match view.entity_bitmap(depth, token) {
@@ -328,7 +278,7 @@ fn set_bits(word: u64) -> impl Iterator<Item = usize> {
     std::iter::successors(Some(word).filter(|&b| b != 0), rest).map(|b| b.trailing_zeros() as usize)
 }
 
-/// Runs the anchor walk, invoking `on_subtree(g, tokens, occurrences)`
+/// Runs the gated walk, invoking `on_subtree(g, tokens, occurrences)`
 /// for every gating subtree `g` in which **all** slots have at least one
 /// variant occurrence. Updates posting I/O counters in `stats`.
 pub fn walk_gated_subtrees(
@@ -352,10 +302,11 @@ pub fn walk_gated_subtrees(
 /// scratch. Under a shard scope the variant tokens (global ids) resolve to
 /// the shard's local posting lists and entity sets — or the empty ones,
 /// which exhaust that merged-list member immediately — so the walk visits
-/// exactly the qualifying subtrees whose entities live in the shard, and
-/// picks its [`WalkPath`] from the shard's own lists. `on_subtree`
-/// receives the gating subtree as its level-table entry (path local to the
-/// view's corpus).
+/// exactly the qualifying subtrees whose entities live in the shard.
+/// `on_subtree` receives the gating subtree as its level-table entry (path
+/// local to the view's corpus). With skipping on, a view whose level table
+/// is empty, or in which some slot has no posting, hands over nothing and
+/// reads nothing.
 pub(crate) fn walk_gated_subtrees_scoped(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
@@ -375,12 +326,10 @@ pub(crate) fn walk_gated_subtrees_scoped(
     scratch.slot_tokens.truncate(slots.len());
     scratch.slot_tokens.resize_with(slots.len(), Vec::new);
 
-    let path = path_for(&vls, level, config);
-    #[cfg(test)]
-    let path = FORCED.get().unwrap_or(path);
-    match path {
-        WalkPath::Leapfrog => leapfrog(level, &mut vls, config, stats, scratch, &mut on_subtree),
-        WalkPath::Scan => scan(
+    if !config.enable_skipping {
+        linear(level, &mut vls, stats, scratch, &mut on_subtree);
+    } else if !level.is_empty() && vls.iter().all(|vl| vl.head_node().is_some()) {
+        scan(
             view,
             slots,
             config.min_depth,
@@ -388,7 +337,7 @@ pub(crate) fn walk_gated_subtrees_scoped(
             stats,
             scratch,
             &mut on_subtree,
-        ),
+        );
     }
 
     for vl in &vls {
@@ -396,8 +345,8 @@ pub(crate) fn walk_gated_subtrees_scoped(
     }
 }
 
-/// The scan path: mark the subtrees of the depth-`depth` table in which
-/// every slot has a posting, then hand each over in document order with
+/// The scan, over a non-empty depth-`depth` table and non-empty `vls`: mark
+/// the subtrees of the table in which every slot has a posting, then hand each over in document order with
 /// its tokens and sums read from the variants' kept sets, one forward
 /// cursor per distinct token, a word of the passing bitmap at a time; `vls`
 /// move only when `on_subtree` asks for the occurrences. Counts every
@@ -467,13 +416,12 @@ fn scan<'v>(
     scratch.columns = recycle(columns);
 }
 
-/// The leapfrog path: anchor on the largest head, gate it through a
-/// forward cursor over `level`, and skip over the subtrees some slot
-/// misses. Counts every visited subtree in `stats.subtrees`.
-fn leapfrog(
+/// The linear walk: anchor on the largest head, gate it through a forward
+/// cursor over `level`, and consume every list's postings up to the end of
+/// the gating subtree. Counts every visited subtree in `stats.subtrees`.
+fn linear(
     level: &LevelTable,
     vls: &mut [MergedList<'_>],
-    config: &XCleanConfig,
     stats: &mut RunStats,
     scratch: &mut WalkScratch,
     on_subtree: &mut impl FnMut(&LevelEntry, &Tokens<'_>, &mut Occurrences<'_, '_>),
@@ -520,29 +468,6 @@ fn leapfrog(
         };
         stats.subtrees += 1;
 
-        if config.enable_skipping {
-            // Presence first: after aligning every list at `g`, the heads
-            // alone decide the all-slots gate. Subtrees that fail it — the
-            // overwhelming majority on realistic corpora — are then
-            // *skipped over* wholesale instead of being consumed posting
-            // by posting, which is what keeps the walk linear in matching
-            // subtrees rather than in raw posting volume. Results are
-            // identical: occurrences collected in a failing subtree were
-            // discarded anyway (only the I/O counters shift from `read`
-            // to `skipped`).
-            let all_present = vls
-                .iter_mut()
-                .all(|vl| vl.skip_to_node(g).is_some_and(|n| n.0 < g_end));
-            if !all_present {
-                for vl in vls.iter_mut() {
-                    if vl.head_node().is_some_and(|n| n.0 < g_end) {
-                        vl.skip_to_node(NodeId(g_end));
-                    }
-                }
-                continue;
-            }
-        }
-
         let WalkScratch {
             occ,
             slot_tokens,
@@ -570,11 +495,10 @@ fn leapfrog(
     }
 }
 
-/// Collects a subtree `[g, g_end)` on the leapfrog path: every list's
-/// postings in it move into `occ` (any still before `g`, reachable only
-/// with skipping disabled, are consumed and dropped) and each slot's
-/// distinct tokens into `slot_tokens`; `occ` is then made distinct and
-/// sorted. Returns whether every slot got one.
+/// Collects a subtree `[g, g_end)` on the linear walk: every list's
+/// postings in it move into `occ` (any still before `g` are consumed and
+/// dropped) and each slot's distinct tokens into `slot_tokens`; `occ` is
+/// then made distinct and sorted. Returns whether every slot got one.
 fn gather(
     vls: &mut [MergedList<'_>],
     g: NodeId,
@@ -668,7 +592,7 @@ fn rec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::variants::VariantGenerator;
+    use crate::variants::{Variant, VariantGenerator};
     use xclean_xmltree::parse_document;
 
     #[test]
@@ -735,62 +659,109 @@ mod tests {
         assert_eq!(back.as_ptr(), buffer);
     }
 
-    /// The path `path_for` picks for slots of the named terms of `corpus`.
-    fn path_of(corpus: &CorpusIndex, slots: &[&[&str]], config: &XCleanConfig) -> WalkPath {
-        let vls: Vec<MergedList<'_>> = slots
+    /// Per passing subtree: its node, slot tokens and sums.
+    type Handed = Vec<(NodeId, Vec<Vec<TokenId>>, Vec<(TokenId, u64)>)>;
+
+    /// What the walk over `view` hands over for slots of the named terms of
+    /// `corpus` (whose token ids a shard view takes as global ids), and its
+    /// counters.
+    fn handed(
+        corpus: &CorpusIndex,
+        view: &Scoring<'_>,
+        slots: &[&[&str]],
+        config: &XCleanConfig,
+    ) -> (Handed, RunStats) {
+        let slots: Vec<KeywordSlot> = slots
             .iter()
-            .map(|terms| {
-                MergedList::new(terms.iter().map(|term| {
-                    let token = corpus.vocab().get(term).expect("a corpus term");
-                    (token, corpus.postings(token))
-                }))
+            .map(|terms| KeywordSlot {
+                keyword: terms[0].to_string(),
+                variants: terms
+                    .iter()
+                    .map(|term| Variant {
+                        token: corpus.vocab().get(term).expect("a corpus term"),
+                        distance: 0,
+                    })
+                    .collect(),
             })
             .collect();
-        path_for(&vls, corpus.level(config.min_depth), config)
+        let mut stats = RunStats::default();
+        let mut out = Vec::new();
+        walk_gated_subtrees_scoped(
+            view,
+            &slots,
+            config,
+            &mut stats,
+            &mut WalkScratch::default(),
+            |gate, tokens, _| {
+                let (slot_tokens, counts) = (tokens.slot_tokens.to_vec(), tokens.counts.to_vec());
+                out.push((gate.node, slot_tokens, counts));
+            },
+        );
+        (out, stats)
     }
 
     #[test]
-    fn the_path_rule_is_sigma_at_most_scan_ratio_m() {
-        // One `rare` and one `extra` publication, SCAN_RATIO - 1 `bulk` ones.
-        let bulk = "<p>bulk</p>".repeat(SCAN_RATIO - 1);
-        let xml = format!("<a><p>rare</p>{bulk}<p>extra</p></a>");
+    fn skipping_picks_the_path_and_empty_inputs_hand_over_nothing() {
+        // A lopsided corpus: one `rare` and one `extra` posting, 511 `bulk`
+        // ones, `rare` and `extra` each in a `bulk` publication.
+        let bulk = "<p>bulk</p>".repeat(509);
+        let xml = format!("<a><p>rare bulk</p>{bulk}<p>bulk extra</p></a>");
         let corpus = CorpusIndex::build(parse_document(&xml).unwrap());
-        let on = XCleanConfig::default();
-        // Σ = SCAN_RATIO · m with m = 1 scans; one posting more does not.
-        assert_eq!(
-            path_of(&corpus, &[&["rare"], &["bulk"]], &on),
-            WalkPath::Scan
-        );
-        let over: &[&[&str]] = &[&["rare"], &["bulk", "extra"]];
-        assert_eq!(path_of(&corpus, over, &on), WalkPath::Leapfrog);
-        // Even a balanced query leapfrogs with skipping off, or over an
-        // empty level table (depth 0, or past the deepest node).
-        let balanced: &[&[&str]] = &[&["rare"], &["extra"]];
-        assert_eq!(path_of(&corpus, balanced, &on), WalkPath::Scan);
-        for config in [
-            XCleanConfig {
-                enable_skipping: false,
-                ..XCleanConfig::default()
-            },
-            XCleanConfig {
-                min_depth: 0,
-                ..XCleanConfig::default()
-            },
-            XCleanConfig {
-                min_depth: 3,
-                ..XCleanConfig::default()
-            },
-        ] {
-            assert_eq!(path_of(&corpus, balanced, &config), WalkPath::Leapfrog);
-        }
-        // A slot with no postings (a token absent from a shard) leapfrogs.
-        let empty = xclean_index::PostingList::new();
-        let rare = corpus.vocab().get("rare").unwrap();
-        let vls = [
-            MergedList::new([(rare, corpus.postings(rare))]),
-            MergedList::new([(rare, &empty)]),
+        let view = Scoring::unsharded(&corpus);
+        let on = |min_depth| XCleanConfig {
+            min_depth,
+            ..XCleanConfig::default()
+        };
+        let off = |min_depth| XCleanConfig {
+            enable_skipping: false,
+            ..on(min_depth)
+        };
+        // However lopsided the slots, skipping on scans and skipping off
+        // reads the lists linearly; both hand over the same subtrees.
+        let sets: [&[&[&str]]; 3] = [
+            &[&["rare"], &["bulk"]],
+            &[&["rare"], &["bulk", "extra"]],
+            &[&["rare"], &["extra"]],
         ];
-        assert_eq!(path_for(&vls, corpus.level(2), &on), WalkPath::Leapfrog);
+        for slots in sets {
+            for min_depth in [1, 2] {
+                let (scanned, scan) = handed(&corpus, &view, slots, &on(min_depth));
+                let (walked, linear) = handed(&corpus, &view, slots, &off(min_depth));
+                assert_eq!(scanned, walked, "{slots:?} at depth {min_depth}");
+                assert!(scan.access.scan_postings() > 0 && scan.access.read == 0);
+                assert!(linear.access.scan_postings() == 0 && linear.access.read > 0);
+                // Only the root holds `rare` and `extra` both.
+                let expect = match (slots, min_depth) {
+                    ([_, ["extra"]], 2) => 0,
+                    _ => 1,
+                };
+                assert_eq!(scanned.len(), expect, "{slots:?} at depth {min_depth}");
+            }
+        }
+        // A slot with an empty merged list — `rare` in the shard that does
+        // not hold it — hands over nothing and marks nothing.
+        let shards = xclean_index::partition_corpus(&corpus, 2, 7).unwrap();
+        let engine = crate::ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
+        let views = engine.pipeline().shard_views();
+        let slots: &[&[&str]] = &[&["rare"], &["bulk"]];
+        let per_view: Vec<_> = views
+            .iter()
+            .map(|v| handed(&corpus, v, slots, &on(2)))
+            .collect();
+        assert_eq!(per_view.iter().filter(|(out, _)| out.len() == 1).count(), 1);
+        let (out, stats) = per_view
+            .iter()
+            .find(|(out, _)| out.is_empty())
+            .expect("one shard lacks `rare`");
+        assert!(out.is_empty());
+        assert_eq!((stats.access.scanned, stats.access.cached), (0, 0));
+        assert_eq!((stats.subtrees, stats.access), (0, AccessStats::default()));
+        // So does an empty level table: depth 0, and past the deepest node.
+        for min_depth in [0, 3] {
+            let (out, stats) = handed(&corpus, &view, slots, &on(min_depth));
+            assert!(out.is_empty());
+            assert_eq!((stats.subtrees, stats.access), (0, AccessStats::default()));
+        }
     }
 
     #[test]

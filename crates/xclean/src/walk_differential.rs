@@ -1,19 +1,19 @@
-//! One stream, two paths: the walk's scan against its leapfrog (test-only).
+//! One stream, two paths: the walk's scan against its linear walk
+//! (test-only).
 //!
-//! `crate::walk` finds the subtrees every slot occurs in either by
-//! leapfrogging over the merged lists or by ANDing per-slot entity bitmaps,
-//! picked from the compiled slots' list lengths. The contract is that
-//! `on_subtree` cannot tell which ran: the same `(entry, slot_tokens,
-//! counts)` sequence — the scan's read from the level table's entity sets
-//! and sums, the leapfrog's derived from the postings it collected — and
-//! the same occurrences whenever it asks for them, so the same
-//! contributions in the same `f64` order, the same γ-decisions and the
-//! same answers. This suite forces each path in turn (`walk::with_path`)
-//! over builder-generated trees and random slot sets, at every gate depth,
-//! over one corpus and under 2- and 3-way shard scopes, where each shard
-//! picks its path from its own lists; it asks for the occurrences of every
-//! subtree, of every second or third one (so the scan's lists skip ahead
-//! between gathers), or of none. The scan's bitmaps come two ways — kept
+//! `crate::walk` finds the subtrees every slot occurs in by ANDing per-slot
+//! entity bitmaps when skipping is on, and by walking the merged lists
+//! linearly when it is off. The contract is that `on_subtree` cannot tell
+//! which ran: the same `(entry, slot_tokens, counts)` sequence — the scan's
+//! read from the level table's entity sets and sums, the linear walk's
+//! derived from the postings it collected — and the same occurrences
+//! whenever it asks for them, so the same contributions in the same `f64`
+//! order, the same γ-decisions and the same answers. This suite runs each
+//! path in turn, through `XCleanConfig::enable_skipping`, over
+//! builder-generated trees and random slot sets, at every gate depth, over
+//! one corpus and under 2- and 3-way shard scopes; it asks for the
+//! occurrences of every subtree, of every second or third one (so the
+//! scan's lists skip ahead between gathers), or of none. The scan's bitmaps come two ways — kept
 //! by the level table for a frequent term, set from the table's kept
 //! entity list for the rest — and one fixed corpus makes a slot mix both.
 
@@ -27,7 +27,7 @@ use crate::config::XCleanConfig;
 use crate::pipeline::{rank_walked, ArenaPool, Semantics, Walked};
 use crate::variants::Variant;
 use crate::view::Scoring;
-use crate::walk::{walk_gated_subtrees_scoped, with_path, WalkPath, WalkScratch};
+use crate::walk::{walk_gated_subtrees_scoped, WalkScratch};
 use crate::ShardedEngine;
 
 const WORDS: [&str; 6] = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"];
@@ -105,37 +105,42 @@ type Handed = (
 
 type Stream = Vec<Handed>;
 
-/// Everything `on_subtree` receives on `path`, asking for the occurrences
-/// of every `ask`-th subtree (of none for 0), and the walk's counters.
-/// `scratch` is shared across calls, so recycled scratch is on trial too.
+/// `config` with skipping on (the scan) or off (the linear walk).
+fn skipping(config: &XCleanConfig, enable_skipping: bool) -> XCleanConfig {
+    XCleanConfig {
+        enable_skipping,
+        ..config.clone()
+    }
+}
+
+/// Everything `on_subtree` receives, asking for the occurrences of every
+/// `ask`-th subtree (of none for 0), and the walk's counters. `scratch` is
+/// shared across calls, so recycled scratch is on trial too.
 fn stream(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
-    path: WalkPath,
     ask: usize,
     scratch: &mut WalkScratch,
 ) -> (Stream, RunStats) {
     let mut out = Stream::new();
     let mut stats = RunStats::default();
-    with_path(path, || {
-        walk_gated_subtrees_scoped(
-            view,
-            slots,
-            config,
-            &mut stats,
-            scratch,
-            |gate, tokens, occ| {
-                let asked = out.len().checked_rem(ask) == Some(0);
-                out.push((
-                    *gate,
-                    tokens.slot_tokens.to_vec(),
-                    tokens.counts.to_vec(),
-                    asked.then(|| occ.all().to_vec()),
-                ))
-            },
-        )
-    });
+    walk_gated_subtrees_scoped(
+        view,
+        slots,
+        config,
+        &mut stats,
+        scratch,
+        |gate, tokens, occ| {
+            let asked = out.len().checked_rem(ask) == Some(0);
+            out.push((
+                *gate,
+                tokens.slot_tokens.to_vec(),
+                tokens.counts.to_vec(),
+                asked.then(|| occ.all().to_vec()),
+            ))
+        },
+    );
     (out, stats)
 }
 
@@ -169,12 +174,14 @@ fn derived(slots: &[KeywordSlot], occ: &[MergedEntry]) -> (Vec<Vec<TokenId>>, Ve
 
 /// Both paths over one view, asking for every, every second, every third
 /// and no subtree's occurrences: the same stream each time; per subtree,
-/// the scan's slot tokens and sums are the ones the leapfrog's occurrences
-/// make; the scan hands over exactly the subtrees it counts, serves every
-/// one it was not asked to gather from the columns, reads every posting
-/// of a variant whose bitmap the table does not keep once, counts a kept
-/// one's as cached, and reads no posting through the lists unless asked.
-/// Returns the scan's counters when asked for nothing.
+/// the scan's slot tokens and sums are the ones the linear walk's
+/// occurrences make; the scan hands over exactly the subtrees it counts,
+/// serves every one it was not asked to gather from the columns, reads
+/// every posting of a variant whose bitmap the table does not keep once,
+/// counts a kept one's as cached, and reads no posting through the lists
+/// unless asked — and marks nothing over an empty level table or when
+/// some slot has no posting in the view. Returns the scan's counters when
+/// asked for nothing.
 fn assert_one_stream(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
@@ -183,15 +190,9 @@ fn assert_one_stream(
 ) -> Result<RunStats, String> {
     let mut unasked = RunStats::default();
     for ask in [1, 2, 3, 0] {
-        let (leapfrog, walked) = stream(view, slots, config, WalkPath::Leapfrog, ask, scratch);
-        let (scan, scanned) = stream(view, slots, config, WalkPath::Scan, ask, scratch);
-        prop_assert_eq!(
-            &scan,
-            &leapfrog,
-            "min_depth {} ask {}",
-            config.min_depth,
-            ask
-        );
+        let (linear, walked) = stream(view, slots, &skipping(config, false), ask, scratch);
+        let (scan, scanned) = stream(view, slots, &skipping(config, true), ask, scratch);
+        prop_assert_eq!(&scan, &linear, "min_depth {} ask {}", config.min_depth, ask);
         prop_assert_eq!(walked.access.scan_postings(), 0);
         prop_assert_eq!(walked.access.from_columns, 0);
         prop_assert_eq!(scanned.subtrees, scan.len() as u64);
@@ -213,7 +214,12 @@ fn assert_one_stream(
             }
         }
         let (mut read, mut cached) = (0, 0);
-        if !view.level(config.min_depth).is_empty() {
+        let every_slot_present = slots.iter().all(|s| {
+            s.variants
+                .iter()
+                .any(|v| !view.postings(v.token).is_empty())
+        });
+        if !view.level(config.min_depth).is_empty() && every_slot_present {
             for v in slots.iter().flat_map(|s| &s.variants) {
                 let postings = view.postings(v.token).len() as u64;
                 match view.entity_bitmap(config.min_depth, v.token) {
@@ -280,28 +286,27 @@ struct Run {
     entities_scored: u64,
 }
 
-/// A ranked run on `path`, with its posting I/O.
+/// A ranked run with skipping on (the scan) or off (the linear walk),
+/// with its posting I/O.
 fn run(
     walked: Walked<'_>,
     semantics: Semantics,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
-    path: WalkPath,
+    enable_skipping: bool,
     arenas: &ArenaPool,
 ) -> (Run, AccessStats) {
     let mut decisions = Vec::new();
-    let ranked = with_path(path, || {
-        rank_walked(
-            walked,
-            semantics,
-            slots,
-            config,
-            usize::MAX,
-            &Telemetry::disabled(),
-            arenas,
-            &mut |event| decisions.push(format!("{event:?}")),
-        )
-    });
+    let ranked = rank_walked(
+        walked,
+        semantics,
+        slots,
+        &skipping(config, enable_skipping),
+        usize::MAX,
+        &Telemetry::disabled(),
+        arenas,
+        &mut |event| decisions.push(format!("{event:?}")),
+    );
     let run = Run {
         candidates: ranked
             .candidates
@@ -391,18 +396,18 @@ fn one_slot_mixes_kept_and_read_bitmaps() -> Result<(), String> {
                     ..config.clone()
                 };
                 for semantics in [Semantics::NodeType, Semantics::Slca, Semantics::Elca] {
-                    let on = |path| {
+                    let on = |skip| {
                         run(
                             Walked::Corpus(&corpus),
                             semantics,
                             slots,
                             &config,
-                            path,
+                            skip,
                             &arenas,
                         )
                     };
-                    let (scan, access) = on(WalkPath::Scan);
-                    prop_assert_eq!(scan, on(WalkPath::Leapfrog).0);
+                    let (scan, access) = on(true);
+                    prop_assert_eq!(scan, on(false).0);
                     if semantics == Semantics::NodeType && gamma.is_none() {
                         scans.push((min_depth, access));
                     }
@@ -432,18 +437,18 @@ fn one_slot_mixes_kept_and_read_bitmaps() -> Result<(), String> {
                 gamma,
                 ..config.clone()
             };
-            let on = |path| {
+            let on = |skip| {
                 run(
                     Walked::Shards(&views),
                     Semantics::NodeType,
                     slots,
                     &config,
-                    path,
+                    skip,
                     &arenas,
                 )
             };
-            let (scan, access) = on(WalkPath::Scan);
-            prop_assert_eq!(scan, on(WalkPath::Leapfrog).0);
+            let (scan, access) = on(true);
+            prop_assert_eq!(scan, on(false).0);
             prop_assert!(access.from_columns > 0, "{:?}", access);
         }
     }
@@ -483,8 +488,8 @@ proptest! {
             for gamma in GAMMAS {
                 let config = XCleanConfig { gamma, ..config.clone() };
                 for semantics in [Semantics::NodeType, Semantics::Slca, Semantics::Elca] {
-                    let on = |path| run(Walked::Corpus(&corpus), semantics, &slots, &config, path, &arenas);
-                    prop_assert_eq!(on(WalkPath::Scan).0, on(WalkPath::Leapfrog).0);
+                    let on = |skip| run(Walked::Corpus(&corpus), semantics, &slots, &config, skip, &arenas);
+                    prop_assert_eq!(on(true).0, on(false).0);
                 }
             }
         }
@@ -526,10 +531,10 @@ proptest! {
                 }
                 for gamma in GAMMAS {
                     let config = XCleanConfig { gamma, ..config.clone() };
-                    let on = |path| {
-                        run(Walked::Shards(&views), Semantics::NodeType, &slots, &config, path, &arenas)
+                    let on = |skip| {
+                        run(Walked::Shards(&views), Semantics::NodeType, &slots, &config, skip, &arenas)
                     };
-                    prop_assert_eq!(on(WalkPath::Scan).0, on(WalkPath::Leapfrog).0);
+                    prop_assert_eq!(on(true).0, on(false).0);
                 }
             }
         }

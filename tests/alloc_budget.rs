@@ -8,7 +8,7 @@
 //! the work walked. So a query that scans tens of thousands of postings
 //! into entity bitmaps and enumerates thousands of candidates allocates
 //! exactly as often, slots aside, as a query of the same keyword and
-//! suggestion count whose leapfrog visits a handful of subtrees — with an
+//! suggestion count whose scan hands over a handful of subtrees — with an
 //! unbounded γ-table and under a γ that evicts. The scan's per-query
 //! bitmaps live in the pooled arena, like every other walk buffer; the
 //! bitmaps the level table keeps for frequent terms and the entity lists it
@@ -91,8 +91,8 @@ fn net_allocations(engine: &XCleanEngine, query: &[String]) -> (u64, SuggestResp
 
 /// The two most frequent vocabulary terms of at least five letters, and
 /// the most frequent with one of the rarest, as clean two-keyword queries:
-/// the first pair's lists are both long (the walk scans them), the second
-/// pairs a long list with a short one (the walk leapfrogs over the long one).
+/// the first pair's lists are both long, the second pairs a long list with
+/// a short one, so few subtrees pass.
 fn heavy_and_light(engine: &XCleanEngine) -> (Vec<String>, Vec<String>) {
     let corpus = engine.corpus();
     let vocab = corpus.vocab();
@@ -252,7 +252,7 @@ fn hot_path_allocations_do_not_grow_with_the_work_walked() {
     // k = 1: both queries return exactly one suggestion, so their
     // responses hold the same number of vectors and strings. ε = 1: at
     // ε = 2 every tail term's slot takes in a frequent neighbour, and the
-    // light query holds enough postings for the walk to scan it.
+    // light query passes many subtrees.
     for gamma in [Some(1000), Some(2)] {
         let engine = XCleanEngine::from_shared(
             corpus.clone(),
@@ -282,9 +282,8 @@ fn hot_path_allocations_do_not_grow_with_the_work_walked() {
             "the heavy query must scan: {stats:?}"
         );
         assert!(
-            light_response.stats.access.scan_postings() == 0
-                && light_response.stats.subtrees <= 500,
-            "the light query must leapfrog, and not far: {:?}",
+            light_response.stats.access.scan_postings() > 0 && light_response.stats.subtrees <= 500,
+            "the light query must scan, and hand over few subtrees: {:?}",
             light_response.stats
         );
         assert_eq!(heavy_response.suggestions.len(), 1);
@@ -300,7 +299,7 @@ fn hot_path_allocations_do_not_grow_with_the_work_walked() {
             "γ={gamma:?}: a repeated query allocates the same"
         );
         assert!(
-            heavy_net <= light_net,
+            heavy_net == light_net,
             "γ={gamma:?}: {} subtrees / {} candidates / {} contributions cost {heavy_net} \
              allocations beyond slots, {} subtrees cost {light_net}",
             stats.subtrees,

@@ -83,7 +83,7 @@ fn assert_identical(q: &[String], a: &SuggestResponse, b: &SuggestResponse) {
         a.stats.access.skip_calls, b.stats.access.skip_calls,
         "skip_to accounting diverged for {label:?}"
     );
-    // The walk path is a function of the compiled query alone.
+    // The walk path is a function of the configuration alone.
     assert_eq!(
         a.stats.access.scan_postings() > 0,
         b.stats.access.scan_postings() > 0,
@@ -101,31 +101,46 @@ fn assert_identical(q: &[String], a: &SuggestResponse, b: &SuggestResponse) {
 #[test]
 fn suggest_many_is_bit_identical_across_thread_counts() {
     let (engine, queries) = corpus_and_queries();
-    let baseline: Vec<SuggestResponse> =
-        queries.iter().map(|q| engine.suggest_keywords(q)).collect();
-    // Both walk paths are on trial, not just one.
-    let scans = baseline
-        .iter()
-        .filter(|r| r.stats.access.scan_postings() > 0)
-        .count();
-    assert!(
-        scans > 0 && scans < baseline.len(),
-        "{scans} of {} queries scan",
-        baseline.len()
-    );
-    for threads in [1usize, 2, 8] {
-        let pooled = XCleanEngine::from_shared(
+    // Both walk paths are on trial: the scan with skipping on, the linear
+    // walk with it off.
+    for enable_skipping in [true, false] {
+        let sequential = XCleanEngine::from_shared(
             engine.corpus_shared(),
             XCleanConfig {
-                num_threads: threads,
-                batch_size: 7, // deliberately not a divisor of the workload
+                enable_skipping,
                 ..Default::default()
             },
         );
-        let batched = pooled.suggest_many_keywords(&queries);
-        assert_eq!(batched.len(), queries.len());
-        for (q, (a, b)) in queries.iter().zip(baseline.iter().zip(batched.iter())) {
-            assert_identical(q, a, b);
+        let baseline: Vec<SuggestResponse> = queries
+            .iter()
+            .map(|q| sequential.suggest_keywords(q))
+            .collect();
+        let answered = baseline.iter().filter(|r| !r.suggestions.is_empty());
+        let scans = answered
+            .clone()
+            .filter(|r| r.stats.access.scan_postings() > 0)
+            .count();
+        let expect = if enable_skipping { answered.count() } else { 0 };
+        assert!(
+            scans == expect && baseline.iter().any(|r| !r.suggestions.is_empty()),
+            "skipping {enable_skipping}: {scans} of {} queries scan",
+            baseline.len()
+        );
+        for threads in [1usize, 2, 8] {
+            let pooled = XCleanEngine::from_shared(
+                engine.corpus_shared(),
+                XCleanConfig {
+                    num_threads: threads,
+                    batch_size: 7, // deliberately not a divisor of the workload
+                    enable_skipping,
+                    ..Default::default()
+                },
+            );
+            let batched = pooled.suggest_many_keywords(&queries);
+            assert_eq!(batched.len(), queries.len());
+            for (q, (a, b)) in queries.iter().zip(baseline.iter().zip(batched.iter())) {
+                assert_identical(q, a, b);
+            }
         }
     }
 }

@@ -118,7 +118,7 @@ fn anchor_walk_skips_first_subtree() {
         r.stats.subtrees
     );
     // The passing subtrees were collected: through the merged lists on
-    // the leapfrog, from the level table's entity columns on the scan.
+    // the linear walk, from the level table's entity columns on the scan.
     let access = r.stats.access;
     assert!(access.read + access.from_columns > 0, "{access:?}");
 }
