@@ -5,11 +5,11 @@
 //! time, what the walk was given (slots, variants, postings) and what it
 //! did with it (the postings of members marked from the level table's kept
 //! entity lists and the share of their postings its kept bitmaps covered,
-//! subtrees passed, nanoseconds per subtree), where the time went — the
-//! scan's marking, the collection of the passing subtrees' tokens and
-//! sums, and the scoring of them — and the share of passing subtrees the
-//! scorer took from the level table's entity columns without gathering a
-//! posting.
+//! subtrees passed, entities scored, nanoseconds per subtree), where the
+//! time went — the scan's marking, the collection of the passing subtrees'
+//! tokens, and the scoring of them, which reads the sums it asks for — and
+//! the share of passing subtrees the scorer took from the level table's
+//! entity columns without gathering a posting.
 //! Every query must scan, both ways the scan marks a member and scoring
 //! from the columns must be in use, and each query's posting I/O must be
 //! what its marking and its passing subtrees account for — the run panics
@@ -55,6 +55,8 @@ struct Profile {
     /// Postings the scan covered with kept bitmaps.
     cached: u64,
     passed: u64,
+    /// Entity contributions the engine's scorer accumulated.
+    entities: u64,
     /// Passing subtrees the engine's scorer took from the columns alone.
     from_columns: u64,
     /// Bare-walk time to the first passing subtree: minimum over the
@@ -124,6 +126,7 @@ pub(super) fn run(scale: f64) -> Report {
             let io = scan_io(corpus, &slots, config, passed);
             assert_eq!(io, stats.access, "every query scans: {query:?}");
             let lists = slots.iter().flat_map(|s| &s.variants);
+            let scored = engine.suggest_keywords(query).stats;
             let profile = Profile {
                 nanos: u64::MAX,
                 slots: slots.len(),
@@ -132,7 +135,8 @@ pub(super) fn run(scale: f64) -> Report {
                 scanned: stats.access.scanned,
                 cached: stats.access.cached,
                 passed,
-                from_columns: engine.suggest_keywords(query).stats.access.from_columns,
+                entities: scored.entities_scored,
+                from_columns: scored.access.from_columns,
                 mark_nanos: u64::MAX,
                 bare_nanos: u64::MAX,
                 walk_nanos: u64::MAX,
@@ -198,6 +202,7 @@ pub(super) fn run(scale: f64) -> Report {
         "scanned",
         "cached %",
         "passed",
+        "entities",
         "ns/subtree",
         "mark us",
         "collect us",
@@ -224,6 +229,7 @@ pub(super) fn run(scale: f64) -> Report {
             Cell::Num(scanned / n, 0),
             Cell::Num(100.0 * cached / (scanned + cached).max(1.0), 0),
             Cell::Num(passed / n, 0),
+            Cell::Num(sum(|p| p.entities) / n, 0),
             Cell::Wall(nanos / passed.max(1.0), 0),
             Cell::Wall(mark / n / 1e3, 1),
             Cell::Wall((bare - mark) / n / 1e3, 1),

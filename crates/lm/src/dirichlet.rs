@@ -1,4 +1,6 @@
-//! Dirichlet-smoothed unigram language model (§IV-B2, Eq. before Eq. 7).
+//! The paper's Dirichlet-smoothed unigram model (§IV-B2, Eq. before Eq. 7),
+//! as [`LanguageModel`] computes it under [`Smoothing::Dirichlet`]
+//! (test-only):
 //!
 //! ```text
 //! p(w|D) = (count(w, D) + μ · p(w|B)) / (|D| + μ)
@@ -8,58 +10,9 @@
 //! smoothing mass. Entities' virtual documents `D(r)` supply `count` and
 //! `|D|`; the corpus vocabulary supplies `p(w|B)`.
 
-use xclean_index::{CorpusIndex, TokenId};
-
-/// Dirichlet-smoothed unigram model over a corpus.
-#[derive(Debug, Clone, Copy)]
-pub struct DirichletModel<'a> {
-    corpus: &'a CorpusIndex,
-    mu: f64,
-}
-
-/// The standard default smoothing mass; 2000 is the common Dirichlet prior
-/// in the LM-IR literature the paper builds on (Zhai & Lafferty).
-pub const DEFAULT_MU: f64 = 2000.0;
-
-impl<'a> DirichletModel<'a> {
-    /// Creates a model with smoothing parameter `mu > 0`.
-    pub fn new(corpus: &'a CorpusIndex, mu: f64) -> Self {
-        assert!(mu > 0.0, "μ must be positive");
-        DirichletModel { corpus, mu }
-    }
-
-    /// The smoothing parameter μ.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// `log p(w|D)` for a token with `count` occurrences in a virtual
-    /// document of `doc_len` tokens.
-    pub fn log_prob(&self, token: TokenId, count: u64, doc_len: u64) -> f64 {
-        let pb = self.corpus.background_prob(token);
-        let num = count as f64 + self.mu * pb;
-        let den = doc_len as f64 + self.mu;
-        if num <= 0.0 {
-            // Token absent from document *and* collection: impossible event.
-            f64::NEG_INFINITY
-        } else {
-            (num / den).ln()
-        }
-    }
-
-    /// `log p(C|D) = Σ_w log p(w|D)` for a bag of `(token, count-in-D)`
-    /// pairs (Eq. 9's product in log space).
-    pub fn log_prob_query(&self, tokens: &[(TokenId, u64)], doc_len: u64) -> f64 {
-        tokens
-            .iter()
-            .map(|&(t, c)| self.log_prob(t, c, doc_len))
-            .sum()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{LanguageModel, Smoothing};
+    use xclean_index::CorpusIndex;
     use xclean_xmltree::parse_document;
 
     fn corpus() -> CorpusIndex {
@@ -71,10 +24,14 @@ mod tests {
         CorpusIndex::build(parse_document(xml).unwrap())
     }
 
+    fn dirichlet(c: &CorpusIndex, mu: f64) -> LanguageModel<'_> {
+        LanguageModel::new(c, Smoothing::Dirichlet { mu })
+    }
+
     #[test]
     fn present_token_beats_absent_token() {
         let c = corpus();
-        let m = DirichletModel::new(&c, 100.0);
+        let m = dirichlet(&c, 100.0);
         let apple = c.vocab().get("apple").unwrap();
         let durian = c.vocab().get("durian").unwrap();
         // In a doc of length 3 with 2 apples and 0 durians:
@@ -84,7 +41,7 @@ mod tests {
     #[test]
     fn smoothing_gives_nonzero_to_absent_tokens() {
         let c = corpus();
-        let m = DirichletModel::new(&c, 100.0);
+        let m = dirichlet(&c, 100.0);
         let durian = c.vocab().get("durian").unwrap();
         let lp = m.log_prob(durian, 0, 3);
         assert!(lp.is_finite());
@@ -95,18 +52,25 @@ mod tests {
     fn matches_formula_exactly() {
         let c = corpus();
         let mu = 50.0;
-        let m = DirichletModel::new(&c, mu);
+        let m = dirichlet(&c, mu);
         let banana = c.vocab().get("banana").unwrap();
         // cf(banana)=2, total=9 → p(w|B)=2/9
         let expect = ((1.0 + mu * (2.0 / 9.0)) / (4.0 + mu)).ln();
         let got = m.log_prob(banana, 1, 4);
         assert!((got - expect).abs() < 1e-12);
+        // Bit for bit, present and absent, an empty document included.
+        let apple = c.vocab().get("apple").unwrap();
+        let pb = c.background_prob(apple);
+        for (count, dlen) in [(0u64, 3u64), (1, 3), (2, 5), (0, 0)] {
+            let expect = ((count as f64 + mu * pb) / (dlen as f64 + mu)).ln();
+            assert_eq!(m.log_prob(apple, count, dlen).to_bits(), expect.to_bits());
+        }
     }
 
     #[test]
     fn distribution_sums_to_one_over_vocabulary() {
         let c = corpus();
-        let m = DirichletModel::new(&c, 10.0);
+        let m = dirichlet(&c, 10.0);
         // For any fixed document, Σ_w p(w|D) over the vocabulary is 1 when
         // counts are the document's true counts. Use doc = first <d>.
         let doc_counts = [("apple", 2u64), ("banana", 1), ("cherry", 0), ("durian", 0)];
@@ -122,19 +86,19 @@ mod tests {
     }
 
     #[test]
-    fn query_log_prob_is_additive() {
-        let c = corpus();
-        let m = DirichletModel::new(&c, 10.0);
-        let a = c.vocab().get("apple").unwrap();
-        let b = c.vocab().get("banana").unwrap();
-        let joint = m.log_prob_query(&[(a, 2), (b, 1)], 3);
-        assert!((joint - (m.log_prob(a, 2, 3) + m.log_prob(b, 1, 3))).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_mu_rejected() {
         let c = corpus();
-        let _ = DirichletModel::new(&c, 0.0);
+        let _ = dirichlet(&c, 0.0);
+    }
+
+    #[test]
+    fn negative_and_nan_mu_rejected() {
+        for mu in [-1.0, f64::NAN] {
+            assert_eq!(
+                Smoothing::Dirichlet { mu }.check(),
+                Err("μ must be positive")
+            );
+        }
     }
 }

@@ -73,8 +73,8 @@ impl Background<'_> {
     }
 }
 
-/// Smoothed unigram model over a corpus, generalising
-/// [`crate::DirichletModel`].
+/// Smoothed unigram model over a corpus: the paper's Dirichlet scheme, or
+/// Jelinek–Mercer interpolation.
 #[derive(Debug, Clone, Copy)]
 pub struct LanguageModel<'a> {
     background: Background<'a>,
@@ -142,15 +142,14 @@ mod tests {
     }
 
     #[test]
-    fn dirichlet_matches_dedicated_model() {
+    fn dirichlet_matches_the_closed_form() {
         let c = corpus();
-        let a = LanguageModel::new(&c, Smoothing::Dirichlet { mu: 50.0 });
-        let b = crate::DirichletModel::new(&c, 50.0);
+        let m = LanguageModel::new(&c, Smoothing::Dirichlet { mu: 50.0 });
+        // cf(apple)=2, total=5 → pb = 0.4
         let apple = c.vocab().get("apple").unwrap();
         for (count, dlen) in [(0u64, 3u64), (1, 3), (2, 5), (0, 0)] {
-            assert!(
-                (a.log_prob(apple, count, dlen) - b.log_prob(apple, count, dlen)).abs() < 1e-12
-            );
+            let expect = ((count as f64 + 50.0 * 0.4) / (dlen as f64 + 50.0)).ln();
+            assert!((m.log_prob(apple, count, dlen) - expect).abs() < 1e-12);
         }
     }
 

@@ -28,18 +28,18 @@
 use std::time::Instant;
 
 use xclean_index::{AccessStats, CorpusIndex, LevelEntry, TokenId};
-use xclean_lm::ErrorModel;
+use xclean_lm::{ErrorModel, LanguageModel};
 use xclean_xmltree::{NodeId, PathId};
 
 use crate::arena::QueryArena;
-use crate::candidates::TypeSlot;
+use crate::candidates::{CandId, TypeSlot};
 use crate::config::{EntityPrior, XCleanConfig};
 use crate::pipeline::Semantics;
 use crate::pruning::{Accumulator, CandidateKey, PruningStats, ScoreSink};
 use crate::result_type::find_result_type_scoped;
 use crate::variants::Variant;
 use crate::view::Scoring;
-use crate::walk::{Occurrences, Tokens};
+use crate::walk::Occurrences;
 
 /// A query keyword with its generated variant set.
 #[derive(Debug, Clone)]
@@ -146,10 +146,11 @@ pub(crate) fn nanos_since(start: Instant) -> u64 {
 
 /// The entities of one gating subtree, grouped for scoring: per result
 /// type a candidate of the subtree asks for, one sorted run of per-entity
-/// term counts. At the gate depth the run is the walk's [`Tokens::counts`];
-/// below it, the subtree's occurrences summed per entity — a few dozen
-/// triples, so grouping is a sort of a small vector rather than a map
-/// build. All storage is recycled through the arena.
+/// term counts. At the gate depth the run is the walk's
+/// [`Occurrences::counts`], read only when the gate's path is the result
+/// type; below it, the subtree's occurrences summed per entity — a few
+/// dozen triples, so grouping is a sort of a small vector rather than a
+/// map build. All storage is recycled through the arena.
 #[derive(Debug, Default)]
 pub(crate) struct EntityGroups {
     /// `(result type, range of `rows`)` of each run built so far.
@@ -175,14 +176,13 @@ impl EntityGroups {
     /// The run of result type `path`: for every entity of that type in the
     /// subtree, in document order, its `(entity, token, count in the
     /// entity's subtree)` rows. Built on first request per subtree, from
-    /// the `tokens`' counts when `path` sits at the depth `min_depth` of
-    /// the subtree `gate` and from its `occurrences` below it.
+    /// the `occurrences`' counts when `path` sits at the depth `min_depth`
+    /// of the subtree `gate` and from the occurrences themselves below it.
     pub(crate) fn entities_of(
         &mut self,
         view: &Scoring<'_>,
         path: PathId,
         gate: &LevelEntry,
-        tokens: &Tokens<'_>,
         occurrences: &mut Occurrences<'_, '_>,
         min_depth: u32,
     ) -> &[(NodeId, TokenId, u64)] {
@@ -198,9 +198,9 @@ impl EntityGroups {
         if depth == min_depth {
             // A result type at the gate depth has one candidate entity: the
             // gating subtree's root, whose counts are the subtree's, sorted
-            // by token.
+            // by token. They are read only for a gate of that type.
             if view.global_path(gate.path) == path {
-                let rows = tokens.counts.iter().map(|&(t, c)| (gate.node, t, c));
+                let rows = occurrences.counts().iter().map(|&(t, c)| (gate.node, t, c));
                 self.rows.extend(rows);
             }
         } else {
@@ -233,6 +233,157 @@ impl EntityGroups {
     }
 }
 
+/// The prior weight `P(r|T)` of an entity of `dlen` tokens, up to the
+/// normaliser the rank phase divides by: 1, or the length under
+/// [`EntityPrior::DocLength`].
+pub(crate) fn prior_weight(prior: EntityPrior, dlen: u64) -> f64 {
+    match prior {
+        EntityPrior::Uniform => 1.0,
+        EntityPrior::DocLength => dlen.max(1) as f64,
+    }
+}
+
+/// An entity's weighted contribution to a candidate's accumulator (lines
+/// 13–15 of Algorithm 1): `exp(Σ_t log P(t|D(r))) · P(r|T)`, with the
+/// candidate's tokens `cand` added in slot order, `counts[i]` occurrences
+/// of `cand[i]` in an entity of `dlen` tokens. The product's one
+/// contribution formula: [`Contributions`] returns bits this function
+/// produced.
+fn contribution(
+    lm: &LanguageModel<'_>,
+    prior: EntityPrior,
+    cand: &[TokenId],
+    counts: &[u64],
+    dlen: u64,
+) -> f64 {
+    let mut score = 0.0f64;
+    for (&t, &c) in cand.iter().zip(counts) {
+        score += lm.log_prob(t, c, dlen);
+    }
+    score.exp() * prior_weight(prior, dlen)
+}
+
+/// Slots of the [`Contributions`] memo: a power of two.
+const MEMO_SLOTS: usize = 512;
+
+/// The longest candidate, and the largest count per token, a packed memo
+/// key holds.
+const PACKED_WIDTH: usize = 8;
+const PACKED_COUNT: u64 = u8::MAX as u64;
+
+/// One memo slot: the walk that filled it, the full key and the value.
+#[derive(Debug, Clone, Copy, Default)]
+struct Memo {
+    epoch: u32,
+    key: [u64; 2],
+    weighted: f64,
+}
+
+/// `(candidate, |D|)` and the candidate tokens' counts, each in 8 bits, as
+/// a memo key; `None` outside that domain.
+fn pack(id: CandId, counts: &[u64], dlen: u64) -> Option<[u64; 2]> {
+    if counts.len() > PACKED_WIDTH || dlen > u64::from(u32::MAX) {
+        return None;
+    }
+    let mut packed = 0u64;
+    for (i, &c) in counts.iter().enumerate() {
+        if c > PACKED_COUNT {
+            return None;
+        }
+        packed |= c << (8 * i);
+    }
+    Some([u64::from(id) << 32 | dlen, packed])
+}
+
+/// The memo slot of a packed key.
+fn slot_of(key: [u64; 2]) -> usize {
+    let mixed = key[0] ^ key[1].wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed.wrapping_mul(0xFF51_AFD7_ED55_8CCD) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+}
+
+/// One walk's entity contributions, each distinct one computed once.
+///
+/// Under one walk's language model and prior, a contribution is a pure
+/// function of `(candidate, its tokens' counts, |D|)`, and a heavy query
+/// meets few distinct ones: thousands of scored entities, a hundred-odd
+/// keys, a handful of lengths. So the scorers ask here, and a direct-mapped
+/// table of [`MEMO_SLOTS`] returns the `f64` that [`contribution`] computed
+/// for the key the first time it was asked, or computes and stores it. A
+/// slot answers only for its full key and the current walk's epoch, never
+/// for a hash alone, so a returned value has exactly the bits the formula
+/// gives; a colliding key overwrites the slot, and a key outside the packed
+/// domain is computed directly. [`Contributions::forget`] starts a walk by
+/// moving to a new epoch: a light query pays nothing to invalidate the
+/// table, and the candidate ids of the last walk, which mean other
+/// candidates now, never match.
+#[derive(Debug, Default)]
+pub(crate) struct Contributions {
+    /// `MEMO_SLOTS` slots once a walk has started; empty before.
+    memo: Vec<Memo>,
+    /// The current walk's; 0 marks a slot no walk filled.
+    epoch: u32,
+    /// The current entity's count of each candidate token, in slot order.
+    counts: Vec<u64>,
+}
+
+impl Contributions {
+    /// Forgets every stored contribution, by moving to a new epoch; a wrap
+    /// to 0 clears the slots instead.
+    pub(crate) fn forget(&mut self) {
+        if self.memo.is_empty() {
+            self.memo.resize(MEMO_SLOTS, Memo::default());
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.memo.fill(Memo::default());
+            self.epoch = 1;
+        }
+    }
+
+    /// The weighted contribution of an entity of `dlen` tokens to
+    /// candidate `id`, whose tokens are `cand`, each with the count
+    /// `count_of` gives; `None` when `count_of` has none for some token,
+    /// which it asks in slot order, stopping at the first.
+    pub(crate) fn weighted(
+        &mut self,
+        lm: &LanguageModel<'_>,
+        prior: EntityPrior,
+        id: CandId,
+        cand: &[TokenId],
+        dlen: u64,
+        mut count_of: impl FnMut(TokenId) -> Option<u64>,
+    ) -> Option<f64> {
+        self.counts.clear();
+        for &t in cand {
+            self.counts.push(count_of(t)?);
+        }
+        let direct = || contribution(lm, prior, cand, &self.counts, dlen);
+        let Some(key) = pack(id, &self.counts, dlen).filter(|_| self.epoch != 0) else {
+            return Some(direct());
+        };
+        let slot = slot_of(key);
+        let memo = self.memo[slot];
+        if memo.epoch == self.epoch && memo.key == key {
+            return Some(memo.weighted);
+        }
+        let weighted = direct();
+        self.memo[slot] = Memo {
+            epoch: self.epoch,
+            key,
+            weighted,
+        };
+        Some(weighted)
+    }
+
+    /// `true` when no slot holds a contribution of the current walk.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.memo
+            .iter()
+            .all(|m| m.epoch != self.epoch || self.epoch == 0)
+    }
+}
+
 /// The node-type accumulate rule over a [`Scoring`] view and a
 /// [`ScoreSink`]: walks the view's tree, enumerates candidates, and emits
 /// one `accumulate` call per (candidate, entity) contribution — in
@@ -262,8 +413,10 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
         candidates,
         groups,
         type_order,
+        contributions,
         ..
     } = arena;
+    contributions.forget();
     let mut candidates_enumerated = 0u64;
     let mut result_type_computations = 0u64;
     let mut entities_scored = 0u64;
@@ -305,12 +458,9 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
                         }
                     };
                     let entities =
-                        groups.entities_of(view, path, gate, tokens, occurrences, config.min_depth);
+                        groups.entities_of(view, path, gate, occurrences, config.min_depth);
                     for counts in entities.chunk_by(|a, b| a.0 == b.0) {
-                        // The entity must contain every keyword of the candidate.
                         let r = counts[0].0;
-                        let mut score = 0.0f64;
-                        let mut ok = true;
                         // An entity at the gate depth is the gate itself, whose
                         // length rides on the entry; deeper ones ask the corpus.
                         let dlen = if r == gate.node {
@@ -318,24 +468,17 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
                         } else {
                             view.doc_len(r)
                         };
-                        for &t in cand.iter() {
-                            match counts.iter().find(|row| row.1 == t) {
-                                Some(&(_, _, c)) if c > 0 => {
-                                    score += lm.log_prob(t, c, dlen);
-                                }
-                                _ => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if ok {
+                        // The entity must contain every keyword of the candidate.
+                        let count_of = |t| {
+                            let row = counts.iter().find(|row| row.1 == t);
+                            row.map(|row| row.2).filter(|&c| c > 0)
+                        };
+                        if let Some(weighted) =
+                            contributions.weighted(&lm, config.prior, id, cand, dlen, count_of)
+                        {
                             entities_scored += 1;
-                            let weight = match config.prior {
-                                EntityPrior::Uniform => 1.0,
-                                EntityPrior::DocLength => dlen.max(1) as f64,
-                            };
-                            sink.accumulate(candidates, id, score.exp() * weight, weight);
+                            let weight = prior_weight(config.prior, dlen);
+                            sink.accumulate(candidates, id, weighted, weight);
                         }
                     }
                 },
@@ -398,6 +541,7 @@ pub(crate) fn finalize_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::CandidateTable;
     use crate::pipeline::{rank_walked, ArenaPool, Walked};
     use crate::variants::VariantGenerator;
     use xclean_telemetry::Telemetry;
@@ -722,6 +866,250 @@ mod tests {
             let walks = spans.iter().filter(|s| s.name == "walk_accumulate");
             assert_eq!(walks.count(), 1, "{spans:?}");
             assert!(spans.iter().any(|s| s.name == "rank"));
+        }
+    }
+
+    /// The memo's answer for a candidate `cand` (id `id`) with `counts`
+    /// in an entity of `dlen` tokens, and the formula's, as bits.
+    #[allow(clippy::too_many_arguments)]
+    fn memo_and_formula(
+        memo: &mut Contributions,
+        lm: &LanguageModel<'_>,
+        prior: EntityPrior,
+        id: CandId,
+        cand: &[TokenId],
+        counts: &[u64],
+        dlen: u64,
+    ) -> (u64, u64) {
+        let mut asked = counts.iter().copied();
+        let memo = memo.weighted(lm, prior, id, cand, dlen, |_| asked.next());
+        let formula = contribution(lm, prior, cand, counts, dlen);
+        (
+            memo.expect("every token counted").to_bits(),
+            formula.to_bits(),
+        )
+    }
+
+    fn token(c: &CorpusIndex, term: &str) -> TokenId {
+        c.vocab().get(term).expect("a corpus term")
+    }
+
+    #[test]
+    fn memo_keys_sharing_a_slot_each_get_their_own_bits() {
+        let c = corpus();
+        let lm = LanguageModel::new(&c, Default::default());
+        let cand = [token(&c, "trie"), token(&c, "icde")];
+        // Two keys of one candidate, differing in |D| only, in one slot.
+        let slot = slot_of(pack(0, &[1, 2], 5).unwrap());
+        let other = (6..)
+            .find(|&d| slot_of(pack(0, &[1, 2], d).unwrap()) == slot)
+            .unwrap();
+        let mut memo = Contributions::default();
+        memo.forget();
+        let mut seen = Vec::new();
+        for dlen in [5, 5, other, other, 5, other] {
+            let (got, formula) = memo_and_formula(
+                &mut memo,
+                &lm,
+                EntityPrior::Uniform,
+                0,
+                &cand,
+                &[1, 2],
+                dlen,
+            );
+            assert_eq!(got, formula, "|D| = {dlen}");
+            assert_eq!(memo.memo[slot].key, pack(0, &[1, 2], dlen).unwrap());
+            seen.push(got);
+        }
+        assert_ne!(seen[0], seen[2], "the colliding keys have different values");
+    }
+
+    #[test]
+    fn memo_epochs_forget_the_last_walk_and_a_wrap_clears_the_slots() {
+        let c = corpus();
+        let light = LanguageModel::new(&c, xclean_lm::Smoothing::Dirichlet { mu: 50.0 });
+        let heavy = LanguageModel::new(&c, Default::default());
+        let cand = [token(&c, "tree")];
+        let ask = |memo: &mut Contributions, lm| {
+            memo_and_formula(memo, lm, EntityPrior::Uniform, 3, &cand, &[2], 7)
+        };
+        let mut memo = Contributions::default();
+        memo.forget();
+        let (stored, _) = ask(&mut memo, &light);
+        assert!(!memo.is_empty());
+        // The next walk (here under another model) never sees it.
+        memo.forget();
+        assert!(memo.is_empty());
+        let (got, formula) = ask(&mut memo, &heavy);
+        assert_eq!(got, formula);
+        assert_ne!(got, stored);
+        // A walk storing under epoch 1, then a wrap back to 1: the slot is
+        // cleared, not answered from.
+        let mut memo = Contributions::default();
+        memo.forget();
+        assert_eq!(memo.epoch, 1);
+        assert_eq!(ask(&mut memo, &light).0, stored);
+        memo.epoch = u32::MAX;
+        memo.forget();
+        assert_eq!(memo.epoch, 1);
+        assert!(memo.memo.iter().all(|m| m.epoch == 0));
+        let (got, formula) = ask(&mut memo, &heavy);
+        assert_eq!(got, formula);
+    }
+
+    #[test]
+    fn memo_keys_outside_the_packed_domain_are_computed_directly() {
+        let c = corpus();
+        let lm = LanguageModel::new(&c, Default::default());
+        let tree = token(&c, "tree");
+        let wide = [tree; PACKED_WIDTH + 1];
+        let cases: [(&[TokenId], &[u64], u64); 4] = [
+            (&wide, &[1; PACKED_WIDTH + 1], 20),
+            (&[tree, tree], &[1, PACKED_COUNT + 1], 20),
+            (&[tree], &[1], u64::from(u32::MAX) + 1),
+            (&[tree], &[u64::MAX], u64::MAX),
+        ];
+        // Before any walk the memo has no slots and computes everything.
+        let mut fresh = Contributions::default();
+        let mut memo = Contributions::default();
+        memo.forget();
+        for (cand, counts, dlen) in cases {
+            assert!(pack(9, counts, dlen).is_none());
+            for memo in [&mut memo, &mut fresh] {
+                let (got, formula) =
+                    memo_and_formula(memo, &lm, EntityPrior::DocLength, 9, cand, counts, dlen);
+                assert_eq!(got, formula, "{counts:?} |D| = {dlen}");
+            }
+            assert!(memo.is_empty() && fresh.memo.is_empty());
+        }
+        // The domain's edge is stored.
+        let edge = [tree; PACKED_WIDTH];
+        let counts = [PACKED_COUNT; PACKED_WIDTH];
+        let dlen = u64::from(u32::MAX);
+        let (got, formula) = memo_and_formula(
+            &mut memo,
+            &lm,
+            EntityPrior::Uniform,
+            9,
+            &edge,
+            &counts,
+            dlen,
+        );
+        assert_eq!(got, formula);
+        assert!(!memo.is_empty());
+        // A missing token stops the count and scores nothing.
+        let mut asked = 0;
+        let none = memo.weighted(&lm, EntityPrior::Uniform, 1, &[tree, tree], 4, |_| {
+            asked += 1;
+            None
+        });
+        assert_eq!((none, asked), (None, 1));
+    }
+
+    #[test]
+    fn memo_answers_the_doc_length_prior_and_jelinek_mercer_bit_for_bit() {
+        let c = corpus();
+        let dirichlet = LanguageModel::new(&c, Default::default());
+        let jm = LanguageModel::new(&c, xclean_lm::Smoothing::JelinekMercer { lambda: 0.3 });
+        let cand = [token(&c, "trie"), token(&c, "icdt")];
+        let mut memo = Contributions::default();
+        let mut values = Vec::new();
+        for (lm, prior) in [
+            (&dirichlet, EntityPrior::DocLength),
+            (&dirichlet, EntityPrior::Uniform),
+            (&jm, EntityPrior::Uniform),
+            (&jm, EntityPrior::DocLength),
+        ] {
+            memo.forget();
+            for (counts, dlen) in [
+                ([1, 1], 4),
+                ([2, 1], 4),
+                ([1, 1], 4),
+                ([1, 1], 9),
+                ([2, 1], 4),
+            ] {
+                let (got, formula) =
+                    memo_and_formula(&mut memo, lm, prior, 2, &cand, &counts, dlen);
+                assert_eq!(got, formula, "{prior:?} {counts:?} |D| = {dlen}");
+                values.push(got);
+            }
+        }
+        // Each walk's model and prior gave its own values.
+        let first: Vec<_> = values.chunks(5).map(|walk| walk[0]).collect();
+        for (i, a) in first.iter().enumerate() {
+            assert!(first[i + 1..].iter().all(|b| b != a), "{first:?}");
+        }
+    }
+
+    /// Every contribution a walk emits: `(candidate, weighted, weight)`,
+    /// as bits.
+    #[derive(Default)]
+    struct Emitted(Vec<(CandId, u64, u64)>);
+
+    impl ScoreSink for Emitted {
+        fn accumulate(&mut self, _: &CandidateTable, id: CandId, weighted: f64, weight: f64) {
+            self.0.push((id, weighted.to_bits(), weight.to_bits()));
+        }
+    }
+
+    #[test]
+    fn a_walk_never_answers_from_the_last_walks_memo() {
+        // `tree icde` and `trie icdt` are each their candidate 0, and each
+        // scores one entity with one of each token in three: the same
+        // memo key, for other tokens. No reset between the walks.
+        let c = corpus();
+        let view = Scoring::unsharded(&c);
+        let config = XCleanConfig::default();
+        let walk = |arena: &mut QueryArena, query: &[&str]| {
+            let mut emitted = Emitted::default();
+            let slots = slots_for(&c, query, 0);
+            let mut stats = RunStats::default();
+            accumulate_scoped(&view, &slots, &config, &mut stats, arena, &mut emitted);
+            emitted.0
+        };
+        // Reset, as the pool hands arenas out.
+        let mut arena = QueryArena::new();
+        arena.reset();
+        let first = walk(&mut arena, &["tree", "icde"]);
+        let second = walk(&mut arena, &["trie", "icdt"]);
+        assert_eq!(second, walk(&mut QueryArena::new(), &["trie", "icdt"]));
+        assert_eq!((first.len(), second.len()), (1, 1));
+        assert_ne!(first[0].1, second[0].1);
+    }
+
+    #[test]
+    fn a_gamma_one_run_evicts_as_the_direct_computation_does() {
+        // Twenty copies of the running example's records: every
+        // contribution's key repeats twenty times, so all but the first
+        // of each are memo hits.
+        let records = "<c><x>tree</x></c>\
+            <c><x>trie</x><x>tree</x><y>icde</y></c>\
+            <d><x>trie</x><y>icdt icde</y></d>\
+            <d><x>trie</x><y>icde</y></d>"
+            .repeat(20);
+        let c = CorpusIndex::build(parse_document(&format!("<a>{records}</a>")).unwrap());
+        let slots = slots_for(&c, &["tree", "icdt"], 1);
+        for prior in [EntityPrior::Uniform, EntityPrior::DocLength] {
+            let config = XCleanConfig {
+                gamma: Some(1),
+                prior,
+                ..XCleanConfig::default()
+            };
+            let views = [Scoring::unsharded(&c)];
+            let reference =
+                crate::reference::reference_run(&views, Semantics::NodeType, &slots, &config);
+            let arenas = ArenaPool::default();
+            for _ in 0..2 {
+                let product = crate::reference::product_run(
+                    Walked::Corpus(&c),
+                    Semantics::NodeType,
+                    &slots,
+                    &config,
+                    &arenas,
+                );
+                assert!(!product.decisions.is_empty());
+                crate::reference::assert_same(&product, &reference, &config, "γ = 1");
+            }
         }
     }
 

@@ -3,8 +3,8 @@
 //! One `suggest` call works on a family of short-lived structures — the
 //! walk's per-slot occurrence buffers and the scan path's entity bitmaps,
 //! the candidate enumeration scratch, the compiled candidate table, the
-//! per-subtree entity grouping, the γ-table, a shard walk's contribution
-//! log, and the ranker's sort buffer. At realistic corpus scale (100k+ publications) allocating them
+//! per-subtree entity grouping, the contribution memo, the γ-table, a shard
+//! walk's contribution log, and the ranker's sort buffer. At realistic corpus scale (100k+ publications) allocating them
 //! is a measurable slice of query latency, and a batch (`suggest_many`)
 //! would pay it once per query.
 //!
@@ -25,14 +25,16 @@
 //! or history. The candidate table's probe index only answers "which id
 //! has this key" (ids are never compared or iterated for a result — see
 //! `crate::candidates`); entity groups are sorted runs read front to
-//! back; the γ-table's victim scan and the ranker order candidates by
+//! back; the contribution memo answers only for its full key within one
+//! walk, with bits the one contribution formula produced; the γ-table's
+//! victim scan and the ranker order candidates by
 //! (estimate or score, key), a total order over the table's contents. A
 //! reused arena therefore produces bit-identical output to a fresh one —
 //! pinned by tests in `crate::algorithm`.
 
 use xclean_index::TokenId;
 
-use crate::algorithm::EntityGroups;
+use crate::algorithm::{Contributions, EntityGroups};
 use crate::candidates::{CandId, CandidateTable};
 use crate::pruning::AccumulatorTable;
 use crate::walk::WalkScratch;
@@ -57,6 +59,8 @@ pub struct QueryArena {
     pub(crate) candidates: CandidateTable,
     /// Per-subtree occurrence and entity grouping.
     pub(crate) groups: EntityGroups,
+    /// The walk's contribution memo, one per distinct key.
+    pub(crate) contributions: Contributions,
     /// Result-type inference scratch (list intersection order).
     pub(crate) type_order: Vec<usize>,
     /// The γ-table a walk or a gather accumulates into.
@@ -83,6 +87,7 @@ impl QueryArena {
         self.candidate.clear();
         self.candidates.compile(&[], Default::default());
         self.groups.clear();
+        self.contributions.forget();
         self.type_order.clear();
         self.table.reset(None);
         self.log.clear();
@@ -122,7 +127,7 @@ mod tests {
         let QueryArena { walk, groups, .. } = &mut a;
         let mut stats = RunStats::default();
         let slots = [slot.clone()];
-        walk_gated_subtrees_scoped(&view, &slots, &config, &mut stats, walk, |g, t, occ| {
+        walk_gated_subtrees_scoped(&view, &slots, &config, &mut stats, walk, |g, _, occ| {
             for depth in [2, 3] {
                 let path = view.tree().path(
                     view.tree()
@@ -130,7 +135,7 @@ mod tests {
                         .unwrap(),
                 );
                 assert!(!groups
-                    .entities_of(&view, path, g, t, occ, config.min_depth)
+                    .entities_of(&view, path, g, occ, config.min_depth)
                     .is_empty());
             }
         });
@@ -139,6 +144,12 @@ mod tests {
         a.candidates.compile(&[slot], Default::default());
         let id = a.candidates.intern(&[key]);
         a.type_order.extend([0, 1]);
+        let lm = view.language_model(config.effective_smoothing());
+        a.contributions.forget();
+        let weighted = a
+            .contributions
+            .weighted(&lm, config.prior, id, &[key], 3, |_| Some(2));
+        assert!(weighted.is_some() && !a.contributions.is_empty());
         a.table.reset(Some(1));
         a.table.add(&a.candidates, id, 0.5, 1.0, &mut |_| {});
         a.log.extend([(id, 0.5, 1.0); 40]);
@@ -151,6 +162,7 @@ mod tests {
         assert!(a.candidates.is_empty());
         assert_eq!(a.candidates.width(), 0);
         assert!(a.groups.is_empty());
+        assert!(a.contributions.is_empty());
         assert!(a.type_order.is_empty());
         assert!(a.table.is_empty());
         assert!(a.table.get(id).is_none());

@@ -48,7 +48,7 @@ struct Contribution {
 
 /// A γ-decision with its candidate owned, comparable across runs.
 #[derive(Debug, Clone, PartialEq)]
-enum Decision {
+pub(crate) enum Decision {
     Evicted(CandidateKey, u64),
     NewcomerRejected(CandidateKey, u64),
     TombstoneRejected(CandidateKey),
@@ -455,15 +455,15 @@ fn ref_accumulate_lca(
 
 /// Everything a run is compared on.
 #[derive(Debug)]
-struct Outcome {
+pub(crate) struct Outcome {
     candidates: Vec<ScoredCandidate>,
-    decisions: Vec<Decision>,
+    pub(crate) decisions: Vec<Decision>,
     stats: RunStats,
 }
 
 /// The reference run: every view's contribution stream, in view order,
 /// through one keyed table, then ranked as `finalize_candidates` used to.
-fn reference_run(
+pub(crate) fn reference_run(
     views: &[Scoring<'_>],
     semantics: Semantics,
     slots: &[KeywordSlot],
@@ -525,7 +525,7 @@ fn reference_run(
 
 /// The product run over the same views: `rank_walked`, every survivor
 /// materialised, γ-decisions captured by the observer.
-fn product_run(
+pub(crate) fn product_run(
     walked: Walked<'_>,
     semantics: Semantics,
     slots: &[KeywordSlot],
@@ -551,7 +551,12 @@ fn product_run(
     }
 }
 
-fn assert_same(product: &Outcome, reference: &Outcome, config: &XCleanConfig, what: &str) {
+pub(crate) fn assert_same(
+    product: &Outcome,
+    reference: &Outcome,
+    config: &XCleanConfig,
+    what: &str,
+) {
     assert_eq!(
         product.candidates.len(),
         reference.candidates.len(),

@@ -14,9 +14,9 @@ use xclean_index::{CorpusIndex, TokenId};
 use xclean_lm::ErrorModel;
 use xclean_xmltree::{NodeId, XmlTree};
 
-use crate::algorithm::{KeywordSlot, RunOutput, RunStats};
+use crate::algorithm::{prior_weight, KeywordSlot, RunOutput, RunStats};
 use crate::arena::QueryArena;
-use crate::config::{EntityPrior, XCleanConfig};
+use crate::config::XCleanConfig;
 use crate::pipeline::Semantics;
 use crate::pruning::ScoreSink;
 use crate::view::Scoring;
@@ -114,8 +114,10 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
         walk,
         candidate,
         candidates,
+        contributions,
         ..
     } = arena;
+    contributions.forget();
     let mut candidates_enumerated = 0u64;
     let mut entities_scored = 0u64;
 
@@ -155,22 +157,18 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
                             continue;
                         }
                         let dlen = view.doc_len(r);
-                        let mut log_score = 0.0f64;
-                        for &t in cand.iter() {
-                            let count: u64 = occurrences
-                                .of(t)
-                                .iter()
-                                .filter(|&&(_, n, _)| tree.is_ancestor_or_self(r, n))
-                                .map(|&(_, _, tf)| u64::from(tf))
-                                .sum();
-                            log_score += lm.log_prob(t, count, dlen);
-                        }
-                        entities_scored += 1;
-                        let weight = match config.prior {
-                            EntityPrior::Uniform => 1.0,
-                            EntityPrior::DocLength => dlen.max(1) as f64,
+                        let count_of = |t| {
+                            let within = occurrences.of(t).iter();
+                            let within =
+                                within.filter(|&&(_, n, _)| tree.is_ancestor_or_self(r, n));
+                            Some(within.map(|&(_, _, tf)| u64::from(tf)).sum())
                         };
-                        sink.accumulate(candidates, id, log_score.exp() * weight, weight);
+                        let weighted = contributions
+                            .weighted(&lm, config.prior, id, cand, dlen, count_of)
+                            .expect("every token has a count");
+                        entities_scored += 1;
+                        let weight = prior_weight(config.prior, dlen);
+                        sink.accumulate(candidates, id, weighted, weight);
                     }
                 },
             );

@@ -24,15 +24,17 @@
 //!
 //! Both paths hand every passing subtree to `on_subtree` the same way
 //! (DESIGN.md §15, items 5 and 5(f)): the gate's entry, its [`Tokens`] —
-//! each slot's distinct tokens in it and every such token's `Σ tf` over
-//! it, all a gate-depth entity's score needs — and its [`Occurrences`],
-//! the node-level postings, for the scorers that need more. The linear
-//! walk collects the postings and derives the rest from them. The scan
-//! reads the tokens and sums from the same entity sets and the sums the
-//! table keeps beside them, one forward cursor per variant, and gathers the
-//! postings from the merged lists only when `on_subtree` asks; the lists
-//! only ever move forward. So `on_subtree` sees the same values in the
-//! same order either way.
+//! each slot's distinct tokens in it — and its [`Occurrences`], a handle on
+//! the rest: every such token's `Σ tf` over the subtree, all a gate-depth
+//! entity's score needs, and the node-level postings, for the scorers that
+//! need more. The linear walk collects the postings and derives the rest
+//! from them, so its handle holds everything from the start. The scan reads
+//! the tokens from the same entity sets, one forward cursor per variant,
+//! and reads the sums the table keeps beside them only when `on_subtree`
+//! asks for them, and gathers the postings from the merged lists only when
+//! it asks for those; the cursors and the lists only ever move forward, so
+//! a subtree nobody asks about costs nothing later. So `on_subtree` sees
+//! the same values in the same order either way.
 
 use xclean_index::{
     AccessStats, CorpusIndex, Entities, LevelEntry, LevelTable, MergedEntry, MergedList, TokenId,
@@ -50,24 +52,30 @@ pub struct Tokens<'a> {
     /// Per keyword slot: its variant tokens with a posting in the subtree,
     /// distinct and increasing; never empty.
     pub slot_tokens: &'a [Vec<TokenId>],
-    /// Every token of `slot_tokens` once, increasing, with the sum of its
-    /// postings' tf in the subtree: `count(w, D(g))` of the gate.
-    pub counts: &'a [(TokenId, u64)],
 }
 
-/// A passing subtree's node-level occurrences: the distinct `(token, node,
-/// tf)` postings of every slot's variants in it, sorted — a posting two
-/// slots share appears once. The linear walk has them in hand; the scan
-/// gathers them from the merged lists on the first request, moving the
-/// lists forward to the subtree.
+/// What a passing subtree holds beyond its [`Tokens`], each part read on
+/// its first request: the per-token sums and the node-level occurrences.
+/// The linear walk has both in hand. The scan reads the sums from the
+/// level table's kept sets, moving their cursors forward to the subtree,
+/// and gathers the occurrences from the merged lists, moving the lists
+/// forward to the subtree.
 pub struct Occurrences<'a, 'v> {
     occ: &'a mut Vec<MergedEntry>,
     /// The lists and the subtree's extent, until the scan gathers.
     pending: Option<(&'a mut [MergedList<'v>], NodeId, u32)>,
+    /// The per-token sums, once read.
+    counts: &'a mut Vec<(TokenId, u64)>,
+    /// The scan's columns, those of them with a bit in the subtree's word,
+    /// the subtree's bit in it and its position, until the scan reads the
+    /// sums.
+    sums: Option<(&'a mut [Column<'v>], &'a [usize], usize, u32)>,
 }
 
 impl Occurrences<'_, '_> {
-    /// All of them, gathered on the first call.
+    /// The distinct `(token, node, tf)` postings of every slot's variants
+    /// in the subtree, sorted — a posting two slots share appears once;
+    /// gathered on the first call.
     pub fn all(&mut self) -> &[MergedEntry] {
         if let Some((vls, g, g_end)) = self.pending.take() {
             self.occ.clear();
@@ -86,6 +94,23 @@ impl Occurrences<'_, '_> {
         let start = occ.partition_point(|&(t, _, _)| t < token);
         let len = occ[start..].partition_point(|&(t, _, _)| t == token);
         &occ[start..start + len]
+    }
+
+    /// Every token of the subtree's [`Tokens`] once, increasing, with the
+    /// sum of its postings' tf in the subtree — `count(w, D(g))` of the
+    /// gate; read on the first call.
+    pub fn counts(&mut self) -> &[(TokenId, u64)] {
+        if let Some((columns, live, bit, pos)) = self.sums.take() {
+            self.counts.clear();
+            for &i in live {
+                let column = &mut columns[i];
+                if column.bits >> bit & 1 == 1 {
+                    let sum = column.sum_at(pos);
+                    self.counts.push((column.token, u64::from(sum)));
+                }
+            }
+        }
+        self.counts
     }
 }
 
@@ -346,12 +371,13 @@ pub(crate) fn walk_gated_subtrees_scoped(
 }
 
 /// The scan, over a non-empty depth-`depth` table and non-empty `vls`: mark
-/// the subtrees of the table in which every slot has a posting, then hand each over in document order with
-/// its tokens and sums read from the variants' kept sets, one forward
-/// cursor per distinct token, a word of the passing bitmap at a time; `vls`
-/// move only when `on_subtree` asks for the occurrences. Counts every
-/// subtree handed over in `stats.subtrees`, and those served without a
-/// gather in `from_columns`.
+/// the subtrees of the table in which every slot has a posting, then hand
+/// each over in document order with its tokens read from the variants'
+/// kept sets, one forward cursor per distinct token, a word of the passing
+/// bitmap at a time; the sums' cursors move only when `on_subtree` asks
+/// for the sums, and `vls` only when it asks for the occurrences. Counts
+/// every subtree handed over in `stats.subtrees`, and those served without
+/// a gather in `from_columns`.
 fn scan<'v>(
     view: &Scoring<'v>,
     slots: &[KeywordSlot],
@@ -385,26 +411,22 @@ fn scan<'v>(
         }
         for bit in set_bits(word) {
             let pos = w * 64 + bit;
-            counts.clear();
             slot_tokens.iter_mut().for_each(Vec::clear);
             for &i in live.iter() {
-                let column = &mut columns[i];
+                let column = &columns[i];
                 if column.bits >> bit & 1 == 1 {
-                    let sum = column.sum_at(pos as u32);
-                    counts.push((column.token, u64::from(sum)));
                     for &(_, slot) in &members[column.members.0..column.members.1] {
                         slot_tokens[slot].push(column.token);
                     }
                 }
             }
             let entry = level.entry(pos);
-            let tokens = Tokens {
-                slot_tokens,
-                counts,
-            };
+            let tokens = Tokens { slot_tokens };
             let mut occurrences = Occurrences {
                 occ,
                 pending: Some((&mut *vls, entry.node, entry.end)),
+                counts,
+                sums: Some((&mut columns[..], &live[..], bit, pos as u32)),
             };
             stats.subtrees += 1;
             on_subtree(&entry, &tokens, &mut occurrences);
@@ -482,14 +504,16 @@ fn linear(
                     _ => counts.push((token, u64::from(tf))),
                 }
             }
-            let tokens = Tokens {
-                slot_tokens,
+            let mut occurrences = Occurrences {
+                occ,
+                pending: None,
                 counts,
+                sums: None,
             };
             on_subtree(
                 &level.entry(cursor),
-                &tokens,
-                &mut Occurrences { occ, pending: None },
+                &Tokens { slot_tokens },
+                &mut occurrences,
             );
         }
     }
@@ -625,7 +649,7 @@ mod tests {
                     visited.push(corpus.tree().dewey(g).to_string());
                     assert_eq!(tokens.slot_tokens.len(), 2);
                     assert!(tokens.slot_tokens.iter().all(|t| t.len() == 1));
-                    assert_eq!(tokens.counts.len(), 2);
+                    assert_eq!(occurrences.counts().len(), 2);
                     if ask {
                         assert_eq!(occurrences.all().len(), 2);
                     }
@@ -692,8 +716,9 @@ mod tests {
             config,
             &mut stats,
             &mut WalkScratch::default(),
-            |gate, tokens, _| {
-                let (slot_tokens, counts) = (tokens.slot_tokens.to_vec(), tokens.counts.to_vec());
+            |gate, tokens, occurrences| {
+                let (slot_tokens, counts) =
+                    (tokens.slot_tokens.to_vec(), occurrences.counts().to_vec());
                 out.push((gate.node, slot_tokens, counts));
             },
         );
@@ -761,6 +786,84 @@ mod tests {
             let (out, stats) = handed(&corpus, &view, slots, &on(min_depth));
             assert!(out.is_empty());
             assert_eq!((stats.subtrees, stats.access), (0, AccessStats::default()));
+        }
+    }
+
+    #[test]
+    fn sums_skipped_for_runs_of_subtrees_read_right_after() {
+        // 300 publications, all passing: `alpha` in each with tf 1–3 (a
+        // kept bitmap, most sums not 1), `bravo` in four with tf 2 (a kept
+        // list, every sum 2), `charlie` in every seventh with tf 1.
+        let mut b = xclean_xmltree::TreeBuilder::new("r");
+        for i in 0..300 {
+            let mut words = vec!["alpha"; 1 + i % 3];
+            if [3, 64, 65, 250].contains(&i) {
+                words.extend(["bravo", "bravo"]);
+            }
+            if i % 7 == 0 {
+                words.push("charlie");
+            }
+            b.open("p");
+            b.leaf("t", &words.join(" "));
+            b.close();
+        }
+        let corpus = CorpusIndex::build(b.finish());
+        let view = Scoring::unsharded(&corpus);
+        let token = |term: &str| corpus.vocab().get(term).expect("a corpus term");
+        assert!(view.entity_bitmap(2, token("alpha")).is_some());
+        assert!(view.entity_bitmap(2, token("bravo")).is_none());
+        let slot = |terms: &[&str]| KeywordSlot {
+            keyword: terms[0].to_string(),
+            variants: terms
+                .iter()
+                .map(|&term| Variant {
+                    token: token(term),
+                    distance: 0,
+                })
+                .collect(),
+        };
+        let slots = [slot(&["alpha"]), slot(&["bravo", "charlie", "alpha"])];
+        let sums = |config: &XCleanConfig, ask: &dyn Fn(usize) -> bool| {
+            let mut out = Vec::new();
+            let mut scratch = WalkScratch::default();
+            let mut stats = RunStats::default();
+            walk_gated_subtrees_scoped(
+                &view,
+                &slots,
+                config,
+                &mut stats,
+                &mut scratch,
+                |_, _, occ| {
+                    let i = out.len();
+                    out.push(ask(i).then(|| occ.counts().to_vec()));
+                },
+            );
+            out
+        };
+        let linear = sums(
+            &XCleanConfig {
+                enable_skipping: false,
+                ..XCleanConfig::default()
+            },
+            &|_| true,
+        );
+        assert_eq!(linear.len(), 300);
+        // Runs of skipped subtrees of every length up to past a bitmap
+        // word, ending inside and across words.
+        let patterns: [&dyn Fn(usize) -> bool; 4] = [
+            &|i| i % 2 == 0,
+            &|i| (i / 37) % 2 == 1,
+            &|i| [0, 64, 65, 200, 250, 299].contains(&i),
+            &|i| i == 299,
+        ];
+        for ask in patterns {
+            let scanned = sums(&XCleanConfig::default(), ask);
+            for (i, (scan, all)) in scanned.iter().zip(&linear).enumerate() {
+                assert_eq!(scan.is_some(), ask(i));
+                if let Some(scan) = scan {
+                    assert_eq!(Some(scan), all.as_ref(), "subtree {i}");
+                }
+            }
         }
     }
 

@@ -4,18 +4,20 @@
 //! `crate::walk` finds the subtrees every slot occurs in by ANDing per-slot
 //! entity bitmaps when skipping is on, and by walking the merged lists
 //! linearly when it is off. The contract is that `on_subtree` cannot tell
-//! which ran: the same `(entry, slot_tokens, counts)` sequence — the scan's
+//! which ran: the same `(entry, slot_tokens)` sequence, the same per-token
+//! sums and the same occurrences whenever it asks for them — the scan's
 //! read from the level table's entity sets and sums, the linear walk's
-//! derived from the postings it collected — and the same occurrences
-//! whenever it asks for them, so the same contributions in the same `f64`
-//! order, the same γ-decisions and the same answers. This suite runs each
-//! path in turn, through `XCleanConfig::enable_skipping`, over
-//! builder-generated trees and random slot sets, at every gate depth, over
-//! one corpus and under 2- and 3-way shard scopes; it asks for the
-//! occurrences of every subtree, of every second or third one (so the
-//! scan's lists skip ahead between gathers), or of none. The scan's bitmaps come two ways — kept
-//! by the level table for a frequent term, set from the table's kept
-//! entity list for the rest — and one fixed corpus makes a slot mix both.
+//! derived from the postings it collected — so the same contributions in
+//! the same `f64` order, the same γ-decisions and the same answers. This
+//! suite runs each path in turn, through `XCleanConfig::enable_skipping`,
+//! over builder-generated trees and random slot sets, at every gate depth,
+//! over one corpus and under 2- and 3-way shard scopes; it asks for the
+//! sums of every subtree, of every second one or of none, and for the
+//! occurrences of every subtree, of every second or third one or of none
+//! (so the scan's sum cursors and lists skip ahead between reads), in
+//! either order. The scan's bitmaps come two ways — kept by the level
+//! table for a frequent term, set from the table's kept entity list for
+//! the rest — and one fixed corpus makes a slot mix both.
 
 use proptest::prelude::*;
 use xclean_index::{partition_corpus, AccessStats, CorpusIndex, LevelEntry, MergedEntry, TokenId};
@@ -94,16 +96,24 @@ fn deepest(corpus: &CorpusIndex) -> u32 {
 }
 
 /// What `on_subtree` is told of one passing subtree: its entry, each
-/// slot's tokens, every token's `Σ tf` and — when the stream asked — its
-/// occurrences.
+/// slot's tokens and — when the stream asked — every token's `Σ tf` and
+/// its occurrences.
 type Handed = (
     LevelEntry,
     Vec<Vec<TokenId>>,
-    Vec<(TokenId, u64)>,
+    Option<Vec<(TokenId, u64)>>,
     Option<Vec<MergedEntry>>,
 );
 
 type Stream = Vec<Handed>;
+
+/// Which passing subtrees a stream asks about: every `n`-th one, or none
+/// for 0.
+#[derive(Debug, Clone, Copy)]
+struct Ask {
+    sums: usize,
+    occurrences: usize,
+}
 
 /// `config` with skipping on (the scan) or off (the linear walk).
 fn skipping(config: &XCleanConfig, enable_skipping: bool) -> XCleanConfig {
@@ -113,14 +123,16 @@ fn skipping(config: &XCleanConfig, enable_skipping: bool) -> XCleanConfig {
     }
 }
 
-/// Everything `on_subtree` receives, asking for the occurrences of every
-/// `ask`-th subtree (of none for 0), and the walk's counters. `scratch` is
-/// shared across calls, so recycled scratch is on trial too.
+/// Everything `on_subtree` receives, asking for the sums and the
+/// occurrences of the subtrees `ask` names — the sums first of every
+/// second subtree, the occurrences first of the rest — and the walk's
+/// counters. `scratch` is shared across calls, so recycled scratch is on
+/// trial too.
 fn stream(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
-    ask: usize,
+    ask: Ask,
     scratch: &mut WalkScratch,
 ) -> (Stream, RunStats) {
     let mut out = Stream::new();
@@ -132,13 +144,16 @@ fn stream(
         &mut stats,
         scratch,
         |gate, tokens, occ| {
-            let asked = out.len().checked_rem(ask) == Some(0);
-            out.push((
-                *gate,
-                tokens.slot_tokens.to_vec(),
-                tokens.counts.to_vec(),
-                asked.then(|| occ.all().to_vec()),
-            ))
+            let i = out.len();
+            let asked = |every: usize| i.checked_rem(every) == Some(0);
+            let (counts, all) = if i.is_multiple_of(2) {
+                let counts = asked(ask.sums).then(|| occ.counts().to_vec());
+                (counts, asked(ask.occurrences).then(|| occ.all().to_vec()))
+            } else {
+                let all = asked(ask.occurrences).then(|| occ.all().to_vec());
+                (asked(ask.sums).then(|| occ.counts().to_vec()), all)
+            };
+            out.push((*gate, tokens.slot_tokens.to_vec(), counts, all))
         },
     );
     (out, stats)
@@ -172,16 +187,17 @@ fn derived(slots: &[KeywordSlot], occ: &[MergedEntry]) -> (Vec<Vec<TokenId>>, Ve
     (slot_tokens, counts)
 }
 
-/// Both paths over one view, asking for every, every second, every third
-/// and no subtree's occurrences: the same stream each time; per subtree,
-/// the scan's slot tokens and sums are the ones the linear walk's
-/// occurrences make; the scan hands over exactly the subtrees it counts,
-/// serves every one it was not asked to gather from the columns, reads
-/// every posting of a variant whose bitmap the table does not keep once,
-/// counts a kept one's as cached, and reads no posting through the lists
-/// unless asked — and marks nothing over an empty level table or when
-/// some slot has no posting in the view. Returns the scan's counters when
-/// asked for nothing.
+/// Both paths over one view, asking for the sums of every, every second
+/// and no subtree, and for the occurrences of every, every second, every
+/// third and no subtree: the same stream each time; per subtree, the
+/// scan's slot tokens and sums are the ones the linear walk's occurrences
+/// make; the scan hands over exactly the subtrees it counts, serves every
+/// one it was not asked to gather from the columns, reads every posting of
+/// a variant whose bitmap the table does not keep once, counts a kept
+/// one's as cached, and reads no posting through the lists unless asked —
+/// and marks nothing over an empty level table or when some slot has no
+/// posting in the view. Returns the scan's counters when asked for
+/// nothing.
 fn assert_one_stream(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
@@ -189,50 +205,48 @@ fn assert_one_stream(
     scratch: &mut WalkScratch,
 ) -> Result<RunStats, String> {
     let mut unasked = RunStats::default();
-    for ask in [1, 2, 3, 0] {
-        let (linear, walked) = stream(view, slots, &skipping(config, false), ask, scratch);
-        let (scan, scanned) = stream(view, slots, &skipping(config, true), ask, scratch);
-        prop_assert_eq!(&scan, &linear, "min_depth {} ask {}", config.min_depth, ask);
-        prop_assert_eq!(walked.access.scan_postings(), 0);
-        prop_assert_eq!(walked.access.from_columns, 0);
-        prop_assert_eq!(scanned.subtrees, scan.len() as u64);
-        prop_assert!(walked.subtrees >= scanned.subtrees);
-        let gathered = scan.iter().filter(|handed| handed.3.is_some()).count() as u64;
-        prop_assert_eq!(scanned.access.from_columns, scanned.subtrees - gathered);
-        if gathered == 0 {
-            prop_assert_eq!((scanned.access.read, scanned.access.skip_calls), (0, 0));
-        }
-        if ask == 1 {
-            for (entry, slot_tokens, counts, occ) in &scan {
-                let occ = occ.as_ref().expect("asked for every subtree");
-                prop_assert_eq!(
-                    (slot_tokens, counts),
-                    (&derived(slots, occ).0, &derived(slots, occ).1),
-                    "{:?}",
-                    entry
-                );
+    for occurrences in [1, 2, 3, 0] {
+        for sums in [1, 2, 0] {
+            let ask = Ask { sums, occurrences };
+            let (linear, walked) = stream(view, slots, &skipping(config, false), ask, scratch);
+            let (scan, scanned) = stream(view, slots, &skipping(config, true), ask, scratch);
+            prop_assert_eq!(&scan, &linear, "min_depth {} {:?}", config.min_depth, ask);
+            prop_assert_eq!(walked.access.scan_postings(), 0);
+            prop_assert_eq!(walked.access.from_columns, 0);
+            prop_assert_eq!(scanned.subtrees, scan.len() as u64);
+            prop_assert!(walked.subtrees >= scanned.subtrees);
+            let gathered = scan.iter().filter(|handed| handed.3.is_some()).count() as u64;
+            prop_assert_eq!(scanned.access.from_columns, scanned.subtrees - gathered);
+            if gathered == 0 {
+                prop_assert_eq!((scanned.access.read, scanned.access.skip_calls), (0, 0));
             }
-        }
-        let (mut read, mut cached) = (0, 0);
-        let every_slot_present = slots.iter().all(|s| {
-            s.variants
-                .iter()
-                .any(|v| !view.postings(v.token).is_empty())
-        });
-        if !view.level(config.min_depth).is_empty() && every_slot_present {
-            for v in slots.iter().flat_map(|s| &s.variants) {
-                let postings = view.postings(v.token).len() as u64;
-                match view.entity_bitmap(config.min_depth, v.token) {
-                    Some(_) => cached += postings,
-                    None => read += postings,
+            for (entry, slot_tokens, counts, occ) in &scan {
+                if let (Some(counts), Some(occ)) = (counts, occ) {
+                    let (tokens, sums) = derived(slots, occ);
+                    prop_assert_eq!((slot_tokens, counts), (&tokens, &sums), "{:?}", entry);
                 }
             }
+            let (mut read, mut cached) = (0, 0);
+            let every_slot_present = slots.iter().all(|s| {
+                s.variants
+                    .iter()
+                    .any(|v| !view.postings(v.token).is_empty())
+            });
+            if !view.level(config.min_depth).is_empty() && every_slot_present {
+                for v in slots.iter().flat_map(|s| &s.variants) {
+                    let postings = view.postings(v.token).len() as u64;
+                    match view.entity_bitmap(config.min_depth, v.token) {
+                        Some(_) => cached += postings,
+                        None => read += postings,
+                    }
+                }
+            }
+            prop_assert_eq!(
+                (scanned.access.scanned, scanned.access.cached),
+                (read, cached)
+            );
+            unasked = scanned;
         }
-        prop_assert_eq!(
-            (scanned.access.scanned, scanned.access.cached),
-            (read, cached)
-        );
-        unasked = scanned;
     }
     Ok(unasked)
 }
