@@ -421,7 +421,7 @@ fn stage_table(stats: &RunStats, total: Duration, suggestions: usize) -> Vec<Str
             stats.walk_nanos,
             format!(
                 "{} subtrees, {} from columns; postings: {} scanned, {} cached; \
-                 {} read, {} skipped in {} skip_to calls",
+                 {} read, {} skipped in {} seeks",
                 stats.subtrees,
                 stats.access.from_columns,
                 stats.access.scanned,

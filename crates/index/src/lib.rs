@@ -1,9 +1,10 @@
 //! # xclean-index
 //!
 //! Inverted-index substrate for the XClean reproduction: the vocabulary,
-//! document-order posting lists of `(node, tf)` entries, the
-//! heap-merged [`MergedList`] view with exponential-search `skip_to`
-//! (§V-C of the paper), per-token path statistics `f_w^p` (§V-B), and a
+//! document-order posting lists of `(node, tf)` entries with an
+//! exponential-search seek ([`PostingList::skip_from`], the paper's
+//! `skip_to` of §V-C, for one list), the per-depth level tables the walk
+//! gates and scans with, per-token path statistics `f_w^p` (§V-B), and a
 //! compact varint wire format for posting lists.
 //!
 //! [`CorpusIndex::build`] constructs all of it in one pass over a parsed
@@ -15,7 +16,6 @@
 pub mod codec;
 pub mod corpus;
 pub mod level;
-pub mod merged;
 pub mod path_stats;
 pub mod posting;
 pub mod shard;
@@ -25,9 +25,8 @@ pub mod vocab;
 
 pub use corpus::{CorpusIndex, SharedPostings, SnapshotProvenance};
 pub use level::{Entities, LevelEntry, LevelTable};
-pub use merged::{AccessStats, MergedEntry, MergedList};
 pub use path_stats::PathStatsIndex;
-pub use posting::{Posting, PostingList};
+pub use posting::{AccessStats, MergedEntry, Posting, PostingList};
 pub use shard::{partition_corpus, ShardError, ShardMeta};
 pub use slab::{IndexSlab, SlabMode};
 pub use storage::{

@@ -9,6 +9,8 @@
 
 use xclean_xmltree::NodeId;
 
+use crate::vocab::TokenId;
+
 /// One posting: a node whose direct text contains the token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
@@ -16,6 +18,57 @@ pub struct Posting {
     pub node: NodeId,
     /// Term frequency of the token in the node's direct text.
     pub tf: u32,
+}
+
+/// What the walk reads of a posting: the variant token whose list holds
+/// it, its node, and its term frequency.
+pub type MergedEntry = (TokenId, NodeId, u32);
+
+/// Counters of the walk's posting I/O, per run: `RunStats::access` in
+/// `crates/xclean`, summed over shards and runs with `+=`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct AccessStats {
+    /// Postings consumed through a cursor, once per keyword whose variants
+    /// hold the token: on the linear walk, every posting up to the end of
+    /// the last subtree it visits; on the scan, the postings of the passing
+    /// subtrees a scorer asked to gather.
+    pub read: u64,
+    /// Postings a cursor seeked past without consuming them: on the scan,
+    /// those the on-demand gathers' per-column seeks jumped; zero on the
+    /// linear walk, which consumes every posting it passes.
+    pub skipped: u64,
+    /// Cursor seeks: on the scan, one per column gathered for a subtree;
+    /// zero on the linear walk.
+    pub skip_calls: u64,
+    /// Postings of the scan path's members whose entity list the level
+    /// table keeps: marked a listed subtree at a time, outside any cursor.
+    pub scanned: u64,
+    /// Postings of the scan path's members whose entity bitmap the level
+    /// table keeps: OR-ed in a word at a time, never read one by one.
+    pub cached: u64,
+    /// Passing subtrees the scan path handed to the scorer from the level
+    /// table's entity sets and sums alone, gathering no posting.
+    pub from_columns: u64,
+}
+
+impl AccessStats {
+    /// Postings the scan path marked, read or cached: non-zero when a walk
+    /// scanned (with skipping on, over a non-empty level table, and with
+    /// no slot empty), zero on the linear walk.
+    pub fn scan_postings(&self) -> u64 {
+        self.scanned + self.cached
+    }
+}
+
+impl std::ops::AddAssign for AccessStats {
+    fn add_assign(&mut self, rhs: AccessStats) {
+        self.read += rhs.read;
+        self.skipped += rhs.skipped;
+        self.skip_calls += rhs.skip_calls;
+        self.scanned += rhs.scanned;
+        self.cached += rhs.cached;
+        self.from_columns += rhs.from_columns;
+    }
 }
 
 /// A posting list sorted by document order, as two columns.
@@ -67,12 +120,6 @@ impl PostingList {
         }
     }
 
-    /// Node id of the `i`-th posting alone — one column read, for cursor
-    /// code (heap keys, range gates) that does not need the term frequency.
-    pub fn node_at(&self, i: usize) -> NodeId {
-        self.nodes[i]
-    }
-
     /// Node ids of all postings (document order).
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
@@ -91,8 +138,8 @@ impl PostingList {
     /// Index of the first posting whose node is `>= node`, or `len()`.
     ///
     /// Uses exponential (galloping) search from `from`, matching the
-    /// paper's `skip_to` implementation note ("binary search or
-    /// exponential search", §V-C).
+    /// paper's implementation note on `skip_to` ("binary search or
+    /// exponential search", §V-C): the walk's cursors seek with it.
     pub fn skip_from(&self, from: usize, node: NodeId) -> usize {
         gallop(&self.nodes, from, |&x| x < node)
     }

@@ -77,10 +77,11 @@ pub mod names {
          "Distinct result-type computations."),
         (ENTITIES, "xclean_entities_scored_total", "Entity score contributions accumulated."),
         (POSTINGS_READ, "xclean_postings_read_total",
-         "Postings consumed via next() across all merged lists; a scanned query reads only those a scorer asked for."),
+         "Postings consumed through the walk's cursors, once per keyword holding the token; a scanned query reads only those a scorer asked to gather."),
         (POSTINGS_SKIPPED, "xclean_postings_skipped_total",
-         "Postings jumped by skip_to across all merged lists."),
-        (SKIP_CALLS, "xclean_skip_calls_total", "skip_to invocations."),
+         "Postings the walk's cursors seeked past: on a scanned query, those its gathers' per-column seeks jumped."),
+        (SKIP_CALLS, "xclean_skip_calls_total",
+         "Cursor seeks: on a scanned query, one per column gathered for a subtree."),
         (EVICTIONS, "xclean_pruning_evictions_total", "Accumulators evicted by gamma-pruning."),
         (REJECTED, "xclean_pruning_rejected_total", "Contributions rejected after eviction."),
         (STAGE_SLOT, "xclean_stage_slot_nanos",

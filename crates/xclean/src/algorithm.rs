@@ -1,23 +1,26 @@
 //! The XClean top-k algorithm (Algorithm 1 of the paper, §V-C).
 //!
-//! One pass over the merged variant inverted lists:
+//! One pass over the variant inverted lists, each keyword's read through
+//! one forward cursor per variant (the paper merges them into one list per
+//! keyword):
 //!
-//! 1. pick the **anchor** — the largest head among the keywords'
-//!    [`xclean_index::MergedList`]s;
+//! 1. pick the **anchor** — the largest keyword head, a keyword's head
+//!    being the smallest next node among its variants' cursors;
 //! 2. find the gating subtree `g`, the anchor's ancestor at the minimal
 //!    depth `d` (the paper truncates the anchor's Dewey code);
-//! 3. `skip_to(g)` every merged list (discarding everything before `g`),
-//!    then collect all variant occurrences inside `g`'s subtree;
+//! 3. `skip_to(g)` every keyword (discarding everything before `g`), then
+//!    collect all variant occurrences inside `g`'s subtree;
 //! 4. enumerate the candidate queries formed by the variants observed in
 //!    the subtree, infer each one's best result type (cached), identify
 //!    the entity nodes of that type, and accumulate
 //!    `Π_{w∈C} P(w|D(r))` per entity into the candidate's accumulator;
-//! 5. repeat until any merged list is exhausted.
+//! 5. repeat until any keyword's cursors are exhausted.
 //!
 //! Steps 1–3 are [`crate::walk`]: with skipping on it finds every `g` in
 //! which all keywords occur at once, by ANDing per-keyword entity bitmaps
 //! over the depth-`d` subtrees, which is `skip_to` taken to its limit;
-//! with it off it walks the lists linearly as above, without the skips.
+//! with it off it walks the cursors linearly as above, consuming every
+//! posting instead of skipping.
 //! Node-id comparisons stand in for Dewey comparisons throughout (the
 //! tree arena is in preorder, so the orders coincide).
 //!
@@ -78,12 +81,12 @@ pub struct RunStats {
     pub result_type_computations: u64,
     /// Entity score contributions accumulated.
     pub entities_scored: u64,
-    /// Posting I/O of the walk: over all merged lists, postings read via
-    /// `next()`, postings jumped by `skip_to`, and `skip_to` call count
-    /// ([`xclean_index::MergedList`]'s own counters, surfaced per run) —
+    /// Posting I/O of the walk: postings read through the cursors (once
+    /// per keyword holding the token), postings seeked past, and seeks —
     /// on the scan path only those of the passing subtrees a scorer asked
-    /// to gather — and the scan path's own: postings marked from kept
-    /// lists and bitmaps, and passing subtrees served from the columns.
+    /// to gather, one seek per gathered column — and the scan path's own:
+    /// postings marked from kept lists and bitmaps, and passing subtrees
+    /// served from the columns.
     pub access: AccessStats,
     /// Accumulator-table pruning outcome.
     pub pruning: PruningStats,

@@ -38,6 +38,7 @@ pub mod config;
 pub mod elca;
 pub mod engine;
 pub mod explain;
+mod merged;
 pub mod pipeline;
 pub mod pruning;
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //! on generated corpora that both produce the same contribution stream,
 //! the same γ-decisions, the same ranked candidates (score bits included)
 //! and the same run counters — the walk's subtrees and posting I/O too
-//! with skipping off, where both walk the merged lists linearly. Nothing
+//! with skipping off, where both walk the lists linearly — the product one
+//! cursor set per keyword, this oracle its heap-merged lists. Nothing
 //! here is shared with the product path except the corpus reads
 //! ([`Scoring`]), the language and error models, result-type inference and
 //! the LCA set functions, none of which the rewrite touched.

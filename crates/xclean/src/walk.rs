@@ -7,7 +7,9 @@
 //! candidate scoring.
 //!
 //! The gate reads the corpus's depth-`d` [`xclean_index::LevelTable`], never
-//! the node table (DESIGN.md §15, "Layout of `walk_accumulate`").
+//! the node table (DESIGN.md §15, "Layout of `walk_accumulate`"). Both paths
+//! read postings through one forward cursor per variant list (`merged.rs`),
+//! which seeks with `PostingList::skip_from`; no heap merges them.
 //!
 //! [`XCleanConfig::enable_skipping`] alone picks how the passing subtrees
 //! are found. With it on, the walk *scans*: it marks each slot's subtrees
@@ -16,10 +18,11 @@
 //! bitmap is the OR of its variants' entity sets, which the level table
 //! keeps per term: a frequent term's bitmap, whose words the scan ORs, and
 //! every other term's list of positions, whose bits it sets one entity at a
-//! time. With it off, the walk is Algorithm 1's linear one: anchor on the
-//! largest merged-list head, gate it through one forward cursor over the
-//! level table (anchors never decrease), and consume every posting on the
-//! way — the ablation's row, and the reference the scan is checked
+//! time. With it off, the walk is Algorithm 1's linear one over one cursor
+//! set per keyword, whose head is the smallest of its cursors' heads:
+//! anchor on the largest keyword head, gate it through one forward cursor
+//! over the level table (anchors never decrease), and consume every posting
+//! on the way — the ablation's row, and the reference the scan is checked
 //! against.
 //!
 //! Both paths hand every passing subtree to `on_subtree` the same way
@@ -28,21 +31,22 @@
 //! the rest: every such token's `Σ tf` over the subtree, all a gate-depth
 //! entity's score needs, and the node-level postings, for the scorers that
 //! need more. The linear walk collects the postings and derives the rest
-//! from them, so its handle holds everything from the start. The scan reads
-//! the tokens from the same entity sets, one forward cursor per variant,
-//! and reads the sums the table keeps beside them only when `on_subtree`
-//! asks for them, and gathers the postings from the merged lists only when
-//! it asks for those; the cursors and the lists only ever move forward, so
-//! a subtree nobody asks about costs nothing later. So `on_subtree` sees
-//! the same values in the same order either way.
+//! from them, so its handle holds everything from the start. The scan keeps
+//! one column per distinct variant token: it reads the tokens from the
+//! column's entity set, the sums the table keeps beside it only when
+//! `on_subtree` asks for them, and the postings through the column's cursor
+//! only when it asks for those; every cursor only moves forward, so a
+//! subtree nobody asks about costs nothing later. So `on_subtree` sees the
+//! same values in the same order either way.
 
 use xclean_index::{
-    AccessStats, CorpusIndex, Entities, LevelEntry, LevelTable, MergedEntry, MergedList, TokenId,
+    AccessStats, CorpusIndex, Entities, LevelEntry, LevelTable, MergedEntry, TokenId,
 };
 use xclean_xmltree::NodeId;
 
 use crate::algorithm::{KeywordSlot, RunStats};
 use crate::config::XCleanConfig;
+use crate::merged::{head, Cursor};
 use crate::view::Scoring;
 
 /// A passing subtree's variant tokens as `on_subtree` sees them, on
@@ -56,20 +60,32 @@ pub struct Tokens<'a> {
 
 /// What a passing subtree holds beyond its [`Tokens`], each part read on
 /// its first request: the per-token sums and the node-level occurrences.
-/// The linear walk has both in hand. The scan reads the sums from the
-/// level table's kept sets, moving their cursors forward to the subtree,
-/// and gathers the occurrences from the merged lists, moving the lists
-/// forward to the subtree.
+/// The linear walk has both in hand. The scan reads both from the columns
+/// holding the subtree: the sums from the level table's kept sets, the
+/// occurrences through the postings cursors, each moving forward to the
+/// subtree.
 pub struct Occurrences<'a, 'v> {
     occ: &'a mut Vec<MergedEntry>,
-    /// The lists and the subtree's extent, until the scan gathers.
-    pending: Option<(&'a mut [MergedList<'v>], NodeId, u32)>,
-    /// The per-token sums, once read.
     counts: &'a mut Vec<(TokenId, u64)>,
-    /// The scan's columns, those of them with a bit in the subtree's word,
-    /// the subtree's bit in it and its position, until the scan reads the
-    /// sums.
-    sums: Option<(&'a mut [Column<'v>], &'a [usize], usize, u32)>,
+    /// The scan's subtree; `None` on the linear walk.
+    scanned: Option<Scanned<'a, 'v>>,
+    /// Whether `occ` holds the subtree's postings yet.
+    gathered: bool,
+    /// Whether `counts` holds the subtree's sums yet.
+    summed: bool,
+}
+
+/// A scanned subtree's place among the columns: those with a bit in its
+/// word of the passing bitmap, its bit there, its level-table position and
+/// extent, and the run's counters, which its gather adds to.
+struct Scanned<'a, 'v> {
+    columns: &'a mut [Column<'v>],
+    live: &'a [usize],
+    bit: usize,
+    pos: u32,
+    g: NodeId,
+    g_end: u32,
+    access: &'a mut AccessStats,
 }
 
 impl Occurrences<'_, '_> {
@@ -77,13 +93,22 @@ impl Occurrences<'_, '_> {
     /// in the subtree, sorted — a posting two slots share appears once;
     /// gathered on the first call.
     pub fn all(&mut self) -> &[MergedEntry] {
-        if let Some((vls, g, g_end)) = self.pending.take() {
+        if !self.gathered {
+            self.gathered = true;
+            let s = self.scanned.as_mut().expect("only the scan gathers late");
             self.occ.clear();
-            for vl in vls {
-                vl.skip_to_node(g);
-                take_subtree(vl, g, g_end, self.occ);
+            // Columns are distinct and in token order, so `occ` comes out
+            // sorted and distinct.
+            for &i in s.live {
+                let column = &mut s.columns[i];
+                if !column.holds(s.bit) {
+                    continue;
+                }
+                let keywords = (column.members.1 - column.members.0) as u64;
+                s.access.skip_calls += 1;
+                s.access.skipped += column.postings.seek(s.g);
+                s.access.read += keywords * column.postings.take(s.g, s.g_end, self.occ);
             }
-            distinct(self.occ);
         }
         self.occ
     }
@@ -100,14 +125,17 @@ impl Occurrences<'_, '_> {
     /// sum of its postings' tf in the subtree — `count(w, D(g))` of the
     /// gate; read on the first call.
     pub fn counts(&mut self) -> &[(TokenId, u64)] {
-        if let Some((columns, live, bit, pos)) = self.sums.take() {
+        if !self.summed {
+            self.summed = true;
+            let s = self.scanned.as_mut().expect("only the scan sums late");
             self.counts.clear();
-            for &i in live {
-                let column = &mut columns[i];
-                if column.bits >> bit & 1 == 1 {
-                    let sum = column.sum_at(pos);
-                    self.counts.push((column.token, u64::from(sum)));
+            for &i in s.live {
+                let column = &mut s.columns[i];
+                if !column.holds(s.bit) {
+                    continue;
                 }
+                let sum = column.sum_at(s.pos);
+                self.counts.push((column.postings.token, u64::from(sum)));
             }
         }
         self.counts
@@ -160,12 +188,12 @@ enum Kept<'v> {
     List(Entities<'v, [u32]>),
 }
 
-/// One distinct variant token of a scanned query: its kept entity set and
-/// sums, forward cursors into both, its slots, and its bits in the current
-/// word of the passing bitmap.
+/// One distinct variant token of a scanned query: a cursor over its
+/// postings, its kept entity set and sums, forward cursors into both, its
+/// slots, and its bits in the current word of the passing bitmap.
 #[derive(Debug)]
 struct Column<'v> {
-    token: TokenId,
+    postings: Cursor<'v>,
     kept: Kept<'v>,
     /// Cursor into a [`Kept::List`]'s positions.
     at: usize,
@@ -178,6 +206,13 @@ struct Column<'v> {
 }
 
 impl Column<'_> {
+    /// Whether the passing subtree at `bit` of the current word holds the
+    /// token.
+    #[inline]
+    fn holds(&self, bit: usize) -> bool {
+        self.bits >> bit & 1 == 1
+    }
+
     /// Moves to word `w` of the passing bitmap, whose bits are `passing`,
     /// past every earlier word.
     #[inline]
@@ -234,7 +269,7 @@ impl WalkScratch {
         self.passing.clear();
         let level = view.level(depth);
         let column = |token| Column {
-            token,
+            postings: Cursor::new(token, view.postings(token)),
             kept: match view.entity_bitmap(depth, token) {
                 Some(kept) => Kept::Bitmap(kept),
                 None => Kept::List(view.entity_positions(depth, token)),
@@ -246,8 +281,8 @@ impl WalkScratch {
         };
         let variants = slots.iter().flat_map(|s| &s.variants);
         columns.extend(variants.map(|v| column(v.token)));
-        columns.sort_unstable_by_key(|c| c.token);
-        columns.dedup_by_key(|c| c.token);
+        columns.sort_unstable_by_key(|c| c.postings.token);
+        columns.dedup_by_key(|c| c.postings.token);
 
         for (i, s) in slots.iter().enumerate() {
             let bits = if i == 0 {
@@ -258,7 +293,7 @@ impl WalkScratch {
             bits.clear();
             bits.resize(level.words(), 0);
             for v in &s.variants {
-                let column = columns.partition_point(|c| c.token < v.token);
+                let column = columns.partition_point(|c| c.postings.token < v.token);
                 self.members.push((column, i));
                 let postings = view.postings(v.token).len() as u64;
                 match columns[column].kept {
@@ -326,12 +361,11 @@ pub fn walk_gated_subtrees(
 /// The walk core over a [`Scoring`] view and caller-provided (arena)
 /// scratch. Under a shard scope the variant tokens (global ids) resolve to
 /// the shard's local posting lists and entity sets — or the empty ones,
-/// which exhaust that merged-list member immediately — so the walk visits
-/// exactly the qualifying subtrees whose entities live in the shard.
-/// `on_subtree` receives the gating subtree as its level-table entry (path
-/// local to the view's corpus). With skipping on, a view whose level table
-/// is empty, or in which some slot has no posting, hands over nothing and
-/// reads nothing.
+/// whose cursors start exhausted — so the walk visits exactly the
+/// qualifying subtrees whose entities live in the shard. `on_subtree`
+/// receives the gating subtree as its level-table entry (path local to the
+/// view's corpus). With skipping on, a view whose level table is empty, or
+/// in which some slot has no posting, hands over nothing and reads nothing.
 pub(crate) fn walk_gated_subtrees_scoped(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
@@ -344,45 +378,40 @@ pub(crate) fn walk_gated_subtrees_scoped(
         return;
     }
     let level = view.level(config.min_depth);
-    let mut vls: Vec<MergedList<'_>> = slots
-        .iter()
-        .map(|s| MergedList::new(s.variants.iter().map(|v| (v.token, view.postings(v.token)))))
-        .collect();
     scratch.slot_tokens.truncate(slots.len());
     scratch.slot_tokens.resize_with(slots.len(), Vec::new);
 
+    let has_postings = |s: &KeywordSlot| {
+        s.variants
+            .iter()
+            .any(|v| !view.postings(v.token).is_empty())
+    };
     if !config.enable_skipping {
-        linear(level, &mut vls, stats, scratch, &mut on_subtree);
-    } else if !level.is_empty() && vls.iter().all(|vl| vl.head_node().is_some()) {
+        linear(view, slots, level, stats, scratch, &mut on_subtree);
+    } else if !level.is_empty() && slots.iter().all(has_postings) {
         scan(
             view,
             slots,
             config.min_depth,
-            &mut vls,
             stats,
             scratch,
             &mut on_subtree,
         );
     }
-
-    for vl in &vls {
-        stats.access += vl.stats();
-    }
 }
 
-/// The scan, over a non-empty depth-`depth` table and non-empty `vls`: mark
-/// the subtrees of the table in which every slot has a posting, then hand
-/// each over in document order with its tokens read from the variants'
-/// kept sets, one forward cursor per distinct token, a word of the passing
-/// bitmap at a time; the sums' cursors move only when `on_subtree` asks
-/// for the sums, and `vls` only when it asks for the occurrences. Counts
+/// The scan, over a non-empty depth-`depth` table and slots that all have
+/// a posting: mark the subtrees of the table in which every slot has a
+/// posting, then hand each over in document order with its tokens read
+/// from the columns' kept sets, a word of the passing bitmap at a time;
+/// a column's sums cursor moves only when `on_subtree` asks for the sums,
+/// and its postings cursor only when it asks for the occurrences. Counts
 /// every subtree handed over in `stats.subtrees`, and those served without
 /// a gather in `from_columns`.
-fn scan<'v>(
-    view: &Scoring<'v>,
+fn scan(
+    view: &Scoring<'_>,
     slots: &[KeywordSlot],
     depth: u32,
-    vls: &mut [MergedList<'v>],
     stats: &mut RunStats,
     scratch: &mut WalkScratch,
     on_subtree: &mut impl FnMut(&LevelEntry, &Tokens<'_>, &mut Occurrences<'_, '_>),
@@ -414,9 +443,9 @@ fn scan<'v>(
             slot_tokens.iter_mut().for_each(Vec::clear);
             for &i in live.iter() {
                 let column = &columns[i];
-                if column.bits >> bit & 1 == 1 {
+                if column.holds(bit) {
                     for &(_, slot) in &members[column.members.0..column.members.1] {
-                        slot_tokens[slot].push(column.token);
+                        slot_tokens[slot].push(column.postings.token);
                     }
                 }
             }
@@ -424,13 +453,22 @@ fn scan<'v>(
             let tokens = Tokens { slot_tokens };
             let mut occurrences = Occurrences {
                 occ,
-                pending: Some((&mut *vls, entry.node, entry.end)),
                 counts,
-                sums: Some((&mut columns[..], &live[..], bit, pos as u32)),
+                scanned: Some(Scanned {
+                    columns: &mut columns[..],
+                    live: &live[..],
+                    bit,
+                    pos: pos as u32,
+                    g: entry.node,
+                    g_end: entry.end,
+                    access: &mut stats.access,
+                }),
+                gathered: false,
+                summed: false,
             };
             stats.subtrees += 1;
             on_subtree(&entry, &tokens, &mut occurrences);
-            if occurrences.pending.is_some() {
+            if !occurrences.gathered {
                 stats.access.from_columns += 1;
             }
         }
@@ -438,51 +476,46 @@ fn scan<'v>(
     scratch.columns = recycle(columns);
 }
 
-/// The linear walk: anchor on the largest head, gate it through a forward
-/// cursor over `level`, and consume every list's postings up to the end of
-/// the gating subtree. Counts every visited subtree in `stats.subtrees`.
+/// The linear walk, over one cursor set per keyword: anchor on the largest
+/// keyword head, gate it through a forward cursor over `level`, and consume
+/// every cursor's postings up to the end of the gating subtree; at an
+/// anchor shallower than the gate, consume one posting of each keyword whose
+/// head is there. Counts every visited subtree in `stats.subtrees` and
+/// every consumed posting in `stats.access.read`.
 fn linear(
+    view: &Scoring<'_>,
+    slots: &[KeywordSlot],
     level: &LevelTable,
-    vls: &mut [MergedList<'_>],
     stats: &mut RunStats,
     scratch: &mut WalkScratch,
     on_subtree: &mut impl FnMut(&LevelEntry, &Tokens<'_>, &mut Occurrences<'_, '_>),
 ) {
-    let mut cursor = 0;
-    loop {
-        // The anchor is the *largest* head; nil once any list is exhausted
-        // (no further subtree can contain all keywords).
-        let anchor = {
-            let mut max: Option<NodeId> = None;
-            let mut dead = false;
-            for vl in vls.iter() {
-                match vl.head_node() {
-                    Some(n) => max = Some(max.map_or(n, |m| m.max(n))),
-                    None => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if dead {
-                None
-            } else {
-                max
-            }
-        };
-        let Some(anchor) = anchor else { break };
-
+    let cursors = |s: &KeywordSlot| {
+        let variants = s.variants.iter();
+        variants
+            .map(|v| Cursor::new(v.token, view.postings(v.token)))
+            .collect()
+    };
+    let mut keywords: Vec<Vec<Cursor<'_>>> = slots.iter().map(cursors).collect();
+    let mut at = 0;
+    // The anchor is the *largest* keyword head; nil once any keyword's
+    // cursors are exhausted (no further subtree can contain all keywords).
+    while let Some(anchor) = keywords
+        .iter()
+        .try_fold(NodeId(0), |max, c| Some(max.max(head(c)?.0)))
+    {
         // g ← truncate(anchor, d): the depth-d subtree holding the anchor.
         // Anchors never decrease, so the cursor only moves forward.
         // Postings shallower than d belong to no gating subtree — consume
         // and continue.
-        cursor = level.seek(cursor, anchor);
-        let (g, g_end) = match level.extent(cursor) {
+        at = level.seek(at, anchor);
+        let (g, g_end) = match level.extent(at) {
             Some((g, g_end)) if g <= anchor => (g, g_end),
             _ => {
-                for vl in vls.iter_mut() {
-                    if vl.head_node() == Some(anchor) {
-                        vl.next();
+                for cursors in &mut keywords {
+                    if let Some((_, i)) = head(cursors).filter(|&(node, _)| node == anchor) {
+                        cursors[i].pos += 1;
+                        stats.access.read += 1;
                     }
                 }
                 continue;
@@ -496,7 +529,14 @@ fn linear(
             counts,
             ..
         } = scratch;
-        if gather(vls, g, g_end, occ, slot_tokens) {
+        if gather(
+            &mut keywords,
+            g,
+            g_end,
+            occ,
+            slot_tokens,
+            &mut stats.access.read,
+        ) {
             counts.clear();
             for &(token, _, tf) in occ.iter() {
                 match counts.last_mut() {
@@ -506,35 +546,36 @@ fn linear(
             }
             let mut occurrences = Occurrences {
                 occ,
-                pending: None,
                 counts,
-                sums: None,
+                scanned: None,
+                gathered: true,
+                summed: true,
             };
-            on_subtree(
-                &level.entry(cursor),
-                &Tokens { slot_tokens },
-                &mut occurrences,
-            );
+            on_subtree(&level.entry(at), &Tokens { slot_tokens }, &mut occurrences);
         }
     }
 }
 
-/// Collects a subtree `[g, g_end)` on the linear walk: every list's
+/// Collects a subtree `[g, g_end)` on the linear walk: every cursor's
 /// postings in it move into `occ` (any still before `g` are consumed and
-/// dropped) and each slot's distinct tokens into `slot_tokens`; `occ` is
-/// then made distinct and sorted. Returns whether every slot got one.
+/// dropped, all counted in `read`) and each slot's distinct tokens into
+/// `slot_tokens`; `occ` is then made distinct and sorted. Returns whether
+/// every slot got one.
 fn gather(
-    vls: &mut [MergedList<'_>],
+    keywords: &mut [Vec<Cursor<'_>>],
     g: NodeId,
     g_end: u32,
     occ: &mut Vec<MergedEntry>,
     slot_tokens: &mut [Vec<TokenId>],
+    read: &mut u64,
 ) -> bool {
     occ.clear();
     let mut all_present = true;
-    for (vl, tokens) in vls.iter_mut().zip(slot_tokens.iter_mut()) {
+    for (cursors, tokens) in keywords.iter_mut().zip(slot_tokens.iter_mut()) {
         let start = occ.len();
-        take_subtree(vl, g, g_end, occ);
+        for cursor in cursors {
+            *read += cursor.take(g, g_end, occ);
+        }
         all_present &= occ.len() > start;
         tokens.clear();
         tokens.extend(occ[start..].iter().map(|&(t, _, _)| t));
@@ -542,27 +583,12 @@ fn gather(
         tokens.dedup();
     }
     if all_present {
-        distinct(occ);
+        // A posting of a token several slots share is in `occ` once per
+        // slot.
+        occ.sort_unstable();
+        occ.dedup_by_key(|&mut (token, node, _)| (token, node));
     }
     all_present
-}
-
-/// Moves `vl`'s postings before `g_end` into `out`, dropping those before
-/// `g`.
-fn take_subtree(vl: &mut MergedList<'_>, g: NodeId, g_end: u32, out: &mut Vec<MergedEntry>) {
-    while vl.head_node().is_some_and(|n| n.0 < g_end) {
-        let entry = vl.next().expect("head_node implies an entry");
-        if entry.1 >= g {
-            out.push(entry);
-        }
-    }
-}
-
-/// Sorts `occ` and drops the repeats of a posting that several slots'
-/// merged lists share.
-fn distinct(occ: &mut Vec<MergedEntry>) {
-    occ.sort_unstable();
-    occ.dedup_by_key(|&mut (token, node, _)| (token, node));
 }
 
 /// Depth-first Cartesian enumeration of one token per slot, bounded by
@@ -617,6 +643,7 @@ fn rec(
 mod tests {
     use super::*;
     use crate::variants::{Variant, VariantGenerator};
+    use xclean_index::PostingList;
     use xclean_xmltree::parse_document;
 
     #[test]
@@ -665,8 +692,9 @@ mod tests {
     #[test]
     fn recycled_columns_keep_their_allocation() {
         let mut columns: Vec<Column<'static>> = Vec::with_capacity(8);
+        let list: &'static PostingList = Box::leak(Box::default());
         columns.push(Column {
-            token: TokenId(1),
+            postings: Cursor::new(TokenId(1), list),
             kept: Kept::List(Entities {
                 set: &[],
                 sums: &[],
@@ -763,8 +791,8 @@ mod tests {
                 assert_eq!(scanned.len(), expect, "{slots:?} at depth {min_depth}");
             }
         }
-        // A slot with an empty merged list — `rare` in the shard that does
-        // not hold it — hands over nothing and marks nothing.
+        // A slot with no posting — `rare` in the shard that does not hold
+        // it — hands over nothing and marks nothing.
         let shards = xclean_index::partition_corpus(&corpus, 2, 7).unwrap();
         let engine = crate::ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
         let views = engine.pipeline().shard_views();
@@ -865,6 +893,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_linear_walk_consumes_one_posting_per_keyword_at_a_shallow_anchor() {
+        // The root's own text holds two variants of `alpha` and the only
+        // posting of `beta`, shallower than the gate at depth 2.
+        let xml = "<a>alpha alphb beta<c><x>alpha</x></c></a>";
+        let corpus = CorpusIndex::build(parse_document(xml).unwrap());
+        let view = Scoring::unsharded(&corpus);
+        let config = XCleanConfig {
+            enable_skipping: false,
+            min_depth: 2,
+            ..XCleanConfig::default()
+        };
+        let (out, stats) = handed(&corpus, &view, &[&["alpha", "alphb"], &["beta"]], &config);
+        assert!(out.is_empty());
+        // One posting per keyword at the anchor — the first of `alpha`'s
+        // cursors there, then `beta`'s — and `beta` is exhausted; consuming
+        // every cursor at the anchor would read 3.
+        assert_eq!((stats.access.read, stats.subtrees), (2, 0));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! (test-only).
 //!
 //! `crate::walk` finds the subtrees every slot occurs in by ANDing per-slot
-//! entity bitmaps when skipping is on, and by walking the merged lists
-//! linearly when it is off. The contract is that `on_subtree` cannot tell
+//! entity bitmaps when skipping is on, and by walking one cursor set per
+//! keyword linearly when it is off. The contract is that `on_subtree` cannot tell
 //! which ran: the same `(entry, slot_tokens)` sequence, the same per-token
 //! sums and the same occurrences whenever it asks for them — the scan's
 //! read from the level table's entity sets and sums, the linear walk's
@@ -14,7 +14,7 @@
 //! over one corpus and under 2- and 3-way shard scopes; it asks for the
 //! sums of every subtree, of every second one or of none, and for the
 //! occurrences of every subtree, of every second or third one or of none
-//! (so the scan's sum cursors and lists skip ahead between reads), in
+//! (so the scan's sum and postings cursors skip ahead between reads), in
 //! either order. The scan's bitmaps come two ways — kept by the level
 //! table for a frequent term, set from the table's kept entity list for
 //! the rest — and one fixed corpus makes a slot mix both.
@@ -194,7 +194,7 @@ fn derived(slots: &[KeywordSlot], occ: &[MergedEntry]) -> (Vec<Vec<TokenId>>, Ve
 /// make; the scan hands over exactly the subtrees it counts, serves every
 /// one it was not asked to gather from the columns, reads every posting of
 /// a variant whose bitmap the table does not keep once, counts a kept
-/// one's as cached, and reads no posting through the lists unless asked —
+/// one's as cached, and reads no posting through its cursors unless asked —
 /// and marks nothing over an empty level table or when some slot has no
 /// posting in the view. Returns the scan's counters when asked for
 /// nothing.

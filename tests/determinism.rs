@@ -81,7 +81,7 @@ fn assert_identical(q: &[String], a: &SuggestResponse, b: &SuggestResponse) {
     );
     assert_eq!(
         a.stats.access.skip_calls, b.stats.access.skip_calls,
-        "skip_to accounting diverged for {label:?}"
+        "cursor seek accounting diverged for {label:?}"
     );
     // The walk path is a function of the configuration alone.
     assert_eq!(
