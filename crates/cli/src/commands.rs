@@ -99,7 +99,6 @@ USAGE:
             [--semantics node-type|slca|elca] [--phonetic DIST]
             [--trace-out trace.json] [--metrics-json metrics.json]
             [--slow-ms MS] [--slow-log FILE] [--slo-ms MS]
-            [--log-level error|warn|info|debug|trace]
             (long-running HTTP server: POST/GET /suggest, GET /healthz,
              GET /metrics, GET /statusz, GET /debug/requests?n=K,
              GET /debug/conns?n=K, GET /debug/flight?events=N,
@@ -119,8 +118,6 @@ USAGE:
              rates on /statusz and /metrics; Ctrl-C drains in-flight
              requests, then flushes --trace-out / --metrics-json, the
              latter as {server: {…}, corpora: {<name>: {…}, …}})
-            (--log-level sets the threshold of the leveled logfmt
-             stderr logger, default info)
             (connections are HTTP/1.1 keep-alive with pipelining, served
              from one nonblocking epoll loop that hands parsed requests
              to --threads scoring workers; above --max-connections open
@@ -722,7 +719,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         "slow-ms",
         "slo-ms",
         "slow-log",
-        "log-level",
     ])?;
     let catalog_path = args.get("catalog").map(str::to_string);
     let snapshot = match (args.positional(), &catalog_path) {
@@ -766,19 +762,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     let defaults = ServerConfig::default();
     let slow_ms: u64 = args.get_parsed("slow-ms", 100u64)?;
     let slo_ms: u64 = args.get_parsed("slo-ms", 50u64)?;
-    // The leveled stderr logger goes up before anything can log. A
-    // second `serve` in one process keeps the first logger (set_global
-    // is first-wins) — fine for a CLI that serves once.
-    let log_level = args.get("log-level").unwrap_or("info");
-    if log_level.contains('=') {
-        return Err(ArgError(format!(
-            "--log-level {log_level}: per-target filters (target=level) are gone; \
-             give one level: error, warn, info, debug or trace"
-        )));
-    }
-    let log_level = xclean_telemetry::Level::parse(log_level)
-        .ok_or_else(|| ArgError(format!("--log-level: unknown log level '{log_level}'")))?;
-    xclean_telemetry::set_global(xclean_telemetry::Logger::stderr(log_level));
     let server_config = ServerConfig {
         threads: args.get_parsed("threads", defaults.threads)?,
         max_connections: args.get_parsed("max-connections", defaults.max_connections)?,
@@ -962,12 +945,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         args.get("slow-log").unwrap_or("stderr")
     );
     let _ = std::io::stdout().flush();
-    xclean_telemetry::log_info!(
-        "xclean_cli::serve",
-        "listening",
-        addr = bound,
-        threads = threads
-    );
 
     let report = server.run().map_err(|e| ArgError(format!("server: {e}")))?;
 
@@ -1495,8 +1472,8 @@ mod tests {
         let out = run(argv(&["serve", &idx, "--port", "notaport"]));
         assert_eq!(out.code, 2);
         // There is one wire path, so the flags that chose between two
-        // are gone, not ignored.
-        for flag in ["--thread-pool", "--event-loop"] {
+        // are gone, not ignored; so is the logger's threshold.
+        for flag in ["--thread-pool", "--event-loop", "--log-level"] {
             let out = run(argv(&["serve", &idx, flag, "--threads", "2"]));
             assert_eq!(out.code, 2, "{flag}: {:?}", out.lines);
             assert!(
@@ -1505,23 +1482,6 @@ mod tests {
                 out.lines
             );
         }
-        // --log-level is one level: the per-target grammar is refused
-        // by name.
-        let out = run(argv(&[
-            "serve",
-            &idx,
-            "--log-level",
-            "warn,xclean_server=debug",
-        ]));
-        assert_eq!(out.code, 2);
-        assert!(out.lines[0].contains("per-target"), "{:?}", out.lines);
-        let out = run(argv(&["serve", &idx, "--log-level", "loud"]));
-        assert_eq!(out.code, 2);
-        assert!(
-            out.lines[0].contains("unknown log level"),
-            "{:?}",
-            out.lines
-        );
         // A zero connection cap is rejected before binding.
         let out = run(argv(&["serve", &idx, "--max-connections", "0"]));
         assert_eq!(out.code, 2);

@@ -42,10 +42,7 @@ fn main() {
 
 #[cfg(not(target_os = "linux"))]
 fn main() {
-    xclean_telemetry::log_error!(
-        "xclean_loadgen",
-        "loadgen drives sockets through epoll(7) and only runs on Linux",
-    );
+    eprintln!("loadgen: drives sockets through epoll(7) and only runs on Linux");
     std::process::exit(2);
 }
 
@@ -105,7 +102,7 @@ mod linux {
         let mut args = std::env::args().skip(1);
         let next = |flag: &str, args: &mut dyn Iterator<Item = String>| {
             args.next().unwrap_or_else(|| {
-                xclean_telemetry::log_error!("xclean_loadgen", "flag expects a value", flag = flag);
+                eprintln!("loadgen: {flag} expects a value");
                 std::process::exit(2);
             })
         };
@@ -139,12 +136,7 @@ mod linux {
                 "--queries" => {
                     let path = next("--queries", &mut args);
                     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                        xclean_telemetry::log_error!(
-                            "xclean_loadgen",
-                            "cannot read queries file",
-                            path = path,
-                            error = e,
-                        );
+                        eprintln!("loadgen: cannot read queries file {path}: {e}");
                         std::process::exit(2);
                     });
                     opts.queries = text
@@ -161,10 +153,8 @@ mod linux {
                     let (path, weight) = match spec.rsplit_once('=') {
                         Some((p, w)) => {
                             let weight: u64 = w.parse().unwrap_or_else(|_| {
-                                xclean_telemetry::log_error!(
-                                    "xclean_loadgen",
-                                    "--target weight must be a positive integer",
-                                    target = spec,
+                                eprintln!(
+                                    "loadgen: --target {spec}: weight must be a positive integer"
                                 );
                                 std::process::exit(2);
                             });
@@ -173,22 +163,16 @@ mod linux {
                         None => (spec.clone(), 1),
                     };
                     if weight == 0 || !path.starts_with('/') {
-                        xclean_telemetry::log_error!(
-                            "xclean_loadgen",
-                            "--target expects /path[=positive-weight]",
-                            target = spec,
-                        );
+                        eprintln!("loadgen: --target {spec}: expects /path[=positive-weight]");
                         std::process::exit(2);
                     }
                     opts.targets.push((path, weight));
                 }
                 "--out" => opts.out = Some(next("--out", &mut args)),
                 other => {
-                    xclean_telemetry::log_error!(
-                        "xclean_loadgen",
-                        "unknown argument (expected --addr --connections --duration \
-                         --warmup --queries --path --target --healthz-every --out)",
-                        argument = format!("{other:?}"),
+                    eprintln!(
+                        "loadgen: unknown argument {other:?} (expected --addr --connections \
+                         --duration --warmup --queries --path --target --healthz-every --out)"
                     );
                     std::process::exit(2);
                 }
@@ -197,10 +181,7 @@ mod linux {
         assert!(opts.connections > 0, "--connections must be positive");
         match (path_flag, opts.targets.is_empty()) {
             (Some(_), false) => {
-                xclean_telemetry::log_error!(
-                    "xclean_loadgen",
-                    "--path and --target are mutually exclusive",
-                );
+                eprintln!("loadgen: --path and --target are mutually exclusive");
                 std::process::exit(2);
             }
             (Some(p), true) => {
@@ -418,12 +399,7 @@ mod linux {
         fn fail(&mut self, token: usize, what: &str) {
             let conn = &mut self.conns[token];
             if conn.alive {
-                xclean_telemetry::log_warn!(
-                    "xclean_loadgen",
-                    "connection failed",
-                    conn = token,
-                    cause = what,
-                );
+                eprintln!("loadgen: connection {token} failed: {what}");
                 self.tally.errors += 1;
                 conn.alive = false;
                 let _ = self.epoll.del(conn.stream.as_raw_fd());
@@ -464,15 +440,15 @@ mod linux {
             .flat_map(|(i, (_path, weight))| std::iter::repeat_n(i, *weight as usize))
             .collect();
 
-        xclean_telemetry::log_info!(
-            "xclean_loadgen",
-            "loadgen starting",
-            connections = opts.connections,
-            addr = opts.addr,
-            duration_secs = format!("{:.0}", opts.duration.as_secs_f64()),
-            warmup_secs = format!("{:.0}", opts.warmup.as_secs_f64()),
-            query_mix = opts.queries.len(),
-            targets = opts.targets.len(),
+        eprintln!(
+            "loadgen: starting {} connection(s) to {} for {:.0}s after {:.0}s warm-up; \
+             {} queries, {} target(s)",
+            opts.connections,
+            opts.addr,
+            opts.duration.as_secs_f64(),
+            opts.warmup.as_secs_f64(),
+            opts.queries.len(),
+            opts.targets.len(),
         );
 
         // Connect in waves: the listen backlog is finite, so a burst of
@@ -489,21 +465,11 @@ mod linux {
                             attempt += 1;
                             std::thread::sleep(Duration::from_millis(50));
                             if attempt == 40 {
-                                xclean_telemetry::log_warn!(
-                                    "xclean_loadgen",
-                                    "connect still retrying",
-                                    addr = opts.addr,
-                                    error = e,
-                                );
+                                eprintln!("loadgen: connect to {} still retrying: {e}", opts.addr);
                             }
                         }
                         Err(e) => {
-                            xclean_telemetry::log_error!(
-                                "xclean_loadgen",
-                                "cannot connect",
-                                addr = opts.addr,
-                                error = e,
-                            );
+                            eprintln!("loadgen: cannot connect to {}: {e}", opts.addr);
                             std::process::exit(1);
                         }
                     }
@@ -580,10 +546,7 @@ mod linux {
                 }
             }
             if gen.conns.iter().all(|c| !c.alive) {
-                xclean_telemetry::log_error!(
-                    "xclean_loadgen",
-                    "every connection failed; giving up"
-                );
+                eprintln!("loadgen: every connection failed; giving up");
                 break;
             }
         }
@@ -604,18 +567,15 @@ mod linux {
         let max = latencies.last().copied().unwrap_or(0);
         let alive = gen.conns.iter().filter(|c| c.alive).count();
 
-        xclean_telemetry::log_info!(
-            "xclean_loadgen",
-            "measured window complete",
-            requests = gen.tally.requests,
-            measured_secs = format!("{measured_secs:.1}"),
-            queries_per_sec = format!("{qps:.1}"),
-            errors = gen.tally.errors,
-            connections_alive = alive,
-            connections = opts.connections,
-            p50_ms = format!("{:.2}", p50 as f64 / 1e6),
-            p95_ms = format!("{:.2}", p95 as f64 / 1e6),
-            p99_ms = format!("{:.2}", p99 as f64 / 1e6),
+        eprintln!(
+            "loadgen: {} request(s) in {measured_secs:.1}s ({qps:.1} q/s), {} error(s), \
+             {alive}/{} connection(s) alive; p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms",
+            gen.tally.requests,
+            gen.tally.errors,
+            opts.connections,
+            p50 as f64 / 1e6,
+            p95 as f64 / 1e6,
+            p99 as f64 / 1e6,
         );
 
         let per_target: Json = opts
@@ -676,15 +636,10 @@ mod linux {
             None => println!("{text}"),
             Some(path) => {
                 std::fs::write(path, &text).unwrap_or_else(|e| {
-                    xclean_telemetry::log_error!(
-                        "xclean_loadgen",
-                        "cannot write report",
-                        path = path,
-                        error = e,
-                    );
+                    eprintln!("loadgen: cannot write report {path}: {e}");
                     std::process::exit(1);
                 });
-                xclean_telemetry::log_info!("xclean_loadgen", "report written", path = path);
+                eprintln!("loadgen: report written to {path}");
             }
         }
         if gen.tally.errors > 0 || gen.tally.requests == 0 {

@@ -130,18 +130,16 @@ impl Observability {
 
     /// Records one completed request: into the ring and the rolling
     /// windows always, and — when its total time reaches the threshold —
-    /// as one line of the slow-query log. Returns the record's ring
-    /// sequence number.
-    pub fn observe(&self, record: RequestRecord) -> u64 {
-        self.windows.record(
-            record.arrived_nanos,
-            &WindowEvent {
-                total_nanos: record.total_nanos,
-                error: record.is_error(),
-                cache_hit: record.cache_hit,
-                slo_breach: self.slo_breach(record.total_nanos),
-            },
-        );
+    /// as one line of the slow-query log. Returns the window event the
+    /// request was graded by, so a tenant's windows file the same one.
+    pub fn observe(&self, record: RequestRecord) -> WindowEvent {
+        let event = WindowEvent {
+            total_nanos: record.total_nanos,
+            error: record.is_error(),
+            cache_hit: record.cache_hit,
+            slo_breach: self.slo_breach(record.total_nanos),
+        };
+        self.windows.record(record.arrived_nanos, &event);
         let slow_copy = (record.total_nanos >= self.slow_threshold_nanos).then(|| record.clone());
         let seq = self.ring.push(record);
         if let Some(mut slow) = slow_copy {
@@ -152,7 +150,7 @@ impl Observability {
             let _ = writeln!(sink, "{}", slow.to_json().render());
             let _ = sink.flush();
         }
-        seq
+        event
     }
 
     /// The `n` most recent requests, newest first.

@@ -51,7 +51,7 @@ use xclean::{ExplainTrace, Pipeline, SuggestResponse, Suggestion, XCleanEngine};
 use xclean_telemetry::json::{self, Json};
 use xclean_telemetry::{
     names, Counter, ExemplarStore, Exposition, Histogram, MetricsRegistry, MonotonicClock,
-    RequestRecord, RuntimeStats, ShardAttribution, SharedClock, SpanGuard, Value, WindowEvent,
+    RequestRecord, RuntimeStats, ShardAttribution, SharedClock, SpanGuard, Value,
 };
 
 use crate::cache::CacheKey;
@@ -236,36 +236,18 @@ pub(crate) struct Handler {
     pub(crate) conn_stats: ConnStats,
 }
 
-/// What a route wants remembered about its request in the ring — filled
-/// by the suggest paths, left at defaults by metadata routes and errors.
-#[derive(Debug, Default)]
-pub(crate) struct RouteObs {
-    route: &'static str,
-    query: String,
-    /// Resolved corpus name for requests that routed to a tenant; empty
-    /// for metadata routes and unroutable errors. Tags the ring record
-    /// and slow-log line, and selects the tenant whose request and error
-    /// counters and rolling windows this request lands in.
-    corpus: String,
-    cache_hit: Option<bool>,
-    slot_nanos: u64,
-    walk_nanos: u64,
-    rank_nanos: u64,
-    candidates: u64,
-    entities: u64,
-    suggestions: u64,
-    /// Per-shard scatter attribution (sharded tenants, cache misses
-    /// only — a hit did no scatter).
-    shards: Vec<ShardAttribution>,
-}
-
 /// One rendered response, ready to write.
 pub(crate) struct Reply {
     pub(crate) status: u16,
     pub(crate) content_type: &'static str,
     pub(crate) cache_header: Option<String>,
     pub(crate) body: String,
-    obs: RouteObs,
+    /// What the ring remembers about the request: filled by the suggest
+    /// paths, left at defaults (route `""`) by metadata routes and
+    /// errors. The corpus, when set, also selects the tenant whose
+    /// request and error counters and rolling windows the request lands
+    /// in; [`observe_reply`] fills in the rest.
+    obs: RequestRecord,
 }
 
 impl Reply {
@@ -275,7 +257,7 @@ impl Reply {
             content_type: "application/json",
             cache_header: None,
             body: body.render(),
-            obs: RouteObs::default(),
+            obs: RequestRecord::default(),
         }
     }
 
@@ -468,44 +450,27 @@ pub(crate) fn observe_reply(handler: &Handler, reply: Reply, trace_id: String, a
     }
     handler.latency.record(total_nanos);
     handler.exemplars.record(total_nanos, &trace_id);
-    let o = reply.obs;
+    let mut record = reply.obs;
+    record.trace_id = trace_id;
+    record.status = reply.status;
+    record.total_nanos = total_nanos;
+    record.arrived_nanos = arrived_nanos;
+    if record.route.is_empty() {
+        record.route = "other";
+    }
     // A reply tagged with a corpus is that tenant's: its request and
-    // error counters and its rolling windows (graded against the same
-    // SLO threshold as the global windows) count exactly the ring
-    // records that carry its name.
-    if let Some(tenant) = handler.tenants.get(&o.corpus) {
+    // error counters and its rolling windows (graded by the event the
+    // global windows get) count exactly the ring records that carry its
+    // name.
+    let tenant = handler.tenants.get(&record.corpus);
+    let event = handler.obs.observe(record);
+    if let Some(tenant) = tenant {
         tenant.requests().inc();
-        if reply.status >= 400 {
+        if event.error {
             tenant.errors().inc();
         }
-        tenant.record_window(
-            arrived_nanos,
-            &WindowEvent {
-                total_nanos,
-                error: reply.status >= 400,
-                cache_hit: o.cache_hit,
-                slo_breach: handler.obs.slo_breach(total_nanos),
-            },
-        );
+        tenant.record_window(arrived_nanos, &event);
     }
-    handler.obs.observe(RequestRecord {
-        seq: 0, // assigned by the ring
-        trace_id,
-        route: if o.route.is_empty() { "other" } else { o.route },
-        query: o.query,
-        status: reply.status,
-        cache_hit: o.cache_hit,
-        slot_nanos: o.slot_nanos,
-        walk_nanos: o.walk_nanos,
-        rank_nanos: o.rank_nanos,
-        total_nanos,
-        candidates: o.candidates,
-        entities: o.entities,
-        suggestions: o.suggestions,
-        arrived_nanos,
-        corpus: o.corpus,
-        shards: o.shards,
-    });
 }
 
 /// Splits a request target into path and (un-decoded) query string.
@@ -810,7 +775,7 @@ fn metrics(handler: &Handler, _query: &str) -> Reply {
         content_type: "text/plain; version=0.0.4",
         cache_header: None,
         body: page.render(),
-        obs: RouteObs::default(),
+        obs: RequestRecord::default(),
     }
 }
 
@@ -820,7 +785,7 @@ fn statusz(handler: &Handler, _query: &str) -> Reply {
         content_type: "text/plain; charset=utf-8",
         cache_header: None,
         body: debug::render_statusz(handler),
-        obs: RouteObs::default(),
+        obs: RequestRecord::default(),
     }
 }
 
@@ -1050,7 +1015,7 @@ fn request_span<'t>(tenant: &'t Tenant, trace_id: &str) -> SpanGuard<'t> {
 
 /// The reply for one single-query answer, hit or computed: the body is
 /// the cached (or just cached) result object, byte for byte.
-fn single_query_reply(body: &str, obs: RouteObs) -> Reply {
+fn single_query_reply(body: &str, obs: RequestRecord) -> Reply {
     let outcome = if obs.cache_hit == Some(true) {
         "hit"
     } else {
@@ -1082,12 +1047,12 @@ fn lookup(index: usize, tenant: &Tenant, keywords: Vec<String>, trace_id: &str) 
         });
     };
     let _request_span = request_span(tenant, trace_id);
-    let obs = RouteObs {
+    let obs = RequestRecord {
         route: "suggest",
         query: key.query,
         corpus: tenant.name().to_string(),
         cache_hit: Some(true),
-        ..RouteObs::default()
+        ..RequestRecord::default()
     };
     single_query_reply(&hit, obs).into()
 }
@@ -1104,7 +1069,7 @@ fn computed_result(keywords: &[String], key: CacheKey, tenant: &Tenant, trace_id
     // the serving path, like the lifetime counters).
     tenant.record_shards(&response.shard_stats);
     let rendered = result_body(&key.query, &response);
-    let obs = RouteObs {
+    let obs = RequestRecord {
         route: "suggest",
         query: key.query.clone(),
         corpus: tenant.name().to_string(),
@@ -1116,6 +1081,7 @@ fn computed_result(keywords: &[String], key: CacheKey, tenant: &Tenant, trace_id
         entities: response.stats.entities_scored,
         suggestions: response.suggestions.len() as u64,
         shards: response.shard_stats,
+        ..RequestRecord::default()
     };
     tenant.cache().insert(key, Arc::clone(&rendered));
     single_query_reply(&rendered, obs)
@@ -1185,7 +1151,7 @@ fn suggest_post(request: &Request, index: usize, tenant: &Tenant, trace_id: &str
 /// The batch path: answer every hit from the cache, send the misses
 /// through `suggest_many_keywords` (the engine's worker pool) in one go,
 /// and reassemble in request order.
-fn batch_suggest(raw: &[String], tenant: &Tenant) -> (String, u64, u64, RouteObs) {
+fn batch_suggest(raw: &[String], tenant: &Tenant) -> (String, u64, u64, RequestRecord) {
     let keyword_lists: Vec<Vec<String>> =
         raw.iter().map(|q| tenant.engine().parse_query(q)).collect();
     let mut slots: Vec<Option<Arc<str>>> = vec![None; raw.len()];
@@ -1205,11 +1171,11 @@ fn batch_suggest(raw: &[String], tenant: &Tenant) -> (String, u64, u64, RouteObs
         }
     }
     let misses = miss_idx.len() as u64;
-    let mut obs = RouteObs {
+    let mut obs = RequestRecord {
         route: "suggest_batch",
         corpus: tenant.name().to_string(),
         cache_hit: Some(miss_idx.is_empty()),
-        ..RouteObs::default()
+        ..RequestRecord::default()
     };
     if !miss_idx.is_empty() {
         let miss_keywords: Vec<Vec<String>> =

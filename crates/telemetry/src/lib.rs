@@ -31,7 +31,6 @@
 
 pub mod clock;
 pub mod json;
-pub mod log;
 pub mod metrics;
 pub mod ring;
 pub mod runtime;
@@ -39,7 +38,6 @@ pub mod span;
 pub mod window;
 
 pub use clock::{Clock, ManualClock, MonotonicClock, SharedClock};
-pub use log::{set_global, Level, Logger};
 pub use metrics::{
     Counter, Exemplar, ExemplarStore, Exposition, Histogram, HistogramSummary, MetricsRegistry,
     Unit, Value,

@@ -1,20 +1,20 @@
-//! A bounded, lock-striped ring buffer of completed request records.
+//! The bounded rings the observability plane keeps, and the request
+//! record the serving layer pushes into one of them.
 //!
-//! The serving layer pushes one [`RequestRecord`] per finished HTTP
-//! request — success or error — and `GET /debug/requests` reads the most
-//! recent ones back. Design constraints:
+//! [`Ring`] is the one bounded buffer: a mutexed `VecDeque`, its
+//! capacity and a lifetime push counter. Two fronts wrap it:
 //!
-//! - **Bounded**: the ring holds at most `capacity` records; old records
-//!   are overwritten, never accumulated. Memory is O(capacity) for the
-//!   process lifetime.
-//! - **Lock-striped**: records land in `stripes` independent
-//!   `Mutex<VecDeque>` shards selected by a global sequence number, so
-//!   concurrent workers rarely contend on the same lock and never
-//!   serialise on one. Reads (rare, debug-only) lock each stripe in turn
-//!   and merge by sequence number.
-//! - **Record-only**: nothing on the suggestion path reads the ring; a
-//!   push is the only interaction. The bit-identity contract of the
-//!   engine is therefore untouchable from here by construction.
+//! - [`RequestRing`] holds one [`RequestRecord`] per finished HTTP
+//!   request — success or error — and `GET /debug/requests` reads the
+//!   most recent ones back, newest first;
+//! - [`crate::FlightRecorder`] holds runtime events for `GET
+//!   /debug/flight`, oldest first.
+//!
+//! Both are **bounded** (old entries are overwritten, so memory is
+//! O(capacity) for the process lifetime) and **record-only**: nothing on
+//! the suggestion path reads them; a push is the only interaction. The
+//! bit-identity contract of the engine is therefore untouchable from
+//! here by construction.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,76 +133,98 @@ impl RequestRecord {
     }
 }
 
-/// Bounded lock-striped ring of [`RequestRecord`]s.
+/// A bounded ring: it keeps the newest `capacity` items and counts
+/// every push over its lifetime. Capacity 0 keeps and counts nothing.
+/// [`RequestRing`] and [`crate::FlightRecorder`] are its two uses.
 #[derive(Debug)]
-pub struct RequestRing {
-    stripes: Vec<Mutex<VecDeque<RequestRecord>>>,
-    per_stripe: usize,
-    next_seq: AtomicU64,
+pub struct Ring<T> {
+    items: Mutex<VecDeque<T>>,
+    capacity: usize,
+    pushed: AtomicU64,
 }
 
-impl RequestRing {
-    /// A ring retaining the most recent ~`capacity` records across
-    /// `stripes` shards (both clamped to ≥ 1; per-stripe capacity is
-    /// rounded up, so effective capacity is `per_stripe * stripes`).
-    pub fn new(capacity: usize, stripes: usize) -> Self {
-        let stripes = stripes.max(1);
-        let per_stripe = capacity.max(1).div_ceil(stripes);
-        RequestRing {
-            stripes: (0..stripes)
-                .map(|_| Mutex::new(VecDeque::with_capacity(per_stripe)))
-                .collect(),
-            per_stripe,
-            next_seq: AtomicU64::new(1),
+impl<T: Clone> Ring<T> {
+    /// A ring retaining the most recent `capacity` items.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Ring {
+            items: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
+            capacity,
+            pushed: AtomicU64::new(0),
         }
     }
 
-    /// Total records the ring can hold.
+    /// Maximum items retained.
     pub fn capacity(&self) -> usize {
-        self.per_stripe * self.stripes.len()
+        self.capacity
     }
 
-    /// Records one completed request; assigns and returns its sequence
-    /// number. Evicts the oldest record in the chosen stripe when full.
-    pub fn push(&self, mut record: RequestRecord) -> u64 {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        record.seq = seq;
-        let stripe = &self.stripes[(seq as usize) % self.stripes.len()];
-        let mut q = stripe.lock().expect("ring stripe poisoned");
-        if q.len() == self.per_stripe {
+    /// Pushes the item `make` builds from its sequence number (1, 2, …
+    /// in push order, so the deque stays in sequence order) and returns
+    /// that number; evicts the oldest item when full. A zero-capacity
+    /// ring builds nothing and returns 0.
+    pub(crate) fn push_with(&self, make: impl FnOnce(u64) -> T) -> u64 {
+        if self.capacity == 0 {
+            return 0;
+        }
+        let mut q = self.items.lock().expect("ring poisoned");
+        let seq = self.pushed.fetch_add(1, Ordering::Relaxed) + 1;
+        if q.len() == self.capacity {
             q.pop_front();
         }
-        q.push_back(record);
+        q.push_back(make(seq));
         seq
     }
 
-    /// Records pushed over the ring's lifetime (≥ `len()`).
+    /// Items pushed over the ring's lifetime (≥ `len()`).
     pub fn total_recorded(&self) -> u64 {
-        self.next_seq.load(Ordering::Relaxed) - 1
+        self.pushed.load(Ordering::Relaxed)
     }
 
-    /// Records currently retained.
+    /// Items currently retained.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("ring stripe poisoned").len())
-            .sum()
+        self.items.lock().expect("ring poisoned").len()
     }
 
-    /// Whether the ring holds no records.
+    /// Whether the ring retains nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
+    /// The `n` most recent items, oldest first.
+    pub(crate) fn newest(&self, n: usize) -> Vec<T> {
+        let q = self.items.lock().expect("ring poisoned");
+        q.range(q.len().saturating_sub(n)..).cloned().collect()
+    }
+}
+
+/// The bounded ring of [`RequestRecord`]s behind `/debug/requests`.
+pub type RequestRing = Ring<RequestRecord>;
+
+impl Ring<RequestRecord> {
+    /// A ring retaining the most recent `capacity` records (clamped to
+    /// ≥ 1). `_stripes` is accepted and ignored: the ring is one deque,
+    /// since the server's event loop is its only writer. The argument
+    /// exists solely so that `xbench/src/probes.rs` — the benchmark
+    /// harness, which a product change may not edit — keeps compiling;
+    /// the next benchmark change drops it.
+    pub fn new(capacity: usize, _stripes: usize) -> Self {
+        Ring::with_capacity(capacity.max(1))
+    }
+
+    /// Records one completed request; assigns and returns its sequence
+    /// number. Evicts the oldest record when full.
+    pub fn push(&self, mut record: RequestRecord) -> u64 {
+        self.push_with(|seq| {
+            record.seq = seq;
+            record
+        })
+    }
+
     /// The `n` most recent records, newest first.
     pub fn recent(&self, n: usize) -> Vec<RequestRecord> {
-        let mut all: Vec<RequestRecord> = Vec::new();
-        for stripe in &self.stripes {
-            all.extend(stripe.lock().expect("ring stripe poisoned").iter().cloned());
-        }
-        all.sort_by_key(|r| std::cmp::Reverse(r.seq));
-        all.truncate(n);
-        all
+        let mut records = self.newest(n);
+        records.reverse();
+        records
     }
 }
 
@@ -250,8 +272,7 @@ mod tests {
         }
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.total_recorded(), 100);
-        // The survivors are the 4 newest (stripes interleave, so exactly
-        // the last 2 of each parity class).
+        // The survivors are the 4 newest.
         let seqs: Vec<u64> = ring.recent(10).iter().map(|r| r.seq).collect();
         assert_eq!(seqs, [100, 99, 98, 97]);
     }
@@ -341,6 +362,11 @@ mod tests {
         assert_eq!(v["stages"]["walk_nanos"].as_u64(), Some(20));
         assert_eq!(v["shards"][0]["contributions"].as_u64(), Some(5));
         assert_eq!(v["shards"][1]["scatter_nanos"].as_u64(), Some(900));
+    }
+
+    #[test]
+    fn request_ring_capacity_is_what_was_asked() {
+        assert_eq!(RequestRing::new(5, 8).capacity(), 5);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   jobs. This is the saturation signal for the scoring worker pool.
 //! - **Worker busy time** — per-worker busy nanoseconds, turned into a
 //!   utilization gauge against wall time at collection.
-//! - **Flight recorder** — a bounded ring of runtime events (loop
+//! - **Flight recorder** — a bounded [`Ring`] of runtime events (loop
 //!   iterations, connection opens/closes, job dispatch/completion)
 //!   dumpable as Chrome trace-event JSON for `chrome://tracing`.
 //!
@@ -20,16 +20,15 @@
 //! times with their own [`crate::clock::Clock`], so tests drive the whole
 //! module with a [`crate::clock::ManualClock`] and zero sleeps. Recording
 //! is lock-free (atomic histogram buckets) except for flight-recorder
-//! pushes, which take one short mutex on a bounded deque — and a
-//! capacity of 0 disables the recorder entirely, making `push` a no-op.
+//! pushes, which take the ring's one short mutex — and a capacity of 0
+//! disables the recorder entirely, making `push` a no-op.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::json::Json;
 use crate::metrics::{Exposition, Histogram, Unit, Value};
 use crate::names;
+use crate::ring::Ring;
 
 /// One kind of runtime event the flight recorder can remember.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,76 +115,33 @@ pub struct RuntimeEvent {
 }
 
 /// Bounded ring of [`RuntimeEvent`]s; capacity 0 disables recording.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    events: Mutex<VecDeque<RuntimeEvent>>,
-    capacity: usize,
-    next_seq: AtomicU64,
-}
+pub type FlightRecorder = Ring<RuntimeEvent>;
 
-impl FlightRecorder {
+impl Ring<RuntimeEvent> {
     /// A recorder retaining the most recent `capacity` events. Capacity
     /// 0 means disabled: pushes are no-ops and dumps are empty.
     pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            events: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-            capacity,
-            next_seq: AtomicU64::new(1),
-        }
+        Ring::with_capacity(capacity)
     }
 
     /// Whether the recorder retains anything (capacity > 0).
     pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Maximum events retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        self.capacity() > 0
     }
 
     /// Records one event at `ts_nanos`; evicts the oldest when full.
     /// No-op when disabled.
     pub fn push(&self, ts_nanos: u64, kind: RuntimeEventKind) {
-        if self.capacity == 0 {
-            return;
-        }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut q = self.events.lock().expect("flight recorder poisoned");
-        if q.len() == self.capacity {
-            q.pop_front();
-        }
-        q.push_back(RuntimeEvent {
+        self.push_with(|seq| RuntimeEvent {
             seq,
             ts_nanos,
             kind,
         });
     }
 
-    /// Events recorded over the recorder's lifetime (≥ `len()`; stays 0
-    /// while disabled).
-    pub fn total_recorded(&self) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
-        self.next_seq.load(Ordering::Relaxed) - 1
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("flight recorder poisoned").len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The `n` most recent events, oldest first (ready for replay).
     pub fn recent(&self, n: usize) -> Vec<RuntimeEvent> {
-        let q = self.events.lock().expect("flight recorder poisoned");
-        let skip = q.len().saturating_sub(n);
-        q.iter().skip(skip).copied().collect()
+        self.newest(n)
     }
 
     /// The `n` most recent events as a Chrome trace-event document —

@@ -1,11 +1,11 @@
 //! Hierarchical span tracing.
 //!
 //! A [`Tracer`] hands out RAII [`SpanGuard`]s; the guard records a
-//! [`SpanRecord`] into a sharded buffer when dropped. Parent attribution
-//! uses a thread-local stack of open spans (spans are strictly nested per
-//! thread by guard drop order), and each recording thread is tagged with
-//! a small stable id so traces from the `suggest_many` worker pool land
-//! in separate Chrome-trace lanes.
+//! [`SpanRecord`] into the tracer's one buffer when dropped. Parent
+//! attribution uses a thread-local stack of open spans (spans are
+//! strictly nested per thread by guard drop order), and each recording
+//! thread is tagged with a small stable id so traces from the
+//! `suggest_many` worker pool land in separate Chrome-trace lanes.
 //!
 //! **Disabled-path contract:** a disabled tracer performs *no* work —
 //! [`Tracer::span`] is a branch on an `Option` that returns an inert
@@ -19,10 +19,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::Json;
-
-/// Number of finished-span buffers; pushes shard by recording thread so
-/// pool workers rarely contend on the same mutex.
-const SHARDS: usize = 16;
 
 /// One finished span.
 #[derive(Debug, Clone)]
@@ -49,7 +45,7 @@ struct TracerInner {
     tracer_id: u64,
     epoch: Instant,
     next_span: AtomicU64,
-    shards: Vec<Mutex<Vec<SpanRecord>>>,
+    finished: Mutex<Vec<SpanRecord>>,
 }
 
 static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
@@ -95,7 +91,7 @@ impl Tracer {
                 tracer_id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
                 epoch: Instant::now(),
                 next_span: AtomicU64::new(1),
-                shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+                finished: Mutex::new(Vec::new()),
             })),
         }
     }
@@ -107,18 +103,14 @@ impl Tracer {
 
     /// Opens a span; it is recorded when the returned guard drops.
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        self.start(name, None)
+        self.start_under(name, None, None)
     }
 
     /// Like [`Tracer::span`] with a lazily-built detail string. The
     /// closure only runs when the tracer is enabled, so dynamic labels
     /// cost nothing on the disabled path.
     pub fn span_with(&self, name: &'static str, detail: impl FnOnce() -> String) -> SpanGuard<'_> {
-        if self.inner.is_some() {
-            self.start(name, Some(detail()))
-        } else {
-            SpanGuard { active: None }
-        }
+        self.span_under_with(name, None, detail)
     }
 
     /// The id of the innermost open span *on the calling thread*, if any.
@@ -158,33 +150,8 @@ impl Tracer {
         }
     }
 
-    fn start(&self, name: &'static str, detail: Option<String>) -> SpanGuard<'_> {
-        let Some(inner) = &self.inner else {
-            return SpanGuard { active: None };
-        };
-        let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let parent = SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let parent = s
-                .iter()
-                .rev()
-                .find(|&&(t, _)| t == inner.tracer_id)
-                .map(|&(_, id)| id);
-            s.push((inner.tracer_id, id));
-            parent
-        });
-        SpanGuard {
-            active: Some(ActiveSpan {
-                inner,
-                id,
-                parent,
-                name,
-                detail,
-                start: Instant::now(),
-            }),
-        }
-    }
-
+    /// The one way a span opens: under `explicit_parent` when given,
+    /// else under this thread's innermost open span of this tracer.
     fn start_under(
         &self,
         name: &'static str,
@@ -199,17 +166,8 @@ impl Tracer {
         // (usually nothing — the point is adoption across threads), but
         // the new span still joins the local stack so its own children
         // parent under it.
-        let parent = SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let parent = explicit_parent.or_else(|| {
-                s.iter()
-                    .rev()
-                    .find(|&&(t, _)| t == inner.tracer_id)
-                    .map(|&(_, id)| id)
-            });
-            s.push((inner.tracer_id, id));
-            parent
-        });
+        let parent = explicit_parent.or_else(|| self.current_span_id());
+        SPAN_STACK.with(|s| s.borrow_mut().push((inner.tracer_id, id)));
         SpanGuard {
             active: Some(ActiveSpan {
                 inner,
@@ -227,10 +185,7 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut out: Vec<SpanRecord> = Vec::new();
-        for shard in &inner.shards {
-            out.extend(shard.lock().expect("span shard poisoned").iter().cloned());
-        }
+        let mut out = inner.finished.lock().expect("span buffer poisoned").clone();
         out.sort_by_key(|s| (s.start_nanos, s.id));
         out
     }
@@ -294,17 +249,22 @@ impl Drop for SpanGuard<'_> {
                 s.remove(pos);
             }
         });
-        let tag = thread_tag();
-        let shard = &active.inner.shards[(tag as usize) % SHARDS];
-        shard.lock().expect("span shard poisoned").push(SpanRecord {
+        let thread = thread_tag();
+        let record = SpanRecord {
             id: active.id,
             parent: active.parent,
             name: active.name,
             detail: active.detail,
             start_nanos,
             dur_nanos,
-            thread: tag,
-        });
+            thread,
+        };
+        active
+            .inner
+            .finished
+            .lock()
+            .expect("span buffer poisoned")
+            .push(record);
     }
 }
 
