@@ -1391,7 +1391,7 @@ mod tests {
         assert!(text.contains("terms       4"), "{text}");
         assert!(text.contains("tokenizer   min_len=3"), "{text}");
         // Inspect must agree with a full load.
-        let corpus = storage::load_from_file(&idx).unwrap();
+        let (corpus, _) = storage::open_file(&idx, &OpenOptions::default()).unwrap();
         assert!(text.contains(&format!("terms       {}", corpus.vocab().len())));
     }
 

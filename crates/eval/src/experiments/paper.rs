@@ -8,7 +8,7 @@ use xclean::{EntityPrior, Semantics, XCleanConfig, XCleanEngine};
 use xclean_baselines::run_naive;
 use xclean_datagen::QuerySet;
 use xclean_fastss::edit_distance;
-use xclean_index::codec;
+use xclean_index::storage;
 use xclean_lm::Smoothing;
 use xclean_xmltree::TreeStats;
 
@@ -58,7 +58,10 @@ pub(super) fn e1_datasets(scale: f64) -> Report {
     for data in datasets(scale).iter().rev() {
         let corpus = data.engine.corpus();
         let stats = TreeStats::compute(corpus.tree());
-        let index_bytes: usize = corpus.posting_lists().map(|l| codec::encode(l).len()).sum();
+        // The encoded posting lists, as the snapshot's POSTINGS section holds them.
+        let index_bytes = storage::summarize(storage::to_bytes_v2(corpus))
+            .expect("a saved corpus summarizes")
+            .postings_bytes;
         table.push(vec![
             data.name.into(),
             Cell::Num(stats.size_bytes as f64 / 1e6, 1),

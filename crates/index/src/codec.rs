@@ -50,14 +50,19 @@ pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// Serialises a posting list.
 pub fn encode(list: &PostingList) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_varint(&mut buf, list.len() as u64);
+    encode_into(list, &mut buf);
+    buf
+}
+
+/// [`encode`], appending to `buf`.
+pub(crate) fn encode_into(list: &PostingList, buf: &mut Vec<u8>) {
+    put_varint(buf, list.len() as u64);
     let mut prev_node = 0;
     for p in list.iter() {
-        put_varint(&mut buf, u64::from(p.node.0 - prev_node));
-        put_varint(&mut buf, u64::from(p.tf));
+        put_varint(buf, u64::from(p.node.0 - prev_node));
+        put_varint(buf, u64::from(p.tf));
         prev_node = p.node.0;
     }
-    buf
 }
 
 /// A borrowing cursor over an encoded byte range: decoders read straight

@@ -5,19 +5,25 @@
 //! (§V-C), the per-token path statistics (§V-B), and per-node virtual
 //! document lengths (|D(r)|, §IV-B2, stored as a prefix-sum array so any
 //! subtree length is O(1)).
+//!
+//! An index has one form: a view over the bytes of a v2 snapshot
+//! (DESIGN.md §11). [`CorpusIndex::build_with`] tokenises the tree into
+//! builder-local `Parts`, encodes them once with the v2 section encoder
+//! and views the result exactly as `storage::open_file` views a file, so a
+//! freshly built corpus and a loaded one read postings, terms and path
+//! statistics through the same code.
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use xclean_xmltree::{NodeId, PathId, Tokenizer, XmlTree};
 
-use crate::codec;
 use crate::level::{Entities, LevelTable};
 use crate::path_stats::PathStatsIndex;
 use crate::posting::PostingList;
 use crate::shard::ShardMeta;
-use crate::slab::IndexSlab;
+use crate::slab::Blobs;
+use crate::storage::v2;
 use crate::vocab::{TokenId, Vocabulary};
 
 /// Where a snapshot-loaded index came from — folded into the engine
@@ -30,61 +36,66 @@ pub struct SnapshotProvenance {
     pub checksum: u64,
 }
 
-/// Where posting lists live: materialised vectors, or encoded blobs in a
-/// snapshot slab decoded lazily per token on first access.
-#[derive(Debug)]
-pub(crate) enum PostingStore {
-    Owned(Vec<PostingList>),
-    Slab {
-        slab: Arc<IndexSlab>,
-        /// Absolute byte range of each token's `codec::encode` blob.
-        ranges: Vec<Range<usize>>,
-        cells: Box<[OnceLock<PostingList>]>,
-    },
+/// What tokenising a tree (or decoding a legacy snapshot) yields before
+/// the one v2 encode: the per-token and per-node columns in id order.
+#[derive(Debug, Default)]
+pub(crate) struct Parts {
+    /// Term of each token id (distinct).
+    pub(crate) terms: Vec<String>,
+    /// Collection frequency per token.
+    pub(crate) cf: Vec<u64>,
+    /// Element-document frequency per token.
+    pub(crate) df: Vec<u64>,
+    /// Document-order posting list per token.
+    pub(crate) lists: Vec<PostingList>,
+    /// Direct token count per node.
+    pub(crate) direct: Vec<u64>,
 }
 
-impl PostingStore {
-    /// Views `codec::encode` blobs at `ranges` of `slab`, one per token.
-    pub(crate) fn slab(
-        slab: Arc<IndexSlab>,
-        ranges: Vec<Range<usize>>,
-    ) -> Result<Self, &'static str> {
-        if ranges.iter().any(|r| r.start > r.end || r.end > slab.len()) {
-            return Err("posting blob range out of bounds");
+impl Parts {
+    /// Tokenises every node's direct text: ids in first-occurrence order,
+    /// one posting per (token, node).
+    fn tokenize(tree: &XmlTree, tokenizer: &Tokenizer) -> Parts {
+        let mut parts = Parts {
+            direct: vec![0; tree.len()],
+            ..Parts::default()
+        };
+        let mut ids: HashMap<String, TokenId> = HashMap::new();
+        let mut counts: HashMap<TokenId, u32> = HashMap::new();
+        let mut items: Vec<(TokenId, u32)> = Vec::new();
+        for n in tree.iter() {
+            let Some(text) = tree.text(n) else { continue };
+            counts.clear();
+            let mut node_tokens = 0u64;
+            tokenizer.for_each_token(text, |t| {
+                let id = match ids.get(t) {
+                    Some(&id) => id,
+                    None => {
+                        let id = TokenId(parts.terms.len() as u32);
+                        ids.insert(t.to_string(), id);
+                        parts.terms.push(t.to_string());
+                        parts.lists.push(PostingList::new());
+                        id
+                    }
+                };
+                *counts.entry(id).or_insert(0) += 1;
+                node_tokens += 1;
+            });
+            parts.direct[n.index()] = node_tokens;
+            items.clear();
+            items.extend(counts.iter().map(|(&k, &v)| (k, v)));
+            items.sort_unstable();
+            for &(id, tf) in &items {
+                parts.lists[id.index()].push(n, tf);
+            }
         }
-        let cells = (0..ranges.len()).map(|_| OnceLock::new()).collect();
-        Ok(PostingStore::Slab {
-            slab,
-            ranges,
-            cells,
-        })
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            PostingStore::Owned(lists) => lists.len(),
-            PostingStore::Slab { ranges, .. } => ranges.len(),
-        }
-    }
-
-    fn get(&self, i: usize) -> &PostingList {
-        match self {
-            PostingStore::Owned(lists) => &lists[i],
-            PostingStore::Slab {
-                slab,
-                ranges,
-                cells,
-            } => cells[i].get_or_init(|| {
-                // The slab checksum was verified at open; a decode failure
-                // here is a writer bug, so degrade to an empty list rather
-                // than panic on the query path.
-                codec::decode(&slab.bytes()[ranges[i].clone()]).unwrap_or_default()
-            }),
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &PostingList> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
+        parts.cf = parts
+            .lists
+            .iter()
+            .map(|l| l.tfs().iter().map(|&tf| u64::from(tf)).sum())
+            .collect();
+        parts.df = parts.lists.iter().map(|l| l.len() as u64).collect();
+        parts
     }
 }
 
@@ -93,8 +104,12 @@ impl PostingStore {
 pub struct CorpusIndex {
     tree: XmlTree,
     vocab: Vocabulary,
-    store: PostingStore,
+    /// One `codec::encode` blob per token.
+    store: Blobs<PostingList>,
     path_stats: PathStatsIndex,
+    /// The snapshot bytes the views above read, and the range of each
+    /// section a save frames again.
+    sections: v2::Sections,
     /// `token_prefix[i]` = total indexed tokens in nodes `0..i`; subtree
     /// token length of node `n` is `token_prefix[subtree_end] - token_prefix[n.0]`.
     token_prefix: Vec<u64>,
@@ -109,7 +124,8 @@ pub struct CorpusIndex {
     /// [`CorpusIndex::level`]).
     levels: Box<[OnceLock<LevelTable>]>,
     tokenizer: Tokenizer,
-    provenance: Option<SnapshotProvenance>,
+    /// Set by the loader on an index opened from a v2 file.
+    pub(crate) provenance: Option<SnapshotProvenance>,
     /// Present iff this index is one shard of a partitioned corpus
     /// (set by the partitioner or loaded from a v2 `SHARD` section).
     pub(crate) shard: Option<ShardMeta>,
@@ -148,106 +164,28 @@ impl CorpusIndex {
         Self::build_with(tree, Tokenizer::default())
     }
 
-    /// Builds the index with a custom tokenizer.
+    /// Builds the index with a custom tokenizer: tokenises the tree,
+    /// encodes the result as v2 sections and views them. The tree is
+    /// kept as built, and the index carries no provenance.
     pub fn build_with(tree: XmlTree, tokenizer: Tokenizer) -> Self {
-        let mut vocab = Vocabulary::new();
-        let mut lists: Vec<PostingList> = Vec::new();
-        let mut counts: HashMap<TokenId, u32> = HashMap::new();
-        let mut direct: Vec<u64> = vec![0; tree.len()];
-        for n in tree.iter() {
-            let Some(text) = tree.text(n) else { continue };
-            counts.clear();
-            let mut node_tokens = 0u64;
-            tokenizer.for_each_token(text, |t| {
-                let id = vocab.intern(t);
-                *counts.entry(id).or_insert(0) += 1;
-                node_tokens += 1;
-            });
-            direct[n.index()] = node_tokens;
-            if counts.is_empty() {
-                continue;
-            }
-            let mut items: Vec<(TokenId, u32)> = counts.iter().map(|(&k, &v)| (k, v)).collect();
-            items.sort_unstable();
-            for (id, tf) in items {
-                vocab.observe_id(id, u64::from(tf));
-                if lists.len() <= id.index() {
-                    lists.resize_with(id.index() + 1, PostingList::new);
-                }
-                lists[id.index()].push(n, tf);
-            }
-        }
-        lists.resize_with(vocab.len(), PostingList::new);
-        let path_stats = PathStatsIndex::build(&tree, &lists);
-        let (token_prefix, path_node_counts, path_doc_len_totals) = derived_tables(&tree, &direct);
-        let levels = level_cells(&tree);
-        CorpusIndex {
-            tree,
-            vocab,
-            store: PostingStore::Owned(lists),
-            path_stats,
-            token_prefix,
-            path_node_counts,
-            path_doc_len_totals,
-            levels,
-            tokenizer,
-            provenance: None,
-            shard: None,
-        }
+        let parts = Parts::tokenize(&tree, &tokenizer);
+        v2::encode_and_view(tree, parts, tokenizer.config(), None)
+            .expect("a freshly encoded snapshot views cleanly")
     }
 
-    /// Reassembles an index from stored parts: the tree, the vocabulary,
-    /// and one posting list per token (document-order sorted). All derived
-    /// structures (subtree token lengths, path statistics, per-path
-    /// counts) are recomputed — they are cheap relative to tokenisation.
-    pub fn from_parts(
+    /// Assembles an index from the views of a v2 snapshot's sections
+    /// (see `storage::v2`). `direct[n]` is the stored per-node direct token
+    /// count (the DIRECT section), so no posting list needs decoding to
+    /// derive document lengths. The index starts with no provenance and
+    /// no shard membership.
+    pub(crate) fn from_views(
         tree: XmlTree,
         vocab: Vocabulary,
-        lists: Vec<PostingList>,
-        tokenizer: Tokenizer,
-    ) -> Self {
-        assert_eq!(
-            lists.len(),
-            vocab.len(),
-            "one posting list per vocabulary token"
-        );
-        let mut direct: Vec<u64> = vec![0; tree.len()];
-        for list in &lists {
-            for p in list.iter() {
-                direct[p.node.index()] += u64::from(p.tf);
-            }
-        }
-        let path_stats = PathStatsIndex::build(&tree, &lists);
-        let (token_prefix, path_node_counts, path_doc_len_totals) = derived_tables(&tree, &direct);
-        let levels = level_cells(&tree);
-        CorpusIndex {
-            tree,
-            vocab,
-            store: PostingStore::Owned(lists),
-            path_stats,
-            token_prefix,
-            path_node_counts,
-            path_doc_len_totals,
-            levels,
-            tokenizer,
-            provenance: None,
-            shard: None,
-        }
-    }
-
-    /// Assembles an index over a v2 snapshot: `store` holds one posting
-    /// list per token (usually slab blobs decoded on first access), and
-    /// `direct[n]` is the stored per-node direct token count (the DIRECT
-    /// section), so no posting list needs decoding to derive document
-    /// lengths.
-    pub(crate) fn from_slab_parts(
-        tree: XmlTree,
-        vocab: Vocabulary,
-        store: PostingStore,
+        store: Blobs<PostingList>,
         path_stats: PathStatsIndex,
+        sections: v2::Sections,
         direct: Vec<u64>,
         tokenizer: Tokenizer,
-        provenance: SnapshotProvenance,
     ) -> Result<Self, &'static str> {
         if store.len() != vocab.len() {
             return Err("one posting blob per vocabulary token required");
@@ -268,14 +206,20 @@ impl CorpusIndex {
             vocab,
             store,
             path_stats,
+            sections,
             token_prefix,
             path_node_counts,
             path_doc_len_totals,
             levels,
             tokenizer,
-            provenance: Some(provenance),
+            provenance: None,
             shard: None,
         })
+    }
+
+    /// The snapshot sections this index views (what a save frames).
+    pub(crate) fn sections(&self) -> &v2::Sections {
+        &self.sections
     }
 
     /// The underlying tree.
@@ -296,12 +240,6 @@ impl CorpusIndex {
     /// The posting list of a token.
     pub fn postings(&self, token: TokenId) -> &PostingList {
         self.store.get(token.index())
-    }
-
-    /// All posting lists in token-id order. On a slab-backed index this
-    /// decodes every list, so reserve it for offline tooling.
-    pub fn posting_lists(&self) -> impl Iterator<Item = &PostingList> + '_ {
-        self.store.iter()
     }
 
     /// Snapshot provenance, present only on snapshot-loaded indexes whose

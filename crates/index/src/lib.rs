@@ -8,7 +8,8 @@
 //! compact varint wire format for posting lists.
 //!
 //! [`CorpusIndex::build`] constructs all of it in one pass over a parsed
-//! [`xclean_xmltree::XmlTree`].
+//! [`xclean_xmltree::XmlTree`] and holds it the way a loaded snapshot
+//! does: as views over v2 section bytes ([`storage`]).
 
 #![deny(unsafe_code)] // one vetted exception: slab::mmap (mmap(2)/munmap(2) FFI)
 #![warn(missing_docs)]

@@ -3,74 +3,63 @@
 //! For result-type inference (Eq. 7 of the paper), XClean needs, for each
 //! keyword `w`, the list of node types `p` together with `f_w^p` — the
 //! number of nodes of label path `p` that contain `w` **in their subtree**
-//! (§IV-B2, §V-B). This module builds that index in a single document-order
-//! pass per token: consecutive postings share ancestor chains, so each
-//! containing node is counted exactly once by diffing ancestor chains.
+//! (§IV-B2, §V-B). The index builder computes a token's list in a single
+//! document-order pass over its postings (`token_stats`: consecutive
+//! postings share ancestor chains, so each containing node is counted
+//! exactly once by diffing ancestor chains) and writes it into the
+//! PATHSTATS section (`encode_stats`). [`PathStatsIndex`] views those
+//! blobs and decodes a token's list on its first access.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use xclean_xmltree::{NodeId, PathId, XmlTree};
 
 use crate::codec::{self, CodecError};
 use crate::posting::PostingList;
-use crate::slab::IndexSlab;
+use crate::slab::{Blobs, IndexSlab};
 use crate::vocab::TokenId;
 
-/// Lazily-decoded `(path, f)` pairs for one token (see [`StatsStore::Slab`]).
-type StatsCell = OnceLock<Vec<(PathId, u32)>>;
-
-/// Where a token's `(path, f)` pairs live.
-#[derive(Debug, Clone)]
-enum StatsStore {
-    /// Fully materialised (index build and v1 loads).
-    Owned(Vec<Vec<(PathId, u32)>>),
-    /// Encoded blobs inside a v2 snapshot slab, decoded lazily on first
-    /// access per token.
-    Slab {
-        slab: Arc<IndexSlab>,
-        /// Absolute byte range of each token's blob.
-        ranges: Vec<Range<usize>>,
-        cells: Box<[StatsCell]>,
-    },
-}
-
-impl Default for StatsStore {
-    fn default() -> Self {
-        StatsStore::Owned(Vec::new())
-    }
-}
-
-/// `f_w^p` table for every token.
-#[derive(Debug, Default, Clone)]
+/// `f_w^p` table for every token: one encoded blob per token inside a
+/// snapshot slab, decoded on first access.
+#[derive(Debug)]
 pub struct PathStatsIndex {
-    store: StatsStore,
+    blobs: Blobs<Vec<(PathId, u32)>>,
+}
+
+/// The `(path, f_w^p)` list of the token whose postings are `list`
+/// (document order), sorted by path id.
+pub(crate) fn token_stats(tree: &XmlTree, list: &PostingList) -> Vec<(PathId, u32)> {
+    let mut counts: HashMap<PathId, u32> = HashMap::new();
+    // Ancestor chain (root → node) of the previous posting.
+    let mut prev_chain: Vec<NodeId> = Vec::new();
+    let mut chain: Vec<NodeId> = Vec::new();
+    for p in list.iter() {
+        chain.clear();
+        let mut cur = Some(p.node);
+        while let Some(c) = cur {
+            chain.push(c);
+            cur = tree.parent(c);
+        }
+        chain.reverse();
+        // Nodes shared with the previous chain were already counted.
+        let shared = prev_chain
+            .iter()
+            .zip(chain.iter())
+            .take_while(|(a, b)| a == b)
+            .count();
+        for &n in &chain[shared..] {
+            *counts.entry(tree.path(n)).or_insert(0) += 1;
+        }
+        std::mem::swap(&mut prev_chain, &mut chain);
+    }
+    let mut v: Vec<(PathId, u32)> = counts.into_iter().collect();
+    v.sort_unstable_by_key(|&(p, _)| p);
+    v
 }
 
 impl PathStatsIndex {
-    /// Builds the index from each token's posting list.
-    ///
-    /// `lists[t]` must be the posting list of `TokenId(t)`, sorted in
-    /// document order (as produced by the corpus builder).
-    pub fn build(tree: &XmlTree, lists: &[PostingList]) -> Self {
-        Self::build_from_iter(tree, lists.iter())
-    }
-
-    /// [`Self::build`] over any iterator of posting lists in token order.
-    pub fn build_from_iter<'a>(
-        tree: &XmlTree,
-        lists: impl Iterator<Item = &'a PostingList>,
-    ) -> Self {
-        let per_token = lists
-            .map(|list| Self::stats_for_token(tree, list))
-            .collect();
-        PathStatsIndex {
-            store: StatsStore::Owned(per_token),
-        }
-    }
-
     /// Wraps encoded per-token blobs inside `slab` without decoding them;
     /// each token decodes on first access. `ranges[t]` is the absolute
     /// byte range of token `t`'s blob (see [`encode_stats`]).
@@ -78,65 +67,14 @@ impl PathStatsIndex {
         slab: Arc<IndexSlab>,
         ranges: Vec<Range<usize>>,
     ) -> Result<Self, &'static str> {
-        for r in &ranges {
-            if r.start > r.end || r.end > slab.len() {
-                return Err("path-stats blob range out of bounds");
-            }
-        }
-        let cells = (0..ranges.len()).map(|_| OnceLock::new()).collect();
         Ok(PathStatsIndex {
-            store: StatsStore::Slab {
-                slab,
-                ranges,
-                cells,
-            },
+            blobs: Blobs::new(slab, ranges, decode_stats)?,
         })
-    }
-
-    fn stats_for_token(tree: &XmlTree, list: &PostingList) -> Vec<(PathId, u32)> {
-        let mut counts: HashMap<PathId, u32> = HashMap::new();
-        // Ancestor chain (root → node) of the previous posting.
-        let mut prev_chain: Vec<NodeId> = Vec::new();
-        let mut chain: Vec<NodeId> = Vec::new();
-        for p in list.iter() {
-            chain.clear();
-            let mut cur = Some(p.node);
-            while let Some(c) = cur {
-                chain.push(c);
-                cur = tree.parent(c);
-            }
-            chain.reverse();
-            // Nodes shared with the previous chain were already counted.
-            let shared = prev_chain
-                .iter()
-                .zip(chain.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
-            for &n in &chain[shared..] {
-                *counts.entry(tree.path(n)).or_insert(0) += 1;
-            }
-            std::mem::swap(&mut prev_chain, &mut chain);
-        }
-        let mut v: Vec<(PathId, u32)> = counts.into_iter().collect();
-        v.sort_unstable_by_key(|&(p, _)| p);
-        v
     }
 
     /// The `(path, f_w^p)` list `P_w` for a token, sorted by path id.
     pub fn paths_of(&self, token: TokenId) -> &[(PathId, u32)] {
-        match &self.store {
-            StatsStore::Owned(per_token) => &per_token[token.index()],
-            StatsStore::Slab {
-                slab,
-                ranges,
-                cells,
-            } => cells[token.index()].get_or_init(|| {
-                // The slab checksum was verified at open, so a decode
-                // failure here is a writer bug; degrade to an empty list
-                // rather than panic on the query path.
-                decode_stats(&slab.bytes()[ranges[token.index()].clone()]).unwrap_or_default()
-            }),
-        }
+        self.blobs.get(token.index())
     }
 
     /// `f_w^p` for one (token, path) pair, 0 if absent.
@@ -150,10 +88,7 @@ impl PathStatsIndex {
 
     /// Number of tokens covered.
     pub fn len(&self) -> usize {
-        match &self.store {
-            StatsStore::Owned(per_token) => per_token.len(),
-            StatsStore::Slab { ranges, .. } => ranges.len(),
-        }
+        self.blobs.len()
     }
 
     /// `true` when no tokens are covered.
@@ -209,31 +144,12 @@ pub(crate) fn decode_stats(bytes: &[u8]) -> Result<Vec<(PathId, u32)>, CodecErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::CorpusIndex;
     use xclean_xmltree::{parse_document, Tokenizer};
 
-    /// Builds posting lists directly for testing (the corpus builder in
-    /// `corpus.rs` is the production path).
-    fn index_tokens(tree: &XmlTree) -> (Vec<String>, Vec<PostingList>) {
-        let tok = Tokenizer::default();
-        let mut terms: Vec<String> = Vec::new();
-        let mut lists: Vec<PostingList> = Vec::new();
-        let mut by_term: HashMap<String, usize> = HashMap::new();
-        for n in tree.iter() {
-            let Some(text) = tree.text(n) else { continue };
-            let mut counts: HashMap<String, u32> = HashMap::new();
-            tok.for_each_token(text, |t| *counts.entry(t.to_string()).or_insert(0) += 1);
-            let mut items: Vec<(String, u32)> = counts.into_iter().collect();
-            items.sort();
-            for (term, tf) in items {
-                let id = *by_term.entry(term.clone()).or_insert_with(|| {
-                    terms.push(term.clone());
-                    lists.push(PostingList::new());
-                    terms.len() - 1
-                });
-                lists[id].push(n, tf);
-            }
-        }
-        (terms, lists)
+    /// The corpus index of `xml` (its path stats are the ones under test).
+    fn index(xml: &str) -> CorpusIndex {
+        CorpusIndex::build(parse_document(xml).unwrap())
     }
 
     /// Figure 2-style tree; checks the f counts used in Example 3.
@@ -253,10 +169,9 @@ mod tests {
         // /a/c/x containing trie: three x's → 3
         // /a/c containing icde: second c → 1... but paper has icde under
         // /a/c/x too (f=1). /a/d containing each: both d's → 2.
-        let tree = parse_document(xml).unwrap();
-        let (terms, lists) = index_tokens(&tree);
-        let idx = PathStatsIndex::build(&tree, &lists);
-        let tid = |s: &str| TokenId(terms.iter().position(|t| t == s).unwrap() as u32);
+        let c = index(xml);
+        let (tree, idx) = (c.tree(), c.path_stats());
+        let tid = |s: &str| c.vocab().get(s).unwrap();
         let pid = |s: &str| {
             tree.paths()
                 .iter()
@@ -279,10 +194,9 @@ mod tests {
     #[test]
     fn multiple_occurrences_in_one_subtree_count_once() {
         let xml = "<r><s><p>alpha alpha</p><p>alpha</p></s></r>";
-        let tree = parse_document(xml).unwrap();
-        let (terms, lists) = index_tokens(&tree);
-        let idx = PathStatsIndex::build(&tree, &lists);
-        let tid = TokenId(terms.iter().position(|t| t == "alpha").unwrap() as u32);
+        let c = index(xml);
+        let (tree, idx) = (c.tree(), c.path_stats());
+        let tid = c.vocab().get("alpha").unwrap();
         let pid = |s: &str| {
             tree.paths()
                 .iter()
@@ -304,10 +218,8 @@ mod tests {
 
     #[test]
     fn absent_pairs_are_zero() {
-        let tree = parse_document("<r><p>word</p></r>").unwrap();
-        let (_, lists) = index_tokens(&tree);
-        let idx = PathStatsIndex::build(&tree, &lists);
-        assert_eq!(idx.f(TokenId(0), PathId(999)), 0);
+        let c = index("<r><p>word</p></r>");
+        assert_eq!(c.path_stats().f(TokenId(0), PathId(999)), 0);
     }
 
     /// Oracle check: f computed by brute-force subtree scan must match.
@@ -318,11 +230,10 @@ mod tests {
                    <book><t>query systems</t></book></shelf>\
             <shelf><book><t>rust query</t></book></shelf>\
         </lib>";
-        let tree = parse_document(xml).unwrap();
-        let (terms, lists) = index_tokens(&tree);
-        let idx = PathStatsIndex::build(&tree, &lists);
+        let c = index(xml);
+        let (tree, idx) = (c.tree(), c.path_stats());
         let tok = Tokenizer::default();
-        for (t, term) in terms.iter().enumerate() {
+        for (t, term) in c.vocab().iter_terms().enumerate() {
             let mut expect: HashMap<PathId, u32> = HashMap::new();
             for n in tree.iter() {
                 let contains = tree.subtree(n).any(|d| {
@@ -357,31 +268,6 @@ mod tests {
             let mut buf = Vec::new();
             encode_stats(l, &mut buf);
             assert_eq!(&decode_stats(&buf).unwrap(), l);
-        }
-    }
-
-    #[test]
-    fn slab_backed_matches_owned() {
-        let xml = "<lib><book><t>rust xml rust</t></book><book><t>xml</t></book></lib>";
-        let tree = parse_document(xml).unwrap();
-        let (_, lists) = index_tokens(&tree);
-        let owned = PathStatsIndex::build(&tree, &lists);
-        // Re-encode into a slab and wrap it.
-        let mut buf = Vec::new();
-        let mut ranges = Vec::new();
-        for t in 0..owned.len() {
-            let start = buf.len();
-            encode_stats(owned.paths_of(TokenId(t as u32)), &mut buf);
-            ranges.push(start..buf.len());
-        }
-        let slab = std::sync::Arc::new(crate::slab::IndexSlab::Owned(buf.to_vec()));
-        let lazy = PathStatsIndex::from_slab(slab, ranges).unwrap();
-        assert_eq!(lazy.len(), owned.len());
-        for t in 0..owned.len() {
-            let t = TokenId(t as u32);
-            assert_eq!(lazy.paths_of(t), owned.paths_of(t));
-            // Second access hits the decoded cell.
-            assert_eq!(lazy.paths_of(t), owned.paths_of(t));
         }
     }
 

@@ -8,6 +8,10 @@
 //!   so the kernel pages index bytes in on demand and multiple server
 //!   processes share one physical copy.
 //!
+//! A freshly built index holds its encoded bytes as an owned slab too.
+//! Per-token blobs over a slab (postings, path statistics) are viewed
+//! through `Blobs`, which decodes each on its first access.
+//!
 //! The mapping uses a small vetted FFI shim (mirroring the server's
 //! `signal(2)` shim in `xclean-server::shutdown`) rather than a mmap
 //! crate: `mmap`/`munmap` are the only two calls, confined to the
@@ -16,7 +20,11 @@
 //! read.
 
 use std::io;
+use std::ops::Range;
 use std::path::Path;
+use std::sync::{Arc, OnceLock};
+
+use crate::codec::CodecError;
 
 /// How [`IndexSlab::open`] should back the bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,6 +117,52 @@ impl std::ops::Deref for IndexSlab {
 
     fn deref(&self) -> &[u8] {
         self.bytes()
+    }
+}
+
+/// Encoded blobs at byte ranges of a slab (one per token: posting lists,
+/// path statistics), each decoded on its first access and kept.
+#[derive(Debug)]
+pub(crate) struct Blobs<T> {
+    slab: Arc<IndexSlab>,
+    /// Absolute byte range of each blob.
+    ranges: Vec<Range<usize>>,
+    cells: Box<[OnceLock<T>]>,
+    decode: fn(&[u8]) -> Result<T, CodecError>,
+}
+
+impl<T: Default> Blobs<T> {
+    /// Views the blobs at `ranges` of `slab`, decoded by `decode`.
+    pub(crate) fn new(
+        slab: Arc<IndexSlab>,
+        ranges: Vec<Range<usize>>,
+        decode: fn(&[u8]) -> Result<T, CodecError>,
+    ) -> Result<Self, &'static str> {
+        if ranges.iter().any(|r| r.start > r.end || r.end > slab.len()) {
+            return Err("blob range out of bounds");
+        }
+        let cells = (0..ranges.len()).map(|_| OnceLock::new()).collect();
+        Ok(Blobs {
+            slab,
+            ranges,
+            cells,
+            decode,
+        })
+    }
+
+    /// Number of blobs.
+    pub(crate) fn len(&self) -> usize {
+        self.ranges.len()
+    }
+
+    /// Blob `i`, decoded.
+    pub(crate) fn get(&self, i: usize) -> &T {
+        self.cells[i].get_or_init(|| {
+            // The slab checksum was verified at open, so a decode failure
+            // here is a writer bug; degrade to an empty value rather than
+            // panic on the query path.
+            (self.decode)(&self.slab.bytes()[self.ranges[i].clone()]).unwrap_or_default()
+        })
     }
 }
 
@@ -220,7 +274,8 @@ pub(crate) mod mmap {
     }
 
     // SAFETY: the mapping is PROT_READ + MAP_PRIVATE — immutable for its
-    // whole lifetime — so sharing the pointer across threads is sound.
+    // whole lifetime under the condition `as_slice` states — so sharing
+    // the pointer across threads is sound.
     unsafe impl Send for Mmap {}
     unsafe impl Sync for Mmap {}
 
@@ -249,8 +304,16 @@ pub(crate) mod mmap {
 
         /// The mapped bytes.
         pub fn as_slice(&self) -> &[u8] {
-            // SAFETY: ptr/len describe a live mapping owned by self; the
-            // pages are read-only and outlive the returned borrow.
+            // SAFETY: ptr/len describe a live PROT_READ mapping owned by
+            // self, which outlives the returned borrow. The bytes behind
+            // it stay what they were at open only while the file is not
+            // truncated or rewritten in place: a MAP_PRIVATE page this
+            // process never wrote shows the file's current contents, and
+            // a page past a truncated end raises SIGBUS. This relies on
+            // no writer doing either to a mapped snapshot; the crate's own
+            // writer (`storage::save_to_file_v2`) writes a sibling file
+            // and renames it over the target, leaving the mapped inode as
+            // it was.
             unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
         }
     }

@@ -6,17 +6,22 @@
 //!   with a section table and payload checksum. Postings, the term
 //!   dictionary, and path statistics stay *in* the file bytes (owned or
 //!   memory-mapped via [`IndexSlab`]) and are viewed/decoded lazily, so
-//!   open cost is O(validation). Everything that writes, writes v2.
-//!   A v2 file from before postings became `(node, tf)` keeps them in a
-//!   legacy section that decodes eagerly at open (see [`v2`]).
+//!   open cost is O(validation). It is also the in-memory form of every
+//!   [`CorpusIndex`]: the builder encodes its sections and views them, and
+//!   a save frames the sections an index holds. A v2 file from before
+//!   postings became `(node, tf)` keeps them in a legacy section, which
+//!   is decoded and re-encoded at open (see [`v2`]).
 //! * **v1** (`XCLIDX1\0`, [`v1`]) — the legacy stream format, read-only:
-//!   loading *replays* tree construction and re-materialises every
-//!   posting list, so open cost is O(corpus). [`upgrade_file`] rewrites
-//!   it as v2.
+//!   loading *replays* tree construction and decodes every posting list
+//!   before re-encoding them as v2, so open cost is O(corpus).
+//!   [`upgrade_file`] rewrites it as v2.
 //!
-//! [`open_file`] is the primary read path and handles both formats,
-//! returning a [`LoadReport`] with open/validate timings.
+//! [`open_file`] is the read path and handles both formats, returning a
+//! [`LoadReport`] with open/validate timings. [`save_to_file_v2`] writes a
+//! sibling file and renames it over the target, so a process that has the
+//! old file mapped keeps reading the old bytes.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -130,8 +135,8 @@ pub struct SnapshotSummary {
 /// How [`open_file`] should back and verify a snapshot.
 #[derive(Debug, Clone, Copy)]
 pub struct OpenOptions {
-    /// Backing-store mode for the slab (v2 snapshots only; v1 always
-    /// decodes into owned memory).
+    /// Backing-store mode for the slab (v2 snapshots only; a v1 file is
+    /// decoded and re-encoded into owned memory).
     pub mode: SlabMode,
     /// Verify the v2 payload checksum before trusting any length field.
     pub verify_checksum: bool,
@@ -196,23 +201,39 @@ pub fn summarize_file(path: impl AsRef<std::path::Path>) -> Result<SnapshotSumma
 }
 
 /// Writes the index to a file in the v2 columnar format.
+///
+/// The bytes go to a sibling temporary file that is then renamed over
+/// `path`, so the file at `path` is replaced, never truncated or
+/// rewritten in place: a reader that has the old snapshot mapped keeps
+/// its bytes (see `slab::mmap`). The temporary file is removed on error.
 pub fn save_to_file_v2(
     corpus: &CorpusIndex,
     path: impl AsRef<std::path::Path>,
 ) -> Result<(), StorageError> {
-    std::fs::write(path, to_bytes_v2(corpus))?;
-    Ok(())
-}
-
-/// Loads an index from a file in either format, into owned memory.
-pub fn load_from_file(path: impl AsRef<std::path::Path>) -> Result<CorpusIndex, StorageError> {
-    let data = std::fs::read(path)?;
-    from_bytes(&data)
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let path = path.as_ref();
+    let name = path
+        .file_name()
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no file name"))?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written =
+        std::fs::write(&tmp, to_bytes_v2(corpus)).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    Ok(written?)
 }
 
 /// Opens a snapshot for serving: v2 snapshots validate in place over the
-/// slab (owned or mapped per `options.mode`); v1 snapshots fall back to
-/// the full owned decode. Returns the index plus a [`LoadReport`] with
+/// slab (owned or mapped per `options.mode`); v1 snapshots are decoded in
+/// full and re-encoded as v2. Returns the index plus a [`LoadReport`] with
 /// open/validate timings for telemetry.
 pub fn open_file(
     path: impl AsRef<std::path::Path>,
@@ -238,7 +259,7 @@ pub fn open_file(
             },
         ));
     }
-    // Legacy v1: the decode owns everything, so the slab is only a source.
+    // Legacy v1: the slab is only a source for the decode.
     let corpus = v1::from_bytes(&slab)?;
     Ok((
         corpus,
@@ -259,7 +280,7 @@ pub fn upgrade_file(
     src: impl AsRef<std::path::Path>,
     dst: impl AsRef<std::path::Path>,
 ) -> Result<(), StorageError> {
-    let corpus = load_from_file(src)?;
+    let (corpus, _) = open_file(src, &OpenOptions::default())?;
     save_to_file_v2(&corpus, dst)
 }
 
@@ -460,7 +481,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.xci");
         save_to_file_v2(&a, &path).unwrap();
-        assert_equivalent(&a, &load_from_file(&path).unwrap());
+        assert_equivalent(&a, &from_bytes(&std::fs::read(&path).unwrap()).unwrap());
         let (c, report) = open_file(&path, &OpenOptions::default()).unwrap();
         assert_equivalent(&a, &c);
         assert_eq!(report.format_version, 2);
@@ -516,6 +537,49 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         assert!(from_bytes(&bytes).is_err());
+    }
+
+    /// A save replaces the file instead of rewriting it: a snapshot still
+    /// mapped from the old file keeps its bytes when a different, larger
+    /// corpus is saved to the same path. (An in-place rewrite shows the
+    /// new bytes through the mapping, and a shorter one raises SIGBUS on
+    /// the pages past its end.)
+    #[cfg(unix)]
+    #[test]
+    fn save_replaces_a_mapped_snapshot_instead_of_rewriting_it() {
+        let dir = std::env::temp_dir().join("xclean_storage_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("replaced.xci");
+        save_to_file_v2(&dblp50(), &path).unwrap();
+        let original = std::fs::read(&path).unwrap();
+        let options = OpenOptions {
+            mode: SlabMode::Mapped,
+            verify_checksum: true,
+        };
+        let (a, report) = open_file(&path, &options).unwrap();
+        assert!(report.mapped);
+
+        let xml = std::fs::read_to_string(fixture("dblp50.xml"))
+            .unwrap()
+            .replace("<title>", "<title>replacement corpus ");
+        let b = CorpusIndex::build(parse_document(&xml).unwrap());
+        save_to_file_v2(&b, &path).unwrap();
+        let replaced = std::fs::read(&path).unwrap();
+        assert!(replaced.len() >= original.len() && replaced != original);
+
+        assert!(
+            to_bytes_v2(&a) == original,
+            "the mapped snapshot changed under its reader"
+        );
+        let leftovers = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with(".replaced.xci.")
+            })
+            .count();
+        assert_eq!(leftovers, 0, "a temporary file was left beside the target");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

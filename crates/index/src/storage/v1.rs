@@ -1,7 +1,7 @@
 //! Legacy v1 snapshot format (`XCLIDX1\0`), read-only: nothing writes it
 //! any more, but deployed snapshots keep loading and `xclean index
 //! upgrade` rewrites them as v2. Its posting blobs are also the layout of
-//! a v2 file's legacy POSTINGS_DEWEY section, so [`decode_postings`]
+//! a v2 file's legacy POSTINGS_DEWEY section, so `decode_postings`
 //! reads both.
 //!
 //! Layout (all integers LEB128 varints):
@@ -23,12 +23,11 @@
 //! price is that load cost is O(corpus); the v2 format ([`super::v2`])
 //! exists to avoid exactly that.
 
-use xclean_xmltree::{NodeId, Tokenizer, TokenizerConfig, TreeBuilder, XmlTree};
+use xclean_xmltree::{NodeId, TokenizerConfig, TreeBuilder, XmlTree};
 
 use crate::codec::{get_count, CodecError, SliceReader};
-use crate::corpus::CorpusIndex;
+use crate::corpus::{CorpusIndex, Parts};
 use crate::posting::PostingList;
-use crate::vocab::Vocabulary;
 
 use super::{SectionInfo, SnapshotSummary, StorageError};
 
@@ -62,7 +61,8 @@ fn get_tokenizer(r: &mut SliceReader<'_>) -> Result<TokenizerConfig, StorageErro
     })
 }
 
-/// Restores a corpus index from v1 bytes.
+/// Restores a corpus index from v1 bytes: the decoded parts are encoded
+/// as v2 sections and viewed, like a fresh build's.
 pub fn from_bytes(bytes: &[u8]) -> Result<CorpusIndex, StorageError> {
     let mut r = open(bytes)?;
 
@@ -126,16 +126,27 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CorpusIndex, StorageError> {
         cf.push(r.get_varint()?);
         df.push(r.get_varint()?);
     }
-    let vocab = Vocabulary::from_parts(terms, cf, df);
 
-    // POSTINGS.
+    // POSTINGS; a node's direct token count is the sum of its tfs.
     let mut lists: Vec<PostingList> = Vec::with_capacity(vocab_count);
+    let mut direct = vec![0u64; tree.len()];
     for _ in 0..vocab_count {
-        lists.push(decode_postings(get_blob(&mut r)?, &tree)?);
+        let list = decode_postings(get_blob(&mut r)?, &tree)?;
+        for p in list.iter() {
+            direct[p.node.index()] += u64::from(p.tf);
+        }
+        lists.push(list);
     }
 
-    let tokenizer = Tokenizer::new(get_tokenizer(&mut r)?);
-    Ok(CorpusIndex::from_parts(tree, vocab, lists, tokenizer))
+    let tokenizer = get_tokenizer(&mut r)?;
+    let parts = Parts {
+        terms,
+        cf,
+        df,
+        lists,
+        direct,
+    };
+    super::v2::encode_and_view(tree, parts, &tokenizer, None)
 }
 
 /// Reads one legacy `(node gap, path, tf, Dewey prefix + suffix)` posting

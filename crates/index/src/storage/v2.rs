@@ -26,9 +26,10 @@
 //! Files written before postings became `(node, tf)` hold POSTINGS_DEWEY(4)
 //! instead: the same offset table over v1's posting blobs, which also
 //! store each entry's label path and Dewey code. Such a file still loads:
-//! its blobs are decoded eagerly against the tree by
-//! [`super::v1::decode_postings`], which checks the two old fields and
-//! drops them. A file must carry exactly one of the two sections.
+//! its blobs are decoded against the tree by `v1::decode_postings`,
+//! which checks the two old fields and drops them, and the decoded parts
+//! are re-encoded in the current layout. A file must carry exactly one of
+//! the two sections.
 //!
 //! Loading never replays construction: the tree is assembled from the
 //! flat preorder columns and re-validated by an explicit O(n) pass
@@ -37,17 +38,23 @@
 //! lazily, and the DIRECT column supplies per-node document lengths
 //! without touching a single posting list. Every varint-declared size is
 //! clamped against the remaining input before it drives an allocation.
+//!
+//! The index builder writes its sections with `encode` and views them
+//! with the same code (`encode_and_view`), so every [`CorpusIndex`] is
+//! a view over v2 bytes, and [`to_bytes`] only frames the sections an
+//! index already holds.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use xclean_xmltree::{LabelId, NodeId, PreorderAssembler, Tokenizer, TokenizerConfig};
+use xclean_xmltree::{LabelId, PreorderAssembler, Tokenizer, TokenizerConfig, XmlTree};
 
 use crate::codec::{self, get_count, put_varint, SliceReader};
-use crate::corpus::{CorpusIndex, PostingStore, SnapshotProvenance};
+use crate::corpus::{CorpusIndex, Parts, SnapshotProvenance};
 use crate::path_stats::{self, PathStatsIndex};
-use crate::slab::{checksum64, IndexSlab};
-use crate::vocab::{TokenId, Vocabulary};
+use crate::shard::ShardMeta;
+use crate::slab::{checksum64, Blobs, IndexSlab};
+use crate::vocab::{self, TokenId, Vocabulary};
 
 use super::{SectionInfo, SnapshotSummary, StorageError};
 
@@ -66,6 +73,25 @@ const SEC_SHARD: u8 = 7;
 /// `(node gap, tf)` posting blobs; a new id, so no reader takes the legacy
 /// layout for this one.
 const SEC_POSTINGS: u8 = 8;
+
+/// The sections every index holds, in the order a save writes them (so
+/// re-encoding a loaded snapshot is byte-stable); SHARD follows when set.
+const SECTION_ORDER: [u8; 6] = [
+    SEC_TREE,
+    SEC_DIRECT,
+    SEC_VOCAB,
+    SEC_POSTINGS,
+    SEC_PATHSTATS,
+    SEC_TOKENIZER,
+];
+
+/// The snapshot bytes an index views, and where each section of
+/// [`SECTION_ORDER`] lies in them.
+#[derive(Debug)]
+pub(crate) struct Sections {
+    slab: Arc<IndexSlab>,
+    ranges: [Range<usize>; 6],
+}
 
 fn section_name(id: u8) -> &'static str {
     match id {
@@ -86,43 +112,88 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&bytes[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
 fn read_u64(bytes: &[u8], at: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&bytes[at..at + 8]);
     u64::from_le_bytes(b)
 }
 
-/// Serialises a corpus index to v2 bytes. The section order is fixed
-/// (TREE, DIRECT, VOCAB, POSTINGS, PATHSTATS, TOKENIZER), so re-encoding
-/// a loaded snapshot is byte-stable.
-pub fn to_bytes(corpus: &CorpusIndex) -> Vec<u8> {
-    let mut payload = Vec::new();
-    let mut table: Vec<(u8, usize, usize)> = Vec::new();
-    let mut section = |id: u8, payload: &mut Vec<u8>, start: usize| {
-        table.push((id, start, payload.len() - start));
-    };
+/// Lays out a v2 file: reserves the header, appends section bodies, and
+/// fills in the section table and the payload checksum at the end.
+struct Writer {
+    out: Vec<u8>,
+    table: Vec<(u8, Range<usize>)>,
+    header_len: usize,
+}
 
-    // TREE.
-    let start = payload.len();
-    let tree = corpus.tree();
+impl Writer {
+    /// A writer for exactly `sections` sections with room for `payload`
+    /// bytes of bodies.
+    fn new(sections: usize, payload: usize) -> Writer {
+        let header_len = 8 + 8 + 1 + 17 * sections;
+        let mut out = Vec::with_capacity(header_len + payload);
+        out.resize(header_len, 0);
+        Writer {
+            out,
+            table: Vec::with_capacity(sections),
+            header_len,
+        }
+    }
+
+    /// Appends one section body, written by `body`.
+    fn section(&mut self, id: u8, body: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.out.len();
+        body(&mut self.out);
+        self.table.push((id, start..self.out.len()));
+    }
+
+    /// Header: magic, payload checksum, section table (absolute offsets).
+    fn finish(mut self) -> Vec<u8> {
+        assert_eq!(8 + 8 + 1 + 17 * self.table.len(), self.header_len);
+        let checksum = checksum64(&self.out[self.header_len..]);
+        let mut header = Vec::with_capacity(self.header_len);
+        header.extend_from_slice(MAGIC);
+        header.extend_from_slice(&checksum.to_le_bytes());
+        header.push(self.table.len() as u8);
+        for (id, range) in &self.table {
+            header.push(*id);
+            header.extend_from_slice(&(range.start as u64).to_le_bytes());
+            header.extend_from_slice(&(range.len() as u64).to_le_bytes());
+        }
+        self.out[..self.header_len].copy_from_slice(&header);
+        self.out
+    }
+}
+
+/// Writes `count; (count+1) u64 LE offsets; blobs`, one blob per item.
+fn put_blobs<T>(out: &mut Vec<u8>, items: &[T], mut blob: impl FnMut(&T, &mut Vec<u8>)) {
+    put_varint(out, items.len() as u64);
+    let table = out.len();
+    out.resize(table + 8 * (items.len() + 1), 0);
+    let start = out.len();
+    for (i, item) in items.iter().enumerate() {
+        blob(item, out);
+        let at = table + 8 * (i + 1);
+        let off = (out.len() - start) as u64;
+        out[at..at + 8].copy_from_slice(&off.to_le_bytes());
+    }
+}
+
+/// The TREE section body: label table, preorder depth and label columns,
+/// text bitmap, and the texts.
+fn encode_tree(tree: &XmlTree, out: &mut Vec<u8>) {
     let labels = tree.labels();
-    put_varint(&mut payload, labels.len() as u64);
+    put_varint(out, labels.len() as u64);
     for i in 0..labels.len() as u32 {
-        put_str(&mut payload, labels.name(LabelId(i)));
+        put_str(out, labels.name(LabelId(i)));
     }
     let n = tree.len();
-    put_varint(&mut payload, n as u64);
+    put_varint(out, n as u64);
     for node in tree.iter() {
-        put_varint(&mut payload, u64::from(tree.depth(node)));
+        put_varint(out, u64::from(tree.depth(node)));
     }
     for node in tree.iter() {
-        put_varint(&mut payload, u64::from(tree.label(node).0));
+        put_varint(out, u64::from(tree.label(node).0));
     }
     let mut bitmap = vec![0u8; n.div_ceil(8)];
     for (i, node) in tree.iter().enumerate() {
@@ -130,129 +201,92 @@ pub fn to_bytes(corpus: &CorpusIndex) -> Vec<u8> {
             bitmap[i / 8] |= 1 << (i % 8);
         }
     }
-    payload.extend_from_slice(&bitmap);
+    out.extend_from_slice(&bitmap);
     for node in tree.iter() {
         if let Some(t) = tree.text(node) {
-            put_str(&mut payload, t);
+            put_str(out, t);
         }
     }
-    section(SEC_TREE, &mut payload, start);
+}
 
-    // DIRECT.
-    let start = payload.len();
-    for i in 0..n {
-        put_varint(&mut payload, corpus.direct_len(NodeId(i as u32)));
+/// The SHARD section body: membership + local→global id maps.
+fn encode_shard(meta: &ShardMeta, out: &mut Vec<u8>) {
+    put_varint(out, u64::from(meta.shard_id));
+    put_varint(out, u64::from(meta.shard_count));
+    out.extend_from_slice(&meta.seed.to_le_bytes());
+    out.extend_from_slice(&meta.parent_fingerprint.to_le_bytes());
+    put_varint(out, u64::from(meta.global_vocab_len));
+    put_varint(out, u64::from(meta.global_path_len));
+    put_varint(out, meta.token_map.len() as u64);
+    for &g in &meta.token_map {
+        put_varint(out, u64::from(g));
     }
-    section(SEC_DIRECT, &mut payload, start);
+    put_varint(out, meta.path_map.len() as u64);
+    for &g in &meta.path_map {
+        put_varint(out, u64::from(g));
+    }
+}
 
-    // VOCAB.
-    let start = payload.len();
-    let vocab = corpus.vocab();
-    let count = vocab.len();
-    put_varint(&mut payload, count as u64);
-    let mut off = 0u32;
-    payload.extend_from_slice(&off.to_le_bytes());
-    for term in vocab.iter_terms() {
-        off = off
-            .checked_add(u32::try_from(term.len()).expect("term too long"))
-            .expect("term blob exceeds 4 GiB");
-        payload.extend_from_slice(&off.to_le_bytes());
-    }
-    for term in vocab.iter_terms() {
-        payload.extend_from_slice(term.as_bytes());
-    }
-    for i in 0..count as u32 {
-        put_varint(&mut payload, vocab.cf(TokenId(i)));
-    }
-    for i in 0..count as u32 {
-        put_varint(&mut payload, vocab.df(TokenId(i)));
-    }
-    let mut sorted: Vec<u32> = (0..count as u32).collect();
-    sorted.sort_unstable_by(|&a, &b| {
-        vocab
-            .term(TokenId(a))
-            .as_bytes()
-            .cmp(vocab.term(TokenId(b)).as_bytes())
+/// The one v2 section encoder: writes the sections of [`SECTION_ORDER`]
+/// for `tree` and the tokenised `parts`, computing each token's path
+/// statistics from its postings on the way.
+fn encode(tree: &XmlTree, parts: &Parts, tokenizer: &TokenizerConfig) -> Vec<u8> {
+    let mut w = Writer::new(SECTION_ORDER.len(), 0);
+    w.section(SEC_TREE, |out| encode_tree(tree, out));
+    w.section(SEC_DIRECT, |out| {
+        for &d in &parts.direct {
+            put_varint(out, d);
+        }
     });
-    for id in &sorted {
-        payload.extend_from_slice(&id.to_le_bytes());
-    }
-    section(SEC_VOCAB, &mut payload, start);
+    w.section(SEC_VOCAB, |out| {
+        vocab::encode(&parts.terms, &parts.cf, &parts.df, out)
+    });
+    w.section(SEC_POSTINGS, |out| {
+        put_blobs(out, &parts.lists, codec::encode_into)
+    });
+    w.section(SEC_PATHSTATS, |out| {
+        put_blobs(out, &parts.lists, |list, out| {
+            path_stats::encode_stats(&path_stats::token_stats(tree, list), out)
+        })
+    });
+    w.section(SEC_TOKENIZER, |out| {
+        put_varint(out, tokenizer.min_token_len as u64);
+        out.push(u8::from(tokenizer.drop_numbers));
+        out.push(u8::from(tokenizer.drop_stop_words));
+    });
+    w.finish()
+}
 
-    // POSTINGS.
-    let start = payload.len();
-    put_varint(&mut payload, count as u64);
-    let blobs: Vec<Vec<u8>> = (0..count as u32)
-        .map(|i| codec::encode(corpus.postings(TokenId(i))))
-        .collect();
-    let mut off = 0u64;
-    payload.extend_from_slice(&off.to_le_bytes());
-    for b in &blobs {
-        off += b.len() as u64;
-        payload.extend_from_slice(&off.to_le_bytes());
-    }
-    for b in &blobs {
-        payload.extend_from_slice(b);
-    }
-    section(SEC_POSTINGS, &mut payload, start);
+/// Encodes `parts` over `tree` as v2 sections and views them: the index
+/// builder's output and a legacy snapshot's re-encoding.
+pub(crate) fn encode_and_view(
+    tree: XmlTree,
+    parts: Parts,
+    tokenizer: &TokenizerConfig,
+    provenance: Option<SnapshotProvenance>,
+) -> Result<CorpusIndex, StorageError> {
+    let bytes = encode(&tree, &parts, tokenizer);
+    drop(parts);
+    let header = parse_header(&bytes)?;
+    view(Arc::new(IndexSlab::Owned(bytes)), &header, tree, provenance)
+}
 
-    // PATHSTATS.
-    let start = payload.len();
-    put_varint(&mut payload, count as u64);
-    let mut stats_blob = Vec::new();
-    let mut stat_offsets: Vec<u64> = vec![0];
-    for i in 0..count as u32 {
-        path_stats::encode_stats(corpus.path_stats().paths_of(TokenId(i)), &mut stats_blob);
-        stat_offsets.push(stats_blob.len() as u64);
+/// Serialises a corpus index to v2 bytes: frames the sections it holds,
+/// in [`SECTION_ORDER`], plus its SHARD section when it is one shard of a
+/// set. Nothing is decoded, so re-encoding a loaded snapshot is
+/// byte-stable.
+pub fn to_bytes(corpus: &CorpusIndex) -> Vec<u8> {
+    let Sections { slab, ranges } = corpus.sections();
+    let shard = corpus.shard_meta();
+    let payload = ranges.iter().map(Range::len).sum();
+    let mut w = Writer::new(SECTION_ORDER.len() + usize::from(shard.is_some()), payload);
+    for (&id, range) in SECTION_ORDER.iter().zip(ranges) {
+        w.section(id, |out| out.extend_from_slice(&slab[range.clone()]));
     }
-    for o in &stat_offsets {
-        payload.extend_from_slice(&o.to_le_bytes());
+    if let Some(meta) = shard {
+        w.section(SEC_SHARD, |out| encode_shard(meta, out));
     }
-    payload.extend_from_slice(&stats_blob);
-    section(SEC_PATHSTATS, &mut payload, start);
-
-    // TOKENIZER.
-    let start = payload.len();
-    let tc = corpus.tokenizer().config();
-    put_varint(&mut payload, tc.min_token_len as u64);
-    payload.push(u8::from(tc.drop_numbers));
-    payload.push(u8::from(tc.drop_stop_words));
-    section(SEC_TOKENIZER, &mut payload, start);
-
-    // SHARD (optional): membership + local→global id maps.
-    if let Some(meta) = corpus.shard_meta() {
-        let start = payload.len();
-        put_varint(&mut payload, u64::from(meta.shard_id));
-        put_varint(&mut payload, u64::from(meta.shard_count));
-        payload.extend_from_slice(&meta.seed.to_le_bytes());
-        payload.extend_from_slice(&meta.parent_fingerprint.to_le_bytes());
-        put_varint(&mut payload, u64::from(meta.global_vocab_len));
-        put_varint(&mut payload, u64::from(meta.global_path_len));
-        put_varint(&mut payload, meta.token_map.len() as u64);
-        for &g in &meta.token_map {
-            put_varint(&mut payload, u64::from(g));
-        }
-        put_varint(&mut payload, meta.path_map.len() as u64);
-        for &g in &meta.path_map {
-            put_varint(&mut payload, u64::from(g));
-        }
-        section(SEC_SHARD, &mut payload, start);
-    }
-
-    // Header: magic, payload checksum, section table (absolute offsets).
-    let header_len = 8 + 8 + 1 + 17 * table.len();
-    let checksum = checksum64(&payload);
-    let mut out = Vec::with_capacity(header_len + payload.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out.push(table.len() as u8);
-    for (id, rel, len) in &table {
-        out.push(*id);
-        out.extend_from_slice(&((header_len + rel) as u64).to_le_bytes());
-        out.extend_from_slice(&(*len as u64).to_le_bytes());
-    }
-    out.extend_from_slice(&payload);
-    out
+    w.finish()
 }
 
 /// Parsed v2 header: recorded checksum, section ranges, header end.
@@ -381,10 +415,7 @@ fn parse_offset_blob(
 }
 
 /// Parses the TREE section into a validated [`xclean_xmltree::XmlTree`].
-fn load_tree(
-    bytes: &[u8],
-    section: &Range<usize>,
-) -> Result<(xclean_xmltree::XmlTree, usize), StorageError> {
+fn load_tree(bytes: &[u8], section: &Range<usize>) -> Result<XmlTree, StorageError> {
     let mut r = SliceReader::new(&bytes[section.clone()]);
     let label_count = get_count(&mut r, 1)?;
     let mut names = Vec::with_capacity(label_count);
@@ -420,12 +451,14 @@ fn load_tree(
     if r.remaining() != 0 {
         return Err(StorageError::Corrupt("trailing bytes in TREE section"));
     }
-    Ok((asm.finish()?, node_count))
+    Ok(asm.finish()?)
 }
 
 /// Validates a v2 snapshot over `slab` and assembles a [`CorpusIndex`]
 /// whose postings, term dictionary, and path statistics remain views into
-/// the slab. Returns the index and the payload checksum.
+/// the slab. A legacy POSTINGS_DEWEY file is decoded and re-encoded in the
+/// current layout instead, keeping its recorded checksum as provenance.
+/// Returns the index and the payload checksum.
 pub(crate) fn load(
     slab: Arc<IndexSlab>,
     verify_checksum: bool,
@@ -437,91 +470,45 @@ pub(crate) fn load(
     }
 
     // TREE: flat preorder columns + explicit O(n) validation pass.
-    let (tree, node_count) = load_tree(bytes, &header.section(SEC_TREE)?)?;
-
-    // DIRECT: per-node token counts — document lengths without postings.
-    let direct_range = header.section(SEC_DIRECT)?;
-    let mut r = SliceReader::new(&bytes[direct_range]);
-    let mut direct = Vec::with_capacity(node_count);
-    for _ in 0..node_count {
-        direct.push(r.get_varint()?);
-    }
-    if r.remaining() != 0 {
-        return Err(StorageError::Corrupt("trailing bytes in DIRECT section"));
-    }
-
-    // VOCAB: slab-backed term dictionary.
-    let vocab_range = header.section(SEC_VOCAB)?;
-    let mut r = SliceReader::new(&bytes[vocab_range.clone()]);
-    let count = get_count(&mut r, 10)?;
-    let table_bytes = (count + 1)
-        .checked_mul(4)
-        .ok_or(StorageError::Corrupt("vocab offset table overflows"))?;
-    let off_start = vocab_range.start + r.pos();
-    r.skip(table_bytes)
-        .map_err(|_| StorageError::Corrupt("vocab offset table truncated"))?;
-    let blob_len = read_u32(bytes, off_start + table_bytes - 4) as usize;
-    let blob_start = vocab_range.start + r.pos();
-    r.skip(blob_len)
-        .map_err(|_| StorageError::Corrupt("vocab term blob truncated"))?;
-    let mut cf = Vec::with_capacity(count);
-    for _ in 0..count {
-        cf.push(r.get_varint()?);
-    }
-    let mut df = Vec::with_capacity(count);
-    for _ in 0..count {
-        df.push(r.get_varint()?);
-    }
-    let sorted_start = vocab_range.start + r.pos();
-    r.skip(count * 4)
-        .map_err(|_| StorageError::Corrupt("vocab permutation truncated"))?;
-    if r.remaining() != 0 {
-        return Err(StorageError::Corrupt("trailing bytes in VOCAB section"));
-    }
-    let vocab = Vocabulary::from_slab(
-        Arc::clone(&slab),
-        off_start..blob_start,
-        blob_start..blob_start + blob_len,
-        sorted_start..sorted_start + count * 4,
-        count,
-        cf,
-        df,
-    )
-    .map_err(StorageError::Corrupt)?;
-
-    // POSTINGS / PATHSTATS: offset tables into lazily-decoded blobs; a
-    // legacy POSTINGS_DEWEY section decodes now, checked against the tree.
-    let (id, range) = header.postings()?;
-    let blobs = parse_offset_blob(bytes, &range)?;
-    let store = if id == SEC_POSTINGS {
-        PostingStore::slab(Arc::clone(&slab), blobs).map_err(StorageError::Corrupt)?
-    } else {
-        PostingStore::Owned(
-            blobs
-                .into_iter()
-                .map(|blob| super::v1::decode_postings(&bytes[blob], &tree))
-                .collect::<Result<_, _>>()?,
-        )
-    };
-    let stats_ranges = parse_offset_blob(bytes, &header.section(SEC_PATHSTATS)?)?;
-    let path_stats = PathStatsIndex::from_slab(Arc::clone(&slab), stats_ranges)
-        .map_err(StorageError::Corrupt)?;
-
-    let tokenizer = Tokenizer::new(parse_tokenizer(&bytes[header.section(SEC_TOKENIZER)?])?);
-
-    let provenance = SnapshotProvenance {
+    let tree = load_tree(bytes, &header.section(SEC_TREE)?)?;
+    let shard = header
+        .section_opt(SEC_SHARD)
+        .map(|range| parse_shard(&bytes[range]))
+        .transpose()?;
+    let provenance = Some(SnapshotProvenance {
         format_version: 2,
         checksum: header.checksum,
+    });
+    let mut corpus = match header.postings()? {
+        (SEC_POSTINGS, _) => view(Arc::clone(&slab), &header, tree, provenance)?,
+        (_, range) => {
+            let vocab = Vocabulary::view(Arc::clone(&slab), header.section(SEC_VOCAB)?)?;
+            let lists = parse_offset_blob(bytes, &range)?
+                .into_iter()
+                .map(|blob| super::v1::decode_postings(&bytes[blob], &tree))
+                .collect::<Result<_, _>>()?;
+            let parts = Parts {
+                terms: vocab.iter_terms().map(str::to_string).collect(),
+                cf: (0..vocab.len() as u32)
+                    .map(|t| vocab.cf(TokenId(t)))
+                    .collect(),
+                df: (0..vocab.len() as u32)
+                    .map(|t| vocab.df(TokenId(t)))
+                    .collect(),
+                lists,
+                direct: read_direct(bytes, header.section(SEC_DIRECT)?, tree.len())?,
+            };
+            let tokenizer = parse_tokenizer(&bytes[header.section(SEC_TOKENIZER)?])?;
+            // The stored path statistics are framed like a current file's;
+            // the encode recomputes them from the postings.
+            parse_offset_blob(bytes, &header.section(SEC_PATHSTATS)?)?;
+            encode_and_view(tree, parts, &tokenizer, provenance)?
+        }
     };
-    let mut corpus = CorpusIndex::from_slab_parts(
-        tree, vocab, store, path_stats, direct, tokenizer, provenance,
-    )
-    .map_err(StorageError::Corrupt)?;
 
-    // SHARD (optional): local→global id maps, fully validated against the
-    // sections decoded above.
-    if let Some(range) = header.section_opt(SEC_SHARD) {
-        let meta = parse_shard(&bytes[range])?;
+    // SHARD (optional): local→global id maps, validated against the
+    // sections viewed above.
+    if let Some(meta) = shard {
         if meta.token_map.len() != corpus.vocab().len() {
             return Err(StorageError::Corrupt("shard token map length mismatch"));
         }
@@ -531,6 +518,69 @@ pub(crate) fn load(
         corpus.shard = Some(meta);
     }
     Ok((corpus, header.checksum))
+}
+
+/// Reads the DIRECT section: one token count per node.
+fn read_direct(
+    bytes: &[u8],
+    section: Range<usize>,
+    nodes: usize,
+) -> Result<Vec<u64>, StorageError> {
+    let mut r = SliceReader::new(&bytes[section]);
+    let mut direct = Vec::with_capacity(nodes);
+    for _ in 0..nodes {
+        direct.push(r.get_varint()?);
+    }
+    if r.remaining() != 0 {
+        return Err(StorageError::Corrupt("trailing bytes in DIRECT section"));
+    }
+    Ok(direct)
+}
+
+/// Views the sections of [`SECTION_ORDER`] of the snapshot in `slab`
+/// (whose header is `header`) over its already assembled `tree`.
+fn view(
+    slab: Arc<IndexSlab>,
+    header: &Header,
+    tree: XmlTree,
+    provenance: Option<SnapshotProvenance>,
+) -> Result<CorpusIndex, StorageError> {
+    let [tree_range, direct, vocab, postings, stats, tokenizer] = [
+        header.section(SEC_TREE)?,
+        header.section(SEC_DIRECT)?,
+        header.section(SEC_VOCAB)?,
+        header.section(SEC_POSTINGS)?,
+        header.section(SEC_PATHSTATS)?,
+        header.section(SEC_TOKENIZER)?,
+    ];
+    let bytes = slab.bytes();
+    let direct_counts = read_direct(bytes, direct.clone(), tree.len())?;
+    let vocab_view = Vocabulary::view(Arc::clone(&slab), vocab.clone())?;
+    let store = Blobs::new(
+        Arc::clone(&slab),
+        parse_offset_blob(bytes, &postings)?,
+        codec::decode,
+    )
+    .map_err(StorageError::Corrupt)?;
+    let path_stats =
+        PathStatsIndex::from_slab(Arc::clone(&slab), parse_offset_blob(bytes, &stats)?)
+            .map_err(StorageError::Corrupt)?;
+    let tokenizer_config = parse_tokenizer(&bytes[tokenizer.clone()])?;
+    let mut corpus = CorpusIndex::from_views(
+        tree,
+        vocab_view,
+        store,
+        path_stats,
+        Sections {
+            slab,
+            ranges: [tree_range, direct, vocab, postings, stats, tokenizer],
+        },
+        direct_counts,
+        Tokenizer::new(tokenizer_config),
+    )
+    .map_err(StorageError::Corrupt)?;
+    corpus.provenance = provenance;
+    Ok(corpus)
 }
 
 fn parse_tokenizer(body: &[u8]) -> Result<TokenizerConfig, StorageError> {
@@ -550,7 +600,7 @@ fn parse_tokenizer(body: &[u8]) -> Result<TokenizerConfig, StorageError> {
 
 /// Decodes and validates a SHARD section body (everything except the map
 /// lengths, which are checked against the assembled corpus by the caller).
-fn parse_shard(body: &[u8]) -> Result<crate::shard::ShardMeta, StorageError> {
+fn parse_shard(body: &[u8]) -> Result<ShardMeta, StorageError> {
     let mut r = SliceReader::new(body);
     let shard_id = u32::try_from(r.get_varint()?)
         .map_err(|_| StorageError::Corrupt("shard id overflows u32"))?;
@@ -596,7 +646,7 @@ fn parse_shard(body: &[u8]) -> Result<crate::shard::ShardMeta, StorageError> {
     if r.remaining() != 0 {
         return Err(StorageError::Corrupt("trailing bytes in SHARD section"));
     }
-    Ok(crate::shard::ShardMeta {
+    Ok(ShardMeta {
         shard_id,
         shard_count,
         seed,
@@ -624,20 +674,7 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
     }
     let nodes = get_count(&mut r, 2)?;
 
-    let vocab_range = header.section(SEC_VOCAB)?;
-    let mut r = SliceReader::new(&bytes[vocab_range.clone()]);
-    let terms = get_count(&mut r, 10)?;
-    let table_bytes = (terms + 1)
-        .checked_mul(4)
-        .ok_or(StorageError::Corrupt("vocab offset table overflows"))?;
-    let off_start = vocab_range.start + r.pos();
-    r.skip(table_bytes)?;
-    let blob_len = read_u32(bytes, off_start + table_bytes - 4) as usize;
-    r.skip(blob_len)?;
-    let mut total_tokens = 0u64;
-    for _ in 0..terms {
-        total_tokens = total_tokens.saturating_add(r.get_varint()?);
-    }
+    let vocab = vocab::layout(bytes, header.section(SEC_VOCAB)?)?;
 
     let postings_bytes = parse_offset_blob(bytes, &header.postings()?.1)?
         .iter()
@@ -671,8 +708,8 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
         total_bytes: bytes.len(),
         labels,
         nodes,
-        terms,
-        total_tokens,
+        terms: vocab.len(),
+        total_tokens: vocab.total_tokens,
         postings_bytes,
         tokenizer,
         checksum: Some(header.checksum),

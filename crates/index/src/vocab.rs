@@ -1,16 +1,18 @@
-//! The vocabulary: interned tokens with collection statistics.
+//! The vocabulary: interned tokens with collection statistics, viewed over
+//! a v2 snapshot's VOCAB section.
 //!
-//! Terms live in a [`TermStore`]: either owned `String`s built during
-//! indexing (and v1 snapshot loads), or borrowed views over a v2 snapshot
-//! slab — a `u32` offset table into a concatenated UTF-8 blob plus a
-//! term-sorted permutation that replaces the hash map for lookups. The
-//! slab-backed store allocates nothing per term at load time.
+//! There is one form. A `u32` offset table indexes a concatenated UTF-8
+//! term blob, and a term-sorted permutation of the ids replaces a hash map
+//! for lookups (a binary search). The bytes are the section the index
+//! builder writes (`encode`) or a snapshot holds; a view allocates
+//! nothing per term, and only `cf`/`df` are decoded into columns.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::codec::{get_count, put_varint, SliceReader};
 use crate::slab::IndexSlab;
+use crate::storage::StorageError;
 
 /// Interned token id. Ids are dense and start at 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,302 +25,264 @@ impl TokenId {
     }
 }
 
-/// Where the term strings live: owned heap strings or slab byte ranges.
-#[derive(Debug, Clone)]
-enum TermStore {
-    Owned {
-        terms: Vec<String>,
-        by_term: HashMap<String, TokenId>,
-    },
-    Slab {
-        slab: Arc<IndexSlab>,
-        /// `(count + 1)` little-endian `u32` byte offsets into `blob`.
-        offsets: Range<usize>,
-        /// Concatenated UTF-8 term bytes.
-        blob: Range<usize>,
-        /// `count` little-endian `u32` token ids sorted by term bytes.
-        sorted: Range<usize>,
-        count: usize,
-    },
-}
-
-impl Default for TermStore {
-    fn default() -> Self {
-        TermStore::Owned {
-            terms: Vec::new(),
-            by_term: HashMap::new(),
-        }
-    }
-}
-
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
     let mut b = [0u8; 4];
     b.copy_from_slice(&bytes[at..at + 4]);
     u32::from_le_bytes(b)
 }
 
-impl TermStore {
-    fn len(&self) -> usize {
-        match self {
-            TermStore::Owned { terms, .. } => terms.len(),
-            TermStore::Slab { count, .. } => *count,
-        }
+/// Writes a VOCAB section body for `terms` (in id order, distinct):
+/// `count; (count+1) u32 LE offsets; term blob; cf varints; df varints;
+/// count u32 LE ids sorted by term bytes`.
+pub(crate) fn encode<S: AsRef<str>>(terms: &[S], cf: &[u64], df: &[u64], out: &mut Vec<u8>) {
+    let count = terms.len();
+    put_varint(out, count as u64);
+    let mut off = 0u32;
+    out.extend_from_slice(&off.to_le_bytes());
+    for term in terms {
+        off = off
+            .checked_add(u32::try_from(term.as_ref().len()).expect("term too long"))
+            .expect("term blob exceeds 4 GiB");
+        out.extend_from_slice(&off.to_le_bytes());
     }
-
-    fn term_bytes<'a>(
-        slab: &'a IndexSlab,
-        offsets: &Range<usize>,
-        blob: &Range<usize>,
-        i: usize,
-    ) -> &'a [u8] {
-        let bytes = slab.bytes();
-        let start = read_u32(bytes, offsets.start + 4 * i) as usize;
-        let end = read_u32(bytes, offsets.start + 4 * (i + 1)) as usize;
-        &bytes[blob.start + start..blob.start + end]
+    for term in terms {
+        out.extend_from_slice(term.as_ref().as_bytes());
     }
-
-    fn term(&self, i: usize) -> &str {
-        match self {
-            TermStore::Owned { terms, .. } => &terms[i],
-            TermStore::Slab {
-                slab,
-                offsets,
-                blob,
-                ..
-            } => {
-                // UTF-8 was validated once at open; an invalid term here
-                // would be a bug, not bad input, so degrade to "".
-                std::str::from_utf8(Self::term_bytes(slab, offsets, blob, i)).unwrap_or("")
-            }
-        }
+    for &c in cf {
+        put_varint(out, c);
     }
-
-    fn get(&self, term: &str) -> Option<TokenId> {
-        match self {
-            TermStore::Owned { by_term, .. } => by_term.get(term).copied(),
-            TermStore::Slab {
-                slab,
-                offsets,
-                blob,
-                sorted,
-                count,
-            } => {
-                let bytes = slab.bytes();
-                let needle = term.as_bytes();
-                let mut lo = 0usize;
-                let mut hi = *count;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    let id = read_u32(bytes, sorted.start + 4 * mid) as usize;
-                    let cand = Self::term_bytes(slab, offsets, blob, id);
-                    match cand.cmp(needle) {
-                        std::cmp::Ordering::Less => lo = mid + 1,
-                        std::cmp::Ordering::Greater => hi = mid,
-                        std::cmp::Ordering::Equal => return Some(TokenId(id as u32)),
-                    }
-                }
-                None
-            }
-        }
+    for &d in df {
+        put_varint(out, d);
+    }
+    let mut sorted: Vec<u32> = (0..count as u32).collect();
+    sorted.sort_unstable_by(|&a, &b| {
+        terms[a as usize]
+            .as_ref()
+            .as_bytes()
+            .cmp(terms[b as usize].as_ref().as_bytes())
+    });
+    for id in &sorted {
+        out.extend_from_slice(&id.to_le_bytes());
     }
 }
 
-/// All distinct tokens of the corpus (§III: "these tokens collectively form
-/// the vocabulary V"), with per-token collection statistics.
-#[derive(Debug, Default, Clone)]
-pub struct Vocabulary {
-    store: TermStore,
+/// Where the parts of a VOCAB section lie, with its statistics decoded.
+#[derive(Debug, Clone)]
+pub(crate) struct Layout {
+    /// `(count + 1)` little-endian `u32` byte offsets into `blob`.
+    offsets: Range<usize>,
+    /// Concatenated UTF-8 term bytes.
+    blob: Range<usize>,
+    /// `count` little-endian `u32` token ids sorted by term bytes.
+    sorted: Range<usize>,
     /// Collection frequency: total occurrences of the token.
     cf: Vec<u64>,
     /// Element-document frequency: number of nodes whose *direct* text
     /// contains the token (PY08's `df`).
     df: Vec<u64>,
-    total_tokens: u64,
+    /// `Σ cf`, saturating (a hostile section must not overflow it).
+    pub(crate) total_tokens: u64,
+}
+
+impl Layout {
+    /// Number of terms.
+    pub(crate) fn len(&self) -> usize {
+        self.cf.len()
+    }
+}
+
+/// Parses the framing of the VOCAB section at `section` of `bytes`: every
+/// declared size is clamped against the section before it drives an
+/// allocation, and the section must be consumed exactly. The terms
+/// themselves are checked by [`Vocabulary::view`].
+pub(crate) fn layout(bytes: &[u8], section: Range<usize>) -> Result<Layout, StorageError> {
+    let mut r = SliceReader::new(&bytes[section.clone()]);
+    let count = get_count(&mut r, 10)?;
+    let table_bytes = (count + 1)
+        .checked_mul(4)
+        .ok_or(StorageError::Corrupt("vocab offset table overflows"))?;
+    let off_start = section.start + r.pos();
+    r.skip(table_bytes)
+        .map_err(|_| StorageError::Corrupt("vocab offset table truncated"))?;
+    let blob_len = read_u32(bytes, off_start + table_bytes - 4) as usize;
+    let blob_start = section.start + r.pos();
+    r.skip(blob_len)
+        .map_err(|_| StorageError::Corrupt("vocab term blob truncated"))?;
+    let mut cf = Vec::with_capacity(count);
+    for _ in 0..count {
+        cf.push(r.get_varint()?);
+    }
+    let mut df = Vec::with_capacity(count);
+    for _ in 0..count {
+        df.push(r.get_varint()?);
+    }
+    let sorted_start = section.start + r.pos();
+    r.skip(count * 4)
+        .map_err(|_| StorageError::Corrupt("vocab permutation truncated"))?;
+    if r.remaining() != 0 {
+        return Err(StorageError::Corrupt("trailing bytes in VOCAB section"));
+    }
+    let total_tokens = cf.iter().fold(0u64, |sum, &c| sum.saturating_add(c));
+    Ok(Layout {
+        offsets: off_start..off_start + table_bytes,
+        blob: blob_start..blob_start + blob_len,
+        sorted: sorted_start..sorted_start + count * 4,
+        cf,
+        df,
+        total_tokens,
+    })
+}
+
+/// All distinct tokens of the corpus (§III: "these tokens collectively form
+/// the vocabulary V"), with per-token collection statistics.
+#[derive(Debug, Clone)]
+pub struct Vocabulary {
+    slab: Arc<IndexSlab>,
+    /// Where the VOCAB section's parts lie in `slab`, and its statistics.
+    layout: Layout,
 }
 
 impl Vocabulary {
-    /// Creates an empty vocabulary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `term`, recording `count` additional occurrences within one
-    /// element (increments `df` once and `cf` by `count`).
-    pub fn observe(&mut self, term: &str, count: u64) -> TokenId {
-        let id = self.intern(term);
-        self.cf[id.index()] += count;
-        self.df[id.index()] += 1;
-        self.total_tokens += count;
-        id
-    }
-
-    /// Records `count` occurrences of an already-interned token within one
-    /// element (increments `df` once and `cf` by `count`).
-    pub fn observe_id(&mut self, id: TokenId, count: u64) {
-        self.cf[id.index()] += count;
-        self.df[id.index()] += 1;
-        self.total_tokens += count;
-    }
-
-    /// Interns `term` without recording occurrences.
-    ///
-    /// # Panics
-    /// On a slab-backed vocabulary — snapshot-loaded indexes are frozen.
-    pub fn intern(&mut self, term: &str) -> TokenId {
-        let TermStore::Owned { terms, by_term } = &mut self.store else {
-            panic!("cannot intern into a slab-backed vocabulary");
-        };
-        if let Some(&id) = by_term.get(term) {
-            return id;
+    /// A vocabulary over `terms` (in id order, distinct) with their
+    /// collection and element-document frequencies: writes the VOCAB
+    /// section the index builder would and views it. Errors when the
+    /// terms repeat or the statistics are not parallel to them.
+    pub fn encoded<S: AsRef<str>>(
+        terms: &[S],
+        cf: &[u64],
+        df: &[u64],
+    ) -> Result<Vocabulary, StorageError> {
+        if cf.len() != terms.len() || df.len() != terms.len() {
+            return Err(StorageError::Corrupt(
+                "vocab statistics arrays have wrong size",
+            ));
         }
-        let id = TokenId(terms.len() as u32);
-        terms.push(term.to_string());
-        by_term.insert(term.to_string(), id);
-        self.cf.push(0);
-        self.df.push(0);
-        id
+        let mut bytes = Vec::new();
+        encode(terms, cf, df, &mut bytes);
+        let len = bytes.len();
+        Vocabulary::view(Arc::new(IndexSlab::Owned(bytes)), 0..len)
     }
 
-    /// Looks up an existing token.
-    pub fn get(&self, term: &str) -> Option<TokenId> {
-        self.store.get(term)
-    }
-
-    /// The token's surface form.
-    pub fn term(&self, id: TokenId) -> &str {
-        self.store.term(id.index())
-    }
-
-    /// Collection frequency (total occurrences).
-    pub fn cf(&self, id: TokenId) -> u64 {
-        self.cf[id.index()]
-    }
-
-    /// Element-document frequency (distinct nodes containing the token
-    /// directly).
-    pub fn df(&self, id: TokenId) -> u64 {
-        self.df[id.index()]
-    }
-
-    /// Total token occurrences in the collection (`Σ cf`).
-    pub fn total_tokens(&self) -> u64 {
-        self.total_tokens
-    }
-
-    /// Number of distinct tokens `|V|`.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// `true` when no tokens are interned.
-    pub fn is_empty(&self) -> bool {
-        self.store.len() == 0
-    }
-
-    /// All terms in id order.
-    pub fn iter_terms(&self) -> impl Iterator<Item = &str> + '_ {
-        (0..self.store.len()).map(move |i| self.store.term(i))
-    }
-
-    /// Reconstructs a vocabulary from stored parts (used by the v1 index
-    /// storage format). `terms`, `cf` and `df` must be parallel arrays.
-    pub fn from_parts(terms: Vec<String>, cf: Vec<u64>, df: Vec<u64>) -> Self {
-        assert_eq!(terms.len(), cf.len());
-        assert_eq!(terms.len(), df.len());
-        let by_term = terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), TokenId(i as u32)))
-            .collect();
-        let total_tokens = cf.iter().sum();
-        Vocabulary {
-            store: TermStore::Owned { terms, by_term },
-            cf,
-            df,
-            total_tokens,
-        }
-    }
-
-    /// Builds a slab-backed vocabulary over a v2 snapshot's VOCAB section.
+    /// Views the VOCAB section at `section` of `slab`.
     ///
-    /// Validates — in one `O(|V| + blob)` pass, allocating nothing per
-    /// term — that the offset table is monotonic and ends at the blob
-    /// length, every term is valid UTF-8, and `sorted` is a permutation of
-    /// the ids in strictly increasing term-byte order (which is what the
+    /// Validates, in one `O(|V| + blob)` pass that allocates nothing per
+    /// term, that the offset table is monotonic and ends at the blob
+    /// length, every term is valid UTF-8, and the permutation lists the
+    /// ids in strictly increasing term-byte order (which is what the
     /// binary-search lookup relies on).
-    pub fn from_slab(
+    pub(crate) fn view(
         slab: Arc<IndexSlab>,
-        offsets: Range<usize>,
-        blob: Range<usize>,
-        sorted: Range<usize>,
-        count: usize,
-        cf: Vec<u64>,
-        df: Vec<u64>,
-    ) -> Result<Vocabulary, &'static str> {
-        let bytes = slab.bytes();
-        if offsets.end > bytes.len() || blob.end > bytes.len() || sorted.end > bytes.len() {
-            return Err("vocab section ranges out of bounds");
-        }
-        if offsets.len() != (count + 1) * 4 {
-            return Err("vocab offset table has wrong size");
-        }
-        if sorted.len() != count * 4 {
-            return Err("vocab sorted permutation has wrong size");
-        }
-        if cf.len() != count || df.len() != count {
-            return Err("vocab statistics arrays have wrong size");
-        }
+        section: Range<usize>,
+    ) -> Result<Vocabulary, StorageError> {
+        let vocab = Vocabulary {
+            layout: layout(slab.bytes(), section)?,
+            slab,
+        };
+        vocab.validate().map_err(StorageError::Corrupt)?;
+        Ok(vocab)
+    }
+
+    fn validate(&self) -> Result<(), &'static str> {
+        let (bytes, count) = (self.slab.bytes(), self.len());
         let mut prev = 0u32;
         for i in 0..=count {
-            let off = read_u32(bytes, offsets.start + 4 * i);
+            let off = read_u32(bytes, self.layout.offsets.start + 4 * i);
             if off < prev {
                 return Err("vocab offsets not monotonic");
             }
             prev = off;
         }
-        if prev as usize != blob.len() {
+        if prev as usize != self.layout.blob.len() {
             return Err("vocab offsets do not cover term blob");
         }
         for i in 0..count {
-            if std::str::from_utf8(TermStore::term_bytes(&slab, &offsets, &blob, i)).is_err() {
+            if std::str::from_utf8(self.term_bytes(i)).is_err() {
                 return Err("vocab term is not valid UTF-8");
             }
         }
         let mut prev_term: Option<&[u8]> = None;
         for k in 0..count {
-            let id = read_u32(bytes, sorted.start + 4 * k) as usize;
+            let id = read_u32(bytes, self.layout.sorted.start + 4 * k) as usize;
             if id >= count {
                 return Err("vocab permutation id out of range");
             }
-            let term = TermStore::term_bytes(&slab, &offsets, &blob, id);
-            if let Some(p) = prev_term {
-                if p >= term {
-                    return Err("vocab permutation not strictly sorted");
-                }
+            let term = self.term_bytes(id);
+            if prev_term.is_some_and(|p| p >= term) {
+                return Err("vocab permutation not strictly sorted");
             }
             prev_term = Some(term);
         }
-        let total_tokens = cf.iter().sum();
-        Ok(Vocabulary {
-            store: TermStore::Slab {
-                slab,
-                offsets,
-                blob,
-                sorted,
-                count,
-            },
-            cf,
-            df,
-            total_tokens,
-        })
+        Ok(())
+    }
+
+    fn term_bytes(&self, i: usize) -> &[u8] {
+        let bytes = self.slab.bytes();
+        let start = read_u32(bytes, self.layout.offsets.start + 4 * i) as usize;
+        let end = read_u32(bytes, self.layout.offsets.start + 4 * (i + 1)) as usize;
+        &bytes[self.layout.blob.start + start..self.layout.blob.start + end]
+    }
+
+    /// Looks up an existing token.
+    pub fn get(&self, term: &str) -> Option<TokenId> {
+        let bytes = self.slab.bytes();
+        let needle = term.as_bytes();
+        let (mut lo, mut hi) = (0usize, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let id = read_u32(bytes, self.layout.sorted.start + 4 * mid) as usize;
+            match self.term_bytes(id).cmp(needle) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(TokenId(id as u32)),
+            }
+        }
+        None
+    }
+
+    /// The token's surface form.
+    pub fn term(&self, id: TokenId) -> &str {
+        // UTF-8 was validated once at view time; an invalid term here
+        // would be a bug, not bad input, so degrade to "".
+        std::str::from_utf8(self.term_bytes(id.index())).unwrap_or("")
+    }
+
+    /// Collection frequency (total occurrences).
+    pub fn cf(&self, id: TokenId) -> u64 {
+        self.layout.cf[id.index()]
+    }
+
+    /// Element-document frequency (distinct nodes containing the token
+    /// directly).
+    pub fn df(&self, id: TokenId) -> u64 {
+        self.layout.df[id.index()]
+    }
+
+    /// Total token occurrences in the collection (`Σ cf`).
+    pub fn total_tokens(&self) -> u64 {
+        self.layout.total_tokens
+    }
+
+    /// Number of distinct tokens `|V|`.
+    pub fn len(&self) -> usize {
+        self.layout.len()
+    }
+
+    /// `true` when no tokens are interned.
+    pub fn is_empty(&self) -> bool {
+        self.layout.len() == 0
+    }
+
+    /// All terms in id order.
+    pub fn iter_terms(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.len() as u32).map(move |i| self.term(TokenId(i)))
     }
 
     /// Background-model probability `P(w|B) = cf(w) / total` (§IV-B2).
     pub fn background_prob(&self, id: TokenId) -> f64 {
-        if self.total_tokens == 0 {
+        if self.layout.total_tokens == 0 {
             0.0
         } else {
-            self.cf(id) as f64 / self.total_tokens as f64
+            self.cf(id) as f64 / self.layout.total_tokens as f64
         }
     }
 }
@@ -326,14 +290,16 @@ impl Vocabulary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::CorpusIndex;
+    use xclean_xmltree::parse_document;
 
     #[test]
     fn observe_accumulates() {
-        let mut v = Vocabulary::new();
-        let a = v.observe("tree", 2);
-        let b = v.observe("icde", 1);
-        let a2 = v.observe("tree", 3);
-        assert_eq!(a, a2);
+        // `tree` occurs 2 + 3 times in two elements, `icde` once.
+        let xml = "<r><a>tree tree</a><b>icde</b><c>tree tree tree</c></r>";
+        let c = CorpusIndex::build(parse_document(xml).unwrap());
+        let v = c.vocab();
+        let (a, b) = (v.get("tree").unwrap(), v.get("icde").unwrap());
         assert_ne!(a, b);
         assert_eq!(v.cf(a), 5);
         assert_eq!(v.df(a), 2);
@@ -341,16 +307,12 @@ mod tests {
         assert_eq!(v.total_tokens(), 6);
         assert_eq!(v.len(), 2);
         assert_eq!(v.term(a), "tree");
-        assert_eq!(v.get("tree"), Some(a));
         assert_eq!(v.get("nope"), None);
     }
 
     #[test]
     fn background_probabilities_sum_to_one() {
-        let mut v = Vocabulary::new();
-        v.observe("a", 1);
-        v.observe("b", 3);
-        v.observe("c", 6);
+        let v = Vocabulary::encoded(&["a", "b", "c"], &[1, 3, 6], &[1, 1, 1]).unwrap();
         let sum: f64 = (0..v.len() as u32)
             .map(|i| v.background_prob(TokenId(i)))
             .sum();
@@ -359,49 +321,14 @@ mod tests {
 
     #[test]
     fn empty_vocab_background_is_zero() {
-        let mut v = Vocabulary::new();
-        let id = v.intern("x");
-        assert_eq!(v.background_prob(id), 0.0);
-    }
-
-    /// Lays out a VOCAB-style slab for `terms` (in id order) and wraps it.
-    fn slab_vocab(terms: &[&str]) -> Vocabulary {
-        let mut blob = Vec::new();
-        let mut offsets = vec![0u32];
-        for t in terms {
-            blob.extend_from_slice(t.as_bytes());
-            offsets.push(blob.len() as u32);
-        }
-        let mut sorted: Vec<u32> = (0..terms.len() as u32).collect();
-        sorted.sort_by_key(|&i| terms[i as usize].as_bytes());
-        let mut bytes = Vec::new();
-        let off_start = bytes.len();
-        for o in &offsets {
-            bytes.extend_from_slice(&o.to_le_bytes());
-        }
-        let blob_start = bytes.len();
-        bytes.extend_from_slice(&blob);
-        let sorted_start = bytes.len();
-        for s in &sorted {
-            bytes.extend_from_slice(&s.to_le_bytes());
-        }
-        let end = bytes.len();
-        Vocabulary::from_slab(
-            Arc::new(IndexSlab::Owned(bytes)),
-            off_start..blob_start,
-            blob_start..sorted_start,
-            sorted_start..end,
-            terms.len(),
-            vec![1; terms.len()],
-            vec![1; terms.len()],
-        )
-        .expect("valid layout")
+        let v = Vocabulary::encoded(&["x"], &[0], &[0]).unwrap();
+        assert_eq!(v.background_prob(TokenId(0)), 0.0);
     }
 
     #[test]
-    fn slab_backed_lookup_matches_owned() {
+    fn lookup_finds_every_term_and_no_other() {
         let terms = ["tree", "icde", "xml", "query", "a", "zz"];
-        let v = slab_vocab(&terms);
+        let v = Vocabulary::encoded(&terms, &[1; 6], &[1; 6]).unwrap();
         assert_eq!(v.len(), terms.len());
         for (i, t) in terms.iter().enumerate() {
             assert_eq!(v.term(TokenId(i as u32)), *t);
@@ -415,34 +342,21 @@ mod tests {
 
     #[test]
     fn slab_rejects_bad_permutation() {
-        // Build a valid layout, then corrupt the permutation order.
-        let terms = ["b", "a"];
-        let mut blob = Vec::new();
-        let mut offsets = vec![0u32];
-        for t in terms {
-            blob.extend_from_slice(t.as_bytes());
-            offsets.push(blob.len() as u32);
-        }
-        let mut bytes = Vec::new();
-        for o in &offsets {
+        // A VOCAB section for ["b", "a"] whose permutation is the identity
+        // order — "b" then "a", not sorted.
+        let mut bytes = vec![2u8];
+        for o in [0u32, 1, 2] {
             bytes.extend_from_slice(&o.to_le_bytes());
         }
-        let blob_start = 12;
-        bytes.extend_from_slice(&blob);
-        let sorted_start = bytes.len();
-        // Identity order: "b" then "a" — not sorted.
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        let end = bytes.len();
-        let r = Vocabulary::from_slab(
-            Arc::new(IndexSlab::Owned(bytes)),
-            0..blob_start,
-            blob_start..sorted_start,
-            sorted_start..end,
-            2,
-            vec![1, 1],
-            vec![1, 1],
-        );
-        assert!(r.is_err());
+        bytes.extend_from_slice(b"ba");
+        bytes.extend_from_slice(&[1, 1, 1, 1]); // cf, df
+        for id in [0u32, 1] {
+            bytes.extend_from_slice(&id.to_le_bytes());
+        }
+        let len = bytes.len();
+        let r = Vocabulary::view(Arc::new(IndexSlab::Owned(bytes)), 0..len);
+        assert!(r.unwrap_err().to_string().contains("not strictly sorted"));
+        // Repeated terms cannot be sorted strictly either.
+        assert!(Vocabulary::encoded(&["a", "a"], &[1, 1], &[1, 1]).is_err());
     }
 }

@@ -447,8 +447,12 @@ fn reconstruct_global_stats(
         })
         .collect();
 
+    // The global vocabulary is a view over the VOCAB section the index
+    // builder would write for these terms.
+    let vocab = Vocabulary::encoded(&terms, &cf, &df)
+        .map_err(|e| ShardedEngineError::Coverage(format!("global vocabulary: {e}")))?;
     Ok(GlobalStats {
-        vocab: Vocabulary::from_parts(terms, cf, df),
+        vocab,
         paths_of,
         path_depths,
         path_display: path_display

@@ -176,14 +176,23 @@ fn v2_fingerprint_is_slab_mode_invariant_and_upgrade_is_canonical() {
         "slab mode leaked into the fingerprint"
     );
 
-    // Sanity: both engines agree on an actual query.
+    // A fresh build is the third form of the same bytes: it frames them
+    // identically and answers alike (its fingerprint differs only by
+    // carrying no snapshot checksum).
+    let fresh_engine = XCleanEngine::from_corpus(dblp50(), XCleanConfig::default());
+    assert!(storage::to_bytes_v2(fresh_engine.corpus()) == std::fs::read(&v2_path).unwrap());
+    assert!(fresh_engine.corpus().provenance().is_none());
+
+    // Sanity: all three engines agree on actual queries.
     let queries = workload(owned_engine.corpus(), 8, 900);
     for q in &queries {
+        let owned_answer = owned_engine.suggest_keywords(q);
+        assert_identical("fp", q, &owned_answer, &mapped_engine.suggest_keywords(q));
         assert_identical(
-            "fp",
+            "fp fresh",
             q,
-            &owned_engine.suggest_keywords(q),
-            &mapped_engine.suggest_keywords(q),
+            &owned_answer,
+            &fresh_engine.suggest_keywords(q),
         );
     }
 }

@@ -2,18 +2,19 @@
 //!
 //! The serving path (`xclean serve`, DESIGN.md §10) answers every query
 //! from an index loaded off disk, so persistence must be *semantically
-//! invisible*: an engine over `load_from_file(save_to_file_v2(index))`
-//! has to return bit-identical suggestions — same terms, same order,
-//! same `f64` score bits — to an engine over the freshly built index.
-//! This suite checks that property over generated corpora of several
-//! sizes and perturbed workloads, plus the cheap summary path used by
-//! `xclean index inspect`; the committed legacy v1 snapshots are held to
-//! the same oracle.
+//! invisible*: an engine over `open_file(save_to_file_v2(index))` has
+//! to return bit-identical suggestions — same terms, same order, same
+//! `f64` score bits — to an engine over the freshly built index, and both
+//! indexes must save to the same bytes. This suite checks that property
+//! over generated corpora of several sizes and perturbed workloads, plus
+//! the cheap summary path used by `xclean index inspect`, which must
+//! agree with the loaded and the fresh index alike; the committed legacy
+//! snapshots are held to the same oracle.
 
 use xclean_suite::datagen::{
     generate_dblp, generate_inex, make_workload, DblpConfig, InexConfig, Perturbation, WorkloadSpec,
 };
-use xclean_suite::index::{storage, CorpusIndex};
+use xclean_suite::index::{storage, CorpusIndex, OpenOptions};
 use xclean_suite::xclean::{XCleanConfig, XCleanEngine};
 use xclean_suite::xmltree::parse_document;
 
@@ -31,16 +32,16 @@ fn assert_roundtrip_identical(name: &str, fresh_index: CorpusIndex, queries: &[V
     assert_loaded_matches_fresh(name, &path, fresh_index, queries);
 }
 
-/// Loads the snapshot at `path` and asserts it is indistinguishable from
-/// `fresh_index`: structure, summary, and every workload answer
-/// bit-for-bit.
+/// Opens the snapshot at `path` and asserts it is indistinguishable from
+/// `fresh_index`: structure, saved bytes, summary, and every workload
+/// answer bit-for-bit.
 fn assert_loaded_matches_fresh(
     name: &str,
     path: &std::path::Path,
     fresh_index: CorpusIndex,
     queries: &[Vec<String>],
 ) {
-    let loaded_index = storage::load_from_file(path).unwrap();
+    let (loaded_index, _) = storage::open_file(path, &OpenOptions::default()).unwrap();
 
     // Structural equality first — cheaper to diagnose than score drift.
     assert_eq!(
@@ -64,7 +65,18 @@ fn assert_loaded_matches_fresh(
         "{name}: elements"
     );
 
-    // The summary fast path must agree with the full load.
+    // Both forms frame the same sections.
+    let fresh_bytes = storage::to_bytes_v2(&fresh_index);
+    assert!(
+        storage::to_bytes_v2(&loaded_index) == fresh_bytes,
+        "{name}: saved bytes"
+    );
+
+    // The summary fast path must agree with the full load and with the
+    // fresh build's own bytes.
+    let fresh_summary = storage::summarize(&fresh_bytes).unwrap();
+    assert_eq!(fresh_summary.nodes, fresh_index.tree().len(), "{name}");
+    assert_eq!(fresh_summary.terms, fresh_index.vocab().len(), "{name}");
     let summary = storage::summarize_file(path).unwrap();
     assert_eq!(
         summary.nodes,
@@ -172,7 +184,7 @@ fn committed_v1_fixture_stays_loadable() {
     let summary = storage::summarize_file(&path).unwrap();
     assert_eq!(summary.format_version, 1);
     assert_eq!(summary.checksum, None);
-    let index = storage::load_from_file(&path).unwrap();
+    let (index, _) = storage::open_file(&path, &OpenOptions::default()).unwrap();
     assert_eq!(index.tree().len(), summary.nodes);
     assert_eq!(index.vocab().len(), summary.terms);
     let engine = XCleanEngine::from_corpus(index, XCleanConfig::default());
@@ -215,7 +227,7 @@ fn double_roundtrip_is_byte_stable() {
     let p1 = tmp("stable_1.xci");
     let p2 = tmp("stable_2.xci");
     storage::save_to_file_v2(&index, &p1).unwrap();
-    let loaded = storage::load_from_file(&p1).unwrap();
+    let (loaded, _) = storage::open_file(&p1, &OpenOptions::default()).unwrap();
     storage::save_to_file_v2(&loaded, &p2).unwrap();
     assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
 }
