@@ -25,7 +25,7 @@ pub fn run_naive(
         return Vec::new();
     }
     let error_model = ErrorModel::new(config.beta);
-    let lm = LanguageModel::new(corpus, config.effective_smoothing());
+    let lm = LanguageModel::new(corpus, config.smoothing);
     let tree = corpus.tree();
 
     let mut out: Vec<ScoredCandidate> = Vec::new();
@@ -42,7 +42,7 @@ pub fn run_naive(
             .map(|(i, &j)| slots[i].variants[j].distance)
             .collect();
 
-        if let Some(rt) = find_result_type(corpus, &cand, config.min_depth, config.depth_decay) {
+        if let Some(rt) = find_result_type(corpus, &cand, config.min_depth) {
             let depth = tree.paths().depth(rt.path);
             // Entity scan: group each token's postings by its ancestor of
             // the result type, then keep entities covering all keywords.

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xclean::{
-    Catalog, CorpusSpec, Pipeline, RunStats, Semantics, ShardedEngine, Telemetry, XCleanConfig,
-    XCleanEngine,
+    Catalog, CorpusSpec, Pipeline, RunStats, Semantics, ShardedEngine, Suggestion, Telemetry,
+    XCleanConfig, XCleanEngine,
 };
 use xclean_datagen::{generate_dblp, generate_inex, DblpConfig, InexConfig};
 use xclean_index::{partition_corpus, storage, CorpusIndex, OpenOptions, SlabMode};
@@ -94,7 +94,7 @@ USAGE:
     xclean serve <index.xci | --catalog catalog.xcc>
             [--host H] [--port P] [--threads N] [--max-connections N]
             [--mmap | --no-mmap]
-            [--cache-entries N] [--cache-shards N] [--max-body-bytes N]
+            [--cache-entries N] [--max-body-bytes N]
             [--k N] [--beta B] [--gamma G] [--epsilon E] [--min-depth D]
             [--semantics node-type|slca|elca] [--phonetic DIST]
             [--trace-out trace.json] [--metrics-json metrics.json]
@@ -582,15 +582,7 @@ fn cmd_suggest_one(
         let items: Json = response
             .suggestions
             .iter()
-            .map(|s| {
-                Json::object([
-                    ("query", s.query_string().into()),
-                    ("terms", s.terms.iter().map(String::as_str).collect()),
-                    ("log_score", s.log_score.into()),
-                    ("distances", s.distances.iter().copied().collect()),
-                    ("entities", s.entity_count.into()),
-                ])
-            })
+            .map(Suggestion::to_json)
             .collect();
         lines.push(items.render_pretty());
     } else if response.suggestions.is_empty() {
@@ -705,7 +697,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         "mmap",
         "no-mmap",
         "cache-entries",
-        "cache-shards",
         "max-body-bytes",
         "k",
         "beta",
@@ -766,7 +757,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         threads: args.get_parsed("threads", defaults.threads)?,
         max_connections: args.get_parsed("max-connections", defaults.max_connections)?,
         cache_entries: args.get_parsed("cache-entries", defaults.cache_entries)?,
-        cache_shards: args.get_parsed("cache-shards", defaults.cache_shards)?,
         max_body_bytes: args.get_parsed("max-body-bytes", defaults.max_body_bytes)?,
         slow_threshold: Duration::from_millis(slow_ms),
         slo_threshold: Duration::from_millis(slo_ms),
@@ -780,11 +770,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         return Err(ArgError("--threads must be at least 1".into()));
     }
     // `bind_tenants` takes the config; the banner prints what it got.
-    let (threads, cache_entries, cache_shards) = (
-        server_config.threads,
-        server_config.cache_entries,
-        server_config.cache_shards,
-    );
+    let (threads, cache_entries) = (server_config.threads, server_config.cache_entries);
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port: u16 = args.get_parsed("port", 8080u16)?;
     let trace_out = args.get("trace-out").map(str::to_string);
@@ -920,6 +906,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
 
     // `run` consumes the server; the metrics flush reads these after it.
     let (server_metrics, tenants) = (server.metrics().clone(), Arc::clone(server.tenants()));
+    let cache_shards = tenants.primary().cache().shard_count();
 
     xclean_server::install_signal_handler();
     // Banner goes out before the blocking event loop — CmdOutput lines

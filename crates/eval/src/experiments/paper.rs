@@ -484,7 +484,7 @@ pub(super) fn e13_smoothing(scale: f64) -> Report {
         let set = &data.query_sets[1];
         for (label, smoothing) in schemes {
             let config = XCleanConfig {
-                smoothing: Some(smoothing),
+                smoothing,
                 ..XCleanConfig::default()
             };
             let mrr = xclean_mrr(&data.engine, set, config);

@@ -14,7 +14,7 @@
 //! statistics through the same code.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use xclean_xmltree::{NodeId, PathId, Tokenizer, XmlTree};
 
@@ -336,16 +336,6 @@ impl CorpusIndex {
     pub fn background_prob(&self, token: TokenId) -> f64 {
         self.vocab.background_prob(token)
     }
-
-    /// A posting-list view that co-owns the corpus snapshot — `'static`
-    /// and therefore free to cross thread boundaries (worker pools,
-    /// spawned tasks) without lifetime plumbing.
-    pub fn shared_postings(self: &Arc<Self>, token: TokenId) -> SharedPostings {
-        SharedPostings {
-            corpus: Arc::clone(self),
-            token,
-        }
-    }
 }
 
 // Compile-time proof that the whole read path is thread-shareable: the
@@ -357,40 +347,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CorpusIndex>();
     assert_send_sync::<PostingList>();
-    assert_send_sync::<SharedPostings>();
 };
-
-/// A [`PostingList`] borrowed through a shared [`CorpusIndex`] snapshot.
-///
-/// Produced by [`CorpusIndex::shared_postings`]. Cloning is cheap (one
-/// `Arc` bump); the postings themselves are never copied. Derefs to the
-/// underlying list, so all read accessors (`len`, `get`, `iter`,
-/// `skip_from`, …) apply directly.
-#[derive(Debug, Clone)]
-pub struct SharedPostings {
-    corpus: Arc<CorpusIndex>,
-    token: TokenId,
-}
-
-impl SharedPostings {
-    /// The token this view indexes.
-    pub fn token(&self) -> TokenId {
-        self.token
-    }
-
-    /// The shared corpus snapshot the view keeps alive.
-    pub fn corpus(&self) -> &Arc<CorpusIndex> {
-        &self.corpus
-    }
-}
-
-impl std::ops::Deref for SharedPostings {
-    type Target = PostingList;
-
-    fn deref(&self) -> &PostingList {
-        self.corpus.postings(self.token)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -523,24 +480,6 @@ mod tests {
         let c = CorpusIndex::build(parse_document("<a/>").unwrap());
         assert_eq!(c.vocab().len(), 0);
         assert_eq!(c.doc_len(c.tree().root()), 0);
-    }
-
-    #[test]
-    fn shared_postings_cross_threads() {
-        let c = Arc::new(corpus());
-        let kw = c.vocab().get("keyword").unwrap();
-        let view = c.shared_postings(kw);
-        assert_eq!(view.token(), kw);
-        assert_eq!(view.len(), 2); // via Deref
-                                   // The view stays valid after the local Arc is gone and on another
-                                   // thread (it co-owns the snapshot).
-        let expected = view.nodes().to_vec();
-        drop(c);
-        let moved = view.clone();
-        let nodes = std::thread::spawn(move || moved.nodes().to_vec())
-            .join()
-            .unwrap();
-        assert_eq!(nodes, expected);
     }
 
     #[test]

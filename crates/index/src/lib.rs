@@ -24,7 +24,7 @@ pub mod slab;
 pub mod storage;
 pub mod vocab;
 
-pub use corpus::{CorpusIndex, SharedPostings, SnapshotProvenance};
+pub use corpus::{CorpusIndex, SnapshotProvenance};
 pub use level::{Entities, LevelEntry, LevelTable};
 pub use path_stats::PathStatsIndex;
 pub use posting::{AccessStats, MergedEntry, Posting, PostingList};

@@ -18,8 +18,9 @@
 //!
 //! [`open_file`] is the read path and handles both formats, returning a
 //! [`LoadReport`] with open/validate timings. [`save_to_file_v2`] writes a
-//! sibling file and renames it over the target, so a process that has the
-//! old file mapped keeps reading the old bytes.
+//! sibling file and renames it over the target ([`replace_file`], which the
+//! catalog's save shares), so a process that has the old file mapped keeps
+//! reading the old bytes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -200,18 +201,28 @@ pub fn summarize_file(path: impl AsRef<std::path::Path>) -> Result<SnapshotSumma
     summarize(&data)
 }
 
-/// Writes the index to a file in the v2 columnar format.
-///
-/// The bytes go to a sibling temporary file that is then renamed over
-/// `path`, so the file at `path` is replaced, never truncated or
-/// rewritten in place: a reader that has the old snapshot mapped keeps
-/// its bytes (see `slab::mmap`). The temporary file is removed on error.
+/// Writes the index to a file in the v2 columnar format, replacing the
+/// file at `path` (see [`replace_file`]): a reader that has the old
+/// snapshot mapped keeps its bytes (see `slab::mmap`).
 pub fn save_to_file_v2(
     corpus: &CorpusIndex,
     path: impl AsRef<std::path::Path>,
 ) -> Result<(), StorageError> {
+    Ok(replace_file(path, &to_bytes_v2(corpus))?)
+}
+
+/// Writes `bytes` to `path` by replacing the file, never truncating or
+/// rewriting it in place: the bytes go to a sibling temporary file
+/// (`.<name>.<pid>.<n>.tmp`) that is then renamed over `path`, so a
+/// process that has the old file open or mapped keeps reading the old
+/// bytes. The temporary file is removed on error. A `path` that is a
+/// symlink is written through: the file it resolves to is the one
+/// replaced, and the link stays. The replacement takes the permissions of
+/// the file it replaces.
+pub fn replace_file(path: impl AsRef<std::path::Path>, bytes: &[u8]) -> std::io::Result<()> {
     static SAVES: AtomicU64 = AtomicU64::new(0);
-    let path = path.as_ref();
+    let path = std::fs::canonicalize(path.as_ref()).unwrap_or_else(|_| path.as_ref().into());
+    let permissions = std::fs::metadata(&path).ok().map(|m| m.permissions());
     let name = path
         .file_name()
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no file name"))?;
@@ -223,12 +234,13 @@ pub fn save_to_file_v2(
         SAVES.fetch_add(1, Ordering::Relaxed)
     ));
     let tmp = path.with_file_name(tmp_name);
-    let written =
-        std::fs::write(&tmp, to_bytes_v2(corpus)).and_then(|()| std::fs::rename(&tmp, path));
+    let written = std::fs::write(&tmp, bytes)
+        .and_then(|()| permissions.map_or(Ok(()), |p| std::fs::set_permissions(&tmp, p)))
+        .and_then(|()| std::fs::rename(&tmp, &path));
     if written.is_err() {
         std::fs::remove_file(&tmp).ok();
     }
-    Ok(written?)
+    written
 }
 
 /// Opens a snapshot for serving: v2 snapshots validate in place over the

@@ -102,8 +102,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Total response-cache entries across shards (0 disables caching).
     pub cache_entries: usize,
-    /// Response-cache shards.
-    pub cache_shards: usize,
     /// Maximum accepted request-body size in bytes.
     pub max_body_bytes: usize,
     /// Slow-loris deadline: a request whose head and body have not fully
@@ -140,7 +138,6 @@ impl Default for ServerConfig {
             accept_model: AcceptModel::EventLoop,
             threads: 4,
             cache_entries: 4096,
-            cache_shards: 8,
             max_body_bytes: 1 << 20,
             read_timeout: Duration::from_secs(5),
             max_connections: 4096,
@@ -311,11 +308,7 @@ impl SuggestServer {
         config: ServerConfig,
     ) -> io::Result<SuggestServer> {
         let listener = TcpListener::bind(addr)?;
-        let tenants = Arc::new(TenantSet::build(
-            corpora,
-            config.cache_entries,
-            config.cache_shards,
-        )?);
+        let tenants = Arc::new(TenantSet::build(corpora, config.cache_entries)?);
         let slow_sink: Box<dyn io::Write + Send> = match &config.slow_log {
             Some(path) => Box::new(std::fs::File::create(path)?),
             None => Box::new(io::stderr()),
@@ -989,18 +982,7 @@ fn result_body(normalized: &str, response: &SuggestResponse) -> Arc<str> {
 /// `/debug/explain` traces — one builder, so an explain trace's
 /// suggestions are byte-identical to the served ones by construction.
 fn suggestions_json(suggestions: &[Suggestion]) -> Json {
-    suggestions
-        .iter()
-        .map(|s| {
-            Json::object([
-                ("query", s.query_string().into()),
-                ("terms", s.terms.iter().map(String::as_str).collect()),
-                ("log_score", s.log_score.into()),
-                ("distances", s.distances.iter().copied().collect()),
-                ("entities", s.entity_count.into()),
-            ])
-        })
-        .collect()
+    suggestions.iter().map(Suggestion::to_json).collect()
 }
 
 /// The root span of one request's engine work: engine spans opened
@@ -1228,7 +1210,7 @@ pub(crate) fn test_handler(
         let engine = XCleanEngine::new(tree, xclean::XCleanConfig::default());
         (name.to_string(), Arc::clone(engine.pipeline()))
     });
-    let tenants = Arc::new(TenantSet::build(corpora.collect(), 64, 4).unwrap());
+    let tenants = Arc::new(TenantSet::build(corpora.collect(), 64).unwrap());
     let registry = MetricsRegistry::default();
     let obs = Arc::new(Observability::new(
         clock,

@@ -32,6 +32,11 @@ use xclean_telemetry::{
 
 use crate::cache::ResponseCache;
 
+/// Lock stripes of each tenant's response cache: enough that the workers
+/// seldom meet on one lock (capped by the cache so each shard holds an
+/// entry).
+pub const CACHE_SHARDS: usize = 8;
+
 /// One served corpus: engine, private response cache, and per-corpus
 /// lifetime counters (handles into the engine's registry, like the
 /// cache's, so `/metrics` collects them under this tenant's `corpus`).
@@ -146,7 +151,7 @@ pub struct TenantSet {
 impl TenantSet {
     /// Builds the set from `(name, engine)` pairs in catalog order. Each
     /// tenant gets its own [`ResponseCache`] of `cache_entries` entries
-    /// over `cache_shards` shards, with the cache counters and the
+    /// over [`CACHE_SHARDS`] shards, with the cache counters and the
     /// per-corpus request/error counters registered in that tenant's
     /// engine registry. Errors on an empty catalog, a
     /// duplicate name, or a name the catalog's
@@ -154,7 +159,6 @@ impl TenantSet {
     pub fn build(
         corpora: Vec<(String, Arc<Pipeline>)>,
         cache_entries: usize,
-        cache_shards: usize,
     ) -> io::Result<TenantSet> {
         if corpora.is_empty() {
             return Err(io::Error::new(
@@ -181,7 +185,7 @@ impl TenantSet {
             }
             let cache = Arc::new(ResponseCache::new(
                 cache_entries,
-                cache_shards,
+                CACHE_SHARDS,
                 engine.metrics(),
             ));
             let fingerprint = engine.fingerprint();
@@ -320,7 +324,6 @@ mod tests {
                 ("dblp".into(), engine("<r><p>gamma delta epsilon</p></r>")),
             ],
             16,
-            2,
         )
         .unwrap();
         assert_eq!(set.len(), 2);
@@ -339,26 +342,25 @@ mod tests {
 
     #[test]
     fn build_rejects_empty_duplicate_and_unroutable_names() {
-        assert!(TenantSet::build(vec![], 16, 2).is_err());
+        assert!(TenantSet::build(vec![], 16).is_err());
         let dup = TenantSet::build(
             vec![
                 ("a".into(), engine("<r><p>x</p></r>")),
                 ("a".into(), engine("<r><p>y</p></r>")),
             ],
             16,
-            2,
         );
         assert!(dup.unwrap_err().to_string().contains("duplicate"));
         // `a&b` could never be picked by `?corpus=` (the parameter splits
         // at `&`), `a%20b` never routed by `/suggest/<name>` (paths are
         // not decoded); the rest break the catalog's charset.
         for bad in ["", "a/b", "a b", "a?b", "a#b", "a&b", "a%20b", "Dblp", "ü"] {
-            let r = TenantSet::build(vec![(bad.into(), engine("<r><p>x</p></r>"))], 16, 2);
+            let r = TenantSet::build(vec![(bad.into(), engine("<r><p>x</p></r>"))], 16);
             let err = r.expect_err(bad).to_string();
             assert!(err.contains("invalid corpus name"), "{bad:?}: {err}");
         }
         let long = "a".repeat(xclean::catalog::MAX_NAME_LEN + 1);
-        assert!(TenantSet::build(vec![(long, engine("<r><p>x</p></r>"))], 16, 2).is_err());
+        assert!(TenantSet::build(vec![(long, engine("<r><p>x</p></r>"))], 16).is_err());
     }
 
     #[test]
@@ -369,7 +371,6 @@ mod tests {
                 ("dblp".into(), engine("<r><p>gamma delta</p></r>")),
             ],
             16,
-            2,
         )
         .unwrap();
         let t = set.get("dblp").unwrap();
@@ -428,7 +429,6 @@ mod tests {
                 ("dblp".into(), engine("<r><p>gamma delta</p></r>")),
             ],
             16,
-            2,
         )
         .unwrap();
         let t = set.get("dblp").unwrap();
@@ -490,7 +490,6 @@ mod tests {
                 ("dblp".into(), engine("<r><p>gamma delta</p></r>")),
             ],
             16,
-            2,
         )
         .unwrap();
         let dblp = set.get("dblp").unwrap();
@@ -526,7 +525,6 @@ mod tests {
                 ("dblp".into(), engine("<r><p>gamma delta</p></r>")),
             ],
             16,
-            2,
         )
         .unwrap();
         let server = MetricsRegistry::default();

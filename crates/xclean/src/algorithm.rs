@@ -402,7 +402,7 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
     arena: &mut QueryArena,
     sink: &mut S,
 ) {
-    let lm = view.language_model(config.effective_smoothing());
+    let lm = view.language_model(config.smoothing);
     arena
         .candidates
         .compile(slots, ErrorModel::new(config.beta));
@@ -434,7 +434,7 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
             // Lines 12–15: enumerate candidates and accumulate entity
             // scores. Entity runs are built lazily per result type.
             groups.clear();
-            let mut budget = config.max_candidates_per_subtree;
+            let mut budget = crate::walk::MAX_CANDIDATES_PER_SUBTREE;
             crate::walk::enumerate_candidates_in(
                 tokens.slot_tokens,
                 candidate,
@@ -447,14 +447,9 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
                         TypeSlot::NoType => return,
                         TypeSlot::Unresolved => {
                             result_type_computations += 1;
-                            let slot = find_result_type_scoped(
-                                view,
-                                cand,
-                                config.min_depth,
-                                config.depth_decay,
-                                type_order,
-                            )
-                            .map_or(TypeSlot::NoType, |rt| TypeSlot::Path(rt.path));
+                            let slot =
+                                find_result_type_scoped(view, cand, config.min_depth, type_order)
+                                    .map_or(TypeSlot::NoType, |rt| TypeSlot::Path(rt.path));
                             candidates.set_result_type(id, slot);
                             let TypeSlot::Path(path) = slot else { return };
                             path

@@ -144,7 +144,7 @@ mod tests {
         a.candidates.compile(&[slot], Default::default());
         let id = a.candidates.intern(&[key]);
         a.type_order.extend([0, 1]);
-        let lm = view.language_model(config.effective_smoothing());
+        let lm = view.language_model(config.smoothing);
         a.contributions.forget();
         let weighted = a
             .contributions

@@ -18,9 +18,13 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use xclean_index::slab::checksum64;
+use xclean_index::storage;
 use xclean_lm::Smoothing;
 
 use crate::config::{EntityPrior, XCleanConfig};
+use crate::pipeline::BATCH_CHUNK;
+use crate::result_type::DEPTH_DECAY;
+use crate::walk::MAX_CANDIDATES_PER_SUBTREE;
 
 /// File magic: 7 ASCII bytes + NUL, mirroring the snapshot magics.
 pub const CATALOG_MAGIC: &[u8; 8] = b"XCLCAT1\0";
@@ -48,11 +52,13 @@ pub enum CatalogError {
     BadName(String),
     /// Two corpora share a name.
     DuplicateName(String),
-    /// A corpus's engine configuration has an out-of-range value.
+    /// A corpus's engine configuration has an out-of-range value
+    /// ([`XCleanConfig::check`]), or a value no [`XCleanConfig`] encodes
+    /// (a retired slot off its constant, a non-canonical smoothing form).
     BadConfig {
         /// The corpus.
         name: String,
-        /// What is out of range ([`XCleanConfig::check`]).
+        /// The setting and what is wrong with it.
         reason: &'static str,
     },
     /// Reading the file failed.
@@ -207,7 +213,7 @@ impl Catalog {
         let mut corpora = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.str()?;
-            let config = decode_config(&mut r)?;
+            let config = decode_config(&mut r, &name)?;
             let paths = r.count(2)?;
             if paths == 0 {
                 return Err(CatalogError::Corrupt("corpus declares no snapshots"));
@@ -230,10 +236,12 @@ impl Catalog {
         Ok(catalog)
     }
 
-    /// Writes the canonical encoding to `path`.
+    /// Writes the canonical encoding to `path`, replacing the file
+    /// ([`storage::replace_file`]): a reader holding the old catalog open
+    /// keeps its bytes. A symlinked `path` is written through, and the new
+    /// file keeps the old one's permissions.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CatalogError> {
-        std::fs::write(path, self.encode()?)?;
-        Ok(())
+        Ok(storage::replace_file(path, &self.encode()?)?)
     }
 
     /// Reads and decodes the catalog at `path`.
@@ -273,17 +281,31 @@ fn put_opt_varint(buf: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-/// Canonical [`XCleanConfig`] encoding: every result-relevant field plus
-/// the execution knobs, in declaration order.
+/// The μ slot of an entry whose smoothing is not Dirichlet: the default
+/// mass, which is what earlier builds wrote there.
+const RETIRED_MU: f64 = 2000.0;
+
+/// Canonical [`XCleanConfig`] encoding. The layout predates the fold of
+/// μ into `smoothing` and the fixing of r, `|C_eff|` and the batch chunk
+/// as constants, and keeps their slots: r, `|C_eff|` and the chunk are
+/// written as their constants, and a Dirichlet μ in the μ slot with
+/// smoothing tag 0, so every catalog written with those values still
+/// decodes and re-encodes byte for byte.
 fn encode_config(buf: &mut Vec<u8>, c: &XCleanConfig) {
     put_varint(buf, c.epsilon as u64);
     put_f64(buf, c.beta);
-    put_f64(buf, c.mu);
-    put_f64(buf, c.depth_decay);
+    put_f64(
+        buf,
+        match c.smoothing {
+            Smoothing::Dirichlet { mu } => mu,
+            Smoothing::JelinekMercer { .. } => RETIRED_MU,
+        },
+    );
+    put_f64(buf, DEPTH_DECAY);
     put_varint(buf, u64::from(c.min_depth));
     put_opt_varint(buf, c.gamma.map(|g| g as u64));
     put_varint(buf, c.k as u64);
-    put_varint(buf, c.max_candidates_per_subtree as u64);
+    put_varint(buf, MAX_CANDIDATES_PER_SUBTREE as u64);
     put_varint(buf, c.partition_threshold as u64);
     buf.push(u8::from(c.enable_skipping));
     buf.push(match c.prior {
@@ -292,18 +314,14 @@ fn encode_config(buf: &mut Vec<u8>, c: &XCleanConfig) {
     });
     put_opt_varint(buf, c.phonetic_distance.map(u64::from));
     match c.smoothing {
-        None => buf.push(0),
-        Some(Smoothing::Dirichlet { mu }) => {
-            buf.push(1);
-            put_f64(buf, mu);
-        }
-        Some(Smoothing::JelinekMercer { lambda }) => {
+        Smoothing::Dirichlet { .. } => buf.push(0),
+        Smoothing::JelinekMercer { lambda } => {
             buf.push(2);
             put_f64(buf, lambda);
         }
     }
     put_varint(buf, c.num_threads as u64);
-    put_varint(buf, c.batch_size as u64);
+    put_varint(buf, BATCH_CHUNK as u64);
 }
 
 struct Reader<'a> {
@@ -385,18 +403,28 @@ impl Reader<'_> {
     }
 }
 
-fn decode_config(r: &mut Reader<'_>) -> Result<XCleanConfig, CatalogError> {
+/// Decodes the config of corpus `name`; a value no [`XCleanConfig`]
+/// encodes is a [`CatalogError::BadConfig`] naming the setting.
+fn decode_config(r: &mut Reader<'_>, name: &str) -> Result<XCleanConfig, CatalogError> {
     let to_usize =
         |v: u64| usize::try_from(v).map_err(|_| CatalogError::Corrupt("value overflows usize"));
+    let bad = |reason| CatalogError::BadConfig {
+        name: name.to_string(),
+        reason,
+    };
     let epsilon = to_usize(r.varint()?)?;
     let beta = r.f64()?;
     let mu = r.f64()?;
-    let depth_decay = r.f64()?;
+    if r.f64()?.to_bits() != DEPTH_DECAY.to_bits() {
+        return Err(bad("depth decay r is fixed at 0.8"));
+    }
     let min_depth =
         u32::try_from(r.varint()?).map_err(|_| CatalogError::Corrupt("min_depth overflows u32"))?;
     let gamma = r.opt_varint()?.map(to_usize).transpose()?;
     let k = to_usize(r.varint()?)?;
-    let max_candidates_per_subtree = to_usize(r.varint()?)?;
+    if r.varint()? != MAX_CANDIDATES_PER_SUBTREE as u64 {
+        return Err(bad("max_candidates_per_subtree is fixed at 4096"));
+    }
     let partition_threshold = to_usize(r.varint()?)?;
     let enable_skipping = match r.u8()? {
         0 => false,
@@ -413,29 +441,37 @@ fn decode_config(r: &mut Reader<'_>) -> Result<XCleanConfig, CatalogError> {
         .map(|v| u32::try_from(v).map_err(|_| CatalogError::Corrupt("distance overflows u32")))
         .transpose()?;
     let smoothing = match r.u8()? {
-        0 => None,
-        1 => Some(Smoothing::Dirichlet { mu: r.f64()? }),
-        2 => Some(Smoothing::JelinekMercer { lambda: r.f64()? }),
+        0 => Smoothing::Dirichlet { mu },
+        1 => Err(bad(
+            "smoothing: an explicit Dirichlet entry is not canonical (μ goes in the μ slot)",
+        ))?,
+        2 => {
+            let lambda = r.f64()?;
+            if mu.to_bits() != RETIRED_MU.to_bits() {
+                return Err(bad(
+                    "smoothing: a Jelinek–Mercer entry's μ slot must be 2000",
+                ));
+            }
+            Smoothing::JelinekMercer { lambda }
+        }
         _ => Err(CatalogError::Corrupt("bad smoothing tag"))?,
     };
     let num_threads = to_usize(r.varint()?)?;
-    let batch_size = to_usize(r.varint()?)?;
+    if r.varint()? != BATCH_CHUNK as u64 {
+        return Err(bad("batch_size is fixed at 16"));
+    }
     Ok(XCleanConfig {
         epsilon,
         beta,
-        mu,
-        depth_decay,
         min_depth,
         gamma,
         k,
-        max_candidates_per_subtree,
         partition_threshold,
         enable_skipping,
         prior,
         phonetic_distance,
         smoothing,
         num_threads,
-        batch_size,
     })
 }
 
@@ -451,7 +487,7 @@ mod tests {
                     config: XCleanConfig {
                         epsilon: 2,
                         gamma: None,
-                        smoothing: Some(Smoothing::JelinekMercer { lambda: 0.3 }),
+                        smoothing: Smoothing::JelinekMercer { lambda: 0.3 },
                         ..Default::default()
                     },
                     snapshots: vec!["dblp.xci".into()],
@@ -494,10 +530,7 @@ mod tests {
         let cfg = &back.corpora[0].config;
         assert_eq!(cfg.epsilon, 2);
         assert_eq!(cfg.gamma, None);
-        assert!(matches!(
-            cfg.smoothing,
-            Some(Smoothing::JelinekMercer { lambda }) if lambda == 0.3
-        ));
+        assert_eq!(cfg.smoothing, Smoothing::JelinekMercer { lambda: 0.3 });
         // Fingerprints agree — the decoded config is result-equivalent.
         assert_eq!(cfg.fingerprint(), c.corpora[0].config.fingerprint());
     }
@@ -575,19 +608,181 @@ mod tests {
         }
     }
 
+    /// A catalog image around `payload`.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(CATALOG_MAGIC);
+        bytes.extend_from_slice(&checksum64(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
     #[test]
     fn hostile_counts_do_not_allocate() {
         // A tiny payload declaring u64::MAX corpora.
         let mut payload = Vec::new();
         put_varint(&mut payload, u64::MAX);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(CATALOG_MAGIC);
-        bytes.extend_from_slice(&checksum64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
         assert!(matches!(
-            Catalog::decode(&bytes),
+            Catalog::decode(&framed(&payload)),
             Err(CatalogError::Corrupt("declared count exceeds input"))
         ));
+    }
+
+    #[test]
+    fn encoding_matches_what_earlier_builds_wrote() {
+        // Measured on the build that still had μ, r, |C_eff| and the batch
+        // chunk as config fields: the retired slots keep their bytes.
+        let bytes = sample().encode().unwrap();
+        assert_eq!(
+            (checksum64(&bytes), bytes.len()),
+            (0x8040_f7ba_7b5f_40f2, 178)
+        );
+    }
+
+    /// One default corpus `c` over `c.xci` in the layout every build has
+    /// written, with the retired slots (μ, r, `|C_eff|`, batch size) and
+    /// the smoothing entry as given.
+    fn written(mu: f64, r: f64, max_candidates: u64, smoothing: &[u8], batch: u64) -> Vec<u8> {
+        let mut p = Vec::new();
+        put_varint(&mut p, 1);
+        put_str(&mut p, "c");
+        put_varint(&mut p, 2); // ε
+        put_f64(&mut p, 5.0); // β
+        put_f64(&mut p, mu);
+        put_f64(&mut p, r);
+        put_varint(&mut p, 2); // d
+        put_opt_varint(&mut p, Some(1000)); // γ
+        put_varint(&mut p, 10); // k
+        put_varint(&mut p, max_candidates);
+        put_varint(&mut p, 14); // partition threshold
+        p.extend([1, 0]); // skipping on, uniform prior
+        put_opt_varint(&mut p, None); // no phonetic distance
+        p.extend_from_slice(smoothing);
+        put_varint(&mut p, 1); // threads
+        put_varint(&mut p, batch);
+        put_varint(&mut p, 1);
+        put_str(&mut p, "c.xci");
+        framed(&p)
+    }
+
+    fn jelinek_mercer(lambda: f64) -> Vec<u8> {
+        let mut entry = vec![2];
+        put_f64(&mut entry, lambda);
+        entry
+    }
+
+    #[test]
+    fn earlier_default_and_jelinek_mercer_entries_reencode_byte_for_byte() {
+        for (smoothing, mu, entry) in [
+            (Smoothing::Dirichlet { mu: 2000.0 }, 2000.0, vec![0]),
+            (Smoothing::Dirichlet { mu: 500.0 }, 500.0, vec![0]),
+            (
+                Smoothing::JelinekMercer { lambda: 0.3 },
+                2000.0,
+                jelinek_mercer(0.3),
+            ),
+        ] {
+            let bytes = written(mu, 0.8, 4096, &entry, 16);
+            let c = Catalog::decode(&bytes).unwrap();
+            assert_eq!(
+                c.corpora[0].config,
+                XCleanConfig {
+                    smoothing,
+                    ..Default::default()
+                }
+            );
+            assert_eq!(c.encode().unwrap(), bytes);
+        }
+    }
+
+    #[test]
+    fn retired_slots_off_their_constants_are_rejected_by_name() {
+        let mut explicit_dirichlet = vec![1];
+        put_f64(&mut explicit_dirichlet, 2000.0);
+        for (bytes, setting) in [
+            (written(2000.0, 0.8, 4096, &[0], 4), "batch_size"),
+            (
+                written(2000.0, 0.8, 1, &[0], 16),
+                "max_candidates_per_subtree",
+            ),
+            (written(2000.0, 0.5, 4096, &[0], 16), "depth decay r"),
+            (
+                written(2000.0, 0.8, 4096, &explicit_dirichlet, 16),
+                "explicit Dirichlet",
+            ),
+            (
+                written(1000.0, 0.8, 4096, &jelinek_mercer(0.3), 16),
+                "μ slot",
+            ),
+        ] {
+            match Catalog::decode(&bytes) {
+                Err(CatalogError::BadConfig { name, reason }) => {
+                    assert_eq!(name, "c");
+                    assert!(reason.contains(setting), "{setting}: {reason}");
+                }
+                other => panic!("{setting}: expected BadConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn save_replaces_the_file_under_an_open_reader() {
+        use std::io::Read;
+        let dir =
+            std::env::temp_dir().join(format!("xclean-catalog-replace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("catalog.xcc");
+        let a = sample();
+        a.save(&p).unwrap();
+        let mut held = std::fs::File::open(&p).unwrap();
+        let b = Catalog {
+            corpora: vec![sample().corpora[1].clone()],
+        };
+        b.save(&p).unwrap();
+        let mut read = Vec::new();
+        held.read_to_end(&mut read).unwrap();
+        assert_eq!(
+            read,
+            a.encode().unwrap(),
+            "the open catalog changed under its reader"
+        );
+        assert_eq!(Catalog::load(&p).unwrap(), b);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(
+            names,
+            ["catalog.xcc"],
+            "a temporary file was left beside the target"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn save_writes_through_a_symlink_and_keeps_the_mode() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir =
+            std::env::temp_dir().join(format!("xclean-catalog-symlink-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let target = dir.join("catalog.xcc");
+        let link = dir.join("current.xcc");
+        sample().save(&target).unwrap();
+        std::fs::set_permissions(&target, std::fs::Permissions::from_mode(0o640)).unwrap();
+        std::os::unix::fs::symlink(&target, &link).unwrap();
+        let b = Catalog {
+            corpora: vec![sample().corpora[1].clone()],
+        };
+        b.save(&link).unwrap();
+        assert!(std::fs::symlink_metadata(&link)
+            .unwrap()
+            .file_type()
+            .is_symlink());
+        assert_eq!(Catalog::load(&target).unwrap(), b);
+        let mode = std::fs::metadata(&target).unwrap().permissions().mode();
+        assert_eq!(mode & 0o777, 0o640);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -20,7 +20,9 @@ pub enum EntityPrior {
 
 /// Configuration of the XClean suggestion engine. Field defaults follow
 /// the settings the paper reports as best (§VII): β = 5, ε = 2, d = 2,
-/// r = 0.8, γ = 1000, k = 10.
+/// γ = 1000, k = 10. The paper's r = 0.8 and its `|C_eff|` bound are
+/// constants ([`crate::result_type::DEPTH_DECAY`],
+/// [`crate::walk::MAX_CANDIDATES_PER_SUBTREE`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct XCleanConfig {
     /// Maximum edit errors per keyword (ε of `var_ε(q)`).
@@ -28,10 +30,6 @@ pub struct XCleanConfig {
     /// Error-model penalty β (Eq. 5). The paper's sweep (Table IV) finds
     /// β = 5 best.
     pub beta: f64,
-    /// Dirichlet smoothing mass μ (§IV-B2).
-    pub mu: f64,
-    /// Depth-reduction factor `r` of the result-type utility (Eq. 7).
-    pub depth_decay: f64,
     /// Minimal depth threshold `d`: result types shallower than this are
     /// not considered and subtrees are gated at this depth (§V-B). The
     /// paper finds d = 2 sufficient.
@@ -41,10 +39,6 @@ pub struct XCleanConfig {
     pub gamma: Option<usize>,
     /// Number of suggestions to return.
     pub k: usize,
-    /// Safety valve on candidate queries enumerated within one subtree
-    /// (the paper's observation that `|C_eff|` can be bounded by a
-    /// constant without quality loss).
-    pub max_candidates_per_subtree: usize,
     /// Words longer than this use the partitioned FastSS scheme (`l_p`).
     pub partition_threshold: usize,
     /// When `true` (default), the walk scans the level table's kept entity
@@ -57,11 +51,10 @@ pub struct XCleanConfig {
     /// variant set with this pseudo edit distance (the §VI-A
     /// cognitive-error extension). `None` disables phonetic matching.
     pub phonetic_distance: Option<u32>,
-    /// Language-model smoothing override. `None` (default) means
-    /// Dirichlet with the [`XCleanConfig::mu`] mass — the paper's
-    /// setting; `Some` selects an explicit scheme (e.g. Jelinek–Mercer)
-    /// for the smoothing ablation.
-    pub smoothing: Option<xclean_lm::Smoothing>,
+    /// Language-model smoothing: Dirichlet with mass μ = 2000 by default
+    /// (§IV-B2, the paper's setting); Jelinek–Mercer for the smoothing
+    /// ablation.
+    pub smoothing: xclean_lm::Smoothing,
     /// Threads used across the queries of a `suggest_many` batch and
     /// across the shards of a set during one query's scatter (a batch
     /// splits them so that workers × scatter threads stays within this
@@ -70,9 +63,6 @@ pub struct XCleanConfig {
     /// bit-identical suggestions (see DESIGN.md, "Concurrency &
     /// batching").
     pub num_threads: usize,
-    /// Queries handed to a pool worker per dispatch in `suggest_many`
-    /// (amortises dispatch traffic on large workloads).
-    pub batch_size: usize,
 }
 
 impl Default for XCleanConfig {
@@ -80,19 +70,15 @@ impl Default for XCleanConfig {
         XCleanConfig {
             epsilon: 2,
             beta: 5.0,
-            mu: 2000.0,
-            depth_decay: 0.8,
             min_depth: 2,
             gamma: Some(1000),
             k: 10,
-            max_candidates_per_subtree: 4096,
             partition_threshold: 14,
             enable_skipping: true,
             prior: EntityPrior::Uniform,
             phonetic_distance: None,
-            smoothing: None,
+            smoothing: xclean_lm::Smoothing::default(),
             num_threads: 1,
-            batch_size: 16,
         }
     }
 }
@@ -107,26 +93,26 @@ pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 impl XCleanConfig {
-    /// The effective smoothing scheme: the explicit override, or
-    /// Dirichlet with `mu`.
+    /// The smoothing scheme the language model uses: `smoothing` itself,
+    /// kept as an accessor because the benchmark harness (`xbench/`)
+    /// reads it.
     pub fn effective_smoothing(&self) -> xclean_lm::Smoothing {
         self.smoothing
-            .unwrap_or(xclean_lm::Smoothing::Dirichlet { mu: self.mu })
     }
 
     /// A 64-bit FNV-1a fingerprint of every *result-relevant* parameter.
     ///
     /// Two configs with equal fingerprints produce bit-identical
-    /// suggestions for the same query over the same corpus. The
-    /// concurrency knobs (`num_threads`, `batch_size`) are deliberately
-    /// excluded: the engine guarantees they never change results, only
-    /// wall-clock. The serving layer keys its response cache on this
+    /// suggestions for the same query over the same corpus. `num_threads`
+    /// is deliberately excluded: the engine guarantees it never changes
+    /// results, only wall-clock. The fixed constants of the model (r,
+    /// `|C_eff|`) are not hashed either: they are the same for every
+    /// config. The serving layer keys its response cache on this
     /// value so entries can never leak across configurations.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         fnv1a(&mut h, &(self.epsilon as u64).to_le_bytes());
         fnv1a(&mut h, &self.beta.to_bits().to_le_bytes());
-        fnv1a(&mut h, &self.depth_decay.to_bits().to_le_bytes());
         fnv1a(&mut h, &u64::from(self.min_depth).to_le_bytes());
         // Option/enum values get a tag byte so `None` can never collide
         // with a payload that happens to encode to the same bytes.
@@ -138,10 +124,6 @@ impl XCleanConfig {
             }
         }
         fnv1a(&mut h, &(self.k as u64).to_le_bytes());
-        fnv1a(
-            &mut h,
-            &(self.max_candidates_per_subtree as u64).to_le_bytes(),
-        );
         fnv1a(&mut h, &(self.partition_threshold as u64).to_le_bytes());
         fnv1a(&mut h, &[u8::from(self.enable_skipping)]);
         fnv1a(
@@ -158,7 +140,7 @@ impl XCleanConfig {
                 fnv1a(&mut h, &u64::from(d).to_le_bytes());
             }
         }
-        match self.effective_smoothing() {
+        match self.smoothing {
             xclean_lm::Smoothing::Dirichlet { mu } => {
                 fnv1a(&mut h, &[0]);
                 fnv1a(&mut h, &mu.to_bits().to_le_bytes());
@@ -175,14 +157,9 @@ impl XCleanConfig {
     /// from outside (CLI flags, a catalog file) is held to this, so a bad
     /// value is a usage or decode error instead of a panic.
     pub fn check(&self) -> Result<(), &'static str> {
-        self.effective_smoothing().check()?;
+        self.smoothing.check()?;
         let rules = [
             (self.beta >= 0.0, "β must be non-negative"),
-            (self.mu > 0.0, "μ must be positive"),
-            (
-                self.depth_decay > 0.0 && self.depth_decay <= 1.0,
-                "depth decay r must be in (0, 1]",
-            ),
             (self.min_depth >= 1, "min depth must be at least 1"),
             (self.k >= 1, "k must be at least 1"),
             (
@@ -190,7 +167,6 @@ impl XCleanConfig {
                 "γ must be at least 1 when set",
             ),
             (self.num_threads >= 1, "num_threads must be at least 1"),
-            (self.batch_size >= 1, "batch_size must be at least 1"),
         ];
         match rules.iter().find(|(ok, _)| !ok) {
             Some(&(_, reason)) => Err(reason),
@@ -218,7 +194,7 @@ mod tests {
         assert_eq!(c.beta, 5.0);
         assert_eq!(c.min_depth, 2);
         assert_eq!(c.gamma, Some(1000));
-        assert_eq!(c.depth_decay, 0.8);
+        assert_eq!(c.smoothing, xclean_lm::Smoothing::Dirichlet { mu: 2000.0 });
         c.validate();
     }
 
@@ -226,11 +202,10 @@ mod tests {
     fn fingerprint_tracks_scoring_params_only() {
         let base = XCleanConfig::default();
         assert_eq!(base.fingerprint(), XCleanConfig::default().fingerprint());
-        // Concurrency knobs never change results, so they must not
-        // change the fingerprint either.
+        // The thread count never changes results, so it must not change
+        // the fingerprint either.
         let threaded = XCleanConfig {
             num_threads: 8,
-            batch_size: 1,
             ..Default::default()
         };
         assert_eq!(base.fingerprint(), threaded.fingerprint());
@@ -257,7 +232,11 @@ mod tests {
                 ..Default::default()
             },
             XCleanConfig {
-                mu: 1999.0,
+                smoothing: xclean_lm::Smoothing::Dirichlet { mu: 1999.0 },
+                ..Default::default()
+            },
+            XCleanConfig {
+                smoothing: xclean_lm::Smoothing::JelinekMercer { lambda: 0.5 },
                 ..Default::default()
             },
             XCleanConfig {
@@ -297,14 +276,7 @@ mod tests {
         );
         assert_eq!(
             bad(XCleanConfig {
-                depth_decay: 1.5,
-                ..Default::default()
-            }),
-            "depth decay r must be in (0, 1]"
-        );
-        assert_eq!(
-            bad(XCleanConfig {
-                smoothing: Some(xclean_lm::Smoothing::JelinekMercer { lambda: 1.0 }),
+                smoothing: xclean_lm::Smoothing::JelinekMercer { lambda: 1.0 },
                 ..Default::default()
             }),
             "λ must be in (0, 1)"
@@ -315,7 +287,7 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn invalid_mu_rejected() {
         XCleanConfig {
-            mu: 0.0,
+            smoothing: xclean_lm::Smoothing::Dirichlet { mu: 0.0 },
             ..Default::default()
         }
         .validate();
@@ -326,16 +298,6 @@ mod tests {
     fn zero_threads_rejected() {
         XCleanConfig {
             num_threads: 0,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "batch_size must be at least 1")]
-    fn zero_batch_rejected() {
-        XCleanConfig {
-            batch_size: 0,
             ..Default::default()
         }
         .validate();

@@ -335,19 +335,23 @@ mod tests {
 
     #[test]
     fn suggest_many_matches_sequential_suggest() {
-        let queries = [
+        // Over two chunks and a partial third, so several workers answer.
+        let queries: Vec<&str> = [
             "helth insurance",
             "health insurrance",
             "geo taging",
             "smith",
             "qqqq",
-        ];
+        ]
+        .into_iter()
+        .cycle()
+        .take(2 * crate::pipeline::BATCH_CHUNK + 5)
+        .collect();
         for threads in [1usize, 2, 8] {
             let e = XCleanEngine::from_shared(
                 engine().corpus_shared(),
                 XCleanConfig {
                     num_threads: threads,
-                    batch_size: 2,
                     ..Default::default()
                 },
             );
@@ -365,12 +369,17 @@ mod tests {
             engine().corpus_shared(),
             XCleanConfig {
                 num_threads: 4,
-                batch_size: 1, // one query per job: maximal reordering risk
                 ..Default::default()
             },
         );
-        // Distinguishable queries so a misplaced response is detectable.
-        let queries = ["helth", "insurance", "markets", "policy", "smith", "jones"];
+        // Distinguishable queries so a misplaced response is detectable;
+        // several chunks' worth, each chunk starting at a different one of
+        // the six, so a misplaced chunk is detectable too.
+        let queries: Vec<&str> = ["helth", "insurance", "markets", "policy", "smith", "jones"]
+            .into_iter()
+            .cycle()
+            .take(3 * crate::pipeline::BATCH_CHUNK)
+            .collect();
         let rs = e.suggest_many(&queries);
         for (q, r) in queries.iter().zip(rs.iter()) {
             assert_same_responses(&e.suggest(q), r);
@@ -384,8 +393,7 @@ mod tests {
         let e = XCleanEngine::from_shared(
             e.corpus_shared(),
             XCleanConfig {
-                num_threads: 8,  // more workers than queries
-                batch_size: 100, // batch bigger than the workload
+                num_threads: 8, // more workers than queries, one chunk
                 ..Default::default()
             },
         );
@@ -489,14 +497,25 @@ mod tests {
             engine().corpus_shared(),
             XCleanConfig {
                 num_threads: 4,
-                batch_size: 1,
                 ..Default::default()
             },
         )
         .with_telemetry(Telemetry::with_tracing());
-        e.suggest_many(&["helth insurance", "health policy", "smith", "jones"]);
+        let queries: Vec<&str> = ["helth insurance", "health policy", "smith", "jones"]
+            .into_iter()
+            .cycle()
+            .take(3 * crate::pipeline::BATCH_CHUNK)
+            .collect();
+        e.suggest_many(&queries);
         let spans = e.tracer().finished_spans();
         let batch = spans.iter().find(|s| s.name == "suggest_batch").unwrap();
+        // Every pool worker adopts the batch span, whether or not it
+        // claimed a chunk.
+        let workers: Vec<_> = spans.iter().filter(|s| s.name == "batch_worker").collect();
+        assert_eq!(workers.len(), 4);
+        for w in &workers {
+            assert_eq!(w.parent, Some(batch.id));
+        }
         for s in spans.iter().filter(|s| s.name == "suggest") {
             let worker = spans
                 .iter()

@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use xclean_index::{CorpusIndex, LoadReport, PostingList, TokenId, Vocabulary};
 use xclean_lm::ErrorModel;
+use xclean_telemetry::json::Json;
 use xclean_telemetry::{
     names, Counter, Histogram, MetricsRegistry, ShardAttribution, Telemetry, Tracer,
 };
@@ -57,6 +58,11 @@ use crate::pruning::{Accumulator, AccumulatorTable, GammaEvent, ScoreSink};
 use crate::slca::{accumulate_lca, slca_of_lists};
 use crate::variants::VariantGenerator;
 use crate::view::{GlobalStats, Scoring, ShardScope};
+
+/// Queries a pool worker claims per dispatch in
+/// [`Pipeline::suggest_many`] (amortises dispatch traffic on large
+/// workloads).
+pub const BATCH_CHUNK: usize = 16;
 
 /// Which XML keyword-query semantics defines the entities (§IV-B2, §VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,6 +113,19 @@ impl Suggestion {
     /// Total edit distance across keywords.
     pub fn total_distance(&self) -> u32 {
         self.distances.iter().sum()
+    }
+
+    /// The suggestion as the JSON object the server's replies and the
+    /// CLI's `suggest --json` print: `query`, `terms`, `log_score`,
+    /// `distances`, `entities`, in that order.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("query", self.query_string().into()),
+            ("terms", self.terms.iter().map(String::as_str).collect()),
+            ("log_score", self.log_score.into()),
+            ("distances", self.distances.iter().copied().collect()),
+            ("entities", self.entity_count.into()),
+        ])
     }
 }
 
@@ -990,11 +1009,11 @@ impl Pipeline {
     }
 
     /// Suggests with a per-call configuration override. Scoring parameters
-    /// (β, μ, γ, d, r, k, skipping) take effect immediately; `epsilon` and
-    /// `partition_threshold` are capped by the offline variant index the
-    /// pipeline was built with, and `min_depth` must stay ≥ 2 over a shard
-    /// set. This serving wrapper is the only place query metrics are
-    /// recorded.
+    /// (β, smoothing, γ, d, k, skipping, prior) take effect immediately;
+    /// `epsilon` and `partition_threshold` are capped by the offline
+    /// variant index the pipeline was built with, and `min_depth` must stay
+    /// ≥ 2 over a shard set. r and `|C_eff|` are constants. This serving
+    /// wrapper is the only place query metrics are recorded.
     pub fn suggest_keywords_with(
         &self,
         keywords: &[String],
@@ -1011,7 +1030,7 @@ impl Pipeline {
     /// input order.
     ///
     /// With `config.num_threads > 1` the queries are claimed in
-    /// `config.batch_size` chunks by a fixed pool of worker threads that
+    /// [`BATCH_CHUNK`]-query chunks by a fixed pool of worker threads that
     /// share the pipeline (and through it the corpus snapshots) by
     /// reference. Every response is bit-identical to what
     /// [`Pipeline::suggest`] returns for the same query, whatever the
@@ -1053,7 +1072,6 @@ impl Pipeline {
         // Workers claim chunk indices from a shared cursor and keep what
         // they answered; sorting the claimed chunks by index afterwards
         // restores input order.
-        let chunk = self.config.batch_size.max(1);
         let next_chunk = AtomicUsize::new(0);
         let mut answered: Vec<(usize, Vec<SuggestResponse>)> = join_all((0..workers).map(|_| {
             || {
@@ -1061,11 +1079,11 @@ impl Pipeline {
                 let mut mine = Vec::new();
                 loop {
                     let i = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    let start = i.saturating_mul(chunk);
+                    let start = i.saturating_mul(BATCH_CHUNK);
                     if start >= queries.len() {
                         break mine;
                     }
-                    let batch = &queries[start..queries.len().min(start + chunk)];
+                    let batch = &queries[start..queries.len().min(start + BATCH_CHUNK)];
                     let responses = batch
                         .iter()
                         .map(|kw| self.suggest_keywords_with(kw, per_query))

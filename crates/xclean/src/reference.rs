@@ -34,6 +34,7 @@ use crate::result_type::find_result_type_scoped;
 use crate::slca::slca_of_lists;
 use crate::variants::Variant;
 use crate::view::Scoring;
+use crate::walk::MAX_CANDIDATES_PER_SUBTREE;
 use crate::{ShardedEngine, XCleanEngine};
 
 /// One `add_weighted` call: the full argument tuple, owned.
@@ -313,24 +314,18 @@ fn ref_accumulate_node_type(
     out: &mut Vec<Contribution>,
 ) {
     let error_model = ErrorModel::new(config.beta);
-    let lm = view.language_model(config.effective_smoothing());
+    let lm = view.language_model(config.smoothing);
     let mut type_cache: HashMap<CandidateKey, Option<PathId>> = HashMap::new();
     let (mut enumerated, mut typed, mut scored) = (0u64, 0u64, 0u64);
     ref_walk(view, slots, config, stats, |occurrences, slot_tokens| {
         let mut entity_maps: HashMap<PathId, BTreeMap<NodeId, HashMap<TokenId, u64>>> =
             HashMap::new();
-        for cand in ref_enumerate(slot_tokens, config.max_candidates_per_subtree) {
+        for cand in ref_enumerate(slot_tokens, MAX_CANDIDATES_PER_SUBTREE) {
             enumerated += 1;
             let rt = *type_cache.entry(cand.clone()).or_insert_with(|| {
                 typed += 1;
-                find_result_type_scoped(
-                    view,
-                    &cand,
-                    config.min_depth,
-                    config.depth_decay,
-                    &mut Vec::new(),
-                )
-                .map(|rt| rt.path)
+                find_result_type_scoped(view, &cand, config.min_depth, &mut Vec::new())
+                    .map(|rt| rt.path)
             });
             let Some(path) = rt else { continue };
             let entities = entity_maps.entry(path).or_insert_with(|| {
@@ -395,7 +390,7 @@ fn ref_accumulate_lca(
     out: &mut Vec<Contribution>,
 ) {
     let error_model = ErrorModel::new(config.beta);
-    let lm = view.language_model(config.effective_smoothing());
+    let lm = view.language_model(config.smoothing);
     let tree = view.tree();
     let (mut enumerated, mut scored) = (0u64, 0u64);
     ref_walk(view, slots, config, stats, |occurrences, slot_tokens| {
@@ -407,7 +402,7 @@ fn ref_accumulate_lca(
             v.sort_unstable_by_key(|&(n, _)| n);
             v.dedup_by_key(|&mut (n, _)| n);
         }
-        for cand in ref_enumerate(slot_tokens, config.max_candidates_per_subtree) {
+        for cand in ref_enumerate(slot_tokens, MAX_CANDIDATES_PER_SUBTREE) {
             enumerated += 1;
             let mut distinct = cand.clone();
             distinct.sort_unstable();
@@ -855,6 +850,59 @@ proptest! {
                 }
             }
             coverage.assert_exercised();
+        }
+    }
+}
+
+/// Four keywords with ten one-substitution variants each, all in one
+/// record: 10⁴ candidates in that subtree, so the `|C_eff|` budget runs
+/// out mid-enumeration. The product's early exit and the reference's
+/// truncation must keep the same first candidates, under every semantics,
+/// with and without γ-pruning, on either walk path.
+#[test]
+fn an_exhausted_candidate_budget_matches_the_reference() {
+    let query = ["kwalm", "prost", "vindu", "zelko"];
+    let variants: Vec<String> = query
+        .iter()
+        .flat_map(|w| ('a'..='j').map(move |c| format!("{}{c}", &w[..4])))
+        .collect();
+    let xml = format!(
+        "<r><rec><t>{}</t></rec><rec><t>{}</t></rec></r>",
+        variants.join(" "),
+        query.join(" ")
+    );
+    let engine = XCleanEngine::new(
+        xclean_xmltree::parse_document(&xml).unwrap(),
+        XCleanConfig::default(),
+    );
+    let keywords: Vec<String> = query.iter().map(|w| w.to_string()).collect();
+    let slots = engine.make_slots(&keywords);
+    assert!(slots.iter().all(|s| s.variants.len() == 11));
+    let views = [Scoring::unsharded(engine.corpus())];
+    let arenas = ArenaPool::default();
+    for semantics in [Semantics::NodeType, Semantics::Slca, Semantics::Elca] {
+        let gammas = [None, Some(3)];
+        for (gamma, enable_skipping) in gammas.into_iter().flat_map(|g| [(g, true), (g, false)]) {
+            let config = XCleanConfig {
+                gamma,
+                enable_skipping,
+                ..XCleanConfig::default()
+            };
+            let what = format!("{semantics:?} γ={gamma:?} skipping {enable_skipping}");
+            let reference = reference_run(&views, semantics, &slots, &config);
+            let product = product_run(
+                Walked::Corpus(engine.corpus()),
+                semantics,
+                &slots,
+                &config,
+                &arenas,
+            );
+            assert_same(&product, &reference, &config, &what);
+            assert_eq!(
+                product.stats.candidates_enumerated,
+                MAX_CANDIDATES_PER_SUBTREE as u64 + 1,
+                "{what}"
+            );
         }
     }
 }

@@ -16,6 +16,11 @@ use xclean_xmltree::PathId;
 
 use crate::view::Scoring;
 
+/// The depth-reduction factor `r` of Eq. 7. The paper fixes r = 0.8
+/// (§VII): deeper result types pay `r^depth`, so among types that hold
+/// every keyword equally often the shallower one wins.
+pub const DEPTH_DECAY: f64 = 0.8;
+
 /// Outcome of result-type inference for a candidate query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResultType {
@@ -27,6 +32,7 @@ pub struct ResultType {
 
 /// Computes the best result type for the candidate query `tokens`, or
 /// `None` when no type of depth ≥ `min_depth` contains all keywords.
+/// `r` is [`DEPTH_DECAY`].
 ///
 /// Implements the index-intersection strategy of §V-B: each keyword's
 /// `(path, f_w^p)` list is intersected (lists are sorted by path id) and
@@ -35,13 +41,11 @@ pub fn find_result_type(
     corpus: &CorpusIndex,
     tokens: &[TokenId],
     min_depth: u32,
-    depth_decay: f64,
 ) -> Option<ResultType> {
     find_result_type_scoped(
         &Scoring::unsharded(corpus),
         tokens,
         min_depth,
-        depth_decay,
         &mut Vec::new(),
     )
 }
@@ -55,7 +59,6 @@ pub(crate) fn find_result_type_scoped(
     view: &Scoring<'_>,
     tokens: &[TokenId],
     min_depth: u32,
-    depth_decay: f64,
     order: &mut Vec<usize>,
 ) -> Option<ResultType> {
     if tokens.is_empty() {
@@ -81,7 +84,7 @@ pub(crate) fn find_result_type_scoped(
             }
             product *= f64::from(f);
         }
-        let utility = (1.0 + product).ln() * depth_decay.powi(depth as i32);
+        let utility = (1.0 + product).ln() * DEPTH_DECAY.powi(depth as i32);
         let better = match &best {
             None => true,
             // Tie-break on smaller path id for determinism.
@@ -126,7 +129,7 @@ mod tests {
         let c = example3_corpus();
         let trie = c.vocab().get("trie").unwrap();
         let icde = c.vocab().get("icde").unwrap();
-        let rt = find_result_type(&c, &[trie, icde], 2, 0.8).unwrap();
+        let rt = find_result_type(&c, &[trie, icde], 2).unwrap();
         assert_eq!(rt.path, path_of(&c, "/a/d"));
         // U(C, /a/d) = ln(1 + 2·2) · 0.8² = ln 5 · 0.64
         let expect = 5.0f64.ln() * 0.64;
@@ -140,7 +143,7 @@ mod tests {
         let icde = c.vocab().get("icde").unwrap();
         // With min_depth 3, only the /…/x paths qualify; /a/d/x wins
         // (ln(1+4)·r³ > ln(1+3)·r³).
-        let rt = find_result_type(&c, &[trie, icde], 3, 0.8).unwrap();
+        let rt = find_result_type(&c, &[trie, icde], 3).unwrap();
         assert_eq!(rt.path, path_of(&c, "/a/d/x"));
         let expect = 5.0f64.ln() * 0.8f64.powi(3);
         assert!((rt.utility - expect).abs() < 1e-12);
@@ -151,13 +154,13 @@ mod tests {
         let c = example3_corpus();
         let trie = c.vocab().get("trie").unwrap();
         let icde = c.vocab().get("icde").unwrap();
-        // min_depth 1 admits the root path /a; with decay 1.0 the root
-        // sees products of full-tree counts but deeper paths can still win
-        // on larger products. Just check it returns something ≥ depth 1.
-        let rt = find_result_type(&c, &[trie, icde], 1, 1.0).unwrap();
+        // min_depth 1 admits the root path /a: the root sees products of
+        // full-tree counts but deeper paths can still win on larger
+        // products. Just check it returns something ≥ depth 1.
+        let rt = find_result_type(&c, &[trie, icde], 1).unwrap();
         assert!(c.tree().paths().depth(rt.path) >= 1);
         // min_depth 2 must never return /a.
-        let rt = find_result_type(&c, &[trie, icde], 2, 1.0).unwrap();
+        let rt = find_result_type(&c, &[trie, icde], 2).unwrap();
         assert!(c.tree().paths().depth(rt.path) >= 2);
     }
 
@@ -169,16 +172,16 @@ mod tests {
         let c = CorpusIndex::build(parse_document(xml).unwrap());
         let a = c.vocab().get("alpha").unwrap();
         let b = c.vocab().get("beta").unwrap();
-        assert!(find_result_type(&c, &[a, b], 2, 0.8).is_none());
+        assert!(find_result_type(&c, &[a, b], 2).is_none());
         // At min_depth 1 they do share the root.
-        assert!(find_result_type(&c, &[a, b], 1, 0.8).is_some());
+        assert!(find_result_type(&c, &[a, b], 1).is_some());
     }
 
     #[test]
     fn single_keyword_query() {
         let c = example3_corpus();
         let icde = c.vocab().get("icde").unwrap();
-        let rt = find_result_type(&c, &[icde], 2, 0.8).unwrap();
+        let rt = find_result_type(&c, &[icde], 2).unwrap();
         // f_icde is 2 at /a/d and /a/d/x, 1 at /a/c, /a/c/x; /a/d wins
         // (shallower at equal product).
         assert_eq!(rt.path, path_of(&c, "/a/d"));
@@ -187,14 +190,14 @@ mod tests {
     #[test]
     fn empty_token_list() {
         let c = example3_corpus();
-        assert!(find_result_type(&c, &[], 2, 0.8).is_none());
+        assert!(find_result_type(&c, &[], 2).is_none());
     }
 
     #[test]
     fn repeated_token_squares_frequency() {
         let c = example3_corpus();
         let icde = c.vocab().get("icde").unwrap();
-        let rt = find_result_type(&c, &[icde, icde], 2, 0.8).unwrap();
+        let rt = find_result_type(&c, &[icde, icde], 2).unwrap();
         // product = f², /a/d: 4 vs /a/c: 1 → /a/d with ln(5)·0.64.
         assert_eq!(rt.path, path_of(&c, "/a/d"));
         assert!((rt.utility - 5.0f64.ln() * 0.64).abs() < 1e-12);

@@ -105,7 +105,7 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
     arena: &mut QueryArena,
     sink: &mut S,
 ) {
-    let lm = view.language_model(config.effective_smoothing());
+    let lm = view.language_model(config.smoothing);
     let tree = view.tree();
     arena
         .candidates
@@ -130,7 +130,7 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
         |_gate, tokens, occurrences| {
             // Per-token occurrence nodes/counts in this subtree, gathered
             // on the first candidate's request.
-            let mut budget = config.max_candidates_per_subtree;
+            let mut budget = crate::walk::MAX_CANDIDATES_PER_SUBTREE;
             crate::walk::enumerate_candidates_in(
                 tokens.slot_tokens,
                 candidate,

@@ -591,6 +591,12 @@ fn gather(
     all_present
 }
 
+/// The `|C_eff|` bound: at most this many candidate queries are
+/// enumerated within one subtree. A safety valve after the paper's
+/// observation (§VII) that `|C_eff|` can be bounded by a constant without
+/// quality loss; every scorer starts each subtree's budget here.
+pub const MAX_CANDIDATES_PER_SUBTREE: usize = 4096;
+
 /// Depth-first Cartesian enumeration of one token per slot, bounded by
 /// `budget` total candidates.
 pub fn enumerate_candidates(

@@ -136,7 +136,7 @@ fn agreement_under_jelinek_mercer_smoothing() {
     let gen = VariantGenerator::build(&corpus, 2, 14);
     let cfg = XCleanConfig {
         gamma: None,
-        smoothing: Some(xclean_suite::lm::Smoothing::JelinekMercer { lambda: 0.4 }),
+        smoothing: xclean_suite::lm::Smoothing::JelinekMercer { lambda: 0.4 },
         ..Default::default()
     };
     for q in ["keyword search", "databse systems"] {

@@ -131,7 +131,6 @@ fn suggest_many_is_bit_identical_across_thread_counts() {
                 engine.corpus_shared(),
                 XCleanConfig {
                     num_threads: threads,
-                    batch_size: 7, // deliberately not a divisor of the workload
                     enable_skipping,
                     ..Default::default()
                 },
@@ -193,7 +192,6 @@ fn binding_gamma_is_bit_identical_across_thread_counts() {
             engine.corpus_shared(),
             XCleanConfig {
                 num_threads: threads,
-                batch_size: 7,
                 ..tight.clone()
             },
         );

@@ -27,7 +27,6 @@ fn engine() -> XCleanEngine {
         XCleanConfig {
             epsilon: 1,
             min_depth: 2,
-            depth_decay: 0.8,
             ..Default::default()
         },
     )

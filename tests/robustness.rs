@@ -1,6 +1,7 @@
 //! Robustness tests: degenerate, adversarial, and edge-case inputs must
 //! never panic and must keep the engine's invariants.
 
+use xclean_suite::xclean::walk::MAX_CANDIDATES_PER_SUBTREE;
 use xclean_suite::xclean::{Semantics, XCleanConfig, XCleanEngine};
 use xclean_suite::xmltree::parse_document;
 
@@ -131,20 +132,59 @@ fn duplicate_keywords() {
     }
 }
 
+/// Four keywords with ten one-substitution variants each, all in one
+/// record: 10⁴ candidates there, more than the `|C_eff|` budget. A second
+/// record holds the keywords as typed.
+fn budget_engine() -> XCleanEngine {
+    let variants: Vec<String> = BUDGET_QUERY
+        .split(' ')
+        .flat_map(|w| ('a'..='j').map(move |c| format!("{}{c}", &w[..4])))
+        .collect();
+    let xml = format!(
+        "<r><rec><t>{}</t></rec><rec><t>{BUDGET_QUERY}</t></rec></r>",
+        variants.join(" ")
+    );
+    XCleanEngine::new(parse_document(&xml).unwrap(), XCleanConfig::default())
+}
+
+const BUDGET_QUERY: &str = "kwalm prost vindu zelko";
+
+#[test]
+fn candidate_budget_binds_without_panicking() {
+    for semantics in [Semantics::NodeType, Semantics::Slca, Semantics::Elca] {
+        let e = budget_engine().with_semantics(semantics);
+        let r = e.suggest(BUDGET_QUERY);
+        // The crowded record stops at the budget; the other adds its one.
+        assert_eq!(
+            r.stats.candidates_enumerated,
+            MAX_CANDIDATES_PER_SUBTREE as u64 + 1,
+            "{semantics:?}"
+        );
+        assert_eq!(
+            r.suggestions[0].query_string(),
+            BUDGET_QUERY,
+            "{semantics:?}"
+        );
+    }
+}
+
 #[test]
 fn tight_budget_configs_do_not_panic() {
     let e = engine();
+    let budget = budget_engine();
     for gamma in [Some(1), Some(2), None] {
         for k in [1usize, 2, 100] {
             let cfg = XCleanConfig {
                 gamma,
                 k,
-                max_candidates_per_subtree: 1,
                 ..Default::default()
             };
             let kw: Vec<String> = vec!["alpha".into(), "beta".into()];
             let r = e.suggest_keywords_with(&kw, &cfg);
             assert!(r.suggestions.len() <= k);
+            let kw: Vec<String> = BUDGET_QUERY.split(' ').map(String::from).collect();
+            let r = budget.suggest_keywords_with(&kw, &cfg);
+            assert!(!r.suggestions.is_empty() && r.suggestions.len() <= k);
         }
     }
 }

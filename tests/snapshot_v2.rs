@@ -13,6 +13,7 @@ use xclean_suite::datagen::{
     generate_dblp, generate_inex, make_workload, DblpConfig, InexConfig, Perturbation, WorkloadSpec,
 };
 use xclean_suite::index::{slab::checksum64, storage, CorpusIndex, OpenOptions, SlabMode};
+use xclean_suite::xclean::pipeline::BATCH_CHUNK;
 use xclean_suite::xclean::{SuggestResponse, XCleanConfig, XCleanEngine};
 use xclean_suite::xmltree::parse_document;
 
@@ -83,8 +84,15 @@ fn assert_identical(name: &str, q: &[String], a: &SuggestResponse, b: &SuggestRe
 
 /// Saves `index` as v2, opens it through a mapped slab, and asserts every
 /// workload query answers bit-identically to the in-memory `index` it was
-/// written from, at 1 and 8 worker threads.
+/// written from, at 1 and 8 worker threads. Each workload spans more than
+/// two `suggest_many` chunks, so at 8 threads several workers read the
+/// mapped slab at once.
 fn assert_v2_mapped_matches_fresh_build(name: &str, index: CorpusIndex, queries: &[Vec<String>]) {
+    assert!(
+        queries.len() > 2 * BATCH_CHUNK,
+        "{name}: {} queries fit in two chunks",
+        queries.len()
+    );
     let v2_path = tmp(&format!("{name}.v2.xci"));
     storage::save_to_file_v2(&index, &v2_path).unwrap();
     let (v2_corpus, v2_report) = storage::open_file(&v2_path, &OpenOptions::default()).unwrap();
@@ -99,7 +107,6 @@ fn assert_v2_mapped_matches_fresh_build(name: &str, index: CorpusIndex, queries:
     for threads in [1usize, 8] {
         let config = XCleanConfig {
             num_threads: threads,
-            batch_size: 5, // not a divisor of the workload sizes
             ..Default::default()
         };
         let fresh_engine = XCleanEngine::from_shared(fresh_corpus.clone(), config.clone());
@@ -120,7 +127,12 @@ fn assert_v2_mapped_matches_fresh_build(name: &str, index: CorpusIndex, queries:
 
 #[test]
 fn dblp_v2_mapped_matches_v1_across_sizes() {
-    for (publications, n_queries) in [(50, 12), (300, 16), (1000, 20)] {
+    // Not multiples of the chunk, so the last chunk is a partial one.
+    for (publications, n_queries) in [
+        (50, 2 * BATCH_CHUNK + 6),
+        (300, 2 * BATCH_CHUNK + 10),
+        (1000, 2 * BATCH_CHUNK + 14),
+    ] {
         let index = CorpusIndex::build(generate_dblp(&DblpConfig {
             publications,
             ..Default::default()
@@ -136,7 +148,7 @@ fn inex_v2_mapped_matches_v1() {
         articles: 150,
         ..Default::default()
     }));
-    let queries = workload(&index, 16, 4200);
+    let queries = workload(&index, 2 * BATCH_CHUNK + 8, 4200);
     assert_v2_mapped_matches_fresh_build("inex_150", index, &queries);
 }
 

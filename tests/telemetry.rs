@@ -26,7 +26,6 @@ fn engine_with(threads: usize, telemetry: Telemetry) -> XCleanEngine {
         }),
         XCleanConfig {
             num_threads: threads,
-            batch_size: 4,
             ..Default::default()
         },
     )
