@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! xclean index build <data.xml> --out index.xci    build & persist an index
-//! xclean index upgrade <old.xci> --out new.xci     rewrite a snapshot as v2
 //! xclean index inspect <index.xci>                 snapshot summary
 //! xclean index shard <in> --shards N --out-prefix P   split into a shard set
 //! xclean suggest <data.xml|index.xci> <query…>     clean a keyword query
@@ -56,8 +55,6 @@ xclean — valid spelling suggestions for XML keyword queries (ICDE 2011)
 USAGE:
     xclean index build <data.xml> --out <index.xci>
             (writes the v2 format — columnar, checksummed, mmap-servable)
-    xclean index upgrade <old.xci> --out <new.xci>
-            (rewrites any readable snapshot, legacy v1 included, as v2)
     xclean index inspect <index.xci>
             (summarises a snapshot without materialising the index:
              format version, section sizes, checksum, and — for a shard
@@ -123,8 +120,8 @@ USAGE:
              to --threads scoring workers; above --max-connections open
              sockets new ones are answered 503 and closed. serve needs
              Linux; every other subcommand is portable)
-            (v2 snapshots are served straight from the snapshot bytes:
-             by default they are mmap-ed when possible; --mmap requires
+            (snapshots are served straight from their bytes: by
+             default they are mmap-ed when possible; --mmap requires
              the mapping, --no-mmap forces an in-memory copy)
     xclean stats <data.xml | index.xci>
     xclean generate <dblp | dblp-large | inex> --out <corpus.xml>
@@ -173,15 +170,14 @@ fn load_corpus(path: &str) -> Result<CorpusIndex, ArgError> {
     }
 }
 
-/// `xclean index <build|upgrade|inspect|shard> …`.
+/// `xclean index <build|inspect|shard> …`.
 fn cmd_index(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     match raw.first().map(String::as_str) {
         Some("build") => cmd_index_build(raw[1..].to_vec()),
-        Some("upgrade") => cmd_index_upgrade(raw[1..].to_vec()),
         Some("inspect") => cmd_index_inspect(raw[1..].to_vec()),
         Some("shard") => cmd_index_shard(raw[1..].to_vec()),
         _ => Err(ArgError(format!(
-            "index expects a subcommand: build, upgrade, inspect or shard\n{USAGE}"
+            "index expects a subcommand: build, inspect or shard\n{USAGE}"
         ))),
     }
 }
@@ -205,30 +201,6 @@ fn cmd_index_build(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         corpus.tree().len(),
         corpus.vocab().len(),
         size as f64 / 1e6
-    )]))
-}
-
-/// `xclean index upgrade <old.xci> --out <new.xci>`: re-encodes any
-/// readable snapshot (v1 or v2) in the current v2 format.
-fn cmd_index_upgrade(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
-    let args = Args::parse(raw, &[])?;
-    args.reject_unknown(&["out"])?;
-    let [input] = args.positional() else {
-        return Err(ArgError(
-            "usage: xclean index upgrade <old.xci> --out <new.xci>".into(),
-        ));
-    };
-    let out = args
-        .get("out")
-        .ok_or_else(|| ArgError("--out <new.xci> is required".into()))?;
-    storage::upgrade_file(input, out).map_err(|e| ArgError(format!("{input}: {e}")))?;
-    let s = storage::summarize_file(out).map_err(|e| ArgError(format!("{out}: {e}")))?;
-    Ok(CmdOutput::ok(vec![format!(
-        "upgraded {input} → {out} (v{}, {} nodes, {} terms, {:.1} MB)",
-        s.format_version,
-        s.nodes,
-        s.terms,
-        s.total_bytes as f64 / 1e6
     )]))
 }
 
@@ -355,13 +327,7 @@ fn cmd_index_inspect(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         format!("snapshot    {path}"),
         format!("format      v{}", s.format_version),
         format!("size        {:.2} MB", s.total_bytes as f64 / 1e6),
-        format!(
-            "checksum    {}",
-            match s.checksum {
-                Some(c) => format!("{c:016x} (fnv1a, verified)"),
-                None => "none (v1 snapshots are unchecksummed)".to_string(),
-            }
-        ),
+        format!("checksum    {:016x} (fnv1a, verified)", s.checksum),
         format!("nodes       {}", s.nodes),
         format!("labels      {}", s.labels),
         format!("terms       {}", s.terms),
@@ -828,9 +794,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
                         p.display()
                     ))
                 })?;
-                require_v2(&p.display().to_string(), report.format_version).map_err(|e| {
-                    ArgError(format!("{cat_path}: corpus {:?}: {}", spec.name, e.0))
-                })?;
                 reports.push(report);
                 shards.push(c);
             }
@@ -869,12 +832,13 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         }
     } else {
         let snapshot = snapshot.as_deref().expect("checked above");
-        let (corpus, load_report) = storage::open_file(snapshot, &open_options).map_err(|e| {
-            ArgError(format!(
-                "{snapshot}: {e} (build a snapshot first: xclean index build <data.xml> --out <index.xci>)"
-            ))
-        })?;
-        require_v2(snapshot, load_report.format_version)?;
+        let (corpus, load_report) =
+            storage::open_file(snapshot, &open_options).map_err(|e| match e {
+                storage::StorageError::Io(_) => ArgError(format!(
+                    "{snapshot}: {e} (build a snapshot first: xclean index build <data.xml> --out <index.xci>)"
+                )),
+                _ => ArgError(format!("{snapshot}: {e}")),
+            })?;
         let mut engine = XCleanEngine::from_corpus(corpus, config).with_semantics(semantics);
         if trace_out.is_some() {
             engine = engine.with_telemetry(Telemetry::with_tracing());
@@ -964,17 +928,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         lines.push(format!("metrics → {path}"));
     }
     Ok(CmdOutput::ok(lines))
-}
-
-/// `serve` opens v2 snapshots only — positional or catalog-listed; an
-/// older file is refused with the way out.
-fn require_v2(file: &str, format_version: u8) -> Result<(), ArgError> {
-    if format_version == 2 {
-        return Ok(());
-    }
-    Err(ArgError(format!(
-        "{file}: legacy v{format_version} snapshot — run `xclean index upgrade {file} --out <new.xci>` and serve the result"
-    )))
 }
 
 fn cmd_stats(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
@@ -1085,6 +1038,7 @@ mod tests {
             vec!["index"],
             vec!["index", "frobnicate"],
             vec!["index", "data.xml", "--out", "data.xci"],
+            vec!["index", "upgrade", "old.xci", "--out", "new.xci"],
         ] {
             let out = run(argv(&args));
             assert_eq!(out.code, 2, "{args:?}");
@@ -1259,15 +1213,30 @@ mod tests {
 
     /// `--json` bytes are pinned — pretty layout, key order, number
     /// formatting — by goldens that predate `xclean_telemetry::json`'s
-    /// printer (`tests/fixtures/README.md`).
+    /// printer (`tests/fixtures/README.md`). They are answered from v2
+    /// snapshots this test builds from the goldens' two corpora.
     #[test]
     fn json_output_matches_the_committed_goldens() {
         const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
-        let dblp50 = format!("{FIXTURES}/dblp50_v1.xci");
+        let tiny_xml = tmp("golden_tiny.xml");
+        std::fs::write(
+            &tiny_xml,
+            "<db><rec><t>health insurance</t></rec><rec><t>program instance</t></rec>\
+             <rec><t>data integration</t></rec></db>",
+        )
+        .unwrap();
+        let tiny = tmp("golden_tiny.xci").to_string_lossy().into_owned();
+        let dblp50 = tmp("golden_dblp50.xci").to_string_lossy().into_owned();
+        for (xml, xci) in [
+            (tiny_xml.to_string_lossy().into_owned(), &tiny),
+            (format!("{FIXTURES}/dblp50.xml"), &dblp50),
+        ] {
+            assert_eq!(run(argv(&["index", "build", &xml, "--out", xci])).code, 0);
+        }
         let workload = format!("{FIXTURES}/golden/batch_dblp50.txt");
         for (args, golden) in [
             (
-                vec!["suggest", &tiny_v1_fixture(), "helth insurance", "--json"],
+                vec!["suggest", &tiny, "helth insurance", "--json"],
                 "suggest_tiny.json",
             ),
             (
@@ -1382,46 +1351,6 @@ mod tests {
         assert!(text.contains(&format!("terms       {}", corpus.vocab().len())));
     }
 
-    /// The committed legacy-format snapshot (see `tests/fixtures/README.md`).
-    fn tiny_v1_fixture() -> String {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/fixtures/tiny_v1.xci"
-        )
-        .to_string()
-    }
-
-    #[test]
-    fn index_inspect_reports_v1_snapshots() {
-        let out = run(argv(&["index", "inspect", &tiny_v1_fixture()]));
-        assert_eq!(out.code, 0, "{:?}", out.lines);
-        let text = out.lines.join("\n");
-        assert!(text.contains("format      v1"), "{text}");
-        assert!(text.contains("checksum    none"), "{text}");
-        assert!(text.contains("nodes       7"), "{text}");
-        for sec in ["TREE", "VOCAB", "POSTINGS", "TOKENIZER"] {
-            assert!(text.contains(sec), "missing section {sec}: {text}");
-        }
-    }
-
-    #[test]
-    fn index_upgrade_rewrites_v1_as_v2() {
-        let old = tiny_v1_fixture();
-        let new = tmp("upgrade_v2.xci").to_string_lossy().into_owned();
-        let out = run(argv(&["index", "upgrade", &old, "--out", &new]));
-        assert_eq!(out.code, 0, "{:?}", out.lines);
-        assert!(out.lines[0].contains("upgraded"), "{:?}", out.lines);
-        assert!(std::fs::read(&new).unwrap().starts_with(b"XCLIDX2\0"));
-        let a = run(argv(&["suggest", &old, "helth", "insurance", "--json"]));
-        let b = run(argv(&["suggest", &new, "helth", "insurance", "--json"]));
-        assert_eq!(a.code, 0, "{:?}", a.lines);
-        assert_eq!(a.lines, b.lines);
-        // Usage errors.
-        let out = run(argv(&["index", "upgrade", &old]));
-        assert_eq!(out.code, 2);
-        assert!(out.lines[0].contains("--out"), "{:?}", out.lines);
-    }
-
     #[test]
     fn index_inspect_rejects_non_snapshots() {
         let xml = write_sample_xml("inspect_bad.xml");
@@ -1442,10 +1371,15 @@ mod tests {
         let out = run(argv(&["serve", "/nonexistent/corpus.xci"]));
         assert_eq!(out.code, 2);
         assert!(out.lines[0].contains("index build"), "{:?}", out.lines);
-        // A legacy v1 snapshot is refused with the way out.
-        let out = run(argv(&["serve", &tiny_v1_fixture()]));
+        // A file that is not a v2 snapshot is refused with the way out.
+        let xml = write_sample_xml("serve_not_v2.xml");
+        let not_v2 = tmp("serve_not_v2.xci").to_string_lossy().into_owned();
+        std::fs::copy(&xml, &not_v2).unwrap();
+        let out = run(argv(&["serve", &not_v2]));
         assert_eq!(out.code, 2);
-        assert!(out.lines[0].contains("index upgrade"), "{:?}", out.lines);
+        for needle in [not_v2.as_str(), "not an xclean v2 snapshot", "index build"] {
+            assert!(out.lines[0].contains(needle), "{needle}: {:?}", out.lines);
+        }
         // Flag typos and zero-width pools are rejected up front.
         let xml = write_sample_xml("serve_flags.xml");
         let idx = tmp("serve_flags.xci").to_string_lossy().into_owned();
@@ -1512,32 +1446,6 @@ mod tests {
                 "{flag}: {:?}",
                 out.lines
             );
-        }
-    }
-
-    /// `serve --catalog` refuses a legacy v1 snapshot before binding, as
-    /// the positional form does, naming the corpus, the file and the
-    /// way out.
-    #[test]
-    fn serve_catalog_refuses_v1_snapshots() {
-        let v1 = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/fixtures/dblp50_v1.xci"
-        );
-        let cat = tmp("serve_v1.xcc").to_string_lossy().into_owned();
-        Catalog {
-            corpora: vec![CorpusSpec {
-                name: "legacy".to_string(),
-                config: XCleanConfig::default(),
-                snapshots: vec![v1.to_string()],
-            }],
-        }
-        .save(&cat)
-        .expect("catalog saves");
-        let out = run(argv(&["serve", "--catalog", &cat, "--port", "0"]));
-        assert_eq!(out.code, 2, "{:?}", out.lines);
-        for needle in ["corpus \"legacy\"", v1, "legacy v1", "xclean index upgrade"] {
-            assert!(out.lines[0].contains(needle), "{needle}: {:?}", out.lines);
         }
     }
 

@@ -21,6 +21,7 @@
 
 use std::time::Instant;
 
+use xclean::variants::PARTITION_THRESHOLD;
 use xclean::XCleanConfig;
 use xclean_datagen::{generate_large_dblp, LargeDblpConfig};
 use xclean_fastss::{VariantIndex, VariantIndexConfig};
@@ -98,7 +99,7 @@ pub(super) fn run(scale: f64) -> Report {
         &words,
         VariantIndexConfig {
             epsilon: config.epsilon,
-            partition_threshold: config.partition_threshold,
+            partition_threshold: PARTITION_THRESHOLD,
         },
     );
     let build_ms = built.elapsed().as_secs_f64() * 1e3;
@@ -108,7 +109,7 @@ pub(super) fn run(scale: f64) -> Report {
          longest run {}, {:.1} MB, built in {build_ms:.0} ms",
         words.len(),
         config.epsilon,
-        config.partition_threshold,
+        PARTITION_THRESHOLD,
         table.slots,
         table.filled,
         table.filled as f64 / table.slots as f64,

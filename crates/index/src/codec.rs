@@ -4,9 +4,7 @@
 //! ids are gap-encoded against the previous entry (the first against 0;
 //! document order makes gaps small and positive) and term frequencies are
 //! raw. This is the on-disk format of the index's postings and also what
-//! the index-size figures in EXPERIMENTS.md are measured on. Snapshots
-//! written before this layout carried a label path and a Dewey code per
-//! entry; `storage::v1` reads those.
+//! the index-size figures in EXPERIMENTS.md are measured on.
 
 use xclean_xmltree::NodeId;
 

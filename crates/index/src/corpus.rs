@@ -36,8 +36,8 @@ pub struct SnapshotProvenance {
     pub checksum: u64,
 }
 
-/// What tokenising a tree (or decoding a legacy snapshot) yields before
-/// the one v2 encode: the per-token and per-node columns in id order.
+/// What tokenising a tree yields before the one v2 encode: the per-token
+/// and per-node columns in id order.
 #[derive(Debug, Default)]
 pub(crate) struct Parts {
     /// Term of each token id (distinct).
@@ -169,7 +169,7 @@ impl CorpusIndex {
     /// kept as built, and the index carries no provenance.
     pub fn build_with(tree: XmlTree, tokenizer: Tokenizer) -> Self {
         let parts = Parts::tokenize(&tree, &tokenizer);
-        v2::encode_and_view(tree, parts, tokenizer.config(), None)
+        v2::encode_and_view(tree, parts, tokenizer.config())
             .expect("a freshly encoded snapshot views cleanly")
     }
 

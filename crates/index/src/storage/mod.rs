@@ -1,26 +1,19 @@
-//! Persistent index formats.
+//! The persistent index format: v2 (`XCLIDX2\0`, [`v2`]), the one format
+//! written and the one read (DESIGN.md §11). It is a columnar,
+//! offset-addressed layout with a section table and payload checksum.
+//! Postings, the term dictionary, and path statistics stay *in* the file
+//! bytes (owned or memory-mapped via [`IndexSlab`]) and are viewed or
+//! decoded lazily, so open cost is O(validation). It is also the in-memory
+//! form of every [`CorpusIndex`]: the builder encodes its sections and
+//! views them, and a save frames the sections an index holds. Any other
+//! input — an older format included — is a [`StorageError`] that says to
+//! rebuild the snapshot from its XML with `xclean index build`.
 //!
-//! One written format, two readable ones (DESIGN.md §11):
-//!
-//! * **v2** (`XCLIDX2\0`, [`v2`]) — a columnar, offset-addressed layout
-//!   with a section table and payload checksum. Postings, the term
-//!   dictionary, and path statistics stay *in* the file bytes (owned or
-//!   memory-mapped via [`IndexSlab`]) and are viewed/decoded lazily, so
-//!   open cost is O(validation). It is also the in-memory form of every
-//!   [`CorpusIndex`]: the builder encodes its sections and views them, and
-//!   a save frames the sections an index holds. A v2 file from before
-//!   postings became `(node, tf)` keeps them in a legacy section, which
-//!   is decoded and re-encoded at open (see [`v2`]).
-//! * **v1** (`XCLIDX1\0`, [`v1`]) — the legacy stream format, read-only:
-//!   loading *replays* tree construction and decodes every posting list
-//!   before re-encoding them as v2, so open cost is O(corpus).
-//!   [`upgrade_file`] rewrites it as v2.
-//!
-//! [`open_file`] is the read path and handles both formats, returning a
-//! [`LoadReport`] with open/validate timings. [`save_to_file_v2`] writes a
-//! sibling file and renames it over the target ([`replace_file`], which the
-//! catalog's save shares), so a process that has the old file mapped keeps
-//! reading the old bytes.
+//! [`open_file`] is the read path, returning a [`LoadReport`] with
+//! open/validate timings. [`save_to_file_v2`] writes a sibling file and
+//! renames it over the target ([`replace_file`], which the catalog's save
+//! shares), so a process that has the old file mapped keeps reading the
+//! old bytes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,13 +25,14 @@ use crate::codec::CodecError;
 use crate::corpus::CorpusIndex;
 use crate::slab::{IndexSlab, SlabMode};
 
-pub mod v1;
 pub mod v2;
 
 /// Errors raised while loading a stored index.
 #[derive(Debug)]
 pub enum StorageError {
-    /// The input does not start with a known format magic.
+    /// The input is not a v2 snapshot in the current layout: its magic
+    /// is not `XCLIDX2\0`, or its section table lacks a section this
+    /// build reads.
     BadMagic,
     /// A low-level decoding failure.
     Codec(CodecError),
@@ -53,7 +47,11 @@ pub enum StorageError {
 impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StorageError::BadMagic => write!(f, "not an xclean index file"),
+            StorageError::BadMagic => write!(
+                f,
+                "not an xclean v2 snapshot of the current layout; \
+                 rebuild it with `xclean index build <data.xml> --out <index.xci>`"
+            ),
             StorageError::Codec(e) => write!(f, "decode error: {e}"),
             StorageError::Corrupt(m) => write!(f, "corrupt index: {m}"),
             StorageError::Tree(e) => write!(f, "corrupt index tree: {e}"),
@@ -109,7 +107,7 @@ pub struct ShardSummary {
 /// rebuilding the tree, vocabulary, or posting lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotSummary {
-    /// On-disk format version (1 or 2).
+    /// On-disk format version (always 2).
     pub format_version: u8,
     /// Total snapshot size in bytes.
     pub total_bytes: usize,
@@ -125,21 +123,20 @@ pub struct SnapshotSummary {
     pub postings_bytes: usize,
     /// Tokenizer policy the index was built with.
     pub tokenizer: TokenizerConfig,
-    /// Payload checksum recorded in the file (v2 only).
-    pub checksum: Option<u64>,
+    /// Payload checksum recorded in the file (verified).
+    pub checksum: u64,
     /// Per-section byte sizes in file order.
     pub sections: Vec<SectionInfo>,
-    /// Shard-set membership (partitioned v2 snapshots only).
+    /// Shard-set membership (shard snapshots only).
     pub shard: Option<ShardSummary>,
 }
 
 /// How [`open_file`] should back and verify a snapshot.
 #[derive(Debug, Clone, Copy)]
 pub struct OpenOptions {
-    /// Backing-store mode for the slab (v2 snapshots only; a v1 file is
-    /// decoded and re-encoded into owned memory).
+    /// Backing-store mode for the slab.
     pub mode: SlabMode,
-    /// Verify the v2 payload checksum before trusting any length field.
+    /// Verify the payload checksum before trusting any length field.
     pub verify_checksum: bool,
 }
 
@@ -155,13 +152,13 @@ impl Default for OpenOptions {
 /// What [`open_file`] did and how long it took.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadReport {
-    /// Format version of the snapshot that was opened.
+    /// Format version of the snapshot that was opened (always 2).
     pub format_version: u8,
     /// Total snapshot size in bytes.
     pub total_bytes: usize,
     /// `true` when the serving index reads from a memory mapping.
     pub mapped: bool,
-    /// Verified payload checksum (v2 only).
+    /// Payload checksum recorded in the file (always set).
     pub checksum: Option<u64>,
     /// Nanoseconds spent acquiring the bytes (read or mmap).
     pub open_nanos: u64,
@@ -174,25 +171,18 @@ pub fn to_bytes_v2(corpus: &CorpusIndex) -> Vec<u8> {
     v2::to_bytes(corpus)
 }
 
-/// Restores a corpus index from bytes in either format.
+/// Restores a corpus index from v2 bytes.
 pub fn from_bytes(buf: &[u8]) -> Result<CorpusIndex, StorageError> {
-    if buf.starts_with(v2::MAGIC) {
-        let slab = Arc::new(IndexSlab::Owned(buf.to_vec()));
-        return v2::load(slab, true).map(|(c, _)| c);
-    }
-    v1::from_bytes(buf)
+    let slab = Arc::new(IndexSlab::Owned(buf.to_vec()));
+    v2::load(slab, true).map(|(c, _)| c)
 }
 
-/// Walks a snapshot's framing (either format) and returns a
-/// [`SnapshotSummary`] without materialising the index — the fast path
-/// behind `xclean index inspect`. Every length field is bounds-checked,
-/// so a truncated or hostile file errors instead of panicking.
+/// Walks a snapshot's framing and returns a [`SnapshotSummary`] without
+/// materialising the index — the fast path behind `xclean index inspect`.
+/// Every length field is bounds-checked, so a truncated or hostile file
+/// errors instead of panicking.
 pub fn summarize(bytes: impl AsRef<[u8]>) -> Result<SnapshotSummary, StorageError> {
-    let bytes = bytes.as_ref();
-    if bytes.len() >= 8 && &bytes[..8] == v2::MAGIC {
-        return v2::summarize(bytes);
-    }
-    v1::summarize(bytes)
+    v2::summarize(bytes.as_ref())
 }
 
 /// [`summarize`] for a file on disk.
@@ -243,10 +233,9 @@ pub fn replace_file(path: impl AsRef<std::path::Path>, bytes: &[u8]) -> std::io:
     written
 }
 
-/// Opens a snapshot for serving: v2 snapshots validate in place over the
-/// slab (owned or mapped per `options.mode`); v1 snapshots are decoded in
-/// full and re-encoded as v2. Returns the index plus a [`LoadReport`] with
-/// open/validate timings for telemetry.
+/// Opens a snapshot for serving: it validates in place over the slab
+/// (owned or mapped per `options.mode`). Returns the index plus a
+/// [`LoadReport`] with open/validate timings for telemetry.
 pub fn open_file(
     path: impl AsRef<std::path::Path>,
     options: &OpenOptions,
@@ -257,43 +246,18 @@ pub fn open_file(
     let total_bytes = slab.len();
     let mapped = slab.is_mapped();
     let t1 = Instant::now();
-    if total_bytes >= 8 && &slab[..8] == v2::MAGIC {
-        let (corpus, checksum) = v2::load(Arc::new(slab), options.verify_checksum)?;
-        return Ok((
-            corpus,
-            LoadReport {
-                format_version: 2,
-                total_bytes,
-                mapped,
-                checksum: Some(checksum),
-                open_nanos,
-                validate_nanos: t1.elapsed().as_nanos() as u64,
-            },
-        ));
-    }
-    // Legacy v1: the slab is only a source for the decode.
-    let corpus = v1::from_bytes(&slab)?;
+    let (corpus, checksum) = v2::load(Arc::new(slab), options.verify_checksum)?;
     Ok((
         corpus,
         LoadReport {
-            format_version: 1,
+            format_version: 2,
             total_bytes,
-            mapped: false,
-            checksum: None,
+            mapped,
+            checksum: Some(checksum),
             open_nanos,
             validate_nanos: t1.elapsed().as_nanos() as u64,
         },
     ))
-}
-
-/// Rewrites any snapshot as v2 in the current posting layout — the engine
-/// behind `xclean index upgrade`.
-pub fn upgrade_file(
-    src: impl AsRef<std::path::Path>,
-    dst: impl AsRef<std::path::Path>,
-) -> Result<(), StorageError> {
-    let (corpus, _) = open_file(src, &OpenOptions::default())?;
-    save_to_file_v2(&corpus, dst)
 }
 
 #[cfg(test)]
@@ -323,18 +287,6 @@ mod tests {
         CorpusIndex::build(parse_document(&xml).unwrap())
     }
 
-    /// The v1 snapshot an earlier commit's writer produced from `dblp50.xml`.
-    fn dblp50_v1() -> Vec<u8> {
-        std::fs::read(fixture("dblp50_v1.xci")).unwrap()
-    }
-
-    /// The v2 snapshot of `dblp50.xml` from the last writer that stored a
-    /// label path and a Dewey code in every posting (section
-    /// POSTINGS_DEWEY).
-    fn dblp50_v2_old_layout() -> Vec<u8> {
-        std::fs::read(fixture("dblp50_v2_pr32.xci")).unwrap()
-    }
-
     fn assert_equivalent(a: &CorpusIndex, b: &CorpusIndex) {
         assert_eq!(a.tree().len(), b.tree().len());
         for n in a.tree().iter() {
@@ -357,51 +309,6 @@ mod tests {
         }
         assert_eq!(a.vocab().total_tokens(), b.vocab().total_tokens());
         assert_eq!(a.element_count(), b.element_count());
-    }
-
-    #[test]
-    fn v1_roundtrip_preserves_everything() {
-        let a = dblp50();
-        let b = from_bytes(&dblp50_v1()).unwrap();
-        assert_equivalent(&a, &b);
-        assert!(b.provenance().is_none(), "v1 loads carry no provenance");
-    }
-
-    #[test]
-    fn old_layout_v2_loads_summarizes_and_upgrades_like_a_fresh_build() {
-        let bytes = dblp50_v2_old_layout();
-        // The old layout's pin on the same XML: these are the old bytes.
-        assert_eq!(
-            (crate::slab::checksum64(&bytes), bytes.len()),
-            (0x762b_9c02_966b_8fdf, 18_286)
-        );
-        let (fresh, loaded) = (dblp50(), from_bytes(&bytes).unwrap());
-        assert_equivalent(&fresh, &loaded);
-        assert_eq!(loaded.provenance().unwrap().format_version, 2);
-
-        let s = summarize(&bytes).unwrap();
-        assert_eq!((s.format_version, s.total_bytes), (2, bytes.len()));
-        assert_eq!(s.nodes, fresh.tree().len());
-        assert_eq!(s.labels, fresh.tree().labels().len());
-        assert_eq!(s.terms, fresh.vocab().len());
-        assert_eq!(s.total_tokens, fresh.vocab().total_tokens());
-        let names: Vec<_> = s.sections.iter().map(|x| x.name).collect();
-        assert!(names.contains(&"POSTINGS_DEWEY") && !names.contains(&"POSTINGS"));
-        for cut in (8..bytes.len()).step_by(11) {
-            assert!(from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-            assert!(summarize(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-
-        let dir = std::env::temp_dir().join("xclean_storage_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let upgraded = dir.join("upgraded_old_layout.xci");
-        upgrade_file(fixture("dblp50_v2_pr32.xci"), &upgraded).unwrap();
-        let new_bytes = std::fs::read(&upgraded).unwrap();
-        assert_eq!(new_bytes, to_bytes_v2(&fresh));
-        let s = summarize(&new_bytes).unwrap();
-        let names: Vec<_> = s.sections.iter().map(|x| x.name).collect();
-        assert!(names.contains(&"POSTINGS") && !names.contains(&"POSTINGS_DEWEY"));
-        std::fs::remove_file(&upgraded).ok();
     }
 
     #[test]
@@ -429,11 +336,15 @@ mod tests {
             Err(StorageError::BadMagic)
         ));
         assert!(from_bytes(&[]).is_err());
+        // The refusal names the way out.
+        let err = from_bytes(b"NOTANIDX").unwrap_err().to_string();
+        assert!(err.contains("not an xclean v2 snapshot"), "{err}");
+        assert!(err.contains("xclean index build"), "{err}");
     }
 
     #[test]
-    fn truncation_detected_both_formats() {
-        for bytes in [dblp50_v1(), to_bytes_v2(&corpus())] {
+    fn truncation_detected() {
+        for bytes in [to_bytes_v2(&dblp50()), to_bytes_v2(&corpus())] {
             // Any truncation must error, never panic.
             for cut in (8..bytes.len()).step_by(7) {
                 assert!(from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
@@ -442,11 +353,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_matches_full_load_v1() {
-        let (bytes, a) = (dblp50_v1(), dblp50());
+    fn summary_matches_full_load_v2() {
+        let a = corpus();
+        let bytes = to_bytes_v2(&a);
         let s = summarize(&bytes).unwrap();
-        assert_eq!(s.format_version, 1);
-        assert_eq!(s.checksum, None);
+        assert_eq!(s.format_version, 2);
+        assert_eq!(s.checksum, crate::slab::checksum64(&bytes[17 + 17 * 6..]));
         assert_eq!(s.total_bytes, bytes.len());
         assert_eq!(s.nodes, a.tree().len());
         assert_eq!(s.labels, a.tree().labels().len());
@@ -454,9 +366,9 @@ mod tests {
         assert_eq!(s.total_tokens, a.vocab().total_tokens());
         assert_eq!(s.tokenizer, *a.tokenizer().config());
         assert!(s.postings_bytes > 0 && s.postings_bytes < bytes.len());
+        assert_eq!(s.sections.len(), 6);
         let section_sum: u64 = s.sections.iter().map(|x| x.bytes).sum();
-        assert_eq!(section_sum as usize + 8, bytes.len(), "magic + sections");
-        // Truncations error, never panic — same contract as from_bytes.
+        assert_eq!(section_sum as usize + 17 + 17 * 6, bytes.len());
         for cut in (8..bytes.len()).step_by(11) {
             assert!(summarize(&bytes[..cut]).is_err(), "cut {cut}");
         }
@@ -467,27 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_matches_full_load_v2() {
-        let a = corpus();
-        let bytes = to_bytes_v2(&a);
-        let s = summarize(&bytes).unwrap();
-        assert_eq!(s.format_version, 2);
-        assert!(s.checksum.is_some());
-        assert_eq!(s.total_bytes, bytes.len());
-        assert_eq!(s.nodes, a.tree().len());
-        assert_eq!(s.labels, a.tree().labels().len());
-        assert_eq!(s.terms, a.vocab().len());
-        assert_eq!(s.total_tokens, a.vocab().total_tokens());
-        assert_eq!(s.tokenizer, *a.tokenizer().config());
-        assert!(s.postings_bytes > 0 && s.postings_bytes < bytes.len());
-        assert_eq!(s.sections.len(), 6);
-        for cut in (8..bytes.len()).step_by(11) {
-            assert!(summarize(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn file_roundtrip_and_upgrade() {
+    fn file_roundtrip() {
         let a = corpus();
         let dir = std::env::temp_dir().join("xclean_storage_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -497,20 +389,11 @@ mod tests {
         let (c, report) = open_file(&path, &OpenOptions::default()).unwrap();
         assert_equivalent(&a, &c);
         assert_eq!(report.format_version, 2);
-        assert!(report.checksum.is_some());
-        // v1 snapshots open through the same API, owned, and upgrade to
-        // exactly the bytes a direct v2 save of the same corpus writes.
-        let v1_path = fixture("dblp50_v1.xci");
-        let fresh = dblp50();
-        let (d, report1) = open_file(&v1_path, &OpenOptions::default()).unwrap();
-        assert_equivalent(&fresh, &d);
-        assert_eq!(report1.format_version, 1);
-        assert!(!report1.mapped);
-        let upgraded = dir.join("upgraded.xci");
-        upgrade_file(&v1_path, &upgraded).unwrap();
-        assert_eq!(std::fs::read(&upgraded).unwrap(), to_bytes_v2(&fresh));
+        assert_eq!(
+            report.checksum,
+            Some(summarize_file(&path).unwrap().checksum)
+        );
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&upgraded).ok();
     }
 
     #[test]

@@ -23,13 +23,9 @@
 //! TOKENIZER(6): min_token_len varint; drop_numbers u8; drop_stop_words u8
 //! ```
 //!
-//! Files written before postings became `(node, tf)` hold POSTINGS_DEWEY(4)
-//! instead: the same offset table over v1's posting blobs, which also
-//! store each entry's label path and Dewey code. Such a file still loads:
-//! its blobs are decoded against the tree by `v1::decode_postings`,
-//! which checks the two old fields and drops them, and the decoded parts
-//! are re-encoded in the current layout. A file must carry exactly one of
-//! the two sections.
+//! A file whose table lacks one of these six sections (one written
+//! before postings became `(node, tf)`, say) is not a snapshot this build
+//! reads: the error says to rebuild it from its XML.
 //!
 //! Loading never replays construction: the tree is assembled from the
 //! flat preorder columns and re-validated by an explicit O(n) pass
@@ -54,7 +50,7 @@ use crate::corpus::{CorpusIndex, Parts, SnapshotProvenance};
 use crate::path_stats::{self, PathStatsIndex};
 use crate::shard::ShardMeta;
 use crate::slab::{checksum64, Blobs, IndexSlab};
-use crate::vocab::{self, TokenId, Vocabulary};
+use crate::vocab::{self, Vocabulary};
 
 use super::{SectionInfo, SnapshotSummary, StorageError};
 
@@ -63,15 +59,13 @@ pub(crate) const MAGIC: &[u8; 8] = b"XCLIDX2\0";
 const SEC_TREE: u8 = 1;
 const SEC_DIRECT: u8 = 2;
 const SEC_VOCAB: u8 = 3;
-/// Legacy: v1 posting blobs (path and Dewey code per entry); read only.
-const SEC_POSTINGS_DEWEY: u8 = 4;
 const SEC_PATHSTATS: u8 = 5;
 const SEC_TOKENIZER: u8 = 6;
 /// Optional: shard membership + id-translation maps (partitioned corpora
 /// only; absent on ordinary snapshots, tolerated-unknown by old readers).
 const SEC_SHARD: u8 = 7;
-/// `(node gap, tf)` posting blobs; a new id, so no reader takes the legacy
-/// layout for this one.
+/// `(node gap, tf)` posting blobs. (Id 4 held an older posting layout,
+/// which this build does not read.)
 const SEC_POSTINGS: u8 = 8;
 
 /// The sections every index holds, in the order a save writes them (so
@@ -99,7 +93,6 @@ fn section_name(id: u8) -> &'static str {
         SEC_DIRECT => "DIRECT",
         SEC_VOCAB => "VOCAB",
         SEC_POSTINGS => "POSTINGS",
-        SEC_POSTINGS_DEWEY => "POSTINGS_DEWEY",
         SEC_PATHSTATS => "PATHSTATS",
         SEC_TOKENIZER => "TOKENIZER",
         SEC_SHARD => "SHARD",
@@ -258,17 +251,16 @@ fn encode(tree: &XmlTree, parts: &Parts, tokenizer: &TokenizerConfig) -> Vec<u8>
 }
 
 /// Encodes `parts` over `tree` as v2 sections and views them: the index
-/// builder's output and a legacy snapshot's re-encoding.
+/// builder's output.
 pub(crate) fn encode_and_view(
     tree: XmlTree,
     parts: Parts,
     tokenizer: &TokenizerConfig,
-    provenance: Option<SnapshotProvenance>,
 ) -> Result<CorpusIndex, StorageError> {
     let bytes = encode(&tree, &parts, tokenizer);
     drop(parts);
     let header = parse_header(&bytes)?;
-    view(Arc::new(IndexSlab::Owned(bytes)), &header, tree, provenance)
+    view(Arc::new(IndexSlab::Owned(bytes)), &header, tree, None)
 }
 
 /// Serialises a corpus index to v2 bytes: frames the sections it holds,
@@ -298,9 +290,10 @@ struct Header {
 }
 
 impl Header {
-    fn section(&self, id: u8) -> Result<Range<usize>, StorageError> {
-        self.section_opt(id)
-            .ok_or(StorageError::Corrupt("missing snapshot section"))
+    /// The range of a section of [`SECTION_ORDER`], which
+    /// [`parse_header`] has checked is present.
+    fn section(&self, id: u8) -> Range<usize> {
+        self.section_opt(id).expect("required sections are checked")
     }
 
     fn section_opt(&self, id: u8) -> Option<Range<usize>> {
@@ -308,18 +301,6 @@ impl Header {
             .iter()
             .find(|(sid, _)| *sid == id)
             .map(|(_, r)| r.clone())
-    }
-
-    /// The one posting section a file may carry: its id and range.
-    fn postings(&self) -> Result<(u8, Range<usize>), StorageError> {
-        match (
-            self.section_opt(SEC_POSTINGS),
-            self.section_opt(SEC_POSTINGS_DEWEY),
-        ) {
-            (Some(range), None) => Ok((SEC_POSTINGS, range)),
-            (None, Some(range)) => Ok((SEC_POSTINGS_DEWEY, range)),
-            _ => Err(StorageError::Corrupt("need exactly one posting section")),
-        }
     }
 }
 
@@ -356,6 +337,11 @@ fn parse_header(bytes: &[u8]) -> Result<Header, StorageError> {
             return Err(StorageError::Corrupt("section range out of bounds"));
         }
         sections.push((id, offset..end));
+    }
+    // A table without one of the sections this build reads is a file
+    // from before that layout: not corrupt, but not readable either.
+    if SECTION_ORDER.iter().any(|&id| !seen[id as usize]) {
+        return Err(StorageError::BadMagic);
     }
     Ok(Header {
         checksum,
@@ -456,9 +442,7 @@ fn load_tree(bytes: &[u8], section: &Range<usize>) -> Result<XmlTree, StorageErr
 
 /// Validates a v2 snapshot over `slab` and assembles a [`CorpusIndex`]
 /// whose postings, term dictionary, and path statistics remain views into
-/// the slab. A legacy POSTINGS_DEWEY file is decoded and re-encoded in the
-/// current layout instead, keeping its recorded checksum as provenance.
-/// Returns the index and the payload checksum.
+/// the slab. Returns the index and the payload checksum.
 pub(crate) fn load(
     slab: Arc<IndexSlab>,
     verify_checksum: bool,
@@ -470,7 +454,7 @@ pub(crate) fn load(
     }
 
     // TREE: flat preorder columns + explicit O(n) validation pass.
-    let tree = load_tree(bytes, &header.section(SEC_TREE)?)?;
+    let tree = load_tree(bytes, &header.section(SEC_TREE))?;
     let shard = header
         .section_opt(SEC_SHARD)
         .map(|range| parse_shard(&bytes[range]))
@@ -479,32 +463,7 @@ pub(crate) fn load(
         format_version: 2,
         checksum: header.checksum,
     });
-    let mut corpus = match header.postings()? {
-        (SEC_POSTINGS, _) => view(Arc::clone(&slab), &header, tree, provenance)?,
-        (_, range) => {
-            let vocab = Vocabulary::view(Arc::clone(&slab), header.section(SEC_VOCAB)?)?;
-            let lists = parse_offset_blob(bytes, &range)?
-                .into_iter()
-                .map(|blob| super::v1::decode_postings(&bytes[blob], &tree))
-                .collect::<Result<_, _>>()?;
-            let parts = Parts {
-                terms: vocab.iter_terms().map(str::to_string).collect(),
-                cf: (0..vocab.len() as u32)
-                    .map(|t| vocab.cf(TokenId(t)))
-                    .collect(),
-                df: (0..vocab.len() as u32)
-                    .map(|t| vocab.df(TokenId(t)))
-                    .collect(),
-                lists,
-                direct: read_direct(bytes, header.section(SEC_DIRECT)?, tree.len())?,
-            };
-            let tokenizer = parse_tokenizer(&bytes[header.section(SEC_TOKENIZER)?])?;
-            // The stored path statistics are framed like a current file's;
-            // the encode recomputes them from the postings.
-            parse_offset_blob(bytes, &header.section(SEC_PATHSTATS)?)?;
-            encode_and_view(tree, parts, &tokenizer, provenance)?
-        }
-    };
+    let mut corpus = view(Arc::clone(&slab), &header, tree, provenance)?;
 
     // SHARD (optional): local→global id maps, validated against the
     // sections viewed above.
@@ -545,14 +504,8 @@ fn view(
     tree: XmlTree,
     provenance: Option<SnapshotProvenance>,
 ) -> Result<CorpusIndex, StorageError> {
-    let [tree_range, direct, vocab, postings, stats, tokenizer] = [
-        header.section(SEC_TREE)?,
-        header.section(SEC_DIRECT)?,
-        header.section(SEC_VOCAB)?,
-        header.section(SEC_POSTINGS)?,
-        header.section(SEC_PATHSTATS)?,
-        header.section(SEC_TOKENIZER)?,
-    ];
+    let [tree_range, direct, vocab, postings, stats, tokenizer] =
+        SECTION_ORDER.map(|id| header.section(id));
     let bytes = slab.bytes();
     let direct_counts = read_direct(bytes, direct.clone(), tree.len())?;
     let vocab_view = Vocabulary::view(Arc::clone(&slab), vocab.clone())?;
@@ -666,7 +619,7 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
     if checksum64(&bytes[header.header_end..]) != header.checksum {
         return Err(StorageError::Corrupt("payload checksum mismatch"));
     }
-    let mut r = SliceReader::new(&bytes[header.section(SEC_TREE)?]);
+    let mut r = SliceReader::new(&bytes[header.section(SEC_TREE)]);
     let labels = get_count(&mut r, 1)?;
     for _ in 0..labels {
         let len = get_count(&mut r, 1)?;
@@ -674,13 +627,13 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
     }
     let nodes = get_count(&mut r, 2)?;
 
-    let vocab = vocab::layout(bytes, header.section(SEC_VOCAB)?)?;
+    let vocab = vocab::layout(bytes, header.section(SEC_VOCAB))?;
 
-    let postings_bytes = parse_offset_blob(bytes, &header.postings()?.1)?
+    let postings_bytes = parse_offset_blob(bytes, &header.section(SEC_POSTINGS))?
         .iter()
         .map(|blob| blob.len())
         .sum();
-    let tokenizer = parse_tokenizer(&bytes[header.section(SEC_TOKENIZER)?])?;
+    let tokenizer = parse_tokenizer(&bytes[header.section(SEC_TOKENIZER)])?;
 
     let shard = match header.section_opt(SEC_SHARD) {
         Some(range) => {
@@ -712,7 +665,7 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
         total_tokens: vocab.total_tokens,
         postings_bytes,
         tokenizer,
-        checksum: Some(header.checksum),
+        checksum: header.checksum,
         sections,
         shard,
     })

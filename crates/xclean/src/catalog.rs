@@ -24,6 +24,7 @@ use xclean_lm::Smoothing;
 use crate::config::{EntityPrior, XCleanConfig};
 use crate::pipeline::BATCH_CHUNK;
 use crate::result_type::DEPTH_DECAY;
+use crate::variants::PARTITION_THRESHOLD;
 use crate::walk::MAX_CANDIDATES_PER_SUBTREE;
 
 /// File magic: 7 ASCII bytes + NUL, mirroring the snapshot magics.
@@ -286,9 +287,9 @@ fn put_opt_varint(buf: &mut Vec<u8>, v: Option<u64>) {
 const RETIRED_MU: f64 = 2000.0;
 
 /// Canonical [`XCleanConfig`] encoding. The layout predates the fold of
-/// μ into `smoothing` and the fixing of r, `|C_eff|` and the batch chunk
-/// as constants, and keeps their slots: r, `|C_eff|` and the chunk are
-/// written as their constants, and a Dirichlet μ in the μ slot with
+/// μ into `smoothing` and the fixing of r, `|C_eff|`, `l_p` and the batch
+/// chunk as constants, and keeps their slots: r, `|C_eff|`, `l_p` and the
+/// chunk are written as their constants, and a Dirichlet μ in the μ slot with
 /// smoothing tag 0, so every catalog written with those values still
 /// decodes and re-encodes byte for byte.
 fn encode_config(buf: &mut Vec<u8>, c: &XCleanConfig) {
@@ -306,7 +307,7 @@ fn encode_config(buf: &mut Vec<u8>, c: &XCleanConfig) {
     put_opt_varint(buf, c.gamma.map(|g| g as u64));
     put_varint(buf, c.k as u64);
     put_varint(buf, MAX_CANDIDATES_PER_SUBTREE as u64);
-    put_varint(buf, c.partition_threshold as u64);
+    put_varint(buf, PARTITION_THRESHOLD as u64);
     buf.push(u8::from(c.enable_skipping));
     buf.push(match c.prior {
         EntityPrior::Uniform => 0,
@@ -425,7 +426,9 @@ fn decode_config(r: &mut Reader<'_>, name: &str) -> Result<XCleanConfig, Catalog
     if r.varint()? != MAX_CANDIDATES_PER_SUBTREE as u64 {
         return Err(bad("max_candidates_per_subtree is fixed at 4096"));
     }
-    let partition_threshold = to_usize(r.varint()?)?;
+    if r.varint()? != PARTITION_THRESHOLD as u64 {
+        return Err(bad("partition_threshold is fixed at 14"));
+    }
     let enable_skipping = match r.u8()? {
         0 => false,
         1 => true,
@@ -466,7 +469,7 @@ fn decode_config(r: &mut Reader<'_>, name: &str) -> Result<XCleanConfig, Catalog
         min_depth,
         gamma,
         k,
-        partition_threshold,
+        partition_threshold: PARTITION_THRESHOLD,
         enable_skipping,
         prior,
         phonetic_distance,
@@ -630,8 +633,9 @@ mod tests {
 
     #[test]
     fn encoding_matches_what_earlier_builds_wrote() {
-        // Measured on the build that still had μ, r, |C_eff| and the batch
-        // chunk as config fields: the retired slots keep their bytes.
+        // Measured on the build that still had μ, r, |C_eff|, l_p and the
+        // batch chunk as settable config fields: the retired slots keep
+        // their bytes.
         let bytes = sample().encode().unwrap();
         assert_eq!(
             (checksum64(&bytes), bytes.len()),
@@ -640,9 +644,16 @@ mod tests {
     }
 
     /// One default corpus `c` over `c.xci` in the layout every build has
-    /// written, with the retired slots (μ, r, `|C_eff|`, batch size) and
-    /// the smoothing entry as given.
-    fn written(mu: f64, r: f64, max_candidates: u64, smoothing: &[u8], batch: u64) -> Vec<u8> {
+    /// written, with the retired slots (μ, r, `|C_eff|`, `l_p`, batch
+    /// size) and the smoothing entry as given.
+    fn written(
+        mu: f64,
+        r: f64,
+        max_candidates: u64,
+        partition: u64,
+        smoothing: &[u8],
+        batch: u64,
+    ) -> Vec<u8> {
         let mut p = Vec::new();
         put_varint(&mut p, 1);
         put_str(&mut p, "c");
@@ -654,7 +665,7 @@ mod tests {
         put_opt_varint(&mut p, Some(1000)); // γ
         put_varint(&mut p, 10); // k
         put_varint(&mut p, max_candidates);
-        put_varint(&mut p, 14); // partition threshold
+        put_varint(&mut p, partition);
         p.extend([1, 0]); // skipping on, uniform prior
         put_opt_varint(&mut p, None); // no phonetic distance
         p.extend_from_slice(smoothing);
@@ -682,7 +693,7 @@ mod tests {
                 jelinek_mercer(0.3),
             ),
         ] {
-            let bytes = written(mu, 0.8, 4096, &entry, 16);
+            let bytes = written(mu, 0.8, 4096, 14, &entry, 16);
             let c = Catalog::decode(&bytes).unwrap();
             assert_eq!(
                 c.corpora[0].config,
@@ -700,18 +711,22 @@ mod tests {
         let mut explicit_dirichlet = vec![1];
         put_f64(&mut explicit_dirichlet, 2000.0);
         for (bytes, setting) in [
-            (written(2000.0, 0.8, 4096, &[0], 4), "batch_size"),
+            (written(2000.0, 0.8, 4096, 14, &[0], 4), "batch_size"),
             (
-                written(2000.0, 0.8, 1, &[0], 16),
+                written(2000.0, 0.8, 4096, 10, &[0], 16),
+                "partition_threshold",
+            ),
+            (
+                written(2000.0, 0.8, 1, 14, &[0], 16),
                 "max_candidates_per_subtree",
             ),
-            (written(2000.0, 0.5, 4096, &[0], 16), "depth decay r"),
+            (written(2000.0, 0.5, 4096, 14, &[0], 16), "depth decay r"),
             (
-                written(2000.0, 0.8, 4096, &explicit_dirichlet, 16),
+                written(2000.0, 0.8, 4096, 14, &explicit_dirichlet, 16),
                 "explicit Dirichlet",
             ),
             (
-                written(1000.0, 0.8, 4096, &jelinek_mercer(0.3), 16),
+                written(1000.0, 0.8, 4096, 14, &jelinek_mercer(0.3), 16),
                 "μ slot",
             ),
         ] {

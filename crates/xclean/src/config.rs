@@ -1,5 +1,7 @@
 //! Tunable parameters of the XClean engine.
 
+use crate::variants::PARTITION_THRESHOLD;
+
 /// The entity prior `P(r_j|T)` of Eq. 8.
 ///
 /// The paper evaluates the uniform prior and notes the framework "can be
@@ -20,9 +22,11 @@ pub enum EntityPrior {
 
 /// Configuration of the XClean suggestion engine. Field defaults follow
 /// the settings the paper reports as best (§VII): β = 5, ε = 2, d = 2,
-/// γ = 1000, k = 10. The paper's r = 0.8 and its `|C_eff|` bound are
-/// constants ([`crate::result_type::DEPTH_DECAY`],
-/// [`crate::walk::MAX_CANDIDATES_PER_SUBTREE`]).
+/// γ = 1000, k = 10. The paper's r = 0.8, its `|C_eff|` bound and its
+/// FastSS partition threshold `l_p` are constants
+/// ([`crate::result_type::DEPTH_DECAY`],
+/// [`crate::walk::MAX_CANDIDATES_PER_SUBTREE`],
+/// [`crate::variants::PARTITION_THRESHOLD`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct XCleanConfig {
     /// Maximum edit errors per keyword (ε of `var_ε(q)`).
@@ -39,7 +43,9 @@ pub struct XCleanConfig {
     pub gamma: Option<usize>,
     /// Number of suggestions to return.
     pub k: usize,
-    /// Words longer than this use the partitioned FastSS scheme (`l_p`).
+    /// Always [`PARTITION_THRESHOLD`] (`l_p`): [`Self::check`] rejects
+    /// any other value, and the engine reads the constant. The field
+    /// stays only because the benchmark harness (`xbench/`) reads it.
     pub partition_threshold: usize,
     /// When `true` (default), the walk scans the level table's kept entity
     /// sets, so no subtree some keyword misses is visited; `false` walks
@@ -73,7 +79,7 @@ impl Default for XCleanConfig {
             min_depth: 2,
             gamma: Some(1000),
             k: 10,
-            partition_threshold: 14,
+            partition_threshold: PARTITION_THRESHOLD,
             enable_skipping: true,
             prior: EntityPrior::Uniform,
             phonetic_distance: None,
@@ -106,8 +112,9 @@ impl XCleanConfig {
     /// suggestions for the same query over the same corpus. `num_threads`
     /// is deliberately excluded: the engine guarantees it never changes
     /// results, only wall-clock. The fixed constants of the model (r,
-    /// `|C_eff|`) are not hashed either: they are the same for every
-    /// config. The serving layer keys its response cache on this
+    /// `|C_eff|`, `l_p`) are not hashed either: they are the same for every
+    /// valid config, `partition_threshold` included. The serving layer
+    /// keys its response cache on this
     /// value so entries can never leak across configurations.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -124,7 +131,6 @@ impl XCleanConfig {
             }
         }
         fnv1a(&mut h, &(self.k as u64).to_le_bytes());
-        fnv1a(&mut h, &(self.partition_threshold as u64).to_le_bytes());
         fnv1a(&mut h, &[u8::from(self.enable_skipping)]);
         fnv1a(
             &mut h,
@@ -167,6 +173,10 @@ impl XCleanConfig {
                 "γ must be at least 1 when set",
             ),
             (self.num_threads >= 1, "num_threads must be at least 1"),
+            (
+                self.partition_threshold == PARTITION_THRESHOLD,
+                "partition_threshold is fixed at 14",
+            ),
         ];
         match rules.iter().find(|(ok, _)| !ok) {
             Some(&(_, reason)) => Err(reason),
@@ -280,6 +290,13 @@ mod tests {
                 ..Default::default()
             }),
             "λ must be in (0, 1)"
+        );
+        assert_eq!(
+            bad(XCleanConfig {
+                partition_threshold: 10,
+                ..Default::default()
+            }),
+            "partition_threshold is fixed at 14"
         );
     }
 

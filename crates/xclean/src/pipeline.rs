@@ -56,7 +56,7 @@ use crate::config::{fnv1a, EntityPrior, XCleanConfig};
 use crate::elca::elca_of_lists;
 use crate::pruning::{Accumulator, AccumulatorTable, GammaEvent, ScoreSink};
 use crate::slca::{accumulate_lca, slca_of_lists};
-use crate::variants::VariantGenerator;
+use crate::variants::{VariantGenerator, PARTITION_THRESHOLD};
 use crate::view::{GlobalStats, Scoring, ShardScope};
 
 /// Queries a pool worker claims per dispatch in
@@ -675,7 +675,7 @@ impl Pipeline {
             Some(set) => &set.global.vocab,
         };
         let mut variants =
-            VariantGenerator::build_from_vocab(vocab, config.epsilon, config.partition_threshold);
+            VariantGenerator::build_from_vocab(vocab, config.epsilon, PARTITION_THRESHOLD);
         if config.phonetic_distance.is_some() {
             variants = variants.with_phonetic_vocab(vocab);
         }
@@ -1010,9 +1010,9 @@ impl Pipeline {
 
     /// Suggests with a per-call configuration override. Scoring parameters
     /// (β, smoothing, γ, d, k, skipping, prior) take effect immediately;
-    /// `epsilon` and `partition_threshold` are capped by the offline
-    /// variant index the pipeline was built with, and `min_depth` must stay
-    /// ≥ 2 over a shard set. r and `|C_eff|` are constants. This serving
+    /// `epsilon` is capped by the offline variant index the pipeline was
+    /// built with, and `min_depth` must stay ≥ 2 over a shard set. r,
+    /// `|C_eff|` and `l_p` are constants. This serving
     /// wrapper is the only place query metrics are recorded.
     pub fn suggest_keywords_with(
         &self,

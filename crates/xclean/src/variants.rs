@@ -18,6 +18,10 @@ pub struct Variant {
     pub distance: u32,
 }
 
+/// The paper's `l_p` (§V-A): vocabulary words longer than this many
+/// characters use the partitioned FastSS scheme.
+pub const PARTITION_THRESHOLD: usize = 14;
+
 /// Variant generator over a corpus vocabulary.
 #[derive(Debug)]
 pub struct VariantGenerator {

@@ -36,6 +36,7 @@ use xclean_suite::datagen::{generate_dblp, DblpConfig};
 use xclean_suite::fastss::index::ONE_WALK;
 use xclean_suite::fastss::{VariantIndex, VariantIndexConfig};
 use xclean_suite::index::{CorpusIndex, TokenId};
+use xclean_suite::xclean::variants::PARTITION_THRESHOLD;
 use xclean_suite::xclean::{SuggestResponse, XCleanConfig, XCleanEngine};
 use xclean_suite::xmltree::NodeId;
 
@@ -207,7 +208,7 @@ fn slot_allocations_do_not_grow_with_probes_or_candidates(engine: &XCleanEngine)
         &terms,
         VariantIndexConfig {
             epsilon: config.epsilon,
-            partition_threshold: config.partition_threshold,
+            partition_threshold: PARTITION_THRESHOLD,
         },
     );
     let overflows = terms.iter().find(|t| {

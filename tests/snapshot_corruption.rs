@@ -7,11 +7,13 @@
 //! are clamped against the remaining input before any allocation, which
 //! the hostile-varint cases exercise directly with checksum verification
 //! switched off (with it on, the checksum masks every payload edit). The
-//! sweeps run over a fresh snapshot and over the committed one in the
-//! legacy posting layout, whose postings decode eagerly at open.
+//! sweeps run over a generated corpus's snapshot and the committed
+//! `dblp50.xml`'s. Input an earlier build read — an older format, or an
+//! older section layout — is refused with the way out: rebuild.
 
 use xclean_suite::datagen::{generate_dblp, DblpConfig};
-use xclean_suite::index::{storage, CorpusIndex, OpenOptions};
+use xclean_suite::index::{storage, CorpusIndex, OpenOptions, SlabMode};
+use xclean_suite::xmltree::parse_document;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("xclean_snapshot_corruption");
@@ -27,14 +29,15 @@ fn snapshot() -> Vec<u8> {
     storage::to_bytes_v2(&index)
 }
 
-/// A fresh snapshot and the committed one in the legacy posting layout
-/// (section POSTINGS_DEWEY), whose blobs decode eagerly on load.
+/// A generated corpus's snapshot and the committed `dblp50.xml`'s.
 fn snapshots() -> [Vec<u8>; 2] {
-    let old = concat!(
+    let xml = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/dblp50_v2_pr32.xci"
-    );
-    [snapshot(), std::fs::read(old).unwrap()]
+        "/tests/fixtures/dblp50.xml"
+    ))
+    .unwrap();
+    let dblp50 = CorpusIndex::build(parse_document(&xml).unwrap());
+    [snapshot(), storage::to_bytes_v2(&dblp50)]
 }
 
 /// Reads the v2 header (magic 8 + checksum 8 + count 1 + 17-byte table
@@ -216,4 +219,54 @@ fn degenerate_headers_are_rejected() {
     let mut corrupt = bytes;
     corrupt[17 + 17] = corrupt[17]; // second entry takes the first's id
     assert_rejected("duplicate section id", &corrupt);
+}
+
+/// Every read path refuses `bytes` with an error that says the input is
+/// not a current v2 snapshot and names the rebuild; the file-backed path
+/// in both slab modes, with checksum verification on and off.
+fn assert_refused_with_rebuild_hint(name: &str, bytes: &[u8]) {
+    let assert_hint = |path: &str, err: storage::StorageError| {
+        let msg = err.to_string();
+        for needle in ["not an xclean v2 snapshot", "xclean index build"] {
+            assert!(msg.contains(needle), "{name}: {path}: {msg}");
+        }
+    };
+    assert_hint("from_bytes", storage::from_bytes(bytes).unwrap_err());
+    assert_hint("summarize", storage::summarize(bytes).unwrap_err());
+    let path = tmp(&format!("refused_{name}.xci"));
+    std::fs::write(&path, bytes).unwrap();
+    let mapped = if cfg!(unix) {
+        SlabMode::Mapped
+    } else {
+        SlabMode::Auto
+    };
+    for mode in [SlabMode::Owned, mapped] {
+        for verify_checksum in [true, false] {
+            let opts = OpenOptions {
+                mode,
+                verify_checksum,
+            };
+            let label = format!("open_file({mode:?}, verify_checksum={verify_checksum})");
+            assert_hint(&label, storage::open_file(&path, &opts).unwrap_err());
+        }
+    }
+}
+
+/// The two inputs an earlier build loaded: bytes under the format-1
+/// magic, and a current snapshot whose section table names its postings
+/// by the older posting layout's id (4, not 8). The payload checksum does
+/// not cover the table, so the relabelled file passes it.
+#[test]
+fn legacy_inputs_are_refused_with_a_rebuild_hint() {
+    let mut v1 = b"XCLIDX1\0".to_vec();
+    v1.extend_from_slice(&snapshot()[8..]);
+    assert_refused_with_rebuild_hint("v1_magic", &v1);
+
+    let mut old_layout = snapshot();
+    let postings = (0..usize::from(old_layout[16]))
+        .map(|i| 17 + 17 * i)
+        .find(|&at| old_layout[at] == 8)
+        .expect("a POSTINGS(8) entry");
+    old_layout[postings] = 4;
+    assert_refused_with_rebuild_hint("old_posting_layout", &old_layout);
 }

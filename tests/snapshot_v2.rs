@@ -153,20 +153,11 @@ fn inex_v2_mapped_matches_v1() {
 }
 
 /// Fingerprints key the server's response cache, so they must not depend
-/// on *how* the snapshot bytes are held (owned copy vs mapping), and an
-/// `index upgrade` of a v1 snapshot must produce the same bytes as a
-/// direct v2 save of the same corpus (the encoder is canonical).
+/// on *how* the snapshot bytes are held (owned copy vs mapping).
 #[test]
-fn v2_fingerprint_is_slab_mode_invariant_and_upgrade_is_canonical() {
+fn v2_fingerprint_is_slab_mode_invariant() {
     let v2_path = tmp("fp.v2.xci");
-    let upgraded_path = tmp("fp.upgraded.xci");
     storage::save_to_file_v2(&dblp50(), &v2_path).unwrap();
-    storage::upgrade_file(fixture("dblp50_v1.xci"), &upgraded_path).unwrap();
-    assert_eq!(
-        std::fs::read(&v2_path).unwrap(),
-        std::fs::read(&upgraded_path).unwrap(),
-        "upgrade of a v1 snapshot must be byte-identical to a direct v2 save"
-    );
 
     let (owned, owned_report) = storage::open_file(
         &v2_path,
@@ -236,8 +227,7 @@ fn v2_payload_checksum_is_pinned() {
 
 /// The same pin on an input no generator can move: the bytes `to_bytes_v2`
 /// writes for the committed `dblp50.xml`, as computed by the first writer
-/// of `(node gap, tf)` posting blobs. (The previous layout's bytes are
-/// committed as `tests/fixtures/dblp50_v2_pr32.xci`.)
+/// of `(node gap, tf)` posting blobs.
 #[test]
 fn v2_bytes_of_committed_corpus_are_pinned() {
     let bytes = storage::to_bytes_v2(&dblp50());

@@ -8,15 +8,13 @@
 //! indexes must save to the same bytes. This suite checks that property
 //! over generated corpora of several sizes and perturbed workloads, plus
 //! the cheap summary path used by `xclean index inspect`, which must
-//! agree with the loaded and the fresh index alike; the committed legacy
-//! snapshots are held to the same oracle.
+//! agree with the loaded and the fresh index alike.
 
 use xclean_suite::datagen::{
     generate_dblp, generate_inex, make_workload, DblpConfig, InexConfig, Perturbation, WorkloadSpec,
 };
 use xclean_suite::index::{storage, CorpusIndex, OpenOptions};
 use xclean_suite::xclean::{XCleanConfig, XCleanEngine};
-use xclean_suite::xmltree::parse_document;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("xclean_storage_roundtrip");
@@ -172,47 +170,6 @@ fn inex_roundtrip_is_bit_identical() {
     }));
     let queries = workload(&index, 30, 77);
     assert_roundtrip_identical("inex_150.xci", index, &queries);
-}
-
-/// The committed v1 fixtures must keep loading verbatim: compatibility
-/// with already-deployed snapshots is a contract, not an accident of the
-/// current reader (CI additionally upgrades one and diffs the answers).
-#[test]
-fn committed_v1_fixture_stays_loadable() {
-    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let path = fixtures.join("tiny_v1.xci");
-    let summary = storage::summarize_file(&path).unwrap();
-    assert_eq!(summary.format_version, 1);
-    assert_eq!(summary.checksum, None);
-    let (index, _) = storage::open_file(&path, &OpenOptions::default()).unwrap();
-    assert_eq!(index.tree().len(), summary.nodes);
-    assert_eq!(index.vocab().len(), summary.terms);
-    let engine = XCleanEngine::from_corpus(index, XCleanConfig::default());
-    let r = engine.suggest("helth insurance");
-    assert_eq!(r.suggestions[0].terms, vec!["health", "insurance"]);
-
-    // A non-trivial one: what the last commit with a v1 writer wrote for
-    // `dblp50.xml` must load as the index a fresh build of that XML gives.
-    let xml = std::fs::read_to_string(fixtures.join("dblp50.xml")).unwrap();
-    let fresh = CorpusIndex::build(parse_document(&xml).unwrap());
-    let queries = workload(&fresh, 20, 1050);
-    let path = fixtures.join("dblp50_v1.xci");
-    assert_eq!(storage::summarize_file(&path).unwrap().format_version, 1);
-    assert_loaded_matches_fresh("dblp50_v1.xci", &path, fresh, &queries);
-}
-
-/// The same oracle for the v2 snapshot of `dblp50.xml` that the last
-/// writer of per-posting label paths and Dewey codes wrote: its legacy
-/// POSTINGS_DEWEY section must load as the index a fresh build gives.
-#[test]
-fn committed_old_layout_v2_fixture_answers_like_a_fresh_build() {
-    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let xml = std::fs::read_to_string(fixtures.join("dblp50.xml")).unwrap();
-    let fresh = CorpusIndex::build(parse_document(&xml).unwrap());
-    let queries = workload(&fresh, 20, 1050);
-    let path = fixtures.join("dblp50_v2_pr32.xci");
-    assert_eq!(storage::summarize_file(&path).unwrap().format_version, 2);
-    assert_loaded_matches_fresh("dblp50_v2_pr32.xci", &path, fresh, &queries);
 }
 
 #[test]
