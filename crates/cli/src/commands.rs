@@ -16,11 +16,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xclean::{
-    Catalog, CorpusSpec, Pipeline, RunStats, Semantics, ShardedEngine, Suggestion, Telemetry,
+    Catalog, CorpusSpec, Pipeline, RunStats, Semantics, ShardedEngineError, Suggestion, Telemetry,
     XCleanConfig, XCleanEngine,
 };
 use xclean_datagen::{generate_dblp, generate_inex, DblpConfig, InexConfig};
-use xclean_index::{partition_corpus, storage, CorpusIndex, OpenOptions, SlabMode};
+use xclean_index::{partition_corpus, storage, CorpusIndex, OpenOptions};
 use xclean_server::{ServerConfig, SuggestServer, PAGE_ROUTES};
 use xclean_telemetry::json::Json;
 use xclean_xmltree::{parse_document, to_xml, TreeStats};
@@ -80,17 +80,15 @@ USAGE:
             (workload file: one query per line; blank lines and
              #-comments are skipped)
             (--threads sizes the --batch worker pool; threads are only
-             ever spent across the queries of a batch and, for a
-             catalog entry's `num_threads`, across the shards of a set
-             — one query over one corpus runs on the calling thread
-             whatever N is, and no N changes a byte of any answer)
+             ever spent across the queries of a batch — one query runs
+             on the calling thread whatever N is, and no N changes a
+             byte of any answer)
             (--trace-out writes a Chrome trace-event JSON of the query's
              pipeline spans — load it in Perfetto / chrome://tracing;
              --metrics-json appends the engine's aggregated counters and
              p50/p95/p99 stage histograms as one JSON line)
     xclean serve <index.xci | --catalog catalog.xcc>
             [--host H] [--port P] [--threads N] [--max-connections N]
-            [--mmap | --no-mmap]
             [--cache-entries N] [--max-body-bytes N]
             [--k N] [--beta B] [--gamma G] [--epsilon E] [--min-depth D]
             [--semantics node-type|slca|elca] [--phonetic DIST]
@@ -102,7 +100,8 @@ USAGE:
              GET /debug/explain?q=Q[&corpus=C], GET /debug/exemplars;
              with --catalog, every declared corpus is served under
              POST/GET /suggest/<name> — sharded entries scatter-gather
-             across their snapshots — while bare /suggest and the
+             across their snapshots, and the tuning flags configure
+             every corpus — while bare /suggest and the
              top-level /healthz fields keep tracking the first
              (primary) catalog entry; /metrics carries the server's own
              series unlabelled and every corpus's engine, cache and
@@ -120,9 +119,11 @@ USAGE:
              to --threads scoring workers; above --max-connections open
              sockets new ones are answered 503 and closed. serve needs
              Linux; every other subcommand is portable)
-            (snapshots are served straight from their bytes: by
-             default they are mmap-ed when possible; --mmap requires
-             the mapping, --no-mmap forces an in-memory copy)
+            (snapshots are served straight from their bytes, mmap-ed
+             where the platform and the file allow and read into
+             memory otherwise; a bare snapshot serves as the one
+             corpus `default`, and a shard snapshot as its shard set,
+             which takes node-type semantics and --min-depth >= 2 only)
     xclean stats <data.xml | index.xci>
     xclean generate <dblp | dblp-large | inex> --out <corpus.xml>
             [--size N] [--seed S] [--vocab N] [--vocab-rotation N]
@@ -294,7 +295,6 @@ fn cmd_index_shard(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
             .collect();
         let spec = CorpusSpec {
             name: name.clone(),
-            config: XCleanConfig::default(),
             snapshots: stored,
         };
         match catalog.corpora.iter_mut().find(|c| c.name == name) {
@@ -653,15 +653,13 @@ fn cmd_suggest_batch(engine: &XCleanEngine, path: &str, json: bool) -> Result<Cm
 /// SIGINT/SIGTERM triggers a graceful drain; the returned lines are the
 /// post-drain summary.
 fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
-    let args = Args::parse(raw, &["mmap", "no-mmap"])?;
+    let args = Args::parse(raw, &[])?;
     args.reject_unknown(&[
         "catalog",
         "host",
         "port",
         "threads",
         "max-connections",
-        "mmap",
-        "no-mmap",
         "cache-entries",
         "max-body-bytes",
         "k",
@@ -677,10 +675,29 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         "slo-ms",
         "slow-log",
     ])?;
-    let catalog_path = args.get("catalog").map(str::to_string);
-    let snapshot = match (args.positional(), &catalog_path) {
-        ([], Some(_)) => None,
-        ([s], None) => Some(s.clone()),
+    let catalog_path = args.get("catalog");
+    // A bare snapshot is a one-entry catalog: `default` → [snapshot],
+    // resolved against the working directory.
+    let (specs, base) = match (args.positional(), catalog_path) {
+        ([], Some(cat_path)) => {
+            let catalog =
+                Catalog::load(cat_path).map_err(|e| ArgError(format!("{cat_path}: {e}")))?;
+            if catalog.corpora.is_empty() {
+                return Err(ArgError(format!("{cat_path}: catalog declares no corpora")));
+            }
+            let base = std::path::Path::new(cat_path)
+                .parent()
+                .unwrap_or_else(|| std::path::Path::new(""))
+                .to_path_buf();
+            (catalog.corpora, base)
+        }
+        ([snapshot], None) => (
+            vec![CorpusSpec {
+                name: "default".to_string(),
+                snapshots: vec![snapshot.clone()],
+            }],
+            std::path::PathBuf::new(),
+        ),
         ([_], Some(_)) => {
             return Err(ArgError(
                 "give a snapshot positional OR --catalog, not both".into(),
@@ -694,27 +711,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
             ))
         }
     };
-    if catalog_path.is_some() {
-        // Catalog serving is declarative: each corpus entry carries its
-        // own full engine configuration, so per-process tuning flags
-        // would silently disagree with it.
-        for flag in [
-            "k",
-            "beta",
-            "gamma",
-            "epsilon",
-            "min-depth",
-            "semantics",
-            "phonetic",
-        ] {
-            if args.get(flag).is_some() {
-                return Err(ArgError(format!(
-                    "--{flag} does not combine with --catalog: engine tuning is per-corpus \
-                     in the catalog file"
-                )));
-            }
-        }
-    }
     let (config, semantics) = tuning_from_args(&args)?;
     let defaults = ServerConfig::default();
     let slow_ms: u64 = args.get_parsed("slow-ms", 100u64)?;
@@ -742,11 +738,6 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     let trace_out = args.get("trace-out").map(str::to_string);
     let metrics_out = args.get("metrics-json").map(str::to_string);
 
-    if args.has_flag("mmap") && args.has_flag("no-mmap") {
-        return Err(ArgError(
-            "--mmap and --no-mmap are mutually exclusive".into(),
-        ));
-    }
     if !cfg!(target_os = "linux") {
         return Err(ArgError(
             "serve needs Linux: the server's one wire path is an epoll event loop \
@@ -754,109 +745,58 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
                 .into(),
         ));
     }
-    let open_options = OpenOptions {
-        mode: if args.has_flag("mmap") {
-            SlabMode::Mapped
-        } else if args.has_flag("no-mmap") {
-            SlabMode::Owned
-        } else {
-            SlabMode::Auto
-        },
-        ..Default::default()
-    };
 
     // The server path deliberately refuses to parse XML on the fly: a
     // long-running process should start from the index built offline
     // (`xclean index build` / `index shard`), exactly as the paper
     // separates offline indexing from interactive querying. v2 snapshots
-    // open as a view over the file bytes (mmap-ed by default), so
+    // open as a view over the file bytes (mmap-ed where possible), so
     // startup cost is the validation pass, not a full re-encode.
+    let origin = catalog_path.map_or(String::new(), |c| format!("{c}: "));
     let mut corpora: Vec<(String, Arc<Pipeline>)> = Vec::new();
     let mut banner: Vec<String> = Vec::new();
-    if let Some(cat_path) = &catalog_path {
-        let catalog = Catalog::load(cat_path).map_err(|e| ArgError(format!("{cat_path}: {e}")))?;
-        if catalog.corpora.is_empty() {
-            return Err(ArgError(format!("{cat_path}: catalog declares no corpora")));
-        }
-        let base = std::path::Path::new(cat_path)
-            .parent()
-            .unwrap_or_else(|| std::path::Path::new(""))
-            .to_path_buf();
-        for spec in &catalog.corpora {
-            let paths = spec.resolved_snapshots(&base);
-            let mut shards = Vec::new();
-            let mut reports = Vec::new();
-            for p in &paths {
-                let (c, report) = storage::open_file(p, &open_options).map_err(|e| {
-                    ArgError(format!(
-                        "{cat_path}: corpus {:?}: {}: {e}",
-                        spec.name,
-                        p.display()
-                    ))
-                })?;
-                reports.push(report);
-                shards.push(c);
-            }
-            let telemetry = match trace_out {
-                Some(_) => Telemetry::with_tracing(),
-                None => Telemetry::disabled(),
-            };
-            let engine = if shards.len() == 1 && shards[0].shard_meta().is_none() {
-                // A plain single-snapshot corpus serves unsharded.
-                let corpus = shards.pop().expect("exactly one snapshot");
-                let e = XCleanEngine::from_corpus(corpus, spec.config.clone());
-                Arc::clone(e.with_telemetry(telemetry).pipeline())
-            } else {
-                // One or more shard snapshots: scatter-gather serving.
-                // `from_shards` validates completeness (exact ids
-                // 0..shard_count, one seed, one parent fingerprint).
-                let e = ShardedEngine::from_shards(shards, spec.config.clone()).map_err(|err| {
-                    ArgError(format!("{cat_path}: corpus {:?}: {err}", spec.name))
-                })?;
-                Arc::clone(e.with_telemetry(telemetry).pipeline())
-            };
-            // One open/validate sample per snapshot opened, whichever
-            // shape serves them.
-            for report in &reports {
-                engine.record_snapshot_timings(report);
-            }
-            banner.push(format!(
-                "corpus {}: {} snapshot(s), {} shard(s), fingerprint {:016x} → /suggest/{}",
-                spec.name,
-                paths.len(),
-                engine.shard_count(),
-                engine.fingerprint(),
-                spec.name
-            ));
-            corpora.push((spec.name.clone(), engine));
-        }
-    } else {
-        let snapshot = snapshot.as_deref().expect("checked above");
-        let (corpus, load_report) =
-            storage::open_file(snapshot, &open_options).map_err(|e| match e {
-                storage::StorageError::Io(_) => ArgError(format!(
-                    "{snapshot}: {e} (build a snapshot first: xclean index build <data.xml> --out <index.xci>)"
-                )),
-                _ => ArgError(format!("{snapshot}: {e}")),
+    for spec in specs {
+        let telemetry = match trace_out {
+            Some(_) => Telemetry::with_tracing(),
+            None => Telemetry::disabled(),
+        };
+        let (engine, reports) = spec
+            .open(&base, config.clone(), semantics, telemetry)
+            .map_err(|e| {
+                let hint = match e {
+                    ShardedEngineError::Snapshot {
+                        source: storage::StorageError::Io(_),
+                        ..
+                    } => {
+                        " (build a snapshot first: xclean index build <data.xml> --out <index.xci>)"
+                    }
+                    _ => "",
+                };
+                ArgError(format!("{origin}corpus {:?}: {e}{hint}", spec.name))
             })?;
-        let mut engine = XCleanEngine::from_corpus(corpus, config).with_semantics(semantics);
-        if trace_out.is_some() {
-            engine = engine.with_telemetry(Telemetry::with_tracing());
+        for (path, report) in spec.snapshots.iter().zip(&reports) {
+            banner.push(format!(
+                "snapshot {path}: v{} {} ({:.2} MB) — open {:.1}ms, validate {:.1}ms",
+                report.format_version,
+                if report.mapped {
+                    "mmap-backed"
+                } else {
+                    "in-memory"
+                },
+                report.total_bytes as f64 / 1e6,
+                report.open_nanos as f64 / 1e6,
+                report.validate_nanos as f64 / 1e6,
+            ));
         }
-        engine.record_snapshot_timings(&load_report);
         banner.push(format!(
-            "snapshot: v{} {} ({:.2} MB) — open {:.1}ms, validate {:.1}ms",
-            load_report.format_version,
-            if load_report.mapped {
-                "mmap-backed"
-            } else {
-                "in-memory"
-            },
-            load_report.total_bytes as f64 / 1e6,
-            load_report.open_nanos as f64 / 1e6,
-            load_report.validate_nanos as f64 / 1e6,
+            "corpus {}: {} snapshot(s), {} shard(s), fingerprint {:016x} → /suggest/{}",
+            spec.name,
+            reports.len(),
+            engine.shard_count(),
+            engine.fingerprint(),
+            spec.name
         ));
-        corpora.push(("default".to_string(), Arc::clone(engine.pipeline())));
+        corpora.push((spec.name, engine));
     }
     // The primary (first) tenant's tracer feeds the post-drain trace
     // flush, exactly like the engine did in single-corpus mode.
@@ -1393,7 +1333,9 @@ mod tests {
         let out = run(argv(&["serve", &idx, "--port", "notaport"]));
         assert_eq!(out.code, 2);
         // There is one wire path, so the flags that chose between two
-        // are gone, not ignored; so is the logger's threshold.
+        // are gone, not ignored; so is the logger's threshold. (So are
+        // the two that chose how to open a snapshot:
+        // `crates/cli/tests/errors.rs`.)
         for flag in ["--thread-pool", "--event-loop", "--log-level"] {
             let out = run(argv(&["serve", &idx, flag, "--threads", "2"]));
             assert_eq!(out.code, 2, "{flag}: {:?}", out.lines);
@@ -1408,14 +1350,6 @@ mod tests {
         assert_eq!(out.code, 2);
         assert!(
             out.lines[0].contains("--max-connections"),
-            "{:?}",
-            out.lines
-        );
-        // Contradictory slab modes are rejected before binding.
-        let out = run(argv(&["serve", &idx, "--mmap", "--no-mmap"]));
-        assert_eq!(out.code, 2);
-        assert!(
-            out.lines[0].contains("mutually exclusive"),
             "{:?}",
             out.lines
         );
@@ -1596,16 +1530,33 @@ mod tests {
         ]));
         assert_eq!(out.code, 2, "{:?}", out.lines);
         // serve: catalog and positional snapshot are mutually exclusive,
-        // tuning flags are per-corpus, and a missing shard file is
-        // reported by path before binding.
+        // a shard set refuses the tuning it cannot answer with, naming
+        // the corpus, and a missing shard file is reported by path — all
+        // before binding.
         let idx = tmp("shardcat_plain.xci").to_string_lossy().into_owned();
         assert_eq!(run(argv(&["index", "build", &xml, "--out", &idx])).code, 0);
         let out = run(argv(&["serve", &idx, "--catalog", &cat]));
         assert_eq!(out.code, 2);
         assert!(out.lines[0].contains("not both"), "{:?}", out.lines);
-        let out = run(argv(&["serve", "--catalog", &cat, "--gamma", "5"]));
+        for (flag, value, needle) in [
+            ("--semantics", "slca", "node-type semantics only"),
+            ("--semantics", "elca", "node-type semantics only"),
+            ("--min-depth", "1", "min_depth >= 2"),
+        ] {
+            let out = run(argv(&["serve", "--catalog", &cat, flag, value]));
+            assert_eq!(out.code, 2, "{flag} {value}: {:?}", out.lines);
+            for needle in ["corpus \"dblp\"", needle] {
+                assert!(out.lines[0].contains(needle), "{needle}: {:?}", out.lines);
+            }
+        }
+        // Served bare, a shard of a 2-shard set is an incomplete set.
+        let out = run(argv(&["serve", &format!("{prefix}-shard0-of-2.xci")]));
         assert_eq!(out.code, 2);
-        assert!(out.lines[0].contains("per-corpus"), "{:?}", out.lines);
+        assert!(
+            out.lines[0].contains("corpus \"default\"") && out.lines[0].contains("2 shards"),
+            "{:?}",
+            out.lines
+        );
         let out = run(argv(&["serve", "--catalog", "/nonexistent/cat.xcc"]));
         assert_eq!(out.code, 2);
         let gone = format!("{prefix}-shard1-of-2.xci");

@@ -2,12 +2,14 @@
 //! `error: …` on stderr, nothing on stdout, and exits 2. A successful
 //! command prints only on stdout. A file that is not a v2 snapshot in the
 //! current layout (an older format's, say) is refused by every command
-//! that opens one, naming the file and the rebuild.
+//! that opens one, naming the file and the rebuild; a catalog in the
+//! format an earlier build wrote is refused with the way to re-register
+//! its corpora.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use xclean::{Catalog, CorpusSpec, XCleanConfig};
+use xclean::{Catalog, CorpusSpec};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("xclean_cli_errors");
@@ -74,6 +76,17 @@ fn every_error_path_writes_only_stderr_and_exits_2() {
     }
 }
 
+/// A snapshot opens one way, so the flags that chose between a mapping
+/// and an owned copy are unknown options, not ignored.
+#[test]
+fn the_snapshot_backing_flags_are_unknown_options() {
+    let (xml, _) = sample("backing_flags");
+    for flag in ["--mmap", "--no-mmap"] {
+        let stderr = assert_fails(&["serve", &xml, flag, "--threads", "2"]);
+        assert!(stderr.contains("unknown option"), "{flag}: {stderr}");
+    }
+}
+
 #[test]
 fn a_successful_suggest_writes_only_stdout() {
     let (xml, workload) = sample("success");
@@ -123,7 +136,6 @@ fn legacy_snapshots_are_refused_with_a_rebuild_hint() {
         Catalog {
             corpora: vec![CorpusSpec {
                 name: "legacy".to_string(),
-                config: XCleanConfig::default(),
                 snapshots: vec![file.clone()],
             }],
         }
@@ -148,5 +160,19 @@ fn legacy_snapshots_are_refused_with_a_rebuild_hint() {
         // The catalog refusal also names the corpus.
         let stderr = assert_fails(&["serve", "--catalog", &catalog, "--port", "0"]);
         assert!(stderr.contains("corpus \"legacy\""), "{stderr}");
+    }
+}
+
+/// The `XCLCAT1` catalog an earlier build wrote (its entries carried an
+/// engine configuration; the committed fixture is that build's bytes).
+#[test]
+fn an_earlier_catalog_format_is_refused_with_a_re_register_hint() {
+    let catalog = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/catalog_xclcat1.xcc"
+    );
+    let stderr = assert_fails(&["serve", "--catalog", catalog, "--port", "0"]);
+    for needle in [catalog, "re-register", "xclean index shard", "--catalog"] {
+        assert!(stderr.contains(needle), "{needle}: {stderr}");
     }
 }

@@ -29,7 +29,7 @@ pub use level::{Entities, LevelEntry, LevelTable};
 pub use path_stats::PathStatsIndex;
 pub use posting::{AccessStats, MergedEntry, Posting, PostingList};
 pub use shard::{partition_corpus, ShardError, ShardMeta};
-pub use slab::{IndexSlab, SlabMode};
+pub use slab::IndexSlab;
 pub use storage::{
     LoadReport, OpenOptions, SectionInfo, ShardSummary, SnapshotSummary, StorageError,
 };

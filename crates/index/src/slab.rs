@@ -16,8 +16,8 @@
 //! `signal(2)` shim in `xclean-server::shutdown`) rather than a mmap
 //! crate: `mmap`/`munmap` are the only two calls, confined to the
 //! `#[allow(unsafe_code)]` module at the bottom of this file. On
-//! non-unix targets [`SlabMode::Auto`] silently falls back to an owned
-//! read.
+//! non-unix targets, and where a mapping fails, [`IndexSlab::open`] reads
+//! the file into an owned buffer instead.
 
 use std::io;
 use std::ops::Range;
@@ -25,18 +25,6 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use crate::codec::CodecError;
-
-/// How [`IndexSlab::open`] should back the bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SlabMode {
-    /// Memory-map when the platform supports it, else read into memory.
-    #[default]
-    Auto,
-    /// Always read the file into an owned heap buffer.
-    Owned,
-    /// Require a memory mapping; error where unsupported.
-    Mapped,
-}
 
 /// The bytes of one snapshot, owned or memory-mapped.
 #[derive(Debug)]
@@ -49,38 +37,27 @@ pub enum IndexSlab {
 }
 
 impl IndexSlab {
-    /// Opens `path` according to `mode`. Zero-length files are always
-    /// owned (mapping an empty file is an `EINVAL` on Linux).
-    pub fn open(path: impl AsRef<Path>, mode: SlabMode) -> io::Result<IndexSlab> {
+    /// Opens `path`: memory-maps it where the platform and the file allow,
+    /// and reads it into memory otherwise (e.g. a filesystem without mmap
+    /// support). Zero-length files are always owned (mapping an empty
+    /// file is an `EINVAL` on Linux).
+    pub fn open(path: impl AsRef<Path>) -> io::Result<IndexSlab> {
         let path = path.as_ref();
-        match mode {
-            SlabMode::Owned => Ok(IndexSlab::Owned(std::fs::read(path)?)),
-            #[cfg(unix)]
-            SlabMode::Mapped | SlabMode::Auto => {
-                let file = std::fs::File::open(path)?;
-                let len = file.metadata()?.len();
-                if len == 0 {
-                    return Ok(IndexSlab::Owned(Vec::new()));
-                }
-                let len = usize::try_from(len).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "snapshot exceeds address space")
-                })?;
-                match mmap::Mmap::map_readonly(&file, len) {
-                    Ok(m) => Ok(IndexSlab::Mapped(m)),
-                    // Auto degrades gracefully (e.g. filesystems without
-                    // mmap support); an explicit Mapped request does not.
-                    Err(e) if mode == SlabMode::Mapped => Err(e),
-                    Err(_) => Ok(IndexSlab::Owned(std::fs::read(path)?)),
-                }
+        #[cfg(unix)]
+        {
+            let file = std::fs::File::open(path)?;
+            let len = file.metadata()?.len();
+            if len == 0 {
+                return Ok(IndexSlab::Owned(Vec::new()));
             }
-            #[cfg(not(unix))]
-            SlabMode::Auto => Ok(IndexSlab::Owned(std::fs::read(path)?)),
-            #[cfg(not(unix))]
-            SlabMode::Mapped => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "memory mapping is not supported on this platform",
-            )),
+            let len = usize::try_from(len).map_err(|_| {
+                io::Error::new(io::ErrorKind::InvalidData, "snapshot exceeds address space")
+            })?;
+            if let Ok(m) = mmap::Mmap::map_readonly(&file, len) {
+                return Ok(IndexSlab::Mapped(m));
+            }
         }
+        Ok(IndexSlab::Owned(std::fs::read(path)?))
     }
 
     /// The slab's bytes.
@@ -344,41 +321,34 @@ mod tests {
     fn owned_and_mapped_agree() {
         let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
         let p = tmp_file("agree.bin", &data);
-        let owned = IndexSlab::open(&p, SlabMode::Owned).unwrap();
+        let owned = IndexSlab::Owned(std::fs::read(&p).unwrap());
         assert!(!owned.is_mapped());
         assert_eq!(owned.bytes(), &data[..]);
-        let auto = IndexSlab::open(&p, SlabMode::Auto).unwrap();
-        assert_eq!(auto.bytes(), &data[..]);
+        let opened = IndexSlab::open(&p).unwrap();
         #[cfg(unix)]
-        {
-            let mapped = IndexSlab::open(&p, SlabMode::Mapped).unwrap();
-            assert!(mapped.is_mapped());
-            assert_eq!(mapped.bytes(), &data[..]);
-            assert_eq!(&mapped[0..4], &data[0..4]); // Deref
-        }
+        assert!(opened.is_mapped());
+        assert_eq!(opened.bytes(), owned.bytes());
+        assert_eq!(&opened[0..4], &data[0..4]); // Deref
     }
 
     #[test]
     fn empty_file_is_owned() {
-        let p = tmp_file("empty.bin", b"");
-        for mode in [SlabMode::Auto, SlabMode::Owned, SlabMode::Mapped] {
-            let s = IndexSlab::open(&p, mode).unwrap();
-            assert!(s.is_empty());
-            assert!(!s.is_mapped());
-        }
+        let s = IndexSlab::open(tmp_file("empty.bin", b"")).unwrap();
+        assert!(s.is_empty());
+        assert!(!s.is_mapped());
     }
 
     #[test]
     fn missing_file_errors() {
         let p = std::env::temp_dir().join("xclean_slab_test/definitely_missing.bin");
-        assert!(IndexSlab::open(&p, SlabMode::Auto).is_err());
+        assert!(IndexSlab::open(&p).is_err());
     }
 
     #[test]
     fn mapped_slab_outlives_thread_moves() {
         let data = vec![7u8; 4096 * 3 + 17];
         let p = tmp_file("threads.bin", &data);
-        let slab = std::sync::Arc::new(IndexSlab::open(&p, SlabMode::Auto).unwrap());
+        let slab = std::sync::Arc::new(IndexSlab::open(&p).unwrap());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let s = std::sync::Arc::clone(&slab);

@@ -23,7 +23,7 @@ use xclean_xmltree::{TokenizerConfig, TreeAssemblyError};
 
 use crate::codec::CodecError;
 use crate::corpus::CorpusIndex;
-use crate::slab::{IndexSlab, SlabMode};
+use crate::slab::IndexSlab;
 
 pub mod v2;
 
@@ -131,23 +131,12 @@ pub struct SnapshotSummary {
     pub shard: Option<ShardSummary>,
 }
 
-/// How [`open_file`] should back and verify a snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct OpenOptions {
-    /// Backing-store mode for the slab.
-    pub mode: SlabMode,
-    /// Verify the payload checksum before trusting any length field.
-    pub verify_checksum: bool,
-}
-
-impl Default for OpenOptions {
-    fn default() -> Self {
-        OpenOptions {
-            mode: SlabMode::Auto,
-            verify_checksum: true,
-        }
-    }
-}
+/// The options [`open_file`] takes. It has none: a snapshot is always
+/// mapped where possible and always checksum-verified. The type stays
+/// because the benchmark harness (`xbench/`) passes
+/// `&OpenOptions::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OpenOptions {}
 
 /// What [`open_file`] did and how long it took.
 #[derive(Debug, Clone, Copy)]
@@ -158,8 +147,8 @@ pub struct LoadReport {
     pub total_bytes: usize,
     /// `true` when the serving index reads from a memory mapping.
     pub mapped: bool,
-    /// Payload checksum recorded in the file (always set).
-    pub checksum: Option<u64>,
+    /// Payload checksum recorded in the file (verified).
+    pub checksum: u64,
     /// Nanoseconds spent acquiring the bytes (read or mmap).
     pub open_nanos: u64,
     /// Nanoseconds spent validating + assembling the index.
@@ -174,7 +163,7 @@ pub fn to_bytes_v2(corpus: &CorpusIndex) -> Vec<u8> {
 /// Restores a corpus index from v2 bytes.
 pub fn from_bytes(buf: &[u8]) -> Result<CorpusIndex, StorageError> {
     let slab = Arc::new(IndexSlab::Owned(buf.to_vec()));
-    v2::load(slab, true).map(|(c, _)| c)
+    v2::load(slab).map(|(c, _)| c)
 }
 
 /// Walks a snapshot's framing and returns a [`SnapshotSummary`] without
@@ -233,27 +222,28 @@ pub fn replace_file(path: impl AsRef<std::path::Path>, bytes: &[u8]) -> std::io:
     written
 }
 
-/// Opens a snapshot for serving: it validates in place over the slab
-/// (owned or mapped per `options.mode`). Returns the index plus a
-/// [`LoadReport`] with open/validate timings for telemetry.
+/// Opens a snapshot for serving: it maps the file where it can
+/// ([`IndexSlab::open`]), verifies the payload checksum, and validates in
+/// place over the slab. Returns the index plus a [`LoadReport`] with
+/// open/validate timings for telemetry.
 pub fn open_file(
     path: impl AsRef<std::path::Path>,
-    options: &OpenOptions,
+    _options: &OpenOptions,
 ) -> Result<(CorpusIndex, LoadReport), StorageError> {
     let t0 = Instant::now();
-    let slab = IndexSlab::open(path, options.mode)?;
+    let slab = IndexSlab::open(path)?;
     let open_nanos = t0.elapsed().as_nanos() as u64;
     let total_bytes = slab.len();
     let mapped = slab.is_mapped();
     let t1 = Instant::now();
-    let (corpus, checksum) = v2::load(Arc::new(slab), options.verify_checksum)?;
+    let (corpus, checksum) = v2::load(Arc::new(slab))?;
     Ok((
         corpus,
         LoadReport {
             format_version: 2,
             total_bytes,
             mapped,
-            checksum: Some(checksum),
+            checksum,
             open_nanos,
             validate_nanos: t1.elapsed().as_nanos() as u64,
         },
@@ -389,10 +379,7 @@ mod tests {
         let (c, report) = open_file(&path, &OpenOptions::default()).unwrap();
         assert_equivalent(&a, &c);
         assert_eq!(report.format_version, 2);
-        assert_eq!(
-            report.checksum,
-            Some(summarize_file(&path).unwrap().checksum)
-        );
+        assert_eq!(report.checksum, summarize_file(&path).unwrap().checksum);
         std::fs::remove_file(&path).ok();
     }
 
@@ -447,11 +434,7 @@ mod tests {
         let path = dir.join("replaced.xci");
         save_to_file_v2(&dblp50(), &path).unwrap();
         let original = std::fs::read(&path).unwrap();
-        let options = OpenOptions {
-            mode: SlabMode::Mapped,
-            verify_checksum: true,
-        };
-        let (a, report) = open_file(&path, &options).unwrap();
+        let (a, report) = open_file(&path, &OpenOptions::default()).unwrap();
         assert!(report.mapped);
 
         let xml = std::fs::read_to_string(fixture("dblp50.xml"))
@@ -484,20 +467,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mapped.xci");
         save_to_file_v2(&a, &path).unwrap();
-        let (owned, _) = open_file(
-            &path,
-            &OpenOptions {
-                mode: SlabMode::Owned,
-                verify_checksum: true,
-            },
-        )
-        .unwrap();
-        let (auto, report) = open_file(&path, &OpenOptions::default()).unwrap();
-        assert_equivalent(&owned, &auto);
-        assert_equivalent(&a, &auto);
+        let owned = from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        let (mapped, report) = open_file(&path, &OpenOptions::default()).unwrap();
+        assert_equivalent(&owned, &mapped);
+        assert_equivalent(&a, &mapped);
         #[cfg(unix)]
         assert!(report.mapped);
-        assert_eq!(owned.provenance(), auto.provenance());
+        assert_eq!(owned.provenance(), mapped.provenance());
         std::fs::remove_file(&path).ok();
     }
 }

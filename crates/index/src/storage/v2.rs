@@ -442,14 +442,12 @@ fn load_tree(bytes: &[u8], section: &Range<usize>) -> Result<XmlTree, StorageErr
 
 /// Validates a v2 snapshot over `slab` and assembles a [`CorpusIndex`]
 /// whose postings, term dictionary, and path statistics remain views into
-/// the slab. Returns the index and the payload checksum.
-pub(crate) fn load(
-    slab: Arc<IndexSlab>,
-    verify_checksum: bool,
-) -> Result<(CorpusIndex, u64), StorageError> {
+/// the slab. The payload checksum is verified before any length field is
+/// trusted. Returns the index and the payload checksum.
+pub(crate) fn load(slab: Arc<IndexSlab>) -> Result<(CorpusIndex, u64), StorageError> {
     let bytes = slab.bytes();
     let header = parse_header(bytes)?;
-    if verify_checksum && checksum64(&bytes[header.header_end..]) != header.checksum {
+    if checksum64(&bytes[header.header_end..]) != header.checksum {
         return Err(StorageError::Corrupt("payload checksum mismatch"));
     }
 

@@ -1,13 +1,13 @@
 //! Multi-tenant corpus catalog: the serving metastore.
 //!
-//! A catalog file declares, for each served corpus, its name, its full
-//! [`XCleanConfig`], and the snapshot file(s) backing it — one path for an
-//! unsharded corpus, N paths for a shard set (the server decides which
-//! engine to build from the shard metadata inside the snapshots). The
+//! A catalog file declares, for each served corpus, its name and the
+//! snapshot file(s) backing it — one path for an unsharded corpus, N paths
+//! for a shard set. [`CorpusSpec::open`] decides which engine to build
+//! from the shard metadata inside the snapshots; every corpus of a server
+//! runs with the one configuration the server was started with. The
 //! encoding follows the storage/v2 discipline: magic + whole-payload
-//! checksum, minimal LEB128 varints, `f64`s as IEEE bit patterns, explicit
-//! `u8` tags for options and enums — so a decode→encode round trip is
-//! **byte-stable** and any flipped bit is caught before a config is
+//! checksum and minimal LEB128 varints, so a decode→encode round trip is
+//! **byte-stable** and any flipped bit is caught before a path is
 //! trusted.
 //!
 //! Snapshot paths are stored as written (usually relative); resolve them
@@ -16,19 +16,20 @@
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use xclean_index::slab::checksum64;
-use xclean_index::storage;
-use xclean_lm::Smoothing;
+use xclean_index::{storage, LoadReport};
 
-use crate::config::{EntityPrior, XCleanConfig};
-use crate::pipeline::BATCH_CHUNK;
-use crate::result_type::DEPTH_DECAY;
-use crate::variants::PARTITION_THRESHOLD;
-use crate::walk::MAX_CANDIDATES_PER_SUBTREE;
+use crate::config::XCleanConfig;
+use crate::pipeline::{Pipeline, Semantics};
+use crate::sharded::{open_snapshots, ShardedEngine, ShardedEngineError};
+use crate::{Telemetry, XCleanEngine};
 
-/// File magic: 7 ASCII bytes + NUL, mirroring the snapshot magics.
-pub const CATALOG_MAGIC: &[u8; 8] = b"XCLCAT1\0";
+/// File magic: 7 ASCII bytes + NUL, mirroring the snapshot magics. An
+/// earlier build wrote `XCLCAT1\0`, whose entries also carried an engine
+/// configuration; such a file is a [`CatalogError::BadMagic`].
+pub const CATALOG_MAGIC: &[u8; 8] = b"XCLCAT2\0";
 
 /// Longest permitted corpus name.
 pub const MAX_NAME_LEN: usize = 64;
@@ -46,22 +47,13 @@ pub enum CatalogError {
         actual: u64,
     },
     /// The payload is structurally invalid (truncated, hostile counts,
-    /// non-minimal or overlong varints, bad tags…).
+    /// non-minimal or overlong varints…).
     Corrupt(&'static str),
     /// A corpus name violates the naming rules (charset `[a-z0-9_-]`,
     /// non-empty, at most [`MAX_NAME_LEN`] bytes).
     BadName(String),
     /// Two corpora share a name.
     DuplicateName(String),
-    /// A corpus's engine configuration has an out-of-range value
-    /// ([`XCleanConfig::check`]), or a value no [`XCleanConfig`] encodes
-    /// (a retired slot off its constant, a non-canonical smoothing form).
-    BadConfig {
-        /// The corpus.
-        name: String,
-        /// The setting and what is wrong with it.
-        reason: &'static str,
-    },
     /// Reading the file failed.
     Io(std::io::Error),
 }
@@ -69,7 +61,13 @@ pub enum CatalogError {
 impl std::fmt::Display for CatalogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CatalogError::BadMagic => write!(f, "not a catalog file (bad magic)"),
+            CatalogError::BadMagic => write!(
+                f,
+                "not an xclean catalog of the current format (XCLCAT2); an earlier \
+                 build's catalog is not read: re-register its corpora in a new catalog \
+                 file with `xclean index shard <data> --shards N --out-prefix P \
+                 --catalog <catalog.xcc> --name <corpus>`"
+            ),
             CatalogError::Checksum { stored, actual } => write!(
                 f,
                 "catalog checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
@@ -80,7 +78,6 @@ impl std::fmt::Display for CatalogError {
                 "invalid corpus name {n:?}: need 1..={MAX_NAME_LEN} chars from [a-z0-9_-]"
             ),
             CatalogError::DuplicateName(n) => write!(f, "duplicate corpus name {n:?}"),
-            CatalogError::BadConfig { name, reason } => write!(f, "corpus {name:?}: {reason}"),
             CatalogError::Io(e) => write!(f, "catalog io error: {e}"),
         }
     }
@@ -101,13 +98,11 @@ impl From<std::io::Error> for CatalogError {
     }
 }
 
-/// One served corpus: name, scoring configuration, snapshot paths.
+/// One served corpus: its name and its snapshot paths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorpusSpec {
     /// Routing name (`/suggest/<name>`), `[a-z0-9_-]{1,64}`.
     pub name: String,
-    /// The full engine configuration for this corpus.
-    pub config: XCleanConfig,
     /// Snapshot files backing the corpus: one for an unsharded corpus, N
     /// for a shard set. Stored as written; usually relative to the
     /// catalog file.
@@ -130,6 +125,37 @@ impl CorpusSpec {
             })
             .collect()
     }
+
+    /// Opens the corpus for serving, its snapshot paths resolved against
+    /// `base`: one snapshot without shard metadata becomes an
+    /// [`XCleanEngine`] with `semantics`; anything else is a shard set
+    /// ([`ShardedEngine::from_shards`] checks that it is complete), which
+    /// answers with node-type semantics only. The pipeline records each
+    /// snapshot's open/validate timings into `telemetry`'s registry, and
+    /// the load reports come back in path order.
+    pub fn open(
+        &self,
+        base: &Path,
+        config: XCleanConfig,
+        semantics: Semantics,
+        telemetry: Telemetry,
+    ) -> Result<(Arc<Pipeline>, Vec<LoadReport>), ShardedEngineError> {
+        let (mut corpora, reports) = open_snapshots(&self.resolved_snapshots(base))?;
+        let pipeline = if corpora.len() == 1 && corpora[0].shard_meta().is_none() {
+            let corpus = corpora.pop().expect("one snapshot");
+            let engine = XCleanEngine::from_corpus(corpus, config).with_semantics(semantics);
+            Arc::clone(engine.with_telemetry(telemetry).pipeline())
+        } else if semantics != Semantics::NodeType {
+            return Err(ShardedEngineError::NodeTypeOnly(semantics));
+        } else {
+            let engine = ShardedEngine::from_shards(corpora, config)?;
+            Arc::clone(engine.with_telemetry(telemetry).pipeline())
+        };
+        for report in &reports {
+            pipeline.record_snapshot_timings(report);
+        }
+        Ok((pipeline, reports))
+    }
 }
 
 /// A validated corpus catalog.
@@ -149,8 +175,8 @@ pub fn valid_corpus_name(name: &str) -> bool {
 }
 
 impl Catalog {
-    /// Validates all names (charset + uniqueness) and every spec's shape
-    /// and configuration.
+    /// Validates all names (charset + uniqueness) and that every corpus
+    /// declares a snapshot.
     pub fn validate(&self) -> Result<(), CatalogError> {
         let mut seen = HashSet::new();
         for c in &self.corpora {
@@ -163,10 +189,6 @@ impl Catalog {
             if c.snapshots.is_empty() {
                 return Err(CatalogError::Corrupt("corpus declares no snapshots"));
             }
-            c.config.check().map_err(|reason| CatalogError::BadConfig {
-                name: c.name.clone(),
-                reason,
-            })?;
         }
         Ok(())
     }
@@ -180,7 +202,6 @@ impl Catalog {
         put_varint(&mut payload, self.corpora.len() as u64);
         for c in &self.corpora {
             put_str(&mut payload, &c.name);
-            encode_config(&mut payload, &c.config);
             put_varint(&mut payload, c.snapshots.len() as u64);
             for s in &c.snapshots {
                 put_str(&mut payload, s);
@@ -214,7 +235,6 @@ impl Catalog {
         let mut corpora = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.str()?;
-            let config = decode_config(&mut r, &name)?;
             let paths = r.count(2)?;
             if paths == 0 {
                 return Err(CatalogError::Corrupt("corpus declares no snapshots"));
@@ -223,11 +243,7 @@ impl Catalog {
             for _ in 0..paths {
                 snapshots.push(r.str()?);
             }
-            corpora.push(CorpusSpec {
-                name,
-                config,
-                snapshots,
-            });
+            corpora.push(CorpusSpec { name, snapshots });
         }
         if r.pos != r.buf.len() {
             return Err(CatalogError::Corrupt("trailing bytes after catalog"));
@@ -268,83 +284,21 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_opt_varint(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => buf.push(0),
-        Some(x) => {
-            buf.push(1);
-            put_varint(buf, x);
-        }
-    }
-}
-
-/// The μ slot of an entry whose smoothing is not Dirichlet: the default
-/// mass, which is what earlier builds wrote there.
-const RETIRED_MU: f64 = 2000.0;
-
-/// Canonical [`XCleanConfig`] encoding. The layout predates the fold of
-/// μ into `smoothing` and the fixing of r, `|C_eff|`, `l_p` and the batch
-/// chunk as constants, and keeps their slots: r, `|C_eff|`, `l_p` and the
-/// chunk are written as their constants, and a Dirichlet μ in the μ slot with
-/// smoothing tag 0, so every catalog written with those values still
-/// decodes and re-encodes byte for byte.
-fn encode_config(buf: &mut Vec<u8>, c: &XCleanConfig) {
-    put_varint(buf, c.epsilon as u64);
-    put_f64(buf, c.beta);
-    put_f64(
-        buf,
-        match c.smoothing {
-            Smoothing::Dirichlet { mu } => mu,
-            Smoothing::JelinekMercer { .. } => RETIRED_MU,
-        },
-    );
-    put_f64(buf, DEPTH_DECAY);
-    put_varint(buf, u64::from(c.min_depth));
-    put_opt_varint(buf, c.gamma.map(|g| g as u64));
-    put_varint(buf, c.k as u64);
-    put_varint(buf, MAX_CANDIDATES_PER_SUBTREE as u64);
-    put_varint(buf, PARTITION_THRESHOLD as u64);
-    buf.push(u8::from(c.enable_skipping));
-    buf.push(match c.prior {
-        EntityPrior::Uniform => 0,
-        EntityPrior::DocLength => 1,
-    });
-    put_opt_varint(buf, c.phonetic_distance.map(u64::from));
-    match c.smoothing {
-        Smoothing::Dirichlet { .. } => buf.push(0),
-        Smoothing::JelinekMercer { lambda } => {
-            buf.push(2);
-            put_f64(buf, lambda);
-        }
-    }
-    put_varint(buf, c.num_threads as u64);
-    put_varint(buf, BATCH_CHUNK as u64);
-}
-
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl Reader<'_> {
-    fn u8(&mut self) -> Result<u8, CatalogError> {
-        let &b = self
-            .buf
-            .get(self.pos)
-            .ok_or(CatalogError::Corrupt("unexpected end of catalog"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
     fn varint(&mut self) -> Result<u64, CatalogError> {
         let mut v: u64 = 0;
         let mut shift = 0;
         loop {
-            let byte = self.u8()?;
+            let &byte = self
+                .buf
+                .get(self.pos)
+                .ok_or(CatalogError::Corrupt("unexpected end of catalog"))?;
+            self.pos += 1;
             if shift >= 64 {
                 return Err(CatalogError::Corrupt("varint overflow"));
             }
@@ -372,110 +326,12 @@ impl Reader<'_> {
         Ok(n)
     }
 
-    fn f64(&mut self) -> Result<f64, CatalogError> {
-        if self.buf.len() - self.pos < 8 {
-            return Err(CatalogError::Corrupt("unexpected end of catalog"));
-        }
-        let v = f64::from_bits(u64::from_le_bytes(
-            self.buf[self.pos..self.pos + 8]
-                .try_into()
-                .expect("8 bytes"),
-        ));
-        self.pos += 8;
-        if !v.is_finite() {
-            return Err(CatalogError::Corrupt("non-finite f64 parameter"));
-        }
-        Ok(v)
-    }
-
     fn str(&mut self) -> Result<String, CatalogError> {
         let len = self.count(1)?;
         let s = &self.buf[self.pos..self.pos + len];
         self.pos += len;
         String::from_utf8(s.to_vec()).map_err(|_| CatalogError::Corrupt("non-UTF-8 string"))
     }
-
-    fn opt_varint(&mut self) -> Result<Option<u64>, CatalogError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.varint()?)),
-            _ => Err(CatalogError::Corrupt("bad option tag")),
-        }
-    }
-}
-
-/// Decodes the config of corpus `name`; a value no [`XCleanConfig`]
-/// encodes is a [`CatalogError::BadConfig`] naming the setting.
-fn decode_config(r: &mut Reader<'_>, name: &str) -> Result<XCleanConfig, CatalogError> {
-    let to_usize =
-        |v: u64| usize::try_from(v).map_err(|_| CatalogError::Corrupt("value overflows usize"));
-    let bad = |reason| CatalogError::BadConfig {
-        name: name.to_string(),
-        reason,
-    };
-    let epsilon = to_usize(r.varint()?)?;
-    let beta = r.f64()?;
-    let mu = r.f64()?;
-    if r.f64()?.to_bits() != DEPTH_DECAY.to_bits() {
-        return Err(bad("depth decay r is fixed at 0.8"));
-    }
-    let min_depth =
-        u32::try_from(r.varint()?).map_err(|_| CatalogError::Corrupt("min_depth overflows u32"))?;
-    let gamma = r.opt_varint()?.map(to_usize).transpose()?;
-    let k = to_usize(r.varint()?)?;
-    if r.varint()? != MAX_CANDIDATES_PER_SUBTREE as u64 {
-        return Err(bad("max_candidates_per_subtree is fixed at 4096"));
-    }
-    if r.varint()? != PARTITION_THRESHOLD as u64 {
-        return Err(bad("partition_threshold is fixed at 14"));
-    }
-    let enable_skipping = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => Err(CatalogError::Corrupt("bad bool tag"))?,
-    };
-    let prior = match r.u8()? {
-        0 => EntityPrior::Uniform,
-        1 => EntityPrior::DocLength,
-        _ => Err(CatalogError::Corrupt("bad prior tag"))?,
-    };
-    let phonetic_distance = r
-        .opt_varint()?
-        .map(|v| u32::try_from(v).map_err(|_| CatalogError::Corrupt("distance overflows u32")))
-        .transpose()?;
-    let smoothing = match r.u8()? {
-        0 => Smoothing::Dirichlet { mu },
-        1 => Err(bad(
-            "smoothing: an explicit Dirichlet entry is not canonical (μ goes in the μ slot)",
-        ))?,
-        2 => {
-            let lambda = r.f64()?;
-            if mu.to_bits() != RETIRED_MU.to_bits() {
-                return Err(bad(
-                    "smoothing: a Jelinek–Mercer entry's μ slot must be 2000",
-                ));
-            }
-            Smoothing::JelinekMercer { lambda }
-        }
-        _ => Err(CatalogError::Corrupt("bad smoothing tag"))?,
-    };
-    let num_threads = to_usize(r.varint()?)?;
-    if r.varint()? != BATCH_CHUNK as u64 {
-        return Err(bad("batch_size is fixed at 16"));
-    }
-    Ok(XCleanConfig {
-        epsilon,
-        beta,
-        min_depth,
-        gamma,
-        k,
-        partition_threshold: PARTITION_THRESHOLD,
-        enable_skipping,
-        prior,
-        phonetic_distance,
-        smoothing,
-        num_threads,
-    })
 }
 
 #[cfg(test)]
@@ -487,22 +343,10 @@ mod tests {
             corpora: vec![
                 CorpusSpec {
                     name: "dblp".into(),
-                    config: XCleanConfig {
-                        epsilon: 2,
-                        gamma: None,
-                        smoothing: Smoothing::JelinekMercer { lambda: 0.3 },
-                        ..Default::default()
-                    },
                     snapshots: vec!["dblp.xci".into()],
                 },
                 CorpusSpec {
                     name: "inex-09".into(),
-                    config: XCleanConfig {
-                        phonetic_distance: Some(2),
-                        prior: EntityPrior::DocLength,
-                        num_threads: 4,
-                        ..Default::default()
-                    },
                     snapshots: vec![
                         "shards/inex-0.xci".into(),
                         "shards/inex-1.xci".into(),
@@ -527,18 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn config_fields_survive_roundtrip() {
-        let c = sample();
-        let back = Catalog::decode(&c.encode().unwrap()).unwrap();
-        let cfg = &back.corpora[0].config;
-        assert_eq!(cfg.epsilon, 2);
-        assert_eq!(cfg.gamma, None);
-        assert_eq!(cfg.smoothing, Smoothing::JelinekMercer { lambda: 0.3 });
-        // Fingerprints agree — the decoded config is result-equivalent.
-        assert_eq!(cfg.fingerprint(), c.corpora[0].config.fingerprint());
-    }
-
-    #[test]
     fn resolves_paths_against_catalog_dir() {
         let c = sample();
         let base = Path::new("/srv/catalogs");
@@ -557,7 +389,6 @@ mod tests {
             let c = Catalog {
                 corpora: vec![CorpusSpec {
                     name: bad.into(),
-                    config: XCleanConfig::default(),
                     snapshots: vec!["a.xci".into()],
                 }],
             };
@@ -631,113 +462,38 @@ mod tests {
         ));
     }
 
+    /// The XCLCAT2 encoding of `sample()`.
+    const PINNED_CHECKSUM: u64 = 0xb1e7_dfb3_84fd_0c26;
+    const PINNED_BYTES: usize = 93;
+
     #[test]
-    fn encoding_matches_what_earlier_builds_wrote() {
-        // Measured on the build that still had μ, r, |C_eff|, l_p and the
-        // batch chunk as settable config fields: the retired slots keep
-        // their bytes.
+    fn encoding_is_pinned() {
         let bytes = sample().encode().unwrap();
+        assert_eq!(&bytes[..8], b"XCLCAT2\0");
         assert_eq!(
             (checksum64(&bytes), bytes.len()),
-            (0x8040_f7ba_7b5f_40f2, 178)
+            (PINNED_CHECKSUM, PINNED_BYTES)
         );
     }
 
-    /// One default corpus `c` over `c.xci` in the layout every build has
-    /// written, with the retired slots (μ, r, `|C_eff|`, `l_p`, batch
-    /// size) and the smoothing entry as given.
-    fn written(
-        mu: f64,
-        r: f64,
-        max_candidates: u64,
-        partition: u64,
-        smoothing: &[u8],
-        batch: u64,
-    ) -> Vec<u8> {
-        let mut p = Vec::new();
-        put_varint(&mut p, 1);
-        put_str(&mut p, "c");
-        put_varint(&mut p, 2); // ε
-        put_f64(&mut p, 5.0); // β
-        put_f64(&mut p, mu);
-        put_f64(&mut p, r);
-        put_varint(&mut p, 2); // d
-        put_opt_varint(&mut p, Some(1000)); // γ
-        put_varint(&mut p, 10); // k
-        put_varint(&mut p, max_candidates);
-        put_varint(&mut p, partition);
-        p.extend([1, 0]); // skipping on, uniform prior
-        put_opt_varint(&mut p, None); // no phonetic distance
-        p.extend_from_slice(smoothing);
-        put_varint(&mut p, 1); // threads
-        put_varint(&mut p, batch);
-        put_varint(&mut p, 1);
-        put_str(&mut p, "c.xci");
-        framed(&p)
-    }
-
-    fn jelinek_mercer(lambda: f64) -> Vec<u8> {
-        let mut entry = vec![2];
-        put_f64(&mut entry, lambda);
-        entry
-    }
-
+    /// The bytes an earlier build wrote for `sample()` when every entry
+    /// also carried an engine configuration (`XCLCAT1`, committed as
+    /// `tests/fixtures/catalog_xclcat1.xcc`) are refused, and the message
+    /// says how to get a catalog this build reads.
     #[test]
-    fn earlier_default_and_jelinek_mercer_entries_reencode_byte_for_byte() {
-        for (smoothing, mu, entry) in [
-            (Smoothing::Dirichlet { mu: 2000.0 }, 2000.0, vec![0]),
-            (Smoothing::Dirichlet { mu: 500.0 }, 500.0, vec![0]),
-            (
-                Smoothing::JelinekMercer { lambda: 0.3 },
-                2000.0,
-                jelinek_mercer(0.3),
-            ),
-        ] {
-            let bytes = written(mu, 0.8, 4096, 14, &entry, 16);
-            let c = Catalog::decode(&bytes).unwrap();
-            assert_eq!(
-                c.corpora[0].config,
-                XCleanConfig {
-                    smoothing,
-                    ..Default::default()
-                }
-            );
-            assert_eq!(c.encode().unwrap(), bytes);
-        }
-    }
-
-    #[test]
-    fn retired_slots_off_their_constants_are_rejected_by_name() {
-        let mut explicit_dirichlet = vec![1];
-        put_f64(&mut explicit_dirichlet, 2000.0);
-        for (bytes, setting) in [
-            (written(2000.0, 0.8, 4096, 14, &[0], 4), "batch_size"),
-            (
-                written(2000.0, 0.8, 4096, 10, &[0], 16),
-                "partition_threshold",
-            ),
-            (
-                written(2000.0, 0.8, 1, 14, &[0], 16),
-                "max_candidates_per_subtree",
-            ),
-            (written(2000.0, 0.5, 4096, 14, &[0], 16), "depth decay r"),
-            (
-                written(2000.0, 0.8, 4096, 14, &explicit_dirichlet, 16),
-                "explicit Dirichlet",
-            ),
-            (
-                written(1000.0, 0.8, 4096, 14, &jelinek_mercer(0.3), 16),
-                "μ slot",
-            ),
-        ] {
-            match Catalog::decode(&bytes) {
-                Err(CatalogError::BadConfig { name, reason }) => {
-                    assert_eq!(name, "c");
-                    assert!(reason.contains(setting), "{setting}: {reason}");
-                }
-                other => panic!("{setting}: expected BadConfig, got {other:?}"),
-            }
-        }
+    fn earlier_xclcat1_bytes_are_refused_with_a_re_register_hint() {
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/catalog_xclcat1.xcc");
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            (checksum64(&bytes), bytes.len()),
+            (0x8040_f7ba_7b5f_40f2, 178),
+            "the fixture is what the earlier build wrote"
+        );
+        let err = Catalog::load(&path).unwrap_err();
+        assert!(matches!(err, CatalogError::BadMagic), "{err:?}");
+        assert!(err.to_string().contains("re-register"), "{err}");
+        assert!(err.to_string().contains("--catalog"), "{err}");
     }
 
     #[test]

@@ -160,8 +160,8 @@ impl XCleanConfig {
     }
 
     /// Names the first out-of-range parameter, if any. Input that arrives
-    /// from outside (CLI flags, a catalog file) is held to this, so a bad
-    /// value is a usage or decode error instead of a panic.
+    /// from outside (CLI flags) is held to this, so a bad value is a usage
+    /// error instead of a panic.
     pub fn check(&self) -> Result<(), &'static str> {
         self.smoothing.check()?;
         let rules = [

@@ -464,7 +464,14 @@ mod tests {
             },
         )
         .with_telemetry(Telemetry::with_tracing());
-        let traced = e.suggest_traced("helth insurance", "trace-abc123");
+        // The root span a server opens per request (`request_span`),
+        // carrying the request's trace ID.
+        let traced = {
+            let _request = e
+                .tracer()
+                .span_with("request", || "trace-abc123".to_string());
+            e.suggest("helth insurance")
+        };
         assert_same_responses(&engine().suggest("helth insurance"), &traced);
         let spans = e.tracer().finished_spans();
         let root = spans.iter().find(|s| s.name == "request").unwrap();

@@ -987,22 +987,6 @@ impl Pipeline {
         self.suggest_keywords(&self.parse_query(query))
     }
 
-    /// [`Pipeline::suggest`] under a request trace ID: opens a root
-    /// `request` span carrying the ID, so every stage span — including
-    /// `scatter_worker` spans on other threads over a shard set — hangs
-    /// off one tree findable by trace ID in exported traces. The
-    /// observability is record-only: the response is bit-identical to
-    /// plain `suggest`.
-    pub fn suggest_traced(&self, query: &str, trace_id: &str) -> SuggestResponse {
-        self.suggest_keywords_traced(&self.parse_query(query), trace_id)
-    }
-
-    /// [`Pipeline::suggest_traced`] for already-tokenised queries.
-    pub fn suggest_keywords_traced(&self, keywords: &[String], trace_id: &str) -> SuggestResponse {
-        let _request_span = self.tracer().span_with("request", || trace_id.to_string());
-        self.suggest_keywords(keywords)
-    }
-
     /// Suggests for an already-tokenised query.
     pub fn suggest_keywords(&self, keywords: &[String]) -> SuggestResponse {
         self.suggest_keywords_with(keywords, &self.config)

@@ -48,11 +48,11 @@ use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
-use xclean_index::{CorpusIndex, PostingList, StorageError, TokenId, Vocabulary};
+use xclean_index::{CorpusIndex, LoadReport, PostingList, StorageError, TokenId, Vocabulary};
 use xclean_xmltree::PathId;
 
 use crate::config::XCleanConfig;
-use crate::pipeline::{Pipeline, Shard, ShardSet};
+use crate::pipeline::{Pipeline, Semantics, Shard, ShardSet};
 use crate::view::{GlobalStats, ABSENT_TOKEN};
 use crate::Telemetry;
 
@@ -77,7 +77,10 @@ pub enum ShardedEngineError {
     /// Global statistics reconstruction found a hole (a global token or
     /// path covered by no shard) — the set is corrupt or incomplete.
     Coverage(String),
-    /// A shard snapshot failed to open.
+    /// A shard set was asked for SLCA or ELCA semantics; the scatter walk
+    /// is the node-type rule.
+    NodeTypeOnly(Semantics),
+    /// A snapshot failed to open.
     Snapshot {
         /// The offending file.
         path: String,
@@ -105,9 +108,12 @@ impl std::fmt::Display for ShardedEngineError {
             ShardedEngineError::Coverage(m) => {
                 write!(f, "global statistics reconstruction incomplete: {m}")
             }
-            ShardedEngineError::Snapshot { path, source } => {
-                write!(f, "cannot open shard snapshot {path}: {source}")
-            }
+            ShardedEngineError::NodeTypeOnly(s) => write!(
+                f,
+                "a shard set answers with node-type semantics only (asked for {})",
+                s.as_str()
+            ),
+            ShardedEngineError::Snapshot { path, source } => write!(f, "{path}: {source}"),
         }
     }
 }
@@ -245,27 +251,14 @@ impl ShardedEngine {
         })
     }
 
-    /// Opens every snapshot path as a v2 slab and assembles the set,
-    /// recording each snapshot's open/validate timings in the engine's
-    /// registry. A shard that fails to open reports its own path.
+    /// Opens every snapshot path ([`open_snapshots`]) and assembles the
+    /// set, recording each snapshot's open/validate timings in the
+    /// engine's registry.
     pub fn load_snapshots<P: AsRef<Path>>(
         paths: &[P],
         config: XCleanConfig,
     ) -> Result<Self, ShardedEngineError> {
-        let options = xclean_index::OpenOptions::default();
-        let mut shards = Vec::with_capacity(paths.len());
-        let mut reports = Vec::with_capacity(paths.len());
-        for p in paths {
-            let p = p.as_ref();
-            let (corpus, report) = xclean_index::storage::open_file(p, &options).map_err(|e| {
-                ShardedEngineError::Snapshot {
-                    path: p.display().to_string(),
-                    source: e,
-                }
-            })?;
-            shards.push(corpus);
-            reports.push(report);
-        }
+        let (shards, reports) = open_snapshots(paths)?;
         let engine = Self::from_shards(shards, config)?;
         for report in &reports {
             engine.record_snapshot_timings(report);
@@ -311,6 +304,26 @@ impl ShardedEngine {
             .get(path.0 as usize)
             .map(String::as_str)
     }
+}
+
+/// Opens every snapshot path in order; a snapshot that fails to open
+/// reports its own path.
+pub(crate) fn open_snapshots<P: AsRef<Path>>(
+    paths: &[P],
+) -> Result<(Vec<CorpusIndex>, Vec<LoadReport>), ShardedEngineError> {
+    paths
+        .iter()
+        .map(|p| {
+            let p = p.as_ref();
+            xclean_index::storage::open_file(p, &xclean_index::OpenOptions::default()).map_err(
+                |source| ShardedEngineError::Snapshot {
+                    path: p.display().to_string(),
+                    source,
+                },
+            )
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map(|opened| opened.into_iter().unzip())
 }
 
 /// Rebuilds whole-collection statistics by exact integer summation over a

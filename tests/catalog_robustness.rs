@@ -1,11 +1,11 @@
 //! Robustness of the multi-tenant catalog metastore (DESIGN.md §16),
-//! mirroring `snapshot_corruption.rs` for the `XCLCAT1` format.
+//! mirroring `snapshot_corruption.rs` for the `XCLCAT2` format.
 //!
 //! Contract (ISSUE PR 9): a catalog file is trusted only after magic,
 //! whole-payload checksum, and structural validation all pass; any
 //! truncation, bit flip, or hostile varint surfaces as a `CatalogError`
 //! — never a panic, never an oversized allocation, never a silently
-//! different config. Accepted inputs re-encode byte-for-byte (the
+//! different corpus list. Accepted inputs re-encode byte-for-byte (the
 //! canonical-encoding property the `xclean index shard --catalog`
 //! read-modify-write cycle depends on). A shard set declared by a valid
 //! catalog whose file went missing must fail engine assembly with an
@@ -17,7 +17,7 @@ use xclean_suite::index::{partition_corpus, storage, CorpusIndex};
 use xclean_suite::xclean::catalog::CATALOG_MAGIC;
 use xclean_suite::xclean::sharded::ShardedEngineError;
 use xclean_suite::xclean::{
-    Catalog, CatalogError, CorpusSpec, ShardedEngine, XCleanConfig, XCleanEngine,
+    Catalog, CatalogError, CorpusSpec, Semantics, Telemetry, XCleanConfig, XCleanEngine,
 };
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -33,16 +33,10 @@ fn sample_catalog() -> Catalog {
         corpora: vec![
             CorpusSpec {
                 name: "dblp".into(),
-                config: XCleanConfig {
-                    epsilon: 2,
-                    gamma: Some(64),
-                    ..Default::default()
-                },
                 snapshots: vec!["dblp-shard0-of-2.xci".into(), "dblp-shard1-of-2.xci".into()],
             },
             CorpusSpec {
                 name: "inex-09".into(),
-                config: XCleanConfig::default(),
                 snapshots: vec!["inex.xci".into()],
             },
         ],
@@ -168,32 +162,6 @@ fn hostile_varints_are_rejected_before_allocation() {
     ));
 }
 
-/// A checksummed catalog whose corpus has `k = 0` is a decode error, not
-/// an engine-constructor panic; `encode` refuses to write one.
-#[test]
-fn out_of_range_config_is_a_catalog_error() {
-    let with_k = |k| {
-        let mut c = sample_catalog();
-        c.corpora[0].config.k = k;
-        c
-    };
-    let (a, b) = (with_k(77).encode().unwrap(), with_k(78).encode().unwrap());
-    let at = (16..a.len()).find(|&i| a[i] != b[i]).unwrap();
-    assert_eq!((a[at], b[at]), (77, 78), "k is one varint byte");
-    let mut payload = a[16..].to_vec();
-    payload[at - 16] = 0;
-    let err = Catalog::decode(&with_payload(&payload)).unwrap_err();
-    assert!(
-        matches!(&err, CatalogError::BadConfig { name, .. } if name == "dblp"),
-        "{err:?}"
-    );
-    assert_eq!(err.to_string(), "corpus \"dblp\": k must be at least 1");
-    assert!(matches!(
-        with_k(0).encode(),
-        Err(CatalogError::BadConfig { .. })
-    ));
-}
-
 #[test]
 fn missing_shard_file_error_names_the_offending_path() {
     let dir = tmp_dir("missing_shard");
@@ -212,7 +180,6 @@ fn missing_shard_file_error_names_the_offending_path() {
     let catalog = Catalog {
         corpora: vec![CorpusSpec {
             name: "dblp".into(),
-            config: XCleanConfig::default(),
             snapshots,
         }],
     };
@@ -222,14 +189,22 @@ fn missing_shard_file_error_names_the_offending_path() {
     // Intact set: catalog → resolved paths → engine answers queries
     // bit-identically to the unsharded parent.
     let loaded = Catalog::load(&cat_path).unwrap();
-    let paths = loaded.corpora[0].resolved_snapshots(&dir);
-    let engine = ShardedEngine::load_snapshots(&paths, loaded.corpora[0].config.clone()).unwrap();
+    let open = || {
+        loaded.corpora[0].open(
+            &dir,
+            XCleanConfig::default(),
+            Semantics::NodeType,
+            Telemetry::disabled(),
+        )
+    };
+    let (engine, reports) = open().unwrap();
+    assert_eq!((engine.shard_count(), reports.len()), (3, 3));
     let baseline = XCleanEngine::from_corpus(
         CorpusIndex::build(generate_dblp(&DblpConfig {
             publications: 30,
             ..Default::default()
         })),
-        loaded.corpora[0].config.clone(),
+        XCleanConfig::default(),
     );
     let a = baseline.suggest("databse");
     let b = engine.suggest("databse");
@@ -242,8 +217,7 @@ fn missing_shard_file_error_names_the_offending_path() {
     // Delete one shard: assembly must fail naming exactly that file.
     let gone = dir.join("dblp-shard1-of-3.xci");
     std::fs::remove_file(&gone).unwrap();
-    let err = ShardedEngine::load_snapshots(&paths, loaded.corpora[0].config.clone())
-        .expect_err("missing shard must fail");
+    let err = open().expect_err("missing shard must fail");
     match &err {
         ShardedEngineError::Snapshot { path, .. } => {
             assert!(

@@ -5,14 +5,15 @@
 //! from every entry point (`from_bytes`, `open_file`, `summarize`), and
 //! never as a panic or an attempted oversized allocation. Declared counts
 //! are clamped against the remaining input before any allocation, which
-//! the hostile-varint cases exercise directly with checksum verification
-//! switched off (with it on, the checksum masks every payload edit). The
+//! the hostile-varint cases exercise directly: each edit re-stamps the
+//! payload checksum (otherwise the checksum masks every payload edit),
+//! so structural validation has to catch it on its own. The
 //! sweeps run over a generated corpus's snapshot and the committed
 //! `dblp50.xml`'s. Input an earlier build read — an older format, or an
 //! older section layout — is refused with the way out: rebuild.
 
 use xclean_suite::datagen::{generate_dblp, DblpConfig};
-use xclean_suite::index::{storage, CorpusIndex, OpenOptions, SlabMode};
+use xclean_suite::index::{slab::checksum64, storage, CorpusIndex, OpenOptions};
 use xclean_suite::xmltree::parse_document;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -58,31 +59,51 @@ fn boundaries(bytes: &[u8]) -> Vec<usize> {
     out
 }
 
-/// Every read path must reject `bytes`; the file-backed paths are
-/// exercised with checksum verification both on and off, so structural
-/// validation has to hold on its own.
+/// `bytes` with the payload checksum re-stamped over whatever the payload
+/// now holds, so an edit reaches the structural checks (as
+/// `catalog_robustness.rs`'s `with_payload` does for catalogs); `None`
+/// when the header is too short to hold a checksum and a section table.
+fn restamped(bytes: &[u8]) -> Option<Vec<u8>> {
+    let table_end = 17 + 17 * usize::from(*bytes.get(16)?);
+    let payload = bytes.get(table_end..)?;
+    let mut out = bytes.to_vec();
+    out[8..16].copy_from_slice(&checksum64(payload).to_le_bytes());
+    Some(out)
+}
+
+/// Every read path must reject `bytes`, and `bytes` with its payload
+/// checksum re-stamped, so structural validation has to hold on its own.
 fn assert_rejected(name: &str, bytes: &[u8]) {
-    assert!(
-        storage::from_bytes(bytes).is_err(),
-        "{name}: from_bytes accepted corrupt input"
-    );
-    assert!(
-        storage::summarize(bytes).is_err(),
-        "{name}: summarize accepted corrupt input"
-    );
+    assert_loads_rejected(name, bytes, true);
+}
+
+/// [`assert_rejected`], except that `summarize`, which decodes only the
+/// sections it reports, must reject `bytes` only when `summarize_reads_it`;
+/// otherwise it must just return without panicking.
+fn assert_loads_rejected(name: &str, bytes: &[u8], summarize_reads_it: bool) {
     // Tests in this binary run concurrently — every case gets its own file.
     static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let path = tmp(&format!("corrupt_{n}.xci"));
-    std::fs::write(&path, bytes).unwrap();
-    for verify_checksum in [true, false] {
-        let opts = OpenOptions {
-            verify_checksum,
-            ..Default::default()
-        };
+    for (form, bytes) in [Some(bytes.to_vec()), restamped(bytes)]
+        .into_iter()
+        .flatten()
+        .enumerate()
+    {
+        let name = format!("{name} (form {form})");
         assert!(
-            storage::open_file(&path, &opts).is_err(),
-            "{name}: open_file(verify_checksum={verify_checksum}) accepted corrupt input"
+            storage::from_bytes(&bytes).is_err(),
+            "{name}: from_bytes accepted corrupt input"
+        );
+        let summary = storage::summarize(&bytes);
+        assert!(
+            !summarize_reads_it || summary.is_err(),
+            "{name}: summarize accepted corrupt input"
+        );
+        let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = tmp(&format!("corrupt_{n}.xci"));
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(
+            storage::open_file(&path, &OpenOptions::default()).is_err(),
+            "{name}: open_file accepted corrupt input"
         );
     }
 }
@@ -160,9 +181,9 @@ fn bit_flip_sweep(bytes: &[u8]) {
 }
 
 /// Hostile length prefixes: overwrite the first bytes of each section
-/// with a maximal varint. With checksum verification disabled the count
-/// clamps are the only line of defence — the load must fail fast with an
-/// error, not allocate terabytes or panic.
+/// with a maximal varint. Behind a re-stamped checksum the count clamps
+/// are the only line of defence — the load must fail fast with an error,
+/// not allocate terabytes or panic.
 #[test]
 fn hostile_varint_counts_are_clamped_not_allocated() {
     for bytes in snapshots() {
@@ -180,18 +201,7 @@ fn hostile_count_sweep(bytes: &[u8]) {
         let mut corrupt = bytes.to_vec();
         let end = (off + huge_varint.len()).min(corrupt.len());
         corrupt[off..end].copy_from_slice(&huge_varint[..end - off]);
-        let path = tmp(&format!("hostile_{id}.xci"));
-        std::fs::write(&path, &corrupt).unwrap();
-        for verify_checksum in [true, false] {
-            let opts = OpenOptions {
-                verify_checksum,
-                ..Default::default()
-            };
-            assert!(
-                storage::open_file(&path, &opts).is_err(),
-                "section id {id}: hostile count accepted (verify_checksum={verify_checksum})"
-            );
-        }
+        assert_loads_rejected(&format!("section id {id}: hostile count"), &corrupt, false);
     }
 }
 
@@ -222,33 +232,26 @@ fn degenerate_headers_are_rejected() {
 }
 
 /// Every read path refuses `bytes` with an error that says the input is
-/// not a current v2 snapshot and names the rebuild; the file-backed path
-/// in both slab modes, with checksum verification on and off.
+/// not a current v2 snapshot and names the rebuild, also with the payload
+/// checksum re-stamped.
 fn assert_refused_with_rebuild_hint(name: &str, bytes: &[u8]) {
-    let assert_hint = |path: &str, err: storage::StorageError| {
-        let msg = err.to_string();
-        for needle in ["not an xclean v2 snapshot", "xclean index build"] {
-            assert!(msg.contains(needle), "{name}: {path}: {msg}");
-        }
-    };
-    assert_hint("from_bytes", storage::from_bytes(bytes).unwrap_err());
-    assert_hint("summarize", storage::summarize(bytes).unwrap_err());
-    let path = tmp(&format!("refused_{name}.xci"));
-    std::fs::write(&path, bytes).unwrap();
-    let mapped = if cfg!(unix) {
-        SlabMode::Mapped
-    } else {
-        SlabMode::Auto
-    };
-    for mode in [SlabMode::Owned, mapped] {
-        for verify_checksum in [true, false] {
-            let opts = OpenOptions {
-                mode,
-                verify_checksum,
-            };
-            let label = format!("open_file({mode:?}, verify_checksum={verify_checksum})");
-            assert_hint(&label, storage::open_file(&path, &opts).unwrap_err());
-        }
+    for (form, bytes) in [Some(bytes.to_vec()), restamped(bytes)]
+        .into_iter()
+        .flatten()
+        .enumerate()
+    {
+        let assert_hint = |path: &str, err: storage::StorageError| {
+            let msg = err.to_string();
+            for needle in ["not an xclean v2 snapshot", "xclean index build"] {
+                assert!(msg.contains(needle), "{name} (form {form}): {path}: {msg}");
+            }
+        };
+        assert_hint("from_bytes", storage::from_bytes(&bytes).unwrap_err());
+        assert_hint("summarize", storage::summarize(&bytes).unwrap_err());
+        let path = tmp(&format!("refused_{name}_{form}.xci"));
+        std::fs::write(&path, &bytes).unwrap();
+        let err = storage::open_file(&path, &OpenOptions::default()).unwrap_err();
+        assert_hint("open_file", err);
     }
 }
 

@@ -12,7 +12,7 @@
 use xclean_suite::datagen::{
     generate_dblp, generate_inex, make_workload, DblpConfig, InexConfig, Perturbation, WorkloadSpec,
 };
-use xclean_suite::index::{slab::checksum64, storage, CorpusIndex, OpenOptions, SlabMode};
+use xclean_suite::index::{slab::checksum64, storage, CorpusIndex, OpenOptions};
 use xclean_suite::xclean::pipeline::BATCH_CHUNK;
 use xclean_suite::xclean::{SuggestResponse, XCleanConfig, XCleanEngine};
 use xclean_suite::xmltree::parse_document;
@@ -99,7 +99,11 @@ fn assert_v2_mapped_matches_fresh_build(name: &str, index: CorpusIndex, queries:
     assert_eq!(v2_report.format_version, 2, "{name}");
     #[cfg(unix)]
     assert!(v2_report.mapped, "{name}: v2 open should mmap on unix");
-    assert!(v2_report.checksum.is_some(), "{name}");
+    assert_eq!(
+        v2_report.checksum,
+        v2_corpus.provenance().unwrap().checksum,
+        "{name}"
+    );
 
     let fresh_corpus = std::sync::Arc::new(index);
     let v2_corpus = std::sync::Arc::new(v2_corpus);
@@ -159,17 +163,12 @@ fn v2_fingerprint_is_slab_mode_invariant() {
     let v2_path = tmp("fp.v2.xci");
     storage::save_to_file_v2(&dblp50(), &v2_path).unwrap();
 
-    let (owned, owned_report) = storage::open_file(
-        &v2_path,
-        &OpenOptions {
-            mode: SlabMode::Owned,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    // `from_bytes` holds an owned copy; `open_file` maps the file.
+    let owned = storage::from_bytes(&std::fs::read(&v2_path).unwrap()).unwrap();
     let (mapped, mapped_report) = storage::open_file(&v2_path, &OpenOptions::default()).unwrap();
-    assert!(!owned_report.mapped);
-    assert_eq!(owned_report.checksum, mapped_report.checksum);
+    #[cfg(unix)]
+    assert!(mapped_report.mapped);
+    assert_eq!(owned.provenance().unwrap().checksum, mapped_report.checksum);
 
     let owned_engine = XCleanEngine::from_corpus(owned, XCleanConfig::default());
     let mapped_engine = XCleanEngine::from_corpus(mapped, XCleanConfig::default());
@@ -220,7 +219,7 @@ fn v2_payload_checksum_is_pinned() {
     let (_, report) = storage::open_file(&path, &OpenOptions::default()).unwrap();
     assert_eq!(
         (report.checksum, report.total_bytes),
-        (Some(PINNED_CHECKSUM), PINNED_BYTES),
+        (PINNED_CHECKSUM, PINNED_BYTES),
         "v2 snapshot bytes changed"
     );
 }
