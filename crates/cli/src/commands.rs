@@ -63,8 +63,8 @@ USAGE:
             --out-prefix <P> [--seed S]
             [--catalog <catalog.xcc> [--name <corpus>]]
             (splits the corpus into N entity-aligned shard snapshots
-             `P-shard<i>-of-<N>.xci`; scatter-gather serving over the
-             set is bit-identical to the unsharded engine. With
+             `P-shard<i>-of-<N>.xci`; serving the set is bit-identical
+             to the unsharded engine. With
              --catalog, the shard set is also registered under --name
              (default `default`) in the catalog file — created if
              missing, the entry replaced if the name already exists —
@@ -99,8 +99,8 @@ USAGE:
              GET /debug/conns?n=K, GET /debug/flight?events=N,
              GET /debug/explain?q=Q[&corpus=C], GET /debug/exemplars;
              with --catalog, every declared corpus is served under
-             POST/GET /suggest/<name> — sharded entries scatter-gather
-             across their snapshots, and the tuning flags configure
+             POST/GET /suggest/<name> — sharded entries walk each
+             of their snapshots in turn, and the tuning flags configure
              every corpus — while bare /suggest and the
              top-level /healthz fields keep tracking the first
              (primary) catalog entry; /metrics carries the server's own
@@ -208,11 +208,11 @@ fn cmd_index_build(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
 /// `xclean index shard <in> --shards N --out-prefix P [--seed S]
 /// [--catalog F [--name C]]`: splits a corpus into an entity-aligned
 /// shard set and persists each shard as an ordinary v2 snapshot.
-/// Serving the set through the scatter-gather engine is bit-identical
-/// to serving the parent corpus unsharded (DESIGN.md §16). With
-/// `--catalog` the shard set is additionally registered in a corpus
-/// catalog — repeated invocations with different `--name`s assemble a
-/// multi-corpus catalog for `xclean serve --catalog`.
+/// Serving the set is bit-identical to serving the parent corpus
+/// unsharded (DESIGN.md §16). With `--catalog` the shard set is
+/// additionally registered in a corpus catalog — repeated invocations
+/// with different `--name`s assemble a multi-corpus catalog for `xclean
+/// serve --catalog`.
 fn cmd_index_shard(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     let args = Args::parse(raw, &[])?;
     args.reject_unknown(&["shards", "seed", "out-prefix", "catalog", "name"])?;
@@ -234,6 +234,16 @@ fn cmd_index_shard(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     if args.get("name").is_some() && args.get("catalog").is_none() {
         return Err(ArgError("--name only makes sense with --catalog".into()));
     }
+    // Read the catalog before any shard file is written, so a catalog
+    // that cannot be read fails the command with nothing left on disk.
+    let catalog = match args.get("catalog") {
+        Some(path) if std::path::Path::new(path).exists() => Some((
+            path,
+            Catalog::load(path).map_err(|e| ArgError(format!("{path}: {e}")))?,
+        )),
+        Some(path) => Some((path, Catalog::default())),
+        None => None,
+    };
     let corpus = load_corpus(input)?;
     let parts =
         partition_corpus(&corpus, shards, seed).map_err(|e| ArgError(format!("{input}: {e}")))?;
@@ -267,13 +277,8 @@ fn cmd_index_shard(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
             .expect("stamped above")
             .parent_fingerprint
     ));
-    if let Some(catalog_path) = args.get("catalog") {
+    if let Some((catalog_path, mut catalog)) = catalog {
         let name = args.get("name").unwrap_or("default").to_string();
-        let mut catalog = if std::path::Path::new(catalog_path).exists() {
-            Catalog::load(catalog_path).map_err(|e| ArgError(format!("{catalog_path}: {e}")))?
-        } else {
-            Catalog::default()
-        };
         // Catalog paths resolve against the catalog file's directory, so
         // store each shard relative to it when it sits underneath, and
         // fall back to an absolute path otherwise (the shard files exist

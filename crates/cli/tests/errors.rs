@@ -176,3 +176,41 @@ fn an_earlier_catalog_format_is_refused_with_a_re_register_hint() {
         assert!(stderr.contains(needle), "{needle}: {stderr}");
     }
 }
+
+/// `index shard --catalog` reads the catalog before it writes a shard: an
+/// `XCLCAT1` catalog fails the command with the re-register hint, and no
+/// shard file is left behind.
+#[test]
+fn index_shard_refuses_an_earlier_catalog_before_writing_shards() {
+    let (xml, _) = sample("shard_old_catalog");
+    let catalog = tmp("shard_old_catalog.xcc");
+    std::fs::copy(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/catalog_xclcat1.xcc"
+        ),
+        &catalog,
+    )
+    .unwrap();
+    let prefix = tmp("shard_old_catalog_p");
+    let shard = tmp("shard_old_catalog_p-shard0-of-1.xci");
+    let _ = std::fs::remove_file(&shard);
+    let (catalog, prefix) = (catalog.to_string_lossy(), prefix.to_string_lossy());
+    let stderr = assert_fails(&[
+        "index",
+        "shard",
+        &xml,
+        "--shards",
+        "1",
+        "--out-prefix",
+        &prefix,
+        "--catalog",
+        &catalog,
+        "--name",
+        "tiny",
+    ]);
+    for needle in [&*catalog, "re-register", "xclean index shard", "--catalog"] {
+        assert!(stderr.contains(needle), "{needle}: {stderr}");
+    }
+    assert!(!shard.exists(), "{} was written", shard.display());
+}

@@ -7,8 +7,8 @@
 //! virtual-document lengths) sum *exactly* to the unsharded values — the
 //! arithmetic backbone of the sharded engine's bit-identity contract
 //! (DESIGN.md §16). Contiguity matters twice: shard-local node ids stay in
-//! global document order (so replaying per-shard score contributions in
-//! shard order reproduces the sequential global accumulation), and subtree
+//! global document order (so walking the shards in shard order into one
+//! table reproduces the sequential global accumulation), and subtree
 //! token lengths of depth ≥ 2 nodes are unchanged.
 //!
 //! Each shard is a completely ordinary [`CorpusIndex`] (self-consistent

@@ -17,8 +17,8 @@
 //!
 //! Multi-tenancy (DESIGN.md §16): the server fronts a catalog of
 //! corpora — each a [`tenant::Tenant`] with its own engine (unsharded or
-//! scatter-gather sharded) and private response cache. `/suggest/<name>`
-//! routes by catalog name; bare `/suggest` serves the primary (first)
+//! sharded) and private response cache. `/suggest/<name>` routes by
+//! catalog name; bare `/suggest` serves the primary (first)
 //! corpus, so single-corpus deployments keep their exact contract.
 //!
 //! Endpoints:

@@ -915,7 +915,6 @@ fn explain_json(corpus: &str, normalized: &str, trace: &ExplainTrace) -> Json {
     let nanos = Json::object([
         ("slot", n.slot.into()),
         ("walk", n.walk.into()),
-        ("gather", n.gather.into()),
         ("rank", n.rank.into()),
         ("total", n.total.into()),
     ]);
@@ -986,8 +985,8 @@ fn suggestions_json(suggestions: &[Suggestion]) -> Json {
 }
 
 /// The root span of one request's engine work: engine spans opened
-/// inside it (and scatter spans on other threads) chain under it, so
-/// the trace ID names one tree in exported traces.
+/// inside it chain under it, so the trace ID names one tree in exported
+/// traces.
 fn request_span<'t>(tenant: &'t Tenant, trace_id: &str) -> SpanGuard<'t> {
     tenant
         .engine()

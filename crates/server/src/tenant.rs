@@ -2,9 +2,9 @@
 //! `/suggest/<corpus>`.
 //!
 //! One server process fronts a *catalog* of corpora (DESIGN.md §16).
-//! Each corpus is a [`Tenant`]: a name, an engine — unsharded or
-//! scatter-gather sharded, the serving layer never cares which — and a
-//! private [`ResponseCache`]. Caches are partitioned per tenant rather
+//! Each corpus is a [`Tenant`]: a name, an engine — unsharded or a shard
+//! set, the serving layer never cares which — and a private
+//! [`ResponseCache`]. Caches are partitioned per tenant rather
 //! than shared: keys already carry the engine fingerprint, but separate
 //! caches mean one hot corpus can never evict another's working set, and
 //! per-corpus occupancy is observable on `/statusz` and `/metrics`.
@@ -43,7 +43,7 @@ pub const CACHE_SHARDS: usize = 8;
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
-    /// One corpus or a scatter-gather shard set — the same pipeline type
+    /// One corpus or a shard set — the same pipeline type
     /// either way, so routing, caching and rendering never ask which.
     engine: Arc<Pipeline>,
     cache: Arc<ResponseCache>,

@@ -234,7 +234,7 @@ const CASES: &[Case] = &[
 ];
 
 /// Explain keys whose values are wall-clock nanoseconds.
-const TIMING_KEYS: [&str; 6] = ["slot", "walk", "gather", "rank", "total", "scatter_nanos"];
+const TIMING_KEYS: [&str; 5] = ["slot", "walk", "rank", "total", "scatter_nanos"];
 
 /// `body` with every timing value replaced by `0`.
 fn zero_timings(body: &str) -> String {

@@ -1,6 +1,6 @@
 //! End-to-end multi-tenant serving over real sockets (DESIGN.md §16):
 //! one `SuggestServer` fronting a catalog of two corpora — one plain,
-//! one a scatter-gather shard set — exercised through `/suggest/<name>`
+//! one a shard set — exercised through `/suggest/<name>`
 //! routing, the structured unknown-corpus 404, per-corpus response-cache
 //! isolation, and the per-corpus observability surfaces (`/healthz`,
 //! `/statusz`, `/metrics`).
@@ -65,7 +65,7 @@ impl Running {
 }
 
 /// Starts a two-tenant server: `default` unsharded, `dblp` served by a
-/// two-shard scatter-gather engine.
+/// two-shard set.
 fn start() -> Running {
     let default_engine = XCleanEngine::from_corpus(default_corpus(), XCleanConfig::default());
     let shards = partition_corpus(&dblp_corpus(), 2, 7).unwrap();
@@ -253,7 +253,7 @@ fn corpus_counters_agree_with_the_ring() {
 
 #[test]
 fn sharded_tenant_matches_unsharded_engine_over_http() {
-    // The serving layer must not perturb the scatter-gather result: a
+    // The serving layer must not perturb the sharded result: a
     // one-tenant sharded server and a one-tenant unsharded server over
     // the same corpus return byte-identical response bodies.
     let unsharded = SuggestServer::bind(

@@ -22,16 +22,17 @@ use std::sync::Mutex;
 
 use crate::json::Json;
 
-/// Per-shard scatter attribution for one sharded suggestion request.
+/// Per-shard attribution for one sharded suggestion request.
 ///
-/// The sharded engine's scatter phase runs Algorithm 1 once per shard;
-/// each run's cost and yield is captured here so a single slow-log line
-/// (or `/debug/requests` record) names the straggler shard directly.
+/// The sharded engine walks Algorithm 1 once per shard, in shard-id order,
+/// into the query's one table; each walk's cost and yield is captured here
+/// so a single slow-log line (or `/debug/requests` record) names the
+/// straggler shard directly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardAttribution {
     /// Shard index (document order, 0-based).
     pub shard: u32,
-    /// Nanoseconds the shard's scatter (walk + accumulate) took.
+    /// Nanoseconds the shard's walk + accumulate took.
     pub scatter_nanos: u64,
     /// Gated subtrees the shard's anchor walk visited.
     pub subtrees: u64,
@@ -39,7 +40,8 @@ pub struct ShardAttribution {
     pub candidates: u64,
     /// Entity score contributions the shard computed.
     pub entities: u64,
-    /// Contribution-log entries the shard handed to the gather merge.
+    /// Contributions the shard's walk added to the query's table (equal
+    /// to `entities`).
     pub contributions: u64,
 }
 

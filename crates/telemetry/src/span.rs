@@ -110,7 +110,11 @@ impl Tracer {
     /// closure only runs when the tracer is enabled, so dynamic labels
     /// cost nothing on the disabled path.
     pub fn span_with(&self, name: &'static str, detail: impl FnOnce() -> String) -> SpanGuard<'_> {
-        self.span_under_with(name, None, detail)
+        if self.inner.is_some() {
+            self.start_under(name, Some(detail()), None)
+        } else {
+            SpanGuard { active: None }
+        }
     }
 
     /// The id of the innermost open span *on the calling thread*, if any.
@@ -134,20 +138,6 @@ impl Tracer {
     /// joins this thread's stack, so spans nested under it chain normally.
     pub fn span_under(&self, name: &'static str, parent: Option<u64>) -> SpanGuard<'_> {
         self.start_under(name, None, parent)
-    }
-
-    /// [`Tracer::span_under`] with a lazily-built detail string.
-    pub fn span_under_with(
-        &self,
-        name: &'static str,
-        parent: Option<u64>,
-        detail: impl FnOnce() -> String,
-    ) -> SpanGuard<'_> {
-        if self.inner.is_some() {
-            self.start_under(name, Some(detail()), parent)
-        } else {
-            SpanGuard { active: None }
-        }
     }
 
     /// The one way a span opens: under `explicit_parent` when given,
@@ -374,7 +364,7 @@ mod tests {
         assert_eq!(t.current_span_id(), None);
         {
             let _s = t.span_under("x", Some(7));
-            let _d = t.span_under_with("y", Some(7), || panic!("must not run"));
+            let _d = t.span_with("y", || panic!("must not run"));
         }
         assert!(t.finished_spans().is_empty());
     }

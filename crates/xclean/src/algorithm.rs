@@ -105,8 +105,8 @@ pub struct RunStats {
 
 /// Sums whole runs: every counter and stage time adds (each absorbed run
 /// executed its stages in full, so the totals stay wall-clock-meaningful
-/// and ≥ 1 once anything ran). Used by the scatter gather (per-shard
-/// walks → one query) and by space edits (per-rewriting queries → one
+/// and ≥ 1 once anything ran). Used by a shard set (per-shard walks →
+/// one query) and by space edits (per-rewriting queries → one
 /// response).
 impl std::ops::AddAssign for RunStats {
     fn add_assign(&mut self, other: RunStats) {
@@ -388,12 +388,8 @@ impl Contributions {
 }
 
 /// The node-type accumulate rule over a [`Scoring`] view and a
-/// [`ScoreSink`]: walks the view's tree, enumerates candidates, and emits
-/// one `accumulate` call per (candidate, entity) contribution — in
-/// document order, with per-entity floating-point ops in exactly the
-/// sequential order. One corpus sinks straight into the γ-table; a shard
-/// walk sinks into a replay log (see `crate::pipeline`). The contribution
-/// stream never depends on the sink.
+/// [`ScoreSink`]: builds the view's language model and compiles the
+/// query's candidate table, then [`walk_scoped`]s the view.
 pub(crate) fn accumulate_scoped<S: ScoreSink>(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
@@ -406,10 +402,31 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
     arena
         .candidates
         .compile(slots, ErrorModel::new(config.beta));
+    walk_scoped(view, &lm, slots, config, stats, arena, sink);
+}
+
+/// Walks the view's tree against the arena's already compiled candidate
+/// table, scoring with `lm`: enumerates candidates and emits one
+/// `accumulate` call per (candidate, entity) contribution — in document
+/// order, with per-entity floating-point ops in exactly the sequential
+/// order. A shard set walks each shard's view in turn through one
+/// candidate table into one sink (see `crate::pipeline`). The
+/// contribution stream never depends on the sink. Inlined into both
+/// callers so the one-corpus walk is compiled against a view whose scope
+/// is statically absent.
+#[inline(always)]
+pub(crate) fn walk_scoped<S: ScoreSink>(
+    view: &Scoring<'_>,
+    lm: &LanguageModel<'_>,
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+    stats: &mut RunStats,
+    arena: &mut QueryArena,
+    sink: &mut S,
+) {
     // Split the arena into independently-borrowed scratch pieces: the
     // walk owns its scratch while the subtree closure works the scoring
-    // scratch. The sink's own storage (table or log) is the caller's to
-    // lend.
+    // scratch. The sink's table is the caller's to lend.
     let QueryArena {
         walk,
         candidate,
@@ -472,7 +489,7 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
                             row.map(|row| row.2).filter(|&c| c > 0)
                         };
                         if let Some(weighted) =
-                            contributions.weighted(&lm, config.prior, id, cand, dlen, count_of)
+                            contributions.weighted(lm, config.prior, id, cand, dlen, count_of)
                         {
                             entities_scored += 1;
                             let weight = prior_weight(config.prior, dlen);

@@ -3,10 +3,10 @@
 //! One `suggest` call works on a family of short-lived structures — the
 //! walk's per-slot occurrence buffers and the scan path's entity bitmaps,
 //! the candidate enumeration scratch, the compiled candidate table, the
-//! per-subtree entity grouping, the contribution memo, the γ-table, a shard
-//! walk's contribution log, and the ranker's sort buffer. At realistic corpus scale (100k+ publications) allocating them
-//! is a measurable slice of query latency, and a batch (`suggest_many`)
-//! would pay it once per query.
+//! per-subtree entity grouping, the contribution memo, the γ-table and the
+//! ranker's sort buffer. At realistic corpus scale (100k+ publications)
+//! allocating them is a measurable slice of query latency, and a batch
+//! (`suggest_many`) would pay it once per query.
 //!
 //! [`QueryArena`] owns all of that scratch and is *reset* — contents
 //! cleared, capacity retained — between queries, so a steady-state worker
@@ -35,13 +35,9 @@
 use xclean_index::TokenId;
 
 use crate::algorithm::{Contributions, EntityGroups};
-use crate::candidates::{CandId, CandidateTable};
+use crate::candidates::CandidateTable;
 use crate::pruning::AccumulatorTable;
 use crate::walk::WalkScratch;
-
-/// One recorded [`AccumulatorTable::add`] call of a shard walk:
-/// `(candidate, weighted score, weight)`.
-pub(crate) type Contribution = (CandId, f64, f64);
 
 /// Recycled scratch for one in-flight query (see the module docs).
 ///
@@ -63,12 +59,8 @@ pub struct QueryArena {
     pub(crate) contributions: Contributions,
     /// Result-type inference scratch (list intersection order).
     pub(crate) type_order: Vec<usize>,
-    /// The γ-table a walk or a gather accumulates into.
+    /// The γ-table a walk accumulates into (over every shard of a set).
     pub(crate) table: AccumulatorTable,
-    /// A shard walk's contribution stream, over `candidates`' ids.
-    pub(crate) log: Vec<Contribution>,
-    /// Gather scratch: a shard table's id → this arena's id.
-    pub(crate) remap: Vec<CandId>,
     /// Rank scratch: `(log score, accumulator)` of each survivor.
     pub(crate) rank_order: Vec<(f64, u32)>,
 }
@@ -90,8 +82,6 @@ impl QueryArena {
         self.contributions.forget();
         self.type_order.clear();
         self.table.reset(None);
-        self.log.clear();
-        self.remap.clear();
         self.rank_order.clear();
     }
 }
@@ -152,10 +142,8 @@ mod tests {
         assert!(weighted.is_some() && !a.contributions.is_empty());
         a.table.reset(Some(1));
         a.table.add(&a.candidates, id, 0.5, 1.0, &mut |_| {});
-        a.log.extend([(id, 0.5, 1.0); 40]);
-        a.remap.push(id);
-        a.rank_order.push((0.0, 0));
-        let log_cap = a.log.capacity();
+        a.rank_order.extend([(0.0, 0); 40]);
+        let rank_cap = a.rank_order.capacity();
         a.reset();
         assert!(a.walk.is_empty());
         assert!(a.candidate.is_empty());
@@ -166,9 +154,7 @@ mod tests {
         assert!(a.type_order.is_empty());
         assert!(a.table.is_empty());
         assert!(a.table.get(id).is_none());
-        assert!(a.log.is_empty());
-        assert!(a.remap.is_empty());
         assert!(a.rank_order.is_empty());
-        assert_eq!(a.log.capacity(), log_cap);
+        assert_eq!(a.rank_order.capacity(), rank_cap);
     }
 }

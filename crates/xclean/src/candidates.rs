@@ -6,16 +6,16 @@
 //! on first sight to a dense [`CandId`] and everything that is fixed per
 //! candidate — its key, per-keyword edit distances, error-model weight and
 //! inferred result type — is computed once and kept in flat vectors
-//! indexed by that id. The γ-table, a shard walk's contribution log and
-//! the ranker then speak ids: a candidate visit costs one multiplicative
-//! hash over `k` token ids and a probe, and never allocates once the
-//! vectors have grown to a worker's steady state.
+//! indexed by that id. The γ-table and the ranker then speak ids: a
+//! candidate visit costs one multiplicative hash over `k` token ids and a
+//! probe, and never allocates once the vectors have grown to a worker's
+//! steady state.
 //!
-//! Ids are assigned in first-sight order and mean nothing outside the
-//! table that issued them (a shard walk and the gather each intern their
-//! own); only the key identifies a candidate across tables. No result
-//! depends on the id order: every consumer that orders candidates does so
-//! by score and key.
+//! Ids are assigned in first-sight order — over a shard set, first sight
+//! over the whole set, since every shard walks through the query's one
+//! table — and mean nothing outside it; only the key identifies a
+//! candidate across tables. No result depends on the id order: every
+//! consumer that orders candidates does so by score and key.
 
 use xclean_index::TokenId;
 use xclean_lm::ErrorModel;

@@ -61,10 +61,8 @@ pub struct XCleanConfig {
     /// (§IV-B2, the paper's setting); Jelinek–Mercer for the smoothing
     /// ablation.
     pub smoothing: xclean_lm::Smoothing,
-    /// Threads used across the queries of a `suggest_many` batch and
-    /// across the shards of a set during one query's scatter (a batch
-    /// splits them so that workers × scatter threads stays within this
-    /// number). One query over one plain corpus always runs on the calling
+    /// Worker threads across the queries of a `suggest_many` batch. One
+    /// query, over one corpus or a shard set, always runs whole on one
     /// thread. `1` (default) runs fully sequentially; any value produces
     /// bit-identical suggestions (see DESIGN.md, "Concurrency &
     /// batching").

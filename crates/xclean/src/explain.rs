@@ -7,15 +7,12 @@
 //! attribution over a shard set, and per-stage wall times.
 //!
 //! Explain is the *same run* as serving ([`Pipeline::execute`]), observed:
-//! it passes a γ-observer that captures the table's decisions, pins
-//! `num_threads = 1` through the per-call config override (a diagnostic
-//! need not fan its scatter out, and per-shard times then read without
-//! contention), and hands the run a private disabled [`Telemetry`] — so it
-//! never touches the serving counters, histograms, tracer or caches, which
-//! are only ever written by the serving wrapper. Every serving configuration
-//! is bit-identical to the sequential run (the engine's core contract), so
-//! the suggestions a trace reports are bit-identical to what `suggest`
-//! serves — asserted by the `explain_neutrality` integration tests.
+//! it passes a γ-observer that captures the table's decisions and hands
+//! the run a private disabled [`Telemetry`] — so it never touches the
+//! serving counters, histograms, tracer or caches, which are only ever
+//! written by the serving wrapper. The suggestions a trace reports are
+//! therefore bit-identical to what `suggest` serves — asserted by the
+//! `explain_neutrality` integration tests.
 
 use xclean_telemetry::{ShardAttribution, Telemetry};
 
@@ -115,10 +112,8 @@ pub struct StageCounts {
 pub struct StageNanos {
     /// Variant-slot construction.
     pub slot: u64,
-    /// Walk + accumulate (scatter, on a sharded engine).
+    /// Walk + accumulate (over every shard, on a sharded engine).
     pub walk: u64,
-    /// Gather/replay (sharded only; 0 on the unsharded engine).
-    pub gather: u64,
     /// Finalise + rank.
     pub rank: u64,
     /// Whole explain call.
@@ -147,7 +142,7 @@ pub struct ExplainTrace {
     pub evictions: Vec<EvictionExplain>,
     /// Total γ-events taken (can exceed `evictions.len()`).
     pub eviction_events_total: u64,
-    /// Per-shard scatter attribution (empty on the unsharded engine).
+    /// Per-shard attribution (empty on the unsharded engine).
     pub shards: Vec<ShardAttribution>,
     /// The served suggestions — bit-identical to what `suggest` returns.
     pub suggestions: Vec<Suggestion>,
@@ -163,8 +158,7 @@ impl Pipeline {
 
     /// [`Pipeline::explain`] for an already-tokenised query.
     pub fn explain_keywords(&self, keywords: &[String]) -> ExplainTrace {
-        let mut config = self.config().clone();
-        config.num_threads = 1;
+        let config = self.config();
         let vocab = self.vocab();
         let terms_of = |key: &[xclean_index::TokenId]| -> Vec<String> {
             key.iter().map(|&t| vocab.term(t).to_string()).collect()
@@ -176,8 +170,7 @@ impl Pipeline {
             response,
             ranked,
             accumulators,
-            gather_nanos,
-        } = self.execute(keywords, &config, &Telemetry::disabled(), &mut |e| {
+        } = self.execute(keywords, config, &Telemetry::disabled(), &mut |e| {
             eviction_events_total += 1;
             if evictions.len() < MAX_EXPLAIN_EVICTIONS {
                 let (kind, key, estimate) = match e {
@@ -239,8 +232,7 @@ impl Pipeline {
             },
             nanos: StageNanos {
                 slot: stats.slot_nanos,
-                walk: stats.walk_nanos.saturating_sub(gather_nanos).max(1),
-                gather: gather_nanos,
+                walk: stats.walk_nanos,
                 rank: stats.rank_nanos,
                 total: (response.elapsed.as_nanos() as u64).max(1),
             },

@@ -24,11 +24,11 @@
 //!   into the arena-backed [`AccumulatorTable`]: node-type semantics
 //!   through [`accumulate_scoped`], SLCA/ELCA through [`accumulate_lca`]
 //!   into the same sink.
-//! * **A shard set** scatters: every shard walks its own tree under the
-//!   global-statistics scope into a [`ContributionLog`] (parallel across
-//!   shards), and the gather replays the logs in shard-id order into one
-//!   table — the exact sequential insertion sequence, γ-decisions
-//!   included (DESIGN.md §16).
+//! * **A shard set** is walked shard by shard, in shard-id order, on the
+//!   calling thread: the query's one candidate table is compiled once,
+//!   and every shard's tree is walked under the global-statistics scope
+//!   through it into the same table — the exact sequential insertion
+//!   sequence, γ-decisions included (DESIGN.md §16).
 //!
 //! Every table takes a γ-observer. Serving passes a no-op, which the
 //! optimiser erases; explain passes an event-capturing closure
@@ -47,10 +47,10 @@ use xclean_telemetry::{
 use xclean_xmltree::{PathId, Tokenizer};
 
 use crate::algorithm::{
-    accumulate_scoped, finalize_candidates, nanos_since, KeywordSlot, RunOutput, RunStats,
-    ScoredCandidate,
+    accumulate_scoped, finalize_candidates, nanos_since, walk_scoped, KeywordSlot, RunOutput,
+    RunStats, ScoredCandidate,
 };
-use crate::arena::{Contribution, QueryArena};
+use crate::arena::QueryArena;
 use crate::candidates::{CandId, CandidateTable};
 use crate::config::{fnv1a, EntityPrior, XCleanConfig};
 use crate::elca::elca_of_lists;
@@ -138,10 +138,10 @@ pub struct SuggestResponse {
     pub elapsed: Duration,
     /// Algorithm counters.
     pub stats: RunStats,
-    /// Per-shard scatter attribution: one entry per shard that ran a
-    /// scatter walk, in shard-id order (shard sets only — always empty
-    /// over one plain corpus and on empty-variant early-outs).
-    /// Record-only: carrying it changes no response bit.
+    /// Per-shard attribution: one entry per shard walked, in shard-id
+    /// order (shard sets only — always empty over one plain corpus and
+    /// on empty-variant early-outs). Record-only: carrying it changes no
+    /// response bit.
     pub shard_stats: Vec<ShardAttribution>,
 }
 
@@ -231,10 +231,10 @@ impl EngineMetrics {
     }
 }
 
-/// Recycled per-query scratch ([`QueryArena`]): every table fill and every
-/// shard walk checks one out, runs, and returns it, so steady-state
-/// workers stop paying the per-query scratch allocations. One brief
-/// uncontended lock each way — negligible against query latency.
+/// Recycled per-query scratch ([`QueryArena`]): every table fill checks
+/// one out, runs, and returns it, so steady-state workers stop paying the
+/// per-query scratch allocations. One brief uncontended lock each way —
+/// negligible against query latency.
 #[derive(Debug, Default)]
 pub(crate) struct ArenaPool(Mutex<Vec<QueryArena>>);
 
@@ -303,48 +303,8 @@ pub(crate) struct ShardSet {
     pub(crate) parent_fingerprint: u64,
 }
 
-/// The recorded argument stream of one shard's would-be
-/// [`AccumulatorTable::add`] calls, as `(candidate id, weighted score,
-/// weight)` per entity over the ids of the shard walk's own candidate
-/// table — which already holds what is fixed per candidate (key, error
-/// weight, distances, result path), so the log repeats none of it.
-struct ContributionLog(Vec<Contribution>);
-
-impl ScoreSink for ContributionLog {
-    #[inline]
-    fn accumulate(&mut self, _: &CandidateTable, id: CandId, weighted: f64, weight: f64) {
-        self.0.push((id, weighted, weight));
-    }
-}
-
-/// Feeds a shard walk's log into `sink` in recorded (document) order,
-/// translating the shard's candidate ids to `gather`'s by key on first
-/// sight (`remap` is scratch). The gather's table derives a candidate's
-/// distances and error weight from the same slots with the same
-/// arithmetic and adopts the shard's inferred result type, so the sink
-/// sees arguments byte-for-byte as the walk emitted them.
-fn replay(
-    shard: &QueryArena,
-    gather: &mut CandidateTable,
-    remap: &mut Vec<CandId>,
-    sink: &mut impl ScoreSink,
-) {
-    const UNSEEN: CandId = CandId::MAX;
-    remap.clear();
-    remap.resize(shard.candidates.len(), UNSEEN);
-    for &(local, weighted, weight) in &shard.log {
-        let id = &mut remap[local as usize];
-        if *id == UNSEEN {
-            *id = gather.intern(shard.candidates.key(local));
-            gather.set_result_type(*id, shard.candidates.result_type(local));
-        }
-        sink.accumulate(gather, *id, weighted, weight);
-    }
-}
-
 /// The γ-bounded table plus the observer of its decisions — the sink of
-/// every walk and replay that scores into a table. Observation is passive
-/// (see [`GammaEvent`]).
+/// every walk. Observation is passive (see [`GammaEvent`]).
 struct TableSink<'o, F> {
     table: AccumulatorTable,
     observe: &'o mut F,
@@ -410,16 +370,46 @@ fn walk_corpus<F: FnMut(GammaEvent<'_>)>(
     (filled, stats)
 }
 
-/// Runs every job on its own scoped thread (borrowing freely from the
-/// caller) and returns the results in job order.
-fn join_all<T: Send>(jobs: impl Iterator<Item = impl FnOnce() -> T + Send>) -> Vec<T> {
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("pipeline worker panicked"))
-            .collect()
-    })
+/// Walks every shard of a set, in shard-id order, through the query's one
+/// candidate table into one γ-table: the unsharded run's insertion
+/// sequence, because a gating subtree never spans shards and shards are
+/// contiguous in document order (DESIGN.md §16). Each shard's walk
+/// counters and time land in its own `shard_stats` row, so the serving
+/// layer can name the straggler.
+fn walk_shards<F: FnMut(GammaEvent<'_>)>(
+    views: &[Scoring<'_>],
+    slots: &[KeywordSlot],
+    config: &XCleanConfig,
+    arenas: &ArenaPool,
+    observe: &mut F,
+    shard_stats: &mut Vec<ShardAttribution>,
+) -> (QueryArena, RunStats) {
+    let mut stats = RunStats::default();
+    let filled = fill_table(arenas, config.gamma, observe, |arena, sink| {
+        // Every shard scores with the global vocabulary's model.
+        let lm = views[0].language_model(config.smoothing);
+        arena
+            .candidates
+            .compile(slots, ErrorModel::new(config.beta));
+        for (shard, view) in views.iter().enumerate() {
+            let shard_start = Instant::now();
+            let mut walk = RunStats::default();
+            walk_scoped(view, &lm, slots, config, &mut walk, arena, sink);
+            shard_stats.push(ShardAttribution {
+                shard: shard as u32,
+                scatter_nanos: nanos_since(shard_start),
+                subtrees: walk.subtrees,
+                candidates: walk.candidates_enumerated,
+                entities: walk.entities_scored,
+                // One table add per scored entity, by construction of
+                // `walk_scoped`.
+                contributions: walk.entities_scored,
+            });
+            stats += walk;
+        }
+    });
+    stats.pruning = filled.table.stats();
+    (filled, stats)
 }
 
 /// What one accumulate → finalize run produced, beyond the ranked
@@ -433,8 +423,6 @@ pub(crate) struct Ranked {
     pub(crate) shard_stats: Vec<ShardAttribution>,
     /// Accumulators alive when the walk finished (entering rank).
     pub(crate) accumulators: u64,
-    /// Gather (log replay) share of `stats.walk_nanos`; 0 without scatter.
-    pub(crate) gather_nanos: u64,
 }
 
 /// What one run walks — the observable fact that selects the accumulate
@@ -472,86 +460,16 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
     // recorded even on this early-out.
     let empty = slots.is_empty() || slots.iter().any(|s| s.variants.is_empty());
     let mut shard_stats = Vec::new();
-    let mut gather_nanos = 0;
-    // The arena holding the filled table (the corpus walk's, or the
-    // gather's), kept out of the pool until ranked; `None` when nothing ran.
+    // The arena holding the filled table, kept out of the pool until
+    // ranked; `None` when nothing ran.
     let (mut filled, mut stats) = match walked {
+        _ if empty => (None, RunStats::default()),
         Walked::Shards(views) => {
-            // Scatter: every shard walks its own tree and records its
-            // contribution stream, so each log *is* that shard's sequential
-            // stream; parallelism is across shards only.
-            let scatter_one = |shard: usize| {
-                let shard_start = Instant::now();
-                let mut stats = RunStats::default();
-                let mut arena = arenas.checkout();
-                let mut log = ContributionLog(std::mem::take(&mut arena.log));
-                let view = &views[shard];
-                accumulate_scoped(view, slots, config, &mut stats, &mut arena, &mut log);
-                arena.log = log.0;
-                stats.walk_nanos = nanos_since(shard_start);
-                (arena, stats)
-            };
-            let threads = config.num_threads.min(views.len()).max(1);
-            // Each shard's arena comes back holding its log and the
-            // candidate table the log's ids refer to.
-            let logs: Vec<(QueryArena, RunStats)> = if empty {
-                Vec::new()
-            } else if threads == 1 {
-                (0..views.len()).map(scatter_one).collect()
-            } else {
-                // The span stack is thread-local: capture the query span here
-                // and adopt it on each worker so the whole request traces as
-                // one tree.
-                let parent_span = tracer.current_span_id();
-                let span = views.len().div_ceil(threads);
-                let scatter_one = &scatter_one;
-                join_all((0..views.len()).step_by(span).map(|base| {
-                    move || {
-                        let end = (base + span).min(views.len());
-                        let _span = tracer.span_under_with("scatter_worker", parent_span, || {
-                            format!("shards {base}..{end}")
-                        });
-                        (base..end).map(scatter_one).collect::<Vec<_>>()
-                    }
-                }))
-                .into_iter()
-                .flatten()
-                .collect()
-            };
-            // Gather: replay every shard's log, in shard-id order, into one
-            // table — the exact sequential insertion sequence. Each shard's
-            // walk counters are also kept individually (scatter attribution)
-            // so the serving layer can name the straggler.
-            let gather_start = Instant::now();
-            let mut stats = RunStats::default();
-            for (shard, (_, walk)) in logs.iter().enumerate() {
-                shard_stats.push(ShardAttribution {
-                    shard: shard as u32,
-                    scatter_nanos: walk.walk_nanos,
-                    subtrees: walk.subtrees,
-                    candidates: walk.candidates_enumerated,
-                    entities: walk.entities_scored,
-                    // One log entry per scored entity, by construction of
-                    // `accumulate_scoped`.
-                    contributions: walk.entities_scored,
-                });
-                stats += *walk;
-            }
-            let gathered = fill_table(arenas, config.gamma, observe, |arena, sink| {
-                arena
-                    .candidates
-                    .compile(slots, ErrorModel::new(config.beta));
-                for (shard, _) in &logs {
-                    replay(shard, &mut arena.candidates, &mut arena.remap, sink);
-                }
-            });
-            logs.into_iter()
-                .for_each(|(shard, _)| arenas.checkin(shard));
-            gather_nanos = nanos_since(gather_start);
-            stats.pruning = gathered.table.stats();
-            (Some(gathered), stats)
+            let _span = tracer.span("walk_accumulate");
+            let (arena, stats) =
+                walk_shards(views, slots, config, arenas, observe, &mut shard_stats);
+            (Some(arena), stats)
         }
-        Walked::Corpus(_) if empty => (None, RunStats::default()),
         Walked::Corpus(corpus) => {
             let _span = tracer.span("walk_accumulate");
             let view = &Scoring::unsharded(corpus);
@@ -601,7 +519,6 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
         stats,
         shard_stats,
         accumulators,
-        gather_nanos,
     }
 }
 
@@ -636,7 +553,6 @@ pub(crate) struct Executed {
     /// Candidates surviving finalisation, pre-top-k.
     pub(crate) ranked: u64,
     pub(crate) accumulators: u64,
-    pub(crate) gather_nanos: u64,
 }
 
 /// The suggestion pipeline over a shard set of ≥ 1 corpora (see the
@@ -706,7 +622,7 @@ impl Pipeline {
     }
 
     /// Builder step: switches entity semantics. Only the one-corpus front
-    /// exposes it — the scatter walk is the node-type rule.
+    /// exposes it — a shard set's walk is the node-type rule.
     pub(crate) fn with_semantics(this: Arc<Pipeline>, semantics: Semantics) -> Arc<Pipeline> {
         Self::edit(this, |p| p.semantics = semantics)
     }
@@ -933,7 +849,6 @@ impl Pipeline {
             mut stats,
             shard_stats,
             accumulators,
-            gather_nanos,
         } = rank_walked(
             match self.set {
                 None => Walked::Corpus(self.corpus()),
@@ -978,7 +893,6 @@ impl Pipeline {
             },
             ranked: survivors,
             accumulators,
-            gather_nanos,
         }
     }
 
@@ -1029,25 +943,15 @@ impl Pipeline {
     /// batch entry point the serving layer uses after cache-splitting a
     /// POST body.
     pub fn suggest_many_keywords(&self, queries: &[Vec<String>]) -> Vec<SuggestResponse> {
-        // One pool worker per query up to num_threads; threads left over
-        // when the workload is narrower than the pool (few expensive
-        // queries) are handed down as scatter threads over a shard set
-        // (one plain corpus is always walked on the worker itself), keeping
-        // workers * per_query.num_threads ≤ num_threads so the nested
-        // fan-out never oversubscribes. Outputs are bit-identical for any
-        // split (see DESIGN.md, "Concurrency & batching").
+        // One pool worker per query up to num_threads; each query runs
+        // whole on the worker that claimed it. Outputs are bit-identical
+        // for any split (see DESIGN.md, "Concurrency & batching").
         let tracer = self.tracer();
         let _batch_span =
             tracer.span_with("suggest_batch", || format!("{} queries", queries.len()));
         let workers = self.config.num_threads.min(queries.len()).max(1);
-        let mut per_query = self.config.clone();
-        per_query.num_threads = (self.config.num_threads / workers).max(1);
-        let per_query = &per_query;
         if workers <= 1 {
-            return queries
-                .iter()
-                .map(|kw| self.suggest_keywords_with(kw, per_query))
-                .collect();
+            return queries.iter().map(|kw| self.suggest_keywords(kw)).collect();
         }
         // Pool workers run on their own threads, where the thread-local
         // span stack cannot see `suggest_batch`; each worker adopts it
@@ -1057,28 +961,26 @@ impl Pipeline {
         // they answered; sorting the claimed chunks by index afterwards
         // restores input order.
         let next_chunk = AtomicUsize::new(0);
-        let mut answered: Vec<(usize, Vec<SuggestResponse>)> = join_all((0..workers).map(|_| {
-            || {
-                let _worker_span = tracer.span_under("batch_worker", batch_parent);
-                let mut mine = Vec::new();
-                loop {
-                    let i = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    let start = i.saturating_mul(BATCH_CHUNK);
-                    if start >= queries.len() {
-                        break mine;
-                    }
-                    let batch = &queries[start..queries.len().min(start + BATCH_CHUNK)];
-                    let responses = batch
-                        .iter()
-                        .map(|kw| self.suggest_keywords_with(kw, per_query))
-                        .collect();
-                    mine.push((i, responses));
+        let worker = || {
+            let _worker_span = tracer.span_under("batch_worker", batch_parent);
+            let mut mine = Vec::new();
+            loop {
+                let i = next_chunk.fetch_add(1, Ordering::Relaxed);
+                let start = i.saturating_mul(BATCH_CHUNK);
+                if start >= queries.len() {
+                    break mine;
                 }
+                let batch = &queries[start..queries.len().min(start + BATCH_CHUNK)];
+                let responses = batch.iter().map(|kw| self.suggest_keywords(kw)).collect();
+                mine.push((i, responses));
             }
-        }))
-        .into_iter()
-        .flatten()
-        .collect();
+        };
+        let mut answered: Vec<(usize, Vec<SuggestResponse>)> = std::thread::scope(|scope| {
+            let pool: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            pool.into_iter()
+                .flat_map(|w| w.join().expect("batch worker panicked"))
+                .collect()
+        });
         answered.sort_unstable_by_key(|&(i, _)| i);
         answered.into_iter().flat_map(|(_, r)| r).collect()
     }

@@ -17,11 +17,9 @@ pub type CandidateKey = Vec<TokenId>;
 
 /// Where per-entity score contributions land during the accumulate phase.
 ///
-/// One corpus accumulates straight into a γ-bounded [`AccumulatorTable`];
-/// a shard walk records the *same* contribution arguments into a replay
-/// log instead, so the gather can feed them through a single global table
-/// in document order and reproduce the sequential run's eviction
-/// decisions exactly (both sinks live in `crate::pipeline`). The
+/// Every walk — one corpus, or each shard of a set in turn — accumulates
+/// straight into the query's one γ-bounded [`AccumulatorTable`] (the sink
+/// lives in `crate::pipeline`); tests substitute a recording sink. The
 /// contribution stream a scoring run emits is independent of the sink —
 /// sinks only observe.
 pub(crate) trait ScoreSink {

@@ -304,18 +304,22 @@ fn prior_weight(config: &XCleanConfig, dlen: u64) -> f64 {
     }
 }
 
+/// Result types inferred so far in one run, by candidate.
+type TypeCache = HashMap<CandidateKey, Option<PathId>>;
+
 /// The node-type accumulate rule over maps: one view's contribution
-/// stream, in emission order.
+/// stream, in emission order. `type_cache` spans every view of a run, as
+/// the product's one candidate table spans a shard set.
 fn ref_accumulate_node_type(
     view: &Scoring<'_>,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
+    type_cache: &mut TypeCache,
     stats: &mut RunStats,
     out: &mut Vec<Contribution>,
 ) {
     let error_model = ErrorModel::new(config.beta);
     let lm = view.language_model(config.smoothing);
-    let mut type_cache: HashMap<CandidateKey, Option<PathId>> = HashMap::new();
     let (mut enumerated, mut typed, mut scored) = (0u64, 0u64, 0u64);
     ref_walk(view, slots, config, stats, |occurrences, slot_tokens| {
         let mut entity_maps: HashMap<PathId, BTreeMap<NodeId, HashMap<TokenId, u64>>> =
@@ -467,13 +471,19 @@ pub(crate) fn reference_run(
 ) -> Outcome {
     let mut stats = RunStats::default();
     let mut stream = Vec::new();
+    let mut type_cache = TypeCache::new();
     if !slots.is_empty() && slots.iter().all(|s| !s.variants.is_empty()) {
         for view in views {
             let mut walk = RunStats::default();
             match semantics {
-                Semantics::NodeType => {
-                    ref_accumulate_node_type(view, slots, config, &mut walk, &mut stream)
-                }
+                Semantics::NodeType => ref_accumulate_node_type(
+                    view,
+                    slots,
+                    config,
+                    &mut type_cache,
+                    &mut walk,
+                    &mut stream,
+                ),
                 _ => ref_accumulate_lca(view, slots, config, semantics, &mut walk, &mut stream),
             }
             stats += walk;
@@ -797,10 +807,11 @@ proptest! {
         }
     }
 
-    /// A shard set (1 and 4 shards): scatter into id logs plus replay
-    /// into the gather's table matches the reference's keyed stream
-    /// through one keyed table, per-shard counters summed — and the
-    /// ranked candidates match the unsharded reference as well.
+    /// A shard set (1 and 4 shards): the shard-by-shard walk into one
+    /// table matches the reference's keyed stream through one keyed
+    /// table, per-shard counters summed — and the ranked candidates and
+    /// the result-type computations match the unsharded reference as
+    /// well.
     #[test]
     fn shard_sets_match_the_map_based_reference(
         publications in 40usize..160,
@@ -840,6 +851,10 @@ proptest! {
                         &config,
                     );
                     prop_assert_eq!(&product.decisions, &unsharded.decisions);
+                    prop_assert_eq!(
+                        product.stats.result_type_computations,
+                        unsharded.stats.result_type_computations
+                    );
                     prop_assert_eq!(product.candidates.len(), unsharded.candidates.len());
                     for (p, u) in product.candidates.iter().zip(&unsharded.candidates) {
                         prop_assert_eq!(&p.tokens, &u.tokens);

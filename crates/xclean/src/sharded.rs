@@ -1,16 +1,15 @@
-//! Scatter-gather suggestion serving over a sharded corpus.
+//! Suggestion serving over a sharded corpus.
 //!
 //! [`ShardedEngine`] answers the same queries as [`crate::XCleanEngine`],
 //! bit for bit, while holding the corpus as N shard snapshots produced by
 //! [`xclean_index::partition_corpus`]. It is a front over the same
 //! [`Pipeline`]: this module validates a shard set and reconstructs the
-//! whole-collection statistics; the pipeline then runs each query as a
-//! *scatter* — every shard runs the Algorithm 1 walk over its own tree and
-//! postings — and a *gather*: the per-shard score contributions are
-//! replayed, in shard order, into one global accumulator table, then
-//! ranked exactly as over one corpus.
+//! whole-collection statistics; the pipeline then walks each query over
+//! the shards in shard-id order, on the calling thread, through the
+//! query's one candidate table into its one accumulator table, and ranks
+//! exactly as over one corpus.
 //!
-//! # Why the merge is exact (DESIGN.md §16)
+//! # Why the walk is exact (DESIGN.md §16)
 //!
 //! Three facts compose into the bit-identity guarantee:
 //!
@@ -19,29 +18,24 @@
 //!    child, hence inside exactly one shard, and the unsharded walk's
 //!    sequence of qualifying subtrees is the concatenation of the
 //!    per-shard sequences (the partitioner preserves preorder and depth).
-//! 2. **Every shard scores with global statistics.** The scatter phase
+//! 2. **Every shard scores with global statistics.** Each shard walk
 //!    runs through a [`crate::view::Scoring`] scope that substitutes the
 //!    reconstructed [`GlobalStats`] — global token/path ids, summed
 //!    `cf`/`df`/`f_w^p`, whole-collection normalisers — so each
 //!    per-entity `P(w|D(r))` product is computed from exactly the
 //!    integers the unsharded corpus holds, in exactly the same order.
-//! 3. **Contribution replay reproduces the sequential table.** A shard
-//!    walk does not score into a table; it records the *arguments* of
-//!    each would-be `AccumulatorTable::add` call (a write-only
-//!    stream: the emitted contributions never depend on table state).
-//!    Replaying the logs in shard-id order therefore feeds the single
-//!    global table the same insertion sequence as the sequential
-//!    unsharded run — including every γ-eviction and rejection decision —
-//!    whatever the number of scatter threads.
-//!
-//! Each shard is walked once, by one thread; `num_threads` spreads the
-//! shards of a query over scatter threads and nothing else. That keeps
-//! fact 3 unconditional: the log *is* the sequential contribution stream.
+//! 3. **Shards walk in id order into one table.** By 1, walking the
+//!    shards in id order feeds the query's one table the unsharded run's
+//!    `add` sequence — every γ-eviction and rejection decision included.
+//!    Candidate ids follow first enumeration over the whole set, as they
+//!    do unsharded, and result-type inference reads only global
+//!    statistics, so one type cache serves the whole set.
 //!
 //! Walk-effort counters (`subtrees`, posting I/O) are summed over shard
 //! walks and legitimately differ from the unsharded engine's (each shard
 //! runs its own anchor dynamics); the scoring counters
-//! (`candidates_enumerated`, `entities_scored`) sum exactly.
+//! (`candidates_enumerated`, `result_type_computations`,
+//! `entities_scored`) equal the unsharded run's.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -77,8 +71,8 @@ pub enum ShardedEngineError {
     /// Global statistics reconstruction found a hole (a global token or
     /// path covered by no shard) — the set is corrupt or incomplete.
     Coverage(String),
-    /// A shard set was asked for SLCA or ELCA semantics; the scatter walk
-    /// is the node-type rule.
+    /// A shard set was asked for SLCA or ELCA semantics; a set's walk is
+    /// the node-type rule.
     NodeTypeOnly(Semantics),
     /// A snapshot failed to open.
     Snapshot {
@@ -127,7 +121,7 @@ impl std::error::Error for ShardedEngineError {
     }
 }
 
-/// Scatter-gather XClean engine over a shard set (node-type semantics —
+/// XClean engine over a shard set (node-type semantics —
 /// there is no `with_semantics` here, so a set is node-type by type).
 ///
 /// Built from in-memory shard corpora ([`ShardedEngine::from_shards`]) or
@@ -537,10 +531,15 @@ mod tests {
                     let a = baseline.suggest(q);
                     let b = engine.suggest(q);
                     assert_same(&a, &b);
-                    // Scoring-effort counters sum exactly across shards.
+                    // Scoring-effort counters sum exactly across shards,
+                    // and one type cache spans the set.
                     assert_eq!(
                         a.stats.candidates_enumerated, b.stats.candidates_enumerated,
                         "q={q} nshards={nshards} threads={threads}"
+                    );
+                    assert_eq!(
+                        a.stats.result_type_computations,
+                        b.stats.result_type_computations
                     );
                     assert_eq!(a.stats.entities_scored, b.stats.entities_scored);
                 }
@@ -550,8 +549,8 @@ mod tests {
 
     #[test]
     fn binding_gamma_merges_identically() {
-        // γ=1 forces evictions; the replay merge must reproduce the
-        // sequential table's decisions exactly.
+        // γ=1 forces evictions; the shard-by-shard walk must reproduce
+        // the sequential table's decisions exactly.
         let parent = corpus();
         let config = XCleanConfig {
             epsilon: 2,

@@ -1,5 +1,5 @@
 //! Scoring view: one corpus-access seam for a plain corpus and for each
-//! shard of a set (the per-shard scatter walks of [`crate::pipeline`]).
+//! shard of a set (the per-shard walks of [`crate::pipeline`]).
 //!
 //! Algorithm 1 touches the corpus through a handful of read paths: merged
 //! posting lists, the background language model, per-token path statistics

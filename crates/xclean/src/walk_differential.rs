@@ -511,8 +511,8 @@ proptest! {
 
     /// Under 2- and 3-way shard scopes every shard view emits one stream
     /// on either path — tokens absent from a shard included — keeps its
-    /// entity lists in its own positions, and the scatter-gather ranks the
-    /// same answers.
+    /// entity lists in its own positions, and the shard-by-shard walk
+    /// ranks the same answers.
     #[test]
     fn both_paths_emit_one_stream_per_shard(
         shape in proptest::collection::vec(0u8..60, 0..70),

@@ -216,20 +216,34 @@ fn every_entry_point_of_every_shape_is_the_same_run() {
                     }
                 }
             }
-            // The thread axis that remains: a query over the shard set fans
-            // its scatter out under its own `suggest` span, and only when
-            // threads are offered.
+            // A query over the shard set is one walk at every thread
+            // count: each query that walks opens exactly one
+            // `walk_accumulate` span, on its own `suggest` span's thread,
+            // directly under it — whether `suggest` or a batch worker ran it.
             let spans = four_shards.tracer().finished_spans();
-            let workers: Vec<_> = spans
-                .iter()
-                .filter(|s| s.name == "scatter_worker")
-                .collect();
-            assert_eq!(workers.is_empty(), threads == 1, "threads={threads}");
-            for w in workers {
-                let parent = spans.iter().find(|s| Some(s.id) == w.parent).unwrap();
-                assert_eq!(parent.name, "suggest");
-                assert_ne!(w.thread, parent.thread, "scatter runs off the caller");
+            let walks_query = |keywords: &str| {
+                let slots = unsharded.make_slots(&unsharded.parse_query(keywords));
+                !slots.is_empty() && slots.iter().all(|s| !s.variants.is_empty())
+            };
+            let suggests: Vec<_> = spans.iter().filter(|s| s.name == "suggest").collect();
+            assert_eq!(suggests.len(), 2 * QUERIES.len(), "threads={threads}");
+            let mut walked = 0;
+            for query in suggests {
+                let keywords = query.detail.as_deref().unwrap_or_default();
+                let walks: Vec<_> = spans
+                    .iter()
+                    .filter(|s| s.name == "walk_accumulate" && s.parent == Some(query.id))
+                    .collect();
+                let ctx = format!("threads={threads} q={keywords}");
+                assert_eq!(walks.len(), usize::from(walks_query(keywords)), "{ctx}");
+                for walk in walks {
+                    assert_eq!(walk.thread, query.thread, "{ctx}: walk on the caller");
+                    walked += 1;
+                }
             }
+            assert!(walked > 0, "threads={threads}: no query walked");
+            let all_walks = spans.iter().filter(|s| s.name == "walk_accumulate");
+            assert_eq!(all_walks.count(), walked, "threads={threads}");
         }
     }
 }

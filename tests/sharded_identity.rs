@@ -1,7 +1,7 @@
 //! Sharded-vs-unsharded bit-identity at realistic corpus scale.
 //!
 //! The contract (ISSUE PR 9, DESIGN.md §16): for every shard count and
-//! every worker-thread count, the scatter-gather [`ShardedEngine`]
+//! every worker-thread count, the sharded [`ShardedEngine`]
 //! returns *bit-identical* responses — same suggestions, same order,
 //! same `f64` score bits, same pruning decisions — to the plain
 //! [`XCleanEngine`] over the unsharded parent corpus. The unit suite in
