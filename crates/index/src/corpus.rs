@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use xclean_xmltree::{NodeId, PathId, Tokenizer, XmlTree};
+use xclean_xmltree::{IdBuildHasher, NodeId, PathId, Tokenizer, XmlTree};
 
 use crate::level::{Entities, LevelTable};
 use crate::path_stats::PathStatsIndex;
@@ -54,18 +54,20 @@ pub(crate) struct Parts {
 
 impl Parts {
     /// Tokenises every node's direct text: ids in first-occurrence order,
-    /// one posting per (token, node).
+    /// one posting per (token, node). Each token is hashed once, into the
+    /// intern map; a node's counts go into one dense column indexed by
+    /// token id, and sorting the ids it touched gives its postings in id
+    /// order.
     fn tokenize(tree: &XmlTree, tokenizer: &Tokenizer) -> Parts {
         let mut parts = Parts {
             direct: vec![0; tree.len()],
             ..Parts::default()
         };
-        let mut ids: HashMap<String, TokenId> = HashMap::new();
-        let mut counts: HashMap<TokenId, u32> = HashMap::new();
-        let mut items: Vec<(TokenId, u32)> = Vec::new();
+        let mut ids: HashMap<String, TokenId, IdBuildHasher> = HashMap::default();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut touched: Vec<TokenId> = Vec::new();
         for n in tree.iter() {
             let Some(text) = tree.text(n) else { continue };
-            counts.clear();
             let mut node_tokens = 0u64;
             tokenizer.for_each_token(text, |t| {
                 let id = match ids.get(t) {
@@ -75,18 +77,21 @@ impl Parts {
                         ids.insert(t.to_string(), id);
                         parts.terms.push(t.to_string());
                         parts.lists.push(PostingList::new());
+                        counts.push(0);
                         id
                     }
                 };
-                *counts.entry(id).or_insert(0) += 1;
+                let count = &mut counts[id.index()];
+                if *count == 0 {
+                    touched.push(id);
+                }
+                *count += 1;
                 node_tokens += 1;
             });
             parts.direct[n.index()] = node_tokens;
-            items.clear();
-            items.extend(counts.iter().map(|(&k, &v)| (k, v)));
-            items.sort_unstable();
-            for &(id, tf) in &items {
-                parts.lists[id.index()].push(n, tf);
+            touched.sort_unstable();
+            for id in touched.drain(..) {
+                parts.lists[id.index()].push(n, std::mem::take(&mut counts[id.index()]));
             }
         }
         parts.cf = parts

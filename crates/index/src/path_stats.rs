@@ -4,13 +4,13 @@
 //! keyword `w`, the list of node types `p` together with `f_w^p` — the
 //! number of nodes of label path `p` that contain `w` **in their subtree**
 //! (§IV-B2, §V-B). The index builder computes a token's list in a single
-//! document-order pass over its postings (`token_stats`: consecutive
-//! postings share ancestor chains, so each containing node is counted
-//! exactly once by diffing ancestor chains) and writes it into the
-//! PATHSTATS section (`encode_stats`). [`PathStatsIndex`] views those
-//! blobs and decodes a token's list on its first access.
+//! document-order pass over its postings (`StatsCounter::token_stats`:
+//! each posting climbs only to the first ancestor an earlier posting
+//! already counted, so each containing node is counted exactly once) and
+//! writes it into the PATHSTATS section (`encode_stats`).
+//! [`PathStatsIndex`] views those blobs and decodes a token's list on its
+//! first access.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -28,35 +28,55 @@ pub struct PathStatsIndex {
     blobs: Blobs<Vec<(PathId, u32)>>,
 }
 
-/// The `(path, f_w^p)` list of the token whose postings are `list`
-/// (document order), sorted by path id.
-pub(crate) fn token_stats(tree: &XmlTree, list: &PostingList) -> Vec<(PathId, u32)> {
-    let mut counts: HashMap<PathId, u32> = HashMap::new();
-    // Ancestor chain (root → node) of the previous posting.
-    let mut prev_chain: Vec<NodeId> = Vec::new();
-    let mut chain: Vec<NodeId> = Vec::new();
-    for p in list.iter() {
-        chain.clear();
-        let mut cur = Some(p.node);
-        while let Some(c) = cur {
-            chain.push(c);
-            cur = tree.parent(c);
+/// Counts `f_w^p` for one token after another: one dense count per path,
+/// reused across tokens, and the paths a token touched.
+pub(crate) struct StatsCounter {
+    counts: Vec<u32>,
+    touched: Vec<PathId>,
+    stats: Vec<(PathId, u32)>,
+}
+
+impl StatsCounter {
+    /// A counter over the label paths of `tree`.
+    pub(crate) fn new(tree: &XmlTree) -> StatsCounter {
+        StatsCounter {
+            counts: vec![0; tree.paths().len()],
+            touched: Vec::new(),
+            stats: Vec::new(),
         }
-        chain.reverse();
-        // Nodes shared with the previous chain were already counted.
-        let shared = prev_chain
-            .iter()
-            .zip(chain.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        for &n in &chain[shared..] {
-            *counts.entry(tree.path(n)).or_insert(0) += 1;
-        }
-        std::mem::swap(&mut prev_chain, &mut chain);
     }
-    let mut v: Vec<(PathId, u32)> = counts.into_iter().collect();
-    v.sort_unstable_by_key(|&(p, _)| p);
-    v
+
+    /// The `(path, f_w^p)` list of the token whose postings are `list`
+    /// (document order), sorted by path id.
+    ///
+    /// A node contains the token once however many of its descendants
+    /// hold it. Postings come in preorder, so an ancestor of a posting's
+    /// node was counted for an earlier posting exactly when its id is at
+    /// most the previous posting's node: the climb from each node stops
+    /// at the first such ancestor.
+    pub(crate) fn token_stats(&mut self, tree: &XmlTree, list: &PostingList) -> &[(PathId, u32)] {
+        let mut prev: Option<NodeId> = None;
+        for &node in list.nodes() {
+            let mut cur = Some(node);
+            while let Some(n) = cur.filter(|&n| prev.is_none_or(|p| n > p)) {
+                let path = tree.path(n);
+                let count = &mut self.counts[path.0 as usize];
+                if *count == 0 {
+                    self.touched.push(path);
+                }
+                *count += 1;
+                cur = tree.parent(n);
+            }
+            prev = Some(node);
+        }
+        self.touched.sort_unstable();
+        self.stats.clear();
+        for path in self.touched.drain(..) {
+            let f = std::mem::take(&mut self.counts[path.0 as usize]);
+            self.stats.push((path, f));
+        }
+        &self.stats
+    }
 }
 
 impl PathStatsIndex {
@@ -144,6 +164,8 @@ pub(crate) fn decode_stats(bytes: &[u8]) -> Result<Vec<(PathId, u32)>, CodecErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use crate::corpus::CorpusIndex;
     use xclean_xmltree::{parse_document, Tokenizer};
 
@@ -222,19 +244,22 @@ mod tests {
         assert_eq!(c.path_stats().f(TokenId(0), PathId(999)), 0);
     }
 
-    /// Oracle check: f computed by brute-force subtree scan must match.
+    /// Oracle check: f computed by brute-force subtree scan must match,
+    /// mixed content included, where a posting's node is an ancestor of
+    /// the next posting's.
     #[test]
     fn agrees_with_bruteforce() {
         let xml = "<lib>\
             <shelf><book><t>rust systems</t><a>jones</a></book>\
                    <book><t>query systems</t></book></shelf>\
             <shelf><book><t>rust query</t></book></shelf>\
+            <shelf><note>rust notes <em>rust query</em> tail</note></shelf>\
         </lib>";
         let c = index(xml);
         let (tree, idx) = (c.tree(), c.path_stats());
         let tok = Tokenizer::default();
         for (t, term) in c.vocab().iter_terms().enumerate() {
-            let mut expect: HashMap<PathId, u32> = HashMap::new();
+            let mut expect: BTreeMap<PathId, u32> = BTreeMap::new();
             for n in tree.iter() {
                 let contains = tree.subtree(n).any(|d| {
                     tree.text(d)

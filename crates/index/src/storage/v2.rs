@@ -47,7 +47,7 @@ use xclean_xmltree::{LabelId, PreorderAssembler, Tokenizer, TokenizerConfig, Xml
 
 use crate::codec::{self, get_count, put_varint, SliceReader};
 use crate::corpus::{CorpusIndex, Parts, SnapshotProvenance};
-use crate::path_stats::{self, PathStatsIndex};
+use crate::path_stats::{self, PathStatsIndex, StatsCounter};
 use crate::shard::ShardMeta;
 use crate::slab::{checksum64, Blobs, IndexSlab};
 use crate::vocab::{self, Vocabulary};
@@ -238,8 +238,9 @@ fn encode(tree: &XmlTree, parts: &Parts, tokenizer: &TokenizerConfig) -> Vec<u8>
         put_blobs(out, &parts.lists, codec::encode_into)
     });
     w.section(SEC_PATHSTATS, |out| {
+        let mut counter = StatsCounter::new(tree);
         put_blobs(out, &parts.lists, |list, out| {
-            path_stats::encode_stats(&path_stats::token_stats(tree, list), out)
+            path_stats::encode_stats(counter.token_stats(tree, list), out)
         })
     });
     w.section(SEC_TOKENIZER, |out| {

@@ -25,7 +25,7 @@ impl PathId {
 #[derive(Debug, Default, Clone)]
 pub struct LabelTable {
     names: Vec<String>,
-    by_name: HashMap<String, LabelId>,
+    by_name: HashMap<String, LabelId, IdBuildHasher>,
 }
 
 impl LabelTable {
@@ -66,25 +66,53 @@ impl LabelTable {
     }
 }
 
-/// Deterministic multiplicative hasher for the id-keyed interner map.
+/// Deterministic multiplicative hasher for the interner maps.
 ///
-/// `intern_child` runs once per node during tree construction and
-/// snapshot loading, and its key is just two `u32` ids — SipHash (the
-/// `HashMap` default) costs more than the rest of the probe combined.
-/// A splitmix64-style finalizer over a multiplicative accumulator gives
-/// the map well-distributed bits at a few cycles per key.
+/// The interners probe once per node or token while a tree is built or
+/// loaded and while an index is tokenised, and their keys are a pair of
+/// `u32` ids or a short string — SipHash (the `HashMap` default) costs
+/// more than the rest of the probe combined. A multiplicative
+/// accumulator over `u32`s and 8-byte words, finished by a
+/// splitmix64-style mix, gives the map well-distributed bits at a few
+/// cycles per key. No interner iterates its map, so ids never depend on
+/// the hash. The keys come from a corpus indexed offline or from its
+/// snapshot, never from a request, so the maps need no defence against
+/// keys crafted to collide.
 #[derive(Debug, Default)]
-struct IdHasher(u64);
+pub struct IdHasher(u64);
+
+/// The `HashMap` hasher builder of [`IdHasher`].
+pub type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
+
+impl IdHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 impl std::hash::Hasher for IdHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("chunks of 8")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            // The tail's length goes in its padding, so trailing zero
+            // bytes still change the word.
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            w[7] = tail.len() as u8;
+            self.mix(u64::from_le_bytes(w));
         }
     }
 
+    fn write_u8(&mut self, v: u8) {
+        self.mix(u64::from(v));
+    }
+
     fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0 ^ u64::from(v)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.mix(u64::from(v));
     }
 
     fn finish(&self) -> u64 {
@@ -108,7 +136,7 @@ pub struct PathTable {
     /// `(parent, label)` per path; the root path's parent is itself.
     entries: Vec<(PathId, LabelId)>,
     depths: Vec<u32>,
-    by_key: HashMap<(PathId, LabelId), PathId, std::hash::BuildHasherDefault<IdHasher>>,
+    by_key: HashMap<(PathId, LabelId), PathId, IdBuildHasher>,
 }
 
 /// Key used for a root-level path: its "parent" is the invalid sentinel.

@@ -32,7 +32,7 @@ pub mod writer;
 pub use dewey::Dewey;
 pub use error::{XmlError, XmlResult};
 pub use flat::{PreorderAssembler, TreeAssemblyError};
-pub use label::{LabelId, LabelTable, PathId, PathTable};
+pub use label::{IdBuildHasher, IdHasher, LabelId, LabelTable, PathId, PathTable};
 pub use parser::{parse_collection, parse_document};
 pub use stats::TreeStats;
 pub use tokenize::{Tokenizer, TokenizerConfig};

@@ -7,7 +7,10 @@
 //! numeric character references.
 //!
 //! The parser is non-validating and operates on a single pass over the
-//! input string.
+//! input string: names and runs of character data are slices of it, and
+//! a run's newlines are counted as it is skipped.
+
+use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlResult};
 use crate::tree::{TreeBuilder, XmlTree};
@@ -43,14 +46,22 @@ pub fn parse_collection<'a>(
 }
 
 struct Parser<'a> {
+    src: &'a str,
     input: &'a [u8],
     pos: usize,
     line: u32,
 }
 
+/// Whether `b` may appear in an element or attribute name. Bytes of
+/// non-ASCII chars all do, so a name ends on a char boundary.
+fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80
+}
+
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
         Parser {
+            src: input,
             input: input.as_bytes(),
             pos: 0,
             line: 1,
@@ -64,8 +75,8 @@ impl<'a> Parser<'a> {
             return Err(self.err("expected document element"));
         }
         let name = self.read_name()?;
-        let mut builder = TreeBuilder::new(&name);
-        self.parse_attributes_and_content(&mut builder, &name, true)?;
+        let mut builder = TreeBuilder::new(name);
+        self.parse_attributes_and_content(&mut builder, name)?;
         self.skip_misc();
         if !self.at_end() {
             return Err(self.err("trailing content after document element"));
@@ -103,10 +114,19 @@ impl<'a> Parser<'a> {
         self.input[self.pos..].starts_with(s)
     }
 
-    fn advance(&mut self, n: usize) {
-        for _ in 0..n {
-            self.bump();
-        }
+    /// Moves to byte `end`, counting the newlines passed over.
+    fn skip_to(&mut self, end: usize) {
+        let run = &self.input[self.pos..end];
+        self.line += run.iter().filter(|&&b| b == b'\n').count() as u32;
+        self.pos = end;
+    }
+
+    /// The position of the next `pattern` at or after the cursor.
+    fn find(&self, pattern: &[u8]) -> Option<usize> {
+        self.input[self.pos..]
+            .windows(pattern.len())
+            .position(|w| w == pattern)
+            .map(|i| self.pos + i)
     }
 
     fn err(&self, msg: &str) -> XmlError {
@@ -154,15 +174,18 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skips past the next `end`, or to the end of the input and fails.
     fn skip_until(&mut self, end: &[u8]) -> XmlResult<()> {
-        while !self.at_end() {
-            if self.starts_with(end) {
-                self.advance(end.len());
-                return Ok(());
+        match self.find(end) {
+            Some(at) => {
+                self.skip_to(at + end.len());
+                Ok(())
             }
-            self.bump();
+            None => {
+                self.skip_to(self.input.len());
+                Err(self.err("unterminated construct"))
+            }
         }
-        Err(self.err("unterminated construct"))
     }
 
     fn skip_doctype(&mut self) -> XmlResult<()> {
@@ -183,25 +206,20 @@ impl<'a> Parser<'a> {
         Err(self.err("unterminated DOCTYPE"))
     }
 
-    fn read_name(&mut self) -> XmlResult<String> {
+    /// The name at the cursor, as a slice of the input (names hold no
+    /// newline).
+    fn read_name(&mut self) -> XmlResult<&'a str> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            let ok = b.is_ascii_alphanumeric()
-                || b == b'_'
-                || b == b'-'
-                || b == b'.'
-                || b == b':'
-                || b >= 0x80;
-            if ok {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
+        let rest = &self.input[start..];
+        let len = rest
+            .iter()
+            .position(|&b| !is_name_byte(b))
+            .unwrap_or(rest.len());
+        if len == 0 {
             return Err(self.err("expected name"));
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        self.pos += len;
+        Ok(&self.src[start..self.pos])
     }
 
     /// Parses one element, assuming the builder is positioned at its
@@ -211,20 +229,18 @@ impl<'a> Parser<'a> {
             return Err(self.err("expected '<'"));
         }
         let name = self.read_name()?;
-        builder.open(&name);
-        self.parse_attributes_and_content(builder, &name, false)?;
+        builder.open(name);
+        self.parse_attributes_and_content(builder, name)?;
         builder.close();
         Ok(())
     }
 
-    /// Parses attributes and, unless self-closing, content + end tag.
-    /// `is_root` controls whether the element was already opened on the
-    /// builder (the document element is the builder's root).
+    /// Parses attributes and, unless self-closing, content + end tag of
+    /// the element `name`, whose node the builder has open.
     fn parse_attributes_and_content(
         &mut self,
         builder: &mut TreeBuilder,
         name: &str,
-        is_root: bool,
     ) -> XmlResult<()> {
         // Attributes.
         loop {
@@ -256,7 +272,7 @@ impl<'a> Parser<'a> {
                     if !self.eat(quote) {
                         return Err(self.err("unterminated attribute value"));
                     }
-                    builder.open(&attr);
+                    builder.open(attr);
                     if !value.is_empty() {
                         builder.text(&value);
                     }
@@ -268,8 +284,17 @@ impl<'a> Parser<'a> {
 
         // Content.
         loop {
-            if self.starts_with(b"</") {
-                self.advance(2);
+            if self.peek() != Some(b'<') {
+                if self.at_end() {
+                    return Err(self.err(&format!("unexpected end of input inside <{name}>")));
+                }
+                let text = self.read_text_until(b'<')?;
+                let trimmed = text.trim();
+                if !trimmed.is_empty() {
+                    builder.text(trimmed);
+                }
+            } else if self.starts_with(b"</") {
+                self.pos += 2;
                 let end = self.read_name()?;
                 if end != name {
                     return Err(self.err(&format!(
@@ -280,108 +305,91 @@ impl<'a> Parser<'a> {
                 if !self.eat(b'>') {
                     return Err(self.err("expected '>' in end tag"));
                 }
-                let _ = is_root;
                 return Ok(());
             } else if self.starts_with(b"<!--") {
                 self.skip_until(b"-->")?;
             } else if self.starts_with(b"<![CDATA[") {
-                self.advance(9);
+                self.pos += 9;
                 let start = self.pos;
-                loop {
-                    if self.at_end() {
-                        return Err(self.err("unterminated CDATA"));
-                    }
-                    if self.starts_with(b"]]>") {
-                        break;
-                    }
-                    self.bump();
+                let Some(end) = self.find(b"]]>") else {
+                    self.skip_to(self.input.len());
+                    return Err(self.err("unterminated CDATA"));
+                };
+                self.skip_to(end);
+                let text = self.src[start..end].trim();
+                if !text.is_empty() {
+                    builder.text(text);
                 }
-                let text = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                if !text.trim().is_empty() {
-                    builder.text(text.trim());
-                }
-                self.advance(3);
+                self.pos += 3;
             } else if self.starts_with(b"<?") {
                 self.skip_until(b"?>")?;
-            } else if self.peek() == Some(b'<') {
-                self.parse_element(builder)?;
-            } else if self.at_end() {
-                return Err(self.err(&format!("unexpected end of input inside <{name}>")));
             } else {
-                let text = self.read_text_until(b'<')?;
-                let trimmed = text.trim();
-                if !trimmed.is_empty() {
-                    builder.text(trimmed);
-                }
+                self.parse_element(builder)?;
             }
         }
     }
 
     /// Reads character data until (not including) `stop`, expanding entity
-    /// and character references.
-    fn read_text_until(&mut self, stop: u8) -> XmlResult<String> {
-        let mut out = String::new();
-        while let Some(b) = self.peek() {
-            if b == stop {
-                break;
-            }
-            if b == b'&' {
-                self.bump();
-                let start = self.pos;
-                while self.peek().is_some_and(|c| c != b';') {
-                    self.bump();
-                    if self.pos - start > 12 {
-                        return Err(self.err("unterminated entity reference"));
+    /// and character references. Each run between references is one slice
+    /// of the input; text without a reference is returned as that slice.
+    fn read_text_until(&mut self, stop: u8) -> XmlResult<Cow<'a, str>> {
+        let mut out: Option<String> = None;
+        loop {
+            let start = self.pos;
+            let rest = &self.input[start..];
+            let len = rest
+                .iter()
+                .position(|&b| b == stop || b == b'&')
+                .unwrap_or(rest.len());
+            self.skip_to(start + len);
+            let run = &self.src[start..self.pos];
+            if self.peek() != Some(b'&') {
+                return Ok(match out {
+                    None => Cow::Borrowed(run),
+                    Some(mut text) => {
+                        text.push_str(run);
+                        Cow::Owned(text)
                     }
-                }
-                if !self.eat(b';') {
+                });
+            }
+            let text = out.get_or_insert_with(String::new);
+            text.push_str(run);
+            self.bump();
+            let start = self.pos;
+            while self.peek().is_some_and(|c| c != b';') {
+                self.bump();
+                if self.pos - start > 12 {
                     return Err(self.err("unterminated entity reference"));
                 }
-                let ent = &self.input[start..self.pos - 1];
-                match ent {
-                    b"amp" => out.push('&'),
-                    b"lt" => out.push('<'),
-                    b"gt" => out.push('>'),
-                    b"quot" => out.push('"'),
-                    b"apos" => out.push('\''),
-                    _ if ent.first() == Some(&b'#') => {
-                        let s = std::str::from_utf8(&ent[1..]).unwrap_or("");
-                        let cp = if let Some(hex) =
-                            s.strip_prefix('x').or_else(|| s.strip_prefix('X'))
-                        {
-                            u32::from_str_radix(hex, 16).ok()
-                        } else {
-                            s.parse().ok()
-                        };
-                        match cp.and_then(char::from_u32) {
-                            Some(c) => out.push(c),
-                            None => return Err(self.err("invalid character reference")),
-                        }
-                    }
-                    _ => {
-                        // Unknown entity (e.g. &uuml; without a DTD): keep a
-                        // placeholder of its name so text is not lost.
-                        out.push_str(&String::from_utf8_lossy(ent));
+            }
+            if !self.eat(b';') {
+                return Err(self.err("unterminated entity reference"));
+            }
+            let ent = &self.src[start..self.pos - 1];
+            match ent {
+                "amp" => text.push('&'),
+                "lt" => text.push('<'),
+                "gt" => text.push('>'),
+                "quot" => text.push('"'),
+                "apos" => text.push('\''),
+                _ if ent.starts_with('#') => {
+                    let s = &ent[1..];
+                    let cp = if let Some(hex) = s.strip_prefix('x').or_else(|| s.strip_prefix('X'))
+                    {
+                        u32::from_str_radix(hex, 16).ok()
+                    } else {
+                        s.parse().ok()
+                    };
+                    match cp.and_then(char::from_u32) {
+                        Some(c) => text.push(c),
+                        None => return Err(self.err("invalid character reference")),
                     }
                 }
-            } else {
-                // Copy a full UTF-8 sequence.
-                let len = utf8_len(b);
-                let end = (self.pos + len).min(self.input.len());
-                out.push_str(&String::from_utf8_lossy(&self.input[self.pos..end]));
-                self.advance(end - self.pos);
+                // Unknown entity (e.g. &uuml; without a DTD): keep a
+                // placeholder of its name so text is not lost.
+                _ => text.push_str(ent),
             }
         }
-        Ok(out)
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
@@ -478,6 +486,27 @@ mod tests {
     fn whitespace_only_text_is_dropped() {
         let t = parse_document("<a>\n  <b>x</b>\n</a>").unwrap();
         assert_eq!(t.text(t.root()), None);
+    }
+
+    /// The line of the error in `xml`.
+    fn error_line(xml: &str) -> u32 {
+        match parse_document(xml) {
+            Err(XmlError::Parse { line, .. }) => line,
+            Ok(_) => panic!("{xml:?} parsed"),
+        }
+    }
+
+    /// A malformed tag after a run that spans lines reports the line the
+    /// tag is on: every newline of a text run, an attribute value, a
+    /// CDATA section, a comment or a PI is counted.
+    #[test]
+    fn error_lines_count_newlines_inside_runs() {
+        assert_eq!(error_line("<a>one\ntwo &amp;\nthree\n<b =/></a>"), 4);
+        assert_eq!(error_line("<a>\n<b k=\"x\ny &lt;\nz\"/>\n<c =/></a>"), 5);
+        assert_eq!(error_line("<a><![CDATA[x\ny\n]]>\n\n<b =/></a>"), 5);
+        assert_eq!(error_line("<a><!-- x\ny -->\n<?pi\n?><b =/></a>"), 4);
+        assert_eq!(error_line("<a>\n  <b>\u{e9}t\u{e9}\n</c></a>"), 3);
+        assert_eq!(error_line("<a>x\ny\n"), 3);
     }
 
     #[test]

@@ -236,3 +236,20 @@ fn v2_bytes_of_committed_corpus_are_pinned() {
         "v2 snapshot bytes changed"
     );
 }
+
+/// The same pin on the committed `edge.xml`, whose entities, CDATA,
+/// attributes, mixed content, comments, PIs, multi-line runs, uppercase
+/// and non-ASCII letters (`İ` lowercases to two chars), numbers and stop
+/// words run the parser's and the tokeniser's edge cases that
+/// `dblp50.xml` never reaches. The constants are what the char-at-a-time
+/// tokeniser and the byte-copying parser wrote.
+#[test]
+fn v2_bytes_of_edge_case_corpus_are_pinned() {
+    let xml = std::fs::read_to_string(fixture("edge.xml")).unwrap();
+    let bytes = storage::to_bytes_v2(&CorpusIndex::build(parse_document(&xml).unwrap()));
+    assert_eq!(
+        (checksum64(&bytes), bytes.len()),
+        (0x91fe_a93f_ad67_c1dc, 3_623),
+        "v2 snapshot bytes changed"
+    );
+}
