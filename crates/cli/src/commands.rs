@@ -97,7 +97,7 @@ USAGE:
             (long-running HTTP server: POST/GET /suggest, GET /healthz,
              GET /metrics, GET /statusz, GET /debug/requests?n=K,
              GET /debug/conns?n=K, GET /debug/flight?events=N,
-             GET /debug/explain?q=Q[&corpus=C], GET /debug/exemplars;
+             GET /debug/explain?q=Q[&corpus=C];
              with --catalog, every declared corpus is served under
              POST/GET /suggest/<name> — sharded entries walk each
              of their snapshots in turn, and the tuning flags configure

@@ -46,8 +46,6 @@
 //! - `GET /debug/explain?q=…[&corpus=…]` — one query run through the
 //!   pipeline under observation: per-keyword variants, stage counters and
 //!   nanos, per-shard attribution and the suggestions, cache bypassed.
-//! - `GET /debug/exemplars` — the latest trace ID per request-latency
-//!   bucket, as JSON.
 //!
 //! Every response — errors and load-shed replies included — carries an
 //! `X-Request-Id` header (inbound value echoed, else generated from a
@@ -62,9 +60,10 @@
 //! and SIGINT/SIGTERM graceful drain (stop accepting, answer in-flight,
 //! then return so the caller can flush exporters).
 //!
-//! Like `xclean-telemetry`, the crate is std-only: HTTP framing, the
-//! JSON codec, and the LRU cache are implemented here rather than
-//! imported.
+//! Like `xclean-telemetry`, the crate is std-only: HTTP framing and the
+//! LRU cache are implemented here rather than imported, and JSON is the
+//! telemetry crate's one codec (`xclean_telemetry::json`, re-exported as
+//! [`json`]).
 
 // Two vetted FFI-shim exceptions: shutdown::install_signal_handler
 // (signal(2)) and the epoll module (epoll(7)/eventfd(2)).

@@ -50,8 +50,8 @@ use std::time::Duration;
 use xclean::{ExplainTrace, Pipeline, SuggestResponse, Suggestion, XCleanEngine};
 use xclean_telemetry::json::{self, Json};
 use xclean_telemetry::{
-    names, Counter, ExemplarStore, Exposition, Histogram, MetricsRegistry, MonotonicClock,
-    RequestRecord, RuntimeStats, ShardAttribution, SharedClock, SpanGuard, Value,
+    names, Counter, Exposition, Histogram, MetricsRegistry, MonotonicClock, RequestRecord,
+    RuntimeStats, ShardAttribution, SharedClock, SpanGuard, Value,
 };
 
 use crate::cache::CacheKey;
@@ -66,7 +66,7 @@ pub const MAX_BATCH_QUERIES: usize = 1024;
 
 /// Every route besides `/suggest` and `/suggest/<corpus>`: read-only
 /// pages, answered to `GET` and `405` to any other method.
-pub const PAGE_ROUTES: [&str; 8] = [
+pub const PAGE_ROUTES: [&str; 7] = [
     "/healthz",
     "/metrics",
     "/statusz",
@@ -74,7 +74,6 @@ pub const PAGE_ROUTES: [&str; 8] = [
     "/debug/conns",
     "/debug/flight",
     "/debug/explain",
-    "/debug/exemplars",
 ];
 
 /// Runtime events the flight recorder keeps for `/debug/flight`.
@@ -227,9 +226,6 @@ pub(crate) struct Handler {
     pub(crate) requests: Arc<Counter>,
     pub(crate) errors: Arc<Counter>,
     latency: Arc<Histogram>,
-    /// Most recent trace ID per latency bucket — rendered as OpenMetrics
-    /// exemplars on `/metrics` and as JSON on `/debug/exemplars`.
-    exemplars: Arc<ExemplarStore>,
     pub(crate) conn_stats: ConnStats,
 }
 
@@ -378,7 +374,6 @@ impl SuggestServer {
             requests: registry.counter(names::SERVER_REQUESTS),
             errors: registry.counter(names::SERVER_ERRORS),
             latency: registry.histogram(names::SERVER_REQUEST),
-            exemplars: Arc::new(ExemplarStore::new()),
             conn_stats: conn_stats.clone(),
         });
         self.run_event_loop(&handler)?;
@@ -442,7 +437,6 @@ pub(crate) fn observe_reply(handler: &Handler, reply: Reply, trace_id: String, a
         handler.errors.inc();
     }
     handler.latency.record(total_nanos);
-    handler.exemplars.record(total_nanos, &trace_id);
     let mut record = reply.obs;
     record.trace_id = trace_id;
     record.status = reply.status;
@@ -602,7 +596,6 @@ pub(crate) fn resolve(request: &Request, handler: &Handler, trace_id: &str) -> R
         }
         ("GET", "/debug/flight") => (debug_flight, "debug_flight"),
         ("GET", "/debug/explain") => (debug_explain, "debug_explain"),
-        ("GET", "/debug/exemplars") => (debug_exemplars, "debug_exemplars"),
         (_, "/suggest") => return resolve_suggest(handler, 0, request, query, trace_id),
         (_, page) if PAGE_ROUTES.contains(&page) => {
             return Reply::error(405, "method not allowed")
@@ -742,11 +735,8 @@ fn healthz(handler: &Handler, _query: &str) -> Reply {
 /// [`Exposition::render`] writes the text once.
 fn metrics(handler: &Handler, _query: &str) -> Reply {
     let mut page = Exposition::new();
-    // The server's own registry, unlabelled. Each populated
-    // request-latency bucket carries the most recent X-Request-Id that
-    // landed in it.
+    // The server's own registry, unlabelled.
     handler.metrics.collect(&mut page, &[]);
-    page.exemplars(names::SERVER_REQUEST, &handler.exemplars);
     // The open-connection gauge is derived (opened − closed) rather than
     // registered: the registry only holds monotonic series.
     let open = Value::Int(handler.conn_stats.open());
@@ -948,23 +938,6 @@ fn explain_json(corpus: &str, normalized: &str, trace: &ExplainTrace) -> Json {
     ])
 }
 
-/// `GET /debug/exemplars`: the latency exemplars as JSON — one entry
-/// per occupied histogram bucket, newest request ID wins.
-fn debug_exemplars(handler: &Handler, _query: &str) -> Reply {
-    let exemplars = handler
-        .exemplars
-        .snapshot()
-        .into_iter()
-        .map(|(upper_nanos, ex)| {
-            Json::object([
-                ("le_nanos", upper_nanos.into()),
-                ("trace_id", ex.trace_id.into()),
-                ("value_nanos", ex.value_nanos.into()),
-            ])
-        });
-    Reply::json(200, Json::object([("exemplars", exemplars.collect())]))
-}
-
 /// One per-query result object — the unit the cache stores, printed. It
 /// contains only the *normalized* query and the (deterministic)
 /// suggestions, never timings, so a cached body is byte-identical to a
@@ -1045,10 +1018,6 @@ fn computed_result(keywords: &[String], key: CacheKey, tenant: &Tenant, trace_id
     let _request_span = request_span(tenant, trace_id);
     tenant.cache().record_miss();
     let response = tenant.engine().suggest_keywords(keywords);
-    // Misses did real scatter work: fold the per-shard attribution into
-    // the tenant's scatter histograms and skew gauge (record-only on
-    // the serving path, like the lifetime counters).
-    tenant.record_shards(&response.shard_stats);
     let rendered = result_body(&key.query, &response);
     let obs = RequestRecord {
         route: "suggest",
@@ -1163,7 +1132,6 @@ fn batch_suggest(raw: &[String], tenant: &Tenant) -> (String, u64, u64, RequestR
             miss_idx.iter().map(|&i| keyword_lists[i].clone()).collect();
         let responses = tenant.engine().suggest_many_keywords(&miss_keywords);
         for (&i, response) in miss_idx.iter().zip(responses.iter()) {
-            tenant.record_shards(&response.shard_stats);
             obs.slot_nanos += response.stats.slot_nanos;
             obs.walk_nanos += response.stats.walk_nanos;
             obs.rank_nanos += response.stats.rank_nanos;
@@ -1221,7 +1189,6 @@ pub(crate) fn test_handler(
         requests: registry.counter(names::SERVER_REQUESTS),
         errors: registry.counter(names::SERVER_ERRORS),
         latency: registry.histogram(names::SERVER_REQUEST),
-        exemplars: Arc::new(ExemplarStore::new()),
         conn_stats: ConnStats::new(&registry),
         metrics: registry,
         runtime: Arc::new(RuntimeStats::new(2, 64)),
@@ -1820,40 +1787,6 @@ mod tests {
         assert_eq!(route(&del, &h, T).status, 405);
     }
 
-    /// Tentpole: every observed request leaves an exemplar — the latest
-    /// request ID per latency bucket — on `/metrics` and
-    /// `/debug/exemplars`.
-    #[test]
-    fn latency_exemplars_surface_on_metrics_and_debug() {
-        let clock = ManualClock::starting_at(0);
-        let h = handler_with_clock(Arc::clone(&clock));
-        clock.advance(5_000);
-        let reply = route(&get("/suggest?q=helth+insurance"), &h, T);
-        observe_reply(&h, reply, "trace-exemplar".to_string(), 0);
-        // The request histogram is exported once, in nanoseconds, and
-        // the 5000 ns sample's bucket [4096, 8192) names its request.
-        let body = metrics_page(&h);
-        assert!(
-            body.contains(&format!(
-                "{}_bucket{{le=\"8191\"}} 1 # {{trace_id=\"trace-exemplar\"}} 5000\n",
-                names::SERVER_REQUEST
-            )),
-            "{body}"
-        );
-        assert!(!body.contains("exemplar_seconds"), "{body}");
-        let dbg = route(&get("/debug/exemplars"), &h, T);
-        assert_eq!(dbg.status, 200);
-        assert!(
-            dbg.body.contains("\"trace_id\":\"trace-exemplar\""),
-            "{}",
-            dbg.body
-        );
-        assert!(dbg.body.contains("\"value_nanos\":5000"), "{}", dbg.body);
-        let mut del = get("/debug/exemplars");
-        del.method = "DELETE".to_string();
-        assert_eq!(route(&del, &h, T).status, 405);
-    }
-
     /// Satellite: ring records carry the resolved corpus name, and
     /// `/debug/requests?corpus=` filters by it — with a strict 400 on
     /// unknown names.
@@ -1888,10 +1821,9 @@ mod tests {
 
     /// Per-tenant rolling windows grade requests against the SLO and
     /// surface as `/statusz` rows (breach counts included) and burn-rate
-    /// series on `/metrics`; shard scatter histograms render for every
-    /// tenant.
+    /// series on `/metrics`.
     #[test]
-    fn per_tenant_windows_and_shard_series_render() {
+    fn per_tenant_windows_render() {
         let clock = ManualClock::starting_at(0);
         let h = test_handler(Arc::clone(&clock), &TWO_CORPORA);
         // One fast request on default, one SLO-breaching request (2 ms
@@ -1933,11 +1865,6 @@ mod tests {
                 "{}{{corpus=\"default\",window=\"1m\"}} 0\n",
                 names::CORPUS_BURN_RATE
             ),
-            format!(
-                "{}_count{{corpus=\"default\",shard=\"0\"}} ",
-                names::SHARD_SCATTER_SECONDS
-            ),
-            format!("{}{{corpus=\"dblp\"}} ", names::SHARD_SKEW),
         ] {
             assert!(body.contains(&line), "missing {line:?} in:\n{body}");
         }

@@ -3,7 +3,9 @@
 //! The server's drain contract (DESIGN.md §10) starts from a single
 //! atomic flag: the signal handler sets it, the accept loop polls it.
 //! Installing a handler requires one `unsafe` FFI call to libc's
-//! `signal(2)` — the only unsafe in the crate, confined to this module.
+//! `signal(2)`, confined to this module. It is one of the crate's two
+//! unsafe exceptions; the other is the epoll shim (`epoll.rs`), and
+//! `lib.rs` names both.
 //! The handler body is async-signal-safe: it performs exactly one
 //! relaxed atomic store.
 

@@ -19,15 +19,13 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xclean::catalog::valid_corpus_name;
 use xclean::{CatalogError, Pipeline};
 use xclean_telemetry::json::Json;
 use xclean_telemetry::{
-    names, Counter, Exposition, Histogram, MetricsRegistry, RollingWindows, ShardAttribution, Unit,
-    Value, WindowEvent, WindowSnapshot,
+    names, Counter, Exposition, MetricsRegistry, RollingWindows, Value, WindowEvent, WindowSnapshot,
 };
 
 use crate::cache::ResponseCache;
@@ -53,13 +51,6 @@ pub struct Tenant {
     /// Per-corpus 1m/5m/15m qps/latency/error/SLO windows, advanced by
     /// this tenant's own request arrivals.
     windows: RollingWindows,
-    /// Scatter latency per shard, index = shard ordinal (one entry for
-    /// unsharded tenants). Histograms are atomic inside, so the serving
-    /// path records lock-free.
-    scatter: Vec<Histogram>,
-    /// Straggler skew of the most recent scattered request — max shard
-    /// scatter nanos over the median — stored as `f64` bits.
-    skew: AtomicU64,
 }
 
 impl Tenant {
@@ -102,41 +93,6 @@ impl Tenant {
     /// Snapshots the tenant's 1m/5m/15m windows at `now_nanos`.
     pub fn window_snapshots(&self, now_nanos: u64) -> Vec<WindowSnapshot> {
         self.windows.snapshot(now_nanos)
-    }
-
-    /// Folds one request's per-shard scatter attribution into the
-    /// scatter histograms and refreshes the straggler-skew gauge
-    /// (max shard nanos / median shard nanos for *this* request —
-    /// last scattered request wins, 0 when nothing scattered yet).
-    pub fn record_shards(&self, shards: &[ShardAttribution]) {
-        if shards.is_empty() {
-            return;
-        }
-        for s in shards {
-            if let Some(h) = self.scatter.get(s.shard as usize) {
-                h.record(s.scatter_nanos);
-            }
-        }
-        let mut nanos: Vec<u64> = shards.iter().map(|s| s.scatter_nanos).collect();
-        nanos.sort_unstable();
-        let median = nanos[nanos.len() / 2];
-        let max = *nanos.last().expect("non-empty");
-        let skew = if median == 0 {
-            0.0
-        } else {
-            max as f64 / median as f64
-        };
-        self.skew.store(skew.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Straggler skew of the most recent scattered request.
-    pub fn shard_skew(&self) -> f64 {
-        f64::from_bits(self.skew.load(Ordering::Relaxed))
-    }
-
-    /// Per-shard scatter latency histograms, index = shard ordinal.
-    pub fn scatter_histograms(&self) -> &[Histogram] {
-        &self.scatter
     }
 }
 
@@ -189,7 +145,6 @@ impl TenantSet {
                 engine.metrics(),
             ));
             let fingerprint = engine.fingerprint();
-            let shard_count = engine.shard_count() as usize;
             tenants.push(Tenant {
                 requests: engine.metrics().counter(names::CORPUS_REQUESTS),
                 errors: engine.metrics().counter(names::CORPUS_ERRORS),
@@ -198,8 +153,6 @@ impl TenantSet {
                 cache,
                 fingerprint,
                 windows: RollingWindows::new(),
-                scatter: (0..shard_count).map(|_| Histogram::default()).collect(),
-                skew: AtomicU64::new(0),
             });
         }
         Ok(TenantSet { tenants, by_name })
@@ -257,21 +210,14 @@ impl TenantSet {
     }
 
     /// Hands `page` the little a name-keyed registry cannot hold, per
-    /// tenant: the live cache-entries gauge, the straggler skew of the
-    /// latest scattered request, `corpus`+`shard` scatter histograms, and
-    /// `corpus`+`window` SLO burn rates snapshotted at `now_nanos`.
+    /// tenant: the live cache-entries gauge and `corpus`+`window` SLO
+    /// burn rates snapshotted at `now_nanos`.
     /// Everything else a tenant counts is in its engine registry.
     pub fn collect(&self, page: &mut Exposition, now_nanos: u64) {
         for t in &self.tenants {
             let corpus = ("corpus", t.name.as_str());
             let entries = Value::Int(t.cache.len() as u64);
             page.gauge(names::CORPUS_CACHE_ENTRIES, &[corpus], entries);
-            let skew = Value::Float(t.shard_skew());
-            page.gauge(names::SHARD_SKEW, &[corpus], skew);
-            for (shard, h) in t.scatter.iter().enumerate() {
-                let labels = [corpus, ("shard", &shard.to_string())];
-                page.histogram(names::SHARD_SCATTER_SECONDS, &labels, Unit::Seconds, h);
-            }
             for s in t.window_snapshots(now_nanos) {
                 let burn = Value::Float(s.slo_burn_rate());
                 let labels = [corpus, ("window", s.label)];
@@ -361,64 +307,6 @@ mod tests {
         }
         let long = "a".repeat(xclean::catalog::MAX_NAME_LEN + 1);
         assert!(TenantSet::build(vec![(long, engine("<r><p>x</p></r>"))], 16).is_err());
-    }
-
-    #[test]
-    fn shard_metrics_render_scatter_histograms_and_skew() {
-        let set = TenantSet::build(
-            vec![
-                ("default".into(), engine("<r><p>alpha beta</p></r>")),
-                ("dblp".into(), engine("<r><p>gamma delta</p></r>")),
-            ],
-            16,
-        )
-        .unwrap();
-        let t = set.get("dblp").unwrap();
-        assert_eq!(t.shard_skew(), 0.0, "no scattered request yet");
-        let attr = |shard: u32, scatter_nanos: u64| ShardAttribution {
-            shard,
-            scatter_nanos,
-            subtrees: 1,
-            candidates: 1,
-            entities: 1,
-            contributions: 1,
-        };
-        // Three shards: sorted nanos [1000, 2000, 6000] → upper median
-        // 2000, max 6000 → skew 3. Only shard 0 exists on this
-        // (unsharded) tenant, so only its histogram records.
-        t.record_shards(&[attr(0, 1_000), attr(1, 6_000), attr(2, 2_000)]);
-        assert_eq!(t.shard_skew(), 3.0);
-        assert_eq!(t.scatter_histograms().len(), 1);
-        let text = page_of(&set, 0);
-        assert!(
-            text.contains(&format!(
-                "# TYPE {} histogram",
-                names::SHARD_SCATTER_SECONDS
-            )),
-            "{text}"
-        );
-        assert!(
-            text.contains(&format!(
-                "{}_count{{corpus=\"dblp\",shard=\"0\"}} 1",
-                names::SHARD_SCATTER_SECONDS
-            )),
-            "{text}"
-        );
-        assert!(
-            text.contains(&format!(
-                "{}_count{{corpus=\"default\",shard=\"0\"}} 0",
-                names::SHARD_SCATTER_SECONDS
-            )),
-            "{text}"
-        );
-        assert!(
-            text.contains(&format!("{}{{corpus=\"dblp\"}} 3", names::SHARD_SKEW)),
-            "{text}"
-        );
-        assert!(
-            text.contains(&format!("{}{{corpus=\"default\"}} 0", names::SHARD_SKEW)),
-            "{text}"
-        );
     }
 
     #[test]

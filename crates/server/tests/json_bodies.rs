@@ -230,7 +230,6 @@ const CASES: &[Case] = &[
     ),
     ("conns", "GET", "/debug/conns", "", 200, false),
     ("flight", "GET", "/debug/flight?events=100", "", 200, false),
-    ("exemplars", "GET", "/debug/exemplars", "", 200, false),
 ];
 
 /// Explain keys whose values are wall-clock nanoseconds.
@@ -320,6 +319,14 @@ fn every_body_is_strict_json_and_the_served_bytes_match_the_goldens() {
         .map(|c| c["name"].as_str().unwrap())
         .collect();
     assert_eq!(names, ["default", "dblp"]);
+
+    // The exemplar page was deleted: its path is the plain unknown-path
+    // 404 to every method.
+    let (_, _, nope) = request_with(addr, "GET", "/nope", &[], "");
+    for method in ["GET", "DELETE"] {
+        let (status, _, body) = request_with(addr, method, "/debug/exemplars", &[], "");
+        assert_eq!((status, body.as_str()), (404, nope.as_str()), "{method}");
+    }
 
     flag.trigger();
     join.join().unwrap();

@@ -325,7 +325,7 @@ fn sharded_tenant_records_one_snapshot_open_sample_per_shard() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The scripted traffic both page tests share: a miss and a hit on
+/// The scripted traffic the page and record tests share: a miss and a hit on
 /// `dblp`, an unknown-corpus 404, and a two-query batch on `default` —
 /// four requests, one error, three engine runs.
 fn scripted_traffic(r: &Running) {
@@ -362,25 +362,9 @@ fn metrics_page_is_one_document_and_keeps_every_series() {
     let expected: Vec<&str> = include_str!("fixtures/metrics_series_pr24.txt")
         .lines()
         .collect();
-    assert_eq!(expected.len(), 101, "the fixture lost lines");
+    assert_eq!(expected.len(), 90, "the fixture lost lines");
     assert_eq!(series_identities(&samples), expected, "page:\n{metrics}");
-    assert_eq!(metrics.matches("# TYPE ").count(), 36, "page:\n{metrics}");
-
-    // Exemplars: `# {trace_id="…"} <nanos>` on request-latency buckets.
-    let exemplars: Vec<&str> = samples
-        .iter()
-        .filter(|s| s.name == "xclean_server_request_nanos_bucket")
-        .filter_map(|s| s.exemplar.as_deref())
-        .collect();
-    assert!(!exemplars.is_empty(), "no exemplar on:\n{metrics}");
-    for e in exemplars {
-        let id_and_value = e
-            .strip_prefix("{trace_id=\"")
-            .and_then(|rest| rest.split_once("\"} "));
-        let (id, value) = id_and_value.unwrap_or_else(|| panic!("malformed exemplar: {e}"));
-        assert!(!id.is_empty(), "{e}");
-        value.parse::<u64>().expect("exemplar value in nanos");
-    }
+    assert_eq!(metrics.matches("# TYPE ").count(), 34, "page:\n{metrics}");
 
     // Exact where no `Instant` is involved: the server's families
     // unlabelled, each corpus's engine and cache under its own label.
@@ -399,8 +383,6 @@ fn metrics_page_is_one_document_and_keeps_every_series() {
         "xclean_stage_walk_nanos_count{corpus=\"default\"} 2\n",
         "xclean_server_corpus_requests_total{corpus=\"dblp\"} 2\n",
         "xclean_server_corpus_errors_total{corpus=\"default\"} 0\n",
-        "xclean_shard_scatter_seconds_count{corpus=\"dblp\",shard=\"1\"} 1\n",
-        "xclean_shard_scatter_seconds_count{corpus=\"default\",shard=\"0\"} 0\n",
     ] {
         assert!(metrics.contains(line), "missing {line:?} in:\n{metrics}");
     }
@@ -453,6 +435,43 @@ fn metrics_page_is_one_document_and_keeps_every_series() {
         assert_ne!(help, "XClean metric.", "{family} has no table row");
         assert_eq!(line, format!("# HELP {family} {help}"));
     }
+}
+
+/// A query's per-shard split lives on its own ring record: the miss on
+/// the two-shard `dblp` set carries one `shards` row per shard, in
+/// shard-id order, whose entities sum to the record's; the hit ran no
+/// walk and carries none.
+#[test]
+fn a_miss_record_splits_its_work_by_shard() {
+    let r = start();
+    scripted_traffic(&r);
+    let (status, _, body) = request(r.addr, "GET", "/debug/requests?corpus=dblp", "");
+    assert_eq!(status, 200, "{body}");
+    stop(r);
+
+    let ring = json::parse(&body).unwrap();
+    let records = ring["requests"].as_array().unwrap();
+    let by_cache = |cache: &str| {
+        let mut of = records.iter().filter(|rec| rec["cache"] == cache);
+        let record = of.next().unwrap_or_else(|| panic!("no {cache} in {body}"));
+        assert!(of.next().is_none(), "one {cache} expected: {body}");
+        record
+    };
+    let miss = by_cache("miss");
+    let rows = miss["shards"].as_array().unwrap();
+    let ids: Vec<u64> = rows
+        .iter()
+        .map(|row| row["shard"].as_u64().unwrap())
+        .collect();
+    assert_eq!(ids, [0, 1], "{body}");
+    let entities: u64 = rows
+        .iter()
+        .map(|row| row["entities"].as_u64().unwrap())
+        .sum();
+    assert_eq!(Some(entities), miss["entities"].as_u64(), "{body}");
+    assert!(entities > 0, "{body}");
+    let hit = by_cache("hit");
+    assert!(hit["shards"].as_array().unwrap().is_empty(), "{body}");
 }
 
 /// `serve --metrics-json` writes the same registries the page collects:

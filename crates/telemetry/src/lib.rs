@@ -38,10 +38,7 @@ pub mod span;
 pub mod window;
 
 pub use clock::{Clock, ManualClock, MonotonicClock, SharedClock};
-pub use metrics::{
-    Counter, Exemplar, ExemplarStore, Exposition, Histogram, HistogramSummary, MetricsRegistry,
-    Unit, Value,
-};
+pub use metrics::{Counter, Exposition, Histogram, HistogramSummary, MetricsRegistry, Unit, Value};
 pub use ring::{RequestRecord, RequestRing, ShardAttribution};
 pub use runtime::{FlightRecorder, RuntimeEvent, RuntimeEventKind, RuntimeStats};
 pub use span::{SpanGuard, SpanRecord, Tracer};
@@ -120,10 +117,6 @@ pub mod names {
          "Error responses while serving the corpus."),
         (CORPUS_CACHE_ENTRIES, "xclean_server_corpus_cache_entries",
          "Live response-cache entries for the corpus."),
-        (SHARD_SCATTER_SECONDS, "xclean_shard_scatter_seconds",
-         "Per-shard scatter-phase latency in seconds, labelled corpus and shard."),
-        (SHARD_SKEW, "xclean_server_shard_skew",
-         "Straggler skew of the latest sharded request: max/median shard scatter nanos."),
         (CORPUS_BURN_RATE, "xclean_server_corpus_slo_burn_rate",
          "SLO burn rate per corpus and window: breach share over the 1% error budget."),
     }

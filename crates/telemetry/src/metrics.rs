@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use crate::json::Json;
 
@@ -156,73 +156,10 @@ impl Histogram {
     }
 }
 
-/// One histogram-bucket exemplar: the most recent trace ID whose sample
-/// landed in the bucket, plus the sample itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Exemplar {
-    /// Trace / request ID of the most recent sample in the bucket.
-    pub trace_id: String,
-    /// That sample's value in nanoseconds.
-    pub value_nanos: u64,
-}
-
-/// Per-bucket exemplar retention for one log₂ histogram (DESIGN.md §17).
-///
-/// Retention rule: each bucket keeps exactly the **most recent** trace
-/// ID that landed in it — last write wins, no sampling, no decay. That
-/// makes every populated latency bucket on `/metrics` a direct link to a
-/// replayable request in `/debug/requests`, and bounds memory at one
-/// small string per bucket. Recording takes one short per-bucket mutex
-/// off the engine's hot paths (once per completed request).
-#[derive(Debug)]
-pub struct ExemplarStore {
-    slots: [Mutex<Option<Exemplar>>; HIST_BUCKETS],
-}
-
-impl Default for ExemplarStore {
-    fn default() -> Self {
-        ExemplarStore {
-            slots: std::array::from_fn(|_| Mutex::new(None)),
-        }
-    }
-}
-
-impl ExemplarStore {
-    /// A store with every bucket empty.
-    pub fn new() -> Self {
-        ExemplarStore::default()
-    }
-
-    /// Remembers `trace_id` as the newest exemplar of the bucket holding
-    /// `value_nanos`.
-    pub fn record(&self, value_nanos: u64, trace_id: &str) {
-        let slot = &self.slots[log2_bucket_of(value_nanos)];
-        *slot.lock().expect("exemplar slot poisoned") = Some(Exemplar {
-            trace_id: trace_id.to_string(),
-            value_nanos,
-        });
-    }
-
-    /// Occupied buckets as `(bucket upper bound in nanos, exemplar)`,
-    /// ascending by bound.
-    pub fn snapshot(&self) -> Vec<(u64, Exemplar)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                slot.lock()
-                    .expect("exemplar slot poisoned")
-                    .clone()
-                    .map(|e| (log2_bucket_upper(i), e))
-            })
-            .collect()
-    }
-}
-
 /// How a histogram's samples are written on the page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Unit {
-    /// As recorded: integer `le` bounds, `_sum` and exemplar values.
+    /// As recorded: integer `le` bounds and `_sum`.
     Raw,
     /// Nanoseconds written as fractional seconds (`*_seconds` families).
     Seconds,
@@ -266,8 +203,6 @@ struct HistogramSample {
     unit: Unit,
     counts: [u64; HIST_BUCKETS],
     sum: u64,
-    /// Bucket index → the exemplar printed on that bucket's line.
-    exemplars: BTreeMap<usize, Exemplar>,
 }
 
 #[derive(Debug)]
@@ -345,30 +280,9 @@ impl Exposition {
             unit,
             counts: h.bucket_counts(),
             sum: h.sum(),
-            exemplars: BTreeMap::new(),
         };
         let data = SampleData::Histogram(Box::new(sample));
         self.push(name, "histogram", labels, data);
-    }
-
-    /// Attaches `store`'s per-bucket exemplars to the histogram samples
-    /// of family `name`: their bucket lines gain an OpenMetrics suffix
-    /// (` # {trace_id="…"} value` — a comment to classic text-format
-    /// readers). A family not on the page is left alone.
-    pub fn exemplars(&mut self, name: &str, store: &ExemplarStore) {
-        let Some(family) = self.families.get_mut(name) else {
-            return;
-        };
-        let by_bucket: BTreeMap<usize, Exemplar> = store
-            .snapshot()
-            .into_iter()
-            .map(|(_upper, e)| (log2_bucket_of(e.value_nanos), e))
-            .collect();
-        for (_, data) in &mut family.samples {
-            if let SampleData::Histogram(h) = data {
-                h.exemplars = by_bucket.clone();
-            }
-        }
     }
 
     /// The page as Prometheus text.
@@ -411,17 +325,9 @@ impl HistogramSample {
                 break;
             }
             out.push_str(&format!(
-                "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cum}",
+                "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cum}\n",
                 self.unit.write(log2_bucket_upper(i))
             ));
-            if let Some(e) = self.exemplars.get(&i) {
-                out.push_str(&format!(
-                    " # {{trace_id=\"{}\"}} {}",
-                    escape_label_value(&e.trace_id),
-                    self.unit.write(e.value_nanos)
-                ));
-            }
-            out.push('\n');
         }
         let total: u64 = self.counts.iter().sum();
         out.push_str(&format!(
@@ -772,75 +678,12 @@ mod tests {
     }
 
     #[test]
-    fn exemplar_store_keeps_the_most_recent_trace_per_bucket() {
-        let store = ExemplarStore::new();
-        assert!(store.snapshot().is_empty());
-        store.record(700, "t-old");
-        store.record(900, "t-new"); // same [512, 1024) bucket: overwrites
-        store.record(5, "t-small");
-        let snap = store.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, 7, "bucket upper of 5 is 7");
-        assert_eq!(snap[0].1.trace_id, "t-small");
-        assert_eq!(snap[1].0, 1023);
-        assert_eq!(snap[1].1.trace_id, "t-new");
-        assert_eq!(snap[1].1.value_nanos, 900);
-    }
-
-    #[test]
-    fn exemplar_histogram_renders_openmetrics_suffixes() {
-        let h = Histogram::default();
-        let store = ExemplarStore::new();
-        h.record(700);
-        h.record(3);
-        store.record(700, "trace-700");
-        let mut page = Exposition::new();
-        page.histogram("xclean_test_exemplars", &[], Unit::Seconds, &h);
-        page.histogram("xclean_test_nanos", &[], Unit::Raw, &h);
-        page.exemplars("xclean_test_exemplars", &store);
-        page.exemplars("xclean_test_nanos", &store);
-        page.exemplars("xclean_not_on_the_page", &store);
-        let out = page.render();
-        check_page(&out);
-        assert!(out.starts_with("# HELP xclean_test_exemplars "), "{out}");
-        assert!(
-            out.contains("# TYPE xclean_test_exemplars histogram"),
-            "{out}"
-        );
-        // The 700ns bucket line carries its exemplar; the 3ns one has
-        // none recorded and stays a plain bucket line.
-        assert!(
-            out.contains(
-                "xclean_test_exemplars_bucket{le=\"0.000001023\"} 2 \
-                 # {trace_id=\"trace-700\"} 0.0000007\n"
-            ),
-            "{out}"
-        );
-        assert!(
-            out.contains("xclean_test_exemplars_bucket{le=\"0.000000003\"} 1\n"),
-            "{out}"
-        );
-        assert!(
-            out.contains("xclean_test_exemplars_bucket{le=\"+Inf\"} 2\n"),
-            "{out}"
-        );
-        assert!(out.contains("xclean_test_exemplars_count 2\n"), "{out}");
-        // A nanosecond family writes the exemplar value in nanoseconds.
-        assert!(
-            out.contains(
-                "xclean_test_nanos_bucket{le=\"1023\"} 2 # {trace_id=\"trace-700\"} 700\n"
-            ),
-            "{out}"
-        );
-    }
-
-    #[test]
     fn labeled_histogram_renders_cumulative_seconds_buckets() {
         let h = Histogram::default();
         h.record(700);
         h.record(800);
         let mut page = Exposition::new();
-        let name = "xclean_shard_scatter_seconds";
+        let name = "xclean_test_seconds";
         page.histogram(
             name,
             &[("corpus", "dblp"), ("shard", "1")],
@@ -858,12 +701,12 @@ mod tests {
         check_page(&out);
         assert_eq!(out.matches("# TYPE").count(), 1, "one family: {out}");
         for line in [
-            "xclean_shard_scatter_seconds_bucket{corpus=\"dblp\",shard=\"1\",le=\"0.000001023\"} 2\n",
-            "xclean_shard_scatter_seconds_bucket{corpus=\"dblp\",shard=\"1\",le=\"+Inf\"} 2\n",
-            "xclean_shard_scatter_seconds_sum{corpus=\"dblp\",shard=\"1\"} 0.0000015\n",
-            "xclean_shard_scatter_seconds_count{corpus=\"dblp\",shard=\"1\"} 2\n",
-            "xclean_shard_scatter_seconds_bucket{corpus=\"a\",shard=\"0\",le=\"0\"} 0\n",
-            "xclean_shard_scatter_seconds_count{corpus=\"a\",shard=\"0\"} 0\n",
+            "xclean_test_seconds_bucket{corpus=\"dblp\",shard=\"1\",le=\"0.000001023\"} 2\n",
+            "xclean_test_seconds_bucket{corpus=\"dblp\",shard=\"1\",le=\"+Inf\"} 2\n",
+            "xclean_test_seconds_sum{corpus=\"dblp\",shard=\"1\"} 0.0000015\n",
+            "xclean_test_seconds_count{corpus=\"dblp\",shard=\"1\"} 2\n",
+            "xclean_test_seconds_bucket{corpus=\"a\",shard=\"0\",le=\"0\"} 0\n",
+            "xclean_test_seconds_count{corpus=\"a\",shard=\"0\"} 0\n",
         ] {
             assert!(out.contains(line), "missing {line:?} in {out}");
         }

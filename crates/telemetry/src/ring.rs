@@ -26,8 +26,8 @@ use crate::json::Json;
 ///
 /// The sharded engine walks Algorithm 1 once per shard, in shard-id order,
 /// into the query's one table; each walk's cost and yield is captured here
-/// so a single slow-log line (or `/debug/requests` record) names the
-/// straggler shard directly.
+/// so a single slow-log line (or `/debug/requests` record) splits the
+/// query's work by shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardAttribution {
     /// Shard index (document order, 0-based).
@@ -93,8 +93,8 @@ pub struct RequestRecord {
     /// Resolved corpus name (empty for non-tenant routes and for
     /// requests that never matched a catalog entry).
     pub corpus: String,
-    /// Per-shard scatter attribution (empty for unsharded engines and
-    /// non-suggest routes).
+    /// Per-shard attribution of a single cache miss (empty for
+    /// unsharded engines, cache hits, batches and non-suggest routes).
     pub shards: Vec<ShardAttribution>,
 }
 

@@ -12,6 +12,7 @@
 //!   samples are contiguous;
 //! - label blocks parse completely and label values carry only the
 //!   escapes the format allows (`\\`, `\"`, `\n`);
+//! - a sample's value is one number and ends the line;
 //! - per label set, histogram buckets are cumulative, every `le` parses
 //!   as a float (an integer on `*_nanos` families), `+Inf` comes last
 //!   and equals `_count`, and `_sum` is present.
@@ -29,8 +30,6 @@ pub struct Sample {
     pub labels: Vec<(String, String)>,
     /// The sample value as written.
     pub value: String,
-    /// The OpenMetrics exemplar suffix after ` # `, if any.
-    pub exemplar: Option<String>,
 }
 
 impl Sample {
@@ -122,18 +121,12 @@ fn parse_sample(line: &str) -> Sample {
     let rest = rest
         .strip_prefix(' ')
         .unwrap_or_else(|| panic!("no space before the value: {line}"));
-    let (value, exemplar) = match rest.split_once(" # ") {
-        Some((v, e)) => (v, Some(e.to_string())),
-        None => (rest, None),
-    };
-    value
-        .parse::<f64>()
-        .unwrap_or_else(|_| panic!("value {value:?} is not a number: {line}"));
+    rest.parse::<f64>()
+        .unwrap_or_else(|_| panic!("value {rest:?} is not a number: {line}"));
     Sample {
         name: name.to_string(),
         labels,
-        value: value.to_string(),
-        exemplar,
+        value: rest.to_string(),
     }
 }
 
@@ -245,10 +238,6 @@ pub fn check_page(body: &str) -> Vec<Sample> {
                 in_family,
                 "series {} outside family {family} ({kind})",
                 sample.name
-            );
-            assert!(
-                sample.exemplar.is_none() || sample.name.ends_with("_bucket"),
-                "exemplar on a non-bucket line: {line}"
             );
             samples.push(sample);
         }

@@ -80,7 +80,7 @@ pub fn elca_of_lists(tree: &XmlTree, lists: &[Vec<NodeId>], floor_depth: u32) ->
         None
     };
     let mut witness_count: HashMap<NodeId, usize> = HashMap::new();
-    for (k, l) in lists.iter().enumerate() {
+    for l in lists {
         let mut claimed: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
         for &o in l {
             if let Some(v) = lowest_full(o) {
@@ -90,7 +90,6 @@ pub fn elca_of_lists(tree: &XmlTree, lists: &[Vec<NodeId>], floor_depth: u32) ->
         for v in claimed {
             *witness_count.entry(v).or_insert(0) += 1;
         }
-        let _ = k;
     }
     let mut out: Vec<NodeId> = witness_count
         .into_iter()

@@ -374,8 +374,8 @@ fn walk_corpus<F: FnMut(GammaEvent<'_>)>(
 /// candidate table into one γ-table: the unsharded run's insertion
 /// sequence, because a gating subtree never spans shards and shards are
 /// contiguous in document order (DESIGN.md §16). Each shard's walk
-/// counters and time land in its own `shard_stats` row, so the serving
-/// layer can name the straggler.
+/// counters and time land in its own `shard_stats` row, so a request's
+/// record and its explain trace split its work by shard.
 fn walk_shards<F: FnMut(GammaEvent<'_>)>(
     views: &[Scoring<'_>],
     slots: &[KeywordSlot],
