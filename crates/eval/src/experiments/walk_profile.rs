@@ -5,15 +5,19 @@
 //! time, what the walk was given (slots, variants, postings) and what it
 //! did with it (the postings of members marked from the level table's kept
 //! entity lists and the share of their postings its kept bitmaps covered,
-//! subtrees passed, entities scored, nanoseconds per subtree), where the
+//! subtrees passed, the distinct sets of variant tokens they hold — the
+//! patterns the scorer enumerates candidates for once each — entities
+//! scored, nanoseconds per subtree), where the
 //! time went — the scan's marking, the collection of the passing subtrees'
 //! tokens, and the scoring of them, which reads the sums it asks for — and
 //! the share of passing subtrees the scorer took from the level table's
 //! entity columns without gathering a posting.
 //! Every query must scan, both ways the scan marks a member and scoring
-//! from the columns must be in use, and each query's posting I/O must be
-//! what its marking and its passing subtrees account for — the run panics
-//! otherwise, so CI's smoke run keeps all of them on trial.
+//! from the columns must be in use, the pool's passing subtrees must hold
+//! fewer patterns than there are subtrees, so the scorer replays some, and
+//! each query's posting I/O must be what its marking and its passing
+//! subtrees account for — the run panics otherwise, so CI's smoke run keeps
+//! all of them on trial.
 //!
 //! Timed **pass-style**: every pass runs each query once, in pool order,
 //! and a query's time is its minimum over the passes. Repeating one query
@@ -55,6 +59,8 @@ struct Profile {
     /// Postings the scan covered with kept bitmaps.
     cached: u64,
     passed: u64,
+    /// Distinct held-token sets among the passing subtrees.
+    patterns: u64,
     /// Entity contributions the engine's scorer accumulated.
     entities: u64,
     /// Passing subtrees the engine's scorer took from the columns alone.
@@ -121,8 +127,13 @@ pub(super) fn run(scale: f64) -> Report {
         .map(|query| {
             let slots = engine.make_slots(query);
             let mut stats = RunStats::default();
-            let mut passed = 0;
-            walk_gated_subtrees(corpus, &slots, config, &mut stats, |_, _, _| passed += 1);
+            let mut held = Vec::new();
+            walk_gated_subtrees(corpus, &slots, config, &mut stats, |_, tokens, _| {
+                held.push(tokens.held().to_vec())
+            });
+            let passed = held.len() as u64;
+            held.sort_unstable();
+            held.dedup();
             let io = scan_io(corpus, &slots, config, passed);
             assert_eq!(io, stats.access, "every query scans: {query:?}");
             let lists = slots.iter().flat_map(|s| &s.variants);
@@ -135,6 +146,7 @@ pub(super) fn run(scale: f64) -> Report {
                 scanned: stats.access.scanned,
                 cached: stats.access.cached,
                 passed,
+                patterns: held.len() as u64,
                 entities: scored.entities_scored,
                 from_columns: scored.access.from_columns,
                 mark_nanos: u64::MAX,
@@ -154,6 +166,12 @@ pub(super) fn run(scale: f64) -> Report {
     assert!(
         from_columns > 0,
         "the scorer must take passing subtrees from the columns"
+    );
+    let passed: u64 = profiles.iter().map(|p| p.passed).sum();
+    let patterns: u64 = profiles.iter().map(|p| p.patterns).sum();
+    assert!(
+        patterns < passed,
+        "the scorer must replay patterns: {patterns} patterns over {passed} passing subtrees"
     );
 
     let mut pass_nanos = Vec::with_capacity(PASSES);
@@ -202,6 +220,7 @@ pub(super) fn run(scale: f64) -> Report {
         "scanned",
         "cached %",
         "passed",
+        "patterns",
         "entities",
         "ns/subtree",
         "mark us",
@@ -229,6 +248,7 @@ pub(super) fn run(scale: f64) -> Report {
             Cell::Num(scanned / n, 0),
             Cell::Num(100.0 * cached / (scanned + cached).max(1.0), 0),
             Cell::Num(passed / n, 0),
+            Cell::Num(sum(|p| p.patterns) / n, 1),
             Cell::Num(sum(|p| p.entities) / n, 0),
             Cell::Wall(nanos / passed.max(1.0), 0),
             Cell::Wall(mark / n / 1e3, 1),

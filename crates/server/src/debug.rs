@@ -163,9 +163,12 @@ impl Observability {
         self.ring.total_recorded()
     }
 
-    /// The `n` slowest among the recent retained requests.
+    /// The `n` slowest among the recent retained replies that carry a
+    /// corpus — the suggest routes' — so page renders (`/metrics`,
+    /// `/debug/requests`, …) never push a slow query out.
     pub fn slowest_recent(&self, n: usize) -> Vec<RequestRecord> {
         let mut all = self.ring.recent(MAX_DEBUG_REQUESTS);
+        all.retain(|r| !r.corpus.is_empty());
         all.sort_by_key(|r| std::cmp::Reverse(r.total_nanos));
         all.truncate(n);
         all
@@ -423,6 +426,7 @@ mod tests {
             trace_id: "t-1".into(),
             route: "suggest",
             query: "helth insurance".into(),
+            corpus: "default".into(),
             status,
             cache_hit: Some(false),
             slot_nanos: total / 4,
@@ -450,6 +454,34 @@ mod tests {
         assert!(lines[0].contains("\"total_nanos\":1000000"), "{log}");
         assert_eq!(obs.recent(10).len(), 2, "both land in the main ring");
         assert_eq!(obs.slowest_recent(1)[0].total_nanos, 1_000_000);
+    }
+
+    #[test]
+    fn slowest_recent_ranks_only_replies_with_a_corpus() {
+        let clock = ManualClock::starting_at(0);
+        let (obs, _sink) = obs_with(clock, u64::MAX);
+        obs.observe(record(500_000, 200));
+        // Page renders, each slower than the miss.
+        for route in [
+            "metrics",
+            "debug_requests",
+            "statusz",
+            "healthz",
+            "metrics",
+            "debug_requests",
+        ] {
+            obs.observe(RequestRecord {
+                route,
+                status: 200,
+                total_nanos: 900_000,
+                ..RequestRecord::default()
+            });
+        }
+        obs.observe(record(100_000, 200));
+        let slowest = obs.slowest_recent(5);
+        let ranked: Vec<u64> = slowest.iter().map(|r| r.total_nanos).collect();
+        assert_eq!(ranked, [500_000, 100_000]);
+        assert_eq!(obs.recent(10).len(), 8, "every reply stays in the ring");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use xclean_lm::{ErrorModel, LanguageModel};
 use xclean_xmltree::{NodeId, PathId};
 
 use crate::arena::QueryArena;
-use crate::candidates::{CandId, TypeSlot};
+use crate::candidates::{CandId, CandidateTable, TypeSlot};
 use crate::config::{EntityPrior, XCleanConfig};
 use crate::pipeline::Semantics;
 use crate::pruning::{Accumulator, CandidateKey, PruningStats, ScoreSink};
@@ -387,6 +387,93 @@ impl Contributions {
     }
 }
 
+/// Slots of the [`Patterns`] memo: a power of two.
+const PATTERN_SLOTS: usize = 256;
+
+/// What one subtree's candidate enumeration produced, filed under the
+/// subtree's held tokens: how many candidates it enumerated, and in
+/// enumeration order the id and result type of each that has one — a
+/// candidate without a type scores nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Pattern {
+    /// The query that filed it.
+    epoch: u32,
+    held: Vec<TokenId>,
+    enumerated: u64,
+    typed: Vec<(CandId, PathId)>,
+}
+
+/// The slot of a held-token key.
+fn pattern_slot(held: &[TokenId]) -> usize {
+    let hash = held.iter().fold(0u64, |h, t| {
+        (h.rotate_left(5) ^ u64::from(t.0)).wrapping_mul(0x517C_C1B7_2722_0A95)
+    });
+    (hash.wrapping_mul(0xFF51_AFD7_ED55_8CCD) >> (64 - PATTERN_SLOTS.trailing_zeros())) as usize
+}
+
+/// One query's candidate enumerations, each distinct one run once.
+///
+/// Within one query the candidates a subtree enumerates, and their order,
+/// are a function of the distinct variant tokens it holds (its slots'
+/// tokens are those tokens' slots), and a heavy query's thousands of
+/// passing subtrees hold a few dozen distinct sets. So the node-type scorer
+/// asks here first, and a direct-mapped table of [`PATTERN_SLOTS`] returns
+/// the [`Pattern`] filed under the subtree's held tokens, which the scorer
+/// replays into the same entity, contribution and sink calls the
+/// enumeration made; or it hands back the slot emptied and filed under the
+/// key, for the scorer to record its enumeration into. A slot answers only
+/// for its full key and the current query's epoch, never for its position
+/// alone; a colliding key overwrites the slot, reusing its storage. Ids
+/// and result types belong to the query's [`crate::candidates::CandidateTable`],
+/// so [`Patterns::forget`] moves to a new epoch whenever the table is
+/// compiled, and a shard set's walks, which share the table, share the
+/// epoch too.
+#[derive(Debug, Default)]
+pub(crate) struct Patterns {
+    /// `PATTERN_SLOTS` slots once a query has started; empty before.
+    slots: Vec<Pattern>,
+    /// The current query's, from 1; a slot at 0 was never filled.
+    epoch: u32,
+}
+
+impl Patterns {
+    /// Forgets every filed pattern, by moving to a new epoch; a wrap to 0
+    /// clears the slots' epochs instead.
+    pub(crate) fn forget(&mut self) {
+        if self.slots.is_empty() {
+            self.slots.resize_with(PATTERN_SLOTS, Pattern::default);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.iter_mut().for_each(|p| p.epoch = 0);
+            self.epoch = 1;
+        }
+    }
+
+    /// `Ok` with the pattern filed under `held` this query, or `Err` with
+    /// the emptied pattern of its slot, now filed under `held`, for the
+    /// caller to record the enumeration into. A query starts with
+    /// [`Patterns::forget`].
+    pub(crate) fn lookup(&mut self, held: &[TokenId]) -> Result<&Pattern, &mut Pattern> {
+        let pattern = &mut self.slots[pattern_slot(held)];
+        if pattern.epoch == self.epoch && pattern.held == held {
+            return Ok(pattern);
+        }
+        pattern.epoch = self.epoch;
+        pattern.held.clear();
+        pattern.held.extend_from_slice(held);
+        pattern.enumerated = 0;
+        pattern.typed.clear();
+        Err(pattern)
+    }
+
+    /// `true` when no slot holds a pattern of the current query.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.iter().all(|p| p.epoch != self.epoch)
+    }
+}
+
 /// The node-type accumulate rule over a [`Scoring`] view and a
 /// [`ScoreSink`]: builds the view's language model and compiles the
 /// query's candidate table, then [`walk_scoped`]s the view.
@@ -399,21 +486,20 @@ pub(crate) fn accumulate_scoped<S: ScoreSink>(
     sink: &mut S,
 ) {
     let lm = view.language_model(config.smoothing);
-    arena
-        .candidates
-        .compile(slots, ErrorModel::new(config.beta));
+    arena.compile(slots, ErrorModel::new(config.beta));
     walk_scoped(view, &lm, slots, config, stats, arena, sink);
 }
 
 /// Walks the view's tree against the arena's already compiled candidate
-/// table, scoring with `lm`: enumerates candidates and emits one
-/// `accumulate` call per (candidate, entity) contribution — in document
-/// order, with per-entity floating-point ops in exactly the sequential
-/// order. A shard set walks each shard's view in turn through one
-/// candidate table into one sink (see `crate::pipeline`). The
-/// contribution stream never depends on the sink. Inlined into both
-/// callers so the one-corpus walk is compiled against a view whose scope
-/// is statically absent.
+/// table, scoring with `lm`: enumerates candidates — once per distinct set
+/// of held tokens, replaying the [`Patterns`] memo's record for every
+/// other subtree holding that set — and emits one `accumulate` call per
+/// (candidate, entity) contribution — in document order, with per-entity
+/// floating-point ops in exactly the sequential order. A shard set walks
+/// each shard's view in turn through one candidate table into one sink
+/// (see `crate::pipeline`). The contribution stream never depends on the
+/// sink. Inlined into both callers so the one-corpus walk is compiled
+/// against a view whose scope is statically absent.
 #[inline(always)]
 pub(crate) fn walk_scoped<S: ScoreSink>(
     view: &Scoring<'_>,
@@ -434,6 +520,7 @@ pub(crate) fn walk_scoped<S: ScoreSink>(
         groups,
         type_order,
         contributions,
+        patterns,
         ..
     } = arena;
     contributions.forget();
@@ -449,55 +536,77 @@ pub(crate) fn walk_scoped<S: ScoreSink>(
         walk,
         |gate, tokens, occurrences| {
             // Lines 12–15: enumerate candidates and accumulate entity
-            // scores. Entity runs are built lazily per result type.
+            // scores — or replay the enumeration filed under the
+            // subtree's held tokens. Entity runs are built lazily per
+            // result type.
             groups.clear();
-            let mut budget = crate::walk::MAX_CANDIDATES_PER_SUBTREE;
-            crate::walk::enumerate_candidates_in(
-                tokens.slot_tokens,
-                candidate,
-                &mut budget,
-                &mut |cand| {
-                    candidates_enumerated += 1;
-                    let id = candidates.intern(cand);
-                    let path = match candidates.result_type(id) {
-                        TypeSlot::Path(path) => path,
-                        TypeSlot::NoType => return,
-                        TypeSlot::Unresolved => {
-                            result_type_computations += 1;
-                            let slot =
-                                find_result_type_scoped(view, cand, config.min_depth, type_order)
-                                    .map_or(TypeSlot::NoType, |rt| TypeSlot::Path(rt.path));
-                            candidates.set_result_type(id, slot);
-                            let TypeSlot::Path(path) = slot else { return };
-                            path
-                        }
+            let mut score = |candidates: &CandidateTable, id: CandId, path: PathId| {
+                let cand = candidates.key(id);
+                let entities = groups.entities_of(view, path, gate, occurrences, config.min_depth);
+                for counts in entities.chunk_by(|a, b| a.0 == b.0) {
+                    let r = counts[0].0;
+                    // An entity at the gate depth is the gate itself, whose
+                    // length rides on the entry; deeper ones ask the corpus.
+                    let dlen = if r == gate.node {
+                        gate.doc_len
+                    } else {
+                        view.doc_len(r)
                     };
-                    let entities =
-                        groups.entities_of(view, path, gate, occurrences, config.min_depth);
-                    for counts in entities.chunk_by(|a, b| a.0 == b.0) {
-                        let r = counts[0].0;
-                        // An entity at the gate depth is the gate itself, whose
-                        // length rides on the entry; deeper ones ask the corpus.
-                        let dlen = if r == gate.node {
-                            gate.doc_len
-                        } else {
-                            view.doc_len(r)
-                        };
-                        // The entity must contain every keyword of the candidate.
-                        let count_of = |t| {
-                            let row = counts.iter().find(|row| row.1 == t);
-                            row.map(|row| row.2).filter(|&c| c > 0)
-                        };
-                        if let Some(weighted) =
-                            contributions.weighted(lm, config.prior, id, cand, dlen, count_of)
-                        {
-                            entities_scored += 1;
-                            let weight = prior_weight(config.prior, dlen);
-                            sink.accumulate(candidates, id, weighted, weight);
-                        }
+                    // The entity must contain every keyword of the candidate.
+                    let count_of = |t| {
+                        let row = counts.iter().find(|row| row.1 == t);
+                        row.map(|row| row.2).filter(|&c| c > 0)
+                    };
+                    if let Some(weighted) =
+                        contributions.weighted(lm, config.prior, id, cand, dlen, count_of)
+                    {
+                        entities_scored += 1;
+                        let weight = prior_weight(config.prior, dlen);
+                        sink.accumulate(candidates, id, weighted, weight);
                     }
-                },
-            );
+                }
+            };
+            let pattern = match patterns.lookup(tokens.held()) {
+                Ok(pattern) => {
+                    for &(id, path) in &pattern.typed {
+                        score(candidates, id, path);
+                    }
+                    pattern
+                }
+                Err(pattern) => {
+                    let mut budget = crate::walk::MAX_CANDIDATES_PER_SUBTREE;
+                    crate::walk::enumerate_candidates_in(
+                        tokens.slot_tokens(),
+                        candidate,
+                        &mut budget,
+                        &mut |cand| {
+                            pattern.enumerated += 1;
+                            let id = candidates.intern(cand);
+                            let path = match candidates.result_type(id) {
+                                TypeSlot::Path(path) => path,
+                                TypeSlot::NoType => return,
+                                TypeSlot::Unresolved => {
+                                    result_type_computations += 1;
+                                    let slot = find_result_type_scoped(
+                                        view,
+                                        cand,
+                                        config.min_depth,
+                                        type_order,
+                                    )
+                                    .map_or(TypeSlot::NoType, |rt| TypeSlot::Path(rt.path));
+                                    candidates.set_result_type(id, slot);
+                                    let TypeSlot::Path(path) = slot else { return };
+                                    path
+                                }
+                            };
+                            pattern.typed.push((id, path));
+                            score(candidates, id, path);
+                        },
+                    );
+                    &*pattern
+                }
+            };
+            candidates_enumerated += pattern.enumerated;
         },
     );
     stats.candidates_enumerated = candidates_enumerated;
@@ -1090,6 +1199,192 @@ mod tests {
         assert_eq!(second, walk(&mut QueryArena::new(), &["trie", "icdt"]));
         assert_eq!((first.len(), second.len()), (1, 1));
         assert_ne!(first[0].1, second[0].1);
+    }
+
+    /// A corpus of one `<p>` record per entry of `records`, holding its
+    /// words.
+    fn records_corpus(records: &[Vec<String>]) -> CorpusIndex {
+        let body: String = records
+            .iter()
+            .map(|words| format!("<p>{}</p>", words.join(" ")))
+            .collect();
+        CorpusIndex::build(parse_document(&format!("<a>{body}</a>")).unwrap())
+    }
+
+    /// Slots over the named terms of `c`, each a variant at distance 0.
+    fn term_slots(c: &CorpusIndex, slots: &[&[String]]) -> Vec<KeywordSlot> {
+        slots
+            .iter()
+            .map(|terms| KeywordSlot {
+                keyword: terms[0].clone(),
+                variants: terms
+                    .iter()
+                    .map(|term| Variant {
+                        token: token(c, term),
+                        distance: 0,
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// The product's run over `c` against the reference's under each
+    /// `(γ, enable_skipping)`.
+    fn assert_matches_reference(
+        c: &CorpusIndex,
+        slots: &[KeywordSlot],
+        runs: &[(Option<usize>, bool)],
+        what: &str,
+    ) {
+        for &(gamma, enable_skipping) in runs {
+            let config = XCleanConfig {
+                gamma,
+                enable_skipping,
+                ..XCleanConfig::default()
+            };
+            let views = [Scoring::unsharded(c)];
+            let reference =
+                crate::reference::reference_run(&views, Semantics::NodeType, slots, &config);
+            let product = crate::reference::product_run(
+                Walked::Corpus(c),
+                Semantics::NodeType,
+                slots,
+                &config,
+                &ArenaPool::default(),
+            );
+            let what = format!("{what}, γ = {gamma:?}, skipping {enable_skipping}");
+            crate::reference::assert_same(&product, &reference, &config, &what);
+        }
+    }
+
+    fn words(prefix: &str, n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("{prefix}{i:02}")).collect()
+    }
+
+    #[test]
+    fn pattern_keys_sharing_a_slot_each_replay_their_own_sequence() {
+        // 300 words, each in two records with `zz00`: 300 held-token keys
+        // `{w, zz00}`, each met twice in a row, more than the memo's slots.
+        let pool = words("ww", 300);
+        let records: Vec<Vec<String>> = pool
+            .iter()
+            .flat_map(|w| [w, w])
+            .map(|w| vec![w.clone(), "zz00".into()])
+            .collect();
+        let c = records_corpus(&records);
+        let z = token(&c, "zz00");
+        let key = |w: &String| {
+            let mut key = [token(&c, w), z];
+            key.sort_unstable();
+            key
+        };
+        let (ka, kb) = pool
+            .iter()
+            .enumerate()
+            .find_map(|(i, a)| {
+                let slot = pattern_slot(&key(a));
+                let b = pool[i + 1..]
+                    .iter()
+                    .find(|b| pattern_slot(&key(b)) == slot)?;
+                Some((key(a), key(b)))
+            })
+            .expect("two of 300 keys share one of 256 slots");
+        // The memo alone: a key is answered only with its own record.
+        let mut patterns = Patterns::default();
+        patterns.forget();
+        let mut file = |held: &[TokenId], id: CandId| {
+            let pattern = patterns.lookup(held).expect_err("not filed");
+            pattern.enumerated += 1;
+            pattern.typed.push((id, PathId(7)));
+        };
+        file(&ka, 0);
+        file(&kb, 1);
+        file(&ka, 2);
+        let replay = patterns.lookup(&ka).expect("filed");
+        assert_eq!(
+            (replay.enumerated, &replay.typed[..]),
+            (1, &[(2, PathId(7))][..])
+        );
+        // And in a walk, which meets the colliding keys in turn.
+        let slots = term_slots(&c, &[&pool, &["zz00".into()]]);
+        let runs = [(None, true), (None, false), (Some(3), true)];
+        assert_matches_reference(&c, &slots, &runs, "colliding keys");
+    }
+
+    #[test]
+    fn a_walk_never_replays_the_last_walks_patterns() {
+        // Both queries meet the held tokens `{xx00, yy00}` in the second
+        // record, where the first query's candidate 0 is `xx00 yy00` and
+        // the second's is `yy00 zz00`, from the first record. No reset
+        // between the walks.
+        let c = records_corpus(&[
+            vec!["yy00".into(), "zz00".into()],
+            vec!["xx00".into(), "yy00".into()],
+        ]);
+        let view = Scoring::unsharded(&c);
+        let config = XCleanConfig::default();
+        let walk = |arena: &mut QueryArena, slots: &[&[String]]| {
+            let mut emitted = Emitted::default();
+            let slots = term_slots(&c, slots);
+            let mut stats = RunStats::default();
+            accumulate_scoped(&view, &slots, &config, &mut stats, arena, &mut emitted);
+            (emitted.0, stats.candidates_enumerated)
+        };
+        let first: &[&[String]] = &[&["xx00".into()], &["yy00".into()]];
+        let second: &[&[String]] = &[&["yy00".into()], &["zz00".into(), "xx00".into()]];
+        let mut arena = QueryArena::new();
+        arena.reset();
+        let (once, _) = walk(&mut arena, first);
+        assert_eq!(once.len(), 1);
+        let (again, enumerated) = walk(&mut arena, second);
+        assert_eq!(
+            (again.clone(), enumerated),
+            walk(&mut QueryArena::new(), second)
+        );
+        assert_eq!(again.iter().map(|e| e.0).collect::<Vec<_>>(), [0, 1]);
+        // The same query again, on the same arena, replays nothing stale
+        // either.
+        assert_eq!(walk(&mut arena, first).0, once);
+    }
+
+    #[test]
+    fn a_full_memo_overwrite_re_enumerates_exactly() {
+        // Two records in a row of `aa00 bb00` with each of 2 500 words
+        // `ccNN`: 2 500 held-token keys overwrite every one of the 256
+        // slots again and again, and each key's second record replays what
+        // its first filed over the slot's last key. Every key enumerates
+        // `aa00 bb00`, which a stale record would score twice.
+        let tail = words("cc", 2500);
+        let records: Vec<Vec<String>> = tail
+            .iter()
+            .map(|w| vec!["aa00".into(), "bb00".into(), w.clone()])
+            .flat_map(|record| [record.clone(), record])
+            .collect();
+        let c = records_corpus(&records);
+        let second = [vec!["bb00".to_string()], tail].concat();
+        let slots = term_slots(&c, &[&["aa00".into()], &second]);
+        let mut arena = QueryArena::new();
+        let mut stats = RunStats::default();
+        let view = Scoring::unsharded(&c);
+        let config = XCleanConfig::default();
+        accumulate_scoped(
+            &view,
+            &slots,
+            &config,
+            &mut stats,
+            &mut arena,
+            &mut Emitted::default(),
+        );
+        let patterns = &arena.patterns;
+        assert!(patterns.slots.iter().all(|p| p.epoch == patterns.epoch));
+        assert_eq!(
+            (stats.subtrees, stats.candidates_enumerated),
+            (5000, 10_000)
+        );
+        // The linear walk, 2 501 cursors a subtree, is slow to check in a
+        // debug build; the colliding-keys test checks it.
+        let runs = [(None, true), (Some(3), true)];
+        assert_matches_reference(&c, &slots, &runs, "overwritten slots");
     }
 
     #[test]

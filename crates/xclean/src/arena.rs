@@ -3,8 +3,8 @@
 //! One `suggest` call works on a family of short-lived structures — the
 //! walk's per-slot occurrence buffers and the scan path's entity bitmaps,
 //! the candidate enumeration scratch, the compiled candidate table, the
-//! per-subtree entity grouping, the contribution memo, the γ-table and the
-//! ranker's sort buffer. At realistic corpus scale (100k+ publications)
+//! per-subtree entity grouping, the contribution and pattern memos, the
+//! γ-table and the ranker's sort buffer. At realistic corpus scale (100k+ publications)
 //! allocating them is a measurable slice of query latency, and a batch
 //! (`suggest_many`) would pay it once per query.
 //!
@@ -26,15 +26,18 @@
 //! has this key" (ids are never compared or iterated for a result — see
 //! `crate::candidates`); entity groups are sorted runs read front to
 //! back; the contribution memo answers only for its full key within one
-//! walk, with bits the one contribution formula produced; the γ-table's
+//! walk, with bits the one contribution formula produced, and the pattern
+//! memo only for its full key within one query, with the record that
+//! query's enumeration made; the γ-table's
 //! victim scan and the ranker order candidates by
 //! (estimate or score, key), a total order over the table's contents. A
 //! reused arena therefore produces bit-identical output to a fresh one —
 //! pinned by tests in `crate::algorithm`.
 
 use xclean_index::TokenId;
+use xclean_lm::ErrorModel;
 
-use crate::algorithm::{Contributions, EntityGroups};
+use crate::algorithm::{Contributions, EntityGroups, KeywordSlot, Patterns};
 use crate::candidates::CandidateTable;
 use crate::pruning::AccumulatorTable;
 use crate::walk::WalkScratch;
@@ -57,6 +60,8 @@ pub struct QueryArena {
     pub(crate) groups: EntityGroups,
     /// The walk's contribution memo, one per distinct key.
     pub(crate) contributions: Contributions,
+    /// The query's enumeration memo, one per distinct set of held tokens.
+    pub(crate) patterns: Patterns,
     /// Result-type inference scratch (list intersection order).
     pub(crate) type_order: Vec<usize>,
     /// The γ-table a walk accumulates into (over every shard of a set).
@@ -77,19 +82,26 @@ impl QueryArena {
     pub fn reset(&mut self) {
         self.walk.clear();
         self.candidate.clear();
-        self.candidates.compile(&[], Default::default());
+        self.compile(&[], Default::default());
         self.groups.clear();
         self.contributions.forget();
         self.type_order.clear();
         self.table.reset(None);
         self.rank_order.clear();
     }
+
+    /// Starts a query over `slots`: compiles its candidate table and
+    /// forgets the enumeration patterns filed under the last table's ids.
+    pub(crate) fn compile(&mut self, slots: &[KeywordSlot], error_model: ErrorModel) {
+        self.candidates.compile(slots, error_model);
+        self.patterns.forget();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{KeywordSlot, RunStats};
+    use crate::algorithm::RunStats;
     use crate::config::XCleanConfig;
     use crate::variants::Variant;
     use crate::view::Scoring;
@@ -131,7 +143,7 @@ mod tests {
         });
         assert!(!a.walk.is_empty() && !a.groups.is_empty());
         a.candidate.push(TokenId(7));
-        a.candidates.compile(&[slot], Default::default());
+        a.compile(&[slot], Default::default());
         let id = a.candidates.intern(&[key]);
         a.type_order.extend([0, 1]);
         let lm = view.language_model(config.smoothing);
@@ -140,6 +152,7 @@ mod tests {
             .contributions
             .weighted(&lm, config.prior, id, &[key], 3, |_| Some(2));
         assert!(weighted.is_some() && !a.contributions.is_empty());
+        assert!(a.patterns.lookup(&[key]).is_err() && !a.patterns.is_empty());
         a.table.reset(Some(1));
         a.table.add(&a.candidates, id, 0.5, 1.0, &mut |_| {});
         a.rank_order.extend([(0.0, 0); 40]);
@@ -151,6 +164,7 @@ mod tests {
         assert_eq!(a.candidates.width(), 0);
         assert!(a.groups.is_empty());
         assert!(a.contributions.is_empty());
+        assert!(a.patterns.is_empty());
         assert!(a.type_order.is_empty());
         assert!(a.table.is_empty());
         assert!(a.table.get(id).is_none());

@@ -388,9 +388,7 @@ fn walk_shards<F: FnMut(GammaEvent<'_>)>(
     let filled = fill_table(arenas, config.gamma, observe, |arena, sink| {
         // Every shard scores with the global vocabulary's model.
         let lm = views[0].language_model(config.smoothing);
-        arena
-            .candidates
-            .compile(slots, ErrorModel::new(config.beta));
+        arena.compile(slots, ErrorModel::new(config.beta));
         for (shard, view) in views.iter().enumerate() {
             let shard_start = Instant::now();
             let mut walk = RunStats::default();

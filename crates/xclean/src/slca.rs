@@ -107,9 +107,7 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
 ) {
     let lm = view.language_model(config.smoothing);
     let tree = view.tree();
-    arena
-        .candidates
-        .compile(slots, ErrorModel::new(config.beta));
+    arena.compile(slots, ErrorModel::new(config.beta));
     let QueryArena {
         walk,
         candidate,
@@ -132,7 +130,7 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
             // on the first candidate's request.
             let mut budget = crate::walk::MAX_CANDIDATES_PER_SUBTREE;
             crate::walk::enumerate_candidates_in(
-                tokens.slot_tokens,
+                tokens.slot_tokens(),
                 candidate,
                 &mut budget,
                 &mut |cand| {

@@ -27,17 +27,19 @@
 //!
 //! Both paths hand every passing subtree to `on_subtree` the same way
 //! (DESIGN.md §15, items 5 and 5(f)): the gate's entry, its [`Tokens`] —
-//! each slot's distinct tokens in it — and its [`Occurrences`], a handle on
-//! the rest: every such token's `Σ tf` over the subtree, all a gate-depth
-//! entity's score needs, and the node-level postings, for the scorers that
-//! need more. The linear walk collects the postings and derives the rest
-//! from them, so its handle holds everything from the start. The scan keeps
-//! one column per distinct variant token: it reads the tokens from the
-//! column's entity set, the sums the table keeps beside it only when
-//! `on_subtree` asks for them, and the postings through the column's cursor
-//! only when it asks for those; every cursor only moves forward, so a
-//! subtree nobody asks about costs nothing later. So `on_subtree` sees the
-//! same values in the same order either way.
+//! the distinct variant tokens it holds, and each slot's share of them —
+//! and its [`Occurrences`], a handle on the rest: every such token's `Σ tf`
+//! over the subtree, all a gate-depth entity's score needs, and the
+//! node-level postings, for the scorers that need more. The linear walk
+//! collects the postings and derives the rest from them, so its handles
+//! hold everything from the start. The scan keeps one column per distinct
+//! variant token: it reads the held tokens from the columns' entity sets,
+//! splits them into slots only when `on_subtree` asks, reads the sums the
+//! table keeps beside the sets only when it asks for them, and the
+//! postings through the column's cursor only when it asks for those; every
+//! cursor only moves forward, so a subtree nobody asks about costs nothing
+//! later. So `on_subtree` sees the same values in the same order either
+//! way.
 
 use xclean_index::{
     AccessStats, CorpusIndex, Entities, LevelEntry, LevelTable, MergedEntry, TokenId,
@@ -50,12 +52,41 @@ use crate::merged::{head, Cursor};
 use crate::view::Scoring;
 
 /// A passing subtree's variant tokens as `on_subtree` sees them, on
-/// either path.
-#[derive(Debug, Clone, Copy)]
+/// either path: the distinct tokens it holds, and each slot's, split out on
+/// the first request.
 pub struct Tokens<'a> {
+    held: &'a [TokenId],
+    /// The scan's: each held token's run of `members`; empty on the linear
+    /// walk, which has `slot_tokens` in hand.
+    spans: &'a [(usize, usize)],
+    members: &'a [(usize, usize)],
+    slot_tokens: &'a mut [Vec<TokenId>],
+    /// Whether `slot_tokens` holds the subtree's tokens yet.
+    split: bool,
+}
+
+impl<'a> Tokens<'a> {
+    /// Every variant token with a posting in the subtree, once, increasing.
+    /// The slots fix which slots hold each, so within one query this alone
+    /// determines [`Tokens::slot_tokens`].
+    pub fn held(&self) -> &'a [TokenId] {
+        self.held
+    }
+
     /// Per keyword slot: its variant tokens with a posting in the subtree,
-    /// distinct and increasing; never empty.
-    pub slot_tokens: &'a [Vec<TokenId>],
+    /// distinct and increasing; never empty. Split out on the first call.
+    pub fn slot_tokens(&mut self) -> &[Vec<TokenId>] {
+        if !self.split {
+            self.split = true;
+            self.slot_tokens.iter_mut().for_each(Vec::clear);
+            for (&token, &(start, end)) in self.held.iter().zip(self.spans) {
+                for &(_, slot) in &self.members[start..end] {
+                    self.slot_tokens[slot].push(token);
+                }
+            }
+        }
+        self.slot_tokens
+    }
 }
 
 /// What a passing subtree holds beyond its [`Tokens`], each part read on
@@ -150,6 +181,8 @@ impl Occurrences<'_, '_> {
 #[derive(Debug, Default)]
 pub(crate) struct WalkScratch {
     occ: Vec<MergedEntry>,
+    held: Vec<TokenId>,
+    spans: Vec<(usize, usize)>,
     slot_tokens: Vec<Vec<TokenId>>,
     counts: Vec<(TokenId, u64)>,
     /// The AND of the slots' bitmaps so far and the current slot's, one
@@ -170,6 +203,8 @@ impl WalkScratch {
     /// Forgets the last walk's contents, keeping capacity.
     pub(crate) fn clear(&mut self) {
         self.occ.clear();
+        self.held.clear();
+        self.spans.clear();
         self.slot_tokens.iter_mut().for_each(Vec::clear);
         self.counts.clear();
     }
@@ -177,7 +212,10 @@ impl WalkScratch {
     /// `true` when no subtree's contents are held.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.occ.is_empty() && self.counts.is_empty() && self.slot_tokens.iter().all(Vec::is_empty)
+        self.occ.is_empty()
+            && self.held.is_empty()
+            && self.counts.is_empty()
+            && self.slot_tokens.iter().all(Vec::is_empty)
     }
 }
 
@@ -346,7 +384,7 @@ pub fn walk_gated_subtrees(
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     stats: &mut RunStats,
-    mut on_subtree: impl FnMut(NodeId, &Tokens<'_>, &mut Occurrences<'_, '_>),
+    mut on_subtree: impl FnMut(NodeId, &mut Tokens<'_>, &mut Occurrences<'_, '_>),
 ) {
     walk_gated_subtrees_scoped(
         &Scoring::unsharded(corpus),
@@ -372,7 +410,7 @@ pub(crate) fn walk_gated_subtrees_scoped(
     config: &XCleanConfig,
     stats: &mut RunStats,
     scratch: &mut WalkScratch,
-    mut on_subtree: impl FnMut(&LevelEntry, &Tokens<'_>, &mut Occurrences<'_, '_>),
+    mut on_subtree: impl FnMut(&LevelEntry, &mut Tokens<'_>, &mut Occurrences<'_, '_>),
 ) {
     if slots.is_empty() || slots.iter().any(|s| s.variants.is_empty()) {
         return;
@@ -402,10 +440,11 @@ pub(crate) fn walk_gated_subtrees_scoped(
 
 /// The scan, over a non-empty depth-`depth` table and slots that all have
 /// a posting: mark the subtrees of the table in which every slot has a
-/// posting, then hand each over in document order with its tokens read
-/// from the columns' kept sets, a word of the passing bitmap at a time;
-/// a column's sums cursor moves only when `on_subtree` asks for the sums,
-/// and its postings cursor only when it asks for the occurrences. Counts
+/// posting, then hand each over in document order with its held tokens
+/// read from the columns' kept sets, a word of the passing bitmap at a
+/// time; the tokens are split into slots only when `on_subtree` asks, a
+/// column's sums cursor moves only when it asks for the sums, and its
+/// postings cursor only when it asks for the occurrences. Counts
 /// every subtree handed over in `stats.subtrees`, and those served without
 /// a gather in `from_columns`.
 fn scan(
@@ -414,13 +453,15 @@ fn scan(
     depth: u32,
     stats: &mut RunStats,
     scratch: &mut WalkScratch,
-    on_subtree: &mut impl FnMut(&LevelEntry, &Tokens<'_>, &mut Occurrences<'_, '_>),
+    on_subtree: &mut impl FnMut(&LevelEntry, &mut Tokens<'_>, &mut Occurrences<'_, '_>),
 ) {
     let level = view.level(depth);
     let mut columns = recycle(std::mem::take(&mut scratch.columns));
     scratch.mark(view, slots, depth, &mut columns, &mut stats.access);
     let WalkScratch {
         occ,
+        held,
+        spans,
         slot_tokens,
         counts,
         passing,
@@ -440,17 +481,23 @@ fn scan(
         }
         for bit in set_bits(word) {
             let pos = w * 64 + bit;
-            slot_tokens.iter_mut().for_each(Vec::clear);
+            held.clear();
+            spans.clear();
             for &i in live.iter() {
                 let column = &columns[i];
                 if column.holds(bit) {
-                    for &(_, slot) in &members[column.members.0..column.members.1] {
-                        slot_tokens[slot].push(column.postings.token);
-                    }
+                    held.push(column.postings.token);
+                    spans.push(column.members);
                 }
             }
             let entry = level.entry(pos);
-            let tokens = Tokens { slot_tokens };
+            let mut tokens = Tokens {
+                held,
+                spans,
+                members,
+                slot_tokens,
+                split: false,
+            };
             let mut occurrences = Occurrences {
                 occ,
                 counts,
@@ -467,7 +514,7 @@ fn scan(
                 summed: false,
             };
             stats.subtrees += 1;
-            on_subtree(&entry, &tokens, &mut occurrences);
+            on_subtree(&entry, &mut tokens, &mut occurrences);
             if !occurrences.gathered {
                 stats.access.from_columns += 1;
             }
@@ -488,7 +535,7 @@ fn linear(
     level: &LevelTable,
     stats: &mut RunStats,
     scratch: &mut WalkScratch,
-    on_subtree: &mut impl FnMut(&LevelEntry, &Tokens<'_>, &mut Occurrences<'_, '_>),
+    on_subtree: &mut impl FnMut(&LevelEntry, &mut Tokens<'_>, &mut Occurrences<'_, '_>),
 ) {
     let cursors = |s: &KeywordSlot| {
         let variants = s.variants.iter();
@@ -525,6 +572,7 @@ fn linear(
 
         let WalkScratch {
             occ,
+            held,
             slot_tokens,
             counts,
             ..
@@ -544,6 +592,15 @@ fn linear(
                     _ => counts.push((token, u64::from(tf))),
                 }
             }
+            held.clear();
+            held.extend(counts.iter().map(|&(token, _)| token));
+            let mut tokens = Tokens {
+                held,
+                spans: &[],
+                members: &[],
+                slot_tokens,
+                split: true,
+            };
             let mut occurrences = Occurrences {
                 occ,
                 counts,
@@ -551,7 +608,7 @@ fn linear(
                 gathered: true,
                 summed: true,
             };
-            on_subtree(&level.entry(at), &Tokens { slot_tokens }, &mut occurrences);
+            on_subtree(&level.entry(at), &mut tokens, &mut occurrences);
         }
     }
 }
@@ -680,8 +737,9 @@ mod tests {
                 &mut stats,
                 |g, tokens, occurrences| {
                     visited.push(corpus.tree().dewey(g).to_string());
-                    assert_eq!(tokens.slot_tokens.len(), 2);
-                    assert!(tokens.slot_tokens.iter().all(|t| t.len() == 1));
+                    assert_eq!(tokens.held().len(), 2);
+                    assert_eq!(tokens.slot_tokens().len(), 2);
+                    assert!(tokens.slot_tokens().iter().all(|t| t.len() == 1));
                     assert_eq!(occurrences.counts().len(), 2);
                     if ask {
                         assert_eq!(occurrences.all().len(), 2);
@@ -752,7 +810,7 @@ mod tests {
             &mut WalkScratch::default(),
             |gate, tokens, occurrences| {
                 let (slot_tokens, counts) =
-                    (tokens.slot_tokens.to_vec(), occurrences.counts().to_vec());
+                    (tokens.slot_tokens().to_vec(), occurrences.counts().to_vec());
                 out.push((gate.node, slot_tokens, counts));
             },
         );

@@ -4,7 +4,7 @@
 //! `crate::walk` finds the subtrees every slot occurs in by ANDing per-slot
 //! entity bitmaps when skipping is on, and by walking one cursor set per
 //! keyword linearly when it is off. The contract is that `on_subtree` cannot tell
-//! which ran: the same `(entry, slot_tokens)` sequence, the same per-token
+//! which ran: the same `(entry, held tokens, slot_tokens)` sequence, the same per-token
 //! sums and the same occurrences whenever it asks for them — the scan's
 //! read from the level table's entity sets and sums, the linear walk's
 //! derived from the postings it collected — so the same contributions in
@@ -95,11 +95,12 @@ fn deepest(corpus: &CorpusIndex) -> u32 {
     tree.iter().map(|n| tree.depth(n)).max().unwrap_or(0)
 }
 
-/// What `on_subtree` is told of one passing subtree: its entry, each
-/// slot's tokens and — when the stream asked — every token's `Σ tf` and
-/// its occurrences.
+/// What `on_subtree` is told of one passing subtree: its entry, its held
+/// tokens, each slot's tokens and — when the stream asked — every token's
+/// `Σ tf` and its occurrences.
 type Handed = (
     LevelEntry,
+    Vec<TokenId>,
     Vec<Vec<TokenId>>,
     Option<Vec<(TokenId, u64)>>,
     Option<Vec<MergedEntry>>,
@@ -153,7 +154,8 @@ fn stream(
                 let all = asked(ask.occurrences).then(|| occ.all().to_vec());
                 (asked(ask.sums).then(|| occ.counts().to_vec()), all)
             };
-            out.push((*gate, tokens.slot_tokens.to_vec(), counts, all))
+            let held = tokens.held().to_vec();
+            out.push((*gate, held, tokens.slot_tokens().to_vec(), counts, all))
         },
     );
     (out, stats)
@@ -215,12 +217,16 @@ fn assert_one_stream(
             prop_assert_eq!(walked.access.from_columns, 0);
             prop_assert_eq!(scanned.subtrees, scan.len() as u64);
             prop_assert!(walked.subtrees >= scanned.subtrees);
-            let gathered = scan.iter().filter(|handed| handed.3.is_some()).count() as u64;
+            let gathered = scan.iter().filter(|handed| handed.4.is_some()).count() as u64;
             prop_assert_eq!(scanned.access.from_columns, scanned.subtrees - gathered);
             if gathered == 0 {
                 prop_assert_eq!((scanned.access.read, scanned.access.skip_calls), (0, 0));
             }
-            for (entry, slot_tokens, counts, occ) in &scan {
+            for (entry, held, slot_tokens, counts, occ) in &scan {
+                let mut union: Vec<TokenId> = slot_tokens.concat();
+                union.sort_unstable();
+                union.dedup();
+                prop_assert_eq!(held, &union, "{:?}", entry);
                 if let (Some(counts), Some(occ)) = (counts, occ) {
                     let (tokens, sums) = derived(slots, occ);
                     prop_assert_eq!((slot_tokens, counts), (&tokens, &sums), "{:?}", entry);
