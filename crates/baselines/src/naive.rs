@@ -30,6 +30,7 @@ pub fn run_naive(
 
     let mut out: Vec<ScoredCandidate> = Vec::new();
     let mut idxs = vec![0usize; slots.len()];
+    let mut order = Vec::new();
     'outer: loop {
         let cand: Vec<TokenId> = idxs
             .iter()
@@ -42,7 +43,7 @@ pub fn run_naive(
             .map(|(i, &j)| slots[i].variants[j].distance)
             .collect();
 
-        if let Some(rt) = find_result_type(corpus, &cand, config.min_depth) {
+        if let Some(rt) = find_result_type(corpus, &cand, config.min_depth, &mut order) {
             let depth = tree.paths().depth(rt.path);
             // Entity scan: group each token's postings by its ancestor of
             // the result type, then keep entities covering all keywords.

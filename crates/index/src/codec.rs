@@ -6,6 +6,8 @@
 //! raw. This is the on-disk format of the index's postings and also what
 //! the index-size figures in EXPERIMENTS.md are measured on.
 
+use std::ops::Range;
+
 use xclean_xmltree::NodeId;
 
 use crate::posting::PostingList;
@@ -181,9 +183,22 @@ fn extract_7bit_groups(word: u64, len: usize) -> u64 {
 /// must be consumed — trailing garbage is a corruption error, which keeps
 /// per-token slab ranges honest — and node ids must strictly increase.
 pub fn decode(buf: &[u8]) -> Result<PostingList, CodecError> {
+    let mut list = PostingList::new();
+    decode_shifted(buf, 0..u32::MAX, 0, &mut list)?;
+    Ok(list)
+}
+
+/// [`decode`], appending to `list` with every node id moved up by
+/// `shift`. The decoded ids must lie in `nodes` (before the shift), so a
+/// list read from one tree lands inside its span of another.
+pub(crate) fn decode_shifted(
+    buf: &[u8],
+    nodes: Range<u32>,
+    shift: u32,
+    list: &mut PostingList,
+) -> Result<(), CodecError> {
     let mut r = SliceReader::new(buf);
     let n = get_count(&mut r, 2)?; // ≥2 bytes per entry (2 varints)
-    let mut list = PostingList::new();
     list.reserve(n); // `get_count` has already bounded `n` by the input size
     let mut prev_node = 0u32;
     for i in 0..n {
@@ -194,12 +209,18 @@ pub fn decode(buf: &[u8]) -> Result<PostingList, CodecError> {
         prev_node = prev_node
             .checked_add(gap)
             .ok_or(CodecError::VarintOverflow)?;
-        list.push(NodeId(prev_node), r.get_u32()?);
+        if !nodes.contains(&prev_node) {
+            return Err(CodecError::Corrupt("node id outside the tree"));
+        }
+        let node = prev_node
+            .checked_add(shift)
+            .ok_or(CodecError::VarintOverflow)?;
+        list.push(NodeId(node), r.get_u32()?);
     }
     if r.remaining() != 0 {
         return Err(CodecError::Corrupt("trailing bytes after posting list"));
     }
-    Ok(list)
+    Ok(())
 }
 
 /// Reads a count and clamps it against the remaining input, assuming each

@@ -94,13 +94,25 @@ impl Parts {
                 parts.lists[id.index()].push(n, std::mem::take(&mut counts[id.index()]));
             }
         }
-        parts.cf = parts
-            .lists
+        Parts::counted(parts.terms, parts.lists, parts.direct)
+    }
+
+    /// The parts of `terms`' posting `lists` and the nodes' `direct`
+    /// counts, with each token's `cf` (Σ tf) and `df` (list length) read
+    /// off its list.
+    pub(crate) fn counted(terms: Vec<String>, lists: Vec<PostingList>, direct: Vec<u64>) -> Parts {
+        let cf = lists
             .iter()
             .map(|l| l.tfs().iter().map(|&tf| u64::from(tf)).sum())
             .collect();
-        parts.df = parts.lists.iter().map(|l| l.len() as u64).collect();
-        parts
+        let df = lists.iter().map(|l| l.len() as u64).collect();
+        Parts {
+            terms,
+            cf,
+            df,
+            lists,
+            direct,
+        }
     }
 }
 
@@ -245,6 +257,12 @@ impl CorpusIndex {
     /// The posting list of a token.
     pub fn postings(&self, token: TokenId) -> &PostingList {
         self.store.get(token.index())
+    }
+
+    /// The posting list of a token as stored (`codec` bytes), for a
+    /// reader that decodes it once without keeping the result.
+    pub(crate) fn encoded_postings(&self, token: TokenId) -> &[u8] {
+        self.store.encoded(token.index())
     }
 
     /// Snapshot provenance, present only on snapshot-loaded indexes whose

@@ -7,19 +7,23 @@
 //! virtual-document lengths) sum *exactly* to the unsharded values — the
 //! arithmetic backbone of the sharded engine's bit-identity contract
 //! (DESIGN.md §16). Contiguity matters twice: shard-local node ids stay in
-//! global document order (so walking the shards in shard order into one
-//! table reproduces the sequential global accumulation), and subtree
-//! token lengths of depth ≥ 2 nodes are unchanged.
+//! global document order (so laying the shards' nodes after one root, in
+//! shard order, rebuilds the parent's tree), and subtree token lengths of
+//! depth ≥ 2 nodes are unchanged.
 //!
 //! Each shard is a completely ordinary [`CorpusIndex`] (self-consistent
 //! local vocabulary, postings, path stats — it can be saved as a normal v2
 //! slab and queried standalone). The [`ShardMeta`] riding along maps the
 //! shard's local token and path ids back to the parent corpus's ids, which
-//! is what lets `xclean`'s `ShardedEngine` score with global statistics.
+//! is what lets [`reassemble_parent`] read a set back as the corpus it was
+//! cut from, byte for byte — how `xclean`'s `ShardedEngine` serves a set.
 
-use xclean_xmltree::{NodeId, PreorderAssembler};
+use xclean_xmltree::{LabelId, NodeId, PreorderAssembler, TreeAssemblyError};
 
-use crate::corpus::CorpusIndex;
+use crate::codec;
+use crate::corpus::{CorpusIndex, Parts};
+use crate::posting::PostingList;
+use crate::storage::v2;
 use crate::vocab::TokenId;
 
 /// Provenance and id-translation tables tying a shard snapshot back to the
@@ -66,6 +70,10 @@ pub enum ShardError {
     RootHasDirectText,
     /// Re-assembling a shard tree failed (a corpus invariant is broken).
     Assembly(String),
+    /// A shard set does not read back as one corpus: a map points outside
+    /// the set, shards disagree on a term or on the root, or some of the
+    /// parent is held by no shard.
+    Coverage(String),
 }
 
 impl std::fmt::Display for ShardError {
@@ -81,6 +89,7 @@ impl std::fmt::Display for ShardError {
                 "root element has directly-attached indexed text; it cannot be partitioned exactly"
             ),
             ShardError::Assembly(m) => write!(f, "shard tree assembly failed: {m}"),
+            ShardError::Coverage(m) => write!(f, "shard set does not read back as one corpus: {m}"),
         }
     }
 }
@@ -136,7 +145,7 @@ pub fn partition_corpus(
     let spans = balanced_spans(&weights, shard_count);
 
     let label_names: Vec<String> = (0..tree.labels().len() as u32)
-        .map(|i| tree.labels().name(xclean_xmltree::LabelId(i)).to_string())
+        .map(|i| tree.labels().name(LabelId(i)).to_string())
         .collect();
     let fingerprint = parent_fingerprint(corpus, shard_count, seed);
 
@@ -149,8 +158,11 @@ pub fn partition_corpus(
         let mut asm = PreorderAssembler::new(&label_names);
         asm.reserve(1 + node_range.len());
         // The shard root mirrors the original root element (same label,
-        // depth 1, no direct text — checked above).
-        asm.push(1, tree.label(root).0, None)
+        // depth 1, no indexed text — checked above). Shard 0's also keeps
+        // the root's text, which holds no token, so the set reads back
+        // with it.
+        let root_text = if shard_id == 0 { tree.text(root) } else { None };
+        asm.push(1, tree.label(root).0, root_text)
             .map_err(|e| ShardError::Assembly(e.to_string()))?;
         for m in node_range.clone() {
             let n = NodeId(m);
@@ -196,6 +208,193 @@ pub fn partition_corpus(
         shards.push(shard.with_shard_meta(meta));
     }
     Ok(shards)
+}
+
+/// Reads a shard set back as the corpus [`partition_corpus`] cut it from:
+/// the same tree, vocabulary, postings and per-node counts, so the v2
+/// bytes of the result equal the parent's. `shards` is one set in id
+/// order (`ShardedEngine::from_shards` checks ids, seeds and map lengths
+/// first). Nothing is tokenised: the tree is shard 0's root followed by each
+/// shard's nodes `1..` in order, each shard's lists are appended at the
+/// parent's token ids with node ids moved to its span (so each token's
+/// `cf` and `df` are the sums of its shards'), and the result is encoded
+/// once. Each shard is read once and dropped before the next, and its
+/// lists are decoded without being kept.
+///
+/// Shard files are untrusted: a token or path map that points outside
+/// the set, shards that disagree on a term, on the labels or on the root,
+/// a parent token no shard holds, a node whose reassembled path is not
+/// its map's, or lists that leave their shard's tree are refused as
+/// [`ShardError::Coverage`], naming the shard.
+pub fn reassemble_parent(shards: Vec<CorpusIndex>) -> Result<CorpusIndex, ShardError> {
+    let first = shards.first().ok_or(ShardError::ZeroShards)?;
+    let set = meta_of(0, first)?;
+    let (vocab_len, path_len) = (set.global_vocab_len as usize, set.global_path_len as usize);
+    let labels = first.tree().labels();
+    let label_names: Vec<String> = (0..labels.len() as u32)
+        .map(|i| labels.name(LabelId(i)).to_string())
+        .collect();
+    let root_label = first.tree().label(first.tree().root()).0;
+    let root_path = set.path_map[first.tree().path(first.tree().root()).0 as usize];
+    let tokenizer = first.tokenizer().config().clone();
+    // Every parent token is some shard's local token, which bounds the
+    // tables below by what the set holds, whatever its metadata claims.
+    let held: usize = shards.iter().map(|s| s.vocab().len()).sum();
+    if vocab_len > held {
+        return Err(ShardError::Coverage(format!(
+            "the set declares {vocab_len} global tokens, its shards hold {held}"
+        )));
+    }
+
+    // Pass 1, over the vocabularies: terms at their parent ids (each from
+    // one local token per shard, the same term in every shard) and Σ df,
+    // to size the lists; and the labels and root every shard must share.
+    let mut terms: Vec<Option<String>> = vec![None; vocab_len];
+    let mut df = vec![0u64; vocab_len];
+    let mut last_shard = vec![u32::MAX; vocab_len];
+    let mut nodes = 1usize;
+    for (s, shard) in shards.iter().enumerate() {
+        let meta = meta_of(s, shard)?;
+        let tree = shard.tree();
+        let same_labels = tree.labels().len() == label_names.len()
+            && (0..label_names.len() as u32)
+                .all(|i| tree.labels().name(LabelId(i)) == label_names[i as usize]);
+        if !same_labels {
+            return Err(coverage(s, "has another label table than shard 0"));
+        }
+        let own_root = meta.path_map[tree.path(tree.root()).0 as usize];
+        if tree.label(tree.root()).0 != root_label || own_root != root_path {
+            return Err(coverage(
+                s,
+                &format!("has root path {own_root}, shard 0 has {root_path}"),
+            ));
+        }
+        for (local, &g) in meta.token_map.iter().enumerate() {
+            let term = shard.vocab().term(TokenId(local as u32));
+            let Some(slot) = terms.get_mut(g as usize) else {
+                return Err(coverage(
+                    s,
+                    &format!("maps local token {local} to out-of-range global id {g}"),
+                ));
+            };
+            match slot {
+                _ if last_shard[g as usize] == s as u32 => {
+                    return Err(coverage(
+                        s,
+                        &format!("maps two local tokens to global token {g}"),
+                    ))
+                }
+                None => *slot = Some(term.to_string()),
+                Some(t) if t == term => {}
+                Some(t) => {
+                    return Err(coverage(
+                        s,
+                        &format!("holds {term:?} at global token {g}, an earlier shard {t:?}"),
+                    ))
+                }
+            }
+            last_shard[g as usize] = s as u32;
+            df[g as usize] = df[g as usize].saturating_add(shard.vocab().df(TokenId(local as u32)));
+        }
+        nodes += tree.len() - 1;
+    }
+    drop(last_shard);
+    let terms: Vec<String> = terms
+        .into_iter()
+        .enumerate()
+        .map(|(g, t)| {
+            t.ok_or_else(|| {
+                ShardError::Coverage(format!(
+                    "no shard of the {} holds global token {g}",
+                    shards.len()
+                ))
+            })
+        })
+        .collect::<Result<_, _>>()?;
+
+    // Pass 2, one shard at a time: its nodes after the root, its direct
+    // counts, its lists at their parent ids; then the shard is dropped.
+    // One node per local path is kept to check the reassembled paths
+    // against the path maps.
+    let assembly = |e: TreeAssemblyError| ShardError::Assembly(e.to_string());
+    let mut asm = PreorderAssembler::new(&label_names);
+    asm.reserve(nodes);
+    let root_text = first.tree().text(first.tree().root());
+    asm.push(1, root_label, root_text).map_err(assembly)?;
+    let mut direct = Vec::with_capacity(nodes);
+    direct.push(0);
+    // A list holds at most one posting per node, whatever a vocabulary
+    // claims.
+    let mut lists: Vec<PostingList> = df
+        .iter()
+        .map(|&n| {
+            let mut list = PostingList::new();
+            list.reserve(n.min(nodes as u64) as usize);
+            list
+        })
+        .collect();
+    drop(df);
+    // (shard, node of the parent, the path its shard's map names).
+    let mut witnesses: Vec<(usize, NodeId, u32)> = vec![(0, NodeId(0), root_path)];
+    for (s, shard) in shards.into_iter().enumerate() {
+        let meta = meta_of(s, &shard)?;
+        let tree = shard.tree();
+        let shift = direct.len() as u32 - 1;
+        let mut witnessed = vec![false; tree.paths().len()];
+        for n in tree.iter().skip(1) {
+            let at = asm
+                .push(tree.depth(n), tree.label(n).0, tree.text(n))
+                .map_err(assembly)?;
+            direct.push(shard.direct_len(n));
+            let local = tree.path(n).0 as usize;
+            if !std::mem::replace(&mut witnessed[local], true) {
+                witnesses.push((s, at, meta.path_map[local]));
+            }
+        }
+        let span = 1..tree.len() as u32;
+        for (local, &g) in meta.token_map.iter().enumerate() {
+            let bytes = shard.encoded_postings(TokenId(local as u32));
+            codec::decode_shifted(bytes, span.clone(), shift, &mut lists[g as usize])
+                .map_err(|e| coverage(s, &format!("local token {local}: {e}")))?;
+        }
+    }
+    let tree = asm.finish().map_err(assembly)?;
+    for (s, node, path) in witnesses {
+        let reassembled = tree.path(node).0;
+        if reassembled != path {
+            return Err(coverage(
+                s,
+                &format!(
+                    "node {} reassembles to global path {reassembled}, its path map says {path}",
+                    node.0
+                ),
+            ));
+        }
+    }
+    if tree.paths().len() != path_len {
+        return Err(ShardError::Coverage(format!(
+            "the set declares {path_len} global paths, its shards hold {}",
+            tree.paths().len()
+        )));
+    }
+    v2::encode_and_view(tree, Parts::counted(terms, lists, direct), &tokenizer)
+        .map_err(|e| ShardError::Coverage(format!("the reassembled corpus: {e}")))
+}
+
+/// Shard `s`'s metadata, if it maps every local token and path.
+fn meta_of(s: usize, shard: &CorpusIndex) -> Result<&ShardMeta, ShardError> {
+    shard
+        .shard_meta()
+        .filter(|m| {
+            m.token_map.len() == shard.vocab().len()
+                && m.path_map.len() == shard.tree().paths().len()
+        })
+        .ok_or_else(|| coverage(s, "carries no shard metadata covering its ids"))
+}
+
+/// A [`ShardError::Coverage`] naming shard `s`.
+fn coverage(s: usize, what: &str) -> ShardError {
+    ShardError::Coverage(format!("shard {s} {what}"))
 }
 
 /// Contiguous spans over `weights`, greedily balanced: each shard takes

@@ -138,8 +138,14 @@ impl<T: Default> Blobs<T> {
             // The slab checksum was verified at open, so a decode failure
             // here is a writer bug; degrade to an empty value rather than
             // panic on the query path.
-            (self.decode)(&self.slab.bytes()[self.ranges[i].clone()]).unwrap_or_default()
+            (self.decode)(self.encoded(i)).unwrap_or_default()
         })
+    }
+
+    /// Blob `i` as stored, for a reader that decodes it without keeping
+    /// the result.
+    pub(crate) fn encoded(&self, i: usize) -> &[u8] {
+        &self.slab.bytes()[self.ranges[i].clone()]
     }
 }
 

@@ -143,26 +143,6 @@ pub struct Vocabulary {
 }
 
 impl Vocabulary {
-    /// A vocabulary over `terms` (in id order, distinct) with their
-    /// collection and element-document frequencies: writes the VOCAB
-    /// section the index builder would and views it. Errors when the
-    /// terms repeat or the statistics are not parallel to them.
-    pub fn encoded<S: AsRef<str>>(
-        terms: &[S],
-        cf: &[u64],
-        df: &[u64],
-    ) -> Result<Vocabulary, StorageError> {
-        if cf.len() != terms.len() || df.len() != terms.len() {
-            return Err(StorageError::Corrupt(
-                "vocab statistics arrays have wrong size",
-            ));
-        }
-        let mut bytes = Vec::new();
-        encode(terms, cf, df, &mut bytes);
-        let len = bytes.len();
-        Vocabulary::view(Arc::new(IndexSlab::Owned(bytes)), 0..len)
-    }
-
     /// Views the VOCAB section at `section` of `slab`.
     ///
     /// Validates, in one `O(|V| + blob)` pass that allocates nothing per
@@ -292,6 +272,18 @@ mod tests {
     use super::*;
     use crate::corpus::CorpusIndex;
     use xclean_xmltree::parse_document;
+
+    impl Vocabulary {
+        /// A vocabulary over `terms` (in id order, distinct) with their
+        /// collection and element-document frequencies: writes the VOCAB
+        /// section the index builder would and views it.
+        fn encoded(terms: &[&str], cf: &[u64], df: &[u64]) -> Result<Vocabulary, StorageError> {
+            let mut bytes = Vec::new();
+            encode(terms, cf, df, &mut bytes);
+            let len = bytes.len();
+            Vocabulary::view(Arc::new(IndexSlab::Owned(bytes)), 0..len)
+        }
+    }
 
     #[test]
     fn observe_accumulates() {

@@ -52,32 +52,13 @@ impl Smoothing {
     }
 }
 
-/// Where the background distribution `p(w|B)` comes from: a whole corpus
-/// index, or a bare vocabulary (e.g. the reconstructed *global* vocabulary
-/// of a sharded corpus, where no single `CorpusIndex` holds the collection
-/// statistics). Both compute `cf(w) / total_tokens`, so the same token
-/// statistics give bit-identical probabilities either way.
-#[derive(Debug, Clone, Copy)]
-enum Background<'a> {
-    Corpus(&'a CorpusIndex),
-    Vocab(&'a Vocabulary),
-}
-
-impl Background<'_> {
-    #[inline]
-    fn prob(&self, token: TokenId) -> f64 {
-        match self {
-            Background::Corpus(c) => c.background_prob(token),
-            Background::Vocab(v) => v.background_prob(token),
-        }
-    }
-}
-
 /// Smoothed unigram model over a corpus: the paper's Dirichlet scheme, or
 /// Jelinek–Mercer interpolation.
 #[derive(Debug, Clone, Copy)]
 pub struct LanguageModel<'a> {
-    background: Background<'a>,
+    /// The background distribution `p(w|B)`: the corpus's collection
+    /// statistics.
+    background: &'a Vocabulary,
     smoothing: Smoothing,
 }
 
@@ -86,18 +67,7 @@ impl<'a> LanguageModel<'a> {
     pub fn new(corpus: &'a CorpusIndex, smoothing: Smoothing) -> Self {
         smoothing.validate();
         LanguageModel {
-            background: Background::Corpus(corpus),
-            smoothing,
-        }
-    }
-
-    /// Creates the model over a bare vocabulary's collection statistics;
-    /// panics on invalid parameters. Given the same per-token `cf` and
-    /// total, probabilities are bit-identical to [`LanguageModel::new`].
-    pub fn from_vocab(vocab: &'a Vocabulary, smoothing: Smoothing) -> Self {
-        smoothing.validate();
-        LanguageModel {
-            background: Background::Vocab(vocab),
+            background: corpus.vocab(),
             smoothing,
         }
     }
@@ -110,7 +80,7 @@ impl<'a> LanguageModel<'a> {
     /// `log p(w|D)` for a token with `count` occurrences in a virtual
     /// document of `doc_len` tokens.
     pub fn log_prob(&self, token: TokenId, count: u64, doc_len: u64) -> f64 {
-        let pb = self.background.prob(token);
+        let pb = self.background.background_prob(token);
         let p = match self.smoothing {
             Smoothing::Dirichlet { mu } => (count as f64 + mu * pb) / (doc_len as f64 + mu),
             Smoothing::JelinekMercer { lambda } => {
@@ -133,6 +103,7 @@ impl<'a> LanguageModel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xclean_index::{partition_corpus, reassemble_parent};
     use xclean_xmltree::parse_document;
 
     fn corpus() -> CorpusIndex {
@@ -190,23 +161,30 @@ mod tests {
         }
     }
 
+    /// A shard set serves its parent read back from the shards; the
+    /// read-back vocabulary is the background, and it must score every
+    /// token exactly as the corpus's own.
     #[test]
     fn vocab_background_matches_corpus_background() {
         let c = corpus();
-        for s in [
-            Smoothing::Dirichlet { mu: 77.0 },
-            Smoothing::JelinekMercer { lambda: 0.3 },
-        ] {
-            let a = LanguageModel::new(&c, s);
-            let b = LanguageModel::from_vocab(c.vocab(), s);
-            for w in ["apple", "banana", "cherry"] {
-                let t = c.vocab().get(w).unwrap();
-                for (count, dlen) in [(0u64, 3u64), (1, 3), (2, 5), (0, 0)] {
-                    assert_eq!(
-                        a.log_prob(t, count, dlen).to_bits(),
-                        b.log_prob(t, count, dlen).to_bits(),
-                        "{s:?} {w} {count}/{dlen}"
-                    );
+        for shard_count in [1usize, 2] {
+            let back = reassemble_parent(partition_corpus(&c, shard_count, 7).unwrap()).unwrap();
+            for s in [
+                Smoothing::Dirichlet { mu: 77.0 },
+                Smoothing::JelinekMercer { lambda: 0.3 },
+            ] {
+                let a = LanguageModel::new(&c, s);
+                let b = LanguageModel::new(&back, s);
+                for w in ["apple", "banana", "cherry"] {
+                    let t = c.vocab().get(w).unwrap();
+                    assert_eq!(back.vocab().get(w), Some(t), "{w}");
+                    for (count, dlen) in [(0u64, 3u64), (1, 3), (2, 5), (0, 0)] {
+                        assert_eq!(
+                            a.log_prob(t, count, dlen).to_bits(),
+                            b.log_prob(t, count, dlen).to_bits(),
+                            "{shard_count} shard(s) {s:?} {w} {count}/{dlen}"
+                        );
+                    }
                 }
             }
         }

@@ -51,7 +51,7 @@ use xclean::{ExplainTrace, Pipeline, SuggestResponse, Suggestion, XCleanEngine};
 use xclean_telemetry::json::{self, Json};
 use xclean_telemetry::{
     names, Counter, Exposition, Histogram, MetricsRegistry, MonotonicClock, RequestRecord,
-    RuntimeStats, ShardAttribution, SharedClock, SpanGuard, Value,
+    RuntimeStats, SharedClock, SpanGuard, Value,
 };
 
 use crate::cache::CacheKey;
@@ -930,10 +930,6 @@ fn explain_json(corpus: &str, normalized: &str, trace: &ExplainTrace) -> Json {
         ("evictions", evictions.collect()),
         ("eviction_events_total", trace.eviction_events_total.into()),
         ("evictions_truncated", truncated.into()),
-        (
-            "shards",
-            trace.shards.iter().map(ShardAttribution::to_json).collect(),
-        ),
         ("suggestions", suggestions_json(&trace.suggestions)),
     ])
 }
@@ -1030,7 +1026,6 @@ fn computed_result(keywords: &[String], key: CacheKey, tenant: &Tenant, trace_id
         candidates: response.stats.candidates_enumerated,
         entities: response.stats.entities_scored,
         suggestions: response.suggestions.len() as u64,
-        shards: response.shard_stats,
         ..RequestRecord::default()
     };
     tenant.cache().insert(key, Arc::clone(&rendered));

@@ -437,43 +437,6 @@ fn metrics_page_is_one_document_and_keeps_every_series() {
     }
 }
 
-/// A query's per-shard split lives on its own ring record: the miss on
-/// the two-shard `dblp` set carries one `shards` row per shard, in
-/// shard-id order, whose entities sum to the record's; the hit ran no
-/// walk and carries none.
-#[test]
-fn a_miss_record_splits_its_work_by_shard() {
-    let r = start();
-    scripted_traffic(&r);
-    let (status, _, body) = request(r.addr, "GET", "/debug/requests?corpus=dblp", "");
-    assert_eq!(status, 200, "{body}");
-    stop(r);
-
-    let ring = json::parse(&body).unwrap();
-    let records = ring["requests"].as_array().unwrap();
-    let by_cache = |cache: &str| {
-        let mut of = records.iter().filter(|rec| rec["cache"] == cache);
-        let record = of.next().unwrap_or_else(|| panic!("no {cache} in {body}"));
-        assert!(of.next().is_none(), "one {cache} expected: {body}");
-        record
-    };
-    let miss = by_cache("miss");
-    let rows = miss["shards"].as_array().unwrap();
-    let ids: Vec<u64> = rows
-        .iter()
-        .map(|row| row["shard"].as_u64().unwrap())
-        .collect();
-    assert_eq!(ids, [0, 1], "{body}");
-    let entities: u64 = rows
-        .iter()
-        .map(|row| row["entities"].as_u64().unwrap())
-        .sum();
-    assert_eq!(Some(entities), miss["entities"].as_u64(), "{body}");
-    assert!(entities > 0, "{body}");
-    let hit = by_cache("hit");
-    assert!(hit["shards"].as_array().unwrap().is_empty(), "{body}");
-}
-
 /// `serve --metrics-json` writes the same registries the page collects:
 /// the server's own under `server`, every catalog entry under
 /// `corpora` — and the server's request count is the drain report's.

@@ -24,10 +24,9 @@ use crate::json::Json;
 
 /// Per-shard attribution for one sharded suggestion request.
 ///
-/// The sharded engine walks Algorithm 1 once per shard, in shard-id order,
-/// into the query's one table; each walk's cost and yield is captured here
-/// so a single slow-log line (or `/debug/requests` record) splits the
-/// query's work by shard.
+/// Nothing fills it: the sharded engine serves a set as its parent corpus
+/// and walks it once, so no query's work splits by shard. The type stays
+/// for the benchmark harness, which reads and builds it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardAttribution {
     /// Shard index (document order, 0-based).
@@ -93,8 +92,7 @@ pub struct RequestRecord {
     /// Resolved corpus name (empty for non-tenant routes and for
     /// requests that never matched a catalog entry).
     pub corpus: String,
-    /// Per-shard attribution of a single cache miss (empty for
-    /// unsharded engines, cache hits, batches and non-suggest routes).
+    /// Per-shard attribution; always empty (see [`ShardAttribution`]).
     pub shards: Vec<ShardAttribution>,
 }
 

@@ -39,9 +39,8 @@ use crate::candidates::{CandId, CandidateTable, TypeSlot};
 use crate::config::{EntityPrior, XCleanConfig};
 use crate::pipeline::Semantics;
 use crate::pruning::{Accumulator, CandidateKey, PruningStats, ScoreSink};
-use crate::result_type::find_result_type_scoped;
+use crate::result_type::find_result_type;
 use crate::variants::Variant;
-use crate::view::Scoring;
 use crate::walk::Occurrences;
 
 /// A query keyword with its generated variant set.
@@ -105,9 +104,8 @@ pub struct RunStats {
 
 /// Sums whole runs: every counter and stage time adds (each absorbed run
 /// executed its stages in full, so the totals stay wall-clock-meaningful
-/// and ≥ 1 once anything ran). Used by a shard set (per-shard walks →
-/// one query) and by space edits (per-rewriting queries → one
-/// response).
+/// and ≥ 1 once anything ran). Used by space edits (per-rewriting
+/// queries → one response) and by the CLI over a batch.
 impl std::ops::AddAssign for RunStats {
     fn add_assign(&mut self, other: RunStats) {
         self.subtrees += other.subtrees;
@@ -183,7 +181,7 @@ impl EntityGroups {
     /// of the subtree `gate` and from the occurrences themselves below it.
     pub(crate) fn entities_of(
         &mut self,
-        view: &Scoring<'_>,
+        corpus: &CorpusIndex,
         path: PathId,
         gate: &LevelEntry,
         occurrences: &mut Occurrences<'_, '_>,
@@ -192,25 +190,21 @@ impl EntityGroups {
         if let Some(&(_, start, end)) = self.runs.iter().find(|run| run.0 == path) {
             return &self.rows[start..end];
         }
-        // `path` is a *global* id; under a shard scope the candidate entity's
-        // local path is compared through `view.global_path`, and the depth
-        // comes from the global table (local depths are preserved by the
-        // partitioner, so the truncation height is the same either way).
-        let depth = view.path_depth(path);
+        let tree = corpus.tree();
+        let depth = tree.paths().depth(path);
         let start = self.rows.len();
         if depth == min_depth {
             // A result type at the gate depth has one candidate entity: the
             // gating subtree's root, whose counts are the subtree's, sorted
             // by token. They are read only for a gate of that type.
-            if view.global_path(gate.path) == path {
+            if gate.path == path {
                 let rows = occurrences.counts().iter().map(|&(t, c)| (gate.node, t, c));
                 self.rows.extend(rows);
             }
         } else {
-            let tree = view.tree();
             for &(token, node, tf) in occurrences.all() {
                 if let Some(r) = tree.ancestor_at_depth(node, depth) {
-                    if view.node_path(r) == path {
+                    if tree.path(r) == path {
                         self.rows.push((r, token, u64::from(tf)));
                     }
                 }
@@ -474,42 +468,24 @@ impl Patterns {
     }
 }
 
-/// The node-type accumulate rule over a [`Scoring`] view and a
-/// [`ScoreSink`]: builds the view's language model and compiles the
-/// query's candidate table, then [`walk_scoped`]s the view.
-pub(crate) fn accumulate_scoped<S: ScoreSink>(
-    view: &Scoring<'_>,
+/// The node-type accumulate rule over a corpus and a [`ScoreSink`]:
+/// builds the corpus's language model, compiles the query's candidate
+/// table, then walks the corpus against it — enumerating candidates once
+/// per distinct set of held tokens, replaying the [`Patterns`] memo's
+/// record for every other subtree holding that set — and emits one
+/// `accumulate` call per (candidate, entity) contribution, in document
+/// order, with per-entity floating-point ops in exactly the sequential
+/// order. The contribution stream never depends on the sink.
+pub(crate) fn accumulate_node_type<S: ScoreSink>(
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     stats: &mut RunStats,
     arena: &mut QueryArena,
     sink: &mut S,
 ) {
-    let lm = view.language_model(config.smoothing);
+    let lm = LanguageModel::new(corpus, config.smoothing);
     arena.compile(slots, ErrorModel::new(config.beta));
-    walk_scoped(view, &lm, slots, config, stats, arena, sink);
-}
-
-/// Walks the view's tree against the arena's already compiled candidate
-/// table, scoring with `lm`: enumerates candidates — once per distinct set
-/// of held tokens, replaying the [`Patterns`] memo's record for every
-/// other subtree holding that set — and emits one `accumulate` call per
-/// (candidate, entity) contribution — in document order, with per-entity
-/// floating-point ops in exactly the sequential order. A shard set walks
-/// each shard's view in turn through one candidate table into one sink
-/// (see `crate::pipeline`). The contribution stream never depends on the
-/// sink. Inlined into both callers so the one-corpus walk is compiled
-/// against a view whose scope is statically absent.
-#[inline(always)]
-pub(crate) fn walk_scoped<S: ScoreSink>(
-    view: &Scoring<'_>,
-    lm: &LanguageModel<'_>,
-    slots: &[KeywordSlot],
-    config: &XCleanConfig,
-    stats: &mut RunStats,
-    arena: &mut QueryArena,
-    sink: &mut S,
-) {
     // Split the arena into independently-borrowed scratch pieces: the
     // walk owns its scratch while the subtree closure works the scoring
     // scratch. The sink's table is the caller's to lend.
@@ -528,8 +504,8 @@ pub(crate) fn walk_scoped<S: ScoreSink>(
     let mut result_type_computations = 0u64;
     let mut entities_scored = 0u64;
 
-    crate::walk::walk_gated_subtrees_scoped(
-        view,
+    crate::walk::walk_gated_subtrees_in(
+        corpus,
         slots,
         config,
         stats,
@@ -542,7 +518,8 @@ pub(crate) fn walk_scoped<S: ScoreSink>(
             groups.clear();
             let mut score = |candidates: &CandidateTable, id: CandId, path: PathId| {
                 let cand = candidates.key(id);
-                let entities = groups.entities_of(view, path, gate, occurrences, config.min_depth);
+                let entities =
+                    groups.entities_of(corpus, path, gate, occurrences, config.min_depth);
                 for counts in entities.chunk_by(|a, b| a.0 == b.0) {
                     let r = counts[0].0;
                     // An entity at the gate depth is the gate itself, whose
@@ -550,7 +527,7 @@ pub(crate) fn walk_scoped<S: ScoreSink>(
                     let dlen = if r == gate.node {
                         gate.doc_len
                     } else {
-                        view.doc_len(r)
+                        corpus.doc_len(r)
                     };
                     // The entity must contain every keyword of the candidate.
                     let count_of = |t| {
@@ -558,7 +535,7 @@ pub(crate) fn walk_scoped<S: ScoreSink>(
                         row.map(|row| row.2).filter(|&c| c > 0)
                     };
                     if let Some(weighted) =
-                        contributions.weighted(lm, config.prior, id, cand, dlen, count_of)
+                        contributions.weighted(&lm, config.prior, id, cand, dlen, count_of)
                     {
                         entities_scored += 1;
                         let weight = prior_weight(config.prior, dlen);
@@ -587,8 +564,8 @@ pub(crate) fn walk_scoped<S: ScoreSink>(
                                 TypeSlot::NoType => return,
                                 TypeSlot::Unresolved => {
                                     result_type_computations += 1;
-                                    let slot = find_result_type_scoped(
-                                        view,
+                                    let slot = find_result_type(
+                                        corpus,
                                         cand,
                                         config.min_depth,
                                         type_order,
@@ -666,7 +643,7 @@ pub(crate) fn finalize_candidates(
 mod tests {
     use super::*;
     use crate::candidates::CandidateTable;
-    use crate::pipeline::{rank_walked, ArenaPool, Walked};
+    use crate::pipeline::{rank_walked, ArenaPool};
     use crate::variants::VariantGenerator;
     use xclean_telemetry::Telemetry;
     use xclean_xmltree::parse_document;
@@ -680,7 +657,7 @@ mod tests {
         arenas: &ArenaPool,
     ) -> RunOutput {
         let ranked = rank_walked(
-            Walked::Corpus(c),
+            c,
             Semantics::NodeType,
             slots,
             config,
@@ -1182,13 +1159,12 @@ mod tests {
         // scores one entity with one of each token in three: the same
         // memo key, for other tokens. No reset between the walks.
         let c = corpus();
-        let view = Scoring::unsharded(&c);
         let config = XCleanConfig::default();
         let walk = |arena: &mut QueryArena, query: &[&str]| {
             let mut emitted = Emitted::default();
             let slots = slots_for(&c, query, 0);
             let mut stats = RunStats::default();
-            accumulate_scoped(&view, &slots, &config, &mut stats, arena, &mut emitted);
+            accumulate_node_type(&c, &slots, &config, &mut stats, arena, &mut emitted);
             emitted.0
         };
         // Reset, as the pool hands arenas out.
@@ -1242,11 +1218,9 @@ mod tests {
                 enable_skipping,
                 ..XCleanConfig::default()
             };
-            let views = [Scoring::unsharded(c)];
-            let reference =
-                crate::reference::reference_run(&views, Semantics::NodeType, slots, &config);
+            let reference = crate::reference::reference_run(c, Semantics::NodeType, slots, &config);
             let product = crate::reference::product_run(
-                Walked::Corpus(c),
+                c,
                 Semantics::NodeType,
                 slots,
                 &config,
@@ -1321,13 +1295,12 @@ mod tests {
             vec!["yy00".into(), "zz00".into()],
             vec!["xx00".into(), "yy00".into()],
         ]);
-        let view = Scoring::unsharded(&c);
         let config = XCleanConfig::default();
         let walk = |arena: &mut QueryArena, slots: &[&[String]]| {
             let mut emitted = Emitted::default();
             let slots = term_slots(&c, slots);
             let mut stats = RunStats::default();
-            accumulate_scoped(&view, &slots, &config, &mut stats, arena, &mut emitted);
+            accumulate_node_type(&c, &slots, &config, &mut stats, arena, &mut emitted);
             (emitted.0, stats.candidates_enumerated)
         };
         let first: &[&[String]] = &[&["xx00".into()], &["yy00".into()]];
@@ -1365,10 +1338,9 @@ mod tests {
         let slots = term_slots(&c, &[&["aa00".into()], &second]);
         let mut arena = QueryArena::new();
         let mut stats = RunStats::default();
-        let view = Scoring::unsharded(&c);
         let config = XCleanConfig::default();
-        accumulate_scoped(
-            &view,
+        accumulate_node_type(
+            &c,
             &slots,
             &config,
             &mut stats,
@@ -1405,13 +1377,12 @@ mod tests {
                 prior,
                 ..XCleanConfig::default()
             };
-            let views = [Scoring::unsharded(&c)];
             let reference =
-                crate::reference::reference_run(&views, Semantics::NodeType, &slots, &config);
+                crate::reference::reference_run(&c, Semantics::NodeType, &slots, &config);
             let arenas = ArenaPool::default();
             for _ in 0..2 {
                 let product = crate::reference::product_run(
-                    Walked::Corpus(&c),
+                    &c,
                     Semantics::NodeType,
                     &slots,
                     &config,

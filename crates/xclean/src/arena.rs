@@ -104,8 +104,7 @@ mod tests {
     use crate::algorithm::RunStats;
     use crate::config::XCleanConfig;
     use crate::variants::Variant;
-    use crate::view::Scoring;
-    use crate::walk::walk_gated_subtrees_scoped;
+    use crate::walk::walk_gated_subtrees_in;
     use xclean_index::CorpusIndex;
     use xclean_xmltree::parse_document;
 
@@ -124,20 +123,20 @@ mod tests {
             }],
         };
         // One walk fills the walk scratch and a run of each kind.
-        let view = Scoring::unsharded(&corpus);
         let config = XCleanConfig::default();
         let QueryArena { walk, groups, .. } = &mut a;
         let mut stats = RunStats::default();
         let slots = [slot.clone()];
-        walk_gated_subtrees_scoped(&view, &slots, &config, &mut stats, walk, |g, _, occ| {
+        walk_gated_subtrees_in(&corpus, &slots, &config, &mut stats, walk, |g, _, occ| {
             for depth in [2, 3] {
-                let path = view.tree().path(
-                    view.tree()
+                let path = corpus.tree().path(
+                    corpus
+                        .tree()
                         .ancestor_at_depth(occ.all()[0].1, depth)
                         .unwrap(),
                 );
                 assert!(!groups
-                    .entities_of(&view, path, g, occ, config.min_depth)
+                    .entities_of(&corpus, path, g, occ, config.min_depth)
                     .is_empty());
             }
         });
@@ -146,7 +145,7 @@ mod tests {
         a.compile(&[slot], Default::default());
         let id = a.candidates.intern(&[key]);
         a.type_order.extend([0, 1]);
-        let lm = view.language_model(config.smoothing);
+        let lm = xclean_lm::LanguageModel::new(&corpus, config.smoothing);
         a.contributions.forget();
         let weighted = a
             .contributions

@@ -11,9 +11,8 @@
 //! probe, and never allocates once the vectors have grown to a worker's
 //! steady state.
 //!
-//! Ids are assigned in first-sight order — over a shard set, first sight
-//! over the whole set, since every shard walks through the query's one
-//! table — and mean nothing outside it; only the key identifies a
+//! Ids are assigned in first-sight order and mean nothing outside the
+//! query's table; only the key identifies a
 //! candidate across tables. No result depends on the id order: every
 //! consumer that orders candidates does so by score and key.
 

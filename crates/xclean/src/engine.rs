@@ -19,7 +19,7 @@ use xclean_xmltree::XmlTree;
 
 use crate::algorithm::RunStats;
 use crate::config::XCleanConfig;
-use crate::pipeline::{Pipeline, Semantics, Shard, SuggestResponse, Suggestion};
+use crate::pipeline::{Pipeline, Semantics, SuggestResponse, Suggestion};
 use crate::Telemetry;
 
 /// The XClean suggestion engine over one corpus.
@@ -60,7 +60,7 @@ impl XCleanEngine {
     /// without duplicating it.
     pub fn from_shared(corpus: Arc<CorpusIndex>, config: XCleanConfig) -> Self {
         XCleanEngine {
-            pipeline: Pipeline::new(vec![Shard::plain(corpus)], None, config),
+            pipeline: Pipeline::new(corpus, None, config),
         }
     }
 

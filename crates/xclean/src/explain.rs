@@ -3,8 +3,8 @@
 //! [`ExplainTrace`] answers "why did this query return what it did": the
 //! per-keyword variant sets, candidate counts entering and leaving every
 //! pipeline stage (slots → variants → walk → score → rank), the
-//! γ-eviction events taken by the accumulator table, per-shard scatter
-//! attribution over a shard set, and per-stage wall times.
+//! γ-eviction events taken by the accumulator table, and per-stage wall
+//! times.
 //!
 //! Explain is the *same run* as serving ([`Pipeline::execute`]), observed:
 //! it passes a γ-observer that captures the table's decisions and hands
@@ -14,7 +14,7 @@
 //! therefore bit-identical to what `suggest` serves — asserted by the
 //! `explain_neutrality` integration tests.
 
-use xclean_telemetry::{ShardAttribution, Telemetry};
+use xclean_telemetry::Telemetry;
 
 use crate::pipeline::{Executed, Pipeline, Suggestion};
 use crate::pruning::GammaEvent;
@@ -112,7 +112,7 @@ pub struct StageCounts {
 pub struct StageNanos {
     /// Variant-slot construction.
     pub slot: u64,
-    /// Walk + accumulate (over every shard, on a sharded engine).
+    /// Walk + accumulate.
     pub walk: u64,
     /// Finalise + rank.
     pub rank: u64,
@@ -128,9 +128,9 @@ pub struct ExplainTrace {
     pub keywords: Vec<KeywordExplain>,
     /// Entity semantics the engine ran under.
     pub semantics: &'static str,
-    /// Whether the engine is sharded.
+    /// Whether the engine serves a shard set.
     pub sharded: bool,
-    /// Number of shards (1 for the unsharded engine).
+    /// Number of shard snapshots (1 for the unsharded engine).
     pub shard_count: u32,
     /// The γ bound in effect (`None` = unbounded).
     pub gamma: Option<usize>,
@@ -142,8 +142,6 @@ pub struct ExplainTrace {
     pub evictions: Vec<EvictionExplain>,
     /// Total γ-events taken (can exceed `evictions.len()`).
     pub eviction_events_total: u64,
-    /// Per-shard attribution (empty on the unsharded engine).
-    pub shards: Vec<ShardAttribution>,
     /// The served suggestions — bit-identical to what `suggest` returns.
     pub suggestions: Vec<Suggestion>,
 }
@@ -238,7 +236,6 @@ impl Pipeline {
             },
             evictions,
             eviction_events_total,
-            shards: response.shard_stats,
             suggestions: response.suggestions,
         }
     }

@@ -48,7 +48,6 @@ pub mod sharded;
 pub mod slca;
 pub mod space_edits;
 pub mod variants;
-mod view;
 pub mod walk;
 #[cfg(test)]
 mod walk_differential;

@@ -9,37 +9,25 @@
 //! slots → accumulate (through a ScoreSink) → finalize → top-k → SuggestResponse
 //! ```
 //!
-//! It owns a *shard set* of one or more corpora (plus the reconstructed
-//! global statistics when they are shards of a partitioned corpus), the
-//! variant index, the configuration, the entity semantics, telemetry and a
-//! pool of query arenas. [`crate::XCleanEngine`] and
-//! [`crate::ShardedEngine`] are nominal fronts over an `Arc<Pipeline>`:
-//! constructors plus the accessors that only make sense for one shape.
+//! It owns one corpus — a shard set's is the parent corpus read back from
+//! its shards (DESIGN.md §16) — the variant index, the configuration, the
+//! entity semantics, telemetry and a pool of query arenas.
+//! [`crate::XCleanEngine`] and [`crate::ShardedEngine`] are nominal fronts
+//! over an `Arc<Pipeline>`: constructors plus the accessors that only make
+//! sense for one shape.
 //!
-//! # How the accumulate step is selected
-//!
-//! By what the code can observe — never by an option:
-//!
-//! * **One plain corpus** is walked once, on the calling thread, straight
-//!   into the arena-backed [`AccumulatorTable`]: node-type semantics
-//!   through [`accumulate_scoped`], SLCA/ELCA through [`accumulate_lca`]
-//!   into the same sink.
-//! * **A shard set** is walked shard by shard, in shard-id order, on the
-//!   calling thread: the query's one candidate table is compiled once,
-//!   and every shard's tree is walked under the global-statistics scope
-//!   through it into the same table — the exact sequential insertion
-//!   sequence, γ-decisions included (DESIGN.md §16).
-//!
-//! Every table takes a γ-observer. Serving passes a no-op, which the
-//! optimiser erases; explain passes an event-capturing closure
+//! The corpus is walked once, on the calling thread, straight into the
+//! arena-backed [`AccumulatorTable`]: node-type semantics through
+//! [`accumulate_node_type`], SLCA/ELCA through [`accumulate_lca`] into the
+//! same sink. Every table takes a γ-observer. Serving passes a no-op,
+//! which the optimiser erases; explain passes an event-capturing closure
 //! (`crate::explain`) and is otherwise the same run.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use xclean_index::{CorpusIndex, LoadReport, PostingList, TokenId, Vocabulary};
-use xclean_lm::ErrorModel;
+use xclean_index::{CorpusIndex, LoadReport, SnapshotProvenance, TokenId, Vocabulary};
 use xclean_telemetry::json::Json;
 use xclean_telemetry::{
     names, Counter, Histogram, MetricsRegistry, ShardAttribution, Telemetry, Tracer,
@@ -47,8 +35,8 @@ use xclean_telemetry::{
 use xclean_xmltree::{PathId, Tokenizer};
 
 use crate::algorithm::{
-    accumulate_scoped, finalize_candidates, nanos_since, walk_scoped, KeywordSlot, RunOutput,
-    RunStats, ScoredCandidate,
+    accumulate_node_type, finalize_candidates, nanos_since, KeywordSlot, RunOutput, RunStats,
+    ScoredCandidate,
 };
 use crate::arena::QueryArena;
 use crate::candidates::{CandId, CandidateTable};
@@ -57,7 +45,6 @@ use crate::elca::elca_of_lists;
 use crate::pruning::{Accumulator, AccumulatorTable, GammaEvent, ScoreSink};
 use crate::slca::{accumulate_lca, slca_of_lists};
 use crate::variants::{VariantGenerator, PARTITION_THRESHOLD};
-use crate::view::{GlobalStats, Scoring, ShardScope};
 
 /// Queries a pool worker claims per dispatch in
 /// [`Pipeline::suggest_many`] (amortises dispatch traffic on large
@@ -138,10 +125,9 @@ pub struct SuggestResponse {
     pub elapsed: Duration,
     /// Algorithm counters.
     pub stats: RunStats,
-    /// Per-shard attribution: one entry per shard walked, in shard-id
-    /// order (shard sets only — always empty over one plain corpus and
-    /// on empty-variant early-outs). Record-only: carrying it changes no
-    /// response bit.
+    /// Per-shard attribution. Always empty: a shard set is served as its
+    /// parent corpus, so no query splits its work by shard. Kept for the
+    /// benchmark harness, which reads it.
     pub shard_stats: Vec<ShardAttribution>,
 }
 
@@ -268,39 +254,15 @@ impl ArenaPool {
     }
 }
 
-/// One corpus of a [`Pipeline`]'s shard set plus, for a shard of a
-/// partitioned corpus, its id-translation scaffolding (both maps empty for
-/// a plain corpus, whose ids are already global).
-#[derive(Debug)]
-pub(crate) struct Shard {
-    pub(crate) corpus: Arc<CorpusIndex>,
-    /// Global token id → this shard's local token id, or
-    /// [`crate::view::ABSENT_TOKEN`] for a token the shard does not hold.
-    pub(crate) to_local_token: Vec<u32>,
-    /// This shard's local path id → global path id.
-    pub(crate) local_to_global_path: Vec<PathId>,
-}
-
-impl Shard {
-    /// A plain corpus as a one-element shard set.
-    pub(crate) fn plain(corpus: Arc<CorpusIndex>) -> Shard {
-        Shard {
-            corpus,
-            to_local_token: Vec::new(),
-            local_to_global_path: Vec::new(),
-        }
-    }
-}
-
-/// What makes a list of [`Shard`]s one partitioned corpus: the global
-/// statistics reconstructed from them and the set's identity.
+/// What a pipeline over a shard set keeps of the snapshots its corpus was
+/// read back from (`crate::ShardedEngine::from_shards`): the set's
+/// identity, which its fingerprint mixes in.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
-    pub(crate) global: GlobalStats,
-    /// Shared empty list returned for tokens absent from a shard.
-    pub(crate) empty: PostingList,
     pub(crate) seed: u64,
     pub(crate) parent_fingerprint: u64,
+    /// Each shard's node count and snapshot provenance, in id order.
+    pub(crate) shards: Vec<(u64, Option<SnapshotProvenance>)>,
 }
 
 /// The γ-bounded table plus the observer of its decisions — the sink of
@@ -337,10 +299,10 @@ fn fill_table<F: FnMut(GammaEvent<'_>)>(
     arena
 }
 
-/// Walks one plain corpus into the γ-table of a pooled arena under the
-/// entity rule `semantics` selects.
+/// Walks the corpus into the γ-table of a pooled arena under the entity
+/// rule `semantics` selects.
 fn walk_corpus<F: FnMut(GammaEvent<'_>)>(
-    view: &Scoring<'_>,
+    corpus: &CorpusIndex,
     semantics: Semantics,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
@@ -351,12 +313,12 @@ fn walk_corpus<F: FnMut(GammaEvent<'_>)>(
     let filled = fill_table(arenas, config.gamma, observe, |arena, sink| {
         let stats = &mut stats;
         match semantics {
-            Semantics::NodeType => accumulate_scoped(view, slots, config, stats, arena, sink),
+            Semantics::NodeType => accumulate_node_type(corpus, slots, config, stats, arena, sink),
             Semantics::Slca => {
-                accumulate_lca(view, slots, config, slca_of_lists, stats, arena, sink)
+                accumulate_lca(corpus, slots, config, slca_of_lists, stats, arena, sink)
             }
             Semantics::Elca => accumulate_lca(
-                view,
+                corpus,
                 slots,
                 config,
                 |tree, lists| elca_of_lists(tree, lists, config.min_depth),
@@ -364,46 +326,6 @@ fn walk_corpus<F: FnMut(GammaEvent<'_>)>(
                 arena,
                 sink,
             ),
-        }
-    });
-    stats.pruning = filled.table.stats();
-    (filled, stats)
-}
-
-/// Walks every shard of a set, in shard-id order, through the query's one
-/// candidate table into one γ-table: the unsharded run's insertion
-/// sequence, because a gating subtree never spans shards and shards are
-/// contiguous in document order (DESIGN.md §16). Each shard's walk
-/// counters and time land in its own `shard_stats` row, so a request's
-/// record and its explain trace split its work by shard.
-fn walk_shards<F: FnMut(GammaEvent<'_>)>(
-    views: &[Scoring<'_>],
-    slots: &[KeywordSlot],
-    config: &XCleanConfig,
-    arenas: &ArenaPool,
-    observe: &mut F,
-    shard_stats: &mut Vec<ShardAttribution>,
-) -> (QueryArena, RunStats) {
-    let mut stats = RunStats::default();
-    let filled = fill_table(arenas, config.gamma, observe, |arena, sink| {
-        // Every shard scores with the global vocabulary's model.
-        let lm = views[0].language_model(config.smoothing);
-        arena.compile(slots, ErrorModel::new(config.beta));
-        for (shard, view) in views.iter().enumerate() {
-            let shard_start = Instant::now();
-            let mut walk = RunStats::default();
-            walk_scoped(view, &lm, slots, config, &mut walk, arena, sink);
-            shard_stats.push(ShardAttribution {
-                shard: shard as u32,
-                scatter_nanos: nanos_since(shard_start),
-                subtrees: walk.subtrees,
-                candidates: walk.candidates_enumerated,
-                entities: walk.entities_scored,
-                // One table add per scored entity, by construction of
-                // `walk_scoped`.
-                contributions: walk.entities_scored,
-            });
-            stats += walk;
         }
     });
     stats.pruning = filled.table.stats();
@@ -418,31 +340,16 @@ pub(crate) struct Ranked {
     /// Candidates surviving finalisation, whatever the limit.
     pub(crate) survivors: u64,
     pub(crate) stats: RunStats,
-    pub(crate) shard_stats: Vec<ShardAttribution>,
     /// Accumulators alive when the walk finished (entering rank).
     pub(crate) accumulators: u64,
 }
 
-/// What one run walks — the observable fact that selects the accumulate
-/// step (see the module docs).
-#[derive(Clone, Copy)]
-pub(crate) enum Walked<'a> {
-    /// One plain corpus, read through the identity view. Naming the corpus
-    /// here (rather than passing a view) lets the direct path's walk be
-    /// compiled against a view whose scope is statically absent.
-    Corpus(&'a CorpusIndex),
-    /// The shards of one partitioned corpus, one scoped view each, in
-    /// shard-id order.
-    Shards(&'a [Scoring<'a>]),
-}
-
-/// Accumulate → finalize over `walked`, materialising the best `limit`
-/// candidates. The only orchestration of those steps in the crate (see
-/// the module docs for how the accumulate step is selected). Telemetry
-/// never influences scoring, and neither does `observe`.
+/// Accumulate → finalize over `corpus`, materialising the best `limit`
+/// candidates. The only orchestration of those steps in the crate.
+/// Telemetry never influences scoring, and neither does `observe`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
-    walked: Walked<'_>,
+    corpus: &CorpusIndex,
     semantics: Semantics,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
@@ -457,23 +364,14 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
     // flow through the common finalise path so every `*_nanos` field is
     // recorded even on this early-out.
     let empty = slots.is_empty() || slots.iter().any(|s| s.variants.is_empty());
-    let mut shard_stats = Vec::new();
     // The arena holding the filled table, kept out of the pool until
     // ranked; `None` when nothing ran.
-    let (mut filled, mut stats) = match walked {
-        _ if empty => (None, RunStats::default()),
-        Walked::Shards(views) => {
-            let _span = tracer.span("walk_accumulate");
-            let (arena, stats) =
-                walk_shards(views, slots, config, arenas, observe, &mut shard_stats);
-            (Some(arena), stats)
-        }
-        Walked::Corpus(corpus) => {
-            let _span = tracer.span("walk_accumulate");
-            let view = &Scoring::unsharded(corpus);
-            let (arena, stats) = walk_corpus(view, semantics, slots, config, arenas, observe);
-            (Some(arena), stats)
-        }
+    let (mut filled, mut stats) = if empty {
+        (None, RunStats::default())
+    } else {
+        let _span = tracer.span("walk_accumulate");
+        let (arena, stats) = walk_corpus(corpus, semantics, slots, config, arenas, observe);
+        (Some(arena), stats)
     };
     stats.walk_nanos = nanos_since(walk_start);
     let accumulators = filled.as_ref().map_or(0, |a| a.table.len() as u64);
@@ -481,21 +379,15 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
     let rank_start = Instant::now();
     let (candidates, survivors) = {
         let _span = tracer.span("rank");
-        // Any shard's view serves here: under a scope the rank-phase
-        // normalisers all come from the global tables.
-        let view = match walked {
-            Walked::Corpus(corpus) => Scoring::unsharded(corpus),
-            Walked::Shards(views) => views[0],
-        };
         let normalizer = |acc: &Accumulator| match (semantics, config.prior) {
             // Node type: the total prior mass over *all* entities of the
             // result type (Eq. 8 sums over every r_j; non-matching
             // entities contribute zero).
             (Semantics::NodeType, EntityPrior::Uniform) => {
-                view.count_nodes_of_path(acc.result_path).max(1) as f64
+                corpus.count_nodes_of_path(acc.result_path).max(1) as f64
             }
             (Semantics::NodeType, EntityPrior::DocLength) => {
-                view.path_doc_len_total(acc.result_path).max(1) as f64
+                corpus.path_doc_len_total(acc.result_path).max(1) as f64
             }
             // LCA entities are candidate-specific, so the normaliser is
             // the candidate's own accumulated prior mass (≥ 1 whenever
@@ -515,7 +407,6 @@ pub(crate) fn rank_walked<F: FnMut(GammaEvent<'_>)>(
         candidates,
         survivors,
         stats,
-        shard_stats,
         accumulators,
     }
 }
@@ -532,7 +423,7 @@ pub(crate) fn run_corpus(
     let Ranked {
         candidates, stats, ..
     } = rank_walked(
-        Walked::Corpus(corpus),
+        corpus,
         semantics,
         slots,
         config,
@@ -553,18 +444,17 @@ pub(crate) struct Executed {
     pub(crate) accumulators: u64,
 }
 
-/// The suggestion pipeline over a shard set of ≥ 1 corpora (see the
-/// module docs). Shared behind an [`Arc`] by the engine fronts and the
-/// serving layer; immutable once built.
+/// The suggestion pipeline over one corpus (see the module docs). Shared
+/// behind an [`Arc`] by the engine fronts and the serving layer; immutable
+/// once built.
 ///
 /// Every pipeline carries a [`Telemetry`] bundle: a metrics registry that
 /// aggregates counters and stage histograms over its lifetime (across all
 /// `suggest_many` workers), and a span tracer that is inert by default.
 #[derive(Debug)]
 pub struct Pipeline {
-    /// The corpora, in shard-id order (exactly one without a `set`).
-    shards: Vec<Shard>,
-    /// Present iff `shards` partition one parent corpus.
+    corpus: Arc<CorpusIndex>,
+    /// Present iff `corpus` was read back from a shard set.
     set: Option<ShardSet>,
     variants: VariantGenerator,
     config: XCleanConfig,
@@ -575,31 +465,26 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Builds the pipeline over `shards` — one plain corpus, or with
-    /// `set` the validated shards of one partitioned corpus — indexing the
-    /// deletion neighbourhoods of the vocabulary its token ids refer to.
+    /// Builds the pipeline over `corpus` — with `set` when it was read back
+    /// from a shard set — indexing the deletion neighbourhoods of its
+    /// vocabulary.
     pub(crate) fn new(
-        shards: Vec<Shard>,
+        corpus: Arc<CorpusIndex>,
         set: Option<ShardSet>,
         config: XCleanConfig,
     ) -> Arc<Pipeline> {
         config.validate();
-        let vocab = match &set {
-            None => shards[0].corpus.vocab(),
-            Some(set) => &set.global.vocab,
-        };
+        let vocab = corpus.vocab();
         let mut variants =
             VariantGenerator::build_from_vocab(vocab, config.epsilon, PARTITION_THRESHOLD);
         if config.phonetic_distance.is_some() {
             variants = variants.with_phonetic_vocab(vocab);
         }
-        // Build the gate's level tables now, not inside the first query.
-        for shard in &shards {
-            shard.corpus.level(config.min_depth);
-        }
+        // Build the gate's level table now, not inside the first query.
+        corpus.level(config.min_depth);
         let telemetry = Telemetry::disabled();
         Arc::new(Pipeline {
-            shards,
+            corpus,
             set,
             variants,
             config,
@@ -637,33 +522,14 @@ impl Pipeline {
         })
     }
 
-    /// The corpus of a one-corpus pipeline (the first shard's otherwise).
+    /// The corpus every query walks.
     pub(crate) fn corpus(&self) -> &Arc<CorpusIndex> {
-        &self.shards[0].corpus
+        &self.corpus
     }
 
-    /// The shard-set identity and global statistics, if this is a set.
+    /// The shard-set identity, if the corpus was read back from a set.
     pub(crate) fn shard_set(&self) -> Option<&ShardSet> {
         self.set.as_ref()
-    }
-
-    /// One scoped view per shard of a set; empty over one plain corpus.
-    pub(crate) fn shard_views(&self) -> Vec<Scoring<'_>> {
-        let Some(set) = &self.set else {
-            return Vec::new();
-        };
-        self.shards
-            .iter()
-            .map(|s| {
-                let scope = ShardScope {
-                    to_local_token: &s.to_local_token,
-                    local_to_global_path: &s.local_to_global_path,
-                    global: &set.global,
-                    empty: &set.empty,
-                };
-                Scoring::sharded(&s.corpus, scope)
-            })
-            .collect()
     }
 
     /// The telemetry bundle.
@@ -696,37 +562,31 @@ impl Pipeline {
         &self.variants
     }
 
-    /// The vocabulary suggestion token ids index: the corpus's own, or
-    /// the reconstructed global one over a shard set.
+    /// The vocabulary suggestion token ids index.
     pub fn vocab(&self) -> &Vocabulary {
-        match &self.set {
-            None => self.shards[0].corpus.vocab(),
-            Some(set) => &set.global.vocab,
-        }
+        self.corpus.vocab()
     }
 
-    /// Shards answering each query; `1` for one plain corpus.
+    /// Shard snapshots the corpus was read back from; `1` for one plain
+    /// corpus.
     pub fn shard_count(&self) -> u32 {
-        self.shards.len() as u32
+        self.set.as_ref().map_or(1, |set| set.shards.len() as u32)
     }
 
     /// `(format_version, checksum)` of the backing snapshot. `None` for
-    /// in-memory corpora and for shard sets, which span several snapshots.
+    /// in-memory corpora, a shard set's included: its corpus is
+    /// reassembled from several snapshots.
     pub fn snapshot(&self) -> Option<(u32, u64)> {
-        match &self.set {
-            None => self.shards[0]
-                .corpus
-                .provenance()
-                .map(|p| (u32::from(p.format_version), p.checksum)),
-            Some(_) => None,
-        }
+        self.corpus
+            .provenance()
+            .map(|p| (u32::from(p.format_version), p.checksum))
     }
 
     /// A fingerprint of everything that determines this pipeline's
     /// responses: the scoring configuration
     /// ([`XCleanConfig::fingerprint`]) and then, for one plain corpus, the
     /// entity semantics and the corpus shape; for a shard set, the set's
-    /// identity and global vocabulary shape plus every shard's size — so a
+    /// identity and vocabulary shape plus every shard's size — so a
     /// set and its unsharded parent, or two shardings of one corpus, never
     /// share a fingerprint even though their responses are bit-identical
     /// (the cache key is deliberately conservative). Either way each
@@ -738,9 +598,14 @@ impl Pipeline {
     pub fn fingerprint(&self) -> u64 {
         let mut h = self.config.fingerprint();
         let mut mix = |v: u64| fnv1a(&mut h, &v.to_le_bytes());
+        // A snapshot-loaded corpus's format version and payload checksum.
+        let provenance = |p: Option<SnapshotProvenance>| {
+            p.into_iter()
+                .flat_map(|p| [u64::from(p.format_version), p.checksum])
+        };
+        let corpus = &self.corpus;
         match &self.set {
             None => {
-                let corpus = &self.shards[0].corpus;
                 mix(match self.semantics {
                     Semantics::NodeType => 0,
                     Semantics::Slca => 1,
@@ -750,22 +615,18 @@ impl Pipeline {
                 mix(corpus.vocab().len() as u64);
                 mix(corpus.vocab().total_tokens());
                 mix(corpus.element_count() as u64);
+                provenance(corpus.provenance()).for_each(&mut mix);
             }
             Some(set) => {
-                mix(self.shards.len() as u64);
+                mix(set.shards.len() as u64);
                 mix(set.seed);
                 mix(set.parent_fingerprint);
-                mix(set.global.vocab.len() as u64);
-                mix(set.global.vocab.total_tokens());
-            }
-        }
-        for s in &self.shards {
-            if self.set.is_some() {
-                mix(s.corpus.tree().len() as u64);
-            }
-            if let Some(p) = s.corpus.provenance() {
-                mix(u64::from(p.format_version));
-                mix(p.checksum);
+                mix(corpus.vocab().len() as u64);
+                mix(corpus.vocab().total_tokens());
+                for &(nodes, shard) in &set.shards {
+                    mix(nodes);
+                    provenance(shard).for_each(&mut mix);
+                }
             }
         }
         h
@@ -840,18 +701,13 @@ impl Pipeline {
             .span_with("suggest", || keywords.join(" "));
         let slots = self.slots_for(keywords, config, telemetry.tracer());
         let slot_nanos = nanos_since(start);
-        let views = self.shard_views();
         let Ranked {
             candidates,
             survivors,
             mut stats,
-            shard_stats,
             accumulators,
         } = rank_walked(
-            match self.set {
-                None => Walked::Corpus(self.corpus()),
-                Some(_) => Walked::Shards(&views),
-            },
+            &self.corpus,
             self.semantics,
             &slots,
             config,
@@ -887,7 +743,7 @@ impl Pipeline {
                 suggestions,
                 elapsed: start.elapsed(),
                 stats,
-                shard_stats,
+                shard_stats: Vec::new(),
             },
             ranked: survivors,
             accumulators,

@@ -17,8 +17,7 @@ pub type CandidateKey = Vec<TokenId>;
 
 /// Where per-entity score contributions land during the accumulate phase.
 ///
-/// Every walk — one corpus, or each shard of a set in turn — accumulates
-/// straight into the query's one γ-bounded [`AccumulatorTable`] (the sink
+/// Every walk accumulates straight into the query's one γ-bounded [`AccumulatorTable`] (the sink
 /// lives in `crate::pipeline`); tests substitute a recording sink. The
 /// contribution stream a scoring run emits is independent of the sink —
 /// sinks only observe.

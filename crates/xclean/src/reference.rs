@@ -11,9 +11,9 @@
 //! and the same run counters — the walk's subtrees and posting I/O too
 //! with skipping off, where both walk the lists linearly — the product one
 //! cursor set per keyword, this oracle its heap-merged lists. Nothing
-//! here is shared with the product path except the corpus reads
-//! ([`Scoring`]), the language and error models, result-type inference and
-//! the LCA set functions, none of which the rewrite touched.
+//! here is shared with the product path except the corpus reads, the
+//! language and error models, result-type inference and the LCA set
+//! functions, none of which the rewrite touched.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
@@ -21,19 +21,18 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use proptest::prelude::*;
 use xclean_datagen::{generate_dblp, make_workload, DblpConfig, Perturbation, WorkloadSpec};
 use xclean_index::{partition_corpus, AccessStats, CorpusIndex, PostingList, TokenId};
-use xclean_lm::ErrorModel;
+use xclean_lm::{ErrorModel, LanguageModel};
 use xclean_telemetry::Telemetry;
 use xclean_xmltree::{NodeId, PathId};
 
 use crate::algorithm::{KeywordSlot, RunStats, ScoredCandidate};
 use crate::config::{EntityPrior, XCleanConfig};
 use crate::elca::elca_of_lists;
-use crate::pipeline::{rank_walked, ArenaPool, Semantics, Walked};
+use crate::pipeline::{rank_walked, ArenaPool, Semantics};
 use crate::pruning::{CandidateKey, GammaEvent, PruningStats};
-use crate::result_type::find_result_type_scoped;
+use crate::result_type::find_result_type;
 use crate::slca::slca_of_lists;
 use crate::variants::Variant;
-use crate::view::Scoring;
 use crate::walk::MAX_CANDIDATES_PER_SUBTREE;
 use crate::{ShardedEngine, XCleanEngine};
 
@@ -208,16 +207,22 @@ type Occurrences = Vec<Vec<(TokenId, NodeId, u32)>>;
 /// every posting is consumed, as the product's walk does with skipping
 /// off.
 fn ref_walk(
-    view: &Scoring<'_>,
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     stats: &mut RunStats,
     mut on_subtree: impl FnMut(&Occurrences, &[Vec<TokenId>]),
 ) {
-    let tree = view.tree();
+    let tree = corpus.tree();
     let mut vls: Vec<RefMergedList<'_>> = slots
         .iter()
-        .map(|s| RefMergedList::new(s.variants.iter().map(|v| (v.token, view.postings(v.token)))))
+        .map(|s| {
+            RefMergedList::new(
+                s.variants
+                    .iter()
+                    .map(|v| (v.token, corpus.postings(v.token))),
+            )
+        })
         .collect();
     let mut occurrences: Occurrences = vec![Vec::new(); slots.len()];
     loop {
@@ -307,43 +312,41 @@ fn prior_weight(config: &XCleanConfig, dlen: u64) -> f64 {
 /// Result types inferred so far in one run, by candidate.
 type TypeCache = HashMap<CandidateKey, Option<PathId>>;
 
-/// The node-type accumulate rule over maps: one view's contribution
-/// stream, in emission order. `type_cache` spans every view of a run, as
-/// the product's one candidate table spans a shard set.
+/// The node-type accumulate rule over maps: the corpus's contribution
+/// stream, in emission order.
 fn ref_accumulate_node_type(
-    view: &Scoring<'_>,
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
-    type_cache: &mut TypeCache,
     stats: &mut RunStats,
     out: &mut Vec<Contribution>,
 ) {
     let error_model = ErrorModel::new(config.beta);
-    let lm = view.language_model(config.smoothing);
+    let mut type_cache = TypeCache::new();
+    let lm = LanguageModel::new(corpus, config.smoothing);
     let (mut enumerated, mut typed, mut scored) = (0u64, 0u64, 0u64);
-    ref_walk(view, slots, config, stats, |occurrences, slot_tokens| {
+    ref_walk(corpus, slots, config, stats, |occurrences, slot_tokens| {
         let mut entity_maps: HashMap<PathId, BTreeMap<NodeId, HashMap<TokenId, u64>>> =
             HashMap::new();
         for cand in ref_enumerate(slot_tokens, MAX_CANDIDATES_PER_SUBTREE) {
             enumerated += 1;
             let rt = *type_cache.entry(cand.clone()).or_insert_with(|| {
                 typed += 1;
-                find_result_type_scoped(view, &cand, config.min_depth, &mut Vec::new())
-                    .map(|rt| rt.path)
+                find_result_type(corpus, &cand, config.min_depth, &mut Vec::new()).map(|rt| rt.path)
             });
             let Some(path) = rt else { continue };
             let entities = entity_maps.entry(path).or_insert_with(|| {
-                let depth = view.path_depth(path);
+                let depth = corpus.tree().paths().depth(path);
                 let mut seen = HashSet::new();
                 let mut map: BTreeMap<NodeId, HashMap<TokenId, u64>> = BTreeMap::new();
                 for &(token, node, tf) in occurrences.iter().flatten() {
                     if !seen.insert((token, node)) {
                         continue;
                     }
-                    let Some(r) = view.tree().ancestor_at_depth(node, depth) else {
+                    let Some(r) = corpus.tree().ancestor_at_depth(node, depth) else {
                         continue;
                     };
-                    if view.node_path(r) == path {
+                    if corpus.tree().path(r) == path {
                         *map.entry(r).or_default().entry(token).or_insert(0) += u64::from(tf);
                     }
                 }
@@ -352,7 +355,7 @@ fn ref_accumulate_node_type(
             let distances = distances_of(slots, &cand);
             let log_w = error_model.log_query_weight(&distances);
             for (&r, counts) in entities.iter() {
-                let dlen = view.doc_len(r);
+                let dlen = corpus.doc_len(r);
                 let mut score = 0.0f64;
                 let mut ok = true;
                 for &t in &cand {
@@ -386,7 +389,7 @@ fn ref_accumulate_node_type(
 
 /// The LCA-family accumulate rule over maps.
 fn ref_accumulate_lca(
-    view: &Scoring<'_>,
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     semantics: Semantics,
@@ -394,10 +397,10 @@ fn ref_accumulate_lca(
     out: &mut Vec<Contribution>,
 ) {
     let error_model = ErrorModel::new(config.beta);
-    let lm = view.language_model(config.smoothing);
-    let tree = view.tree();
+    let lm = LanguageModel::new(corpus, config.smoothing);
+    let tree = corpus.tree();
     let (mut enumerated, mut scored) = (0u64, 0u64);
-    ref_walk(view, slots, config, stats, |occurrences, slot_tokens| {
+    ref_walk(corpus, slots, config, stats, |occurrences, slot_tokens| {
         let mut token_nodes: HashMap<TokenId, Vec<(NodeId, u32)>> = HashMap::new();
         for &(t, n, tf) in occurrences.iter().flatten() {
             token_nodes.entry(t).or_default().push((n, tf));
@@ -426,7 +429,7 @@ fn ref_accumulate_lca(
                 if tree.depth(r) < config.min_depth {
                     continue;
                 }
-                let dlen = view.doc_len(r);
+                let dlen = corpus.doc_len(r);
                 let mut log_score = 0.0f64;
                 for &t in &cand {
                     let count: u64 = token_nodes[&t]
@@ -461,38 +464,27 @@ pub(crate) struct Outcome {
     stats: RunStats,
 }
 
-/// The reference run: every view's contribution stream, in view order,
-/// through one keyed table, then ranked as `finalize_candidates` used to.
+/// The reference run: the corpus's contribution stream through one keyed
+/// table, then ranked as `finalize_candidates` used to.
 pub(crate) fn reference_run(
-    views: &[Scoring<'_>],
+    corpus: &CorpusIndex,
     semantics: Semantics,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
 ) -> Outcome {
     let mut stats = RunStats::default();
     let mut stream = Vec::new();
-    let mut type_cache = TypeCache::new();
     if !slots.is_empty() && slots.iter().all(|s| !s.variants.is_empty()) {
-        for view in views {
-            let mut walk = RunStats::default();
-            match semantics {
-                Semantics::NodeType => ref_accumulate_node_type(
-                    view,
-                    slots,
-                    config,
-                    &mut type_cache,
-                    &mut walk,
-                    &mut stream,
-                ),
-                _ => ref_accumulate_lca(view, slots, config, semantics, &mut walk, &mut stream),
+        match semantics {
+            Semantics::NodeType => {
+                ref_accumulate_node_type(corpus, slots, config, &mut stats, &mut stream)
             }
-            stats += walk;
+            _ => ref_accumulate_lca(corpus, slots, config, semantics, &mut stats, &mut stream),
         }
     }
     let mut table = RefTable::new(config.gamma);
     stream.iter().for_each(|c| table.add(c));
     stats.pruning = table.stats;
-    let view = &views[0];
     let mut candidates: Vec<ScoredCandidate> = table
         .accs
         .into_iter()
@@ -500,10 +492,10 @@ pub(crate) fn reference_run(
         .map(|(tokens, acc)| {
             let normalizer = match (semantics, config.prior) {
                 (Semantics::NodeType, EntityPrior::Uniform) => {
-                    view.count_nodes_of_path(acc.result_path).max(1) as f64
+                    corpus.count_nodes_of_path(acc.result_path).max(1) as f64
                 }
                 (Semantics::NodeType, EntityPrior::DocLength) => {
-                    view.path_doc_len_total(acc.result_path).max(1) as f64
+                    corpus.path_doc_len_total(acc.result_path).max(1) as f64
                 }
                 _ => acc.weight_sum,
             };
@@ -529,10 +521,10 @@ pub(crate) fn reference_run(
     }
 }
 
-/// The product run over the same views: `rank_walked`, every survivor
+/// The product run over the same corpus: `rank_walked`, every survivor
 /// materialised, γ-decisions captured by the observer.
 pub(crate) fn product_run(
-    walked: Walked<'_>,
+    corpus: &CorpusIndex,
     semantics: Semantics,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
@@ -540,7 +532,7 @@ pub(crate) fn product_run(
 ) -> Outcome {
     let mut decisions = Vec::new();
     let ranked = rank_walked(
-        walked,
+        corpus,
         semantics,
         slots,
         config,
@@ -616,25 +608,23 @@ pub(crate) fn assert_same(
     assert_eq!(p.pruning, r.pruning, "{what}: pruning");
 }
 
-/// With skipping on the product scans — in every view with a level table
-/// in which each slot holds a posting, and the `dense` slot sets of
-/// [`slot_sets`] hold one in some view — and with it off it never does, so
-/// both paths stay under the oracle's eye.
+/// With skipping on the product scans — when the corpus's level table is
+/// not empty and each slot holds a posting, which the `dense` slot sets of
+/// [`slot_sets`] do — and with it off it never does, so both paths stay
+/// under the oracle's eye.
 fn assert_path(
-    views: &[Scoring<'_>],
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     product: &Outcome,
     what: &str,
 ) {
-    let holds = |view: &Scoring<'_>, s: &KeywordSlot| {
+    let holds = |s: &KeywordSlot| {
         s.variants
             .iter()
-            .any(|v| !view.postings(v.token).is_empty())
+            .any(|v| !corpus.postings(v.token).is_empty())
     };
-    let scannable = views.iter().any(|view| {
-        !view.level(config.min_depth).is_empty() && slots.iter().all(|s| holds(view, s))
-    });
+    let scannable = !corpus.level(config.min_depth).is_empty() && slots.iter().all(holds);
     if slots.iter().all(|s| s.keyword == "dense") {
         assert!(scannable, "{what}: a dense set is not scannable");
     }
@@ -773,7 +763,6 @@ proptest! {
                 small_dblp(publications, corpus_seed),
                 XCleanConfig::default(),
             );
-            let views = [Scoring::unsharded(engine.corpus())];
             let sets = slot_sets(engine.corpus(), |q| engine.make_slots(q), query_seed, 3, 6);
             for (i, slots) in sets.iter().enumerate() {
                 for (gamma, enable_skipping) in cases() {
@@ -790,16 +779,16 @@ proptest! {
                     let what = format!(
                         "{semantics:?} γ={gamma:?} skipping {enable_skipping} slot set {i}"
                     );
-                    let reference = reference_run(&views, semantics, slots, &config);
+                    let reference = reference_run(engine.corpus(), semantics, slots, &config);
                     let product = product_run(
-                        Walked::Corpus(engine.corpus()),
+                        engine.corpus(),
                         semantics,
                         slots,
                         &config,
                         &arenas,
                     );
                     assert_same(&product, &reference, &config, &what);
-                    assert_path(&views, slots, &config, &product, &what);
+                    assert_path(engine.corpus(), slots, &config, &product, &what);
                     coverage.note(&product);
                 }
             }
@@ -807,11 +796,10 @@ proptest! {
         }
     }
 
-    /// A shard set (1 and 4 shards): the shard-by-shard walk into one
-    /// table matches the reference's keyed stream through one keyed
-    /// table, per-shard counters summed — and the ranked candidates and
-    /// the result-type computations match the unsharded reference as
-    /// well.
+    /// A shard set at 1 and 4 shards: the engine serves its parent read
+    /// back from the shards, and its run over that corpus matches the
+    /// map-based reference over the original parent — γ-decisions,
+    /// counters and every candidate's score bit for bit.
     #[test]
     fn shard_sets_match_the_map_based_reference(
         publications in 40usize..160,
@@ -824,9 +812,8 @@ proptest! {
             let mut coverage = Coverage::default();
             let shards = partition_corpus(&parent, shard_count, 7).unwrap();
             let engine = ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
-            let views = engine.pipeline().shard_views();
-            // Token and path ids are global in a shard set's slots and
-            // results, i.e. the parent's: the same slots run unsharded.
+            // Token and path ids are the parent's in a set's slots and
+            // results: the same slots run on the original parent.
             let sets = slot_sets(&parent, |q| engine.make_slots(q), query_seed, 3, 6);
             for (i, slots) in sets.iter().enumerate() {
                 for (gamma, enable_skipping) in cases() {
@@ -834,33 +821,16 @@ proptest! {
                     let what = format!(
                         "{shard_count} shard(s) γ={gamma:?} skipping {enable_skipping} slot set {i}"
                     );
-                    let reference = reference_run(&views, Semantics::NodeType, slots, &config);
+                    let reference = reference_run(&parent, Semantics::NodeType, slots, &config);
                     let product = product_run(
-                        Walked::Shards(&views),
+                        engine.corpus(),
                         Semantics::NodeType,
                         slots,
                         &config,
                         &arenas,
                     );
                     assert_same(&product, &reference, &config, &what);
-                    assert_path(&views, slots, &config, &product, &what);
-                    let unsharded = reference_run(
-                        &[Scoring::unsharded(&parent)],
-                        Semantics::NodeType,
-                        slots,
-                        &config,
-                    );
-                    prop_assert_eq!(&product.decisions, &unsharded.decisions);
-                    prop_assert_eq!(
-                        product.stats.result_type_computations,
-                        unsharded.stats.result_type_computations
-                    );
-                    prop_assert_eq!(product.candidates.len(), unsharded.candidates.len());
-                    for (p, u) in product.candidates.iter().zip(&unsharded.candidates) {
-                        prop_assert_eq!(&p.tokens, &u.tokens);
-                        prop_assert_eq!(p.log_score.to_bits(), u.log_score.to_bits());
-                        prop_assert_eq!(p.entity_count, u.entity_count);
-                    }
+                    assert_path(engine.corpus(), slots, &config, &product, &what);
                     coverage.note(&product);
                 }
             }
@@ -893,7 +863,6 @@ fn an_exhausted_candidate_budget_matches_the_reference() {
     let keywords: Vec<String> = query.iter().map(|w| w.to_string()).collect();
     let slots = engine.make_slots(&keywords);
     assert!(slots.iter().all(|s| s.variants.len() == 11));
-    let views = [Scoring::unsharded(engine.corpus())];
     let arenas = ArenaPool::default();
     for semantics in [Semantics::NodeType, Semantics::Slca, Semantics::Elca] {
         let gammas = [None, Some(3)];
@@ -904,14 +873,8 @@ fn an_exhausted_candidate_budget_matches_the_reference() {
                 ..XCleanConfig::default()
             };
             let what = format!("{semantics:?} γ={gamma:?} skipping {enable_skipping}");
-            let reference = reference_run(&views, semantics, &slots, &config);
-            let product = product_run(
-                Walked::Corpus(engine.corpus()),
-                semantics,
-                &slots,
-                &config,
-                &arenas,
-            );
+            let reference = reference_run(engine.corpus(), semantics, &slots, &config);
+            let product = product_run(engine.corpus(), semantics, &slots, &config, &arenas);
             assert_same(&product, &reference, &config, &what);
             assert_eq!(
                 product.stats.candidates_enumerated,

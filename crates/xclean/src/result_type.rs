@@ -14,8 +14,6 @@
 use xclean_index::{CorpusIndex, TokenId};
 use xclean_xmltree::PathId;
 
-use crate::view::Scoring;
-
 /// The depth-reduction factor `r` of Eq. 7. The paper fixes r = 0.8
 /// (§VII): deeper result types pay `r^depth`, so among types that hold
 /// every keyword equally often the shallower one wins.
@@ -36,27 +34,10 @@ pub struct ResultType {
 ///
 /// Implements the index-intersection strategy of §V-B: each keyword's
 /// `(path, f_w^p)` list is intersected (lists are sorted by path id) and
-/// Eq. 7 is evaluated on the intersection.
+/// Eq. 7 is evaluated on the intersection. `order` is caller-recycled
+/// scratch (pass `&mut Vec::new()` for a one-off call).
 pub fn find_result_type(
     corpus: &CorpusIndex,
-    tokens: &[TokenId],
-    min_depth: u32,
-) -> Option<ResultType> {
-    find_result_type_scoped(
-        &Scoring::unsharded(corpus),
-        tokens,
-        min_depth,
-        &mut Vec::new(),
-    )
-}
-
-/// [`find_result_type`] over a [`Scoring`] view. Under a shard scope the
-/// `(path, f)` lists and depths are the reconstructed *global* statistics,
-/// so every shard computes the same result type for a candidate as the
-/// unsharded engine — utilities, intersection order and the path-id
-/// tie-break included. `order` is caller-recycled scratch.
-pub(crate) fn find_result_type_scoped(
-    view: &Scoring<'_>,
     tokens: &[TokenId],
     min_depth: u32,
     order: &mut Vec<usize>,
@@ -67,18 +48,18 @@ pub(crate) fn find_result_type_scoped(
     // Intersect starting from the shortest list to minimise work.
     order.clear();
     order.extend(0..tokens.len());
-    order.sort_unstable_by_key(|&i| view.paths_of(tokens[i]).len());
-    let base = view.paths_of(tokens[order[0]]);
+    order.sort_unstable_by_key(|&i| corpus.path_stats().paths_of(tokens[i]).len());
+    let base = corpus.path_stats().paths_of(tokens[order[0]]);
 
     let mut best: Option<ResultType> = None;
     'paths: for &(path, f0) in base {
-        let depth = view.path_depth(path);
+        let depth = corpus.tree().paths().depth(path);
         if depth < min_depth {
             continue;
         }
         let mut product = f64::from(f0);
         for &i in &order[1..] {
-            let f = view.f(tokens[i], path);
+            let f = corpus.path_stats().f(tokens[i], path);
             if f == 0 {
                 continue 'paths;
             }
@@ -129,7 +110,7 @@ mod tests {
         let c = example3_corpus();
         let trie = c.vocab().get("trie").unwrap();
         let icde = c.vocab().get("icde").unwrap();
-        let rt = find_result_type(&c, &[trie, icde], 2).unwrap();
+        let rt = find_result_type(&c, &[trie, icde], 2, &mut Vec::new()).unwrap();
         assert_eq!(rt.path, path_of(&c, "/a/d"));
         // U(C, /a/d) = ln(1 + 2·2) · 0.8² = ln 5 · 0.64
         let expect = 5.0f64.ln() * 0.64;
@@ -143,7 +124,7 @@ mod tests {
         let icde = c.vocab().get("icde").unwrap();
         // With min_depth 3, only the /…/x paths qualify; /a/d/x wins
         // (ln(1+4)·r³ > ln(1+3)·r³).
-        let rt = find_result_type(&c, &[trie, icde], 3).unwrap();
+        let rt = find_result_type(&c, &[trie, icde], 3, &mut Vec::new()).unwrap();
         assert_eq!(rt.path, path_of(&c, "/a/d/x"));
         let expect = 5.0f64.ln() * 0.8f64.powi(3);
         assert!((rt.utility - expect).abs() < 1e-12);
@@ -157,10 +138,10 @@ mod tests {
         // min_depth 1 admits the root path /a: the root sees products of
         // full-tree counts but deeper paths can still win on larger
         // products. Just check it returns something ≥ depth 1.
-        let rt = find_result_type(&c, &[trie, icde], 1).unwrap();
+        let rt = find_result_type(&c, &[trie, icde], 1, &mut Vec::new()).unwrap();
         assert!(c.tree().paths().depth(rt.path) >= 1);
         // min_depth 2 must never return /a.
-        let rt = find_result_type(&c, &[trie, icde], 2).unwrap();
+        let rt = find_result_type(&c, &[trie, icde], 2, &mut Vec::new()).unwrap();
         assert!(c.tree().paths().depth(rt.path) >= 2);
     }
 
@@ -172,16 +153,16 @@ mod tests {
         let c = CorpusIndex::build(parse_document(xml).unwrap());
         let a = c.vocab().get("alpha").unwrap();
         let b = c.vocab().get("beta").unwrap();
-        assert!(find_result_type(&c, &[a, b], 2).is_none());
+        assert!(find_result_type(&c, &[a, b], 2, &mut Vec::new()).is_none());
         // At min_depth 1 they do share the root.
-        assert!(find_result_type(&c, &[a, b], 1).is_some());
+        assert!(find_result_type(&c, &[a, b], 1, &mut Vec::new()).is_some());
     }
 
     #[test]
     fn single_keyword_query() {
         let c = example3_corpus();
         let icde = c.vocab().get("icde").unwrap();
-        let rt = find_result_type(&c, &[icde], 2).unwrap();
+        let rt = find_result_type(&c, &[icde], 2, &mut Vec::new()).unwrap();
         // f_icde is 2 at /a/d and /a/d/x, 1 at /a/c, /a/c/x; /a/d wins
         // (shallower at equal product).
         assert_eq!(rt.path, path_of(&c, "/a/d"));
@@ -190,14 +171,14 @@ mod tests {
     #[test]
     fn empty_token_list() {
         let c = example3_corpus();
-        assert!(find_result_type(&c, &[], 2).is_none());
+        assert!(find_result_type(&c, &[], 2, &mut Vec::new()).is_none());
     }
 
     #[test]
     fn repeated_token_squares_frequency() {
         let c = example3_corpus();
         let icde = c.vocab().get("icde").unwrap();
-        let rt = find_result_type(&c, &[icde, icde], 2).unwrap();
+        let rt = find_result_type(&c, &[icde, icde], 2, &mut Vec::new()).unwrap();
         // product = f², /a/d: 4 vs /a/c: 1 → /a/d with ln(5)·0.64.
         assert_eq!(rt.path, path_of(&c, "/a/d"));
         assert!((rt.utility - 5.0f64.ln() * 0.64).abs() < 1e-12);

@@ -1,53 +1,35 @@
 //! Suggestion serving over a sharded corpus.
 //!
 //! [`ShardedEngine`] answers the same queries as [`crate::XCleanEngine`],
-//! bit for bit, while holding the corpus as N shard snapshots produced by
+//! bit for bit, while the corpus arrives as N shard snapshots produced by
 //! [`xclean_index::partition_corpus`]. It is a front over the same
-//! [`Pipeline`]: this module validates a shard set and reconstructs the
-//! whole-collection statistics; the pipeline then walks each query over
-//! the shards in shard-id order, on the calling thread, through the
-//! query's one candidate table into its one accumulator table, and ranks
-//! exactly as over one corpus.
+//! [`Pipeline`]: this module validates a shard set and reads it back as
+//! the parent corpus ([`xclean_index::reassemble_parent`]); the pipeline
+//! then serves that corpus exactly as it serves any other.
 //!
-//! # Why the walk is exact (DESIGN.md §16)
+//! # A set is read back as its parent (DESIGN.md §16)
 //!
-//! Three facts compose into the bit-identity guarantee:
-//!
-//! 1. **Shards are contiguous document-order spans of entities.** With
-//!    `min_depth ≥ 2` every gating subtree lies wholly inside one root
-//!    child, hence inside exactly one shard, and the unsharded walk's
-//!    sequence of qualifying subtrees is the concatenation of the
-//!    per-shard sequences (the partitioner preserves preorder and depth).
-//! 2. **Every shard scores with global statistics.** Each shard walk
-//!    runs through a [`crate::view::Scoring`] scope that substitutes the
-//!    reconstructed [`GlobalStats`] — global token/path ids, summed
-//!    `cf`/`df`/`f_w^p`, whole-collection normalisers — so each
-//!    per-entity `P(w|D(r))` product is computed from exactly the
-//!    integers the unsharded corpus holds, in exactly the same order.
-//! 3. **Shards walk in id order into one table.** By 1, walking the
-//!    shards in id order feeds the query's one table the unsharded run's
-//!    `add` sequence — every γ-eviction and rejection decision included.
-//!    Candidate ids follow first enumeration over the whole set, as they
-//!    do unsharded, and result-type inference reads only global
-//!    statistics, so one type cache serves the whole set.
-//!
-//! Walk-effort counters (`subtrees`, posting I/O) are summed over shard
-//! walks and legitimately differ from the unsharded engine's (each shard
-//! runs its own anchor dynamics); the scoring counters
-//! (`candidates_enumerated`, `result_type_computations`,
-//! `entities_scored`) equal the unsharded run's.
+//! A shard is a contiguous document-order span of the parent root's
+//! children under a copy of the root, and its maps name the parent's id
+//! of every local token and path. Laying the shards' nodes after one root
+//! in id order rebuilds the parent's tree node for node; appending each
+//! shard's lists at the mapped token ids, node ids moved to its span,
+//! rebuilds the parent's lists; `cf`/`df` and the per-node token counts
+//! are exact integers summed or copied. The corpus encoded from those is
+//! the parent's, byte for byte — `tests/shard_readback.rs` pins the v2
+//! bytes equal at 1–8 shards — so every response is bit-identical to the
+//! unsharded engine's because it is the same computation over the same
+//! bytes. The served bytes are owned: the mapped shard files are dropped
+//! once read.
 
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
-use xclean_index::{CorpusIndex, LoadReport, PostingList, StorageError, TokenId, Vocabulary};
-use xclean_xmltree::PathId;
+use xclean_index::{reassemble_parent, CorpusIndex, LoadReport, ShardError, StorageError};
 
 use crate::config::XCleanConfig;
-use crate::pipeline::{Pipeline, Semantics, Shard, ShardSet};
-use crate::view::{GlobalStats, ABSENT_TOKEN};
+use crate::pipeline::{Pipeline, Semantics, ShardSet};
 use crate::Telemetry;
 
 /// Why a shard set could not be assembled into an engine.
@@ -65,11 +47,12 @@ pub enum ShardedEngineError {
     MetaMismatch(String),
     /// Shards were built with different tokenisation policies.
     TokenizerMismatch,
-    /// `min_depth` below 2 would let gating subtrees span shards,
-    /// breaking the exact-merge contract.
+    /// `min_depth` below 2: a set serves gates at depth 2 and below, where
+    /// every gating subtree lies inside one shard.
     MinDepthTooShallow(u32),
-    /// Global statistics reconstruction found a hole (a global token or
-    /// path covered by no shard) — the set is corrupt or incomplete.
+    /// The set does not read back as one corpus (a map points outside the
+    /// set, shards disagree, or some of the parent is held by no shard) —
+    /// the set is corrupt or incomplete. The message names the shard.
     Coverage(String),
     /// A shard set was asked for SLCA or ELCA semantics; a set's walk is
     /// the node-type rule.
@@ -94,13 +77,11 @@ impl std::fmt::Display for ShardedEngineError {
             ShardedEngineError::TokenizerMismatch => {
                 write!(f, "shards disagree on the tokenisation policy")
             }
-            ShardedEngineError::MinDepthTooShallow(d) => write!(
-                f,
-                "sharded serving requires min_depth >= 2 (got {d}): depth-{d} gating \
-                 subtrees could span shard boundaries"
-            ),
+            ShardedEngineError::MinDepthTooShallow(d) => {
+                write!(f, "sharded serving requires min_depth >= 2 (got {d})")
+            }
             ShardedEngineError::Coverage(m) => {
-                write!(f, "global statistics reconstruction incomplete: {m}")
+                write!(f, "shard set does not read back as one corpus: {m}")
             }
             ShardedEngineError::NodeTypeOnly(s) => write!(
                 f,
@@ -127,8 +108,9 @@ impl std::error::Error for ShardedEngineError {
 /// Built from in-memory shard corpora ([`ShardedEngine::from_shards`]) or
 /// straight from snapshot files ([`ShardedEngine::load_snapshots`]).
 /// Responses are bit-identical to an [`crate::XCleanEngine`] over the
-/// unsharded parent corpus, for every shard count and thread count (see
-/// the module docs). All query entry points are the [`Pipeline`]'s,
+/// unsharded parent corpus, for every shard count and thread count: the
+/// engine serves that corpus, read back from the shards (see the module
+/// docs). All query entry points are the [`Pipeline`]'s,
 /// reached through `Deref`.
 #[derive(Debug)]
 pub struct ShardedEngine {
@@ -145,9 +127,9 @@ impl Deref for ShardedEngine {
 
 impl ShardedEngine {
     /// Assembles an engine from one complete shard set. Validates the set
-    /// (complete ids, one parent, one tokenizer), reconstructs the global
-    /// statistics by exact integer summation, and builds the variant
-    /// index over the global vocabulary.
+    /// (complete ids, one parent, one tokenizer), reads it back as the
+    /// parent corpus ([`reassemble_parent`], which drops each shard once
+    /// read), and builds the variant index over its vocabulary.
     pub fn from_shards(
         shards: Vec<CorpusIndex>,
         config: XCleanConfig,
@@ -216,32 +198,23 @@ impl ShardedEngine {
             }
         }
 
-        let global = reconstruct_global_stats(&shards, &first)?;
-
-        let handles: Vec<Shard> = shards
-            .into_iter()
-            .map(|s| {
-                let meta = s.shard_meta().expect("checked above");
-                let mut to_local_token = vec![ABSENT_TOKEN; first.global_vocab_len as usize];
-                for (local, &g) in meta.token_map.iter().enumerate() {
-                    to_local_token[g as usize] = local as u32;
-                }
-                let local_to_global_path = meta.path_map.iter().map(|&g| PathId(g)).collect();
-                Shard {
-                    corpus: Arc::new(s),
-                    to_local_token,
-                    local_to_global_path,
-                }
-            })
-            .collect();
+        // What the fingerprint keeps of the shards, taken before they go.
         let set = ShardSet {
-            global,
-            empty: PostingList::new(),
             seed: first.seed,
             parent_fingerprint: first.parent_fingerprint,
+            shards: shards
+                .iter()
+                .map(|s| (s.tree().len() as u64, s.provenance()))
+                .collect(),
         };
+        let corpus = reassemble_parent(shards).map_err(|e| {
+            ShardedEngineError::Coverage(match e {
+                ShardError::Coverage(m) => m,
+                e => e.to_string(),
+            })
+        })?;
         Ok(ShardedEngine {
-            pipeline: Pipeline::new(handles, Some(set), config),
+            pipeline: Pipeline::new(Arc::new(corpus), Some(set), config),
         })
     }
 
@@ -272,32 +245,6 @@ impl ShardedEngine {
     pub fn pipeline(&self) -> &Arc<Pipeline> {
         &self.pipeline
     }
-
-    fn set(&self) -> &ShardSet {
-        self.pipeline
-            .shard_set()
-            .expect("a ShardedEngine's pipeline always carries its shard set")
-    }
-
-    /// The partitioner seed the set was built with.
-    pub fn seed(&self) -> u64 {
-        self.set().seed
-    }
-
-    /// Fingerprint of the parent corpus + partitioning parameters shared
-    /// by every shard.
-    pub fn parent_fingerprint(&self) -> u64 {
-        self.set().parent_fingerprint
-    }
-
-    /// Display form (`/a/b/c`) of a global path id, for serving layers.
-    pub fn path_display(&self, path: PathId) -> Option<&str> {
-        self.set()
-            .global
-            .path_display
-            .get(path.0 as usize)
-            .map(String::as_str)
-    }
 }
 
 /// Opens every snapshot path in order; a snapshot that fails to open
@@ -320,166 +267,12 @@ pub(crate) fn open_snapshots<P: AsRef<Path>>(
         .map(|opened| opened.into_iter().unzip())
 }
 
-/// Rebuilds whole-collection statistics by exact integer summation over a
-/// validated shard set (see the module docs: integer sums → every derived
-/// `f64` is computed from the same integers as the unsharded corpus).
-fn reconstruct_global_stats(
-    shards: &[CorpusIndex],
-    first: &xclean_index::ShardMeta,
-) -> Result<GlobalStats, ShardedEngineError> {
-    let vocab_len = first.global_vocab_len as usize;
-    let path_len = first.global_path_len as usize;
-
-    // Vocabulary: terms via the token maps (cross-checked between
-    // shards), cf/df summed. Every global term occurs in ≥ 1 shard
-    // because all indexed text lives at depth ≥ 2.
-    let mut terms: Vec<Option<String>> = vec![None; vocab_len];
-    let mut cf = vec![0u64; vocab_len];
-    let mut df = vec![0u64; vocab_len];
-    // Per-path tables; the root path needs clamping below.
-    let mut path_depths = vec![u32::MAX; path_len];
-    let mut path_display: Vec<Option<String>> = vec![None; path_len];
-    let mut node_counts = vec![0u64; path_len];
-    let mut doc_len_totals = vec![0u64; path_len];
-    // f_w^p accumulation keyed (global token, global path).
-    let mut paths_of: Vec<HashMap<PathId, u64>> = vec![HashMap::new(); vocab_len];
-
-    let mut root_gpath: Option<PathId> = None;
-    for s in shards {
-        let meta = s.shard_meta().expect("validated by from_shards");
-        for local in 0..s.vocab().len() as u32 {
-            let g = meta.token_map[local as usize] as usize;
-            if g >= vocab_len {
-                return Err(ShardedEngineError::Coverage(format!(
-                    "shard {} maps local token {local} to out-of-range global id {g}",
-                    meta.shard_id
-                )));
-            }
-            let term = s.vocab().term(TokenId(local));
-            match &terms[g] {
-                None => terms[g] = Some(term.to_string()),
-                Some(t) if t == term => {}
-                Some(t) => {
-                    return Err(ShardedEngineError::Coverage(format!(
-                        "global token {g} is {t:?} in one shard but {term:?} in shard {}",
-                        meta.shard_id
-                    )))
-                }
-            }
-            cf[g] += s.vocab().cf(TokenId(local));
-            df[g] += s.vocab().df(TokenId(local));
-            for &(local_path, f) in s.path_stats().paths_of(TokenId(local)) {
-                let gp = PathId(meta.path_map[local_path.0 as usize]);
-                *paths_of[g].entry(gp).or_insert(0) += u64::from(f);
-            }
-        }
-        let tree = s.tree();
-        let shard_root_gpath = PathId(meta.path_map[tree.path(tree.root()).0 as usize]);
-        match root_gpath {
-            None => root_gpath = Some(shard_root_gpath),
-            Some(r) if r == shard_root_gpath => {}
-            Some(r) => {
-                return Err(ShardedEngineError::Coverage(format!(
-                    "shards disagree on the root path (global id {} vs {})",
-                    r.0, shard_root_gpath.0
-                )))
-            }
-        }
-        for local in 0..tree.paths().len() as u32 {
-            let g = meta.path_map[local as usize] as usize;
-            if g >= path_len {
-                return Err(ShardedEngineError::Coverage(format!(
-                    "shard {} maps local path {local} to out-of-range global id {g}",
-                    meta.shard_id
-                )));
-            }
-            let lp = PathId(local);
-            let depth = tree.paths().depth(lp);
-            if path_depths[g] == u32::MAX {
-                path_depths[g] = depth;
-                path_display[g] = Some(tree.paths().display(lp, tree.labels()));
-            } else if path_depths[g] != depth {
-                return Err(ShardedEngineError::Coverage(format!(
-                    "global path {g} has depth {} in one shard but {depth} in shard {}",
-                    path_depths[g], meta.shard_id
-                )));
-            }
-            node_counts[g] += s.count_nodes_of_path(lp) as u64;
-            // Doc-length totals sum exactly even for the root path: each
-            // shard root's virtual document is the shard's token total,
-            // and those sum to the parent corpus's total.
-            doc_len_totals[g] += s.path_doc_len_total(lp);
-        }
-    }
-
-    let root_gpath = root_gpath.expect("at least one shard");
-    // The parent corpus has exactly one root node; every shard
-    // contributed its replicated copy.
-    node_counts[root_gpath.0 as usize] = 1;
-
-    let terms: Vec<String> = terms
-        .into_iter()
-        .enumerate()
-        .map(|(g, t)| {
-            t.ok_or_else(|| {
-                ShardedEngineError::Coverage(format!("global token {g} occurs in no shard"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    for (g, &d) in path_depths.iter().enumerate() {
-        if d == u32::MAX {
-            return Err(ShardedEngineError::Coverage(format!(
-                "global path {g} occurs in no shard"
-            )));
-        }
-    }
-
-    let paths_of: Vec<Vec<(PathId, u32)>> = paths_of
-        .into_iter()
-        .map(|m| {
-            let mut list: Vec<(PathId, u32)> = m
-                .into_iter()
-                .map(|(p, f)| {
-                    // f_w^root is the count of root nodes containing w: 1
-                    // in the parent corpus, but each shard root counts
-                    // itself — clamp the sum back. Non-root paths hold
-                    // disjoint node sets across shards, so their sums are
-                    // the exact parent values (which fit u32).
-                    let f = if p == root_gpath { 1 } else { f };
-                    (p, f as u32)
-                })
-                .collect();
-            list.sort_unstable_by_key(|&(p, _)| p);
-            list
-        })
-        .collect();
-
-    // The global vocabulary is a view over the VOCAB section the index
-    // builder would write for these terms.
-    let vocab = Vocabulary::encoded(&terms, &cf, &df)
-        .map_err(|e| ShardedEngineError::Coverage(format!("global vocabulary: {e}")))?;
-    Ok(GlobalStats {
-        vocab,
-        paths_of,
-        path_depths,
-        path_display: path_display
-            .into_iter()
-            .map(|d| d.expect("coverage checked above"))
-            .collect(),
-        path_node_counts: node_counts
-            .iter()
-            .map(|&c| u32::try_from(c).unwrap_or(u32::MAX))
-            .collect(),
-        path_doc_len_totals: doc_len_totals,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{SuggestResponse, XCleanEngine};
-    use xclean_index::partition_corpus;
-    use xclean_xmltree::parse_document;
+    use xclean_index::{partition_corpus, ShardMeta, TokenId};
+    use xclean_xmltree::{parse_document, PathId};
 
     fn corpus() -> CorpusIndex {
         let xml = "<dblp>\
@@ -531,8 +324,8 @@ mod tests {
                     let a = baseline.suggest(q);
                     let b = engine.suggest(q);
                     assert_same(&a, &b);
-                    // Scoring-effort counters sum exactly across shards,
-                    // and one type cache spans the set.
+                    // A set walks its parent, so the scoring counters
+                    // are the parent's too.
                     assert_eq!(
                         a.stats.candidates_enumerated, b.stats.candidates_enumerated,
                         "q={q} nshards={nshards} threads={threads}"
@@ -549,7 +342,7 @@ mod tests {
 
     #[test]
     fn binding_gamma_merges_identically() {
-        // γ=1 forces evictions; the shard-by-shard walk must reproduce
+        // γ=1 forces evictions; the set's walk must reproduce
         // the sequential table's decisions exactly.
         let parent = corpus();
         let config = XCleanConfig {
@@ -611,11 +404,96 @@ mod tests {
         ));
     }
 
+    /// The message of the [`ShardedEngineError::Coverage`] refusal of a
+    /// 2-shard set whose shard 1 carries the metadata `edit` makes.
+    fn coverage_refusal(edit: impl FnOnce(&CorpusIndex, &mut ShardMeta)) -> String {
+        let mut shards = partition_corpus(&corpus(), 2, 7).unwrap();
+        let second = shards.pop().unwrap();
+        let mut meta = second.shard_meta().unwrap().clone();
+        edit(&second, &mut meta);
+        shards.push(second.with_shard_meta(meta));
+        match ShardedEngine::from_shards(shards, XCleanConfig::default()) {
+            Err(ShardedEngineError::Coverage(m)) => m,
+            other => panic!("expected a Coverage refusal, got {other:?}"),
+        }
+    }
+
+    /// Two local tokens of `shard` whose terms shard 0 of the set holds too.
+    fn shared_tokens(shard: &CorpusIndex) -> (usize, usize) {
+        let first = &partition_corpus(&corpus(), 2, 7).unwrap()[0];
+        let mut shared = (0..shard.vocab().len()).filter(|&t| {
+            first
+                .vocab()
+                .get(shard.vocab().term(TokenId(t as u32)))
+                .is_some()
+        });
+        (shared.next().unwrap(), shared.next().unwrap())
+    }
+
+    #[test]
+    fn sets_that_do_not_read_back_as_one_corpus_are_refused() {
+        // A token map pointing past the set's vocabulary.
+        let m = coverage_refusal(|_, meta| meta.token_map[0] = meta.global_vocab_len);
+        assert!(m.contains("shard 1") && m.contains("out-of-range"), "{m}");
+        // Two shards naming one global token by different terms.
+        let m = coverage_refusal(|shard, meta| {
+            let (a, b) = shared_tokens(shard);
+            meta.token_map.swap(a, b);
+        });
+        assert!(
+            m.contains("shard 1") && m.contains("an earlier shard"),
+            "{m}"
+        );
+        // Two local tokens of one shard mapped to one global token.
+        let m = coverage_refusal(|_, meta| meta.token_map[1] = meta.token_map[0]);
+        assert!(
+            m.contains("shard 1") && m.contains("two local tokens"),
+            "{m}"
+        );
+        // A global token no shard holds: the set declares one more, or so
+        // many that no table may be sized by the claim (every shard must
+        // agree on the size, or the set is mixed).
+        let hole = corpus().vocab().len() as u32;
+        for (declared, names) in [
+            (hole + 1, format!("global token {hole}")),
+            (u32::MAX, "declares".into()),
+        ] {
+            let shards = partition_corpus(&corpus(), 2, 7)
+                .unwrap()
+                .into_iter()
+                .map(|s| {
+                    let mut meta = s.shard_meta().unwrap().clone();
+                    meta.global_vocab_len = declared;
+                    s.with_shard_meta(meta)
+                });
+            match ShardedEngine::from_shards(shards.collect(), XCleanConfig::default()) {
+                Err(ShardedEngineError::Coverage(m)) => assert!(m.contains(&names), "{m}"),
+                other => panic!("expected a Coverage refusal, got {other:?}"),
+            }
+        }
+        // Shards whose roots map to different global paths.
+        let m = coverage_refusal(|shard, meta| {
+            let root = shard.tree().path(shard.tree().root()).0 as usize;
+            meta.path_map[root] += 1;
+        });
+        assert!(m.contains("shard 1") && m.contains("root path"), "{m}");
+        // A node whose reassembled path is not its path map's.
+        let m = coverage_refusal(|_, meta| {
+            let last = meta.path_map.len() - 1;
+            meta.path_map.swap(last - 1, last);
+        });
+        assert!(m.contains("shard 1") && m.contains("reassembles to"), "{m}");
+    }
+
+    /// The collection statistics a set scores with are its parent's:
+    /// term, cf, df and f_w^p per token; node count, summed document
+    /// length, depth and display per path.
     #[test]
     fn global_stats_match_parent_corpus() {
         let parent = corpus();
         let shards = partition_corpus(&parent, 3, 7).unwrap();
         let engine = ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
+        let served = engine.corpus();
         assert_eq!(engine.vocab().len(), parent.vocab().len());
         assert_eq!(engine.vocab().total_tokens(), parent.vocab().total_tokens());
         for t in 0..parent.vocab().len() as u32 {
@@ -625,27 +503,22 @@ mod tests {
             assert_eq!(engine.vocab().df(t), parent.vocab().df(t));
             // f_w^p lists match the parent's exactly, root included.
             assert_eq!(
-                engine.set().global.paths_of[t.index()],
+                served.path_stats().paths_of(t),
                 parent.path_stats().paths_of(t),
                 "token {t:?}"
             );
         }
+        assert_eq!(served.tree().paths().len(), parent.tree().paths().len());
         for p in 0..parent.tree().paths().len() as u32 {
             let p = PathId(p);
+            assert_eq!(served.count_nodes_of_path(p), parent.count_nodes_of_path(p));
+            assert_eq!(served.path_doc_len_total(p), parent.path_doc_len_total(p));
             assert_eq!(
-                engine.set().global.path_node_counts[p.0 as usize] as usize,
-                parent.count_nodes_of_path(p)
-            );
-            assert_eq!(
-                engine.set().global.path_doc_len_totals[p.0 as usize],
-                parent.path_doc_len_total(p)
-            );
-            assert_eq!(
-                engine.set().global.path_depths[p.0 as usize],
+                served.tree().paths().depth(p),
                 parent.tree().paths().depth(p)
             );
             assert_eq!(
-                engine.path_display(p).unwrap(),
+                served.tree().paths().display(p, served.tree().labels()),
                 parent.tree().paths().display(p, parent.tree().labels())
             );
         }

@@ -11,7 +11,7 @@
 //! (`N = |SLCA(C)|` in Eq. 8), since SLCA entities are query-specific.
 
 use xclean_index::{CorpusIndex, TokenId};
-use xclean_lm::ErrorModel;
+use xclean_lm::{ErrorModel, LanguageModel};
 use xclean_xmltree::{NodeId, XmlTree};
 
 use crate::algorithm::{prior_weight, KeywordSlot, RunOutput, RunStats};
@@ -19,7 +19,6 @@ use crate::arena::QueryArena;
 use crate::config::XCleanConfig;
 use crate::pipeline::Semantics;
 use crate::pruning::ScoreSink;
-use crate::view::Scoring;
 
 /// Computes the SLCA set of `lists` — per-keyword sorted, deduplicated
 /// node lists — using the indexed-lookup approach: for every node of the
@@ -97,7 +96,7 @@ pub fn run_slca(corpus: &CorpusIndex, slots: &[KeywordSlot], config: &XCleanConf
 /// candidate-specific, so no result type is inferred (contributions carry
 /// [`PathId::INVALID`]).
 pub(crate) fn accumulate_lca<S: ScoreSink>(
-    view: &Scoring<'_>,
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     lca_rule: impl Fn(&XmlTree, &[Vec<NodeId>]) -> Vec<NodeId>,
@@ -105,8 +104,8 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
     arena: &mut QueryArena,
     sink: &mut S,
 ) {
-    let lm = view.language_model(config.smoothing);
-    let tree = view.tree();
+    let lm = LanguageModel::new(corpus, config.smoothing);
+    let tree = corpus.tree();
     arena.compile(slots, ErrorModel::new(config.beta));
     let QueryArena {
         walk,
@@ -119,8 +118,8 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
     let mut candidates_enumerated = 0u64;
     let mut entities_scored = 0u64;
 
-    crate::walk::walk_gated_subtrees_scoped(
-        view,
+    crate::walk::walk_gated_subtrees_in(
+        corpus,
         slots,
         config,
         stats,
@@ -154,7 +153,7 @@ pub(crate) fn accumulate_lca<S: ScoreSink>(
                         if tree.depth(r) < config.min_depth {
                             continue;
                         }
-                        let dlen = view.doc_len(r);
+                        let dlen = corpus.doc_len(r);
                         let count_of = |t| {
                             let within = occurrences.of(t).iter();
                             let within =

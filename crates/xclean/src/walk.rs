@@ -49,7 +49,6 @@ use xclean_xmltree::NodeId;
 use crate::algorithm::{KeywordSlot, RunStats};
 use crate::config::XCleanConfig;
 use crate::merged::{head, Cursor};
-use crate::view::Scoring;
 
 /// A passing subtree's variant tokens as `on_subtree` sees them, on
 /// either path: the distinct tokens it holds, and each slot's, split out on
@@ -287,7 +286,7 @@ fn recycle<'x, 'y>(mut columns: Vec<Column<'x>>) -> Vec<Column<'y>> {
 
 impl WalkScratch {
     /// Fills `columns` with the distinct variant tokens of `slots`,
-    /// increasing, each with its kept set at `depth` of `view`, whose level
+    /// increasing, each with its kept set at `depth` of `corpus`, whose level
     /// table there is not empty — the bitmap
     /// the table keeps for a frequent term, else the term's list — and
     /// `members` with every variant's `(column, slot)`; then sets the bits
@@ -296,7 +295,7 @@ impl WalkScratch {
     /// (`cached`, `scanned`).
     fn mark<'v>(
         &mut self,
-        view: &Scoring<'v>,
+        corpus: &'v CorpusIndex,
         slots: &[KeywordSlot],
         depth: u32,
         columns: &mut Vec<Column<'v>>,
@@ -305,12 +304,12 @@ impl WalkScratch {
         columns.clear();
         self.members.clear();
         self.passing.clear();
-        let level = view.level(depth);
+        let level = corpus.level(depth);
         let column = |token| Column {
-            postings: Cursor::new(token, view.postings(token)),
-            kept: match view.entity_bitmap(depth, token) {
+            postings: Cursor::new(token, corpus.postings(token)),
+            kept: match corpus.entity_bitmap(depth, token) {
                 Some(kept) => Kept::Bitmap(kept),
-                None => Kept::List(view.entity_positions(depth, token)),
+                None => Kept::List(corpus.entity_positions(depth, token)),
             },
             at: 0,
             sum_at: 0,
@@ -333,7 +332,7 @@ impl WalkScratch {
             for v in &s.variants {
                 let column = columns.partition_point(|c| c.postings.token < v.token);
                 self.members.push((column, i));
-                let postings = view.postings(v.token).len() as u64;
+                let postings = corpus.postings(v.token).len() as u64;
                 match columns[column].kept {
                     Kept::Bitmap(kept) => {
                         access.cached += postings;
@@ -386,8 +385,8 @@ pub fn walk_gated_subtrees(
     stats: &mut RunStats,
     mut on_subtree: impl FnMut(NodeId, &mut Tokens<'_>, &mut Occurrences<'_, '_>),
 ) {
-    walk_gated_subtrees_scoped(
-        &Scoring::unsharded(corpus),
+    walk_gated_subtrees_in(
+        corpus,
         slots,
         config,
         stats,
@@ -396,16 +395,12 @@ pub fn walk_gated_subtrees(
     )
 }
 
-/// The walk core over a [`Scoring`] view and caller-provided (arena)
-/// scratch. Under a shard scope the variant tokens (global ids) resolve to
-/// the shard's local posting lists and entity sets — or the empty ones,
-/// whose cursors start exhausted — so the walk visits exactly the
-/// qualifying subtrees whose entities live in the shard. `on_subtree`
-/// receives the gating subtree as its level-table entry (path local to the
-/// view's corpus). With skipping on, a view whose level table is empty, or
-/// in which some slot has no posting, hands over nothing and reads nothing.
-pub(crate) fn walk_gated_subtrees_scoped(
-    view: &Scoring<'_>,
+/// The walk core over caller-provided (arena) scratch. `on_subtree`
+/// receives the gating subtree as its level-table entry. With skipping
+/// on, a corpus whose level table is empty, or in which some slot has no
+/// posting, hands over nothing and reads nothing.
+pub(crate) fn walk_gated_subtrees_in(
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     stats: &mut RunStats,
@@ -415,20 +410,20 @@ pub(crate) fn walk_gated_subtrees_scoped(
     if slots.is_empty() || slots.iter().any(|s| s.variants.is_empty()) {
         return;
     }
-    let level = view.level(config.min_depth);
+    let level = corpus.level(config.min_depth);
     scratch.slot_tokens.truncate(slots.len());
     scratch.slot_tokens.resize_with(slots.len(), Vec::new);
 
     let has_postings = |s: &KeywordSlot| {
         s.variants
             .iter()
-            .any(|v| !view.postings(v.token).is_empty())
+            .any(|v| !corpus.postings(v.token).is_empty())
     };
     if !config.enable_skipping {
-        linear(view, slots, level, stats, scratch, &mut on_subtree);
+        linear(corpus, slots, level, stats, scratch, &mut on_subtree);
     } else if !level.is_empty() && slots.iter().all(has_postings) {
         scan(
-            view,
+            corpus,
             slots,
             config.min_depth,
             stats,
@@ -448,16 +443,16 @@ pub(crate) fn walk_gated_subtrees_scoped(
 /// every subtree handed over in `stats.subtrees`, and those served without
 /// a gather in `from_columns`.
 fn scan(
-    view: &Scoring<'_>,
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     depth: u32,
     stats: &mut RunStats,
     scratch: &mut WalkScratch,
     on_subtree: &mut impl FnMut(&LevelEntry, &mut Tokens<'_>, &mut Occurrences<'_, '_>),
 ) {
-    let level = view.level(depth);
+    let level = corpus.level(depth);
     let mut columns = recycle(std::mem::take(&mut scratch.columns));
-    scratch.mark(view, slots, depth, &mut columns, &mut stats.access);
+    scratch.mark(corpus, slots, depth, &mut columns, &mut stats.access);
     let WalkScratch {
         occ,
         held,
@@ -530,7 +525,7 @@ fn scan(
 /// head is there. Counts every visited subtree in `stats.subtrees` and
 /// every consumed posting in `stats.access.read`.
 fn linear(
-    view: &Scoring<'_>,
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     level: &LevelTable,
     stats: &mut RunStats,
@@ -540,7 +535,7 @@ fn linear(
     let cursors = |s: &KeywordSlot| {
         let variants = s.variants.iter();
         variants
-            .map(|v| Cursor::new(v.token, view.postings(v.token)))
+            .map(|v| Cursor::new(v.token, corpus.postings(v.token)))
             .collect()
     };
     let mut keywords: Vec<Vec<Cursor<'_>>> = slots.iter().map(cursors).collect();
@@ -778,12 +773,11 @@ mod tests {
     /// Per passing subtree: its node, slot tokens and sums.
     type Handed = Vec<(NodeId, Vec<Vec<TokenId>>, Vec<(TokenId, u64)>)>;
 
-    /// What the walk over `view` hands over for slots of the named terms of
-    /// `corpus` (whose token ids a shard view takes as global ids), and its
+    /// What the walk over `corpus` hands over for slots of the named terms
+    /// it holds (a term it lacks is left out of its slot), and its
     /// counters.
     fn handed(
         corpus: &CorpusIndex,
-        view: &Scoring<'_>,
         slots: &[&[&str]],
         config: &XCleanConfig,
     ) -> (Handed, RunStats) {
@@ -793,17 +787,15 @@ mod tests {
                 keyword: terms[0].to_string(),
                 variants: terms
                     .iter()
-                    .map(|term| Variant {
-                        token: corpus.vocab().get(term).expect("a corpus term"),
-                        distance: 0,
-                    })
+                    .filter_map(|term| corpus.vocab().get(term))
+                    .map(|token| Variant { token, distance: 0 })
                     .collect(),
             })
             .collect();
         let mut stats = RunStats::default();
         let mut out = Vec::new();
-        walk_gated_subtrees_scoped(
-            view,
+        walk_gated_subtrees_in(
+            corpus,
             &slots,
             config,
             &mut stats,
@@ -824,7 +816,6 @@ mod tests {
         let bulk = "<p>bulk</p>".repeat(509);
         let xml = format!("<a><p>rare bulk</p>{bulk}<p>bulk extra</p></a>");
         let corpus = CorpusIndex::build(parse_document(&xml).unwrap());
-        let view = Scoring::unsharded(&corpus);
         let on = |min_depth| XCleanConfig {
             min_depth,
             ..XCleanConfig::default()
@@ -842,8 +833,8 @@ mod tests {
         ];
         for slots in sets {
             for min_depth in [1, 2] {
-                let (scanned, scan) = handed(&corpus, &view, slots, &on(min_depth));
-                let (walked, linear) = handed(&corpus, &view, slots, &off(min_depth));
+                let (scanned, scan) = handed(&corpus, slots, &on(min_depth));
+                let (walked, linear) = handed(&corpus, slots, &off(min_depth));
                 assert_eq!(scanned, walked, "{slots:?} at depth {min_depth}");
                 assert!(scan.access.scan_postings() > 0 && scan.access.read == 0);
                 assert!(linear.access.scan_postings() == 0 && linear.access.read > 0);
@@ -858,15 +849,16 @@ mod tests {
         // A slot with no posting — `rare` in the shard that does not hold
         // it — hands over nothing and marks nothing.
         let shards = xclean_index::partition_corpus(&corpus, 2, 7).unwrap();
-        let engine = crate::ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
-        let views = engine.pipeline().shard_views();
         let slots: &[&[&str]] = &[&["rare"], &["bulk"]];
-        let per_view: Vec<_> = views
+        let per_shard: Vec<_> = shards
             .iter()
-            .map(|v| handed(&corpus, v, slots, &on(2)))
+            .map(|shard| handed(shard, slots, &on(2)))
             .collect();
-        assert_eq!(per_view.iter().filter(|(out, _)| out.len() == 1).count(), 1);
-        let (out, stats) = per_view
+        assert_eq!(
+            per_shard.iter().filter(|(out, _)| out.len() == 1).count(),
+            1
+        );
+        let (out, stats) = per_shard
             .iter()
             .find(|(out, _)| out.is_empty())
             .expect("one shard lacks `rare`");
@@ -875,7 +867,7 @@ mod tests {
         assert_eq!((stats.subtrees, stats.access), (0, AccessStats::default()));
         // So does an empty level table: depth 0, and past the deepest node.
         for min_depth in [0, 3] {
-            let (out, stats) = handed(&corpus, &view, slots, &on(min_depth));
+            let (out, stats) = handed(&corpus, slots, &on(min_depth));
             assert!(out.is_empty());
             assert_eq!((stats.subtrees, stats.access), (0, AccessStats::default()));
         }
@@ -900,10 +892,9 @@ mod tests {
             b.close();
         }
         let corpus = CorpusIndex::build(b.finish());
-        let view = Scoring::unsharded(&corpus);
         let token = |term: &str| corpus.vocab().get(term).expect("a corpus term");
-        assert!(view.entity_bitmap(2, token("alpha")).is_some());
-        assert!(view.entity_bitmap(2, token("bravo")).is_none());
+        assert!(corpus.entity_bitmap(2, token("alpha")).is_some());
+        assert!(corpus.entity_bitmap(2, token("bravo")).is_none());
         let slot = |terms: &[&str]| KeywordSlot {
             keyword: terms[0].to_string(),
             variants: terms
@@ -919,8 +910,8 @@ mod tests {
             let mut out = Vec::new();
             let mut scratch = WalkScratch::default();
             let mut stats = RunStats::default();
-            walk_gated_subtrees_scoped(
-                &view,
+            walk_gated_subtrees_in(
+                &corpus,
                 &slots,
                 config,
                 &mut stats,
@@ -965,13 +956,12 @@ mod tests {
         // posting of `beta`, shallower than the gate at depth 2.
         let xml = "<a>alpha alphb beta<c><x>alpha</x></c></a>";
         let corpus = CorpusIndex::build(parse_document(xml).unwrap());
-        let view = Scoring::unsharded(&corpus);
         let config = XCleanConfig {
             enable_skipping: false,
             min_depth: 2,
             ..XCleanConfig::default()
         };
-        let (out, stats) = handed(&corpus, &view, &[&["alpha", "alphb"], &["beta"]], &config);
+        let (out, stats) = handed(&corpus, &[&["alpha", "alphb"], &["beta"]], &config);
         assert!(out.is_empty());
         // One posting per keyword at the anchor — the first of `alpha`'s
         // cursors there, then `beta`'s — and `beta` is exhausted; consuming

@@ -11,7 +11,9 @@
 //! the same `f64` order, the same γ-decisions and the same answers. This
 //! suite runs each path in turn, through `XCleanConfig::enable_skipping`,
 //! over builder-generated trees and random slot sets, at every gate depth,
-//! over one corpus and under 2- and 3-way shard scopes; it asks for the
+//! over one corpus and over each shard of 2- and 3-way partitions of it
+//! (shard-shaped corpora: a copied root over a span of its children); it
+//! asks for the
 //! sums of every subtree, of every second one or of none, and for the
 //! occurrences of every subtree, of every second or third one or of none
 //! (so the scan's sum and postings cursors skip ahead between reads), in
@@ -26,11 +28,9 @@ use xclean_xmltree::{PathId, TreeBuilder};
 
 use crate::algorithm::{KeywordSlot, RunStats};
 use crate::config::XCleanConfig;
-use crate::pipeline::{rank_walked, ArenaPool, Semantics, Walked};
+use crate::pipeline::{rank_walked, ArenaPool, Semantics};
 use crate::variants::Variant;
-use crate::view::Scoring;
-use crate::walk::{walk_gated_subtrees_scoped, WalkScratch};
-use crate::ShardedEngine;
+use crate::walk::{walk_gated_subtrees_in, WalkScratch};
 
 const WORDS: [&str; 6] = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"];
 
@@ -130,7 +130,7 @@ fn skipping(config: &XCleanConfig, enable_skipping: bool) -> XCleanConfig {
 /// counters. `scratch` is shared across calls, so recycled scratch is on
 /// trial too.
 fn stream(
-    view: &Scoring<'_>,
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     ask: Ask,
@@ -138,8 +138,8 @@ fn stream(
 ) -> (Stream, RunStats) {
     let mut out = Stream::new();
     let mut stats = RunStats::default();
-    walk_gated_subtrees_scoped(
-        view,
+    walk_gated_subtrees_in(
+        corpus,
         slots,
         config,
         &mut stats,
@@ -189,7 +189,7 @@ fn derived(slots: &[KeywordSlot], occ: &[MergedEntry]) -> (Vec<Vec<TokenId>>, Ve
     (slot_tokens, counts)
 }
 
-/// Both paths over one view, asking for the sums of every, every second
+/// Both paths over one corpus, asking for the sums of every, every second
 /// and no subtree, and for the occurrences of every, every second, every
 /// third and no subtree: the same stream each time; per subtree, the
 /// scan's slot tokens and sums are the ones the linear walk's occurrences
@@ -198,10 +198,10 @@ fn derived(slots: &[KeywordSlot], occ: &[MergedEntry]) -> (Vec<Vec<TokenId>>, Ve
 /// a variant whose bitmap the table does not keep once, counts a kept
 /// one's as cached, and reads no posting through its cursors unless asked —
 /// and marks nothing over an empty level table or when some slot has no
-/// posting in the view. Returns the scan's counters when asked for
+/// posting in the corpus. Returns the scan's counters when asked for
 /// nothing.
 fn assert_one_stream(
-    view: &Scoring<'_>,
+    corpus: &CorpusIndex,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
     scratch: &mut WalkScratch,
@@ -210,8 +210,8 @@ fn assert_one_stream(
     for occurrences in [1, 2, 3, 0] {
         for sums in [1, 2, 0] {
             let ask = Ask { sums, occurrences };
-            let (linear, walked) = stream(view, slots, &skipping(config, false), ask, scratch);
-            let (scan, scanned) = stream(view, slots, &skipping(config, true), ask, scratch);
+            let (linear, walked) = stream(corpus, slots, &skipping(config, false), ask, scratch);
+            let (scan, scanned) = stream(corpus, slots, &skipping(config, true), ask, scratch);
             prop_assert_eq!(&scan, &linear, "min_depth {} {:?}", config.min_depth, ask);
             prop_assert_eq!(walked.access.scan_postings(), 0);
             prop_assert_eq!(walked.access.from_columns, 0);
@@ -236,12 +236,12 @@ fn assert_one_stream(
             let every_slot_present = slots.iter().all(|s| {
                 s.variants
                     .iter()
-                    .any(|v| !view.postings(v.token).is_empty())
+                    .any(|v| !corpus.postings(v.token).is_empty())
             });
-            if !view.level(config.min_depth).is_empty() && every_slot_present {
+            if !corpus.level(config.min_depth).is_empty() && every_slot_present {
                 for v in slots.iter().flat_map(|s| &s.variants) {
-                    let postings = view.postings(v.token).len() as u64;
-                    match view.entity_bitmap(config.min_depth, v.token) {
+                    let postings = corpus.postings(v.token).len() as u64;
+                    match corpus.entity_bitmap(config.min_depth, v.token) {
                         Some(_) => cached += postings,
                         None => read += postings,
                     }
@@ -257,17 +257,16 @@ fn assert_one_stream(
     Ok(unasked)
 }
 
-/// A view's kept entity lists at `depth` are in its own positions: per
-/// global token below `vocab`, the subtrees of the view's level table
-/// holding the token's postings in the view, each found by a lookup from
-/// the front, then the sentinel `len()` for a shallower posting — so empty
-/// for a token the view's shard does not hold.
-fn assert_kept_lists(view: &Scoring<'_>, vocab: usize, depth: u32) -> Result<(), String> {
-    let level = view.level(depth);
-    for t in (0..vocab as u32).map(TokenId) {
+/// A corpus's kept entity lists at `depth` are in its own positions: per
+/// token, the subtrees of its level table holding the token's postings,
+/// each found by a lookup from the front, then the sentinel `len()` for a
+/// shallower posting.
+fn assert_kept_lists(corpus: &CorpusIndex, depth: u32) -> Result<(), String> {
+    let level = corpus.level(depth);
+    for t in (0..corpus.vocab().len() as u32).map(TokenId) {
         let mut expect: Vec<u32> = Vec::new();
         let mut shallow = false;
-        for &n in view.postings(t).nodes() {
+        for &n in corpus.postings(t).nodes() {
             let pos = level.seek(0, n);
             match level.extent(pos) {
                 Some((root, _)) if root <= n => expect.push(pos as u32),
@@ -282,7 +281,7 @@ fn assert_kept_lists(view: &Scoring<'_>, vocab: usize, depth: u32) -> Result<(),
             expect.clear();
         }
         prop_assert_eq!(
-            view.entity_positions(depth, t).set,
+            corpus.entity_positions(depth, t).set,
             &expect[..],
             "depth {} token {:?}",
             depth,
@@ -309,7 +308,7 @@ struct Run {
 /// A ranked run with skipping on (the scan) or off (the linear walk),
 /// with its posting I/O.
 fn run(
-    walked: Walked<'_>,
+    corpus: &CorpusIndex,
     semantics: Semantics,
     slots: &[KeywordSlot],
     config: &XCleanConfig,
@@ -318,7 +317,7 @@ fn run(
 ) -> (Run, AccessStats) {
     let mut decisions = Vec::new();
     let ranked = rank_walked(
-        walked,
+        corpus,
         semantics,
         slots,
         &skipping(config, enable_skipping),
@@ -376,21 +375,23 @@ fn one_slot_mixes_kept_and_read_bitmaps() -> Result<(), String> {
         b.close();
     }
     let corpus = CorpusIndex::build(b.finish());
-    let token = |term: &str| corpus.vocab().get(term).expect("a corpus term");
-    let slot = |terms: [&str; 2]| KeywordSlot {
-        keyword: "k".to_string(),
-        variants: terms
-            .map(|term| Variant {
-                token: token(term),
-                distance: 0,
-            })
-            .to_vec(),
+    // Slots of the named terms a corpus holds, as its token ids.
+    let term_slots = |corpus: &CorpusIndex, terms: [[&str; 2]; 2]| {
+        terms.map(|terms| KeywordSlot {
+            keyword: "k".to_string(),
+            variants: terms
+                .iter()
+                .filter_map(|&term| corpus.vocab().get(term))
+                .map(|token| Variant { token, distance: 0 })
+                .collect(),
+        })
     };
-    let mixed = [slot(["alpha", "bravo"]), slot(["charlie", "delta"])];
-    let shared = [slot(["alpha", "bravo"]), slot(["alpha", "delta"])];
+    let mixed = [["alpha", "bravo"], ["charlie", "delta"]];
+    let shared = [["alpha", "bravo"], ["alpha", "delta"]];
     let mut scratch = WalkScratch::default();
     let arenas = ArenaPool::default();
-    for slots in [&mixed, &shared] {
+    for terms in [mixed, shared] {
+        let slots = &term_slots(&corpus, terms);
         // The node-type scan's posting I/O per gate depth.
         let mut scans = Vec::new();
         for min_depth in 0..=deepest(&corpus) + 1 {
@@ -398,8 +399,7 @@ fn one_slot_mixes_kept_and_read_bitmaps() -> Result<(), String> {
                 min_depth,
                 ..XCleanConfig::default()
             };
-            let scanned =
-                assert_one_stream(&Scoring::unsharded(&corpus), slots, &config, &mut scratch)?;
+            let scanned = assert_one_stream(&corpus, slots, &config, &mut scratch)?;
             if (2..=3).contains(&min_depth) {
                 prop_assert!(
                     scanned.access.scanned > 0 && scanned.access.cached > 0,
@@ -416,16 +416,7 @@ fn one_slot_mixes_kept_and_read_bitmaps() -> Result<(), String> {
                     ..config.clone()
                 };
                 for semantics in [Semantics::NodeType, Semantics::Slca, Semantics::Elca] {
-                    let on = |skip| {
-                        run(
-                            Walked::Corpus(&corpus),
-                            semantics,
-                            slots,
-                            &config,
-                            skip,
-                            &arenas,
-                        )
-                    };
+                    let on = |skip| run(&corpus, semantics, slots, &config, skip, &arenas);
                     let (scan, access) = on(true);
                     prop_assert_eq!(scan, on(false).0);
                     if semantics == Semantics::NodeType && gamma.is_none() {
@@ -442,14 +433,18 @@ fn one_slot_mixes_kept_and_read_bitmaps() -> Result<(), String> {
             "{:?}",
             publication
         );
+        // Each shard of a 2-way partition, as a plain corpus with the
+        // slots of the terms it holds.
         let shards = partition_corpus(&corpus, 2, 7).unwrap();
-        let engine = ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
-        let views = engine.pipeline().shard_views();
         let config = XCleanConfig::default();
+        let per_shard: Vec<_> = shards
+            .iter()
+            .map(|shard| term_slots(shard, terms))
+            .collect();
         let mut access = AccessStats::default();
-        for view in &views {
-            access += assert_one_stream(view, slots, &config, &mut scratch)?.access;
-            assert_kept_lists(view, corpus.vocab().len(), 3)?;
+        for (shard, slots) in shards.iter().zip(&per_shard) {
+            access += assert_one_stream(shard, slots, &config, &mut scratch)?.access;
+            assert_kept_lists(shard, 3)?;
         }
         prop_assert!(access.scanned > 0 && access.cached > 0, "{:?}", access);
         for gamma in GAMMAS {
@@ -457,18 +452,13 @@ fn one_slot_mixes_kept_and_read_bitmaps() -> Result<(), String> {
                 gamma,
                 ..config.clone()
             };
-            let on = |skip| {
-                run(
-                    Walked::Shards(&views),
-                    Semantics::NodeType,
-                    slots,
-                    &config,
-                    skip,
-                    &arenas,
-                )
-            };
-            let (scan, access) = on(true);
-            prop_assert_eq!(scan, on(false).0);
+            let mut access = AccessStats::default();
+            for (shard, slots) in shards.iter().zip(&per_shard) {
+                let on = |skip| run(shard, Semantics::NodeType, slots, &config, skip, &arenas);
+                let (scan, scanned) = on(true);
+                prop_assert_eq!(scan, on(false).0);
+                access += scanned;
+            }
             prop_assert!(access.from_columns > 0, "{:?}", access);
         }
     }
@@ -496,29 +486,27 @@ proptest! {
             return Ok(());
         }
         let slots = slots_of(&picks, vocab);
-        let view = Scoring::unsharded(&corpus);
         let mut scratch = WalkScratch::default();
         let arenas = ArenaPool::default();
         for min_depth in 0..=deepest(&corpus) + 1 {
             let config = XCleanConfig { min_depth, ..XCleanConfig::default() };
-            assert_one_stream(&view, &slots, &config, &mut scratch)?;
+            assert_one_stream(&corpus, &slots, &config, &mut scratch)?;
             if min_depth == 0 {
                 continue;
             }
             for gamma in GAMMAS {
                 let config = XCleanConfig { gamma, ..config.clone() };
                 for semantics in [Semantics::NodeType, Semantics::Slca, Semantics::Elca] {
-                    let on = |skip| run(Walked::Corpus(&corpus), semantics, &slots, &config, skip, &arenas);
+                    let on = |skip| run(&corpus, semantics, &slots, &config, skip, &arenas);
                     prop_assert_eq!(on(true).0, on(false).0);
                 }
             }
         }
     }
 
-    /// Under 2- and 3-way shard scopes every shard view emits one stream
-    /// on either path — tokens absent from a shard included — keeps its
-    /// entity lists in its own positions, and the shard-by-shard walk
-    /// ranks the same answers.
+    /// Over each shard of 2- and 3-way partitions, as a plain corpus,
+    /// the two paths emit one stream, the shard keeps its entity lists in
+    /// its own positions, and both paths rank the same answers.
     #[test]
     fn both_paths_emit_one_stream_per_shard(
         shape in proptest::collection::vec(0u8..60, 0..70),
@@ -526,35 +514,35 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let parent = build(&shape, false);
-        let vocab = parent.vocab().len();
-        if vocab == 0 {
+        if parent.vocab().is_empty() {
             return Ok(());
         }
-        // Slot tokens are global ids, which are the parent's.
-        let slots = slots_of(&picks, vocab);
         let mut scratch = WalkScratch::default();
         let arenas = ArenaPool::default();
         for shard_count in [2, 3] {
             let Ok(shards) = partition_corpus(&parent, shard_count, seed) else {
                 continue;
             };
-            let engine = ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
-            let views = engine.pipeline().shard_views();
-            for min_depth in 0..=deepest(&parent) + 1 {
-                let config = XCleanConfig { min_depth, ..XCleanConfig::default() };
-                for view in &views {
-                    assert_one_stream(view, &slots, &config, &mut scratch)?;
-                    assert_kept_lists(view, vocab, min_depth)?;
-                }
-                if min_depth < 2 {
+            for shard in &shards {
+                let vocab = shard.vocab().len();
+                if vocab == 0 {
                     continue;
                 }
-                for gamma in GAMMAS {
-                    let config = XCleanConfig { gamma, ..config.clone() };
-                    let on = |skip| {
-                        run(Walked::Shards(&views), Semantics::NodeType, &slots, &config, skip, &arenas)
-                    };
-                    prop_assert_eq!(on(true).0, on(false).0);
+                let slots = slots_of(&picks, vocab);
+                for min_depth in 0..=deepest(shard) + 1 {
+                    let config = XCleanConfig { min_depth, ..XCleanConfig::default() };
+                    assert_one_stream(shard, &slots, &config, &mut scratch)?;
+                    assert_kept_lists(shard, min_depth)?;
+                    if min_depth < 2 {
+                        continue;
+                    }
+                    for gamma in GAMMAS {
+                        let config = XCleanConfig { gamma, ..config.clone() };
+                        let on = |skip| {
+                            run(shard, Semantics::NodeType, &slots, &config, skip, &arenas)
+                        };
+                        prop_assert_eq!(on(true).0, on(false).0);
+                    }
                 }
             }
         }
