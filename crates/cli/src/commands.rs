@@ -16,11 +16,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xclean::{
-    Catalog, CorpusSpec, Pipeline, RunStats, Semantics, ShardedEngineError, Suggestion, Telemetry,
-    XCleanConfig, XCleanEngine,
+    Catalog, CorpusSpec, Pipeline, RunStats, Semantics, Suggestion, Telemetry, XCleanConfig,
+    XCleanEngine,
 };
 use xclean_datagen::{generate_dblp, generate_inex, DblpConfig, InexConfig};
-use xclean_index::{partition_corpus, storage, CorpusIndex, OpenOptions};
+use xclean_index::{partition_corpus, storage, CorpusIndex, OpenError, OpenOptions};
 use xclean_server::{ServerConfig, SuggestServer, PAGE_ROUTES};
 use xclean_telemetry::json::Json;
 use xclean_xmltree::{parse_document, to_xml, TreeStats};
@@ -99,9 +99,9 @@ USAGE:
              GET /debug/conns?n=K, GET /debug/flight?events=N,
              GET /debug/explain?q=Q[&corpus=C];
              with --catalog, every declared corpus is served under
-             POST/GET /suggest/<name> — sharded entries walk each
-             of their snapshots in turn, and the tuning flags configure
-             every corpus — while bare /suggest and the
+             POST/GET /suggest/<name> — a shard-set entry as the
+             corpus its shards read back as, and the tuning flags
+             configure every corpus — while bare /suggest and the
              top-level /healthz fields keep tracking the first
              (primary) catalog entry; /metrics carries the server's own
              series unlabelled and every corpus's engine, cache and
@@ -122,8 +122,8 @@ USAGE:
             (snapshots are served straight from their bytes, mmap-ed
              where the platform and the file allow and read into
              memory otherwise; a bare snapshot serves as the one
-             corpus `default`, and a shard snapshot as its shard set,
-             which takes node-type semantics and --min-depth >= 2 only)
+             corpus `default`, and a shard snapshot as its shard set:
+             one shard of a larger set is refused as incomplete)
     xclean stats <data.xml | index.xci>
     xclean generate <dblp | dblp-large | inex> --out <corpus.xml>
             [--size N] [--seed S] [--vocab N] [--vocab-rotation N]
@@ -158,7 +158,8 @@ pub fn run(raw: Vec<String>) -> CmdOutput {
     }
 }
 
-/// Loads a corpus from either an XML document or a persisted `.xci` index.
+/// Loads a corpus from either an XML document or a persisted `.xci` index,
+/// a shard snapshot read as itself (what `index` and `stats` report on).
 fn load_corpus(path: &str) -> Result<CorpusIndex, ArgError> {
     if path.ends_with(".xci") {
         storage::open_file(path, &OpenOptions::default())
@@ -506,12 +507,24 @@ fn cmd_suggest(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     let tau: u32 = args.get_parsed("space-edits", 0u32)?;
 
     let trace_out = args.get("trace-out").map(str::to_string);
-    let corpus = load_corpus(input)?;
-    let mut engine = XCleanEngine::from_corpus(corpus, config).with_semantics(semantics);
-    if trace_out.is_some() {
-        // Span capture is opt-in; the metrics registry is always live.
-        engine = engine.with_telemetry(Telemetry::with_tracing());
-    }
+    // Span capture is opt-in; the metrics registry is always live.
+    let telemetry = match trace_out {
+        Some(_) => Telemetry::with_tracing(),
+        None => Telemetry::disabled(),
+    };
+    // A snapshot opens the one way `serve` opens it: a shard snapshot is
+    // its whole set, never a corpus of its own.
+    let engine = if input.ends_with(".xci") {
+        let opened = XCleanEngine::open(&[input], config, semantics, telemetry);
+        opened.map(|(engine, _)| engine).map_err(|e| match e {
+            OpenError::Snapshot { .. } => ArgError(e.to_string()),
+            OpenError::Set(e) => ArgError(format!("{input}: {e}")),
+        })?
+    } else {
+        XCleanEngine::from_corpus(load_corpus(input)?, config)
+            .with_semantics(semantics)
+            .with_telemetry(telemetry)
+    };
     let mut out = if let Some(batch) = batch_file {
         if tau > 0 {
             return Err(ArgError(
@@ -769,7 +782,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
             .open(&base, config.clone(), semantics, telemetry)
             .map_err(|e| {
                 let hint = match e {
-                    ShardedEngineError::Snapshot {
+                    OpenError::Snapshot {
                         source: storage::StorageError::Io(_),
                         ..
                     } => {
@@ -1535,25 +1548,13 @@ mod tests {
         ]));
         assert_eq!(out.code, 2, "{:?}", out.lines);
         // serve: catalog and positional snapshot are mutually exclusive,
-        // a shard set refuses the tuning it cannot answer with, naming
-        // the corpus, and a missing shard file is reported by path — all
-        // before binding.
+        // an incomplete set is refused naming the corpus, and a missing
+        // shard file is reported by path — all before binding.
         let idx = tmp("shardcat_plain.xci").to_string_lossy().into_owned();
         assert_eq!(run(argv(&["index", "build", &xml, "--out", &idx])).code, 0);
         let out = run(argv(&["serve", &idx, "--catalog", &cat]));
         assert_eq!(out.code, 2);
         assert!(out.lines[0].contains("not both"), "{:?}", out.lines);
-        for (flag, value, needle) in [
-            ("--semantics", "slca", "node-type semantics only"),
-            ("--semantics", "elca", "node-type semantics only"),
-            ("--min-depth", "1", "min_depth >= 2"),
-        ] {
-            let out = run(argv(&["serve", "--catalog", &cat, flag, value]));
-            assert_eq!(out.code, 2, "{flag} {value}: {:?}", out.lines);
-            for needle in ["corpus \"dblp\"", needle] {
-                assert!(out.lines[0].contains(needle), "{needle}: {:?}", out.lines);
-            }
-        }
         // Served bare, a shard of a 2-shard set is an incomplete set.
         let out = run(argv(&["serve", &format!("{prefix}-shard0-of-2.xci")]));
         assert_eq!(out.code, 2);

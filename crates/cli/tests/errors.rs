@@ -214,3 +214,31 @@ fn index_shard_refuses_an_earlier_catalog_before_writing_shards() {
     }
     assert!(!shard.exists(), "{} was written", shard.display());
 }
+
+/// `suggest` opens a snapshot the one way `serve` does: one shard of a
+/// 2-shard set is an incomplete set, refused naming the file, not a
+/// corpus answered with that shard's own statistics. `index inspect` and
+/// `stats` still read the shard file as itself.
+#[test]
+fn suggest_refuses_one_shard_of_a_set() {
+    let (xml, _) = sample("suggest_one_shard");
+    let prefix = tmp("suggest_one_shard_p").to_string_lossy().into_owned();
+    let out = xclean(&[
+        "index",
+        "shard",
+        &xml,
+        "--shards",
+        "2",
+        "--out-prefix",
+        &prefix,
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let shard = format!("{prefix}-shard0-of-2.xci");
+    let stderr = assert_fails(&["suggest", &shard, "helth"]);
+    for needle in [&*shard, "2 shards"] {
+        assert!(stderr.contains(needle), "{needle}: {stderr}");
+    }
+    for args in [vec!["index", "inspect", &shard], vec!["stats", &shard]] {
+        assert_eq!(xclean(&args).status.code(), Some(0), "{args:?}");
+    }
+}

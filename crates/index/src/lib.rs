@@ -28,7 +28,10 @@ pub use corpus::{CorpusIndex, SnapshotProvenance};
 pub use level::{Entities, LevelEntry, LevelTable};
 pub use path_stats::PathStatsIndex;
 pub use posting::{AccessStats, MergedEntry, Posting, PostingList};
-pub use shard::{partition_corpus, reassemble_parent, ShardError, ShardMeta};
+pub use shard::{
+    open_corpus, partition_corpus, reassemble_parent, OpenError, SetProvenance, ShardError,
+    ShardMeta,
+};
 pub use slab::IndexSlab;
 pub use storage::{
     LoadReport, OpenOptions, SectionInfo, ShardSummary, SnapshotSummary, StorageError,

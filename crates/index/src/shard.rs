@@ -1,11 +1,11 @@
-//! Deterministic entity partitioner: one corpus → N shard corpora.
+//! Deterministic entity partitioner: one corpus → N shard corpora, and
+//! the reader that turns such a set back into the corpus.
 //!
 //! A shard is a **contiguous document-order span** of the root's child
 //! subtrees, re-rooted under a copy of the original root element. Every
 //! node of depth ≥ 2 lives in exactly one shard, so per-shard statistics
 //! (collection frequencies, `f_w^p` path counts, per-path node counts and
-//! virtual-document lengths) sum *exactly* to the unsharded values — the
-//! arithmetic backbone of the sharded engine's bit-identity contract
+//! virtual-document lengths) sum *exactly* to the unsharded values
 //! (DESIGN.md §16). Contiguity matters twice: shard-local node ids stay in
 //! global document order (so laying the shards' nodes after one root, in
 //! shard order, rebuilds the parent's tree), and subtree token lengths of
@@ -13,17 +13,22 @@
 //!
 //! Each shard is a completely ordinary [`CorpusIndex`] (self-consistent
 //! local vocabulary, postings, path stats — it can be saved as a normal v2
-//! slab and queried standalone). The [`ShardMeta`] riding along maps the
+//! slab and inspected standalone). The [`ShardMeta`] riding along maps the
 //! shard's local token and path ids back to the parent corpus's ids, which
 //! is what lets [`reassemble_parent`] read a set back as the corpus it was
-//! cut from, byte for byte — how `xclean`'s `ShardedEngine` serves a set.
+//! cut from, byte for byte. A set is a way to store a corpus: this module
+//! is the only one that knows the set format, and [`open_corpus`] is the
+//! one way to open stored snapshots for serving, whether they hold one
+//! corpus or a set.
+
+use std::path::Path;
 
 use xclean_xmltree::{LabelId, NodeId, PreorderAssembler, TreeAssemblyError};
 
 use crate::codec;
-use crate::corpus::{CorpusIndex, Parts};
+use crate::corpus::{CorpusIndex, Parts, SnapshotProvenance};
 use crate::posting::PostingList;
-use crate::storage::v2;
+use crate::storage::{self, v2, LoadReport, OpenOptions, StorageError};
 use crate::vocab::TokenId;
 
 /// Provenance and id-translation tables tying a shard snapshot back to the
@@ -53,10 +58,23 @@ pub struct ShardMeta {
     pub path_map: Vec<u32>,
 }
 
-/// Why a corpus could not be partitioned.
+/// What a corpus read back from a shard set keeps of the set: its
+/// identity, which an engine fingerprint mixes in so that a set and its
+/// parent, or two shardings of one corpus, never share a cache key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SetProvenance {
+    /// The partitioner seed every shard of the set carries.
+    pub seed: u64,
+    /// The parent fingerprint every shard of the set carries.
+    pub parent_fingerprint: u64,
+    /// Each shard's node count and snapshot provenance, in id order.
+    pub shards: Vec<(u64, Option<SnapshotProvenance>)>,
+}
+
+/// Why a corpus could not be partitioned, or a shard set read back.
 #[derive(Debug)]
 pub enum ShardError {
-    /// `shard_count` was zero.
+    /// `shard_count` was zero, or a set to read back holds no shard.
     ZeroShards,
     /// The root has fewer child subtrees than requested shards.
     TooFewEntities {
@@ -70,6 +88,18 @@ pub enum ShardError {
     RootHasDirectText,
     /// Re-assembling a shard tree failed (a corpus invariant is broken).
     Assembly(String),
+    /// A corpus of a set to read back carries no shard metadata: it is
+    /// not a shard.
+    MissingMeta {
+        /// Position in the input list.
+        index: usize,
+    },
+    /// The shards do not form one complete set: duplicate or missing
+    /// ids, mixed seeds or parent fingerprints, inconsistent global
+    /// sizes, or maps that do not cover their shard's ids.
+    MetaMismatch(String),
+    /// The shards were built with different tokenisation policies.
+    TokenizerMismatch,
     /// A shard set does not read back as one corpus: a map points outside
     /// the set, shards disagree on a term or on the root, or some of the
     /// parent is held by no shard.
@@ -89,12 +119,80 @@ impl std::fmt::Display for ShardError {
                 "root element has directly-attached indexed text; it cannot be partitioned exactly"
             ),
             ShardError::Assembly(m) => write!(f, "shard tree assembly failed: {m}"),
+            ShardError::MissingMeta { index } => {
+                write!(f, "corpus at position {index} carries no shard metadata")
+            }
+            ShardError::MetaMismatch(m) => write!(f, "inconsistent shard set: {m}"),
+            ShardError::TokenizerMismatch => {
+                write!(f, "shards disagree on the tokenisation policy")
+            }
             ShardError::Coverage(m) => write!(f, "shard set does not read back as one corpus: {m}"),
         }
     }
 }
 
 impl std::error::Error for ShardError {}
+
+/// Why stored snapshots could not be opened as one corpus.
+#[derive(Debug)]
+pub enum OpenError {
+    /// A snapshot failed to open.
+    Snapshot {
+        /// The offending file.
+        path: String,
+        /// The underlying storage error.
+        source: StorageError,
+    },
+    /// The snapshots are not one complete shard set, or the set does not
+    /// read back as one corpus.
+    Set(ShardError),
+}
+
+impl std::fmt::Display for OpenError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OpenError::Snapshot { path, source } => write!(f, "{path}: {source}"),
+            OpenError::Set(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for OpenError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            OpenError::Snapshot { source, .. } => Some(source),
+            OpenError::Set(e) => Some(e),
+        }
+    }
+}
+
+/// Opens the corpus stored in the snapshot files `paths`: one snapshot
+/// without shard metadata is that corpus, and anything else is a shard
+/// set, read back as its parent ([`reassemble_parent`]). The load reports
+/// come back in path order; a snapshot that fails to open reports its own
+/// path.
+pub fn open_corpus<P: AsRef<Path>>(
+    paths: &[P],
+) -> Result<(CorpusIndex, Vec<LoadReport>), OpenError> {
+    let (mut corpora, reports): (Vec<CorpusIndex>, Vec<LoadReport>) = paths
+        .iter()
+        .map(|p| {
+            let p = p.as_ref();
+            storage::open_file(p, &OpenOptions::default()).map_err(|source| OpenError::Snapshot {
+                path: p.display().to_string(),
+                source,
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
+    let corpus = if corpora.len() == 1 && corpora[0].shard_meta().is_none() {
+        corpora.pop().expect("one snapshot")
+    } else {
+        reassemble_parent(corpora).map_err(OpenError::Set)?
+    };
+    Ok((corpus, reports))
+}
 
 /// Fingerprint of the parent corpus + partitioning parameters (FNV-1a over
 /// structural facts — cheap, stable across identical rebuilds).
@@ -212,23 +310,37 @@ pub fn partition_corpus(
 
 /// Reads a shard set back as the corpus [`partition_corpus`] cut it from:
 /// the same tree, vocabulary, postings and per-node counts, so the v2
-/// bytes of the result equal the parent's. `shards` is one set in id
-/// order (`ShardedEngine::from_shards` checks ids, seeds and map lengths
-/// first). Nothing is tokenised: the tree is shard 0's root followed by each
-/// shard's nodes `1..` in order, each shard's lists are appended at the
-/// parent's token ids with node ids moved to its span (so each token's
-/// `cf` and `df` are the sums of its shards'), and the result is encoded
-/// once. Each shard is read once and dropped before the next, and its
-/// lists are decoded without being kept.
+/// bytes of the result equal the parent's. The result carries the set's
+/// [`SetProvenance`] and no shard metadata. `shards` is one set, in any
+/// order. Nothing is tokenised: the tree is shard 0's root followed by
+/// each shard's nodes `1..` in id order, each shard's lists are appended
+/// at the parent's token ids with node ids moved to its span (so each
+/// token's `cf` and `df` are the sums of its shards'), and the result is
+/// encoded once. Each shard is read once and dropped before the next, and
+/// its lists are decoded without being kept.
 ///
-/// Shard files are untrusted: a token or path map that points outside
-/// the set, shards that disagree on a term, on the labels or on the root,
-/// a parent token no shard holds, a node whose reassembled path is not
-/// its map's, or lists that leave their shard's tree are refused as
-/// [`ShardError::Coverage`], naming the shard.
-pub fn reassemble_parent(shards: Vec<CorpusIndex>) -> Result<CorpusIndex, ShardError> {
-    let first = shards.first().ok_or(ShardError::ZeroShards)?;
-    let set = meta_of(0, first)?;
+/// Shard files are untrusted. A list that is not one complete set is
+/// refused first: a corpus with no shard metadata
+/// ([`ShardError::MissingMeta`]); ids that are not exactly the declared
+/// `0..n`, mixed seeds, parent fingerprints or global sizes, or maps that
+/// do not cover their shard's ids ([`ShardError::MetaMismatch`]); mixed
+/// tokenisation policies ([`ShardError::TokenizerMismatch`]). Then a
+/// token or path map that points outside the set, shards that disagree on
+/// a term, on the labels or on the root, a parent token no shard holds, a
+/// node whose reassembled path is not its map's, or lists that leave their
+/// shard's tree are refused as [`ShardError::Coverage`], naming the shard.
+pub fn reassemble_parent(mut shards: Vec<CorpusIndex>) -> Result<CorpusIndex, ShardError> {
+    check_set(&mut shards)?;
+    let first = &shards[0];
+    let set = meta(first);
+    let provenance = SetProvenance {
+        seed: set.seed,
+        parent_fingerprint: set.parent_fingerprint,
+        shards: shards
+            .iter()
+            .map(|s| (s.tree().len() as u64, s.provenance()))
+            .collect(),
+    };
     let (vocab_len, path_len) = (set.global_vocab_len as usize, set.global_path_len as usize);
     let labels = first.tree().labels();
     let label_names: Vec<String> = (0..labels.len() as u32)
@@ -254,7 +366,7 @@ pub fn reassemble_parent(shards: Vec<CorpusIndex>) -> Result<CorpusIndex, ShardE
     let mut last_shard = vec![u32::MAX; vocab_len];
     let mut nodes = 1usize;
     for (s, shard) in shards.iter().enumerate() {
-        let meta = meta_of(s, shard)?;
+        let meta = meta(shard);
         let tree = shard.tree();
         let same_labels = tree.labels().len() == label_names.len()
             && (0..label_names.len() as u32)
@@ -337,7 +449,7 @@ pub fn reassemble_parent(shards: Vec<CorpusIndex>) -> Result<CorpusIndex, ShardE
     // (shard, node of the parent, the path its shard's map names).
     let mut witnesses: Vec<(usize, NodeId, u32)> = vec![(0, NodeId(0), root_path)];
     for (s, shard) in shards.into_iter().enumerate() {
-        let meta = meta_of(s, &shard)?;
+        let meta = meta(&shard);
         let tree = shard.tree();
         let shift = direct.len() as u32 - 1;
         let mut witnessed = vec![false; tree.paths().len()];
@@ -377,19 +489,78 @@ pub fn reassemble_parent(shards: Vec<CorpusIndex>) -> Result<CorpusIndex, ShardE
             tree.paths().len()
         )));
     }
-    v2::encode_and_view(tree, Parts::counted(terms, lists, direct), &tokenizer)
-        .map_err(|e| ShardError::Coverage(format!("the reassembled corpus: {e}")))
+    let mut corpus = v2::encode_and_view(tree, Parts::counted(terms, lists, direct), &tokenizer)
+        .map_err(|e| ShardError::Coverage(format!("the reassembled corpus: {e}")))?;
+    corpus.set = Some(provenance);
+    Ok(corpus)
 }
 
-/// Shard `s`'s metadata, if it maps every local token and path.
-fn meta_of(s: usize, shard: &CorpusIndex) -> Result<&ShardMeta, ShardError> {
+/// Puts `shards` in id order and checks that they are one complete set
+/// whose maps cover every local token and path (see
+/// [`reassemble_parent`]).
+fn check_set(shards: &mut [CorpusIndex]) -> Result<(), ShardError> {
+    if let Some(index) = shards.iter().position(|s| s.shard_meta().is_none()) {
+        return Err(ShardError::MissingMeta { index });
+    }
+    if shards.is_empty() {
+        return Err(ShardError::ZeroShards);
+    }
+    shards.sort_by_key(|s| meta(s).shard_id);
+    let (first, tokenizer) = (meta(&shards[0]), shards[0].tokenizer().config());
+    let mismatch = |m: String| Err(ShardError::MetaMismatch(m));
+    if first.shard_count as usize != shards.len() {
+        return mismatch(format!(
+            "set declares {} shards but {} were provided",
+            first.shard_count,
+            shards.len()
+        ));
+    }
+    for (i, s) in shards.iter().enumerate() {
+        let m = meta(s);
+        if m.shard_id as usize != i {
+            return mismatch(format!(
+                "shard ids are not exactly 0..{} (found duplicate or gap at id {})",
+                shards.len(),
+                m.shard_id
+            ));
+        }
+        if m.shard_count != first.shard_count
+            || m.seed != first.seed
+            || m.parent_fingerprint != first.parent_fingerprint
+            || m.global_vocab_len != first.global_vocab_len
+            || m.global_path_len != first.global_path_len
+        {
+            return mismatch(format!(
+                "shard {i} does not belong to the same set as shard 0 \
+                 (seed/fingerprint/global sizes differ)"
+            ));
+        }
+        if s.tokenizer().config() != tokenizer {
+            return Err(ShardError::TokenizerMismatch);
+        }
+        if m.token_map.len() != s.vocab().len() {
+            return mismatch(format!(
+                "shard {i}: token map covers {} of {} local tokens",
+                m.token_map.len(),
+                s.vocab().len()
+            ));
+        }
+        if m.path_map.len() != s.tree().paths().len() {
+            return mismatch(format!(
+                "shard {i}: path map covers {} of {} local paths",
+                m.path_map.len(),
+                s.tree().paths().len()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The metadata of a shard of a checked set.
+fn meta(shard: &CorpusIndex) -> &ShardMeta {
     shard
         .shard_meta()
-        .filter(|m| {
-            m.token_map.len() == shard.vocab().len()
-                && m.path_map.len() == shard.tree().paths().len()
-        })
-        .ok_or_else(|| coverage(s, "carries no shard metadata covering its ids"))
+        .expect("every corpus of a checked set is a shard")
 }
 
 /// A [`ShardError::Coverage`] naming shard `s`.
@@ -425,17 +596,18 @@ fn balanced_spans(weights: &[u64], shards: usize) -> Vec<std::ops::Range<usize>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xclean_xmltree::parse_document;
+    use xclean_xmltree::{parse_document, Tokenizer, TokenizerConfig};
+
+    const XML: &str = "<dblp>\
+        <article><author>alice</author><title>alpha beta</title></article>\
+        <article><author>bob</author><title>beta gamma delta</title></article>\
+        <article><author>carol</author><title>gamma</title></article>\
+        <article><author>dave</author><title>alpha delta</title></article>\
+        <article><author>erin</author><title>epsilon</title></article>\
+    </dblp>";
 
     fn corpus() -> CorpusIndex {
-        let xml = "<dblp>\
-            <article><author>alice</author><title>alpha beta</title></article>\
-            <article><author>bob</author><title>beta gamma delta</title></article>\
-            <article><author>carol</author><title>gamma</title></article>\
-            <article><author>dave</author><title>alpha delta</title></article>\
-            <article><author>erin</author><title>epsilon</title></article>\
-        </dblp>";
-        CorpusIndex::build(parse_document(xml).unwrap())
+        CorpusIndex::build(parse_document(XML).unwrap())
     }
 
     #[test]
@@ -571,5 +743,135 @@ mod tests {
             }
             assert!(spans.iter().all(|s| !s.is_empty()));
         }
+    }
+
+    #[test]
+    fn rejects_incomplete_and_mixed_sets() {
+        let c = corpus();
+        let mut shards = partition_corpus(&c, 3, 7).unwrap();
+        shards.remove(1);
+        assert!(matches!(
+            reassemble_parent(shards),
+            Err(ShardError::MetaMismatch(_))
+        ));
+        // Mixed seeds → different parent fingerprints.
+        let mut mixed = partition_corpus(&c, 2, 7).unwrap();
+        mixed[1] = partition_corpus(&c, 2, 8).unwrap().remove(1);
+        assert!(matches!(
+            reassemble_parent(mixed),
+            Err(ShardError::MetaMismatch(_))
+        ));
+        // A plain corpus is not a shard.
+        assert!(matches!(
+            reassemble_parent(vec![corpus()]),
+            Err(ShardError::MissingMeta { index: 0 })
+        ));
+        assert!(matches!(
+            reassemble_parent(Vec::new()),
+            Err(ShardError::ZeroShards)
+        ));
+        // The same shard of one set, built under another tokenisation
+        // policy that leaves this corpus's tokens (and so the metadata)
+        // as they are.
+        let keep_numbers = TokenizerConfig {
+            drop_numbers: false,
+            ..TokenizerConfig::default()
+        };
+        let other =
+            CorpusIndex::build_with(parse_document(XML).unwrap(), Tokenizer::new(keep_numbers));
+        let mut mixed = partition_corpus(&c, 2, 7).unwrap();
+        let foreign = partition_corpus(&other, 2, 7).unwrap().remove(1);
+        assert_eq!(foreign.shard_meta(), mixed[1].shard_meta());
+        mixed[1] = foreign;
+        assert!(matches!(
+            reassemble_parent(mixed),
+            Err(ShardError::TokenizerMismatch)
+        ));
+        // A set in any order is the same set.
+        let mut reversed = partition_corpus(&c, 3, 7).unwrap();
+        reversed.reverse();
+        let back = reassemble_parent(reversed).unwrap();
+        assert!(storage::to_bytes_v2(&back) == storage::to_bytes_v2(&c));
+    }
+
+    /// The message of the [`ShardError::Coverage`] refusal of a 2-shard
+    /// set whose shard 1 carries the metadata `edit` makes.
+    fn coverage_refusal(edit: impl FnOnce(&CorpusIndex, &mut ShardMeta)) -> String {
+        let mut shards = partition_corpus(&corpus(), 2, 7).unwrap();
+        let second = shards.pop().unwrap();
+        let mut meta = second.shard_meta().unwrap().clone();
+        edit(&second, &mut meta);
+        shards.push(second.with_shard_meta(meta));
+        match reassemble_parent(shards) {
+            Err(ShardError::Coverage(m)) => m,
+            other => panic!("expected a Coverage refusal, got {other:?}"),
+        }
+    }
+
+    /// Two local tokens of `shard` whose terms shard 0 of the set holds too.
+    fn shared_tokens(shard: &CorpusIndex) -> (usize, usize) {
+        let first = &partition_corpus(&corpus(), 2, 7).unwrap()[0];
+        let mut shared = (0..shard.vocab().len()).filter(|&t| {
+            first
+                .vocab()
+                .get(shard.vocab().term(TokenId(t as u32)))
+                .is_some()
+        });
+        (shared.next().unwrap(), shared.next().unwrap())
+    }
+
+    #[test]
+    fn sets_that_do_not_read_back_as_one_corpus_are_refused() {
+        // A token map pointing past the set's vocabulary.
+        let m = coverage_refusal(|_, meta| meta.token_map[0] = meta.global_vocab_len);
+        assert!(m.contains("shard 1") && m.contains("out-of-range"), "{m}");
+        // Two shards naming one global token by different terms.
+        let m = coverage_refusal(|shard, meta| {
+            let (a, b) = shared_tokens(shard);
+            meta.token_map.swap(a, b);
+        });
+        assert!(
+            m.contains("shard 1") && m.contains("an earlier shard"),
+            "{m}"
+        );
+        // Two local tokens of one shard mapped to one global token.
+        let m = coverage_refusal(|_, meta| meta.token_map[1] = meta.token_map[0]);
+        assert!(
+            m.contains("shard 1") && m.contains("two local tokens"),
+            "{m}"
+        );
+        // A global token no shard holds: the set declares one more, or so
+        // many that no table may be sized by the claim (every shard must
+        // agree on the size, or the set is mixed).
+        let hole = corpus().vocab().len() as u32;
+        for (declared, names) in [
+            (hole + 1, format!("global token {hole}")),
+            (u32::MAX, "declares".into()),
+        ] {
+            let shards = partition_corpus(&corpus(), 2, 7)
+                .unwrap()
+                .into_iter()
+                .map(|s| {
+                    let mut meta = s.shard_meta().unwrap().clone();
+                    meta.global_vocab_len = declared;
+                    s.with_shard_meta(meta)
+                });
+            match reassemble_parent(shards.collect()) {
+                Err(ShardError::Coverage(m)) => assert!(m.contains(&names), "{m}"),
+                other => panic!("expected a Coverage refusal, got {other:?}"),
+            }
+        }
+        // Shards whose roots map to different global paths.
+        let m = coverage_refusal(|shard, meta| {
+            let root = shard.tree().path(shard.tree().root()).0 as usize;
+            meta.path_map[root] += 1;
+        });
+        assert!(m.contains("shard 1") && m.contains("root path"), "{m}");
+        // A node whose reassembled path is not its path map's.
+        let m = coverage_refusal(|_, meta| {
+            let last = meta.path_map.len() - 1;
+            meta.path_map.swap(last - 1, last);
+        });
+        assert!(m.contains("shard 1") && m.contains("reassembles to"), "{m}");
     }
 }

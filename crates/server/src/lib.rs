@@ -16,8 +16,8 @@
 //! the crate (framing, state machine, cache, JSON, routing) is portable.
 //!
 //! Multi-tenancy (DESIGN.md §16): the server fronts a catalog of
-//! corpora — each a [`tenant::Tenant`] with its own engine (unsharded or
-//! sharded) and private response cache. `/suggest/<name>` routes by
+//! corpora — each a [`tenant::Tenant`] with its own engine and private
+//! response cache. `/suggest/<name>` routes by
 //! catalog name; bare `/suggest` serves the primary (first)
 //! corpus, so single-corpus deployments keep their exact contract.
 //!

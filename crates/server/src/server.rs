@@ -3,8 +3,8 @@
 //! Architecture (DESIGN.md §10, §13): one epoll loop thread owns the
 //! listener and every client socket; a bounded pool of worker threads
 //! does the CPU-bound part, all sharing an immutable [`TenantSet`] — one
-//! engine (and through it the corpus snapshot or shard set) per served
-//! corpus, behind an [`Arc`]. Above [`ServerConfig::max_connections`]
+//! engine (and through it the corpus) per served corpus, behind an
+//! [`Arc`]. Above [`ServerConfig::max_connections`]
 //! open sockets the loop answers `503` directly instead of letting
 //! latency grow without bound. In front of each tenant's engine
 //! sits its own sharded LRU [`crate::ResponseCache`]: the cache value is

@@ -2,8 +2,8 @@
 //! `/suggest/<corpus>`.
 //!
 //! One server process fronts a *catalog* of corpora (DESIGN.md §16).
-//! Each corpus is a [`Tenant`]: a name, an engine — unsharded or a shard
-//! set, the serving layer never cares which — and a private
+//! Each corpus is a [`Tenant`]: a name, an engine over the corpus — the
+//! serving layer never asks how the corpus is stored — and a private
 //! [`ResponseCache`]. Caches are partitioned per tenant rather
 //! than shared: keys already carry the engine fingerprint, but separate
 //! caches mean one hot corpus can never evict another's working set, and
@@ -41,8 +41,8 @@ pub const CACHE_SHARDS: usize = 8;
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
-    /// One corpus or a shard set — the same pipeline type
-    /// either way, so routing, caching and rendering never ask which.
+    /// The pipeline over the corpus, however it is stored, so routing,
+    /// caching and rendering never ask how.
     engine: Arc<Pipeline>,
     cache: Arc<ResponseCache>,
     fingerprint: u64,

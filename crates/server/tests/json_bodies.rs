@@ -16,7 +16,7 @@ mod common;
 
 use std::sync::Arc;
 
-use xclean::{ShardedEngine, XCleanConfig, XCleanEngine};
+use xclean::{XCleanConfig, XCleanEngine};
 use xclean_index::{partition_corpus, CorpusIndex};
 use xclean_server::{ServerConfig, SuggestServer};
 use xclean_telemetry::json;
@@ -262,7 +262,7 @@ fn start() -> (
     );
     let dblp = CorpusIndex::build(parse_document(DBLP_XML).unwrap());
     let shards = partition_corpus(&dblp, 2, 7).unwrap();
-    let sharded = ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
+    let sharded = XCleanEngine::from_shards(shards, XCleanConfig::default()).unwrap();
     let server = SuggestServer::bind_tenants(
         vec![
             ("default".to_string(), Arc::clone(default.pipeline())),

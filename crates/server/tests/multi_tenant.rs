@@ -14,7 +14,7 @@ mod common;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use xclean::{ShardedEngine, XCleanConfig, XCleanEngine};
+use xclean::{XCleanConfig, XCleanEngine};
 use xclean_index::{partition_corpus, CorpusIndex};
 use xclean_server::{DrainReport, ServerConfig, ShutdownFlag, SuggestServer, TenantSet};
 use xclean_telemetry::{json, names, MetricsRegistry};
@@ -69,7 +69,7 @@ impl Running {
 fn start() -> Running {
     let default_engine = XCleanEngine::from_corpus(default_corpus(), XCleanConfig::default());
     let shards = partition_corpus(&dblp_corpus(), 2, 7).unwrap();
-    let dblp_engine = ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
+    let dblp_engine = XCleanEngine::from_shards(shards, XCleanConfig::default()).unwrap();
     let server = SuggestServer::bind_tenants(
         vec![
             ("default".to_string(), Arc::clone(default_engine.pipeline())),
@@ -270,7 +270,7 @@ fn sharded_tenant_matches_unsharded_engine_over_http() {
         vec![(
             "default".to_string(),
             Arc::clone(
-                ShardedEngine::from_shards(shards, XCleanConfig::default())
+                XCleanEngine::from_shards(shards, XCleanConfig::default())
                     .unwrap()
                     .pipeline(),
             ),
@@ -309,7 +309,7 @@ fn sharded_tenant_records_one_snapshot_open_sample_per_shard() {
             path
         })
         .collect();
-    let engine = ShardedEngine::load_snapshots(&paths, XCleanConfig::default()).unwrap();
+    let engine = XCleanEngine::load_snapshots(&paths, XCleanConfig::default()).unwrap();
     let server = SuggestServer::bind_tenants(
         vec![("dblp".to_string(), Arc::clone(engine.pipeline()))],
         "127.0.0.1:0",

@@ -24,8 +24,8 @@ use crate::json::Json;
 
 /// Per-shard attribution for one sharded suggestion request.
 ///
-/// Nothing fills it: the sharded engine serves a set as its parent corpus
-/// and walks it once, so no query's work splits by shard. The type stays
+/// Nothing fills it: a shard set is served as its parent corpus and
+/// walked once, so no query's work splits by shard. The type stays
 /// for the benchmark harness, which reads and builds it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardAttribution {

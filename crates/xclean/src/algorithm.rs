@@ -420,8 +420,7 @@ fn pattern_slot(held: &[TokenId]) -> usize {
 /// alone; a colliding key overwrites the slot, reusing its storage. Ids
 /// and result types belong to the query's [`crate::candidates::CandidateTable`],
 /// so [`Patterns::forget`] moves to a new epoch whenever the table is
-/// compiled, and a shard set's walks, which share the table, share the
-/// epoch too.
+/// compiled.
 #[derive(Debug, Default)]
 pub(crate) struct Patterns {
     /// `PATTERN_SLOTS` slots once a query has started; empty before.

@@ -2,9 +2,9 @@
 //!
 //! A catalog file declares, for each served corpus, its name and the
 //! snapshot file(s) backing it — one path for an unsharded corpus, N paths
-//! for a shard set. [`CorpusSpec::open`] decides which engine to build
-//! from the shard metadata inside the snapshots; every corpus of a server
-//! runs with the one configuration the server was started with. The
+//! for a shard set. [`CorpusSpec::open`] opens either the one way
+//! ([`XCleanEngine::open`]); every corpus of a server runs with the one
+//! configuration the server was started with. The
 //! encoding follows the storage/v2 discipline: magic + whole-payload
 //! checksum and minimal LEB128 varints, so a decode→encode round trip is
 //! **byte-stable** and any flipped bit is caught before a path is
@@ -19,11 +19,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use xclean_index::slab::checksum64;
-use xclean_index::{storage, LoadReport};
+use xclean_index::{storage, LoadReport, OpenError};
 
 use crate::config::XCleanConfig;
 use crate::pipeline::{Pipeline, Semantics};
-use crate::sharded::{open_snapshots, ShardedEngine, ShardedEngineError};
 use crate::{Telemetry, XCleanEngine};
 
 /// File magic: 7 ASCII bytes + NUL, mirroring the snapshot magics. An
@@ -127,34 +126,20 @@ impl CorpusSpec {
     }
 
     /// Opens the corpus for serving, its snapshot paths resolved against
-    /// `base`: one snapshot without shard metadata becomes an
-    /// [`XCleanEngine`] with `semantics`; anything else is a shard set
-    /// ([`ShardedEngine::from_shards`] checks that it is complete), which
-    /// answers with node-type semantics only. The pipeline records each
-    /// snapshot's open/validate timings into `telemetry`'s registry, and
-    /// the load reports come back in path order.
+    /// `base` — one snapshot or a shard set, the one way
+    /// ([`XCleanEngine::open`]) — with `semantics`. The pipeline records
+    /// each snapshot's open/validate timings into `telemetry`'s registry,
+    /// and the load reports come back in path order.
     pub fn open(
         &self,
         base: &Path,
         config: XCleanConfig,
         semantics: Semantics,
         telemetry: Telemetry,
-    ) -> Result<(Arc<Pipeline>, Vec<LoadReport>), ShardedEngineError> {
-        let (mut corpora, reports) = open_snapshots(&self.resolved_snapshots(base))?;
-        let pipeline = if corpora.len() == 1 && corpora[0].shard_meta().is_none() {
-            let corpus = corpora.pop().expect("one snapshot");
-            let engine = XCleanEngine::from_corpus(corpus, config).with_semantics(semantics);
-            Arc::clone(engine.with_telemetry(telemetry).pipeline())
-        } else if semantics != Semantics::NodeType {
-            return Err(ShardedEngineError::NodeTypeOnly(semantics));
-        } else {
-            let engine = ShardedEngine::from_shards(corpora, config)?;
-            Arc::clone(engine.with_telemetry(telemetry).pipeline())
-        };
-        for report in &reports {
-            pipeline.record_snapshot_timings(report);
-        }
-        Ok((pipeline, reports))
+    ) -> Result<(Arc<Pipeline>, Vec<LoadReport>), OpenError> {
+        let paths = self.resolved_snapshots(base);
+        let (engine, reports) = XCleanEngine::open(&paths, config, semantics, telemetry)?;
+        Ok((Arc::clone(engine.pipeline()), reports))
     }
 }
 

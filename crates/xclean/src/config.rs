@@ -62,8 +62,7 @@ pub struct XCleanConfig {
     /// ablation.
     pub smoothing: xclean_lm::Smoothing,
     /// Worker threads across the queries of a `suggest_many` batch. One
-    /// query, over one corpus or a shard set, always runs whole on one
-    /// thread. `1` (default) runs fully sequentially; any value produces
+    /// query always runs whole on one thread. `1` (default) runs fully sequentially; any value produces
     /// bit-identical suggestions (see DESIGN.md, "Concurrency &
     /// batching").
     pub num_threads: usize,

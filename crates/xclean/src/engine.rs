@@ -6,21 +6,34 @@
 //! every suggestion is guaranteed to have at least one entity in the data
 //! containing all of its keywords. All query entry points (`suggest*`,
 //! `explain*`, `make_slots`, `fingerprint`, …) are the pipeline's, reached
-//! through `Deref`; this front adds what only makes sense over one plain
-//! corpus: direct corpus access, entity semantics other than node-type,
-//! entity previews, and the space-edit extension.
+//! through `Deref`; this front adds the constructors, direct corpus
+//! access, the entity semantics, entity previews, and the space-edit
+//! extension.
+//!
+//! However the corpus is stored — built from XML, one snapshot, or a
+//! shard set — it is one corpus: a set is read back as its parent
+//! ([`xclean_index::reassemble_parent`]), so every semantics and every
+//! `min_depth` answers over it exactly as over the parent (DESIGN.md §16).
 
 use std::ops::Deref;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use xclean_index::CorpusIndex;
+use xclean_index::{
+    open_corpus, reassemble_parent, CorpusIndex, LoadReport, OpenError, ShardError,
+};
 use xclean_xmltree::XmlTree;
 
 use crate::algorithm::RunStats;
 use crate::config::XCleanConfig;
 use crate::pipeline::{Pipeline, Semantics, SuggestResponse, Suggestion};
 use crate::Telemetry;
+
+/// The name a shard set was once served under; outside tests its only
+/// readers are `xbench/src/{rig,probes,workloads}.rs` (ROADMAP A.7). A set
+/// is an [`XCleanEngine`] over the corpus read back from it.
+pub type ShardedEngine = XCleanEngine;
 
 /// The XClean suggestion engine over one corpus.
 ///
@@ -60,8 +73,47 @@ impl XCleanEngine {
     /// without duplicating it.
     pub fn from_shared(corpus: Arc<CorpusIndex>, config: XCleanConfig) -> Self {
         XCleanEngine {
-            pipeline: Pipeline::new(corpus, None, config),
+            pipeline: Pipeline::new(corpus, config),
         }
+    }
+
+    /// Builds the engine over the corpus a shard set stores, read back as
+    /// its parent ([`reassemble_parent`], which checks the set and drops
+    /// each shard once read).
+    pub fn from_shards(shards: Vec<CorpusIndex>, config: XCleanConfig) -> Result<Self, ShardError> {
+        Ok(Self::from_corpus(reassemble_parent(shards)?, config))
+    }
+
+    /// Builds the node-type engine over the corpus stored in the snapshot
+    /// files `paths` (see [`XCleanEngine::open`]).
+    pub fn load_snapshots<P: AsRef<Path>>(
+        paths: &[P],
+        config: XCleanConfig,
+    ) -> Result<Self, OpenError> {
+        let opened = Self::open(paths, config, Semantics::NodeType, Telemetry::disabled());
+        opened.map(|(engine, _)| engine)
+    }
+
+    /// Builds the engine over the corpus stored in the snapshot files
+    /// `paths` — one snapshot, or a shard set ([`open_corpus`]) — with
+    /// `semantics` and `telemetry`, and records each snapshot's
+    /// open/validate timings in `telemetry`'s registry. The load reports
+    /// come back in path order. Every caller that serves stored snapshots
+    /// opens them here.
+    pub fn open<P: AsRef<Path>>(
+        paths: &[P],
+        config: XCleanConfig,
+        semantics: Semantics,
+        telemetry: Telemetry,
+    ) -> Result<(Self, Vec<LoadReport>), OpenError> {
+        let (corpus, reports) = open_corpus(paths)?;
+        let engine = Self::from_corpus(corpus, config)
+            .with_semantics(semantics)
+            .with_telemetry(telemetry);
+        for report in &reports {
+            engine.record_snapshot_timings(report);
+        }
+        Ok((engine, reports))
     }
 
     /// Switches entity semantics (default: node-type).

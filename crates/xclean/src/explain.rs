@@ -206,7 +206,7 @@ impl Pipeline {
                 })
                 .collect(),
             semantics: self.semantics().as_str(),
-            sharded: self.shard_set().is_some(),
+            sharded: self.corpus().set_provenance().is_some(),
             shard_count: self.shard_count(),
             gamma: config.gamma,
             stages: StageCounts {

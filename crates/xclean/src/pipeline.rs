@@ -9,12 +9,11 @@
 //! slots → accumulate (through a ScoreSink) → finalize → top-k → SuggestResponse
 //! ```
 //!
-//! It owns one corpus — a shard set's is the parent corpus read back from
-//! its shards (DESIGN.md §16) — the variant index, the configuration, the
-//! entity semantics, telemetry and a pool of query arenas.
-//! [`crate::XCleanEngine`] and [`crate::ShardedEngine`] are nominal fronts
-//! over an `Arc<Pipeline>`: constructors plus the accessors that only make
-//! sense for one shape.
+//! It owns one corpus — however it was stored: a corpus stored as a shard
+//! set is the parent read back from its shards (DESIGN.md §16) — the
+//! variant index, the configuration, the entity semantics, telemetry and
+//! a pool of query arenas. [`crate::XCleanEngine`] is the front over an
+//! `Arc<Pipeline>`: constructors plus corpus access and the extensions.
 //!
 //! The corpus is walked once, on the calling thread, straight into the
 //! arena-backed [`AccumulatorTable`]: node-type semantics through
@@ -254,17 +253,6 @@ impl ArenaPool {
     }
 }
 
-/// What a pipeline over a shard set keeps of the snapshots its corpus was
-/// read back from (`crate::ShardedEngine::from_shards`): the set's
-/// identity, which its fingerprint mixes in.
-#[derive(Debug)]
-pub(crate) struct ShardSet {
-    pub(crate) seed: u64,
-    pub(crate) parent_fingerprint: u64,
-    /// Each shard's node count and snapshot provenance, in id order.
-    pub(crate) shards: Vec<(u64, Option<SnapshotProvenance>)>,
-}
-
 /// The γ-bounded table plus the observer of its decisions — the sink of
 /// every walk. Observation is passive (see [`GammaEvent`]).
 struct TableSink<'o, F> {
@@ -454,8 +442,6 @@ pub(crate) struct Executed {
 #[derive(Debug)]
 pub struct Pipeline {
     corpus: Arc<CorpusIndex>,
-    /// Present iff `corpus` was read back from a shard set.
-    set: Option<ShardSet>,
     variants: VariantGenerator,
     config: XCleanConfig,
     semantics: Semantics,
@@ -465,14 +451,9 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Builds the pipeline over `corpus` — with `set` when it was read back
-    /// from a shard set — indexing the deletion neighbourhoods of its
-    /// vocabulary.
-    pub(crate) fn new(
-        corpus: Arc<CorpusIndex>,
-        set: Option<ShardSet>,
-        config: XCleanConfig,
-    ) -> Arc<Pipeline> {
+    /// Builds the pipeline over `corpus`, indexing the deletion
+    /// neighbourhoods of its vocabulary.
+    pub(crate) fn new(corpus: Arc<CorpusIndex>, config: XCleanConfig) -> Arc<Pipeline> {
         config.validate();
         let vocab = corpus.vocab();
         let mut variants =
@@ -485,7 +466,6 @@ impl Pipeline {
         let telemetry = Telemetry::disabled();
         Arc::new(Pipeline {
             corpus,
-            set,
             variants,
             config,
             semantics: Semantics::NodeType,
@@ -504,8 +484,7 @@ impl Pipeline {
         this
     }
 
-    /// Builder step: switches entity semantics. Only the one-corpus front
-    /// exposes it — a shard set's walk is the node-type rule.
+    /// Builder step: switches entity semantics.
     pub(crate) fn with_semantics(this: Arc<Pipeline>, semantics: Semantics) -> Arc<Pipeline> {
         Self::edit(this, |p| p.semantics = semantics)
     }
@@ -525,11 +504,6 @@ impl Pipeline {
     /// The corpus every query walks.
     pub(crate) fn corpus(&self) -> &Arc<CorpusIndex> {
         &self.corpus
-    }
-
-    /// The shard-set identity, if the corpus was read back from a set.
-    pub(crate) fn shard_set(&self) -> Option<&ShardSet> {
-        self.set.as_ref()
     }
 
     /// The telemetry bundle.
@@ -552,7 +526,7 @@ impl Pipeline {
         &self.config
     }
 
-    /// Current entity semantics (always node-type over a shard set).
+    /// Current entity semantics.
     pub fn semantics(&self) -> Semantics {
         self.semantics
     }
@@ -570,7 +544,9 @@ impl Pipeline {
     /// Shard snapshots the corpus was read back from; `1` for one plain
     /// corpus.
     pub fn shard_count(&self) -> u32 {
-        self.set.as_ref().map_or(1, |set| set.shards.len() as u32)
+        self.corpus
+            .set_provenance()
+            .map_or(1, |set| set.shards.len() as u32)
     }
 
     /// `(format_version, checksum)` of the backing snapshot. `None` for
@@ -584,16 +560,17 @@ impl Pipeline {
 
     /// A fingerprint of everything that determines this pipeline's
     /// responses: the scoring configuration
-    /// ([`XCleanConfig::fingerprint`]) and then, for one plain corpus, the
-    /// entity semantics and the corpus shape; for a shard set, the set's
-    /// identity and vocabulary shape plus every shard's size — so a
-    /// set and its unsharded parent, or two shardings of one corpus, never
-    /// share a fingerprint even though their responses are bit-identical
-    /// (the cache key is deliberately conservative). Either way each
-    /// snapshot-loaded corpus also pins the exact bytes it came from (v2
-    /// format version + payload checksum). The serving layer keys its
-    /// response cache on this value, so a pipeline rebuilt with a
-    /// different β/γ — or over a different snapshot — can never be
+    /// ([`XCleanConfig::fingerprint`]) and then, for a corpus stored as one
+    /// snapshot or built in memory, the entity semantics and the corpus
+    /// shape; for one read back from a shard set, the set's identity and
+    /// vocabulary shape plus every shard's size, then any semantics but
+    /// node-type — so a set and its unsharded parent, or two shardings of
+    /// one corpus, never share a fingerprint even though their responses
+    /// are bit-identical (the cache key is deliberately conservative).
+    /// Either way each snapshot-loaded corpus also pins the exact bytes it
+    /// came from (v2 format version + payload checksum). The serving
+    /// layer keys its response cache on this value, so a pipeline rebuilt
+    /// with a different β/γ — or over a different snapshot — can never be
     /// answered from stale entries.
     pub fn fingerprint(&self) -> u64 {
         let mut h = self.config.fingerprint();
@@ -603,14 +580,15 @@ impl Pipeline {
             p.into_iter()
                 .flat_map(|p| [u64::from(p.format_version), p.checksum])
         };
+        let semantics = match self.semantics {
+            Semantics::NodeType => 0,
+            Semantics::Slca => 1,
+            Semantics::Elca => 2,
+        };
         let corpus = &self.corpus;
-        match &self.set {
+        match corpus.set_provenance() {
             None => {
-                mix(match self.semantics {
-                    Semantics::NodeType => 0,
-                    Semantics::Slca => 1,
-                    Semantics::Elca => 2,
-                });
+                mix(semantics);
                 mix(corpus.tree().len() as u64);
                 mix(corpus.vocab().len() as u64);
                 mix(corpus.vocab().total_tokens());
@@ -626,6 +604,11 @@ impl Pipeline {
                 for &(nodes, shard) in &set.shards {
                     mix(nodes);
                     provenance(shard).for_each(&mut mix);
+                }
+                // Node-type adds nothing, which keeps a set's node-type
+                // keys stable (`tests/shard_readback.rs` pins them).
+                if semantics != 0 {
+                    mix(semantics);
                 }
             }
         }
@@ -690,11 +673,6 @@ impl Pipeline {
         observe: &mut F,
     ) -> Executed {
         config.validate();
-        assert!(
-            self.set.is_none() || config.min_depth >= 2,
-            "sharded serving requires min_depth >= 2 (got {})",
-            config.min_depth
-        );
         let start = Instant::now();
         let _query_span = telemetry
             .tracer()
@@ -763,7 +741,7 @@ impl Pipeline {
     /// Suggests with a per-call configuration override. Scoring parameters
     /// (β, smoothing, γ, d, k, skipping, prior) take effect immediately;
     /// `epsilon` is capped by the offline variant index the pipeline was
-    /// built with, and `min_depth` must stay ≥ 2 over a shard set. r,
+    /// built with. r,
     /// `|C_eff|` and `l_p` are constants. This serving
     /// wrapper is the only place query metrics are recorded.
     pub fn suggest_keywords_with(

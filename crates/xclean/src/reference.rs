@@ -34,7 +34,7 @@ use crate::result_type::find_result_type;
 use crate::slca::slca_of_lists;
 use crate::variants::Variant;
 use crate::walk::MAX_CANDIDATES_PER_SUBTREE;
-use crate::{ShardedEngine, XCleanEngine};
+use crate::XCleanEngine;
 
 /// One `add_weighted` call: the full argument tuple, owned.
 #[derive(Debug, Clone, PartialEq)]
@@ -811,7 +811,7 @@ proptest! {
         for shard_count in [1usize, 4] {
             let mut coverage = Coverage::default();
             let shards = partition_corpus(&parent, shard_count, 7).unwrap();
-            let engine = ShardedEngine::from_shards(shards, XCleanConfig::default()).unwrap();
+            let engine = XCleanEngine::from_shards(shards, XCleanConfig::default()).unwrap();
             // Token and path ids are the parent's in a set's slots and
             // results: the same slots run on the original parent.
             let sets = slot_sets(&parent, |q| engine.make_slots(q), query_seed, 3, 6);

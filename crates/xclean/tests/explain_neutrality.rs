@@ -6,9 +6,7 @@
 //! engine shape is the same run (ISSUE 14).
 
 use xclean::telemetry::names;
-use xclean::{
-    run_xclean, Pipeline, Semantics, ShardedEngine, Telemetry, XCleanConfig, XCleanEngine,
-};
+use xclean::{run_xclean, Pipeline, Semantics, Telemetry, XCleanConfig, XCleanEngine};
 use xclean_index::{partition_corpus, CorpusIndex};
 use xclean_xmltree::parse_document;
 
@@ -106,7 +104,7 @@ fn explain_is_neutral_on_the_sharded_engine() {
             },
         );
         let shards = partition_corpus(&parent, 4, 7).unwrap();
-        let engine = ShardedEngine::from_shards(
+        let engine = XCleanEngine::from_shards(
             shards,
             XCleanConfig {
                 epsilon: 2,
@@ -146,7 +144,7 @@ fn explain_matches_under_binding_gamma_on_both_engines() {
     };
     let unsharded = XCleanEngine::from_corpus(corpus(), config.clone());
     let sharded =
-        ShardedEngine::from_shards(partition_corpus(&parent, 4, 7).unwrap(), config).unwrap();
+        XCleanEngine::from_shards(partition_corpus(&parent, 4, 7).unwrap(), config).unwrap();
     for q in ["helth insurance", "health insurrance"] {
         let served_u = unsharded.suggest(q);
         let trace_u = unsharded.explain(q);
@@ -182,7 +180,7 @@ fn every_entry_point_of_every_shape_is_the_same_run() {
             let unsharded = XCleanEngine::from_corpus(corpus(), config.clone());
             let sharded = |n| {
                 let shards = partition_corpus(&parent, n, 7).unwrap();
-                ShardedEngine::from_shards(shards, config.clone()).unwrap()
+                XCleanEngine::from_shards(shards, config.clone()).unwrap()
             };
             let (one_shard, four_shards) = (
                 sharded(1),

@@ -13,9 +13,9 @@
 
 use xclean_suite::datagen::{generate_dblp, DblpConfig};
 use xclean_suite::index::slab::checksum64;
+use xclean_suite::index::OpenError as ShardedEngineError;
 use xclean_suite::index::{partition_corpus, storage, CorpusIndex};
 use xclean_suite::xclean::catalog::CATALOG_MAGIC;
-use xclean_suite::xclean::sharded::ShardedEngineError;
 use xclean_suite::xclean::{
     Catalog, CatalogError, CorpusSpec, Semantics, Telemetry, XCleanConfig, XCleanEngine,
 };

@@ -13,7 +13,11 @@
 //!  * a 5k-publication corpus from the large generator (the same scale
 //!    `scale_100k.rs` uses for its non-ignored contracts), `#[ignore]`d
 //!    so CI's release-mode `-- --ignored` run — not every `cargo test` —
-//!    pays for it.
+//!    pays for it;
+//!  * every semantics the engine ships: a 1-, 2- and 4-shard set of
+//!    dblp-1000 and of the mixed-depth library answers as its parent under
+//!    SLCA, ELCA and node-type with `min_depth` 1, and so does a 2-shard
+//!    catalog entry opened under SLCA.
 //!
 //! Triage notes live in `tests/README.md` ("Sharded bit-identity").
 
@@ -21,8 +25,10 @@ use xclean_suite::datagen::{
     generate_dblp, generate_large_dblp, make_workload, DblpConfig, LargeDblpConfig, Perturbation,
     WorkloadSpec,
 };
-use xclean_suite::index::{partition_corpus, CorpusIndex};
-use xclean_suite::xclean::{ShardedEngine, SuggestResponse, XCleanConfig, XCleanEngine};
+use xclean_suite::index::{partition_corpus, storage, CorpusIndex};
+use xclean_suite::xclean::{
+    CorpusSpec, Semantics, ShardedEngine, SuggestResponse, Telemetry, XCleanConfig, XCleanEngine,
+};
 
 mod support;
 
@@ -198,4 +204,125 @@ fn large_5k_bit_identity_across_threads_and_shards() {
         &XCleanConfig::default(),
         "large-5k",
     );
+}
+
+/// The settings a set was once refused: SLCA, ELCA, and node-type with
+/// `min_depth` 1.
+const ONCE_REFUSED: [(Semantics, u32); 3] = [
+    (Semantics::Slca, 2),
+    (Semantics::Elca, 2),
+    (Semantics::NodeType, 1),
+];
+
+/// A 1-, 2- and 4-shard set of `parent` under each of [`ONCE_REFUSED`]
+/// answers as `baseline_parent` (a second build of it) does.
+fn check_every_semantics(
+    parent: CorpusIndex,
+    baseline_parent: CorpusIndex,
+    queries: &[Vec<String>],
+    config: &XCleanConfig,
+    what: &str,
+) {
+    let baseline_parent = std::sync::Arc::new(baseline_parent);
+    for (semantics, min_depth) in ONCE_REFUSED {
+        let config = XCleanConfig {
+            min_depth,
+            ..config.clone()
+        };
+        let baseline = XCleanEngine::from_shared(baseline_parent.clone(), config.clone())
+            .with_semantics(semantics);
+        for nshards in [1usize, 2, 4] {
+            let shards = partition_corpus(&parent, nshards, 42).unwrap();
+            let engine = XCleanEngine::from_shards(shards, config.clone())
+                .unwrap()
+                .with_semantics(semantics);
+            let what = format!(
+                "{what} {} min_depth={min_depth} nshards={nshards}",
+                semantics.as_str()
+            );
+            let mut answered = 0;
+            for q in queries {
+                let want = baseline.suggest_keywords(q);
+                assert_bit_identical(q, &want, &engine.suggest_keywords(q), &what);
+                answered += usize::from(!want.suggestions.is_empty());
+            }
+            assert!(answered > 0, "{what}: no query has a suggestion");
+        }
+    }
+}
+
+#[test]
+fn dblp_1000_bit_identity_under_every_semantics() {
+    let parent = dblp_1000();
+    let queries = workload(&parent, 15, 9001);
+    check_every_semantics(
+        parent,
+        dblp_1000(),
+        &queries,
+        &XCleanConfig::default(),
+        "dblp-1000",
+    );
+}
+
+#[test]
+fn mixed_depth_library_bit_identity_under_every_semantics() {
+    let build = || CorpusIndex::build(support::mixed_depth_library(12));
+    let queries: Vec<Vec<String>> = support::LIBRARY_QUERIES
+        .iter()
+        .map(|q| q.split_whitespace().map(str::to_string).collect())
+        .collect();
+    let config = XCleanConfig {
+        epsilon: 1,
+        ..Default::default()
+    };
+    check_every_semantics(build(), build(), &queries, &config, "library");
+}
+
+/// A catalog entry names a set's snapshots; opened under SLCA it answers
+/// as the parent does, and under its own fingerprint.
+#[test]
+fn a_catalog_set_opens_under_slca() {
+    let parent = dblp_1000();
+    let dir = std::env::temp_dir().join(format!("xclean-set-slca-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshots: Vec<String> = partition_corpus(&parent, 2, 42)
+        .unwrap()
+        .iter()
+        .enumerate()
+        .map(|(i, shard)| {
+            let name = format!("dblp-shard{i}-of-2.xci");
+            storage::save_to_file_v2(shard, dir.join(&name)).unwrap();
+            name
+        })
+        .collect();
+    let spec = CorpusSpec {
+        name: "dblp".into(),
+        snapshots,
+    };
+    let open = |semantics| {
+        spec.open(
+            &dir,
+            XCleanConfig::default(),
+            semantics,
+            Telemetry::disabled(),
+        )
+        .unwrap()
+        .0
+    };
+    let (slca, node_type) = (open(Semantics::Slca), open(Semantics::NodeType));
+    assert_eq!(slca.semantics(), Semantics::Slca);
+    assert_eq!(slca.shard_count(), 2);
+    assert_ne!(slca.fingerprint(), node_type.fingerprint());
+    let baseline =
+        XCleanEngine::from_corpus(parent, XCleanConfig::default()).with_semantics(Semantics::Slca);
+    for q in workload(baseline.corpus(), 15, 31) {
+        let what = "2-shard catalog entry under slca";
+        assert_bit_identical(
+            &q,
+            &baseline.suggest_keywords(&q),
+            &slca.suggest_keywords(&q),
+            what,
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
