@@ -16,8 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xclean::{
-    Catalog, CorpusSpec, Pipeline, RunStats, Semantics, Suggestion, Telemetry, XCleanConfig,
-    XCleanEngine,
+    Catalog, CorpusSpec, RunStats, Semantics, Suggestion, Telemetry, XCleanConfig, XCleanEngine,
 };
 use xclean_datagen::{generate_dblp, generate_inex, DblpConfig, InexConfig};
 use xclean_index::{partition_corpus, storage, CorpusIndex, OpenError, OpenOptions};
@@ -771,15 +770,15 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     // open as a view over the file bytes (mmap-ed where possible), so
     // startup cost is the validation pass, not a full re-encode.
     let origin = catalog_path.map_or(String::new(), |c| format!("{c}: "));
-    let mut corpora: Vec<(String, Arc<Pipeline>)> = Vec::new();
+    let mut corpora: Vec<(String, Arc<XCleanEngine>)> = Vec::new();
     let mut banner: Vec<String> = Vec::new();
     for spec in specs {
         let telemetry = match trace_out {
             Some(_) => Telemetry::with_tracing(),
             None => Telemetry::disabled(),
         };
-        let (engine, reports) = spec
-            .open(&base, config.clone(), semantics, telemetry)
+        let paths = spec.resolved_snapshots(&base);
+        let (engine, reports) = XCleanEngine::open(&paths, config.clone(), semantics, telemetry)
             .map_err(|e| {
                 let hint = match e {
                     OpenError::Snapshot {
@@ -814,7 +813,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
             engine.fingerprint(),
             spec.name
         ));
-        corpora.push((spec.name, engine));
+        corpora.push((spec.name, Arc::new(engine)));
     }
     // The primary (first) tenant's tracer feeds the post-drain trace
     // flush, exactly like the engine did in single-corpus mode.

@@ -12,7 +12,7 @@
 //! buffers, so a comparison performs zero heap allocations.
 //!
 //! Candidate verification (`VariantIndex::query_within`) compares one
-//! query keyword with many vocabulary words; [`Verifier`] holds the
+//! query keyword with many vocabulary words; `Verifier` holds the
 //! keyword's side — decoded once, its Myers masks filled once — and
 //! answers exactly what [`edit_distance_within`] would.
 

@@ -12,7 +12,7 @@
 //! Segments are indexed exactly, keeping space linear in word length.
 //!
 //! Both kinds of key live in **one** open-addressed table of `u64` slots
-//! ([`ProbeTable`]) and the vocabulary in one text blob, so a lookup is
+//! (`ProbeTable`) and the vocabulary in one text blob, so a lookup is
 //! three batches over flat memory: collect every key, probe them all,
 //! verify the distinct candidates against the query prepared once.
 
@@ -291,7 +291,7 @@ impl VariantIndex {
     /// profile, which times the three apart): every key to probe for
     /// `query` — the signature hashes of its own deletion neighbourhood,
     /// then, for each indexed long-word length within `max_ed` of its
-    /// own, the [`long_key`]s of its substrings where a segment of such
+    /// own, the `long_key`s of its substrings where a segment of such
     /// a word could sit.
     pub fn probe_keys(&self, query: &[char], max_ed: usize) -> Vec<u64> {
         let eps = self.config.epsilon;
@@ -377,7 +377,7 @@ impl VariantIndex {
     /// Third batch: reduces `matches` to the distinct words within
     /// `max_ed` of `query`, exact distances filled in, sorted by
     /// (distance, word id). Repeated ids are dropped through a set on the
-    /// stack ([`DISTINCT_SLOTS`]); more candidates than half its slots are
+    /// stack (`DISTINCT_SLOTS`); more candidates than half its slots are
     /// sorted by id and de-duplicated instead.
     pub fn verify(&self, query: &[char], max_ed: usize, matches: &mut Vec<VariantMatch>) {
         distinct(matches);

@@ -19,7 +19,7 @@
 //! masks avoid heap allocation entirely: an ASCII pattern uses a stacked
 //! 128-entry table, and a general Unicode pattern uses a stacked
 //! association list (≤64 distinct scalars by construction). The masks
-//! are a [`Pattern`] of their own so that a caller comparing one string
+//! are a `Pattern` of their own so that a caller comparing one string
 //! with many — the query keyword with each of its candidates — fills
 //! them once.
 

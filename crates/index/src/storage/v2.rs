@@ -265,7 +265,7 @@ pub(crate) fn encode_and_view(
 }
 
 /// Serialises a corpus index to v2 bytes: frames the sections it holds,
-/// in [`SECTION_ORDER`], plus its SHARD section when it is one shard of a
+/// in `SECTION_ORDER`, plus its SHARD section when it is one shard of a
 /// set. Nothing is decoded, so re-encoding a loaded snapshot is
 /// byte-stable.
 pub fn to_bytes(corpus: &CorpusIndex) -> Vec<u8> {

@@ -47,7 +47,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use xclean::{ExplainTrace, Pipeline, SuggestResponse, Suggestion, XCleanEngine};
+use xclean::{ExplainTrace, SuggestResponse, Suggestion, XCleanEngine};
 use xclean_telemetry::json::{self, Json};
 use xclean_telemetry::{
     names, Counter, Exposition, Histogram, MetricsRegistry, MonotonicClock, RequestRecord,
@@ -283,11 +283,7 @@ impl SuggestServer {
         addr: &str,
         config: ServerConfig,
     ) -> io::Result<SuggestServer> {
-        SuggestServer::bind_tenants(
-            vec![("default".to_string(), Arc::clone(engine.pipeline()))],
-            addr,
-            config,
-        )
+        SuggestServer::bind_tenants(vec![("default".to_string(), engine)], addr, config)
     }
 
     /// Binds over a whole catalog of corpora, in order, with the first
@@ -299,7 +295,7 @@ impl SuggestServer {
     /// observability plane (request ring, windows, slow log) is built
     /// here from the config and shared by all tenants.
     pub fn bind_tenants(
-        corpora: Vec<(String, Arc<Pipeline>)>,
+        corpora: Vec<(String, Arc<XCleanEngine>)>,
         addr: &str,
         config: ServerConfig,
     ) -> io::Result<SuggestServer> {
@@ -1170,7 +1166,7 @@ pub(crate) fn test_handler(
     let corpora = corpora.iter().map(|&(name, xml)| {
         let tree = xclean_xmltree::parse_document(xml).unwrap();
         let engine = XCleanEngine::new(tree, xclean::XCleanConfig::default());
-        (name.to_string(), Arc::clone(engine.pipeline()))
+        (name.to_string(), Arc::new(engine))
     });
     let tenants = Arc::new(TenantSet::build(corpora.collect(), 64).unwrap());
     let registry = MetricsRegistry::default();
@@ -2013,5 +2009,26 @@ mod tests {
         assert_eq!(query_param("q=a&n=2", "q"), Some("a"));
         assert_eq!(query_param("q=a", "missing"), None);
         assert_eq!(query_param("", "q"), None);
+    }
+
+    /// Serving answers from the caller's engine allocation, so binding
+    /// never copies the corpus or its variant table: one engine bound
+    /// alone, or under two names, is the same `Arc` in every tenant.
+    #[test]
+    fn bound_tenants_share_the_callers_engine() {
+        let tree = xclean_xmltree::parse_document("<r><p>alpha beta</p></r>").unwrap();
+        let engine = Arc::new(XCleanEngine::new(tree, xclean::XCleanConfig::default()));
+        let server =
+            SuggestServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())
+                .unwrap();
+        assert!(Arc::ptr_eq(server.tenants().primary().engine(), &engine));
+        let corpora = ["a", "b"].map(|name| (name.to_string(), Arc::clone(&engine)));
+        let server =
+            SuggestServer::bind_tenants(corpora.into(), "127.0.0.1:0", ServerConfig::default())
+                .unwrap();
+        for tenant in server.tenants().iter() {
+            assert!(Arc::ptr_eq(tenant.engine(), &engine), "{}", tenant.name());
+        }
+        assert_eq!(server.tenants().len(), 2);
     }
 }

@@ -2,8 +2,9 @@
 //! `/suggest/<corpus>`.
 //!
 //! One server process fronts a *catalog* of corpora (DESIGN.md §16).
-//! Each corpus is a [`Tenant`]: a name, an engine over the corpus — the
-//! serving layer never asks how the corpus is stored — and a private
+//! Each corpus is a [`Tenant`]: a name, the caller's shared
+//! `Arc<XCleanEngine>` over the corpus — never a copy, and the serving
+//! layer never asks how the corpus is stored — and a private
 //! [`ResponseCache`]. Caches are partitioned per tenant rather
 //! than shared: keys already carry the engine fingerprint, but separate
 //! caches mean one hot corpus can never evict another's working set, and
@@ -22,7 +23,7 @@ use std::io;
 use std::sync::Arc;
 
 use xclean::catalog::valid_corpus_name;
-use xclean::{CatalogError, Pipeline};
+use xclean::{CatalogError, XCleanEngine};
 use xclean_telemetry::json::Json;
 use xclean_telemetry::{
     names, Counter, Exposition, MetricsRegistry, RollingWindows, Value, WindowEvent, WindowSnapshot,
@@ -41,9 +42,9 @@ pub const CACHE_SHARDS: usize = 8;
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
-    /// The pipeline over the corpus, however it is stored, so routing,
+    /// The engine over the corpus, however it is stored, so routing,
     /// caching and rendering never ask how.
-    engine: Arc<Pipeline>,
+    engine: Arc<XCleanEngine>,
     cache: Arc<ResponseCache>,
     fingerprint: u64,
     requests: Arc<Counter>,
@@ -59,8 +60,9 @@ impl Tenant {
         &self.name
     }
 
-    /// The engine answering this corpus.
-    pub fn engine(&self) -> &Pipeline {
+    /// The engine answering this corpus: the caller's shared allocation,
+    /// never a copy.
+    pub fn engine(&self) -> &Arc<XCleanEngine> {
         &self.engine
     }
 
@@ -113,7 +115,7 @@ impl TenantSet {
     /// duplicate name, or a name the catalog's
     /// [`valid_corpus_name`] rejects.
     pub fn build(
-        corpora: Vec<(String, Arc<Pipeline>)>,
+        corpora: Vec<(String, Arc<XCleanEngine>)>,
         cache_entries: usize,
     ) -> io::Result<TenantSet> {
         if corpora.is_empty() {
@@ -245,7 +247,7 @@ impl TenantSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xclean::{XCleanConfig, XCleanEngine};
+    use xclean::XCleanConfig;
     use xclean_xmltree::parse_document;
 
     /// The set's collected page, checked as one document.
@@ -257,9 +259,9 @@ mod tests {
         text
     }
 
-    fn engine(xml: &str) -> Arc<Pipeline> {
+    fn engine(xml: &str) -> Arc<XCleanEngine> {
         let engine = XCleanEngine::new(parse_document(xml).unwrap(), XCleanConfig::default());
-        Arc::clone(engine.pipeline())
+        Arc::new(engine)
     }
 
     #[test]

@@ -265,8 +265,8 @@ fn start() -> (
     let sharded = XCleanEngine::from_shards(shards, XCleanConfig::default()).unwrap();
     let server = SuggestServer::bind_tenants(
         vec![
-            ("default".to_string(), Arc::clone(default.pipeline())),
-            ("dblp".to_string(), Arc::clone(sharded.pipeline())),
+            ("default".to_string(), Arc::new(default)),
+            ("dblp".to_string(), Arc::new(sharded)),
         ],
         "127.0.0.1:0",
         ServerConfig {

@@ -72,8 +72,8 @@ fn start() -> Running {
     let dblp_engine = XCleanEngine::from_shards(shards, XCleanConfig::default()).unwrap();
     let server = SuggestServer::bind_tenants(
         vec![
-            ("default".to_string(), Arc::clone(default_engine.pipeline())),
-            ("dblp".to_string(), Arc::clone(dblp_engine.pipeline())),
+            ("default".to_string(), Arc::new(default_engine)),
+            ("dblp".to_string(), Arc::new(dblp_engine)),
         ],
         "127.0.0.1:0",
         ServerConfig {
@@ -269,11 +269,7 @@ fn sharded_tenant_matches_unsharded_engine_over_http() {
     let sharded = SuggestServer::bind_tenants(
         vec![(
             "default".to_string(),
-            Arc::clone(
-                XCleanEngine::from_shards(shards, XCleanConfig::default())
-                    .unwrap()
-                    .pipeline(),
-            ),
+            Arc::new(XCleanEngine::from_shards(shards, XCleanConfig::default()).unwrap()),
         )],
         "127.0.0.1:0",
         ServerConfig::default(),
@@ -311,7 +307,7 @@ fn sharded_tenant_records_one_snapshot_open_sample_per_shard() {
         .collect();
     let engine = XCleanEngine::load_snapshots(&paths, XCleanConfig::default()).unwrap();
     let server = SuggestServer::bind_tenants(
-        vec![("dblp".to_string(), Arc::clone(engine.pipeline()))],
+        vec![("dblp".to_string(), Arc::new(engine))],
         "127.0.0.1:0",
         ServerConfig::default(),
     )

@@ -2,9 +2,10 @@
 //!
 //! A catalog file declares, for each served corpus, its name and the
 //! snapshot file(s) backing it — one path for an unsharded corpus, N paths
-//! for a shard set. [`CorpusSpec::open`] opens either the one way
-//! ([`XCleanEngine::open`]); every corpus of a server runs with the one
-//! configuration the server was started with. The
+//! for a shard set. A server opens either the one way,
+//! [`crate::XCleanEngine::open`] over the entry's resolved paths (below);
+//! every corpus of a server runs with the one configuration the server
+//! was started with. The
 //! encoding follows the storage/v2 discipline: magic + whole-payload
 //! checksum and minimal LEB128 varints, so a decode→encode round trip is
 //! **byte-stable** and any flipped bit is caught before a path is
@@ -16,14 +17,9 @@
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use xclean_index::slab::checksum64;
-use xclean_index::{storage, LoadReport, OpenError};
-
-use crate::config::XCleanConfig;
-use crate::pipeline::{Pipeline, Semantics};
-use crate::{Telemetry, XCleanEngine};
+use xclean_index::storage;
 
 /// File magic: 7 ASCII bytes + NUL, mirroring the snapshot magics. An
 /// earlier build wrote `XCLCAT1\0`, whose entries also carried an engine
@@ -123,23 +119,6 @@ impl CorpusSpec {
                 }
             })
             .collect()
-    }
-
-    /// Opens the corpus for serving, its snapshot paths resolved against
-    /// `base` — one snapshot or a shard set, the one way
-    /// ([`XCleanEngine::open`]) — with `semantics`. The pipeline records
-    /// each snapshot's open/validate timings into `telemetry`'s registry,
-    /// and the load reports come back in path order.
-    pub fn open(
-        &self,
-        base: &Path,
-        config: XCleanConfig,
-        semantics: Semantics,
-        telemetry: Telemetry,
-    ) -> Result<(Arc<Pipeline>, Vec<LoadReport>), OpenError> {
-        let paths = self.resolved_snapshots(base);
-        let (engine, reports) = XCleanEngine::open(&paths, config, semantics, telemetry)?;
-        Ok((Arc::clone(engine.pipeline()), reports))
     }
 }
 

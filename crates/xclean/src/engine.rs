@@ -1,33 +1,39 @@
-//! The user-facing suggestion engine over one corpus.
+//! The suggestion engine over one corpus.
 //!
-//! [`XCleanEngine`] builds a [`Pipeline`] over one corpus index and its
-//! FastSS variant index (both built offline) and answers
-//! [`Pipeline::suggest`] queries with ranked, *valid* alternative queries —
-//! every suggestion is guaranteed to have at least one entity in the data
-//! containing all of its keywords. All query entry points (`suggest*`,
-//! `explain*`, `make_slots`, `fingerprint`, …) are the pipeline's, reached
-//! through `Deref`; this front adds the constructors, direct corpus
-//! access, the entity semantics, entity previews, and the space-edit
-//! extension.
+//! [`XCleanEngine`] holds one corpus index, the FastSS variant index over
+//! its vocabulary (built here, offline from any query), the
+//! configuration, the entity semantics, telemetry and a pool of query
+//! arenas, and answers [`XCleanEngine::suggest`] queries with ranked,
+//! *valid* alternative queries — every suggestion is guaranteed to have at
+//! least one entity in the data containing all of its keywords. Each
+//! query runs the one orchestration in [`crate::pipeline`]; explain runs
+//! it observed ([`crate::explain`]). Built once and immutable after, an
+//! engine is shared behind an [`Arc`] by the serving layer.
 //!
 //! However the corpus is stored — built from XML, one snapshot, or a
 //! shard set — it is one corpus: a set is read back as its parent
 //! ([`xclean_index::reassemble_parent`]), so every semantics and every
 //! `min_depth` answers over it exactly as over the parent (DESIGN.md §16).
 
-use std::ops::Deref;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use xclean_index::{
     open_corpus, reassemble_parent, CorpusIndex, LoadReport, OpenError, ShardError,
+    SnapshotProvenance, Vocabulary,
 };
-use xclean_xmltree::XmlTree;
+use xclean_telemetry::{names, Counter, Histogram, MetricsRegistry, Tracer};
+use xclean_xmltree::{PathId, Tokenizer, XmlTree};
 
-use crate::algorithm::RunStats;
-use crate::config::XCleanConfig;
-use crate::pipeline::{Pipeline, Semantics, SuggestResponse, Suggestion};
+use crate::algorithm::{nanos_since, KeywordSlot, RunStats};
+use crate::config::{fnv1a, XCleanConfig};
+use crate::pipeline::{
+    rank_walked, ArenaPool, Executed, Ranked, Semantics, SuggestResponse, Suggestion, BATCH_CHUNK,
+};
+use crate::pruning::GammaEvent;
+use crate::variants::{VariantGenerator, PARTITION_THRESHOLD};
 use crate::Telemetry;
 
 /// The name a shard set was once served under; outside tests its only
@@ -35,23 +41,101 @@ use crate::Telemetry;
 /// is an [`XCleanEngine`] over the corpus read back from it.
 pub type ShardedEngine = XCleanEngine;
 
-/// The XClean suggestion engine over one corpus.
-///
-/// The corpus and variant indexes are held behind [`Arc`]s: they are
-/// immutable after construction, and the `suggest_many` worker pool (as
-/// well as any caller using [`XCleanEngine::corpus_shared`]) reads the
-/// same snapshot without copying.
+/// Pre-resolved metric handles so the per-query hot path never takes the
+/// registry's name-lookup lock: every counter bump and histogram record
+/// below is a plain atomic op on a shared [`Arc`], which is what lets the
+/// `suggest_many` worker pool aggregate into one engine-lifetime registry
+/// without serialising on it.
 #[derive(Debug)]
-pub struct XCleanEngine {
-    pipeline: Arc<Pipeline>,
+struct EngineMetrics {
+    queries: Arc<Counter>,
+    /// Set until the first query is recorded; that query's total latency
+    /// also lands in the `FIRST_QUERY` histogram (cold caches, lazy slab
+    /// decodes still pending).
+    first_query_pending: AtomicBool,
+    first_query: Arc<Histogram>,
+    suggestions: Arc<Counter>,
+    subtrees: Arc<Counter>,
+    candidates: Arc<Counter>,
+    result_types: Arc<Counter>,
+    entities: Arc<Counter>,
+    postings_read: Arc<Counter>,
+    postings_skipped: Arc<Counter>,
+    skip_calls: Arc<Counter>,
+    evictions: Arc<Counter>,
+    rejected: Arc<Counter>,
+    stage_slot: Arc<Histogram>,
+    stage_walk: Arc<Histogram>,
+    stage_rank: Arc<Histogram>,
+    stage_total: Arc<Histogram>,
 }
 
-impl Deref for XCleanEngine {
-    type Target = Pipeline;
-
-    fn deref(&self) -> &Pipeline {
-        &self.pipeline
+impl EngineMetrics {
+    fn new(registry: &MetricsRegistry) -> Self {
+        EngineMetrics {
+            queries: registry.counter(names::QUERIES),
+            first_query_pending: AtomicBool::new(true),
+            first_query: registry.histogram(names::FIRST_QUERY),
+            suggestions: registry.counter(names::SUGGESTIONS),
+            subtrees: registry.counter(names::SUBTREES),
+            candidates: registry.counter(names::CANDIDATES),
+            result_types: registry.counter(names::RESULT_TYPES),
+            entities: registry.counter(names::ENTITIES),
+            postings_read: registry.counter(names::POSTINGS_READ),
+            postings_skipped: registry.counter(names::POSTINGS_SKIPPED),
+            skip_calls: registry.counter(names::SKIP_CALLS),
+            evictions: registry.counter(names::EVICTIONS),
+            rejected: registry.counter(names::REJECTED),
+            stage_slot: registry.histogram(names::STAGE_SLOT),
+            stage_walk: registry.histogram(names::STAGE_WALK),
+            stage_rank: registry.histogram(names::STAGE_RANK),
+            stage_total: registry.histogram(names::STAGE_TOTAL),
+        }
     }
+
+    fn record_query(&self, response: &SuggestResponse) {
+        let stats = &response.stats;
+        let total_nanos = (response.elapsed.as_nanos() as u64).max(1);
+        self.queries.inc();
+        if self.first_query_pending.swap(false, Ordering::Relaxed) {
+            self.first_query.record(total_nanos);
+        }
+        self.suggestions.add(response.suggestions.len() as u64);
+        self.subtrees.add(stats.subtrees);
+        self.candidates.add(stats.candidates_enumerated);
+        self.result_types.add(stats.result_type_computations);
+        self.entities.add(stats.entities_scored);
+        self.postings_read.add(stats.access.read);
+        self.postings_skipped.add(stats.access.skipped);
+        self.skip_calls.add(stats.access.skip_calls);
+        self.evictions.add(stats.pruning.evictions);
+        self.rejected.add(stats.pruning.rejected);
+        self.stage_slot.record(stats.slot_nanos);
+        self.stage_walk.record(stats.walk_nanos);
+        self.stage_rank.record(stats.rank_nanos);
+        self.stage_total.record(total_nanos);
+    }
+}
+
+/// The XClean suggestion engine over one corpus (see the module docs).
+///
+/// The corpus is held behind an [`Arc`]: it is immutable after
+/// construction, and several engines (see [`XCleanEngine::from_shared`])
+/// read the same snapshot without copying. The `suggest_many` worker pool
+/// shares the engine itself by reference.
+///
+/// Every engine carries a [`Telemetry`] bundle: a metrics registry that
+/// aggregates counters and stage histograms over its lifetime (across all
+/// `suggest_many` workers), and a span tracer that is inert by default.
+#[derive(Debug)]
+pub struct XCleanEngine {
+    corpus: Arc<CorpusIndex>,
+    variants: VariantGenerator,
+    config: XCleanConfig,
+    semantics: Semantics,
+    telemetry: Telemetry,
+    metric_handles: EngineMetrics,
+    arenas: ArenaPool,
 }
 
 impl XCleanEngine {
@@ -70,10 +154,27 @@ impl XCleanEngine {
 
     /// Builds the engine over a shared corpus snapshot — several engines
     /// (e.g. with different configs or semantics) can serve the same index
-    /// without duplicating it.
+    /// without duplicating it. Indexes the deletion neighbourhoods of its
+    /// vocabulary.
     pub fn from_shared(corpus: Arc<CorpusIndex>, config: XCleanConfig) -> Self {
+        config.validate();
+        let vocab = corpus.vocab();
+        let mut variants =
+            VariantGenerator::build_from_vocab(vocab, config.epsilon, PARTITION_THRESHOLD);
+        if config.phonetic_distance.is_some() {
+            variants = variants.with_phonetic_vocab(vocab);
+        }
+        // Build the gate's level table now, not inside the first query.
+        corpus.level(config.min_depth);
+        let telemetry = Telemetry::disabled();
         XCleanEngine {
-            pipeline: Pipeline::new(corpus, config),
+            corpus,
+            variants,
+            config,
+            semantics: Semantics::NodeType,
+            metric_handles: EngineMetrics::new(telemetry.metrics()),
+            telemetry,
+            arenas: ArenaPool::default(),
         }
     }
 
@@ -99,7 +200,8 @@ impl XCleanEngine {
     /// `semantics` and `telemetry`, and records each snapshot's
     /// open/validate timings in `telemetry`'s registry. The load reports
     /// come back in path order. Every caller that serves stored snapshots
-    /// opens them here.
+    /// opens them here; a catalog entry's paths are
+    /// [`crate::CorpusSpec::resolved_snapshots`].
     pub fn open<P: AsRef<Path>>(
         paths: &[P],
         config: XCleanConfig,
@@ -118,33 +220,341 @@ impl XCleanEngine {
 
     /// Switches entity semantics (default: node-type).
     pub fn with_semantics(self, semantics: Semantics) -> Self {
-        XCleanEngine {
-            pipeline: Pipeline::with_semantics(self.pipeline, semantics),
-        }
+        XCleanEngine { semantics, ..self }
     }
 
-    /// Attaches a telemetry bundle (see [`Pipeline::telemetry`]); opt in
-    /// to span tracing with [`Telemetry::with_tracing`].
+    /// Attaches a telemetry bundle (metrics registry + optional span
+    /// tracer). The engine records into `telemetry.metrics()` for its
+    /// whole lifetime; pass [`Telemetry::with_tracing`] to also capture
+    /// per-query spans exportable as a Chrome trace.
     pub fn with_telemetry(self, telemetry: Telemetry) -> Self {
         XCleanEngine {
-            pipeline: Pipeline::with_telemetry(self.pipeline, telemetry),
+            metric_handles: EngineMetrics::new(telemetry.metrics()),
+            telemetry,
+            ..self
         }
-    }
-
-    /// The pipeline this engine fronts (what a serving layer holds).
-    pub fn pipeline(&self) -> &Arc<Pipeline> {
-        &self.pipeline
     }
 
     /// The corpus index.
     pub fn corpus(&self) -> &CorpusIndex {
-        self.pipeline.corpus()
+        &self.corpus
     }
 
     /// A shared handle to the corpus snapshot (cheap clone; see
     /// [`XCleanEngine::from_shared`]).
     pub fn corpus_shared(&self) -> Arc<CorpusIndex> {
-        Arc::clone(self.pipeline.corpus())
+        Arc::clone(&self.corpus)
+    }
+
+    /// The telemetry bundle.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// The span tracer (inert unless tracing was enabled).
+    pub fn tracer(&self) -> &Tracer {
+        self.telemetry.tracer()
+    }
+
+    /// The lifetime metrics registry.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        self.telemetry.metrics()
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &XCleanConfig {
+        &self.config
+    }
+
+    /// Current entity semantics.
+    pub fn semantics(&self) -> Semantics {
+        self.semantics
+    }
+
+    /// The variant generator (exposed for baselines and diagnostics).
+    pub fn variant_generator(&self) -> &VariantGenerator {
+        &self.variants
+    }
+
+    /// The vocabulary suggestion token ids index.
+    pub fn vocab(&self) -> &Vocabulary {
+        self.corpus.vocab()
+    }
+
+    /// Shard snapshots the corpus was read back from; `1` for one plain
+    /// corpus.
+    pub fn shard_count(&self) -> u32 {
+        self.corpus
+            .set_provenance()
+            .map_or(1, |set| set.shards.len() as u32)
+    }
+
+    /// `(format_version, checksum)` of the backing snapshot. `None` for
+    /// in-memory corpora, a shard set's included: its corpus is
+    /// reassembled from several snapshots.
+    pub fn snapshot(&self) -> Option<(u32, u64)> {
+        self.corpus
+            .provenance()
+            .map(|p| (u32::from(p.format_version), p.checksum))
+    }
+
+    /// A fingerprint of everything that determines this engine's
+    /// responses: the scoring configuration
+    /// ([`XCleanConfig::fingerprint`]) and then, for a corpus stored as one
+    /// snapshot or built in memory, the entity semantics and the corpus
+    /// shape; for one read back from a shard set, the set's identity and
+    /// vocabulary shape plus every shard's size, then any semantics but
+    /// node-type — so a set and its unsharded parent, or two shardings of
+    /// one corpus, never share a fingerprint even though their responses
+    /// are bit-identical (the cache key is deliberately conservative).
+    /// Either way each snapshot-loaded corpus also pins the exact bytes it
+    /// came from (v2 format version + payload checksum). The serving
+    /// layer keys its response cache on this value, so an engine rebuilt
+    /// with a different β/γ — or over a different snapshot — can never be
+    /// answered from stale entries.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = self.config.fingerprint();
+        let mut mix = |v: u64| fnv1a(&mut h, &v.to_le_bytes());
+        // A snapshot-loaded corpus's format version and payload checksum.
+        let provenance = |p: Option<SnapshotProvenance>| {
+            p.into_iter()
+                .flat_map(|p| [u64::from(p.format_version), p.checksum])
+        };
+        let semantics = match self.semantics {
+            Semantics::NodeType => 0,
+            Semantics::Slca => 1,
+            Semantics::Elca => 2,
+        };
+        let corpus = &self.corpus;
+        match corpus.set_provenance() {
+            None => {
+                mix(semantics);
+                mix(corpus.tree().len() as u64);
+                mix(corpus.vocab().len() as u64);
+                mix(corpus.vocab().total_tokens());
+                mix(corpus.element_count() as u64);
+                provenance(corpus.provenance()).for_each(&mut mix);
+            }
+            Some(set) => {
+                mix(set.shards.len() as u64);
+                mix(set.seed);
+                mix(set.parent_fingerprint);
+                mix(corpus.vocab().len() as u64);
+                mix(corpus.vocab().total_tokens());
+                for &(nodes, shard) in &set.shards {
+                    mix(nodes);
+                    provenance(shard).for_each(&mut mix);
+                }
+                // Node-type adds nothing, which keeps a set's node-type
+                // keys stable (`tests/shard_readback.rs` pins them).
+                if semantics != 0 {
+                    mix(semantics);
+                }
+            }
+        }
+        h
+    }
+
+    /// Records the open/validate timings of one snapshot this engine was
+    /// loaded from into its metrics registry (one sample per snapshot),
+    /// so cold-start cost shows up next to query latencies in `/metrics`
+    /// and exported reports.
+    pub fn record_snapshot_timings(&self, report: &LoadReport) {
+        let m = self.telemetry.metrics();
+        m.histogram(names::SNAPSHOT_OPEN)
+            .record(report.open_nanos.max(1));
+        m.histogram(names::SNAPSHOT_VALIDATE)
+            .record(report.validate_nanos.max(1));
+    }
+
+    /// Splits a raw query string into keywords (permissive: the user's
+    /// tokens are preserved even when short or numeric).
+    pub fn parse_query(&self, query: &str) -> Vec<String> {
+        Tokenizer::permissive().tokenize(query)
+    }
+
+    /// Builds the per-keyword variant slots for a parsed query (including
+    /// phonetic variants when configured).
+    pub fn make_slots(&self, keywords: &[String]) -> Vec<KeywordSlot> {
+        self.slots_for(keywords, &self.config, self.telemetry.tracer())
+    }
+
+    fn slots_for(
+        &self,
+        keywords: &[String],
+        config: &XCleanConfig,
+        tracer: &Tracer,
+    ) -> Vec<KeywordSlot> {
+        let _slot_span = tracer.span("slot_build");
+        keywords
+            .iter()
+            .map(|k| {
+                let _variant_span = tracer.span_with("variant_gen", || k.clone());
+                KeywordSlot {
+                    keyword: k.clone(),
+                    variants: match config.phonetic_distance {
+                        Some(d) => self.variants.variants_with_phonetic(k, d),
+                        None => self.variants.variants_within(k, config.epsilon),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// Slots → accumulate → finalize → top-k, once. Serving and explain
+    /// both run exactly this; they differ in the `telemetry` spans and
+    /// histograms land in and in what `observe` does with γ-decisions.
+    /// Neither influences a response bit.
+    pub(crate) fn execute<F: FnMut(GammaEvent<'_>)>(
+        &self,
+        keywords: &[String],
+        config: &XCleanConfig,
+        telemetry: &Telemetry,
+        observe: &mut F,
+    ) -> Executed {
+        config.validate();
+        let start = Instant::now();
+        let _query_span = telemetry
+            .tracer()
+            .span_with("suggest", || keywords.join(" "));
+        let slots = self.slots_for(keywords, config, telemetry.tracer());
+        let slot_nanos = nanos_since(start);
+        let Ranked {
+            candidates,
+            survivors,
+            mut stats,
+            accumulators,
+        } = rank_walked(
+            &self.corpus,
+            self.semantics,
+            &slots,
+            config,
+            config.k,
+            telemetry,
+            &self.arenas,
+            observe,
+        );
+        stats.slot_nanos = slot_nanos;
+        debug_assert!(
+            stats.slot_nanos > 0 && stats.walk_nanos > 0 && stats.rank_nanos > 0,
+            "every stage records a non-zero duration on every code path: {stats:?}"
+        );
+        let vocab = self.vocab();
+        let suggestions = candidates
+            .into_iter()
+            .map(|c| Suggestion {
+                terms: c
+                    .tokens
+                    .iter()
+                    .map(|&t| vocab.term(t).to_string())
+                    .collect(),
+                tokens: c.tokens,
+                log_score: c.log_score,
+                distances: c.distances,
+                result_path: (c.result_path != PathId::INVALID).then_some(c.result_path),
+                entity_count: c.entity_count,
+            })
+            .collect();
+        Executed {
+            slots,
+            response: SuggestResponse {
+                suggestions,
+                elapsed: start.elapsed(),
+                stats,
+                shard_stats: Vec::new(),
+            },
+            ranked: survivors,
+            accumulators,
+        }
+    }
+
+    /// Suggests up to `k` alternative queries for `query` (§IV Def. 1).
+    pub fn suggest(&self, query: &str) -> SuggestResponse {
+        self.suggest_keywords(&self.parse_query(query))
+    }
+
+    /// Suggests for an already-tokenised query.
+    pub fn suggest_keywords(&self, keywords: &[String]) -> SuggestResponse {
+        self.suggest_keywords_with(keywords, &self.config)
+    }
+
+    /// Suggests with a per-call configuration override. Scoring parameters
+    /// (β, smoothing, γ, d, k, skipping, prior) take effect immediately;
+    /// `epsilon` is capped by the offline variant index the engine was
+    /// built with. r,
+    /// `|C_eff|` and `l_p` are constants. This serving
+    /// wrapper is the only place query metrics are recorded.
+    pub fn suggest_keywords_with(
+        &self,
+        keywords: &[String],
+        config: &XCleanConfig,
+    ) -> SuggestResponse {
+        let response = self
+            .execute(keywords, config, &self.telemetry, &mut |_| {})
+            .response;
+        self.metric_handles.record_query(&response);
+        response
+    }
+
+    /// Answers a whole workload, one [`SuggestResponse`] per query in
+    /// input order.
+    ///
+    /// With `config.num_threads > 1` the queries are claimed in
+    /// [`BATCH_CHUNK`]-query chunks by a fixed pool of worker threads that
+    /// share the engine (and through it the corpus snapshot) by
+    /// reference. Every response is bit-identical to what
+    /// [`XCleanEngine::suggest`] returns for the same query, whatever the
+    /// thread count. `num_threads == 1` processes the batch inline with no
+    /// pool at all.
+    pub fn suggest_many(&self, queries: &[&str]) -> Vec<SuggestResponse> {
+        let keywords: Vec<Vec<String>> = queries.iter().map(|q| self.parse_query(q)).collect();
+        self.suggest_many_keywords(&keywords)
+    }
+
+    /// [`XCleanEngine::suggest_many`] for already-tokenised queries — the
+    /// batch entry point the serving layer uses after cache-splitting a
+    /// POST body.
+    pub fn suggest_many_keywords(&self, queries: &[Vec<String>]) -> Vec<SuggestResponse> {
+        // One pool worker per query up to num_threads; each query runs
+        // whole on the worker that claimed it. Outputs are bit-identical
+        // for any split (see DESIGN.md, "Concurrency & batching").
+        let tracer = self.tracer();
+        let _batch_span =
+            tracer.span_with("suggest_batch", || format!("{} queries", queries.len()));
+        let workers = self.config.num_threads.min(queries.len()).max(1);
+        if workers <= 1 {
+            return queries.iter().map(|kw| self.suggest_keywords(kw)).collect();
+        }
+        // Pool workers run on their own threads, where the thread-local
+        // span stack cannot see `suggest_batch`; each worker adopts it
+        // explicitly so the whole batch traces as one tree.
+        let batch_parent = tracer.current_span_id();
+        // Workers claim chunk indices from a shared cursor and keep what
+        // they answered; sorting the claimed chunks by index afterwards
+        // restores input order.
+        let next_chunk = AtomicUsize::new(0);
+        let worker = || {
+            let _worker_span = tracer.span_under("batch_worker", batch_parent);
+            let mut mine = Vec::new();
+            loop {
+                let i = next_chunk.fetch_add(1, Ordering::Relaxed);
+                let start = i.saturating_mul(BATCH_CHUNK);
+                if start >= queries.len() {
+                    break mine;
+                }
+                let batch = &queries[start..queries.len().min(start + BATCH_CHUNK)];
+                let responses = batch.iter().map(|kw| self.suggest_keywords(kw)).collect();
+                mine.push((i, responses));
+            }
+        };
+        let mut answered: Vec<(usize, Vec<SuggestResponse>)> = std::thread::scope(|scope| {
+            let pool: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            pool.into_iter()
+                .flat_map(|w| w.join().expect("batch worker panicked"))
+                .collect()
+        });
+        answered.sort_unstable_by_key(|&(i, _)| i);
+        answered.into_iter().flat_map(|(_, r)| r).collect()
     }
 
     /// Suggests with the space-edit extension of §VI-A: up to `tau` space

@@ -6,7 +6,7 @@
 //! γ-eviction events taken by the accumulator table, and per-stage wall
 //! times.
 //!
-//! Explain is the *same run* as serving ([`Pipeline::execute`]), observed:
+//! Explain is the *same run* as serving (the engine's `execute`), observed:
 //! it passes a γ-observer that captures the table's decisions and hands
 //! the run a private disabled [`Telemetry`] — so it never touches the
 //! serving counters, histograms, tracer or caches, which are only ever
@@ -16,8 +16,9 @@
 
 use xclean_telemetry::Telemetry;
 
-use crate::pipeline::{Executed, Pipeline, Suggestion};
+use crate::pipeline::{Executed, Suggestion};
 use crate::pruning::GammaEvent;
+use crate::XCleanEngine;
 
 /// Cap on retained γ-eviction events per explain trace (the total count
 /// keeps counting past the cap; only the detail list is bounded).
@@ -146,15 +147,15 @@ pub struct ExplainTrace {
     pub suggestions: Vec<Suggestion>,
 }
 
-impl Pipeline {
-    /// Explains a raw query: runs the pipeline under observation and
+impl XCleanEngine {
+    /// Explains a raw query: runs the query under observation and
     /// returns the structured trace. The reported suggestions are
-    /// bit-identical to [`Pipeline::suggest`]'s (see the module docs).
+    /// bit-identical to [`XCleanEngine::suggest`]'s (see the module docs).
     pub fn explain(&self, query: &str) -> ExplainTrace {
         self.explain_keywords(&self.parse_query(query))
     }
 
-    /// [`Pipeline::explain`] for an already-tokenised query.
+    /// [`XCleanEngine::explain`] for an already-tokenised query.
     pub fn explain_keywords(&self, keywords: &[String]) -> ExplainTrace {
         let config = self.config();
         let vocab = self.vocab();

@@ -62,7 +62,7 @@ pub use explain::{
     EvictionExplain, ExplainTrace, GammaEventKind, KeywordExplain, StageCounts, StageNanos,
     VariantExplain, MAX_EXPLAIN_EVICTIONS,
 };
-pub use pipeline::{Pipeline, Semantics, SuggestResponse, Suggestion};
+pub use pipeline::{Semantics, SuggestResponse, Suggestion};
 pub use pruning::{Accumulator, AccumulatorTable, CandidateKey, GammaEvent, PruningStats};
 pub use result_type::{find_result_type, ResultType};
 pub use slca::{run_slca, slca_of_lists};

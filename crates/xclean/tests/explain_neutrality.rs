@@ -6,7 +6,7 @@
 //! engine shape is the same run (ISSUE 14).
 
 use xclean::telemetry::names;
-use xclean::{run_xclean, Pipeline, Semantics, Telemetry, XCleanConfig, XCleanEngine};
+use xclean::{run_xclean, Semantics, Telemetry, XCleanConfig, XCleanEngine};
 use xclean_index::{partition_corpus, CorpusIndex};
 use xclean_xmltree::parse_document;
 
@@ -186,7 +186,7 @@ fn every_entry_point_of_every_shape_is_the_same_run() {
                 sharded(1),
                 sharded(4).with_telemetry(Telemetry::with_tracing()),
             );
-            let shapes: [(&str, &Pipeline); 3] = [
+            let shapes: [(&str, &XCleanEngine); 3] = [
                 ("unsharded", &unsharded),
                 ("1-shard", &one_shard),
                 ("4-shard", &four_shards),

@@ -10,10 +10,10 @@
 //!
 //! The arena is two parallel columns. Ancestor climbs, subtree gates and
 //! type checks — everything the query walk does per posting — read only
-//! the 16-byte [`HotNode`]s, so a publication's nodes share one or two
+//! the 16-byte `HotNode`s, so a publication's nodes share one or two
 //! cache lines; labels, ordinals, text ranges and child/sibling links sit
-//! in the [`ColdNode`] column that only construction, serialisation and
-//! display touch. Links are `u32` with [`NIL`] for "none".
+//! in the `ColdNode` column that only construction, serialisation and
+//! display touch. Links are `u32` with `NIL` for "none".
 
 use crate::dewey::Dewey;
 use crate::label::{LabelId, LabelTable, PathId, PathTable};

@@ -190,8 +190,8 @@ fn missing_shard_file_error_names_the_offending_path() {
     // bit-identically to the unsharded parent.
     let loaded = Catalog::load(&cat_path).unwrap();
     let open = || {
-        loaded.corpora[0].open(
-            &dir,
+        XCleanEngine::open(
+            &loaded.corpora[0].resolved_snapshots(&dir),
             XCleanConfig::default(),
             Semantics::NodeType,
             Telemetry::disabled(),

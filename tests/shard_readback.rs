@@ -6,7 +6,7 @@
 //! rebuilt corpus equal the parent's, at 1, 2, 3, 4 and 8 shards, over
 //! generated corpora and every committed fixture the partitioner accepts,
 //! from shards in memory and from shard snapshots opened from disk. The
-//! cache keys of a set are pinned too: `Pipeline::fingerprint` of 2- and
+//! cache keys of a set are pinned too: `XCleanEngine::fingerprint` of 2- and
 //! 3-shard sets of `dblp50.xml` keeps the value it had when a set was
 //! walked shard by shard.
 

@@ -300,8 +300,8 @@ fn a_catalog_set_opens_under_slca() {
         snapshots,
     };
     let open = |semantics| {
-        spec.open(
-            &dir,
+        XCleanEngine::open(
+            &spec.resolved_snapshots(&dir),
             XCleanConfig::default(),
             semantics,
             Telemetry::disabled(),
