@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! xclean index build <data.xml> --out index.xci    build & persist an index
+//!     [--catalog catalog.xcc --name C]             … and register it
 //! xclean index inspect <index.xci>                 snapshot summary
-//! xclean index shard <in> --shards N --out-prefix P   split into a shard set
 //! xclean suggest <data.xml|index.xci> <query…>     clean a keyword query
 //! xclean serve <index.xci> --port 8080             long-running HTTP server
 //! xclean serve --catalog catalog.xcc --port 8080   multi-corpus HTTP server
@@ -12,6 +12,7 @@
 //! ```
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,7 +20,7 @@ use xclean::{
     Catalog, CorpusSpec, RunStats, Semantics, Suggestion, Telemetry, XCleanConfig, XCleanEngine,
 };
 use xclean_datagen::{generate_dblp, generate_inex, DblpConfig, InexConfig};
-use xclean_index::{partition_corpus, storage, CorpusIndex, OpenError, OpenOptions};
+use xclean_index::{storage, CorpusIndex, OpenError, OpenOptions};
 use xclean_server::{ServerConfig, SuggestServer, PAGE_ROUTES};
 use xclean_telemetry::json::Json;
 use xclean_xmltree::{parse_document, to_xml, TreeStats};
@@ -53,21 +54,15 @@ xclean — valid spelling suggestions for XML keyword queries (ICDE 2011)
 
 USAGE:
     xclean index build <data.xml> --out <index.xci>
-            (writes the v2 format — columnar, checksummed, mmap-servable)
-    xclean index inspect <index.xci>
-            (summarises a snapshot without materialising the index:
-             format version, section sizes, checksum, and — for a shard
-             snapshot — its shard-set membership)
-    xclean index shard <data.xml | index.xci> --shards <N>
-            --out-prefix <P> [--seed S]
             [--catalog <catalog.xcc> [--name <corpus>]]
-            (splits the corpus into N entity-aligned shard snapshots
-             `P-shard<i>-of-<N>.xci`; serving the set is bit-identical
-             to the unsharded engine. With
-             --catalog, the shard set is also registered under --name
-             (default `default`) in the catalog file — created if
+            (writes the v2 format — columnar, checksummed, mmap-servable.
+             With --catalog, the snapshot is also registered under
+             --name (default `default`) in the catalog file — created if
              missing, the entry replaced if the name already exists —
              ready for `xclean serve --catalog`)
+    xclean index inspect <index.xci>
+            (summarises a snapshot without materialising the index:
+             format version, section sizes and checksum)
     xclean suggest <data.xml | index.xci> <query keywords…>
             [--k N] [--beta B] [--gamma G] [--epsilon E] [--min-depth D]
             [--semantics node-type|slca|elca] [--phonetic DIST]
@@ -98,9 +93,8 @@ USAGE:
              GET /debug/conns?n=K, GET /debug/flight?events=N,
              GET /debug/explain?q=Q[&corpus=C];
              with --catalog, every declared corpus is served under
-             POST/GET /suggest/<name> — a shard-set entry as the
-             corpus its shards read back as, and the tuning flags
-             configure every corpus — while bare /suggest and the
+             POST/GET /suggest/<name> from its snapshot, and the tuning
+             flags configure every corpus, while bare /suggest and the
              top-level /healthz fields keep tracking the first
              (primary) catalog entry; /metrics carries the server's own
              series unlabelled and every corpus's engine, cache and
@@ -171,151 +165,108 @@ fn load_corpus(path: &str) -> Result<CorpusIndex, ArgError> {
     }
 }
 
-/// `xclean index <build|inspect|shard> …`.
+/// `xclean index <build|inspect> …`.
 fn cmd_index(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     match raw.first().map(String::as_str) {
         Some("build") => cmd_index_build(raw[1..].to_vec()),
         Some("inspect") => cmd_index_inspect(raw[1..].to_vec()),
-        Some("shard") => cmd_index_shard(raw[1..].to_vec()),
         _ => Err(ArgError(format!(
-            "index expects a subcommand: build, inspect or shard\n{USAGE}"
+            "index expects a subcommand: build or inspect\n{USAGE}"
         ))),
     }
 }
 
+/// `xclean index build <data> --out <index.xci> [--catalog F [--name C]]`:
+/// builds the index and persists it as a v2 snapshot. With `--catalog`
+/// the snapshot is also registered in a corpus catalog — repeated
+/// invocations with different `--name`s assemble a multi-corpus catalog
+/// for `xclean serve --catalog`.
 fn cmd_index_build(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     let args = Args::parse(raw, &[])?;
-    args.reject_unknown(&["out"])?;
+    args.reject_unknown(&["out", "catalog", "name"])?;
     let [input] = args.positional() else {
         return Err(ArgError(
-            "usage: xclean index build <data.xml> --out <index.xci>".into(),
+            "usage: xclean index build <data.xml> --out <index.xci> \
+             [--catalog <catalog.xcc> [--name <corpus>]]"
+                .into(),
         ));
     };
     let out = args
         .get("out")
         .ok_or_else(|| ArgError("--out <index.xci> is required".into()))?;
+    if args.get("name").is_some() && args.get("catalog").is_none() {
+        return Err(ArgError("--name only makes sense with --catalog".into()));
+    }
+    // The updated catalog is read and checked before the snapshot is
+    // written, so a catalog that cannot be read, or a bad name, fails
+    // the command with nothing left on disk.
+    let catalog = match args.get("catalog") {
+        Some(path) => Some((path, register(path, args.get("name"), out)?)),
+        None => None,
+    };
     let corpus = load_corpus(input)?;
     storage::save_to_file_v2(&corpus, out).map_err(|e| ArgError(e.to_string()))?;
     let size = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-    Ok(CmdOutput::ok(vec![format!(
+    let mut lines = vec![format!(
         "indexed {} nodes, {} terms → {out} (v2, {:.1} MB)",
         corpus.tree().len(),
         corpus.vocab().len(),
         size as f64 / 1e6
-    )]))
-}
-
-/// `xclean index shard <in> --shards N --out-prefix P [--seed S]
-/// [--catalog F [--name C]]`: splits a corpus into an entity-aligned
-/// shard set and persists each shard as an ordinary v2 snapshot.
-/// Serving the set is bit-identical to serving the parent corpus
-/// unsharded (DESIGN.md §16). With `--catalog` the shard set is
-/// additionally registered in a corpus catalog — repeated invocations
-/// with different `--name`s assemble a multi-corpus catalog for `xclean
-/// serve --catalog`.
-fn cmd_index_shard(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
-    let args = Args::parse(raw, &[])?;
-    args.reject_unknown(&["shards", "seed", "out-prefix", "catalog", "name"])?;
-    let [input] = args.positional() else {
-        return Err(ArgError(
-            "usage: xclean index shard <data.xml | index.xci> --shards <N> --out-prefix <P> \
-             [--seed S] [--catalog <catalog.xcc> [--name <corpus>]]"
-                .into(),
-        ));
-    };
-    let shards: usize = args.get_parsed("shards", 0usize)?;
-    if shards == 0 {
-        return Err(ArgError("--shards <N> (at least 1) is required".into()));
-    }
-    let seed: u64 = args.get_parsed("seed", 0u64)?;
-    let prefix = args
-        .get("out-prefix")
-        .ok_or_else(|| ArgError("--out-prefix <P> is required".into()))?;
-    if args.get("name").is_some() && args.get("catalog").is_none() {
-        return Err(ArgError("--name only makes sense with --catalog".into()));
-    }
-    // Read the catalog before any shard file is written, so a catalog
-    // that cannot be read fails the command with nothing left on disk.
-    let catalog = match args.get("catalog") {
-        Some(path) if std::path::Path::new(path).exists() => Some((
-            path,
-            Catalog::load(path).map_err(|e| ArgError(format!("{path}: {e}")))?,
-        )),
-        Some(path) => Some((path, Catalog::default())),
-        None => None,
-    };
-    let corpus = load_corpus(input)?;
-    let parts =
-        partition_corpus(&corpus, shards, seed).map_err(|e| ArgError(format!("{input}: {e}")))?;
-    let mut lines = Vec::new();
-    let mut snapshot_paths = Vec::new();
-    for part in &parts {
-        let meta = part
-            .shard_meta()
-            .expect("partition_corpus stamps every shard");
-        let path = format!(
-            "{prefix}-shard{}-of-{}.xci",
-            meta.shard_id, meta.shard_count
-        );
-        storage::save_to_file_v2(part, &path).map_err(|e| ArgError(format!("{path}: {e}")))?;
-        let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        lines.push(format!(
-            "shard {}/{}  {} nodes, {} terms, {} tokens → {path} ({:.2} MB)",
-            meta.shard_id,
-            meta.shard_count,
-            part.tree().len(),
-            part.vocab().len(),
-            part.vocab().total_tokens(),
-            size as f64 / 1e6
-        ));
-        snapshot_paths.push(path);
-    }
-    lines.push(format!(
-        "parent fingerprint {:016x}, partitioner seed {seed}",
-        parts[0]
-            .shard_meta()
-            .expect("stamped above")
-            .parent_fingerprint
-    ));
-    if let Some((catalog_path, mut catalog)) = catalog {
-        let name = args.get("name").unwrap_or("default").to_string();
-        // Catalog paths resolve against the catalog file's directory, so
-        // store each shard relative to it when it sits underneath, and
-        // fall back to an absolute path otherwise (the shard files exist
-        // at this point, so canonicalize cannot fail on them).
-        let base = std::path::Path::new(catalog_path)
-            .parent()
-            .filter(|p| !p.as_os_str().is_empty());
-        let abs_base = std::fs::canonicalize(base.unwrap_or_else(|| std::path::Path::new(".")))
-            .map_err(|e| ArgError(format!("{catalog_path}: {e}")))?;
-        let stored: Vec<String> = snapshot_paths
-            .iter()
-            .map(|p| match std::fs::canonicalize(p) {
-                Ok(abs) => match abs.strip_prefix(&abs_base) {
-                    Ok(rel) => rel.display().to_string(),
-                    Err(_) => abs.display().to_string(),
-                },
-                Err(_) => p.clone(),
-            })
-            .collect();
-        let spec = CorpusSpec {
-            name: name.clone(),
-            snapshots: stored,
-        };
-        match catalog.corpora.iter_mut().find(|c| c.name == name) {
-            Some(existing) => *existing = spec,
-            None => catalog.corpora.push(spec),
-        }
+    )];
+    if let Some((path, catalog)) = catalog {
         catalog
-            .save(catalog_path)
-            .map_err(|e| ArgError(format!("{catalog_path}: {e}")))?;
+            .save(path)
+            .map_err(|e| ArgError(format!("{path}: {e}")))?;
         lines.push(format!(
-            "catalog: corpus {name:?} ({} shard(s)) registered → {catalog_path} ({} corpora)",
-            parts.len(),
+            "catalog: corpus {:?} registered → {path} ({} corpora)",
+            args.get("name").unwrap_or("default"),
             catalog.corpora.len()
         ));
     }
     Ok(CmdOutput::ok(lines))
+}
+
+/// The catalog at `path` (empty if there is none yet) with `snapshot`
+/// registered under `name` (default `default`), replacing an entry of
+/// that name. The path is stored relative to the catalog file's
+/// directory when the snapshot sits underneath it, absolute otherwise.
+fn register(path: &str, name: Option<&str>, snapshot: &str) -> Result<Catalog, ArgError> {
+    let mut catalog = if Path::new(path).exists() {
+        Catalog::load(path).map_err(|e| ArgError(format!("{path}: {e}")))?
+    } else {
+        Catalog::default()
+    };
+    let (snapshot, base) = (absolute(snapshot)?, absolute(path)?);
+    let base = base.parent().expect("an absolute file path has a parent");
+    let spec = CorpusSpec {
+        name: name.unwrap_or("default").to_string(),
+        snapshot: snapshot
+            .strip_prefix(base)
+            .unwrap_or(&snapshot)
+            .display()
+            .to_string(),
+    };
+    match catalog.corpora.iter_mut().find(|c| c.name == spec.name) {
+        Some(existing) => *existing = spec,
+        None => catalog.corpora.push(spec),
+    }
+    catalog
+        .validate()
+        .map_err(|e| ArgError(format!("{path}: {e}")))?;
+    Ok(catalog)
+}
+
+/// `path` made absolute through its directory, which must exist (the
+/// file itself need not).
+fn absolute(path: &str) -> Result<PathBuf, ArgError> {
+    let p = Path::new(path);
+    let dir = p.parent().filter(|d| !d.as_os_str().is_empty());
+    let file = p
+        .file_name()
+        .ok_or_else(|| ArgError(format!("{path}: not a file path")))?;
+    let dir = std::fs::canonicalize(dir.unwrap_or(Path::new(".")))
+        .map_err(|e| ArgError(format!("{path}: {e}")))?;
+    Ok(dir.join(file))
 }
 
 /// `xclean index inspect <index.xci>`: reads only the snapshot framing
@@ -347,12 +298,6 @@ fn cmd_index_inspect(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
             s.tokenizer.min_token_len, s.tokenizer.drop_numbers, s.tokenizer.drop_stop_words
         ),
     ];
-    if let Some(sh) = &s.shard {
-        lines.push(format!(
-            "shard       {} of {} (seed {}, parent fingerprint {:016x})",
-            sh.shard_id, sh.shard_count, sh.seed, sh.parent_fingerprint
-        ));
-    }
     lines.push("sections".to_string());
     for sec in &s.sections {
         lines.push(format!(
@@ -693,7 +638,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         "slow-log",
     ])?;
     let catalog_path = args.get("catalog");
-    // A bare snapshot is a one-entry catalog: `default` → [snapshot],
+    // A bare snapshot is a one-entry catalog: `default` → snapshot,
     // resolved against the working directory.
     let (specs, base) = match (args.positional(), catalog_path) {
         ([], Some(cat_path)) => {
@@ -702,18 +647,18 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
             if catalog.corpora.is_empty() {
                 return Err(ArgError(format!("{cat_path}: catalog declares no corpora")));
             }
-            let base = std::path::Path::new(cat_path)
+            let base = Path::new(cat_path)
                 .parent()
-                .unwrap_or_else(|| std::path::Path::new(""))
+                .unwrap_or_else(|| Path::new(""))
                 .to_path_buf();
             (catalog.corpora, base)
         }
         ([snapshot], None) => (
             vec![CorpusSpec {
                 name: "default".to_string(),
-                snapshots: vec![snapshot.clone()],
+                snapshot: snapshot.clone(),
             }],
-            std::path::PathBuf::new(),
+            PathBuf::new(),
         ),
         ([_], Some(_)) => {
             return Err(ArgError(
@@ -739,7 +684,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         max_body_bytes: args.get_parsed("max-body-bytes", defaults.max_body_bytes)?,
         slow_threshold: Duration::from_millis(slow_ms),
         slo_threshold: Duration::from_millis(slo_ms),
-        slow_log: args.get("slow-log").map(std::path::PathBuf::from),
+        slow_log: args.get("slow-log").map(PathBuf::from),
         ..defaults
     };
     if server_config.max_connections == 0 {
@@ -765,7 +710,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
 
     // The server path deliberately refuses to parse XML on the fly: a
     // long-running process should start from the index built offline
-    // (`xclean index build` / `index shard`), exactly as the paper
+    // (`xclean index build`), exactly as the paper
     // separates offline indexing from interactive querying. v2 snapshots
     // open as a view over the file bytes (mmap-ed where possible), so
     // startup cost is the validation pass, not a full re-encode.
@@ -777,8 +722,8 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
             Some(_) => Telemetry::with_tracing(),
             None => Telemetry::disabled(),
         };
-        let paths = spec.resolved_snapshots(&base);
-        let (engine, reports) = XCleanEngine::open(&paths, config.clone(), semantics, telemetry)
+        let path = spec.resolved_snapshot(&base);
+        let (engine, reports) = XCleanEngine::open(&[&path], config.clone(), semantics, telemetry)
             .map_err(|e| {
                 let hint = match e {
                     OpenError::Snapshot {
@@ -791,24 +736,23 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
                 };
                 ArgError(format!("{origin}corpus {:?}: {e}{hint}", spec.name))
             })?;
-        for (path, report) in spec.snapshots.iter().zip(&reports) {
-            banner.push(format!(
-                "snapshot {path}: v{} {} ({:.2} MB) — open {:.1}ms, validate {:.1}ms",
-                report.format_version,
-                if report.mapped {
-                    "mmap-backed"
-                } else {
-                    "in-memory"
-                },
-                report.total_bytes as f64 / 1e6,
-                report.open_nanos as f64 / 1e6,
-                report.validate_nanos as f64 / 1e6,
-            ));
-        }
+        // What is served: a shard file read back as its set is a copy.
+        let backing = match (engine.snapshot(), reports[0].mapped) {
+            (None, _) => "read back as its shard set",
+            (Some(_), true) => "mmap-backed",
+            (Some(_), false) => "in-memory",
+        };
         banner.push(format!(
-            "corpus {}: {} snapshot(s), {} shard(s), fingerprint {:016x} → /suggest/{}",
+            "snapshot {}: v{} {backing} ({:.2} MB) — open {:.1}ms, validate {:.1}ms",
+            path.display(),
+            reports[0].format_version,
+            reports[0].total_bytes as f64 / 1e6,
+            reports[0].open_nanos as f64 / 1e6,
+            reports[0].validate_nanos as f64 / 1e6,
+        ));
+        banner.push(format!(
+            "corpus {}: {} shard(s), fingerprint {:016x} → /suggest/{}",
             spec.name,
-            reports.len(),
             engine.shard_count(),
             engine.fingerprint(),
             spec.name
@@ -1401,161 +1345,86 @@ mod tests {
     }
 
     #[test]
-    fn index_shard_writes_snapshots_and_inspect_shows_membership() {
-        let xml = write_sample_xml("shardcmd.xml");
-        let prefix = tmp("shardcmd").to_string_lossy().into_owned();
+    fn index_build_registers_a_catalog_and_serve_validates_it() {
+        let xml = write_sample_xml("buildcat.xml");
+        let cat = tmp("buildcat.xcc").to_string_lossy().into_owned();
+        let _ = std::fs::remove_file(&cat);
+        let snapshot = |name: &str| tmp(name).to_string_lossy().into_owned();
+        let (idx, idx2) = (snapshot("buildcat.xci"), snapshot("buildcat2.xci"));
+        let build = |out: &str, name: &str| {
+            run(argv(&[
+                "index",
+                "build",
+                &xml,
+                "--out",
+                out,
+                "--catalog",
+                &cat,
+                "--name",
+                name,
+            ]))
+        };
+        let out = build(&idx, "dblp");
+        assert_eq!(out.code, 0, "{:?}", out.lines);
+        let loaded = Catalog::load(&cat).expect("catalog loads");
+        assert_eq!(loaded.corpora.len(), 1);
+        assert_eq!(loaded.corpora[0].name, "dblp");
+        // A snapshot next to the catalog file is stored relative to it.
+        assert_eq!(loaded.corpora[0].snapshot, "buildcat.xci");
+        // Same name replaces; a second name appends; no name is `default`.
+        assert_eq!(build(&idx, "dblp").code, 0);
+        assert_eq!(Catalog::load(&cat).unwrap().corpora.len(), 1);
+        assert_eq!(build(&idx2, "inex").code, 0);
         let out = run(argv(&[
             "index",
-            "shard",
+            "build",
             &xml,
-            "--shards",
-            "2",
-            "--seed",
-            "7",
-            "--out-prefix",
-            &prefix,
+            "--out",
+            &idx2,
+            "--catalog",
+            &cat,
         ]));
         assert_eq!(out.code, 0, "{:?}", out.lines);
-        assert!(
-            out.lines.iter().any(|l| l.contains("partitioner seed 7")),
-            "{:?}",
-            out.lines
-        );
-        for i in 0..2 {
-            let shard = format!("{prefix}-shard{i}-of-2.xci");
-            assert!(std::path::Path::new(&shard).exists(), "missing {shard}");
-            let out = run(argv(&["index", "inspect", &shard]));
-            assert_eq!(out.code, 0, "{:?}", out.lines);
-            let line = out
-                .lines
-                .iter()
-                .find(|l| l.starts_with("shard"))
-                .unwrap_or_else(|| panic!("no shard line: {:?}", out.lines));
-            assert!(line.contains(&format!("{i} of 2")), "{line}");
-            assert!(line.contains("seed 7"), "{line}");
-            assert!(line.contains("parent fingerprint"), "{line}");
-        }
-        // A plain (unsharded) snapshot prints no shard line.
-        let idx = tmp("shardcmd_plain.xci").to_string_lossy().into_owned();
-        assert_eq!(run(argv(&["index", "build", &xml, "--out", &idx])).code, 0);
-        let out = run(argv(&["index", "inspect", &idx]));
+        let loaded = Catalog::load(&cat).unwrap();
+        let names: Vec<_> = loaded.corpora.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["dblp", "inex", "default"]);
+        // An invalid corpus name is refused before the snapshot is written.
+        let idx3 = snapshot("buildcat3.xci");
+        let _ = std::fs::remove_file(&idx3);
+        assert_eq!(build(&idx3, "Not/Valid").code, 2);
+        assert!(!std::path::Path::new(&idx3).exists());
+        // --name is a catalog option, and `index shard` is gone.
+        let out = run(argv(&[
+            "index", "build", &xml, "--out", &idx, "--name", "x",
+        ]));
+        assert_eq!(out.code, 2);
+        assert!(out.lines[0].contains("--catalog"), "{:?}", out.lines);
+        let out = run(argv(&["index", "shard", &xml, "--shards", "2"]));
+        assert_eq!(out.code, 2);
+        assert!(out.lines[0].contains("build or inspect"), "{:?}", out.lines);
+        // serve: catalog and positional snapshot are mutually exclusive,
+        // an incomplete set is refused naming the corpus, and a missing
+        // snapshot file is reported by path — all before binding.
+        let out = run(argv(&["serve", &idx, "--catalog", &cat]));
+        assert_eq!(out.code, 2);
+        assert!(out.lines[0].contains("not both"), "{:?}", out.lines);
+        // Served bare, a shard of a 2-shard set is an incomplete set.
+        let (corpus, _) = storage::open_file(&idx, &OpenOptions::default()).unwrap();
+        let shard = snapshot("buildcat-shard0-of-2.xci");
+        let parts = xclean_index::partition_corpus(&corpus, 2, 0).unwrap();
+        storage::save_to_file_v2(&parts[0], &shard).unwrap();
+        // `index inspect` lists its SHARD section and nothing more of the set.
+        let out = run(argv(&["index", "inspect", &shard]));
+        assert!(out
+            .lines
+            .iter()
+            .any(|l| l.trim_start().starts_with("SHARD")));
         assert!(
             !out.lines.iter().any(|l| l.starts_with("shard")),
             "{:?}",
             out.lines
         );
-        // Usage errors: --shards and --out-prefix are required, and
-        // --name is a catalog option.
-        let out = run(argv(&["index", "shard", &xml, "--out-prefix", &prefix]));
-        assert_eq!(out.code, 2);
-        assert!(out.lines[0].contains("--shards"), "{:?}", out.lines);
-        let out = run(argv(&["index", "shard", &xml, "--shards", "2"]));
-        assert_eq!(out.code, 2);
-        assert!(out.lines[0].contains("--out-prefix"), "{:?}", out.lines);
-        let out = run(argv(&[
-            "index",
-            "shard",
-            &xml,
-            "--shards",
-            "2",
-            "--out-prefix",
-            &prefix,
-            "--name",
-            "x",
-        ]));
-        assert_eq!(out.code, 2);
-        assert!(out.lines[0].contains("--catalog"), "{:?}", out.lines);
-    }
-
-    #[test]
-    fn index_shard_assembles_a_catalog_and_serve_validates_it() {
-        let xml = write_sample_xml("shardcat.xml");
-        let prefix = tmp("shardcat").to_string_lossy().into_owned();
-        let cat = tmp("shardcat.xcc").to_string_lossy().into_owned();
-        let _ = std::fs::remove_file(&cat);
-        let out = run(argv(&[
-            "index",
-            "shard",
-            &xml,
-            "--shards",
-            "2",
-            "--out-prefix",
-            &prefix,
-            "--catalog",
-            &cat,
-            "--name",
-            "dblp",
-        ]));
-        assert_eq!(out.code, 0, "{:?}", out.lines);
-        let loaded = Catalog::load(&cat).expect("catalog loads");
-        assert_eq!(loaded.corpora.len(), 1);
-        assert_eq!(loaded.corpora[0].name, "dblp");
-        assert_eq!(loaded.corpora[0].snapshots.len(), 2);
-        // Shards next to the catalog file are stored relative to it.
-        assert!(
-            loaded.corpora[0].snapshots[0].starts_with("shardcat-shard"),
-            "{:?}",
-            loaded.corpora[0].snapshots
-        );
-        // Same name replaces; a second name appends.
-        let out = run(argv(&[
-            "index",
-            "shard",
-            &xml,
-            "--shards",
-            "2",
-            "--out-prefix",
-            &prefix,
-            "--catalog",
-            &cat,
-            "--name",
-            "dblp",
-        ]));
-        assert_eq!(out.code, 0, "{:?}", out.lines);
-        assert_eq!(Catalog::load(&cat).unwrap().corpora.len(), 1);
-        let prefix2 = tmp("shardcat2").to_string_lossy().into_owned();
-        let out = run(argv(&[
-            "index",
-            "shard",
-            &xml,
-            "--shards",
-            "1",
-            "--out-prefix",
-            &prefix2,
-            "--catalog",
-            &cat,
-            "--name",
-            "inex",
-        ]));
-        assert_eq!(out.code, 0, "{:?}", out.lines);
-        let loaded = Catalog::load(&cat).unwrap();
-        assert_eq!(loaded.corpora.len(), 2);
-        assert_eq!(loaded.corpora[1].name, "inex");
-        // An invalid corpus name is rejected at save time.
-        let out = run(argv(&[
-            "index",
-            "shard",
-            &xml,
-            "--shards",
-            "1",
-            "--out-prefix",
-            &prefix2,
-            "--catalog",
-            &cat,
-            "--name",
-            "Not/Valid",
-        ]));
-        assert_eq!(out.code, 2, "{:?}", out.lines);
-        // serve: catalog and positional snapshot are mutually exclusive,
-        // an incomplete set is refused naming the corpus, and a missing
-        // shard file is reported by path — all before binding.
-        let idx = tmp("shardcat_plain.xci").to_string_lossy().into_owned();
-        assert_eq!(run(argv(&["index", "build", &xml, "--out", &idx])).code, 0);
-        let out = run(argv(&["serve", &idx, "--catalog", &cat]));
-        assert_eq!(out.code, 2);
-        assert!(out.lines[0].contains("not both"), "{:?}", out.lines);
-        // Served bare, a shard of a 2-shard set is an incomplete set.
-        let out = run(argv(&["serve", &format!("{prefix}-shard0-of-2.xci")]));
+        let out = run(argv(&["serve", &shard]));
         assert_eq!(out.code, 2);
         assert!(
             out.lines[0].contains("corpus \"default\"") && out.lines[0].contains("2 shards"),
@@ -1564,15 +1433,10 @@ mod tests {
         );
         let out = run(argv(&["serve", "--catalog", "/nonexistent/cat.xcc"]));
         assert_eq!(out.code, 2);
-        let gone = format!("{prefix}-shard1-of-2.xci");
-        std::fs::remove_file(&gone).unwrap();
+        std::fs::remove_file(&idx2).unwrap();
         let out = run(argv(&["serve", "--catalog", &cat]));
         assert_eq!(out.code, 2);
-        assert!(
-            out.lines[0].contains("shardcat-shard1-of-2.xci"),
-            "{:?}",
-            out.lines
-        );
+        assert!(out.lines[0].contains("buildcat2.xci"), "{:?}", out.lines);
     }
 
     #[test]

@@ -10,6 +10,8 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use xclean::{Catalog, CorpusSpec};
+use xclean_index::{partition_corpus, storage, CorpusIndex};
+use xclean_xmltree::parse_document;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("xclean_cli_errors");
@@ -136,7 +138,7 @@ fn legacy_snapshots_are_refused_with_a_rebuild_hint() {
         Catalog {
             corpora: vec![CorpusSpec {
                 name: "legacy".to_string(),
-                snapshots: vec![file.clone()],
+                snapshot: file.clone(),
             }],
         }
         .save(&catalog)
@@ -172,18 +174,33 @@ fn an_earlier_catalog_format_is_refused_with_a_re_register_hint() {
         "/../../tests/fixtures/catalog_xclcat1.xcc"
     );
     let stderr = assert_fails(&["serve", "--catalog", catalog, "--port", "0"]);
-    for needle in [catalog, "re-register", "xclean index shard", "--catalog"] {
+    for needle in [catalog, "re-register", "xclean index build", "--catalog"] {
         assert!(stderr.contains(needle), "{needle}: {stderr}");
     }
 }
 
-/// `index shard --catalog` reads the catalog before it writes a shard: an
-/// `XCLCAT1` catalog fails the command with the re-register hint, and no
-/// shard file is left behind.
+/// The `XCLCAT2` catalog an earlier build's `xclean index shard …
+/// --catalog` wrote (its entries listed shard snapshots; the committed
+/// fixture is that build's bytes).
 #[test]
-fn index_shard_refuses_an_earlier_catalog_before_writing_shards() {
-    let (xml, _) = sample("shard_old_catalog");
-    let catalog = tmp("shard_old_catalog.xcc");
+fn a_shard_list_catalog_is_refused_with_a_re_register_hint() {
+    let catalog = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/catalog_xclcat2.xcc"
+    );
+    let stderr = assert_fails(&["serve", "--catalog", catalog, "--port", "0"]);
+    for needle in [catalog, "re-register", "xclean index build"] {
+        assert!(stderr.contains(needle), "{needle}: {stderr}");
+    }
+}
+
+/// `index build --catalog` reads the catalog before it writes the
+/// snapshot: an `XCLCAT1` catalog fails the command with the re-register
+/// hint, and no snapshot is left behind.
+#[test]
+fn index_build_refuses_an_earlier_catalog_before_writing_a_snapshot() {
+    let (xml, _) = sample("build_old_catalog");
+    let catalog = tmp("build_old_catalog.xcc");
     std::fs::copy(
         concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -192,27 +209,24 @@ fn index_shard_refuses_an_earlier_catalog_before_writing_shards() {
         &catalog,
     )
     .unwrap();
-    let prefix = tmp("shard_old_catalog_p");
-    let shard = tmp("shard_old_catalog_p-shard0-of-1.xci");
-    let _ = std::fs::remove_file(&shard);
-    let (catalog, prefix) = (catalog.to_string_lossy(), prefix.to_string_lossy());
+    let snapshot = tmp("build_old_catalog.xci");
+    let _ = std::fs::remove_file(&snapshot);
+    let (catalog, out) = (catalog.to_string_lossy(), snapshot.to_string_lossy());
     let stderr = assert_fails(&[
         "index",
-        "shard",
+        "build",
         &xml,
-        "--shards",
-        "1",
-        "--out-prefix",
-        &prefix,
+        "--out",
+        &out,
         "--catalog",
         &catalog,
         "--name",
         "tiny",
     ]);
-    for needle in [&*catalog, "re-register", "xclean index shard", "--catalog"] {
+    for needle in [&*catalog, "re-register", "xclean index build", "--catalog"] {
         assert!(stderr.contains(needle), "{needle}: {stderr}");
     }
-    assert!(!shard.exists(), "{} was written", shard.display());
+    assert!(!snapshot.exists(), "{} was written", snapshot.display());
 }
 
 /// `suggest` opens a snapshot the one way `serve` does: one shard of a
@@ -222,17 +236,12 @@ fn index_shard_refuses_an_earlier_catalog_before_writing_shards() {
 #[test]
 fn suggest_refuses_one_shard_of_a_set() {
     let (xml, _) = sample("suggest_one_shard");
+    let corpus =
+        CorpusIndex::build(parse_document(&std::fs::read_to_string(xml).unwrap()).unwrap());
     let prefix = tmp("suggest_one_shard_p").to_string_lossy().into_owned();
-    let out = xclean(&[
-        "index",
-        "shard",
-        &xml,
-        "--shards",
-        "2",
-        "--out-prefix",
-        &prefix,
-    ]);
-    assert_eq!(out.status.code(), Some(0));
+    for (i, part) in partition_corpus(&corpus, 2, 0).unwrap().iter().enumerate() {
+        storage::save_to_file_v2(part, format!("{prefix}-shard{i}-of-2.xci")).unwrap();
+    }
     let shard = format!("{prefix}-shard0-of-2.xci");
     let stderr = assert_fails(&["suggest", &shard, "helth"]);
     for needle in [&*shard, "2 shards"] {

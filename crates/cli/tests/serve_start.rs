@@ -1,8 +1,8 @@
 //! `xclean serve` starts every corpus one way: a bare snapshot is the
-//! one-entry catalog `default → [snapshot]`, and the tuning flags
-//! configure every corpus of a catalog. These tests start the built
-//! binary on an ephemeral port, read its banner, query it over HTTP and
-//! kill it.
+//! one-entry catalog `default → snapshot`, a registered corpus is served
+//! from its mapped file, and the tuning flags configure every corpus of
+//! a catalog. These tests start the built binary on an ephemeral port,
+//! read its banner, query it over HTTP and kill it.
 #![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Lines, Read, Write};
@@ -39,7 +39,7 @@ fn snapshot_and_catalog(test: &str) -> (String, String) {
     Catalog {
         corpora: vec![CorpusSpec {
             name: "default".into(),
-            snapshots: vec![snapshot.clone()],
+            snapshot: snapshot.clone(),
         }],
     }
     .save(&catalog)
@@ -150,4 +150,59 @@ fn tuning_flags_configure_every_catalog_corpus() {
     let default = Server::start(&["--catalog", &catalog]);
     let tuned = Server::start(&["--catalog", &catalog, "--gamma", "5"]);
     assert_ne!(default.fingerprint("default"), tuned.fingerprint("default"));
+}
+
+/// A corpus registered with `index build --catalog` is served from its
+/// mapped snapshot: the banner says so, `/healthz` carries the checksum
+/// `index inspect` prints for the file, and its answers are byte-equal
+/// to a positional `serve` of the same file.
+#[test]
+fn a_registered_corpus_is_served_from_its_mapped_file() {
+    let xml = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/dblp50.xml"
+    );
+    let snapshot = tmp("registered.xci").to_string_lossy().into_owned();
+    let catalog = tmp("registered.xcc").to_string_lossy().into_owned();
+    let _ = std::fs::remove_file(&catalog);
+    let xclean = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_xclean"))
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    xclean(&[
+        "index",
+        "build",
+        xml,
+        "--out",
+        &snapshot,
+        "--catalog",
+        &catalog,
+        "--name",
+        "dblp",
+    ]);
+    let inspect = xclean(&["index", "inspect", &snapshot]);
+    let checksum = inspect
+        .lines()
+        .find_map(|l| l.strip_prefix("checksum"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no checksum line: {inspect}"))
+        .to_string();
+
+    let served = Server::start(&["--catalog", &catalog]);
+    let bare = Server::start(&[&snapshot]);
+    let mapped = format!("snapshot {snapshot}: v2 mmap-backed");
+    assert!(
+        served.banner.iter().any(|l| l.starts_with(&mapped)),
+        "{mapped:?} not in {:?}",
+        served.banner
+    );
+    let health = xclean_telemetry::json::parse(&served.get("/healthz")).unwrap();
+    assert_eq!(health["snapshot"]["checksum"].as_str(), Some(&*checksum));
+    let body = served.get("/suggest/dblp?q=databse");
+    assert!(body.contains("\"suggestions\":[{"), "{body}");
+    assert_eq!(body, bare.get("/suggest?q=databse"));
 }

@@ -33,7 +33,5 @@ pub use shard::{
     ShardMeta,
 };
 pub use slab::IndexSlab;
-pub use storage::{
-    LoadReport, OpenOptions, SectionInfo, ShardSummary, SnapshotSummary, StorageError,
-};
+pub use storage::{LoadReport, OpenOptions, SectionInfo, SnapshotSummary, StorageError};
 pub use vocab::{TokenId, Vocabulary};

@@ -25,7 +25,7 @@ pub struct Posting {
 pub type MergedEntry = (TokenId, NodeId, u32);
 
 /// Counters of the walk's posting I/O, per run: `RunStats::access` in
-/// `crates/xclean`, summed over shards and runs with `+=`.
+/// `crates/xclean`, summed over runs with `+=`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AccessStats {
     /// Postings consumed through a cursor, once per keyword whose variants

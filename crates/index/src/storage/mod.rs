@@ -89,20 +89,6 @@ pub struct SectionInfo {
     pub bytes: u64,
 }
 
-/// Shard-set membership recorded in a v2 `SHARD` section, as reported by
-/// [`summarize`] (full id-translation maps stay in the snapshot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSummary {
-    /// This shard's position in the set (document order).
-    pub shard_id: u32,
-    /// Total shards the parent corpus was split into.
-    pub shard_count: u32,
-    /// Partitioner seed.
-    pub seed: u64,
-    /// Fingerprint of the parent corpus + partitioning parameters.
-    pub parent_fingerprint: u64,
-}
-
 /// Cheap structural facts about a stored snapshot, extracted without
 /// rebuilding the tree, vocabulary, or posting lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,8 +113,6 @@ pub struct SnapshotSummary {
     pub checksum: u64,
     /// Per-section byte sizes in file order.
     pub sections: Vec<SectionInfo>,
-    /// Shard-set membership (shard snapshots only).
-    pub shard: Option<ShardSummary>,
 }
 
 /// The options [`open_file`] takes. It has none: a snapshot is always
@@ -395,12 +379,6 @@ mod tests {
             // Re-encoding the loaded shard is byte-stable.
             assert_eq!(to_bytes_v2(&loaded), bytes);
             let s = summarize(&bytes).unwrap();
-            let info = s.shard.expect("shard snapshots summarize membership");
-            let meta = shard.shard_meta().unwrap();
-            assert_eq!(info.shard_id, meta.shard_id);
-            assert_eq!(info.shard_count, 2);
-            assert_eq!(info.seed, 99);
-            assert_eq!(info.parent_fingerprint, meta.parent_fingerprint);
             assert_eq!(s.sections.len(), 7);
             assert!(s.sections.iter().any(|x| x.name == "SHARD"));
             // Truncations error, never panic, with the SHARD section too.
@@ -409,7 +387,8 @@ mod tests {
             }
         }
         // Ordinary snapshots stay shard-free.
-        assert!(summarize(to_bytes_v2(&a)).unwrap().shard.is_none());
+        let s = summarize(to_bytes_v2(&a)).unwrap();
+        assert!(!s.sections.iter().any(|x| x.name == "SHARD"));
     }
 
     #[test]

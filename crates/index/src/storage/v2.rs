@@ -634,19 +634,6 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
         .sum();
     let tokenizer = parse_tokenizer(&bytes[header.section(SEC_TOKENIZER)])?;
 
-    let shard = match header.section_opt(SEC_SHARD) {
-        Some(range) => {
-            let meta = parse_shard(&bytes[range])?;
-            Some(super::ShardSummary {
-                shard_id: meta.shard_id,
-                shard_count: meta.shard_count,
-                seed: meta.seed,
-                parent_fingerprint: meta.parent_fingerprint,
-            })
-        }
-        None => None,
-    };
-
     let sections = header
         .sections
         .iter()
@@ -666,6 +653,5 @@ pub(crate) fn summarize(bytes: &[u8]) -> Result<SnapshotSummary, StorageError> {
         tokenizer,
         checksum: header.checksum,
         sections,
-        shard,
     })
 }

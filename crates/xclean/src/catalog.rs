@@ -1,19 +1,17 @@
 //! Multi-tenant corpus catalog: the serving metastore.
 //!
-//! A catalog file declares, for each served corpus, its name and the
-//! snapshot file(s) backing it — one path for an unsharded corpus, N paths
-//! for a shard set. A server opens either the one way,
-//! [`crate::XCleanEngine::open`] over the entry's resolved paths (below);
-//! every corpus of a server runs with the one configuration the server
-//! was started with. The
-//! encoding follows the storage/v2 discipline: magic + whole-payload
-//! checksum and minimal LEB128 varints, so a decode→encode round trip is
-//! **byte-stable** and any flipped bit is caught before a path is
-//! trusted.
+//! A catalog file declares, for each served corpus, its name and the one
+//! snapshot file backing it (`xclean index build … --catalog` writes the
+//! entries). A server opens each entry with [`crate::XCleanEngine::open`]
+//! over its resolved path; every corpus of a server runs with the one
+//! configuration the server was started with. The encoding follows the
+//! storage/v2 discipline: magic + whole-payload checksum and minimal
+//! LEB128 varints, so a decode→encode round trip is **byte-stable** and
+//! any flipped bit is caught before a path is trusted.
 //!
 //! Snapshot paths are stored as written (usually relative); resolve them
 //! against the catalog file's parent directory with
-//! [`CorpusSpec::resolved_snapshots`].
+//! [`CorpusSpec::resolved_snapshot`].
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -21,10 +19,11 @@ use std::path::{Path, PathBuf};
 use xclean_index::slab::checksum64;
 use xclean_index::storage;
 
-/// File magic: 7 ASCII bytes + NUL, mirroring the snapshot magics. An
-/// earlier build wrote `XCLCAT1\0`, whose entries also carried an engine
-/// configuration; such a file is a [`CatalogError::BadMagic`].
-pub const CATALOG_MAGIC: &[u8; 8] = b"XCLCAT2\0";
+/// File magic: 7 ASCII bytes + NUL, mirroring the snapshot magics.
+/// Earlier builds wrote `XCLCAT1\0` (entries with an engine configuration)
+/// and `XCLCAT2\0` (entries with a list of shard snapshots); such a file
+/// is a [`CatalogError::BadMagic`].
+pub const CATALOG_MAGIC: &[u8; 8] = b"XCLCAT3\0";
 
 /// Longest permitted corpus name.
 pub const MAX_NAME_LEN: usize = 64;
@@ -58,9 +57,9 @@ impl std::fmt::Display for CatalogError {
         match self {
             CatalogError::BadMagic => write!(
                 f,
-                "not an xclean catalog of the current format (XCLCAT2); an earlier \
+                "not an xclean catalog of the current format (XCLCAT3); an earlier \
                  build's catalog is not read: re-register its corpora in a new catalog \
-                 file with `xclean index shard <data> --shards N --out-prefix P \
+                 file with `xclean index build <data.xml> --out <index.xci> \
                  --catalog <catalog.xcc> --name <corpus>`"
             ),
             CatalogError::Checksum { stored, actual } => write!(
@@ -93,32 +92,21 @@ impl From<std::io::Error> for CatalogError {
     }
 }
 
-/// One served corpus: its name and its snapshot paths.
+/// One served corpus: its name and its snapshot path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorpusSpec {
     /// Routing name (`/suggest/<name>`), `[a-z0-9_-]{1,64}`.
     pub name: String,
-    /// Snapshot files backing the corpus: one for an unsharded corpus, N
-    /// for a shard set. Stored as written; usually relative to the
-    /// catalog file.
-    pub snapshots: Vec<String>,
+    /// The snapshot file backing the corpus, stored as written; usually
+    /// relative to the catalog file.
+    pub snapshot: String,
 }
 
 impl CorpusSpec {
-    /// The snapshot paths resolved against `base` (the catalog file's
-    /// parent directory); absolute paths pass through unchanged.
-    pub fn resolved_snapshots(&self, base: &Path) -> Vec<PathBuf> {
-        self.snapshots
-            .iter()
-            .map(|s| {
-                let p = Path::new(s);
-                if p.is_absolute() {
-                    p.to_path_buf()
-                } else {
-                    base.join(p)
-                }
-            })
-            .collect()
+    /// The snapshot path resolved against `base` (the catalog file's
+    /// parent directory); an absolute path passes through unchanged.
+    pub fn resolved_snapshot(&self, base: &Path) -> PathBuf {
+        base.join(&self.snapshot)
     }
 }
 
@@ -140,7 +128,7 @@ pub fn valid_corpus_name(name: &str) -> bool {
 
 impl Catalog {
     /// Validates all names (charset + uniqueness) and that every corpus
-    /// declares a snapshot.
+    /// names a snapshot.
     pub fn validate(&self) -> Result<(), CatalogError> {
         let mut seen = HashSet::new();
         for c in &self.corpora {
@@ -150,8 +138,8 @@ impl Catalog {
             if !seen.insert(c.name.as_str()) {
                 return Err(CatalogError::DuplicateName(c.name.clone()));
             }
-            if c.snapshots.is_empty() {
-                return Err(CatalogError::Corrupt("corpus declares no snapshots"));
+            if c.snapshot.is_empty() {
+                return Err(CatalogError::Corrupt("corpus names no snapshot"));
             }
         }
         Ok(())
@@ -166,10 +154,7 @@ impl Catalog {
         put_varint(&mut payload, self.corpora.len() as u64);
         for c in &self.corpora {
             put_str(&mut payload, &c.name);
-            put_varint(&mut payload, c.snapshots.len() as u64);
-            for s in &c.snapshots {
-                put_str(&mut payload, s);
-            }
+            put_str(&mut payload, &c.snapshot);
         }
         let mut out = Vec::with_capacity(16 + payload.len());
         out.extend_from_slice(CATALOG_MAGIC);
@@ -193,21 +178,14 @@ impl Catalog {
             buf: payload,
             pos: 0,
         };
-        // ≥ 3 bytes per corpus (1-byte name length + 1-byte name + …):
+        // ≥ 4 bytes per corpus (two length-prefixed, non-empty strings):
         // hostile counts must never drive allocation.
-        let n = r.count(3)?;
+        let n = r.count(4)?;
         let mut corpora = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.str()?;
-            let paths = r.count(2)?;
-            if paths == 0 {
-                return Err(CatalogError::Corrupt("corpus declares no snapshots"));
-            }
-            let mut snapshots = Vec::with_capacity(paths);
-            for _ in 0..paths {
-                snapshots.push(r.str()?);
-            }
-            corpora.push(CorpusSpec { name, snapshots });
+            let snapshot = r.str()?;
+            corpora.push(CorpusSpec { name, snapshot });
         }
         if r.pos != r.buf.len() {
             return Err(CatalogError::Corrupt("trailing bytes after catalog"));
@@ -307,15 +285,11 @@ mod tests {
             corpora: vec![
                 CorpusSpec {
                     name: "dblp".into(),
-                    snapshots: vec!["dblp.xci".into()],
+                    snapshot: "snapshots/dblp.xci".into(),
                 },
                 CorpusSpec {
                     name: "inex-09".into(),
-                    snapshots: vec![
-                        "shards/inex-0.xci".into(),
-                        "shards/inex-1.xci".into(),
-                        "/abs/inex-2.xci".into(),
-                    ],
+                    snapshot: "/abs/inex-09.xci".into(),
                 },
             ],
         }
@@ -338,11 +312,13 @@ mod tests {
     fn resolves_paths_against_catalog_dir() {
         let c = sample();
         let base = Path::new("/srv/catalogs");
-        let resolved = c.corpora[1].resolved_snapshots(base);
-        assert_eq!(resolved[0], Path::new("/srv/catalogs/shards/inex-0.xci"));
         assert_eq!(
-            resolved[2],
-            Path::new("/abs/inex-2.xci"),
+            c.corpora[0].resolved_snapshot(base),
+            Path::new("/srv/catalogs/snapshots/dblp.xci")
+        );
+        assert_eq!(
+            c.corpora[1].resolved_snapshot(base),
+            Path::new("/abs/inex-09.xci"),
             "absolute passes through"
         );
     }
@@ -353,7 +329,7 @@ mod tests {
             let c = Catalog {
                 corpora: vec![CorpusSpec {
                     name: bad.into(),
-                    snapshots: vec!["a.xci".into()],
+                    snapshot: "a.xci".into(),
                 }],
             };
             assert!(
@@ -369,7 +345,7 @@ mod tests {
     #[test]
     fn rejects_empty_snapshot_list() {
         let mut c = sample();
-        c.corpora[0].snapshots.clear();
+        c.corpora[0].snapshot.clear();
         assert!(matches!(c.encode(), Err(CatalogError::Corrupt(_))));
     }
 
@@ -426,14 +402,14 @@ mod tests {
         ));
     }
 
-    /// The XCLCAT2 encoding of `sample()`.
-    const PINNED_CHECKSUM: u64 = 0xb1e7_dfb3_84fd_0c26;
-    const PINNED_BYTES: usize = 93;
+    /// The XCLCAT3 encoding of `sample()`.
+    const PINNED_CHECKSUM: u64 = 0xde22_eb4f_ab9a_69f0;
+    const PINNED_BYTES: usize = 66;
 
     #[test]
     fn encoding_is_pinned() {
         let bytes = sample().encode().unwrap();
-        assert_eq!(&bytes[..8], b"XCLCAT2\0");
+        assert_eq!(&bytes[..8], b"XCLCAT3\0");
         assert_eq!(
             (checksum64(&bytes), bytes.len()),
             (PINNED_CHECKSUM, PINNED_BYTES)
@@ -458,6 +434,26 @@ mod tests {
         assert!(matches!(err, CatalogError::BadMagic), "{err:?}");
         assert!(err.to_string().contains("re-register"), "{err}");
         assert!(err.to_string().contains("--catalog"), "{err}");
+    }
+
+    /// The catalog an earlier build's `xclean index shard … --catalog`
+    /// wrote (`XCLCAT2`, entries with a list of shard snapshots,
+    /// committed as `tests/fixtures/catalog_xclcat2.xcc`) is refused the
+    /// same way.
+    #[test]
+    fn earlier_xclcat2_bytes_are_refused_with_a_re_register_hint() {
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/catalog_xclcat2.xcc");
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[..8], b"XCLCAT2\0");
+        assert_eq!(
+            (checksum64(&bytes), bytes.len()),
+            (0x14df_38e3_758d_4c1e, 92),
+            "the fixture is what the earlier build wrote"
+        );
+        let err = Catalog::load(&path).unwrap_err();
+        assert!(matches!(err, CatalogError::BadMagic), "{err:?}");
+        assert!(err.to_string().contains("xclean index build"), "{err}");
     }
 
     #[test]

@@ -200,8 +200,8 @@ impl XCleanEngine {
     /// `semantics` and `telemetry`, and records each snapshot's
     /// open/validate timings in `telemetry`'s registry. The load reports
     /// come back in path order. Every caller that serves stored snapshots
-    /// opens them here; a catalog entry's paths are
-    /// [`crate::CorpusSpec::resolved_snapshots`].
+    /// opens them here; a catalog entry's path is
+    /// [`crate::CorpusSpec::resolved_snapshot`].
     pub fn open<P: AsRef<Path>>(
         paths: &[P],
         config: XCleanConfig,

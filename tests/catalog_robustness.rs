@@ -1,15 +1,15 @@
 //! Robustness of the multi-tenant catalog metastore (DESIGN.md §16),
-//! mirroring `snapshot_corruption.rs` for the `XCLCAT2` format.
+//! mirroring `snapshot_corruption.rs` for the `XCLCAT3` format.
 //!
 //! Contract (ISSUE PR 9): a catalog file is trusted only after magic,
 //! whole-payload checksum, and structural validation all pass; any
 //! truncation, bit flip, or hostile varint surfaces as a `CatalogError`
 //! — never a panic, never an oversized allocation, never a silently
 //! different corpus list. Accepted inputs re-encode byte-for-byte (the
-//! canonical-encoding property the `xclean index shard --catalog`
-//! read-modify-write cycle depends on). A shard set declared by a valid
-//! catalog whose file went missing must fail engine assembly with an
-//! error naming the offending path.
+//! canonical-encoding property the `xclean index build --catalog`
+//! read-modify-write cycle depends on). A snapshot named by a valid
+//! catalog, or a file of a shard set, that went missing must fail engine
+//! assembly with an error naming the offending path.
 
 use xclean_suite::datagen::{generate_dblp, DblpConfig};
 use xclean_suite::index::slab::checksum64;
@@ -33,11 +33,11 @@ fn sample_catalog() -> Catalog {
         corpora: vec![
             CorpusSpec {
                 name: "dblp".into(),
-                snapshots: vec!["dblp-shard0-of-2.xci".into(), "dblp-shard1-of-2.xci".into()],
+                snapshot: "snapshots/dblp.xci".into(),
             },
             CorpusSpec {
                 name: "inex-09".into(),
-                snapshots: vec!["inex.xci".into()],
+                snapshot: "inex.xci".into(),
             },
         ],
     }
@@ -64,7 +64,7 @@ fn roundtrip_is_byte_stable_through_the_filesystem() {
     let back = Catalog::load(&path).unwrap();
     assert_eq!(back, catalog);
     // Saving the loaded catalog reproduces the file byte for byte — the
-    // read-modify-write cycle `index shard --catalog` runs is stable.
+    // read-modify-write cycle `index build --catalog` runs is stable.
     let path2 = dir.join("catalog2.xcc");
     back.save(&path2).unwrap();
     assert_eq!(std::fs::read(&path2).unwrap(), bytes);
@@ -165,70 +165,73 @@ fn hostile_varints_are_rejected_before_allocation() {
 #[test]
 fn missing_shard_file_error_names_the_offending_path() {
     let dir = tmp_dir("missing_shard");
-    let parent = CorpusIndex::build(generate_dblp(&DblpConfig {
-        publications: 30,
-        ..Default::default()
-    }));
-    let shards = partition_corpus(&parent, 3, 5).unwrap();
-    let mut snapshots = Vec::new();
-    for shard in &shards {
+    let build = || {
+        CorpusIndex::build(generate_dblp(&DblpConfig {
+            publications: 30,
+            ..Default::default()
+        }))
+    };
+    let parent = build();
+    storage::save_to_file_v2(&parent, dir.join("dblp.xci")).unwrap();
+    let mut set = Vec::new();
+    for shard in &partition_corpus(&parent, 3, 5).unwrap() {
         let meta = shard.shard_meta().unwrap();
-        let name = format!("dblp-shard{}-of-{}.xci", meta.shard_id, meta.shard_count);
-        storage::save_to_file_v2(shard, dir.join(&name)).unwrap();
-        snapshots.push(name);
+        let path = dir.join(format!(
+            "dblp-shard{}-of-{}.xci",
+            meta.shard_id, meta.shard_count
+        ));
+        storage::save_to_file_v2(shard, &path).unwrap();
+        set.push(path);
     }
     let catalog = Catalog {
         corpora: vec![CorpusSpec {
             name: "dblp".into(),
-            snapshots,
+            snapshot: "dblp.xci".into(),
         }],
     };
     let cat_path = dir.join("catalog.xcc");
     catalog.save(&cat_path).unwrap();
 
-    // Intact set: catalog → resolved paths → engine answers queries
-    // bit-identically to the unsharded parent.
+    // Intact files: catalog → resolved path → engine, and the set opened
+    // from its paths, answer queries bit-identically to the parent.
     let loaded = Catalog::load(&cat_path).unwrap();
-    let open = || {
+    let open = |paths: &[std::path::PathBuf]| {
         XCleanEngine::open(
-            &loaded.corpora[0].resolved_snapshots(&dir),
+            paths,
             XCleanConfig::default(),
             Semantics::NodeType,
             Telemetry::disabled(),
         )
     };
-    let (engine, reports) = open().unwrap();
-    assert_eq!((engine.shard_count(), reports.len()), (3, 3));
-    let baseline = XCleanEngine::from_corpus(
-        CorpusIndex::build(generate_dblp(&DblpConfig {
-            publications: 30,
-            ..Default::default()
-        })),
-        XCleanConfig::default(),
-    );
+    let entry = [loaded.corpora[0].resolved_snapshot(&dir)];
+    let (engine, reports) = open(&entry).unwrap();
+    assert_eq!((engine.shard_count(), reports.len()), (1, 1));
+    let (sharded, reports) = open(&set).unwrap();
+    assert_eq!((sharded.shard_count(), reports.len()), (3, 3));
+    let baseline = XCleanEngine::from_corpus(build(), XCleanConfig::default());
     let a = baseline.suggest("databse");
-    let b = engine.suggest("databse");
-    assert_eq!(a.suggestions.len(), b.suggestions.len());
-    for (x, y) in a.suggestions.iter().zip(&b.suggestions) {
-        assert_eq!(x.terms, y.terms);
-        assert_eq!(x.log_score.to_bits(), y.log_score.to_bits());
+    for b in [engine.suggest("databse"), sharded.suggest("databse")] {
+        assert_eq!(a.suggestions.len(), b.suggestions.len());
+        for (x, y) in a.suggestions.iter().zip(&b.suggestions) {
+            assert_eq!(x.terms, y.terms);
+            assert_eq!(x.log_score.to_bits(), y.log_score.to_bits());
+        }
     }
 
-    // Delete one shard: assembly must fail naming exactly that file.
-    let gone = dir.join("dblp-shard1-of-3.xci");
-    std::fs::remove_file(&gone).unwrap();
-    let err = open().expect_err("missing shard must fail");
-    match &err {
-        ShardedEngineError::Snapshot { path, .. } => {
-            assert!(
-                path.contains("dblp-shard1-of-3.xci"),
-                "error names the wrong path: {path}"
-            );
+    // Delete one shard, then the catalog's snapshot: assembly must fail
+    // naming exactly that file.
+    for (gone, paths) in [("dblp-shard1-of-3.xci", &set[..]), ("dblp.xci", &entry[..])] {
+        std::fs::remove_file(dir.join(gone)).unwrap();
+        let err = open(paths).expect_err("a missing file must fail");
+        match &err {
+            ShardedEngineError::Snapshot { path, .. } => {
+                assert!(path.ends_with(gone), "error names the wrong path: {path}");
+            }
+            other => panic!("expected Snapshot error, got {other}"),
         }
-        other => panic!("expected Snapshot error, got {other}"),
+        assert!(
+            err.to_string().contains(gone),
+            "display must carry the path: {err}"
+        );
     }
-    assert!(
-        err.to_string().contains("dblp-shard1-of-3.xci"),
-        "display must carry the path: {err}"
-    );
 }

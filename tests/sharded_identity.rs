@@ -27,7 +27,7 @@ use xclean_suite::datagen::{
 };
 use xclean_suite::index::{partition_corpus, storage, CorpusIndex};
 use xclean_suite::xclean::{
-    CorpusSpec, Semantics, ShardedEngine, SuggestResponse, Telemetry, XCleanConfig, XCleanEngine,
+    Semantics, ShardedEngine, SuggestResponse, Telemetry, XCleanConfig, XCleanEngine,
 };
 
 mod support;
@@ -278,30 +278,26 @@ fn mixed_depth_library_bit_identity_under_every_semantics() {
     check_every_semantics(build(), build(), &queries, &config, "library");
 }
 
-/// A catalog entry names a set's snapshots; opened under SLCA it answers
-/// as the parent does, and under its own fingerprint.
+/// A set's snapshot files, opened together under SLCA, answer as the
+/// parent does, and under their own fingerprint.
 #[test]
 fn a_catalog_set_opens_under_slca() {
     let parent = dblp_1000();
     let dir = std::env::temp_dir().join(format!("xclean-set-slca-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let snapshots: Vec<String> = partition_corpus(&parent, 2, 42)
+    let snapshots: Vec<_> = partition_corpus(&parent, 2, 42)
         .unwrap()
         .iter()
         .enumerate()
         .map(|(i, shard)| {
-            let name = format!("dblp-shard{i}-of-2.xci");
-            storage::save_to_file_v2(shard, dir.join(&name)).unwrap();
-            name
+            let path = dir.join(format!("dblp-shard{i}-of-2.xci"));
+            storage::save_to_file_v2(shard, &path).unwrap();
+            path
         })
         .collect();
-    let spec = CorpusSpec {
-        name: "dblp".into(),
-        snapshots,
-    };
     let open = |semantics| {
         XCleanEngine::open(
-            &spec.resolved_snapshots(&dir),
+            &snapshots,
             XCleanConfig::default(),
             semantics,
             Telemetry::disabled(),
