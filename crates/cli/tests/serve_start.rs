@@ -153,16 +153,17 @@ fn tuning_flags_configure_every_catalog_corpus() {
 }
 
 /// A corpus registered with `index build --catalog` is served from its
-/// mapped snapshot: the banner says so, `/healthz` carries the checksum
-/// `index inspect` prints for the file, and its answers are byte-equal
-/// to a positional `serve` of the same file.
+/// mapped snapshot: the banner says so and times its open, validation
+/// and engine build, each `/healthz` corpus row carries the checksum
+/// `index inspect` prints for its own file (the top-level field the
+/// first corpus's), and its answers are byte-equal to a positional
+/// `serve` of the same file.
 #[test]
 fn a_registered_corpus_is_served_from_its_mapped_file() {
-    let xml = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/fixtures/dblp50.xml"
-    );
+    let fixture =
+        |name: &str| format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     let snapshot = tmp("registered.xci").to_string_lossy().into_owned();
+    let edge = tmp("registered_edge.xci").to_string_lossy().into_owned();
     let catalog = tmp("registered.xcc").to_string_lossy().into_owned();
     let _ = std::fs::remove_file(&catalog);
     let xclean = |args: &[&str]| {
@@ -173,24 +174,31 @@ fn a_registered_corpus_is_served_from_its_mapped_file() {
         assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
         String::from_utf8(out.stdout).unwrap()
     };
-    xclean(&[
-        "index",
-        "build",
-        xml,
-        "--out",
-        &snapshot,
-        "--catalog",
-        &catalog,
-        "--name",
-        "dblp",
-    ]);
-    let inspect = xclean(&["index", "inspect", &snapshot]);
-    let checksum = inspect
-        .lines()
-        .find_map(|l| l.strip_prefix("checksum"))
-        .and_then(|rest| rest.split_whitespace().next())
-        .unwrap_or_else(|| panic!("no checksum line: {inspect}"))
-        .to_string();
+    let checksum = |name: &str, xml: &str, snapshot: &str| {
+        xclean(&[
+            "index",
+            "build",
+            &fixture(xml),
+            "--out",
+            snapshot,
+            "--catalog",
+            &catalog,
+            "--name",
+            name,
+        ]);
+        let inspect = xclean(&["index", "inspect", snapshot]);
+        inspect
+            .lines()
+            .find_map(|l| l.strip_prefix("checksum"))
+            .and_then(|rest| rest.split_whitespace().next())
+            .unwrap_or_else(|| panic!("no checksum line: {inspect}"))
+            .to_string()
+    };
+    let checksums = [
+        ("dblp", checksum("dblp", "dblp50.xml", &snapshot)),
+        ("edge", checksum("edge", "edge.xml", &edge)),
+    ];
+    assert_ne!(checksums[0].1, checksums[1].1);
 
     let served = Server::start(&["--catalog", &catalog]);
     let bare = Server::start(&[&snapshot]);
@@ -200,8 +208,31 @@ fn a_registered_corpus_is_served_from_its_mapped_file() {
         "{mapped:?} not in {:?}",
         served.banner
     );
+    for line in served.banner.iter().filter(|l| l.starts_with("snapshot ")) {
+        let (_, times) = line.rsplit_once(" — ").unwrap();
+        let fields: Vec<&str> = times
+            .split(", ")
+            .map(|f| f.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(fields, ["open", "validate", "engine"], "{line}");
+        assert!(times.ends_with("ms"), "{line}");
+    }
     let health = xclean_telemetry::json::parse(&served.get("/healthz")).unwrap();
-    assert_eq!(health["snapshot"]["checksum"].as_str(), Some(&*checksum));
+    assert_eq!(
+        health["snapshot"]["checksum"].as_str(),
+        Some(&*checksums[0].1)
+    );
+    let rows = health["corpora"].as_array().unwrap();
+    assert_eq!(rows.len(), checksums.len());
+    for (row, (name, checksum)) in rows.iter().zip(&checksums) {
+        assert_eq!(row["name"].as_str(), Some(*name));
+        assert_eq!(row["snapshot"]["format"].as_u64(), Some(2), "{name}");
+        assert_eq!(
+            row["snapshot"]["checksum"].as_str(),
+            Some(&**checksum),
+            "{name}"
+        );
+    }
     let body = served.get("/suggest/dblp?q=databse");
     assert!(body.contains("\"suggestions\":[{"), "{body}");
     assert_eq!(body, bare.get("/suggest?q=databse"));

@@ -8,9 +8,10 @@
 //! the keys ("signatures"), probing the table ("probes"), and verifying
 //! the distinct candidates ("verify").
 //!
-//! Timed **pass-style**, as the walk profile is: every pass looks each
-//! keyword up once, in pool order, and a keyword's time is its minimum
-//! over the passes. Two modes: *warm* runs the lookups back to back (the
+//! Timed **pass-style**, as the walk profile is: the build's time is its
+//! minimum over `PASSES` builds, and every pass looks each keyword up
+//! once, in pool order, and a keyword's time is its minimum over the
+//! passes. Two modes: *warm* runs the lookups back to back (the
 //! pool's own 5k lookups are what stands between two visits of a table
 //! line); *cold* reads an 8 MB buffer between lookups, so each one starts
 //! with the table and the vocabulary out of cache — closer to a lookup
@@ -84,7 +85,7 @@ pub(super) fn run(scale: f64) -> Report {
     let mut report = Report::new(
         format!(
             "variant profile: large DBLP, {publications} publications, RAND+RULE pool \
-             (pass-style, min of {PASSES} passes)"
+             (pass-style, min of {PASSES} builds and of {PASSES} passes)"
         ),
         None,
     );
@@ -94,15 +95,20 @@ pub(super) fn run(scale: f64) -> Report {
     }));
     let config = XCleanConfig::default();
     let words: Vec<&str> = corpus.vocab().iter_terms().collect();
-    let built = Instant::now();
-    let index = VariantIndex::build(
-        &words,
-        VariantIndexConfig {
-            epsilon: config.epsilon,
-            partition_threshold: PARTITION_THRESHOLD,
-        },
-    );
-    let build_ms = built.elapsed().as_secs_f64() * 1e3;
+    let mut build_ms = f64::INFINITY;
+    let mut index = None;
+    for _ in 0..PASSES {
+        let built = Instant::now();
+        index = Some(VariantIndex::build(
+            &words,
+            VariantIndexConfig {
+                epsilon: config.epsilon,
+                partition_threshold: PARTITION_THRESHOLD,
+            },
+        ));
+        build_ms = build_ms.min(built.elapsed().as_secs_f64() * 1e3);
+    }
+    let index = index.expect("PASSES is not zero");
     let table = index.table_stats();
     report.line(format!(
         "{} words, ε = {}, partition threshold {}: {} slots, {} filled (load {:.3}), \

@@ -72,6 +72,28 @@ impl ProbeTable {
         (key >> 32) as usize & self.mask()
     }
 
+    /// Reads the home slot of every key in one loop of independent loads
+    /// and returns their OR, `0` when every home is empty. On a table of
+    /// tens of megabytes each home is a cache miss and none depends on
+    /// another, so the processor overlaps them; what the caller does next
+    /// with those runs — walk or fill — finds their lines in cache, where
+    /// key by key each miss would wait for the one before.
+    fn touch_homes(&self, keys: impl Iterator<Item = u64>) -> u64 {
+        keys.fold(0, |seen, key| seen | self.slots[self.home(key)])
+    }
+
+    /// Inserts `pairs` in order, after reading all their home slots in one
+    /// loop ([`Self::touch_homes`]). The slots come out as one
+    /// [`Self::insert`] at a time in that order would leave them: the
+    /// touch only reads.
+    fn insert_batch(&mut self, pairs: &[(u64, u32)]) {
+        // Unused, but the loads must happen: kept from being elided.
+        std::hint::black_box(self.touch_homes(pairs.iter().map(|&(key, _)| key)));
+        for &(key, id) in pairs {
+            self.insert(key, id);
+        }
+    }
+
     /// Stores `(key, id)` unless the run already holds it.
     fn insert(&mut self, key: u64, id: u32) {
         let slot = key << 32 | u64::from(id + 1);
@@ -210,7 +232,19 @@ impl VariantIndex {
         }
         offsets.push(offset(&text));
 
+        // Second pass: every pair, in word order, through a batch of
+        // `FILL_BATCH` whose home slots are read before it is inserted.
         let mut table = ProbeTable::for_pairs(pairs);
+        let mut batch = [(0u64, 0u32); FILL_BATCH];
+        let mut batched = 0;
+        let mut push = |key: u64, id: u32| {
+            batch[batched] = (key, id);
+            batched += 1;
+            if batched == FILL_BATCH {
+                table.insert_batch(&batch);
+                batched = 0;
+            }
+        };
         let mut long_lengths = Vec::new();
         for (id, w) in words.iter().enumerate() {
             let id = id as u32;
@@ -218,7 +252,7 @@ impl VariantIndex {
                 if chars.len() <= config.partition_threshold {
                     // Deletion sets of one word can repeat a member (and
                     // so its hash); the table stores the pair once.
-                    for_each_deletion_signature(chars, eps, |h| table.insert(h, id));
+                    for_each_deletion_signature(chars, eps, |h| push(h, id));
                 } else {
                     let len16 = chars.len().min(u16::MAX as usize) as u16;
                     if !long_lengths.contains(&len16) {
@@ -226,11 +260,12 @@ impl VariantIndex {
                     }
                     for (ord, (start, seg_len)) in segment_spans(chars.len(), eps + 1).enumerate() {
                         let seg = &chars[start..start + seg_len];
-                        table.insert(long_key(seg, ord as u8, len16), id);
+                        push(long_key(seg, ord as u8, len16), id);
                     }
                 }
             });
         }
+        table.insert_batch(&batch[..batched]);
         long_lengths.sort_unstable();
         VariantIndex {
             config,
@@ -325,20 +360,17 @@ impl VariantIndex {
     /// order and possibly repeated, each with distance 0 for
     /// [`Self::verify`] to fill in.
     ///
-    /// The home slots are read in a loop of their own first. Each is a
-    /// cache miss on a table of tens of megabytes and none depends on
-    /// another, so the processor overlaps them; probing key by key would
-    /// wait for each run before computing where the next one starts. The
-    /// runs are then walked once, over lines that pass brought in, into a
-    /// buffer on the stack ([`ONE_WALK`] ids), which becomes a vector
-    /// allocated once at its size. Only runs holding more ids than that
-    /// are walked twice — to count, then to fill.
+    /// The home slots are read in a loop of their own first
+    /// (`ProbeTable::touch_homes`), so their cache misses overlap where
+    /// probing key by key would wait for each run before computing where
+    /// the next one starts. The runs are then walked once, over lines that
+    /// pass brought in, into a buffer on the stack ([`ONE_WALK`] ids),
+    /// which becomes a vector allocated once at its size. Only runs
+    /// holding more ids than that are walked twice — to count, then to
+    /// fill.
     pub fn candidates(&self, keys: &[u64]) -> Vec<VariantMatch> {
         let table = &self.table;
-        let homes = keys
-            .iter()
-            .fold(0, |seen, &key| seen | table.slots[table.home(key)]);
-        if homes == 0 {
+        if table.touch_homes(keys.iter().copied()) == 0 {
             return Vec::new();
         }
         let mut found = [0u32; ONE_WALK];
@@ -402,6 +434,13 @@ impl VariantIndex {
         matches.sort_unstable_by_key(|m| (m.distance, m.word));
     }
 }
+
+/// `(key, id)` pairs [`VariantIndex::build`] holds back so that their home
+/// slots are read in one loop before they are inserted. A word's keys are
+/// its deletion signatures or segment keys, 1 to 106 of them at ε = 2, so
+/// a batch spans several words or part of one. Chosen by timing the build
+/// over the 100k-publication vocabulary (DESIGN §15 item 4).
+const FILL_BATCH: usize = 64;
 
 /// Candidate ids [`VariantIndex::candidates`] collects on the stack in one
 /// walk of the probe runs; more are counted first, then collected.
@@ -786,6 +825,80 @@ mod table {
         t.insert(key(0, 2), 2);
     }
 
+    /// The table `VariantIndex::build` must leave: every pair, words in
+    /// input order and each word's keys in the order they are made,
+    /// inserted one at a time, with no batch and no touch pass.
+    pub(super) fn one_at_a_time<S: AsRef<str>>(
+        words: &[S],
+        config: &VariantIndexConfig,
+    ) -> ProbeTable {
+        let eps = config.epsilon;
+        let chars: Vec<Vec<char>> = words.iter().map(|w| w.as_ref().chars().collect()).collect();
+        let short = |w: &[char]| w.len() <= config.partition_threshold;
+        let pairs = chars
+            .iter()
+            .map(|w| {
+                if short(w) {
+                    neighborhood_bound(w.len(), eps)
+                } else {
+                    eps + 1
+                }
+            })
+            .sum();
+        let mut table = ProbeTable::for_pairs(pairs);
+        for (id, w) in chars.iter().enumerate() {
+            let id = id as u32;
+            if short(w) {
+                for_each_deletion_signature(w, eps, |h| table.insert(h, id));
+            } else {
+                for (ord, (start, len)) in segment_spans(w.len(), eps + 1).enumerate() {
+                    let key = long_key(&w[start..start + len], ord as u8, w.len() as u16);
+                    table.insert(key, id);
+                }
+            }
+        }
+        table
+    }
+
+    /// Every word of up to three letters over six (most of them several
+    /// times), then long words: the empty and one-letter signatures are
+    /// shared by hundreds of words, so many pairs of one batch meet in one
+    /// run, and the fill crosses dozens of batch boundaries, mid-word
+    /// included.
+    #[test]
+    fn a_fill_across_many_batches_matches_one_insert_at_a_time() {
+        let letters = ["", "a", "b", "c", "d", "e", "f"];
+        let mut words = Vec::new();
+        for x in letters {
+            for y in letters {
+                for z in letters {
+                    words.push(format!("{x}{y}{z}"));
+                }
+            }
+        }
+        words.extend(
+            [
+                "internationalization",
+                "misunderstandings",
+                "abcdefabcdefabcdef",
+            ]
+            .map(String::from),
+        );
+        let config = VariantIndexConfig::default();
+        let idx = VariantIndex::build(&words, config.clone());
+        let reference = one_at_a_time(&words, &config);
+        assert!(
+            reference.filled > 16 * FILL_BATCH,
+            "{} pairs",
+            reference.filled
+        );
+        assert_eq!(idx.table.filled, reference.filled);
+        assert_eq!(idx.table.slots.len(), reference.slots.len());
+        let first_difference =
+            (idx.table.slots.iter().zip(&reference.slots)).position(|(a, b)| a != b);
+        assert_eq!(first_difference, None);
+    }
+
     #[test]
     fn the_last_word_of_the_vocabulary_is_reachable() {
         let vocab = ["alpha", "beta", "gamma", "internationalization", "delta"];
@@ -853,6 +966,31 @@ mod prop {
                     prop_assert_eq!(idx.query_within(q, max_ed), naive.query(q, max_ed.min(2)));
                 }
             }
+        }
+
+        /// The batched fill leaves the table's bits as inserting every pair
+        /// one at a time in input order does: over short words that share
+        /// signatures, repeated words, words past the partition threshold
+        /// among them, and ε from 0 to 2.
+        #[test]
+        fn build_fills_the_table_one_insert_at_a_time_would(
+            vocab in proptest::collection::vec((0u8..4, "[ab]{0,5}", "[a-cé]{6,30}"), 1..120),
+            repeats in proptest::collection::vec(0usize..120, 0..20),
+            epsilon in 0usize..=2,
+            threshold in 4usize..16,
+        ) {
+            let mut words: Vec<String> = vocab
+                .into_iter()
+                .map(|(kind, short, long)| if kind == 0 { long } else { short })
+                .collect();
+            for r in repeats {
+                words.push(words[r % words.len()].clone());
+            }
+            let config = VariantIndexConfig { epsilon, partition_threshold: threshold };
+            let idx = VariantIndex::build(&words, config.clone());
+            let reference = table::one_at_a_time(&words, &config);
+            prop_assert_eq!(idx.table.filled, reference.filled);
+            prop_assert!(idx.table.slots == reference.slots, "slots differ");
         }
 
         /// De-duplication keeps one candidate per word, the first one in

@@ -695,13 +695,22 @@ fn healthz(handler: &Handler, _query: &str) -> Reply {
         .counter_value(names::QUERIES)
         .unwrap_or(0);
     let hex = |n: u64| Json::from(format!("{n:016x}"));
-    let snapshot = primary.engine().snapshot().map(|(format, checksum)| {
-        Json::object([("format", format.into()), ("checksum", hex(checksum))])
-    });
+    // The file a corpus serves; `null` for one built in memory or read
+    // back from a shard set.
+    let snapshot = |tenant: &Tenant| -> Json {
+        tenant
+            .engine()
+            .snapshot()
+            .map(|(format, checksum)| {
+                Json::object([("format", format.into()), ("checksum", hex(checksum))])
+            })
+            .into()
+    };
     let corpora = handler.tenants.iter().map(|tenant| {
         Json::object([
             ("name", tenant.name().into()),
             ("fingerprint", hex(tenant.fingerprint())),
+            ("snapshot", snapshot(tenant)),
             ("shards", tenant.engine().shard_count().into()),
             ("requests", tenant.requests().get().into()),
             ("cache_entries", tenant.cache().len().into()),
@@ -716,7 +725,7 @@ fn healthz(handler: &Handler, _query: &str) -> Reply {
         ("status", "ok".into()),
         ("fingerprint", hex(primary.fingerprint())),
         ("uptime_secs", handler.obs.uptime_secs().into()),
-        ("snapshot", snapshot.into()),
+        ("snapshot", snapshot(primary)),
         ("queries_total", queries.into()),
         ("max_connections", handler.max_connections.into()),
         ("open_connections", handler.conn_stats.open().into()),

@@ -178,6 +178,12 @@ fn observability_surfaces_cover_every_corpus() {
     assert!(healthz.contains("\"corpora\""), "{healthz}");
     assert!(healthz.contains("\"default\""), "{healthz}");
     assert!(healthz.contains("\"dblp\""), "{healthz}");
+    // Neither corpus is served from a file: one is built in memory, the
+    // other read back from its shard set.
+    let health = json::parse(&healthz).unwrap();
+    for row in health["corpora"].as_array().unwrap() {
+        assert_eq!(row.get("snapshot"), Some(&json::Json::Null), "{healthz}");
+    }
 
     let (status, _, statusz) = request(r.addr, "GET", "/statusz", "");
     assert_eq!(status, 200);

@@ -158,11 +158,9 @@ impl XCleanEngine {
     /// vocabulary.
     pub fn from_shared(corpus: Arc<CorpusIndex>, config: XCleanConfig) -> Self {
         config.validate();
-        let vocab = corpus.vocab();
-        let mut variants =
-            VariantGenerator::build_from_vocab(vocab, config.epsilon, PARTITION_THRESHOLD);
+        let mut variants = VariantGenerator::build(&corpus, config.epsilon, PARTITION_THRESHOLD);
         if config.phonetic_distance.is_some() {
-            variants = variants.with_phonetic_vocab(vocab);
+            variants = variants.with_phonetic_index(&corpus);
         }
         // Build the gate's level table now, not inside the first query.
         corpus.level(config.min_depth);

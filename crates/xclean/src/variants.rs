@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use xclean_fastss::{soundex, SoundexCode, VariantIndex, VariantIndexConfig};
-use xclean_index::{CorpusIndex, TokenId, Vocabulary};
+use xclean_index::{CorpusIndex, TokenId};
 
 /// One variant of a query keyword.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,22 +32,11 @@ pub struct VariantGenerator {
 }
 
 impl VariantGenerator {
-    /// Builds the FastSS index over the corpus vocabulary. This is the
-    /// offline step of §V-A.
+    /// Builds the FastSS index over the corpus vocabulary: the paper's
+    /// offline step of §V-A, which every engine start runs here. Token
+    /// ids in the produced [`Variant`]s are the corpus's.
     pub fn build(corpus: &CorpusIndex, epsilon: usize, partition_threshold: usize) -> Self {
-        Self::build_from_vocab(corpus.vocab(), epsilon, partition_threshold)
-    }
-
-    /// [`Self::build`] over a bare vocabulary — e.g. the reconstructed
-    /// *global* vocabulary of a sharded corpus, where no single
-    /// [`CorpusIndex`] holds all terms. Token ids in the produced
-    /// [`Variant`]s are ids into `vocab`.
-    pub fn build_from_vocab(
-        vocab: &Vocabulary,
-        epsilon: usize,
-        partition_threshold: usize,
-    ) -> Self {
-        let terms: Vec<&str> = vocab.iter_terms().collect();
+        let terms: Vec<&str> = corpus.vocab().iter_terms().collect();
         let index = VariantIndex::build(
             &terms,
             VariantIndexConfig {
@@ -64,15 +53,9 @@ impl VariantGenerator {
     /// Additionally indexes the vocabulary by Soundex code, enabling
     /// [`Self::variants_with_phonetic`] (the §VI-A cognitive-error
     /// extension).
-    pub fn with_phonetic_index(self, corpus: &CorpusIndex) -> Self {
-        self.with_phonetic_vocab(corpus.vocab())
-    }
-
-    /// [`Self::with_phonetic_index`] over a bare vocabulary (pairs with
-    /// [`Self::build_from_vocab`]).
-    pub fn with_phonetic_vocab(mut self, vocab: &Vocabulary) -> Self {
+    pub fn with_phonetic_index(mut self, corpus: &CorpusIndex) -> Self {
         let mut map: HashMap<SoundexCode, Vec<TokenId>> = HashMap::new();
-        for (i, term) in vocab.iter_terms().enumerate() {
+        for (i, term) in corpus.vocab().iter_terms().enumerate() {
             if let Some(code) = soundex(term) {
                 map.entry(code).or_default().push(TokenId(i as u32));
             }
