@@ -105,8 +105,9 @@ USAGE:
              --slow-log (default stderr); requests slower than --slo-ms
              (default 50) count as SLO breaches in the per-corpus burn
              rates on /statusz and /metrics; Ctrl-C drains in-flight
-             requests, then flushes --trace-out / --metrics-json, the
-             latter as {server: {…}, corpora: {<name>: {…}, …}})
+             requests, then flushes --trace-out (the primary corpus's
+             spans) / --metrics-json, the latter as
+             {server: {…}, corpora: {<name>: {…}, …}})
             (connections are HTTP/1.1 keep-alive with pipelining, served
              from one nonblocking epoll loop that hands parsed requests
              to --threads scoring workers; above --max-connections open
@@ -115,8 +116,8 @@ USAGE:
             (snapshots are served straight from their bytes, mmap-ed
              where the platform and the file allow and read into
              memory otherwise; a bare snapshot serves as the one
-             corpus `default`, and a shard snapshot as its shard set:
-             one shard of a larger set is refused as incomplete)
+             corpus `default`; a snapshot holding one shard of a set
+             is refused, here and by `suggest`)
     xclean stats <data.xml | index.xci>
     xclean generate <dblp | dblp-large | inex> --out <corpus.xml>
             [--size N] [--seed S] [--vocab N] [--vocab-rotation N]
@@ -456,14 +457,12 @@ fn cmd_suggest(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
         Some(_) => Telemetry::with_tracing(),
         None => Telemetry::disabled(),
     };
-    // A snapshot opens the one way `serve` opens it: a shard snapshot is
-    // its whole set, never a corpus of its own.
+    // A snapshot opens the one way `serve` opens it: one shard of a set
+    // is refused, never answered as a corpus of its own.
     let engine = if input.ends_with(".xci") {
-        let opened = XCleanEngine::open(&[input], config, semantics, telemetry);
-        opened.map(|(engine, _)| engine).map_err(|e| match e {
-            OpenError::Snapshot { .. } => ArgError(e.to_string()),
-            OpenError::Set(e) => ArgError(format!("{input}: {e}")),
-        })?
+        XCleanEngine::open(input, config, semantics, telemetry)
+            .map(|(engine, _)| engine)
+            .map_err(|e| ArgError(e.to_string()))?
     } else {
         XCleanEngine::from_corpus(load_corpus(input)?, config)
             .with_semantics(semantics)
@@ -719,14 +718,16 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     let origin = catalog_path.map_or(String::new(), |c| format!("{c}: "));
     let mut corpora: Vec<(String, Arc<XCleanEngine>)> = Vec::new();
     let mut banner: Vec<String> = Vec::new();
-    for spec in specs {
+    for (i, spec) in specs.into_iter().enumerate() {
+        // `--trace-out` writes the primary tenant's spans, so only it
+        // records any.
         let telemetry = match trace_out {
-            Some(_) => Telemetry::with_tracing(),
-            None => Telemetry::disabled(),
+            Some(_) if i == 0 => Telemetry::with_tracing(),
+            _ => Telemetry::disabled(),
         };
         let path = spec.resolved_snapshot(&base);
         let started = Instant::now();
-        let (engine, reports) = XCleanEngine::open(&[&path], config.clone(), semantics, telemetry)
+        let (engine, report) = XCleanEngine::open(&path, config.clone(), semantics, telemetry)
             .map_err(|e| {
                 let hint = match e {
                     OpenError::Snapshot {
@@ -739,33 +740,27 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
                 };
                 ArgError(format!("{origin}corpus {:?}: {e}{hint}", spec.name))
             })?;
-        let opened = started.elapsed();
-        // What is served: a shard file read back as its set is a copy.
-        let backing = match (engine.snapshot(), reports[0].mapped) {
-            (None, _) => "read back as its shard set",
-            (Some(_), true) => "mmap-backed",
-            (Some(_), false) => "in-memory",
+        // The snapshot was opened and validated; the rest of `open` is
+        // the engine.
+        let engine_nanos = (started.elapsed().as_nanos() as u64)
+            .saturating_sub(report.open_nanos + report.validate_nanos);
+        let backing = if report.mapped {
+            "mmap-backed"
+        } else {
+            "in-memory"
         };
-        // Each snapshot of a set read back was opened and validated; the
-        // rest of `open` is the engine.
-        let loaded: u64 = reports
-            .iter()
-            .map(|r| r.open_nanos + r.validate_nanos)
-            .sum();
-        let engine_nanos = (opened.as_nanos() as u64).saturating_sub(loaded);
         banner.push(format!(
             "snapshot {}: v{} {backing} ({:.2} MB) — open {:.1}ms, validate {:.1}ms, engine {:.1}ms",
             path.display(),
-            reports[0].format_version,
-            reports[0].total_bytes as f64 / 1e6,
-            reports[0].open_nanos as f64 / 1e6,
-            reports[0].validate_nanos as f64 / 1e6,
+            report.format_version,
+            report.total_bytes as f64 / 1e6,
+            report.open_nanos as f64 / 1e6,
+            report.validate_nanos as f64 / 1e6,
             engine_nanos as f64 / 1e6,
         ));
         banner.push(format!(
-            "corpus {}: {} shard(s), fingerprint {:016x} → /suggest/{}",
+            "corpus {}: fingerprint {:016x} → /suggest/{}",
             spec.name,
-            engine.shard_count(),
             engine.fingerprint(),
             spec.name
         ));
@@ -786,16 +781,11 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
     let cache_shards = tenants.primary().cache().shard_count();
 
     xclean_server::install_signal_handler();
-    // Banner goes out before the blocking event loop — CmdOutput lines
-    // would only print after drain, far too late for "is it up yet?".
-    for line in &banner {
-        println!("{line}");
-    }
-    println!(
+    banner.push(format!(
         "xclean-server listening on http://{bound} — epoll event loop (keep-alive), {threads} worker(s), cache {cache_entries} entries / {cache_shards} shard(s), fingerprint {:016x}",
         server.fingerprint()
-    );
-    println!(
+    ));
+    banner.push(format!(
         "endpoints: POST/GET /suggest{}   GET {}   (Ctrl-C drains)",
         if catalog_path.is_some() {
             " /suggest/<corpus>"
@@ -803,12 +793,20 @@ fn cmd_serve(raw: Vec<String>) -> Result<CmdOutput, ArgError> {
             ""
         },
         PAGE_ROUTES.join(" ")
-    );
-    println!(
+    ));
+    banner.push(format!(
         "slow-query log: threshold {slow_ms}ms → {}",
         args.get("slow-log").unwrap_or("stderr")
-    );
-    let _ = std::io::stdout().flush();
+    ));
+    // Banner goes out before the blocking event loop — CmdOutput lines
+    // would only print after drain, far too late for "is it up yet?". A
+    // reader that has gone away ends the banner, not the server.
+    let mut stdout = std::io::stdout().lock();
+    let _ = banner
+        .iter()
+        .try_for_each(|line| writeln!(stdout, "{line}"))
+        .and_then(|()| stdout.flush());
+    drop(stdout);
 
     let report = server.run().map_err(|e| ArgError(format!("server: {e}")))?;
 
@@ -1415,12 +1413,12 @@ mod tests {
         assert_eq!(out.code, 2);
         assert!(out.lines[0].contains("build or inspect"), "{:?}", out.lines);
         // serve: catalog and positional snapshot are mutually exclusive,
-        // an incomplete set is refused naming the corpus, and a missing
+        // a shard file is refused naming the corpus, and a missing
         // snapshot file is reported by path — all before binding.
         let out = run(argv(&["serve", &idx, "--catalog", &cat]));
         assert_eq!(out.code, 2);
         assert!(out.lines[0].contains("not both"), "{:?}", out.lines);
-        // Served bare, a shard of a 2-shard set is an incomplete set.
+        // Served bare, a shard of a 2-shard set is refused.
         let (corpus, _) = storage::open_file(&idx, &OpenOptions::default()).unwrap();
         let shard = snapshot("buildcat-shard0-of-2.xci");
         let parts = xclean_index::partition_corpus(&corpus, 2, 0).unwrap();

@@ -7,7 +7,8 @@
 //! its corpora.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use xclean::{Catalog, CorpusSpec};
 use xclean_index::{partition_corpus, storage, CorpusIndex};
@@ -26,9 +27,36 @@ fn xclean(args: &[&str]) -> Output {
         .expect("the xclean binary runs")
 }
 
+/// Runs `args` like [`xclean`], but a run still going after 30 s is
+/// killed and fails the test: a `serve` that should refuse its input must
+/// not hang the suite by serving it.
+fn xclean_bounded(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xclean"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the xclean binary runs");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{args:?} still running after 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
 /// Asserts `args` fail the documented way and returns their stderr.
 fn assert_fails(args: &[&str]) -> String {
-    let out = xclean(args);
+    assert_failed(args, xclean(args))
+}
+
+/// Asserts `out`, the run of `args`, failed the documented way and
+/// returns its stderr.
+fn assert_failed(args: &[&str], out: Output) -> String {
     let (stdout, stderr) = (
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -227,6 +255,36 @@ fn index_build_refuses_an_earlier_catalog_before_writing_a_snapshot() {
         assert!(stderr.contains(needle), "{needle}: {stderr}");
     }
     assert!(!snapshot.exists(), "{} was written", snapshot.display());
+}
+
+/// `suggest` and `serve` open a snapshot as one corpus: a shard file is
+/// refused naming the file, its set's size and the build that makes one
+/// snapshot, whether its set holds one shard or two. `index inspect` and
+/// `stats` read both files as themselves.
+#[test]
+fn suggest_and_serve_refuse_every_shard_file() {
+    let (xml, _) = sample("refuse_shards");
+    let corpus =
+        CorpusIndex::build(parse_document(&std::fs::read_to_string(xml).unwrap()).unwrap());
+    for n in [1usize, 2] {
+        let shard = tmp(&format!("refuse_shards-shard0-of-{n}.xci"))
+            .to_string_lossy()
+            .into_owned();
+        storage::save_to_file_v2(&partition_corpus(&corpus, n, 0).unwrap()[0], &shard).unwrap();
+        let set = format!("set of {n} shard");
+        for args in [
+            vec!["suggest", &shard, "helth"],
+            vec!["serve", &shard, "--port", "0"],
+        ] {
+            let stderr = assert_failed(&args, xclean_bounded(&args));
+            for needle in [&*shard, &*set, "xclean index build"] {
+                assert!(stderr.contains(needle), "{args:?}: {needle}: {stderr}");
+            }
+        }
+        for args in [vec!["index", "inspect", &shard], vec!["stats", &shard]] {
+            assert_eq!(xclean(&args).status.code(), Some(0), "{args:?}");
+        }
+    }
 }
 
 /// `suggest` opens a snapshot the one way `serve` does: one shard of a

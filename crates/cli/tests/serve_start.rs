@@ -237,3 +237,68 @@ fn a_registered_corpus_is_served_from_its_mapped_file() {
     assert!(body.contains("\"suggestions\":[{"), "{body}");
     assert_eq!(body, bare.get("/suggest?q=databse"));
 }
+
+/// `serve` whose stdout reader has gone drains quietly at SIGTERM: its
+/// drain lines meet a closed pipe, and it still exits 0 without a panic.
+/// `--trace-out` over a two-corpus catalog writes the primary corpus's
+/// trace, which parses.
+#[test]
+fn serve_ends_quietly_once_its_stdout_reader_is_gone() {
+    let (snapshot, _) = snapshot_and_catalog("sigterm");
+    let catalog = tmp("sigterm-two.xcc").to_string_lossy().into_owned();
+    let trace = tmp("sigterm-trace.json");
+    let _ = std::fs::remove_file(&trace);
+    Catalog {
+        corpora: ["default", "other"]
+            .map(|name| CorpusSpec {
+                name: name.into(),
+                snapshot: snapshot.clone(),
+            })
+            .to_vec(),
+    }
+    .save(&catalog)
+    .unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xclean"))
+        .args(["serve", "--catalog", &catalog])
+        .args(["--port", "0", "--threads", "1"])
+        .args(["--trace-out", &trace.to_string_lossy()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut addr = None;
+    for line in lines.by_ref() {
+        let line = line.unwrap();
+        if let Some(rest) = line.strip_prefix("xclean-server listening on http://") {
+            addr = rest.split_whitespace().next().map(str::to_string);
+        }
+        if line.starts_with("slow-query log:") {
+            break;
+        }
+    }
+    let addr = addr.expect("a listening line");
+    for path in ["/suggest?q=helth+insurance", "/suggest/other?q=progrm"] {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let request = format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200"), "{path}: {reply}");
+    }
+    drop(lines);
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(kill.success());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let trace = xclean_telemetry::json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    assert!(
+        !trace["traceEvents"].as_array().unwrap().is_empty(),
+        "{trace:?}"
+    );
+}

@@ -21,7 +21,7 @@ use xclean_xmltree::{IdBuildHasher, NodeId, PathId, Tokenizer, XmlTree};
 use crate::level::{Entities, LevelTable};
 use crate::path_stats::PathStatsIndex;
 use crate::posting::PostingList;
-use crate::shard::{SetProvenance, ShardMeta};
+use crate::shard::ShardMeta;
 use crate::slab::Blobs;
 use crate::storage::v2;
 use crate::vocab::{TokenId, Vocabulary};
@@ -146,8 +146,6 @@ pub struct CorpusIndex {
     /// Present iff this index is one shard of a partitioned corpus
     /// (set by the partitioner or loaded from a v2 `SHARD` section).
     pub(crate) shard: Option<ShardMeta>,
-    /// Present iff this index was read back from a shard set.
-    pub(crate) set: Option<SetProvenance>,
 }
 
 /// Derived per-node/per-path tables, all O(n) passes over the tree given
@@ -233,7 +231,6 @@ impl CorpusIndex {
             tokenizer,
             provenance: None,
             shard: None,
-            set: None,
         })
     }
 
@@ -272,12 +269,6 @@ impl CorpusIndex {
     /// format records a payload checksum (v2).
     pub fn provenance(&self) -> Option<SnapshotProvenance> {
         self.provenance
-    }
-
-    /// The shard set this index was read back from, present only on the
-    /// result of [`crate::reassemble_parent`].
-    pub fn set_provenance(&self) -> Option<&SetProvenance> {
-        self.set.as_ref()
     }
 
     /// Shard membership metadata, present only when this index is one

@@ -28,10 +28,7 @@ pub use corpus::{CorpusIndex, SnapshotProvenance};
 pub use level::{Entities, LevelEntry, LevelTable};
 pub use path_stats::PathStatsIndex;
 pub use posting::{AccessStats, MergedEntry, Posting, PostingList};
-pub use shard::{
-    open_corpus, partition_corpus, reassemble_parent, OpenError, SetProvenance, ShardError,
-    ShardMeta,
-};
+pub use shard::{partition_corpus, reassemble_parent, OpenError, ShardError, ShardMeta};
 pub use slab::IndexSlab;
 pub use storage::{LoadReport, OpenOptions, SectionInfo, SnapshotSummary, StorageError};
 pub use vocab::{TokenId, Vocabulary};

@@ -17,18 +17,15 @@
 //! shard's local token and path ids back to the parent corpus's ids, which
 //! is what lets [`reassemble_parent`] read a set back as the corpus it was
 //! cut from, byte for byte. A set is a way to store a corpus: this module
-//! is the only one that knows the set format, and [`open_corpus`] is the
-//! one way to open stored snapshots for serving, whether they hold one
-//! corpus or a set.
-
-use std::path::Path;
+//! is the only one that knows the set format, and a corpus read back from
+//! a set keeps nothing of it.
 
 use xclean_xmltree::{LabelId, NodeId, PreorderAssembler, TreeAssemblyError};
 
 use crate::codec;
-use crate::corpus::{CorpusIndex, Parts, SnapshotProvenance};
+use crate::corpus::{CorpusIndex, Parts};
 use crate::posting::PostingList;
-use crate::storage::{self, v2, LoadReport, OpenOptions, StorageError};
+use crate::storage::{v2, StorageError};
 use crate::vocab::TokenId;
 
 /// Provenance and id-translation tables tying a shard snapshot back to the
@@ -56,19 +53,6 @@ pub struct ShardMeta {
     /// `path_map[local]` = the parent corpus's path id for the shard's
     /// local label path `local` (one entry per shard path).
     pub path_map: Vec<u32>,
-}
-
-/// What a corpus read back from a shard set keeps of the set: its
-/// identity, which an engine fingerprint mixes in so that a set and its
-/// parent, or two shardings of one corpus, never share a cache key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SetProvenance {
-    /// The partitioner seed every shard of the set carries.
-    pub seed: u64,
-    /// The parent fingerprint every shard of the set carries.
-    pub parent_fingerprint: u64,
-    /// Each shard's node count and snapshot provenance, in id order.
-    pub shards: Vec<(u64, Option<SnapshotProvenance>)>,
 }
 
 /// Why a corpus could not be partitioned, or a shard set read back.
@@ -143,6 +127,13 @@ pub enum OpenError {
         /// The underlying storage error.
         source: StorageError,
     },
+    /// A snapshot to serve as one corpus is one shard of a set.
+    Shard {
+        /// The shard file.
+        path: String,
+        /// Shards in its set.
+        shards: u32,
+    },
     /// The snapshots are not one complete shard set, or the set does not
     /// read back as one corpus.
     Set(ShardError),
@@ -152,6 +143,12 @@ impl std::fmt::Display for OpenError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OpenError::Snapshot { path, source } => write!(f, "{path}: {source}"),
+            OpenError::Shard { path, shards } => write!(
+                f,
+                "{path}: one shard of a set of {shards} shard{}, not a corpus; \
+                 build the corpus as one snapshot with `xclean index build`",
+                if *shards == 1 { "" } else { "s" }
+            ),
             OpenError::Set(e) => e.fmt(f),
         }
     }
@@ -161,37 +158,10 @@ impl std::error::Error for OpenError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             OpenError::Snapshot { source, .. } => Some(source),
+            OpenError::Shard { .. } => None,
             OpenError::Set(e) => Some(e),
         }
     }
-}
-
-/// Opens the corpus stored in the snapshot files `paths`: one snapshot
-/// without shard metadata is that corpus, and anything else is a shard
-/// set, read back as its parent ([`reassemble_parent`]). The load reports
-/// come back in path order; a snapshot that fails to open reports its own
-/// path.
-pub fn open_corpus<P: AsRef<Path>>(
-    paths: &[P],
-) -> Result<(CorpusIndex, Vec<LoadReport>), OpenError> {
-    let (mut corpora, reports): (Vec<CorpusIndex>, Vec<LoadReport>) = paths
-        .iter()
-        .map(|p| {
-            let p = p.as_ref();
-            storage::open_file(p, &OpenOptions::default()).map_err(|source| OpenError::Snapshot {
-                path: p.display().to_string(),
-                source,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .unzip();
-    let corpus = if corpora.len() == 1 && corpora[0].shard_meta().is_none() {
-        corpora.pop().expect("one snapshot")
-    } else {
-        reassemble_parent(corpora).map_err(OpenError::Set)?
-    };
-    Ok((corpus, reports))
 }
 
 /// Fingerprint of the parent corpus + partitioning parameters (FNV-1a over
@@ -310,8 +280,8 @@ pub fn partition_corpus(
 
 /// Reads a shard set back as the corpus [`partition_corpus`] cut it from:
 /// the same tree, vocabulary, postings and per-node counts, so the v2
-/// bytes of the result equal the parent's. The result carries the set's
-/// [`SetProvenance`] and no shard metadata. `shards` is one set, in any
+/// bytes of the result equal the parent's, and it carries no shard
+/// metadata and no snapshot provenance. `shards` is one set, in any
 /// order. Nothing is tokenised: the tree is shard 0's root followed by
 /// each shard's nodes `1..` in id order, each shard's lists are appended
 /// at the parent's token ids with node ids moved to its span (so each
@@ -333,14 +303,6 @@ pub fn reassemble_parent(mut shards: Vec<CorpusIndex>) -> Result<CorpusIndex, Sh
     check_set(&mut shards)?;
     let first = &shards[0];
     let set = meta(first);
-    let provenance = SetProvenance {
-        seed: set.seed,
-        parent_fingerprint: set.parent_fingerprint,
-        shards: shards
-            .iter()
-            .map(|s| (s.tree().len() as u64, s.provenance()))
-            .collect(),
-    };
     let (vocab_len, path_len) = (set.global_vocab_len as usize, set.global_path_len as usize);
     let labels = first.tree().labels();
     let label_names: Vec<String> = (0..labels.len() as u32)
@@ -489,10 +451,8 @@ pub fn reassemble_parent(mut shards: Vec<CorpusIndex>) -> Result<CorpusIndex, Sh
             tree.paths().len()
         )));
     }
-    let mut corpus = v2::encode_and_view(tree, Parts::counted(terms, lists, direct), &tokenizer)
-        .map_err(|e| ShardError::Coverage(format!("the reassembled corpus: {e}")))?;
-    corpus.set = Some(provenance);
-    Ok(corpus)
+    v2::encode_and_view(tree, Parts::counted(terms, lists, direct), &tokenizer)
+        .map_err(|e| ShardError::Coverage(format!("the reassembled corpus: {e}")))
 }
 
 /// Puts `shards` in id order and checks that they are one complete set
@@ -596,6 +556,7 @@ fn balanced_spans(weights: &[u64], shards: usize) -> Vec<std::ops::Range<usize>>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage;
     use xclean_xmltree::{parse_document, Tokenizer, TokenizerConfig};
 
     const XML: &str = "<dblp>\

@@ -330,9 +330,8 @@ pub(crate) fn render_statusz(h: &Handler) -> String {
     for t in h.tenants.iter() {
         let (hits, misses, _) = t.cache().counters();
         out.push_str(&format!(
-            "  corpus[{}]: shards={} cache={}/{} requests={} errors={} queries={}\n",
+            "  corpus[{}]: cache={}/{} requests={} errors={} queries={}\n",
             t.name(),
-            t.engine().shard_count(),
             t.cache().len(),
             t.cache().capacity(),
             t.requests().get(),
@@ -627,7 +626,7 @@ mod tests {
         assert!(text.contains("corpus built in memory"), "{text}");
         assert!(text.contains("cache: entries=0 capacity=64\n"), "{text}");
         assert!(
-            text.contains("corpora: 1\n  corpus[default]: shards=1 cache=0/64"),
+            text.contains("corpora: 1\n  corpus[default]: cache=0/64"),
             "{text}"
         );
         assert!(text.contains("1m"), "{text}");

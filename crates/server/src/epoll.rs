@@ -16,9 +16,9 @@
 //! to break the loop out of `epoll_wait` when a scored response is
 //! ready to flush.
 //!
-//! This module is `pub`: the `loadgen` harness in `crates/bench` drives
-//! thousands of client sockets with the same wrapper rather than
-//! duplicating the shim.
+//! This module is `pub`: the `loadgen` harness
+//! (`crates/server/examples/loadgen.rs`) drives thousands of client
+//! sockets with the same wrapper rather than duplicating the shim.
 
 #![allow(unsafe_code)]
 

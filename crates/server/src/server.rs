@@ -711,7 +711,6 @@ fn healthz(handler: &Handler, _query: &str) -> Reply {
             ("name", tenant.name().into()),
             ("fingerprint", hex(tenant.fingerprint())),
             ("snapshot", snapshot(tenant)),
-            ("shards", tenant.engine().shard_count().into()),
             ("requests", tenant.requests().get().into()),
             ("cache_entries", tenant.cache().len().into()),
         ])
@@ -925,8 +924,6 @@ fn explain_json(corpus: &str, normalized: &str, trace: &ExplainTrace) -> Json {
         ("corpus", corpus.into()),
         ("query", normalized.into()),
         ("semantics", trace.semantics.into()),
-        ("sharded", trace.sharded.into()),
-        ("shard_count", trace.shard_count.into()),
         ("gamma", trace.gamma.into()),
         ("cache", "bypassed".into()),
         ("keywords", keywords.collect()),
@@ -1698,11 +1695,10 @@ mod tests {
         let health = route(&get("/healthz"), &h, T);
         assert!(health.body.contains("\"corpora\":["), "{}", health.body);
         assert!(health.body.contains("\"name\":\"dblp\""), "{}", health.body);
-        assert!(health.body.contains("\"shards\":1"), "{}", health.body);
         let status = route(&get("/statusz"), &h, T);
         assert!(status.body.contains("corpora: 2"), "{}", status.body);
         assert!(
-            status.body.contains("corpus[dblp]: shards=1"),
+            status.body.contains("corpus[dblp]: cache="),
             "{}",
             status.body
         );

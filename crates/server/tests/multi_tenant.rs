@@ -189,7 +189,6 @@ fn observability_surfaces_cover_every_corpus() {
     assert_eq!(status, 200);
     assert!(statusz.contains("corpus[default]:"), "{statusz}");
     assert!(statusz.contains("corpus[dblp]:"), "{statusz}");
-    assert!(statusz.contains("shards=2"), "{statusz}");
 
     let (status, _, metrics) = request(r.addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
@@ -319,7 +318,6 @@ fn sharded_tenant_records_one_snapshot_open_sample_per_shard() {
     )
     .unwrap();
     let tenant = server.tenants().primary();
-    assert_eq!(tenant.engine().shard_count(), 3);
     for name in [names::SNAPSHOT_OPEN, names::SNAPSHOT_VALIDATE] {
         let samples = tenant.engine().metrics().histogram_summary(name);
         assert_eq!(samples.map(|s| s.count), Some(3), "{name}");

@@ -3,8 +3,9 @@
 //! A catalog file declares, for each served corpus, its name and the one
 //! snapshot file backing it (`xclean index build … --catalog` writes the
 //! entries). A server opens each entry with [`crate::XCleanEngine::open`]
-//! over its resolved path; every corpus of a server runs with the one
-//! configuration the server was started with. The encoding follows the
+//! over its resolved path, which refuses one shard of a set; every corpus
+//! of a server runs with the one configuration the server was started
+//! with. The encoding follows the
 //! storage/v2 discipline: magic + whole-payload checksum and minimal
 //! LEB128 varints, so a decode→encode round trip is **byte-stable** and
 //! any flipped bit is caught before a path is trusted.

@@ -10,10 +10,12 @@
 //! it observed ([`crate::explain`]). Built once and immutable after, an
 //! engine is shared behind an [`Arc`] by the serving layer.
 //!
-//! However the corpus is stored — built from XML, one snapshot, or a
-//! shard set — it is one corpus: a set is read back as its parent
-//! ([`xclean_index::reassemble_parent`]), so every semantics and every
-//! `min_depth` answers over it exactly as over the parent (DESIGN.md §16).
+//! An engine serves one corpus, built from XML or opened from one
+//! snapshot ([`XCleanEngine::open`], which refuses one shard of a set).
+//! A shard set is read back as the corpus it was cut from
+//! ([`XCleanEngine::load_snapshots`], [`xclean_index::reassemble_parent`])
+//! and keeps nothing of the set: it answers, keys and explains exactly as
+//! its parent built in memory (DESIGN.md §16).
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -21,8 +23,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use xclean_index::{
-    open_corpus, reassemble_parent, CorpusIndex, LoadReport, OpenError, ShardError,
-    SnapshotProvenance, Vocabulary,
+    reassemble_parent, storage, CorpusIndex, LoadReport, OpenError, OpenOptions, ShardError,
+    Vocabulary,
 };
 use xclean_telemetry::{names, Counter, Histogram, MetricsRegistry, Tracer};
 use xclean_xmltree::{PathId, Tokenizer, XmlTree};
@@ -183,37 +185,51 @@ impl XCleanEngine {
         Ok(Self::from_corpus(reassemble_parent(shards)?, config))
     }
 
-    /// Builds the node-type engine over the corpus stored in the snapshot
-    /// files `paths` (see [`XCleanEngine::open`]).
+    /// Builds the node-type engine over the corpus a shard set stores in
+    /// the snapshot files `paths`, read back as its parent
+    /// ([`reassemble_parent`]), and records one open/validate sample per
+    /// file. The only entry that opens several files.
     pub fn load_snapshots<P: AsRef<Path>>(
         paths: &[P],
         config: XCleanConfig,
     ) -> Result<Self, OpenError> {
-        let opened = Self::open(paths, config, Semantics::NodeType, Telemetry::disabled());
-        opened.map(|(engine, _)| engine)
-    }
-
-    /// Builds the engine over the corpus stored in the snapshot files
-    /// `paths` — one snapshot, or a shard set ([`open_corpus`]) — with
-    /// `semantics` and `telemetry`, and records each snapshot's
-    /// open/validate timings in `telemetry`'s registry. The load reports
-    /// come back in path order. Every caller that serves stored snapshots
-    /// opens them here; a catalog entry's path is
-    /// [`crate::CorpusSpec::resolved_snapshot`].
-    pub fn open<P: AsRef<Path>>(
-        paths: &[P],
-        config: XCleanConfig,
-        semantics: Semantics,
-        telemetry: Telemetry,
-    ) -> Result<(Self, Vec<LoadReport>), OpenError> {
-        let (corpus, reports) = open_corpus(paths)?;
-        let engine = Self::from_corpus(corpus, config)
-            .with_semantics(semantics)
-            .with_telemetry(telemetry);
+        let (shards, reports): (Vec<_>, Vec<_>) = paths
+            .iter()
+            .map(open_snapshot)
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
+        let engine = Self::from_shards(shards, config).map_err(OpenError::Set)?;
         for report in &reports {
             engine.record_snapshot_timings(report);
         }
-        Ok((engine, reports))
+        Ok(engine)
+    }
+
+    /// Builds the engine over the corpus stored in the snapshot file
+    /// `path` with `semantics` and `telemetry`, and records the
+    /// snapshot's open/validate timings in `telemetry`'s registry. One
+    /// shard of a set is refused ([`OpenError::Shard`]). Every caller
+    /// that serves a stored snapshot opens it here; a catalog entry's
+    /// path is [`crate::CorpusSpec::resolved_snapshot`].
+    pub fn open<P: AsRef<Path>>(
+        path: P,
+        config: XCleanConfig,
+        semantics: Semantics,
+        telemetry: Telemetry,
+    ) -> Result<(Self, LoadReport), OpenError> {
+        let (corpus, report) = open_snapshot(&path)?;
+        if let Some(meta) = corpus.shard_meta() {
+            return Err(OpenError::Shard {
+                path: path.as_ref().display().to_string(),
+                shards: meta.shard_count,
+            });
+        }
+        let engine = Self::from_corpus(corpus, config)
+            .with_semantics(semantics)
+            .with_telemetry(telemetry);
+        engine.record_snapshot_timings(&report);
+        Ok((engine, report))
     }
 
     /// Switches entity semantics (default: node-type).
@@ -279,14 +295,6 @@ impl XCleanEngine {
         self.corpus.vocab()
     }
 
-    /// Shard snapshots the corpus was read back from; `1` for one plain
-    /// corpus.
-    pub fn shard_count(&self) -> u32 {
-        self.corpus
-            .set_provenance()
-            .map_or(1, |set| set.shards.len() as u32)
-    }
-
     /// `(format_version, checksum)` of the backing snapshot. `None` for
     /// in-memory corpora, a shard set's included: its corpus is
     /// reassembled from several snapshots.
@@ -298,57 +306,29 @@ impl XCleanEngine {
 
     /// A fingerprint of everything that determines this engine's
     /// responses: the scoring configuration
-    /// ([`XCleanConfig::fingerprint`]) and then, for a corpus stored as one
-    /// snapshot or built in memory, the entity semantics and the corpus
-    /// shape; for one read back from a shard set, the set's identity and
-    /// vocabulary shape plus every shard's size, then any semantics but
-    /// node-type — so a set and its unsharded parent, or two shardings of
-    /// one corpus, never share a fingerprint even though their responses
-    /// are bit-identical (the cache key is deliberately conservative).
-    /// Either way each snapshot-loaded corpus also pins the exact bytes it
-    /// came from (v2 format version + payload checksum). The serving
-    /// layer keys its response cache on this value, so an engine rebuilt
-    /// with a different β/γ — or over a different snapshot — can never be
-    /// answered from stale entries.
+    /// ([`XCleanConfig::fingerprint`]), the entity semantics, the corpus
+    /// shape and, for a corpus opened from a snapshot, the exact bytes it
+    /// came from (v2 format version + payload checksum). A corpus read
+    /// back from a shard set is its parent, so it keys as its parent built
+    /// in memory does. The serving layer keys its response cache on this
+    /// value, so an engine rebuilt with a different β/γ — or over a
+    /// different snapshot — can never be answered from stale entries.
     pub fn fingerprint(&self) -> u64 {
         let mut h = self.config.fingerprint();
         let mut mix = |v: u64| fnv1a(&mut h, &v.to_le_bytes());
-        // A snapshot-loaded corpus's format version and payload checksum.
-        let provenance = |p: Option<SnapshotProvenance>| {
-            p.into_iter()
-                .flat_map(|p| [u64::from(p.format_version), p.checksum])
-        };
-        let semantics = match self.semantics {
+        let corpus = &self.corpus;
+        mix(match self.semantics {
             Semantics::NodeType => 0,
             Semantics::Slca => 1,
             Semantics::Elca => 2,
-        };
-        let corpus = &self.corpus;
-        match corpus.set_provenance() {
-            None => {
-                mix(semantics);
-                mix(corpus.tree().len() as u64);
-                mix(corpus.vocab().len() as u64);
-                mix(corpus.vocab().total_tokens());
-                mix(corpus.element_count() as u64);
-                provenance(corpus.provenance()).for_each(&mut mix);
-            }
-            Some(set) => {
-                mix(set.shards.len() as u64);
-                mix(set.seed);
-                mix(set.parent_fingerprint);
-                mix(corpus.vocab().len() as u64);
-                mix(corpus.vocab().total_tokens());
-                for &(nodes, shard) in &set.shards {
-                    mix(nodes);
-                    provenance(shard).for_each(&mut mix);
-                }
-                // Node-type adds nothing, which keeps a set's node-type
-                // keys stable (`tests/shard_readback.rs` pins them).
-                if semantics != 0 {
-                    mix(semantics);
-                }
-            }
+        });
+        mix(corpus.tree().len() as u64);
+        mix(corpus.vocab().len() as u64);
+        mix(corpus.vocab().total_tokens());
+        mix(corpus.element_count() as u64);
+        if let Some(p) = corpus.provenance() {
+            mix(u64::from(p.format_version));
+            mix(p.checksum);
         }
         h
     }
@@ -650,6 +630,15 @@ impl XCleanEngine {
             .map(|r| xclean_xmltree::writer::subtree_to_xml(tree, r))
             .collect()
     }
+}
+
+/// Opens one snapshot file, naming it in the error.
+fn open_snapshot<P: AsRef<Path>>(path: P) -> Result<(CorpusIndex, LoadReport), OpenError> {
+    let path = path.as_ref();
+    storage::open_file(path, &OpenOptions::default()).map_err(|source| OpenError::Snapshot {
+        path: path.display().to_string(),
+        source,
+    })
 }
 
 #[cfg(test)]

@@ -129,10 +129,6 @@ pub struct ExplainTrace {
     pub keywords: Vec<KeywordExplain>,
     /// Entity semantics the engine ran under.
     pub semantics: &'static str,
-    /// Whether the engine serves a shard set.
-    pub sharded: bool,
-    /// Number of shard snapshots (1 for the unsharded engine).
-    pub shard_count: u32,
     /// The γ bound in effect (`None` = unbounded).
     pub gamma: Option<usize>,
     /// Per-stage candidate counts.
@@ -207,8 +203,6 @@ impl XCleanEngine {
                 })
                 .collect(),
             semantics: self.semantics().as_str(),
-            sharded: self.corpus().set_provenance().is_some(),
-            shard_count: self.shard_count(),
             gamma: config.gamma,
             stages: StageCounts {
                 keywords: slots.len() as u64,
@@ -270,7 +264,6 @@ mod tests {
         let served = e.suggest("helth insurance");
         let trace = e.explain("helth insurance");
         assert_eq!(trace.semantics, "node_type");
-        assert!(!trace.sharded);
         assert_eq!(trace.keywords.len(), 2);
         assert_eq!(trace.keywords[0].keyword, "helth");
         assert!(trace.keywords[0]

@@ -16,6 +16,7 @@ use xclean_suite::index::slab::checksum64;
 use xclean_suite::index::OpenError as ShardedEngineError;
 use xclean_suite::index::{partition_corpus, storage, CorpusIndex};
 use xclean_suite::xclean::catalog::CATALOG_MAGIC;
+use xclean_suite::xclean::telemetry::names;
 use xclean_suite::xclean::{
     Catalog, CatalogError, CorpusSpec, Semantics, Telemetry, XCleanConfig, XCleanEngine,
 };
@@ -193,21 +194,26 @@ fn missing_shard_file_error_names_the_offending_path() {
     catalog.save(&cat_path).unwrap();
 
     // Intact files: catalog → resolved path → engine, and the set opened
-    // from its paths, answer queries bit-identically to the parent.
+    // from its paths, answer queries bit-identically to the parent, and
+    // each file opened leaves one open sample in its engine's registry.
     let loaded = Catalog::load(&cat_path).unwrap();
-    let open = |paths: &[std::path::PathBuf]| {
+    let entry = loaded.corpora[0].resolved_snapshot(&dir);
+    let open = |path: &std::path::Path| {
         XCleanEngine::open(
-            paths,
+            path,
             XCleanConfig::default(),
             Semantics::NodeType,
             Telemetry::disabled(),
         )
+        .map(|(engine, _)| engine)
     };
-    let entry = [loaded.corpora[0].resolved_snapshot(&dir)];
-    let (engine, reports) = open(&entry).unwrap();
-    assert_eq!((engine.shard_count(), reports.len()), (1, 1));
-    let (sharded, reports) = open(&set).unwrap();
-    assert_eq!((sharded.shard_count(), reports.len()), (3, 3));
+    let load =
+        |paths: &[std::path::PathBuf]| XCleanEngine::load_snapshots(paths, XCleanConfig::default());
+    let (engine, sharded) = (open(&entry).unwrap(), load(&set).unwrap());
+    for (e, files) in [(&engine, 1), (&sharded, 3)] {
+        let opened = e.metrics().histogram_summary(names::SNAPSHOT_OPEN);
+        assert_eq!(opened.map(|s| s.count), Some(files));
+    }
     let baseline = XCleanEngine::from_corpus(build(), XCleanConfig::default());
     let a = baseline.suggest("databse");
     for b in [engine.suggest("databse"), sharded.suggest("databse")] {
@@ -220,9 +226,14 @@ fn missing_shard_file_error_names_the_offending_path() {
 
     // Delete one shard, then the catalog's snapshot: assembly must fail
     // naming exactly that file.
-    for (gone, paths) in [("dblp-shard1-of-3.xci", &set[..]), ("dblp.xci", &entry[..])] {
-        std::fs::remove_file(dir.join(gone)).unwrap();
-        let err = open(paths).expect_err("a missing file must fail");
+    std::fs::remove_file(dir.join("dblp-shard1-of-3.xci")).unwrap();
+    std::fs::remove_file(&entry).unwrap();
+    let failures = [
+        ("dblp-shard1-of-3.xci", load(&set).map(drop)),
+        ("dblp.xci", open(&entry).map(drop)),
+    ];
+    for (gone, opened) in failures {
+        let err = opened.expect_err("a missing file must fail");
         match &err {
             ShardedEngineError::Snapshot { path, .. } => {
                 assert!(path.ends_with(gone), "error names the wrong path: {path}");
