@@ -111,12 +111,13 @@ pub(super) fn run(scale: f64) -> Report {
     let index = index.expect("PASSES is not zero");
     let table = index.table_stats();
     report.line(format!(
-        "{} words, ε = {}, partition threshold {}: {} slots, {} filled (load {:.3}), \
+        "{} words, ε = {}, partition threshold {}: {} slots of {} B, {} filled (load {:.3}), \
          longest run {}, {:.1} MB, built in {build_ms:.0} ms",
         words.len(),
         config.epsilon,
         PARTITION_THRESHOLD,
         table.slots,
+        table.slot_bytes,
         table.filled,
         table.filled as f64 / table.slots as f64,
         table.longest_run,

@@ -11,7 +11,7 @@
 //! occurs verbatim in `q`, shifted by at most ε (the pigeonhole principle).
 //! Segments are indexed exactly, keeping space linear in word length.
 //!
-//! Both kinds of key live in **one** open-addressed table of `u64` slots
+//! Both kinds of key live in **one** open-addressed table of `u32` slots
 //! (`ProbeTable`) and the vocabulary in one text blob, so a lookup is
 //! three batches over flat memory: collect every key, probe them all,
 //! verify the distinct candidates against the query prepared once.
@@ -32,35 +32,51 @@ fn long_key(seg: &[char], ord: u8, wlen: u16) -> u64 {
 
 /// 64-bit signature hash → word ids, open-addressed with linear probing.
 ///
-/// A slot is `fingerprint << 32 | (word id + 1)`, `0` when empty; the
-/// fingerprint is the key's low half and the home slot comes from its
-/// high half (FNV's best-mixed bits). Every `(key, id)` pair takes its
-/// own slot in the run that starts at the key's home, so a probe is one
-/// sequential scan from there to the first empty slot — no per-key
-/// `Vec`, no second allocation to chase.
+/// A slot is a `u32`: `word id + 1` in its low `id_bits` bits — the bit
+/// length of the vocabulary's size, so the largest id fits — and the
+/// key's fingerprint in the rest, `0` when empty. The fingerprint is the
+/// low bits of the key's low half, the home slot comes from its high half
+/// (FNV's best-mixed bits). Every `(key, id)` pair takes its own slot in
+/// the run that starts at the key's home, so a probe is one sequential
+/// scan from there to the first empty slot — no per-key `Vec`, no second
+/// allocation to chase.
 ///
-/// Two keys sharing a fingerprint *and* a run make a probe report the
-/// other key's ids as well. That can only add candidates, which exact
-/// verification discards — the argument that already covers two strings
-/// sharing a signature hash — so no key is stored.
+/// Two keys sharing the stored fingerprint bits *and* a run make a probe
+/// report the other key's ids as well. That can only add candidates,
+/// which exact verification discards — the argument that already covers
+/// two strings sharing a signature hash — so no key is stored.
 #[derive(Debug)]
 struct ProbeTable {
     /// A power of two of them.
-    slots: Vec<u64>,
+    slots: Vec<u32>,
     filled: usize,
+    /// Low bits of a slot that hold `id + 1`.
+    id_bits: u32,
 }
 
 impl ProbeTable {
-    /// A table for at most `pairs` insertions, at most half full: runs
-    /// stay short and there is always an empty slot to end a probe at.
-    fn for_pairs(pairs: usize) -> Self {
-        let slots = pairs
+    /// A table for at most `pairs` insertions of ids below `ids`, at most
+    /// half full: runs stay short and there is always an empty slot to
+    /// end a probe at.
+    fn for_pairs(pairs: usize, ids: usize) -> Self {
+        let len = pairs
             .checked_mul(2)
             .and_then(usize::checked_next_power_of_two)
             .expect("probe table size fits usize");
+        let id_bits = usize::BITS - ids.leading_zeros();
+        assert!(id_bits <= u32::BITS, "word ids (+ 1) must fit u32");
+        // Every slot is written once here, so each fresh page's first
+        // touch is a write: a zeroed allocation is first *read* by the
+        // fill's `touch_homes`, which maps the shared zero page, and the
+        // insert after it faults again to copy it. The empty value goes
+        // through `black_box` so the compiler cannot turn this fill back
+        // into a zeroed allocation.
+        let mut slots = Vec::with_capacity(len);
+        slots.resize(len, std::hint::black_box(0));
         ProbeTable {
-            slots: vec![0; slots],
+            slots,
             filled: 0,
+            id_bits,
         }
     }
 
@@ -72,13 +88,24 @@ impl ProbeTable {
         (key >> 32) as usize & self.mask()
     }
 
+    /// The bits of a slot that hold `id + 1`.
+    fn id_mask(&self) -> u32 {
+        ((1u64 << self.id_bits) - 1) as u32
+    }
+
+    /// `key`'s fingerprint as a slot stores it: the key's low bits above
+    /// the id bits, the id bits zero.
+    fn tag(&self, key: u64) -> u32 {
+        (u64::from(key as u32) << self.id_bits) as u32
+    }
+
     /// Reads the home slot of every key in one loop of independent loads
     /// and returns their OR, `0` when every home is empty. On a table of
     /// tens of megabytes each home is a cache miss and none depends on
     /// another, so the processor overlaps them; what the caller does next
     /// with those runs — walk or fill — finds their lines in cache, where
     /// key by key each miss would wait for the one before.
-    fn touch_homes(&self, keys: impl Iterator<Item = u64>) -> u64 {
+    fn touch_homes(&self, keys: impl Iterator<Item = u64>) -> u32 {
         keys.fold(0, |seen, key| seen | self.slots[self.home(key)])
     }
 
@@ -96,7 +123,12 @@ impl ProbeTable {
 
     /// Stores `(key, id)` unless the run already holds it.
     fn insert(&mut self, key: u64, id: u32) {
-        let slot = key << 32 | u64::from(id + 1);
+        assert!(
+            id < self.id_mask(),
+            "id {id} does not fit the table's {} id bits",
+            self.id_bits
+        );
+        let slot = self.tag(key) | (id + 1);
         let mut at = self.home(key);
         loop {
             match self.slots[at] {
@@ -116,7 +148,7 @@ impl ProbeTable {
     /// The ids stored under `key`'s fingerprint in `key`'s run: a
     /// superset of the ids inserted under `key`.
     fn ids(&self, key: u64) -> impl Iterator<Item = u32> + '_ {
-        let fingerprint = key as u32;
+        let (tag, id_mask) = (self.tag(key), self.id_mask());
         let mut at = self.home(key);
         std::iter::from_fn(move || loop {
             let slot = self.slots[at];
@@ -124,8 +156,8 @@ impl ProbeTable {
                 return None;
             }
             at = (at + 1) & self.mask();
-            if (slot >> 32) as u32 == fingerprint {
-                return Some(slot as u32 - 1);
+            if slot & !id_mask == tag {
+                return Some((slot & id_mask) - 1);
             }
         })
     }
@@ -177,6 +209,8 @@ impl Default for VariantIndexConfig {
 pub struct TableStats {
     /// Slots allocated (a power of two).
     pub slots: usize,
+    /// Bytes of one slot.
+    pub slot_bytes: usize,
     /// Slots holding a `(signature, word)` pair.
     pub filled: usize,
     /// Longest run of occupied slots — the worst case of one probe.
@@ -234,7 +268,7 @@ impl VariantIndex {
 
         // Second pass: every pair, in word order, through a batch of
         // `FILL_BATCH` whose home slots are read before it is inserted.
-        let mut table = ProbeTable::for_pairs(pairs);
+        let mut table = ProbeTable::for_pairs(pairs, words.len());
         let mut batch = [(0u64, 0u32); FILL_BATCH];
         let mut batched = 0;
         let mut push = |key: u64, id: u32| {
@@ -291,6 +325,7 @@ impl VariantIndex {
     pub fn table_stats(&self) -> TableStats {
         TableStats {
             slots: self.table.slots.len(),
+            slot_bytes: std::mem::size_of_val(&self.table.slots[0]),
             filled: self.table.filled,
             longest_run: self.table.longest_run(),
             bytes: std::mem::size_of_val(&self.table.slots[..])
@@ -702,6 +737,17 @@ mod tests {
         }
     }
 
+    /// Four bytes a slot: a table of `u64` slots again fails this.
+    #[test]
+    fn table_bytes_are_four_per_slot_plus_the_text_and_offsets() {
+        let vocab = sample_vocab();
+        let idx = VariantIndex::build(&vocab, VariantIndexConfig::default());
+        let stats = idx.table_stats();
+        let text: usize = vocab.iter().map(|w| w.len()).sum();
+        assert_eq!(stats.slot_bytes, 4);
+        assert_eq!(stats.bytes, 4 * stats.slots + text + 4 * (vocab.len() + 1));
+    }
+
     #[test]
     fn segment_spans_cover_word_exactly() {
         for len in 1..40 {
@@ -725,10 +771,11 @@ mod tests {
 mod table {
     use super::*;
 
-    /// Sixteen slots, so the home slot is the low four bits of `home`.
+    /// Sixteen slots, so the home slot is the low four bits of `home`;
+    /// ids below 16, so a slot's low five bits hold `id + 1`.
     fn table() -> ProbeTable {
-        let table = ProbeTable::for_pairs(8);
-        assert_eq!(table.slots.len(), 16);
+        let table = ProbeTable::for_pairs(8, 16);
+        assert_eq!((table.slots.len(), table.id_bits), (16, 5));
         table
     }
 
@@ -781,7 +828,7 @@ mod table {
         for id in [1, 2, 3] {
             t.insert(key(15, 0xC), id);
         }
-        assert_eq!(&t.slots[..2], [0xC << 32 | 3, 0xC << 32 | 4]);
+        assert_eq!(&t.slots[..2], [0xC << 5 | 3, 0xC << 5 | 4]);
         assert_eq!(ids(&t, key(15, 0xC)), [1, 2, 3]);
         // Only the masked bits of the high half pick the home slot.
         assert_eq!(ids(&t, key(15 + 16, 0xC)), [1, 2, 3]);
@@ -803,15 +850,28 @@ mod table {
     #[test]
     fn the_largest_id_round_trips() {
         let mut t = table();
-        // One more than `build` admits: the slot holds id + 1.
-        t.insert(key(2, u32::MAX), u32::MAX - 1);
+        // Five id bits hold ids up to 30: the slot holds id + 1.
+        t.insert(key(2, u32::MAX), 30);
         t.insert(key(2, u32::MAX), 0);
-        assert_eq!(ids(&t, key(2, u32::MAX)), [u32::MAX - 1, 0]);
+        assert_eq!(ids(&t, key(2, u32::MAX)), [30, 0]);
+        // The largest id `build` admits leaves no fingerprint bits: every
+        // slot of the run answers, which only adds candidates.
+        let mut t = ProbeTable::for_pairs(2, u32::MAX as usize);
+        assert_eq!(t.id_bits, 32);
+        t.insert(key(2, 1), u32::MAX - 1);
+        t.insert(key(2, 2), 0);
+        assert_eq!(ids(&t, key(2, 3)), [u32::MAX - 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the table's 5 id bits")]
+    fn an_id_past_the_id_bits_is_refused() {
+        table().insert(key(0, 1), 31);
     }
 
     #[test]
     fn an_empty_table_answers_every_probe() {
-        let t = ProbeTable::for_pairs(0);
+        let t = ProbeTable::for_pairs(0, 0);
         assert_eq!(t.slots, [0]);
         assert_eq!(ids(&t, key(9, 9)), []);
         assert_eq!(t.longest_run(), 0);
@@ -820,7 +880,7 @@ mod table {
     #[test]
     #[should_panic(expected = "more pairs than the table was sized for")]
     fn filling_past_half_is_a_bug_not_an_endless_probe() {
-        let mut t = ProbeTable::for_pairs(1);
+        let mut t = ProbeTable::for_pairs(1, 3);
         t.insert(key(0, 1), 1);
         t.insert(key(0, 2), 2);
     }
@@ -845,7 +905,7 @@ mod table {
                 }
             })
             .sum();
-        let mut table = ProbeTable::for_pairs(pairs);
+        let mut table = ProbeTable::for_pairs(pairs, words.len());
         for (id, w) in chars.iter().enumerate() {
             let id = id as u32;
             if short(w) {
@@ -918,6 +978,29 @@ mod table {
         assert_eq!(idx.word(1), "");
         assert_eq!(idx.query("a").len(), 2);
     }
+
+    /// A key with the home and the stored fingerprint bits of one of
+    /// `tree`'s keys, under which `xyzzy` is stored: the probe reports
+    /// both words, and exact verification keeps only `tree`.
+    #[test]
+    fn a_fingerprint_collision_reaches_verification_and_no_further() {
+        let vocab = ["tree", "xyzzy"];
+        let mut idx = VariantIndex::build(&vocab, VariantIndexConfig::default());
+        let keys = idx.probe_keys(&['t', 'r', 'e', 'e'], 2);
+        // Two words: two id bits, so bit 31 of a key is not stored.
+        assert_eq!(idx.table.id_bits, 2);
+        let clash = keys[0] ^ 1 << 31;
+        idx.table.insert(clash, 1);
+        assert_eq!(ids(&idx.table, keys[0]), [0, 1]);
+        assert!(idx.candidates(&keys).iter().any(|m| m.word == 1));
+        assert_eq!(
+            idx.query("tree"),
+            [VariantMatch {
+                word: 0,
+                distance: 0
+            }]
+        );
+    }
 }
 
 #[cfg(test)]
@@ -968,6 +1051,38 @@ mod prop {
             }
         }
 
+        /// `query` answers what a scan of every word with
+        /// `edit_distance_within` answers, at every ε the index is built
+        /// for: over vocabularies of up to 300 words (so up to nine id
+        /// bits), empty and repeated words and words past the partition
+        /// threshold among them.
+        #[test]
+        fn query_equals_a_scan_of_every_word(
+            vocab in proptest::collection::vec("[a-dé]{0,11}", 1..300),
+            queries in proptest::collection::vec("[a-dé]{0,12}", 1..6),
+            epsilon in 0usize..=2,
+            threshold in 3usize..12,
+        ) {
+            let idx = VariantIndex::build(&vocab, VariantIndexConfig {
+                epsilon,
+                partition_threshold: threshold,
+            });
+            for q in &queries {
+                let mut scan: Vec<VariantMatch> = vocab
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(id, w)| {
+                        edit_distance_within(q, w, epsilon).map(|d| VariantMatch {
+                            word: id as u32,
+                            distance: d as u32,
+                        })
+                    })
+                    .collect();
+                scan.sort_unstable_by_key(|m| (m.distance, m.word));
+                prop_assert_eq!(idx.query(q), scan, "{:?} at ε {}", q, epsilon);
+            }
+        }
+
         /// The batched fill leaves the table's bits as inserting every pair
         /// one at a time in input order does: over short words that share
         /// signatures, repeated words, words past the partition threshold
@@ -1013,22 +1128,30 @@ mod prop {
         }
 
         /// Whatever is inserted, under keys made to share homes and
-        /// fingerprints: a probe reports every id inserted under its key,
-        /// nothing that was not inserted under its fingerprint, and no
-        /// pair fills two slots.
+        /// fingerprints — some of them only in the bits a slot stores:
+        /// a probe reports every id inserted under its key, nothing that
+        /// was not inserted under its stored fingerprint, and no pair
+        /// fills two slots.
         #[test]
         fn probes_report_a_superset(
-            pairs in proptest::collection::vec((0u32..20, 0u32..3, 0u32..6), 0..40),
+            pairs in proptest::collection::vec((0u32..20, 0u32..24, 0u32..6), 0..40),
         ) {
+            // Fingerprints 0 to 2 in the low bits, 0 to 7 in the top three,
+            // which a table of ids below 6 (three id bits) does not store.
+            let pairs: Vec<(u32, u32, u32)> =
+                pairs.iter().map(|&(h, f, id)| (h, (f % 3) | ((f / 3) << 29), id)).collect();
             let key = |home: u32, fingerprint: u32| u64::from(home) << 32 | u64::from(fingerprint);
-            let mut table = ProbeTable::for_pairs(pairs.len());
+            let stored = |fingerprint: u32| fingerprint << 3;
+            let mut table = ProbeTable::for_pairs(pairs.len(), 6);
+            assert_eq!(table.id_bits, 3);
             for &(home, fingerprint, id) in &pairs {
                 table.insert(key(home, fingerprint), id);
             }
             // A slot holds no home, so a pair is also "already held" when
-            // another key's equal (fingerprint, id) sits in its run.
+            // another key's equal (stored fingerprint, id) sits in its run.
             let distinct: std::collections::BTreeSet<_> = pairs.iter().collect();
-            let slots: std::collections::BTreeSet<_> = pairs.iter().map(|&(_, f, id)| (f, id)).collect();
+            let slots: std::collections::BTreeSet<_> =
+                pairs.iter().map(|&(_, f, id)| (stored(f), id)).collect();
             prop_assert!(slots.len() <= table.filled && table.filled <= distinct.len());
             for &(home, fingerprint, _) in &pairs {
                 let found: Vec<u32> = table.ids(key(home, fingerprint)).collect();
@@ -1038,7 +1161,9 @@ mod prop {
                     }
                 }
                 for id in found {
-                    prop_assert!(pairs.iter().any(|&(_, f, i)| (f, i) == (fingerprint, id)));
+                    prop_assert!(pairs
+                        .iter()
+                        .any(|&(_, f, i)| (stored(f), i) == (stored(fingerprint), id)));
                 }
             }
         }

@@ -15,6 +15,7 @@
 //! shares), so a process that has the old file mapped keeps reading the
 //! old bytes.
 
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -166,12 +167,14 @@ pub fn summarize_file(path: impl AsRef<std::path::Path>) -> Result<SnapshotSumma
 
 /// Writes the index to a file in the v2 columnar format, replacing the
 /// file at `path` (see [`replace_file`]): a reader that has the old
-/// snapshot mapped keeps its bytes (see `slab::mmap`).
+/// snapshot mapped keeps its bytes (see `slab::mmap`). The bytes are
+/// [`to_bytes_v2`]'s, written a section at a time from where the index
+/// holds them.
 pub fn save_to_file_v2(
     corpus: &CorpusIndex,
     path: impl AsRef<std::path::Path>,
 ) -> Result<(), StorageError> {
-    Ok(replace_file(path, &to_bytes_v2(corpus))?)
+    Ok(replace_file_with(path, |file| v2::write(corpus, file))?)
 }
 
 /// Writes `bytes` to `path` by replacing the file, never truncating or
@@ -183,6 +186,15 @@ pub fn save_to_file_v2(
 /// replaced, and the link stays. The replacement takes the permissions of
 /// the file it replaces.
 pub fn replace_file(path: impl AsRef<std::path::Path>, bytes: &[u8]) -> std::io::Result<()> {
+    replace_file_with(path, |file| file.write_all(bytes))
+}
+
+/// [`replace_file`] with the bytes written by `write` into the
+/// temporary file.
+fn replace_file_with(
+    path: impl AsRef<std::path::Path>,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     static SAVES: AtomicU64 = AtomicU64::new(0);
     let path = std::fs::canonicalize(path.as_ref()).unwrap_or_else(|_| path.as_ref().into());
     let permissions = std::fs::metadata(&path).ok().map(|m| m.permissions());
@@ -197,7 +209,8 @@ pub fn replace_file(path: impl AsRef<std::path::Path>, bytes: &[u8]) -> std::io:
         SAVES.fetch_add(1, Ordering::Relaxed)
     ));
     let tmp = path.with_file_name(tmp_name);
-    let written = std::fs::write(&tmp, bytes)
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| write(&mut file))
         .and_then(|()| permissions.map_or(Ok(()), |p| std::fs::set_permissions(&tmp, p)))
         .and_then(|()| std::fs::rename(&tmp, &path));
     if written.is_err() {
@@ -389,6 +402,42 @@ mod tests {
         // Ordinary snapshots stay shard-free.
         let s = summarize(to_bytes_v2(&a)).unwrap();
         assert!(!s.sections.iter().any(|x| x.name == "SHARD"));
+    }
+
+    /// A save writes what `to_bytes_v2` returns, byte for byte: for a
+    /// built corpus, for one loaded from a mapped file (its TREE and
+    /// DIRECT pages released at open), and for each shard of a set, whose
+    /// SHARD section no slab holds.
+    #[test]
+    fn save_writes_exactly_the_bytes_of_to_bytes_v2() {
+        let dir = std::env::temp_dir().join("xclean_storage_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let saved = |corpus: &CorpusIndex, name: &str| {
+            let path = dir.join(name);
+            save_to_file_v2(corpus, &path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert!(
+                bytes == to_bytes_v2(corpus),
+                "{name}: the save wrote other bytes"
+            );
+            path
+        };
+        let built = dblp50();
+        let path = saved(&built, "save_built.xci");
+        let (loaded, _) = open_file(&path, &OpenOptions::default()).unwrap();
+        saved(&loaded, "save_loaded.xci");
+        assert!(to_bytes_v2(&loaded) == to_bytes_v2(&built));
+        for (i, shard) in crate::shard::partition_corpus(&built, 3, 7)
+            .unwrap()
+            .iter()
+            .enumerate()
+        {
+            let path = saved(shard, &format!("save_shard{i}.xci"));
+            let summary = summarize_file(&path).unwrap();
+            assert!(summary.sections.iter().any(|x| x.name == "SHARD"));
+            let (loaded, _) = open_file(&path, &OpenOptions::default()).unwrap();
+            assert_eq!(loaded.shard_meta(), shard.shard_meta());
+        }
     }
 
     #[test]

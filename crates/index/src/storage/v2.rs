@@ -35,11 +35,16 @@
 //! without touching a single posting list. Every varint-declared size is
 //! clamped against the remaining input before it drives an allocation.
 //!
+//! Once the tree is assembled and the DIRECT column read, nothing but a
+//! save reads the TREE and DIRECT bytes again, so `load` hands their
+//! pages back to the kernel (`IndexSlab::release`).
+//!
 //! The index builder writes its sections with `encode` and views them
 //! with the same code (`encode_and_view`), so every [`CorpusIndex`] is
-//! a view over v2 bytes, and [`to_bytes`] only frames the sections an
-//! index already holds.
+//! a view over v2 bytes, and `write` only frames the sections an index
+//! already holds, writing each from where it lies.
 
+use std::io;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -49,7 +54,7 @@ use crate::codec::{self, get_count, put_varint, SliceReader};
 use crate::corpus::{CorpusIndex, Parts, SnapshotProvenance};
 use crate::path_stats::{self, PathStatsIndex, StatsCounter};
 use crate::shard::ShardMeta;
-use crate::slab::{checksum64, Blobs, IndexSlab};
+use crate::slab::{checksum64, checksum64_of, Blobs, IndexSlab};
 use crate::vocab::{self, Vocabulary};
 
 use super::{SectionInfo, SnapshotSummary, StorageError};
@@ -111,6 +116,26 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
+/// The header of a v2 file whose payload is the `sections` bodies laid
+/// end to end in order: magic, payload checksum, section table (absolute
+/// offsets).
+fn header(sections: &[(u8, &[u8])]) -> Vec<u8> {
+    let header_len = 8 + 8 + 1 + 17 * sections.len();
+    let checksum = checksum64_of(sections.iter().map(|&(_, body)| body));
+    let mut header = Vec::with_capacity(header_len);
+    header.extend_from_slice(MAGIC);
+    header.extend_from_slice(&checksum.to_le_bytes());
+    header.push(u8::try_from(sections.len()).expect("at most 255 sections"));
+    let mut offset = header_len;
+    for (id, body) in sections {
+        header.push(*id);
+        header.extend_from_slice(&(offset as u64).to_le_bytes());
+        header.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        offset += body.len();
+    }
+    header
+}
+
 /// Lays out a v2 file: reserves the header, appends section bodies, and
 /// fills in the section table and the payload checksum at the end.
 struct Writer {
@@ -120,12 +145,10 @@ struct Writer {
 }
 
 impl Writer {
-    /// A writer for exactly `sections` sections with room for `payload`
-    /// bytes of bodies.
-    fn new(sections: usize, payload: usize) -> Writer {
+    /// A writer for exactly `sections` sections.
+    fn new(sections: usize) -> Writer {
         let header_len = 8 + 8 + 1 + 17 * sections;
-        let mut out = Vec::with_capacity(header_len + payload);
-        out.resize(header_len, 0);
+        let out = vec![0; header_len];
         Writer {
             out,
             table: Vec::with_capacity(sections),
@@ -140,19 +163,12 @@ impl Writer {
         self.table.push((id, start..self.out.len()));
     }
 
-    /// Header: magic, payload checksum, section table (absolute offsets).
+    /// Fills in the [`header`] of the sections appended.
     fn finish(mut self) -> Vec<u8> {
-        assert_eq!(8 + 8 + 1 + 17 * self.table.len(), self.header_len);
-        let checksum = checksum64(&self.out[self.header_len..]);
-        let mut header = Vec::with_capacity(self.header_len);
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&checksum.to_le_bytes());
-        header.push(self.table.len() as u8);
-        for (id, range) in &self.table {
-            header.push(*id);
-            header.extend_from_slice(&(range.start as u64).to_le_bytes());
-            header.extend_from_slice(&(range.len() as u64).to_le_bytes());
-        }
+        let sections: Vec<(u8, &[u8])> = (self.table.iter())
+            .map(|(id, range)| (*id, &self.out[range.clone()]))
+            .collect();
+        let header = header(&sections);
         self.out[..self.header_len].copy_from_slice(&header);
         self.out
     }
@@ -224,7 +240,7 @@ fn encode_shard(meta: &ShardMeta, out: &mut Vec<u8>) {
 /// for `tree` and the tokenised `parts`, computing each token's path
 /// statistics from its postings on the way.
 fn encode(tree: &XmlTree, parts: &Parts, tokenizer: &TokenizerConfig) -> Vec<u8> {
-    let mut w = Writer::new(SECTION_ORDER.len(), 0);
+    let mut w = Writer::new(SECTION_ORDER.len());
     w.section(SEC_TREE, |out| encode_tree(tree, out));
     w.section(SEC_DIRECT, |out| {
         for &d in &parts.direct {
@@ -264,22 +280,35 @@ pub(crate) fn encode_and_view(
     view(Arc::new(IndexSlab::Owned(bytes)), &header, tree, None)
 }
 
-/// Serialises a corpus index to v2 bytes: frames the sections it holds,
-/// in `SECTION_ORDER`, plus its SHARD section when it is one shard of a
-/// set. Nothing is decoded, so re-encoding a loaded snapshot is
-/// byte-stable.
-pub fn to_bytes(corpus: &CorpusIndex) -> Vec<u8> {
+/// Writes a corpus index to `out` as v2 bytes: the header, then the
+/// sections it holds in `SECTION_ORDER`, each straight from the bytes it
+/// views, plus its SHARD section when it is one shard of a set. Nothing
+/// is decoded or copied first, so re-encoding a loaded snapshot is
+/// byte-stable and a save holds no second copy of the payload.
+pub(crate) fn write(corpus: &CorpusIndex, out: &mut impl io::Write) -> io::Result<()> {
     let Sections { slab, ranges } = corpus.sections();
-    let shard = corpus.shard_meta();
-    let payload = ranges.iter().map(Range::len).sum();
-    let mut w = Writer::new(SECTION_ORDER.len() + usize::from(shard.is_some()), payload);
-    for (&id, range) in SECTION_ORDER.iter().zip(ranges) {
-        w.section(id, |out| out.extend_from_slice(&slab[range.clone()]));
+    let shard = corpus.shard_meta().map(|meta| {
+        let mut body = Vec::new();
+        encode_shard(meta, &mut body);
+        body
+    });
+    let mut sections: Vec<(u8, &[u8])> = (SECTION_ORDER.iter().zip(ranges))
+        .map(|(&id, range)| (id, &slab[range.clone()]))
+        .collect();
+    sections.extend(shard.as_deref().map(|body| (SEC_SHARD, body)));
+    out.write_all(&header(&sections))?;
+    for (_, body) in &sections {
+        out.write_all(body)?;
     }
-    if let Some(meta) = shard {
-        w.section(SEC_SHARD, |out| encode_shard(meta, out));
-    }
-    w.finish()
+    Ok(())
+}
+
+/// The bytes `write` writes, in memory.
+pub fn to_bytes(corpus: &CorpusIndex) -> Vec<u8> {
+    // A header and every section but SHARD: the size, near enough.
+    let mut out = Vec::with_capacity(corpus.sections().slab.len());
+    write(corpus, &mut out).expect("writing to a Vec cannot fail");
+    out
 }
 
 /// Parsed v2 header: recorded checksum, section ranges, header end.
@@ -463,6 +492,11 @@ pub(crate) fn load(slab: Arc<IndexSlab>) -> Result<(CorpusIndex, u64), StorageEr
         checksum: header.checksum,
     });
     let mut corpus = view(Arc::clone(&slab), &header, tree, provenance)?;
+    // The tree is assembled and the DIRECT counts are read: only a save
+    // reads those bytes again, and it faults them back in from the file.
+    for id in [SEC_TREE, SEC_DIRECT] {
+        slab.release(header.section(id));
+    }
 
     // SHARD (optional): local→global id maps, validated against the
     // sections viewed above.

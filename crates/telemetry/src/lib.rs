@@ -41,7 +41,7 @@ pub use clock::{Clock, ManualClock, MonotonicClock, SharedClock};
 pub use metrics::{Counter, Exposition, Histogram, HistogramSummary, MetricsRegistry, Unit, Value};
 pub use ring::{RequestRecord, RequestRing, ShardAttribution};
 pub use runtime::{FlightRecorder, RuntimeEvent, RuntimeEventKind, RuntimeStats};
-pub use span::{SpanGuard, SpanRecord, Tracer};
+pub use span::{SpanGuard, SpanRecord, Tracer, SPAN_CAPACITY};
 pub use window::{RollingWindows, WindowEvent, WindowSnapshot, SLO_ERROR_BUDGET};
 
 /// Canonical metric names, shared between the recording side

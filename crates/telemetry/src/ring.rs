@@ -2,15 +2,17 @@
 //! record the serving layer pushes into one of them.
 //!
 //! [`Ring`] is the one bounded buffer: a mutexed `VecDeque`, its
-//! capacity and a lifetime push counter. Two fronts wrap it:
+//! capacity and a lifetime push counter. It has three uses:
 //!
 //! - [`RequestRing`] holds one [`RequestRecord`] per finished HTTP
 //!   request — success or error — and `GET /debug/requests` reads the
 //!   most recent ones back, newest first;
 //! - [`crate::FlightRecorder`] holds runtime events for `GET
-//!   /debug/flight`, oldest first.
+//!   /debug/flight`, oldest first;
+//! - a [`crate::Tracer`] holds its finished spans until a trace is
+//!   exported.
 //!
-//! Both are **bounded** (old entries are overwritten, so memory is
+//! All are **bounded** (old entries are overwritten, so memory is
 //! O(capacity) for the process lifetime) and **record-only**: nothing on
 //! the suggestion path reads them; a push is the only interaction. The
 //! bit-identity contract of the engine is therefore untouchable from
@@ -135,7 +137,8 @@ impl RequestRecord {
 
 /// A bounded ring: it keeps the newest `capacity` items and counts
 /// every push over its lifetime. Capacity 0 keeps and counts nothing.
-/// [`RequestRing`] and [`crate::FlightRecorder`] are its two uses.
+/// [`RequestRing`], [`crate::FlightRecorder`] and the
+/// [`crate::Tracer`]'s span buffer are its uses.
 #[derive(Debug)]
 pub struct Ring<T> {
     items: Mutex<VecDeque<T>>,
@@ -178,6 +181,13 @@ impl<T: Clone> Ring<T> {
     /// Items pushed over the ring's lifetime (≥ `len()`).
     pub fn total_recorded(&self) -> u64 {
         self.pushed.load(Ordering::Relaxed)
+    }
+
+    /// Items pushed and since evicted (`total_recorded() - len()`, read
+    /// under one lock).
+    pub fn dropped(&self) -> u64 {
+        let q = self.items.lock().expect("ring poisoned");
+        self.pushed.load(Ordering::Relaxed) - q.len() as u64
     }
 
     /// Items currently retained.

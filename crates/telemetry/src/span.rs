@@ -1,7 +1,10 @@
 //! Hierarchical span tracing.
 //!
 //! A [`Tracer`] hands out RAII [`SpanGuard`]s; the guard records a
-//! [`SpanRecord`] into the tracer's one buffer when dropped. Parent
+//! [`SpanRecord`] into the tracer's one buffer when dropped. The buffer
+//! is a [`Ring`] of the newest [`SPAN_CAPACITY`] spans, so a tracing
+//! server's memory stays bounded however long it runs; the export
+//! counts the spans it let go. Parent
 //! attribution uses a thread-local stack of open spans (spans are
 //! strictly nested per thread by guard drop order), and each recording
 //! thread is tagged with a small stable id so traces from the
@@ -15,10 +18,16 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::ring::Ring;
+
+/// Finished spans a tracer keeps for export: the newest ones, the older
+/// ones counted as dropped. A suggestion records about five, so this
+/// holds the last ~13 000 queries' worth.
+pub const SPAN_CAPACITY: usize = 1 << 16;
 
 /// One finished span.
 #[derive(Debug, Clone)]
@@ -45,7 +54,7 @@ struct TracerInner {
     tracer_id: u64,
     epoch: Instant,
     next_span: AtomicU64,
-    finished: Mutex<Vec<SpanRecord>>,
+    finished: Ring<SpanRecord>,
 }
 
 static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
@@ -91,7 +100,7 @@ impl Tracer {
                 tracer_id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
                 epoch: Instant::now(),
                 next_span: AtomicU64::new(1),
-                finished: Mutex::new(Vec::new()),
+                finished: Ring::with_capacity(SPAN_CAPACITY),
             })),
         }
     }
@@ -170,20 +179,31 @@ impl Tracer {
         }
     }
 
-    /// Snapshot of all finished spans, in start order.
+    /// Snapshot of the finished spans kept (the newest
+    /// [`SPAN_CAPACITY`]), in start order.
     pub fn finished_spans(&self) -> Vec<SpanRecord> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut out = inner.finished.lock().expect("span buffer poisoned").clone();
+        let mut out = inner.finished.newest(SPAN_CAPACITY);
         out.sort_by_key(|s| (s.start_nanos, s.id));
         out
     }
 
-    /// Exports all finished spans as a Chrome trace-event document (the
-    /// `{"traceEvents": [...]}` envelope with complete — `"ph": "X"` —
-    /// events), loadable in `chrome://tracing` and Perfetto. Timestamps
-    /// and durations are microseconds with nanosecond precision.
+    /// Finished spans the buffer let go to keep the newest
+    /// [`SPAN_CAPACITY`].
+    pub fn dropped_spans(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |inner| inner.finished.dropped())
+    }
+
+    /// Exports the finished spans kept as a Chrome trace-event document
+    /// (the `{"traceEvents": [...]}` envelope with complete — `"ph":
+    /// "X"` — events), loadable in `chrome://tracing` and Perfetto.
+    /// Timestamps and durations are microseconds with nanosecond
+    /// precision. An enabled tracer's document also carries
+    /// `"otherData": {"dropped_spans": n}`, the spans it let go.
     pub fn chrome_trace_json(&self) -> Json {
         let events = self.finished_spans().into_iter().map(|s| {
             let mut args = vec![("span_id", s.id.into())];
@@ -200,7 +220,12 @@ impl Tracer {
                 ("args", Json::object(args)),
             ])
         });
-        Json::object([("traceEvents", events.collect())])
+        let mut trace = vec![("traceEvents", events.collect())];
+        if self.is_enabled() {
+            let dropped = Json::object([("dropped_spans", self.dropped_spans().into())]);
+            trace.push(("otherData", dropped));
+        }
+        Json::object(trace)
     }
 }
 
@@ -249,12 +274,7 @@ impl Drop for SpanGuard<'_> {
             dur_nanos,
             thread,
         };
-        active
-            .inner
-            .finished
-            .lock()
-            .expect("span buffer poisoned")
-            .push(record);
+        active.inner.finished.push_with(|_| record);
     }
 }
 
@@ -387,5 +407,36 @@ mod tests {
         assert_eq!(event["ph"], "X");
         assert!(event["ts"].as_f64().is_some() && event["dur"].as_f64().is_some());
         assert_eq!(event["args"]["detail"], "helth \"insurance\"");
+        assert_eq!(v["otherData"]["dropped_spans"].as_u64(), Some(0));
+    }
+
+    /// Queries past the buffer's capacity, each a `suggest` span over
+    /// its stages: the trace keeps exactly the newest `SPAN_CAPACITY`
+    /// spans and reports the rest as dropped.
+    #[test]
+    fn spans_past_the_capacity_are_dropped_and_counted() {
+        let t = Tracer::enabled();
+        let queries = SPAN_CAPACITY / 4 + 10;
+        for q in 0..queries {
+            let _suggest = t.span_with("suggest", || format!("q{q}"));
+            for stage in ["slot_build", "walk_accumulate", "rank"] {
+                let _stage = t.span(stage);
+            }
+        }
+        let spans = t.finished_spans();
+        assert_eq!(spans.len(), SPAN_CAPACITY);
+        assert_eq!(t.dropped_spans(), 40);
+        // The newest are kept: the first query's spans are gone.
+        let last = format!("q{}", queries - 1);
+        assert!(spans
+            .iter()
+            .any(|s| s.detail.as_deref() == Some(last.as_str())));
+        assert!(!spans.iter().any(|s| s.detail.as_deref() == Some("q0")));
+        let v = crate::json::parse(&t.chrome_trace_json().render()).unwrap();
+        assert_eq!(v["otherData"]["dropped_spans"].as_u64(), Some(40));
+        assert_eq!(
+            v["traceEvents"].as_array().map(<[_]>::len),
+            Some(SPAN_CAPACITY)
+        );
     }
 }

@@ -156,6 +156,68 @@ fn inex_v2_mapped_matches_v1() {
     assert_v2_mapped_matches_fresh_build("inex_150", index, &queries);
 }
 
+/// Resident bytes of this process's mapping of `path` (its `Rss:` line
+/// in `/proc/self/smaps`).
+#[cfg(target_os = "linux")]
+fn mapping_rss(path: &std::path::Path) -> u64 {
+    let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+    let name = path.to_str().unwrap();
+    let mut lines = smaps.lines().skip_while(|line| !line.ends_with(name));
+    lines.next().expect("the snapshot is mapped");
+    let kb = lines.find_map(|line| line.strip_prefix("Rss:")).unwrap();
+    kb.trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse::<u64>()
+        .unwrap()
+        << 10
+}
+
+/// Opening a snapshot mapped hands its TREE and DIRECT pages back: right
+/// after `open_file`, the mapping keeps resident no more of those
+/// sections than the 64 KiB rounding at each of their ends. Its engine
+/// still answers bit-identically to the in-memory build it was saved
+/// from, and `to_bytes_v2`, which reads the released pages in again,
+/// returns the file.
+#[cfg(target_os = "linux")]
+#[test]
+fn v2_open_releases_the_tree_and_answers_alike() {
+    let index = CorpusIndex::build(generate_dblp(&DblpConfig {
+        publications: 8000,
+        ..Default::default()
+    }));
+    let path = tmp("released.v2.xci");
+    storage::save_to_file_v2(&index, &path).unwrap();
+    let file = std::fs::read(&path).unwrap();
+    let consumed: u64 = (storage::summarize(&file).unwrap().sections.iter())
+        .filter(|s| matches!(s.name, "TREE" | "DIRECT"))
+        .map(|s| s.bytes)
+        .sum();
+    let rounding = 4 * (64 << 10);
+    assert!(
+        consumed > 2 * rounding,
+        "{consumed} bytes of TREE and DIRECT"
+    );
+
+    let (mapped, report) = storage::open_file(&path, &OpenOptions::default()).unwrap();
+    assert!(report.mapped);
+    let resident = mapping_rss(&path);
+    assert!(
+        resident + consumed <= (file.len() as u64).next_multiple_of(4096) + rounding,
+        "{resident} bytes resident of {}, {consumed} of them TREE and DIRECT",
+        file.len()
+    );
+
+    let queries = workload(&index, 40, 4400);
+    let fresh = XCleanEngine::from_corpus(index, XCleanConfig::default());
+    let served = XCleanEngine::from_corpus(mapped, XCleanConfig::default());
+    for q in &queries {
+        let a = fresh.suggest_keywords(q);
+        assert_identical("released", q, &a, &served.suggest_keywords(q));
+    }
+    assert!(storage::to_bytes_v2(served.corpus()) == file);
+}
+
 /// Fingerprints key the server's response cache, so they must not depend
 /// on *how* the snapshot bytes are held (owned copy vs mapping).
 #[test]
